@@ -292,6 +292,15 @@ class Tracer:
             adopted.append(span)
         return adopted
 
+    def annotate(self, **args: Any) -> None:
+        """Attach details to this thread's innermost open span — for
+        code that runs under a span someone else opened."""
+        if not self.enabled:
+            return
+        stack = self._stack()
+        if stack:
+            stack[-1].annotate(**args)
+
     def instant(self, name: str, category: str = "", **args: Any) -> None:
         """Record a point event."""
         if not self.enabled:

@@ -186,6 +186,27 @@ class ColumnVector:
             position += 1
         kind = self.kind
         data = self.data
+        if position < total and kind in ("int", "str"):
+            # exact bulk paths: one C-level pass when every remaining
+            # value already has the layout's own Python type
+            tail = values[position:] if position else values
+            kinds = set(map(type, tail))
+            if kind == "int" and kinds == {int} and (
+                _INT64_MIN <= min(tail) and max(tail) <= _INT64_MAX
+            ):
+                data.extend(tail)
+                self.length += total - position
+                return
+            if kind == "str" and kinds == {str}:
+                index = self.index
+                interned = self.values
+                for value in dict.fromkeys(tail):  # first-appearance order
+                    if value not in index:
+                        index[value] = len(interned)
+                        interned.append(value)
+                data.extend(map(index.__getitem__, tail))
+                self.length += total - position
+                return
         if kind == "int":
             nulls = self.nulls
             length = self.length
@@ -331,32 +352,28 @@ class ColumnVector:
         return self.length
 
 
+#: the Python type ``coerce`` hands back unchanged, per declared type
+_CANONICAL = {
+    SqlType.INTEGER: int,
+    SqlType.REAL: float,
+    SqlType.VARCHAR: str,
+    SqlType.DATE: datetime.date,
+    SqlType.BOOLEAN: bool,
+}
+
+
 def _coerce_column(values: List[Any], declared: SqlType) -> List[Any]:
-    """Coerce a whole column, skipping values that already have the
-    declared type's canonical Python shape (``coerce`` would return
-    them unchanged)."""
-    if declared is SqlType.INTEGER:
-        return [
-            v if type(v) is int or v is None else coerce(v, declared)
-            for v in values
-        ]
-    if declared is SqlType.VARCHAR:
-        return [
-            v if type(v) is str or v is None else coerce(v, declared)
-            for v in values
-        ]
-    if declared is SqlType.REAL:
-        return [
-            v if type(v) is float or v is None else coerce(v, declared)
-            for v in values
-        ]
-    if declared is SqlType.DATE:
-        return [
-            v if type(v) is datetime.date or v is None
-            else coerce(v, declared)
-            for v in values
-        ]
-    return [coerce(v, declared) for v in values]
+    """Coerce a whole column.  Values that already have the declared
+    type's canonical Python shape are skipped (``coerce`` would return
+    them unchanged); when that is all of them, *values* itself comes
+    back."""
+    canonical = _CANONICAL[declared]
+    if set(map(type, values)) <= {canonical, type(None)}:
+        return values
+    return [
+        v if type(v) is canonical or v is None else coerce(v, declared)
+        for v in values
+    ]
 
 
 class ColumnarTable(Table):
@@ -419,10 +436,18 @@ class ColumnarTable(Table):
         self._sync_external()
         return self._vectors[position]
 
-    def column_lists(self) -> List[List[Any]]:
-        """Every column materialized as a Python list (no row tuples)."""
+    def column_lists(
+        self, positions: Optional[Sequence[int]] = None
+    ) -> List[Optional[List[Any]]]:
+        """Columns materialized as Python lists (no row tuples): all of
+        them, or only those at *positions* with ``None`` elsewhere."""
         self._sync_external()
-        return [vector.to_pylist() for vector in self._vectors]
+        if positions is None:
+            return [vector.to_pylist() for vector in self._vectors]
+        out: List[Optional[List[Any]]] = [None] * len(self._vectors)
+        for position in positions:
+            out[position] = self._vectors[position].to_pylist()
+        return out
 
     def nbytes(self) -> int:
         return sum(vector.nbytes() for vector in self._vectors)
@@ -473,16 +498,9 @@ class ColumnarTable(Table):
                 table_index.add(row)
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Column-wise bulk append (one type dispatch per column).
-
-        Semantically identical to per-row :meth:`insert`: declared
-        types coerce every value, an undeclared type is inferred from
-        the column's first non-NULL value and applied to the values
-        after it — exactly the order the per-row path would see.
-        """
+        """Bulk append: transposes and hands over to
+        :meth:`insert_columns`."""
         rows = [tuple(row) for row in rows]
-        if not rows:
-            return 0
         arity = len(self.columns)
         for row in rows:
             if len(row) != arity:
@@ -490,34 +508,56 @@ class ColumnarTable(Table):
                     f"INSERT into {self.name!r}: expected {arity} "
                     f"values, got {len(row)}"
                 )
-        types = self.types
-        vectors = self._vectors
+        return self.insert_columns([list(column) for column in zip(*rows)])
+
+    def insert_columns(self, columns: Sequence[List[Any]]) -> int:
+        """Column-wise bulk append (one type dispatch per column) of
+        equally long value lists, one per table column; the lists are
+        only read.
+
+        Semantically identical to per-row :meth:`insert`: declared
+        types coerce every value, an undeclared type is inferred from
+        the column's first non-NULL value and applied to the values
+        after it — exactly the order the per-row path would see.
+        """
+        count = len(columns[0]) if columns else 0
+        if not count:
+            return 0
+        if len(columns) != len(self.columns):
+            raise ExecutionError(
+                f"INSERT into {self.name!r}: expected {len(self.columns)} "
+                f"values, got {len(columns)}"
+            )
+        # coerce every column before touching the table: a value that
+        # does not fit its column's type must leave it unchanged
+        types = list(self.types)
         coerced: List[List[Any]] = []
-        for i, column in enumerate(zip(*rows)):
+        for i, col in enumerate(columns):
             declared = types[i]
-            col = list(column)
             if declared is None:
                 for k, value in enumerate(col):
                     if value is not None:
                         declared = infer_type(value)
-                        types[i] = declared
-                        col = col[: k + 1] + _coerce_column(
-                            col[k + 1 :], declared
-                        )
+                        rest = col[k + 1 :]
+                        fitted = _coerce_column(rest, declared)
+                        if fitted is not rest:
+                            col = col[: k + 1] + fitted
                         break
             else:
                 col = _coerce_column(col, declared)
-            vectors[i].extend(col)
-            if self.indexes:
-                coerced.append(col)
-        self._length += len(rows)
+            coerced.append(col)
+            types[i] = declared
+        self.types[:] = types
+        for vector, col in zip(self._vectors, coerced):
+            vector.extend(col)
+        self._length += count
         self._rows_cache = None
         self.data_version += 1
         if self.indexes:
             for row in zip(*coerced):
                 for table_index in self.indexes.values():
                     table_index.add(row)
-        return len(rows)
+        return count
 
     def truncate(self) -> None:
         self._vectors = [ColumnVector() for _ in self.columns]

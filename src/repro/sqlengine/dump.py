@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -26,6 +27,9 @@ from repro.sqlengine.table import Table
 from repro.sqlengine.types import SqlType
 
 _NULL = "\\N"
+#: the escapes ``_serialize`` writes inside string fields
+_ESCAPE = re.compile(r"\\([\\tn])")
+_UNESCAPED = {"\\": "\\", "t": "\t", "n": "\n"}
 
 
 def dump_database(database: Database, directory: Union[str, Path]) -> Path:
@@ -193,6 +197,6 @@ def _deserialize(field: str, sql_type: Optional[SqlType]) -> Any:
         return datetime.date.fromisoformat(field)
     if sql_type is SqlType.BOOLEAN:
         return field == "true"
-    return (
-        field.replace("\\n", "\n").replace("\\t", "\t").replace("\\\\", "\\")
-    )
+    # one left-to-right pass: chained replaces would take the second
+    # half of an escaped backslash followed by "t" for an escaped tab
+    return _ESCAPE.sub(lambda match: _UNESCAPED[match.group(1)], field)

@@ -12,9 +12,11 @@ the engine must not re-pay lexing, parsing and planning each time:
 
 * a **statement cache** maps SQL text to its parsed AST;
 * a **plan cache** maps a parsed SELECT (by identity) to its physical
-  plan, keyed on the catalog version — any DDL bumps the version and
-  thereby evicts every cached plan.  Plans that snapshot data at plan
-  time (views, derived tables) are never cached.
+  plan and holds plans of one catalog version only — any DDL bumps the
+  version and the next lookup drops every cached plan (none could hit
+  again, and each pins the tables it scans).  Planning reads no data:
+  views and derived tables are subplans executed when the parent runs,
+  so their plans are cached like any other.
 
 Both are observable through :attr:`Database.cache_stats`;
 :meth:`Database.prepare` exposes the prepared-statement handle used by
@@ -57,7 +59,12 @@ from repro.sqlengine.planner import SelectPlanner, conjoin
 from repro.sqlengine.result import Result
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import SqlType, coerce as coerce_value
-from repro.sqlengine.vector import build_vector_plan
+from repro.sqlengine.vector import (
+    Unsupported,
+    VectorPlan,
+    build_vector_plan,
+    transpose,
+)
 from repro.sqlengine import columnar
 
 Row = Tuple[Any, ...]
@@ -93,6 +100,7 @@ class _EngineInstruments:
         "rows_returned",
         "rows_scanned",
         "cache_events",
+        "fallbacks",
     )
 
     def __init__(self, metrics: MetricsRegistry):
@@ -118,6 +126,11 @@ class _EngineInstruments:
             "repro_sql_cache_events_total",
             "Statement/plan cache events",
             ("cache", "outcome"),
+        )
+        self.fallbacks = metrics.counter(
+            "repro_fallback_total",
+            "Executions that took a slower path than the one planned",
+            ("site", "reason"),
         )
 
 
@@ -271,10 +284,9 @@ class _SelectPlan:
         "has_aggregates",
         "projector",
         "order_spec",
-        "cacheable",
-        "catalog_version",
-        "has_columnar_scan",
+        "columns",
         "vector",
+        "fallback",
     )
 
     select: ast.Select
@@ -288,13 +300,13 @@ class _SelectPlan:
     has_aggregates: bool
     projector: Optional[_Projector]
     order_spec: Optional[_OrderSpec]
-    cacheable: bool
-    catalog_version: int
-    #: at least one scanned base table is columnar (vector-path gate)
-    has_columnar_scan: bool
-    #: lazily built vector mirror: None = not tried yet, False = no
-    #: exact vector lowering exists (row path forever), else VectorPlan
+    #: output column names
+    columns: List[str]
+    #: lazily built batch-executor mirror: None = not tried yet, False =
+    #: row executor (no FROM, or no exact lowering), else a VectorPlan
     vector: Any
+    #: why there is no exact vector lowering (None when there is one)
+    fallback: Optional[Unsupported]
 
 
 class Database:
@@ -340,6 +352,8 @@ class Database:
         self._local = threading.local()
         self._statement_cache: "OrderedDict[str, ast.Statement]" = OrderedDict()
         self._plan_cache: "OrderedDict[int, _SelectPlan]" = OrderedDict()
+        #: the catalog version every cached plan was built under
+        self._plan_cache_version = 0
 
     @property
     def _params(self) -> Dict[str, Any]:
@@ -605,26 +619,35 @@ class Database:
         key = id(select)
         im = self._im
         with self._cache_lock:
-            entry = self._plan_cache.get(key)
-            if entry is not None and entry.select is select:
-                if entry.catalog_version == self.catalog.version:
-                    self.cache_stats.plan_hits += 1
+            cache = self._plan_cache
+            version = self.catalog.version
+            if version != self._plan_cache_version:
+                # DDL happened: no cached plan can hit again, and each
+                # pins its tables' rows and decoded columns — drop them
+                # all now instead of waiting for LRU eviction
+                if cache:
+                    self.cache_stats.plan_invalidations += len(cache)
                     if im is not None:
-                        im.cache_events.inc(cache="plan", outcome="hit")
-                    self._plan_cache.move_to_end(key)
-                    return entry
-                self.cache_stats.plan_invalidations += 1
+                        im.cache_events.inc(
+                            len(cache), cache="plan", outcome="invalidation"
+                        )
+                    cache.clear()
+                self._plan_cache_version = version
+            entry = cache.get(key)
+            if entry is not None and entry.select is select:
+                self.cache_stats.plan_hits += 1
                 if im is not None:
-                    im.cache_events.inc(cache="plan", outcome="invalidation")
-                del self._plan_cache[key]
+                    im.cache_events.inc(cache="plan", outcome="hit")
+                cache.move_to_end(key)
+                return entry
             self.cache_stats.plan_misses += 1
             if im is not None:
                 im.cache_events.inc(cache="plan", outcome="miss")
             plan = self._build_select_plan(select)
-            if self.options.plan_cache and plan.cacheable:
-                self._plan_cache[key] = plan
-                while len(self._plan_cache) > self.options.plan_cache_size:
-                    self._plan_cache.popitem(last=False)
+            if self.options.plan_cache:
+                cache[key] = plan
+                while len(cache) > self.options.plan_cache_size:
+                    cache.popitem(last=False)
             return plan
 
     def _build_select_plan(self, select: ast.Select) -> _SelectPlan:
@@ -639,10 +662,8 @@ class Database:
         plan.compiler = compiler
         plan.root = root
         plan.leftovers = leftovers
-        plan.cacheable = planner.cacheable
-        plan.catalog_version = self.catalog.version
-        plan.has_columnar_scan = planner.columnar_scan
         plan.vector = None
+        plan.fallback = None
         plan.predicate = None
         plan.having = None
         plan.source = None
@@ -662,6 +683,8 @@ class Database:
             # SELECT without FROM: evaluated per execution against the
             # (possibly correlated) outer environment; nothing worth
             # compiling against a frame that is unknown at plan time.
+            plan.columns = self._output_names(select, None, evaluator)
+            plan.vector = False
             return plan
 
         predicate = conjoin(leftovers)
@@ -685,6 +708,7 @@ class Database:
                 plan.predicate = compiler.bind(predicate, root.frame)
 
         plan.projector = _Projector(select, root.frame, compiler)
+        plan.columns = plan.projector.columns
         if select.order_by:
             plan.order_spec = _OrderSpec(select, plan.projector.columns, compiler)
         return plan
@@ -731,6 +755,67 @@ class Database:
         _, rows = self._run_select_raw(select, outer_env, limit_one)
         return rows
 
+    def _vector_plan(self, plan: _SelectPlan) -> Optional[VectorPlan]:
+        """The batch-executor mirror of *plan*, built on first use;
+        None when the plan has no FROM or no exact vector lowering
+        (:attr:`_SelectPlan.fallback` then says why).  Anything but
+        :class:`Unsupported` out of the builder is a lowering bug and
+        propagates."""
+        vector = plan.vector
+        if vector is None:
+            try:
+                vector = build_vector_plan(plan, self)
+            except Unsupported as exc:
+                vector = False
+                plan.fallback = exc
+            plan.vector = vector
+        return vector or None
+
+    def _plan_columns(
+        self, plan: _SelectPlan
+    ) -> Optional[Tuple[List[List[Any]], int]]:
+        """Run *plan* (one SELECT block, no set operation) through the
+        batch executor: ``(column lists, row count)``, or None when the
+        row executor has to run it.  The lists are only to be read."""
+        if not self.options.vectorize:
+            return None
+        vector = self._vector_plan(plan)
+        if vector is None:
+            return None
+        if self._analyze is not None:
+            self._analyze.attach(plan)
+        cols, n = vector.execute_columns(self)
+        select = plan.select
+        if select.limit is not None or select.offset is not None:
+            kept = self._apply_limit(select, range(n), plan.evaluator)
+            cols = [col[kept.start:kept.stop] for col in cols]
+            n = len(kept)
+        return cols, n
+
+    def _select_columns(
+        self, select: ast.Select
+    ) -> Tuple[List[str], List[List[Any]]]:
+        """A whole SELECT statement's result column-major, the shape
+        ``insert_columns`` takes: the batch executor's columns as they
+        are, or the row executor's rows transposed."""
+        if not select.set_ops:
+            plan = self._select_plan(select)
+            result = self._plan_columns(plan)
+            if result is not None:
+                return plan.columns, result[0]
+        columns, rows = self._run_select_raw(select)
+        return columns, transpose(rows, len(columns))
+
+    def _note_fallback(self, unsupported: Unsupported) -> None:
+        """The row executor is about to run a plan the batch executor
+        could not take: count it and mark the statement's span."""
+        im = self._im
+        if im is not None:
+            im.fallbacks.inc(
+                site="sqlengine.vector", reason=unsupported.reason
+            )
+        self.tracer.annotate(vector_fallback=str(unsupported))
+
     def _run_select_core(
         self,
         select: ast.Select,
@@ -752,28 +837,22 @@ class Database:
             if plan.leftovers and not all(
                 evaluator.eval_predicate(c, env) for c in plan.leftovers
             ):
-                return self._output_names(select, None, evaluator), []
+                return plan.columns, []
             columns, row, _ = self._project_row(select, env, evaluator, None)
             return columns, [tuple(row)]
 
-        if (
-            plan.has_columnar_scan
-            and outer_env is None
-            and not limit_one
-            and self.options.vectorize
-        ):
-            vector = plan.vector
-            if vector is None:
-                try:
-                    vector = build_vector_plan(plan, self)
-                except Exception:
-                    # defensive: an unexpected build failure must never
-                    # break a statement the row path can run
-                    vector = False
-                plan.vector = vector
-            if vector is not False:
-                columns, rows = vector.execute(self)
-                return columns, self._apply_limit(select, rows, evaluator)
+        # Executor selection: every uncorrelated FROM-bearing plan goes
+        # to the batch executor, whatever the storage of its tables;
+        # the row executor runs correlated subqueries (they need the
+        # outer row), first-row probes, and plans without an exact
+        # vector lowering.
+        if outer_env is None and not limit_one:
+            result = self._plan_columns(plan)
+            if result is not None:
+                cols, n = result
+                return plan.columns, list(zip(*cols)) if n else []
+            if plan.fallback is not None:
+                self._note_fallback(plan.fallback)
 
         source = plan.source
         projector = plan.projector
@@ -877,8 +956,10 @@ class Database:
         return columns
 
     def _apply_limit(
-        self, select: ast.Select, rows: List[Row], evaluator: Evaluator
-    ) -> List[Row]:
+        self, select: ast.Select, rows: Any, evaluator: Evaluator
+    ) -> Any:
+        """OFFSET/LIMIT as slices of *rows* — a row list, or a
+        ``range`` over the positions of a column-major result."""
         offset = 0
         if select.offset is not None:
             offset = int(evaluator.eval(select.offset, None))
@@ -900,11 +981,11 @@ class Database:
         return Result()
 
     def _execute_ctas(self, statement: ast.CreateTableAsSelect) -> Result:
-        columns, rows = self._run_select_raw(statement.select)
+        columns, cols = self._select_columns(statement.select)
         table = self._make_table(statement.name, columns)
-        table.insert_many(rows)
+        count = table.insert_columns(cols)
         self.catalog.create_table(table)
-        return Result(rowcount=len(rows))
+        return Result(rowcount=count)
 
     def _execute_drop(self, statement: ast.DropObject) -> Result:
         catalog = self.catalog
@@ -928,7 +1009,12 @@ class Database:
         return Result(rowcount=count)
 
     def _execute_insert_select(self, statement: ast.InsertSelect) -> Result:
-        columns, rows = self._run_select_raw(statement.select)
+        # An explicit column list reorders and pads row by row; without
+        # one the result goes into the table column by column.
+        if statement.columns:
+            columns, rows = self._run_select_raw(statement.select)
+        else:
+            columns, cols = self._select_columns(statement.select)
         if not self.catalog.has_table(statement.table):
             # Convenience extension: auto-create the target from the
             # SELECT output schema (the paper's translation programs
@@ -944,7 +1030,7 @@ class Database:
                 align(table, statement.columns, list(row)) for row in rows
             )
         else:
-            count = table.insert_many(rows)
+            count = table.insert_columns(cols)
         return Result(rowcount=count)
 
     @staticmethod

@@ -13,9 +13,12 @@ pipeline of two hash joins).  The output is a stable, indented tree::
 
 Nodes whose expressions were lowered to closures by
 :mod:`repro.sqlengine.compiler` carry a ``[compiled]`` suffix;
-anything without it runs through the tree-walking interpreter.
-EXPLAIN goes through the same statement/plan caches as execution, so
-explaining a hot query is itself cheap.
+anything without it runs through the tree-walking interpreter.  A view
+or derived table is a ``Subplan`` node with the nested plan under it.
+A plan the batch executor cannot take says so on its first line
+(``[row executor: <reason>]``).  EXPLAIN goes through the same
+statement/plan caches as execution, so explaining a hot query is itself
+cheap — and it executes nothing: planning reads no data.
 
 EXPLAIN ANALYZE additionally *executes* the statement once with every
 operator's row stream instrumented, annotating each node with actual
@@ -45,7 +48,7 @@ from repro.sqlengine.operators import (
     LeftOuterHashJoin,
     NestedLoopJoin,
     Operator,
-    RowsSource,
+    SubplanSource,
     TableScan,
 )
 from repro.sqlengine.planner import conjoin, plan_operators
@@ -73,7 +76,19 @@ def explain(database: Any, sql: str, params: Optional[dict] = None) -> str:
         merged.update(params)
     database._params = merged
     plan = database._select_plan(statement)
+    if database.options.vectorize:
+        _build_vector_plans(database, plan)
     return render_plan(statement, plan)
+
+
+def _build_vector_plans(database: Any, plan: Any) -> None:
+    """Try the batch-executor lowering of *plan* and of every subplan
+    under it (as the first execution would), so the rendering can say
+    which of them the row executor runs, and why."""
+    database._vector_plan(plan)
+    for op in plan_operators(plan.source):
+        if isinstance(op, SubplanSource):
+            _build_vector_plans(database, op.plan)
 
 
 def render_plan(
@@ -90,6 +105,7 @@ def render_plan(
         "  " * indent
         + _projection_line(statement)
         + _mark(project_compiled)
+        + (f" [row executor: {plan.fallback}]" if plan.fallback else "")
         + annotate(None)
     )
     indent += 1
@@ -179,9 +195,9 @@ def _render_operator(
             f"{pad}IndexLookup {op.table.name}.{op.index.name} "
             f"[{keys}]{mark}{suffix}"
         )
-    elif isinstance(op, RowsSource):
-        name = op.frame.sources[0][0] or "<derived>"
-        lines.append(f"{pad}Materialized {name} ({len(op.rows)} rows){suffix}")
+    elif isinstance(op, SubplanSource):
+        lines.append(f"{pad}Subplan {op.binding or '<derived>'}{suffix}")
+        lines.append(render_plan(op.select, op.plan, annotate, indent + 1))
     elif isinstance(op, Filter):
         lines.append(f"{pad}Filter {render_expr(op.predicate)}{mark}{suffix}")
         _render_operator(op.child, indent + 1, lines, annotate)
@@ -251,8 +267,10 @@ class AnalyzeCollector:
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
         #: plans in attach order; the statement's own SELECT comes
-        #: first, subquery/derived-table plans follow
+        #: first, subquery and view/derived-table plans follow
         self.plans: List[Any] = []
+        #: ids of the plans a Subplan node of another plan renders
+        self.nested: set = set()
         self.stats: Dict[int, NodeStats] = {}
         #: vectorized-execution extras per node: batches processed and
         #: bytes spilled to disk (out-of-core operators)
@@ -265,6 +283,8 @@ class AnalyzeCollector:
         for op in plan_operators(plan.source):
             if "envs" not in op.__dict__:
                 self._wrap(op)
+            if isinstance(op, SubplanSource):
+                self.nested.add(id(op.plan))
 
     def _wrap(self, op: Operator) -> None:
         stats = self.stats.setdefault(id(op), NodeStats())
@@ -435,7 +455,10 @@ def _render_analyzed(
         lines.append(f"{type(statement).__name__}")
     if not collector.plans:
         lines.append("(no plan: executed directly)")
-    for index, plan in enumerate(collector.plans):
+    top_level = [
+        plan for plan in collector.plans if id(plan) not in collector.nested
+    ]
+    for index, plan in enumerate(top_level):
         if index:
             lines.append("-- subplan --")
         lines.append(

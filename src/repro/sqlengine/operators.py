@@ -90,18 +90,29 @@ class IndexLookup(Operator):
             yield Env(frame, (row,), parent=parent)
 
 
-class RowsSource(Operator):
-    """Materialized rows under a binding (derived tables, views)."""
+class SubplanSource(Operator):
+    """A view or derived table: a nested SELECT planned with its parent
+    and executed when the parent runs.
 
-    def __init__(
-        self, binding: Optional[str], columns: List[str], rows: List[Tuple[Any, ...]]
-    ):
-        self.frame = Frame.single(binding, columns)
-        self.rows = rows
+    ``plan`` is the nested statement's physical plan — it gives the
+    frame its column names, EXPLAIN its subtree and the batch executor
+    the proven dtypes of the columns it feeds the parent.  Derived
+    tables are uncorrelated: the nested SELECT never sees the enclosing
+    row environment.
+    """
+
+    def __init__(self, binding: Optional[str], select: ast.Select,
+                 plan: Any, database: Any):
+        self.binding = binding
+        self.select = select
+        self.plan = plan
+        self._db = database
+        self.frame = Frame.single(binding, plan.columns)
 
     def envs(self, parent: Optional[Env]) -> Iterator[Env]:
         frame = self.frame
-        for row in self.rows:
+        _, rows = self._db._run_select_raw(self.select)
+        for row in rows:
             yield Env(frame, (row,), parent=parent)
 
 

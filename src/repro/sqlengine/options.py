@@ -41,7 +41,9 @@ class EngineOptions:
     #: join/aggregate estimates its input above the budget it switches
     #: to the spilling out-of-core variant (None = never spill)
     memory_budget: Optional[int] = None
-    #: run batch-at-a-time over column vectors when every plan node
-    #: supports it and at least one scanned table is columnar (plans
-    #: over row tables always use the row executor)
+    #: run every uncorrelated FROM-bearing SELECT block batch-at-a-time
+    #: over column lists, whatever the storage of its tables (a plan
+    #: with a node that has no exact vector lowering runs on the row
+    #: executor whole); False forces the row executor everywhere — the
+    #: oracle of the differential tests
     vectorize: bool = True

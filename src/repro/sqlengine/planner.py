@@ -25,7 +25,7 @@ from repro.sqlengine.operators import (
     LeftOuterHashJoin,
     NestedLoopJoin,
     Operator,
-    RowsSource,
+    SubplanSource,
     TableScan,
 )
 
@@ -92,13 +92,6 @@ class SelectPlanner:
         self.compiler = ExpressionCompiler(
             evaluator, enabled=self._options.compile_expressions
         )
-        #: False when the plan snapshots data at plan time (views and
-        #: derived tables materialize into a RowsSource), making it
-        #: unsafe to reuse across executions
-        self.cacheable = True
-        #: True once the plan scans at least one columnar base table —
-        #: the engine offers such plans to the vectorized executor
-        self.columnar_scan = False
 
     # -- source planning -----------------------------------------------------
 
@@ -192,9 +185,7 @@ class SelectPlanner:
         if isinstance(source, ast.TableName):
             return SourceInfo(self._plan_table(source))
         if isinstance(source, ast.SubquerySource):
-            columns, rows = self._db._run_select_raw(source.select)
-            self.cacheable = False
-            return SourceInfo(RowsSource(source.alias, columns, rows))
+            return SourceInfo(self._plan_subplan(source.alias, source.select))
         if isinstance(source, ast.Join):
             return SourceInfo(self._plan_join(source))
         raise ExecutionError(f"unsupported FROM source: {source!r}")
@@ -202,16 +193,19 @@ class SelectPlanner:
     def _plan_table(self, source: ast.TableName) -> Operator:
         catalog = self._db.catalog
         if catalog.has_table(source.name):
-            table = catalog.get_table(source.name)
-            if getattr(table, "storage", "row") == "columnar":
-                self.columnar_scan = True
-            return TableScan(table, source.binding)
+            return TableScan(catalog.get_table(source.name), source.binding)
         if catalog.has_view(source.name):
             view = catalog.get_view(source.name)
-            columns, rows = self._db._run_select_raw(view.select)
-            self.cacheable = False
-            return RowsSource(source.binding, columns, rows)
+            return self._plan_subplan(source.binding, view.select)
         raise CatalogError(f"no such table or view: {source.name!r}")
+
+    def _plan_subplan(
+        self, binding: Optional[str], select: ast.Select
+    ) -> Operator:
+        """Views and derived tables are planned here and executed when
+        the parent plan runs; nothing is read at plan time."""
+        plan = self._db._select_plan(select)
+        return SubplanSource(binding, select, plan, self._db)
 
     def _plan_join(self, join: ast.Join) -> Operator:
         left = self._plan_source(join.left)

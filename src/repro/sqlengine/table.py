@@ -135,6 +135,11 @@ class Table:
             count += 1
         return count
 
+    def insert_columns(self, columns: Sequence[List[Any]]) -> int:
+        """Append equally long value lists, one per table column (the
+        batch executor's result shape)."""
+        return self.insert_many(zip(*columns))
+
     def truncate(self) -> None:
         self.rows.clear()
         for table_index in self.indexes.values():

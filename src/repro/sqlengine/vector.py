@@ -19,9 +19,11 @@ statement it accepts.  That is achieved three ways:
   every stored value to the column's declared SQL type
   (:func:`repro.sqlengine.types.coerce`), so a declared ``INTEGER``
   column holds only ``int``/``None`` — comparisons can use raw Python
-  operators.  Row tables, derived tables and untyped columns get the
-  ``'any'`` dtype whose kernels call the row path's own helpers
-  (:func:`~repro.sqlengine.evaluator.compare`, ``_arith``) element-wise.
+  operators.  Row tables and untyped columns get the ``'any'`` dtype
+  whose kernels call the row path's own helpers
+  (:func:`~repro.sqlengine.evaluator.compare`, ``_arith``) element-wise;
+  a view or derived table (:class:`VSubplan`) hands its parent the
+  dtypes its own select list proved.
 * *Lazy masking for short-circuit forms.*  ``AND``/``OR``/``COALESCE``
   evaluate their right/later operands only on the rows the earlier
   operands did not decide, so side conditions (errors in untaken
@@ -30,8 +32,9 @@ statement it accepts.  That is achieved three ways:
   provably identical (subqueries, CASE, dynamic LIKE patterns,
   correlated references, nested-loop joins, multiple NEXTVAL items …)
   raises :class:`Unsupported` at build time and the engine runs the
-  row path for the whole statement.  ``plan.vector`` caches the
-  outcome: a ``VectorPlan``, or ``False`` for "row path forever".
+  row path for the whole statement, keeping the reason on the plan
+  (EXPLAIN shows it, ``repro_fallback_total`` counts it).  Any other
+  exception out of the builder is a lowering bug and propagates.
 
 The only tolerated divergence is *which* row's error surfaces first
 when a statement raises: kernels evaluate an operand for every row
@@ -81,7 +84,7 @@ from repro.sqlengine.operators import (
     IndexLookup,
     LeftOuterHashJoin,
     Operator,
-    RowsSource,
+    SubplanSource,
     TableScan,
 )
 from repro.sqlengine.parser import AGGREGATE_NAMES
@@ -92,7 +95,14 @@ _truth = _Evaluator._as_truth
 
 class Unsupported(Exception):
     """Raised at build time when a plan node or expression has no
-    exact vector lowering; the engine falls back to the row path."""
+    exact vector lowering; the engine falls back to the row path.
+
+    ``reason`` is one of a fixed set of phrases (a metric label);
+    *detail* carries the identifier involved, if any."""
+
+    def __init__(self, reason: str, detail: str = ""):
+        super().__init__(f"{reason} {detail}" if detail else reason)
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +137,28 @@ def _as_list(value: Any, n: int) -> List[Any]:
     return value
 
 
-def _gather(col: List[Any], idxs: List[int]) -> List[Any]:
-    return [col[i] for i in idxs]
+#: a batch column no operator above the scan reads is never built: it
+#: travels as ``None`` (see :meth:`VNode.require`)
+Column = Optional[List[Any]]
 
 
-def _gather_pad(col: List[Any], idxs: List[int]) -> List[Any]:
+def _gather(cols: List[Column], idxs: List[int]) -> List[Column]:
+    return [None if c is None else [c[i] for i in idxs] for c in cols]
+
+
+def _gather_pad(cols: List[Column], idxs: List[int]) -> List[Column]:
     """Gather allowing ``-1`` = NULL (outer-join padding)."""
-    return [None if i < 0 else col[i] for i in idxs]
+    return [
+        None if c is None else [None if i < 0 else c[i] for i in idxs]
+        for c in cols
+    ]
+
+
+def transpose(rows: Any, width: int) -> List[List[Any]]:
+    """Row tuples to column lists."""
+    if not rows:
+        return [[] for _ in range(width)]
+    return [list(c) for c in zip(*rows)]
 
 
 class VExpr:
@@ -230,10 +255,6 @@ def _frame_offsets(frame: Frame) -> List[int]:
         offsets.append(total)
         total += len(columns)
     return offsets
-
-
-def _frame_width(frame: Frame) -> int:
-    return sum(len(columns) for _, columns in frame.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +491,9 @@ class _Compiler:
         except CatalogError:
             # Ambiguous name: the row path raises only for rows that
             # actually evaluate it; stay on the row path wholesale.
-            raise Unsupported(f"ambiguous column {expr.name!r}") from None
+            raise Unsupported("ambiguous column", repr(expr.name)) from None
         if hit is None:
-            raise Unsupported(f"outer-scope column {expr.name!r}")
+            raise Unsupported("outer-scope column", repr(expr.name))
         src_idx, col_idx = hit
         flat = self._offsets[src_idx] + col_idx
         return VExpr(
@@ -786,7 +807,7 @@ class _Compiler:
             return VExpr(fn_nullif, first.dtype, first.used | second.used)
         impl = SCALAR_FUNCTIONS.get(expr.name)
         if impl is None:
-            raise Unsupported(f"unknown function {expr.name!r}")
+            raise Unsupported("unknown function", repr(expr.name))
         args = [self.compile(arg) for arg in expr.args]
         used = frozenset().union(*(a.used for a in args)) if args else frozenset()
         dtype = _FN_DTYPE.get(expr.name, "any")
@@ -959,6 +980,12 @@ class VNode:
     def _execute(self, ctx: _Ctx) -> _Batch:
         raise NotImplementedError
 
+    def require(self, flats: frozenset) -> None:
+        """Told once, at build time, which of this node's output
+        columns (flat indices) the operators above read.  Inner nodes
+        add what their own expressions read and pass the set down;
+        scans build only those columns."""
+
     _batches = 0
     _spill = 0
 
@@ -968,54 +995,65 @@ def _chunks(n: int, size: int) -> int:
 
 
 class VScan(VNode):
-    """Full scan: columnar tables hand over their column lists (cached
-    per ``data_version``), row tables transpose their tuples."""
+    """Full scan of the columns the plan reads: columnar tables decode
+    their vectors (cached per ``data_version``), row tables transpose
+    their tuples."""
 
     def __init__(self, op: TableScan):
         self.op = op
         self.dtypes = _table_dtypes(op.table)
+        self._needed: List[int] = []
         self._cache_version: Optional[int] = None
-        self._cache_cols: Optional[List[List[Any]]] = None
+        self._cache_cols: Optional[List[Column]] = None
+
+    def require(self, flats: frozenset) -> None:
+        self._needed = sorted(flats)
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         table = self.op.table
         version = getattr(table, "data_version", None)
         if version is not None:
             if version != self._cache_version or self._cache_cols is None:
-                self._cache_cols = table.column_lists()
+                self._cache_cols = table.column_lists(self._needed)
                 self._cache_version = version
             cols = self._cache_cols
             n = len(table)
         else:
             rows = table.rows
             n = len(rows)
-            if n:
-                cols = [list(c) for c in zip(*rows)]
-            else:
-                cols = [[] for _ in table.columns]
+            cols = [None] * len(table.columns)
+            for position in self._needed:
+                cols[position] = list(map(_op.itemgetter(position), rows))
         self._batches = _chunks(n, ctx.batch_size)
         return _Batch(cols, n)
 
 
-class VRows(VNode):
-    """Materialized rows (derived tables, views) transposed once."""
+class VSubplan(VNode):
+    """A view or derived table: runs the nested plan when the parent
+    runs.  A nested plan the batch executor accepts hands over its
+    output columns and their proven dtypes as they are; anything else
+    (a set operation, a node without a vector lowering) runs through
+    the row executor and is transposed."""
 
-    def __init__(self, op: RowsSource):
+    def __init__(self, op: SubplanSource, db: Any):
         self.op = op
-        width = _frame_width(op.frame)
-        self.dtypes = ["any"] * width
-        self._width = width
-        self._cols: Optional[List[List[Any]]] = None
+        vector = None if op.select.set_ops else db._vector_plan(op.plan)
+        self._columnar = vector is not None
+        self._width = len(op.plan.columns)
+        self.dtypes = (
+            list(vector.out_dtypes) if vector is not None
+            else ["any"] * self._width
+        )
 
     def _execute(self, ctx: _Ctx) -> _Batch:
-        if self._cols is None:
-            rows = self.op.rows
-            if rows:
-                self._cols = [list(c) for c in zip(*rows)]
-            else:
-                self._cols = [[] for _ in range(self._width)]
-        self._batches = _chunks(len(self.op.rows), ctx.batch_size)
-        return _Batch(self._cols, len(self.op.rows))
+        db = ctx.db
+        if self._columnar:
+            cols, n = db._plan_columns(self.op.plan)
+        else:
+            _, rows = db._run_select_raw(self.op.select)
+            cols, n = transpose(rows, self._width), len(rows)
+        self._batches = _chunks(n, ctx.batch_size)
+        return _Batch(cols, n)
 
 
 class VIndexLookup(VNode):
@@ -1035,13 +1073,9 @@ class VIndexLookup(VNode):
         if any(value is None for value in key):
             self._batches = 1
             return _Batch([[] for _ in range(width)], 0)
-        rows = list(op.index.lookup(key))
-        if rows:
-            cols = [list(c) for c in zip(*rows)]
-        else:
-            cols = [[] for _ in range(width)]
+        rows = op.index.lookup(key)
         self._batches = _chunks(len(rows), ctx.batch_size)
-        return _Batch(cols, len(rows))
+        return _Batch(transpose(rows, width), len(rows))
 
 
 class VFilter(VNode):
@@ -1054,6 +1088,9 @@ class VFilter(VNode):
         self.child = child
         self.dtypes = child.dtypes
         self.pred = pred
+
+    def require(self, flats: frozenset) -> None:
+        self.child.require(flats | self.pred.used)
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         batch = self.child.run(ctx)
@@ -1077,7 +1114,7 @@ class VFilter(VNode):
         self._batches = max(1, batches)
         if len(sel) == n:
             return _Batch(cols, n)
-        return _Batch([_gather(c, sel) for c in cols], len(sel))
+        return _Batch(_gather(cols, sel), len(sel))
 
 
 class VHashJoin(VNode):
@@ -1104,6 +1141,19 @@ class VHashJoin(VNode):
         self.residual = residual
         self.dtypes = left.dtypes + right.dtypes
 
+    def require(self, flats: frozenset) -> None:
+        if self.residual is not None:
+            flats = flats | self.residual.used
+        split = len(self.left.dtypes)
+        self.left.require(frozenset().union(
+            (f for f in flats if f < split),
+            *(k.used for k in self.left_keys),
+        ))
+        self.right.require(frozenset().union(
+            (f - split for f in flats if f >= split),
+            *(k.used for k in self.right_keys),
+        ))
+
     def _execute(self, ctx: _Ctx) -> _Batch:
         # build side first, like the row operator
         rbatch = self.right.run(ctx)
@@ -1128,15 +1178,14 @@ class VHashJoin(VNode):
             rights = [j for _, j in pairs]
         else:
             lefts, rights = _join_pairs(lkeys, lbatch.n, rkeys, rbatch.n)
-        cols = [_gather(c, lefts) for c in lbatch.cols]
-        cols += [_gather(c, rights) for c in rbatch.cols]
+        cols = _gather(lbatch.cols, lefts) + _gather(rbatch.cols, rights)
         n = len(lefts)
         residual = self.residual
         if residual is not None and n:
             vals = _as_list(residual.fn(ctx, cols, n), n)
             sel = [i for i, v in enumerate(vals) if v is True]
             if len(sel) != n:
-                cols = [_gather(c, sel) for c in cols]
+                cols = _gather(cols, sel)
                 n = len(sel)
         self._batches = _chunks(n, ctx.batch_size)
         return _Batch(cols, n)
@@ -1193,7 +1242,7 @@ def _join_pairs(
     return lefts, rights
 
 
-class VLeftOuterHashJoin(VNode):
+class VLeftOuterHashJoin(VHashJoin):
     """LEFT OUTER equi-join.  Candidates are gathered per left row in
     bucket order, the residual is applied batch-wise, and unmatched
     left rows pad the right side with NULLs — the row operator's exact
@@ -1202,23 +1251,6 @@ class VLeftOuterHashJoin(VNode):
     (left-major, build-insertion order per key) is exactly the
     in-memory candidate order, so the per-left spans — and with them
     the NULL padding of unmatched rows — rebuild identically."""
-
-    def __init__(
-        self,
-        op: LeftOuterHashJoin,
-        left: VNode,
-        right: VNode,
-        left_keys: List[VExpr],
-        right_keys: List[VExpr],
-        residual: Optional[VExpr],
-    ):
-        self.op = op
-        self.left = left
-        self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
-        self.residual = residual
-        self.dtypes = left.dtypes + right.dtypes
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         rbatch = self.right.run(ctx)
@@ -1268,8 +1300,8 @@ class VLeftOuterHashJoin(VNode):
             spans.append((start, pos))
         matched_flags: List[bool]
         if self.residual is not None and cand:
-            ccols = [_gather(c, [i for i, _ in cand]) for c in lbatch.cols]
-            ccols += [_gather(c, [j for _, j in cand]) for c in rbatch.cols]
+            ccols = _gather(lbatch.cols, [i for i, _ in cand])
+            ccols += _gather(rbatch.cols, [j for _, j in cand])
             vals = _as_list(self.residual.fn(ctx, ccols, len(cand)), len(cand))
             matched_flags = [v is True for v in vals]
         else:
@@ -1287,8 +1319,7 @@ class VLeftOuterHashJoin(VNode):
             if not any_match:
                 lefts.append(i)
                 rights.append(-1)
-        cols = [_gather(c, lefts) for c in lbatch.cols]
-        cols += [_gather_pad(c, rights) for c in rbatch.cols]
+        cols = _gather(lbatch.cols, lefts) + _gather_pad(rbatch.cols, rights)
         n = len(lefts)
         self._batches = _chunks(n, ctx.batch_size)
         return _Batch(cols, n)
@@ -1314,6 +1345,16 @@ class VAggregate(VNode):
         self.gctx = gctx
         self.dtypes = child.dtypes + [s.dtype for s in gctx.slots]
 
+    def require(self, flats: frozenset) -> None:
+        # representative columns keep their child index; slot columns
+        # (appended after them) are computed here
+        base = self.gctx.base_width
+        self.child.require(frozenset().union(
+            (f for f in flats if f < base),
+            *(k.used for k in self.key_vexprs),
+            *(s.arg.used for s in self.gctx.slots if not s.star),
+        ))
+
     def _execute(self, ctx: _Ctx) -> _Batch:
         batch = self.child.run(ctx)
         ccols = batch.cols
@@ -1336,9 +1377,13 @@ class VAggregate(VNode):
         if budget is not None and n and spill_mod.estimate_bytes(
             len(ccols) + len(slots) + len(self.key_vexprs), n
         ) > budget:
-            repcols, slotcols, count, spilled = spill_mod.spill_aggregate(
-                n, keys, ccols, arg_lists, slots
+            live = [k for k, col in enumerate(ccols) if col is not None]
+            reps, slotcols, count, spilled = spill_mod.spill_aggregate(
+                n, keys, [ccols[k] for k in live], arg_lists, slots
             )
+            repcols: List[Column] = [None] * len(ccols)
+            for k, col in zip(live, reps):
+                repcols[k] = col
             self._spill += spilled
             self._batches = _chunks(count, ctx.batch_size)
             return _Batch(repcols + slotcols, count)
@@ -1360,8 +1405,7 @@ class VAggregate(VNode):
             repcols = [[None] for _ in ccols]
             members = [[]]
         else:
-            reps = [m[0] for m in members]
-            repcols = [_gather(c, reps) for c in ccols]
+            repcols = _gather(ccols, [m[0] for m in members])
         slotcols = [
             reduce_slot(slot, arg_lists[pos], members)
             for pos, slot in enumerate(slots)
@@ -1416,8 +1460,8 @@ def _build_node(op: Operator, db: Any) -> VNode:
             # interpreted key expressions may need a row environment
             raise Unsupported("index lookup with non-constant keys")
         return VIndexLookup(op)
-    if isinstance(op, RowsSource):
-        return VRows(op)
+    if isinstance(op, SubplanSource):
+        return VSubplan(op, db)
     if isinstance(op, Filter):
         child = _build_node(op.child, db)
         comp = _Compiler(op.frame, child.dtypes, db)
@@ -1446,13 +1490,17 @@ class VectorPlan:
         "source_op",
         "filter_vexpr",
         "parts",
-        "columns",
+        "out_dtypes",
         "order_entries",
         "select",
         "width",
     )
 
-    def execute(self, db: Any) -> Tuple[List[str], List[Tuple[Any, ...]]]:
+    def execute_columns(self, db: Any) -> Tuple[List[List[Any]], int]:
+        """The result column-major: one list per output column (their
+        proven dtypes are :attr:`out_dtypes`) and the row count.  The
+        lists may be shared with a scan's cache — callers must not
+        mutate them."""
         ctx = _Ctx(db)
         batch = self.source.run(ctx)
         im = db._im
@@ -1465,7 +1513,7 @@ class VectorPlan:
             vals = _as_list(filt.fn(ctx, cols, n), n)
             sel = [i for i, v in enumerate(vals) if v is True]
             if len(sel) != n:
-                cols = [_gather(c, sel) for c in cols]
+                cols = _gather(cols, sel)
                 n = len(sel)
         out_cols: List[List[Any]] = []
         for kind, payload in self.parts:
@@ -1477,24 +1525,21 @@ class VectorPlan:
             else:  # "seq": a bare NEXTVAL item, allocated in row order
                 sequence = db.catalog.get_sequence(payload)
                 out_cols.append([sequence.nextval() for _ in range(n)])
-        rows: List[Tuple[Any, ...]] = list(zip(*out_cols)) if n else []
-        select = self.select
-        if select.distinct:
-            seen: Dict[Tuple[Any, ...], None] = {}
-            for row in rows:
-                if row not in seen:
-                    seen[row] = None
-            rows = list(seen.keys())
-        if self.order_entries and rows:
-            rows = self._order(ctx, rows)
-        return self.columns, rows
+        if self.select.distinct and n:
+            # first appearance wins, as in the row path's seen-dict
+            rows = dict.fromkeys(zip(*out_cols))
+            if len(rows) != n:
+                out_cols, n = transpose(rows, self.width), len(rows)
+        if self.order_entries and n:
+            out_cols = self._order(ctx, out_cols, n)
+        return out_cols, n
 
-    def _order(self, ctx: _Ctx, rows: List[Tuple[Any, ...]]) -> List[Any]:
+    def _order(
+        self, ctx: _Ctx, cols: List[List[Any]], n: int
+    ) -> List[List[Any]]:
         from repro.sqlengine import engine as _engine
 
         width = self.width
-        ocols = [list(c) for c in zip(*rows)]
-        n = len(rows)
         key_cols: List[List[Any]] = []
         for kind, payload in self.order_entries:
             if kind == "pos":
@@ -1503,9 +1548,10 @@ class VectorPlan:
                     raise ExecutionError(
                         f"ORDER BY position {payload} out of range"
                     )
-                key_cols.append(ocols[position])
+                key_cols.append(cols[position])
             else:
-                key_cols.append(_as_list(payload.fn(ctx, ocols, n), n))
+                key_cols.append(_as_list(payload.fn(ctx, cols, n), n))
+        rows = list(zip(*cols))
         keys = list(zip(*key_cols))
         budget = ctx.budget
         if budget is not None and spill_mod.estimate_bytes(
@@ -1517,20 +1563,14 @@ class VectorPlan:
             collector = ctx.collector
             if collector is not None:
                 collector.add_vector_spill(self.source_op, spilled)
-            return rows
-        return _engine._sort_rows(rows, keys, self.select.order_by)
+        else:
+            rows = _engine._sort_rows(rows, keys, self.select.order_by)
+        return transpose(rows, width)
 
 
-def build_vector_plan(plan: Any, db: Any) -> Any:
-    """Mirror *plan* onto a :class:`VectorPlan`, or return ``False``
-    when any node has no exact vector lowering (row path forever)."""
-    try:
-        return _build_plan(plan, db)
-    except Unsupported:
-        return False
-
-
-def _build_plan(plan: Any, db: Any) -> VectorPlan:
+def build_vector_plan(plan: Any, db: Any) -> VectorPlan:
+    """Mirror *plan* onto a :class:`VectorPlan`; raises
+    :class:`Unsupported` when a node has no exact vector lowering."""
     select = plan.select
     source_op = plan.source
     if source_op is None:
@@ -1569,6 +1609,7 @@ def _build_plan(plan: Any, db: Any) -> VectorPlan:
 
     parts: List[Tuple[str, Any]] = []
     out_dtypes: List[str] = []
+    used = vp.filter_vexpr.used if vp.filter_vexpr is not None else frozenset()
     seq_items = 0
     for item in select.items:
         expr = item.expr
@@ -1578,6 +1619,7 @@ def _build_plan(plan: Any, db: Any) -> VectorPlan:
                 for src_idx, col_idx, _ in frame.star_columns(expr.qualifier)
             ]
             parts.append(("cols", flats))
+            used = used.union(flats)
             out_dtypes.extend(
                 node.dtypes[f] if f < len(node.dtypes) else "any"
                 for f in flats
@@ -1593,14 +1635,18 @@ def _build_plan(plan: Any, db: Any) -> VectorPlan:
         else:
             vexpr = item_comp.compile(expr)
             parts.append(("expr", vexpr))
+            used = used | vexpr.used
             out_dtypes.append(vexpr.dtype)
     vp.parts = parts
-    vp.columns = plan.projector.columns
-    vp.width = len(vp.columns)
+    vp.out_dtypes = out_dtypes
+    vp.width = len(plan.columns)
+    # every expression is compiled (the aggregate's slots are all
+    # allocated): tell the scans which columns anything reads
+    node.require(used)
 
     entries: List[Tuple[str, Any]] = []
     if select.order_by:
-        out_frame = Frame.single(None, vp.columns)
+        out_frame = Frame.single(None, plan.columns)
         order_comp = _Compiler(out_frame, out_dtypes, db)
         for order_item in select.order_by:
             expr = order_item.expr

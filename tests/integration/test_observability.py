@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from benchmarks.suite import workloads
 from repro import Database, MiningSystem
 from repro.obs import Tracer, render_chrome_trace, trace_events
 from tests.integration.test_golden_outputs import GOLDEN_STATEMENTS
@@ -137,3 +138,96 @@ def test_disabled_tracer_captures_no_analysis():
     result = system.run(GOLDEN_STATEMENTS["simple_associations"])
     assert result.preprocess_stats.analyzed == {}
     assert system.tracer.spans == []
+
+
+# ---------------------------------------------------------------------------
+# the row-executor fallback is loud: pinned per statement
+# ---------------------------------------------------------------------------
+
+
+def vector_fallbacks(tracer):
+    """``{parent span: {reason}}`` of every SQL statement of a traced
+    run that the row executor ran for want of a vector lowering."""
+    spans = {span.span_id: span for span in tracer.spans}
+    found = {}
+    for span in tracer.spans:
+        reason = span.args.get("vector_fallback")
+        if reason is not None:
+            parent = spans.get(span.parent_id)
+            found.setdefault(
+                parent.name if parent is not None else span.name, set()
+            ).add(reason)
+    return found
+
+
+def _load_figure1(database, seed, size):
+    load_purchase_figure1(database)
+
+
+#: the Appendix-A goldens and the standing benchmark's three statements
+FALLBACK_CASES = {
+    **{
+        name: (_load_figure1, text)
+        for name, text in GOLDEN_STATEMENTS.items()
+    },
+    "retail": (workloads.load_retail, workloads.RETAIL.text(0.2)),
+    "quest": (
+        workloads.load_quest_table,
+        workloads.quest_statement("quick").text(0.3),
+    ),
+    "clicks": (workloads.load_clicks, workloads.CLICKS.text(0.3)),
+}
+
+#: Which preprocessing queries (``preprocessor.<label>``) and which
+#: other stages run SQL through the row executor because a plan has no
+#: exact vector lowering.  Empty everywhere: Q0..Q11 and the decoding
+#: joins all run batch-at-a-time.  A new entry means a statement got
+#: about 3x slower — fix the lowering, or pin it here with the reason.
+PINNED_FALLBACKS = {name: {} for name in FALLBACK_CASES}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_row_executor_fallbacks_are_pinned(name):
+    load, text = FALLBACK_CASES[name]
+    database = Database()
+    load(database, 19, "quick")
+    tracer = Tracer(enabled=True)
+    MiningSystem(database=database, tracer=tracer).run(text)
+    assert vector_fallbacks(tracer) == PINNED_FALLBACKS[name]
+
+
+def test_fallback_is_counted_and_marked_on_the_span():
+    from repro.obs.metrics import MetricsRegistry
+
+    database = Database()
+    load_purchase_figure1(database)
+    registry = MetricsRegistry()
+    database.metrics = registry
+    database.tracer = Tracer(enabled=True)
+    sql = "SELECT CASE WHEN price > 100 THEN 1 ELSE 0 END FROM Purchase"
+    database.query(sql)
+    database.query(sql)
+    reason = "no vector lowering for Case"
+    assert registry.get("repro_fallback_total").value(
+        site="sqlengine.vector", reason=reason
+    ) == 2
+    assert vector_fallbacks(database.tracer) == {"engine.Select": {reason}}
+    # a plan the batch executor takes leaves no mark
+    database.tracer = Tracer(enabled=True)
+    database.query("SELECT item FROM Purchase WHERE price > 100")
+    assert vector_fallbacks(database.tracer) == {}
+
+
+def test_a_lowering_bug_is_not_a_fallback(monkeypatch):
+    """Only ``Unsupported`` means "row executor"; anything else out of
+    the vector-plan builder is a bug and must surface."""
+    from repro.sqlengine import engine
+
+    def broken(plan, database):
+        raise RuntimeError("bug in a lowering")
+
+    monkeypatch.setattr(engine, "build_vector_plan", broken)
+    database = Database()
+    load_purchase_figure1(database)
+    with pytest.raises(RuntimeError, match="bug in a lowering"):
+        database.query("SELECT item FROM Purchase")

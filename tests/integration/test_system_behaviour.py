@@ -215,3 +215,39 @@ class TestWorkspaceCleanup:
         assert purchase_db.catalog.has_table("Out")
         # and the system still works afterwards
         assert system.execute(SIMPLE.replace("Out", "Out2")).rules
+
+    def test_cold_runs_leave_no_dead_plans_behind(self, purchase_db):
+        """Every run's workspace prefix makes its SQL text new, so the
+        plans of a dropped workspace can never be looked up again: they
+        must leave the plan cache (with the tables and decoded columns
+        they pin) instead of piling up until LRU eviction."""
+        from repro.sqlengine.operators import SubplanSource
+        from repro.sqlengine.planner import plan_operators
+
+        def scanned_tables(plan):
+            for op in plan_operators(plan.source):
+                if isinstance(op, SubplanSource):
+                    yield from scanned_tables(op.plan)
+                elif hasattr(op, "table"):
+                    yield op.table
+
+        def assert_only_live_tables(database):
+            catalog = database.catalog
+            for plan in database._plan_cache.values():
+                for table in scanned_tables(plan):
+                    assert catalog.has_table(table.name), table.name
+                    assert catalog.get_table(table.name) is table
+
+        system = MiningSystem(database=purchase_db)
+        sizes = []
+        for _ in range(6):
+            system.execute(SIMPLE)
+            assert_only_live_tables(purchase_db)
+            sizes.append(len(purchase_db._plan_cache))
+            system.invalidate_preprocessing(drop_tables=True)
+        # flat, not one run's worth of plans more per cycle
+        assert max(sizes) == sizes[0]
+        # the next statement sweeps what the last drop made stale
+        purchase_db.query("SELECT COUNT(*) FROM Purchase")
+        assert len(purchase_db._plan_cache) == 1
+        assert_only_live_tables(purchase_db)

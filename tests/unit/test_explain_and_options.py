@@ -55,10 +55,33 @@ class TestExplain:
         plan = db.explain("SELECT 1 FROM s a, s b WHERE a.g < b.g")
         assert "NestedLoopJoin" in plan
 
-    def test_view_shows_materialized(self, db):
+    def test_view_shows_subplan(self, db):
         db.execute("CREATE VIEW vw AS (SELECT item FROM s)")
         plan = db.explain("SELECT * FROM vw")
-        assert "Materialized" in plan
+        lines = plan.splitlines()
+        assert lines[1].strip() == "Subplan vw"
+        # the nested plan hangs under the node
+        assert lines[2].strip().startswith("Project (item)")
+        assert "Scan s" in lines[3]
+
+    def test_explain_executes_nothing(self, db):
+        # planning used to run views: EXPLAIN consumed sequence values
+        db.execute("CREATE SEQUENCE sq")
+        db.execute("CREATE VIEW numbered AS (SELECT sq.NEXTVAL AS n FROM s)")
+        version = db.catalog.version
+        plan = db.explain("SELECT * FROM numbered")
+        assert "Subplan numbered" in plan
+        derived = db.explain("SELECT * FROM (SELECT sq.NEXTVAL AS n FROM s) d")
+        assert "Subplan d" in derived
+        assert db.catalog.version == version
+        assert db.catalog.get_sequence("sq").nextval() == 1
+
+    def test_row_executor_reason_shown(self, db):
+        plan = db.explain(
+            "SELECT CASE WHEN g > 1 THEN 'x' ELSE 'y' END FROM s"
+        )
+        assert "[row executor: no vector lowering for Case]" in plan
+        assert "row executor" not in db.explain("SELECT g FROM s")
 
     def test_non_select_statement(self, db):
         text = db.explain("DROP TABLE IF EXISTS zz")

@@ -53,6 +53,19 @@ class TestTracerSpans:
             span.annotate(plan="Scan t")
         assert tracer.spans[0].args == {"rows": 1, "plan": "Scan t"}
 
+    def test_tracer_annotate_reaches_the_innermost_open_span(self):
+        tracer = Tracer()
+        tracer.annotate(lost=True)  # no span open: nothing to mark
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                tracer.annotate(mark="inner")
+            tracer.annotate(mark="outer")
+        assert {s.name: s.args for s in tracer.spans} == {
+            "inner": {"mark": "inner"},
+            "outer": {"mark": "outer"},
+        }
+        Tracer(enabled=False).annotate(ignored=True)
+
     def test_span_closed_on_exception(self):
         tracer = Tracer()
         with pytest.raises(ValueError):

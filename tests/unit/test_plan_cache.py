@@ -81,15 +81,33 @@ class TestPlanCache:
         assert "IndexLookup" in db.explain(sql)
         assert db.query(sql) == [(150,)]
 
-    def test_view_plans_are_not_cached(self, db):
+    def test_view_plans_are_cached_and_see_new_data(self, db):
         db.execute("CREATE VIEW pricey AS SELECT item FROM items "
                     "WHERE price > 100")
         sql = "SELECT item FROM pricey ORDER BY item"
         assert db.query(sql) == [("jackets",), ("ski pants",)]
-        # views snapshot rows at plan time: the plan must be rebuilt
-        # per execution so new data is seen
+        # a view is a subplan executed when its reader runs: the cached
+        # plan is reused and still sees new data
         db.execute("INSERT INTO items VALUES ('canoes', 400)")
+        hits = db.cache_stats.plan_hits
         assert db.query(sql) == [("canoes",), ("jackets",), ("ski pants",)]
+        assert db.cache_stats.plan_hits == hits + 1
+        derived = "SELECT d.item FROM (SELECT item FROM items) d ORDER BY 1"
+        db.query(derived)
+        hits = db.cache_stats.plan_hits
+        assert len(db.query(derived)) == 4
+        assert db.cache_stats.plan_hits == hits + 1
+
+    def test_ddl_drops_every_stale_plan_at_once(self, db):
+        for offset in range(5):
+            db.query(f"SELECT item FROM items WHERE price > {offset}")
+        assert len(db._plan_cache) == 5
+        invalidations = db.cache_stats.plan_invalidations
+        db.execute("CREATE TABLE other (x INTEGER)")
+        db.query("SELECT x FROM other")
+        # none of the five could ever hit again
+        assert db.cache_stats.plan_invalidations == invalidations + 5
+        assert len(db._plan_cache) == 1
 
     def test_plan_cache_can_be_disabled(self):
         db = Database(EngineOptions(plan_cache=False))
