@@ -1,35 +1,21 @@
 """PR7 — columnar storage + the vectorized batch executor.
 
-Two scenarios, asserted (a wrong speedup ratio, a rule mismatch or a
-non-identical spill run fails, not just slows down) and recorded to
-``BENCH_PR7.json``:
+One scenario, asserted (a rule mismatch or a non-identical spill run
+fails, not just slows down) and recorded to ``BENCH_PR7.json``:
 
-a) **Columnar preprocessing speedup**: the full Q0..Q11 translation
-   program of the paper's general MINE RULE statement (mining
-   condition + CLUSTER BY + source condition) on a synthetic retail
-   Purchase workload, run end-to-end columnar (source table and
-   encoded tables as column vectors, vectorized executor) against the
-   row layout.  Bit-identical rule lists, and the columnar run must
-   clear the PR's 2x acceptance floor on preprocessing wall time
-   (sum of the Q0..Q11 query seconds).  Timings are best-of-N.
-b) **Spill run**: the same statement under a capped
-   ``memory_budget`` small enough that the vectorized sort /
-   join / aggregate operators go out-of-core.  The run must stay
-   bit-identical — same rules, same golden dumps of the output
-   tables — and a probe aggregation must actually report
-   ``spill_bytes`` in EXPLAIN ANALYZE.
-
-``BENCH_QUICK=1`` (the CI smoke mode) shrinks the workload below any
-honest vectorization threshold, so quick mode only asserts
-bit-identity and records the measured numbers.
+**Spill run**: the full Q0..Q11 translation program of the paper's
+general MINE RULE statement (mining condition + CLUSTER BY + source
+condition) on a synthetic retail Purchase workload, in memory and
+under a capped ``memory_budget`` small enough that the vectorized
+sort / join / aggregate operators go out-of-core.  The run must stay
+bit-identical — same rules, same golden dumps of the output tables —
+and a probe aggregation must actually report ``spill_bytes`` in
+EXPLAIN ANALYZE.
 """
-
-import math
 
 from benchmarks.conftest import BENCH_QUICK, bench_report
 from repro import Database, MiningSystem
 from repro.datagen import load_purchase_synthetic
-from repro.sqlengine import EngineOptions
 from repro.sqlengine.dump import dump_table_text
 
 REPORT, write_report = bench_report("BENCH_PR7.json")
@@ -48,14 +34,7 @@ CLUSTER BY date HAVING BODY.date < HEAD.date
 EXTRACTING RULES WITH SUPPORT: 0.05, CONFIDENCE: 0.1
 """
 
-if BENCH_QUICK:
-    CUSTOMERS = 120
-    RUNS = 1
-    SPEEDUP_FLOOR = 0.0
-else:
-    CUSTOMERS = 1_600
-    RUNS = 3
-    SPEEDUP_FLOOR = 2.0
+CUSTOMERS = 120 if BENCH_QUICK else 1_600
 DAYS = 20
 TRANSACTIONS = 5
 ITEMS_PER_TRANSACTION = 5
@@ -65,8 +44,8 @@ CATALOG = 150
 SPILL_BUDGET = 16_000 if BENCH_QUICK else 64_000
 
 
-def _load(storage):
-    database = Database(options=EngineOptions(storage=storage))
+def _load():
+    database = Database()
     load_purchase_synthetic(
         database,
         customers=CUSTOMERS,
@@ -90,87 +69,27 @@ def _output_dumps(database, result):
     }
 
 
-def _run(storage, **system_kw):
-    """One cold end-to-end run; returns (preprocess seconds, per-query
-    seconds, rules, output dumps, database)."""
-    database = _load(storage)
+def _run(**system_kw):
+    """One cold end-to-end run; returns (preprocess seconds, rules,
+    output dumps, database)."""
+    database = _load()
     system = MiningSystem(
-        database=database,
-        storage=storage,
-        reuse_preprocessing=False,
-        **system_kw,
+        database=database, reuse_preprocessing=False, **system_kw
     )
     result = system.run(STATEMENT)
-    stats = result.preprocess_stats
     return (
-        stats.total_seconds,
-        dict(stats.query_seconds),
+        result.preprocess_stats.total_seconds,
         result.rules,
         _output_dumps(database, result),
         database,
     )
 
 
-def _best_of(storage, runs, **system_kw):
-    best = math.inf
-    best_queries = rules = dumps = database = None
-    for _ in range(runs):
-        seconds, queries, rules, dumps, database = _run(
-            storage, **system_kw
-        )
-        if seconds < best:
-            best, best_queries = seconds, queries
-    return best, best_queries, rules, dumps, database
-
-
-class TestColumnarPreprocessingSpeedup:
-    def test_columnar_vs_row_q0_q11(self):
-        row_seconds, row_queries, row_rules, row_dumps, _ = _best_of(
-            "row", RUNS
-        )
-        col_seconds, col_queries, col_rules, col_dumps, _ = _best_of(
-            "columnar", RUNS
-        )
-
-        # the whole point: bit-identical to the row pipeline
-        assert col_rules == row_rules
-        assert col_dumps == row_dumps
-        speedup = row_seconds / col_seconds
-
-        REPORT["columnar_preprocessing"] = {
-            "workload": {
-                "customers": CUSTOMERS,
-                "days": DAYS,
-                "transactions_per_customer": TRANSACTIONS,
-                "items_per_transaction": ITEMS_PER_TRANSACTION,
-                "catalog_size": CATALOG,
-            },
-            "quick": BENCH_QUICK,
-            "runs": RUNS,
-            "queries": sorted(row_queries),
-            "rules": len(row_rules),
-            "seconds": {
-                "row": round(row_seconds, 6),
-                "columnar": round(col_seconds, 6),
-            },
-            "query_seconds": {
-                label: {
-                    "row": round(row_queries[label], 6),
-                    "columnar": round(col_queries[label], 6),
-                }
-                for label in sorted(row_queries)
-            },
-            "speedup": round(speedup, 2),
-        }
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"columnar preprocessing speedup only {speedup:.2f}x "
-            f"(floor {SPEEDUP_FLOOR}x)"
-        )
-
+class TestSpillRun:
     def test_spill_run_stays_bit_identical(self):
-        col_seconds, _, col_rules, col_dumps, _ = _best_of("columnar", 1)
-        spill_seconds, _, spill_rules, spill_dumps, database = _run(
-            "columnar", memory_budget=SPILL_BUDGET
+        col_seconds, col_rules, col_dumps, _ = _run()
+        spill_seconds, spill_rules, spill_dumps, database = _run(
+            memory_budget=SPILL_BUDGET
         )
 
         assert spill_rules == col_rules

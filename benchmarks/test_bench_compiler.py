@@ -1,16 +1,12 @@
-"""PR1 — compiled expression closures and the statement/plan cache.
+"""PR1 — the statement/plan cache.
 
-Two scenarios, both asserted (a wrong speedup ratio fails, not just
-slows down) and recorded to ``BENCH_PR1.json`` at the repo root:
+Asserted (a wrong speedup ratio fails, not just slows down) and
+recorded to ``BENCH_PR1.json`` at the repo root:
 
-a) **Repeated execution**: the same SELECT executed again and again,
-   cache-cold (``clear_caches()`` before every run) vs. warm.  The
-   warm path must be at least 2x faster — it skips lexing, parsing and
-   planning entirely.
-b) **Per-row throughput**: a filter + join + group query over a few
-   thousand rows with ``compile_expressions`` on vs. off.  The
-   compiled closures must beat tree-walk interpretation measurably,
-   with byte-identical results.
+**Repeated execution**: the same SELECT executed again and again,
+cache-cold (``clear_caches()`` before every run) vs. warm.  The warm
+path must be at least 2x faster — it skips lexing, parsing and
+planning entirely.
 """
 
 import time
@@ -18,7 +14,7 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_report
-from repro.sqlengine import Database, EngineOptions
+from repro.sqlengine import Database
 
 REPORT, write_report = bench_report("BENCH_PR1.json")
 
@@ -26,8 +22,8 @@ ROWS = 4_000
 GROUPS = 200
 
 
-def build_db(options=None):
-    db = Database(options) if options is not None else Database()
+def build_db():
+    db = Database()
     db.execute(
         "CREATE TABLE sales (gid INTEGER, item VARCHAR, qty INTEGER, "
         "price INTEGER)"
@@ -94,37 +90,3 @@ class TestPlanCacheSpeedup:
         # repeated execution
         assert speedup >= 2.0, f"plan cache speedup only {speedup:.2f}x"
         benchmark(warm)
-
-
-class TestCompiledExpressionSpeedup:
-    def test_compiled_vs_interpreted_throughput(self, benchmark):
-        compiled_db = build_db(EngineOptions(compile_expressions=True))
-        interpreted_db = build_db(EngineOptions(compile_expressions=False))
-        query = (
-            "SELECT s.item, s.qty * s.price "
-            "FROM sales s, groups g "
-            "WHERE s.gid = g.gid AND s.price > 50 AND s.qty > 0 "
-            "AND s.item LIKE 'item%'"
-        )
-        assert compiled_db.query(query) == interpreted_db.query(query)
-        runs = 12
-        # warm both engines' caches so only per-row work is measured
-        compiled_db.query(query)
-        interpreted_db.query(query)
-        interpreted_seconds = _time_runs(
-            lambda: interpreted_db.query(query), runs
-        )
-        compiled_seconds = _time_runs(lambda: compiled_db.query(query), runs)
-        speedup = interpreted_seconds / compiled_seconds
-        REPORT["compiled_expressions"] = {
-            "query": query,
-            "rows": ROWS,
-            "runs": runs,
-            "interpreted_seconds": round(interpreted_seconds, 6),
-            "compiled_seconds": round(compiled_seconds, 6),
-            "speedup": round(speedup, 2),
-        }
-        # closures with pre-resolved slots must show a measurable
-        # per-row win over AST re-walks + name hashing
-        assert speedup >= 1.1, f"compiled speedup only {speedup:.2f}x"
-        benchmark(lambda: compiled_db.query(query))

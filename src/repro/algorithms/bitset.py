@@ -62,19 +62,6 @@ WORD_BITS = 64
 PACKED_MIN_SLOTS = 48_000
 
 
-def set_packed_min_slots(slots: int) -> int:
-    """Override the packed-kernel crossover (CLI ``--packed-min-slots``,
-    :class:`~repro.system.MiningSystem` tuning) instead of editing the
-    module constant.  Returns the previous value so callers can restore
-    it."""
-    global PACKED_MIN_SLOTS
-    if slots < 0:
-        raise ValueError(f"packed_min_slots must be >= 0, got {slots}")
-    previous = PACKED_MIN_SLOTS
-    PACKED_MIN_SLOTS = int(slots)
-    return previous
-
-
 def packed_kernels_enabled(slots: int) -> bool:
     """True when the packed word kernels should carry a universe of
     *slots* slots: numpy must be importable (the pure-python per-word

@@ -75,7 +75,6 @@ from repro.obs import (
     render_obs_report,
     write_chrome_trace,
 )
-from repro.sqlengine import STORAGE_KINDS
 from repro.sqlengine.errors import SqlError
 from repro.system import MiningSystem
 
@@ -110,10 +109,8 @@ class Shell:
         workers: int = 1,
         shards: Optional[int] = None,
         shard_start_method: Optional[str] = None,
-        storage: Optional[str] = None,
         batch_size: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        packed_min_slots: Optional[int] = None,
     ):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -127,10 +124,8 @@ class Shell:
             algorithm=algorithm, retry_policy=retry_policy,
             tracer=self.tracer, metrics=metrics, slowlog=slowlog,
             health=health, runlog=runlog, workers=workers, shards=shards,
-            shard_start_method=shard_start_method,
-            storage=storage, batch_size=batch_size,
+            shard_start_method=shard_start_method, batch_size=batch_size,
             memory_budget=memory_budget,
-            packed_min_slots=packed_min_slots,
         )
         #: job service (``repro.jobs.JobService``) attached by serve
         #: mode so ``.jobs`` can report it; None in the plain shell
@@ -381,7 +376,6 @@ class Shell:
                 workers=self.system.workers,
                 shards=self.system.shards,
                 shard_start_method=self.system.shard_start_method,
-                storage=self.system.storage,
                 batch_size=old_options.batch_size,
                 memory_budget=old_options.memory_budget,
             )
@@ -500,11 +494,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: platform default)",
     )
     parser.add_argument(
-        "--storage", default=None, choices=STORAGE_KINDS,
-        help="physical layout of the encoded tables the preprocessor "
-        "creates (default: columnar)",
-    )
-    parser.add_argument(
         "--batch-size", type=int, default=None, metavar="ROWS",
         help="rows per batch in the vectorized executor "
         "(default: engine default)",
@@ -513,11 +502,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--memory-budget", type=int, default=None, metavar="BYTES",
         help="estimated bytes an executor operator may hold before "
         "spilling to disk (default: unbounded)",
-    )
-    parser.add_argument(
-        "--packed-min-slots", type=int, default=None, metavar="SLOTS",
-        help="smallest bitmap universe carried by the packed word "
-        "kernels (default: repro.algorithms.bitset.PACKED_MIN_SLOTS)",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -576,10 +560,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         json_log=json_log,
         workers=args.workers,
         shard_start_method=args.shard_start_method,
-        storage=args.storage,
         batch_size=args.batch_size,
         memory_budget=args.memory_budget,
-        packed_min_slots=args.packed_min_slots,
     )
     try:
         if args.command or args.file:

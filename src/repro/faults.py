@@ -27,8 +27,6 @@ Injection sites
 
 ======================  ==================================================
 ``engine.execute``      every :meth:`Database.execute_ast` statement
-``engine.compile``      each expression lowering; an injected failure
-                        *degrades* to the interpreter instead of erroring
 ``dbapi.execute``       each DB-API ``Cursor.execute``
 ``preprocessor.<L>``    before setup/preprocessing query labelled ``<L>``
                         (``CLEAN``, ``SEQ``, ``Q0`` .. ``Q11`` variants)

@@ -189,8 +189,7 @@ class ResilienceStats:
     active :class:`~repro.faults.FaultSchedule` delta, retries from the
     :class:`~repro.faults.RetryPolicy` callbacks, resumed stages from
     the checkpoint skip path, and ``degraded`` lists every graceful
-    fallback taken (compiled expressions -> interpreter, bitset ->
-    set representation).
+    fallback taken (bitset -> set representation).
     """
 
     faults_injected: int = 0

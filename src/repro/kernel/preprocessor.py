@@ -35,7 +35,6 @@ from repro.kernel.program import (
     TranslationQuery,
 )
 from repro.kernel.trace import ProcessFlow
-from repro.sqlengine.columnar import validate_storage
 from repro.sqlengine.engine import Database
 
 
@@ -72,17 +71,15 @@ class PreprocessStats:
 class Preprocessor:
     """Runs the setup and preprocessing programs on the SQL server.
 
-    ``storage`` picks the physical layout of the encoded tables the
-    translation program creates (default ``"columnar"``: the
-    string-heavy encoded tables are exactly the dictionary-encoding
+    The encoded tables the translation program creates are columnar:
+    the string-heavy encoded tables are exactly the dictionary-encoding
     shape, and the vectorized executor runs Q0..Q11 batch-at-a-time
-    over them).  ``"row"`` restores the tuple heap layout — the two
-    are bit-identical on every golden dump.
+    over them (as row heaps, ``retail_cold`` and ``clicks_general``
+    statements measured 1.6x slower — DESIGN.md).
     """
 
-    def __init__(self, database: Database, storage: str = "columnar"):
+    def __init__(self, database: Database):
         self._db = database
-        self._storage = validate_storage(storage)
 
     def run(
         self,
@@ -106,10 +103,9 @@ class Preprocessor:
         # Register the workspace tables' storage layout before any
         # CREATE/CTAS runs them into existence; setdefault keeps an
         # explicit per-table hint (tests, ablations) authoritative.
-        if self._storage != "row":
-            hints = self._db.storage_hints
-            for table in program.workspace.all_tables():
-                hints.setdefault(table.lower(), self._storage)
+        hints = self._db.storage_hints
+        for table in program.workspace.all_tables():
+            hints.setdefault(table.lower(), "columnar")
 
         completed = checkpoint.completed_queries if checkpoint else set()
         if checkpoint is not None and checkpoint.host_variables:

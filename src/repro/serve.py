@@ -50,7 +50,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import RunLog
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import Tracer
-from repro.sqlengine import STORAGE_KINDS
 
 
 class MineRuleService:
@@ -75,10 +74,8 @@ class MineRuleService:
         metrics: Optional[MetricsRegistry] = None,
         workers: int = 1,
         shard_start_method: Optional[str] = None,
-        storage: Optional[str] = None,
         batch_size: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        packed_min_slots: Optional[int] = None,
         job_workers: int = 4,
         job_queue: int = 64,
         run_log: Optional[str] = None,
@@ -109,10 +106,8 @@ class MineRuleService:
             runlog=self.runlog,
             workers=workers,
             shard_start_method=shard_start_method,
-            storage=storage,
             batch_size=batch_size,
             memory_budget=memory_budget,
-            packed_min_slots=packed_min_slots,
         )
         if scenario is not None:
             loader = SCENARIOS[scenario]
@@ -264,20 +259,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="multiprocessing start method for the shard pool",
     )
     parser.add_argument(
-        "--storage", default=None, choices=STORAGE_KINDS,
-        help="physical layout of the encoded tables (default: columnar)",
-    )
-    parser.add_argument(
         "--batch-size", type=int, default=None, metavar="ROWS",
         help="rows per batch in the vectorized executor",
     )
     parser.add_argument(
         "--memory-budget", type=int, default=None, metavar="BYTES",
         help="operator memory budget before spilling to disk",
-    )
-    parser.add_argument(
-        "--packed-min-slots", type=int, default=None, metavar="SLOTS",
-        help="smallest bitmap universe for the packed word kernels",
     )
     parser.add_argument(
         "--job-workers", type=int, default=4, metavar="N",
@@ -329,10 +316,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         retry_policy=retry_policy,
         workers=args.workers,
         shard_start_method=args.shard_start_method,
-        storage=args.storage,
         batch_size=args.batch_size,
         memory_budget=args.memory_budget,
-        packed_min_slots=args.packed_min_slots,
         job_workers=args.job_workers,
         job_queue=args.job_queue,
         run_log=args.run_log,

@@ -48,16 +48,8 @@ except ImportError:  # pragma: no cover - depends on the environment
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-#: storage kind names accepted by EngineOptions/CLI
+#: storage kind names ``Database.storage_hints`` accepts
 STORAGE_KINDS = ("row", "columnar")
-
-
-def validate_storage(storage: str) -> str:
-    if storage not in STORAGE_KINDS:
-        raise ValueError(
-            f"unknown storage {storage!r}; choose from {STORAGE_KINDS}"
-        )
-    return storage
 
 
 class ColumnVector:
@@ -598,7 +590,11 @@ def make_table(
     types: Optional[Sequence[Optional[SqlType]]] = None,
 ) -> Table:
     """Build a table of the requested storage *kind*."""
-    if validate_storage(kind) == "columnar":
+    if kind not in STORAGE_KINDS:
+        raise ValueError(
+            f"unknown storage {kind!r}; choose from {STORAGE_KINDS}"
+        )
+    if kind == "columnar":
         return ColumnarTable(name, columns, types)
     return Table(name, columns, types)
 

@@ -1,51 +1,48 @@
 """Expression compilation: AST expressions lowered to Python closures.
 
-The interpreted :class:`~repro.sqlengine.evaluator.Evaluator` walks the
-AST for every row and resolves every column reference through
-``Frame.lookup`` string hashing.  The mining architecture routes each
-MINE RULE execution through a dozen generated SQL queries (Q0..Q11)
-that scan and join the encoded tables, so that per-row overhead *is*
-the system's hot path.  This module lowers each planned expression
-**once** into a closure:
+The mining architecture routes each MINE RULE execution through a dozen
+generated SQL queries (Q0..Q11), and the row executor evaluates their
+predicates, keys and select items once per row.  This module is the
+row executor's only scalar expression path: :meth:`ExpressionCompiler.bind`
+lowers an expression **once** into a closure taking the row
+:class:`~repro.sqlengine.evaluator.Env`:
 
-* column references become fixed ``env.rows[src][col]`` tuple indexing
-  against the operator's compile-time :class:`Frame` — no per-row name
-  hashing;
+* a column reference the bind-time :class:`Frame` resolves becomes fixed
+  ``env.rows[src][col]`` tuple indexing — no per-row name hashing; one
+  it does not resolve (an outer-scope reference of a correlated
+  subquery, an ambiguous name, no frame at all) walks the environment
+  chain through :meth:`Env.resolve` when called;
 * constant LIKE patterns compile their regex once instead of per row;
-* dispatch happens at compile time, so evaluating a row is a plain
-  chain of Python calls with no ``type(expr)`` lookups.
+* dispatch on the node type happens at bind time, so evaluating a row
+  is a plain chain of Python calls.
 
-Three-valued logic, NULL propagation, type errors and evaluation order
+Binding is total and raises nothing about the *query*: an unknown
+function, a wrong arity, an aggregate outside a group or a subquery of
+the wrong shape lower to closures that raise when (and only when) a row
+reaches them, so a short-circuited branch never fails a statement.
+Three-valued logic, NULL propagation and evaluation order
 (short-circuit AND/OR, IN early exit, CASE branch order, NEXTVAL side
-effects) mirror the interpreter exactly; the differential property
-suite (``tests/property/test_compiler_differential.py``) enforces the
-equivalence.
-
-Expressions the compiler cannot lower — aggregates, subqueries,
-outer-scope (correlated) column references, ambiguous names — fall
-back to an interpreter closure, so binding is always total and always
-semantics-preserving.  :attr:`BoundExpr.compiled` records which path
-was taken; EXPLAIN surfaces it as ``[compiled]`` markers.
+effects) are checked against sqlite3 and against the batch executor's
+kernels (``tests/property``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro import faults
-from repro.faults import FaultError
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import CatalogError, ExecutionError, SqlTypeError
 from repro.sqlengine.evaluator import (
     SCALAR_FUNCTIONS,
     Env,
-    Evaluator,
     Frame,
     _arith,
+    _as_truth as _truth,
     _escape_char,
     _like_to_regex,
     _to_str,
     compare,
+    reduce_values,
     tvl_and,
     tvl_not,
     tvl_or,
@@ -56,95 +53,69 @@ from repro.sqlengine.types import SqlType, coerce
 #: a lowered expression: called with the row Env (or None), returns the value
 ExprFn = Callable[[Optional[Env]], Any]
 
-_truth = Evaluator._as_truth
-
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-class BoundExpr:
-    """An expression bound to an execution frame: a callable plus a
-    flag recording whether it was compiled or fell back to the
-    interpreter."""
+def _raiser(message: str) -> ExprFn:
+    """A lowering that fails the statement only if a row reaches it."""
 
-    __slots__ = ("fn", "compiled")
+    def fn(env):
+        raise ExecutionError(message)
 
-    def __init__(self, fn: ExprFn, compiled: bool):
-        self.fn = fn
-        self.compiled = compiled
+    return fn
 
 
-def bind_expr(
-    expr: ast.Expression,
-    frame: Optional[Frame],
-    evaluator: Evaluator,
-    compiler: Optional["ExpressionCompiler"],
-) -> BoundExpr:
-    """Bind *expr* for evaluation against rows of *frame*: compiled
-    when a compiler is supplied and the expression is lowerable,
-    an interpreter closure otherwise."""
-    if compiler is not None:
-        return compiler.bind(expr, frame)
-    return BoundExpr(lambda env, _e=expr: evaluator.eval(_e, env), False)
+def _membership(value: Any, candidates: Iterable[Any], negated: bool) -> Any:
+    """``value [NOT] IN candidates`` under three-valued logic; stops
+    pulling candidates at the first match."""
+    saw_null = False
+    for candidate in candidates:
+        result = compare("=", value, candidate)
+        if result is True:
+            return not negated
+        if result is None:
+            saw_null = True
+    return None if saw_null else negated
+
+
+def _single_column(rows: Iterable[Sequence[Any]]) -> Iterable[Any]:
+    for row in rows:
+        if len(row) != 1:
+            raise ExecutionError("IN subquery must return one column")
+        yield row[0]
 
 
 class ExpressionCompiler:
     """Lowers AST expressions to closures over a fixed frame.
 
-    ``enabled=False`` (the ``compile_expressions`` engine option turned
-    off) makes every :meth:`bind` return an interpreter fallback, which
-    is how the differential tests and the SYN ablations exercise the
-    interpreted path through identical operator code.
+    The database supplies what a closure reads at call time: the
+    executing thread's host-variable bindings, sequences, and the
+    subquery runner.
     """
 
-    def __init__(self, evaluator: Evaluator, enabled: bool = True):
-        self._evaluator = evaluator
-        self.enabled = enabled
+    def __init__(self, database: Any):
+        self._db = database
 
-    # -- public API --------------------------------------------------------
+    def bind(self, expr: ast.Expression, frame: Optional[Frame]) -> ExprFn:
+        """A closure evaluating *expr* against row environments of
+        *frame* (None: no row context known at bind time)."""
+        return self._DISPATCH[type(expr)](self, expr, frame)
 
-    def bind(self, expr: ast.Expression, frame: Optional[Frame]) -> BoundExpr:
-        if self.enabled:
-            try:
-                faults.check("engine.compile")
-                fn = self._compile(expr, frame)
-            except FaultError:
-                # Graceful degradation: an injected compilation fault
-                # falls back to the interpreter closure (identical
-                # semantics) instead of failing the statement.
-                faults.degrade("engine.compile: interpreter fallback")
-                fn = None
-            if fn is not None:
-                return BoundExpr(fn, True)
-        evaluator = self._evaluator
-        return BoundExpr(lambda env, _e=expr: evaluator.eval(_e, env), False)
-
-    def bind_list(
+    def bind_key(
         self, exprs: Sequence[ast.Expression], frame: Optional[Frame]
-    ) -> List[BoundExpr]:
-        return [self.bind(expr, frame) for expr in exprs]
-
-    # -- compilation core --------------------------------------------------
-
-    def _compile(
-        self, expr: ast.Expression, frame: Optional[Frame]
-    ) -> Optional[ExprFn]:
-        """Return a closure for *expr* or ``None`` when it (or any
-        sub-expression) must stay interpreted."""
-        method = self._DISPATCH.get(type(expr))
-        if method is None:
-            return None
-        return method(self, expr, frame)
-
-    def _compile_all(
-        self, exprs: Sequence[ast.Expression], frame: Optional[Frame]
-    ) -> Optional[List[ExprFn]]:
-        fns = []
-        for expr in exprs:
-            fn = self._compile(expr, frame)
-            if fn is None:
-                return None
-            fns.append(fn)
-        return fns
+    ) -> Callable[[Optional[Env]], tuple]:
+        """One tuple-building key function over *exprs* (specialised
+        for the common 1- and 2-column join/group keys)."""
+        fns = [self.bind(expr, frame) for expr in exprs]
+        if not fns:
+            return lambda env: ()
+        if len(fns) == 1:
+            only = fns[0]
+            return lambda env: (only(env),)
+        if len(fns) == 2:
+            first, second = fns
+            return lambda env: (first(env), second(env))
+        return lambda env: tuple(fn(env) for fn in fns)
 
     # -- node lowerings ----------------------------------------------------
 
@@ -153,47 +124,52 @@ class ExpressionCompiler:
         return lambda env: value
 
     def _hostvar(self, expr: ast.HostVar, frame) -> ExprFn:
-        # Reads the evaluator's *current* bindings at call time so a
-        # cached plan sees the parameters of each new execution.
-        evaluator = self._evaluator
+        # Host variables live in the database's *thread-local* binding
+        # and are read at call time: closures are cached inside plans
+        # and shared by every thread executing that plan, so each
+        # lookup must see the statement running on *this* thread.
+        database = self._db
         name = expr.name
 
         def fn(env):
             try:
-                return evaluator._params[name]
+                return database._params[name]
             except KeyError:
                 raise ExecutionError(f"unbound host variable :{name}") from None
 
         return fn
 
-    def _column(self, expr: ast.ColumnRef, frame) -> Optional[ExprFn]:
-        if frame is None:
-            return None
-        try:
-            hit = frame.lookup(expr.qualifier, expr.name)
-        except CatalogError:
-            # Ambiguous here: stay interpreted so the error surfaces at
-            # evaluation time exactly as the interpreter raises it.
-            return None
-        if hit is None:
-            # Not visible in this frame: an outer-scope (correlated)
-            # reference that needs the parent-environment walk.
-            return None
-        src_idx, col_idx = hit
-        return lambda env: env.rows[src_idx][col_idx]
+    def _column(self, expr: ast.ColumnRef, frame) -> ExprFn:
+        qualifier, name = expr.qualifier, expr.name
+        hit = None
+        if frame is not None:
+            try:
+                hit = frame.lookup(qualifier, name)
+            except CatalogError:
+                pass  # ambiguous: Env.resolve raises it per row
+        if hit is not None:
+            src_idx, col_idx = hit
+            return lambda env: env.rows[src_idx][col_idx]
+
+        # Not visible in this frame: an outer-scope (correlated)
+        # reference, found by the parent-environment walk.
+        def fn(env):
+            if env is None:
+                raise ExecutionError(
+                    f"column reference {expr} outside row context"
+                )
+            return env.resolve(qualifier, name)
+
+        return fn
 
     def _nextval(self, expr: ast.SequenceNextval, frame) -> ExprFn:
-        database = self._evaluator._db
+        catalog = self._db.catalog
         sequence = expr.sequence
-        return lambda env: database.catalog.get_sequence(sequence).nextval()
+        return lambda env: catalog.get_sequence(sequence).nextval()
 
-    def _binary(self, expr: ast.BinaryOp, frame) -> Optional[ExprFn]:
-        left = self._compile(expr.left, frame)
-        if left is None:
-            return None
-        right = self._compile(expr.right, frame)
-        if right is None:
-            return None
+    def _binary(self, expr: ast.BinaryOp, frame) -> ExprFn:
+        left = self.bind(expr.left, frame)
+        right = self.bind(expr.right, frame)
         op = expr.op
         if op == "AND":
 
@@ -235,32 +211,34 @@ class ExpressionCompiler:
 
         return fn_arith
 
-    def _unary(self, expr: ast.UnaryOp, frame) -> Optional[ExprFn]:
-        operand = self._compile(expr.operand, frame)
-        if operand is None:
-            return None
-        if expr.op == "NOT":
+    def _unary(self, expr: ast.UnaryOp, frame) -> ExprFn:
+        operand = self.bind(expr.operand, frame)
+        op = expr.op
+        if op == "NOT":
             return lambda env: tvl_not(_truth(operand(env)))
-        if expr.op == "-":
 
-            def fn_neg(env):
-                value = operand(env)
-                if value is None:
-                    return None
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise SqlTypeError(f"cannot negate {value!r}")
-                return -value
-
-            return fn_neg
-        return None
-
-    def _function(self, expr: ast.FunctionCall, frame) -> Optional[ExprFn]:
-        if expr.name in AGGREGATE_NAMES or expr.star:
-            return None  # aggregates need the group machinery
-        if expr.name == "COALESCE":
-            arg_fns = self._compile_all(expr.args, frame)
-            if arg_fns is None:
+        def fn(env):
+            value = operand(env)
+            if value is None:
                 return None
+            if op != "-":
+                raise ExecutionError(f"unknown unary operator {op!r}")
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise SqlTypeError(f"cannot negate {value!r}")
+            return -value
+
+        return fn
+
+    def _function(self, expr: ast.FunctionCall, frame) -> ExprFn:
+        name = expr.name
+        if name in AGGREGATE_NAMES or expr.star:
+            return self._aggregate(expr)
+        if name == "NULLIF" and len(expr.args) != 2:
+            return _raiser("NULLIF takes two arguments")
+        if name not in ("COALESCE", "NULLIF") and name not in SCALAR_FUNCTIONS:
+            return _raiser(f"unknown function {name!r}")
+        arg_fns = [self.bind(arg, frame) for arg in expr.args]
+        if name == "COALESCE":
 
             def fn_coalesce(env):
                 for arg in arg_fns:
@@ -270,12 +248,7 @@ class ExpressionCompiler:
                 return None
 
             return fn_coalesce
-        if expr.name == "NULLIF":
-            if len(expr.args) != 2:
-                return None  # interpreter raises the arity error
-            arg_fns = self._compile_all(expr.args, frame)
-            if arg_fns is None:
-                return None
+        if name == "NULLIF":
             first_fn, second_fn = arg_fns
 
             def fn_nullif(env):
@@ -284,22 +257,49 @@ class ExpressionCompiler:
                 return None if compare("=", first, second) is True else first
 
             return fn_nullif
-        impl = SCALAR_FUNCTIONS.get(expr.name)
-        if impl is None:
-            return None  # interpreter raises "unknown function"
-        arg_fns = self._compile_all(expr.args, frame)
-        if arg_fns is None:
-            return None
+        impl = SCALAR_FUNCTIONS[name]
         if len(arg_fns) == 1:
             only = arg_fns[0]
             return lambda env: impl([only(env)])
         return lambda env: impl([arg(env) for arg in arg_fns])
 
-    def _between(self, expr: ast.Between, frame) -> Optional[ExprFn]:
-        fns = self._compile_all((expr.expr, expr.low, expr.high), frame)
-        if fns is None:
-            return None
-        value_fn, low_fn, high_fn = fns
+    def _aggregate(self, expr: ast.FunctionCall) -> ExprFn:
+        """An aggregate reads the group of the nearest enclosing scope
+        that has one (``ORDER BY SUM(x)`` runs in a projection env
+        whose parent is the group).  Its argument is evaluated against
+        the group's member rows, so it is bound to *their* frame — on
+        first use, since only the call knows which scope that is."""
+        name = expr.name
+        bound: List[Any] = [(None, None)]  # (group frame, argument closure)
+
+        def fn(env):
+            scope = env
+            while scope is not None and scope.group is None:
+                scope = scope.parent
+            if scope is None:
+                raise ExecutionError(
+                    f"aggregate {name} used outside GROUP BY context"
+                )
+            group = scope.group
+            if expr.star:
+                if name != "COUNT":
+                    raise ExecutionError(f"{name}(*) is not valid")
+                return len(group)
+            if len(expr.args) != 1:
+                raise ExecutionError(f"{name} takes exactly one argument")
+            group_frame, arg_fn = bound[0]
+            if group_frame is not scope.frame:
+                arg_fn = self.bind(expr.args[0], scope.frame)
+                bound[0] = (scope.frame, arg_fn)
+            values = [arg_fn(member) for member in group]
+            return reduce_values(name, values, expr.distinct)
+
+        return fn
+
+    def _between(self, expr: ast.Between, frame) -> ExprFn:
+        value_fn = self.bind(expr.expr, frame)
+        low_fn = self.bind(expr.low, frame)
+        high_fn = self.bind(expr.high, frame)
         negated = expr.negated
 
         def fn(env):
@@ -313,37 +313,55 @@ class ExpressionCompiler:
 
         return fn
 
-    def _in_list(self, expr: ast.InList, frame) -> Optional[ExprFn]:
-        value_fn = self._compile(expr.expr, frame)
-        if value_fn is None:
-            return None
-        item_fns = self._compile_all(expr.items, frame)
-        if item_fns is None:
-            return None
+    def _in_list(self, expr: ast.InList, frame) -> ExprFn:
+        value_fn = self.bind(expr.expr, frame)
+        item_fns = [self.bind(item, frame) for item in expr.items]
         negated = expr.negated
 
         def fn(env):
-            value = value_fn(env)
-            found = False
-            saw_null = False
-            for item in item_fns:
-                result = compare("=", value, item(env))
-                if result is True:
-                    found = True
-                    break
-                if result is None:
-                    saw_null = True
-            result3: Optional[bool] = (
-                True if found else (None if saw_null else False)
+            return _membership(
+                value_fn(env), (item(env) for item in item_fns), negated
             )
-            return tvl_not(result3) if negated else result3
 
         return fn
 
-    def _like(self, expr: ast.Like, frame) -> Optional[ExprFn]:
-        value_fn = self._compile(expr.expr, frame)
-        if value_fn is None:
-            return None
+    def _in_subquery(self, expr: ast.InSubquery, frame) -> ExprFn:
+        value_fn = self.bind(expr.expr, frame)
+        run_subquery = self._db._run_subquery
+        subquery, negated = expr.subquery, expr.negated
+
+        def fn(env):
+            value = value_fn(env)
+            rows = run_subquery(subquery, env)
+            return _membership(value, _single_column(rows), negated)
+
+        return fn
+
+    def _exists(self, expr: ast.Exists, frame) -> ExprFn:
+        run_subquery = self._db._run_subquery
+        subquery, negated = expr.subquery, expr.negated
+        return lambda env: (
+            bool(run_subquery(subquery, env, limit_one=True)) != negated
+        )
+
+    def _scalar_subquery(self, expr: ast.ScalarSubquery, frame) -> ExprFn:
+        run_subquery = self._db._run_subquery
+        select = expr.select
+
+        def fn(env):
+            rows = run_subquery(select, env)
+            if not rows:
+                return None
+            if len(rows) > 1:
+                raise ExecutionError("scalar subquery returned more than one row")
+            if len(rows[0]) != 1:
+                raise ExecutionError("scalar subquery must return one column")
+            return rows[0][0]
+
+        return fn
+
+    def _like(self, expr: ast.Like, frame) -> ExprFn:
+        value_fn = self.bind(expr.expr, frame)
         negated = expr.negated
         escape_expr = expr.escape
         constant_escape = escape_expr is None or isinstance(
@@ -357,12 +375,15 @@ class ExpressionCompiler:
             if escape_expr is not None and escape_expr.value is None:
                 # LIKE ... ESCAPE NULL is NULL for every row
                 return lambda env: None
-            escape = (
-                _escape_char(escape_expr.value)
-                if escape_expr is not None
-                else None
-            )
-            regex = _like_to_regex(expr.pattern.value, escape)
+            try:
+                escape = (
+                    _escape_char(escape_expr.value)
+                    if escape_expr is not None
+                    else None
+                )
+                regex = _like_to_regex(expr.pattern.value, escape)
+            except ExecutionError as exc:
+                return _raiser(str(exc))
 
             def fn_const(env):
                 value = value_fn(env)
@@ -374,16 +395,10 @@ class ExpressionCompiler:
                 return not result if negated else result
 
             return fn_const
-        pattern_fn = self._compile(expr.pattern, frame)
-        if pattern_fn is None:
-            return None
+        pattern_fn = self.bind(expr.pattern, frame)
         escape_fn = (
-            self._compile(escape_expr, frame)
-            if escape_expr is not None
-            else None
+            self.bind(escape_expr, frame) if escape_expr is not None else None
         )
-        if escape_expr is not None and escape_fn is None:
-            return None
 
         def fn(env):
             value = value_fn(env)
@@ -405,31 +420,22 @@ class ExpressionCompiler:
 
         return fn
 
-    def _is_null(self, expr: ast.IsNull, frame) -> Optional[ExprFn]:
-        value_fn = self._compile(expr.expr, frame)
-        if value_fn is None:
-            return None
+    def _is_null(self, expr: ast.IsNull, frame) -> ExprFn:
+        value_fn = self.bind(expr.expr, frame)
         if expr.negated:
             return lambda env: value_fn(env) is not None
         return lambda env: value_fn(env) is None
 
-    def _case(self, expr: ast.Case, frame) -> Optional[ExprFn]:
-        when_fns = []
-        for cond, result in expr.whens:
-            cond_fn = self._compile(cond, frame)
-            result_fn = self._compile(result, frame)
-            if cond_fn is None or result_fn is None:
-                return None
-            when_fns.append((cond_fn, result_fn))
+    def _case(self, expr: ast.Case, frame) -> ExprFn:
+        when_fns = [
+            (self.bind(cond, frame), self.bind(result, frame))
+            for cond, result in expr.whens
+        ]
         else_fn = (
-            self._compile(expr.else_, frame) if expr.else_ is not None else None
+            self.bind(expr.else_, frame) if expr.else_ is not None else None
         )
-        if expr.else_ is not None and else_fn is None:
-            return None
         if expr.operand is not None:
-            operand_fn = self._compile(expr.operand, frame)
-            if operand_fn is None:
-                return None
+            operand_fn = self.bind(expr.operand, frame)
 
             def fn_switch(env):
                 operand = operand_fn(env)
@@ -448,11 +454,10 @@ class ExpressionCompiler:
 
         return fn_search
 
-    def _cast(self, expr: ast.Cast, frame) -> Optional[ExprFn]:
-        value_fn = self._compile(expr.expr, frame)
-        if value_fn is None:
-            return None
+    def _cast(self, expr: ast.Cast, frame) -> ExprFn:
+        value_fn = self.bind(expr.expr, frame)
         target = expr.target
+        # CAST is more lenient than assignment coercion.
         if target is SqlType.VARCHAR:
             convert: Callable[[Any], Any] = _to_str
         elif target is SqlType.INTEGER:
@@ -470,44 +475,30 @@ class ExpressionCompiler:
 
         return fn
 
-    def _tuple(self, expr: ast.TupleExpr, frame) -> Optional[ExprFn]:
-        item_fns = self._compile_all(expr.items, frame)
-        if item_fns is None:
-            return None
+    def _tuple(self, expr: ast.TupleExpr, frame) -> ExprFn:
+        item_fns = [self.bind(item, frame) for item in expr.items]
         return lambda env: tuple(item(env) for item in item_fns)
 
-    _DISPATCH: Dict[type, Callable[..., Optional[ExprFn]]] = {}
+    def _star(self, expr: ast.Star, frame) -> ExprFn:
+        return _raiser("'*' is only valid in a select list or COUNT(*)")
 
-
-ExpressionCompiler._DISPATCH = {
-    ast.Literal: ExpressionCompiler._literal,
-    ast.HostVar: ExpressionCompiler._hostvar,
-    ast.ColumnRef: ExpressionCompiler._column,
-    ast.SequenceNextval: ExpressionCompiler._nextval,
-    ast.BinaryOp: ExpressionCompiler._binary,
-    ast.UnaryOp: ExpressionCompiler._unary,
-    ast.FunctionCall: ExpressionCompiler._function,
-    ast.Between: ExpressionCompiler._between,
-    ast.InList: ExpressionCompiler._in_list,
-    ast.Like: ExpressionCompiler._like,
-    ast.IsNull: ExpressionCompiler._is_null,
-    ast.Case: ExpressionCompiler._case,
-    ast.Cast: ExpressionCompiler._cast,
-    ast.TupleExpr: ExpressionCompiler._tuple,
-    # InSubquery / Exists / ScalarSubquery / Star stay interpreted.
-}
-
-
-def make_key_fn(bound: Sequence[BoundExpr]) -> Callable[[Optional[Env]], tuple]:
-    """Compose per-key closures into one tuple-building key function
-    (specialised for the common 1- and 2-column join/group keys)."""
-    fns = [b.fn for b in bound]
-    if not fns:
-        return lambda env: ()
-    if len(fns) == 1:
-        only = fns[0]
-        return lambda env: (only(env),)
-    if len(fns) == 2:
-        first, second = fns
-        return lambda env: (first(env), second(env))
-    return lambda env: tuple(fn(env) for fn in fns)
+    _DISPATCH: Dict[type, Callable[..., ExprFn]] = {
+        ast.Literal: _literal,
+        ast.HostVar: _hostvar,
+        ast.ColumnRef: _column,
+        ast.SequenceNextval: _nextval,
+        ast.BinaryOp: _binary,
+        ast.UnaryOp: _unary,
+        ast.FunctionCall: _function,
+        ast.Between: _between,
+        ast.InList: _in_list,
+        ast.InSubquery: _in_subquery,
+        ast.Exists: _exists,
+        ast.Like: _like,
+        ast.IsNull: _is_null,
+        ast.Case: _case,
+        ast.Cast: _cast,
+        ast.ScalarSubquery: _scalar_subquery,
+        ast.TupleExpr: _tuple,
+        ast.Star: _star,
+    }

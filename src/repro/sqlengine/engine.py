@@ -49,9 +49,9 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, Index, View
-from repro.sqlengine.compiler import BoundExpr, ExpressionCompiler
+from repro.sqlengine.compiler import ExprFn, ExpressionCompiler
 from repro.sqlengine.errors import ExecutionError
-from repro.sqlengine.evaluator import Env, Evaluator, Frame, compare
+from repro.sqlengine.evaluator import Env, Frame, compare, contains_aggregate
 from repro.sqlengine.locks import RWLock
 from repro.sqlengine.operators import Filter, GroupAggregate, Operator
 from repro.sqlengine.parser import parse_sql, split_statements
@@ -177,14 +177,13 @@ class _Projector:
     """Plan-time compiled select list: output names plus one closure
     (or star slot list) per item."""
 
-    __slots__ = ("columns", "_parts", "_fns", "compiled")
+    __slots__ = ("columns", "_parts", "_fns")
 
     def __init__(
         self, select: ast.Select, frame: Frame, compiler: ExpressionCompiler
     ):
         columns: List[str] = []
         parts: List[Tuple[bool, Any]] = []
-        compiled = True
         has_star = False
         for idx, item in enumerate(select.items):
             if isinstance(item.expr, ast.Star):
@@ -198,14 +197,11 @@ class _Projector:
                 parts.append((True, slots))
                 continue
             columns.append(item.alias or _default_name(item.expr, idx))
-            bound = compiler.bind(item.expr, frame)
-            compiled = compiled and bound.compiled
-            parts.append((False, bound.fn))
+            parts.append((False, compiler.bind(item.expr, frame)))
         self.columns = columns
         self._parts = parts
         #: fast path when the select list has no stars
         self._fns = None if has_star else [fn for _, fn in parts]
-        self.compiled = compiled
 
     def project(self, env: Env) -> List[Any]:
         fns = self._fns
@@ -225,17 +221,21 @@ class _Projector:
 class _OrderSpec:
     """Plan-time ORDER BY keys: positional references index the output
     row directly; expressions are bound against the output frame (with
-    the row env as parent scope for source columns)."""
+    the row env as parent scope for source columns).  *columns* is None
+    for a SELECT without FROM, whose output names only an execution
+    knows: its keys take the output frame per call."""
 
     __slots__ = ("_entries", "_out_frame", "_any_expr")
 
     def __init__(
         self,
         select: ast.Select,
-        columns: Sequence[str],
+        columns: Optional[Sequence[str]],
         compiler: ExpressionCompiler,
     ):
-        self._out_frame = Frame.single(None, columns)
+        self._out_frame = (
+            Frame.single(None, columns) if columns is not None else None
+        )
         entries: List[Tuple[bool, Any]] = []
         any_expr = False
         for order_item in select.order_by:
@@ -248,9 +248,13 @@ class _OrderSpec:
         self._entries = entries
         self._any_expr = any_expr
 
-    def keys(self, row: Row, env: Optional[Env]) -> Tuple[Any, ...]:
+    def keys(
+        self, row: Row, env: Optional[Env], out_frame: Optional[Frame] = None
+    ) -> Tuple[Any, ...]:
         order_env = (
-            Env(self._out_frame, (row,), parent=env) if self._any_expr else None
+            Env(out_frame or self._out_frame, (row,), parent=env)
+            if self._any_expr
+            else None
         )
         keys: List[Any] = []
         for positional, payload in self._entries:
@@ -262,7 +266,7 @@ class _OrderSpec:
                     )
                 keys.append(row[position])
             else:
-                keys.append(payload.fn(order_env))
+                keys.append(payload(order_env))
         return tuple(keys)
 
 
@@ -274,8 +278,6 @@ class _SelectPlan:
 
     __slots__ = (
         "select",
-        "evaluator",
-        "compiler",
         "root",
         "leftovers",
         "source",
@@ -283,23 +285,29 @@ class _SelectPlan:
         "having",
         "has_aggregates",
         "projector",
+        "item_fns",
         "order_spec",
+        "limit",
+        "offset",
         "columns",
         "vector",
         "fallback",
     )
 
     select: ast.Select
-    evaluator: Evaluator
-    compiler: ExpressionCompiler
     root: Optional[Operator]
     leftovers: List[ast.Expression]
     source: Optional[Operator]
-    predicate: Optional[BoundExpr]
-    having: Optional[BoundExpr]
+    predicate: Optional[ExprFn]
+    having: Optional[ExprFn]
     has_aggregates: bool
     projector: Optional[_Projector]
+    #: SELECT without FROM only: one closure per select item, None for
+    #: a ``*`` (expanded per execution from the enclosing row scope)
+    item_fns: Optional[List[Optional[ExprFn]]]
     order_spec: Optional[_OrderSpec]
+    limit: Optional[ExprFn]
+    offset: Optional[ExprFn]
     #: output column names
     columns: List[str]
     #: lazily built batch-executor mirror: None = not tried yet, False =
@@ -317,10 +325,12 @@ class Database:
 
         self.catalog = Catalog()
         self.options = options if options is not None else EngineOptions()
-        #: per-table storage overrides (lower-cased name -> "row" or
-        #: "columnar") consulted before ``options.storage`` whenever a
-        #: table is created; the preprocessor registers its encoded
-        #: working tables here
+        #: the one scalar-expression lowering (row executor and DML)
+        self.compiler = ExpressionCompiler(self)
+        #: storage layout by who creates the table (lower-cased name ->
+        #: "row" or "columnar"), consulted whenever a table is created:
+        #: the preprocessor registers its encoded working tables as
+        #: columnar, every other table is a row heap
         self.storage_hints: Dict[str, str] = {}
         #: host variables assigned by ``SELECT .. INTO :name``
         self.variables: Dict[str, Any] = {}
@@ -570,8 +580,8 @@ class Database:
         columns: Sequence[str],
         types: Optional[Sequence[Optional[SqlType]]] = None,
     ) -> Table:
-        """Build a table in the storage layout the hints/options pick."""
-        kind = self.storage_hints.get(name.lower(), self.options.storage)
+        """Build a table in the storage layout its creator registered."""
+        kind = self.storage_hints.get(name.lower(), "row")
         return columnar.make_table(kind, name, columns, types)
 
     # ------------------------------------------------------------------
@@ -651,15 +661,11 @@ class Database:
             return plan
 
     def _build_select_plan(self, select: ast.Select) -> _SelectPlan:
-        evaluator = Evaluator(self, self._params)
-        planner = SelectPlanner(self, evaluator)
-        root, leftovers = planner.plan_from(select)
-        compiler = planner.compiler
+        compiler = self.compiler
+        root, leftovers = SelectPlanner(self).plan_from(select)
 
         plan = _SelectPlan()
         plan.select = select
-        plan.evaluator = evaluator
-        plan.compiler = compiler
         plan.root = root
         plan.leftovers = leftovers
         plan.vector = None
@@ -668,10 +674,21 @@ class Database:
         plan.having = None
         plan.source = None
         plan.projector = None
+        plan.item_fns = None
         plan.order_spec = None
+        plan.limit = (
+            compiler.bind(select.limit, None)
+            if select.limit is not None
+            else None
+        )
+        plan.offset = (
+            compiler.bind(select.offset, None)
+            if select.offset is not None
+            else None
+        )
 
         has_aggregates = bool(select.group_by) or any(
-            evaluator.contains_aggregate(item.expr)
+            contains_aggregate(item.expr)
             for item in select.items
             if not isinstance(item.expr, ast.Star)
         )
@@ -680,11 +697,28 @@ class Database:
         plan.has_aggregates = has_aggregates
 
         if root is None:
-            # SELECT without FROM: evaluated per execution against the
-            # (possibly correlated) outer environment; nothing worth
-            # compiling against a frame that is unknown at plan time.
-            plan.columns = self._output_names(select, None, evaluator)
+            # SELECT without FROM: one conceptual row in the (possibly
+            # correlated) outer environment, whose frame no plan knows
+            # — column references walk the scope chain per execution.
+            plan.columns = [
+                item.alias or _default_name(item.expr, idx)
+                for idx, item in enumerate(select.items)
+                if not isinstance(item.expr, ast.Star)
+            ]
             plan.vector = False
+            if leftovers:
+                conjunct_fns = [compiler.bind(c, None) for c in leftovers]
+                plan.predicate = lambda env: all(
+                    fn(env) is True for fn in conjunct_fns
+                )
+            plan.item_fns = [
+                None
+                if isinstance(item.expr, ast.Star)
+                else compiler.bind(item.expr, None)
+                for item in select.items
+            ]
+            if select.order_by:
+                plan.order_spec = _OrderSpec(select, None, compiler)
             return plan
 
         predicate = conjoin(leftovers)
@@ -692,13 +726,12 @@ class Database:
             # Leftover WHERE conjuncts must filter *before* grouping.
             child: Operator = root
             if predicate is not None:
-                child = Filter(root, predicate, evaluator, compiler=compiler)
+                child = Filter(root, predicate, compiler)
             plan.source = GroupAggregate(
                 child,
                 list(select.group_by),
-                evaluator,
+                compiler,
                 scalar=not select.group_by,
-                compiler=compiler,
             )
             if select.having is not None:
                 plan.having = compiler.bind(select.having, root.frame)
@@ -748,7 +781,6 @@ class Database:
     def _run_subquery(
         self,
         select: ast.Select,
-        params: Dict[str, Any],
         outer_env: Optional[Env],
         limit_one: bool = False,
     ) -> List[Row]:
@@ -787,7 +819,7 @@ class Database:
         cols, n = vector.execute_columns(self)
         select = plan.select
         if select.limit is not None or select.offset is not None:
-            kept = self._apply_limit(select, range(n), plan.evaluator)
+            kept = self._apply_limit(plan, range(n))
             cols = [col[kept.start:kept.stop] for col in cols]
             n = len(kept)
         return cols, n
@@ -825,20 +857,17 @@ class Database:
         plan = self._select_plan(select)
         if self._analyze is not None:
             self._analyze.attach(plan)
-        evaluator = plan.evaluator
         # Host variables resolve through the database's thread-local
-        # params at call time (Evaluator._params is a property), so a
-        # cached plan sees the parameters of *this* execution without
-        # any rebinding — even when two threads share the plan.
+        # params at call time, so a cached plan sees the parameters of
+        # *this* execution without any rebinding — even when two
+        # threads share the plan.
+        predicate = plan.predicate
 
         if plan.root is None:
             # SELECT without FROM: one conceptual row.
-            env = outer_env
-            if plan.leftovers and not all(
-                evaluator.eval_predicate(c, env) for c in plan.leftovers
-            ):
+            if predicate is not None and not predicate(outer_env):
                 return plan.columns, []
-            columns, row, _ = self._project_row(select, env, evaluator, None)
+            columns, row = self._project_row(plan, outer_env)
             return columns, [tuple(row)]
 
         # Executor selection: every uncorrelated FROM-bearing plan goes
@@ -857,8 +886,7 @@ class Database:
         source = plan.source
         projector = plan.projector
         order_spec = plan.order_spec
-        predicate = plan.predicate.fn if plan.predicate is not None else None
-        having = plan.having.fn if plan.having is not None else None
+        having = plan.having
 
         out_rows: List[Row] = []
         order_keys: List[Tuple[Any, ...]] = []
@@ -891,23 +919,19 @@ class Database:
         if select.order_by:
             out_rows = _sort_rows(out_rows, order_keys, select.order_by)
 
-        out_rows = self._apply_limit(select, out_rows, evaluator)
+        out_rows = self._apply_limit(plan, out_rows)
         return projector.columns, out_rows
 
     def _project_row(
-        self,
-        select: ast.Select,
-        env: Optional[Env],
-        evaluator: Evaluator,
-        outer_env: Optional[Env],
-    ) -> Tuple[List[str], List[Any], Tuple[Any, ...]]:
-        """Interpreted projection: used only for SELECT without FROM,
-        where the row environment (the enclosing scope) has no plan-time
-        frame to compile against."""
+        self, plan: _SelectPlan, env: Optional[Env]
+    ) -> Tuple[List[str], List[Any]]:
+        """The one row of a SELECT without FROM.  *env* is the
+        enclosing scope (or None): a ``*`` expands to its columns, so
+        the output names are known only here."""
         columns: List[str] = []
         values: List[Any] = []
-        for idx, item in enumerate(select.items):
-            if isinstance(item.expr, ast.Star):
+        for idx, (item, fn) in enumerate(zip(plan.select.items, plan.item_fns)):
+            if fn is None:
                 if env is None:
                     raise ExecutionError("'*' requires a FROM clause")
                 for src_idx, col_idx, name in env.frame.star_columns(
@@ -917,57 +941,23 @@ class Database:
                     values.append(env.rows[src_idx][col_idx])
                 continue
             columns.append(item.alias or _default_name(item.expr, idx))
-            values.append(evaluator.eval(item.expr, env))
+            values.append(fn(env))
+        if plan.order_spec is not None:
+            # one row needs no sorting, but a bad key still has to raise
+            plan.order_spec.keys(
+                tuple(values), env, Frame.single(None, columns)
+            )
+        return columns, values
 
-        order_keys: Tuple[Any, ...] = ()
-        if select.order_by:
-            out_frame = Frame.single(None, columns)
-            order_env = Env(out_frame, (tuple(values),), parent=env)
-            keys = []
-            for order_item in select.order_by:
-                expr = order_item.expr
-                if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                    position = expr.value - 1
-                    if not 0 <= position < len(values):
-                        raise ExecutionError(
-                            f"ORDER BY position {expr.value} out of range"
-                        )
-                    keys.append(values[position])
-                else:
-                    keys.append(evaluator.eval(expr, order_env))
-            order_keys = tuple(keys)
-        return columns, values, order_keys
-
-    def _output_names(
-        self,
-        select: ast.Select,
-        root: Optional[Operator],
-        evaluator: Evaluator,
-    ) -> List[str]:
-        """Output column names for an empty result."""
-        columns: List[str] = []
-        for idx, item in enumerate(select.items):
-            if isinstance(item.expr, ast.Star):
-                if root is not None:
-                    for _, _, name in root.frame.star_columns(item.expr.qualifier):
-                        columns.append(name)
-                continue
-            columns.append(item.alias or _default_name(item.expr, idx))
-        return columns
-
-    def _apply_limit(
-        self, select: ast.Select, rows: Any, evaluator: Evaluator
-    ) -> Any:
+    @staticmethod
+    def _apply_limit(plan: _SelectPlan, rows: Any) -> Any:
         """OFFSET/LIMIT as slices of *rows* — a row list, or a
         ``range`` over the positions of a column-major result."""
-        offset = 0
-        if select.offset is not None:
-            offset = int(evaluator.eval(select.offset, None))
+        offset = int(plan.offset(None)) if plan.offset is not None else 0
         if offset:
             rows = rows[offset:]
-        if select.limit is not None:
-            limit = int(evaluator.eval(select.limit, None))
-            rows = rows[:limit]
+        if plan.limit is not None:
+            rows = rows[: int(plan.limit(None))]
         return rows
 
     # ------------------------------------------------------------------
@@ -1000,10 +990,14 @@ class Database:
 
     def _execute_insert_values(self, statement: ast.InsertValues) -> Result:
         table = self.catalog.get_table(statement.table)
-        evaluator = Evaluator(self, self._params)
+        bind = self.compiler.bind
         count = 0
         for row_exprs in statement.rows:
-            values = [evaluator.eval(e, None) for e in row_exprs]
+            # a literal is its value: bulk appends build no closures
+            values = [
+                e.value if isinstance(e, ast.Literal) else bind(e, None)(None)
+                for e in row_exprs
+            ]
             table.insert(self._align_insert(table, statement.columns, values))
             count += 1
         return Result(rowcount=count)
@@ -1055,13 +1049,12 @@ class Database:
             count = len(table.rows)
             table.truncate()
             return Result(rowcount=count)
-        evaluator = Evaluator(self, self._params)
         frame = Frame.single(statement.table, table.columns)
+        predicate = self.compiler.bind(statement.where, frame)
         kept: List[Row] = []
         removed = 0
         for row in table.rows:
-            env = Env(frame, (row,))
-            if evaluator.eval_predicate(statement.where, env):
+            if predicate(Env(frame, (row,))) is True:
                 removed += 1
             else:
                 kept.append(row)
@@ -1070,21 +1063,25 @@ class Database:
 
     def _execute_update(self, statement: ast.Update) -> Result:
         table = self.catalog.get_table(statement.table)
-        evaluator = Evaluator(self, self._params)
+        bind = self.compiler.bind
         frame = Frame.single(statement.table, table.columns)
-        indexes = [
-            (table.column_index(name), expr) for name, expr in statement.assignments
+        predicate = (
+            bind(statement.where, frame)
+            if statement.where is not None
+            else None
+        )
+        assignments = [
+            (table.column_index(name), bind(expr, frame))
+            for name, expr in statement.assignments
         ]
         updated = 0
         new_rows: List[Row] = []
         for row in table.rows:
             env = Env(frame, (row,))
-            if statement.where is None or evaluator.eval_predicate(
-                statement.where, env
-            ):
+            if predicate is None or predicate(env) is True:
                 mutable = list(row)
-                for col_idx, expr in indexes:
-                    value = evaluator.eval(expr, env)
+                for col_idx, value_fn in assignments:
+                    value = value_fn(env)
                     declared = table.types[col_idx]
                     if declared is not None:
                         value = coerce_value(value, declared)

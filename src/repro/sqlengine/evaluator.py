@@ -1,9 +1,11 @@
-"""Row environments and the interpreted expression evaluator.
+"""Row environments and the value semantics of scalar expressions.
 
-Evaluation follows SQL three-valued logic: comparisons against NULL
-yield UNKNOWN (represented as ``None``), AND/OR/NOT combine truth
-values per the standard tables, and WHERE/HAVING keep only rows whose
-predicate is exactly TRUE.
+What the closure compiler (row executor) and the batch kernels share:
+frames and environments, three-valued logic, comparison, arithmetic,
+LIKE, the scalar functions and the aggregate reductions.  Comparisons
+against NULL yield UNKNOWN (represented as ``None``), AND/OR/NOT
+combine truth values per the standard tables, and WHERE/HAVING keep
+only rows whose predicate is exactly TRUE.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import CatalogError, ExecutionError, SqlTypeError
 from repro.sqlengine.parser import AGGREGATE_NAMES
-from repro.sqlengine.types import coerce, is_comparable
+from repro.sqlengine.types import is_comparable
 
 # ---------------------------------------------------------------------------
 # Frames and environments
@@ -185,8 +187,8 @@ def _like_to_regex(
 ) -> "re.Pattern[str]":
     """Translate a LIKE pattern (with optional ESCAPE character) to a
     compiled regex.  Cached: the translation programs replay the same
-    patterns for every MINE RULE execution, and the interpreter path
-    evaluates LIKE once per row."""
+    patterns for every MINE RULE execution, and a non-constant
+    pattern is translated once per row."""
     out = []
     i, size = 0, len(pattern)
     while i < size:
@@ -340,297 +342,25 @@ SCALAR_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
 
 
 # ---------------------------------------------------------------------------
-# Evaluator
+# Helpers shared by the closure compiler and the batch kernels
 # ---------------------------------------------------------------------------
 
 
-class Evaluator:
-    """Interprets AST expressions against row environments.
-
-    The evaluator needs the database for subqueries and sequences, and
-    the host-variable bindings of the current statement.
-    """
-
-    def __init__(self, database: "Any", params: Optional[Dict[str, Any]] = None):
-        self._db = database
-
-    @property
-    def _params(self) -> Dict[str, Any]:
-        # Host variables live in the database's *thread-local* binding:
-        # evaluators are cached inside plans and shared by every thread
-        # executing that plan, so each lookup must resolve against the
-        # statement currently running on *this* thread.
-        return self._db._params
-
-    # -- public API --------------------------------------------------------
-
-    def eval(self, expr: ast.Expression, env: Optional[Env]) -> Any:
-        method = self._DISPATCH.get(type(expr))
-        if method is None:
-            raise ExecutionError(f"cannot evaluate expression node {expr!r}")
-        return method(self, expr, env)
-
-    def eval_predicate(self, expr: ast.Expression, env: Optional[Env]) -> bool:
-        """Evaluate as a WHERE/HAVING predicate: only TRUE passes."""
-        return self.eval(expr, env) is True
-
-    def contains_aggregate(self, expr: ast.Expression) -> bool:
-        for node in ast.walk_expression(expr):
-            if isinstance(node, ast.FunctionCall) and (
-                node.name in AGGREGATE_NAMES or node.star
-            ):
-                return True
-        return False
-
-    # -- node handlers -------------------------------------------------------
-
-    def _literal(self, expr: ast.Literal, env: Optional[Env]) -> Any:
-        return expr.value
-
-    def _hostvar(self, expr: ast.HostVar, env: Optional[Env]) -> Any:
-        try:
-            return self._params[expr.name]
-        except KeyError:
-            raise ExecutionError(f"unbound host variable :{expr.name}") from None
-
-    def _column(self, expr: ast.ColumnRef, env: Optional[Env]) -> Any:
-        if env is None:
-            raise ExecutionError(f"column reference {expr} outside row context")
-        return env.resolve(expr.qualifier, expr.name)
-
-    def _nextval(self, expr: ast.SequenceNextval, env: Optional[Env]) -> Any:
-        return self._db.catalog.get_sequence(expr.sequence).nextval()
-
-    def _binary(self, expr: ast.BinaryOp, env: Optional[Env]) -> Any:
-        op = expr.op
-        if op == "AND":
-            left = self._as_truth(self.eval(expr.left, env))
-            if left is False:
-                return False
-            return tvl_and(left, self._as_truth(self.eval(expr.right, env)))
-        if op == "OR":
-            left = self._as_truth(self.eval(expr.left, env))
-            if left is True:
-                return True
-            return tvl_or(left, self._as_truth(self.eval(expr.right, env)))
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return compare(op, left, right)
-        if left is None or right is None:
-            return None
-        if op == "||":
-            return _to_str(left) + _to_str(right)
-        return _arith(op, left, right)
-
-    def _unary(self, expr: ast.UnaryOp, env: Optional[Env]) -> Any:
-        value = self.eval(expr.operand, env)
-        if expr.op == "NOT":
-            return tvl_not(self._as_truth(value))
-        if value is None:
-            return None
-        if expr.op == "-":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise SqlTypeError(f"cannot negate {value!r}")
-            return -value
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
-
-    def _function(self, expr: ast.FunctionCall, env: Optional[Env]) -> Any:
-        if expr.name in AGGREGATE_NAMES or expr.star:
-            return self._aggregate(expr, env)
-        if expr.name in ("COALESCE",):
-            for arg in expr.args:
-                value = self.eval(arg, env)
-                if value is not None:
-                    return value
-            return None
-        if expr.name == "NULLIF":
-            if len(expr.args) != 2:
-                raise ExecutionError("NULLIF takes two arguments")
-            first = self.eval(expr.args[0], env)
-            second = self.eval(expr.args[1], env)
-            return None if compare("=", first, second) is True else first
-        fn = SCALAR_FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise ExecutionError(f"unknown function {expr.name!r}")
-        return fn([self.eval(arg, env) for arg in expr.args])
-
-    def _aggregate(self, expr: ast.FunctionCall, env: Optional[Env]) -> Any:
-        # The group may live on an ancestor env (e.g. ORDER BY SUM(x)
-        # is evaluated in a projection env whose parent is the group).
-        scope = env
-        while scope is not None and scope.group is None:
-            scope = scope.parent
-        if scope is None:
-            raise ExecutionError(
-                f"aggregate {expr.name} used outside GROUP BY context"
-            )
-        group = scope.group
-        if expr.star:
-            if expr.name != "COUNT":
-                raise ExecutionError(f"{expr.name}(*) is not valid")
-            return len(group)
-        if len(expr.args) != 1:
-            raise ExecutionError(f"{expr.name} takes exactly one argument")
-        arg = expr.args[0]
-        values = [self.eval(arg, member) for member in group]
-        values = [v for v in values if v is not None]
-        if expr.distinct:
-            values = _distinct_values(values)
-        if expr.name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if expr.name == "SUM":
-            return sum(values)
-        if expr.name == "AVG":
-            return sum(values) / len(values)
-        if expr.name == "MIN":
-            return min(values)
-        if expr.name == "MAX":
-            return max(values)
-        raise ExecutionError(f"unknown aggregate {expr.name!r}")
-
-    def _between(self, expr: ast.Between, env: Optional[Env]) -> Any:
-        value = self.eval(expr.expr, env)
-        low = self.eval(expr.low, env)
-        high = self.eval(expr.high, env)
-        result = tvl_and(compare(">=", value, low), compare("<=", value, high))
-        return tvl_not(result) if expr.negated else result
-
-    def _in_list(self, expr: ast.InList, env: Optional[Env]) -> Any:
-        value = self.eval(expr.expr, env)
-        found = False
-        saw_null = False
-        for item in expr.items:
-            result = compare("=", value, self.eval(item, env))
-            if result is True:
-                found = True
-                break
-            if result is None:
-                saw_null = True
-        result3: Optional[bool] = True if found else (None if saw_null else False)
-        return tvl_not(result3) if expr.negated else result3
-
-    def _in_subquery(self, expr: ast.InSubquery, env: Optional[Env]) -> Any:
-        value = self.eval(expr.expr, env)
-        rows = self._db._run_subquery(expr.subquery, self._params, env)
-        found = False
-        saw_null = False
-        for row in rows:
-            if len(row) != 1:
-                raise ExecutionError("IN subquery must return one column")
-            result = compare("=", value, row[0])
-            if result is True:
-                found = True
-                break
-            if result is None:
-                saw_null = True
-        result3: Optional[bool] = True if found else (None if saw_null else False)
-        return tvl_not(result3) if expr.negated else result3
-
-    def _exists(self, expr: ast.Exists, env: Optional[Env]) -> Any:
-        rows = self._db._run_subquery(expr.subquery, self._params, env, limit_one=True)
-        result = len(rows) > 0
-        return not result if expr.negated else result
-
-    def _like(self, expr: ast.Like, env: Optional[Env]) -> Any:
-        value = self.eval(expr.expr, env)
-        pattern = self.eval(expr.pattern, env)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise SqlTypeError("LIKE requires string operands")
-        escape: Optional[str] = None
-        if expr.escape is not None:
-            escape_value = self.eval(expr.escape, env)
-            if escape_value is None:
-                return None
-            escape = _escape_char(escape_value)
-        result = bool(_like_to_regex(pattern, escape).match(value))
-        return not result if expr.negated else result
-
-    def _is_null(self, expr: ast.IsNull, env: Optional[Env]) -> Any:
-        value = self.eval(expr.expr, env)
-        result = value is None
-        return not result if expr.negated else result
-
-    def _case(self, expr: ast.Case, env: Optional[Env]) -> Any:
-        if expr.operand is not None:
-            operand = self.eval(expr.operand, env)
-            for cond, result in expr.whens:
-                if compare("=", operand, self.eval(cond, env)) is True:
-                    return self.eval(result, env)
-        else:
-            for cond, result in expr.whens:
-                if self.eval(cond, env) is True:
-                    return self.eval(result, env)
-        return self.eval(expr.else_, env) if expr.else_ is not None else None
-
-    def _cast(self, expr: ast.Cast, env: Optional[Env]) -> Any:
-        value = self.eval(expr.expr, env)
-        if value is None:
-            return None
-        # CAST is more lenient than assignment coercion.
-        from repro.sqlengine.types import SqlType
-
-        if expr.target is SqlType.VARCHAR:
-            return _to_str(value)
-        if expr.target is SqlType.INTEGER:
-            return int(value)
-        if expr.target is SqlType.REAL:
-            return float(value)
-        return coerce(value, expr.target)
-
-    def _scalar_subquery(self, expr: ast.ScalarSubquery, env: Optional[Env]) -> Any:
-        rows = self._db._run_subquery(expr.select, self._params, env)
-        if not rows:
-            return None
-        if len(rows) > 1:
-            raise ExecutionError("scalar subquery returned more than one row")
-        if len(rows[0]) != 1:
-            raise ExecutionError("scalar subquery must return one column")
-        return rows[0][0]
-
-    def _tuple(self, expr: ast.TupleExpr, env: Optional[Env]) -> Any:
-        return tuple(self.eval(item, env) for item in expr.items)
-
-    def _star(self, expr: ast.Star, env: Optional[Env]) -> Any:
-        raise ExecutionError("'*' is only valid in a select list or COUNT(*)")
-
-    # -- helpers --------------------------------------------------------------
-
-    @staticmethod
-    def _as_truth(value: Any) -> Optional[bool]:
-        if value is None:
-            return None
-        if isinstance(value, bool):
-            return value
-        raise SqlTypeError(f"expected a boolean condition, got {value!r}")
-
-    _DISPATCH: Dict[type, Callable[..., Any]] = {}
+def _as_truth(value: Any) -> Optional[bool]:
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        return value
+    raise SqlTypeError(f"expected a boolean condition, got {value!r}")
 
 
-Evaluator._DISPATCH = {
-    ast.Literal: Evaluator._literal,
-    ast.HostVar: Evaluator._hostvar,
-    ast.ColumnRef: Evaluator._column,
-    ast.SequenceNextval: Evaluator._nextval,
-    ast.BinaryOp: Evaluator._binary,
-    ast.UnaryOp: Evaluator._unary,
-    ast.FunctionCall: Evaluator._function,
-    ast.Between: Evaluator._between,
-    ast.InList: Evaluator._in_list,
-    ast.InSubquery: Evaluator._in_subquery,
-    ast.Exists: Evaluator._exists,
-    ast.Like: Evaluator._like,
-    ast.IsNull: Evaluator._is_null,
-    ast.Case: Evaluator._case,
-    ast.Cast: Evaluator._cast,
-    ast.ScalarSubquery: Evaluator._scalar_subquery,
-    ast.TupleExpr: Evaluator._tuple,
-    ast.Star: Evaluator._star,
-}
+def contains_aggregate(expr: ast.Expression) -> bool:
+    for node in ast.walk_expression(expr):
+        if isinstance(node, ast.FunctionCall) and (
+            node.name in AGGREGATE_NAMES or node.star
+        ):
+            return True
+    return False
 
 
 def _to_str(value: Any) -> str:
@@ -690,3 +420,23 @@ def _distinct_values(values: List[Any]) -> List[Any]:
             unhashable.append(v)
         unique.append(v)
     return unique
+
+
+def reduce_values(name: str, values: List[Any], distinct: bool) -> Any:
+    """One aggregate over a group's argument values: NULLs do not
+    count, DISTINCT deduplicates first — the one place aggregate
+    arithmetic lives (row executor, batch executor, spill path)."""
+    values = [v for v in values if v is not None]
+    if distinct:
+        values = _distinct_values(values)
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name == "SUM":
+        return sum(values)
+    if name == "AVG":
+        return sum(values) / len(values)
+    if name == "MIN":
+        return min(values)
+    return max(values)

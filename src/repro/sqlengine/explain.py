@@ -4,17 +4,15 @@ The translator and benchmarks use this to document which plan shapes
 back the generated queries Q0..Q11 (e.g. that query Q4 runs as a
 pipeline of two hash joins).  The output is a stable, indented tree::
 
-    Project [distinct] (Gid, Bid) [compiled]
-      HashJoin keys=[S.item = B.item] [compiled]
-        HashJoin keys=[S.customer = V.customer] [compiled]
+    Project [distinct] (Gid, Bid)
+      HashJoin keys=[S.item = B.item]
+        HashJoin keys=[S.customer = V.customer]
           Scan MR_Source as S
           Scan MR_ValidGroups as V
         Scan MR_Bset as B
 
-Nodes whose expressions were lowered to closures by
-:mod:`repro.sqlengine.compiler` carry a ``[compiled]`` suffix;
-anything without it runs through the tree-walking interpreter.  A view
-or derived table is a ``Subplan`` node with the nested plan under it.
+A view or derived table is a ``Subplan`` node with the nested plan
+under it.
 A plan the batch executor cannot take says so on its first line
 (``[row executor: <reason>]``).  EXPLAIN goes through the same
 statement/plan caches as execution, so explaining a hot query is itself
@@ -25,7 +23,7 @@ operator's row stream instrumented, annotating each node with actual
 rows produced, loop count (how many times the operator was opened) and
 inclusive wall time::
 
-    HashJoin keys=[...] [compiled] (actual rows=57 loops=1 time=0.41 ms)
+    HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms)
 
 Instrumentation works by shadowing each operator instance's ``envs``
 method with a counting generator for the duration of one statement
@@ -62,10 +60,6 @@ def _no_annotation(op: Optional[Operator]) -> str:
     return ""
 
 
-def _mark(compiled: bool) -> str:
-    return " [compiled]" if compiled else ""
-
-
 def explain(database: Any, sql: str, params: Optional[dict] = None) -> str:
     """Plan *sql* (a SELECT) and return the plan tree as text."""
     statement = database._parse_statement(sql)
@@ -100,11 +94,9 @@ def render_plan(
     """Render one planned SELECT as an indented tree, suffixing every
     line *annotate* has something to say about."""
     lines: List[str] = []
-    project_compiled = plan.projector is not None and plan.projector.compiled
     lines.append(
         "  " * indent
         + _projection_line(statement)
-        + _mark(project_compiled)
         + (f" [row executor: {plan.fallback}]" if plan.fallback else "")
         + annotate(None)
     )
@@ -126,30 +118,22 @@ def render_plan(
         aggregate = (
             plan.source if isinstance(plan.source, GroupAggregate) else None
         )
-        aggregate_compiled = aggregate is not None and aggregate.compiled
         lines.append(
             "  " * indent
             + f"Aggregate keys=({keys}){having}"
-            + _mark(aggregate_compiled)
             + annotate(aggregate)
         )
         indent += 1
     residual = conjoin(plan.leftovers)
     if residual is not None:
         filter_op: Optional[Operator] = None
-        if plan.predicate is not None:
-            filter_compiled = plan.predicate.compiled
-        elif isinstance(plan.source, GroupAggregate) and isinstance(
+        if isinstance(plan.source, GroupAggregate) and isinstance(
             plan.source.child, Filter
         ):
             filter_op = plan.source.child
-            filter_compiled = plan.source.child.compiled
-        else:
-            filter_compiled = False
         lines.append(
             "  " * indent
             + f"Filter {render_expr(residual)}"
-            + _mark(filter_compiled)
             + annotate(filter_op)
         )
         indent += 1
@@ -180,7 +164,6 @@ def _render_operator(
     annotate: Annotator = _no_annotation,
 ) -> None:
     pad = "  " * indent
-    mark = _mark(getattr(op, "compiled", False))
     suffix = annotate(op)
     if isinstance(op, TableScan):
         alias = f" as {op.binding}" if op.binding != op.table.name else ""
@@ -193,20 +176,20 @@ def _render_operator(
         )
         lines.append(
             f"{pad}IndexLookup {op.table.name}.{op.index.name} "
-            f"[{keys}]{mark}{suffix}"
+            f"[{keys}]{suffix}"
         )
     elif isinstance(op, SubplanSource):
         lines.append(f"{pad}Subplan {op.binding or '<derived>'}{suffix}")
         lines.append(render_plan(op.select, op.plan, annotate, indent + 1))
     elif isinstance(op, Filter):
-        lines.append(f"{pad}Filter {render_expr(op.predicate)}{mark}{suffix}")
+        lines.append(f"{pad}Filter {render_expr(op.predicate)}{suffix}")
         _render_operator(op.child, indent + 1, lines, annotate)
     elif isinstance(op, LeftOuterHashJoin):
-        lines.append(f"{pad}LeftOuterHashJoin {_join_detail(op)}{mark}{suffix}")
+        lines.append(f"{pad}LeftOuterHashJoin {_join_detail(op)}{suffix}")
         _render_operator(op.left, indent + 1, lines, annotate)
         _render_operator(op.right, indent + 1, lines, annotate)
     elif isinstance(op, HashJoin):
-        lines.append(f"{pad}HashJoin {_join_detail(op)}{mark}{suffix}")
+        lines.append(f"{pad}HashJoin {_join_detail(op)}{suffix}")
         _render_operator(op.left, indent + 1, lines, annotate)
         _render_operator(op.right, indent + 1, lines, annotate)
     elif isinstance(op, NestedLoopJoin):
@@ -214,12 +197,12 @@ def _render_operator(
             f" on {render_expr(op.predicate)}" if op.predicate is not None
             else ""
         )
-        lines.append(f"{pad}NestedLoopJoin{predicate}{mark}{suffix}")
+        lines.append(f"{pad}NestedLoopJoin{predicate}{suffix}")
         _render_operator(op.left, indent + 1, lines, annotate)
         _render_operator(op.right, indent + 1, lines, annotate)
     elif isinstance(op, GroupAggregate):
         keys = ", ".join(render_expr(k) for k in op.keys) or "<all>"
-        lines.append(f"{pad}Aggregate keys=({keys}){mark}{suffix}")
+        lines.append(f"{pad}Aggregate keys=({keys}){suffix}")
         _render_operator(op.child, indent + 1, lines, annotate)
     else:  # pragma: no cover - future operators
         lines.append(f"{pad}{type(op).__name__}{suffix}")

@@ -8,13 +8,8 @@ keep their table qualifiers through the pipeline; projection collapses
 the frame into a single anonymous source.
 
 Expressions are bound at construction time through
-:mod:`repro.sqlengine.compiler`: when the engine's
-``compile_expressions`` option is on (the default) predicates and keys
-run as compiled closures with pre-resolved column slots; otherwise (or
-when an expression is not lowerable) they run through the interpreted
-:class:`~repro.sqlengine.evaluator.Evaluator` with identical
-semantics.  Each operator records the outcome in :attr:`compiled` for
-EXPLAIN.
+:mod:`repro.sqlengine.compiler`: predicates and keys run as closures
+with pre-resolved column slots.
 """
 
 from __future__ import annotations
@@ -22,8 +17,8 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.compiler import ExpressionCompiler, bind_expr, make_key_fn
-from repro.sqlengine.evaluator import Env, Evaluator, Frame
+from repro.sqlengine.compiler import ExpressionCompiler
+from repro.sqlengine.evaluator import Env, Frame
 from repro.sqlengine.table import Table
 
 Row = Tuple[Any, ...]
@@ -33,8 +28,6 @@ class Operator:
     """Base physical operator."""
 
     frame: Frame
-    #: True when every expression of this node runs compiled
-    compiled: bool = False
 
     def envs(self, parent: Optional[Env]) -> Iterator[Env]:
         """Yield row environments; *parent* is the enclosing scope used
@@ -66,20 +59,15 @@ class IndexLookup(Operator):
     """
 
     def __init__(self, table: Table, binding: str, index, key_exprs,
-                 evaluator, compiler: Optional[ExpressionCompiler] = None):
+                 compiler: ExpressionCompiler):
         self.table = table
         self.binding = binding
         self.index = index
         self.key_exprs = key_exprs
-        self.evaluator = evaluator
         self.frame = Frame.single(binding, table.columns)
         # Keys run against the *outer* scope, whose frame is unknown at
-        # plan time: only self-contained expressions (literals, host
-        # variables, arithmetic over them) compile; outer column
-        # references fall back to the interpreter's parent-env walk.
-        bound = [bind_expr(e, None, evaluator, compiler) for e in key_exprs]
-        self._key_fn = make_key_fn(bound)
-        self.compiled = bool(bound) and all(b.compiled for b in bound)
+        # plan time: column references in them walk the parent chain.
+        self._key_fn = compiler.bind_key(key_exprs, None)
 
     def envs(self, parent: Optional[Env]) -> Iterator[Env]:
         key = self._key_fn(parent)
@@ -120,17 +108,14 @@ class Filter(Operator):
     """Keeps rows whose predicate evaluates to TRUE."""
 
     def __init__(self, child: Operator, predicate: ast.Expression,
-                 evaluator: Evaluator,
-                 compiler: Optional[ExpressionCompiler] = None):
+                 compiler: ExpressionCompiler):
         self.child = child
         self.predicate = predicate
-        self.evaluator = evaluator
         self.frame = child.frame
-        self._predicate = bind_expr(predicate, child.frame, evaluator, compiler)
-        self.compiled = self._predicate.compiled
+        self._predicate = compiler.bind(predicate, child.frame)
 
     def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        predicate = self._predicate.fn
+        predicate = self._predicate
         for env in self.child.envs(parent):
             if predicate(env) is True:
                 yield env
@@ -144,26 +129,21 @@ class NestedLoopJoin(Operator):
         self,
         left: Operator,
         right: Operator,
-        evaluator: Evaluator,
+        compiler: ExpressionCompiler,
         predicate: Optional[ast.Expression] = None,
-        compiler: Optional[ExpressionCompiler] = None,
     ):
         self.left = left
         self.right = right
-        self.evaluator = evaluator
         self.predicate = predicate
         self.frame = left.frame.combine(right.frame)
         self._predicate = (
-            bind_expr(predicate, self.frame, evaluator, compiler)
+            compiler.bind(predicate, self.frame)
             if predicate is not None
             else None
         )
-        self.compiled = (
-            self._predicate.compiled if self._predicate is not None else False
-        )
 
     def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        predicate = self._predicate.fn if self._predicate is not None else None
+        predicate = self._predicate
         frame = self.frame
         right_rows = [tuple(env.rows) for env in self.right.envs(parent)]
         for left_env in self.left.envs(parent):
@@ -188,32 +168,22 @@ class HashJoin(Operator):
         right: Operator,
         left_keys: List[ast.Expression],
         right_keys: List[ast.Expression],
-        evaluator: Evaluator,
+        compiler: ExpressionCompiler,
         residual: Optional[ast.Expression] = None,
-        compiler: Optional[ExpressionCompiler] = None,
     ):
         self.left = left
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
-        self.evaluator = evaluator
         self.residual = residual
         self.frame = left.frame.combine(right.frame)
-        left_bound = [bind_expr(k, left.frame, evaluator, compiler)
-                      for k in left_keys]
-        right_bound = [bind_expr(k, right.frame, evaluator, compiler)
-                       for k in right_keys]
-        self._left_key = make_key_fn(left_bound)
-        self._right_key = make_key_fn(right_bound)
+        self._left_key = compiler.bind_key(left_keys, left.frame)
+        self._right_key = compiler.bind_key(right_keys, right.frame)
         self._residual = (
-            bind_expr(residual, self.frame, evaluator, compiler)
+            compiler.bind(residual, self.frame)
             if residual is not None
             else None
         )
-        parts = left_bound + right_bound + (
-            [self._residual] if self._residual is not None else []
-        )
-        self.compiled = bool(parts) and all(b.compiled for b in parts)
 
     def envs(self, parent: Optional[Env]) -> Iterator[Env]:
         right_key = self._right_key
@@ -224,7 +194,7 @@ class HashJoin(Operator):
                 continue
             build.setdefault(key, []).append(tuple(right_env.rows))
         frame = self.frame
-        residual = self._residual.fn if self._residual is not None else None
+        residual = self._residual
         left_key = self._left_key
         for left_env in self.left.envs(parent):
             key = left_key(left_env)
@@ -250,35 +220,25 @@ class LeftOuterHashJoin(Operator):
         right: Operator,
         left_keys: List[ast.Expression],
         right_keys: List[ast.Expression],
-        evaluator: Evaluator,
+        compiler: ExpressionCompiler,
         residual: Optional[ast.Expression] = None,
-        compiler: Optional[ExpressionCompiler] = None,
     ):
         self.left = left
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
-        self.evaluator = evaluator
         self.residual = residual
         self.frame = left.frame.combine(right.frame)
         self._null_rows = tuple(
             tuple([None] * len(columns)) for _, columns in right.frame.sources
         )
-        left_bound = [bind_expr(k, left.frame, evaluator, compiler)
-                      for k in left_keys]
-        right_bound = [bind_expr(k, right.frame, evaluator, compiler)
-                       for k in right_keys]
-        self._left_key = make_key_fn(left_bound)
-        self._right_key = make_key_fn(right_bound)
+        self._left_key = compiler.bind_key(left_keys, left.frame)
+        self._right_key = compiler.bind_key(right_keys, right.frame)
         self._residual = (
-            bind_expr(residual, self.frame, evaluator, compiler)
+            compiler.bind(residual, self.frame)
             if residual is not None
             else None
         )
-        parts = left_bound + right_bound + (
-            [self._residual] if self._residual is not None else []
-        )
-        self.compiled = bool(parts) and all(b.compiled for b in parts)
 
     def envs(self, parent: Optional[Env]) -> Iterator[Env]:
         right_key = self._right_key
@@ -289,7 +249,7 @@ class LeftOuterHashJoin(Operator):
                 continue
             build.setdefault(key, []).append(tuple(right_env.rows))
         frame = self.frame
-        residual = self._residual.fn if self._residual is not None else None
+        residual = self._residual
         left_key = self._left_key
         null_rows = self._null_rows
         for left_env in self.left.envs(parent):
@@ -309,7 +269,7 @@ class LeftOuterHashJoin(Operator):
 class GroupAggregate(Operator):
     """Hash grouping.  Produces one environment per group; the
     representative env carries ``group`` (the member envs) so the
-    evaluator can compute aggregates lazily.
+    aggregate closures can reduce them lazily.
 
     With no GROUP BY keys and aggregates present, a single global group
     is emitted even for empty input (``scalar`` mode).
@@ -319,18 +279,14 @@ class GroupAggregate(Operator):
         self,
         child: Operator,
         keys: List[ast.Expression],
-        evaluator: Evaluator,
+        compiler: ExpressionCompiler,
         scalar: bool = False,
-        compiler: Optional[ExpressionCompiler] = None,
     ):
         self.child = child
         self.keys = keys
-        self.evaluator = evaluator
         self.scalar = scalar
         self.frame = child.frame
-        bound = [bind_expr(k, child.frame, evaluator, compiler) for k in keys]
-        self._key_fn = make_key_fn(bound)
-        self.compiled = bool(bound) and all(b.compiled for b in bound)
+        self._key_fn = compiler.bind_key(keys, child.frame)
 
     def envs(self, parent: Optional[Env]) -> Iterator[Env]:
         key_fn = self._key_fn

@@ -3,8 +3,7 @@
 The defaults are what a production engine would do; the switches exist
 so the ablation benchmarks (SYN-6) can quantify what each planner
 feature buys the mining workload — e.g. how much of query Q4's cost
-the hash join removes, or what the compiled expression closures save
-over tree-walk interpretation.
+the hash join removes.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ class EngineOptions:
     hash_joins: bool = True
     #: push single-table WHERE conjuncts below joins
     filter_pushdown: bool = True
-    #: lower planned expressions to Python closures with pre-resolved
-    #: column slots (else tree-walk interpretation per row)
-    compile_expressions: bool = True
     #: reuse physical SELECT plans across executions of the same parsed
     #: statement (invalidated whenever the catalog version changes)
     plan_cache: bool = True
@@ -31,10 +27,6 @@ class EngineOptions:
     statement_cache_size: int = 256
     #: LRU capacity of the plan cache
     plan_cache_size: int = 256
-    #: physical layout for newly created tables: "row" (tuple list) or
-    #: "columnar" (typed column vectors, see sqlengine/columnar.py);
-    #: per-table overrides via Database.storage_hints
-    storage: str = "row"
     #: rows per batch in the vectorized executor
     batch_size: int = 1024
     #: soft cap in bytes on executor working memory; when a sort/hash

@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.compiler import ExpressionCompiler
 from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.evaluator import Evaluator, Frame
+from repro.sqlengine.evaluator import Frame
 from repro.sqlengine.operators import (
     Filter,
     GroupAggregate,
@@ -83,15 +82,10 @@ class SourceInfo:
 class SelectPlanner:
     """Plans the FROM/WHERE part of one SELECT block."""
 
-    def __init__(self, database, evaluator: Evaluator):
+    def __init__(self, database):
         self._db = database
-        self._evaluator = evaluator
         self._options = database.options
-        #: lowers planned expressions to closures (interpreter fallback
-        #: when the compile_expressions option is off)
-        self.compiler = ExpressionCompiler(
-            evaluator, enabled=self._options.compile_expressions
-        )
+        self._compiler = database.compiler
 
     # -- source planning -----------------------------------------------------
 
@@ -165,17 +159,15 @@ class SelectPlanner:
                     sources[idx].operator,
                     left_keys,
                     right_keys,
-                    self._evaluator,
+                    self._compiler,
                     residual=conjoin(residual),
-                    compiler=self.compiler,
                 )
             else:
                 root = NestedLoopJoin(
                     root,
                     sources[idx].operator,
-                    self._evaluator,
+                    self._compiler,
                     predicate=conjoin(residual),
-                    compiler=self.compiler,
                 )
 
         leftovers = [conjunct for _, conjunct in remaining] + deferred
@@ -227,9 +219,8 @@ class SelectPlanner:
                 right.operator,
                 left_keys,
                 right_keys,
-                self._evaluator,
+                self._compiler,
                 residual=conjoin(residual),
-                compiler=self.compiler,
             )
         if equi:
             return HashJoin(
@@ -237,16 +228,14 @@ class SelectPlanner:
                 right.operator,
                 left_keys,
                 right_keys,
-                self._evaluator,
+                self._compiler,
                 residual=conjoin(residual),
-                compiler=self.compiler,
             )
         return NestedLoopJoin(
             left.operator,
             right.operator,
-            self._evaluator,
+            self._compiler,
             predicate=conjoin(residual),
-            compiler=self.compiler,
         )
 
     # -- conjunct classification ----------------------------------------------
@@ -297,9 +286,7 @@ class SelectPlanner:
         if isinstance(operator, TableScan):
             operator, conjuncts = self._try_index_lookup(operator, conjuncts)
         for conjunct in conjuncts:
-            operator = Filter(
-                operator, conjunct, self._evaluator, compiler=self.compiler
-            )
+            operator = Filter(operator, conjunct, self._compiler)
         return SourceInfo(operator)
 
     def _try_index_lookup(
@@ -333,8 +320,7 @@ class SelectPlanner:
         used = {id(equalities[c][0]) for c in columns}
         key_exprs = [equalities[c][1] for c in columns]
         lookup = IndexLookup(
-            table, scan.binding, best, key_exprs, self._evaluator,
-            compiler=self.compiler,
+            table, scan.binding, best, key_exprs, self._compiler
         )
         rest = [c for c in conjuncts if id(c) not in used]
         return lookup, rest

@@ -38,6 +38,8 @@ import tempfile
 from functools import cmp_to_key
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.sqlengine.evaluator import reduce_values
+
 #: rough per-value heap cost of a boxed Python object in a row tuple
 _BYTES_PER_VALUE = 48
 #: per-row tuple overhead
@@ -250,8 +252,6 @@ def spill_aggregate(
     each group's first member — identical to the in-memory aggregate.
     (``NULL`` group keys are valid grouping values, matching the row
     operator.)"""
-    from repro.sqlengine.vector import _distinct_values, reduce_values
-
     spill = _SpillDir()
     try:
         appender = _Appender(spill, "agg")
@@ -283,14 +283,10 @@ def spill_aggregate(
                     if slot.star:
                         slot_values.append(len(records))
                         continue
-                    values = [
-                        record[3][pos]
-                        for record in records
-                        if record[3][pos] is not None
-                    ]
-                    if slot.distinct:
-                        values = _distinct_values(values)
-                    slot_values.append(reduce_values(slot.name, values))
+                    values = [record[3][pos] for record in records]
+                    slot_values.append(
+                        reduce_values(slot.name, values, slot.distinct)
+                    )
                 merged.append((first_pos, rep_row, slot_values))
         merged.sort(key=lambda entry: entry[0])
         repcols: List[List[Any]] = [[] for _ in range(width)]

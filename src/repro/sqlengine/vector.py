@@ -67,16 +67,16 @@ from repro.sqlengine.evaluator import (
     SCALAR_FUNCTIONS,
     Frame,
     _arith,
-    _distinct_values,
+    _as_truth as _truth,
     _escape_char,
     _like_to_regex,
     _to_str,
     compare,
+    reduce_values,
     tvl_and,
     tvl_not,
     tvl_or,
 )
-from repro.sqlengine.evaluator import Evaluator as _Evaluator
 from repro.sqlengine.operators import (
     Filter,
     GroupAggregate,
@@ -89,8 +89,6 @@ from repro.sqlengine.operators import (
 )
 from repro.sqlengine.parser import AGGREGATE_NAMES
 from repro.sqlengine.types import SqlType
-
-_truth = _Evaluator._as_truth
 
 
 class Unsupported(Exception):
@@ -1058,9 +1056,9 @@ class VSubplan(VNode):
 
 class VIndexLookup(VNode):
     """Constant-key secondary-index lookup (the pushed-down equality
-    access path).  Key expressions are self-contained — the row
-    operator compiled them against no frame — so they are evaluated
-    once per execution, not per row."""
+    access path).  Key expressions are self-contained (no column
+    references), so they are evaluated once per execution, not per
+    row."""
 
     def __init__(self, op: IndexLookup):
         self.op = op
@@ -1415,23 +1413,6 @@ class VAggregate(VNode):
         return _Batch(repcols + slotcols, count)
 
 
-def reduce_values(name: str, values: List[Any]) -> Any:
-    """One aggregate reduction over the non-NULL (and, if requested,
-    already-deduplicated) argument values — the evaluator's exact
-    arithmetic (shared with the spill path)."""
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    return max(values)
-
-
 def reduce_slot(
     slot: _AggSlot, argv: Optional[List[Any]], members: List[List[int]]
 ) -> List[Any]:
@@ -1440,10 +1421,7 @@ def reduce_slot(
     out = []
     for m in members:
         values = [argv[i] for i in m]
-        values = [v for v in values if v is not None]
-        if slot.distinct:
-            values = _distinct_values(values)
-        out.append(reduce_values(slot.name, values))
+        out.append(reduce_values(slot.name, values, slot.distinct))
     return out
 
 
@@ -1456,8 +1434,12 @@ def _build_node(op: Operator, db: Any) -> VNode:
     if isinstance(op, TableScan):
         return VScan(op)
     if isinstance(op, IndexLookup):
-        if not op.compiled:
-            # interpreted key expressions may need a row environment
+        if any(
+            isinstance(node, ast.ColumnRef)
+            for key in op.key_exprs
+            for node in ast.walk_expression(key)
+        ):
+            # a key over an outer-scope column needs the row environment
             raise Unsupported("index lookup with non-constant keys")
         return VIndexLookup(op)
     if isinstance(op, SubplanSource):
@@ -1652,9 +1634,66 @@ def build_vector_plan(plan: Any, db: Any) -> VectorPlan:
             expr = order_item.expr
             if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
                 entries.append(("pos", expr.value))
-            else:
-                # compiles only against the output row; source-scoped
-                # or aggregate order keys fall back to the row path
+                continue
+            try:
                 entries.append(("expr", order_comp.compile(expr)))
+            except Unsupported:
+                # compiles only against the output row; a source-scoped
+                # or aggregate key has to be a copy of an output column
+                position = _order_position(expr, select, frame, out_frame)
+                if position is None:
+                    raise
+                entries.append(("pos", position))
     vp.order_entries = entries
     return vp
+
+
+def _column_slot(
+    frame: Frame, expr: ast.Expression
+) -> Optional[Tuple[int, int]]:
+    if not isinstance(expr, ast.ColumnRef):
+        return None
+    try:
+        return frame.lookup(expr.qualifier, expr.name)
+    except CatalogError:
+        return None
+
+
+def _order_position(
+    expr: ast.Expression, select: ast.Select, frame: Frame, out_frame: Frame
+) -> Optional[int]:
+    """The 1-based output position an ORDER BY key duplicates, if any.
+
+    The row executor evaluates a key none of whose columns is an
+    output name in the source scope of the same row — where it equals
+    a select item that is the same expression or the same source
+    column (``SELECT h.item, .. ORDER BY h.item``)."""
+    for node in ast.walk_expression(expr):
+        if isinstance(
+            node,
+            (ast.SequenceNextval, ast.InSubquery, ast.Exists,
+             ast.ScalarSubquery),
+        ):
+            return None
+        if isinstance(node, ast.ColumnRef):
+            try:
+                if out_frame.lookup(node.qualifier, node.name) is not None:
+                    return None
+            except CatalogError:
+                return None
+    slot = _column_slot(frame, expr)
+    position = 0
+    for item in select.items:
+        if isinstance(item.expr, ast.Star):
+            for src_idx, col_idx, _ in frame.star_columns(item.expr.qualifier):
+                position += 1
+                if slot == (src_idx, col_idx):
+                    return position
+            continue
+        position += 1
+        # repr, not ==: as dataclass fields 1, 1.0 and TRUE are equal
+        if repr(item.expr) == repr(expr) or (
+            slot is not None and _column_slot(frame, item.expr) == slot
+        ):
+            return position
+    return None

@@ -21,8 +21,7 @@ same pipeline with per-stage retry (:class:`~repro.faults.RetryPolicy`,
 capped exponential backoff + wall-clock budget), stage checkpoints
 (:class:`~repro.kernel.program.StageCheckpoint`) so ``run(resume=True)``
 skips stages a crashed run already completed, and graceful degradation:
-a persistently failing bitset core falls back to the ``"set"`` layout
-(the compiled-expression fallback lives in the engine's compiler).
+a persistently failing bitset core falls back to the ``"set"`` layout.
 Every fault, retry, resumed stage and degradation is surfaced through
 :class:`~repro.kernel.metrics.ResilienceStats`, the process-trace
 counters and the text report.
@@ -37,10 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.algorithms import FrequentItemsetMiner, get_algorithm
-from repro.algorithms.bitset import (
-    set_packed_min_slots,
-    validate_representation,
-)
+from repro.algorithms.bitset import validate_representation
 from repro.faults import FaultError, RetryPolicy
 from repro.incremental import (
     MiningState,
@@ -75,7 +71,6 @@ from repro.obs.metrics import (
 from repro.obs.runlog import RunLog, statement_fingerprint
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.parallel import ShardedMiner
-from repro.sqlengine.columnar import validate_storage
 from repro.sqlengine.engine import Database
 from repro.sqlengine.render import render_expr
 
@@ -212,18 +207,10 @@ class MiningSystem:
         workers: int = 1,
         shards: Optional[int] = None,
         shard_start_method: Optional[str] = None,
-        storage: Optional[str] = None,
         batch_size: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        packed_min_slots: Optional[int] = None,
     ):
         self.db = database if database is not None else Database()
-        #: physical layout of the encoded tables the preprocessor
-        #: creates (None: "columnar", the PR7 default; "row" restores
-        #: the tuple heaps — bit-identical either way)
-        self.storage = validate_storage(
-            storage if storage is not None else "columnar"
-        )
         #: engine executor tuning: vectorized batch width and the
         #: byte budget above which operators spill to disk (None keeps
         #: the engine defaults / unbounded memory)
@@ -239,8 +226,6 @@ class MiningSystem:
                     f"memory_budget must be positive, got {memory_budget}"
                 )
             self.db.options.memory_budget = int(memory_budget)
-        if packed_min_slots is not None:
-            set_packed_min_slots(packed_min_slots)
         #: observability sink for the whole pipeline (spans, counters,
         #: gauges); shared with the SQL engine so statement spans nest
         #: inside the component spans
@@ -302,7 +287,7 @@ class MiningSystem:
         #: default retry policy for :meth:`run` (None: single attempt)
         self.retry_policy = retry_policy
         self._translator = Translator(self.db)
-        self._preprocessor = Preprocessor(self.db, storage=self.storage)
+        self._preprocessor = Preprocessor(self.db)
         self._postprocessor = Postprocessor(self.db)
         self._executions = 0
         #: preprocessing signature -> (workspace, totg, mingroups)

@@ -126,19 +126,6 @@ def test_bitset_degradation_is_bit_identical(baselines):
     assert any("bitset -> set" in note for note in result.resilience.degraded)
 
 
-def test_compile_degradation_is_bit_identical(baselines):
-    """Compiled-expression faults fall back to the interpreter without
-    retries, failures, or output changes."""
-    base_rules, base_text = baselines["simple"]
-    system = fresh_system()
-    with faults.injected(FaultSchedule(sleep=NO_SLEEP).arm(
-            "engine.compile", times=10_000)):
-        result = system.run(STATEMENTS["simple"])
-    assert result.rule_set() == base_rules
-    assert output_fingerprint(system, result.output_table) == base_text
-    assert result.resilience.degradations > 0
-
-
 def test_latency_faults_slow_but_do_not_fail(baselines):
     """Latency faults are counted, surfaced, and harmless."""
     base_rules, base_text = baselines["simple"]

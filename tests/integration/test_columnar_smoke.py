@@ -3,11 +3,11 @@
 The golden files in ``tests/integration/golden/`` were produced by the
 row pipeline; this module re-runs every golden statement with
 
-* ``storage="columnar"`` (vectorized batch executor over the encoded
-  column vectors), and
-* ``storage="columnar"`` under a tiny ``memory_budget`` + small
-  ``batch_size`` (every sizable sort / join / aggregate goes through
-  the spill operators)
+* the columnar workspace the preprocessor registers (vectorized batch
+  executor over the encoded column vectors), and
+* the same under a tiny ``memory_budget`` + small ``batch_size``
+  (every sizable sort / join / aggregate goes through the spill
+  operators)
 
 and compares the dumped output relations byte-for-byte against the
 same checked-in goldens — the PR's bit-identity contract, enforced on
@@ -26,12 +26,8 @@ from tests.integration.test_golden_outputs import (
 )
 
 CONFIGURATIONS = {
-    "columnar": {"storage": "columnar"},
-    "columnar_spill": {
-        "storage": "columnar",
-        "memory_budget": 2_000,
-        "batch_size": 16,
-    },
+    "columnar": {},
+    "columnar_spill": {"memory_budget": 2_000, "batch_size": 16},
 }
 
 

@@ -196,6 +196,24 @@ def test_row_executor_fallbacks_are_pinned(name):
     assert vector_fallbacks(tracer) == PINNED_FALLBACKS[name]
 
 
+def test_service_select_shapes_stay_on_the_batch_executor():
+    """The three SELECT shapes ``service_mixed`` polls (a qualified
+    ``ORDER BY h.item`` used to send two to the row executor)."""
+    from benchmarks.suite import service
+
+    database = Database()
+    workloads.load_quest_table(database, 19, "quick")
+    statement = workloads.quest_statement("quick")
+    MiningSystem(database=database).run(
+        statement.text(workloads.QUEST_SETUP_CONFIDENCE, table=service.BASE_TABLE)
+    )
+    database.tracer = Tracer(enabled=True)
+    for sql in service.queries(statement.min_support):
+        assert database.query(sql)
+        assert "row executor" not in database.explain(sql)
+    assert vector_fallbacks(database.tracer) == {}
+
+
 def test_fallback_is_counted_and_marked_on_the_span():
     from repro.obs.metrics import MetricsRegistry
 

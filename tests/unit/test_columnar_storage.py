@@ -4,10 +4,9 @@ executor's observable surface (PR 7).
 Covered here: the adaptive :class:`ColumnVector` layouts and their
 exact-promotion rules, the :class:`ColumnarTable` Table contract
 (DML, indexes, out-of-band row mutation), storage selection
-(``EngineOptions.storage``, per-table ``storage_hints``), the
-spill-to-disk helpers, EXPLAIN ANALYZE's per-node batch/spill
-counters, and the ``PACKED_MIN_SLOTS`` override hook.  The
-end-to-end bit-identity net lives in
+(per-table ``storage_hints``, row heaps otherwise), the
+spill-to-disk helpers and EXPLAIN ANALYZE's per-node batch/spill
+counters.  The end-to-end bit-identity net lives in
 ``tests/property/test_columnar_differential.py``.
 """
 
@@ -16,14 +15,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.algorithms import bitset
 from repro.sqlengine import (
     ColumnarTable,
     Database,
     EngineOptions,
     STORAGE_KINDS,
 )
-from repro.sqlengine.columnar import ColumnVector, make_table, validate_storage
+from repro.sqlengine.columnar import ColumnVector, make_table
 from repro.sqlengine.spill import (
     estimate_bytes,
     external_sort,
@@ -124,21 +122,13 @@ class TestColumnarTable:
         assert isinstance(make_table("columnar", "t", ("a",)), ColumnarTable)
         assert make_table("row", "t", ("a",)).storage == "row"
         with pytest.raises(ValueError):
-            validate_storage("parquet")
+            make_table("parquet", "t", ("a",))
         assert STORAGE_KINDS == ("row", "columnar")
 
 
 class TestStorageSelection:
-    def test_engine_option_defaults_all_tables(self):
-        database = Database(options=EngineOptions(storage="columnar"))
-        database.execute("CREATE TABLE t (a INTEGER, b VARCHAR)")
-        assert database.catalog.storage_of("t") == "columnar"
-        database.execute("INSERT INTO t VALUES (1, 'x')")
-        database.execute("CREATE TABLE c AS SELECT a FROM t")
-        assert database.catalog.storage_of("c") == "columnar"
-
     def test_storage_hints_override_per_table(self):
-        database = Database()  # row default
+        database = Database()
         database.storage_hints["enc"] = "columnar"
         database.execute("CREATE TABLE enc (a INTEGER)")
         database.execute("CREATE TABLE plain (a INTEGER)")
@@ -148,7 +138,8 @@ class TestStorageSelection:
     def test_row_and_columnar_query_identically(self):
         results = []
         for kind in STORAGE_KINDS:
-            database = Database(options=EngineOptions(storage=kind))
+            database = Database()
+            database.storage_hints["t"] = kind
             database.execute("CREATE TABLE t (a INTEGER, b VARCHAR)")
             for i in range(20):
                 database.execute(
@@ -202,10 +193,10 @@ class TestExplainAnalyzeCounters:
     def _database(self, memory_budget=None):
         database = Database(
             options=EngineOptions(
-                storage="columnar", batch_size=16,
-                memory_budget=memory_budget,
+                batch_size=16, memory_budget=memory_budget
             )
         )
+        database.storage_hints["t"] = "columnar"
         database.execute("CREATE TABLE t (a INTEGER, b VARCHAR)")
         for i in range(200):
             database.execute(
@@ -265,19 +256,6 @@ class TestSpillAggregateHelper:
         assert spilled > 0
 
 
-class TestPackedMinSlotsOverride:
-    def test_setter_round_trips(self):
-        before = bitset.PACKED_MIN_SLOTS
-        try:
-            previous = bitset.set_packed_min_slots(7)
-            assert previous == before
-            assert bitset.PACKED_MIN_SLOTS == 7
-            with pytest.raises(ValueError):
-                bitset.set_packed_min_slots(-1)
-        finally:
-            bitset.set_packed_min_slots(before)
-
-
 class TestSpilledLeftOuterJoin:
     """Satellite fix: LEFT OUTER JOIN had no spill branch in the
     vectorized executor — above-budget builds now run partition-wise
@@ -295,10 +273,10 @@ class TestSpilledLeftOuterJoin:
     def _load(self, memory_budget):
         database = Database(
             options=EngineOptions(
-                storage="columnar", batch_size=16,
-                memory_budget=memory_budget,
+                batch_size=16, memory_budget=memory_budget
             )
         )
+        database.storage_hints.update(l="columnar", r="columnar")
         database.execute("CREATE TABLE l (k INTEGER, a VARCHAR)")
         database.execute("CREATE TABLE r (k INTEGER, b INTEGER)")
         left, right = database.table("l"), database.table("r")

@@ -182,6 +182,37 @@ class TestPrepareHammer:
 
         run_threads(THREADS, probe)
 
+    def test_shared_row_plan_correlated_closures_thread_local_params(self):
+        """The same contract for the closures only the row executor
+        runs: a correlated subquery, an aggregate over a correlated
+        argument and ORDER BY SUM(x), on one cached plan."""
+        from repro.sqlengine.options import EngineOptions
+
+        db = Database(EngineOptions(vectorize=False))
+        db.execute("CREATE TABLE o (k INTEGER, w INTEGER)")
+        db.execute("CREATE TABLE m (k INTEGER, v INTEGER)")
+        for k in (1, 2, 3):
+            db.table("o").insert_many([(k, 10 - k), (k, 2 * k)])
+            db.table("m").insert_many((k, v) for v in range(6))
+        prepared = db.prepare(
+            "SELECT o.k, SUM(o.w), (SELECT SUM(m.v * o.k) FROM m "
+            "WHERE m.k = o.k AND m.v < :limit) FROM o "
+            "WHERE EXISTS (SELECT 1 FROM m WHERE m.k = o.k AND m.v = :limit) "
+            "GROUP BY o.k ORDER BY SUM(o.w + :limit) DESC, o.k"
+        )
+        limits = (2, 5)
+        barrier = threading.Barrier(len(limits), timeout=10)
+
+        def probe(i):
+            limit = limits[i]
+            expected = [(k, 10 + k, k * sum(range(limit))) for k in (3, 2, 1)]
+            for _ in range(30):
+                barrier.wait()
+                assert prepared.execute({"limit": limit}).rows == expected
+
+        run_threads(len(limits), probe)
+        assert db.cache_stats.plan_misses == 3  # one plan per SELECT block
+
     def test_statements_executed_is_accurate(self):
         db = Database()
         db.execute("CREATE TABLE c (v INTEGER)")

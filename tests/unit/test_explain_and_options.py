@@ -92,6 +92,25 @@ class TestExplain:
 
 
 class TestEngineOptions:
+    def test_knob_census(self):
+        """The exact option surface: a new knob has to edit a count."""
+        import dataclasses
+        import inspect
+
+        from repro import MiningSystem
+
+        fields = [f.name for f in dataclasses.fields(EngineOptions)]
+        assert len(fields) == 8 and fields == [
+            "hash_joins", "filter_pushdown", "plan_cache", "statement_cache_size",
+            "plan_cache_size", "batch_size", "memory_budget", "vectorize",
+        ]
+        parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]
+        assert len(parameters) == 15 and parameters == [
+            "database", "algorithm", "reuse_preprocessing", "representation",
+            "retry_policy", "tracer", "metrics", "slowlog", "health", "runlog",
+            "workers", "shards", "shard_start_method", "batch_size", "memory_budget",
+        ]
+
     def options_db(self, **kwargs):
         database = Database(EngineOptions(**kwargs))
         database.execute("CREATE TABLE l (x INTEGER)")

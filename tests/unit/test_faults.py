@@ -126,10 +126,8 @@ class TestModuleHooks:
     def test_degrade_records_on_active_schedule(self):
         schedule = FaultSchedule()
         with faults.injected(schedule):
-            faults.degrade("engine.compile: interpreter fallback")
-        assert schedule.degradations == [
-            "engine.compile: interpreter fallback"
-        ]
+            faults.degrade("core.bitset: bitset -> set")
+        assert schedule.degradations == ["core.bitset: bitset -> set"]
 
     def test_dbapi_cursor_checks_its_site(self):
         from repro.sqlengine.dbapi import connect

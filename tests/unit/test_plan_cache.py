@@ -146,30 +146,6 @@ class TestPreparedStatements:
             conn.prepare("SELEKT nope")
 
 
-class TestExplainMarkers:
-    def test_compiled_nodes_labeled(self, db):
-        plan = db.explain(
-            "SELECT item FROM items WHERE price > 100 AND item LIKE '%s'"
-        )
-        assert "Filter" in plan
-        assert "[compiled]" in plan
-
-    def test_interpreted_mode_has_no_markers(self):
-        db = Database(EngineOptions(compile_expressions=False))
-        db.execute("CREATE TABLE t (a INTEGER)")
-        plan = db.explain("SELECT a + 1 FROM t WHERE a > 0")
-        assert "[compiled]" not in plan
-
-    def test_fallback_expressions_not_labeled_compiled(self, db):
-        # a correlated EXISTS runs through the interpreter
-        plan = db.explain(
-            "SELECT item FROM items i WHERE EXISTS "
-            "(SELECT 1 FROM items j WHERE j.price > i.price)"
-        )
-        lines = [l for l in plan.splitlines() if l.lstrip().startswith("Filter")]
-        assert lines and all("[compiled]" not in l for l in lines)
-
-
 class TestPreprocessStatsCounters:
     def test_preprocessor_reports_cache_counters(self):
         from repro.datagen import load_purchase_figure1
