@@ -12,15 +12,21 @@ order of magnitude faster than hashing tuples into ``set`` objects.
 
 The representation stays entirely behind the paper's encoding
 borderline: algorithms still see only identifiers, the bitmaps are a
-private physical layout.  Every consumer keeps a set-based path
+private physical layout.  The pool members keep a set-based path
 selectable (``representation="set"``) for differential testing and the
-ablation bench.
+ablation bench; the general core keeps a slot-set layout because sparse
+supports are faster as sets, and picks between the two from what it
+measured (:mod:`repro.kernel.core.general`).
+
+Big ints are immutable, so building one a bit at a time
+(``mask |= 1 << slot``) copies the whole integer per bit — quadratic in
+the universe size.  Every big-int bitmap here is therefore built by
+:func:`mask_from_slots`: the slots are collected first, set in a
+``bytearray`` in place and converted once, which is linear.
 
 A third layout, ``"packed"``, stores the same bitmaps as explicit
-64-bit word arrays (:class:`PackedBitset`, ``array('Q')``).  Big ints
-are immutable, so building one incrementally (``mask |= 1 << slot``)
-copies the whole integer per bit — quadratic in the universe size —
-while the word array sets bits in place.  The word layout also pickles
+64-bit word arrays (:class:`PackedBitset`, ``array('Q')``) that stay
+mutable after construction.  The word layout also pickles
 cheaply (one buffer copy, no big-int serialization), which is what the
 sharded executor (:mod:`repro.parallel`) ships between processes.  The
 AND/popcount kernels run over numpy ``uint64`` views when numpy is
@@ -34,8 +40,9 @@ masks for small ones.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
 
 try:  # numpy accelerates the packed kernels; it is optional
     import numpy as _np
@@ -56,9 +63,9 @@ WORD_BITS = 64
 #: masks (the layouts are interchangeable bit for bit).  Measured on
 #: the Apriori gid-list workload: per-call numpy overhead loses to
 #: big-int ``&``/``bit_count`` until the mid-tens-of-thousands of
-#: slots, where linear word-array construction starts to dominate the
-#: big-int operators' quadratic shift-and-or build.  Tests may
-#: monkeypatch this to force the word kernels onto tiny inputs.
+#: slots (measured before :func:`mask_from_slots` made the big-int
+#: build linear).  Tests may monkeypatch this to force the word kernels
+#: onto tiny inputs.
 PACKED_MIN_SLOTS = 48_000
 
 
@@ -144,6 +151,19 @@ class BitsetStats:
         return self.bits_set / self.bits_possible
 
 
+def mask_from_slots(slots: Iterable[int], nbytes: int) -> int:
+    """The big-int bitmap with *slots* set, over a universe of
+    *nbytes* bytes: bits are set in place in a ``bytearray`` and the
+    integer is built once, so the cost is linear in the slots (plus one
+    pass over the universe) instead of one whole-integer copy per bit.
+    Duplicate slots are harmless; a slot beyond *nbytes* raises
+    ``IndexError``."""
+    buffer = bytearray(nbytes)
+    for slot in slots:
+        buffer[slot >> 3] |= 1 << (slot & 7)
+    return int.from_bytes(buffer, "little")
+
+
 class SlotUniverse:
     """Dense re-indexing of hashable identifiers into bit slots.
 
@@ -177,11 +197,8 @@ class SlotUniverse:
 
     def mask(self, idents: Iterable[Hashable]) -> int:
         """The bitmap with the slots of *idents* set."""
-        mask = 0
-        slot = self.slot
-        for ident in idents:
-            mask |= 1 << slot(ident)
-        return mask
+        slots = [self.slot(ident) for ident in idents]
+        return mask_from_slots(slots, (len(self._members) + 7) >> 3)
 
     def members(self, mask: int) -> List[Hashable]:
         """Decode a bitmap back into identifiers, in slot order."""
@@ -208,12 +225,16 @@ class GroupedUniverse:
     bit, the borrow never crosses into the next group.  The whole
     count runs in C over machine words — no per-bit walk.
 
+    :attr:`group_of` maps every slot to the position of its group (in
+    interning order), which is how a *sparse* support — a set of slots
+    rather than a bitmap — counts its distinct groups.
+
     Callers must intern identifiers grouped by key (the loaders
     iterate per group, and the elementary-rule table is sorted first);
     interleaving keys raises.
     """
 
-    __slots__ = ("_slot_of", "_base_of", "_bases", "_last_key", "_next",
+    __slots__ = ("_slot_of", "_base_of", "_bases", "_last_key", "group_of",
                  "_anchor_low", "_anchor_high", "_anchor_size",
                  "group_count_calls")
 
@@ -224,62 +245,79 @@ class GroupedUniverse:
         #: base slots in interning order (ascending)
         self._bases: List[int] = []
         self._last_key: Hashable = _NO_KEY
-        #: next unassigned slot
-        self._next = 0
+        #: slot -> group position; a guard slot carries the group below
+        #: it and is never looked up.  Its length is the next free slot.
+        self.group_of: List[int] = []
         self._anchor_low = 0
         self._anchor_high = 0
-        self._anchor_size = -1  # len() when the anchors were built
+        self._anchor_size = -1  # len(group_of) when the anchors were built
         #: observability: distinct-group counts performed
         self.group_count_calls = 0
         for ident in idents:
             self.slot(ident)
 
     def __len__(self) -> int:
-        return len(self._slot_of)
+        return len(self.group_of) - max(len(self._bases) - 1, 0)
+
+    @property
+    def groups(self) -> int:
+        """Number of group keys interned."""
+        return len(self._bases)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes that hold every slot and the open last group's guard."""
+        return (len(self.group_of) >> 3) + 1
+
+    def next_slot(self, key: Hashable) -> int:
+        """The slot the next :meth:`add` for *key* returns."""
+        return len(self.group_of) + (
+            key != self._last_key and bool(self._bases)
+        )
+
+    def add(self, key: Hashable, count: int = 1) -> int:
+        """*count* fresh consecutive slots in *key*'s span, the first
+        one returned, with no identifier interned — for callers that
+        meet every identifier exactly once."""
+        group_of = self.group_of
+        if key != self._last_key:
+            if key in self._base_of:
+                raise ValueError(
+                    f"group key {key!r} interned non-contiguously; "
+                    "intern identifiers grouped by key"
+                )
+            if self._bases:
+                group_of.append(len(self._bases) - 1)  # previous guard bit
+            self._base_of[key] = len(group_of)
+            self._bases.append(len(group_of))
+            self._last_key = key
+        first = len(group_of)
+        group_of.extend([len(self._bases) - 1] * count)
+        return first
 
     def slot(self, ident: Tuple) -> int:
         slot = self._slot_of.get(ident)
         if slot is None:
-            key = ident[0]
-            if key != self._last_key:
-                if key in self._base_of:
-                    raise ValueError(
-                        f"group key {key!r} interned non-contiguously; "
-                        "intern identifiers grouped by key"
-                    )
-                if self._bases:
-                    self._next += 1  # previous group's guard bit
-                self._base_of[key] = self._next
-                self._bases.append(self._next)
-                self._last_key = key
-            slot = self._next
-            self._slot_of[ident] = slot
-            self._next = slot + 1
+            slot = self._slot_of[ident] = self.add(ident[0])
         return slot
 
     def mask(self, idents: Iterable[Tuple]) -> int:
-        mask = 0
-        slot = self.slot
-        for ident in idents:
-            mask |= 1 << slot(ident)
-        return mask
+        slots = [self.slot(ident) for ident in idents]
+        return mask_from_slots(slots, self.nbytes)
 
     def _anchors(self) -> Tuple[int, int]:
         """The (base, guard) anchor bitmaps, rebuilt lazily after the
         universe grew.  Group *i*'s guard slot sits just below group
         *i+1*'s base; the still-open last group's guard is the next
         unassigned slot."""
-        if self._anchor_size != len(self._slot_of):
+        size = len(self.group_of)
+        if self._anchor_size != size:
             bases = self._bases
-            low = 0
-            for base in bases:
-                low |= 1 << base
-            high = 1 << self._next
-            for next_base in bases[1:]:
-                high |= 1 << (next_base - 1)
-            self._anchor_low = low
-            self._anchor_high = high
-            self._anchor_size = len(self._slot_of)
+            guards = [base - 1 for base in bases[1:]]
+            guards.append(size)
+            self._anchor_low = mask_from_slots(bases, self.nbytes)
+            self._anchor_high = mask_from_slots(guards, self.nbytes)
+            self._anchor_size = size
         return self._anchor_low, self._anchor_high
 
     def group_count(self, mask: int) -> int:
@@ -290,6 +328,12 @@ class GroupedUniverse:
             return 0
         low, high = self._anchors()
         return (((mask | high) - low) & high).bit_count()
+
+    def slot_group_count(self, slots: Iterable[int]) -> int:
+        """The same count for a sparse support: distinct groups among
+        the slots of a set, through :attr:`group_of`."""
+        self.group_count_calls += 1
+        return len(set(map(self.group_of.__getitem__, slots)))
 
 
 class _NoKey:
@@ -317,13 +361,16 @@ def item_bitmaps(
     universe: SlotUniverse,
 ) -> Dict[Hashable, int]:
     """Invert ``(gid, items)`` pairs into item -> gid-bitmap."""
-    bitmaps: Dict[Hashable, int] = {}
-    get = bitmaps.get
+    slots_of: Dict[Hashable, List[int]] = defaultdict(list)
     for gid, items in groups:
-        bit = 1 << universe.slot(gid)
+        slot = universe.slot(gid)
         for item in items:
-            bitmaps[item] = get(item, 0) | bit
-    return bitmaps
+            slots_of[item].append(slot)
+    nbytes = (len(universe) + 7) >> 3
+    return {
+        item: mask_from_slots(slots, nbytes)
+        for item, slots in slots_of.items()
+    }
 
 
 class PackedBitset:
@@ -471,7 +518,7 @@ def packed_item_bitmaps(
     The word counterpart of :func:`item_bitmaps`.  *universe* must be
     fully interned (width fixed up front); each occurrence updates one
     word in place, so construction is linear in the number of
-    occurrences rather than quadratic like the big-int ``|=`` loop.
+    occurrences.
     """
     width = len(universe)
     nwords = max((width + WORD_BITS - 1) // WORD_BITS, 1)

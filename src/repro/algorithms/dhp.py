@@ -15,7 +15,7 @@ over-estimate), so the final result is exact.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.algorithms.base import (
     FrequentItemsetMiner,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.algorithms.apriori import Apriori
 from repro.algorithms.base import (

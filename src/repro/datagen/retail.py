@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import datetime
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.sqlengine.engine import Database
 from repro.sqlengine.table import Table

@@ -10,9 +10,9 @@ queries Q2/Q3/Q4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet
 
 from repro.decoupled.extractor import parse_flat_file
 

@@ -10,9 +10,8 @@ eliminates — the benchmark measures it honestly.)
 from __future__ import annotations
 
 import datetime
-import io
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.sqlengine.engine import Database
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List
 
 from repro.algorithms import FrequentItemsetMiner, get_algorithm
 from repro.decoupled.encoder import EncodedDataset

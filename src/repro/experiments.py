@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import List
 
 from repro.datagen import (
     QuestParameters,

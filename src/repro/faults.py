@@ -73,7 +73,7 @@ import contextlib
 import fnmatch
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [

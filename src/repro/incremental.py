@@ -42,9 +42,10 @@ captured yet.  :class:`SourceMutated` signals the fallback.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.algorithms.bitset import mask_from_slots
 from repro.kernel.core.inputs import min_group_count
 from repro.kernel.program import TranslationProgram
 from repro.minerule.errors import MineRuleError
@@ -305,17 +306,10 @@ class RefreshComputation:
             if slots is None:
                 masks.append(state.masks[index])  # untouched: shared
                 continue
+            mask = mask_from_slots(slots, nbytes_new)
             if index < old_items:
-                buffer = bytearray(
-                    old_bytes.get(index)
-                    or state.masks[index].to_bytes(nbytes_old, "little")
-                )
-                buffer.extend(b"\x00" * (nbytes_new - len(buffer)))
-            else:
-                buffer = bytearray(nbytes_new)
-            for slot in slots:
-                buffer[slot >> 3] |= 1 << (slot & 7)
-            masks.append(int.from_bytes(buffer, "little"))
+                mask |= state.masks[index]  # extend the snapshot's bitmap
+            masks.append(mask)
 
         self._item_order = item_order
         self._item_index = item_index

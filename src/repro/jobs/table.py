@@ -19,7 +19,6 @@ from repro.jobs.model import (
     CANCELLED,
     QUEUED,
     RUNNING,
-    TERMINAL,
     Job,
 )
 

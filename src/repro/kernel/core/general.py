@@ -15,21 +15,35 @@ intersects the parents' triple sets, which is *exact*:
 and ``B2 x H`` are.  This is the lattice counterpart of the group-id
 lists of Section 4.3.1.
 
-Two physical layouts of the triple sets are available behind the same
-semantics (``representation=``):
+Data path, linear in the elementary occurrences:
 
-* ``"bitset"`` (default) — triples are densely re-indexed into
-  contiguous bit slots, grouped per gid with a guard bit per group
-  (:class:`repro.algorithms.bitset.GroupedUniverse`); a rule's support
-  set is one big int, the join intersection is ``&``, and counting the
-  *distinct groups* of a rule is mask-and-popcount over the universe's
-  precomputed group anchors.  The body-count index packs ``(gid, body
-  cluster)`` occurrences the same way.
-* ``"set"`` — the original ``set``-of-tuples layout, kept selectable
-  for differential testing and the ablation bench.
-
-Both produce bit-identical rule lists; only the join/count machinery
-differs.
+* **Collect once.**  One collector serves both elementary sources (the
+  ``InputRules`` rows, or the lazy cartesian product over
+  ``ClusterCouples``): every triple gets an ``int`` slot in a
+  :class:`repro.algorithms.bitset.GroupedUniverse` (contiguous per
+  group, one guard bit between groups, ``group_of[slot]`` kept beside)
+  and every ``(body item, head item)`` pair a plain list of the slots
+  it occurs in.  Pairs are pruned at the support threshold on those
+  lists, *before* any support is materialized.
+* **Two layouts, each built once**, chosen by what the collector
+  measured (:data:`DENSE_MAX_BITS_PER_MEMBER`): *dense* (``"bitset"``)
+  — a rule's support is one big int built by
+  :func:`~repro.algorithms.bitset.mask_from_slots`, the join is ``&``
+  and the distinct groups are counted by mask-and-popcount over the
+  universe's guard bits; *sparse* (``"set"``) — the support is a
+  ``frozenset`` of slots, the join is ``&`` and the distinct groups are
+  counted through ``group_of``.  ``representation=`` forces one
+  (``"packed"`` has no lattice kernels and means ``"bitset"`` here);
+  :attr:`GeneralCoreOperator.representation` reports the layout used.
+  Both produce the same ordered rule list.
+* **Group-level join filter.**  Every rule also carries a bitmap over
+  group positions (``totg`` bits).  The groups of ``t1 & t2`` are a
+  subset of ``groups(t1) & groups(t2)``, so when that intersection has
+  fewer than ``min_count`` bits the joined rule cannot be large and the
+  triple-level intersection is skipped.  It is only a bound: two rules
+  may share a group through different cluster pairs, so survivors are
+  still intersected and counted exactly; the child keeps ``g1 & g2``,
+  which bounds its groups in turn.
 
 Elementary rules come either from the ``InputRules`` table (when the
 mining condition was evaluated in SQL by queries Q8-Q10) or are derived
@@ -49,12 +63,24 @@ Figure 2b exactly (confidence 0.5 for {jackets} => {col_shirts}).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple, Union
+from collections import defaultdict
+from operator import itemgetter
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro import faults
 from repro.algorithms.bitset import (
     BitsetStats,
     GroupedUniverse,
+    mask_from_slots,
     validate_representation,
 )
 from repro.kernel.core.inputs import GeneralInput
@@ -64,13 +90,29 @@ from repro.kernel.program import CoreDirectives
 
 #: a rule key: (sorted body ids, sorted head ids)
 RuleKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
-#: a supporting occurrence: (group id, body cluster id, head cluster id)
-Triple = Tuple[int, int, int]
-#: a rule's support: a set of triples, or a bitmap over triple slots —
-#: both intersect with ``&``
-Support = Union[Set[Triple], int]
-RuleSet = Dict[RuleKey, Support]
+#: the slots supporting a rule (or the occurrences of a body item): a
+#: bitmap over the slot universe, or a frozenset of slots — both
+#: intersect with ``&``
+Support = Union[int, FrozenSet[int]]
+#: what the lattice keeps per rule: its triple-slot support, a bitmap
+#: over group positions that bounds its groups from above, and its
+#: exact distinct-group count
+Rule = Tuple[Support, int, int]
+RuleSet = Dict[RuleKey, Rule]
+#: the collector's output: (body item, head item) -> triple slots
+Occurrences = Dict[Tuple[int, int], List[int]]
 
+#: the layout choice when none is forced: the dense bitmap carries a
+#: run whose universe has at most this many bits per member of the mean
+#: surviving elementary support, the slot sets carry the rest.  A
+#: bitmap join costs the universe's words whatever the support holds, a
+#: set join costs the smaller support's members, so the ratio of the
+#: two is what decides.  Calibrated on two inputs (``run()``, best of
+#: 3): the dense BENCH_PR2 lattice at 23 bits per member, bitmaps
+#: 0.13 s against slot sets 0.35 s; the sparse ``clicks_general`` input
+#: at 645, bitmaps 0.32 s against slot sets 0.27 s.  DESIGN.md has the
+#: inputs measured in between, which place the break-even near 500.
+DENSE_MAX_BITS_PER_MEMBER = 512
 
 #: how _compute_set picks the parent when both exist (the "smaller"
 #: strategy is the paper's heuristic; the others exist for the
@@ -87,14 +129,15 @@ class GeneralCoreOperator:
     always prefer the body/head parent — all three are correct, the
     heuristic only affects the join work.
 
-    ``representation`` selects the physical triple-set layout (see the
-    module docstring); the mined rules are identical either way.
+    ``representation`` forces the physical support layout (see the
+    module docstring); ``None`` lets each run pick from what its
+    collector measured.  The mined rules are identical either way.
     """
 
     def __init__(
         self,
         parent_strategy: str = "smaller",
-        representation: str = "bitset",
+        representation: Optional[str] = None,
     ) -> None:
         if parent_strategy not in PARENT_STRATEGIES:
             raise ValueError(
@@ -102,17 +145,26 @@ class GeneralCoreOperator:
                 f"choose from {PARENT_STRATEGIES}"
             )
         self.parent_strategy = parent_strategy
-        self.representation = validate_representation(representation)
+        if representation is not None:
+            validate_representation(representation)
+            # no word kernels for the lattice: "packed" is the bitmap
+            representation = "set" if representation == "set" else "bitset"
+        self._forced = representation
+        #: the layout of the last run, ``"bitset"`` or ``"set"``; None
+        #: until an unforced operator has measured an input
+        self.representation: Optional[str] = representation
         #: observability: number of rules per lattice set, keyed (m, n)
         self.lattice_sizes: Dict[Tuple[int, int], int] = {}
         #: observability: join-candidate pairs examined during expansion
         self.join_pairs_examined = 0
-        #: observability: bitmap counters of the last run (bitset mode)
+        #: observability: universe sizes, distinct-group counts and the
+        #: triple-level intersections actually performed by the last run
+        #: (a join rejected at group level performs none)
         self.bitmap_stats = BitsetStats()
-        #: bitset mode: triple-slot universe of the current run
-        self._triples: Optional[GroupedUniverse] = None
-        #: bitset mode: (gid, body cluster) universe for body counts
-        self._body_pairs: Optional[GroupedUniverse] = None
+        #: triple-slot universe of the current run
+        self._triples = GroupedUniverse()
+        #: (gid, body cluster) universe for body counts
+        self._body_pairs = GroupedUniverse()
 
     def run(
         self, data: GeneralInput, directives: CoreDirectives
@@ -141,8 +193,7 @@ class GeneralCoreOperator:
         """
         self._reset()
         threshold = data.min_count if min_count is None else min_count
-        elementary = self._elementary_rules(data)
-        elementary = self._prune(elementary, threshold)
+        elementary = self._elementary_rules(self._collect(data), threshold)
         self.lattice_sizes[(1, 1)] = len(elementary)
 
         body_min, body_max = directives.body_card
@@ -185,33 +236,37 @@ class GeneralCoreOperator:
         order — so the counts here match what :meth:`run` would
         observe.  Both counts are additive across gid-disjoint inputs,
         which is what makes the shard merge exact.
+
+        Nothing is pruned (a candidate may be rare here and large
+        elsewhere); only the pairs the candidates name are materialized.
         """
         self._reset()
-        elementary = self._elementary_rules(data)
+        occurrences = self._collect(data)
+        self._settle_layout(
+            sum(map(len, occurrences.values())), len(occurrences)
+        )
+        triples = self._triples
+        supports: Dict[Tuple[int, int], Support] = {}
         support_counts: List[int] = []
         for body, head in rule_keys:
             shared: Optional[Support] = None
-            empty = False
-            for bid in body:
-                if empty:
+            for pair in itertools.product(body, head):
+                support = supports.get(pair)
+                if support is None:
+                    support = supports[pair] = self._support(
+                        triples, occurrences.get(pair, ())
+                    )
+                if shared is None:
+                    shared = support
+                else:
+                    shared = shared & support
+                    self.bitmap_stats.intersections += 1
+                if not shared:
                     break
-                for hid in head:
-                    support = elementary.get(((bid,), (hid,)))
-                    if not support:
-                        empty = True
-                        break
-                    shared = support if shared is None else shared & support
-                    if not shared:
-                        empty = True
-                        break
-            support_counts.append(
-                0 if empty or shared is None else self._group_count(shared)
-            )
-        occurrences = self._body_occurrence_index(data)
+            support_counts.append(self._group_count(triples, shared))
+        index = self._body_occurrence_index(data)
         cache: Dict[Tuple[int, ...], int] = {}
-        body_counts = [
-            self._body_count(body, occurrences, cache) for body in bodies
-        ]
+        body_counts = [self._body_count(body, index, cache) for body in bodies]
         self.finalize_stats()
         return support_counts, body_counts
 
@@ -219,99 +274,132 @@ class GeneralCoreOperator:
         self.lattice_sizes = {}
         self.join_pairs_examined = 0
         self.bitmap_stats.clear()
-        self._triples = (
-            GroupedUniverse() if self.representation == "bitset" else None
-        )
-        self._body_pairs = None
+        self._triples = GroupedUniverse()
+        self._body_pairs = GroupedUniverse()
 
     def finalize_stats(self) -> None:
         """Fold the universe counters of the finished run into
         :attr:`bitmap_stats` (idempotence not required: call once)."""
-        if self._triples is not None:
-            stats = self.bitmap_stats
-            stats.universe_sizes["triple"] = len(self._triples)
-            if self._body_pairs is not None:
-                stats.universe_sizes["body_pair"] = len(self._body_pairs)
-            stats.popcount_calls += self._triples.group_count_calls
-            if self._body_pairs is not None:
-                stats.popcount_calls += self._body_pairs.group_count_calls
+        stats = self.bitmap_stats
+        stats.universe_sizes["triple"] = len(self._triples)
+        stats.popcount_calls += self._triples.group_count_calls
+        if self._body_pairs.groups:
+            stats.universe_sizes["body_pair"] = len(self._body_pairs)
+            stats.popcount_calls += self._body_pairs.group_count_calls
+
+    # ------------------------------------------------------------------
+    # the two layouts
+    # ------------------------------------------------------------------
+
+    def _settle_layout(self, members: int, supports: int) -> None:
+        """Fix this run's layout: the forced one, else dense when the
+        triple universe has at most :data:`DENSE_MAX_BITS_PER_MEMBER`
+        bits per member of the mean support (*members* slots over
+        *supports* supports, as the collector measured them)."""
+        if self._forced is not None:
+            self.representation = self._forced
+            return
+        bits = 8 * self._triples.nbytes
+        dense = bits * supports <= DENSE_MAX_BITS_PER_MEMBER * members
+        self.representation = "bitset" if dense else "set"
+
+    def _support(
+        self, universe: GroupedUniverse, slots: Iterable[int]
+    ) -> Support:
+        """Materialize one support over *universe* in the run's layout."""
+        if self.representation == "bitset":
+            return mask_from_slots(slots, universe.nbytes)
+        return frozenset(slots)
+
+    def _group_count(
+        self, universe: GroupedUniverse, support: Optional[Support]
+    ) -> int:
+        """Distinct groups among the slots of *support*."""
+        if not support:
+            return 0
+        if self.representation == "bitset":
+            return universe.group_count(support)
+        return universe.slot_group_count(support)
 
     # ------------------------------------------------------------------
     # elementary rules
     # ------------------------------------------------------------------
 
-    def _elementary_rules(self, data: GeneralInput) -> RuleSet:
-        if self._triples is not None:
-            return self._elementary_bitmaps(data)
-        supports: RuleSet = {}
+    def _collect(self, data: GeneralInput) -> Occurrences:
+        """Every elementary occurrence, met once: triples are numbered
+        into :attr:`_triples` group by group and each (body item, head
+        item) pair gets the list of triple slots it occurs in."""
+        add = self._triples.add
+        occurrences: Occurrences = defaultdict(list)
         if data.elementary is not None:
-            # Precomputed in SQL (queries Q8..Q10).
-            for gid, bcid, hcid, bid, hid in data.elementary:
-                key = ((bid,), (hid,))
-                supports.setdefault(key, set()).add((gid, bcid, hcid))
-            return supports
-
-        # Derived here: lazy cartesian product within valid cluster pairs.
-        for gid in data.body_items:
-            body_clusters = data.body_items.get(gid, {})
-            head_clusters = data.head_items.get(gid, {})
-            for bc, hc in data.group_cluster_pairs(gid):
-                body_ids = body_clusters.get(bc)
-                head_ids = head_clusters.get(hc)
-                if not body_ids or not head_ids:
+            # Precomputed in SQL (queries Q8..Q10); sorted so each
+            # gid's slots stay contiguous whatever the table's row
+            # order, and the rows of one triple (and repeated rows)
+            # are neighbours.
+            last_row = last_triple = None
+            slot = -1
+            for row in sorted(data.elementary):
+                if row == last_row:
                     continue
-                exclude_equal = data.same_schema and bc == hc
-                triple = (gid, bc, hc)
-                for bid in body_ids:
-                    for hid in head_ids:
-                        if exclude_equal and bid == hid:
-                            continue
-                        key = ((bid,), (hid,))
-                        supports.setdefault(key, set()).add(triple)
-        return supports
-
-    def _elementary_bitmaps(self, data: GeneralInput) -> RuleSet:
-        """Bitset-mode elementary rules: triple slots are interned in
-        gid order (contiguous spans per group), support sets are
-        bitmaps over those slots."""
-        triples = self._triples
-        assert triples is not None
-        supports: Dict[RuleKey, int] = {}
-        get = supports.get
-        if data.elementary is not None:
-            # Precomputed in SQL; sort so each gid's slots stay
-            # contiguous regardless of the table's row order.
-            for gid, bcid, hcid, bid, hid in sorted(data.elementary):
-                bit = 1 << triples.slot((gid, bcid, hcid))
-                key = ((bid,), (hid,))
-                supports[key] = get(key, 0) | bit
-            return supports
+                last_row = row
+                if row[:3] != last_triple:
+                    last_triple = row[:3]
+                    slot = add(row[0])
+                occurrences[row[3:]].append(slot)
+            return occurrences
 
         # Derived here: lazy cartesian product within valid cluster
-        # pairs, one gid at a time (preserving slot contiguity).
-        for gid in data.body_items:
-            body_clusters = data.body_items.get(gid, {})
-            head_clusters = data.head_items.get(gid, {})
+        # pairs, one gid at a time.  The slots of a group are counted
+        # here and registered together: one universe call per group.
+        triples = self._triples
+        same_schema = data.same_schema
+        for gid, body_clusters in data.body_items.items():
+            head_clusters = data.head_items.get(gid)
+            if not head_clusters:
+                continue
+            first = slot = triples.next_slot(gid)
             for bc, hc in data.group_cluster_pairs(gid):
                 body_ids = body_clusters.get(bc)
                 head_ids = head_clusters.get(hc)
                 if not body_ids or not head_ids:
                     continue
-                exclude_equal = data.same_schema and bc == hc
-                bit = 1 << triples.slot((gid, bc, hc))
+                exclude_equal = same_schema and bc == hc
                 for bid in body_ids:
                     for hid in head_ids:
                         if exclude_equal and bid == hid:
                             continue
-                        key = ((bid,), (hid,))
-                        supports[key] = get(key, 0) | bit
-        return supports
+                        occurrences[bid, hid].append(slot)
+                slot += 1
+            if slot > first:
+                triples.add(gid, slot - first)
+        return occurrences
 
-    def _prune(self, rules: RuleSet, min_count: int) -> RuleSet:
+    def _elementary_rules(
+        self, occurrences: Occurrences, min_count: int
+    ) -> RuleSet:
+        """The large elementary rules.  A pair is pruned on its slot
+        list — a support is materialized for the survivors only, in the
+        layout their measured lengths select."""
+        triples = self._triples
+        group_of = triples.group_of.__getitem__
+        survivors: List[Tuple[Tuple[int, int], List[int], Set[int]]] = []
+        members = 0
+        for pair, slots in occurrences.items():
+            if len(slots) < min_count:
+                continue  # fewer triples than groups needed
+            groups = set(map(group_of, slots))
+            if len(groups) >= min_count:
+                survivors.append((pair, slots, groups))
+                members += len(slots)
+        self._settle_layout(members, len(survivors))
+        group_bytes = (triples.groups + 7) >> 3
         return {
-            key: support
-            for key, support in rules.items()
-            if self._group_count(support) >= min_count
+            ((bid,), (hid,)): (
+                self._support(triples, slots),
+                mask_from_slots(groups, group_bytes),
+                len(groups),
+            )
+            for (bid, hid), slots, groups in survivors
         }
 
     # ------------------------------------------------------------------
@@ -345,59 +433,55 @@ class GeneralCoreOperator:
         else:  # "body"
             parents.sort(key=lambda entry: entry[1] != "body")
         parent_key, direction = parents[0]
-        parent = lattice[parent_key]
-        if direction == "body":
-            result = self._extend_body(parent, min_count)
-        else:
-            result = self._extend_head(parent, min_count)
+        result = self._extend(
+            lattice[parent_key], min_count, 0 if direction == "body" else 1
+        )
         lattice[target] = result
         self.lattice_sizes[target] = len(result)
         if result:
             frontier.append(target)
 
-    def _extend_body(self, rules: RuleSet, min_count: int) -> RuleSet:
-        """(m, n) -> (m+1, n): join rules sharing head and body prefix."""
+    def _extend(self, rules: RuleSet, min_count: int, side: int) -> RuleSet:
+        """Grow *side* of every rule by one item — 0: (m, n) -> (m+1, n),
+        joining rules that share the head and a body prefix; 1: (m, n)
+        -> (m, n+1), sharing the body and a head prefix.  A pair whose
+        group bitmaps share fewer than *min_count* groups is rejected
+        before its triple-level intersection."""
         siblings: Dict[
             Tuple[Tuple[int, ...], Tuple[int, ...]],
-            List[Tuple[Tuple[int, ...], Support]],
+            List[Tuple[Tuple[int, ...], Rule]],
         ] = {}
-        for (body, head), support in rules.items():
-            siblings.setdefault((head, body[:-1]), []).append((body, support))
+        for key, rule in rules.items():
+            grown = key[side]
+            siblings.setdefault((key[1 - side], grown[:-1]), []).append(
+                (grown, rule)
+            )
+        triples = self._triples
+        group_count = (
+            triples.group_count
+            if self.representation == "bitset"
+            else triples.slot_group_count
+        )
         out: RuleSet = {}
-        for (head, _prefix), entries in siblings.items():
-            entries.sort(key=lambda e: e[0])
-            for (b1, t1), (b2, t2) in itertools.combinations(entries, 2):
-                self.join_pairs_examined += 1
-                new_body = b1 + (b2[-1],)
-                shared = t1 & t2
-                if self._group_count(shared) >= min_count:
-                    out[(new_body, head)] = shared
+        examined = intersected = 0
+        for (fixed, _prefix), entries in siblings.items():
+            entries.sort(key=itemgetter(0))
+            for position, (k1, (t1, g1, _)) in enumerate(entries, 1):
+                for k2, (t2, g2, _) in entries[position:]:
+                    groups = g1 & g2
+                    if groups.bit_count() < min_count:
+                        continue
+                    shared = t1 & t2
+                    intersected += 1
+                    count = group_count(shared)
+                    if count >= min_count:
+                        grown = k1 + (k2[-1],)
+                        key = (fixed, grown) if side else (grown, fixed)
+                        out[key] = (shared, groups, count)
+            examined += len(entries) * (len(entries) - 1) // 2
+        self.join_pairs_examined += examined
+        self.bitmap_stats.intersections += intersected
         return out
-
-    def _extend_head(self, rules: RuleSet, min_count: int) -> RuleSet:
-        """(m, n) -> (m, n+1): join rules sharing body and head prefix."""
-        siblings: Dict[
-            Tuple[Tuple[int, ...], Tuple[int, ...]],
-            List[Tuple[Tuple[int, ...], Support]],
-        ] = {}
-        for (body, head), support in rules.items():
-            siblings.setdefault((body, head[:-1]), []).append((head, support))
-        out: RuleSet = {}
-        for (body, _prefix), entries in siblings.items():
-            entries.sort(key=lambda e: e[0])
-            for (h1, t1), (h2, t2) in itertools.combinations(entries, 2):
-                self.join_pairs_examined += 1
-                new_head = h1 + (h2[-1],)
-                shared = t1 & t2
-                if self._group_count(shared) >= min_count:
-                    out[(body, new_head)] = shared
-        return out
-
-    def _group_count(self, support: Support) -> int:
-        """Distinct groups in a rule's support set."""
-        if self._triples is not None:
-            return self._triples.group_count(support)
-        return len({gid for gid, _, _ in support})
 
     # ------------------------------------------------------------------
     # rule emission
@@ -422,8 +506,7 @@ class GeneralCoreOperator:
                 continue
             if n < head_min or (head_max is not None and n > head_max):
                 continue
-            for (body, head), support in rule_set.items():
-                support_count = self._group_count(support)
+            for (body, head), (_, _, support_count) in rule_set.items():
                 body_count = self._body_count(
                     body, body_occurrences, body_count_cache
                 )
@@ -447,66 +530,36 @@ class GeneralCoreOperator:
         rules.sort(key=EncodedRule.key)
         return rules
 
-    def _body_occurrence_index(
-        self, data: GeneralInput
-    ) -> Dict[int, Union[Set[Tuple[int, int]], int]]:
-        """item id -> occurrences as (group, body cluster): a tuple set
-        in set mode, a bitmap over the (gid, cid) universe in bitset
-        mode (interned per gid, preserving span contiguity)."""
-        if self.representation == "bitset":
-            pairs = GroupedUniverse()
-            self._body_pairs = pairs
-            bitmap_index: Dict[int, int] = {}
-            get = bitmap_index.get
-            for gid, clusters in data.body_items.items():
-                for cid, items in clusters.items():
-                    bit = 1 << pairs.slot((gid, cid))
-                    for bid in items:
-                        bitmap_index[bid] = get(bid, 0) | bit
-            return bitmap_index
-        index: Dict[int, Set[Tuple[int, int]]] = {}
+    def _body_occurrence_index(self, data: GeneralInput) -> Dict[int, Support]:
+        """item id -> its occurrences as (group, body cluster) slots of
+        :attr:`_body_pairs`, in the run's layout."""
+        pairs = self._body_pairs
+        slots_of: Dict[int, List[int]] = defaultdict(list)
         for gid, clusters in data.body_items.items():
-            for cid, items in clusters.items():
+            first = pairs.add(gid, len(clusters))
+            for slot, items in enumerate(clusters.values(), first):
                 for bid in items:
-                    index.setdefault(bid, set()).add((gid, cid))
-        return index
+                    slots_of[bid].append(slot)
+        return {
+            bid: self._support(pairs, slots)
+            for bid, slots in slots_of.items()
+        }
 
     def _body_count(
         self,
         body: Tuple[int, ...],
-        occurrences: Dict[int, Union[Set[Tuple[int, int]], int]],
+        occurrences: Dict[int, Support],
         cache: Dict[Tuple[int, ...], int],
     ) -> int:
         """Groups where all body items co-occur in one body cluster."""
-        cached = cache.get(body)
-        if cached is not None:
-            return cached
-        if self._body_pairs is not None:
-            shared = -1
-            for bid in body:
-                bitmap = occurrences.get(bid)
-                if not bitmap:
-                    shared = 0
+        count = cache.get(body)
+        if count is None:
+            shared = occurrences.get(body[0])
+            for bid in body[1:]:
+                other = occurrences.get(bid)
+                if not shared or not other:
+                    shared = None
                     break
-                shared &= bitmap
-                self.bitmap_stats.intersections += 1
-                if not shared:
-                    break
-            count = (
-                self._body_pairs.group_count(shared) if shared > 0 else 0
-            )
-            cache[body] = count
-            return count
-        sets = [occurrences.get(bid, set()) for bid in body]
-        if not sets or any(not s for s in sets):
-            cache[body] = 0
-            return 0
-        sets.sort(key=len)
-        shared = set(sets[0])
-        for other in sets[1:]:
-            shared &= other
-            if not shared:
-                break
-        count = len({gid for gid, _ in shared})
-        cache[body] = count
+                shared = shared & other
+            count = cache[body] = self._group_count(self._body_pairs, shared)
         return count

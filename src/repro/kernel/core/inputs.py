@@ -11,7 +11,7 @@ group, cluster and item identifiers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.kernel.program import CoreDirectives

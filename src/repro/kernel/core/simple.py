@@ -15,7 +15,7 @@ borderline the paper draws.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
 from repro import faults
 from repro.algorithms.base import FrequentItemsetMiner

@@ -36,11 +36,15 @@ class CoreStats:
     """Observability counters of one core-operator run.
 
     ``variant`` is ``"simple"`` or ``"general"``; ``representation``
-    is the physical support-set layout (``"bitset"``/``"set"``);
+    is the physical support-set layout actually used (``"bitset"``/
+    ``"set"``; the general core picks it per run unless one is forced);
     ``algorithm`` names the pool member (simple variant only).
     ``lattice_sizes``/``join_pairs_examined`` mirror the general
     operator's counters; ``universe_sizes``/``popcount_calls``/
-    ``intersections`` come from the bitmap kernel.
+    ``intersections`` come from the bitmap kernel.  For the general
+    variant ``intersections`` counts the triple-level intersections
+    actually performed, so on a serial run ``join_pairs_examined -
+    intersections`` joins were rejected at group level.
     """
 
     variant: str = "simple"
@@ -156,6 +160,17 @@ class CoreStats:
             ("variant", "representation"),
         ).inc(variant=self.variant, representation=self.representation)
 
+    def describe_join_pairs(self) -> str:
+        """The lattice's join work: pairs examined and, on a serial
+        run, how many the group-level filter rejected — every
+        intersection is then a join that got past it (a sharded run's
+        ``intersections`` also hold the recount's)."""
+        text = f"{self.join_pairs_examined} join pairs"
+        if not self.shards:
+            rejected = self.join_pairs_examined - self.intersections
+            text += f" ({rejected} rejected at group level)"
+        return text
+
     def describe(self) -> str:
         """One-line summary for the process trace."""
         parts = [f"{self.variant} core, {self.representation} sets"]
@@ -169,7 +184,7 @@ class CoreStats:
                 f"{len(self.lattice_sizes)} lattice sets / {total} rules"
             )
         if self.join_pairs_examined:
-            parts.append(f"{self.join_pairs_examined} join pairs")
+            parts.append(self.describe_join_pairs())
         if self.universe_sizes:
             sizes = ", ".join(
                 f"{label}={size}"

@@ -9,7 +9,7 @@ the execution of several data mining queries", Section 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 

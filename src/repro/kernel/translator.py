@@ -13,8 +13,7 @@ queries each statement class activates.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.kernel.names import Workspace
 from repro.kernel.program import (
@@ -28,7 +27,7 @@ from repro.kernel.rewrite import (
     requalify,
     rewrite_cluster_condition,
 )
-from repro.minerule.classifier import Directives, classify
+from repro.minerule.classifier import classify
 from repro.minerule.errors import MineRuleValidationError
 from repro.minerule.parser import parse_mine_rule
 from repro.minerule.statements import MineRuleStatement

@@ -9,7 +9,7 @@ the rule-element sides exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.sqlengine import ast_nodes as sql

@@ -19,7 +19,7 @@ from the DBMS data dictionary.  The four checks, quoting the paper:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from repro.minerule.errors import MineRuleValidationError
 from repro.minerule.statements import MineRuleStatement

@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: default histogram boundaries: 100 microseconds to 10 seconds, the
 #: range SQL statements and MINE RULE runs actually occupy

@@ -52,7 +52,7 @@ import time
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import faults
 from repro.algorithms.base import (
@@ -300,16 +300,6 @@ def slice_general_input(
     )
 
 
-def _lattice_representation(representation: str) -> str:
-    """The lattice operator's triple-set layout for an executor-level
-    representation: ``"packed"`` maps to the big-int ``"bitset"``
-    layout — the guard-bit distinct-group trick needs big-int
-    borrow-propagating subtraction, which the word kernels do not
-    implement (shard-local triple universes are small, so nothing is
-    lost)."""
-    return "bitset" if representation == "packed" else representation
-
-
 #: user-facing message when an *explicitly requested* packed layout is
 #: remapped for the lattice core (tests pin this text)
 PACKED_LATTICE_REMAP_MESSAGE = (
@@ -444,9 +434,7 @@ def _mine_general_shard(payload):
     tracer = _child_tracer()
     _, shards, directives, representation = _WORKER_BUNDLE
     with _shard_span(tracer, "local", index):
-        operator = GeneralCoreOperator(
-            representation=_lattice_representation(representation)
-        )
+        operator = GeneralCoreOperator(representation=representation)
         lattice = operator.mine_lattice(
             shards[index], directives, min_count=local_min
         )
@@ -458,6 +446,7 @@ def _mine_general_shard(payload):
         dict(operator.lattice_sizes),
         operator.join_pairs_examined,
         operator.bitmap_stats,
+        operator.representation,
     )
     return (
         index, keys, extras,
@@ -472,9 +461,7 @@ def _count_general_shard(payload):
     tracer = _child_tracer()
     _, shards, _, representation = _WORKER_BUNDLE
     with _shard_span(tracer, "recount", index):
-        operator = GeneralCoreOperator(
-            representation=_lattice_representation(representation)
-        )
+        operator = GeneralCoreOperator(representation=representation)
         supports, body_counts = operator.exact_counts(
             shards[index], candidates, bodies
         )
@@ -671,10 +658,13 @@ class ShardedMiner:
         self,
         data: GeneralInput,
         directives: CoreDirectives,
-        representation: str = "bitset",
+        representation: Optional[str] = None,
     ) -> Tuple[List[EncodedRule], CoreStats]:
-        """Sharded counterpart of ``GeneralCoreOperator.run``."""
-        representation = validate_representation(representation)
+        """Sharded counterpart of ``GeneralCoreOperator.run``:
+        *representation* forces every shard's support layout, None lets
+        each shard pick from what it measured."""
+        if representation is not None:
+            validate_representation(representation)
         if representation == "packed" and self.explicit_representation:
             _warn_packed_lattice_remap(self.tracer)
         self.shard_seconds = {}
@@ -689,6 +679,7 @@ class ShardedMiner:
         stats = BitsetStats()
         lattice_sizes: Dict[Tuple[int, int], int] = {}
         join_pairs = 0
+        layouts: Set[str] = set()
         candidates: List[RuleKey] = []
         support_totals: List[int] = []
         body_totals: Dict[Tuple[int, ...], int] = {}
@@ -717,11 +708,13 @@ class ShardedMiner:
                     {key for _, keys, _, _, _ in local for key in keys}
                 )
                 for _, _, extras, _, _ in local:
-                    sizes, pairs, shard_stats = extras
+                    sizes, pairs, shard_stats, layout = extras
                     for key, value in sizes.items():
                         lattice_sizes[key] = lattice_sizes.get(key, 0) + value
                     join_pairs += pairs
                     stats.merge(shard_stats)
+                    if sizes.get((1, 1)):
+                        layouts.add(layout)
 
                 bodies = sorted({body for body, _ in candidates})
                 count_payloads = [
@@ -745,7 +738,10 @@ class ShardedMiner:
         )
         core_stats = CoreStats(
             variant="general",
-            representation=_lattice_representation(representation),
+            # the layouts the phase-1 shards mined in (each measures
+            # its own slice, so they may differ); moot when none mined
+            representation="+".join(sorted(layouts))
+            or ("set" if representation == "set" else "bitset"),
             lattice_sizes=lattice_sizes,
             join_pairs_examined=join_pairs,
             universe_sizes=dict(stats.universe_sizes),

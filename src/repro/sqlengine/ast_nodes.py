@@ -7,8 +7,8 @@ module because several statements embed expressions and subqueries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 from repro.sqlengine.types import SqlType
 

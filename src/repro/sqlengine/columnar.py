@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import datetime
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.sqlengine.errors import CatalogError, ExecutionError
 from repro.sqlengine.table import Row, Table, TableIndex
@@ -598,14 +598,3 @@ def make_table(
         return ColumnarTable(name, columns, types)
     return Table(name, columns, types)
 
-
-def from_rows(
-    kind: str,
-    name: str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    types: Optional[Sequence[Optional[SqlType]]] = None,
-) -> Table:
-    table = make_table(kind, name, columns, types)
-    table.insert_many(rows)
-    return table

@@ -19,7 +19,7 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.sqlengine.catalog import Index, Sequence, View
+from repro.sqlengine.catalog import Index, View
 from repro.sqlengine.engine import Database
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.render import render_select

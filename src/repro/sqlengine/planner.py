@@ -19,7 +19,6 @@ from repro.sqlengine.errors import CatalogError, ExecutionError
 from repro.sqlengine.evaluator import Frame
 from repro.sqlengine.operators import (
     Filter,
-    GroupAggregate,
     HashJoin,
     LeftOuterHashJoin,
     NestedLoopJoin,

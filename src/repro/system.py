@@ -255,11 +255,11 @@ class MiningSystem:
         #: completed run/refresh appends one record (trace ids, stage
         #: timings, resource totals, outcome) that survives restarts
         self.runlog = runlog
-        #: None means "pick for me": serial runs keep the default
-        #: big-int "bitset" layout, sharded runs (workers > 1) upgrade
-        #: to the packed word layout whose construction cost is linear
-        #: and whose payloads pickle cheaply.  An explicit value wins
-        #: in both modes.
+        #: None means "pick for me": the pool algorithms keep the
+        #: big-int "bitset" layout on serial runs and upgrade to the
+        #: packed word layout on sharded ones (workers > 1: its payloads
+        #: pickle cheaply); the general core picks per run from the
+        #: density it measured.  An explicit value wins everywhere.
         self._explicit_representation = representation is not None
         self.representation = validate_representation(
             representation if representation is not None else "bitset"
@@ -808,7 +808,9 @@ class MiningSystem:
         general_data = loader.load_general()
         if representation == "bitset":
             faults.check("core.bitset")
-        general = GeneralCoreOperator(representation=representation)
+        general = GeneralCoreOperator(
+            representation=self._forced_layout(representation)
+        )
         flow.event(
             "core",
             "general core processing",
@@ -818,6 +820,14 @@ class MiningSystem:
         )
         encoded_rules = general.run(general_data, program.core)
         return encoded_rules, CoreStats.from_general(general)
+
+    def _forced_layout(self, representation: str) -> Optional[str]:
+        """What the general core is told about its support layout: an
+        explicit ``representation=`` and the ``core.bitset`` degrade
+        path (``"set"``) force one, otherwise it measures."""
+        if self._explicit_representation or representation == "set":
+            return representation
+        return None
 
     def _mine_sharded(
         self,
@@ -896,7 +906,9 @@ class MiningSystem:
                 ),
             )
             encoded_rules, core_stats = miner.mine_general(
-                general_data, program.core, representation
+                general_data,
+                program.core,
+                self._forced_layout(representation),
             )
         if miner.degraded:
             flow.event("core", "degraded", miner.degraded)

@@ -6,10 +6,15 @@ Two contracts, both bit-identical by construction and enforced here:
   member — returns the same :data:`ItemsetCounts` as the set-based
   Apriori reference over randomized group maps;
 * the general core operator emits the same ordered ``EncodedRule``
-  list whether its triple sets are Python ``set`` objects or packed
-  bitmaps, over randomized clustered inputs (derived elementary rules,
-  ``ClusterCouples`` restrictions, and SQL-precomputed ``InputRules``).
+  list, lattice shape and join work whether its supports are slot sets
+  (sparse layout), bitmaps (dense layout) or whichever of the two the
+  unforced operator picks, over randomized clustered inputs (derived
+  elementary rules, ``ClusterCouples`` restrictions, and
+  SQL-precomputed ``InputRules`` in any row order), under a
+  ``min_count`` override, and through ``exact_counts``.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,36 +182,118 @@ def _directives(draw, same_schema, cluster_condition, mining_condition):
     )
 
 
+#: sparse, dense, and the operator's own pick
+LAYOUTS = ("set", "bitset", None)
+
+
+def run_in_every_layout(data, directives):
+    """One run per layout; asserts rules, lattice shape and join work
+    agree and returns the (shared) ordered rule list."""
+    operators = [GeneralCoreOperator(representation=layout) for layout in LAYOUTS]
+    results = [operator.run(data, directives) for operator in operators]
+    reference, first = operators[0], results[0]
+    for operator, rules in zip(operators[1:], results[1:]):
+        assert rules == first
+        assert operator.lattice_sizes == reference.lattice_sizes
+        assert operator.join_pairs_examined == reference.join_pairs_examined
+        assert (
+            operator.bitmap_stats.intersections
+            == reference.bitmap_stats.intersections
+        )
+    assert [operator.representation for operator in operators[:2]] == [
+        "set", "bitset",
+    ]
+    assert operators[2].representation in ("set", "bitset")
+    return first
+
+
+def lattice_keys(lattice):
+    return sorted(key for rule_set in lattice.values() for key in rule_set)
+
+
 class TestGeneralCoreRepresentations:
     @given(case=clustered_inputs())
     @settings(max_examples=50, deadline=None)
     def test_derived_elementary_rules_identical(self, case):
-        data, directives = case
-        set_rules = GeneralCoreOperator(representation="set").run(
-            data, directives
-        )
-        bitset_op = GeneralCoreOperator(representation="bitset")
-        bitset_rules = bitset_op.run(data, directives)
-        assert bitset_rules == set_rules
+        run_in_every_layout(*case)
 
-    @given(case=elementary_inputs())
+    @given(case=elementary_inputs(), data=st.data())
     @settings(max_examples=50, deadline=None)
-    def test_input_rules_path_identical(self, case):
-        data, directives = case
-        set_op = GeneralCoreOperator(representation="set")
-        bitset_op = GeneralCoreOperator(representation="bitset")
-        assert bitset_op.run(data, directives) == set_op.run(
-            data, directives
+    def test_input_rules_path_identical(self, case, data):
+        """... whatever the row order of ``InputRules``: the collector
+        sorts, so interleaved gids and repeated rows change nothing."""
+        general, directives = case
+        rules = run_in_every_layout(general, directives)
+        shuffled = dataclasses.replace(
+            general, elementary=data.draw(st.permutations(general.elementary))
         )
+        assert run_in_every_layout(shuffled, directives) == rules
 
     @given(case=clustered_inputs())
     @settings(max_examples=20, deadline=None)
     def test_observability_counters_match(self, case):
-        """Lattice shape and join work are representation-independent."""
+        """Every intersection performed is counted, a join the group
+        filter rejects performs none, and nothing is recounted."""
         data, directives = case
-        set_op = GeneralCoreOperator(representation="set")
-        bitset_op = GeneralCoreOperator(representation="bitset")
-        set_op.run(data, directives)
-        bitset_op.run(data, directives)
-        assert bitset_op.lattice_sizes == set_op.lattice_sizes
-        assert bitset_op.join_pairs_examined == set_op.join_pairs_examined
+        for layout in LAYOUTS:
+            operator = GeneralCoreOperator(representation=layout)
+            operator.run(data, directives)
+            stats = operator.bitmap_stats
+            assert 0 <= stats.intersections <= operator.join_pairs_examined
+            survivors = sum(
+                size
+                for (m, n), size in operator.lattice_sizes.items()
+                if (m, n) != (1, 1)
+            )
+            assert stats.intersections >= survivors
+
+    @given(
+        case=st.one_of(clustered_inputs(), elementary_inputs()),
+        delta=st.sampled_from([-1, 1, 2]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_min_count_override(self, case, delta):
+        """``mine_lattice(min_count=k)`` below and above the input's own
+        threshold equals mining an input whose threshold is k."""
+        data, directives = case
+        override = max(1, data.min_count + delta)
+        expected = None
+        for layout in LAYOUTS:
+            keys = lattice_keys(
+                GeneralCoreOperator(representation=layout).mine_lattice(
+                    data, directives, min_count=override
+                )
+            )
+            own = lattice_keys(
+                GeneralCoreOperator(representation=layout).mine_lattice(
+                    dataclasses.replace(data, min_count=override), directives
+                )
+            )
+            assert keys == own
+            assert expected is None or keys == expected
+            expected = keys
+
+    @given(case=st.one_of(clustered_inputs(), elementary_inputs()))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_counts_match_run(self, case):
+        """The recount entry point sees the counts ``run`` emitted, and
+        zero for a rule the input does not support."""
+        data, directives = case
+        rules = run_in_every_layout(data, directives)
+        keys = [
+            (tuple(sorted(rule.body)), tuple(sorted(rule.head)))
+            for rule in rules
+        ]
+        keys.append(((98,), (99,)))
+        bodies = sorted({body for body, _ in keys})
+        body_count_of = {
+            tuple(sorted(rule.body)): rule.body_count for rule in rules
+        }
+        for layout in LAYOUTS:
+            supports, body_counts = GeneralCoreOperator(
+                representation=layout
+            ).exact_counts(data, keys, bodies)
+            assert supports == [rule.support_count for rule in rules] + [0]
+            assert body_counts == [
+                body_count_of.get(body, 0) for body in bodies
+            ]

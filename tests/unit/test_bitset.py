@@ -14,6 +14,7 @@ from repro.algorithms.bitset import (
     SlotUniverse,
     item_bitmaps,
     iter_slots,
+    mask_from_slots,
     packed_item_bitmaps,
     packed_kernels_enabled,
     validate_representation,
@@ -56,6 +57,31 @@ class TestSlotUniverse:
         assert list(iter_slots(0)) == []
 
 
+class TestMaskFromSlots:
+    @pytest.mark.parametrize(
+        "slots, nbytes",
+        [
+            ([], 0),
+            ([], 3),
+            ([5, 5, 5], 1),  # duplicates
+            ([7, 8], 2),  # byte boundary
+            ([63, 64], 9),  # word boundary
+            ([0, 7, 8, 63, 64, 71], 9),  # last slot of the universe
+            (iter([3, 1, 2]), 1),  # any iterable, any order
+        ],
+    )
+    def test_equals_the_or_of_shifts(self, slots, nbytes):
+        slots = list(slots)
+        expected = 0
+        for slot in slots:
+            expected |= 1 << slot
+        assert mask_from_slots(slots, nbytes) == expected
+
+    def test_slot_beyond_the_universe_rejected(self):
+        with pytest.raises(IndexError):
+            mask_from_slots([8], 1)
+
+
 class TestGroupedUniverse:
     def test_group_count_counts_distinct_keys(self):
         universe = GroupedUniverse()
@@ -78,6 +104,24 @@ class TestGroupedUniverse:
         universe.group_count(1)
         universe.group_count(0)
         assert universe.group_count_calls == 2
+
+    def test_uninterned_spans_count_like_interned_slots(self):
+        universe = GroupedUniverse()
+        assert universe.next_slot("a") == 0
+        assert universe.add("a", 3) == 0
+        assert universe.next_slot("a") == 3  # same span
+        assert universe.next_slot("b") == 4  # past a's guard bit
+        assert universe.add("b") == 4
+        assert universe.add("b", 2) == 5
+        assert (len(universe), universe.groups) == (6, 2)
+        assert universe.group_of[:3] == [0, 0, 0]
+        assert universe.group_of[4:] == [1, 1, 1]
+        for slots, groups in ([0, 2], 1), ([2, 4], 2), ([5, 6], 1), ([], 0):
+            mask = mask_from_slots(slots, universe.nbytes)
+            assert universe.group_count(mask) == groups
+            assert universe.slot_group_count(frozenset(slots)) == groups
+        with pytest.raises(ValueError, match="non-contiguously"):
+            universe.add("a")
 
 
 class TestPackedBitset:
@@ -251,6 +295,56 @@ class TestSystemRepresentationSwitch:
             bitset.core_stats.lattice_sizes
             == sets.core_stats.lattice_sizes
         )
+
+    def test_general_core_picks_its_layout_from_the_density(self):
+        """Dense inputs (the Figure 2 golden, the BENCH_PR2 shape) mine
+        on bitmaps, a sparse clickstream on slot sets; forcing either
+        layout gives byte-equal output tables."""
+        from repro import MiningSystem
+        from repro.datagen import (
+            load_clickstream,
+            load_purchase_figure1,
+            load_purchase_synthetic,
+        )
+        from repro.sqlengine.dump import dump_table_text
+
+        sequences = (
+            "MINE RULE S AS SELECT DISTINCT 1..n item AS BODY, "
+            "1..n item AS HEAD, SUPPORT, CONFIDENCE FROM Purchase "
+            "GROUP BY customer CLUSTER BY date HAVING BODY.date < HEAD.date "
+            "EXTRACTING RULES WITH SUPPORT: 0.08, CONFIDENCE: 0.1"
+        )
+        clicks = (
+            "MINE RULE S AS SELECT DISTINCT 1..2 page AS BODY, "
+            "1..1 page AS HEAD, SUPPORT, CONFIDENCE FROM Clicks GROUP BY usr "
+            "CLUSTER BY minute HAVING BODY.minute < HEAD.minute "
+            "EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.3"
+        )
+        cases = [
+            (load_purchase_figure1, {}, self.CLUSTERED, "bitset"),
+            (
+                load_purchase_synthetic,
+                dict(customers=60, days=5, transactions_per_customer=4,
+                     items_per_transaction=4, catalog_size=30),
+                sequences,
+                "bitset",
+            ),
+            (load_clickstream, dict(users=150, seed=19), clicks, "set"),
+        ]
+        for load, shape, statement, expected in cases:
+            tables = {}
+            for layout in (None, "bitset", "set"):
+                system = MiningSystem(representation=layout)
+                load(system.db, **shape)
+                result = system.execute(statement)
+                assert result.encoded_rules
+                out = result.output_table
+                tables[layout] = [
+                    dump_table_text(system.db, name)
+                    for name in (out, f"{out}_Bodies", f"{out}_Heads")
+                ]
+                assert result.core_stats.representation == (layout or expected)
+            assert tables[None] == tables["bitset"] == tables["set"]
 
     def test_core_stats_surfaced_in_trace_and_report(self):
         from repro.report import render_report

@@ -338,3 +338,89 @@ class TestGeneralCoreElementary:
         )
         rule = rule_map(rules)[((1, 2), (3,))]
         assert rule.support_count == 1
+
+
+LAYOUTS = ("set", "bitset", None)
+
+
+class TestGeneralCoreDataPath:
+    """The collector, the two layouts and the group-level join filter."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_group_bound_is_not_read_as_exact(self, layout):
+        # 1=>3 and 2=>3 both hold in groups 1 and 2, so their group
+        # bitmaps share min_count groups and the filter lets the join
+        # through -- but in each group they hold in *different* cluster
+        # pairs, so no triple supports {1,2}=>{3}.
+        elementary = [
+            (1, 1, 2, 1, 3), (1, 2, 3, 2, 3),
+            (2, 1, 2, 1, 3), (2, 2, 3, 2, 3),
+        ]
+        data = general_input(
+            {g: {1: {1}, 2: {2}, 3: {3}} for g in (1, 2)},
+            elementary=elementary,
+            min_count=2,
+            clustered=True,
+        )
+        operator = GeneralCoreOperator(representation=layout)
+        rules = operator.run(
+            data,
+            directives(simple=False, clustered=True, mining_condition=True),
+        )
+        assert rule_map(rules).keys() == {((1,), (3,)), ((2,), (3,))}
+        assert operator.lattice_sizes == {(1, 1): 2, (2, 1): 0}
+        # examined, not rejected at group level, intersected, pruned
+        assert operator.join_pairs_examined == 1
+        assert operator.bitmap_stats.intersections == 1
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_join_rejected_at_group_level_intersects_nothing(self, layout):
+        elementary = [
+            (1, W, W, 1, 3), (2, W, W, 1, 3),
+            (3, W, W, 2, 3), (4, W, W, 2, 3),
+        ]
+        data = general_input(
+            {g: {W: {1, 2, 3}} for g in (1, 2, 3, 4)},
+            elementary=elementary,
+            min_count=2,
+        )
+        operator = GeneralCoreOperator(representation=layout)
+        operator.run(data, directives(simple=False, mining_condition=True))
+        assert operator.lattice_sizes == {(1, 1): 2, (2, 1): 0}
+        assert operator.join_pairs_examined == 1
+        assert operator.bitmap_stats.intersections == 0
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_pruned_pairs_are_never_materialized(self, layout):
+        """One support per surviving elementary rule, none for a pair
+        the collector pruned, and emission recounts nothing."""
+
+        class Counting(GeneralCoreOperator):
+            materialized = 0
+
+            def _support(self, universe, slots):
+                if universe is self._triples:
+                    self.materialized += 1
+                return super()._support(universe, slots)
+
+        # items 1..3 everywhere, items 4..6 in one group each
+        body = {g: {W: {1, 2, 3, 3 + g}} for g in (1, 2, 3)}
+        data = general_input(body, min_count=2)
+        operator = Counting(representation=layout)
+        rules = operator.run(data, directives(simple=False, body_card=(1, 2)))
+        assert rules
+        assert operator.lattice_sizes[(1, 1)] == 6  # pairs over {1, 2, 3}
+        assert operator.materialized == operator.lattice_sizes[(1, 1)]
+        # distinct-group counts of triple supports: one per intersection
+        # performed -- elementary counts come from the collector's lists
+        # and _emit reuses the counts the joins computed
+        assert (
+            operator._triples.group_count_calls
+            == operator.bitmap_stats.intersections
+        )
+
+    def test_forced_packed_means_the_bitmap_layout(self):
+        assert GeneralCoreOperator(representation="packed").representation == (
+            "bitset"
+        )
+        assert GeneralCoreOperator().representation is None

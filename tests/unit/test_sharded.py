@@ -199,6 +199,13 @@ class TestSystemFacadeWiring:
         assert sharded.encoded_rules == serial.encoded_rules
         assert sharded.core_stats.variant == "general"
         assert sharded.core_stats.shards == 2
+        # unforced: every shard measures its own slice (dense here), and
+        # the shards' lattice and recount intersections are all merged
+        assert serial.core_stats.representation == "bitset"
+        assert sharded.core_stats.representation == "bitset"
+        assert sharded.core_stats.intersections > 0
+        assert "rejected at group level" in serial.core_stats.describe()
+        assert "rejected at group level" not in sharded.core_stats.describe()
 
     def test_workers_default_representation_is_packed(self):
         sharded = self._run(self.STATEMENT, workers=2)
