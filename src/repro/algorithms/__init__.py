@@ -17,10 +17,10 @@ never on the real source.  This package provides that pool:
 * :class:`~repro.algorithms.sampling.ToivonenSampling` — the
   sampling + negative-border algorithm of Toivonen [VLDB 1996];
 * :class:`~repro.algorithms.eclat.Eclat` — depth-first vertical mining
-  over packed gid bitmaps with diffset pruning [Zaki, TKDE 2000; Zaki
+  over gid bitmaps with diffset pruning [Zaki, TKDE 2000; Zaki
   & Gouda, KDD 2003].
 
-The gid-list algorithms run on the packed-bitset representation of
+The gid-list algorithms run on the big-int bitmap representation of
 :mod:`repro.algorithms.bitset` by default (intersection is ``&``,
 support counting is ``int.bit_count``); ``representation="set"``
 selects the original layout for differential testing.

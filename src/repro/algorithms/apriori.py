@@ -36,8 +36,6 @@ from repro.algorithms.base import (
 from repro.algorithms.bitset import (
     BitsetStats,
     SlotUniverse,
-    packed_item_bitmaps,
-    packed_kernels_enabled,
     validate_representation,
 )
 
@@ -69,17 +67,7 @@ class Apriori(FrequentItemsetMiner):
         popcounts = 0
         intersections = 0
 
-        # "packed" swaps the bitmap layout (word arrays with in-place
-        # construction and numpy kernels) while keeping the identical
-        # levelwise loop below: both layouts intersect with ``&`` and
-        # count with ``bit_count``.  Small universes keep big ints —
-        # see bitset.packed_kernels_enabled.
-        if self.representation == "packed" and packed_kernels_enabled(
-            len(universe)
-        ):
-            singleton_maps = packed_item_bitmaps(groups.items(), universe)
-        else:
-            singleton_maps = self.item_gid_bitmaps(groups, universe)
+        singleton_maps = self.item_gid_bitmaps(groups, universe)
         self.stats.sample_density(singleton_maps.values(), len(universe))
         gid_maps: Dict[Tuple[int, ...], int] = {}
         for item, bitmap in singleton_maps.items():

@@ -13,9 +13,6 @@ slots: membership of a candidate's two generating subsets is one
 mask-and-compare instead of two dict probes, and the re-encoded
 database shrinks to one integer per surviving group.  The original
 ``"set"`` layout stays selectable for differential testing.
-(``"packed"`` is accepted and aliases the bitset path: the per-group
-candidate masks here span at most a few hundred slots, below the word
-kernels' break-even point.)
 """
 
 from __future__ import annotations

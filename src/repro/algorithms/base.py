@@ -64,7 +64,7 @@ class FrequentItemsetMiner(abc.ABC):
     def item_gid_bitmaps(
         groups: GroupMap, universe: "SlotUniverse"
     ) -> Dict[int, int]:
-        """Invert the group map into packed gid bitmaps: item id ->
+        """Invert the group map into gid bitmaps: item id ->
         big-int bitmap over *universe* slots.
 
         The vertical counterpart of :meth:`item_gid_lists`: itemset

@@ -1,4 +1,4 @@
-"""Packed big-int bitmaps: the vertical mining representation.
+"""Big-int bitmaps: the vertical mining representation.
 
 The pool algorithms and the general core operator spend nearly all of
 their time intersecting sets of identifiers — group ids for the
@@ -23,58 +23,16 @@ Big ints are immutable, so building one a bit at a time
 the universe size.  Every big-int bitmap here is therefore built by
 :func:`mask_from_slots`: the slots are collected first, set in a
 ``bytearray`` in place and converted once, which is linear.
-
-A third layout, ``"packed"``, stores the same bitmaps as explicit
-64-bit word arrays (:class:`PackedBitset`, ``array('Q')``) that stay
-mutable after construction.  The word layout also pickles
-cheaply (one buffer copy, no big-int serialization), which is what the
-sharded executor (:mod:`repro.parallel`) ships between processes.  The
-AND/popcount kernels run over numpy ``uint64`` views when numpy is
-available and fall back to a chunked per-word loop
-(:meth:`int.bit_count` per word) otherwise; because the per-operation
-overhead of the word kernels only amortizes on large universes,
-consumers consult :func:`packed_kernels_enabled` and keep the big-int
-masks for small ones.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
 
-try:  # numpy accelerates the packed kernels; it is optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
-
-#: per-word popcount ufunc (numpy >= 2.0); None falls back to python
-_BITWISE_COUNT = getattr(_np, "bitwise_count", None) if _np is not None else None
-
 #: the physical layouts a consumer can select
-REPRESENTATIONS = ("bitset", "packed", "set")
-
-#: bits per packed word (``array('Q')`` items)
-WORD_BITS = 64
-
-#: smallest universe (in slots) for which the packed word kernels beat
-#: the big-int operators; below it ``"packed"`` consumers keep big-int
-#: masks (the layouts are interchangeable bit for bit).  Measured on
-#: the Apriori gid-list workload: per-call numpy overhead loses to
-#: big-int ``&``/``bit_count`` until the mid-tens-of-thousands of
-#: slots (measured before :func:`mask_from_slots` made the big-int
-#: build linear).  Tests may monkeypatch this to force the word kernels
-#: onto tiny inputs.
-PACKED_MIN_SLOTS = 48_000
-
-
-def packed_kernels_enabled(slots: int) -> bool:
-    """True when the packed word kernels should carry a universe of
-    *slots* slots: numpy must be importable (the pure-python per-word
-    fallback is correct but slower than big ints everywhere) and the
-    universe large enough to amortize the per-operation overhead."""
-    return _BITWISE_COUNT is not None and slots >= PACKED_MIN_SLOTS
+REPRESENTATIONS = ("bitset", "set")
 
 
 def validate_representation(representation: str) -> str:
@@ -97,8 +55,7 @@ class BitsetStats:
     measured hot paths.  ``passes`` counts levelwise (or recursive)
     rounds over the lattice, ``candidates`` the itemsets generated for
     support evaluation.  ``bits_set``/``bits_possible`` sample bitmap
-    occupancy at construction — their ratio (:meth:`density`) tells the
-    bench whether the workload favors the packed layout.
+    occupancy at construction — their ratio is :meth:`density`.
     """
 
     universe_sizes: Dict[str, int] = None  # type: ignore[assignment]
@@ -371,166 +328,3 @@ def item_bitmaps(
         item: mask_from_slots(slots, nbytes)
         for item, slots in slots_of.items()
     }
-
-
-class PackedBitset:
-    """A fixed-width bitmap stored as packed 64-bit words.
-
-    Same semantics as a big-int mask over the same slot universe —
-    ``a & b`` intersects, :meth:`bit_count` is the support popcount,
-    truthiness means "any bit set" — but the storage is a mutable
-    ``array('Q')``: setting a slot updates one word in place instead of
-    copying the whole integer, and pickling ships the raw buffer.
-
-    Operands of ``&``/``|``/``==`` must come from the same universe
-    (equal word width); mixing widths raises ``ValueError``.  Kernels
-    use numpy ``uint64`` views when numpy is importable and a chunked
-    per-word loop (``int.bit_count`` per word) otherwise — both produce
-    identical bits.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: array) -> None:
-        self.words = words
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def zeros(cls, slots: int) -> "PackedBitset":
-        """An all-zero bitmap wide enough for *slots* slots."""
-        nwords = max((slots + WORD_BITS - 1) // WORD_BITS, 1)
-        return cls(array("Q", bytes(8 * nwords)))
-
-    @classmethod
-    def from_slots(cls, slots: Iterable[int], width: int) -> "PackedBitset":
-        out = cls.zeros(width)
-        for slot in slots:
-            out.set_slot(slot)
-        return out
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "PackedBitset":
-        """Pack a big-int mask into the word layout (*width* slots)."""
-        if value < 0:
-            raise ValueError("packed bitmaps are unsigned")
-        nwords = max((width + WORD_BITS - 1) // WORD_BITS, 1)
-        if value.bit_length() > nwords * WORD_BITS:
-            raise ValueError(
-                f"mask of {value.bit_length()} bits exceeds the "
-                f"{width}-slot universe"
-            )
-        return cls(array("Q", value.to_bytes(8 * nwords, "little")))
-
-    def set_slot(self, slot: int) -> None:
-        """Set one bit in place (no whole-bitmap copy)."""
-        self.words[slot >> 6] |= 1 << (slot & 63)
-
-    # -- kernels -------------------------------------------------------
-
-    def _check_width(self, other: "PackedBitset") -> None:
-        if len(self.words) != len(other.words):
-            raise ValueError(
-                f"width mismatch: {len(self.words)} vs "
-                f"{len(other.words)} words"
-            )
-
-    def __and__(self, other: "PackedBitset") -> "PackedBitset":
-        self._check_width(other)
-        if _np is not None:
-            left = _np.frombuffer(self.words, dtype=_np.uint64)
-            right = _np.frombuffer(other.words, dtype=_np.uint64)
-            return PackedBitset(array("Q", (left & right).tobytes()))
-        return PackedBitset(
-            array("Q", (a & b for a, b in zip(self.words, other.words)))
-        )
-
-    def __or__(self, other: "PackedBitset") -> "PackedBitset":
-        self._check_width(other)
-        if _np is not None:
-            left = _np.frombuffer(self.words, dtype=_np.uint64)
-            right = _np.frombuffer(other.words, dtype=_np.uint64)
-            return PackedBitset(array("Q", (left | right).tobytes()))
-        return PackedBitset(
-            array("Q", (a | b for a, b in zip(self.words, other.words)))
-        )
-
-    def bit_count(self) -> int:
-        """Total set bits (the support popcount)."""
-        if _BITWISE_COUNT is not None:
-            view = _np.frombuffer(self.words, dtype=_np.uint64)
-            return int(_BITWISE_COUNT(view).sum())
-        return sum(word.bit_count() for word in self.words)
-
-    def and_count(self, other: "PackedBitset") -> int:
-        """``(self & other).bit_count()`` without materializing the
-        intermediate bitmap on the python side."""
-        self._check_width(other)
-        if _BITWISE_COUNT is not None:
-            left = _np.frombuffer(self.words, dtype=_np.uint64)
-            right = _np.frombuffer(other.words, dtype=_np.uint64)
-            return int(_BITWISE_COUNT(left & right).sum())
-        return sum(
-            (a & b).bit_count() for a, b in zip(self.words, other.words)
-        )
-
-    def __bool__(self) -> bool:
-        if _np is not None:
-            return bool(_np.frombuffer(self.words, dtype=_np.uint64).any())
-        return any(self.words)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PackedBitset):
-            return self.words == other.words
-        return NotImplemented
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as keys
-        return hash(self.words.tobytes())
-
-    # -- decoding ------------------------------------------------------
-
-    def to_int(self) -> int:
-        """The equivalent big-int mask (differential testing)."""
-        return int.from_bytes(self.words.tobytes(), "little")
-
-    def iter_slots(self) -> Iterator[int]:
-        """Yield the set slot positions, ascending."""
-        for index, word in enumerate(self.words):
-            base = index << 6
-            while word:
-                low = word & -word
-                yield base + low.bit_length() - 1
-                word ^= low
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PackedBitset({len(self.words)} words, "
-            f"{self.bit_count()} bits set)"
-        )
-
-
-def packed_item_bitmaps(
-    groups: "Iterable[Tuple[Hashable, Iterable[Hashable]]]",
-    universe: SlotUniverse,
-) -> Dict[Hashable, PackedBitset]:
-    """Invert ``(gid, items)`` pairs into item -> packed gid-bitmap.
-
-    The word counterpart of :func:`item_bitmaps`.  *universe* must be
-    fully interned (width fixed up front); each occurrence updates one
-    word in place, so construction is linear in the number of
-    occurrences.
-    """
-    width = len(universe)
-    nwords = max((width + WORD_BITS - 1) // WORD_BITS, 1)
-    bitmaps: Dict[Hashable, PackedBitset] = {}
-    get = bitmaps.get
-    for gid, items in groups:
-        slot = universe.slot(gid)
-        word, bit = slot >> 6, 1 << (slot & 63)
-        for item in items:
-            packed = get(item)
-            if packed is None:
-                packed = PackedBitset(array("Q", bytes(8 * nwords)))
-                bitmaps[item] = packed
-            packed.words[word] |= bit
-    return bitmaps

@@ -5,7 +5,7 @@ Where Apriori sweeps the itemset lattice breadth-first, Eclat walks it
 depth-first over *equivalence classes* of a common prefix: the class
 of prefix ``P`` holds the frequent extensions of ``P``, and each
 member's support set is intersected with its right siblings' to form
-the child class.  On the packed-bitset representation
+the child class.  On the big-int bitmap representation
 (:mod:`repro.algorithms.bitset`) the support sets are big-int gid
 bitmaps, so the whole algorithm is ``&``/``bit_count`` over dense
 words — no candidate hashing, no per-level rescan.

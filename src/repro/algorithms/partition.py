@@ -30,8 +30,6 @@ from repro.algorithms.base import (
 from repro.algorithms.bitset import (
     BitsetStats,
     SlotUniverse,
-    packed_item_bitmaps,
-    packed_kernels_enabled,
     validate_representation,
 )
 
@@ -97,17 +95,12 @@ class Partition(FrequentItemsetMiner):
     ) -> ItemsetCounts:
         """Vertical exact counting: AND the items' gid bitmaps."""
         universe = SlotUniverse(groups)
-        if self.representation == "packed" and packed_kernels_enabled(
-            len(universe)
-        ):
-            item_maps = packed_item_bitmaps(groups.items(), universe)
-        else:
-            item_maps = self.item_gid_bitmaps(groups, universe)
+        item_maps = self.item_gid_bitmaps(groups, universe)
         self.stats.universe_sizes["gid"] = len(universe)
         out: ItemsetCounts = {}
         for candidate in candidates:
-            # mask=None until the first item's bitmap: works for both
-            # big-int and packed layouts (no all-ones sentinel needed).
+            # mask=None until the first item's bitmap (no all-ones
+            # sentinel needed)
             mask = None
             missing = False
             for item in candidate:

@@ -35,8 +35,6 @@ from repro.algorithms.base import (
 from repro.algorithms.bitset import (
     BitsetStats,
     SlotUniverse,
-    packed_item_bitmaps,
-    packed_kernels_enabled,
     validate_representation,
 )
 
@@ -131,12 +129,7 @@ class ToivonenSampling(FrequentItemsetMiner):
                         counts[candidate] += 1
             return counts
         universe = SlotUniverse(groups)
-        if self.representation == "packed" and packed_kernels_enabled(
-            len(universe)
-        ):
-            item_maps = packed_item_bitmaps(groups.items(), universe)
-        else:
-            item_maps = self.item_gid_bitmaps(groups, universe)
+        item_maps = self.item_gid_bitmaps(groups, universe)
         self.stats.universe_sizes["gid"] = len(universe)
         counts = {}
         for candidate in candidates:

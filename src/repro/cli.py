@@ -67,6 +67,7 @@ from repro.datagen import (
     load_telecom,
 )
 from repro.faults import FaultError, FaultSchedule, RetryPolicy
+from repro.minerule import statement_kind
 from repro.minerule.errors import MineRuleError
 from repro.obs import context as obs_context
 from repro.obs import (
@@ -106,9 +107,6 @@ class Shell:
         health=None,
         json_log=None,
         runlog=None,
-        workers: int = 1,
-        shards: Optional[int] = None,
-        shard_start_method: Optional[str] = None,
         batch_size: Optional[int] = None,
         memory_budget: Optional[int] = None,
     ):
@@ -123,8 +121,7 @@ class Shell:
         self.system = MiningSystem(
             algorithm=algorithm, retry_policy=retry_policy,
             tracer=self.tracer, metrics=metrics, slowlog=slowlog,
-            health=health, runlog=runlog, workers=workers, shards=shards,
-            shard_start_method=shard_start_method, batch_size=batch_size,
+            health=health, runlog=runlog, batch_size=batch_size,
             memory_budget=memory_budget,
         )
         #: job service (``repro.jobs.JobService``) attached by serve
@@ -165,14 +162,7 @@ class Shell:
         text = text.strip().rstrip(";").strip()
         if not text:
             return ""
-        if text.startswith("."):
-            kind = "meta"
-        elif text.upper().startswith("MINE"):
-            kind = "mine"
-        elif text.upper().startswith("REFRESH"):
-            kind = "refresh"
-        else:
-            kind = "sql"
+        kind = statement_kind(text)
         started = time.perf_counter()
         # one trace context per statement, so spans, slow-query
         # entries, run-history records and the statement log line all
@@ -373,9 +363,6 @@ class Shell:
                 metrics=self.metrics,
                 slowlog=self.slowlog,
                 health=self.health,
-                workers=self.system.workers,
-                shards=self.system.shards,
-                shard_start_method=self.system.shard_start_method,
                 batch_size=old_options.batch_size,
                 memory_budget=old_options.memory_budget,
             )
@@ -483,17 +470,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="resume MINE RULE statements from crash checkpoints",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the core operator across N worker processes "
-        "(1 = serial; see repro.parallel)",
-    )
-    parser.add_argument(
-        "--shard-start-method", default=None, metavar="METHOD",
-        choices=("fork", "spawn", "forkserver"),
-        help="multiprocessing start method for the shard pool "
-        "(default: platform default)",
-    )
-    parser.add_argument(
         "--batch-size", type=int, default=None, metavar="ROWS",
         help="rows per batch in the vectorized executor "
         "(default: engine default)",
@@ -558,8 +534,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         resume=args.resume,
         tracer=tracer,
         json_log=json_log,
-        workers=args.workers,
-        shard_start_method=args.shard_start_method,
         batch_size=args.batch_size,
         memory_budget=args.memory_budget,
     )

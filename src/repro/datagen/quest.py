@@ -101,10 +101,10 @@ def iter_baskets(
     pairs (the last chunk may be shorter).
 
     Peak memory is bounded by one chunk plus the pattern pool, so
-    million-group workloads can be generated — and fed shard by shard
-    to the sharded executor — without materializing the full basket
-    dictionary that :func:`generate_quest` returns.  Same seed, same
-    baskets: the chunking only batches the underlying stream.
+    million-group workloads can be generated without materializing the
+    full basket dictionary that :func:`generate_quest` returns.  Same
+    seed, same baskets: the chunking only batches the underlying
+    stream.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")

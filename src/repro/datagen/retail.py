@@ -134,7 +134,7 @@ def iter_purchase_rows(
     Bounded-memory counterpart of :func:`load_purchase_synthetic`
     (same parameters, same seed, identical rows): peak memory is one
     chunk plus the item catalogue, so million-transaction stores can be
-    streamed into external sinks or per-shard loads.
+    streamed into external sinks.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")

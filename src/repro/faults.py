@@ -35,9 +35,6 @@ Injection sites
 ``core.lattice``        each lattice-set computation of the general core
 ``core.bitset``         the bitset representation; a persistent failure
                         degrades the run to the ``"set"`` layout
-``core.shard.<i>``      before dispatching shard ``<i>`` of a sharded
-                        run (``workers>1``) — checked in the parent
-                        once per shard per phase (local, recount)
 ``postprocessor.store`` writing the normalized output relations
 ``postprocessor.decode``running the decode program + display build
 ``refresh.delta``       before the REFRESH delta scan (snapshot diff +

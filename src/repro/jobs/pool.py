@@ -19,11 +19,13 @@ transitions and publishes garbage under load).
 
 from __future__ import annotations
 
+import logging
 import queue
 import threading
 from typing import Any, Callable, Optional
 
 _STOP = object()
+_LOG = logging.getLogger("repro.jobs")
 
 
 class WorkerPool:
@@ -51,6 +53,8 @@ class WorkerPool:
         self._busy = 0
         self._state_lock = threading.Lock()
         self._started = False
+        #: handler calls that raised (each one logged with its traceback)
+        self.handler_errors = 0
         #: ``observer(pending, busy)`` called under the state lock on
         #: every transition (gauge publication hook)
         self.observer: Optional[Callable[[int, int], None]] = None
@@ -136,8 +140,11 @@ class WorkerPool:
                 self.handler(item)
             except Exception:
                 # The handler owns error recording (a job lands in
-                # "failed"); a bug in it must not kill the worker.
-                pass
+                # "failed"), so reaching here is a bug in it: say so,
+                # but it must not kill the worker.
+                _LOG.exception("job handler raised on item %r", item)
+                with self._state_lock:
+                    self.handler_errors += 1
             finally:
                 with self._state_lock:
                     self._busy -= 1

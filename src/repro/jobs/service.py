@@ -37,6 +37,7 @@ from repro.faults import FaultError, RetryPolicy
 from repro.jobs.model import CANCELLED, DONE, FAILED, Job
 from repro.jobs.pool import WorkerPool
 from repro.jobs.table import JobTable
+from repro.minerule import statement_kind
 from repro.obs import context as obs_context
 from repro.obs import profile as obs_profile
 from repro.obs.context import TraceContext, new_trace_id
@@ -170,8 +171,10 @@ class JobService:
     ) -> Job:
         """Record and enqueue one statement; returns the job record.
 
-        ``kind`` is derived from the text when omitted (``mine`` for
-        MINE RULE, ``refresh`` for REFRESH RULES, ``sql`` otherwise).
+        ``kind`` is derived from the text when omitted
+        (:func:`repro.minerule.statement_kind`: ``mine`` for MINE RULE,
+        ``refresh`` for REFRESH RULES, ``sql`` otherwise; a shell
+        dot-command is no job kind and raises ``ValueError``).
         ``retries`` installs a per-job retry policy overriding the
         service default.  A full queue raises :class:`JobQueueFull`;
         an injected ``jobs.submit`` fault lands the job in ``failed``
@@ -181,13 +184,7 @@ class JobService:
         if not text:
             raise ValueError("empty statement")
         if kind is None:
-            upper = text.upper()
-            if upper.startswith("MINE"):
-                kind = "mine"
-            elif upper.startswith("REFRESH"):
-                kind = "refresh"
-            else:
-                kind = "sql"
+            kind = statement_kind(text)
         if kind not in ("mine", "refresh", "sql"):
             raise ValueError(f"unknown job kind {kind!r}")
         job = self.table.new_job(text, kind)
@@ -246,6 +243,7 @@ class JobService:
             "queue_depth": self.pool.depth,
             "workers": self.pool.workers,
             "workers_busy": self.pool.busy,
+            "handler_errors": self.pool.handler_errors,
         }
 
     # -- execution (worker threads) -------------------------------------

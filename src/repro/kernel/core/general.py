@@ -32,8 +32,7 @@ Data path, linear in the elementary occurrences:
   and the distinct groups are counted by mask-and-popcount over the
   universe's guard bits; *sparse* (``"set"``) — the support is a
   ``frozenset`` of slots, the join is ``&`` and the distinct groups are
-  counted through ``group_of``.  ``representation=`` forces one
-  (``"packed"`` has no lattice kernels and means ``"bitset"`` here);
+  counted through ``group_of``.  ``representation=`` forces one;
   :attr:`GeneralCoreOperator.representation` reports the layout used.
   Both produce the same ordered rule list.
 * **Group-level join filter.**  Every rule also carries a bitmap over
@@ -62,7 +61,6 @@ Figure 2b exactly (confidence 0.5 for {jackets} => {col_shirts}).
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from operator import itemgetter
 from typing import (
@@ -147,8 +145,6 @@ class GeneralCoreOperator:
         self.parent_strategy = parent_strategy
         if representation is not None:
             validate_representation(representation)
-            # no word kernels for the lattice: "packed" is the bitmap
-            representation = "set" if representation == "set" else "bitset"
         self._forced = representation
         #: the layout of the last run, ``"bitset"`` or ``"set"``; None
         #: until an unforced operator has measured an input
@@ -175,24 +171,12 @@ class GeneralCoreOperator:
         return rules
 
     def mine_lattice(
-        self,
-        data: GeneralInput,
-        directives: CoreDirectives,
-        min_count: Optional[int] = None,
+        self, data: GeneralInput, directives: CoreDirectives
     ) -> Dict[Tuple[int, int], RuleSet]:
-        """Compute the full rule lattice, pruned at ``min_count``
-        (default: the input's own threshold).
-
-        The explicit ``min_count`` override is what the sharded
-        executor (:mod:`repro.parallel`) uses for phase-1 local mining
-        with a proportionally scaled threshold; the returned lattice's
-        keys are then a complete candidate superset of the globally
-        frequent rules.  Resets the per-run state; call
-        :meth:`finalize_stats` afterwards if the run skips
-        :meth:`run`'s emission step.
-        """
+        """Compute the full rule lattice, pruned at the input's
+        ``min_count``.  Resets the per-run state."""
         self._reset()
-        threshold = data.min_count if min_count is None else min_count
+        threshold = data.min_count
         elementary = self._elementary_rules(self._collect(data), threshold)
         self.lattice_sizes[(1, 1)] = len(elementary)
 
@@ -218,58 +202,6 @@ class GeneralCoreOperator:
             frontier = next_frontier
         return lattice
 
-    def exact_counts(
-        self,
-        data: GeneralInput,
-        rule_keys: List[RuleKey],
-        bodies: List[Tuple[int, ...]],
-    ) -> Tuple[List[int], List[int]]:
-        """Exact per-input counts for candidate rules mined elsewhere
-        (the sharded recount pass).
-
-        For each canonical key in ``rule_keys`` the rule's
-        distinct-group support count on *data*; for each sorted body
-        tuple in ``bodies`` its distinct-group occurrence count.  A
-        composite rule's support set equals the intersection of the
-        elementary supports of every (body item, head item) pair —
-        exactly what the lattice joins compute, independent of join
-        order — so the counts here match what :meth:`run` would
-        observe.  Both counts are additive across gid-disjoint inputs,
-        which is what makes the shard merge exact.
-
-        Nothing is pruned (a candidate may be rare here and large
-        elsewhere); only the pairs the candidates name are materialized.
-        """
-        self._reset()
-        occurrences = self._collect(data)
-        self._settle_layout(
-            sum(map(len, occurrences.values())), len(occurrences)
-        )
-        triples = self._triples
-        supports: Dict[Tuple[int, int], Support] = {}
-        support_counts: List[int] = []
-        for body, head in rule_keys:
-            shared: Optional[Support] = None
-            for pair in itertools.product(body, head):
-                support = supports.get(pair)
-                if support is None:
-                    support = supports[pair] = self._support(
-                        triples, occurrences.get(pair, ())
-                    )
-                if shared is None:
-                    shared = support
-                else:
-                    shared = shared & support
-                    self.bitmap_stats.intersections += 1
-                if not shared:
-                    break
-            support_counts.append(self._group_count(triples, shared))
-        index = self._body_occurrence_index(data)
-        cache: Dict[Tuple[int, ...], int] = {}
-        body_counts = [self._body_count(body, index, cache) for body in bodies]
-        self.finalize_stats()
-        return support_counts, body_counts
-
     def _reset(self) -> None:
         self.lattice_sizes = {}
         self.join_pairs_examined = 0
@@ -279,7 +211,7 @@ class GeneralCoreOperator:
 
     def finalize_stats(self) -> None:
         """Fold the universe counters of the finished run into
-        :attr:`bitmap_stats` (idempotence not required: call once)."""
+        :attr:`bitmap_stats`."""
         stats = self.bitmap_stats
         stats.universe_sizes["triple"] = len(self._triples)
         stats.popcount_calls += self._triples.group_count_calls

@@ -96,12 +96,11 @@ class CoreInputLoader:
         self,
     ) -> Optional[Tuple[SimpleInput, Tuple[List[int], List[int]]]]:
         """The raw ``(Gid, Bid)`` identifier columns of a *columnar*
-        ``CodedSource`` — the streaming shard-input path of the sharded
-        executor: no group dict is materialized in the parent, the
-        columns ride the worker bundle and each worker builds only its
-        own shard's map (:class:`repro.parallel.ColumnarShardSource`).
-        Returns None when the coded source is not a columnar base
-        table; the caller falls back to :meth:`load_simple`.  The
+        ``CodedSource``, with no group dict materialized — the input of
+        the columns-to-bitmaps kernel (ROADMAP item 2).  No caller in
+        the program yet; the standing benchmark names it as a
+        ``core.load`` boundary.  Returns None when the coded source is
+        not a columnar base table (use :meth:`load_simple`).  The
         returned :class:`SimpleInput` carries the thresholds with an
         empty ``groups`` dict — the columns replace it.
         """

@@ -33,10 +33,10 @@ def build_rules(
     """(L - H) => H extraction over exact itemset *counts*, sorted by
     the canonical (body, head) key.
 
-    Shared by the serial :class:`SimpleCoreOperator` and the sharded
-    executor's merge stage (:mod:`repro.parallel`): both feed it the
-    same subset-closed count table, so the emitted rule lists are bit
-    identical regardless of how the counts were obtained.
+    Shared by :class:`SimpleCoreOperator` and REFRESH RULES' emission
+    (:mod:`repro.system`): both feed it a subset-closed count table,
+    so the emitted rule lists are bit identical regardless of how the
+    counts were obtained.
     """
     body_min, body_max = directives.body_card
     head_min, head_max = directives.head_card

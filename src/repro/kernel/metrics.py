@@ -43,8 +43,8 @@ class CoreStats:
     operator's counters; ``universe_sizes``/``popcount_calls``/
     ``intersections`` come from the bitmap kernel.  For the general
     variant ``intersections`` counts the triple-level intersections
-    actually performed, so on a serial run ``join_pairs_examined -
-    intersections`` joins were rejected at group level.
+    actually performed, so ``join_pairs_examined - intersections``
+    joins were rejected at group level.
     """
 
     variant: str = "simple"
@@ -58,10 +58,6 @@ class CoreStats:
     passes: int = 0
     candidates_generated: int = 0
     bitset_density: float = 0.0
-    #: sharded execution (repro.parallel): gid ranges and pool width
-    #: of the run (0 when the core ran serially)
-    shards: int = 0
-    workers: int = 0
 
     @classmethod
     def from_general(cls, operator) -> "CoreStats":
@@ -145,15 +141,6 @@ class CoreStats:
             "repro_core_bitset_density",
             "Fraction of set bits in the sampled bitmaps (last run)",
         ).set(round(self.bitset_density, 6))
-        if self.shards:
-            metrics.gauge(
-                "repro_core_shards",
-                "Shard count of the last sharded core run",
-            ).set(self.shards)
-            metrics.gauge(
-                "repro_core_workers",
-                "Worker-pool width of the last sharded core run",
-            ).set(self.workers)
         metrics.counter(
             "repro_core_runs_total",
             "Core-operator runs by variant and representation",
@@ -161,23 +148,20 @@ class CoreStats:
         ).inc(variant=self.variant, representation=self.representation)
 
     def describe_join_pairs(self) -> str:
-        """The lattice's join work: pairs examined and, on a serial
-        run, how many the group-level filter rejected — every
-        intersection is then a join that got past it (a sharded run's
-        ``intersections`` also hold the recount's)."""
-        text = f"{self.join_pairs_examined} join pairs"
-        if not self.shards:
-            rejected = self.join_pairs_examined - self.intersections
-            text += f" ({rejected} rejected at group level)"
-        return text
+        """The lattice's join work: pairs examined and how many the
+        group-level filter rejected — every intersection is a join
+        that got past it."""
+        rejected = self.join_pairs_examined - self.intersections
+        return (
+            f"{self.join_pairs_examined} join pairs "
+            f"({rejected} rejected at group level)"
+        )
 
     def describe(self) -> str:
         """One-line summary for the process trace."""
-        parts = [f"{self.variant} core, {self.representation} sets"]
+        parts = [f"{self.variant} core, {self.representation} layout"]
         if self.algorithm:
             parts.append(f"algorithm {self.algorithm}")
-        if self.shards:
-            parts.append(f"{self.shards} shards x {self.workers} workers")
         if self.lattice_sizes:
             total = sum(self.lattice_sizes.values())
             parts.append(

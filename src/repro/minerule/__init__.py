@@ -1,7 +1,8 @@
 """The MINE RULE language front end.
 
 This package implements the SQL-like data-mining operator of Section 2
-and the grammar of Section 4.1 of the paper: the lexer/parser
+and the grammar of Section 4.1 of the paper: the lexer/parser and the
+statement-kind classifier the shell and the job service share
 (:mod:`repro.minerule.parser`), the statement AST
 (:mod:`repro.minerule.statements`), the semantic checks 1-4 performed
 by the translator against the data dictionary
@@ -16,7 +17,11 @@ from repro.minerule.errors import (
     MineRuleParseError,
     MineRuleValidationError,
 )
-from repro.minerule.parser import parse_mine_rule, parse_refresh
+from repro.minerule.parser import (
+    parse_mine_rule,
+    parse_refresh,
+    statement_kind,
+)
 from repro.minerule.render import render_mine_rule
 from repro.minerule.statements import (
     ItemDescriptor,
@@ -37,5 +42,6 @@ __all__ = [
     "parse_mine_rule",
     "parse_refresh",
     "render_mine_rule",
+    "statement_kind",
     "validate",
 ]

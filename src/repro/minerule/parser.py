@@ -23,6 +23,7 @@ Example (the paper's running statement)::
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple
 
 from repro.minerule.errors import MineRuleParseError
@@ -33,7 +34,7 @@ from repro.minerule.statements import (
 )
 from repro.sqlengine import ast_nodes as sql
 from repro.sqlengine.errors import SqlParseError
-from repro.sqlengine.lexer import TokenType
+from repro.sqlengine.lexer import Lexer, TokenType
 from repro.sqlengine.parser import Parser
 
 
@@ -267,3 +268,25 @@ def parse_refresh(text: str) -> RefreshStatement:
     except SqlParseError as exc:
         raise MineRuleParseError(str(exc)) from exc
     return parser.parse_refresh()
+
+
+_STATEMENT_KINDS = {("MINE", "RULE"): "mine", ("REFRESH", "RULES"): "refresh"}
+
+
+def statement_kind(text: str) -> str:
+    """Which front end *text* belongs to, read off its first two
+    tokens: ``"mine"`` for ``MINE RULE ...``, ``"refresh"`` for
+    ``REFRESH RULES ...``, ``"meta"`` for a shell dot-command,
+    ``"sql"`` for everything else — including text the lexer rejects,
+    which the SQL parser then reports."""
+    text = text.lstrip()
+    if text.startswith("."):
+        return "meta"
+    try:
+        head = list(itertools.islice(Lexer(text).iter_tokens(), 2))
+    except SqlParseError:
+        return "sql"
+    words = tuple(
+        token.value.upper() for token in head if token.type is TokenType.IDENT
+    )
+    return _STATEMENT_KINDS.get(words, "sql")

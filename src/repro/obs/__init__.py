@@ -20,7 +20,6 @@ subsystem:
 """
 
 from repro.obs.context import (
-    ChildTracer,
     TraceContext,
     activated,
     current,
@@ -52,7 +51,6 @@ from repro.obs.spans import NULL_SPAN, NULL_TRACER, Instant, Span, Tracer
 
 __all__ = [
     "CONTENT_TYPE",
-    "ChildTracer",
     "Counter",
     "Gauge",
     "HealthState",

@@ -1,4 +1,4 @@
-"""Trace context: correlation ids threaded through runs, jobs, workers.
+"""Trace context: correlation ids threaded through runs and jobs.
 
 Every run (or job) gets a :class:`TraceContext` carrying a
 ``trace_id`` — a 16-hex-digit random id minted once at the outermost
@@ -10,30 +10,15 @@ JSON log lines, slow-query entries, run-history records — picks the
 ids up without plumbing them through every signature.  Threads are the
 right scope: concurrent job workers each activate their own context,
 while the engine work a job performs stays on the worker's thread.
-
-Child shard processes cannot see the parent's thread-local.  The
-trace id travels to them through the pool initializer
-(:mod:`repro.parallel`), and each worker records its spans into a
-:class:`ChildTracer` — a dependency-free event list with the worker's
-pid and a *wall-clock origin*.  The parent cannot compare
-``time.perf_counter()`` values across processes (the epoch is
-per-process on some platforms), so child events carry offsets relative
-to the child's own perf origin, and the export bundle pins that origin
-to ``time.time()``; the parent tracer aligns the bundle into its own
-timeline through the wall-clock delta (:meth:`Tracer.splice
-<repro.obs.spans.Tracer.splice>`).
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
-import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
 
 def new_trace_id() -> str:
@@ -97,65 +82,3 @@ def ensure(**fields: Any) -> Iterator[TraceContext]:
         return
     with activated(TraceContext(trace_id=new_trace_id(), **fields)) as ctx:
         yield ctx
-
-
-class ChildTracer:
-    """Minimal span recorder for shard worker processes.
-
-    Workers cannot append to the parent's :class:`Tracer` — they run
-    in another process.  Instead each phase function records its spans
-    here and ships :meth:`export` back with the shard result; the
-    parent splices the events under the phase span.  Events carry
-    starts relative to the worker's own ``perf_counter`` origin plus
-    per-span CPU time (``time.process_time`` is per-process, so in a
-    single-task worker the delta is genuinely the span's CPU).
-    """
-
-    def __init__(self, trace_id: Optional[str] = None):
-        self.trace_id = trace_id
-        self.pid = os.getpid()
-        #: wall-clock instant of the perf origin — the cross-process
-        #: alignment anchor (perf_counter epochs differ per process)
-        self.wall_origin = time.time()
-        self.perf_origin = time.perf_counter()
-        self.events: List[Dict[str, Any]] = []
-        self._ids = itertools.count(1)
-        self._stack: List[str] = []
-
-    @contextmanager
-    def span(self, name: str, category: str = "",
-             **args: Any) -> Iterator[Dict[str, Any]]:
-        span_id = f"w{self.pid}-{next(self._ids)}"
-        parent_id = self._stack[-1] if self._stack else None
-        start = time.perf_counter() - self.perf_origin
-        cpu_start = time.process_time()
-        event: Dict[str, Any] = {
-            "id": span_id,
-            "parent": parent_id,
-            "name": name,
-            "category": category,
-            "start": start,
-            "args": args,
-        }
-        self._stack.append(span_id)
-        try:
-            yield event
-        finally:
-            self._stack.pop()
-            event["seconds"] = (
-                time.perf_counter() - self.perf_origin - start
-            )
-            event["cpu"] = time.process_time() - cpu_start
-            self.events.append(event)
-
-    def export(self) -> Optional[Dict[str, Any]]:
-        """The picklable bundle returned with a shard result (None
-        when nothing was recorded — keeps result tuples small)."""
-        if not self.events:
-            return None
-        return {
-            "pid": self.pid,
-            "trace_id": self.trace_id,
-            "wall_origin": self.wall_origin,
-            "events": self.events,
-        }

@@ -6,11 +6,8 @@ understood by ``chrome://tracing`` / Perfetto: spans become ``"X"``
 tracer's origin, instants become ``"i"`` events, and the final counter
 values are emitted as one ``"C"`` event each at the end of the trace.
 
-Events carry the *real* pid/tid of the code that recorded them: spans
-spliced in from shard worker processes
-(:meth:`~repro.obs.spans.Tracer.splice`) keep the worker's pid, so a
-``workers=N`` run renders as one parent lane plus one labelled lane
-per worker — the whole fan-out in a single trace.  Span args include
+Events carry the *real* pid/tid of the code that recorded them, so
+concurrent job threads render as separate lanes.  Span args include
 the correlation ids (``trace_id``/``span_id``/``parent_id``) and, when
 profiling is on, per-span CPU milliseconds and peak traced bytes.
 
@@ -26,8 +23,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.spans import Tracer
 
-#: lane ids used when a span predates pid/tid stamping (spliced
-#: records from old bundles, hand-built spans in tests)
+#: lane ids used when a span carries no pid/tid (hand-built spans in
+#: tests)
 _PID = 1
 _TID = 1
 
@@ -54,20 +51,8 @@ def trace_events(
             "args": {"name": "repro mining pipeline"},
         }
     ]
-    seen_pids = {own_pid}
     last_us = 0.0
     for span in sorted(spans, key=lambda s: s.start):
-        pid = span.pid or own_pid
-        if pid not in seen_pids:
-            seen_pids.add(pid)
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": f"repro shard worker {pid}"},
-                }
-            )
         ts = (span.start - origin) * 1e6
         dur = span.seconds * 1e6
         last_us = max(last_us, ts + dur)
@@ -87,7 +72,7 @@ def trace_events(
                 "name": span.name,
                 "cat": span.category or "span",
                 "ph": "X",
-                "pid": pid,
+                "pid": span.pid or own_pid,
                 "tid": span.tid or _TID,
                 "ts": round(ts, 3),
                 "dur": round(dur, 3),

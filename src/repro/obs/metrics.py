@@ -406,6 +406,16 @@ def publish_gauge(tracer: Any, metrics: "MetricsRegistry",
         metrics.trace_gauge(name, value)
 
 
+def fallback_counter(metrics: "MetricsRegistry") -> Counter:
+    """``repro_fallback_total{site,reason}``: the one family every site
+    that can take a slower path than the one planned counts under."""
+    return metrics.counter(
+        "repro_fallback_total",
+        "Executions that took a slower path than the one planned",
+        ("site", "reason"),
+    )
+
+
 #: the shared disabled registry — default value of every ``metrics``
 #: parameter, so the un-monitored path never allocates
 NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -4,8 +4,7 @@ CPU attribution uses ``time.process_time()`` — user+system CPU of the
 whole process.  Within one thread the delta over a span is the CPU
 that span's work consumed plus whatever other threads burned
 concurrently; for the pipeline (which serializes runs under the run
-lock) that is an honest per-span figure, and in shard workers (one
-task at a time) it is exact.
+lock) that is an honest per-span figure.
 
 Memory attribution uses :mod:`tracemalloc`, strictly opt-in
 (``--profile-mem``) because instrumenting every allocation costs real

@@ -27,9 +27,7 @@ serving mode aggregates across runs what the trace records within one.
 Correlation (:mod:`repro.obs.context`): every span carries a stable
 ``span_id``, its ``parent_id`` (per-thread open-span stack, so
 concurrent job workers nest correctly) and the ``trace_id`` of the
-active :class:`~repro.obs.context.TraceContext`.  Shard worker spans
-recorded in child processes splice into the parent tracer through
-:meth:`Tracer.splice`, aligned via wall-clock origins.
+active :class:`~repro.obs.context.TraceContext`.
 """
 
 from __future__ import annotations
@@ -76,12 +74,11 @@ class Span:
         self.end: Optional[float] = None
         self.depth = depth
         self.args = args
-        #: correlation ids (assigned by the tracer on begin/splice)
+        #: correlation ids (assigned by the tracer on begin)
         self.span_id: Optional[str] = None
         self.parent_id: Optional[str] = None
         self.trace_id: Optional[str] = None
-        #: recording process/thread (real ids: worker spans keep the
-        #: child pid so the trace export lays out per-worker lanes)
+        #: recording process/thread (real ids)
         self.pid: int = 0
         self.tid: int = 0
         #: resource attribution (None when profiling is off)
@@ -170,10 +167,6 @@ class Tracer:
         self._clock = clock
         #: perf-counter instant the tracer was created (trace epoch)
         self.origin = clock()
-        #: wall-clock instant of the same epoch — the anchor that lets
-        #: child-process event times (whose perf epochs differ) be
-        #: aligned into this tracer's timeline via wall-clock deltas
-        self.wall_origin = time.time()
         self.pid = os.getpid()
         #: per-span CPU attribution (time.process_time deltas); cheap
         #: enough to default on for an enabled tracer
@@ -245,52 +238,6 @@ class Tracer:
             if self.metrics.enabled:
                 self.metrics.observe_span(span)
         return span.seconds
-
-    def splice(self, bundle: Optional[Dict[str, Any]],
-               parent: Any = None) -> List[Span]:
-        """Adopt a :class:`~repro.obs.context.ChildTracer` export from
-        a shard worker process.
-
-        Child event times are relative to the child's own perf origin;
-        the bundle's ``wall_origin`` pins that origin to wall-clock
-        time, so the parent places events at ``origin + (child wall
-        origin - own wall origin) + relative start`` — cross-process
-        perf-counter epochs never get compared directly.  Events keep
-        the worker's pid (their own trace lane) and parent into
-        *parent* when they have no recorded parent of their own."""
-        if not self.enabled or not bundle:
-            return []
-        base = self.origin + (bundle["wall_origin"] - self.wall_origin)
-        parent_span = parent if isinstance(parent, Span) else None
-        depth = parent_span.depth + 1 if parent_span is not None else 0
-        trace_id = bundle.get("trace_id") or (
-            parent_span.trace_id if parent_span is not None else None
-        )
-        adopted: List[Span] = []
-        for event in bundle.get("events", ()):
-            span = Span(
-                self,
-                event["name"],
-                event.get("category", ""),
-                base + event["start"],
-                depth,
-                dict(event.get("args") or {}),
-            )
-            span.end = span.start + event.get("seconds", 0.0)
-            span.span_id = event.get("id")
-            span.parent_id = event.get("parent")
-            if span.parent_id is None and parent_span is not None:
-                span.parent_id = parent_span.span_id
-            span.trace_id = trace_id
-            span.pid = bundle.get("pid", 0)
-            span.tid = event.get("tid", 1)
-            span.cpu = event.get("cpu")
-            span.peak_bytes = event.get("peak_bytes")
-            self.spans.append(span)
-            if self.metrics.enabled:
-                self.metrics.observe_span(span)
-            adopted.append(span)
-        return adopted
 
     def annotate(self, **args: Any) -> None:
         """Attach details to this thread's innermost open span — for

@@ -33,9 +33,8 @@ Quickstart::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro import faults
 from repro.algorithms import ALGORITHMS
@@ -72,8 +71,6 @@ class MineRuleService:
         log_json: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
-        workers: int = 1,
-        shard_start_method: Optional[str] = None,
         batch_size: Optional[int] = None,
         memory_budget: Optional[int] = None,
         job_workers: int = 4,
@@ -104,8 +101,6 @@ class MineRuleService:
             health=self.health,
             json_log=self.json_log,
             runlog=self.runlog,
-            workers=workers,
-            shard_start_method=shard_start_method,
             batch_size=batch_size,
             memory_budget=memory_budget,
         )
@@ -180,38 +175,6 @@ class MineRuleService:
         }
 
 
-def _iter_stdin_lines() -> Iterator[str]:
-    """Yield stdin lines without holding the stream's buffer lock.
-
-    The serving loop blocks on stdin while job threads fork shard
-    worker pools (``--workers``).  A fork taken while this thread sits
-    inside ``sys.stdin.readline()`` snapshots the stream's lock in the
-    held state, and the child then deadlocks in multiprocessing's
-    bootstrap when it closes its inherited ``sys.stdin``.  Reading the
-    file descriptor directly keeps the stream object unlocked, so
-    forked children can always close it.
-    """
-    try:
-        fd = sys.stdin.fileno()
-    except (AttributeError, OSError, ValueError):
-        yield from sys.stdin  # not a real fd (tests): lock is harmless
-        return
-    buffer = bytearray()
-    while True:
-        newline = buffer.find(b"\n")
-        if newline >= 0:
-            line = bytes(buffer[: newline + 1])
-            del buffer[: newline + 1]
-            yield line.decode("utf-8", errors="replace")
-            continue
-        chunk = os.read(fd, 65536)
-        if not chunk:
-            break
-        buffer.extend(chunk)
-    if buffer:
-        yield bytes(buffer).decode("utf-8", errors="replace")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -248,15 +211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="retry faulted pipeline stages up to N attempts",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the core operator across N worker processes",
-    )
-    parser.add_argument(
-        "--shard-start-method", default=None, metavar="METHOD",
-        choices=("fork", "spawn", "forkserver"),
-        help="multiprocessing start method for the shard pool",
     )
     parser.add_argument(
         "--batch-size", type=int, default=None, metavar="ROWS",
@@ -314,8 +268,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         analyze=args.analyze,
         log_json=args.log_json,
         retry_policy=retry_policy,
-        workers=args.workers,
-        shard_start_method=args.shard_start_method,
         batch_size=args.batch_size,
         memory_budget=args.memory_budget,
         job_workers=args.job_workers,
@@ -333,7 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         flush=True,
     )
     try:
-        for line in _iter_stdin_lines():
+        for line in sys.stdin:
             try:
                 output = service.feed(line)
             except EOFError:  # .quit

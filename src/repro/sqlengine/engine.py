@@ -45,7 +45,11 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import (
+    NULL_REGISTRY,
+    MetricsRegistry,
+    fallback_counter,
+)
 from repro.obs.spans import NULL_TRACER
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, Index, View
@@ -127,11 +131,7 @@ class _EngineInstruments:
             "Statement/plan cache events",
             ("cache", "outcome"),
         )
-        self.fallbacks = metrics.counter(
-            "repro_fallback_total",
-            "Executions that took a slower path than the one planned",
-            ("site", "reason"),
-        )
+        self.fallbacks = fallback_counter(metrics)
 
 
 def _counted_envs(envs: Iterable[Env], counter: Any) -> "Iterable[Env]":

@@ -90,12 +90,13 @@ class Lexer:
 
     def tokens(self) -> List[Token]:
         """Tokenize the whole input, appending a trailing EOF token."""
-        out = list(self._iter_tokens())
+        out = list(self.iter_tokens())
         out.append(Token(TokenType.EOF, "", None, self._pos, self._line))
         return out
 
     # ------------------------------------------------------------------
-    def _iter_tokens(self) -> Iterator[Token]:
+    def iter_tokens(self) -> Iterator[Token]:
+        """The tokens one at a time, lexed on demand (no EOF token)."""
         text = self._text
         n = len(text)
         while self._pos < n:

@@ -66,11 +66,11 @@ from repro.obs.export import trace_events
 from repro.obs.metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
+    fallback_counter,
     publish_gauge,
 )
 from repro.obs.runlog import RunLog, statement_fingerprint
 from repro.obs.spans import NULL_TRACER, Tracer
-from repro.parallel import ShardedMiner
 from repro.sqlengine.engine import Database
 from repro.sqlengine.render import render_expr
 
@@ -204,9 +204,6 @@ class MiningSystem:
         slowlog: Optional[Any] = None,
         health: Optional[Any] = None,
         runlog: Optional[RunLog] = None,
-        workers: int = 1,
-        shards: Optional[int] = None,
-        shard_start_method: Optional[str] = None,
         batch_size: Optional[int] = None,
         memory_budget: Optional[int] = None,
     ):
@@ -255,23 +252,13 @@ class MiningSystem:
         #: completed run/refresh appends one record (trace ids, stage
         #: timings, resource totals, outcome) that survives restarts
         self.runlog = runlog
-        #: None means "pick for me": the pool algorithms keep the
-        #: big-int "bitset" layout on serial runs and upgrade to the
-        #: packed word layout on sharded ones (workers > 1: its payloads
-        #: pickle cheaply); the general core picks per run from the
+        #: None means "pick for me": the pool algorithms use the big-int
+        #: "bitset" layout, the general core picks per run from the
         #: density it measured.  An explicit value wins everywhere.
         self._explicit_representation = representation is not None
         self.representation = validate_representation(
             representation if representation is not None else "bitset"
         )
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        #: sharded execution (repro.parallel): process-pool width, gid
-        #: range count (None: one per worker) and start method.
-        #: workers=1 is exactly the serial path.
-        self.workers = int(workers)
-        self.shards = shards
-        self.shard_start_method = shard_start_method
         if isinstance(algorithm, str):
             algorithm = get_algorithm(algorithm)
         if (
@@ -747,6 +734,10 @@ class MiningSystem:
                 # (identical rules, slower counting).
                 representation = "set"
                 resilience.degraded.append(f"core: bitset -> set ({exc})")
+                fallback_counter(self.metrics).inc(
+                    site="core.bitset", reason="fault"
+                )
+                self.tracer.annotate(core_fallback=str(exc))
                 flow.event(
                     "core",
                     "degraded",
@@ -774,10 +765,6 @@ class MiningSystem:
     ) -> Tuple[List[EncodedRule], CoreStats]:
         faults.check("core.load")
         loader = CoreInputLoader(self.db, program.core)
-        if self.workers > 1:
-            if representation == "bitset" and not self._explicit_representation:
-                representation = "packed"
-            return self._mine_sharded(program, flow, loader, representation)
         if program.core.simple:
             data = loader.load_simple()
             if representation == "bitset":
@@ -828,91 +815,6 @@ class MiningSystem:
         if self._explicit_representation or representation == "set":
             return representation
         return None
-
-    def _mine_sharded(
-        self,
-        program: TranslationProgram,
-        flow: ProcessFlow,
-        loader: CoreInputLoader,
-        representation: str,
-    ) -> Tuple[List[EncodedRule], CoreStats]:
-        """The workers>1 core stage: gid-range sharded local mining,
-        exact recount, merge (:mod:`repro.parallel`).  Bit-identical
-        output to the serial path by construction."""
-        if representation != "set":
-            faults.check("core.bitset")
-        miner = ShardedMiner(
-            workers=self.workers,
-            shards=self.shards,
-            start_method=self.shard_start_method,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            explicit_representation=self._explicit_representation,
-        )
-        if program.core.simple:
-            # Columnar CodedSource tables stream their raw identifier
-            # columns into the worker bundle instead of per-shard
-            # dicts built in the parent (cuts spawn-mode pickling).
-            streamed = loader.load_simple_columns()
-            if streamed is not None:
-                data, columns = streamed
-                ngroups = len(set(columns[0]))
-            else:
-                data = loader.load_simple()
-                columns = None
-                ngroups = len(data.groups)
-            algorithm = self.algorithm
-            restore = None
-            if (
-                hasattr(algorithm, "representation")
-                and algorithm.representation != representation
-            ):
-                restore = algorithm.representation
-                algorithm.representation = representation
-            try:
-                flow.event(
-                    "core",
-                    "sharded simple core processing",
-                    f"algorithm {algorithm.name}, "
-                    f"{ngroups} encoded groups, "
-                    f"{miner.shards} shards x {self.workers} workers"
-                    + (
-                        f" ({self.shard_start_method})"
-                        if self.shard_start_method
-                        else ""
-                    )
-                    + (
-                        ", shard inputs streamed from columnar columns"
-                        if columns is not None
-                        else ""
-                    ),
-                )
-                encoded_rules, core_stats = miner.mine_simple(
-                    data, program.core, algorithm, columns=columns
-                )
-            finally:
-                if restore is not None:
-                    algorithm.representation = restore
-        else:
-            general_data = loader.load_general()
-            flow.event(
-                "core",
-                "sharded general core processing",
-                f"{miner.shards} shards x {self.workers} workers, "
-                + (
-                    "elementary rules from InputRules"
-                    if general_data.elementary is not None
-                    else "elementary rules derived from CodedSource"
-                ),
-            )
-            encoded_rules, core_stats = miner.mine_general(
-                general_data,
-                program.core,
-                self._forced_layout(representation),
-            )
-        if miner.degraded:
-            flow.event("core", "degraded", miner.degraded)
-        return encoded_rules, core_stats
 
     def _postprocess_stage(
         self,

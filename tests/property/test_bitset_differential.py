@@ -1,4 +1,4 @@
-"""Differential tests for the packed-bitset representation (PR 2).
+"""Differential tests for the big-int bitmap representation (PR 2).
 
 Two contracts, both bit-identical by construction and enforced here:
 
@@ -10,8 +10,7 @@ Two contracts, both bit-identical by construction and enforced here:
   (sparse layout), bitmaps (dense layout) or whichever of the two the
   unforced operator picks, over randomized clustered inputs (derived
   elementary rules, ``ClusterCouples`` restrictions, and
-  SQL-precomputed ``InputRules`` in any row order), under a
-  ``min_count`` override, and through ``exact_counts``.
+  SQL-precomputed ``InputRules`` in any row order).
 """
 
 import dataclasses
@@ -207,10 +206,6 @@ def run_in_every_layout(data, directives):
     return first
 
 
-def lattice_keys(lattice):
-    return sorted(key for rule_set in lattice.values() for key in rule_set)
-
-
 class TestGeneralCoreRepresentations:
     @given(case=clustered_inputs())
     @settings(max_examples=50, deadline=None)
@@ -246,54 +241,3 @@ class TestGeneralCoreRepresentations:
                 if (m, n) != (1, 1)
             )
             assert stats.intersections >= survivors
-
-    @given(
-        case=st.one_of(clustered_inputs(), elementary_inputs()),
-        delta=st.sampled_from([-1, 1, 2]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_min_count_override(self, case, delta):
-        """``mine_lattice(min_count=k)`` below and above the input's own
-        threshold equals mining an input whose threshold is k."""
-        data, directives = case
-        override = max(1, data.min_count + delta)
-        expected = None
-        for layout in LAYOUTS:
-            keys = lattice_keys(
-                GeneralCoreOperator(representation=layout).mine_lattice(
-                    data, directives, min_count=override
-                )
-            )
-            own = lattice_keys(
-                GeneralCoreOperator(representation=layout).mine_lattice(
-                    dataclasses.replace(data, min_count=override), directives
-                )
-            )
-            assert keys == own
-            assert expected is None or keys == expected
-            expected = keys
-
-    @given(case=st.one_of(clustered_inputs(), elementary_inputs()))
-    @settings(max_examples=40, deadline=None)
-    def test_exact_counts_match_run(self, case):
-        """The recount entry point sees the counts ``run`` emitted, and
-        zero for a rule the input does not support."""
-        data, directives = case
-        rules = run_in_every_layout(data, directives)
-        keys = [
-            (tuple(sorted(rule.body)), tuple(sorted(rule.head)))
-            for rule in rules
-        ]
-        keys.append(((98,), (99,)))
-        bodies = sorted({body for body, _ in keys})
-        body_count_of = {
-            tuple(sorted(rule.body)): rule.body_count for rule in rules
-        }
-        for layout in LAYOUTS:
-            supports, body_counts = GeneralCoreOperator(
-                representation=layout
-            ).exact_counts(data, keys, bodies)
-            assert supports == [rule.support_count for rule in rules] + [0]
-            assert body_counts == [
-                body_count_of.get(body, 0) for body in bodies
-            ]

@@ -3,10 +3,10 @@
 The contract of :mod:`repro.incremental` is *bit-identity*: for any
 append schedule — empty deltas, batches that push border itemsets over
 the support threshold, batches that dilute frequent itemsets below it
-(``totg`` grows, so ``mingroups`` rises), new items, new groups,
-``workers>1`` — a chain of REFRESH runs must leave every output table
-(out, ``_Bodies``, ``_Heads``, ``_Display``) byte-equal to mining the
-final table from scratch.  Hypothesis drives the schedules; the tables
+(``totg`` grows, so ``mingroups`` rises), new items, new groups, a
+first run mined in the ``"set"`` layout — a chain of REFRESH runs must
+leave every output table (out, ``_Bodies``, ``_Heads``, ``_Display``)
+byte-equal to mining the final table from scratch.  Hypothesis drives the schedules; the tables
 are compared row-for-row including order.
 """
 
@@ -60,7 +60,7 @@ def _rows(batch):
     ]
 
 
-def _fresh_system(rows, workers=1):
+def _fresh_system(rows, **system_arguments):
     database = Database()
     database.create_table_from_rows(
         "Baskets",
@@ -69,7 +69,7 @@ def _fresh_system(rows, workers=1):
         (SqlType.INTEGER, SqlType.VARCHAR),
         replace=True,
     )
-    return MiningSystem(database=database, workers=workers)
+    return MiningSystem(database=database, **system_arguments)
 
 
 def _append(system, rows):
@@ -118,10 +118,10 @@ class TestRefreshMatchesScratch:
 
     @given(schedule=schedules)
     @settings(max_examples=10, deadline=None)
-    def test_refresh_with_workers_matches_serial_scratch(self, schedule):
+    def test_refresh_after_set_layout_run_matches_scratch(self, schedule):
         seed, deltas = schedule
         seed_rows = _rows(seed)
-        incremental = _fresh_system(seed_rows, workers=2)
+        incremental = _fresh_system(seed_rows, representation="set")
         incremental.run(STATEMENT)
         incremental.refresh("RefreshDiff")
 

@@ -1,7 +1,5 @@
-"""Unit tests for the packed-bitset kernel, the eclat pool member and
+"""Unit tests for the big-int bitmap kernel, the eclat pool member and
 the representation switch through the system facade (PR 2)."""
-
-import pickle
 
 import pytest
 
@@ -10,13 +8,10 @@ from repro.algorithms.apriori import Apriori
 from repro.algorithms.bitset import (
     BitsetStats,
     GroupedUniverse,
-    PackedBitset,
     SlotUniverse,
     item_bitmaps,
     iter_slots,
     mask_from_slots,
-    packed_item_bitmaps,
-    packed_kernels_enabled,
     validate_representation,
 )
 from repro.algorithms.eclat import Eclat
@@ -122,78 +117,6 @@ class TestGroupedUniverse:
             assert universe.slot_group_count(frozenset(slots)) == groups
         with pytest.raises(ValueError, match="non-contiguously"):
             universe.add("a")
-
-
-class TestPackedBitset:
-    def test_roundtrips_big_int_masks(self):
-        for value in (0, 1, 0b1011, (1 << 63) | 1, (1 << 200) - 7):
-            width = max(value.bit_length(), 1)
-            packed = PackedBitset.from_int(value, width)
-            assert packed.to_int() == value
-            assert packed.bit_count() == value.bit_count()
-            assert bool(packed) is bool(value)
-            assert list(packed.iter_slots()) == list(iter_slots(value))
-
-    def test_kernels_match_big_int_operators(self):
-        a, b = 0b110101 | (1 << 150), 0b011100 | (1 << 150)
-        pa = PackedBitset.from_int(a, 151)
-        pb = PackedBitset.from_int(b, 151)
-        assert (pa & pb).to_int() == a & b
-        assert (pa | pb).to_int() == a | b
-        assert pa.and_count(pb) == (a & b).bit_count()
-        assert pa == PackedBitset.from_int(a, 151)
-        assert pa != pb
-
-    def test_set_slot_in_place(self):
-        packed = PackedBitset.zeros(130)
-        packed.set_slot(0)
-        packed.set_slot(64)
-        packed.set_slot(129)
-        assert packed.to_int() == 1 | (1 << 64) | (1 << 129)
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="width mismatch"):
-            PackedBitset.zeros(64) & PackedBitset.zeros(128)
-        with pytest.raises(ValueError, match="exceeds"):
-            PackedBitset.from_int(1 << 70, 64)
-        with pytest.raises(ValueError, match="unsigned"):
-            PackedBitset.from_int(-1, 8)
-
-    def test_pickle_roundtrip(self):
-        packed = PackedBitset.from_slots([0, 63, 64, 200], 256)
-        clone = pickle.loads(pickle.dumps(packed))
-        assert clone == packed
-        assert clone.to_int() == packed.to_int()
-
-    def test_pure_python_fallback_identical(self, monkeypatch):
-        """Without numpy the per-word loop must yield the same bits."""
-        from repro.algorithms import bitset as module
-
-        a = PackedBitset.from_int(0b1101 | (1 << 100), 128)
-        b = PackedBitset.from_int(0b0111 | (1 << 100), 128)
-        with_numpy = ((a & b).to_int(), a.bit_count(), a.and_count(b))
-        monkeypatch.setattr(module, "_np", None)
-        monkeypatch.setattr(module, "_BITWISE_COUNT", None)
-        without = ((a & b).to_int(), a.bit_count(), a.and_count(b))
-        assert without == with_numpy
-        assert not packed_kernels_enabled(1 << 20)
-
-    def test_packed_item_bitmaps_match_big_int_inversion(self):
-        groups = list(EXAMPLE.items())
-        universe = SlotUniverse(gid for gid, _ in groups)
-        big = item_bitmaps(groups, universe)
-        packed = packed_item_bitmaps(groups, SlotUniverse(EXAMPLE))
-        assert set(big) == set(packed)
-        for item, mask in big.items():
-            assert packed[item].to_int() == mask
-
-    def test_adaptive_cutover_thresholds(self, monkeypatch):
-        from repro.algorithms import bitset as module
-
-        assert not packed_kernels_enabled(module.PACKED_MIN_SLOTS - 1)
-        monkeypatch.setattr(module, "PACKED_MIN_SLOTS", 4)
-        if module._BITWISE_COUNT is not None:
-            assert module.packed_kernels_enabled(4)
 
 
 class TestRepresentationValidation:

@@ -419,8 +419,7 @@ class TestGeneralCoreDataPath:
             == operator.bitmap_stats.intersections
         )
 
-    def test_forced_packed_means_the_bitmap_layout(self):
-        assert GeneralCoreOperator(representation="packed").representation == (
-            "bitset"
-        )
+    def test_packed_is_no_layout_and_unforced_reports_none(self):
+        with pytest.raises(ValueError, match="representation"):
+            GeneralCoreOperator(representation="packed")
         assert GeneralCoreOperator().representation is None

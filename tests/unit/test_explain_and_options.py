@@ -105,11 +105,29 @@ class TestEngineOptions:
             "plan_cache_size", "batch_size", "memory_budget", "vectorize",
         ]
         parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]
-        assert len(parameters) == 15 and parameters == [
+        assert len(parameters) == 12 and parameters == [
             "database", "algorithm", "reuse_preprocessing", "representation",
             "retry_policy", "tracer", "metrics", "slowlog", "health", "runlog",
-            "workers", "shards", "shard_start_method", "batch_size", "memory_budget",
+            "batch_size", "memory_budget",
         ]
+        with pytest.raises(TypeError):
+            MiningSystem(workers=2)
+
+        from repro.algorithms import REPRESENTATIONS
+
+        assert REPRESENTATIONS == ("bitset", "set")
+
+    @pytest.mark.parametrize("flag", ["--workers=2", "--shard-start-method=fork"])
+    def test_sharding_flags_are_gone(self, flag, capsys):
+        """One process, one execution mode: neither front end takes the
+        flags that chose another."""
+        from repro import cli, serve
+
+        for main in (cli.main, serve.main):
+            with pytest.raises(SystemExit) as exit_info:
+                main([flag])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def options_db(self, **kwargs):
         database = Database(EngineOptions(**kwargs))

@@ -214,6 +214,22 @@ class TestWorkerPool:
         pool.stop()
         assert results == ["ok"]
 
+    def test_handler_exception_is_logged_and_counted(self, caplog):
+        def handler(item):
+            raise RuntimeError(f"boom {item}")
+
+        pool = WorkerPool(handler, workers=1).start()
+        with caplog.at_level("ERROR", logger="repro.jobs"):
+            pool.submit("a")
+            pool.submit("b")
+            pool.queue.join()
+        pool.stop()
+        assert pool.handler_errors == 2
+        records = [r for r in caplog.records if r.name == "repro.jobs"]
+        assert len(records) == 2
+        assert "RuntimeError: boom a" in caplog.text  # the traceback
+        assert records[0].exc_info is not None
+
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(lambda item: None, workers=0)

@@ -8,6 +8,7 @@ from repro.minerule import (
     MineRuleValidationError,
     classify,
     parse_mine_rule,
+    statement_kind,
     validate,
 )
 from repro.sqlengine import ast_nodes as ast
@@ -307,3 +308,49 @@ class TestClassifier:
                 H=False, W=False, M=False, G=False,
                 C=False, K=False, F=False, R=True,
             )
+
+
+class TestStatementKind:
+    """The one classifier behind ``cli.Shell.execute`` and
+    ``JobService.submit``: the first two tokens decide, not a prefix
+    of the text."""
+
+    @pytest.mark.parametrize("text, kind", [
+        (SIMPLE, "mine"),
+        ("mine rule Out as select", "mine"),
+        ("MINE\n\tRULE Out", "mine"),
+        ("/* why */ MINE RULE Out", "mine"),
+        ("REFRESH RULES Out", "refresh"),
+        ("refresh rules Out;", "refresh"),
+        ("-- nightly\nREFRESH RULES Out", "refresh"),
+        (".help", "meta"),
+        ("  .load purchase", "meta"),
+        ("SELECT * FROM Purchase", "sql"),
+        ("CREATE TABLE mine (rule INTEGER)", "sql"),
+        ("INSERT INTO refresh VALUES (1)", "sql"),
+        # a first identifier that merely starts with the letters
+        ("MINERALS", "sql"),
+        ("refreshments", "sql"),
+        ("MINE_RULE Out", "sql"),
+        ("MINE", "sql"),
+        ("REFRESH Purchase", "sql"),
+        # the SQL parser reports what the lexer rejects
+        ("'unterminated", "sql"),
+        ("", "sql"),
+    ])
+    def test_kinds(self, text, kind):
+        assert statement_kind(text) == kind
+
+    def test_both_front_ends_route_through_it(self):
+        from repro import MiningSystem
+        from repro.cli import Shell
+        from repro.jobs import JobService
+
+        # the prefix sniffers took these for REFRESH RULES / MINE RULE
+        assert "expected a SQL statement" in Shell().execute("refreshments;")
+        service = JobService(MiningSystem())  # not started: jobs stay queued
+        assert service.submit("MINERALS").kind == "sql"
+        assert service.submit("refresh rules Out").kind == "refresh"
+        assert service.submit(SIMPLE).kind == "mine"
+        with pytest.raises(ValueError, match="meta"):
+            service.submit(".help")

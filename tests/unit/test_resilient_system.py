@@ -163,3 +163,32 @@ class TestRetryPlumbing:
         assert result.resilience is not None
         assert not result.resilience.any()
         assert "resilience" not in result.flow.render().split("counters")[0]
+
+
+class TestLoudDegradation:
+    def test_bitset_degrade_is_counted_and_marked_on_the_span(self):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.spans import Tracer
+
+        database = Database()
+        load_purchase_figure1(database)
+        registry = MetricsRegistry()
+        tracer = Tracer(enabled=True)
+        system = MiningSystem(
+            database=database, tracer=tracer, metrics=registry
+        )
+        fallbacks = registry.get("repro_fallback_total")
+        quiet = system.run(STATEMENT)
+        assert fallbacks.value(site="core.bitset", reason="fault") == 0
+
+        with faults.injected(FaultSchedule().arm("core.bitset", times=99)):
+            degraded = system.run(STATEMENT)
+        assert degraded.rule_set() == quiet.rule_set()
+        assert degraded.core_stats.representation == "set"
+        assert fallbacks.value(site="core.bitset", reason="fault") == 1
+        marks = [
+            span.args["core_fallback"]
+            for span in tracer.spans
+            if "core_fallback" in span.args
+        ]
+        assert len(marks) == 1 and "core.bitset" in marks[0]

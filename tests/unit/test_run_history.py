@@ -18,7 +18,6 @@ import pytest
 from repro.jobs.model import DONE, QUEUED, RUNNING, Job
 from repro.jobs.table import JobTable
 from repro.obs import (
-    ChildTracer,
     JsonLogger,
     RunLog,
     SlowQueryLog,
@@ -29,7 +28,6 @@ from repro.obs import (
     ensure,
     new_trace_id,
     statement_fingerprint,
-    trace_events,
 )
 from repro.obs import profile
 
@@ -82,60 +80,6 @@ class TestTraceContext:
 
     def test_new_trace_ids_are_distinct(self):
         assert new_trace_id() != new_trace_id()
-
-
-class TestChildTracerSplice:
-    def test_child_events_nest_and_splice_under_parent(self):
-        child = ChildTracer(trace_id="t-child")
-        with child.span("core.shard.0.local", category="core.shard"):
-            with child.span("sub", category="core.shard"):
-                pass
-        bundle = child.export()
-        assert bundle["trace_id"] == "t-child"
-        assert len(bundle["events"]) == 2
-
-        tracer = Tracer()
-        with tracer.span("core.shards.local") as parent:
-            pass
-        spliced = tracer.splice(bundle, parent=parent)
-        assert len(spliced) == 2
-        by_name = {s.name: s for s in spliced}
-        outer = by_name["core.shard.0.local"]
-        inner = by_name["sub"]
-        # the child's root hangs under the parent span, the nested
-        # child event under its own in-bundle parent
-        assert outer.parent_id == parent.span_id
-        assert inner.parent_id == outer.span_id
-        assert outer.trace_id == "t-child"
-        assert outer.pid == bundle["pid"]
-        assert outer.cpu is not None
-
-    def test_splice_none_bundle_is_noop(self):
-        tracer = Tracer()
-        assert tracer.splice(None) == []
-        assert tracer.splice({"pid": 1, "wall_origin": 0.0, "events": []}) == []
-
-    def test_child_tracer_empty_export_is_none(self):
-        assert ChildTracer().export() is None
-
-    def test_spliced_spans_keep_worker_pid_in_trace_export(self):
-        child = ChildTracer(trace_id="t9")
-        child.pid = 99999  # pretend another process
-        with child.span("core.shard.1.recount", category="core.shard"):
-            pass
-        tracer = Tracer()
-        with activated(TraceContext(trace_id="t9")):
-            with tracer.span("core.shards.recount") as parent:
-                pass
-        tracer.splice(child.export(), parent=parent)
-        events = trace_events(tracer, trace_id="t9")
-        lanes = {e["pid"] for e in events if e.get("ph") == "X"}
-        assert 99999 in lanes and tracer.pid in lanes
-        metadata = [e for e in events if e.get("ph") == "M"]
-        assert any(
-            e["args"]["name"] == "repro shard worker 99999"
-            for e in metadata
-        )
 
 
 class TestResourceAttribution:

@@ -67,35 +67,3 @@ def test_monitor_binds_ephemeral_port():
     with service:
         assert service.monitor.port > 0
         assert str(service.monitor.port) in service.monitor.url
-
-
-def test_stdin_iterator_reads_fd_without_stream_lock(monkeypatch):
-    """The serving loop must read stdin via the raw fd: a shard-pool
-    fork taken by a job thread while this loop held the stream's
-    buffer lock would deadlock the child closing its inherited stdin."""
-    import io
-    import os
-    import sys
-
-    from repro.serve import _iter_stdin_lines
-
-    read_fd, write_fd = os.pipe()
-    os.write(write_fd, "SELECT 1;\nSELECT 2;\nno newline".encode())
-    os.close(write_fd)
-    stream = io.TextIOWrapper(open(read_fd, "rb", closefd=True))
-    monkeypatch.setattr(sys, "stdin", stream)
-    try:
-        lines = list(_iter_stdin_lines())
-    finally:
-        stream.close()
-    assert lines == ["SELECT 1;\n", "SELECT 2;\n", "no newline"]
-
-
-def test_stdin_iterator_falls_back_without_a_real_fd(monkeypatch):
-    import io
-    import sys
-
-    from repro.serve import _iter_stdin_lines
-
-    monkeypatch.setattr(sys, "stdin", io.StringIO("a;\nb;\n"))
-    assert list(_iter_stdin_lines()) == ["a;\n", "b;\n"]
