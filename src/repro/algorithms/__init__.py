@@ -20,10 +20,11 @@ never on the real source.  This package provides that pool:
   over gid bitmaps with diffset pruning [Zaki, TKDE 2000; Zaki
   & Gouda, KDD 2003].
 
-The gid-list algorithms run on the big-int bitmap representation of
-:mod:`repro.algorithms.bitset` by default (intersection is ``&``,
-support counting is ``int.bit_count``); ``representation="set"``
-selects the original layout for differential testing.
+Every ``mine()`` takes the one vertical input type of
+:mod:`repro.algorithms.bitset` (:class:`VerticalInput`; a group map is
+normalised to it).  The gid-list algorithms run on big-int bitmaps by
+default (``&`` and ``int.bit_count``); ``representation="set"``
+selects slot sets for differential testing.
 
 All algorithms return the identical, exact answer: every itemset whose
 group count reaches the threshold, with its exact count (this is the
@@ -37,6 +38,7 @@ from repro.algorithms.base import (
     FrequentItemsetMiner,
     GroupMap,
     ItemsetCounts,
+    MinerInput,
     get_algorithm,
     register_algorithm,
 )
@@ -45,6 +47,7 @@ from repro.algorithms.bitset import (
     BitsetStats,
     GroupedUniverse,
     SlotUniverse,
+    VerticalInput,
 )
 from repro.algorithms.dhp import DirectHashingPruning
 from repro.algorithms.eclat import Eclat
@@ -74,8 +77,10 @@ __all__ = [
     "FrequentItemsetMiner",
     "GroupMap",
     "ItemsetCounts",
+    "MinerInput",
     "Partition",
     "ToivonenSampling",
+    "VerticalInput",
     "get_algorithm",
     "register_algorithm",
 ]

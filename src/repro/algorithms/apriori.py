@@ -25,17 +25,18 @@ testing and the ablation bench.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Any, Callable, List, Set, Tuple
 
 from repro.algorithms.base import (
     FrequentItemsetMiner,
-    GroupMap,
     ItemsetCounts,
+    MinerInput,
     register_algorithm,
 )
 from repro.algorithms.bitset import (
+    GID_LIST_SIZE,
     BitsetStats,
-    SlotUniverse,
+    VerticalInput,
     validate_representation,
 )
 
@@ -51,85 +52,82 @@ class Apriori(FrequentItemsetMiner):
         #: observability: bitmap counters of the last run
         self.stats = BitsetStats()
 
-    def mine(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
-        self.stats.clear()
-        if self.representation == "set":
-            return self._mine_sets(groups, min_count)
-        return self._mine_bitsets(groups, min_count)
+        stats = self.stats
+        stats.clear()
+        vertical = VerticalInput.of(groups)
+        # one loop for both layouts: ``&`` either way, only size differs
+        gid_lists = vertical.gid_lists(min_count, self.representation)
+        size = GID_LIST_SIZE[self.representation]
+        if self.representation == "bitset":
+            stats.sample_density(gid_lists.values(), len(vertical))
+        stats.universe_sizes["gid"] = len(vertical)
 
-    # -- bitset path (default) ----------------------------------------------
-
-    def _mine_bitsets(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
         counts: ItemsetCounts = {}
-        universe = SlotUniverse(groups)
-        popcounts = 0
-        intersections = 0
-
-        singleton_maps = self.item_gid_bitmaps(groups, universe)
-        self.stats.sample_density(singleton_maps.values(), len(universe))
-        gid_maps: Dict[Tuple[int, ...], int] = {}
-        for item, bitmap in singleton_maps.items():
-            support = bitmap.bit_count()
-            popcounts += 1
+        root: List[Tuple[int, Any]] = []
+        for item, gid_list in gid_lists.items():
+            support = size(gid_list)
             if support >= min_count:
-                key = (item,)
-                gid_maps[key] = bitmap
-                counts[frozenset(key)] = support
-        self.stats.passes += 1
-        self.stats.candidates += len(singleton_maps)
+                counts[frozenset((item,))] = support
+                root.append((item, gid_list))
+        stats.passes += 1
+        stats.candidates += len(vertical.slots_of)
+        stats.popcount_calls += len(gid_lists)
 
-        current = gid_maps
-        while current:
-            candidates = self.join_candidates(current.keys())
-            self.stats.passes += 1
-            self.stats.candidates += len(candidates)
-            next_level: Dict[Tuple[int, ...], int] = {}
-            for candidate in candidates:
-                left = current[candidate[:-1]]
-                right = current[candidate[:-2] + candidate[-1:]]
-                support_map = left & right
-                support = support_map.bit_count()
-                intersections += 1
-                popcounts += 1
-                if support >= min_count:
-                    next_level[candidate] = support_map
-                    counts[frozenset(candidate)] = support
-            current = next_level
-
-        self.stats.universe_sizes["gid"] = len(universe)
-        self.stats.popcount_calls = popcounts
-        self.stats.intersections = intersections
+        classes = [((), root)]
+        frequent: Set[Tuple[int, ...]] = set()
+        while classes:
+            classes, frequent, generated = self._join_level(
+                classes, frequent, size, min_count, counts
+            )
+            stats.passes += 1
+            stats.candidates += generated
+            stats.intersections += generated
+            stats.popcount_calls += generated
         return counts
 
-    # -- set path (differential / ablation) ---------------------------------
+    @staticmethod
+    def _join_level(
+        classes: List[Tuple[Tuple[int, ...], List[Tuple[int, Any]]]],
+        frequent: Set[Tuple[int, ...]], size: Callable[[Any], int],
+        min_count: int, counts: ItemsetCounts,
+    ):
+        """One levelwise step, candidates generated inline.
 
-    def _mine_sets(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
-        counts: ItemsetCounts = {}
-
-        singleton_lists = self.item_gid_lists(groups)
-        gid_lists: Dict[Tuple[int, ...], Set[int]] = {}
-        for item, gids in singleton_lists.items():
-            if len(gids) >= min_count:
-                key = (item,)
-                gid_lists[key] = gids
-                counts[frozenset(key)] = len(gids)
-        self.stats.passes += 1
-        self.stats.candidates += len(singleton_lists)
-
-        current = gid_lists
-        while current:
-            candidates = self.join_candidates(current.keys())
-            self.stats.passes += 1
-            self.stats.candidates += len(candidates)
-            next_level: Dict[Tuple[int, ...], Set[int]] = {}
-            for candidate in candidates:
-                left = current[candidate[:-1]]
-                right = current[candidate[:-2] + candidate[-1:]]
-                support_gids = left & right
-                if len(support_gids) >= min_count:
-                    next_level[candidate] = support_gids
-                    counts[frozenset(candidate)] = len(support_gids)
-            current = next_level
-        return counts
+        A level is its prefix classes — ``(prefix, [(last item, gid
+        list)])``, last items ascending — plus *frequent*, the same
+        itemsets as sorted tuples.  Joining members ``a < b`` of a
+        class yields ``prefix + (a, b)``, whose subsets without ``a``
+        or ``b`` are those two members; only the other ``k-1`` subsets
+        (one prefix item dropped) are probed in *frequent*.  Returns
+        the next level and the number of candidates evaluated."""
+        generated = 0
+        next_classes = []
+        next_frequent: Set[Tuple[int, ...]] = set()
+        for prefix, members in classes:
+            stems = [
+                prefix[:drop] + prefix[drop + 1:]
+                for drop in range(len(prefix))
+            ]
+            for index, (a, left) in enumerate(members):
+                head = prefix + (a,)
+                a_stems = [stem + (a,) for stem in stems]
+                children = []
+                for b, right in members[index + 1:]:
+                    for stem in a_stems:
+                        if stem + (b,) not in frequent:
+                            break
+                    else:
+                        generated += 1
+                        gid_list = left & right
+                        support = size(gid_list)
+                        if support >= min_count:
+                            itemset = head + (b,)
+                            counts[frozenset(itemset)] = support
+                            next_frequent.add(itemset)
+                            children.append((b, gid_list))
+                if children:
+                    next_classes.append((head, children))
+        return next_classes, next_frequent, generated

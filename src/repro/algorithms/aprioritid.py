@@ -23,9 +23,14 @@ from repro.algorithms.base import (
     FrequentItemsetMiner,
     GroupMap,
     ItemsetCounts,
+    MinerInput,
     register_algorithm,
 )
-from repro.algorithms.bitset import BitsetStats, validate_representation
+from repro.algorithms.bitset import (
+    BitsetStats,
+    VerticalInput,
+    validate_representation,
+)
 
 
 @register_algorithm
@@ -39,33 +44,41 @@ class AprioriTid(FrequentItemsetMiner):
         #: observability: bitmap counters of the last run
         self.stats = BitsetStats()
 
-    def mine(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
         self.stats.clear()
-        if self.representation == "set":
-            return self._mine_sets(groups, min_count)
-        return self._mine_bitsets(groups, min_count)
+        vertical = VerticalInput.of(groups)
 
-    # -- bitset path (default) ----------------------------------------------
-
-    def _mine_bitsets(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
-        counts: ItemsetCounts = {}
-
-        # Pass 1: count singletons directly.
-        item_counts: Dict[int, int] = {}
-        for items in groups.values():
-            for item in items:
-                item_counts[item] = item_counts.get(item, 0) + 1
+        # Pass 1: singleton counts, read off the slot lists (a repeated
+        # pair repeats its slot).
+        item_counts = {
+            item: len(set(slots)) for item, slots in vertical.slots_of.items()
+        }
         frequent1 = sorted(
             (item,) for item, count in item_counts.items()
             if count >= min_count
         )
-        for itemset in frequent1:
-            counts[frozenset(itemset)] = item_counts[itemset[0]]
+        counts: ItemsetCounts = {
+            frozenset(itemset): item_counts[itemset[0]]
+            for itemset in frequent1
+        }
         self.stats.passes += 1
         self.stats.candidates += len(item_counts)
 
+        # the candidate-id re-encoding scans the horizontal view
+        reencode = (
+            self._mine_sets if self.representation == "set"
+            else self._mine_bitsets
+        )
+        return reencode(vertical.groups, frequent1, counts, min_count)
+
+    # -- bitset path (default) ----------------------------------------------
+
+    def _mine_bitsets(
+        self, groups: GroupMap, frequent1: List[Tuple[int, ...]],
+        counts: ItemsetCounts, min_count: int,
+    ) -> ItemsetCounts:
         # \bar C_1 packed: group -> bitmap over the frequent singleton
         # slots (slot order = ascending item id, deterministic).
         slot_of: Dict[Tuple[int, ...], int] = {
@@ -125,22 +138,10 @@ class AprioriTid(FrequentItemsetMiner):
 
     # -- set path (differential / ablation) ---------------------------------
 
-    def _mine_sets(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
-        counts: ItemsetCounts = {}
-
-        # Pass 1: count singletons directly.
-        item_counts: Dict[int, int] = {}
-        for items in groups.values():
-            for item in items:
-                item_counts[item] = item_counts.get(item, 0) + 1
-        frequent1 = [
-            (item,) for item, count in item_counts.items() if count >= min_count
-        ]
-        for itemset in frequent1:
-            counts[frozenset(itemset)] = item_counts[itemset[0]]
-        self.stats.passes += 1
-        self.stats.candidates += len(item_counts)
-
+    def _mine_sets(
+        self, groups: GroupMap, frequent1: List[Tuple[int, ...]],
+        counts: ItemsetCounts, min_count: int,
+    ) -> ItemsetCounts:
         # \bar C_1: group -> set of frequent singleton candidates present.
         frequent1_set = {t[0] for t in frequent1}
         encoded: Dict[int, Dict[Tuple[int, ...], None]] = {}

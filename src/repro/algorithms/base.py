@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Type
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Type, Union
 
-from repro.algorithms.bitset import SlotUniverse, item_bitmaps
+from repro.algorithms.bitset import VerticalInput
 
-#: encoded input: group id -> set of item ids present in the group
+#: encoded input, horizontal: group id -> set of item ids in the group
 GroupMap = Mapping[int, FrozenSet[int]]
+
+#: what ``mine()`` accepts: the vertical input the core loader builds,
+#: or a group map, which ``VerticalInput.of`` turns into one
+MinerInput = Union[VerticalInput, GroupMap]
 
 #: result: itemset -> number of groups containing it (only itemsets with
 #: count >= the threshold are present)
@@ -34,44 +38,19 @@ class FrequentItemsetMiner(abc.ABC):
     name: str = ""
 
     @abc.abstractmethod
-    def mine(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
         """Return every itemset contained in at least ``min_count``
         groups, mapped to its exact group count.
 
-        ``min_count`` must be at least 1; an itemset's count is the
-        number of *groups* (not tuples) containing all of its items,
-        matching the support semantics of the MINE RULE operator.
+        Implementations normalise *groups* with
+        :meth:`VerticalInput.of` and read the side they work on
+        (``gid_lists()`` or the horizontal ``groups``).  ``min_count``
+        must be at least 1; an itemset's count is the number of
+        *groups* (not tuples) containing all of its items, matching the
+        support semantics of the MINE RULE operator.
         """
 
     # -- shared helpers -----------------------------------------------------
-
-    @staticmethod
-    def item_gid_lists(groups: GroupMap) -> Dict[int, Set[int]]:
-        """Invert the group map: item id -> set of group ids.
-
-        This is the "associated list that contains identifiers of
-        groups in which the itemset is present" of Section 4.3.1,
-        for singleton itemsets.  (Set-based path; the default bitset
-        path uses :meth:`item_gid_bitmaps`.)
-        """
-        lists: Dict[int, Set[int]] = {}
-        for gid, items in groups.items():
-            for item in items:
-                lists.setdefault(item, set()).add(gid)
-        return lists
-
-    @staticmethod
-    def item_gid_bitmaps(
-        groups: GroupMap, universe: "SlotUniverse"
-    ) -> Dict[int, int]:
-        """Invert the group map into gid bitmaps: item id ->
-        big-int bitmap over *universe* slots.
-
-        The vertical counterpart of :meth:`item_gid_lists`: itemset
-        support lists become ``&`` of bitmaps, support counts become
-        :meth:`int.bit_count`.
-        """
-        return item_bitmaps(groups.items(), universe)
 
     @staticmethod
     def join_candidates(
@@ -89,21 +68,12 @@ class FrequentItemsetMiner(abc.ABC):
         for siblings in by_prefix.values():
             for a, b in itertools.combinations(siblings, 2):
                 candidate = a + (b[-1],) if a[-1] < b[-1] else b + (a[-1],)
-                if FrequentItemsetMiner._all_subsets_frequent(
-                    candidate, frequent_set
+                if all(
+                    candidate[:drop] + candidate[drop + 1:] in frequent_set
+                    for drop in range(len(candidate))
                 ):
                     candidates.append(candidate)
         return candidates
-
-    @staticmethod
-    def _all_subsets_frequent(
-        candidate: Tuple[int, ...], frequent: Set[Tuple[int, ...]]
-    ) -> bool:
-        for drop in range(len(candidate)):
-            subset = candidate[:drop] + candidate[drop + 1 :]
-            if subset not in frequent:
-                return False
-        return True
 
 
 #: name -> class registry of available algorithms

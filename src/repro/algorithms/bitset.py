@@ -27,9 +27,12 @@ the universe size.  Every big-int bitmap here is therefore built by
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 #: the physical layouts a consumer can select
 REPRESENTATIONS = ("bitset", "set")
@@ -132,16 +135,20 @@ class SlotUniverse:
     __slots__ = ("_slot_of", "_members")
 
     def __init__(self, idents: Iterable[Hashable] = ()) -> None:
-        self._slot_of: Dict[Hashable, int] = {}
-        self._members: List[Hashable] = []
-        for ident in idents:
-            self.slot(ident)
+        self._slot_of: Dict[Hashable, int] = dict(
+            zip(dict.fromkeys(idents), itertools.count())
+        )
+        self._members: List[Hashable] = list(self._slot_of)
 
     def __len__(self) -> int:
         return len(self._members)
 
     def __contains__(self, ident: Hashable) -> bool:
         return ident in self._slot_of
+
+    def __iter__(self) -> Iterator[Hashable]:
+        """The identifiers in slot order."""
+        return iter(self._members)
 
     def slot(self, ident: Hashable) -> int:
         """The slot of *ident*, assigned on first use."""
@@ -152,6 +159,10 @@ class SlotUniverse:
             self._members.append(ident)
         return slot
 
+    def slots(self, idents: Iterable[Hashable]) -> Iterator[int]:
+        """The slots of already interned *idents*, in their order."""
+        return map(self._slot_of.__getitem__, idents)
+
     def mask(self, idents: Iterable[Hashable]) -> int:
         """The bitmap with the slots of *idents* set."""
         slots = [self.slot(ident) for ident in idents]
@@ -161,6 +172,124 @@ class SlotUniverse:
         """Decode a bitmap back into identifiers, in slot order."""
         members = self._members
         return [members[index] for index in iter_slots(mask)]
+
+
+def iter_slots(mask: int) -> Iterator[int]:
+    """Yield the set bit positions of *mask*, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass
+class VerticalInput:
+    """The simple core's input, the one type every pool member mines:
+    encoded groups in vertical form.  :meth:`from_columns` builds it
+    from the ``Gid``/``Bid`` columns of ``CodedSource``,
+    :meth:`from_groups` from a ``gid -> items`` map, and :meth:`of` is
+    the normalisation each ``mine()`` applies to its argument.  Gid
+    lists are materialised on demand (:meth:`gid_lists`), the
+    horizontal map (:attr:`groups`) only when a member asks for it.
+    """
+
+    #: group id <-> dense bit slot, in first-appearance order
+    universe: SlotUniverse
+    #: item id -> slots of the groups containing it; a repeated
+    #: (group, item) pair repeats its slot, which gid lists absorb
+    slots_of: Dict[Hashable, List[int]]
+    #: (group, item) pairs read
+    entries: int
+    _groups: Optional[Mapping[Hashable, FrozenSet]] = None
+
+    @classmethod
+    def from_columns(cls, gid_col: Sequence, bid_col: Sequence) -> "VerticalInput":
+        universe = SlotUniverse(gid_col)
+        slots_of: Dict[Hashable, List[int]] = defaultdict(list)
+        for slot, bid in zip(universe.slots(gid_col), bid_col):
+            slots_of[bid].append(slot)
+        return cls(universe, dict(slots_of), len(bid_col))
+
+    @classmethod
+    def from_groups(cls, groups: Mapping[Hashable, FrozenSet]) -> "VerticalInput":
+        slots_of: Dict[Hashable, List[int]] = defaultdict(list)
+        entries = 0
+        for slot, items in enumerate(groups.values()):
+            entries += len(items)
+            for item in items:
+                slots_of[item].append(slot)
+        return cls(SlotUniverse(groups), dict(slots_of), entries, groups)
+
+    @classmethod
+    def of(cls, source) -> "VerticalInput":
+        """*source* itself if already vertical, else built from a group map."""
+        return source if isinstance(source, cls) else cls.from_groups(source)
+
+    def __len__(self) -> int:  # groups
+        return len(self.universe)
+
+    def gid_lists(self, min_count: int = 1, representation: str = "bitset") -> Dict[Hashable, Any]:
+        """item -> gid list over the group slots, ascending by item: a
+        big-int bitmap, or for ``"set"`` a frozenset of slots
+        (:data:`GID_LIST_SIZE` counts either).  An item with fewer than
+        *min_count* slots is never materialised: the length of its
+        list bounds its support from above."""
+        if representation == "set":
+            build: Callable = frozenset
+        else:
+            nbytes = (len(self.universe) + 7) >> 3
+            build = functools.partial(mask_from_slots, nbytes=nbytes)
+        slots_of = self.slots_of
+        return {
+            item: build(slots_of[item])
+            for item in sorted(slots_of)
+            if len(slots_of[item]) >= min_count
+        }
+
+    @property
+    def groups(self) -> Mapping[Hashable, FrozenSet]:
+        """The horizontal view, ``gid -> frozenset(items)`` in slot
+        order, for the members that scan groups (dhp, exhaustive,
+        aprioritid, sampling's draw, partition's slicing).  Derived
+        from the slot lists on first use."""
+        if self._groups is None:
+            members: List[List[Hashable]] = [[] for _ in range(len(self))]
+            for item, slots in self.slots_of.items():
+                for slot in slots:
+                    members[slot].append(item)
+            self._groups = dict(zip(self.universe, map(frozenset, members)))
+        return self._groups
+
+
+#: how a gid list of each layout counts its groups
+GID_LIST_SIZE = {"bitset": int.bit_count, "set": len}
+
+
+def count_itemsets(
+    vertical: VerticalInput, candidates: Iterable[FrozenSet], min_count: int,
+    stats: BitsetStats, representation: str = "bitset",
+) -> Dict[FrozenSet, int]:
+    """The *candidates* contained in at least *min_count* groups of
+    the whole input, with exact counts (the two-phase members' second
+    pass): AND the items' gid lists, count.  A globally infrequent
+    item has no gid list and sinks its candidates."""
+    stats.universe_sizes["gid"] = len(vertical)
+    gid_lists = vertical.gid_lists(min_count, representation)
+    size = GID_LIST_SIZE[representation]
+    counts: Dict[FrozenSet, int] = {}
+    for candidate in candidates:
+        try:
+            first, *rest = [gid_lists[item] for item in candidate]
+        except KeyError:
+            continue
+        for gid_list in rest:
+            first &= gid_list
+        stats.intersections += len(rest)
+        stats.popcount_calls += 1
+        count = size(first)
+        if count >= min_count:
+            counts[candidate] = count
+    return counts
 
 
 class GroupedUniverse:
@@ -303,28 +432,3 @@ class _NoKey:
 
 
 _NO_KEY = _NoKey()
-
-
-def iter_slots(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of *mask*, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def item_bitmaps(
-    groups: "Iterable[Tuple[Hashable, Iterable[Hashable]]]",
-    universe: SlotUniverse,
-) -> Dict[Hashable, int]:
-    """Invert ``(gid, items)`` pairs into item -> gid-bitmap."""
-    slots_of: Dict[Hashable, List[int]] = defaultdict(list)
-    for gid, items in groups:
-        slot = universe.slot(gid)
-        for item in items:
-            slots_of[item].append(slot)
-    nbytes = (len(universe) + 7) >> 3
-    return {
-        item: mask_from_slots(slots, nbytes)
-        for item, slots in slots_of.items()
-    }

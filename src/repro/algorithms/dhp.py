@@ -19,10 +19,11 @@ from typing import Dict, List, Set, Tuple
 
 from repro.algorithms.base import (
     FrequentItemsetMiner,
-    GroupMap,
     ItemsetCounts,
+    MinerInput,
     register_algorithm,
 )
+from repro.algorithms.bitset import VerticalInput
 
 
 @register_algorithm
@@ -40,14 +41,15 @@ class DirectHashingPruning(FrequentItemsetMiner):
             raise ValueError(f"buckets must be positive, got {buckets}")
         self.buckets = buckets
 
-    def mine(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
         counts: ItemsetCounts = {}
 
-        # Pass 1: count singletons, hash pairs.
+        # Pass 1: count singletons, hash pairs (horizontal scans).
         item_counts: Dict[int, int] = {}
         bucket_counts = [0] * self.buckets
+        groups = VerticalInput.of(groups).groups
         working: Dict[int, Tuple[int, ...]] = {
             gid: tuple(sorted(items)) for gid, items in groups.items() if items
         }

@@ -31,11 +31,11 @@ from typing import List, Tuple
 
 from repro.algorithms.base import (
     FrequentItemsetMiner,
-    GroupMap,
     ItemsetCounts,
+    MinerInput,
     register_algorithm,
 )
-from repro.algorithms.bitset import BitsetStats, SlotUniverse
+from repro.algorithms.bitset import BitsetStats, VerticalInput
 
 
 @register_algorithm
@@ -54,24 +54,23 @@ class Eclat(FrequentItemsetMiner):
         #: observability: bitmap counters of the last run
         self.stats = BitsetStats()
 
-    def mine(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
         self.stats.clear()
         counts: ItemsetCounts = {}
 
-        universe = SlotUniverse(groups)
-        item_maps = self.item_gid_bitmaps(groups, universe)
-        self.stats.universe_sizes["gid"] = len(universe)
-        self.stats.sample_density(item_maps.values(), len(universe))
+        vertical = VerticalInput.of(groups)
+        item_maps = vertical.gid_lists(min_count)
+        self.stats.universe_sizes["gid"] = len(vertical)
+        self.stats.sample_density(item_maps.values(), len(vertical))
         self.stats.passes += 1
-        self.stats.candidates += len(item_maps)
+        self.stats.candidates += len(vertical.slots_of)
 
         # Root class: frequent singletons in ascending item order (the
         # order fixes the prefix tree, making runs deterministic).
         root: List[Tuple[Tuple[int, ...], int, int]] = []
-        for item in sorted(item_maps):
-            tidset = item_maps[item]
+        for item, tidset in item_maps.items():
             support = tidset.bit_count()
             self.stats.popcount_calls += 1
             if support >= min_count:

@@ -14,10 +14,11 @@ from typing import Dict, FrozenSet
 
 from repro.algorithms.base import (
     FrequentItemsetMiner,
-    GroupMap,
     ItemsetCounts,
+    MinerInput,
     register_algorithm,
 )
+from repro.algorithms.bitset import VerticalInput
 
 
 @register_algorithm
@@ -26,9 +27,10 @@ class Exhaustive(FrequentItemsetMiner):
 
     name = "exhaustive"
 
-    def mine(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
+        groups = VerticalInput.of(groups).groups
         items = sorted({item for basket in groups.values() for item in basket})
         counts: Dict[FrozenSet[int], int] = {}
         for size in range(1, len(items) + 1):

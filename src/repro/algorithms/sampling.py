@@ -13,10 +13,8 @@ The sample and therefore the runtime are randomized; the *result* never
 is.  A fixed ``seed`` keeps runs reproducible.
 
 The verification pass counts every candidate (local itemsets plus the
-negative border) over the whole input: on the default ``"bitset"``
-representation that is AND-and-popcount over the items' gid bitmaps;
-``"set"`` keeps the original horizontal rescan for differential
-testing.
+negative border) over the whole input by ANDing the items' gid lists
+(:func:`bitset.count_itemsets`).
 """
 
 from __future__ import annotations
@@ -28,13 +26,14 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 from repro.algorithms.apriori import Apriori
 from repro.algorithms.base import (
     FrequentItemsetMiner,
-    GroupMap,
     ItemsetCounts,
+    MinerInput,
     register_algorithm,
 )
 from repro.algorithms.bitset import (
     BitsetStats,
-    SlotUniverse,
+    VerticalInput,
+    count_itemsets,
     validate_representation,
 )
 
@@ -71,19 +70,21 @@ class ToivonenSampling(FrequentItemsetMiner):
         #: observability: bitmap counters of the last run
         self.stats = BitsetStats()
 
-    def mine(self, groups: GroupMap, min_count: int) -> ItemsetCounts:
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
         self.last_run_failed = False
         self.stats.clear()
-        if not groups:
+        vertical = VerticalInput.of(groups)
+        total = len(vertical)
+        if not total:
             return {}
-        total = len(groups)
 
+        # the draw works on the horizontal view
+        groups = vertical.groups
         rng = random.Random(self.seed)
-        gids = sorted(groups)
         sample_size = max(1, round(self.sample_fraction * total))
-        sample_gids = rng.sample(gids, sample_size)
+        sample_gids = rng.sample(sorted(groups), sample_size)
         sample = {gid: groups[gid] for gid in sample_gids}
 
         fraction = min_count / total
@@ -95,15 +96,11 @@ class ToivonenSampling(FrequentItemsetMiner):
         self.stats.merge(miner.stats)
         local_sets = set(local.keys())
 
-        candidates = local_sets | self.negative_border(local_sets, groups)
+        candidates = local_sets | self.negative_border(local_sets, vertical)
 
-        frequent = {
-            candidate: count
-            for candidate, count in self._count_candidates(
-                groups, candidates
-            ).items()
-            if count >= min_count
-        }
+        frequent = count_itemsets(
+            vertical, candidates, min_count, self.stats, self.representation
+        )
         border_failures = [
             candidate for candidate in frequent if candidate not in local_sets
         ]
@@ -112,57 +109,20 @@ class ToivonenSampling(FrequentItemsetMiner):
             # exact full pass so the result stays complete.
             self.last_run_failed = True
             fallback = Apriori(representation=self.representation)
-            result = fallback.mine(groups, min_count)
+            result = fallback.mine(vertical, min_count)
             self.stats.merge(fallback.stats)
             return result
         return frequent
 
-    def _count_candidates(
-        self, groups: GroupMap, candidates: Set[FrozenSet[int]]
-    ) -> Dict[FrozenSet[int], int]:
-        """Exact counts of *candidates* over the whole input."""
-        if self.representation == "set":
-            counts: Dict[FrozenSet[int], int] = {c: 0 for c in candidates}
-            for items in groups.values():
-                for candidate in candidates:
-                    if candidate <= items:
-                        counts[candidate] += 1
-            return counts
-        universe = SlotUniverse(groups)
-        item_maps = self.item_gid_bitmaps(groups, universe)
-        self.stats.universe_sizes["gid"] = len(universe)
-        counts = {}
-        for candidate in candidates:
-            mask = None
-            missing = False
-            for item in candidate:
-                bitmap = item_maps.get(item)
-                if bitmap is None:
-                    missing = True
-                    break
-                mask = bitmap if mask is None else mask & bitmap
-                self.stats.intersections += 1
-                if not mask:
-                    break
-            self.stats.popcount_calls += 1
-            counts[candidate] = (
-                0 if missing or mask is None else mask.bit_count()
-            )
-        return counts
-
     @staticmethod
     def negative_border(
-        frequent: Set[FrozenSet[int]], groups: GroupMap
+        frequent: Set[FrozenSet[int]], groups: MinerInput
     ) -> Set[FrozenSet[int]]:
         """Minimal itemsets (over the items present in *groups*) that
         are not in *frequent* but whose every proper subset is."""
-        items: Set[int] = set()
-        for group_items in groups.values():
-            items.update(group_items)
-
         border: Set[FrozenSet[int]] = set()
         # Level 1: singletons not locally frequent.
-        for item in items:
+        for item in VerticalInput.of(groups).slots_of:
             singleton = frozenset((item,))
             if singleton not in frequent:
                 border.add(singleton)

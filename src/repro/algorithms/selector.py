@@ -3,22 +3,21 @@
 Section 3: the core operator "uses directives from the translator to
 decide the mining technique to apply [...] typically each of them has
 better performance under specific assumptions about data and rule
-distribution."  This module implements that decision as a documented,
-testable heuristic over cheap statistics of the encoded input:
+distribution."  The decision here is a rule read off a measured table
+— every pool member over a grid of input shapes, same vertical input,
+mine only (EXPERIMENTS.md SYN-2):
 
-* tiny inputs            -> plain Apriori (setup costs dominate);
-* dense groups (high average items/group relative to the threshold)
-  -> DHP, whose hash filter prunes the explosive pair-candidate level;
-* many groups with low density -> Partition, which bounds passes over
-  the large input;
-* moderately dense groups -> Eclat, whose depth-first vertical search
-  over gid bitmaps avoids the levelwise candidate churn once itemsets
-  grow past pairs;
-* otherwise              -> Apriori with gid-lists (the default that
-  wins on memory-resident data).
+* few groups of many items each -> Eclat: bitmaps of a few machine
+  words make the bit operations nearly free, and of the Python work
+  left per candidate Apriori's subset probes grow with the itemset
+  size while the depth-first search has none (1.1-1.7x faster at
+  <= 1000 groups of >= 14 items, 6x on a 16-deep lattice);
+* everything else -> Apriori: on wide bitmaps the popcount per
+  candidate dominates and levelwise pruning evaluates the fewest.
 
-The heuristic never affects the *result* (the pool is exact); it only
-trades running time, so the selector is safe to use by default.
+DHP, Partition, Sampling and AprioriTid are never chosen (never within
+2x of Apriori in the table); they stay selectable by name.  The pool is
+exact, so the rule only ever trades running time.
 """
 
 from __future__ import annotations
@@ -26,10 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algorithms.apriori import Apriori
-from repro.algorithms.base import FrequentItemsetMiner, GroupMap
-from repro.algorithms.dhp import DirectHashingPruning
+from repro.algorithms.base import (
+    FrequentItemsetMiner,
+    ItemsetCounts,
+    MinerInput,
+    register_algorithm,
+)
+from repro.algorithms.bitset import BitsetStats, VerticalInput
 from repro.algorithms.eclat import Eclat
-from repro.algorithms.partition import Partition
 
 
 @dataclass(frozen=True)
@@ -45,45 +48,36 @@ class InputStatistics:
         return self.total_entries / self.groups if self.groups else 0.0
 
     @classmethod
-    def of(cls, encoded: GroupMap) -> "InputStatistics":
-        items = set()
-        total = 0
-        for group_items in encoded.values():
-            items.update(group_items)
-            total += len(group_items)
+    def of(cls, encoded: MinerInput) -> "InputStatistics":
+        """Read off the vertical input, which knows all three."""
+        vertical = VerticalInput.of(encoded)
         return cls(
-            groups=len(encoded),
-            distinct_items=len(items),
-            total_entries=total,
+            groups=len(vertical),
+            distinct_items=len(vertical.slots_of),
+            total_entries=vertical.entries,
         )
 
 
-#: below this many groups, algorithm choice is irrelevant
-_TINY_GROUPS = 50
-#: average group size beyond which the pair level explodes
-_DENSE_AVERAGE = 12.0
-#: group count beyond which pass-bounding pays off on sparse data
-_MANY_GROUPS = 5_000
-#: average group size beyond which deep itemsets appear and the
-#: depth-first vertical search (Eclat over gid bitmaps) pays off
-_VERTICAL_AVERAGE = 6.0
+#: at most this many groups: gid bitmaps of a few machine words
+_NARROW_GROUPS = 1_000
+#: average group size from which the lattice is deep enough for the
+#: depth-first search to beat levelwise subset probing on them
+_DEEP_AVERAGE = 12.0
 
 
 def select_algorithm(
     statistics: InputStatistics, min_count: int
 ) -> FrequentItemsetMiner:
     """Pick a pool algorithm for the given input shape."""
-    if statistics.groups <= _TINY_GROUPS:
-        return Apriori()
-    if statistics.average_group_size >= _DENSE_AVERAGE:
-        return DirectHashingPruning()
-    if statistics.groups >= _MANY_GROUPS:
-        return Partition()
-    if statistics.average_group_size >= _VERTICAL_AVERAGE:
+    if (
+        statistics.groups <= _NARROW_GROUPS
+        and statistics.average_group_size >= _DEEP_AVERAGE
+    ):
         return Eclat()
     return Apriori()
 
 
+@register_algorithm
 class AutoSelect(FrequentItemsetMiner):
     """Pool member that defers to :func:`select_algorithm` per input.
 
@@ -96,13 +90,12 @@ class AutoSelect(FrequentItemsetMiner):
     def __init__(self) -> None:
         #: the concrete algorithm chosen on the last run (observability)
         self.last_choice: str = ""
+        #: the chosen member's bitmap counters of the last run
+        self.stats = BitsetStats()
 
-    def mine(self, groups: GroupMap, min_count: int):
-        chosen = select_algorithm(InputStatistics.of(groups), min_count)
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
+        vertical = VerticalInput.of(groups)
+        chosen = select_algorithm(InputStatistics.of(vertical), min_count)
         self.last_choice = chosen.name
-        return chosen.mine(groups, min_count)
-
-
-from repro.algorithms.base import register_algorithm  # noqa: E402
-
-register_algorithm(AutoSelect)
+        self.stats = chosen.stats
+        return chosen.mine(vertical, min_count)

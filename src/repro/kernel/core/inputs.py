@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.algorithms.base import MinerInput
+from repro.algorithms.bitset import VerticalInput
 from repro.kernel.program import CoreDirectives
 from repro.sqlengine.engine import Database
 
@@ -24,11 +26,13 @@ WHOLE_GROUP_CLUSTER = 0
 
 @dataclass
 class SimpleInput:
-    """Input of the simple core variant: groups of encoded items."""
+    """Input of the simple core variant: thresholds and encoded
+    groups — the pool's vertical input, or the reference loader's
+    ``gid -> items`` map (``mine()`` takes both)."""
 
     totg: int
     min_count: int
-    groups: Dict[int, FrozenSet[int]]
+    groups: MinerInput
 
 
 @dataclass
@@ -79,7 +83,32 @@ class CoreInputLoader:
         min_count = int(self._db.variables["mingroups"])
         return totg, min_count
 
+    def load_simple_columns(
+        self,
+    ) -> Tuple[SimpleInput, Tuple[List[int], List[int]]]:
+        """The simple core's loader: the ``Gid``/``Bid`` columns of
+        ``CodedSource`` read as lists (no SQL statement, no row tuples)
+        and turned into the pool's vertical input in one pass.  The
+        columns come back beside it for whoever observes the boundary.
+        """
+        table = self._db.catalog.get_table(self._directives.coded_source)
+        gid_position = table.column_index("Gid")
+        bid_position = table.column_index("Bid")
+        lists = table.column_lists((gid_position, bid_position))
+        gid_col, bid_col = lists[gid_position], lists[bid_position]
+        totg, min_count = self.thresholds()
+        data = SimpleInput(
+            totg=totg,
+            min_count=min_count,
+            groups=VerticalInput.from_columns(gid_col, bid_col),
+        )
+        return data, (gid_col, bid_col)
+
     def load_simple(self) -> SimpleInput:
+        """The reference loader: SQL scan of ``CodedSource`` folded
+        into a ``gid -> frozenset`` map.  The program does not call it
+        (:meth:`load_simple_columns` is the loader); the kernel's
+        differential test compares against it."""
         totg, min_count = self.thresholds()
         groups: Dict[int, Set[int]] = {}
         for gid, bid in self._db.query(
@@ -91,32 +120,6 @@ class CoreInputLoader:
             min_count=min_count,
             groups={gid: frozenset(items) for gid, items in groups.items()},
         )
-
-    def load_simple_columns(
-        self,
-    ) -> Optional[Tuple[SimpleInput, Tuple[List[int], List[int]]]]:
-        """The raw ``(Gid, Bid)`` identifier columns of a *columnar*
-        ``CodedSource``, with no group dict materialized — the input of
-        the columns-to-bitmaps kernel (ROADMAP item 2).  No caller in
-        the program yet; the standing benchmark names it as a
-        ``core.load`` boundary.  Returns None when the coded source is
-        not a columnar base table (use :meth:`load_simple`).  The
-        returned :class:`SimpleInput` carries the thresholds with an
-        empty ``groups`` dict — the columns replace it.
-        """
-        name = self._directives.coded_source
-        catalog = self._db.catalog
-        if not catalog.has_table(name):
-            return None
-        table = catalog.get_table(name)
-        if getattr(table, "storage", "row") != "columnar":
-            return None
-        lists = table.column_lists()
-        gid_col = lists[table.column_index("Gid")]
-        bid_col = lists[table.column_index("Bid")]
-        totg, min_count = self.thresholds()
-        data = SimpleInput(totg=totg, min_count=min_count, groups={})
-        return data, (gid_col, bid_col)
 
     def load_general(self) -> GeneralInput:
         directives = self._directives

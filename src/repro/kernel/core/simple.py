@@ -84,7 +84,8 @@ class SimpleCoreOperator:
     def run(
         self, data: SimpleInput, directives: CoreDirectives
     ) -> List[EncodedRule]:
-        """Mine rules from encoded groups.
+        """Mine rules from encoded groups: one miner call over the
+        loader's vertical input, then rule extraction.
 
         The returned list is sorted by (body, head) identifiers so that
         downstream output tables are deterministic.

@@ -80,10 +80,13 @@ class CoreStats:
     def from_simple(cls, algorithm) -> "CoreStats":
         """Collect from a pool algorithm after a simple-core run."""
         stats = getattr(algorithm, "stats", None)
+        # "auto" names the member it ran: auto(<member>)
+        member = getattr(algorithm, "last_choice", "")
         return cls(
             variant="simple",
             representation=getattr(algorithm, "representation", "bitset"),
-            algorithm=algorithm.name,
+            algorithm=f"{algorithm.name}({member})" if member
+            else algorithm.name,
             universe_sizes=dict(stats.universe_sizes) if stats else {},
             popcount_calls=stats.popcount_calls if stats else 0,
             intersections=stats.intersections if stats else 0,

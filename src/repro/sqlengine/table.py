@@ -7,6 +7,7 @@ catalog's identifier semantics.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sqlengine.errors import CatalogError, ExecutionError
@@ -139,6 +140,20 @@ class Table:
         """Append equally long value lists, one per table column (the
         batch executor's result shape)."""
         return self.insert_many(zip(*columns))
+
+    def column_lists(
+        self, positions: Optional[Sequence[int]] = None
+    ) -> List[Optional[List[Any]]]:
+        """The row tuples transposed into one value list per column:
+        all of them, or only those at *positions* with ``None``
+        elsewhere (the call a columnar table answers from its
+        vectors)."""
+        if positions is None:
+            positions = range(self.arity)
+        out: List[Optional[List[Any]]] = [None] * self.arity
+        for position in positions:
+            out[position] = list(map(itemgetter(position), self.rows))
+        return out
 
     def truncate(self) -> None:
         self.rows.clear()

@@ -1017,11 +1017,8 @@ class VScan(VNode):
             cols = self._cache_cols
             n = len(table)
         else:
-            rows = table.rows
-            n = len(rows)
-            cols = [None] * len(table.columns)
-            for position in self._needed:
-                cols[position] = list(map(_op.itemgetter(position), rows))
+            cols = table.column_lists(self._needed)
+            n = len(table)
         self._batches = _chunks(n, ctx.batch_size)
         return _Batch(cols, n)
 

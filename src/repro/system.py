@@ -766,7 +766,7 @@ class MiningSystem:
         faults.check("core.load")
         loader = CoreInputLoader(self.db, program.core)
         if program.core.simple:
-            data = loader.load_simple()
+            data, _ = loader.load_simple_columns()
             if representation == "bitset":
                 faults.check("core.bitset")
             algorithm = self.algorithm
@@ -778,18 +778,21 @@ class MiningSystem:
                 restore = algorithm.representation
                 algorithm.representation = "set"
             try:
-                operator = SimpleCoreOperator(algorithm)
-                flow.event(
-                    "core",
-                    "simple core processing",
-                    f"algorithm {algorithm.name}, "
-                    f"{len(data.groups)} encoded groups",
+                encoded_rules = SimpleCoreOperator(algorithm).run(
+                    data, program.core
                 )
-                encoded_rules = operator.run(data, program.core)
                 core_stats = CoreStats.from_simple(algorithm)
             finally:
                 if restore is not None:
                     algorithm.representation = restore
+            # after the run: "auto" knows its member only then
+            flow.event(
+                "core",
+                "simple core processing",
+                f"algorithm {core_stats.algorithm}, "
+                f"{len(data.groups)} encoded groups",
+            )
+            self.tracer.annotate(algorithm=core_stats.algorithm)
             return encoded_rules, core_stats
 
         general_data = loader.load_general()

@@ -114,10 +114,6 @@ class TestCandidateGeneration:
         frequent = [(1, 2), (1, 3), (2, 3)]
         assert FrequentItemsetMiner.join_candidates(frequent) == [(1, 2, 3)]
 
-    def test_item_gid_lists(self):
-        lists = FrequentItemsetMiner.item_gid_lists(groups_of({1, 2}, {2}))
-        assert lists == {1: {1}, 2: {1, 2}}
-
 
 class TestRegistry:
     def test_all_expected_algorithms_registered(self):

@@ -9,7 +9,8 @@ from repro.algorithms.bitset import (
     BitsetStats,
     GroupedUniverse,
     SlotUniverse,
-    item_bitmaps,
+    VerticalInput,
+    count_itemsets,
     iter_slots,
     mask_from_slots,
     validate_representation,
@@ -50,6 +51,67 @@ class TestSlotUniverse:
     def test_iter_slots(self):
         assert list(iter_slots(0b101001)) == [0, 3, 5]
         assert list(iter_slots(0)) == []
+
+
+class TestVerticalInput:
+    GIDS = [70, 30, 70, 50, 30, 70]
+    BIDS = [2, 2, 1, 9, 1, 2]  # (70, 2) twice
+
+    def test_from_columns_slots_in_first_appearance_order(self):
+        vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
+        assert list(vertical.universe) == [70, 30, 50]
+        assert len(vertical) == 3
+        assert vertical.entries == 6
+        # the repeated pair repeats its slot; the bitmap absorbs it
+        assert vertical.slots_of == {2: [0, 1, 0], 1: [0, 1], 9: [2]}
+        assert vertical.gid_lists() == {1: 0b011, 2: 0b011, 9: 0b100}
+
+    def test_from_groups_inverts_the_group_map(self):
+        groups = groups_of({1, 2}, {2})
+        vertical = VerticalInput.from_groups(groups)
+        assert {i: sorted(s) for i, s in vertical.slots_of.items()} == {
+            1: [0], 2: [0, 1]
+        }
+        assert vertical.entries == 3
+        assert vertical.groups is groups  # nothing derived
+
+    def test_gid_lists_ascending_and_pruned_before_materialisation(self):
+        vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
+        assert list(vertical.gid_lists()) == [1, 2, 9]
+        assert list(vertical.gid_lists(min_count=2)) == [1, 2]
+        assert vertical.gid_lists(min_count=4) == {}
+        assert vertical.gid_lists(2, "set") == {
+            1: frozenset({0, 1}), 2: frozenset({0, 1})
+        }
+
+    def test_horizontal_view_is_lazy_and_cached(self):
+        vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
+        assert vertical._groups is None
+        groups = vertical.groups
+        assert groups == {
+            70: frozenset({1, 2}), 30: frozenset({1, 2}), 50: frozenset({9})
+        }
+        assert list(groups) == [70, 30, 50]
+        assert vertical.groups is groups
+
+    def test_of_normalises(self):
+        vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
+        assert VerticalInput.of(vertical) is vertical
+        assert VerticalInput.of(EXAMPLE).groups is EXAMPLE
+        assert len(VerticalInput.of({})) == 0
+
+    @pytest.mark.parametrize("representation", ["bitset", "set"])
+    def test_count_itemsets(self, representation):
+        vertical = VerticalInput.from_groups(EXAMPLE)
+        stats = BitsetStats()
+        candidates = [
+            frozenset({1, 2}), frozenset({2}), frozenset({1, 5}),
+            frozenset({1, 7}),  # 7 occurs nowhere
+        ]
+        assert count_itemsets(
+            vertical, candidates, 2, stats, representation
+        ) == {frozenset({1, 2}): 2, frozenset({2}): 4}
+        assert stats.universe_sizes == {"gid": 5}
 
 
 class TestMaskFromSlots:
@@ -174,8 +236,8 @@ class TestEclat:
 
     def test_selector_routes_moderately_dense_inputs_to_eclat(self):
         stats = InputStatistics(
-            groups=500, distinct_items=100, total_entries=4_000
-        )  # average 8 items/group
+            groups=500, distinct_items=100, total_entries=7_000
+        )  # average 14 items/group, narrow bitmaps
         assert isinstance(select_algorithm(stats, min_count=5), Eclat)
 
 
