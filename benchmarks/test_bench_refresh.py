@@ -5,9 +5,10 @@ synthetic retail workload (400k transaction groups in full mode),
 capture the refresh state, append a 5% batch of concept-drift
 transactions, and bring the rule table up to date both ways:
 
-* ``REFRESH RULES`` — one DISTINCT pairs scan + delta maintenance of
-  the recorded counts; border-crossing itemsets recount on in-memory
-  bitmaps;
+* ``REFRESH RULES`` — one DISTINCT pairs scan over the increment (the
+  rows past the append watermark, handed to the engine as a relation)
+  + delta maintenance of the recorded counts; border-crossing itemsets
+  recount on in-memory bitmaps;
 * full re-mine — the whole Q0..Q11 preprocessing pipeline, core and
   postprocessor from scratch on the appended table.
 

@@ -37,9 +37,10 @@ Injection sites
                         degrades the run to the ``"set"`` layout
 ``postprocessor.store`` writing the normalized output relations
 ``postprocessor.decode``running the decode program + display build
-``refresh.delta``       before the REFRESH delta scan (snapshot diff +
-                        known-count maintenance); pure computation, so
-                        a retried attempt recomputes from scratch
+``refresh.delta``       before the REFRESH delta scan (pairs query over
+                        the increment + known-count maintenance); what
+                        it interns lies past the sizes the state
+                        committed, so a retried attempt repeats it
 ``refresh.recount``     before the REFRESH border recount (level-wise
                         candidate expansion); also idempotent — state
                         commits only after the phase succeeds

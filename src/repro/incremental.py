@@ -4,9 +4,14 @@ After an initial MINE RULE run, :class:`MiningState` persists the exact
 mining state of the statement — every frequent itemset with its exact
 group count **plus the negative border** (the maximal infrequent
 candidates: itemsets whose proper subsets are all frequent but which
-failed the support threshold themselves).  On ``REFRESH RULES <out>``
-the delta of the source table is diffed against the recorded snapshot
-and the state is maintained FUP-style (Cheung et al.):
+failed the support threshold themselves).  ``REFRESH RULES <out>``
+maintains that state FUP-style (Cheung et al.) from the **increment**:
+the source's stored rows from the append watermark ``state.row_count``
+on, handed to the engine as a relation of its own (``Table.tail``:
+shared values, nothing copied per row) under the statement's table
+name, so the one ``SELECT DISTINCT <schema>, <group>`` pairs query —
+source condition included — reads the appended rows and nothing else.
+State capture is the same path with watermark 0.
 
 * itemsets already in the state (frequent or border) never re-scan the
   full table: appended rows can only flip bits of *touched* group
@@ -15,8 +20,9 @@ and the state is maintained FUP-style (Cheung et al.):
   ``new = old + popcount(AND_new & T) - popcount(AND_old & T)``
 
   evaluated over compact bitmaps restricted to the touched slots
-  ``T`` — work proportional to the delta, not the table;
-* only *border-crossing* itemsets force a full re-scan: when a border
+  ``T``; the snapshot is probed only where a touched slot existed in
+  it (a new group's bit is zero in every old bitmap);
+* only *border-crossing* itemsets force a re-scan: when a border
   itemset turns frequent (or the support threshold drops because
   ``totg`` grew), its superset candidates were never counted, so their
   supports come from fresh AND/popcount passes over the full item
@@ -24,6 +30,12 @@ and the state is maintained FUP-style (Cheung et al.):
   re-preprocessing);
 * the refreshed state is rebuilt as exactly ``F' ∪ border'`` of the
   new data, so repeated refreshes never accumulate stale itemsets.
+
+Cost: the pairs query, the interning and the bit probes are
+O(increment); the count adjustment and the closure O(|F ∪ border|)
+(every item is in it); over the group universe there are only big-int
+``&`` / ``|`` / ``to_bytes`` on touched items' bitmaps.  Nothing walks
+or copies a structure the size of the source or of the snapshot.
 
 The refreshed frequent counts feed the *serial* rule constructor and
 postprocessor (:func:`repro.kernel.core.simple.build_rules` +
@@ -34,23 +46,31 @@ to a from-scratch run of the statement on the appended table.
 
 A refresh falls back to a forced full re-mine (and state re-capture)
 when the statement is not eligible (general core, group HAVING,
-multi-table FROM), when the source shrank or its sampled prefix
-fingerprint changed (not append-only), or when no state has been
-captured yet.  :class:`SourceMutated` signals the fallback.
+multi-table FROM) or when the rows below the watermark may not be the
+ones the snapshot saw: the source table object was replaced, the
+engine rewrote rows in place (``Table.rewrites``: every UPDATE, DELETE
+and truncate, exactly), the source shrank, or the sampled prefix
+fingerprint changed (the guard for edits of ``Table.rows`` behind the
+engine's back).  :class:`SourceMutated` signals the fallback.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.algorithms.bitset import mask_from_slots
+from repro.algorithms.base import FrequentItemsetMiner
+from repro.algorithms.bitset import SlotUniverse, mask_from_slots
 from repro.kernel.core.inputs import min_group_count
+from repro.kernel.names import Workspace
 from repro.kernel.program import TranslationProgram
 from repro.minerule.errors import MineRuleError
 from repro.minerule.statements import MineRuleStatement
 from repro.sqlengine.render import render_expr
+from repro.sqlengine.table import Table
 
 #: sampled-fingerprint resolution: at most this many rows are hashed
 #: per refresh, whatever the table size (mutation detection stays
@@ -74,6 +94,15 @@ def fingerprint_stride(row_count: int) -> int:
     return max(1, row_count // FINGERPRINT_SAMPLES)
 
 
+def _fingerprint(table: Table, row_count: int, stride: int) -> int:
+    """crc32 over ``repr`` of every *stride*-th of the first
+    *row_count* rows, read by position (no other row is touched)."""
+    crc = 0
+    for position in range(0, row_count, stride):
+        crc = zlib.crc32(repr(table.row(position)).encode("utf-8"), crc)
+    return crc
+
+
 @dataclass
 class MiningState:
     """Exact mining state of one statement over one source snapshot.
@@ -82,31 +111,37 @@ class MiningState:
     order** — the order ``SELECT DISTINCT <schema>, <group>`` emits
     pairs, which is the order queries Q3a/Q3b enumerate them — so the
     ``Bset`` encoding of any later refresh can be reproduced without
-    re-running the preprocessor.
+    re-running the preprocessor.  The next refresh extends the two
+    universes in place; :attr:`item_count` and :attr:`totg` are the
+    sizes this state committed, so what an attempt interned before it
+    died is simply interned again.
     """
 
-    #: item value-tuples in first-appearance order (index = item id)
-    item_order: List[Tuple]
-    #: item value-tuple -> index in :attr:`item_order`
-    item_index: Dict[Tuple, int]
-    #: group value-tuple -> bitmap slot
-    group_index: Dict[Tuple, int]
+    #: item value-tuples; slot = item id
+    items: SlotUniverse
+    #: group value-tuples; slot = bit position in :attr:`masks`
+    groups: SlotUniverse
     #: per-item big-int bitmap: bit ``g`` set iff the item occurs in
     #: group slot ``g`` (the vertical layout of PR2's bitset core)
     masks: List[int]
-    #: exact group counts of F ∪ negative border, keyed by frozensets
-    #: of item indexes
+    #: exact group counts of F ∪ negative border, by frozenset of item ids
     counts: Dict[FrozenSet[int], int]
-    #: total number of groups (= Q1's ``totg``)
+    #: committed number of items (= ``len(masks)``)
+    item_count: int
+    #: committed number of groups (= Q1's ``totg``)
     totg: int
     #: support threshold in groups (= Q3b's ``mingroups``)
     min_count: int
-    #: base-table rows covered by this snapshot
+    #: the append watermark: source rows covered by this snapshot
     row_count: int
     #: crc32 over ``repr`` of the sampled prefix rows
     fingerprint: int
     #: stride the fingerprint was sampled with
     stride: int
+    #: the table object read (dropped + recreated is another object)
+    source: "weakref.ref[Table]"
+    #: that table's ``rewrites`` count at the snapshot
+    rewrites: int
 
     def frequent(self) -> Dict[FrozenSet[int], int]:
         """The frequent subset of :attr:`counts` (what rule
@@ -124,6 +159,11 @@ class RefreshStats:
 
     mode: str = "incremental"  # "incremental" | "full"
     reason: str = ""  # why a full re-mine was forced
+    #: source row count the increment started from (0 = state capture)
+    watermark: int = 0
+    #: rows of the relation the pairs query scanned, counted on the
+    #: relation: ``delta_rows`` unless something read below the watermark
+    scanned_rows: int = 0
     delta_rows: int = 0
     delta_pairs: int = 0
     new_items: int = 0
@@ -142,7 +182,12 @@ class RefreshStats:
     rules: int = 0
 
     def as_args(self) -> Dict[str, object]:
-        return {k: v for k, v in self.__dict__.items() if v or k == "mode"}
+        """The non-zero fields, plus what an incremental refresh always
+        says: where it started and how much it scanned."""
+        keep = {"mode"}
+        if self.mode == "incremental":
+            keep |= {"watermark", "scanned_rows"}
+        return {k: v for k, v in self.__dict__.items() if v or k in keep}
 
 
 def refresh_eligibility(program: TranslationProgram) -> Optional[str]:
@@ -161,15 +206,20 @@ def refresh_eligibility(program: TranslationProgram) -> Optional[str]:
     return None
 
 
-def pairs_query(statement: MineRuleStatement) -> str:
-    """The collapsed Q0+Q3a query: every distinct (schema, group) pair
-    of the (filtered) source in first-appearance order."""
+def pairs_query(statement: MineRuleStatement, relation: str) -> str:
+    """The collapsed Q0+Q3a query over *relation* (the increment):
+    every distinct (schema, group) pair of its (filtered) rows in
+    first-appearance order.  The relation is bound to the name the
+    statement itself uses for its source, so the source condition
+    renders and resolves unchanged."""
     table = statement.from_list[0]
-    source = table.name + (f" {table.alias}" if table.alias else "")
     columns = ", ".join(
         tuple(statement.body.attributes) + tuple(statement.group_attributes)
     )
-    sql = f"SELECT DISTINCT {columns} FROM {source}"
+    sql = (
+        f"SELECT DISTINCT {columns} FROM {relation} "
+        f"{table.alias or table.name}"
+    )
     if statement.source_condition is not None:
         sql += f" WHERE {render_expr(statement.source_condition)}"
     return sql
@@ -183,11 +233,13 @@ def pairs_query(statement: MineRuleStatement) -> str:
 class RefreshComputation:
     """One refresh of one statement: delta scan + FUP recount.
 
-    Pure computation over the engine's in-memory tables — the caller
+    Computation over the engine's in-memory tables — the caller
     (:meth:`repro.system.MiningSystem.refresh`) owns locking, tracer
     spans, fault sites and the emission through the postprocessor.
-    Both phases are side-effect free until :meth:`recount` returns the
-    new state, so a faulted phase can simply be retried.
+    Nothing the recorded state answers from changes until
+    :meth:`recount` returns the new state (the shared universes only
+    grow past the sizes it committed), so a faulted phase can simply
+    be retried.
     """
 
     def __init__(
@@ -195,188 +247,177 @@ class RefreshComputation:
         db,
         statement: MineRuleStatement,
         state: Optional[MiningState],
+        workspace: Workspace = Workspace(),
     ):
         self.db = db
         self.statement = statement
         self.state = state
+        self.workspace = workspace
         self.stats = RefreshStats()
-        # populated by delta()
-        self._item_order: List[Tuple] = []
-        self._item_index: Dict[Tuple, int] = {}
-        self._group_index: Dict[Tuple, int] = {}
-        self._masks: List[int] = []
+        #: delta()'s result: the next state, its counts still to come
+        self._pending: Optional[MiningState] = None
         self._known: Dict[FrozenSet[int], int] = {}
-        self._row_count = 0
-        self._fingerprint = 0
-        self._stride = 1
+        #: item id -> its recorded bitmap as bytes (probe cache)
+        self._snapshot_bytes: Dict[int, bytes] = {}
 
     # -- phase 1: delta ---------------------------------------------------
 
     def delta(self) -> RefreshStats:
-        """Verify the append-only premise, intern the delta pairs and
-        delta-adjust every known itemset count.
+        """Verify the append-only premise, run the pairs query over the
+        increment, intern its pairs and delta-adjust every known
+        itemset count.
 
         Raises :class:`SourceMutated` when the source is not an
         append-only extension of the snapshot."""
-        rows = self._source_rows()
-        self._check_append_only(rows)
-        pairs = self.db.execute(pairs_query(self.statement)).rows
-        self._apply_pairs(pairs)
+        table_name = self.statement.from_list[0].name
+        catalog = self.db.catalog
+        if not catalog.has_table(table_name):
+            raise SourceMutated(f"source table {table_name!r} is gone")
+        table = catalog.get_table(table_name)
+        watermark, snapshot = self._check_append_only(table)
+        increment = table.tail(watermark, self.workspace.increment)
+        catalog.create_table(increment)
+        try:
+            pairs = self.db.execute(
+                pairs_query(self.statement, increment.name)
+            ).rows
+        finally:
+            catalog.drop_table(increment.name)
+        self.stats.scanned_rows = len(increment)
+        self._apply_pairs(pairs, snapshot)
         return self.stats
 
-    def _source_rows(self) -> List[Tuple]:
-        table_name = self.statement.from_list[0].name
-        if not self.db.catalog.has_table(table_name):
-            raise SourceMutated(f"source table {table_name!r} is gone")
-        return self.db.catalog.get_table(table_name).rows
-
-    def _check_append_only(self, rows: List[Tuple]) -> None:
-        state = self.state
-        n = len(rows)
-        old_n = state.row_count if state is not None else 0
+    def _check_append_only(self, table: Table) -> Tuple[int, Dict[str, object]]:
+        """The watermark the increment starts from, once the rows below
+        it are known to be the snapshot's, and the :class:`MiningState`
+        fields that describe the source as read now."""
+        state, n, watermark = self.state, len(table), 0
         if state is not None:
-            if n < old_n:
-                raise SourceMutated(
-                    f"source shrank from {old_n} to {n} rows"
-                )
-            crc = 0
-            for i in range(0, old_n, state.stride):
-                crc = zlib.crc32(repr(rows[i]).encode("utf-8"), crc)
+            watermark = state.row_count
+            for mutated, how in (
+                (state.source() is not table, "was dropped and recreated"),
+                (table.rewrites != state.rewrites,
+                 "had rows rewritten in place (UPDATE, DELETE or truncate)"),
+                (n < watermark, f"shrank from {watermark} to {n} rows"),
+            ):
+                if mutated:
+                    raise SourceMutated(f"source table {table.name!r} {how}")
+            crc = _fingerprint(table, watermark, state.stride)
             if crc != state.fingerprint:
                 raise SourceMutated(
                     "sampled prefix fingerprint changed "
                     "(rows were updated or deleted in place)"
                 )
+        self.stats.watermark = watermark
+        self.stats.delta_rows = n - watermark
         stride = fingerprint_stride(n)
-        crc = 0
-        for i in range(0, n, stride):
-            crc = zlib.crc32(repr(rows[i]).encode("utf-8"), crc)
-        self._row_count = n
-        self._fingerprint = crc
-        self._stride = stride
-        self.stats.delta_rows = n - old_n
+        return watermark, dict(
+            row_count=n,
+            fingerprint=_fingerprint(table, n, stride),
+            stride=stride,
+            source=weakref.ref(table),
+            rewrites=table.rewrites,
+        )
 
-    def _apply_pairs(self, pairs: List[Tuple]) -> None:
-        """Intern the distinct (schema, group) pairs, growing the item
-        and group orders append-only, and record per-item added slots.
-
-        The pairs list is a superset of the recorded state: new items
-        and groups get fresh indexes/slots at the end (matching a
-        from-scratch staging enumeration of the appended table), and
-        pairs already present are skipped via an O(1) bit probe."""
+    def _apply_pairs(
+        self, pairs: List[Tuple], snapshot: Dict[str, object]
+    ) -> None:
+        """Intern the increment's distinct (schema, group) pairs,
+        extending the item and group universes in place: new items and
+        groups get fresh slots at the end (matching a from-scratch
+        staging enumeration of the appended table), a pair repeated
+        from the snapshot is skipped via an O(1) bit probe."""
         state = self.state
         k = len(self.statement.body.attributes)
-        item_order = list(state.item_order) if state else []
-        item_index = dict(state.item_index) if state else {}
-        group_index = dict(state.group_index) if state else {}
-        old_items = len(item_order)
-        old_groups = len(group_index)
-        old_bytes: Dict[int, bytes] = {}
-        nbytes_old = (old_groups + 7) // 8
+        if state is not None:
+            items, groups = state.items, state.groups
+            old_items, old_groups = state.item_count, state.totg
+            masks = list(state.masks)
+        else:
+            items, groups = SlotUniverse(), SlotUniverse()
+            old_items = old_groups = 0
+            masks = []
+        item_slot, group_slot = items.slot, groups.slot
+        in_snapshot = self._in_snapshot
         added: Dict[int, List[int]] = {}
 
         for row in pairs:
-            item = tuple(row[:k])
-            group = tuple(row[k:])
-            slot = group_index.get(group)
-            if slot is None:
-                slot = len(group_index)
-                group_index[group] = slot
-            index = item_index.get(item)
-            if index is None:
-                index = len(item_order)
-                item_index[item] = index
-                item_order.append(item)
-            elif index < old_items and slot < old_groups:
-                probe = old_bytes.get(index)
-                if probe is None:
-                    probe = state.masks[index].to_bytes(
-                        nbytes_old, "little"
-                    )
-                    old_bytes[index] = probe
-                if (probe[slot >> 3] >> (slot & 7)) & 1:
-                    continue  # pair already in the snapshot
+            slot = group_slot(row[k:])
+            index = item_slot(row[:k])
+            if index < old_items and slot < old_groups and in_snapshot(
+                index, slot
+            ):
+                continue  # a pair the increment repeats
             added.setdefault(index, []).append(slot)
 
-        totg = len(group_index)
-        nbytes_new = (totg + 7) // 8
-        masks: List[int] = []
-        for index in range(len(item_order)):
-            slots = added.get(index)
-            if slots is None:
-                masks.append(state.masks[index])  # untouched: shared
-                continue
-            mask = mask_from_slots(slots, nbytes_new)
-            if index < old_items:
-                mask |= state.masks[index]  # extend the snapshot's bitmap
-            masks.append(mask)
+        nbytes_new = (len(groups) + 7) // 8
+        masks.extend([0] * (len(items) - old_items))
+        for index, slots in added.items():
+            masks[index] |= mask_from_slots(slots, nbytes_new)
 
-        self._item_order = item_order
-        self._item_index = item_index
-        self._group_index = group_index
-        self._masks = masks
+        self._pending = MiningState(
+            items=items, groups=groups, masks=masks, counts={},
+            item_count=len(masks), totg=len(groups), min_count=0, **snapshot,
+        )
         stats = self.stats
         stats.delta_pairs = sum(len(s) for s in added.values())
-        stats.new_items = len(item_order) - old_items
-        stats.new_groups = totg - old_groups
+        stats.new_items = len(items) - old_items
+        stats.new_groups = len(groups) - old_groups
         stats.touched_items = len(added)
-        touched_slots = sorted(
-            {slot for slots in added.values() for slot in slots}
-        )
-        stats.touched_groups = len(touched_slots)
-        self._update_known_counts(added, touched_slots, nbytes_new)
+        touched = {slot for slots in added.values() for slot in slots}
+        stats.touched_groups = len(touched)
+        self._update_known_counts(added, touched)
+
+    def _in_snapshot(self, index: int, slot: int) -> bool:
+        """Whether the recorded state has item *index* in group *slot*
+        (both its own): one ``to_bytes`` per item, then O(1) probes."""
+        raw = self._snapshot_bytes.get(index)
+        if raw is None:
+            raw = self._snapshot_bytes[index] = self.state.masks[
+                index
+            ].to_bytes((self.state.totg + 7) // 8, "little")
+        return bool((raw[slot >> 3] >> (slot & 7)) & 1)
 
     def _update_known_counts(
-        self,
-        added: Dict[int, List[int]],
-        touched_slots: List[int],
-        nbytes_new: int,
+        self, added: Dict[int, List[int]], touched: Set[int]
     ) -> None:
-        """FUP delta adjustment: every itemset of the recorded state
-        gets its exact new count from bitmaps *restricted to the
-        touched slots* — appended rows cannot flip any other bit, so
-        ``new = old + pc(AND_new & T) - pc(AND_old & T)``."""
+        """FUP delta adjustment (module docstring): ``new = old +
+        pc(AND_new & T) - pc(AND_old & T)`` over the touched slots,
+        the snapshot probed only at touched slots it had."""
         state = self.state
         if state is None:
             return
-        touched_items = set(added)
-        slot_pos = {slot: pos for pos, slot in enumerate(touched_slots)}
-        compact_added: Dict[int, int] = {}
-        for index, slots in added.items():
-            bits = 0
-            for slot in slots:
-                bits |= 1 << slot_pos[slot]
-            compact_added[index] = bits
-        compact_cache: Dict[int, int] = {}
+        # compact bitmaps: one bit per touched slot, in any fixed order
+        slot_pos = {slot: pos for pos, slot in enumerate(touched)}
+        compact = functools.partial(
+            mask_from_slots, nbytes=(len(touched) + 7) // 8
+        )
+        compact_added = {
+            index: compact(slot_pos[slot] for slot in slots)
+            for index, slots in added.items()
+        }
+        old_touched = [
+            (pos, slot) for slot, pos in slot_pos.items() if slot < state.totg
+        ]
+        compact_old = functools.cache(lambda index: compact(
+            pos for pos, slot in old_touched if self._in_snapshot(index, slot)
+        ))
 
-        def compact_new(index: int) -> int:
-            bits = compact_cache.get(index)
-            if bits is None:
-                raw = self._masks[index].to_bytes(nbytes_new, "little")
-                bits = 0
-                for pos, slot in enumerate(touched_slots):
-                    if (raw[slot >> 3] >> (slot & 7)) & 1:
-                        bits |= 1 << pos
-                compact_cache[index] = bits
-            return bits
-
-        known = self._known
+        known: Dict[FrozenSet[int], int] = {}
         for itemset, count in state.counts.items():
-            if touched_items.isdisjoint(itemset):
+            if compact_added.keys().isdisjoint(itemset):
                 known[itemset] = count
                 continue
             new_bits = -1
             old_bits = -1
             for index in itemset:
-                bits = compact_new(index)
-                new_bits &= bits
-                old_bits &= bits & ~compact_added.get(index, 0)
-            mask = (1 << len(touched_slots)) - 1
+                bits = compact_old(index)
+                old_bits &= bits
+                new_bits &= bits | compact_added.get(index, 0)
             known[itemset] = (
-                count
-                + (new_bits & mask).bit_count()
-                - (old_bits & mask).bit_count()
+                count + new_bits.bit_count() - old_bits.bit_count()
             )
+        self._known = known
         self.stats.known_itemsets = len(known)
 
     # -- phase 2: recount -------------------------------------------------
@@ -386,15 +427,15 @@ class RefreshComputation:
         counts are known (delta-adjusted) cost a dict lookup; only
         border-crossing candidates re-scan the full bitmaps.  Returns
         the committed new state (F' ∪ border')."""
-        masks = self._masks
-        known = self._known
-        totg = len(self._group_index)
+        pending = self._pending
+        masks, totg, known = pending.masks, pending.totg, self._known
         min_count = min_group_count(self.statement.min_support, totg)
         counts: Dict[FrozenSet[int], int] = {}
         stats = self.stats
         stats.recounted_itemsets = 0  # idempotent under phase retries
 
-        def exact(key: FrozenSet[int], members: Tuple[int, ...]) -> int:
+        def exact(members: Tuple[int, ...]) -> int:
+            key = frozenset(members)
             count = known.get(key)
             if count is None:
                 bits = masks[members[0]]
@@ -402,70 +443,22 @@ class RefreshComputation:
                     bits &= masks[index]
                 count = bits.bit_count()
                 stats.recounted_itemsets += 1
+            counts[key] = count
             return count
 
-        level: List[Tuple[int, ...]] = []
-        for index in range(len(self._item_order)):
-            key = frozenset((index,))
-            count = exact(key, (index,))
-            counts[key] = count
-            if count >= min_count:
-                level.append((index,))
-
+        level = [(index,) for index in range(len(masks))]
         while level:
-            survivors = {frozenset(members) for members in level}
-            next_level: List[Tuple[int, ...]] = []
-            for candidate in _apriori_candidates(level, survivors):
-                key = frozenset(candidate)
-                count = exact(key, candidate)
-                counts[key] = count
-                if count >= min_count:
-                    next_level.append(candidate)
-            level = next_level
+            level = [
+                members for members in level if exact(members) >= min_count
+            ]
+            level = FrequentItemsetMiner.join_candidates(level)
 
         frequent = sum(1 for c in counts.values() if c >= min_count)
         stats.frequent_itemsets = frequent
         stats.border_itemsets = len(counts) - frequent
         stats.totg = totg
         stats.min_count = min_count
-        return MiningState(
-            item_order=self._item_order,
-            item_index=self._item_index,
-            group_index=self._group_index,
-            masks=masks,
-            counts=counts,
-            totg=totg,
-            min_count=min_count,
-            row_count=self._row_count,
-            fingerprint=self._fingerprint,
-            stride=self._stride,
-        )
-
-
-def _apriori_candidates(
-    level: List[Tuple[int, ...]], survivors: Set[FrozenSet[int]]
-) -> List[Tuple[int, ...]]:
-    """Classic prefix-join + subset-prune candidate generation over the
-    sorted frequent tuples of one level."""
-    level = sorted(level)
-    out: List[Tuple[int, ...]] = []
-    n = len(level)
-    for i in range(n):
-        head = level[i]
-        prefix = head[:-1]
-        for j in range(i + 1, n):
-            other = level[j]
-            if other[:-1] != prefix:
-                break
-            candidate = head + (other[-1],)
-            if len(candidate) > 2:
-                key = frozenset(candidate)
-                if any(
-                    key - {member} not in survivors for member in candidate
-                ):
-                    continue
-            out.append(candidate)
-    return out
+        return replace(pending, counts=counts, min_count=min_count)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +478,7 @@ def encode_for_emission(
     bit-identical to a from-scratch run."""
     bid_of: Dict[int, int] = {}
     bset_rows: List[Tuple] = []
-    for index, item in enumerate(state.item_order):
+    for index, item in enumerate(state.items):
         count = state.counts.get(frozenset((index,)))
         if count is None or count < state.min_count:
             continue

@@ -85,6 +85,13 @@ class Workspace:
     def output_heads(self) -> str:
         return f"{self.prefix}_OutputHeads"
 
+    @property
+    def increment(self) -> str:
+        """REFRESH RULES: the source rows past the append watermark,
+        registered for the one pairs query and dropped after it (never
+        among :meth:`all_tables`: no program creates it)."""
+        return f"{self.prefix}_Increment"
+
     # -- sequences -------------------------------------------------------
 
     @property

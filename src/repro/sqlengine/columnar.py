@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import datetime
 from array import array
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.sqlengine.errors import CatalogError, ExecutionError
@@ -297,16 +298,31 @@ class ColumnVector:
             code = self.data[position]
             return None if code < 0 else self.values[code]
         if kind in ("int", "float"):
-            if self.nulls and position in self._null_set():
-                return None
+            nulls = self.nulls  # ascending: positions are appended in order
+            if nulls:
+                at = bisect_left(nulls, position)
+                if at < len(nulls) and nulls[at] == position:
+                    return None
             return self.data[position]
         if kind == "obj":
             return self.data[position]
         return None
 
-    def _null_set(self):
-        # small helper; the hot paths use to_pylist / numpy instead
-        return set(self.nulls)
+    def tail(self, start: int) -> "ColumnVector":
+        """The values from position *start* on as a vector of their
+        own: the layout's slice, a str vector's dictionary shared.  A
+        read-only view (an append could intern into the shared
+        dictionary); the cost is the tail's length."""
+        out = ColumnVector()
+        out.kind = self.kind
+        out.length = max(self.length - start, 0)
+        if self.data is not None:
+            out.data = self.data[start:]
+        nulls = self.nulls
+        out.nulls = [p - start for p in nulls[bisect_left(nulls, start):]]
+        out.values = self.values
+        out.index = self.index
+        return out
 
     @property
     def has_nulls(self) -> bool:
@@ -406,6 +422,7 @@ class ColumnarTable(Table):
         self._rows_cache: Optional[List[Row]] = None
         #: bumped on every mutation; vector scans key batch caches on it
         self.data_version = 0
+        self.rewrites = 0
 
     # -- columnar access -------------------------------------------------
 
@@ -460,7 +477,19 @@ class ColumnarTable(Table):
     @rows.setter
     def rows(self, new_rows: List[Row]) -> None:
         # assignment re-encodes (the DELETE/UPDATE replace path)
+        self.rewrites += 1
         self._encode_rows(new_rows)
+
+    def row(self, position: int) -> Row:
+        self._sync_external()
+        return tuple(vector.get(position) for vector in self._vectors)
+
+    def tail(self, start: int, name: str) -> "ColumnarTable":
+        self._sync_external()
+        out = ColumnarTable(name, self.columns, self.types)
+        out._vectors = [vector.tail(start) for vector in self._vectors]
+        out._length = max(self._length - start, 0)
+        return out
 
     def insert(self, values: Sequence[Any]) -> None:
         if len(values) != len(self.columns):
@@ -552,6 +581,7 @@ class ColumnarTable(Table):
         return count
 
     def truncate(self) -> None:
+        self.rewrites += 1
         self._vectors = [ColumnVector() for _ in self.columns]
         self._length = 0
         self._rows_cache = None
@@ -560,6 +590,7 @@ class ColumnarTable(Table):
             table_index.entries = {}
 
     def replace_rows(self, rows: List[Row]) -> None:
+        self.rewrites += 1
         self._encode_rows(rows)
         for table_index in self.indexes.values():
             table_index.rebuild(self._rows_cache)

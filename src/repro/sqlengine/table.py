@@ -85,6 +85,10 @@ class Table:
         self._index: Dict[str, int] = {c.lower(): i for i, c in enumerate(columns)}
         #: secondary indexes by lowered name
         self.indexes: Dict[str, TableIndex] = {}
+        #: mutations that were not appends (DELETE, UPDATE, truncate):
+        #: a reader that remembered a row count compares this to know
+        #: the rows below it are still the ones it saw
+        self.rewrites = 0
 
     # -- schema ----------------------------------------------------------
 
@@ -155,13 +159,28 @@ class Table:
             out[position] = list(map(itemgetter(position), self.rows))
         return out
 
+    def row(self, position: int) -> Row:
+        """The stored row at *position*, without touching any other."""
+        return self.rows[position]
+
+    def tail(self, start: int, name: str) -> "Table":
+        """The rows from position *start* on as a relation of their
+        own called *name*: same columns, types and storage, the stored
+        values shared (no insert, no coercion), no secondary indexes.
+        A read-only view for one query; the cost is the tail's length."""
+        out = Table(name, self.columns, self.types)
+        out.rows = self.rows[start:]
+        return out
+
     def truncate(self) -> None:
+        self.rewrites += 1
         self.rows.clear()
         for table_index in self.indexes.values():
             table_index.entries = {}
 
     def replace_rows(self, rows: List[Row]) -> None:
         """Swap the row list (DELETE/UPDATE path) and rebuild indexes."""
+        self.rewrites += 1
         self.rows = rows
         for table_index in self.indexes.values():
             table_index.rebuild(rows)

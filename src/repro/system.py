@@ -422,9 +422,11 @@ class MiningSystem:
         peak_bytes: Optional[int] = None,
         rules: Optional[int] = None,
         stages: Optional[Dict[str, float]] = None,
+        refresh: Optional[Dict[str, Any]] = None,
         **extra: Any,
     ) -> None:
-        """Append one completed run/refresh to the run-history journal."""
+        """Append one completed run/refresh to the run-history journal
+        (*refresh*: the ``RefreshStats.as_args()`` of a refresh)."""
         record: Dict[str, Any] = {
             "id": ctx.trace_id,
             "kind": kind,
@@ -450,6 +452,8 @@ class MiningSystem:
             record["stages"] = {
                 name: round(seconds, 6) for name, seconds in stages.items()
             }
+        if refresh is not None:
+            record["refresh"] = refresh
         record.update(extra)
         if self.tracer.enabled:
             # persist the run's own slice of the trace so GET
@@ -986,6 +990,10 @@ class MiningSystem:
                             None if result is None else result.flow.timings
                         ),
                         mode=mode,
+                        refresh=(
+                            None if result is None
+                            else result.stats.as_args()
+                        ),
                     )
         if health is not None:
             health.success()
@@ -1036,7 +1044,8 @@ class MiningSystem:
             )
 
         computation = RefreshComputation(
-            self.db, entry.program.statement, entry.state
+            self.db, entry.program.statement, entry.state,
+            entry.program.workspace,
         )
 
         def phase(site: str, fn):
@@ -1057,13 +1066,12 @@ class MiningSystem:
             "refresh delta",
             "capturing mining state from the source"
             if entry.state is None
-            else f"diffing source against {entry.state.row_count}-row "
-                 f"snapshot",
+            else f"reading the source past row {entry.state.row_count}",
         )
         try:
-            # delta() is idempotent (pure computation into local
-            # buffers), so an injected fault at the site simply re-runs
-            # the whole phase on retry
+            # delta() is idempotent (it extends the state's universes
+            # only past the sizes the state committed), so an injected
+            # fault at the site simply re-runs the whole phase on retry
             phase("refresh.delta", computation.delta)
         except SourceMutated as exc:
             flow.stop()

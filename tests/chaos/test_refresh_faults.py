@@ -16,6 +16,7 @@ import datetime
 import pytest
 
 from repro import FaultError, FaultSchedule, RetryPolicy, faults
+from repro.incremental import RefreshComputation
 
 from .conftest import NO_SLEEP, fresh_system, output_fingerprint
 
@@ -110,3 +111,57 @@ def test_emission_crash_then_rerefresh_converges(refreshed_baseline):
     result = system.refresh("ChaosRefresh")
     assert result.stats.delta_rows == 0  # state committed before crash
     assert output_fingerprint(system, "ChaosRefresh") == refreshed_baseline
+
+
+MORE = [
+    (31, "c10", "snow_goggles", datetime.date(1998, 1, 3), 60.0, 1),
+    (32, "c11", "ski_pants", datetime.date(1998, 1, 4), 120.0, 1),
+]
+
+
+@pytest.mark.parametrize("retry", [None, RETRY], ids=["rerefresh", "retried"])
+def test_delta_killed_after_interning_repeats_idempotently(
+    retry, monkeypatch
+):
+    """The refresh state's universes are extended in place, so an
+    attempt that dies *after* interning the increment's new items and
+    groups leaves them interned.  The committed sizes say they were
+    never counted: the next attempt — over a longer increment —
+    interns them again and lands on the from-scratch bytes."""
+    system = _primed_system()
+    entry = system._refresh_registry["chaosrefresh"]
+    committed = (entry.state.item_count, entry.state.totg)
+    adjust = RefreshComputation._update_known_counts
+    calls = []
+
+    def dies_once(self, added, touched):
+        calls.append(len(added))
+        if len(calls) == 1:
+            raise FaultError("refresh.delta", 1, "killed after interning")
+        return adjust(self, added, touched)
+
+    monkeypatch.setattr(RefreshComputation, "_update_known_counts", dies_once)
+    if retry is None:
+        with pytest.raises(FaultError):
+            system.refresh("ChaosRefresh")
+        assert (entry.state.item_count, entry.state.totg) == committed
+        assert len(entry.state.groups) > entry.state.totg  # interned
+        table = system.db.catalog.get_table("Purchase")
+        for row in MORE:
+            table.insert(list(row))
+        appended = EXTRA + MORE
+    else:
+        appended = EXTRA
+    result = system.refresh("ChaosRefresh", retry=retry)
+    assert result.stats.mode == "incremental"
+    assert result.stats.delta_rows == len(appended)
+    assert len(calls) == 2
+
+    scratch = fresh_system()
+    table = scratch.db.catalog.get_table("Purchase")
+    for row in appended:
+        table.insert(list(row))
+    scratch.run(STATEMENT)
+    assert output_fingerprint(system, "ChaosRefresh") == output_fingerprint(
+        scratch, "ChaosRefresh"
+    )

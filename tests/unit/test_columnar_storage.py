@@ -72,6 +72,29 @@ class TestColumnVector:
         assert big.kind == "obj"
         assert big.to_pylist() == [2**70]
 
+    @pytest.mark.parametrize("values", [
+        (1, None, 3, None, 5),
+        (1.5, None, 2.5),
+        ("a", "b", None, "a"),
+        (None, None, None),
+        (True, 2**70, None),
+    ])
+    def test_tail_and_get_agree_with_the_full_decode(self, values):
+        vector = ColumnVector()
+        for value in values:
+            vector.append(value)
+        assert [vector.get(i) for i in range(len(values))] == list(values)
+        for start in range(len(values) + 2):
+            tail = vector.tail(start)
+            assert tail.kind == vector.kind
+            assert len(tail) == len(values[start:])
+            assert tail.to_pylist() == list(values[start:])
+
+    def test_tail_shares_the_string_dictionary(self):
+        vector = ColumnVector()
+        vector.extend(["a", "b", "a"])
+        assert vector.tail(1).values is vector.values
+
 
 class TestColumnarTable:
     def _table(self):
@@ -117,6 +140,46 @@ class TestColumnarTable:
         table = ColumnarTable("T", ("a",), [SqlType.REAL])
         table.insert((1,))
         assert table.rows == [(1.0,)]
+
+    @pytest.mark.parametrize("kind", STORAGE_KINDS)
+    def test_tail_is_a_relation_over_the_stored_values(self, kind):
+        table = make_table(kind, "T", ("a", "b"),
+                           [SqlType.INTEGER, SqlType.VARCHAR])
+        table.insert_many([(1, "x"), (2, "y"), (None, "x")])
+        table.create_index("ix_b", ("b",))
+        tail = table.tail(1, "T_tail")
+        assert (tail.name, tail.storage, tail.columns, tail.types) == (
+            "T_tail", kind, table.columns, table.types
+        )
+        assert len(tail) == 2 and not tail.indexes
+        assert tail.rows == [(2, "y"), (None, "x")]
+        if kind == "row":
+            assert tail.rows[0] is table.rows[1]  # shared, not copied
+        assert tail.column_lists() == [[2, None], ["y", "x"]]
+        assert table.tail(3, "e").rows == [] == table.tail(9, "e").rows
+        assert [table.row(i) for i in range(3)] == table.rows
+
+    @pytest.mark.parametrize("kind", STORAGE_KINDS)
+    def test_rewrites_count_every_mutation_that_is_not_an_append(self, kind):
+        db = Database()
+        db.storage_hints["t"] = kind
+        db.execute("CREATE TABLE T (a INTEGER, b VARCHAR)")
+        table = db.catalog.get_table("T")
+        db.execute("INSERT INTO T VALUES (1, 'x')")
+        table.insert((2, "y"))
+        table.insert_many([(3, "z")])
+        assert table.rewrites == 0
+        db.execute("UPDATE T SET b = 'w' WHERE a = 1")
+        assert table.rewrites == 1
+        db.execute("UPDATE T SET b = 'w' WHERE a = 99")  # matches nothing
+        db.execute("DELETE FROM T WHERE a = 2")
+        db.execute("DELETE FROM T")
+        assert table.rewrites == 4
+        table.truncate()
+        assert table.rewrites == 5
+        if kind == "columnar":
+            table.rows = [(7, "q")]
+            assert table.rewrites == 6
 
     def test_make_table_and_validate(self):
         assert isinstance(make_table("columnar", "t", ("a",)), ColumnarTable)

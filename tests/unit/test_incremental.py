@@ -6,14 +6,14 @@ import datetime
 import pytest
 
 from repro import Database, MiningSystem
-from repro.datagen import load_purchase_figure1
+from repro.algorithms.base import FrequentItemsetMiner
+from repro.datagen import load_purchase_figure1, load_purchase_synthetic
 from repro.incremental import (
     FINGERPRINT_SAMPLES,
     MiningState,
     RefreshComputation,
     RefreshError,
     SourceMutated,
-    _apriori_candidates,
     encode_for_emission,
     fingerprint_stride,
     pairs_query,
@@ -102,9 +102,19 @@ class TestEligibility:
 class TestPairsQuery:
     def test_shape(self):
         statement = parse_mine_rule(SIMPLE)
-        assert pairs_query(statement) == (
-            "SELECT DISTINCT item, tr FROM Purchase"
+        assert pairs_query(statement, "MR_Increment") == (
+            "SELECT DISTINCT item, tr FROM MR_Increment Purchase"
         )
+
+    def test_increment_is_bound_to_the_statement_alias(self):
+        statement = parse_mine_rule(
+            SIMPLE.replace(
+                "FROM Purchase GROUP BY",
+                "FROM Purchase AS P WHERE P.qty > 1 GROUP BY",
+            )
+        )
+        sql = pairs_query(statement, "MR_Increment")
+        assert "FROM MR_Increment P WHERE" in sql and "P.qty" in sql
 
     def test_source_condition_rendered(self):
         statement = parse_mine_rule(
@@ -113,9 +123,11 @@ class TestPairsQuery:
                 "FROM Purchase WHERE qty > 1 GROUP BY",
             )
         )
-        sql = pairs_query(statement)
-        assert sql.startswith("SELECT DISTINCT item, tr FROM Purchase")
-        assert "WHERE" in sql and "qty" in sql
+        sql = pairs_query(statement, "MR_Increment")
+        assert sql.startswith(
+            "SELECT DISTINCT item, tr FROM MR_Increment Purchase WHERE"
+        )
+        assert "qty" in sql
 
 
 class TestFingerprint:
@@ -130,20 +142,18 @@ class TestFingerprint:
 
 
 class TestAprioriCandidates:
+    """The generator :meth:`RefreshComputation.recount` shares with the
+    pool (its private copy is gone)."""
+
+    join = staticmethod(FrequentItemsetMiner.join_candidates)
+
     def test_prefix_join(self):
-        level = [(1,), (2,), (5,)]
-        survivors = {frozenset(t) for t in level}
-        assert _apriori_candidates(level, survivors) == [
-            (1, 2), (1, 5), (2, 5),
-        ]
+        assert self.join([(1,), (2,), (5,)]) == [(1, 2), (1, 5), (2, 5)]
 
     def test_subset_prune(self):
-        level = [(1, 2), (1, 3)]
-        survivors = {frozenset(t) for t in level}
         # (1,2,3) needs {2,3} frequent — it is not, so no candidates
-        assert _apriori_candidates(level, survivors) == []
-        survivors.add(frozenset((2, 3)))
-        assert _apriori_candidates(level, survivors) == [(1, 2, 3)]
+        assert self.join([(1, 2), (1, 3)]) == []
+        assert self.join([(1, 2), (1, 3), (2, 3)]) == [(1, 2, 3)]
 
 
 class TestRefreshComputation:
@@ -185,7 +195,8 @@ class TestRefreshComputation:
         scratch.delta()
         recaptured = scratch.recount()
         assert refreshed.counts == recaptured.counts
-        assert refreshed.item_order == recaptured.item_order
+        assert list(refreshed.items) == list(recaptured.items)
+        assert list(refreshed.groups) == list(recaptured.groups)
         assert refreshed.masks == recaptured.masks
         assert computation.stats.delta_rows == len(EXTRA)
         assert computation.stats.new_groups == 2
@@ -280,6 +291,101 @@ class TestSystemRefresh:
         assert result.stats.mode == "full"
         assert "shrank" in result.stats.reason
         assert result.rules
+
+    def test_engine_update_the_sampled_fingerprint_misses_forces_full(self):
+        """4 534 rows hash every 4th: an UPDATE of 343 rows at unsampled
+        positions used to leave the crc intact and the refresh
+        incremental over stale bitmaps (56 rules; from scratch 12)."""
+        statement = SIMPLE.replace("0.25", "0.02").replace("0.5", "0.2")
+        system = MiningSystem()
+        table = load_purchase_synthetic(system.db, customers=300, seed=19)
+        system.run(statement)
+        system.refresh("SimpleAssociations")  # capture state
+        stride = fingerprint_stride(len(table))
+        assert stride > 1
+        tr_at, item_at = table.column_index("tr"), table.column_index("item")
+        victims = [r[tr_at] for r in table.rows if r[item_at] == "shirt_0"]
+        sampled = {
+            r[tr_at] for r in table.rows[::stride] if r[item_at] == "shirt_0"
+        }
+        trs = ", ".join(str(tr) for tr in victims if tr not in sampled)
+        updated = system.db.execute(
+            "UPDATE Purchase SET item = 'ZZZ' "
+            f"WHERE item = 'shirt_0' AND tr IN ({trs})"
+        )
+        assert updated.rowcount > 300
+        table.insert(list(table.rows[-1]))
+        result = system.refresh("SimpleAssociations")
+        assert result.stats.mode == "full"
+        assert "rewritten in place" in result.stats.reason
+        scratch = MiningSystem(database=system.db).run(statement)
+        assert result.rule_set() == scratch.rule_set()
+        # the re-mine re-registered the statement: appends refresh again
+        system.refresh("SimpleAssociations")
+        table.insert(list(table.rows[-1]))
+        assert system.refresh("SimpleAssociations").stats.mode == "incremental"
+
+    def test_dropped_and_recreated_source_forces_full(self, system):
+        system.run(SIMPLE)
+        system.refresh("SimpleAssociations")
+        load_purchase_figure1(system.db)  # same rows, another table object
+        append_purchase(system.db, EXTRA)
+        result = system.refresh("SimpleAssociations")
+        assert result.stats.mode == "full"
+        assert "dropped and recreated" in result.stats.reason
+
+    @pytest.mark.parametrize("storage", ["row", "columnar"])
+    def test_refresh_scans_only_the_increment(self, storage):
+        """Counts, not wall time: whatever the base size, the relation
+        the pairs query scans is the appended rows."""
+        scanned = {}
+        for customers in (20, 80):
+            system = MiningSystem()
+            system.db.storage_hints["purchase"] = storage
+            table = load_purchase_synthetic(system.db, customers=customers)
+            base = len(table)
+            system.run(SIMPLE)
+            captured = system.refresh("SimpleAssociations").stats
+            assert (captured.watermark, captured.scanned_rows) == (0, base)
+            append_purchase(system.db, EXTRA)
+            stats = system.refresh("SimpleAssociations").stats
+            assert stats.mode == "incremental"
+            assert stats.watermark == base
+            assert stats.scanned_rows == stats.delta_rows == len(EXTRA)
+            assert not system.db.catalog.has_table("MR1_Increment")
+            empty = system.refresh("SimpleAssociations").stats
+            assert (empty.watermark, empty.scanned_rows, empty.delta_rows) == (
+                base + len(EXTRA), 0, 0
+            )
+            scanned[base] = stats.scanned_rows
+        assert len(scanned) == 2 and set(scanned.values()) == {len(EXTRA)}
+
+    def test_refresh_stats_reach_the_instant_and_the_journal(self):
+        from repro.obs.runlog import RunLog
+        from repro.obs.spans import Tracer
+
+        database = Database()
+        load_purchase_figure1(database)
+        tracer, runlog = Tracer(enabled=True), RunLog()
+        system = MiningSystem(database=database, tracer=tracer, runlog=runlog)
+        system.run(SIMPLE)
+        system.refresh("SimpleAssociations")
+        append_purchase(system.db, EXTRA)
+        system.refresh("SimpleAssociations")
+        system.run(GENERAL)
+        system.refresh("RichAssoc")
+        capture, delta = [
+            i.args for i in tracer.instants if i.name == "refresh.stats"
+        ]
+        assert (capture["watermark"], capture["scanned_rows"]) == (0, 8)
+        assert (delta["watermark"], delta["scanned_rows"]) == (8, len(EXTRA))
+        records = [runlog.get(r["id"]) for r in runlog.list(kind="refresh")]
+        assert [r["refresh"].get("scanned_rows") for r in records] == [
+            8, len(EXTRA), None
+        ]
+        assert records[1]["refresh"]["watermark"] == 8
+        assert records[2]["mode"] == records[2]["refresh"]["mode"] == "full"
+        assert "general core" in records[2]["refresh"]["reason"]
 
     def test_refresh_stats_surface_in_tracer(self):
         from repro.obs.spans import Tracer
