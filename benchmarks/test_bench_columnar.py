@@ -16,6 +16,7 @@ EXPLAIN ANALYZE.
 from benchmarks.conftest import BENCH_QUICK, bench_report
 from repro import Database, MiningSystem
 from repro.datagen import load_purchase_synthetic
+from repro.sqlengine import EngineOptions
 from repro.sqlengine.dump import dump_table_text
 
 REPORT, write_report = bench_report("BENCH_PR7.json")
@@ -44,8 +45,8 @@ CATALOG = 150
 SPILL_BUDGET = 16_000 if BENCH_QUICK else 64_000
 
 
-def _load():
-    database = Database()
+def _load(**engine_kw):
+    database = Database(EngineOptions(**engine_kw))
     load_purchase_synthetic(
         database,
         customers=CUSTOMERS,
@@ -69,13 +70,11 @@ def _output_dumps(database, result):
     }
 
 
-def _run(**system_kw):
-    """One cold end-to-end run; returns (preprocess seconds, rules,
-    output dumps, database)."""
-    database = _load()
-    system = MiningSystem(
-        database=database, reuse_preprocessing=False, **system_kw
-    )
+def _run(**engine_kw):
+    """One cold end-to-end run under the given executor options;
+    returns (preprocess seconds, rules, output dumps, database)."""
+    database = _load(**engine_kw)
+    system = MiningSystem(database=database, reuse_preprocessing=False)
     result = system.run(STATEMENT)
     return (
         result.preprocess_stats.total_seconds,

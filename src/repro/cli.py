@@ -76,6 +76,7 @@ from repro.obs import (
     render_obs_report,
     write_chrome_trace,
 )
+from repro.sqlengine import Database, EngineOptions
 from repro.sqlengine.errors import SqlError
 from repro.system import MiningSystem
 
@@ -111,18 +112,20 @@ class Shell:
         memory_budget: Optional[int] = None,
     ):
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self.slowlog = slowlog
-        self.health = health
         #: structured logger (``repro.obs.jsonlog.JsonLogger``) or None
         self.json_log = json_log
-        #: run-history journal (``repro.obs.runlog.RunLog``) or None
-        self.runlog = runlog
+        #: executor tuning from ``--batch-size`` / ``--memory-budget``
+        #: (None keeps the engine default); validated by EngineOptions
+        tuning = {"batch_size": batch_size, "memory_budget": memory_budget}
+        options = EngineOptions(
+            **{name: value for name, value in tuning.items()
+               if value is not None}
+        )
         self.system = MiningSystem(
+            database=Database(options),
             algorithm=algorithm, retry_policy=retry_policy,
             tracer=self.tracer, metrics=metrics, slowlog=slowlog,
-            health=health, runlog=runlog, batch_size=batch_size,
-            memory_budget=memory_budget,
+            health=health, runlog=runlog,
         )
         #: job service (``repro.jobs.JobService``) attached by serve
         #: mode so ``.jobs`` can report it; None in the plain shell
@@ -232,21 +235,10 @@ class Shell:
     def _mine(self, text: str) -> str:
         result = self.system.run(text, resume=self.resume)
         self.last_result = result
-        out = result.statement.output_table
-        lines = [
-            f"directives: {result.directives}",
-            f"{len(result.rules)} rules -> {out}, {out}_Bodies, "
-            f"{out}_Heads, {out}_Display",
-        ]
-        if result.resilience is not None and result.resilience.any():
-            lines.append(f"resilience: {result.resilience.describe()}")
-        if self.db.catalog.has_table(f"{out}_Display"):
-            lines.append(self.db.table(f"{out}_Display").pretty(limit=25))
-        return "\n".join(lines)
+        return self._rules_text(result, f"directives: {result.directives}")
 
     def _refresh(self, text: str) -> str:
         result = self.system.refresh(text, resume=self.resume)
-        out = result.statement.output_table
         stats = result.stats
         if stats.mode == "full":
             detail = f"full re-mine ({stats.reason})"
@@ -256,11 +248,20 @@ class Shell:
                 f"{stats.delta_pairs} new pairs, "
                 f"{stats.recounted_itemsets} itemsets recounted"
             )
+        return self._rules_text(
+            result, f"refreshed {result.output_table} — {detail}"
+        )
+
+    def _rules_text(self, result, headline: str) -> str:
+        """What a mined and a refreshed rule set print alike."""
+        out = result.output_table
         lines = [
-            f"refreshed {out} — {detail}",
+            headline,
             f"{len(result.rules)} rules -> {out}, {out}_Bodies, "
             f"{out}_Heads, {out}_Display",
         ]
+        if result.resilience is not None and result.resilience.any():
+            lines.append(f"resilience: {result.resilience.describe()}")
         if self.db.catalog.has_table(f"{out}_Display"):
             lines.append(self.db.table(f"{out}_Display").pretty(limit=25))
         return "\n".join(lines)
@@ -355,17 +356,12 @@ class Shell:
                 return "usage: .restore DIRECTORY"
             from repro.sqlengine.dump import load_database
 
-            old_options = self.db.options
-            self.system = MiningSystem(
-                database=load_database(argument),
-                algorithm=self.system.algorithm,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                slowlog=self.slowlog,
-                health=self.health,
-                batch_size=old_options.batch_size,
-                memory_budget=old_options.memory_budget,
-            )
+            # rebind the live system (same journal, retry policy and
+            # sinks; an attached job service follows), same executor
+            # options
+            database = load_database(argument)
+            database.options = self.db.options
+            self.system.attach(database)
             return f"restored catalog from {argument}"
         if command == ".timing":
             self.timing = argument.lower() == "on"
@@ -406,9 +402,9 @@ class Shell:
 
             return render_prometheus(metrics).rstrip("\n")
         if command == ".slowlog":
-            if self.slowlog is None:
+            if self.system.slowlog is None:
                 return "no slow-query log attached (serve mode has one)"
-            return self.slowlog.render()
+            return self.system.slowlog.render()
         if command == ".jobs":
             if self.jobs is None:
                 return (

@@ -42,7 +42,7 @@ from repro.obs import context as obs_context
 from repro.obs import profile as obs_profile
 from repro.obs.context import TraceContext, new_trace_id
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.runlog import RunLog, statement_fingerprint
+from repro.obs.runlog import RunLog
 from repro.sqlengine.dump import dump_table_text
 from repro.system import MiningSystem, RunCancelled
 
@@ -290,21 +290,16 @@ class JobService:
                 # mine/refresh jobs are journalled by the system with
                 # full stage timings; plain SQL never reaches it, so
                 # the service records those itself
-                self.runlog.record(
-                    id=job.trace_id,
-                    kind="sql",
-                    trace_id=job.trace_id,
-                    job_id=job.id,
-                    statement=job.statement[:200],
-                    fingerprint=statement_fingerprint(job.statement),
-                    status={DONE: "ok", CANCELLED: "cancelled"}.get(
-                        status, "error"
-                    ),
-                    seconds=round(elapsed, 6),
+                self.runlog.record_run(
+                    context,
+                    "sql",
+                    job.statement,
+                    {DONE: "ok", CANCELLED: "cancelled"}.get(status, "error"),
+                    elapsed,
+                    error=error_text,
                     cpu_seconds=round(
                         obs_profile.cpu_seconds() - cpu_start, 6
                     ),
-                    **({"error": error_text} if error_text else {}),
                 )
 
     def _run_job(self, job: Job, policy: RetryPolicy) -> Dict[str, Any]:
@@ -313,15 +308,10 @@ class JobService:
         cancel = self.table.cancel_hook(job.id)
         if cancel():
             raise RunCancelled(f"{job.id} cancelled before execution")
-        if job.kind == "mine":
-            return self._run_mine(job, policy, cancel)
-        if job.kind == "refresh":
-            return self._run_refresh(job, policy, cancel)
-        return self._run_sql(job)
-
-    def _rule_payload(self, result) -> Dict[str, Any]:
-        """Display text + canonical rule list shared by the mine and
-        refresh result payloads."""
+        if job.kind == "sql":
+            return self._run_sql(job)
+        verb = self.system.run if job.kind == "mine" else self.system.refresh
+        result = verb(job.statement, retry=policy, cancel=cancel)
         out = result.output_table
         db = self.system.db
         display_table = f"{out}_Display"
@@ -340,32 +330,20 @@ class JobService:
             )
             for rule in result.rules
         )
-        return {
+        payload = {
             "output_table": out,
             "rule_count": len(result.rules),
             "rules": rules,
             "display": display,
             "run_id": result.run_id,
+            "kind": job.kind,
         }
-
-    def _run_mine(self, job: Job, policy: RetryPolicy,
-                  cancel) -> Dict[str, Any]:
-        result = self.system.run(job.statement, retry=policy, cancel=cancel)
-        payload = self._rule_payload(result)
-        payload["kind"] = "mine"
-        payload["preprocessing_reused"] = result.preprocessing_reused
-        return payload
-
-    def _run_refresh(self, job: Job, policy: RetryPolicy,
-                     cancel) -> Dict[str, Any]:
-        result = self.system.refresh(
-            job.statement, retry=policy, cancel=cancel
-        )
-        payload = self._rule_payload(result)
-        payload["kind"] = "refresh"
-        payload["mode"] = result.stats.mode
-        if result.stats.reason:
-            payload["reason"] = result.stats.reason
+        if job.kind == "mine":
+            payload["preprocessing_reused"] = result.preprocessing_reused
+        else:
+            payload["mode"] = result.stats.mode
+            if result.stats.reason:
+                payload["reason"] = result.stats.reason
         return payload
 
     def _run_sql(self, job: Job) -> Dict[str, Any]:

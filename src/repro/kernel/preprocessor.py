@@ -11,10 +11,10 @@ computation of ``:mingroups`` from ``:totg`` after query Q1 — the
 integer group-count threshold corresponding to the statement's minimum
 support (Appendix A binds it as a host variable).
 
-Resilience: each setup/preprocessing query is one retryable stage.  A
-fault-injection check (site ``preprocessor.<label>``) runs at query
-entry, a :class:`~repro.faults.RetryPolicy` re-attempts injected
-failures with capped backoff, and a
+Resilience: each setup/preprocessing query is one retryable unit of
+the run's :class:`~repro.kernel.context.RunContext` (fault site
+``preprocessor.<label>`` at query entry, the run's retry policy, the
+cancel hook), and the context's
 :class:`~repro.kernel.program.StageCheckpoint` records every completed
 query (plus the host variables and encoded-table snapshot) so a
 resumed run skips the queries whose output tables already exist.
@@ -26,15 +26,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro import faults
-from repro.faults import RetryPolicy
+from repro.kernel.context import RunContext
 from repro.kernel.core.inputs import min_group_count
-from repro.kernel.program import (
-    StageCheckpoint,
-    TranslationProgram,
-    TranslationQuery,
-)
-from repro.kernel.trace import ProcessFlow
+from repro.kernel.program import TranslationProgram, TranslationQuery
 from repro.sqlengine.engine import Database
 
 
@@ -53,10 +47,6 @@ class PreprocessStats:
     #: physical-plan cache hits/misses during this run
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: queries skipped because a resume checkpoint marked them complete
-    queries_skipped: int = 0
-    #: query re-attempts taken by the retry policy
-    retries: int = 0
     #: EXPLAIN ANALYZE node stats per query label (captured only when
     #: the database tracer was created with ``analyze=True``)
     analyzed: Dict[str, list] = field(default_factory=dict)
@@ -84,20 +74,21 @@ class Preprocessor:
     def run(
         self,
         program: TranslationProgram,
-        flow: Optional[ProcessFlow] = None,
-        checkpoint: Optional[StageCheckpoint] = None,
-        policy: Optional[RetryPolicy] = None,
+        ctx: Optional[RunContext] = None,
     ) -> PreprocessStats:
         """Execute the translation program's setup + preprocessing
         queries in order; returns execution statistics.
 
-        With a *checkpoint*, completed queries are skipped (their host
-        variables restored from the checkpoint) and each newly
-        completed query is recorded; with a *policy*, injected faults
-        are retried per query.
+        *ctx* is the run's context (a fresh single-attempt one when the
+        preprocessor is driven on its own): queries its checkpoint
+        marks complete are skipped (their host variables restored from
+        the checkpoint) and each newly completed query is recorded;
+        injected faults are retried per query under its policy.
         """
         stats = PreprocessStats()
-        policy = policy if policy is not None else RetryPolicy.single()
+        if ctx is None:
+            ctx = RunContext(tracer=self._db.tracer)
+        checkpoint = ctx.checkpoint
         before = self._db.cache_stats.snapshot()
 
         # Register the workspace tables' storage layout before any
@@ -115,16 +106,17 @@ class Preprocessor:
         for index, (key, query) in enumerate(program.query_keys()):
             quiet = index < setup_count  # setup stays out of the trace
             if key in completed:
-                stats.queries_skipped += 1
-                if flow is not None and not quiet:
-                    flow.event(
+                ctx.resilience.stages_resumed += 1
+                if not quiet:
+                    ctx.flow.event(
                         "preprocessor",
                         f"skipped {query.label} (resume)",
                         query.purpose,
                     )
                 continue
-            self._run_query(key, query, program, stats, flow, checkpoint,
-                            policy, quiet)
+            self._run_query(query, program, stats, ctx, quiet)
+            if checkpoint is not None:
+                checkpoint.record_query(key, self._db, program.workspace)
 
         self._collect_table_sizes(program, stats)
         if stats.totg == 0 and "totg" in self._db.variables:
@@ -145,84 +137,58 @@ class Preprocessor:
 
     def _run_query(
         self,
-        key: str,
         query: TranslationQuery,
         program: TranslationProgram,
         stats: PreprocessStats,
-        flow: Optional[ProcessFlow],
-        checkpoint: Optional[StageCheckpoint],
-        policy: RetryPolicy,
-        quiet: bool = False,
+        ctx: RunContext,
+        quiet: bool,
     ) -> None:
-        def attempt() -> None:
-            tracer = self._db.tracer
-            with tracer.span(
-                f"preprocessor.{query.label}",
-                category="preprocessor",
-                purpose=query.purpose,
-            ) as span:
-                # The fault site fires at query entry — before the
-                # engine touches any state — so a retry re-runs the
-                # query exactly once against unchanged tables.
-                faults.check(f"preprocessor.{query.label}")
-                if tracer.analyze:
-                    # EXPLAIN ANALYZE capture: the query still executes
-                    # exactly once; its per-operator stats ride along.
-                    analysis = self._db.analyze(query.sql)
-                    stats.analyzed[query.label] = analysis.nodes
-                    stats.analyzed_text[query.label] = analysis.text
-                    span.annotate(rows=analysis.rowcount, plan=analysis.text)
-                else:
-                    # Prepared execution: repeated runs of the same
-                    # translation program hit the engine's statement
-                    # and plan caches.
-                    self._db.prepare(query.sql).execute()
-
-        def on_retry(stage: str, attempt_no: int, exc: Exception,
-                     delay: float) -> None:
-            stats.retries += 1
-            if flow is not None:
-                flow.bump("retries")
-                flow.event(
-                    "preprocessor",
-                    "retry",
-                    f"{stage} attempt {attempt_no} failed ({exc}); "
-                    f"backing off {delay * 1000:.1f} ms",
+        def execute() -> None:
+            if self._db.tracer.analyze:
+                # EXPLAIN ANALYZE capture: the query still executes
+                # exactly once; its per-operator stats ride along.
+                analysis = self._db.analyze(query.sql)
+                stats.analyzed[query.label] = analysis.nodes
+                stats.analyzed_text[query.label] = analysis.text
+                self._db.tracer.annotate(
+                    rows=analysis.rowcount, plan=analysis.text
                 )
+            else:
+                # Prepared execution: repeated runs of the same
+                # translation program hit the engine's statement
+                # and plan caches.
+                self._db.prepare(query.sql).execute()
 
         started = time.perf_counter()
-        policy.execute(attempt, stage=f"preprocessor.{query.label}",
-                       on_retry=on_retry)
+        ctx.attempt(
+            f"preprocessor.{query.label}", execute, own_site=True,
+            purpose=query.purpose,
+        )
         elapsed = time.perf_counter() - started
         if not quiet:
             stats.query_seconds[query.label] = (
                 stats.query_seconds.get(query.label, 0.0) + elapsed
             )
-            metrics = self._db.metrics
-            if metrics.enabled:
-                metrics.histogram(
-                    "repro_preprocess_stage_seconds",
-                    "Wall seconds per preprocessing query (Q0..Q11)",
-                    ("stage",),
-                ).observe(elapsed, stage=query.label)
+            self._db.metrics.histogram(
+                "repro_preprocess_stage_seconds",
+                "Wall seconds per preprocessing query (Q0..Q11)",
+                ("stage",),
+            ).observe(elapsed, stage=query.label)
             slowlog = self._db.slowlog
             if slowlog is not None:
                 slowlog.record(
                     f"preprocessor.{query.label}", elapsed,
                     detail=query.purpose,
                 )
-            if flow is not None:
-                flow.event("preprocessor", f"ran {query.label}", query.purpose)
+            ctx.flow.event("preprocessor", f"ran {query.label}", query.purpose)
         if query.label == "Q1":
-            self._bind_mingroups(program, stats, flow)
-        if checkpoint is not None:
-            checkpoint.record_query(key, self._db, program.workspace)
+            self._bind_mingroups(program, stats, ctx)
 
     def _bind_mingroups(
         self,
         program: TranslationProgram,
         stats: PreprocessStats,
-        flow: Optional[ProcessFlow],
+        ctx: RunContext,
     ) -> None:
         totg = int(self._db.variables["totg"])
         mingroups = min_group_count(program.statement.min_support, totg)
@@ -230,45 +196,32 @@ class Preprocessor:
         stats.totg = totg
         stats.mingroups = mingroups
         metrics = self._db.metrics
-        if metrics.enabled:
-            metrics.gauge(
-                "repro_preprocess_totg", "Total group count (:totg)"
-            ).set(totg)
-            metrics.gauge(
-                "repro_preprocess_mingroups",
-                "Minimum group-count threshold (:mingroups)",
-            ).set(mingroups)
-        if flow is not None:
-            flow.event(
-                "preprocessor",
-                "bound host variables",
-                f":totg={totg}, :mingroups={mingroups}",
-            )
+        metrics.gauge(
+            "repro_preprocess_totg", "Total group count (:totg)"
+        ).set(totg)
+        metrics.gauge(
+            "repro_preprocess_mingroups",
+            "Minimum group-count threshold (:mingroups)",
+        ).set(mingroups)
+        ctx.flow.event(
+            "preprocessor",
+            "bound host variables",
+            f":totg={totg}, :mingroups={mingroups}",
+        )
 
     def _collect_table_sizes(
         self, program: TranslationProgram, stats: PreprocessStats
     ) -> None:
-        metrics = self._db.metrics
-        table_gauge = (
-            metrics.gauge(
-                "repro_encoded_table_rows",
-                "Rows in the encoded tables after preprocessing",
-                ("table",),
-            )
-            if metrics.enabled
-            else None
+        table_gauge = self._db.metrics.gauge(
+            "repro_encoded_table_rows",
+            "Rows in the encoded tables after preprocessing",
+            ("table",),
         )
         prefix = f"{program.workspace.prefix}_"
         for table in program.workspace.all_tables():
             if self._db.catalog.has_table(table):
                 rows = len(self._db.catalog.get_table(table))
                 stats.table_rows[table] = rows
-                if table_gauge is not None:
-                    # strip the per-run workspace prefix (MR<n>_) so the
-                    # label set stays stable across executions
-                    label = (
-                        table[len(prefix):]
-                        if table.startswith(prefix)
-                        else table
-                    )
-                    table_gauge.set(rows, table=label)
+                # strip the per-run workspace prefix (MR<n>_) so the
+                # label set stays stable across executions
+                table_gauge.set(rows, table=table.removeprefix(prefix))

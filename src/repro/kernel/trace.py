@@ -17,8 +17,9 @@ of the run, so a single bump is never recorded twice.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs.spans import NULL_TRACER, Tracer
 
@@ -53,12 +54,10 @@ class ProcessFlow:
 
     def event(self, component: str, action: str, detail: str = "") -> None:
         self.events.append(ProcessEvent(component, action, detail))
-        if detail:
-            self.tracer.instant(
-                f"{component}: {action}", category=component, detail=detail
-            )
-        else:
-            self.tracer.instant(f"{component}: {action}", category=component)
+        args = {"detail": detail} if detail else {}
+        self.tracer.instant(
+            f"{component}: {action}", category=component, **args
+        )
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment a named counter (faults, retries, stages_resumed,
@@ -86,6 +85,17 @@ class ProcessFlow:
         self._started = None
         self._component = None
         return elapsed
+
+    @contextmanager
+    def phase(self, component: str) -> Iterator[None]:
+        """:meth:`start` .. :meth:`stop` around a block.  The phase is
+        closed however the block exits, so a stage that fails or is
+        cancelled leaves no open span on the tracer's stack."""
+        self.start(component)
+        try:
+            yield
+        finally:
+            self.stop()
 
     def components(self) -> List[str]:
         """Distinct components in first-event order (FIG3 assertion)."""

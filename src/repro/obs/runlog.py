@@ -26,7 +26,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
-from repro.obs.context import new_trace_id
+from repro.obs.context import TraceContext, new_trace_id
 
 
 def statement_fingerprint(statement: str) -> str:
@@ -109,6 +109,33 @@ class RunLog:
                 with open(self.path, "a", encoding="utf-8") as handle:
                     handle.write(line + "\n")
         return record
+
+    def record_run(
+        self,
+        context: TraceContext,
+        kind: str,
+        statement: str,
+        status: str,
+        seconds: float,
+        **extra: Any,
+    ) -> Dict[str, Any]:
+        """Append the record of one finished statement — the keys every
+        kind (``mine``, ``refresh``, ``sql``) shares, then *extra*
+        (``error``, ``cpu_seconds``, ...; entries that are None are
+        left out)."""
+        record: Dict[str, Any] = {
+            "id": context.trace_id,
+            "kind": kind,
+            **context.fields(),
+            "statement": statement[:200],
+            "fingerprint": statement_fingerprint(statement),
+            "status": status,
+            "seconds": round(seconds, 6),
+        }
+        record.update(
+            (key, value) for key, value in extra.items() if value is not None
+        )
+        return self.record(**record)
 
     # -- read side ------------------------------------------------------
 

@@ -1058,7 +1058,8 @@ class Database:
                 removed += 1
             else:
                 kept.append(row)
-        table.replace_rows(kept)
+        if removed:  # no match: nothing was rewritten, indexes stand
+            table.replace_rows(kept)
         return Result(rowcount=removed)
 
     def _execute_update(self, statement: ast.Update) -> Result:
@@ -1090,7 +1091,8 @@ class Database:
                 updated += 1
             else:
                 new_rows.append(row)
-        table.replace_rows(new_rows)
+        if updated:  # no match: nothing was rewritten, indexes stand
+            table.replace_rows(new_rows)
         return Result(rowcount=updated)
 
 

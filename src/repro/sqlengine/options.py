@@ -39,3 +39,13 @@ class EngineOptions:
     #: executor whole); False forces the row executor everywhere — the
     #: oracle of the differential tests
     vectorize: bool = True
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(
+                f"batch_size must be positive, got {self.batch_size}"
+            )
+        if self.memory_budget is not None and self.memory_budget < 1:
+            raise ValueError(
+                f"memory_budget must be positive, got {self.memory_budget}"
+            )

@@ -17,6 +17,7 @@ the exact artifacts the row path is pinned to.
 import pytest
 
 from repro import Database, MiningSystem
+from repro.sqlengine import EngineOptions
 from repro.datagen import load_purchase_figure1
 from repro.sqlengine.dump import dump_table_text
 
@@ -34,9 +35,9 @@ CONFIGURATIONS = {
 @pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
 @pytest.mark.parametrize("name", sorted(GOLDEN_STATEMENTS))
 def test_columnar_matches_row_goldens(name, config):
-    database = Database()
+    database = Database(EngineOptions(**CONFIGURATIONS[config]))
     load_purchase_figure1(database)
-    system = MiningSystem(database=database, **CONFIGURATIONS[config])
+    system = MiningSystem(database=database)
     result = system.run(GOLDEN_STATEMENTS[name])
     out = result.output_table
 

@@ -118,10 +118,10 @@ def _load_purchase(database, rows):
     )
 
 
-def _run_pipeline(rows, statement, **system_kw):
-    database = Database()
+def _run_pipeline(rows, statement, **engine_options):
+    database = Database(EngineOptions(**engine_options))
     _load_purchase(database, rows)
-    system = MiningSystem(database=database, **system_kw)
+    system = MiningSystem(database=database)
     result = system.run(statement)
     out = result.output_table
     dumps = {

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, MiningSystem
+from repro.algorithms import Apriori
 from repro.sqlengine.types import SqlType
 
 STATEMENT = (
@@ -137,7 +138,7 @@ class TestRefreshMatchesScratch:
     @given(schedule=schedules)
     @settings(max_examples=10, deadline=None)
     def test_refresh_after_set_layout_run_matches_scratch(self, schedule):
-        _check_chain(schedule, representation="set")
+        _check_chain(schedule, algorithm=Apriori(representation="set"))
 
     @given(schedule=schedules)
     @settings(max_examples=20, deadline=None)

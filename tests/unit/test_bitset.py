@@ -191,8 +191,9 @@ class TestRepresentationValidation:
             GeneralCoreOperator(representation="roaring")
         from repro import MiningSystem
 
-        with pytest.raises(ValueError):
-            MiningSystem(representation="roaring")
+        # the system has no layout knob: the pool member carries its own
+        with pytest.raises(TypeError):
+            MiningSystem(representation="set")
 
     def test_stats_merge_and_clear(self):
         a = BitsetStats(universe_sizes={"gid": 5}, popcount_calls=2)
@@ -255,24 +256,49 @@ class TestSystemRepresentationSwitch:
         "EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.2"
     )
 
-    def _run(self, statement, **kwargs):
+    @staticmethod
+    def _execute(system, statement, degrade=False):
+        """*degrade*: a ``core.bitset`` site that never stops failing,
+        the one thing that makes the system select the ``"set"``
+        layout."""
+        from repro import faults
+        from repro.faults import FaultSchedule
+
+        if not degrade:
+            return system.execute(statement)
+        schedule = FaultSchedule().arm("core.bitset", call=1, times=10**6)
+        with faults.injected(schedule):
+            result = system.execute(statement)
+        assert result.resilience.degraded
+        return result
+
+    def _run(self, statement, degrade=False, **kwargs):
         from repro import MiningSystem
         from repro.datagen import load_purchase_figure1
 
         system = MiningSystem(**kwargs)
         load_purchase_figure1(system.db)
-        return system.execute(statement)
+        return self._execute(system, statement, degrade)
 
     def test_simple_core_identical_across_representations(self):
         bitset = self._run(self.STATEMENT)
-        sets = self._run(self.STATEMENT, representation="set")
-        assert bitset.rule_set() == sets.rule_set()
-        assert bitset.core_stats.representation == "bitset"
-        assert sets.core_stats.representation == "set"
+        for sets in (
+            self._run(self.STATEMENT, algorithm=Apriori(representation="set")),
+            self._run(self.STATEMENT, degrade=True),
+        ):
+            assert bitset.rule_set() == sets.rule_set()
+            assert bitset.core_stats.representation == "bitset"
+            assert sets.core_stats.representation == "set"
+
+    def test_degrade_hands_the_pool_member_back_unchanged(self):
+        member = Apriori()
+        self._run(self.STATEMENT, degrade=True, algorithm=member)
+        assert member.representation == "bitset"
 
     def test_general_core_identical_across_representations(self):
         bitset = self._run(self.CLUSTERED)
-        sets = self._run(self.CLUSTERED, representation="set")
+        sets = self._run(self.CLUSTERED, degrade=True)
+        assert sets.core_stats.representation == "set"
         assert bitset.encoded_rules == sets.encoded_rules
         assert bitset.core_stats.variant == "general"
         assert bitset.core_stats.lattice_sizes
@@ -283,8 +309,10 @@ class TestSystemRepresentationSwitch:
 
     def test_general_core_picks_its_layout_from_the_density(self):
         """Dense inputs (the Figure 2 golden, the BENCH_PR2 shape) mine
-        on bitmaps, a sparse clickstream on slot sets; forcing either
-        layout gives byte-equal output tables."""
+        on bitmaps, a sparse clickstream on slot sets; the degrade's
+        forced ``"set"`` layout gives byte-equal output tables (the
+        operator-level forced layouts are compared in
+        ``test_core_operators`` and ``test_bitset_differential``)."""
         from repro import MiningSystem
         from repro.datagen import (
             load_clickstream,
@@ -318,10 +346,12 @@ class TestSystemRepresentationSwitch:
         ]
         for load, shape, statement, expected in cases:
             tables = {}
-            for layout in (None, "bitset", "set"):
-                system = MiningSystem(representation=layout)
+            for layout in (None, "set"):
+                system = MiningSystem()
                 load(system.db, **shape)
-                result = system.execute(statement)
+                result = self._execute(
+                    system, statement, degrade=layout == "set"
+                )
                 assert result.encoded_rules
                 out = result.output_table
                 tables[layout] = [
@@ -329,7 +359,7 @@ class TestSystemRepresentationSwitch:
                     for name in (out, f"{out}_Bodies", f"{out}_Heads")
                 ]
                 assert result.core_stats.representation == (layout or expected)
-            assert tables[None] == tables["bitset"] == tables["set"]
+            assert tables[None] == tables["set"]
 
     def test_core_stats_surfaced_in_trace_and_report(self):
         from repro.report import render_report

@@ -223,6 +223,53 @@ class TestDumpRestore:
         assert "restored" in fresh.execute(f".restore {target}")
         assert "8" in fresh.execute("SELECT COUNT(*) FROM Purchase")
 
+    def test_restore_rebinds_the_live_system(self, shell, tmp_path):
+        """``.restore`` used to build a second MiningSystem without the
+        journal and the retry policy, leaving an attached job service
+        on the pre-restore database."""
+        from repro.faults import RetryPolicy
+        from repro.jobs.service import JobService
+        from repro.obs.runlog import RunLog
+
+        target = tmp_path / "session"
+        shell.execute(f".dump {target}")
+        journal = RunLog()
+        policy = RetryPolicy(max_attempts=2)
+        fresh = Shell(runlog=journal, retry_policy=policy,
+                      batch_size=16, memory_budget=4096)
+        system = fresh.system
+        with JobService(system, workers=1, runlog=journal) as jobs:
+            fresh.jobs = jobs
+            assert "restored" in fresh.execute(f".restore {target}")
+            assert fresh.system is system and jobs.system is system
+            assert system.runlog is journal
+            assert system.retry_policy is policy
+            assert (fresh.db.options.batch_size,
+                    fresh.db.options.memory_budget) == (16, 4096)
+            fresh.execute(
+                "INSERT INTO Purchase VALUES "
+                "(9, 'cust3', 'ski_pants', DATE '1995-12-20', 140, 1)"
+            )
+            job = jobs.wait(jobs.submit("SELECT COUNT(*) FROM Purchase").id)
+            assert job.state == "done" and job.result["rows"] == [[9]]
+            assert "9" in fresh.execute("SELECT COUNT(*) FROM Purchase")
+            assert "rules" in fresh.execute(MINE)
+        mined = journal.list(kind="mine")
+        assert len(mined) == 1 and mined[0]["status"] == "ok"
+
+    def test_restore_forgets_what_described_the_old_catalog(
+        self, shell, tmp_path
+    ):
+        target = tmp_path / "session"
+        shell.execute(f".dump {target}")
+        shell.execute(MINE)
+        assert shell.system._refresh_registry
+        shell.execute(f".restore {target}")
+        assert not shell.system._refresh_registry
+        assert not shell.system._preprocess_cache
+        assert "no MINE RULE run recorded" in shell.execute("REFRESH RULES R")
+        assert "rules" in shell.execute(MINE)
+
     def test_dump_requires_argument(self, shell):
         assert "usage" in shell.execute(".dump")
 

@@ -171,15 +171,24 @@ class TestColumnarTable:
         assert table.rewrites == 0
         db.execute("UPDATE T SET b = 'w' WHERE a = 1")
         assert table.rewrites == 1
-        db.execute("UPDATE T SET b = 'w' WHERE a = 99")  # matches nothing
+        # a statement that matches no row rewrites nothing: the counter
+        # stands and the index is the one built before
+        entries = table.create_index("t_a", ["a"]).entries
+        rows_before = list(table.rows)
+        assert db.execute("UPDATE T SET b = 'w' WHERE a = 99").rowcount == 0
+        assert db.execute("DELETE FROM T WHERE a = 99").rowcount == 0
+        assert table.rewrites == 1
+        assert table.indexes["t_a"].entries is entries
+        assert table.rows == rows_before
         db.execute("DELETE FROM T WHERE a = 2")
+        assert table.indexes["t_a"].entries is not entries
         db.execute("DELETE FROM T")
-        assert table.rewrites == 4
+        assert table.rewrites == 3
         table.truncate()
-        assert table.rewrites == 5
+        assert table.rewrites == 4
         if kind == "columnar":
             table.rows = [(7, "q")]
-            assert table.rewrites == 6
+            assert table.rewrites == 5
 
     def test_make_table_and_validate(self):
         assert isinstance(make_table("columnar", "t", ("a",)), ColumnarTable)

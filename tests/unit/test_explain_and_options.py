@@ -105,13 +105,21 @@ class TestEngineOptions:
             "plan_cache_size", "batch_size", "memory_budget", "vectorize",
         ]
         parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]
-        assert len(parameters) == 12 and parameters == [
-            "database", "algorithm", "reuse_preprocessing", "representation",
-            "retry_policy", "tracer", "metrics", "slowlog", "health", "runlog",
-            "batch_size", "memory_budget",
+        assert len(parameters) == 9 and parameters == [
+            "database", "algorithm", "reuse_preprocessing", "retry_policy",
+            "tracer", "metrics", "slowlog", "health", "runlog",
         ]
-        with pytest.raises(TypeError):
-            MiningSystem(workers=2)
+        for gone in ({"workers": 2}, {"representation": "set"},
+                     {"batch_size": 16}, {"memory_budget": 1 << 20}):
+            with pytest.raises(TypeError):
+                MiningSystem(**gone)
+        # executor tuning is the engine's, rejected at its boundary
+        for bad in ({"batch_size": 0}, {"memory_budget": 0}):
+            (name, value), = bad.items()
+            with pytest.raises(
+                ValueError, match=f"{name} must be positive, got {value}"
+            ):
+                EngineOptions(**bad)
 
         from repro.algorithms import REPRESENTATIONS
 
