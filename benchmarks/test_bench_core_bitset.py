@@ -1,5 +1,4 @@
-"""PR2 — the vertical bitset mining core, measured against the
-set-based baseline it replaced.
+"""PR2 — the vertical bitset mining core.
 
 Three scenarios, asserted (a wrong speedup ratio or a result mismatch
 fails, not just slows down) and recorded to ``BENCH_PR2.json``:
@@ -12,8 +11,10 @@ a) **General-core lattice**: the m x n rule lattice on two inputs — a
    picks, and that pick must be within 15 % of the faster forced layout
    on both inputs: the bench gates the choice, not one twin.
 b) **Pool algorithms**: the vertical ``eclat`` member (diffsets) vs.
-   levelwise Apriori over a Quest basket workload, plus Apriori's own
-   set-vs-bitset gid-list switch.  Identical ``ItemsetCounts``.
+   levelwise Apriori over a Quest basket workload, both on gid bitmaps.
+   Identical ``ItemsetCounts``.  (The members' ``"set"`` layout and
+   eclat's tidset mode were measured here until PR 22; their last
+   numbers are in EXPERIMENTS.md.)
 c) **Core input loading**: ``CoreInputLoader.load_general`` row
    decoding (tuple unpacking per branch, previously ``list``/``pop``
    per row) — recorded so regressions in the decode loop are visible.
@@ -75,8 +76,6 @@ if BENCH_QUICK:
     LATTICE_FLOOR = 1.05
     QUEST = QuestParameters(transactions=200, avg_transaction_size=8,
                             items=100, patterns=40, seed=77)
-    ECLAT_FLOOR = 1.0
-    APRIORI_FLOOR = 0.8
 else:
     CLICKS = dict(users=1000, sessions_per_user=3, seed=19)
     PURCHASE = dict(customers=200, days=6, transactions_per_customer=6,
@@ -84,9 +83,10 @@ else:
     LATTICE_FLOOR = 2.0
     QUEST = QuestParameters(transactions=800, avg_transaction_size=10,
                             items=150, patterns=60, seed=77)
-    ECLAT_FLOOR = 2.0
-    APRIORI_FLOOR = 1.2
 QUEST_SUPPORT = 0.03
+#: eclat ties Apriori on this shape (it wins deeper lattices); a member
+#: this far behind the levelwise baseline has regressed
+ECLAT_FLOOR = 0.5
 
 
 def _best_of(fn, runs=3):
@@ -206,22 +206,16 @@ class TestPoolEclatVsApriori:
     def test_vertical_vs_levelwise(self, benchmark):
         baskets = generate_quest(QUEST)
         min_count = max(1, math.ceil(QUEST_SUPPORT * len(baskets)))
-        miners = {
-            "apriori_set": Apriori(representation="set"),
-            "apriori_bitset": Apriori(),
-            "eclat_diffsets": Eclat(),
-            "eclat_tidsets": Eclat(diffsets=False),
-        }
+        miners = {"apriori_bitset": Apriori(), "eclat_diffsets": Eclat()}
         seconds, counts = {}, {}
         for label, miner in miners.items():
             seconds[label], counts[label] = _best_of(
                 lambda m=miner: m.mine(baskets, min_count)
             )
-        reference = counts["apriori_set"]
-        assert all(result == reference for result in counts.values())
+        reference = counts["apriori_bitset"]
+        assert counts["eclat_diffsets"] == reference
 
-        eclat_speedup = seconds["apriori_set"] / seconds["eclat_diffsets"]
-        apriori_speedup = seconds["apriori_set"] / seconds["apriori_bitset"]
+        eclat_speedup = seconds["apriori_bitset"] / seconds["eclat_diffsets"]
         REPORT["pool_eclat"] = {
             "workload": {
                 "transactions": QUEST.transactions,
@@ -232,14 +226,10 @@ class TestPoolEclatVsApriori:
             "quick": BENCH_QUICK,
             "frequent_itemsets": len(reference),
             "seconds": {k: round(v, 6) for k, v in seconds.items()},
-            "eclat_vs_set_apriori": round(eclat_speedup, 2),
-            "bitset_vs_set_apriori": round(apriori_speedup, 2),
+            "eclat_vs_apriori": round(eclat_speedup, 2),
         }
         assert eclat_speedup >= ECLAT_FLOOR, (
-            f"eclat speedup only {eclat_speedup:.2f}x"
-        )
-        assert apriori_speedup >= APRIORI_FLOOR, (
-            f"apriori bitset speedup only {apriori_speedup:.2f}x"
+            f"eclat at {eclat_speedup:.2f}x of apriori"
         )
         benchmark(lambda: miners["eclat_diffsets"].mine(baskets, min_count))
 

@@ -22,9 +22,8 @@ never on the real source.  This package provides that pool:
 
 Every ``mine()`` takes the one vertical input type of
 :mod:`repro.algorithms.bitset` (:class:`VerticalInput`; a group map is
-normalised to it).  The gid-list algorithms run on big-int bitmaps by
-default (``&`` and ``int.bit_count``); ``representation="set"``
-selects slot sets for differential testing.
+normalised to it).  The gid-list algorithms run on big-int bitmaps
+(``&`` and ``int.bit_count``).
 
 All algorithms return the identical, exact answer: every itemset whose
 group count reaches the threshold, with its exact count (this is the
@@ -43,7 +42,6 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.algorithms.bitset import (
-    REPRESENTATIONS,
     BitsetStats,
     GroupedUniverse,
     SlotUniverse,
@@ -69,7 +67,6 @@ __all__ = [
     "Eclat",
     "GroupedUniverse",
     "InputStatistics",
-    "REPRESENTATIONS",
     "SlotUniverse",
     "select_algorithm",
     "DirectHashingPruning",

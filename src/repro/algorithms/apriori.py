@@ -16,16 +16,13 @@ instead of rescanning the data, which is exact because a group contains
 ``a + (x,)`` iff it contains both ``a`` and ``(x,)``.
 
 The gid lists carry no semantics beyond membership, so their physical
-layout is free: the default ``"bitset"`` representation packs them
-into big-int bitmaps (:mod:`repro.algorithms.bitset`) where the
-intersection is ``&`` and the count is :meth:`int.bit_count`; the
-original ``"set"`` representation remains selectable for differential
-testing and the ablation bench.
+layout is free: they are big-int bitmaps (:mod:`repro.algorithms.bitset`)
+where the intersection is ``&`` and the count is :meth:`int.bit_count`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Set, Tuple
+from typing import Callable, List, Set, Tuple
 
 from repro.algorithms.base import (
     FrequentItemsetMiner,
@@ -33,12 +30,7 @@ from repro.algorithms.base import (
     MinerInput,
     register_algorithm,
 )
-from repro.algorithms.bitset import (
-    GID_LIST_SIZE,
-    BitsetStats,
-    VerticalInput,
-    validate_representation,
-)
+from repro.algorithms.bitset import BitsetStats, VerticalInput
 
 
 @register_algorithm
@@ -47,8 +39,7 @@ class Apriori(FrequentItemsetMiner):
 
     name = "apriori"
 
-    def __init__(self, representation: str = "bitset"):
-        self.representation = validate_representation(representation)
+    def __init__(self) -> None:
         #: observability: bitmap counters of the last run
         self.stats = BitsetStats()
 
@@ -58,17 +49,14 @@ class Apriori(FrequentItemsetMiner):
         stats = self.stats
         stats.clear()
         vertical = VerticalInput.of(groups)
-        # one loop for both layouts: ``&`` either way, only size differs
-        gid_lists = vertical.gid_lists(min_count, self.representation)
-        size = GID_LIST_SIZE[self.representation]
-        if self.representation == "bitset":
-            stats.sample_density(gid_lists.values(), len(vertical))
+        gid_lists = vertical.gid_lists(min_count)
+        stats.sample_density(gid_lists.values(), len(vertical))
         stats.universe_sizes["gid"] = len(vertical)
 
         counts: ItemsetCounts = {}
-        root: List[Tuple[int, Any]] = []
+        root: List[Tuple[int, int]] = []
         for item, gid_list in gid_lists.items():
-            support = size(gid_list)
+            support = gid_list.bit_count()
             if support >= min_count:
                 counts[frozenset((item,))] = support
                 root.append((item, gid_list))
@@ -80,7 +68,7 @@ class Apriori(FrequentItemsetMiner):
         frequent: Set[Tuple[int, ...]] = set()
         while classes:
             classes, frequent, generated = self._join_level(
-                classes, frequent, size, min_count, counts
+                classes, frequent, int.bit_count, min_count, counts
             )
             stats.passes += 1
             stats.candidates += generated
@@ -90,8 +78,8 @@ class Apriori(FrequentItemsetMiner):
 
     @staticmethod
     def _join_level(
-        classes: List[Tuple[Tuple[int, ...], List[Tuple[int, Any]]]],
-        frequent: Set[Tuple[int, ...]], size: Callable[[Any], int],
+        classes: List[Tuple[Tuple[int, ...], List[Tuple[int, int]]]],
+        frequent: Set[Tuple[int, ...]], size: Callable[[int], int],
         min_count: int, counts: ItemsetCounts,
     ):
         """One levelwise step, candidates generated inline.

@@ -7,12 +7,10 @@ C_k` structure of the original paper).  Groups containing no candidate
 drop out, so later passes scan progressively less data — the property
 that made AprioriTid attractive for the late iterations.
 
-The default ``"bitset"`` representation packs each group's
-candidate-id set into a big-int bitmap over the level's candidate
-slots: membership of a candidate's two generating subsets is one
-mask-and-compare instead of two dict probes, and the re-encoded
-database shrinks to one integer per surviving group.  The original
-``"set"`` layout stays selectable for differential testing.
+Each group's candidate-id set is packed into a big-int bitmap over the
+level's candidate slots: membership of a candidate's two generating
+subsets is one mask-and-compare instead of two dict probes, and the
+re-encoded database shrinks to one integer per surviving group.
 """
 
 from __future__ import annotations
@@ -26,11 +24,7 @@ from repro.algorithms.base import (
     MinerInput,
     register_algorithm,
 )
-from repro.algorithms.bitset import (
-    BitsetStats,
-    VerticalInput,
-    validate_representation,
-)
+from repro.algorithms.bitset import BitsetStats, VerticalInput
 
 
 @register_algorithm
@@ -39,8 +33,7 @@ class AprioriTid(FrequentItemsetMiner):
 
     name = "aprioritid"
 
-    def __init__(self, representation: str = "bitset"):
-        self.representation = validate_representation(representation)
+    def __init__(self) -> None:
         #: observability: bitmap counters of the last run
         self.stats = BitsetStats()
 
@@ -67,15 +60,9 @@ class AprioriTid(FrequentItemsetMiner):
         self.stats.candidates += len(item_counts)
 
         # the candidate-id re-encoding scans the horizontal view
-        reencode = (
-            self._mine_sets if self.representation == "set"
-            else self._mine_bitsets
-        )
-        return reencode(vertical.groups, frequent1, counts, min_count)
+        return self._reencode(vertical.groups, frequent1, counts, min_count)
 
-    # -- bitset path (default) ----------------------------------------------
-
-    def _mine_bitsets(
+    def _reencode(
         self, groups: GroupMap, frequent1: List[Tuple[int, ...]],
         counts: ItemsetCounts, min_count: int,
     ) -> ItemsetCounts:
@@ -134,54 +121,4 @@ class AprioriTid(FrequentItemsetMiner):
             encoded = next_encoded
 
         self.stats.universe_sizes["candidate"] = max_slots
-        return counts
-
-    # -- set path (differential / ablation) ---------------------------------
-
-    def _mine_sets(
-        self, groups: GroupMap, frequent1: List[Tuple[int, ...]],
-        counts: ItemsetCounts, min_count: int,
-    ) -> ItemsetCounts:
-        # \bar C_1: group -> set of frequent singleton candidates present.
-        frequent1_set = {t[0] for t in frequent1}
-        encoded: Dict[int, Dict[Tuple[int, ...], None]] = {}
-        for gid, items in groups.items():
-            present = {(item,): None for item in items if item in frequent1_set}
-            if present:
-                encoded[gid] = present
-
-        frequent = frequent1
-        while frequent:
-            candidates = self.join_candidates(frequent)
-            if not candidates:
-                break
-            self.stats.passes += 1
-            self.stats.candidates += len(candidates)
-            # Index candidates by their two generating (k-1)-subsets.
-            generators: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
-            for candidate in candidates:
-                first = candidate[:-1]
-                second = candidate[:-2] + candidate[-1:]
-                generators[candidate] = (first, second)
-
-            candidate_counts: Dict[Tuple[int, ...], int] = {}
-            next_encoded: Dict[int, Dict[Tuple[int, ...], None]] = {}
-            for gid, present in encoded.items():
-                found: Dict[Tuple[int, ...], None] = {}
-                for candidate, (first, second) in generators.items():
-                    if first in present and second in present:
-                        found[candidate] = None
-                        candidate_counts[candidate] = (
-                            candidate_counts.get(candidate, 0) + 1
-                        )
-                if found:
-                    next_encoded[gid] = found
-            frequent = [
-                candidate
-                for candidate, count in candidate_counts.items()
-                if count >= min_count
-            ]
-            for candidate in frequent:
-                counts[frozenset(candidate)] = candidate_counts[candidate]
-            encoded = next_encoded
         return counts

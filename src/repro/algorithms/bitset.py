@@ -12,11 +12,10 @@ order of magnitude faster than hashing tuples into ``set`` objects.
 
 The representation stays entirely behind the paper's encoding
 borderline: algorithms still see only identifiers, the bitmaps are a
-private physical layout.  The pool members keep a set-based path
-selectable (``representation="set"``) for differential testing and the
-ablation bench; the general core keeps a slot-set layout because sparse
-supports are faster as sets, and picks between the two from what it
-measured (:mod:`repro.kernel.core.general`).
+private physical layout — the only one a pool member has.  The general
+core also keeps a slot-set layout because sparse supports are faster as
+sets, and picks between the two from what it measured
+(:mod:`repro.kernel.core.general`).
 
 Big ints are immutable, so building one a bit at a time
 (``mask |= 1 << slot``) copies the whole integer per bit — quadratic in
@@ -27,29 +26,16 @@ the universe size.  Every big-int bitmap here is therefore built by
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator
 from typing import List, Mapping, Optional, Sequence, Tuple
-
-#: the physical layouts a consumer can select
-REPRESENTATIONS = ("bitset", "set")
-
-
-def validate_representation(representation: str) -> str:
-    if representation not in REPRESENTATIONS:
-        raise ValueError(
-            f"unknown representation {representation!r}; "
-            f"choose from {REPRESENTATIONS}"
-        )
-    return representation
 
 
 @dataclass
 class BitsetStats:
-    """Counters of the vertical representation (observability).
+    """Counters of the bitmap kernels (observability).
 
     ``universe_sizes`` maps a universe label (e.g. ``"gid"``,
     ``"triple"``) to the number of slots interned; ``popcount_calls``
@@ -105,7 +91,7 @@ class BitsetStats:
 
     def density(self) -> float:
         """Fraction of set bits among the sampled bitmaps (0.0 when
-        nothing was sampled, e.g. the ``"set"`` representation)."""
+        nothing was sampled)."""
         if not self.bits_possible:
             return 0.0
         return self.bits_set / self.bits_possible
@@ -228,20 +214,15 @@ class VerticalInput:
     def __len__(self) -> int:  # groups
         return len(self.universe)
 
-    def gid_lists(self, min_count: int = 1, representation: str = "bitset") -> Dict[Hashable, Any]:
-        """item -> gid list over the group slots, ascending by item: a
-        big-int bitmap, or for ``"set"`` a frozenset of slots
-        (:data:`GID_LIST_SIZE` counts either).  An item with fewer than
-        *min_count* slots is never materialised: the length of its
-        list bounds its support from above."""
-        if representation == "set":
-            build: Callable = frozenset
-        else:
-            nbytes = (len(self.universe) + 7) >> 3
-            build = functools.partial(mask_from_slots, nbytes=nbytes)
+    def gid_lists(self, min_count: int = 1) -> Dict[Hashable, int]:
+        """item -> gid list, a big-int bitmap over the group slots,
+        ascending by item.  An item with fewer than *min_count* slots
+        is never materialised: the length of its list bounds its
+        support from above."""
+        nbytes = (len(self.universe) + 7) >> 3
         slots_of = self.slots_of
         return {
-            item: build(slots_of[item])
+            item: mask_from_slots(slots_of[item], nbytes)
             for item in sorted(slots_of)
             if len(slots_of[item]) >= min_count
         }
@@ -261,21 +242,16 @@ class VerticalInput:
         return self._groups
 
 
-#: how a gid list of each layout counts its groups
-GID_LIST_SIZE = {"bitset": int.bit_count, "set": len}
-
-
 def count_itemsets(
     vertical: VerticalInput, candidates: Iterable[FrozenSet], min_count: int,
-    stats: BitsetStats, representation: str = "bitset",
+    stats: BitsetStats,
 ) -> Dict[FrozenSet, int]:
     """The *candidates* contained in at least *min_count* groups of
     the whole input, with exact counts (the two-phase members' second
     pass): AND the items' gid lists, count.  A globally infrequent
     item has no gid list and sinks its candidates."""
     stats.universe_sizes["gid"] = len(vertical)
-    gid_lists = vertical.gid_lists(min_count, representation)
-    size = GID_LIST_SIZE[representation]
+    gid_lists = vertical.gid_lists(min_count)
     counts: Dict[FrozenSet, int] = {}
     for candidate in candidates:
         try:
@@ -286,7 +262,7 @@ def count_itemsets(
             first &= gid_list
         stats.intersections += len(rest)
         stats.popcount_calls += 1
-        count = size(first)
+        count = first.bit_count()
         if count >= min_count:
             counts[candidate] = count
     return counts
@@ -315,17 +291,16 @@ class GroupedUniverse:
     interning order), which is how a *sparse* support — a set of slots
     rather than a bitmap — counts its distinct groups.
 
-    Callers must intern identifiers grouped by key (the loaders
-    iterate per group, and the elementary-rule table is sorted first);
-    interleaving keys raises.
+    Callers must add slots grouped by key (the loaders iterate per
+    group, and the elementary-rule table is sorted first); interleaving
+    keys raises.
     """
 
-    __slots__ = ("_slot_of", "_base_of", "_bases", "_last_key", "group_of",
+    __slots__ = ("_base_of", "_bases", "_last_key", "group_of",
                  "_anchor_low", "_anchor_high", "_anchor_size",
                  "group_count_calls")
 
-    def __init__(self, idents: Iterable[Tuple] = ()) -> None:
-        self._slot_of: Dict[Tuple, int] = {}
+    def __init__(self) -> None:
         #: group key -> base slot of the group's span
         self._base_of: Dict[Hashable, int] = {}
         #: base slots in interning order (ascending)
@@ -339,8 +314,6 @@ class GroupedUniverse:
         self._anchor_size = -1  # len(group_of) when the anchors were built
         #: observability: distinct-group counts performed
         self.group_count_calls = 0
-        for ident in idents:
-            self.slot(ident)
 
     def __len__(self) -> int:
         return len(self.group_of) - max(len(self._bases) - 1, 0)
@@ -363,14 +336,13 @@ class GroupedUniverse:
 
     def add(self, key: Hashable, count: int = 1) -> int:
         """*count* fresh consecutive slots in *key*'s span, the first
-        one returned, with no identifier interned — for callers that
-        meet every identifier exactly once."""
+        one returned."""
         group_of = self.group_of
         if key != self._last_key:
             if key in self._base_of:
                 raise ValueError(
-                    f"group key {key!r} interned non-contiguously; "
-                    "intern identifiers grouped by key"
+                    f"group key {key!r} added non-contiguously; "
+                    "add slots grouped by key"
                 )
             if self._bases:
                 group_of.append(len(self._bases) - 1)  # previous guard bit
@@ -380,16 +352,6 @@ class GroupedUniverse:
         first = len(group_of)
         group_of.extend([len(self._bases) - 1] * count)
         return first
-
-    def slot(self, ident: Tuple) -> int:
-        slot = self._slot_of.get(ident)
-        if slot is None:
-            slot = self._slot_of[ident] = self.add(ident[0])
-        return slot
-
-    def mask(self, idents: Iterable[Tuple]) -> int:
-        slots = [self.slot(ident) for ident in idents]
-        return mask_from_slots(slots, self.nbytes)
 
     def _anchors(self) -> Tuple[int, int]:
         """The (base, guard) anchor bitmaps, rebuilt lazily after the

@@ -5,10 +5,10 @@ Where Apriori sweeps the itemset lattice breadth-first, Eclat walks it
 depth-first over *equivalence classes* of a common prefix: the class
 of prefix ``P`` holds the frequent extensions of ``P``, and each
 member's support set is intersected with its right siblings' to form
-the child class.  On the big-int bitmap representation
-(:mod:`repro.algorithms.bitset`) the support sets are big-int gid
-bitmaps, so the whole algorithm is ``&``/``bit_count`` over dense
-words — no candidate hashing, no per-level rescan.
+the child class.  The support sets are big-int gid bitmaps
+(:mod:`repro.algorithms.bitset`), so the whole algorithm is
+``&``/``bit_count`` over dense words — no candidate hashing, no
+per-level rescan.
 
 Diffset pruning keeps the memory of deep classes small: below the
 first level a member stores ``d(PX) = t(P) - t(PX)`` (the groups the
@@ -40,17 +40,12 @@ from repro.algorithms.bitset import BitsetStats, VerticalInput
 
 @register_algorithm
 class Eclat(FrequentItemsetMiner):
-    """Depth-first vertical mining over gid bitmaps.
-
-    ``diffsets`` selects dEclat's difference encoding below the first
-    level (default); with ``False`` every class carries full tidsets —
-    the knob exists for the ablation bench.
-    """
+    """Depth-first vertical mining over gid bitmaps, dEclat's
+    difference encoding below the first level."""
 
     name = "eclat"
 
-    def __init__(self, diffsets: bool = True):
-        self.diffsets = diffsets
+    def __init__(self) -> None:
         #: observability: bitmap counters of the last run
         self.stats = BitsetStats()
 
@@ -99,26 +94,18 @@ class Eclat(FrequentItemsetMiner):
             children: List[Tuple[Tuple[int, ...], int, int]] = []
             for itemset_j, rep_j, _support_j in extensions[i + 1 :]:
                 self.stats.candidates += 1
-                if self.diffsets:
-                    if parents_are_diffsets:
-                        diff = rep_j & ~rep_i
-                    else:
-                        diff = rep_i & ~rep_j
-                    support = support_i - diff.bit_count()
-                    rep = diff
+                if parents_are_diffsets:
+                    diff = rep_j & ~rep_i
                 else:
-                    rep = rep_i & rep_j
-                    support = rep.bit_count()
+                    diff = rep_i & ~rep_j
+                support = support_i - diff.bit_count()
                 self.stats.intersections += 1
                 self.stats.popcount_calls += 1
                 if support >= min_count:
                     child = itemset_i + (itemset_j[-1],)
                     counts[frozenset(child)] = support
-                    children.append((child, rep, support))
+                    children.append((child, diff, support))
             if children:
                 self._expand(
-                    children,
-                    min_count,
-                    counts,
-                    parents_are_diffsets=self.diffsets,
+                    children, min_count, counts, parents_are_diffsets=True
                 )

@@ -9,9 +9,8 @@ designed to need at most two disk scans — here the two scans survive as
 two passes over the group map.
 
 The second pass is vertical (:func:`bitset.count_itemsets`): a
-candidate's exact count is the size of the AND of its items' gid lists
-— bitmaps, or slot sets under ``"set"`` — with no subset test per
-(group, candidate) pair.
+candidate's exact count is the popcount of the AND of its items' gid
+bitmaps, with no subset test per (group, candidate) pair.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.algorithms.bitset import (
     BitsetStats,
     VerticalInput,
     count_itemsets,
-    validate_representation,
 )
 
 
@@ -40,11 +38,10 @@ class Partition(FrequentItemsetMiner):
 
     name = "partition"
 
-    def __init__(self, partitions: int = 4, representation: str = "bitset"):
+    def __init__(self, partitions: int = 4):
         if partitions < 1:
             raise ValueError(f"partitions must be positive, got {partitions}")
         self.partitions = partitions
-        self.representation = validate_representation(representation)
         #: observability: bitmap counters of the last run
         self.stats = BitsetStats()
 
@@ -64,7 +61,7 @@ class Partition(FrequentItemsetMiner):
         gids = sorted(groups)
         slices = max(1, min(self.partitions, total))
         size = math.ceil(total / slices)
-        local = Apriori(representation=self.representation)
+        local = Apriori()
         candidates: Set[FrozenSet[int]] = set()
         for start in range(0, total, size):
             part_gids = gids[start : start + size]
@@ -76,6 +73,4 @@ class Partition(FrequentItemsetMiner):
             self.stats.merge(local.stats)
 
         # Phase 2: exact global counts for the candidate union.
-        return count_itemsets(
-            vertical, candidates, min_count, self.stats, self.representation
-        )
+        return count_itemsets(vertical, candidates, min_count, self.stats)

@@ -34,7 +34,6 @@ from repro.algorithms.bitset import (
     BitsetStats,
     VerticalInput,
     count_itemsets,
-    validate_representation,
 )
 
 
@@ -55,7 +54,6 @@ class ToivonenSampling(FrequentItemsetMiner):
         sample_fraction: float = 0.5,
         lowering: float = 0.8,
         seed: int = 12345,
-        representation: str = "bitset",
     ):
         if not 0 < sample_fraction <= 1:
             raise ValueError("sample_fraction must be in (0, 1]")
@@ -64,7 +62,6 @@ class ToivonenSampling(FrequentItemsetMiner):
         self.sample_fraction = sample_fraction
         self.lowering = lowering
         self.seed = seed
-        self.representation = validate_representation(representation)
         #: observability: True when the last run needed the fallback pass
         self.last_run_failed = False
         #: observability: bitmap counters of the last run
@@ -91,7 +88,7 @@ class ToivonenSampling(FrequentItemsetMiner):
         sample_min = max(
             1, math.floor(self.lowering * fraction * sample_size)
         )
-        miner = Apriori(representation=self.representation)
+        miner = Apriori()
         local = miner.mine(sample, sample_min)
         self.stats.merge(miner.stats)
         local_sets = set(local.keys())
@@ -99,7 +96,7 @@ class ToivonenSampling(FrequentItemsetMiner):
         candidates = local_sets | self.negative_border(local_sets, vertical)
 
         frequent = count_itemsets(
-            vertical, candidates, min_count, self.stats, self.representation
+            vertical, candidates, min_count, self.stats
         )
         border_failures = [
             candidate for candidate in frequent if candidate not in local_sets
@@ -108,7 +105,7 @@ class ToivonenSampling(FrequentItemsetMiner):
             # The sample missed part of the answer: fall back to an
             # exact full pass so the result stays complete.
             self.last_run_failed = True
-            fallback = Apriori(representation=self.representation)
+            fallback = Apriori()
             result = fallback.mine(vertical, min_count)
             self.stats.merge(fallback.stats)
             return result

@@ -33,8 +33,8 @@ Injection sites
 ``core.load``           reading the encoded tables into the core operator
 ``core.simple``         each simple-core run (pool algorithm entry)
 ``core.lattice``        each lattice-set computation of the general core
-``core.bitset``         the bitset representation; a persistent failure
-                        degrades the run to the ``"set"`` layout
+``core.bitset``         entry of the bitmap kernels, after the load and
+                        before either core variant mines
 ``postprocessor.store`` writing the normalized output relations
 ``postprocessor.decode``running the decode program + display build
 ``refresh.delta``       before the REFRESH delta scan (pairs query over
@@ -170,8 +170,6 @@ class FaultSchedule:
         self.counts: Dict[str, int] = {}
         #: (site, call, kind) of every fault fired, in firing order
         self.fired: List[Tuple[str, int, str]] = []
-        #: degradations recorded by graceful-fallback handlers
-        self.degradations: List[str] = []
         self.errors_injected = 0
         self.latencies_injected = 0
         self._sleep = sleep
@@ -271,27 +269,18 @@ class FaultSchedule:
             self.errors_injected += 1
             raise FaultError(site, count)
 
-    def degrade(self, description: str) -> None:
-        """Record a graceful degradation taken in response to a fault."""
-        self.degradations.append(description)
-
     def reset(self) -> "FaultSchedule":
         """Clear counters and firing records, keeping the armed specs."""
         self.counts.clear()
         self.fired.clear()
-        self.degradations.clear()
         self.errors_injected = 0
         self.latencies_injected = 0
         return self
 
-    def snapshot(self) -> Tuple[int, int, int]:
-        """(errors, latencies, degradations) so far — for delta
-        accounting across one pipeline run."""
-        return (
-            self.errors_injected,
-            self.latencies_injected,
-            len(self.degradations),
-        )
+    def snapshot(self) -> Tuple[int, int]:
+        """(errors, latencies) so far — for delta accounting across one
+        pipeline run."""
+        return self.errors_injected, self.latencies_injected
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultSchedule({self.describe()})"
@@ -326,12 +315,6 @@ def check(site: str) -> None:
     """Injection hook: a no-op unless a schedule is installed."""
     if _ACTIVE is not None:
         _ACTIVE.check(site)
-
-
-def degrade(description: str) -> None:
-    """Record a degradation on the active schedule (no-op without one)."""
-    if _ACTIVE is not None:
-        _ACTIVE.degrade(description)
 
 
 @contextlib.contextmanager

@@ -118,16 +118,12 @@ class RunContext:
         and the one-line summary on the flow."""
         resilience = self.resilience
         if self._schedule is not None:
-            errors, latencies, _ = self._schedule.snapshot()
+            errors, latencies = self._schedule.snapshot()
             resilience.faults_injected += errors - self._mark[0]
             resilience.latencies_injected += latencies - self._mark[1]
-            resilience.degraded.extend(
-                self._schedule.degradations[self._mark[2]:]
-            )
         self.flow.bump("faults", resilience.faults_injected)
         self.flow.bump("latency_faults", resilience.latencies_injected)
         self.flow.bump("stages_resumed", resilience.stages_resumed)
-        self.flow.bump("degradations", resilience.degradations)
         if resilience.any():
             self.flow.event(
                 "postprocessor", "resilience", resilience.describe()

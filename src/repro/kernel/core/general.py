@@ -79,7 +79,6 @@ from repro.algorithms.bitset import (
     BitsetStats,
     GroupedUniverse,
     mask_from_slots,
-    validate_representation,
 )
 from repro.kernel.core.inputs import GeneralInput
 from repro.kernel.core.rules import CONFIDENCE_EPSILON as _EPSILON
@@ -112,6 +111,9 @@ Occurrences = Dict[Tuple[int, int], List[int]]
 #: inputs measured in between, which place the break-even near 500.
 DENSE_MAX_BITS_PER_MEMBER = 512
 
+#: the two support layouts (module docstring)
+LAYOUTS = ("bitset", "set")
+
 #: how _compute_set picks the parent when both exist (the "smaller"
 #: strategy is the paper's heuristic; the others exist for the
 #: ablation bench SYN-6)
@@ -143,8 +145,11 @@ class GeneralCoreOperator:
                 f"choose from {PARENT_STRATEGIES}"
             )
         self.parent_strategy = parent_strategy
-        if representation is not None:
-            validate_representation(representation)
+        if representation is not None and representation not in LAYOUTS:
+            raise ValueError(
+                f"unknown representation {representation!r}; "
+                f"choose from {LAYOUTS}"
+            )
         self._forced = representation
         #: the layout of the last run, ``"bitset"`` or ``"set"``; None
         #: until an unforced operator has measured an input
@@ -165,16 +170,8 @@ class GeneralCoreOperator:
     def run(
         self, data: GeneralInput, directives: CoreDirectives
     ) -> List[EncodedRule]:
-        lattice = self.mine_lattice(data, directives)
-        rules = self._emit(lattice, data, directives)
-        self.finalize_stats()
-        return rules
-
-    def mine_lattice(
-        self, data: GeneralInput, directives: CoreDirectives
-    ) -> Dict[Tuple[int, int], RuleSet]:
         """Compute the full rule lattice, pruned at the input's
-        ``min_count``.  Resets the per-run state."""
+        ``min_count``, and emit its rules.  Resets the per-run state."""
         self._reset()
         threshold = data.min_count
         elementary = self._elementary_rules(self._collect(data), threshold)
@@ -200,7 +197,16 @@ class GeneralCoreOperator:
                         lattice, (m, n + 1), threshold, next_frontier
                     )
             frontier = next_frontier
-        return lattice
+
+        rules = self._emit(lattice, data, directives)
+        # fold the universe counters of the finished run into the stats
+        stats = self.bitmap_stats
+        stats.universe_sizes["triple"] = len(self._triples)
+        stats.popcount_calls += self._triples.group_count_calls
+        if self._body_pairs.groups:
+            stats.universe_sizes["body_pair"] = len(self._body_pairs)
+            stats.popcount_calls += self._body_pairs.group_count_calls
+        return rules
 
     def _reset(self) -> None:
         self.lattice_sizes = {}
@@ -208,16 +214,6 @@ class GeneralCoreOperator:
         self.bitmap_stats.clear()
         self._triples = GroupedUniverse()
         self._body_pairs = GroupedUniverse()
-
-    def finalize_stats(self) -> None:
-        """Fold the universe counters of the finished run into
-        :attr:`bitmap_stats`."""
-        stats = self.bitmap_stats
-        stats.universe_sizes["triple"] = len(self._triples)
-        stats.popcount_calls += self._triples.group_count_calls
-        if self._body_pairs.groups:
-            stats.universe_sizes["body_pair"] = len(self._body_pairs)
-            stats.popcount_calls += self._body_pairs.group_count_calls
 
     # ------------------------------------------------------------------
     # the two layouts

@@ -36,9 +36,10 @@ class CoreStats:
     """Observability counters of one core-operator run.
 
     ``variant`` is ``"simple"`` or ``"general"``; ``representation``
-    is the physical support-set layout actually used (``"bitset"``/
-    ``"set"``; the general core picks it per run unless one is forced);
-    ``algorithm`` names the pool member (simple variant only).
+    is the physical layout used — the general core's measured pick of
+    ``"bitset"``/``"set"`` supports, always ``"bitset"`` (bitmap gid
+    lists) for the simple core; ``algorithm`` names the pool member
+    (simple variant only).
     ``lattice_sizes``/``join_pairs_examined`` mirror the general
     operator's counters; ``universe_sizes``/``popcount_calls``/
     ``intersections`` come from the bitmap kernel.  For the general
@@ -84,7 +85,6 @@ class CoreStats:
         member = getattr(algorithm, "last_choice", "")
         return cls(
             variant="simple",
-            representation=getattr(algorithm, "representation", "bitset"),
             algorithm=f"{algorithm.name}({member})" if member
             else algorithm.name,
             universe_sizes=dict(stats.universe_sizes) if stats else {},
@@ -160,9 +160,16 @@ class CoreStats:
             f"({rejected} rejected at group level)"
         )
 
+    def describe_layout(self) -> str:
+        """What the run counted on: the simple core has one layout,
+        the general core names the one it measured its way to."""
+        if self.variant == "simple":
+            return "bitmap gid lists"
+        return f"{self.representation} support sets"
+
     def describe(self) -> str:
         """One-line summary for the process trace."""
-        parts = [f"{self.variant} core, {self.representation} layout"]
+        parts = [f"{self.variant} core, {self.describe_layout()}"]
         if self.algorithm:
             parts.append(f"algorithm {self.algorithm}")
         if self.lattice_sizes:
@@ -190,19 +197,13 @@ class ResilienceStats:
     Filled by ``MiningSystem.run``: injected faults come from the
     active :class:`~repro.faults.FaultSchedule` delta, retries from the
     :class:`~repro.faults.RetryPolicy` callbacks, resumed stages from
-    the checkpoint skip path, and ``degraded`` lists every graceful
-    fallback taken (bitset -> set representation).
+    the checkpoint skip path.
     """
 
     faults_injected: int = 0
     latencies_injected: int = 0
     retries: int = 0
     stages_resumed: int = 0
-    degraded: List[str] = field(default_factory=list)
-
-    @property
-    def degradations(self) -> int:
-        return len(self.degraded)
 
     def any(self) -> bool:
         """True when anything noteworthy happened (report gating)."""
@@ -211,20 +212,16 @@ class ResilienceStats:
             or self.latencies_injected
             or self.retries
             or self.stages_resumed
-            or self.degraded
         )
 
     def describe(self) -> str:
         """One-line summary for the process trace."""
-        parts = [
+        return "; ".join([
             f"faults {self.faults_injected}",
             f"latency faults {self.latencies_injected}",
             f"retries {self.retries}",
             f"stages resumed {self.stages_resumed}",
-        ]
-        if self.degraded:
-            parts.append(f"degraded: {', '.join(self.degraded)}")
-        return "; ".join(parts)
+        ])
 
 
 @dataclass(frozen=True)

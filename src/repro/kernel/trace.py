@@ -60,8 +60,8 @@ class ProcessFlow:
         )
 
     def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment a named counter (faults, retries, stages_resumed,
-        degradations) surfaced by :meth:`render`."""
+        """Increment a named counter (faults, retries, stages_resumed)
+        surfaced by :meth:`render`."""
         if amount:
             self.counters[counter] = self.counters.get(counter, 0) + amount
 

@@ -6,8 +6,9 @@ understood by ``chrome://tracing`` / Perfetto: spans become ``"X"``
 tracer's origin, instants become ``"i"`` events, and the final counter
 values are emitted as one ``"C"`` event each at the end of the trace.
 
-Events carry the *real* pid/tid of the code that recorded them, so
-concurrent job threads render as separate lanes.  Span args include
+Events carry the process id (there is one process) and the *real*
+thread id of the code that recorded them, so concurrent job threads
+render as separate lanes.  Span args include
 the correlation ids (``trace_id``/``span_id``/``parent_id``) and, when
 profiling is on, per-span CPU milliseconds and peak traced bytes.
 
@@ -19,13 +20,12 @@ endpoint persists and serves.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Dict, List, Optional
 
 from repro.obs.spans import Tracer
 
-#: lane ids used when a span carries no pid/tid (hand-built spans in
-#: tests)
-_PID = 1
+#: lane id used when a span carries no tid (hand-built spans in tests)
 _TID = 1
 
 
@@ -42,7 +42,7 @@ def trace_events(
     if trace_id is not None:
         spans = [s for s in spans if s.trace_id == trace_id]
         instants = [i for i in instants if i.trace_id == trace_id]
-    own_pid = tracer.pid or _PID
+    own_pid = os.getpid()
     events: List[Dict[str, Any]] = [
         {
             "name": "process_name",
@@ -72,7 +72,7 @@ def trace_events(
                 "name": span.name,
                 "cat": span.category or "span",
                 "ph": "X",
-                "pid": span.pid or own_pid,
+                "pid": own_pid,
                 "tid": span.tid or _TID,
                 "ts": round(ts, 3),
                 "dur": round(dur, 3),

@@ -33,7 +33,6 @@ active :class:`~repro.obs.context.TraceContext`.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -54,7 +53,7 @@ class Span:
 
     __slots__ = (
         "name", "category", "start", "end", "depth", "args", "_tracer",
-        "span_id", "parent_id", "trace_id", "pid", "tid",
+        "span_id", "parent_id", "trace_id", "tid",
         "cpu", "peak_bytes", "_cpu_start", "_mem_start",
     )
 
@@ -78,8 +77,7 @@ class Span:
         self.span_id: Optional[str] = None
         self.parent_id: Optional[str] = None
         self.trace_id: Optional[str] = None
-        #: recording process/thread (real ids)
-        self.pid: int = 0
+        #: recording thread (real id)
         self.tid: int = 0
         #: resource attribution (None when profiling is off)
         self.cpu: Optional[float] = None
@@ -167,7 +165,6 @@ class Tracer:
         self._clock = clock
         #: perf-counter instant the tracer was created (trace epoch)
         self.origin = clock()
-        self.pid = os.getpid()
         #: per-span CPU attribution (time.process_time deltas); cheap
         #: enough to default on for an enabled tracer
         self.profile_cpu = profile_cpu and enabled
@@ -207,7 +204,6 @@ class Tracer:
         ctx = obs_context.current()
         if ctx is not None:
             span.trace_id = ctx.trace_id
-        span.pid = self.pid
         span.tid = threading.get_ident()
         if self.profile_cpu:
             span._cpu_start = time.process_time()

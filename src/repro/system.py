@@ -29,9 +29,8 @@ A statement has one lifecycle, whichever verb it is:
   inputs.  Every retryable unit runs through
   :meth:`RunContext.attempt <repro.kernel.context.RunContext.attempt>`
   (cancel hook, fault site, :class:`~repro.faults.RetryPolicy`, retry
-  bookkeeping); the core stage is the one caller that catches what
-  ``attempt`` gave up on — a persistently failing ``core.bitset`` site
-  degrades the run to the ``"set"`` layout.
+  bookkeeping); what ``attempt`` gives up on fails the statement and
+  keeps its checkpoint.
 * ``run(resume=True)`` skips the stages a crashed run's
   :class:`~repro.kernel.program.StageCheckpoint` completed.  A refresh
   is two more stages of the same flow: its emission is the postprocess
@@ -49,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.algorithms import FrequentItemsetMiner, get_algorithm
-from repro.faults import FaultError, RetryPolicy
+from repro.faults import RetryPolicy
 from repro.incremental import (
     MiningState,
     RefreshComputation,
@@ -76,12 +75,7 @@ from repro.minerule.statements import MineRuleStatement
 from repro.obs import context as obs_context
 from repro.obs import profile as obs_profile
 from repro.obs.export import trace_events
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    fallback_counter,
-    publish_gauge,
-)
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, publish_gauge
 from repro.obs.runlog import RunLog
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.sqlengine.engine import Database
@@ -641,32 +635,9 @@ class MiningSystem:
                 f"{len(encoded_rules)} rules from checkpoint",
             )
         else:
-            try:
-                encoded_rules, core_stats = ctx.attempt(
-                    "core", lambda: self._mine_once(ctx, program)
-                )
-            except FaultError as exc:
-                if exc.site != "core.bitset":
-                    raise
-                # Graceful degradation: the bitset machinery keeps
-                # failing after retries — fall back to the "set" layout
-                # (identical rules, slower counting).
-                ctx.resilience.degraded.append(
-                    f"core: bitset -> set ({exc})"
-                )
-                fallback_counter(self.metrics).inc(
-                    site="core.bitset", reason="fault"
-                )
-                self.tracer.annotate(core_fallback=str(exc))
-                flow.event(
-                    "core",
-                    "degraded",
-                    "bitset representation failed; retrying with the "
-                    "set layout",
-                )
-                encoded_rules, core_stats = ctx.attempt(
-                    "core", lambda: self._mine_once(ctx, program, "set")
-                )
+            encoded_rules, core_stats = ctx.attempt(
+                "core", lambda: self._mine_once(ctx, program)
+            )
             checkpoint.encoded_rules = encoded_rules
             checkpoint.core_stats = core_stats
         flow.event("core", "extracted rules", f"{len(encoded_rules)} rules")
@@ -675,30 +646,18 @@ class MiningSystem:
         return encoded_rules, core_stats
 
     def _mine_once(
-        self,
-        ctx: RunContext,
-        program: TranslationProgram,
-        degraded_to: Optional[str] = None,
+        self, ctx: RunContext, program: TranslationProgram
     ) -> Tuple[List[EncodedRule], CoreStats]:
-        """One attempt of the core operator.  *degraded_to* is None
-        (the pool member's own layout; the general core measures its
-        own) or ``"set"``, which only the ``core.bitset`` degrade
-        passes."""
+        """One attempt of the core operator: load, then mine."""
         faults.check("core.load")
         loader = CoreInputLoader(self.db, program.core)
-        algorithm = self.algorithm
         if program.core.simple:
             data, _ = loader.load_simple_columns()
-            layout = getattr(algorithm, "representation", None)
         else:
             data = loader.load_general()
-            layout = None  # the operator measures
-        # the site stands for the bitmap machinery: a pool member the
-        # caller built on the set layout has nothing to degrade
-        if degraded_to is None and layout != "set":
-            faults.check("core.bitset")
+        faults.check("core.bitset")
         if not program.core.simple:
-            general = GeneralCoreOperator(representation=degraded_to)
+            general = GeneralCoreOperator()
             ctx.flow.event(
                 "core",
                 "general core processing",
@@ -709,19 +668,10 @@ class MiningSystem:
             encoded_rules = general.run(data, program.core)
             return encoded_rules, CoreStats.from_general(general)
 
-        # the degrade borrows the caller's pool member in the other
-        # layout for this one attempt and hands it back unchanged
-        borrowed = degraded_to is not None and layout == "bitset"
-        if borrowed:
-            algorithm.representation = degraded_to
-        try:
-            encoded_rules = SimpleCoreOperator(algorithm).run(
-                data, program.core
-            )
-            core_stats = CoreStats.from_simple(algorithm)
-        finally:
-            if borrowed:
-                algorithm.representation = "bitset"
+        encoded_rules = SimpleCoreOperator(self.algorithm).run(
+            data, program.core
+        )
+        core_stats = CoreStats.from_simple(self.algorithm)
         # after the run: "auto" knows its member only then
         ctx.flow.event(
             "core",

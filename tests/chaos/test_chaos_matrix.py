@@ -5,8 +5,8 @@ Two invariants, checked over every (statement, seed) combination:
 
 * **fail-closed** — without retries, an injected error either surfaces
   as a typed :class:`FaultError` or (if the fault never fired / only
-  added latency / was absorbed by a graceful degradation) the output is
-  bit-identical to the fault-free baseline.  Never a wrong answer,
+  added latency) the output is bit-identical to the fault-free
+  baseline.  Never a wrong answer,
   never a half-written output relation accepted as success.
 * **fail-forward** — with a generous retry policy, every schedule the
   matrix generates is survivable, and the mined output is bit-identical
@@ -74,7 +74,7 @@ def test_retries_produce_bit_identical_output(name, seed, baselines):
     assert resilience.faults_injected == schedule.errors_injected
     assert resilience.latencies_injected == schedule.latencies_injected
     if schedule.errors_injected:
-        assert resilience.retries or resilience.degradations
+        assert resilience.retries
 
 
 @pytest.mark.parametrize("name,seed", CHAOS_MATRIX)

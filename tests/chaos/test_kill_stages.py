@@ -43,6 +43,7 @@ PAPER_SITES = (
     "preprocessor.Q11",
     "preprocessor.Q9",
     "core.load",
+    "core.bitset",
     "core.lattice",
     "postprocessor.store",
     "postprocessor.decode",
@@ -65,8 +66,7 @@ def _kill_resume_roundtrip(name, site, call, baselines):
     return result
 
 
-@pytest.mark.parametrize("site", [s for s in SIMPLE_SITES
-                                  if s != "core.bitset"])
+@pytest.mark.parametrize("site", SIMPLE_SITES)
 def test_kill_each_simple_stage_then_resume(site, baselines):
     result = _kill_resume_roundtrip("simple", site, 1, baselines)
     if site.startswith(("core.", "postprocessor.")):
@@ -111,19 +111,6 @@ def test_kill_every_stage_in_one_run_with_retries(baselines):
     report_text = render_report(system, result)
     assert "resilience:" in report_text
     assert f"retries {resilience.retries}" in report_text
-
-
-def test_bitset_degradation_is_bit_identical(baselines):
-    """A persistently failing bitset layer degrades to the set layout
-    and still produces the baseline output."""
-    base_rules, base_text = baselines["simple"]
-    system = fresh_system()
-    with faults.injected(FaultSchedule(sleep=NO_SLEEP).arm(
-            "core.bitset", times=99)):
-        result = system.run(STATEMENTS["simple"], retry=RETRY)
-    assert result.rule_set() == base_rules
-    assert output_fingerprint(system, result.output_table) == base_text
-    assert any("bitset -> set" in note for note in result.resilience.degraded)
 
 
 def test_latency_faults_slow_but_do_not_fail(baselines):

@@ -1,16 +1,19 @@
-"""Differential tests for the big-int bitmap representation (PR 2).
+"""The bitmap kernels against independent oracles.
 
-Two contracts, both bit-identical by construction and enforced here:
+Two contracts enforced here:
 
-* every registered pool algorithm — including the vertical ``eclat``
-  member — returns the same :data:`ItemsetCounts` as the set-based
-  Apriori reference over randomized group maps;
-* the general core operator emits the same ordered ``EncodedRule``
-  list, lattice shape and join work whether its supports are slot sets
-  (sparse layout), bitmaps (dense layout) or whichever of the two the
-  unforced operator picks, over randomized clustered inputs (derived
-  elementary rules, ``ClusterCouples`` restrictions, and
-  SQL-precomputed ``InputRules`` in any row order).
+* every registered pool algorithm returns the same
+  :data:`ItemsetCounts` as ``Exhaustive`` — a levelwise enumeration of
+  every combination that shares no code with the bitmap kernels — over
+  randomized group maps;
+* the general core operator emits the ordered ``EncodedRule`` list of
+  the reference semantics (:func:`tests.minerule_reference.
+  general_core`) whether its supports are slot sets (sparse layout),
+  bitmaps (dense layout) or whichever of the two the unforced operator
+  picks — with the same lattice shape and join work in all three — over
+  randomized clustered inputs (derived elementary rules,
+  ``ClusterCouples`` restrictions, and SQL-precomputed ``InputRules``
+  in any row order).
 """
 
 import dataclasses
@@ -19,10 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import ALGORITHMS, get_algorithm
-from repro.algorithms.apriori import Apriori
+from repro.algorithms.exhaustive import Exhaustive
 from repro.kernel.core.general import GeneralCoreOperator
 from repro.kernel.core.inputs import GeneralInput
 from repro.kernel.program import CoreDirectives
+from tests import minerule_reference as reference
 
 group_maps = st.dictionaries(
     keys=st.integers(min_value=1, max_value=30),
@@ -33,27 +37,13 @@ group_maps = st.dictionaries(
 thresholds = st.integers(min_value=1, max_value=5)
 
 
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(set(ALGORITHMS) - {"exhaustive"}))
 class TestPoolAgreesWithSetBasedReference:
     @given(groups=group_maps, min_count=thresholds)
     @settings(max_examples=30, deadline=None)
     def test_identical_itemset_counts(self, name, groups, min_count):
-        reference = Apriori(representation="set").mine(groups, min_count)
-        assert get_algorithm(name).mine(groups, min_count) == reference
-
-
-class TestGidListAlgorithmsHonourTheSwitch:
-    @pytest.mark.parametrize(
-        "name", ["apriori", "aprioritid", "partition", "sampling"]
-    )
-    @given(groups=group_maps, min_count=thresholds)
-    @settings(max_examples=20, deadline=None)
-    def test_set_path_matches_bitset_path(self, name, groups, min_count):
-        bitset = get_algorithm(name, representation="bitset")
-        sets = get_algorithm(name, representation="set")
-        assert bitset.mine(groups, min_count) == sets.mine(
-            groups, min_count
-        )
+        expected = Exhaustive().mine(groups, min_count)
+        assert get_algorithm(name).mine(groups, min_count) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -186,24 +176,27 @@ LAYOUTS = ("set", "bitset", None)
 
 
 def run_in_every_layout(data, directives):
-    """One run per layout; asserts rules, lattice shape and join work
-    agree and returns the (shared) ordered rule list."""
+    """One run per layout, each compared with the reference semantics;
+    asserts lattice shape and join work agree across the layouts and
+    returns the ordered rule list."""
+    expected = reference.general_core(data, directives)
     operators = [GeneralCoreOperator(representation=layout) for layout in LAYOUTS]
-    results = [operator.run(data, directives) for operator in operators]
-    reference, first = operators[0], results[0]
-    for operator, rules in zip(operators[1:], results[1:]):
-        assert rules == first
-        assert operator.lattice_sizes == reference.lattice_sizes
-        assert operator.join_pairs_examined == reference.join_pairs_examined
+    for operator in operators:
+        rules = operator.run(data, directives)
+        assert [dataclasses.astuple(rule) for rule in rules] == expected
+    first = operators[0]
+    for operator in operators[1:]:
+        assert operator.lattice_sizes == first.lattice_sizes
+        assert operator.join_pairs_examined == first.join_pairs_examined
         assert (
             operator.bitmap_stats.intersections
-            == reference.bitmap_stats.intersections
+            == first.bitmap_stats.intersections
         )
     assert [operator.representation for operator in operators[:2]] == [
         "set", "bitset",
     ]
     assert operators[2].representation in ("set", "bitset")
-    return first
+    return expected
 
 
 class TestGeneralCoreRepresentations:

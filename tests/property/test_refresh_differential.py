@@ -4,8 +4,8 @@ The contract of :mod:`repro.incremental` is *bit-identity*: for any
 append schedule — empty deltas, batches that push border itemsets over
 the support threshold, batches that dilute frequent itemsets below it
 (``totg`` grows, so ``mingroups`` rises), new items, new groups, a
-first run mined in the ``"set"`` layout, a source condition on an
-aliased table, a columnar source — a chain of REFRESH runs must leave
+source condition on an aliased table, a columnar source — a chain of
+REFRESH runs must leave
 every output table (out, ``_Bodies``, ``_Heads``, ``_Display``)
 byte-equal to mining the final table from scratch.  Hypothesis drives
 the schedules; the tables are compared row-for-row including order.
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, MiningSystem
-from repro.algorithms import Apriori
 from repro.sqlengine.types import SqlType
 
 STATEMENT = (
@@ -134,11 +133,6 @@ class TestRefreshMatchesScratch:
     @settings(max_examples=40, deadline=None)
     def test_refresh_chain_is_bit_identical(self, schedule):
         _check_chain(schedule)
-
-    @given(schedule=schedules)
-    @settings(max_examples=10, deadline=None)
-    def test_refresh_after_set_layout_run_matches_scratch(self, schedule):
-        _check_chain(schedule, algorithm=Apriori(representation="set"))
 
     @given(schedule=schedules)
     @settings(max_examples=20, deadline=None)

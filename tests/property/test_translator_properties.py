@@ -8,72 +8,19 @@ source table producing semantically valid rules.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro import MiningSystem
-from repro.sqlengine import Database
 from repro.sqlengine.parser import parse_sql
-from repro.sqlengine.types import SqlType
+from tests.property.minerule_cases import build_db, cases, source_rows
+
+rows_strategy = source_rows()
 
 
-def build_db(rows):
-    db = Database()
-    db.create_table_from_rows(
-        "Src",
-        ("grp", "ckey", "item", "tag", "price"),
-        rows,
-        (
-            SqlType.INTEGER,
-            SqlType.INTEGER,
-            SqlType.VARCHAR,
-            SqlType.VARCHAR,
-            SqlType.INTEGER,
-        ),
-    )
-    return db
-
-
-rows_strategy = st.lists(
-    st.tuples(
-        st.integers(1, 5),  # grp
-        st.integers(1, 3),  # ckey
-        st.sampled_from(["a", "b", "c", "d"]),  # item
-        st.sampled_from(["t1", "t2"]),  # tag
-        st.integers(1, 50),  # price
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-
-@st.composite
-def statements(draw):
-    head_attr = draw(st.sampled_from(["item", "tag"]))  # H when tag
-    mining = draw(st.sampled_from([
-        "",
-        "WHERE BODY.price >= 10 AND HEAD.price < 40",
-        "WHERE BODY.price < HEAD.price",
-    ]))
-    source_cond = draw(st.sampled_from(["", " WHERE price > 2"]))  # W
-    group_having = draw(st.sampled_from([
-        "", " HAVING COUNT(*) >= 2", " HAVING grp > 1",
-    ]))  # G / R
-    cluster = draw(st.sampled_from([
-        "",
-        "CLUSTER BY ckey",
-        "CLUSTER BY ckey HAVING BODY.ckey < HEAD.ckey",
-        "CLUSTER BY ckey HAVING SUM(BODY.price) >= SUM(HEAD.price)",
-    ]))  # C / K / F
-    support = draw(st.sampled_from([0.1, 0.4, 0.8]))
-    confidence = draw(st.sampled_from([0.0, 0.5]))
-    return (
-        f"MINE RULE Out AS SELECT DISTINCT 1..n item AS BODY, "
-        f"1..1 {head_attr} AS HEAD, SUPPORT, CONFIDENCE "
-        f"{mining} FROM Src{source_cond} "
-        f"GROUP BY grp{group_having} {cluster} "
-        f"EXTRACTING RULES WITH SUPPORT: {support}, "
-        f"CONFIDENCE: {confidence}"
-    )
+def statements():
+    """Statement texts over the directive space, cardinalities and
+    ``1..n`` heads included (:mod:`tests.property.minerule_cases`)."""
+    return cases().map(lambda case: case.text)
 
 
 class TestExecutablePrograms:

@@ -1,5 +1,5 @@
 """Unit tests for the big-int bitmap kernel, the eclat pool member and
-the representation switch through the system facade (PR 2)."""
+the layout the system reports for each core variant."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.algorithms.bitset import (
     count_itemsets,
     iter_slots,
     mask_from_slots,
-    validate_representation,
 )
 from repro.algorithms.eclat import Eclat
 from repro.algorithms.selector import InputStatistics, select_algorithm
@@ -80,9 +79,6 @@ class TestVerticalInput:
         assert list(vertical.gid_lists()) == [1, 2, 9]
         assert list(vertical.gid_lists(min_count=2)) == [1, 2]
         assert vertical.gid_lists(min_count=4) == {}
-        assert vertical.gid_lists(2, "set") == {
-            1: frozenset({0, 1}), 2: frozenset({0, 1})
-        }
 
     def test_horizontal_view_is_lazy_and_cached(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
@@ -100,17 +96,16 @@ class TestVerticalInput:
         assert VerticalInput.of(EXAMPLE).groups is EXAMPLE
         assert len(VerticalInput.of({})) == 0
 
-    @pytest.mark.parametrize("representation", ["bitset", "set"])
-    def test_count_itemsets(self, representation):
+    def test_count_itemsets(self):
         vertical = VerticalInput.from_groups(EXAMPLE)
         stats = BitsetStats()
         candidates = [
             frozenset({1, 2}), frozenset({2}), frozenset({1, 5}),
             frozenset({1, 7}),  # 7 occurs nowhere
         ]
-        assert count_itemsets(
-            vertical, candidates, 2, stats, representation
-        ) == {frozenset({1, 2}): 2, frozenset({2}): 4}
+        assert count_itemsets(vertical, candidates, 2, stats) == {
+            frozenset({1, 2}): 2, frozenset({2}): 4
+        }
         assert stats.universe_sizes == {"gid": 5}
 
 
@@ -142,22 +137,25 @@ class TestMaskFromSlots:
 class TestGroupedUniverse:
     def test_group_count_counts_distinct_keys(self):
         universe = GroupedUniverse()
-        mask = universe.mask(
-            [(1, "a"), (1, "b"), (2, "a"), (3, "x"), (3, "y")]
-        )
+        # two slots in group 1, one in group 2, two in group 3
+        slots = [universe.add(key) for key in (1, 1, 2, 3, 3)]
+        mask = mask_from_slots(slots, universe.nbytes)
         assert universe.group_count(mask) == 3
         # subset hitting two groups
-        sub = (1 << universe.slot((1, "b"))) | (1 << universe.slot((3, "y")))
+        sub = mask_from_slots([slots[1], slots[4]], universe.nbytes)
         assert universe.group_count(sub) == 2
         assert universe.group_count(0) == 0
 
     def test_non_contiguous_interning_rejected(self):
-        universe = GroupedUniverse([(1, "a"), (2, "a")])
+        universe = GroupedUniverse()
+        universe.add(1)
+        universe.add(2)
         with pytest.raises(ValueError, match="non-contiguously"):
-            universe.slot((1, "b"))
+            universe.add(1)
 
     def test_group_count_calls_counter(self):
-        universe = GroupedUniverse([(1, "a")])
+        universe = GroupedUniverse()
+        universe.add(1)
         universe.group_count(1)
         universe.group_count(0)
         assert universe.group_count_calls == 2
@@ -184,14 +182,12 @@ class TestGroupedUniverse:
 class TestRepresentationValidation:
     def test_unknown_representation_rejected_everywhere(self):
         with pytest.raises(ValueError, match="representation"):
-            validate_representation("roaring")
-        with pytest.raises(ValueError):
-            Apriori(representation="roaring")
-        with pytest.raises(ValueError):
             GeneralCoreOperator(representation="roaring")
         from repro import MiningSystem
 
-        # the system has no layout knob: the pool member carries its own
+        # neither the system nor a pool member has a layout knob
+        with pytest.raises(TypeError):
+            Apriori(representation="set")
         with pytest.raises(TypeError):
             MiningSystem(representation="set")
 
@@ -209,11 +205,6 @@ class TestEclat:
     def test_matches_apriori(self):
         expected = Apriori().mine(EXAMPLE, 2)
         assert Eclat().mine(EXAMPLE, 2) == expected
-
-    def test_tidset_mode_matches_diffset_mode(self):
-        assert Eclat(diffsets=False).mine(EXAMPLE, 2) == Eclat(
-            diffsets=True
-        ).mine(EXAMPLE, 2)
 
     def test_registered_in_pool(self):
         assert isinstance(get_algorithm("eclat"), Eclat)
@@ -257,69 +248,41 @@ class TestSystemRepresentationSwitch:
     )
 
     @staticmethod
-    def _execute(system, statement, degrade=False):
-        """*degrade*: a ``core.bitset`` site that never stops failing,
-        the one thing that makes the system select the ``"set"``
-        layout."""
-        from repro import faults
-        from repro.faults import FaultSchedule
-
-        if not degrade:
-            return system.execute(statement)
-        schedule = FaultSchedule().arm("core.bitset", call=1, times=10**6)
-        with faults.injected(schedule):
-            result = system.execute(statement)
-        assert result.resilience.degraded
-        return result
-
-    def _run(self, statement, degrade=False, **kwargs):
+    def _run(statement, load=None, **shape):
         from repro import MiningSystem
         from repro.datagen import load_purchase_figure1
 
-        system = MiningSystem(**kwargs)
-        load_purchase_figure1(system.db)
-        return self._execute(system, statement, degrade)
+        system = MiningSystem()
+        (load or load_purchase_figure1)(system.db, **shape)
+        return system, system.execute(statement)
 
-    def test_simple_core_identical_across_representations(self):
-        bitset = self._run(self.STATEMENT)
-        for sets in (
-            self._run(self.STATEMENT, algorithm=Apriori(representation="set")),
-            self._run(self.STATEMENT, degrade=True),
-        ):
-            assert bitset.rule_set() == sets.rule_set()
-            assert bitset.core_stats.representation == "bitset"
-            assert sets.core_stats.representation == "set"
+    @staticmethod
+    def _forced(system, result, layout):
+        """The general core re-run on the statement's encoded tables
+        with *layout* forced (the system itself never forces one)."""
+        from repro.kernel.core.inputs import CoreInputLoader
 
-    def test_degrade_hands_the_pool_member_back_unchanged(self):
-        member = Apriori()
-        self._run(self.STATEMENT, degrade=True, algorithm=member)
-        assert member.representation == "bitset"
+        core = result.program.core
+        operator = GeneralCoreOperator(representation=layout)
+        rules = operator.run(CoreInputLoader(system.db, core).load_general(), core)
+        return operator, rules
 
     def test_general_core_identical_across_representations(self):
-        bitset = self._run(self.CLUSTERED)
-        sets = self._run(self.CLUSTERED, degrade=True)
-        assert sets.core_stats.representation == "set"
-        assert bitset.encoded_rules == sets.encoded_rules
-        assert bitset.core_stats.variant == "general"
-        assert bitset.core_stats.lattice_sizes
-        assert (
-            bitset.core_stats.lattice_sizes
-            == sets.core_stats.lattice_sizes
-        )
+        system, result = self._run(self.CLUSTERED)
+        assert result.core_stats.variant == "general"
+        assert result.core_stats.lattice_sizes
+        for layout in ("bitset", "set"):
+            operator, rules = self._forced(system, result, layout)
+            assert operator.representation == layout
+            assert rules == result.encoded_rules
+            assert operator.lattice_sizes == result.core_stats.lattice_sizes
 
     def test_general_core_picks_its_layout_from_the_density(self):
         """Dense inputs (the Figure 2 golden, the BENCH_PR2 shape) mine
-        on bitmaps, a sparse clickstream on slot sets; the degrade's
-        forced ``"set"`` layout gives byte-equal output tables (the
-        operator-level forced layouts are compared in
-        ``test_core_operators`` and ``test_bitset_differential``)."""
-        from repro import MiningSystem
-        from repro.datagen import (
-            load_clickstream,
-            load_purchase_figure1,
-            load_purchase_synthetic,
-        )
-        from repro.sqlengine.dump import dump_table_text
+        on bitmaps, a sparse clickstream on slot sets, and the layout
+        not picked gives the same ordered rules on the same encoded
+        tables.  The simple core always reports its one layout."""
+        from repro.datagen import load_clickstream, load_purchase_synthetic
 
         sequences = (
             "MINE RULE S AS SELECT DISTINCT 1..n item AS BODY, "
@@ -334,7 +297,7 @@ class TestSystemRepresentationSwitch:
             "EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.3"
         )
         cases = [
-            (load_purchase_figure1, {}, self.CLUSTERED, "bitset"),
+            (None, {}, self.CLUSTERED, "bitset"),
             (
                 load_purchase_synthetic,
                 dict(customers=60, days=5, transactions_per_customer=4,
@@ -345,21 +308,14 @@ class TestSystemRepresentationSwitch:
             (load_clickstream, dict(users=150, seed=19), clicks, "set"),
         ]
         for load, shape, statement, expected in cases:
-            tables = {}
-            for layout in (None, "set"):
-                system = MiningSystem()
-                load(system.db, **shape)
-                result = self._execute(
-                    system, statement, degrade=layout == "set"
-                )
-                assert result.encoded_rules
-                out = result.output_table
-                tables[layout] = [
-                    dump_table_text(system.db, name)
-                    for name in (out, f"{out}_Bodies", f"{out}_Heads")
-                ]
-                assert result.core_stats.representation == (layout or expected)
-            assert tables[None] == tables["set"]
+            system, result = self._run(statement, load, **shape)
+            assert result.encoded_rules
+            assert result.core_stats.representation == expected
+            other = "set" if expected == "bitset" else "bitset"
+            assert self._forced(system, result, other)[1] == result.encoded_rules
+        _, simple = self._run(self.STATEMENT)
+        assert simple.core_stats.variant == "simple"
+        assert simple.core_stats.representation == "bitset"
 
     def test_core_stats_surfaced_in_trace_and_report(self):
         from repro.report import render_report
@@ -375,9 +331,17 @@ class TestSystemRepresentationSwitch:
         report_text = render_report(system, result)
         assert "lattice sets:" in report_text
         assert "bitmaps:" in report_text
+        # the layout is named where there is a choice, and only there
+        assert "core: general variant, bitset support sets" in report_text
+        simple = system.execute(self.STATEMENT)
+        assert (
+            "core: simple variant, bitmap gid lists, algorithm apriori"
+            in render_report(system, simple)
+        )
+        assert "simple core, bitmap gid lists" in simple.flow.render()
 
     def test_general_bitmap_stats_populated(self):
-        result = self._run(self.CLUSTERED)
+        _, result = self._run(self.CLUSTERED)
         stats = result.core_stats
         assert stats.universe_sizes.get("triple", 0) > 0
         assert stats.popcount_calls > 0

@@ -121,9 +121,25 @@ class TestEngineOptions:
             ):
                 EngineOptions(**bad)
 
-        from repro.algorithms import REPRESENTATIONS
+        # the pool: each member has the tuning its algorithm defines
+        # and no layout switch
+        import repro.algorithms as pool
 
-        assert REPRESENTATIONS == ("bitset", "set")
+        members = {
+            name: list(inspect.signature(cls).parameters)
+            for name, cls in pool.ALGORITHMS.items()
+        }
+        assert members == {
+            "apriori": [], "aprioritid": [], "eclat": [], "auto": [],
+            "exhaustive": [], "dhp": ["buckets"], "partition": ["partitions"],
+            "sampling": ["sample_fraction", "lowering", "seed"],
+        }
+        with pytest.raises(TypeError):
+            pool.get_algorithm("apriori", representation="set")
+        with pytest.raises(TypeError):
+            pool.Eclat(diffsets=False)
+        assert not hasattr(pool, "REPRESENTATIONS")
+        assert "REPRESENTATIONS" not in pool.__all__
 
     @pytest.mark.parametrize("flag", ["--workers=2", "--shard-start-method=fork"])
     def test_sharding_flags_are_gone(self, flag, capsys):

@@ -123,12 +123,6 @@ class TestModuleHooks:
                 raise RuntimeError("boom")
         assert faults.active() is None
 
-    def test_degrade_records_on_active_schedule(self):
-        schedule = FaultSchedule()
-        with faults.injected(schedule):
-            faults.degrade("core.bitset: bitset -> set")
-        assert schedule.degradations == ["core.bitset: bitset -> set"]
-
     def test_dbapi_cursor_checks_its_site(self):
         from repro.sqlengine.dbapi import connect
 

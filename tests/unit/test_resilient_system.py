@@ -166,7 +166,10 @@ class TestRetryPlumbing:
 
 
 class TestLoudDegradation:
-    def test_bitset_degrade_is_counted_and_marked_on_the_span(self):
+    def test_persistent_bitset_fault_fails_the_stage(self):
+        """``core.bitset`` has no slower path to fall back to: once the
+        retries are spent the statement fails like at any other site,
+        keeps its checkpoint, and a resumed run finishes it."""
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.spans import Tracer
 
@@ -177,18 +180,22 @@ class TestLoudDegradation:
         system = MiningSystem(
             database=database, tracer=tracer, metrics=registry
         )
-        fallbacks = registry.get("repro_fallback_total")
         quiet = system.run(STATEMENT)
-        assert fallbacks.value(site="core.bitset", reason="fault") == 0
 
-        with faults.injected(FaultSchedule().arm("core.bitset", times=99)):
-            degraded = system.run(STATEMENT)
-        assert degraded.rule_set() == quiet.rule_set()
-        assert degraded.core_stats.representation == "set"
-        assert fallbacks.value(site="core.bitset", reason="fault") == 1
-        marks = [
-            span.args["core_fallback"]
-            for span in tracer.spans
-            if "core_fallback" in span.args
-        ]
-        assert len(marks) == 1 and "core.bitset" in marks[0]
+        schedule = FaultSchedule().arm("core.bitset", times=99)
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0)
+        with faults.injected(schedule):
+            with pytest.raises(FaultError) as excinfo:
+                system.run(STATEMENT, retry=policy)
+        assert excinfo.value.site == "core.bitset"
+        assert schedule.errors_injected == 3  # every attempt, then up
+        assert system.checkpoint_for(STATEMENT) is not None
+        assert dict(registry.get("repro_fallback_total").samples()) == {}
+        assert not any("core_fallback" in span.args for span in tracer.spans)
+
+        resumed = system.run(STATEMENT, resume=True)
+        assert resumed.rule_set() == quiet.rule_set()
+        assert resumed.encoded_rules == quiet.encoded_rules
+        assert resumed.resilience.stages_resumed > 0
+        assert resumed.core_stats.representation == "bitset"
+        assert system.checkpoint_for(STATEMENT) is None

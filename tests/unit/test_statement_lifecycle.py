@@ -167,30 +167,25 @@ def test_mine_refresh_and_sql_records_share_their_common_keys():
 
 @pytest.mark.parametrize("verb", ["run", "refresh"])
 def test_journal_says_which_fallback_fired(verb):
-    """ROADMAP 4(d): a record per degradation, for mine and refresh
-    alike — and none when nothing happened."""
+    """ROADMAP 4(d): a ``resilience`` object per statement that met a
+    fault, for mine and refresh alike — and none when nothing
+    happened."""
     observed = Observed()
     kind = SERIES[verb][3]
     assert "resilience" not in observed.journal.list(kind="mine")[-1]
     policy = RetryPolicy(max_attempts=2, base_delay=0.0)
     if verb == "run":
-        schedule = FaultSchedule().arm("core.bitset", call=1, times=2)
+        schedule = FaultSchedule().arm("core.bitset", call=1)
     else:
         schedule = FaultSchedule().arm("refresh.recount", call=1)
     with faults.injected(schedule):
         result = observed.call(verb, retry=policy)
     resilience = observed.journal.list(kind=kind)[-1]["resilience"]
-    assert set(resilience) >= {
-        "retries", "faults_injected", "stages_resumed", "degraded",
+    assert set(resilience) == {
+        "retries", "faults_injected", "latencies_injected", "stages_resumed",
     }
     assert resilience["retries"] == result.resilience.retries == 1
-    if verb == "run":
-        assert resilience["faults_injected"] == 2
-        assert len(resilience["degraded"]) == 1
-        assert "bitset -> set" in resilience["degraded"][0]
-    else:
-        assert resilience["faults_injected"] == 1
-        assert resilience["degraded"] == []
+    assert resilience["faults_injected"] == 1
 
 
 def test_refresh_retries_are_events_of_the_core_component():
@@ -206,24 +201,31 @@ def test_refresh_retries_are_events_of_the_core_component():
     assert set(result.flow.components()) <= STAGES
 
 
-def test_core_bitset_site_only_fires_on_the_bitmap_layout():
-    """A pool member built on the set layout has nothing to degrade: a
-    failing ``core.bitset`` site neither fires nor is reported for it."""
-    from repro.algorithms import Apriori
-
-    database = Database()
-    load_purchase_figure1(database)
-    metrics = MetricsRegistry()
-    system = MiningSystem(
-        database=database, metrics=metrics,
-        algorithm=Apriori(representation="set"),
-    )
+def test_persistent_core_bitset_fault_is_a_journalled_error():
+    """The site has no degrade: a ``core.bitset`` that keeps failing is
+    an ``error`` record like any other site's, the checkpoint stays and
+    the resumed statement is journalled ``ok`` with the baseline's
+    rules."""
+    observed = Observed()
+    baseline = observed.system.run(STATEMENT).encoded_rules
     schedule = FaultSchedule().arm("core.bitset", call=1, times=1000)
     with faults.injected(schedule):
-        result = system.run(STATEMENT)
-    assert not result.resilience.any()
-    assert dict(metrics.get("repro_fallback_total").samples()) == {}
-    assert result.core_stats.representation == "set"
+        with pytest.raises(FaultError):
+            observed.system.run(
+                STATEMENT, retry=RetryPolicy(max_attempts=2, base_delay=0.0)
+            )
+    assert schedule.counts["core.bitset"] == 2  # once per attempt
+    failed = observed.journal.list(kind="mine")[-1]
+    assert failed["status"] == "error"
+    assert "core.bitset" in failed["error"]
+    assert observed.system.checkpoint_for(STATEMENT) is not None
+    assert dict(
+        observed.metrics.get("repro_fallback_total").samples()
+    ) == {}
+
+    resumed = observed.system.run(STATEMENT, resume=True)
+    assert resumed.encoded_rules == baseline
+    assert observed.journal.list(kind="mine")[-1]["status"] == "ok"
 
 
 @pytest.mark.parametrize("verb", ["run", "refresh"])
