@@ -10,6 +10,12 @@ from hypothesis import settings
 #: ``--hypothesis-profile=oracle-ci``; it reaches the tests that set no
 #: ``max_examples`` of their own (tests/property/test_minerule_oracle.py)
 settings.register_profile("oracle-ci", max_examples=1500, deadline=None)
+#: example budget of CI's SQL differential step
+#: (``--hypothesis-profile=sql-ci``): the sqlite3 and row-executor
+#: differentials draw a fifth of it per property — 100 against
+#: tier-1's 20, for the NULL and duplicate-key inputs that pick the
+#: batch executor's join and grouping kernels
+settings.register_profile("sql-ci", max_examples=500, deadline=None)
 
 
 def pytest_addoption(parser):

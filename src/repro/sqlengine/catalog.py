@@ -38,6 +38,15 @@ class Sequence:
             self.next_value += 1
             return value
 
+    def nextvals(self, count: int) -> range:
+        """*count* consecutive values reserved under one lock
+        acquisition — what *count* ``nextval()`` calls in a row would
+        return, with no other caller's value in between."""
+        with self._lock:
+            start = self.next_value
+            self.next_value = start + count
+        return range(start, start + count)
+
     def reset(self, start: int = 1) -> None:
         with self._lock:
             self.next_value = start

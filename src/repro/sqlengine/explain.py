@@ -301,11 +301,12 @@ class AnalyzeCollector:
 
     def record_vector(
         self, op: Operator, rows: int, batches: int, spill_bytes: int,
-        seconds: float,
+        seconds: float, probe: Optional[str] = None,
     ) -> None:
         """One vector node finished: it mirrors row operator *op* and
         reports into the same EXPLAIN ANALYZE slot (``envs`` is never
-        pulled on the vector path, so the shadow stays silent)."""
+        pulled on the vector path, so the shadow stays silent).  A hash
+        join names the *probe* kernel it ran (``unique``/``buckets``)."""
         stats = self.stats.setdefault(id(op), NodeStats())
         stats.rows += rows
         stats.loops += 1
@@ -315,6 +316,8 @@ class AnalyzeCollector:
         )
         info["batches"] += batches
         info["spill_bytes"] += spill_bytes
+        if probe is not None:
+            info["probe"] = probe
 
     def add_vector_spill(self, op: Operator, nbytes: int) -> None:
         """Attribute external-sort spill to the plan's source node (the
@@ -341,10 +344,12 @@ class AnalyzeCollector:
             if info is not None:
                 batches = info["batches"]
                 per_batch = round(stats.rows / batches) if batches else 0
+                probe = info.get("probe")
                 text += (
                     f" [vectorized batches={batches} "
                     f"rows/batch={per_batch} "
-                    f"spill={info['spill_bytes']} B]"
+                    f"spill={info['spill_bytes']} B"
+                    f"{f' probe={probe}' if probe else ''}]"
                 )
             return text
 
@@ -370,6 +375,8 @@ class AnalyzeCollector:
                     entry["vectorized"] = True
                     entry["batches"] = info["batches"]
                     entry["spill_bytes"] = info["spill_bytes"]
+                    if "probe" in info:
+                        entry["probe"] = info["probe"]
                 out.append(entry)
         return out
 

@@ -36,6 +36,15 @@ statement it accepts.  That is achieved three ways:
   (EXPLAIN shows it, ``repro_fallback_total`` counts it).  Any other
   exception out of the builder is a lowering bug and propagates.
 
+Joins, grouping and DISTINCT run as a few builtin passes over column
+lists (``dict``/``zip``/``map``/``Counter``), the kernel picked from
+what the input shows: a hash join whose build keys are NULL-free and
+distinct probes one dict lookup per row (``probe=unique`` in EXPLAIN
+ANALYZE), any other emits bucket lists (``probe=buckets``); grouping
+with no aggregate but ``COUNT(*)`` keeps no member lists.  Every kernel
+emits the row executor's order — first appearance, left-major — which
+is load-bearing: ``NEXTVAL`` numbers groups and items (Gid, Bid) in it.
+
 The only tolerated divergence is *which* row's error surfaces first
 when a statement raises: kernels evaluate an operand for every row
 before moving on, so two independently erroneous expressions may
@@ -53,7 +62,11 @@ from __future__ import annotations
 
 import datetime
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import chain, compress, repeat
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine import spill as spill_mod
@@ -144,10 +157,10 @@ def _gather(cols: List[Column], idxs: List[int]) -> List[Column]:
     return [None if c is None else [c[i] for i in idxs] for c in cols]
 
 
-def _gather_pad(cols: List[Column], idxs: List[int]) -> List[Column]:
-    """Gather allowing ``-1`` = NULL (outer-join padding)."""
+def _gather_pad(cols: List[Column], idxs: List[Optional[int]]) -> List[Column]:
+    """Gather allowing ``None`` = NULL (outer-join padding)."""
     return [
-        None if c is None else [None if i < 0 else c[i] for i in idxs]
+        None if c is None else [None if i is None else c[i] for i in idxs]
         for c in cols
     ]
 
@@ -293,6 +306,8 @@ def _cmp_values(op: str, lv: Any, rv: Any, ldt: str, rdt: str) -> Any:
             return [None if v is None else opfn(s, v) for v in rv]
         return [compare(op, s, v) for v in rv]
     if _clean_pair(ldt, rdt):
+        if None not in lv and None not in rv:
+            return list(map(opfn, lv, rv))
         return [
             None if a is None or b is None else opfn(a, b)
             for a, b in zip(lv, rv)
@@ -971,7 +986,8 @@ class VNode:
         batch = self._execute(ctx)
         elapsed = time.perf_counter() - started
         collector.record_vector(
-            self.op, batch.n, self._batches, self._spill, elapsed
+            self.op, batch.n, self._batches, self._spill, elapsed,
+            self._probe,
         )
         return batch
 
@@ -986,6 +1002,8 @@ class VNode:
 
     _batches = 0
     _spill = 0
+    #: a join's probe kernel, for EXPLAIN ANALYZE
+    _probe: Optional[str] = None
 
 
 def _chunks(n: int, size: int) -> int:
@@ -1117,7 +1135,16 @@ class VHashJoin(VNode):
     probes the left in order (left-major output, bucket order within a
     key — exactly the row operator's emission order).  Above the
     memory budget the build/probe runs partition-wise through
-    :mod:`repro.sqlengine.spill`."""
+    :mod:`repro.sqlengine.spill`.
+
+    Materialization is late: the pairs are found on the key columns
+    alone, a residual is evaluated on candidate pairs gathered only
+    for the columns it reads, and only the columns the operators above
+    read (:meth:`require`) are gathered, once, at the surviving pairs."""
+
+    #: LEFT OUTER: every left row without a surviving pair is emitted
+    #: once with a NULL right side
+    outer = False
 
     def __init__(
         self,
@@ -1135,8 +1162,10 @@ class VHashJoin(VNode):
         self.right_keys = right_keys
         self.residual = residual
         self.dtypes = left.dtypes + right.dtypes
+        self._needed: frozenset = frozenset()
 
     def require(self, flats: frozenset) -> None:
+        self._needed = flats
         if self.residual is not None:
             flats = flats | self.residual.used
         split = len(self.left.dtypes)
@@ -1161,163 +1190,162 @@ class VHashJoin(VNode):
             _as_list(k.fn(ctx, lbatch.cols, lbatch.n), lbatch.n)
             for k in self.left_keys
         ]
+        outer = self.outer
         budget = ctx.budget
         if budget is not None and rbatch.n and spill_mod.estimate_bytes(
             len(rbatch.cols) + len(rkeys), rbatch.n
         ) > budget:
+            # spill_join_pairs emits exactly the in-memory pair order
             pairs, spilled = spill_mod.spill_join_pairs(
                 _key_tuples(lkeys, lbatch.n), _key_tuples(rkeys, rbatch.n)
             )
             self._spill += spilled
-            lefts = [i for i, _ in pairs]
+            self._probe = "buckets"
+            lefts: Sequence[int] = [i for i, _ in pairs]
             rights = [j for _, j in pairs]
+            if outer:
+                lefts, rights = _pad(lefts, rights, lbatch.n)
         else:
-            lefts, rights = _join_pairs(lkeys, lbatch.n, rkeys, rbatch.n)
-        cols = _gather(lbatch.cols, lefts) + _gather(rbatch.cols, rights)
-        n = len(lefts)
+            lefts, rights, self._probe = _join_pairs(
+                lkeys, lbatch.n, rkeys, rbatch.n, outer
+            )
         residual = self.residual
-        if residual is not None and n:
-            vals = _as_list(residual.fn(ctx, cols, n), n)
-            sel = [i for i, v in enumerate(vals) if v is True]
-            if len(sel) != n:
-                cols = _gather(cols, sel)
-                n = len(sel)
+        if residual is not None:
+            if outer:
+                # the residual sees real pairs only; padding is redone
+                lefts, rights = _select(
+                    lefts, rights, map(_op.is_not, rights, repeat(None))
+                )
+            if lefts:
+                cols = self._columns(lbatch, rbatch, lefts, rights,
+                                     residual.used)
+                vals = _as_list(residual.fn(ctx, cols, len(lefts)), len(lefts))
+                lefts, rights = _select(
+                    lefts, rights, map(_op.is_, vals, repeat(True))
+                )
+            if outer:
+                lefts, rights = _pad(lefts, rights, lbatch.n)
+        cols = self._columns(lbatch, rbatch, lefts, rights, self._needed)
+        n = len(lefts)
         self._batches = _chunks(n, ctx.batch_size)
         return _Batch(cols, n)
+
+    def _columns(
+        self,
+        lbatch: _Batch,
+        rbatch: _Batch,
+        lefts: Sequence[int],
+        rights: Sequence[Optional[int]],
+        flats: frozenset,
+    ) -> List[Column]:
+        """The output columns in *flats* gathered at the pairs, ``None``
+        elsewhere.  A ``range`` of left indices is every left row in
+        order: the left columns pass through as they are."""
+        split = len(lbatch.cols)
+        lcols = [c if f in flats else None for f, c in enumerate(lbatch.cols)]
+        rcols = [
+            c if f + split in flats else None
+            for f, c in enumerate(rbatch.cols)
+        ]
+        if not isinstance(lefts, range):
+            lcols = _gather(lcols, lefts)
+        return lcols + (_gather_pad if self.outer else _gather)(rcols, rights)
+
+
+def _row_keys(key_lists: List[List[Any]], n: int) -> List[Any]:
+    """One hashable key per row: the value itself for a single key
+    column, a tuple for several — equal exactly when the row
+    operator's key tuples are."""
+    if len(key_lists) == 1:
+        return key_lists[0]
+    return _key_tuples(key_lists, n)
 
 
 def _key_tuples(key_lists: List[List[Any]], n: int) -> List[Tuple[Any, ...]]:
-    if len(key_lists) == 1:
-        return [(v,) for v in key_lists[0]]
-    return list(zip(*key_lists)) if key_lists else [() for _ in range(n)]
+    """Per-row key tuples, the shape the spill functions take."""
+    return list(zip(*key_lists)) if key_lists else [()] * n
+
+
+#: a probe miss in a LEFT OUTER join: one pair with no right row
+_PAD = (None,)
 
 
 def _join_pairs(
-    lkeys: List[List[Any]], ln: int, rkeys: List[List[Any]], rn: int
-) -> Tuple[List[int], List[int]]:
+    lkeys: List[List[Any]],
+    ln: int,
+    rkeys: List[List[Any]],
+    rn: int,
+    outer: bool,
+) -> Tuple[Sequence[int], List[Optional[int]], str]:
     """Matching (left, right) row indices of an equi-join, i-major and
-    in bucket order per i — as two parallel index lists, ready for
-    :func:`_gather`."""
-    lefts: List[int] = []
-    rights: List[int] = []
-    lappend = lefts.append
-    rappend = rights.append
-    if len(lkeys) == 1 and len(rkeys) == 1:
-        # single-key joins dominate the workload: skip key tuples
-        build_scalar: Dict[Any, List[int]] = {}
-        setdefault = build_scalar.setdefault
-        for j, value in enumerate(rkeys[0]):
-            if value is not None:
-                setdefault(value, []).append(j)
-        get = build_scalar.get
-        for i, value in enumerate(lkeys[0]):
-            if value is None:
-                continue
-            bucket = get(value)
-            if bucket:
-                for j in bucket:
-                    lappend(i)
-                    rappend(j)
-        return lefts, rights
-    build: Dict[Tuple[Any, ...], List[int]] = {}
-    setdefault = build.setdefault
-    for j, key in enumerate(_key_tuples(rkeys, rn)):
-        if None in key:
-            continue
-        setdefault(key, []).append(j)
-    get = build.get
-    for i, key in enumerate(_key_tuples(lkeys, ln)):
-        if None in key:
+    in build order per i, as two parallel index lists ready for
+    :func:`_gather` — with ``outer``, a left row without a match pairs
+    once with ``None`` — and the probe kernel that found them.
+
+    ``unique``: no build key is NULL or repeats, so a probe is one dict
+    lookup per left row; when every left row matches (or ``outer``)
+    the left indices are ``range(ln)``.  ``buckets``: build positions
+    per key, emitted bucket by bucket."""
+    lk = _row_keys(lkeys, ln)
+    rk = _row_keys(rkeys, rn)
+    if not any(None in col for col in rkeys):
+        unique = dict(zip(rk, range(rn)))
+        if len(unique) == rn:
+            rights = list(map(unique.get, lk))
+            if outer or None not in rights:
+                return range(ln), rights, "unique"
+            lefts, rights = _select(
+                range(ln), rights, map(_op.is_not, rights, repeat(None))
+            )
+            return lefts, rights, "unique"
+    single = len(rkeys) == 1
+    buckets: Dict[Any, List[int]] = {}
+    get = buckets.get
+    for j, key in enumerate(rk):
+        if (key is None) if single else (None in key):
             continue
         bucket = get(key)
-        if bucket:
-            for j in bucket:
-                lappend(i)
-                rappend(j)
-    return lefts, rights
+        if bucket is None:
+            buckets[key] = [j]
+        else:
+            bucket.append(j)
+    found = list(map(get, lk, repeat(_PAD if outer else ())))
+    lefts = list(chain.from_iterable(map(repeat, range(ln), map(len, found))))
+    return lefts, list(chain.from_iterable(found)), "buckets"
+
+
+def _select(
+    lefts: Sequence[int],
+    rights: Sequence[Optional[int]],
+    mask: Iterable[Any],
+) -> Tuple[List[int], List[Optional[int]]]:
+    """The pairs whose *mask* entry is true."""
+    mask = list(mask)
+    return list(compress(lefts, mask)), list(compress(rights, mask))
+
+
+def _pad(
+    lefts: List[int], rights: List[Optional[int]], ln: int
+) -> Tuple[List[int], List[Optional[int]]]:
+    """LEFT OUTER emission from i-major pairs: each of the *ln* left
+    rows without a pair gets one with right index ``None``, in place."""
+    matched = set(lefts)
+    pads = [i for i in range(ln) if i not in matched]
+    if not pads:
+        return lefts, rights
+    lefts = list(lefts) + pads
+    rights = list(rights) + [None] * len(pads)
+    # stable: the pairs of one left row keep their build order
+    order = sorted(range(len(lefts)), key=lefts.__getitem__)
+    return [lefts[k] for k in order], [rights[k] for k in order]
 
 
 class VLeftOuterHashJoin(VHashJoin):
-    """LEFT OUTER equi-join.  Candidates are gathered per left row in
-    bucket order, the residual is applied batch-wise, and unmatched
-    left rows pad the right side with NULLs — the row operator's exact
-    emission order.  Above the memory budget the candidate pairs come
-    from :func:`repro.sqlengine.spill.spill_join_pairs`, whose output
-    (left-major, build-insertion order per key) is exactly the
-    in-memory candidate order, so the per-left spans — and with them
-    the NULL padding of unmatched rows — rebuild identically."""
+    """LEFT OUTER equi-join: the inner join's pairs, a residual
+    applied to them, and every left row left without a pair padded
+    with NULLs in its place — the row operator's emission order."""
 
-    def _execute(self, ctx: _Ctx) -> _Batch:
-        rbatch = self.right.run(ctx)
-        lbatch = self.left.run(ctx)
-        rkeys = [
-            _as_list(k.fn(ctx, rbatch.cols, rbatch.n), rbatch.n)
-            for k in self.right_keys
-        ]
-        lkeys = [
-            _as_list(k.fn(ctx, lbatch.cols, lbatch.n), lbatch.n)
-            for k in self.left_keys
-        ]
-        budget = ctx.budget
-        ltup = _key_tuples(lkeys, lbatch.n)
-        # candidate (left, right) pairs, i-major and contiguous per i
-        cand: List[Tuple[int, int]]
-        if budget is not None and rbatch.n and spill_mod.estimate_bytes(
-            len(rbatch.cols) + len(rkeys), rbatch.n
-        ) > budget:
-            cand, spilled = spill_mod.spill_join_pairs(
-                ltup, _key_tuples(rkeys, rbatch.n)
-            )
-            self._spill += spilled
-        else:
-            build: Dict[Tuple[Any, ...], List[int]] = {}
-            rtup = _key_tuples(rkeys, rbatch.n)
-            for j in range(rbatch.n):
-                key = rtup[j]
-                if any(v is None for v in key):
-                    continue
-                build.setdefault(key, []).append(j)
-            cand = []
-            for i in range(lbatch.n):
-                key = ltup[i]
-                if not any(v is None for v in key):
-                    for j in build.get(key, ()):
-                        cand.append((i, j))
-        # per-left candidate spans over the i-major pair list; left
-        # rows with no candidates get empty spans (NULL-pad below)
-        spans: List[Tuple[int, int]] = []
-        pos = 0
-        total = len(cand)
-        for i in range(lbatch.n):
-            start = pos
-            while pos < total and cand[pos][0] == i:
-                pos += 1
-            spans.append((start, pos))
-        matched_flags: List[bool]
-        if self.residual is not None and cand:
-            ccols = _gather(lbatch.cols, [i for i, _ in cand])
-            ccols += _gather(rbatch.cols, [j for _, j in cand])
-            vals = _as_list(self.residual.fn(ctx, ccols, len(cand)), len(cand))
-            matched_flags = [v is True for v in vals]
-        else:
-            matched_flags = [True] * len(cand)
-        lefts: List[int] = []
-        rights: List[int] = []
-        for i in range(lbatch.n):
-            start, end = spans[i]
-            any_match = False
-            for k in range(start, end):
-                if matched_flags[k]:
-                    any_match = True
-                    lefts.append(i)
-                    rights.append(cand[k][1])
-            if not any_match:
-                lefts.append(i)
-                rights.append(-1)
-        cols = _gather(lbatch.cols, lefts) + _gather_pad(rbatch.cols, rights)
-        n = len(lefts)
-        self._batches = _chunks(n, ctx.batch_size)
-        return _Batch(cols, n)
+    outer = True
 
 
 class VAggregate(VNode):
@@ -1354,13 +1382,7 @@ class VAggregate(VNode):
         batch = self.child.run(ctx)
         ccols = batch.cols
         n = batch.n
-        keys = _key_tuples(
-            [
-                _as_list(k.fn(ctx, ccols, n), n)
-                for k in self.key_vexprs
-            ],
-            n,
-        )
+        key_lists = [_as_list(k.fn(ctx, ccols, n), n) for k in self.key_vexprs]
         slots = self.gctx.slots
         arg_lists: List[Optional[List[Any]]] = [
             None
@@ -1374,7 +1396,8 @@ class VAggregate(VNode):
         ) > budget:
             live = [k for k, col in enumerate(ccols) if col is not None]
             reps, slotcols, count, spilled = spill_mod.spill_aggregate(
-                n, keys, [ccols[k] for k in live], arg_lists, slots
+                n, _key_tuples(key_lists, n), [ccols[k] for k in live],
+                arg_lists, slots,
             )
             repcols: List[Column] = [None] * len(ccols)
             for k, col in zip(live, reps):
@@ -1382,44 +1405,63 @@ class VAggregate(VNode):
             self._spill += spilled
             self._batches = _chunks(count, ctx.batch_size)
             return _Batch(repcols + slotcols, count)
-        groups: Dict[Tuple[Any, ...], int] = {}
-        members: List[List[int]] = []
-        for i in range(n):
-            key = keys[i]
-            g = groups.get(key)
-            if g is None:
-                groups[key] = len(members)
-                members.append([i])
-            else:
-                members[g].append(i)
-        if not members:
+        members: Optional[List[Sequence[int]]] = None
+        sizes: List[int] = []
+        if not n:
             if not self.op.scalar:
                 self._batches = 1
                 width = len(ccols) + len(slots)
                 return _Batch([[] for _ in range(width)], 0)
             repcols = [[None] for _ in ccols]
-            members = [[]]
+            members, sizes, count = [[]], [0], 1
         else:
-            repcols = _gather(ccols, [m[0] for m in members])
+            if not key_lists:  # no GROUP BY: one group of every row
+                firsts, members, sizes = [0], [range(n)], [n]
+            elif all(slot.star for slot in slots):
+                # COUNT(*) at most, no member lists: the reversed dict
+                # keeps each key's first row, and Counter counts in
+                # first-appearance order too
+                keys = _row_keys(key_lists, n)
+                firsts = sorted(
+                    dict(zip(reversed(keys), range(n - 1, -1, -1))).values()
+                )
+                if slots:
+                    sizes = list(Counter(keys).values())
+            else:
+                firsts, members = _members(_row_keys(key_lists, n))
+                sizes = list(map(len, members))
+            repcols = _gather(ccols, firsts)
+            count = len(firsts)
         slotcols = [
-            reduce_slot(slot, arg_lists[pos], members)
+            sizes if slot.star else reduce_slot(slot, arg_lists[pos], members)
             for pos, slot in enumerate(slots)
         ]
-        count = len(members)
         self._batches = _chunks(count, ctx.batch_size)
         return _Batch(repcols + slotcols, count)
 
 
+def _members(keys: List[Any]) -> Tuple[List[int], List[List[int]]]:
+    """Row positions grouped by key in first-appearance order: each
+    group's first row and its member rows."""
+    index: Dict[Any, int] = {}
+    members: List[List[int]] = []
+    for i, key in enumerate(keys):
+        g = index.get(key)
+        if g is None:
+            index[key] = len(members)
+            members.append([i])
+        else:
+            members[g].append(i)
+    return [m[0] for m in members], members
+
+
 def reduce_slot(
-    slot: _AggSlot, argv: Optional[List[Any]], members: List[List[int]]
+    slot: _AggSlot, argv: List[Any], members: List[Sequence[int]]
 ) -> List[Any]:
-    if slot.star:
-        return [len(m) for m in members]
-    out = []
-    for m in members:
-        values = [argv[i] for i in m]
-        out.append(reduce_values(slot.name, values, slot.distinct))
-    return out
+    return [
+        reduce_values(slot.name, [argv[i] for i in m], slot.distinct)
+        for m in members
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1503,12 +1545,17 @@ class VectorPlan:
                 out_cols.append(_as_list(payload.fn(ctx, cols, n), n))
             else:  # "seq": a bare NEXTVAL item, allocated in row order
                 sequence = db.catalog.get_sequence(payload)
-                out_cols.append([sequence.nextval() for _ in range(n)])
+                out_cols.append(list(sequence.nextvals(n)))
         if self.select.distinct and n:
             # first appearance wins, as in the row path's seen-dict
-            rows = dict.fromkeys(zip(*out_cols))
-            if len(rows) != n:
-                out_cols, n = transpose(rows, self.width), len(rows)
+            if len(out_cols) == 1:
+                values = dict.fromkeys(out_cols[0])
+                if len(values) != n:
+                    out_cols, n = [list(values)], len(values)
+            else:
+                rows = dict.fromkeys(zip(*out_cols))
+                if len(rows) != n:
+                    out_cols, n = transpose(rows, self.width), len(rows)
         if self.order_entries and n:
             out_cols = self._order(ctx, out_cols, n)
         return out_cols, n

@@ -98,3 +98,56 @@ def test_golden_files_are_committed():
     for path in files:
         content = path.read_text(encoding="utf-8")
         assert content.strip(), f"{path.name} is empty"
+
+
+# ---------------------------------------------------------------------------
+# identifier numbering: Gid (Q2b) and Bid (Q3b) follow first appearance
+# ---------------------------------------------------------------------------
+
+#: Q3b's Bset of Figure 1: (Bid, item, GroupCount) in numbering order
+FIGURE1_BSET = [
+    (1, "ski_pants", 1),
+    (2, "hiking_boots", 1),
+    (3, "col_shirts", 1),
+    (4, "brown_boots", 1),
+    (5, "jackets", 2),
+]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATEMENTS))
+def test_gid_and_bid_numbering_is_pinned(name):
+    """The dumps above are sorted, so they do not show which number a
+    group or an item got; the numbering is the order in which the
+    batch executor's grouping and DISTINCT emit rows."""
+    database = Database()
+    load_purchase_figure1(database)
+    result = MiningSystem(database=database).run(GOLDEN_STATEMENTS[name])
+    workspace = result.program.workspace
+    assert database.table(workspace.valid_groups).rows == [
+        (1, "cust1"), (2, "cust2"),
+    ]
+    assert database.table(workspace.bset).rows == FIGURE1_BSET
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATEMENTS))
+def test_encoded_tables_equal_the_row_executor_row_for_row(name):
+    """On a few hundred synthetic rows every encoded table — Gid and Bid
+    numbering, CodedSource / MiningSource order — is what the row
+    executor stores."""
+    from repro.datagen import load_purchase_synthetic
+    from repro.sqlengine import EngineOptions
+
+    stored = []
+    for options in (EngineOptions(), EngineOptions(vectorize=False)):
+        database = Database(options)
+        load_purchase_synthetic(database, customers=12, seed=3)
+        workspace = MiningSystem(database=database).run(
+            GOLDEN_STATEMENTS[name]
+        ).program.workspace
+        stored.append({
+            table: database.table(table).rows
+            for table in workspace.all_tables()
+            if database.catalog.has_table(table)
+        })
+    assert stored[0] == stored[1]
+    assert stored[0]

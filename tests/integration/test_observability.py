@@ -196,6 +196,35 @@ def test_row_executor_fallbacks_are_pinned(name):
     assert vector_fallbacks(tracer) == PINNED_FALLBACKS[name]
 
 
+def join_probes(nodes):
+    """The probe kernel of each hash join among EXPLAIN ANALYZE nodes."""
+    return [
+        node.get("probe") for node in nodes
+        if node["operator"].endswith("HashJoin")
+    ]
+
+
+def test_encoding_and_decoding_joins_take_the_unique_probe():
+    """Q4 joins the source with ValidGroups and Bset, P1/P2 join the
+    rule bodies and heads with Bset: every build side has distinct
+    keys, so each probe is one dict lookup per row.  A change that
+    falls back to bucket lists fails here, not in a benchmark."""
+    database = Database()
+    workloads.load_retail(database, 19, "quick")
+    tracer = Tracer(enabled=True, analyze=True)
+    result = MiningSystem(database=database, tracer=tracer).run(
+        workloads.RETAIL.text(0.2)
+    )
+    q4 = result.preprocess_stats.analyzed["Q4"]
+    assert join_probes(q4) == ["unique", "unique"]
+    assert "probe=unique" in result.preprocess_stats.analyzed_text["Q4"]
+    assert [query.label for query in result.program.postprocessing] == [
+        "P1", "P2",
+    ]
+    for query in result.program.postprocessing:
+        assert join_probes(database.analyze(query.sql).nodes) == ["unique"]
+
+
 def test_service_select_shapes_stay_on_the_batch_executor():
     """The three SELECT shapes ``service_mixed`` polls (a qualified
     ``ORDER BY h.item`` used to send two to the row executor)."""

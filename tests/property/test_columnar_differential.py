@@ -177,6 +177,25 @@ SELECT_SHAPES = (
     "SELECT t.b, COUNT(*) FROM {t} GROUP BY t.b ORDER BY t.b DESC",
     "SELECT b, SUM(a) FROM {t} GROUP BY b ORDER BY SUM(a), t.b",
     "SELECT * FROM {t} ORDER BY t.b, t.a",
+    # no ORDER BY below: each join, grouping and DISTINCT kernel must
+    # emit the row executor's order.  A build side with distinct keys
+    # (unique probe), with repeating keys (buckets), two keys with NULL
+    # components, distinct keys but for one NULL, a residual over a
+    # column no select item reads
+    "SELECT t.a, t.b, d.b FROM {t}, (SELECT DISTINCT b FROM {u}) d "
+    "WHERE t.b = d.b",
+    "SELECT t.a, u.c FROM {t}, {u} WHERE t.b = u.b",
+    "SELECT t.b, u.c FROM {t}, {u} WHERE t.b = u.b AND t.a = u.c",
+    "SELECT t.b, d.c FROM {t}, (SELECT DISTINCT c FROM {u}) d "
+    "WHERE t.a = d.c",
+    "SELECT t.a FROM {t}, {u} WHERE t.b = u.b AND t.a > u.c",
+    "SELECT COUNT(*) FROM (SELECT DISTINCT a FROM {t}) d",
+    "SELECT COUNT(*) FROM {t} WHERE a > 100",
+    "SELECT b, COUNT(*) FROM {t} WHERE a > 100 GROUP BY b",
+    "SELECT DISTINCT a FROM {t}",
+    "SELECT t.a, d.b FROM {t} LEFT JOIN (SELECT DISTINCT b FROM {u}) d "
+    "ON t.b = d.b",
+    "SELECT t.a, u.c FROM {t} LEFT JOIN {u} ON t.b = u.b AND u.c > t.a",
 )
 
 #: statements with a side effect, each followed by the reads that
@@ -248,8 +267,14 @@ def _engine_results(options, storage, t_rows, u_rows, access="direct"):
     return results
 
 
+#: examples of the engine-level properties: a fifth of the active
+#: hypothesis profile's budget (20 under ``default``; CI's ``sql-ci``
+#: profile, root conftest.py, runs more)
+EXAMPLES = max(1, settings.default.max_examples // 5)
+
+
 class TestEngineRowVsColumnarVsSpill:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(
         t_rows=engine_rows,
         u_rows=other_rows,
@@ -315,7 +340,7 @@ def _mixed_results(options, storage, m_rows, n_rows, access):
 
 
 class TestMixedValuesThroughBothExecutors:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=max(25, EXAMPLES), deadline=None)
     @given(
         m_rows=mixed_rows,
         n_rows=mixed_rows,

@@ -7,6 +7,7 @@ catalog version counter, sequences, host-variable bindings — plus the
 reader/writer lock itself.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -257,6 +258,38 @@ class TestCatalogConcurrency:
         run_threads(THREADS, draw)
         assert len(drawn) == len(set(drawn)) == THREADS * 200
         assert seq.next_value == THREADS * 200 + 1
+
+    def test_sequence_nextvals_mixed_with_nextval(self):
+        """Batch reservations (a vector NEXTVAL item) interleaved with
+        single draws on more threads than cores: the values drawn are
+        exactly 1..N, no duplicate and no gap."""
+        seq = Sequence("s")
+        drawn = [[] for _ in range(THREADS)]
+
+        def draw(i):
+            for k in range(1, 150):
+                if (i + k) % 2:
+                    drawn[i].append(seq.nextval())
+                else:
+                    drawn[i].extend(seq.nextvals(k % 9))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=draw, args=(i,))
+                for i in range(THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        values = sorted(v for values in drawn for v in values)
+        assert values == list(range(1, len(values) + 1))
+        assert seq.next_value == len(values) + 1
 
     def test_sequence_through_sql(self):
         db = Database()

@@ -62,6 +62,20 @@ class TestAnalyzeSelect:
         operators = {n["operator"]: n for n in result.nodes}
         assert operators["HashJoin"]["rows"] == 4
 
+    def test_join_names_its_probe_kernel(self, db):
+        """Distinct build keys probe one dict lookup per row; a key
+        that repeats, or a NULL key, needs bucket lists."""
+        db.execute("CREATE TABLE u (grp VARCHAR)")
+        db.execute("INSERT INTO u VALUES ('a'), ('b')")
+        sql = "SELECT t.x FROM t, u WHERE t.grp = u.grp"
+        assert "spill=0 B probe=unique]" in db.explain_analyze(sql)
+        for row in ("NULL", "'a'"):
+            db.execute(f"INSERT INTO u VALUES ({row})")
+            result = db.analyze(sql)
+            operators = {n["operator"]: n for n in result.nodes}
+            assert operators["HashJoin"]["probe"] == "buckets", row
+        assert result.rowcount == 6
+
     def test_subquery_plan_rendered_separately(self, db):
         text = db.explain_analyze(
             "SELECT grp, (SELECT MAX(x) FROM t) FROM t"
