@@ -149,24 +149,6 @@ class SlotUniverse:
         """The slots of already interned *idents*, in their order."""
         return map(self._slot_of.__getitem__, idents)
 
-    def mask(self, idents: Iterable[Hashable]) -> int:
-        """The bitmap with the slots of *idents* set."""
-        slots = [self.slot(ident) for ident in idents]
-        return mask_from_slots(slots, (len(self._members) + 7) >> 3)
-
-    def members(self, mask: int) -> List[Hashable]:
-        """Decode a bitmap back into identifiers, in slot order."""
-        members = self._members
-        return [members[index] for index in iter_slots(mask)]
-
-
-def iter_slots(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of *mask*, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 @dataclass
 class VerticalInput:

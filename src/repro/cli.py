@@ -260,7 +260,7 @@ class Shell:
             f"{len(result.rules)} rules -> {out}, {out}_Bodies, "
             f"{out}_Heads, {out}_Display",
         ]
-        if result.resilience is not None and result.resilience.any():
+        if result.resilience.any():
             lines.append(f"resilience: {result.resilience.describe()}")
         if self.db.catalog.has_table(f"{out}_Display"):
             lines.append(self.db.table(f"{out}_Display").pretty(limit=25))
@@ -383,10 +383,7 @@ class Shell:
                 )
             else:
                 lines.append("no fault schedule installed")
-            if (
-                self.last_result is not None
-                and self.last_result.resilience is not None
-            ):
+            if self.last_result is not None:
                 lines.append(
                     f"last run: {self.last_result.resilience.describe()}"
                 )

@@ -19,8 +19,8 @@ Vocabulary
 * A :class:`FaultSpec` arms one fault at a site pattern
   (:mod:`fnmatch` glob) for a window of call counts.
 * A :class:`FaultSchedule` owns the specs plus the per-site call
-  counters, and records every fault it fired (observability for
-  :class:`~repro.kernel.metrics.ResilienceStats`).
+  counters, and records every fault it fired (a run's
+  :class:`~repro.kernel.context.Resilience` counters).
 
 Injection sites
 ---------------

@@ -15,15 +15,15 @@ cluster.
 
 :class:`CoreStats` collects what the core operator observed during one
 run — lattice set sizes, join pairs examined, bitmap universe sizes
-and popcount calls — so the process trace and the text report can
-surface them instead of leaving them operator-local.
+and popcount calls — which the run records as attributes of its
+``core`` component span (:meth:`CoreStats.span_args`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.core.rules import CONFIDENCE_EPSILON, EncodedRule
@@ -95,60 +95,22 @@ class CoreStats:
             bitset_density=stats.density() if stats else 0.0,
         )
 
-    def counter_items(self) -> List[Tuple[str, int]]:
-        """The canonical (name, value) counters of a core run — one
-        list shared by the text report, the tracer gauges and the
-        metrics registry, so the three surfaces can never drift."""
-        return [
-            ("core.popcounts", self.popcount_calls),
-            ("core.intersections", self.intersections),
-            ("core.join_pairs_examined", self.join_pairs_examined),
-            ("core.passes", self.passes),
-            ("core.candidates", self.candidates_generated),
-        ]
-
-    def publish(self, tracer, metrics, run: Optional[int] = None) -> None:
-        """Publish this run's core observations.
-
-        An enabled *tracer* gets gauges (run-labeled when *run* is
-        given); *metrics* gets the cross-run view: ``repro_core_*``
-        counters, per-universe slot gauges and the density/variant
-        gauges a serving process exposes on ``/metrics``.
-        """
-        if tracer is not None and tracer.enabled:
-            labels = {"run": run} if run is not None else {}
-            tracer.gauge("core.variant", self.variant, **labels)
-            tracer.gauge("core.representation", self.representation, **labels)
-            if self.algorithm:
-                tracer.gauge("core.algorithm", self.algorithm, **labels)
-            for name, value in self.counter_items():
-                tracer.gauge(name, value, **labels)
-            tracer.gauge(
-                "core.bitset_density", round(self.bitset_density, 6), **labels
-            )
-        if metrics is None or not metrics.enabled:
-            return
-        for name, value in self.counter_items():
-            if value:
-                metrics.counter(
-                    f"repro_{name.replace('.', '_')}_total",
-                    f"Core-operator total of {name!r} across runs",
-                ).inc(value)
-        for label, size in sorted(self.universe_sizes.items()):
-            metrics.gauge(
-                "repro_core_universe_slots",
-                "Slot-universe size of the last core run",
-                ("universe",),
-            ).set(size, universe=label)
-        metrics.gauge(
-            "repro_core_bitset_density",
-            "Fraction of set bits in the sampled bitmaps (last run)",
-        ).set(round(self.bitset_density, 6))
-        metrics.counter(
-            "repro_core_runs_total",
-            "Core-operator runs by variant and representation",
-            ("variant", "representation"),
-        ).inc(variant=self.variant, representation=self.representation)
+    def span_args(self) -> Dict[str, Any]:
+        """This run's observations as attributes of the ``core``
+        component span — what the trace export and the
+        ``repro_core_*`` series read."""
+        return {
+            "variant": self.variant,
+            "representation": self.representation,
+            **({"algorithm": self.algorithm} if self.algorithm else {}),
+            "popcounts": self.popcount_calls,
+            "intersections": self.intersections,
+            "join_pairs_examined": self.join_pairs_examined,
+            "passes": self.passes,
+            "candidates": self.candidates_generated,
+            "bitset_density": round(self.bitset_density, 6),
+            "universe_sizes": dict(self.universe_sizes),
+        }
 
     def describe_join_pairs(self) -> str:
         """The lattice's join work: pairs examined and how many the
@@ -188,40 +150,6 @@ class CoreStats:
         if self.popcount_calls:
             parts.append(f"{self.popcount_calls} popcounts")
         return "; ".join(parts)
-
-
-@dataclass
-class ResilienceStats:
-    """Fault/retry/resume counters of one pipeline run.
-
-    Filled by ``MiningSystem.run``: injected faults come from the
-    active :class:`~repro.faults.FaultSchedule` delta, retries from the
-    :class:`~repro.faults.RetryPolicy` callbacks, resumed stages from
-    the checkpoint skip path.
-    """
-
-    faults_injected: int = 0
-    latencies_injected: int = 0
-    retries: int = 0
-    stages_resumed: int = 0
-
-    def any(self) -> bool:
-        """True when anything noteworthy happened (report gating)."""
-        return bool(
-            self.faults_injected
-            or self.latencies_injected
-            or self.retries
-            or self.stages_resumed
-        )
-
-    def describe(self) -> str:
-        """One-line summary for the process trace."""
-        return "; ".join([
-            f"faults {self.faults_injected}",
-            f"latency faults {self.latencies_injected}",
-            f"retries {self.retries}",
-            f"stages resumed {self.stages_resumed}",
-        ])
 
 
 @dataclass(frozen=True)

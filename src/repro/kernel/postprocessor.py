@@ -16,15 +16,16 @@ produce the user-readable ``<out>_Bodies`` / ``<out>_Heads`` relations,
 plus a denormalized ``<out>_Display`` table serving the paper's
 "ease of view" goal (it renders itemsets like ``{brown_boots,jackets}``
 exactly as Figure 2b does).
+
+The run's ``RunContext.attempt`` opens the ``postprocessor.store`` /
+``.decode`` spans and fault sites around these methods.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro import faults
 from repro.kernel.core.rules import EncodedRule
 from repro.kernel.program import TranslationProgram
 from repro.sqlengine.engine import Database
@@ -52,27 +53,6 @@ class Postprocessor:
         Identical bodies (heads) share one identifier, so the auxiliary
         tables stay normalized.
         """
-        started = time.perf_counter()
-        with self._db.tracer.span(
-            "postprocessor.store", category="postprocessor", rules=len(rules)
-        ):
-            faults.check("postprocessor.store")
-            self._store_encoded_rules(program, rules)
-        metrics = self._db.metrics
-        if metrics.enabled:
-            metrics.histogram(
-                "repro_postprocess_seconds",
-                "Wall seconds per postprocessor step",
-                ("step",),
-            ).observe(time.perf_counter() - started, step="store")
-            metrics.counter(
-                "repro_rules_stored_total",
-                "Encoded rules written to the output tables",
-            ).inc(len(rules))
-
-    def _store_encoded_rules(
-        self, program: TranslationProgram, rules: Sequence[EncodedRule]
-    ) -> None:
         statement = program.statement
         names = program.workspace
         out = statement.output_table
@@ -140,24 +120,12 @@ class Postprocessor:
         or resumed decode cannot duplicate rows in ``<out>_Bodies`` /
         ``<out>_Heads``.
         """
-        started = time.perf_counter()
-        with self._db.tracer.span(
-            "postprocessor.decode", category="postprocessor"
-        ):
-            faults.check("postprocessor.decode")
-            out = program.statement.output_table
-            for table in (f"{out}_Bodies", f"{out}_Heads", f"{out}_Display"):
-                self._db.catalog.drop_table(table, if_exists=True)
-            for query in program.postprocessing:
-                self._db.execute(query.sql)
-            self._build_display(program)
-        metrics = self._db.metrics
-        if metrics.enabled:
-            metrics.histogram(
-                "repro_postprocess_seconds",
-                "Wall seconds per postprocessor step",
-                ("step",),
-            ).observe(time.perf_counter() - started, step="decode")
+        out = program.statement.output_table
+        for table in (f"{out}_Bodies", f"{out}_Heads", f"{out}_Display"):
+            self._db.catalog.drop_table(table, if_exists=True)
+        for query in program.postprocessing:
+            self._db.execute(query.sql)
+        self._build_display(program)
 
     def item_decoders(
         self, program: TranslationProgram

@@ -11,22 +11,21 @@ computation of ``:mingroups`` from ``:totg`` after query Q1 — the
 integer group-count threshold corresponding to the statement's minimum
 support (Appendix A binds it as a host variable).
 
-Resilience: each setup/preprocessing query is one retryable unit of
-the run's :class:`~repro.kernel.context.RunContext` (fault site
-``preprocessor.<label>`` at query entry, the run's retry policy, the
-cancel hook), and the context's
+Each setup/preprocessing query is one retryable unit of the run's
+:class:`~repro.kernel.context.RunContext` and one
+``preprocessor.<label>`` span; Q0..Q11's spans carry the label as
+``stage``, which the per-query series, the slow log and
+:attr:`PreprocessStats.query_seconds` read.  The context's
 :class:`~repro.kernel.program.StageCheckpoint` records every completed
-query (plus the host variables and encoded-table snapshot) so a
-resumed run skips the queries whose output tables already exist.
+query so a resumed run skips the queries whose output tables exist.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.kernel.context import RunContext
+from repro.kernel.context import RunContext, RunFlow, run_tracer
 from repro.kernel.core.inputs import min_group_count
 from repro.kernel.program import TranslationProgram, TranslationQuery
 from repro.sqlengine.engine import Database
@@ -79,15 +78,16 @@ class Preprocessor:
         """Execute the translation program's setup + preprocessing
         queries in order; returns execution statistics.
 
-        *ctx* is the run's context (a fresh single-attempt one when the
-        preprocessor is driven on its own): queries its checkpoint
-        marks complete are skipped (their host variables restored from
-        the checkpoint) and each newly completed query is recorded;
-        injected faults are retried per query under its policy.
+        *ctx* is the run's context (on its own the preprocessor records
+        under a ``preprocessor`` component span): queries its checkpoint
+        marks complete are skipped and each newly completed query is
+        recorded; injected faults are retried under its policy.
         """
-        stats = PreprocessStats()
         if ctx is None:
-            ctx = RunContext(tracer=self._db.tracer)
+            tracer = run_tracer(self._db.tracer, self._db.metrics)
+            with tracer.span("preprocessor", category="component") as root:
+                return self.run(program, RunContext(RunFlow(tracer, root)))
+        stats = PreprocessStats()
         checkpoint = ctx.checkpoint
         before = self._db.cache_stats.snapshot()
 
@@ -104,11 +104,11 @@ class Preprocessor:
 
         setup_count = len(program.setup)
         for index, (key, query) in enumerate(program.query_keys()):
-            quiet = index < setup_count  # setup stays out of the trace
+            quiet = index < setup_count  # setup stays out of the flow
             if key in completed:
-                ctx.resilience.stages_resumed += 1
+                ctx.count("stages_resumed")
                 if not quiet:
-                    ctx.flow.event(
+                    ctx.event(
                         "preprocessor",
                         f"skipped {query.label} (resume)",
                         query.purpose,
@@ -118,12 +118,32 @@ class Preprocessor:
             if checkpoint is not None:
                 checkpoint.record_query(key, self._db, program.workspace)
 
-        self._collect_table_sizes(program, stats)
+        for span in ctx.flow.spans():
+            label = span.args.get("stage")
+            if label is not None:
+                seconds = stats.query_seconds.get(label, 0.0)
+                stats.query_seconds[label] = seconds + span.seconds
+        catalog = self._db.catalog
+        stats.table_rows = {
+            table: len(catalog.get_table(table))
+            for table in program.workspace.all_tables()
+            if catalog.has_table(table)
+        }
         if stats.totg == 0 and "totg" in self._db.variables:
             # All of Q1/Q3 were skipped on resume: report the restored
             # host variables instead of zeros.
             stats.totg = int(self._db.variables["totg"])
             stats.mingroups = int(self._db.variables.get("mingroups", 0))
+        # without the MR<n>_ prefix the names are stable across runs
+        prefix = f"{program.workspace.prefix}_"
+        ctx.root.annotate(
+            totg=stats.totg,
+            mingroups=stats.mingroups,
+            encoded_rows={
+                table.removeprefix(prefix): rows
+                for table, rows in stats.table_rows.items()
+            },
+        )
         after = self._db.cache_stats
         stats.statement_cache_hits = after.statement_hits - before.statement_hits
         stats.statement_cache_misses = (
@@ -150,37 +170,20 @@ class Preprocessor:
                 analysis = self._db.analyze(query.sql)
                 stats.analyzed[query.label] = analysis.nodes
                 stats.analyzed_text[query.label] = analysis.text
-                self._db.tracer.annotate(
-                    rows=analysis.rowcount, plan=analysis.text
-                )
+                ctx.tracer.annotate(rows=analysis.rowcount, plan=analysis.text)
             else:
                 # Prepared execution: repeated runs of the same
                 # translation program hit the engine's statement
                 # and plan caches.
                 self._db.prepare(query.sql).execute()
 
-        started = time.perf_counter()
+        stage = {} if quiet else {"stage": query.label}
         ctx.attempt(
             f"preprocessor.{query.label}", execute, own_site=True,
-            purpose=query.purpose,
+            purpose=query.purpose, **stage,
         )
-        elapsed = time.perf_counter() - started
         if not quiet:
-            stats.query_seconds[query.label] = (
-                stats.query_seconds.get(query.label, 0.0) + elapsed
-            )
-            self._db.metrics.histogram(
-                "repro_preprocess_stage_seconds",
-                "Wall seconds per preprocessing query (Q0..Q11)",
-                ("stage",),
-            ).observe(elapsed, stage=query.label)
-            slowlog = self._db.slowlog
-            if slowlog is not None:
-                slowlog.record(
-                    f"preprocessor.{query.label}", elapsed,
-                    detail=query.purpose,
-                )
-            ctx.flow.event("preprocessor", f"ran {query.label}", query.purpose)
+            ctx.event("preprocessor", f"ran {query.label}", query.purpose)
         if query.label == "Q1":
             self._bind_mingroups(program, stats, ctx)
 
@@ -195,33 +198,8 @@ class Preprocessor:
         self._db.variables["mingroups"] = mingroups
         stats.totg = totg
         stats.mingroups = mingroups
-        metrics = self._db.metrics
-        metrics.gauge(
-            "repro_preprocess_totg", "Total group count (:totg)"
-        ).set(totg)
-        metrics.gauge(
-            "repro_preprocess_mingroups",
-            "Minimum group-count threshold (:mingroups)",
-        ).set(mingroups)
-        ctx.flow.event(
+        ctx.event(
             "preprocessor",
             "bound host variables",
             f":totg={totg}, :mingroups={mingroups}",
         )
-
-    def _collect_table_sizes(
-        self, program: TranslationProgram, stats: PreprocessStats
-    ) -> None:
-        table_gauge = self._db.metrics.gauge(
-            "repro_encoded_table_rows",
-            "Rows in the encoded tables after preprocessing",
-            ("table",),
-        )
-        prefix = f"{program.workspace.prefix}_"
-        for table in program.workspace.all_tables():
-            if self._db.catalog.has_table(table):
-                rows = len(self._db.catalog.get_table(table))
-                stats.table_rows[table] = rows
-                # strip the per-run workspace prefix (MR<n>_) so the
-                # label set stays stable across executions
-                table_gauge.set(rows, table=table.removeprefix(prefix))

@@ -3,13 +3,13 @@
 Replaces the scattered ad-hoc timing of earlier revisions with one
 subsystem:
 
-* :class:`Tracer` collects hierarchical spans and registry values;
+* :class:`Tracer` collects hierarchical spans and instants;
   :data:`NULL_TRACER` is the shared disabled instance that makes the
   un-traced path a single attribute check.
 * :class:`MetricsRegistry` aggregates counters, gauges and histograms
   process-wide (:data:`REGISTRY` is the default instance,
   :data:`NULL_REGISTRY` the disabled null object); a tracer wired with
-  ``metrics=`` feeds span durations and counters into it automatically.
+  ``metrics=`` feeds every closed span into it automatically.
 * :func:`render_prometheus` renders a registry in Prometheus text
   exposition format 0.0.4; :class:`MonitoringServer` serves it over
   HTTP together with ``/healthz`` (:class:`HealthState`),
@@ -40,8 +40,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    publish_gauge,
-    sanitize_metric_name,
 )
 from repro.obs.promtext import CONTENT_TYPE, render_prometheus
 from repro.obs.report import render_obs_report
@@ -73,11 +71,9 @@ __all__ = [
     "current",
     "ensure",
     "new_trace_id",
-    "publish_gauge",
     "render_chrome_trace",
     "render_obs_report",
     "render_prometheus",
-    "sanitize_metric_name",
     "statement_fingerprint",
     "trace_events",
     "write_chrome_trace",

@@ -3,8 +3,7 @@
 Serialises a :class:`~repro.obs.spans.Tracer` to the JSON object format
 understood by ``chrome://tracing`` / Perfetto: spans become ``"X"``
 (complete) events with microsecond ``ts``/``dur`` relative to the
-tracer's origin, instants become ``"i"`` events, and the final counter
-values are emitted as one ``"C"`` event each at the end of the trace.
+tracer's origin and instants become ``"i"`` events.
 
 Events carry the process id (there is one process) and the *real*
 thread id of the code that recorded them, so concurrent job threads
@@ -32,10 +31,8 @@ _TID = 1
 def trace_events(
     tracer: Tracer, trace_id: Optional[str] = None
 ) -> List[Dict[str, Any]]:
-    """The ``traceEvents`` list for *tracer*.
-
-    ``trace_id`` filters to one run's spans/instants (session-wide
-    counters are omitted in that case — they aggregate across runs)."""
+    """The ``traceEvents`` list for *tracer*; ``trace_id`` filters it
+    to one run's spans and instants."""
     origin = tracer.origin
     spans = tracer.spans
     instants = tracer.instants
@@ -51,11 +48,9 @@ def trace_events(
             "args": {"name": "repro mining pipeline"},
         }
     ]
-    last_us = 0.0
     for span in sorted(spans, key=lambda s: s.start):
         ts = (span.start - origin) * 1e6
         dur = span.seconds * 1e6
-        last_us = max(last_us, ts + dur)
         args = _json_safe(span.args)
         if span.trace_id is not None:
             args["trace_id"] = span.trace_id
@@ -81,7 +76,6 @@ def trace_events(
         )
     for instant in instants:
         ts = (instant.at - origin) * 1e6
-        last_us = max(last_us, ts)
         args = _json_safe(instant.args)
         if instant.trace_id is not None:
             args["trace_id"] = instant.trace_id
@@ -97,17 +91,6 @@ def trace_events(
                 "args": args,
             }
         )
-    if trace_id is None:
-        for counter, value in sorted(tracer.counters.items()):
-            events.append(
-                {
-                    "name": counter,
-                    "ph": "C",
-                    "pid": own_pid,
-                    "ts": round(last_us, 3),
-                    "args": {"value": value},
-                }
-            )
     return events
 
 
@@ -116,10 +99,6 @@ def render_chrome_trace(tracer: Tracer) -> str:
     payload = {
         "traceEvents": trace_events(tracer),
         "displayTimeUnit": "ms",
-        "otherData": {
-            "counters": _json_safe(tracer.counters),
-            "gauges": _json_safe(tracer.gauges),
-        },
     }
     return json.dumps(payload, indent=1)
 

@@ -22,16 +22,18 @@ no-op instrument, and every hot-path hook guards on a single
 contract.
 
 The :class:`Tracer` feeds the registry automatically: every span close
-observes the ``repro_span_seconds`` histogram, counters and (numeric)
-gauges mirror one-to-one under sanitized names.  The specific
-well-known series (per-statement SQL latency, per-Q preprocessor
-stages, core-operator counters) are instrumented directly at their
-sites, so they exist even when span tracing is off.
+observes the ``repro_span_seconds`` histogram, and the pipeline's
+well-known series — per-Q preprocessor stages, postprocessor steps,
+components, core-operator counters, encoded-table sizes — are derived
+from the names and attributes of the spans a run closes
+(:meth:`MetricsRegistry.observe_span`); a metered run without tracing
+records on a private tracer, so they exist with tracing off too.  The
+SQL engine's per-statement series and the whole-run latency / outcome
+series are instrumented at their sites.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -49,17 +51,42 @@ BYTE_BUCKETS: Tuple[float, ...] = (
     4194304.0, 16777216.0, 67108864.0, 268435456.0, 1073741824.0,
 )
 
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def sanitize_metric_name(name: str) -> str:
-    """Coerce an arbitrary dotted counter/gauge name into a legal
-    Prometheus metric name (``engine.plan_cache_hits`` ->
-    ``engine_plan_cache_hits``)."""
-    cleaned = _NAME_RE.sub("_", name)
-    if not cleaned or cleaned[0].isdigit():
-        cleaned = f"_{cleaned}"
-    return cleaned
+#: counter attributes of the ``core`` component span
+CORE_COUNTERS = (
+    "popcounts", "intersections", "join_pairs_examined", "passes",
+    "candidates",
+)
+#: the series a run derives from its spans
+#: (:meth:`MetricsRegistry.observe_span`): name -> (kind, labels, help)
+PIPELINE_SERIES: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
+    "repro_component_seconds": (
+        "histogram", ("component",),
+        "Wall seconds per pipeline component per run"),
+    "repro_preprocess_stage_seconds": (
+        "histogram", ("stage",),
+        "Wall seconds per preprocessing query (Q0..Q11)"),
+    "repro_postprocess_seconds": (
+        "histogram", ("step",), "Wall seconds per postprocessor step"),
+    "repro_rules_stored_total": (
+        "counter", (), "Encoded rules written to the output tables"),
+    "repro_preprocess_totg": ("gauge", (), "Total group count (:totg)"),
+    "repro_preprocess_mingroups": (
+        "gauge", (), "Minimum group-count threshold (:mingroups)"),
+    "repro_encoded_table_rows": (
+        "gauge", ("table",), "Rows in the encoded tables after preprocessing"),
+    "repro_core_runs_total": (
+        "counter", ("variant", "representation"),
+        "Core-operator runs by variant and representation"),
+    "repro_core_universe_slots": (
+        "gauge", ("universe",), "Slot-universe size of the last core run"),
+    "repro_core_bitset_density": (
+        "gauge", (), "Fraction of set bits in the sampled bitmaps (last run)"),
+    **{
+        f"repro_core_{name}_total": (
+            "counter", (), f"Core-operator total of {name!r} across runs")
+        for name in CORE_COUNTERS
+    },
+}
 
 
 class Metric:
@@ -93,12 +120,6 @@ class Metric:
         """Snapshot of (label values, sample) pairs."""
         with self._lock:
             return list(self._samples.items())
-
-    def labelsets(self) -> List[Dict[str, str]]:
-        with self._lock:
-            return [
-                dict(zip(self.labelnames, key)) for key in self._samples
-            ]
 
 
 class Counter(Metric):
@@ -347,9 +368,11 @@ class MetricsRegistry:
         """Span close -> histogram observe (the automatic
         :class:`~repro.obs.spans.Tracer` feed).  Spans carrying
         resource attribution additionally feed the CPU-seconds and
-        peak-bytes series."""
+        peak-bytes series, and a pipeline span feeds the series derived
+        from its name and attributes (:meth:`_observe_pipeline`)."""
         if not self.enabled:
             return
+        self._observe_pipeline(span)
         category = span.category or span.name
         self.histogram(
             "repro_span_seconds",
@@ -373,37 +396,47 @@ class MetricsRegistry:
                 buckets=BYTE_BUCKETS,
             ).observe(peak, category=category)
 
-    def trace_counter(self, name: str, amount: float) -> None:
-        """Counter mirror for :meth:`Tracer.bump`."""
-        if not self.enabled:
+    def _observe_pipeline(self, span: Any) -> None:
+        """Feed :data:`PIPELINE_SERIES` from one span that closed
+        without an ``error``."""
+        args = span.args
+        if "error" in args:
             return
-        self.counter(
-            f"repro_{sanitize_metric_name(name)}_total",
-            f"Mirrored tracer counter {name!r}",
-        ).inc(amount)
+        if span.category == "component":
+            self._pipeline("repro_component_seconds").observe(
+                span.seconds, component=span.name
+            )
+        elif span.category == "preprocessor" and "stage" in args:
+            self._pipeline("repro_preprocess_stage_seconds").observe(
+                span.seconds, stage=args["stage"]
+            )
+        elif span.category == "postprocessor":
+            self._pipeline("repro_postprocess_seconds").observe(
+                span.seconds, step=span.name.rpartition(".")[2]
+            )
+            if "rules" in args:
+                self._pipeline("repro_rules_stored_total").inc(args["rules"])
+        if "variant" in args:  # the core component span
+            for name in CORE_COUNTERS:
+                self._pipeline(f"repro_core_{name}_total").inc(args[name])
+            slots = self._pipeline("repro_core_universe_slots")
+            for universe, size in sorted(args["universe_sizes"].items()):
+                slots.set(size, universe=universe)
+            density = self._pipeline("repro_core_bitset_density")
+            density.set(args["bitset_density"])
+            self._pipeline("repro_core_runs_total").inc(
+                variant=args["variant"], representation=args["representation"]
+            )
+        if "totg" in args:  # the run's root span
+            self._pipeline("repro_preprocess_totg").set(args["totg"])
+            self._pipeline("repro_preprocess_mingroups").set(args["mingroups"])
+            rows = self._pipeline("repro_encoded_table_rows")
+            for table, count in args["encoded_rows"].items():
+                rows.set(count, table=table)
 
-    def trace_gauge(self, name: str, value: Any) -> None:
-        """Gauge mirror for :meth:`Tracer.gauge` (numeric values only —
-        the tracer's own dict keeps strings like ``core.variant``)."""
-        if not self.enabled:
-            return
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return
-        self.gauge(
-            f"repro_{sanitize_metric_name(name)}",
-            f"Mirrored tracer gauge {name!r}",
-        ).set(value)
-
-
-def publish_gauge(tracer: Any, metrics: "MetricsRegistry",
-                  name: str, value: Any, **labels: Any) -> None:
-    """End-of-run gauge publication that works for any tracer/registry
-    combination: an enabled tracer records (and mirrors) it; with the
-    tracer off, the registry still gets the numeric value."""
-    if tracer is not None and tracer.enabled:
-        tracer.gauge(name, value, **labels)
-    else:
-        metrics.trace_gauge(name, value)
+    def _pipeline(self, name: str) -> "Metric":
+        kind, labelnames, help_text = PIPELINE_SERIES[name]
+        return getattr(self, kind)(name, help_text, labelnames)
 
 
 def fallback_counter(metrics: "MetricsRegistry") -> Counter:

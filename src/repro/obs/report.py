@@ -1,8 +1,8 @@
 """Consolidated end-of-run observability report.
 
 Text rendering of everything a :class:`~repro.obs.spans.Tracer`
-collected: wall time by category, the slowest spans, counters and
-gauges.  The MINE RULE report (:mod:`repro.report`) embeds a compact
+collected: wall time and CPU by category, peak memory and the slowest
+spans.  The MINE RULE report (:mod:`repro.report`) embeds a compact
 variant; the CLI ``.trace`` meta command prints this full one.
 """
 
@@ -58,12 +58,4 @@ def render_obs_report(tracer: Tracer, top: int = 10) -> str:
                 f"  {span.name:<28} {span.seconds * 1000:9.2f} ms"
             )
 
-    if tracer.counters:
-        lines.append("counters:")
-        for counter, value in sorted(tracer.counters.items()):
-            lines.append(f"  {counter}: {value:g}")
-    if tracer.gauges:
-        lines.append("gauges:")
-        for gauge, value in sorted(tracer.gauges.items()):
-            lines.append(f"  {gauge}: {value}")
     return "\n".join(lines)

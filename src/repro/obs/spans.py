@@ -1,15 +1,20 @@
-"""Hierarchical spans and a counter/gauge registry.
+"""Hierarchical spans and point events.
 
 One :class:`Tracer` instance accompanies a pipeline run (or a whole
 shell session).  Components open *spans* around units of work —
 ``translator``, ``preprocessor.Q4``, ``engine.Select`` — which nest by
-wall-clock containment, and bump *counters* (monotonic totals: faults,
-retries, cache hits) or set *gauges* (last-value observations: group
-counts, bitmap sizes).  The recorded spans feed three surfaces:
+wall-clock containment and carry what was observed as attributes
+(group counts, bitmap sizes, retries), and record *instants* (the
+process-flow markers).  The recorded spans feed:
 
 * the Chrome trace-event export (:mod:`repro.obs.export`),
 * the consolidated end-of-run report (:mod:`repro.obs.report`),
-* per-query ``EXPLAIN ANALYZE`` captures attached as span arguments.
+* per-query ``EXPLAIN ANALYZE`` captures attached as span arguments,
+* a MINE RULE run's process flow, resilience counters, slow-log and
+  journal entries (:mod:`repro.kernel.context`).
+
+A span a block leaves on an exception gets an ``error`` attribute (the
+exception's class name).
 
 Zero overhead when disabled: a disabled tracer hands out one shared
 no-op span object and every recording method returns immediately after
@@ -20,8 +25,8 @@ the process-wide disabled instance used as the default everywhere.
 An enabled tracer can additionally feed a
 :class:`~repro.obs.metrics.MetricsRegistry`: every span close observes
 the ``repro_span_seconds`` histogram (plus ``repro_span_cpu_seconds``
-and ``repro_span_peak_bytes`` when resource profiling is on), counter
-bumps and numeric gauges mirror one-to-one under sanitized names, so
+and ``repro_span_peak_bytes`` when resource profiling is on) and the
+pipeline's series are derived from span names and attributes, so
 serving mode aggregates across runs what the trace records within one.
 
 Correlation (:mod:`repro.obs.context`): every span carries a stable
@@ -96,7 +101,10 @@ class Span:
     def __enter__(self) -> "Span":
         return self
 
-    def __exit__(self, *exc: Any) -> bool:
+    def __exit__(self, exc_type: Any, *exc: Any) -> bool:
+        if exc_type is not None:
+            # what the derived views skip: the unit did not complete
+            self.args["error"] = exc_type.__name__
         self._tracer.end(self)
         return False
 
@@ -140,7 +148,7 @@ class Instant:
 
 
 class Tracer:
-    """Span sink plus counter/gauge registry for one run.
+    """Span and instant sink for one run (or session).
 
     ``analyze=True`` additionally asks the SQL layer to capture
     per-operator row counts and timings (``EXPLAIN ANALYZE``) for every
@@ -159,8 +167,7 @@ class Tracer:
     ):
         self.enabled = enabled
         self.analyze = analyze and enabled
-        #: cross-run aggregation sink; span closes, counters and numeric
-        #: gauges mirror into it automatically
+        #: cross-run aggregation sink every span close feeds
         self.metrics = metrics
         self._clock = clock
         #: perf-counter instant the tracer was created (trace epoch)
@@ -176,8 +183,6 @@ class Tracer:
         #: completed spans, in end order
         self.spans: List[Span] = []
         self.instants: List[Instant] = []
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, Any] = {}
         self._ids = itertools.count(1)
         self._open = threading.local()
 
@@ -253,39 +258,6 @@ class Tracer:
         if ctx is not None:
             instant.trace_id = ctx.trace_id
         self.instants.append(instant)
-
-    # -- registry -------------------------------------------------------
-
-    def bump(self, counter: str, amount: float = 1) -> None:
-        """Increment a monotonic counter."""
-        if not self.enabled or not amount:
-            return
-        self.counters[counter] = self.counters.get(counter, 0) + amount
-        if self.metrics.enabled:
-            self.metrics.trace_counter(counter, amount)
-
-    def gauge(self, name: str, value: Any, **labels: Any) -> None:
-        """Set a last-value observation.
-
-        Labels qualify the stored key — ``gauge("rules.decoded", 12,
-        run=3)`` lands under ``rules.decoded{run=3}`` — so repeated
-        runs in one session stop overwriting each other.  The metrics
-        mirror intentionally drops the labels: a registry gauge is
-        *current* value; the scrape history is the Prometheus server's
-        job, and mirroring per-run labels would grow cardinality
-        without bound in a long-lived serving process.
-        """
-        if not self.enabled:
-            return
-        key = name
-        if labels:
-            qualifier = ",".join(
-                f"{k}={labels[k]}" for k in sorted(labels)
-            )
-            key = f"{name}{{{qualifier}}}"
-        self.gauges[key] = value
-        if self.metrics.enabled:
-            self.metrics.trace_gauge(name, value)
 
     # -- aggregation ----------------------------------------------------
 

@@ -7,8 +7,8 @@ programs; the preprocessor runs them on the SQL server; the core
 operator mines encoded rules; the postprocessor stores and decodes the
 output relations.  The result object carries everything an application
 (or the paper's AMORE user support) needs: decoded rules, the output
-table names, the directive vector, per-phase timings and the process
-trace.
+table names, the directive vector, and the process flow, per-phase
+timings and resilience counters read from the run's record.
 
 It also implements the preprocessing-reuse optimisation noted in
 Section 3 ("the same preprocessing could be in common to the execution
@@ -22,11 +22,15 @@ A statement has one lifecycle, whichever verb it is:
   through :meth:`MiningSystem._observed`, the one envelope that takes
   the run lock and the engine's write lock, makes the statement's
   :class:`~repro.kernel.context.RunContext` and reports the outcome to
-  health, the ``minerule.<kind>`` span, the latency / outcome series,
-  the slow log and the run journal.
+  health, the latency / outcome series, the slow log and the run
+  journal.
 * The stages (translate, preprocess, core, postprocess; delta and
   recount for ``REFRESH RULES``) take that context plus their own
-  inputs.  Every retryable unit runs through
+  inputs, and record their work only on the context's tracer, as spans,
+  instants and ``minerule.<kind>`` root-span attributes.
+  ``MiningResult.flow``, the pipeline's metrics series and the slow-log
+  and journal entries are views of that record.  Every retryable unit
+  runs through
   :meth:`RunContext.attempt <repro.kernel.context.RunContext.attempt>`
   (cancel hook, fault site, :class:`~repro.faults.RetryPolicy`, retry
   bookkeeping); what ``attempt`` gives up on fails the statement and
@@ -40,9 +44,7 @@ A statement has one lifecycle, whichever verb it is:
 
 from __future__ import annotations
 
-import dataclasses
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -58,9 +60,15 @@ from repro.incremental import (
     encode_for_emission,
     refresh_eligibility,
 )
-from repro.kernel.context import RunCancelled, RunContext
+from repro.kernel.context import (
+    Resilience,
+    RunCancelled,
+    RunContext,
+    RunFlow,
+    run_tracer,
+)
 from repro.kernel.core.general import GeneralCoreOperator
-from repro.kernel.metrics import CoreStats, ResilienceStats
+from repro.kernel.metrics import CoreStats
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.core.rules import EncodedRule
 from repro.kernel.core.simple import SimpleCoreOperator, build_rules
@@ -68,14 +76,13 @@ from repro.kernel.names import Workspace
 from repro.kernel.postprocessor import DecodedRule, Postprocessor
 from repro.kernel.preprocessor import Preprocessor, PreprocessStats
 from repro.kernel.program import StageCheckpoint, TranslationProgram
-from repro.kernel.trace import ProcessFlow
 from repro.kernel.translator import Translator
 from repro.minerule.parser import parse_refresh
 from repro.minerule.statements import MineRuleStatement
 from repro.obs import context as obs_context
 from repro.obs import profile as obs_profile
 from repro.obs.export import trace_events
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, publish_gauge
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.runlog import RunLog
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.sqlengine.engine import Database
@@ -97,11 +104,9 @@ class _RuleOutcome:
     program: TranslationProgram
     encoded_rules: List[EncodedRule]
     rules: List[DecodedRule]
-    flow: ProcessFlow
-    #: fault/retry/resume counters of this run
-    resilience: Optional[ResilienceStats] = None
-    #: 1-based execution number within this system (labels the run's
-    #: end-of-run gauges so repeated runs don't overwrite each other)
+    #: the run's record, read as Figure 3a's process flow
+    flow: RunFlow
+    #: 1-based execution number within this system
     run_id: int = 0
 
     @property
@@ -115,6 +120,11 @@ class _RuleOutcome:
     @property
     def timings(self) -> Dict[str, float]:
         return self.flow.timings
+
+    @property
+    def resilience(self) -> Resilience:
+        """Fault/retry/resume counters of this run."""
+        return self.flow.resilience
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -200,9 +210,8 @@ class MiningSystem:
         health: Optional[Any] = None,
         runlog: Optional[RunLog] = None,
     ):
-        #: observability sink for the whole pipeline (spans, counters,
-        #: gauges); shared with the SQL engine so statement spans nest
-        #: inside the component spans
+        #: span sink for the whole pipeline; shared with the SQL engine
+        #: so statement spans nest inside the component spans
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: cross-run metrics registry; resolution order: explicit
         #: argument, then an enabled tracer's own registry, then the
@@ -298,7 +307,7 @@ class MiningSystem:
         stays consistent — see the exception's docstring).
         """
         compact = " ".join(statement_text.split())
-        result = self._observed(
+        return self._observed(
             "run",
             compact,
             {"statement": compact[:120], "run": self._executions + 1},
@@ -306,8 +315,6 @@ class MiningSystem:
             cancel,
             lambda ctx: self._mine(ctx, statement_text, resume),
         )
-        self._publish_observations(result)
-        return result
 
     def refresh(
         self,
@@ -357,35 +364,36 @@ class MiningSystem:
     ):
         """The lifecycle of one statement: *stages* runs in a fresh
         :class:`RunContext` under the run lock and the engine's write
-        lock, and its outcome — ok, cancelled or error — is reported
-        once each to health, the ``minerule.<kind>`` span, the latency
-        and outcome series, the slow log and the run journal."""
+        lock, inside the ``minerule.<kind>`` root span, and its outcome
+        — ok, cancelled or error — is reported once each to health, the
+        latency and outcome series, the slow log and the run journal,
+        the last two read from the finished run's spans."""
         journal_kind, seconds_series, outcome_series = _SERIES[kind]
         policy = retry or self.retry_policy or RetryPolicy.single()
+        tracer = run_tracer(self.tracer, self.metrics)
         health = self.health
         if health is not None:
             health.begin()
         status = "error"
         error: Optional[str] = None
         result = None
-        ctx: Optional[RunContext] = None
-        started = time.perf_counter()
         with obs_context.ensure() as trace:
             cpu_start = obs_profile.cpu_seconds()
             mem_start = obs_profile.memory_sample()
+            root = tracer.span(f"minerule.{kind}", "minerule", **span_args)
+            flow = RunFlow(tracer, root)
             try:
-                with self.tracer.span(
-                    f"minerule.{kind}", category="minerule", **span_args
-                ):
+                with root:
                     # One run at a time: the run lock serializes
                     # concurrent job workers, and the engine's write
                     # lock keeps every SQL job (even read-only scans)
                     # out of the pipeline's way while the encoded and
                     # output tables are in flux.
                     with self._run_lock, self.db.rwlock.write_locked():
-                        ctx = RunContext(self.tracer, policy, cancel)
+                        ctx = RunContext(flow, policy, cancel)
                         try:
                             result = stages(ctx)
+                            root.annotate(rules=len(result.rules))
                         finally:
                             ctx.settle()
                 trace.run_id = result.run_id
@@ -405,19 +413,25 @@ class MiningSystem:
                     health.failure(exc)
                 raise
             finally:
-                elapsed = time.perf_counter() - started
+                flow.seal()
                 mode = {}
                 if kind == "refresh":
                     mode["mode"] = (
                         "unknown" if result is None else result.stats.mode
                     )
-                self.metrics.histogram(*seconds_series).observe(elapsed)
+                self.metrics.histogram(*seconds_series).observe(root.seconds)
                 self.metrics.counter(
                     *outcome_series, ("status", *mode)
                 ).inc(status=status, **mode)
                 if self.slowlog is not None:
+                    for span in flow.spans():
+                        if "stage" in span.args and "error" not in span.args:
+                            self.slowlog.record(
+                                span.name, span.seconds,
+                                detail=span.args["purpose"],
+                            )
                     self.slowlog.record(
-                        f"minerule.{kind}", elapsed, detail=label
+                        f"minerule.{kind}", root.seconds, detail=label
                     )
                 if self.runlog is not None:
                     extra: Dict[str, Any] = dict(mode)
@@ -425,16 +439,14 @@ class MiningSystem:
                         extra["rules"] = len(result.rules)
                         extra["stages"] = {
                             stage: round(seconds, 6)
-                            for stage, seconds in result.flow.timings.items()
+                            for stage, seconds in flow.timings.items()
                         } or None
                         if kind == "refresh":
                             extra["refresh"] = result.stats.as_args()
-                    if ctx is not None and ctx.resilience.any():
+                    if flow.resilience.any():
                         # which fallback fired, how often a unit was
                         # repeated, what a resume skipped
-                        extra["resilience"] = dataclasses.asdict(
-                            ctx.resilience
-                        )
+                        extra["resilience"] = flow.resilience._asdict()
                     if self.tracer.enabled:
                         # persist the run's own slice of the trace so
                         # GET /runs/<id>/trace works long after the
@@ -443,7 +455,7 @@ class MiningSystem:
                             self.tracer, trace_id=trace.trace_id
                         )
                     self.runlog.record_run(
-                        trace, journal_kind, label, status, elapsed,
+                        trace, journal_kind, label, status, root.seconds,
                         error=error,
                         cpu_seconds=round(
                             obs_profile.cpu_seconds() - cpu_start, 6
@@ -464,13 +476,12 @@ class MiningSystem:
     ) -> MiningResult:
         """translate -> preprocess -> core -> postprocess in *ctx*."""
         ctx.check_cancel("translator")
-        flow = ctx.flow
         self._executions += 1
 
         key = " ".join(statement_text.split())
         checkpoint = self._checkpoints.get(key) if resume else None
         if checkpoint is not None and not self._checkpoint_valid(checkpoint):
-            flow.event(
+            ctx.event(
                 "translator",
                 "checkpoint discarded",
                 "recorded encoded tables are gone or changed; "
@@ -483,7 +494,7 @@ class MiningSystem:
             # which would otherwise hand out just-dropped encoded
             # tables).
             self._sweep_workspace(Workspace(checkpoint.workspace_prefix))
-            flow.event(
+            ctx.event(
                 "translator",
                 "swept orphaned workspace",
                 checkpoint.workspace_prefix,
@@ -492,15 +503,15 @@ class MiningSystem:
             checkpoint = None
         ctx.resumed = checkpoint is not None
 
-        with flow.phase("translator"):
-            flow.event("translator", "received statement")
+        with ctx.phase("translator"):
+            ctx.event("translator", "received statement")
             workspace = Workspace(
                 checkpoint.workspace_prefix
                 if checkpoint is not None
                 else f"MR{self._executions}"
             )
             program = self._translator.translate(statement_text, workspace)
-            flow.event(
+            ctx.event(
                 "translator",
                 "validated and classified",
                 f"directives {program.directives}",
@@ -510,13 +521,13 @@ class MiningSystem:
             statement_text=key, workspace_prefix=workspace.prefix
         )
         try:
-            with flow.phase("preprocessor"):
+            with ctx.phase("preprocessor"):
                 program, stats = self._preprocess_stage(
                     ctx, program, statement_text
                 )
-            with flow.phase("core"):
+            with ctx.phase("core"):
                 encoded_rules, core_stats = self._core_stage(ctx, program)
-            with flow.phase("postprocessor"):
+            with ctx.phase("postprocessor"):
                 decoded = self._postprocess_stage(
                     ctx, program, encoded_rules
                 )
@@ -544,9 +555,8 @@ class MiningSystem:
             encoded_rules=encoded_rules,
             rules=decoded,
             preprocess_stats=stats,
-            flow=flow,
+            flow=ctx.flow,
             core_stats=core_stats,
-            resilience=ctx.resilience,
             run_id=self._executions,
         )
 
@@ -560,20 +570,20 @@ class MiningSystem:
         came from the Section-3 reuse cache) and what preprocessing
         measured — None when nothing had to be preprocessed."""
         ctx.check_cancel("preprocessor")
-        flow, checkpoint = ctx.flow, ctx.checkpoint
+        checkpoint = ctx.checkpoint
 
         if ctx.resumed and checkpoint.preprocessing_reused:
             # The crashed run had satisfied preprocessing from the
             # Section-3 reuse cache; its encoded tables still live in
             # the shared workspace the checkpoint points at.
             self.db.variables.update(checkpoint.host_variables)
-            flow.event(
+            ctx.event(
                 "preprocessor",
                 "reused encoded tables",
                 f"workspace {program.workspace.prefix} "
                 f"(Section 3 optimisation)",
             )
-            ctx.resilience.stages_resumed += 1
+            ctx.count("stages_resumed")
             if not checkpoint.stored:
                 self._drop_output_tables(program)
             return program, None
@@ -602,7 +612,7 @@ class MiningSystem:
                 checkpoint.host_variables = {
                     "totg": totg, "mingroups": mingroups
                 }
-                flow.event(
+                ctx.event(
                     "preprocessor",
                     "reused encoded tables",
                     f"workspace {cached_workspace.prefix} "
@@ -624,12 +634,12 @@ class MiningSystem:
     def _core_stage(
         self, ctx: RunContext, program: TranslationProgram
     ) -> Tuple[List[EncodedRule], Optional[CoreStats]]:
-        flow, checkpoint = ctx.flow, ctx.checkpoint
+        checkpoint = ctx.checkpoint
         if checkpoint.encoded_rules is not None:
             encoded_rules = checkpoint.encoded_rules
             core_stats = checkpoint.core_stats
-            ctx.resilience.stages_resumed += 1
-            flow.event(
+            ctx.count("stages_resumed")
+            ctx.event(
                 "core",
                 "skipped (resume)",
                 f"{len(encoded_rules)} rules from checkpoint",
@@ -640,9 +650,10 @@ class MiningSystem:
             )
             checkpoint.encoded_rules = encoded_rules
             checkpoint.core_stats = core_stats
-        flow.event("core", "extracted rules", f"{len(encoded_rules)} rules")
+        ctx.event("core", "extracted rules", f"{len(encoded_rules)} rules")
         if core_stats is not None:
-            flow.event("core", "observability", core_stats.describe())
+            ctx.event("core", "observability", core_stats.describe())
+            ctx.tracer.annotate(**core_stats.span_args())
         return encoded_rules, core_stats
 
     def _mine_once(
@@ -658,7 +669,7 @@ class MiningSystem:
         faults.check("core.bitset")
         if not program.core.simple:
             general = GeneralCoreOperator()
-            ctx.flow.event(
+            ctx.event(
                 "core",
                 "general core processing",
                 "elementary rules from InputRules"
@@ -673,13 +684,12 @@ class MiningSystem:
         )
         core_stats = CoreStats.from_simple(self.algorithm)
         # after the run: "auto" knows its member only then
-        ctx.flow.event(
+        ctx.event(
             "core",
             "simple core processing",
             f"algorithm {core_stats.algorithm}, "
             f"{len(data.groups)} encoded groups",
         )
-        self.tracer.annotate(algorithm=core_stats.algorithm)
         return encoded_rules, core_stats
 
     def _postprocess_stage(
@@ -696,17 +706,18 @@ class MiningSystem:
         # refresh has committed its state by now and keeps no checkpoint
         # that could finish a half-emitted rule set
         ctx.cancel = None
-        flow, checkpoint = ctx.flow, ctx.checkpoint
+        checkpoint = ctx.checkpoint
         post = self._postprocessor
         catalog = self.db.catalog
         out = program.statement.output_table
         if checkpoint.stored and catalog.has_table(out):
-            ctx.resilience.stages_resumed += 1
-            flow.event("postprocessor", "skipped store (resume)", out)
+            ctx.count("stages_resumed")
+            ctx.event("postprocessor", "skipped store (resume)", out)
         else:
             ctx.attempt(
                 "postprocessor.store",
                 lambda: post.store_encoded_rules(program, encoded_rules),
+                own_site=True, rules=len(encoded_rules),
             )
             checkpoint.stored = True
             # The stored tables join the checkpoint snapshot so a
@@ -719,18 +730,21 @@ class MiningSystem:
                         catalog.get_table(table)
                     )
         if checkpoint.decoded and catalog.has_table(f"{out}_Display"):
-            ctx.resilience.stages_resumed += 1
-            flow.event(
+            ctx.count("stages_resumed")
+            ctx.event(
                 "postprocessor", "skipped decode (resume)", f"{out}_Display"
             )
         else:
-            ctx.attempt("postprocessor.decode", lambda: post.decode(program))
+            ctx.attempt(
+                "postprocessor.decode", lambda: post.decode(program),
+                own_site=True,
+            )
             checkpoint.decoded = True
         decoded = ctx.attempt(
             "postprocessor.decode",
             lambda: post.decoded_rules(program, encoded_rules),
         )
-        flow.event(
+        ctx.event(
             "postprocessor",
             "stored output relations",
             f"{out}, {out}_Bodies, {out}_Heads ({len(encoded_rules)} rules)",
@@ -753,20 +767,19 @@ class MiningSystem:
                 f"no MINE RULE run recorded for output table {name!r}; "
                 f"run the statement once before REFRESH RULES"
             )
-        flow = ctx.flow
         program = entry.program
         reason = refresh_eligibility(program)
         if reason is None:
             try:
-                with flow.phase("core"):
+                with ctx.phase("core"):
                     state, stats = self._delta_stage(ctx, entry)
             except SourceMutated as exc:
                 reason = str(exc)
         if reason is not None:
             # Forced full re-mine of the recorded statement; the run
             # re-registers the target, the next refresh re-captures.
-            flow.event("core", "forced full re-mine", reason)
-            self.tracer.instant(
+            ctx.event("core", "forced full re-mine", reason)
+            ctx.tracer.instant(
                 "refresh.full", category="refresh", reason=reason
             )
             self.invalidate_preprocessing()
@@ -786,12 +799,12 @@ class MiningSystem:
                 statement_text=entry.statement_text,
                 workspace_prefix=program.workspace.prefix,
             )
-            with flow.phase("postprocessor"):
+            with ctx.phase("postprocessor"):
                 decoded = self._postprocess_stage(
                     ctx, program, encoded_rules
                 )
             stats.rules = len(encoded_rules)
-            self.tracer.instant(
+            ctx.tracer.instant(
                 "refresh.stats", category="refresh", **stats.as_args()
             )
             # The reuse cache's encoded tables predate the append; drop
@@ -805,9 +818,8 @@ class MiningSystem:
             program=program,
             encoded_rules=encoded_rules,
             rules=decoded,
-            flow=flow,
+            flow=ctx.flow,
             stats=stats,
-            resilience=ctx.resilience,
             run_id=self._executions,
         )
 
@@ -817,12 +829,11 @@ class MiningSystem:
         """The FUP phases: fold the rows past the watermark into the
         recorded state, then recount what crossed the border.  Raises
         :class:`SourceMutated` when the source is not append-only."""
-        flow = ctx.flow
         computation = RefreshComputation(
             self.db, entry.program.statement, entry.state,
             entry.program.workspace,
         )
-        flow.event(
+        ctx.event(
             "core",
             "refresh delta",
             "capturing mining state from the source"
@@ -835,7 +846,7 @@ class MiningSystem:
         # re-runs the whole phase on retry
         ctx.attempt("refresh.delta", computation.delta, own_site=True)
         stats = computation.stats
-        flow.event(
+        ctx.event(
             "core",
             "delta applied",
             f"{stats.delta_rows} rows, {stats.delta_pairs} new pairs, "
@@ -845,7 +856,7 @@ class MiningSystem:
         state = ctx.attempt(
             "refresh.recount", computation.recount, own_site=True
         )
-        flow.event(
+        ctx.event(
             "core",
             "refresh recount",
             f"{stats.frequent_itemsets} frequent + "
@@ -873,55 +884,6 @@ class MiningSystem:
             names.bset, columns, bset_rows, types=types, replace=True
         )
         return build_rules(counts_by_bid, state.totg, program.core)
-
-    def _publish_observations(self, result: MiningResult) -> None:
-        """Push end-of-run statistics into the tracer registry and the
-        metrics registry so the trace export, the consolidated report
-        and a monitoring scrape see one snapshot.
-
-        Gauges are labeled with the run id — without the label,
-        repeated runs in one session silently overwrite each other's
-        values (last-writer-wins) and the trace export lies about every
-        run but the final one.
-        """
-        tracer = self.tracer
-        metrics = self.metrics
-        if not (tracer.enabled or metrics.enabled):
-            return
-        run = result.run_id
-        cache = self.db.cache_stats
-
-        def pub(name: str, value: Any) -> None:
-            publish_gauge(tracer, metrics, name, value, run=run)
-
-        pub("engine.statements_executed", self.db.statements_executed)
-        pub("engine.statement_cache_hits", cache.statement_hits)
-        pub("engine.statement_cache_misses", cache.statement_misses)
-        pub("engine.plan_cache_hits", cache.plan_hits)
-        pub("engine.plan_cache_misses", cache.plan_misses)
-        pub("rules.decoded", len(result.rules))
-        stats = result.preprocess_stats
-        if stats is not None:
-            pub("preprocessor.totg", stats.totg)
-            pub("preprocessor.mingroups", stats.mingroups)
-        core = result.core_stats
-        if core is not None:
-            core.publish(tracer, metrics, run=run)
-        # resilience counters stay local to the ProcessFlow during the
-        # run; forward them exactly once here (the tracer mirrors them
-        # into the metrics registry)
-        for counter, amount in result.flow.counters.items():
-            if tracer.enabled:
-                tracer.bump(counter, amount)
-            else:
-                metrics.trace_counter(counter, amount)
-        component_seconds = metrics.histogram(
-            "repro_component_seconds",
-            "Wall seconds per pipeline component per run",
-            ("component",),
-        )
-        for component, seconds in result.flow.timings.items():
-            component_seconds.observe(seconds, component=component)
 
     # ------------------------------------------------------------------
     # checkpoints

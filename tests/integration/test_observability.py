@@ -17,8 +17,15 @@ import json
 import pytest
 
 from benchmarks.suite import workloads
-from repro import Database, MiningSystem
-from repro.obs import Tracer, render_chrome_trace, trace_events
+from repro import Database, FaultSchedule, MiningSystem, RetryPolicy, faults
+from repro.obs import (
+    MetricsRegistry,
+    RunLog,
+    SlowQueryLog,
+    Tracer,
+    render_chrome_trace,
+    trace_events,
+)
 from tests.integration.test_golden_outputs import GOLDEN_STATEMENTS
 
 from repro.datagen import load_purchase_figure1
@@ -100,21 +107,28 @@ def test_chrome_trace_covers_the_pipeline():
             )
 
 
+def root_spans(tracer):
+    return [span for span in tracer.spans if span.name == "minerule.run"]
+
+
 def test_trace_export_registry_snapshot():
     system, result, tracer = traced_run("simple_associations")
-    run = result.run_id
-    assert tracer.gauges[f"rules.decoded{{run={run}}}"] == len(result.rules)
-    assert tracer.gauges[f"preprocessor.totg{{run={run}}}"] == (
-        result.preprocess_stats.totg
-    )
+    [root] = root_spans(tracer)
+    assert root is result.flow.root
+    assert root.args["run"] == result.run_id
+    assert root.args["rules"] == len(result.rules)
+    assert root.args["totg"] == result.preprocess_stats.totg
     events = trace_events(tracer)
     assert any(e["ph"] == "i" for e in events)  # flow markers exported
+    run = next(e for e in events if e["name"] == "minerule.run")
+    assert run["args"]["rules"] == len(result.rules)
 
 
 def test_repeated_runs_keep_distinct_gauges():
     """Regression: end-of-run gauges used to share one key per name, so
     the second run's snapshot silently overwrote the first's
-    (last-writer-wins).  Run-labeled keys keep both."""
+    (last-writer-wins).  Per-run values are attributes of each run's
+    own root span, so nothing is shared."""
     database = Database()
     load_purchase_figure1(database)
     tracer = Tracer(enabled=True)
@@ -122,13 +136,60 @@ def test_repeated_runs_keep_distinct_gauges():
     first = system.run(GOLDEN_STATEMENTS["simple_associations"])
     second = system.run(GOLDEN_STATEMENTS["filtered_ordered_sets"])
     assert first.run_id != second.run_id
-    key_one = f"rules.decoded{{run={first.run_id}}}"
-    key_two = f"rules.decoded{{run={second.run_id}}}"
-    assert tracer.gauges[key_one] == len(first.rules)
-    assert tracer.gauges[key_two] == len(second.rules)
+    assert [(root.args["run"], root.args["rules"])
+            for root in root_spans(tracer)] == [
+        (first.run_id, len(first.rules)),
+        (second.run_id, len(second.rules)),
+    ]
     # the two statements mine different rule counts, so the old
     # overwrite bug would have lost real information
     assert len(first.rules) != len(second.rules)
+
+
+#: what can be attached to a system; none of it may change what a run
+#: records (the view is read from the run's spans either way)
+SINKS = {
+    "none": dict,
+    "metrics+slowlog+journal": lambda: {
+        "metrics": MetricsRegistry(),
+        "slowlog": SlowQueryLog(threshold=0.0),
+        "runlog": RunLog(),
+    },
+    "tracer": lambda: {"tracer": Tracer(enabled=True)},
+}
+
+
+def flow_view(sinks, schedule):
+    database = Database()
+    load_purchase_figure1(database)
+    system = MiningSystem(database=database, **sinks())
+    with faults.injected(schedule):
+        result = system.run(
+            GOLDEN_STATEMENTS["simple_associations"],
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+        )
+    return (
+        [(event.component, event.action) for event in result.flow.events],
+        list(result.timings),
+        result.resilience._asdict(),
+    )
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_attached_sinks_do_not_change_the_view(fault):
+    views = {}
+    for name, sinks in SINKS.items():
+        schedule = FaultSchedule()
+        if fault:
+            schedule.arm("core.bitset", call=1)
+        views[name] = flow_view(sinks, schedule)
+    expected = views.pop("none")
+    for name, view in views.items():
+        assert view == expected, name
+    events, timings, resilience = expected
+    assert timings == COMPONENTS
+    assert (("core", "retry") in events) == fault
+    assert resilience["retries"] == resilience["faults_injected"] == int(fault)
 
 
 def test_disabled_tracer_captures_no_analysis():

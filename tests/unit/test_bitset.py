@@ -11,7 +11,6 @@ from repro.algorithms.bitset import (
     SlotUniverse,
     VerticalInput,
     count_itemsets,
-    iter_slots,
     mask_from_slots,
 )
 from repro.algorithms.eclat import Eclat
@@ -35,21 +34,10 @@ class TestSlotUniverse:
         assert universe.slot("c") == 0  # stable on re-intern
         assert len(universe) == 3
 
-    def test_mask_and_members_roundtrip(self):
-        universe = SlotUniverse()
-        mask = universe.mask([10, 30, 20])
-        assert mask == 0b111
-        assert universe.members(mask) == [10, 30, 20]
-        assert universe.members(universe.mask([20])) == [20]
-
     def test_contains(self):
         universe = SlotUniverse([1])
         assert 1 in universe
         assert 2 not in universe
-
-    def test_iter_slots(self):
-        assert list(iter_slots(0b101001)) == [0, 3, 5]
-        assert list(iter_slots(0)) == []
 
 
 class TestVerticalInput:

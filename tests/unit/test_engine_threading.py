@@ -291,6 +291,24 @@ class TestCatalogConcurrency:
         assert values == list(range(1, len(values) + 1))
         assert seq.next_value == len(values) + 1
 
+    def test_sequence_nextvals_waits_for_the_lock(self):
+        """The stress test above cannot tell a lock-free ``nextvals``
+        apart (CPython never switches threads between its read and its
+        write), so the lock is pinned structurally: while it is held,
+        a reservation does not return."""
+        seq = Sequence("s")
+        reserved = []
+        thread = threading.Thread(
+            target=lambda: reserved.append(seq.nextvals(3))
+        )
+        with seq._lock:
+            thread.start()
+            thread.join(timeout=0.2)
+            assert thread.is_alive() and reserved == []
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert reserved == [range(1, 4)]
+
     def test_sequence_through_sql(self):
         db = Database()
         db.execute("CREATE SEQUENCE ids")

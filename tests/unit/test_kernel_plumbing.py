@@ -1,9 +1,10 @@
-"""Kernel plumbing: workspace names, trace, rewriting, preprocessor
-statistics."""
+"""Kernel plumbing: workspace names, the process flow view, rewriting,
+preprocessor statistics."""
 
 import pytest
 
 from repro.kernel import Translator, Workspace
+from repro.kernel.context import FlowEvent, RunContext, RunFlow
 from repro.kernel.names import Workspace as WS
 from repro.kernel.preprocessor import Preprocessor
 from repro.kernel.rewrite import (
@@ -12,8 +13,8 @@ from repro.kernel.rewrite import (
     rewrite_cluster_condition,
     transform,
 )
-from repro.kernel.trace import ProcessEvent, ProcessFlow
 from repro.minerule.errors import MineRuleValidationError
+from repro.obs.spans import Tracer
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.render import render_expr
@@ -39,37 +40,59 @@ class TestWorkspace:
         assert ws.coded_source in ws.all_views()
 
 
+def run_context():
+    """A context recording on a tracer of its own, as an untraced run
+    does."""
+    tracer = Tracer()
+    return RunContext(RunFlow(tracer, tracer.span("minerule.run")))
+
+
 class TestProcessFlow:
+    """The process flow is a view of the run's instants and component
+    spans."""
+
     def test_events_in_order(self):
-        flow = ProcessFlow()
-        flow.event("translator", "a")
-        flow.event("core", "b")
-        flow.event("translator", "c")
-        assert flow.components() == ["translator", "core"]
+        ctx = run_context()
+        ctx.event("translator", "a")
+        ctx.event("core", "b")
+        ctx.event("translator", "c")
+        assert ctx.flow.components() == ["translator", "core"]
 
     def test_timings_accumulate(self):
-        flow = ProcessFlow()
-        flow.start("core")
-        flow.stop()
-        flow.start("core")
-        first = flow.timings["core"]
-        flow.stop()
-        assert flow.timings["core"] >= first
+        ctx = run_context()
+        with ctx.phase("core"):
+            pass
+        first = ctx.flow.timings["core"]
+        with ctx.phase("core"):
+            pass
+        assert ctx.flow.timings["core"] >= first
 
-    def test_stop_without_start_is_safe(self):
-        assert ProcessFlow().stop() == 0.0
+    def test_phase_closes_when_its_block_raises(self):
+        ctx = run_context()
+        with pytest.raises(ValueError):
+            with ctx.phase("core"):
+                raise ValueError("stage failed")
+        assert list(ctx.flow.timings) == ["core"]
+        assert ctx.tracer.spans[-1].args == {"error": "ValueError"}
 
     def test_event_str(self):
-        event = ProcessEvent("core", "ran", "detail")
+        event = FlowEvent("core", "ran", "detail")
         assert "[core] ran — detail" == str(event)
 
     def test_render_contains_events_and_timings(self):
-        flow = ProcessFlow()
-        flow.event("x", "did")
-        flow.start("x")
-        flow.stop()
-        text = flow.render()
-        assert "[x] did" in text and "timings" in text
+        ctx = run_context()
+        ctx.event("core", "did")
+        with ctx.phase("core"):
+            pass
+        text = ctx.flow.render()
+        assert "[core] did" in text and "timings" in text
+
+    def test_sealed_view_ignores_later_records(self):
+        ctx = run_context()
+        ctx.event("core", "in the run")
+        ctx.flow.seal()
+        ctx.event("core", "after the run")
+        assert [event.action for event in ctx.flow.events] == ["in the run"]
 
 
 class TestTransform:

@@ -13,8 +13,6 @@ from repro.obs.metrics import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     MetricsRegistry,
-    publish_gauge,
-    sanitize_metric_name,
 )
 from repro.obs.promtext import CONTENT_TYPE, render_prometheus
 from repro.obs.slowlog import SlowQueryLog
@@ -120,14 +118,6 @@ def test_snapshot_is_json_ready():
     assert hist["buckets"]["+Inf"] == 1
 
 
-def test_sanitize_metric_name():
-    assert sanitize_metric_name("engine.plan_cache_hits") == (
-        "engine_plan_cache_hits"
-    )
-    assert sanitize_metric_name("9lives") == "_9lives"
-    assert sanitize_metric_name("a-b c") == "a_b_c"
-
-
 # ----------------------------------------------------------------------
 # tracer feed
 # ----------------------------------------------------------------------
@@ -142,37 +132,31 @@ def test_tracer_span_close_feeds_span_histogram():
     assert state is not None and state.count == 1
 
 
-def test_tracer_bump_mirrors_counter():
+def test_pipeline_series_derive_from_span_names_and_attributes():
     reg = MetricsRegistry()
     tracer = Tracer(enabled=True, metrics=reg)
-    tracer.bump("engine.cache.hits", 4)
-    assert reg.get("repro_engine_cache_hits_total").value() == 4
-
-
-def test_tracer_gauge_run_labels_and_numeric_mirror():
-    reg = MetricsRegistry()
-    tracer = Tracer(enabled=True, metrics=reg)
-    tracer.gauge("rules.decoded", 7, run=1)
-    tracer.gauge("rules.decoded", 9, run=2)
-    assert tracer.gauges["rules.decoded{run=1}"] == 7
-    assert tracer.gauges["rules.decoded{run=2}"] == 9
-    # the registry mirror keeps bounded cardinality: labels dropped,
-    # last write wins there (the tracer dict keeps the history)
-    assert reg.get("repro_rules_decoded").value() == 9
-
-
-def test_tracer_gauge_string_values_not_mirrored():
-    reg = MetricsRegistry()
-    tracer = Tracer(enabled=True, metrics=reg)
-    tracer.gauge("core.variant", "general")
-    assert tracer.gauges["core.variant"] == "general"
-    assert reg.get("repro_core_variant") is None
-
-
-def test_publish_gauge_reaches_registry_without_tracer():
-    reg = MetricsRegistry()
-    publish_gauge(None, reg, "preprocessor.totg", 42, run=1)
-    assert reg.get("repro_preprocessor_totg").value() == 42
+    with tracer.span("minerule.run", category="minerule") as root:
+        with tracer.span("preprocessor.Q1", category="preprocessor",
+                         stage="Q1", purpose="count groups"):
+            pass
+        with tracer.span("preprocessor.CLEAN", category="preprocessor"):
+            pass  # setup: no stage, no series
+        with tracer.span("postprocessor.store", category="postprocessor",
+                         rules=5):
+            pass
+        with pytest.raises(ValueError):
+            with tracer.span("postprocessor", category="component"):
+                raise ValueError("the unit did not complete")
+        root.annotate(totg=4, mingroups=2, encoded_rows={"Bset": 7})
+    assert reg.get("repro_preprocess_stage_seconds").state(
+        stage="Q1").count == 1
+    assert reg.get("repro_postprocess_seconds").state(
+        step="store").count == 1
+    assert reg.get("repro_rules_stored_total").value() == 5
+    # a span left on an exception feeds nothing
+    assert reg.get("repro_component_seconds") is None
+    assert reg.get("repro_preprocess_totg").value() == 4
+    assert reg.get("repro_encoded_table_rows").value(table="Bset") == 7
 
 
 # ----------------------------------------------------------------------

@@ -74,17 +74,14 @@ class TestTracerSpans:
         assert len(tracer.spans) == 1
         assert tracer.spans[0].end is not None
 
-    def test_instants_counters_gauges(self):
+    def test_instants_keep_category_and_args(self):
         tracer = Tracer()
-        tracer.instant("marker", category="flow")
-        tracer.bump("retries")
-        tracer.bump("retries", 2)
-        tracer.bump("noop", 0)  # zero increments are dropped
-        tracer.gauge("totg", 4)
-        tracer.gauge("totg", 5)  # last value wins
-        assert [i.name for i in tracer.instants] == ["marker"]
-        assert tracer.counters == {"retries": 3}
-        assert tracer.gauges == {"totg": 5}
+        tracer.instant("marker", category="flow", detail="first")
+        tracer.instant("other")
+        assert [(i.name, i.category, i.args) for i in tracer.instants] == [
+            ("marker", "flow", {"detail": "first"}),
+            ("other", "", {}),
+        ]
 
     def test_category_seconds_and_slowest(self):
         clock = FakeClock()
@@ -103,12 +100,8 @@ class TestDisabledTracer:
         with tracer.span("ignored") as span:
             span.annotate(x=1)
         tracer.instant("ignored")
-        tracer.bump("c")
-        tracer.gauge("g", 1)
         assert tracer.spans == []
         assert tracer.instants == []
-        assert tracer.counters == {}
-        assert tracer.gauges == {}
 
     def test_disabled_hands_out_shared_null_span(self):
         tracer = Tracer(enabled=False)
@@ -131,10 +124,9 @@ class TestChromeTraceExport:
         with tracer.span("phase", category="component"):
             clock.advance(0.010)
         tracer.instant("marker", category="flow")
-        tracer.bump("retries", 2)
         events = trace_events(tracer)
         phases = {e["ph"] for e in events}
-        assert {"M", "X", "i", "C"} <= phases
+        assert {"M", "X", "i"} == phases
         complete = next(e for e in events if e["ph"] == "X")
         assert complete["name"] == "phase"
         assert complete["cat"] == "component"
@@ -170,17 +162,14 @@ class TestChromeTraceExport:
 
 
 class TestObsReport:
-    def test_report_lists_categories_and_registry(self):
+    def test_report_lists_categories_and_slowest_spans(self):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
         with tracer.span("q", category="sql"):
             clock.advance(0.5)
-        tracer.bump("retries", 1)
-        tracer.gauge("totg", 4)
         text = render_obs_report(tracer)
-        assert "sql" in text
-        assert "retries" in text
-        assert "totg" in text
+        assert "time by category:\n  sql" in text
+        assert "slowest spans (top 1):\n  q " in text
 
     def test_disabled_tracer_reports_so(self):
         assert "disabled" in render_obs_report(Tracer(enabled=False))
