@@ -75,15 +75,10 @@ class TestLatticeHeuristicAblation:
                             items=40, patterns=20, seed=31)
         )
         body = {gid: {0: set(items)} for gid, items in baskets.items()}
-        return GeneralInput(
+        return GeneralInput.from_items(
             totg=len(baskets),
             min_count=max(1, math.ceil(0.05 * len(baskets))),
-            same_schema=True,
-            clustered=False,
             body_items=body,
-            head_items=body,
-            cluster_pairs=None,
-            elementary=None,
         )
 
     @pytest.fixture(scope="class")

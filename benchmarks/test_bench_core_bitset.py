@@ -15,9 +15,9 @@ b) **Pool algorithms**: the vertical ``eclat`` member (diffsets) vs.
    Identical ``ItemsetCounts``.  (The members' ``"set"`` layout and
    eclat's tidset mode were measured here until PR 22; their last
    numbers are in EXPERIMENTS.md.)
-c) **Core input loading**: ``CoreInputLoader.load_general`` row
-   decoding (tuple unpacking per branch, previously ``list``/``pop``
-   per row) — recorded so regressions in the decode loop are visible.
+c) **Core input loading**: ``CoreInputLoader.load_general`` reading
+   the encoded tables as columns into per-cluster item sets and
+   per-group triples — recorded so regressions in the loader show.
 
 ``BENCH_QUICK=1`` (the CI smoke mode) shrinks every workload and
 relaxes the speedup floors to sanity thresholds.
@@ -238,7 +238,7 @@ class TestLoaderRowDecode:
     def test_load_general_decode(self, benchmark):
         loader, _program = build_general_input()
         seconds, data = _best_of(loader.load_general)
-        assert data.body_items and data.clustered
+        assert data.groups and data.clustered
         REPORT["loader_load_general"] = {
             "workload": dict(PURCHASE),
             "quick": BENCH_QUICK,

@@ -17,9 +17,8 @@ lists of Section 4.3.1.
 
 Data path, linear in the elementary occurrences:
 
-* **Collect once.**  One collector serves both elementary sources (the
-  ``InputRules`` rows, or the lazy cartesian product over
-  ``ClusterCouples``): every triple gets an ``int`` slot in a
+* **Collect once.**  The loader's per-group triples are numbered as
+  they come: every triple gets an ``int`` slot in a
   :class:`repro.algorithms.bitset.GroupedUniverse` (contiguous per
   group, one guard bit between groups, ``group_of[slot]`` kept beside)
   and every ``(body item, head item)`` pair a plain list of the slots
@@ -43,6 +42,13 @@ Data path, linear in the elementary occurrences:
   may share a group through different cluster pairs, so survivors are
   still intersected and counted exactly; the child keeps ``g1 & g2``,
   which bounds its groups in turn.
+* **Side-count join filter.**  A survivor whose grown side (the body,
+  or the head) lies inside one cluster in fewer than ``min_count``
+  groups is rejected before intersecting too: every supporting
+  triple's cluster holds that side, so ``support(B => H) <=
+  body_count(B)`` (and ``head_count(H)``), counted as bitmaps over a
+  (group, cluster) slot universe.  Emission divides by the same cached
+  body counts.
 
 Elementary rules come either from the ``InputRules`` table (when the
 mining condition was evaluated in SQL by queries Q8-Q10) or are derived
@@ -64,8 +70,10 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     List,
     Optional,
@@ -87,17 +95,16 @@ from repro.kernel.program import CoreDirectives
 
 #: a rule key: (sorted body ids, sorted head ids)
 RuleKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
-#: the slots supporting a rule (or the occurrences of a body item): a
-#: bitmap over the slot universe, or a frozenset of slots — both
-#: intersect with ``&``
+#: the slots supporting a rule: a bitmap over the slot universe, or a
+#: frozenset of slots — both intersect with ``&``
 Support = Union[int, FrozenSet[int]]
 #: what the lattice keeps per rule: its triple-slot support, a bitmap
 #: over group positions that bounds its groups from above, and its
 #: exact distinct-group count
 Rule = Tuple[Support, int, int]
 RuleSet = Dict[RuleKey, Rule]
-#: the collector's output: (body item, head item) -> triple slots
-Occurrences = Dict[Tuple[int, int], List[int]]
+#: the collector's output: body item -> head item -> triple slots
+Occurrences = Dict[int, Dict[int, List[int]]]
 
 #: the layout choice when none is forced: the dense bitmap carries a
 #: run whose universe has at most this many bits per member of the mean
@@ -107,7 +114,7 @@ Occurrences = Dict[Tuple[int, int], List[int]]
 #: two is what decides.  Calibrated on two inputs (``run()``, best of
 #: 3): the dense BENCH_PR2 lattice at 23 bits per member, bitmaps
 #: 0.13 s against slot sets 0.35 s; the sparse ``clicks_general`` input
-#: at 645, bitmaps 0.32 s against slot sets 0.27 s.  DESIGN.md has the
+#: at 645, bitmaps 0.22 s against slot sets 0.21 s.  DESIGN.md has the
 #: inputs measured in between, which place the break-even near 500.
 DENSE_MAX_BITS_PER_MEMBER = 512
 
@@ -160,12 +167,14 @@ class GeneralCoreOperator:
         self.join_pairs_examined = 0
         #: observability: universe sizes, distinct-group counts and the
         #: triple-level intersections actually performed by the last run
-        #: (a join rejected at group level performs none)
+        #: (a join rejected before intersecting performs none)
         self.bitmap_stats = BitsetStats()
         #: triple-slot universe of the current run
         self._triples = GroupedUniverse()
-        #: (gid, body cluster) universe for body counts
-        self._body_pairs = GroupedUniverse()
+        #: (gid, cluster) universe for body and head counts
+        self._cluster_slots = GroupedUniverse()
+        #: the run's body counts, then its head counts when heads grow
+        self._side_counts: Tuple[SideCounts, ...] = ()
 
     def run(
         self, data: GeneralInput, directives: CoreDirectives
@@ -176,6 +185,7 @@ class GeneralCoreOperator:
         threshold = data.min_count
         elementary = self._elementary_rules(self._collect(data), threshold)
         self.lattice_sizes[(1, 1)] = len(elementary)
+        self._side_counts = self._count_sides(data, directives)
 
         body_min, body_max = directives.body_card
         head_min, head_max = directives.head_card
@@ -203,9 +213,11 @@ class GeneralCoreOperator:
         stats = self.bitmap_stats
         stats.universe_sizes["triple"] = len(self._triples)
         stats.popcount_calls += self._triples.group_count_calls
-        if self._body_pairs.groups:
-            stats.universe_sizes["body_pair"] = len(self._body_pairs)
-            stats.popcount_calls += self._body_pairs.group_count_calls
+        if self._cluster_slots.groups:
+            # the (gid, cluster) universe of both sides' counts, under
+            # the label BENCH_TREND tracks
+            stats.universe_sizes["body_pair"] = len(self._cluster_slots)
+            stats.popcount_calls += self._cluster_slots.group_count_calls
         return rules
 
     def _reset(self) -> None:
@@ -213,7 +225,7 @@ class GeneralCoreOperator:
         self.join_pairs_examined = 0
         self.bitmap_stats.clear()
         self._triples = GroupedUniverse()
-        self._body_pairs = GroupedUniverse()
+        self._cluster_slots = GroupedUniverse()
 
     # ------------------------------------------------------------------
     # the two layouts
@@ -239,64 +251,40 @@ class GeneralCoreOperator:
             return mask_from_slots(slots, universe.nbytes)
         return frozenset(slots)
 
-    def _group_count(
-        self, universe: GroupedUniverse, support: Optional[Support]
-    ) -> int:
-        """Distinct groups among the slots of *support*."""
-        if not support:
-            return 0
-        if self.representation == "bitset":
-            return universe.group_count(support)
-        return universe.slot_group_count(support)
-
     # ------------------------------------------------------------------
     # elementary rules
     # ------------------------------------------------------------------
 
     def _collect(self, data: GeneralInput) -> Occurrences:
-        """Every elementary occurrence, met once: triples are numbered
-        into :attr:`_triples` group by group and each (body item, head
-        item) pair gets the list of triple slots it occurs in."""
-        add = self._triples.add
-        occurrences: Occurrences = defaultdict(list)
-        if data.elementary is not None:
-            # Precomputed in SQL (queries Q8..Q10); sorted so each
-            # gid's slots stay contiguous whatever the table's row
-            # order, and the rows of one triple (and repeated rows)
-            # are neighbours.
-            last_row = last_triple = None
-            slot = -1
-            for row in sorted(data.elementary):
-                if row == last_row:
-                    continue
-                last_row = row
-                if row[:3] != last_triple:
-                    last_triple = row[:3]
-                    slot = add(row[0])
-                occurrences[row[3:]].append(slot)
-            return occurrences
-
-        # Derived here: lazy cartesian product within valid cluster
-        # pairs, one gid at a time.  The slots of a group are counted
-        # here and registered together: one universe call per group.
+        """Every elementary occurrence, met once: the loader's triples
+        are numbered into :attr:`_triples` group by group (one universe
+        call per group) and each (body item, head item) pair gets the
+        list of triple slots it occurs in — a triple's ``InputRules``
+        pairs (Q8..Q10), or the lazy cartesian product of its clusters'
+        items."""
         triples = self._triples
+        occurrences: Occurrences = defaultdict(lambda: defaultdict(list))
+        for gid, by_triple in (data.input_rules or {}).items():
+            first = triples.add(gid, len(by_triple))
+            for slot, pairs in enumerate(by_triple.values(), first):
+                for bid, hid in pairs:
+                    occurrences[bid][hid].append(slot)
+        body, head = data.body_clusters, data.head_clusters
         same_schema = data.same_schema
-        for gid, body_clusters in data.body_items.items():
-            head_clusters = data.head_items.get(gid)
-            if not head_clusters:
-                continue
+        for gid, (body_keys, head_keys) in data.triples.items():
             first = slot = triples.next_slot(gid)
-            for bc, hc in data.group_cluster_pairs(gid):
-                body_ids = body_clusters.get(bc)
-                head_ids = head_clusters.get(hc)
+            for bc, hc in zip(body_keys, head_keys):
+                body_ids = body.get(bc)
+                head_ids = head.get(hc)
                 if not body_ids or not head_ids:
                     continue
                 exclude_equal = same_schema and bc == hc
                 for bid in body_ids:
+                    slots_of = occurrences[bid]
                     for hid in head_ids:
                         if exclude_equal and bid == hid:
                             continue
-                        occurrences[bid, hid].append(slot)
+                        slots_of[hid].append(slot)
                 slot += 1
             if slot > first:
                 triples.add(gid, slot - first)
@@ -312,13 +300,14 @@ class GeneralCoreOperator:
         group_of = triples.group_of.__getitem__
         survivors: List[Tuple[Tuple[int, int], List[int], Set[int]]] = []
         members = 0
-        for pair, slots in occurrences.items():
-            if len(slots) < min_count:
-                continue  # fewer triples than groups needed
-            groups = set(map(group_of, slots))
-            if len(groups) >= min_count:
-                survivors.append((pair, slots, groups))
-                members += len(slots)
+        for bid, slots_of in occurrences.items():
+            for hid, slots in slots_of.items():
+                if len(slots) < min_count:
+                    continue  # fewer triples than groups needed
+                groups = set(map(group_of, slots))
+                if len(groups) >= min_count:
+                    survivors.append(((bid, hid), slots, groups))
+                    members += len(slots)
         self._settle_layout(members, len(survivors))
         group_bytes = (triples.groups + 7) >> 3
         return {
@@ -373,8 +362,9 @@ class GeneralCoreOperator:
         """Grow *side* of every rule by one item — 0: (m, n) -> (m+1, n),
         joining rules that share the head and a body prefix; 1: (m, n)
         -> (m, n+1), sharing the body and a head prefix.  A pair whose
-        group bitmaps share fewer than *min_count* groups is rejected
-        before its triple-level intersection."""
+        group bitmaps share fewer than *min_count* groups, or whose
+        grown side's own count is below it, is rejected before its
+        triple-level intersection."""
         siblings: Dict[
             Tuple[Tuple[int, ...], Tuple[int, ...]],
             List[Tuple[Tuple[int, ...], Rule]],
@@ -390,6 +380,7 @@ class GeneralCoreOperator:
             if self.representation == "bitset"
             else triples.slot_group_count
         )
+        side_count = self._side_counts[side]
         out: RuleSet = {}
         examined = intersected = 0
         for (fixed, _prefix), entries in siblings.items():
@@ -399,11 +390,13 @@ class GeneralCoreOperator:
                     groups = g1 & g2
                     if groups.bit_count() < min_count:
                         continue
+                    grown = k1 + (k2[-1],)
+                    if side_count[grown] < min_count:
+                        continue
                     shared = t1 & t2
                     intersected += 1
                     count = group_count(shared)
                     if count >= min_count:
-                        grown = k1 + (k2[-1],)
                         key = (fixed, grown) if side else (grown, fixed)
                         out[key] = (shared, groups, count)
             examined += len(entries) * (len(entries) - 1) // 2
@@ -424,9 +417,7 @@ class GeneralCoreOperator:
         body_min, body_max = directives.body_card
         head_min, head_max = directives.head_card
         min_confidence = directives.min_confidence
-
-        body_occurrences = self._body_occurrence_index(data)
-        body_count_cache: Dict[Tuple[int, ...], int] = {}
+        body_counts = self._side_counts[0]
 
         rules: List[EncodedRule] = []
         for (m, n), rule_set in lattice.items():
@@ -435,9 +426,7 @@ class GeneralCoreOperator:
             if n < head_min or (head_max is not None and n > head_max):
                 continue
             for (body, head), (_, _, support_count) in rule_set.items():
-                body_count = self._body_count(
-                    body, body_occurrences, body_count_cache
-                )
+                body_count = body_counts[body]
                 confidence = (
                     support_count / body_count if body_count else 0.0
                 )
@@ -458,36 +447,67 @@ class GeneralCoreOperator:
         rules.sort(key=EncodedRule.key)
         return rules
 
-    def _body_occurrence_index(self, data: GeneralInput) -> Dict[int, Support]:
-        """item id -> its occurrences as (group, body cluster) slots of
-        :attr:`_body_pairs`, in the run's layout."""
-        pairs = self._body_pairs
-        slots_of: Dict[int, List[int]] = defaultdict(list)
-        for gid, clusters in data.body_items.items():
-            first = pairs.add(gid, len(clusters))
-            for slot, items in enumerate(clusters.values(), first):
-                for bid in items:
-                    slots_of[bid].append(slot)
-        return {
-            bid: self._support(pairs, slots)
-            for bid, slots in slots_of.items()
-        }
+    def _count_sides(
+        self, data: GeneralInput, directives: CoreDirectives
+    ) -> Tuple[SideCounts, ...]:
+        """The run's body counts and, when heads can grow past one item,
+        its head counts (the body's own when the sides share the schema):
+        one slot per cluster in :attr:`_cluster_slots`, and an index of
+        each side's items over it."""
+        universe = self._cluster_slots
+        slots: List[Tuple[int, Hashable]] = []
+        for gid, keys in data.clusters.items():
+            slots.extend(enumerate(keys, universe.add(gid, len(keys))))
+        body = self._side_index(data.body_clusters, slots)
+        if data.same_schema:
+            return body, body
+        head_max = directives.head_card[1]
+        if head_max is not None and head_max < 2:
+            return (body,)  # no (m, n + 1) join reads head counts
+        return body, self._side_index(data.head_clusters, slots)
 
-    def _body_count(
+    def _side_index(
         self,
-        body: Tuple[int, ...],
-        occurrences: Dict[int, Support],
-        cache: Dict[Tuple[int, ...], int],
-    ) -> int:
-        """Groups where all body items co-occur in one body cluster."""
-        count = cache.get(body)
-        if count is None:
-            shared = occurrences.get(body[0])
-            for bid in body[1:]:
-                other = occurrences.get(bid)
-                if not shared or not other:
-                    shared = None
-                    break
-                shared = shared & other
-            count = cache[body] = self._group_count(self._body_pairs, shared)
+        items_of: Dict[Hashable, Set[int]],
+        slots: List[Tuple[int, Hashable]],
+    ) -> SideCounts:
+        """The counts over *items_of*: each item's cluster slots as a
+        bitmap over :attr:`_cluster_slots`."""
+        slots_of: Dict[int, List[int]] = defaultdict(list)
+        for slot, key in slots:
+            for item in items_of.get(key, ()):
+                slots_of[item].append(slot)
+        universe = self._cluster_slots
+        return SideCounts(
+            {
+                item: mask_from_slots(item_slots, universe.nbytes)
+                for item, item_slots in slots_of.items()
+            },
+            universe.group_count,
+        )
+
+
+class SideCounts(dict):
+    """One side's counts: sorted item ids -> the groups where they all
+    occur in one cluster, computed on first lookup from each item's
+    cluster bitmap (a dict: a repeated lookup costs no call)."""
+
+    def __init__(
+        self,
+        occurrences: Dict[int, int],
+        group_count: Callable[[int], int],
+    ) -> None:
+        super().__init__()
+        self._occurrences = occurrences
+        self._group_count = group_count
+
+    def __missing__(self, itemset: Tuple[int, ...]) -> int:
+        shared = self._occurrences.get(itemset[0])
+        for item in itemset[1:]:
+            other = self._occurrences.get(item)
+            if not shared or not other:
+                shared = None
+                break
+            shared = shared & other
+        count = self[itemset] = self._group_count(shared) if shared else 0
         return count

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.core.rules import CONFIDENCE_EPSILON, EncodedRule
@@ -45,7 +47,8 @@ class CoreStats:
     ``intersections`` come from the bitmap kernel.  For the general
     variant ``intersections`` counts the triple-level intersections
     actually performed, so ``join_pairs_examined - intersections``
-    joins were rejected at group level.
+    joins were rejected before intersecting (by the group bitmaps or
+    by the grown side's own count).
     """
 
     variant: str = "simple"
@@ -113,13 +116,13 @@ class CoreStats:
         }
 
     def describe_join_pairs(self) -> str:
-        """The lattice's join work: pairs examined and how many the
-        group-level filter rejected — every intersection is a join
-        that got past it."""
+        """The lattice's join work: pairs examined and how many the two
+        join filters rejected — every intersection is a join that got
+        past both."""
         rejected = self.join_pairs_examined - self.intersections
         return (
             f"{self.join_pairs_examined} join pairs "
-            f"({rejected} rejected at group level)"
+            f"({rejected} rejected before intersecting)"
         )
 
     def describe_layout(self) -> str:
@@ -179,14 +182,24 @@ def compute_metrics(
     if totg == 0:
         return []
 
-    head_occurrences = _occurrence_index(data.head_items)
-    cache: Dict[Tuple[int, ...], int] = {}
+    # item -> the head clusters holding it, and each cluster's group
+    clusters_of: Dict[int, Set[Hashable]] = {}
+    for key, items in data.head_clusters.items():
+        for item in items:
+            clusters_of.setdefault(item, set()).add(key)
+    group_of = {
+        key: gid for gid, keys in data.clusters.items() for key in keys
+    }
+    cache: Dict[FrozenSet[int], int] = {}
 
     out: List[RuleMetrics] = []
     for rule in rules:
-        head_count = _cooccurrence_count(
-            tuple(sorted(rule.head)), head_occurrences, cache
-        )
+        head_count = cache.get(rule.head)
+        if head_count is None:
+            shared = set.intersection(
+                *(clusters_of.get(item, set()) for item in rule.head)
+            )
+            head_count = cache[rule.head] = len(set(map(group_of.get, shared)))
         head_support = head_count / totg
         body_support = rule.body_count / totg
         lift = (
@@ -241,40 +254,3 @@ def store_metrics(
         replace=True,
     )
     return f"{out}_Metrics"
-
-
-# ---------------------------------------------------------------------------
-
-
-def _occurrence_index(
-    items_per_cluster: Dict[int, Dict[int, Set[int]]],
-) -> Dict[int, Set[Tuple[int, int]]]:
-    index: Dict[int, Set[Tuple[int, int]]] = {}
-    for gid, clusters in items_per_cluster.items():
-        for cid, items in clusters.items():
-            for item in items:
-                index.setdefault(item, set()).add((gid, cid))
-    return index
-
-
-def _cooccurrence_count(
-    itemset: Tuple[int, ...],
-    occurrences: Dict[int, Set[Tuple[int, int]]],
-    cache: Dict[Tuple[int, ...], int],
-) -> int:
-    cached = cache.get(itemset)
-    if cached is not None:
-        return cached
-    sets = [occurrences.get(item, set()) for item in itemset]
-    if not sets or any(not s for s in sets):
-        cache[itemset] = 0
-        return 0
-    sets.sort(key=len)
-    shared = set(sets[0])
-    for other in sets[1:]:
-        shared &= other
-        if not shared:
-            break
-    count = len({gid for gid, _ in shared})
-    cache[itemset] = count
-    return count

@@ -676,7 +676,12 @@ class Translator:
             clustered=directives.C,
             cluster_condition=directives.K,
             mining_condition=directives.M,
-            coded_source=names.coded_source,
+            # the general path's CodedSource is Q11's projection view:
+            # the core reads the columns of the table behind it
+            coded_source=(
+                names.coded_source if directives.simple
+                else names.mining_source
+            ),
             cluster_couples=names.cluster_couples if directives.K else None,
             input_rules=names.input_rules if directives.M else None,
             min_support=statement.min_support,

@@ -673,7 +673,7 @@ class MiningSystem:
                 "core",
                 "general core processing",
                 "elementary rules from InputRules"
-                if data.elementary is not None
+                if data.input_rules is not None
                 else "elementary rules derived from CodedSource",
             )
             encoded_rules = general.run(data, program.core)

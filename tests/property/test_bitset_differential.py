@@ -95,15 +95,14 @@ def clustered_inputs(draw):
             if pairs:
                 cluster_pairs[gid] = pairs
 
-    data = GeneralInput(
+    data = GeneralInput.from_items(
         totg=n_groups,
         min_count=draw(st.integers(min_value=1, max_value=3)),
-        same_schema=same_schema,
-        clustered=True,
         body_items=body_items,
         head_items=head_items,
         cluster_pairs=cluster_pairs,
-        elementary=None,
+        same_schema=same_schema,
+        clustered=True,
     )
     directives = _directives(
         draw,
@@ -131,25 +130,28 @@ def elementary_inputs(draw):
             max_size=30,
         )
     )
-    # body occurrences must cover the rules' bodies for confidence
-    body_items = {}
-    for gid, bcid, _hcid, bid, _hid in rows:
-        body_items.setdefault(gid, {}).setdefault(bcid, set()).add(bid)
-    data = GeneralInput(
-        totg=n_groups,
-        min_count=draw(st.integers(min_value=1, max_value=3)),
-        same_schema=False,
-        clustered=True,
-        body_items=body_items,
-        head_items={},
-        cluster_pairs=None,
-        elementary=rows,
+    data = elementary_input(
+        rows, n_groups, draw(st.integers(min_value=1, max_value=3))
     )
     directives = _directives(
         draw, same_schema=False, cluster_condition=False,
         mining_condition=True,
     )
     return data, directives
+
+
+def elementary_input(rows, totg, min_count):
+    """The input of *rows*, with every row's items in its clusters as
+    in the loaded tables (what confidence and the side-count join
+    filter read)."""
+    body_items, head_items = {}, {}
+    for gid, bcid, hcid, bid, hid in rows:
+        body_items.setdefault(gid, {}).setdefault(bcid, set()).add(bid)
+        head_items.setdefault(gid, {}).setdefault(hcid, set()).add(hid)
+    return GeneralInput.from_items(
+        totg, min_count, body_items, head_items, elementary=rows,
+        same_schema=False, clustered=True,
+    )
 
 
 def _directives(draw, same_schema, cluster_condition, mining_condition):
@@ -208,12 +210,14 @@ class TestGeneralCoreRepresentations:
     @given(case=elementary_inputs(), data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_input_rules_path_identical(self, case, data):
-        """... whatever the row order of ``InputRules``: the collector
-        sorts, so interleaved gids and repeated rows change nothing."""
+        """... whatever the row order of ``InputRules``: the input
+        buckets rows by group and triple, so interleaved gids and
+        repeated rows change nothing."""
         general, directives = case
         rules = run_in_every_layout(general, directives)
-        shuffled = dataclasses.replace(
-            general, elementary=data.draw(st.permutations(general.elementary))
+        shuffled = elementary_input(
+            data.draw(st.permutations(general.elementary)),
+            general.totg, general.min_count,
         )
         assert run_in_every_layout(shuffled, directives) == rules
 

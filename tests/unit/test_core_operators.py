@@ -10,7 +10,7 @@ from repro.kernel.core import (
     SimpleCoreOperator,
     SimpleInput,
 )
-from repro.kernel.core.inputs import WHOLE_GROUP_CLUSTER, min_group_count
+from repro.kernel.core.inputs import min_group_count
 from repro.kernel.program import CoreDirectives
 
 
@@ -155,27 +155,20 @@ def general_input(
     same_schema=True,
     clustered=False,
 ):
-    if head_items is None:
-        head_items = body_items
-    return GeneralInput(
+    return GeneralInput.from_items(
         totg=totg if totg is not None else len(body_items),
         min_count=min_count,
-        same_schema=same_schema,
-        clustered=clustered,
-        body_items={
-            g: {c: set(s) for c, s in clusters.items()}
-            for g, clusters in body_items.items()
-        },
-        head_items={
-            g: {c: set(s) for c, s in clusters.items()}
-            for g, clusters in head_items.items()
-        },
+        body_items=body_items,
+        head_items=head_items,
         cluster_pairs=cluster_pairs,
         elementary=elementary,
+        same_schema=same_schema,
+        clustered=clustered,
     )
 
 
-W = WHOLE_GROUP_CLUSTER
+#: the one cluster of a group without CLUSTER BY
+W = 0
 
 
 class TestGeneralCoreUnclustered:
@@ -344,21 +337,21 @@ LAYOUTS = ("set", "bitset", None)
 
 
 class TestGeneralCoreDataPath:
-    """The collector, the two layouts and the group-level join filter."""
+    """The collector, the two layouts and the two join filters."""
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_group_bound_is_not_read_as_exact(self, layout):
-        # 1=>3 and 2=>3 both hold in groups 1 and 2, so their group
-        # bitmaps share min_count groups and the filter lets the join
-        # through -- but in each group they hold in *different* cluster
-        # pairs, so no triple supports {1,2}=>{3}.
-        elementary = [
-            (1, 1, 2, 1, 3), (1, 2, 3, 2, 3),
-            (2, 1, 2, 1, 3), (2, 2, 3, 2, 3),
-        ]
+    #: 1=>3 and 2=>3 both hold in groups 1 and 2, so their group bitmaps
+    #: share min_count groups and the group filter lets the join through
+    #: -- but in each group they hold in *different* cluster pairs, so no
+    #: triple supports {1,2}=>{3}.
+    CROSS_PAIRS = [
+        (1, 1, 2, 1, 3), (1, 2, 3, 2, 3),
+        (2, 1, 2, 1, 3), (2, 2, 3, 2, 3),
+    ]
+
+    def cross_pair_run(self, layout, first_cluster):
         data = general_input(
-            {g: {1: {1}, 2: {2}, 3: {3}} for g in (1, 2)},
-            elementary=elementary,
+            {g: {1: first_cluster, 2: {2, 3}, 3: {3}} for g in (1, 2)},
+            elementary=self.CROSS_PAIRS,
             min_count=2,
             clustered=True,
         )
@@ -369,9 +362,51 @@ class TestGeneralCoreDataPath:
         )
         assert rule_map(rules).keys() == {((1,), (3,)), ((2,), (3,))}
         assert operator.lattice_sizes == {(1, 1): 2, (2, 1): 0}
-        # examined, not rejected at group level, intersected, pruned
         assert operator.join_pairs_examined == 1
+        return operator
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_group_bound_is_not_read_as_exact(self, layout):
+        # cluster 1 holds the body {1,2} in both groups, so the body
+        # count passes too: examined, intersected, pruned
+        operator = self.cross_pair_run(layout, {1, 2})
         assert operator.bitmap_stats.intersections == 1
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_join_failing_the_body_count_intersects_nothing(self, layout):
+        # no cluster holds both 1 and 2: body_count({1,2}) = 0 bounds
+        # the support, so the join passes the group filter and is
+        # rejected before intersecting
+        operator = self.cross_pair_run(layout, {1})
+        assert operator.bitmap_stats.intersections == 0
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("head_cluster, intersections", [
+        ({3, 4}, 1),  # one head cluster holds {3,4}: intersected, pruned
+        ({3}, 0),  # none does: head_count({3,4}) = 0 rejects the join
+    ])
+    def test_head_count_bounds_head_joins(
+        self, layout, head_cluster, intersections
+    ):
+        # body and head schemas differ, so heads have an index of their own
+        data = general_input(
+            {g: {1: {1}} for g in (1, 2)},
+            head_items={g: {2: head_cluster, 3: {4}} for g in (1, 2)},
+            elementary=[(g, 1, hc, 1, hid) for g in (1, 2)
+                        for hc, hid in ((2, 3), (3, 4))],
+            min_count=2,
+            same_schema=False,
+            clustered=True,
+        )
+        operator = GeneralCoreOperator(representation=layout)
+        rules = operator.run(data, directives(
+            simple=False, same_schema=False, clustered=True,
+            mining_condition=True, body_card=(1, 1), head_card=(1, 2),
+        ))
+        assert rule_map(rules).keys() == {((1,), (3,)), ((1,), (4,))}
+        assert operator.lattice_sizes == {(1, 1): 2, (1, 2): 0}
+        assert operator.join_pairs_examined == 1
+        assert operator.bitmap_stats.intersections == intersections
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_join_rejected_at_group_level_intersects_nothing(self, layout):

@@ -169,3 +169,36 @@ class TestMetrics:
             and math.isclose(m.lift, 1.0)
         ]
         assert one  # independence detected
+
+    @pytest.mark.parametrize("name", ["filtered_ordered_sets", "ordered_sets"])
+    def test_clustered_head_counts_match_the_source(self, name):
+        """A general statement: a group counts for a head iff all of
+        its items were bought on one date (one head cluster) — counted
+        here straight from Purchase, without the encoded tables."""
+        from tests.integration.test_golden_outputs import GOLDEN_STATEMENTS
+
+        system = MiningSystem()
+        load_purchase_figure1(system.db)
+        result = system.execute(GOLDEN_STATEMENTS[name])
+        assert not result.program.core.simple and result.program.core.clustered
+        metrics = system.compute_metrics(result, store=False)
+        assert metrics and len(metrics) == len(result.rules)
+
+        where = (
+            " WHERE date BETWEEN DATE '1995-01-01' AND DATE '1995-12-31'"
+            if "WHERE date" in GOLDEN_STATEMENTS[name] else ""
+        )
+        baskets = {}
+        for customer, date, item in system.db.query(
+            f"SELECT customer, date, item FROM Purchase{where}"
+        ):
+            baskets.setdefault((customer, date), set()).add(item)
+        item_of = dict(system.db.query(
+            f"SELECT Bid, item FROM {result.program.workspace.bset}"
+        ))
+        for m in metrics:
+            head = {item_of[hid] for hid in m.rule.head}
+            customers = {c for (c, _), items in baskets.items() if head <= items}
+            assert m.head_count == len(customers), m.rule
+            totg = system.db.variables["totg"]
+            assert math.isclose(m.lift, m.rule.confidence * totg / m.head_count)
