@@ -1,7 +1,8 @@
 """SYN-6 — ablations of the design choices DESIGN.md calls out.
 
-a) Planner: hash joins and filter pushdown off vs. on, measured on the
-   query shape of Q4 (the dominant preprocessing query).
+a) Planner: hash joins vs. nested loops on the query shape of Q4 is a
+   recorded result (EXPERIMENTS.md, SYN-6a, about 125x); the engine no
+   longer has the switch.
 b) General core: the paper's smaller-parent heuristic vs. always-body /
    always-head parents (Section 4.3.2's efficiency note), measured as
    join pairs examined.
@@ -15,54 +16,6 @@ import pytest
 
 from repro.algorithms import get_algorithm
 from repro.datagen import QuestParameters, generate_quest, load_quest
-from repro.sqlengine import Database, EngineOptions
-
-ROWS = 3_000
-GROUPS = 150
-
-
-def build_star(options=None):
-    db = Database(options) if options else Database()
-    db.execute("CREATE TABLE facts (gid INTEGER, item VARCHAR)")
-    facts = db.table("facts")
-    for i in range(ROWS):
-        facts.insert((i % GROUPS, f"item{i % 83}"))
-    db.execute("CREATE TABLE dim (gid INTEGER)")
-    dim = db.table("dim")
-    for g in range(GROUPS):
-        dim.insert((g,))
-    db.execute("CREATE TABLE items (item VARCHAR)")
-    items = db.table("items")
-    for i in range(83):
-        items.insert((f"item{i}",))
-    return db
-
-
-Q4_SHAPE = (
-    "SELECT DISTINCT d.gid, i.item FROM facts f, dim d, items i "
-    "WHERE f.gid = d.gid AND f.item = i.item"
-)
-
-
-class TestPlannerAblation:
-    def test_syn6a_results_agree(self):
-        fast = build_star()
-        slow = build_star(EngineOptions(hash_joins=False))
-        assert sorted(fast.query(Q4_SHAPE)) == sorted(slow.query(Q4_SHAPE))
-
-    def test_syn6a_hash_joins(self, benchmark):
-        db = build_star()
-        rows = benchmark(lambda: db.query(Q4_SHAPE))
-        assert rows
-
-    @pytest.mark.slow
-    def test_syn6a_nested_loops(self, benchmark):
-        db = build_star(EngineOptions(hash_joins=False))
-        # one round is enough: this is orders of magnitude slower
-        rows = benchmark.pedantic(
-            lambda: db.query(Q4_SHAPE), rounds=1, iterations=1
-        )
-        assert rows
 
 
 class TestLatticeHeuristicAblation:

@@ -50,8 +50,8 @@ multi-table FROM) or when the rows below the watermark may not be the
 ones the snapshot saw: the source table object was replaced, the
 engine rewrote rows in place (``Table.rewrites``: every UPDATE, DELETE
 and truncate, exactly), the source shrank, or the sampled prefix
-fingerprint changed (the guard for edits of ``Table.rows`` behind the
-engine's back).  :class:`SourceMutated` signals the fallback.
+fingerprint changed (the guard for edits of the column vectors behind
+the engine's back).  :class:`SourceMutated` signals the fallback.
 """
 
 from __future__ import annotations
@@ -96,10 +96,11 @@ def fingerprint_stride(row_count: int) -> int:
 
 def _fingerprint(table: Table, row_count: int, stride: int) -> int:
     """crc32 over ``repr`` of every *stride*-th of the first
-    *row_count* rows, read by position (no other row is touched)."""
+    *row_count* rows, read as strided column slices (no other row is
+    touched)."""
     crc = 0
-    for position in range(0, row_count, stride):
-        crc = zlib.crc32(repr(table.row(position)).encode("utf-8"), crc)
+    for row in table.sample(row_count, stride):
+        crc = zlib.crc32(repr(row).encode("utf-8"), crc)
     return crc
 
 

@@ -58,14 +58,7 @@ class PreprocessStats:
 
 
 class Preprocessor:
-    """Runs the setup and preprocessing programs on the SQL server.
-
-    The encoded tables the translation program creates are columnar:
-    the string-heavy encoded tables are exactly the dictionary-encoding
-    shape, and the vectorized executor runs Q0..Q11 batch-at-a-time
-    over them (as row heaps, ``retail_cold`` and ``clicks_general``
-    statements measured 1.6x slower — DESIGN.md).
-    """
+    """Runs the setup and preprocessing programs on the SQL server."""
 
     def __init__(self, database: Database):
         self._db = database
@@ -90,13 +83,6 @@ class Preprocessor:
         stats = PreprocessStats()
         checkpoint = ctx.checkpoint
         before = self._db.cache_stats.snapshot()
-
-        # Register the workspace tables' storage layout before any
-        # CREATE/CTAS runs them into existence; setdefault keeps an
-        # explicit per-table hint (tests, ablations) authoritative.
-        hints = self._db.storage_hints
-        for table in program.workspace.all_tables():
-            hints.setdefault(table.lower(), "columnar")
 
         completed = checkpoint.completed_queries if checkpoint else set()
         if checkpoint is not None and checkpoint.host_variables:

@@ -17,7 +17,6 @@ The public entry point is :class:`~repro.sqlengine.engine.Database`::
     rows = db.query("SELECT a, b FROM t WHERE a > :low", {"low": 0})
 """
 
-from repro.sqlengine.columnar import ColumnarTable, STORAGE_KINDS
 from repro.sqlengine.engine import CacheStats, Database, PreparedStatement
 from repro.sqlengine.options import EngineOptions
 from repro.sqlengine.errors import (
@@ -33,12 +32,10 @@ from repro.sqlengine.types import SqlType
 __all__ = [
     "CacheStats",
     "CatalogError",
-    "ColumnarTable",
     "Database",
     "EngineOptions",
     "ExecutionError",
     "PreparedStatement",
-    "STORAGE_KINDS",
     "SqlError",
     "SqlParseError",
     "SqlType",

@@ -235,7 +235,3 @@ class Catalog:
             table = self._tables[key]
             return list(zip(table.columns, table.types))
         raise CatalogError(f"no such table: {name!r}")
-
-    def storage_of(self, name: str) -> str:
-        """Physical layout of a base table ("row" or "columnar")."""
-        return getattr(self.get_table(name), "storage", "row")

@@ -1,10 +1,12 @@
-"""Columnar table storage: typed column vectors behind the Table API.
+"""Column vectors: the physical layout of every table.
 
-The encoded tables the preprocessor materializes are narrow, long and
-string-heavy (``MR_Bset.name`` repeats every distinct item value once
-per occurrence) — exactly the shape dictionary encoding and typed
-arrays were invented for.  A :class:`ColumnarTable` stores each column
-as one adaptive :class:`ColumnVector`:
+A :class:`~repro.sqlengine.table.Table` stores each column as one
+adaptive :class:`ColumnVector`.  The encoded tables the preprocessor
+materializes are narrow, long and string-heavy (``MR_Bset.name``
+repeats every distinct item value once per occurrence), exactly the
+shape dictionary encoding and typed arrays were invented for; source
+tables get the same layout, so one table type serves the paper's whole
+SQL side:
 
 =========  ==============================================================
 kind       physical layout
@@ -18,29 +20,18 @@ obj        plain Python list (dates, booleans, mixed/overflowing values)
 =========  ==============================================================
 
 A vector *promotes* itself (int -> float -> obj, str -> obj) when a
-value arrives that its layout cannot hold exactly — values are never
-coerced by storage, so the materialized rows are bit-identical to what
-a row :class:`~repro.sqlengine.table.Table` would hold.
-
-``ColumnarTable`` keeps the full ``Table`` contract: ``rows`` is a
-lazily materialized (and cached) list of tuples, so the row executor,
-DML, dumps and secondary indexes keep working unchanged; the vectorized
-executor (:mod:`repro.sqlengine.vector`) reads the column vectors
-directly and never pays the materialization.
+value arrives that its layout cannot hold exactly: values are never
+coerced by storage (the table coerces to declared types before it
+appends), so ``to_pylist()`` returns exactly the values appended.
 """
 
 from __future__ import annotations
 
-import datetime
 from array import array
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.table import Row, Table, TableIndex
-from repro.sqlengine.types import SqlType, coerce, infer_type
-
-try:  # numpy accelerates typed filter kernels; it is optional
+try:  # numpy decodes dictionary codes at C speed; it is optional
     import numpy as _np
 except ImportError:  # pragma: no cover - depends on the environment
     _np = None
@@ -48,9 +39,6 @@ except ImportError:  # pragma: no cover - depends on the environment
 #: bounds of an ``array('q')`` element
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-#: storage kind names ``Database.storage_hints`` accepts
-STORAGE_KINDS = ("row", "columnar")
 
 
 class ColumnVector:
@@ -286,11 +274,28 @@ class ColumnVector:
                 out[position] = None
             return out
         if kind == "str":
-            values = self.values
-            return [None if code < 0 else values[code] for code in self.data]
+            return _decode(self.values, self.data)
         if kind == "obj":
             return list(self.data)
         return [None] * self.length
+
+    def sample(self, stop: int, stride: int) -> List[Any]:
+        """The values at positions ``0, stride, 2 * stride, ...`` below
+        *stop*, exact as :meth:`to_pylist` gives them; the cost is the
+        sample's length (plus the NULL positions below *stop*)."""
+        kind = self.kind
+        if kind == "str":
+            return _decode(self.values, self.data[0:stop:stride])
+        if kind == "obj":
+            return self.data[0:stop:stride]
+        if kind == "empty":
+            return [None] * len(range(0, min(stop, self.length), stride))
+        out: List[Any] = list(self.data[0:stop:stride])
+        nulls = self.nulls
+        for position in nulls[: bisect_left(nulls, stop)]:
+            if position % stride == 0:
+                out[position // stride] = None
+        return out
 
     def get(self, position: int) -> Any:
         kind = self.kind
@@ -334,298 +339,17 @@ class ColumnVector:
             return self.length > 0
         return bool(self.nulls)
 
-    def numpy(self):
-        """The column as a numpy array when its layout is numeric and
-        NULL-free (None otherwise) — the fast filter kernel input."""
-        if _np is None or self.nulls:
-            return None
-        if self.kind == "int":
-            return _np.frombuffer(self.data, dtype=_np.int64)
-        if self.kind == "float":
-            return _np.frombuffer(self.data, dtype=_np.float64)
-        return None
-
-    def nbytes(self) -> int:
-        """Approximate heap footprint of the physical layout."""
-        if self.kind in ("int", "float", "str"):
-            size = self.data.itemsize * len(self.data)
-            if self.kind == "str":
-                size += sum(len(v) + 49 for v in self.values)
-            return size + 8 * len(self.nulls)
-        if self.kind == "obj":
-            return 56 * len(self.data)
-        return 8 * self.length
-
     def __len__(self) -> int:
         return self.length
 
 
-#: the Python type ``coerce`` hands back unchanged, per declared type
-_CANONICAL = {
-    SqlType.INTEGER: int,
-    SqlType.REAL: float,
-    SqlType.VARCHAR: str,
-    SqlType.DATE: datetime.date,
-    SqlType.BOOLEAN: bool,
-}
-
-
-def _coerce_column(values: List[Any], declared: SqlType) -> List[Any]:
-    """Coerce a whole column.  Values that already have the declared
-    type's canonical Python shape are skipped (``coerce`` would return
-    them unchanged); when that is all of them, *values* itself comes
-    back."""
-    canonical = _CANONICAL[declared]
-    if set(map(type, values)) <= {canonical, type(None)}:
-        return values
-    return [
-        v if type(v) is canonical or v is None else coerce(v, declared)
-        for v in values
-    ]
-
-
-class ColumnarTable(Table):
-    """A :class:`Table` whose physical layout is one vector per column.
-
-    The row-oriented API (``rows``, iteration, DML through
-    ``replace_rows``) stays available through a cached materialization,
-    so every existing consumer works unchanged; mutations go to the
-    vectors and invalidate the cache.
-    """
-
-    storage = "columnar"
-
-    def __init__(
-        self,
-        name: str,
-        columns: Sequence[str],
-        types: Optional[Sequence[Optional[SqlType]]] = None,
-    ):
-        # mirrors Table.__init__ minus the row list (rows is a property
-        # here, so the base class assignment would not bind)
-        if len(set(c.lower() for c in columns)) != len(columns):
-            raise CatalogError(f"duplicate column name in table {name!r}")
-        self.name = name
-        self.columns = tuple(columns)
-        self.types = list(types) if types is not None else [None] * len(columns)
-        if len(self.types) != len(self.columns):
-            raise CatalogError(
-                f"table {name!r}: {len(columns)} columns but "
-                f"{len(self.types)} types"
-            )
-        self._index = {c.lower(): i for i, c in enumerate(columns)}
-        self.indexes: Dict[str, TableIndex] = {}
-        self._vectors: List[ColumnVector] = [
-            ColumnVector() for _ in self.columns
-        ]
-        self._length = 0
-        self._rows_cache: Optional[List[Row]] = None
-        #: bumped on every mutation; vector scans key batch caches on it
-        self.data_version = 0
-        self.rewrites = 0
-
-    # -- columnar access -------------------------------------------------
-
-    def _sync_external(self) -> None:
-        """Absorb out-of-band mutation of the materialized row list.
-
-        ``Table.rows`` is a public mutable list and a few consumers
-        (dump restore, tests) append to it directly.  Here ``rows``
-        hands out a cached materialization, so such appends bypass the
-        vectors; a length drift between the cache and the encoded
-        columns re-encodes from the cache (the mutated view wins, as
-        it would on the row layout)."""
-        cache = self._rows_cache
-        if cache is not None and len(cache) != self._length:
-            self._encode_rows(list(cache))
-            for table_index in self.indexes.values():
-                table_index.rebuild(self._rows_cache)
-
-    def column_vector(self, position: int) -> ColumnVector:
-        self._sync_external()
-        return self._vectors[position]
-
-    def column_lists(
-        self, positions: Optional[Sequence[int]] = None
-    ) -> List[Optional[List[Any]]]:
-        """Columns materialized as Python lists (no row tuples): all of
-        them, or only those at *positions* with ``None`` elsewhere."""
-        self._sync_external()
-        if positions is None:
-            return [vector.to_pylist() for vector in self._vectors]
-        out: List[Optional[List[Any]]] = [None] * len(self._vectors)
-        for position in positions:
-            out[position] = self._vectors[position].to_pylist()
-        return out
-
-    def nbytes(self) -> int:
-        return sum(vector.nbytes() for vector in self._vectors)
-
-    # -- Table contract ---------------------------------------------------
-
-    @property
-    def rows(self) -> List[Row]:
-        cache = self._rows_cache
-        if cache is None:
-            if self._length == 0:
-                cache = []
-            else:
-                cache = list(zip(*(v.to_pylist() for v in self._vectors)))
-            self._rows_cache = cache
-        return cache
-
-    @rows.setter
-    def rows(self, new_rows: List[Row]) -> None:
-        # assignment re-encodes (the DELETE/UPDATE replace path)
-        self.rewrites += 1
-        self._encode_rows(new_rows)
-
-    def row(self, position: int) -> Row:
-        self._sync_external()
-        return tuple(vector.get(position) for vector in self._vectors)
-
-    def tail(self, start: int, name: str) -> "ColumnarTable":
-        self._sync_external()
-        out = ColumnarTable(name, self.columns, self.types)
-        out._vectors = [vector.tail(start) for vector in self._vectors]
-        out._length = max(self._length - start, 0)
-        return out
-
-    def insert(self, values: Sequence[Any]) -> None:
-        if len(values) != len(self.columns):
-            raise ExecutionError(
-                f"INSERT into {self.name!r}: expected {len(self.columns)} "
-                f"values, got {len(values)}"
-            )
-        types = self.types
-        vectors = self._vectors
-        stored: Optional[List[Any]] = [] if self.indexes else None
-        for i, value in enumerate(values):
-            declared = types[i]
-            if declared is None:
-                if value is not None:
-                    types[i] = infer_type(value)
-            else:
-                value = coerce(value, declared)
-            vectors[i].append(value)
-            if stored is not None:
-                stored.append(value)
-        self._length += 1
-        self._rows_cache = None
-        self.data_version += 1
-        if stored is not None:
-            row = tuple(stored)
-            for table_index in self.indexes.values():
-                table_index.add(row)
-
-    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk append: transposes and hands over to
-        :meth:`insert_columns`."""
-        rows = [tuple(row) for row in rows]
-        arity = len(self.columns)
-        for row in rows:
-            if len(row) != arity:
-                raise ExecutionError(
-                    f"INSERT into {self.name!r}: expected {arity} "
-                    f"values, got {len(row)}"
-                )
-        return self.insert_columns([list(column) for column in zip(*rows)])
-
-    def insert_columns(self, columns: Sequence[List[Any]]) -> int:
-        """Column-wise bulk append (one type dispatch per column) of
-        equally long value lists, one per table column; the lists are
-        only read.
-
-        Semantically identical to per-row :meth:`insert`: declared
-        types coerce every value, an undeclared type is inferred from
-        the column's first non-NULL value and applied to the values
-        after it — exactly the order the per-row path would see.
-        """
-        count = len(columns[0]) if columns else 0
-        if not count:
-            return 0
-        if len(columns) != len(self.columns):
-            raise ExecutionError(
-                f"INSERT into {self.name!r}: expected {len(self.columns)} "
-                f"values, got {len(columns)}"
-            )
-        # coerce every column before touching the table: a value that
-        # does not fit its column's type must leave it unchanged
-        types = list(self.types)
-        coerced: List[List[Any]] = []
-        for i, col in enumerate(columns):
-            declared = types[i]
-            if declared is None:
-                for k, value in enumerate(col):
-                    if value is not None:
-                        declared = infer_type(value)
-                        rest = col[k + 1 :]
-                        fitted = _coerce_column(rest, declared)
-                        if fitted is not rest:
-                            col = col[: k + 1] + fitted
-                        break
-            else:
-                col = _coerce_column(col, declared)
-            coerced.append(col)
-            types[i] = declared
-        self.types[:] = types
-        for vector, col in zip(self._vectors, coerced):
-            vector.extend(col)
-        self._length += count
-        self._rows_cache = None
-        self.data_version += 1
-        if self.indexes:
-            for row in zip(*coerced):
-                for table_index in self.indexes.values():
-                    table_index.add(row)
-        return count
-
-    def truncate(self) -> None:
-        self.rewrites += 1
-        self._vectors = [ColumnVector() for _ in self.columns]
-        self._length = 0
-        self._rows_cache = None
-        self.data_version += 1
-        for table_index in self.indexes.values():
-            table_index.entries = {}
-
-    def replace_rows(self, rows: List[Row]) -> None:
-        self.rewrites += 1
-        self._encode_rows(rows)
-        for table_index in self.indexes.values():
-            table_index.rebuild(self._rows_cache)
-
-    def _encode_rows(self, rows: List[Row]) -> None:
-        self._vectors = [ColumnVector() for _ in self.columns]
-        for row in rows:
-            for vector, value in zip(self._vectors, row):
-                vector.append(value)
-        self._length = len(rows)
-        self._rows_cache = [
-            row if isinstance(row, tuple) else tuple(row) for row in rows
-        ]
-        self.data_version += 1
-
-    def __len__(self) -> int:
-        self._sync_external()
-        return self._length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnarTable({self.name!r}, {self._length} rows)"
-
-
-def make_table(
-    kind: str,
-    name: str,
-    columns: Sequence[str],
-    types: Optional[Sequence[Optional[SqlType]]] = None,
-) -> Table:
-    """Build a table of the requested storage *kind*."""
-    if kind not in STORAGE_KINDS:
-        raise ValueError(
-            f"unknown storage {kind!r}; choose from {STORAGE_KINDS}"
-        )
-    if kind == "columnar":
-        return ColumnarTable(name, columns, types)
-    return Table(name, columns, types)
-
+def _decode(values: List[str], codes: array) -> List[Any]:
+    """Dictionary *codes* to their interned *values*, ``-1`` to None.
+    When the codes outnumber the values, numpy gathers them in one
+    C-level pass from a lookup array whose last slot is None, so code
+    ``-1`` indexes it."""
+    if _np is None or len(codes) <= len(values):
+        return [None if code < 0 else values[code] for code in codes]
+    lookup = _np.empty(len(values) + 1, dtype=object)
+    lookup[:-1] = values
+    return lookup[_np.frombuffer(codes, dtype=_np.intc)].tolist()

@@ -173,17 +173,18 @@ def _serialize(value: Any) -> str:
 def _read_rows(path: Path, table: Table) -> None:
     if not path.exists():
         return
+    rows = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            values = [
+            rows.append([
                 _deserialize(field, table.types[i])
                 for i, field in enumerate(fields)
-            ]
-            table.rows.append(tuple(values))
+            ])
+    table.insert_many(rows)
 
 
 def _deserialize(field: str, sql_type: Optional[SqlType]) -> Any:

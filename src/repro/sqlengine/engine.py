@@ -62,14 +62,13 @@ from repro.sqlengine.parser import parse_sql, split_statements
 from repro.sqlengine.planner import SelectPlanner, conjoin
 from repro.sqlengine.result import Result
 from repro.sqlengine.table import Table
-from repro.sqlengine.types import SqlType, coerce as coerce_value
+from repro.sqlengine.types import SqlType, coerce as coerce_value, infer_type
 from repro.sqlengine.vector import (
     Unsupported,
     VectorPlan,
     build_vector_plan,
     transpose,
 )
-from repro.sqlengine import columnar
 
 Row = Tuple[Any, ...]
 
@@ -327,11 +326,6 @@ class Database:
         self.options = options if options is not None else EngineOptions()
         #: the one scalar-expression lowering (row executor and DML)
         self.compiler = ExpressionCompiler(self)
-        #: storage layout by who creates the table (lower-cased name ->
-        #: "row" or "columnar"), consulted whenever a table is created:
-        #: the preprocessor registers its encoded working tables as
-        #: columnar, every other table is a row heap
-        self.storage_hints: Dict[str, str] = {}
         #: host variables assigned by ``SELECT .. INTO :name``
         self.variables: Dict[str, Any] = {}
         #: number of statements executed (observability for benches)
@@ -569,20 +563,10 @@ class Database:
         """Bulk-create a table from Python data (loader path)."""
         if replace:
             self.catalog.drop_table(name, if_exists=True)
-        table = self._make_table(name, columns, types)
+        table = Table(name, columns, types)
         table.insert_many(rows)
         self.catalog.create_table(table)
         return table
-
-    def _make_table(
-        self,
-        name: str,
-        columns: Sequence[str],
-        types: Optional[Sequence[Optional[SqlType]]] = None,
-    ) -> Table:
-        """Build a table in the storage layout its creator registered."""
-        kind = self.storage_hints.get(name.lower(), "row")
-        return columnar.make_table(kind, name, columns, types)
 
     # ------------------------------------------------------------------
     # statement and plan caches
@@ -633,8 +617,8 @@ class Database:
             version = self.catalog.version
             if version != self._plan_cache_version:
                 # DDL happened: no cached plan can hit again, and each
-                # pins its tables' rows and decoded columns — drop them
-                # all now instead of waiting for LRU eviction
+                # pins the tables it scans — drop them all now instead
+                # of waiting for LRU eviction
                 if cache:
                     self.cache_stats.plan_invalidations += len(cache)
                     if im is not None:
@@ -653,11 +637,9 @@ class Database:
             self.cache_stats.plan_misses += 1
             if im is not None:
                 im.cache_events.inc(cache="plan", outcome="miss")
-            plan = self._build_select_plan(select)
-            if self.options.plan_cache:
-                cache[key] = plan
-                while len(cache) > self.options.plan_cache_size:
-                    cache.popitem(last=False)
+            plan = cache[key] = self._build_select_plan(select)
+            while len(cache) > self.options.plan_cache_size:
+                cache.popitem(last=False)
             return plan
 
     def _build_select_plan(self, select: ast.Select) -> _SelectPlan:
@@ -871,10 +853,9 @@ class Database:
             return columns, [tuple(row)]
 
         # Executor selection: every uncorrelated FROM-bearing plan goes
-        # to the batch executor, whatever the storage of its tables;
-        # the row executor runs correlated subqueries (they need the
-        # outer row), first-row probes, and plans without an exact
-        # vector lowering.
+        # to the batch executor; the row executor runs correlated
+        # subqueries (they need the outer row), first-row probes, and
+        # plans without an exact vector lowering.
         if outer_env is None and not limit_one:
             result = self._plan_columns(plan)
             if result is not None:
@@ -967,12 +948,12 @@ class Database:
     def _execute_create_table(self, statement: ast.CreateTable) -> Result:
         columns = [c.name for c in statement.columns]
         types = [c.type for c in statement.columns]
-        self.catalog.create_table(self._make_table(statement.name, columns, types))
+        self.catalog.create_table(Table(statement.name, columns, types))
         return Result()
 
     def _execute_ctas(self, statement: ast.CreateTableAsSelect) -> Result:
         columns, cols = self._select_columns(statement.select)
-        table = self._make_table(statement.name, columns)
+        table = Table(statement.name, columns)
         count = table.insert_columns(cols)
         self.catalog.create_table(table)
         return Result(rowcount=count)
@@ -1014,7 +995,7 @@ class Database:
             # SELECT output schema (the paper's translation programs
             # INSERT into fresh working tables).
             target_columns = list(statement.columns) if statement.columns else columns
-            table = self._make_table(statement.table, target_columns)
+            table = Table(statement.table, target_columns)
             self.catalog.create_table(table)
         else:
             table = self.catalog.get_table(statement.table)
@@ -1046,7 +1027,7 @@ class Database:
     def _execute_delete(self, statement: ast.Delete) -> Result:
         table = self.catalog.get_table(statement.table)
         if statement.where is None:
-            count = len(table.rows)
+            count = len(table)
             table.truncate()
             return Result(rowcount=count)
         frame = Frame.single(statement.table, table.columns)
@@ -1075,6 +1056,10 @@ class Database:
             (table.column_index(name), bind(expr, frame))
             for name, expr in statement.assignments
         ]
+        # an undeclared column takes the type of its first non-NULL
+        # value, as on insert, so its declared type stays a fact the
+        # batch executor's typed kernels may trust
+        types = list(table.types)
         updated = 0
         new_rows: List[Row] = []
         for row in table.rows:
@@ -1083,15 +1068,17 @@ class Database:
                 mutable = list(row)
                 for col_idx, value_fn in assignments:
                     value = value_fn(env)
-                    declared = table.types[col_idx]
-                    if declared is not None:
-                        value = coerce_value(value, declared)
+                    if types[col_idx] is not None:
+                        value = coerce_value(value, types[col_idx])
+                    elif value is not None:
+                        types[col_idx] = infer_type(value)
                     mutable[col_idx] = value
                 new_rows.append(tuple(mutable))
                 updated += 1
             else:
                 new_rows.append(row)
         if updated:  # no match: nothing was rewritten, indexes stand
+            table.types[:] = types
             table.replace_rows(new_rows)
         return Result(rowcount=updated)
 

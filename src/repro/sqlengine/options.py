@@ -1,9 +1,9 @@
 """Engine tuning options.
 
-The defaults are what a production engine would do; the switches exist
-so the ablation benchmarks (SYN-6) can quantify what each planner
-feature buys the mining workload — e.g. how much of query Q4's cost
-the hash join removes.
+What a user can reason about: cache capacities, the executor's batch
+size and memory budget, and the row executor switch the differential
+tests use as their oracle.  Planner features have no switch (SYN-6a's
+hash-join ablation is a recorded result, EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -14,18 +14,13 @@ from typing import Optional
 
 @dataclass
 class EngineOptions:
-    """Planner/executor feature switches."""
+    """Cache, executor and memory settings of one database."""
 
-    #: use hash joins for equality conjuncts (else nested loops)
-    hash_joins: bool = True
-    #: push single-table WHERE conjuncts below joins
-    filter_pushdown: bool = True
-    #: reuse physical SELECT plans across executions of the same parsed
-    #: statement (invalidated whenever the catalog version changes)
-    plan_cache: bool = True
     #: LRU capacity of the SQL-text -> parsed-statement cache
     statement_cache_size: int = 256
-    #: LRU capacity of the plan cache
+    #: LRU capacity of the plan cache, which reuses physical SELECT
+    #: plans across executions of the same parsed statement until the
+    #: catalog version changes (0 = no plan is reused)
     plan_cache_size: int = 256
     #: rows per batch in the vectorized executor
     batch_size: int = 1024
@@ -34,10 +29,9 @@ class EngineOptions:
     #: to the spilling out-of-core variant (None = never spill)
     memory_budget: Optional[int] = None
     #: run every uncorrelated FROM-bearing SELECT block batch-at-a-time
-    #: over column lists, whatever the storage of its tables (a plan
-    #: with a node that has no exact vector lowering runs on the row
-    #: executor whole); False forces the row executor everywhere — the
-    #: oracle of the differential tests
+    #: over column lists (a plan with a node that has no exact vector
+    #: lowering runs on the row executor whole); False forces the row
+    #: executor everywhere — the oracle of the differential tests
     vectorize: bool = True
 
     def __post_init__(self) -> None:

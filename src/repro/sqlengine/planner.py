@@ -83,7 +83,6 @@ class SelectPlanner:
 
     def __init__(self, database):
         self._db = database
-        self._options = database.options
         self._compiler = database.compiler
 
     # -- source planning -----------------------------------------------------
@@ -123,7 +122,7 @@ class SelectPlanner:
         remaining: List[Tuple[Set[int], ast.Expression]] = []
         pushed: Dict[int, List[ast.Expression]] = {}
         for touched, conjunct in simple:
-            if len(touched) == 1 and self._options.filter_pushdown:
+            if len(touched) == 1:
                 pushed.setdefault(next(iter(touched)), []).append(conjunct)
             else:
                 remaining.append((touched, conjunct))
@@ -369,11 +368,7 @@ class SelectPlanner:
         equi: List[Tuple[ast.Expression, ast.Expression]] = []
         residual: List[ast.Expression] = []
         for _, conjunct in classified:
-            pair = (
-                self._as_equi_pair(conjunct, left_frame, right_frame)
-                if self._options.hash_joins
-                else None
-            )
+            pair = self._as_equi_pair(conjunct, left_frame, right_frame)
             if pair is not None:
                 equi.append(pair)
             else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sqlengine.errors import ExecutionError
+from repro.sqlengine.table import format_rows
 
 Row = Tuple[Any, ...]
 
@@ -68,13 +69,9 @@ class Result:
 
     def pretty(self, limit: Optional[int] = None) -> str:
         """ASCII rendering (column header + rows)."""
-        from repro.sqlengine.table import Table
-
-        table = Table("result", self.columns or ("?",))
-        if self.columns:
-            for row in self.rows:
-                table.rows.append(row)
-        return table.pretty(limit)
+        if not self.columns:
+            return format_rows(("?",), [], limit)
+        return format_rows(self.columns, self.rows, limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Result(columns={self.columns}, rows={len(self.rows)})"

@@ -1,15 +1,26 @@
 """In-memory table storage.
 
-A :class:`Table` is a schema (ordered column names with SQL types) plus
-a list of row tuples.  Column lookup is case-insensitive, matching the
-catalog's identifier semantics.
+A :class:`Table` is a schema (ordered column names with SQL types)
+stored as one :class:`~repro.sqlengine.columnar.ColumnVector` per
+column.  Every table has this one layout: the source tables a user
+loads and the encoded tables the preprocessor materializes alike.  The
+batch executor (:mod:`repro.sqlengine.vector`) and the core loaders
+read the vectors as column lists; ``rows`` is a read-only
+materialization for the row executor, DML and dumps.  Writes go
+through the table (``insert``, ``insert_columns``, ``replace_rows``,
+``truncate``), which coerces to the declared types, so a declared type
+is a fact the executor's typed kernels may trust.
+
+Column lookup is case-insensitive, matching the catalog's identifier
+semantics.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+import datetime
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.sqlengine.columnar import ColumnVector
 from repro.sqlengine.errors import CatalogError, ExecutionError
 from repro.sqlengine.types import SqlType, coerce, infer_type
 
@@ -53,16 +64,52 @@ class TableIndex:
             self.add(row)
 
 
+class RowList(list):
+    """The rows of a table, read-only: a materialization of its
+    column vectors, so a write into it would silently miss them."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError(
+            "Table.rows is read-only: write through the table "
+            "(insert, replace_rows, truncate)"
+        )
+
+    append = extend = insert = pop = remove = clear = _refuse
+    sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+
+
+#: the Python type ``coerce`` hands back unchanged, per declared type
+_CANONICAL = {
+    SqlType.INTEGER: int,
+    SqlType.REAL: float,
+    SqlType.VARCHAR: str,
+    SqlType.DATE: datetime.date,
+    SqlType.BOOLEAN: bool,
+}
+
+
+def _coerce_column(values: List[Any], declared: SqlType) -> List[Any]:
+    """Coerce a whole column.  Values that already have the declared
+    type's canonical Python shape are skipped (``coerce`` would return
+    them unchanged); when that is all of them, *values* itself comes
+    back."""
+    canonical = _CANONICAL[declared]
+    if set(map(type, values)) <= {canonical, type(None)}:
+        return values
+    return [
+        v if type(v) is canonical or v is None else coerce(v, declared)
+        for v in values
+    ]
+
+
 class Table:
-    """A mutable heap of rows with a fixed schema.
+    """A mutable relation with a fixed schema, one vector per column.
 
     Secondary hash indexes (:class:`TableIndex`) are maintained on
     every mutation; the planner uses them for equality lookups."""
-
-    #: physical layout discriminator; ColumnarTable overrides this —
-    #: the planner/vectorizer branch on it instead of isinstance so
-    #: duck-typed test doubles keep working
-    storage = "row"
 
     def __init__(
         self,
@@ -81,7 +128,6 @@ class Table:
             raise CatalogError(
                 f"table {name!r}: {len(columns)} columns but {len(self.types)} types"
             )
-        self.rows: List[Row] = []
         self._index: Dict[str, int] = {c.lower(): i for i, c in enumerate(columns)}
         #: secondary indexes by lowered name
         self.indexes: Dict[str, TableIndex] = {}
@@ -89,6 +135,10 @@ class Table:
         #: a reader that remembered a row count compares this to know
         #: the rows below it are still the ones it saw
         self.rewrites = 0
+        self._vectors: List[ColumnVector] = [ColumnVector() for _ in self.columns]
+        self._length = 0
+        #: the cached ``rows`` materialization; every write drops it
+        self._rows: Optional[RowList] = None
 
     # -- schema ----------------------------------------------------------
 
@@ -110,80 +160,172 @@ class Table:
     def arity(self) -> int:
         return len(self.columns)
 
-    # -- data ------------------------------------------------------------
+    # -- reads -----------------------------------------------------------
 
-    def insert(self, values: Sequence[Any]) -> None:
-        """Append one row, coercing values to declared column types."""
-        if len(values) != self.arity:
-            raise ExecutionError(
-                f"INSERT into {self.name!r}: expected {self.arity} values, "
-                f"got {len(values)}"
-            )
-        row = []
-        for i, value in enumerate(values):
-            declared = self.types[i]
-            if declared is None:
-                if value is not None:
-                    self.types[i] = infer_type(value)
-                row.append(value)
-            else:
-                row.append(coerce(value, declared))
-        stored = tuple(row)
-        self.rows.append(stored)
-        for table_index in self.indexes.values():
-            table_index.add(stored)
-
-    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
-
-    def insert_columns(self, columns: Sequence[List[Any]]) -> int:
-        """Append equally long value lists, one per table column (the
-        batch executor's result shape)."""
-        return self.insert_many(zip(*columns))
+    def column_vector(self, position: int) -> ColumnVector:
+        return self._vectors[position]
 
     def column_lists(
         self, positions: Optional[Sequence[int]] = None
     ) -> List[Optional[List[Any]]]:
-        """The row tuples transposed into one value list per column:
-        all of them, or only those at *positions* with ``None``
-        elsewhere (the call a columnar table answers from its
-        vectors)."""
+        """Columns materialized as Python lists (no row tuples): all of
+        them, or only those at *positions* with ``None`` elsewhere."""
         if positions is None:
-            positions = range(self.arity)
-        out: List[Optional[List[Any]]] = [None] * self.arity
+            return [vector.to_pylist() for vector in self._vectors]
+        out: List[Optional[List[Any]]] = [None] * len(self._vectors)
         for position in positions:
-            out[position] = list(map(itemgetter(position), self.rows))
+            out[position] = self._vectors[position].to_pylist()
         return out
 
-    def row(self, position: int) -> Row:
-        """The stored row at *position*, without touching any other."""
-        return self.rows[position]
+    @property
+    def rows(self) -> RowList:
+        """The row tuples, materialized once per version of the table
+        and read-only."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = RowList(
+                zip(*(vector.to_pylist() for vector in self._vectors))
+            )
+        return rows
+
+    def sample(self, stop: int, stride: int) -> List[Row]:
+        """The rows at positions ``0, stride, 2 * stride, ...`` below
+        *stop*, read column-wise: no other row is touched."""
+        return list(zip(*(v.sample(stop, stride) for v in self._vectors)))
 
     def tail(self, start: int, name: str) -> "Table":
         """The rows from position *start* on as a relation of their
-        own called *name*: same columns, types and storage, the stored
-        values shared (no insert, no coercion), no secondary indexes.
-        A read-only view for one query; the cost is the tail's length."""
+        own called *name*: same columns and types, the stored values
+        shared (no insert, no coercion), no secondary indexes.  A
+        read-only view for one query; the cost is the tail's length."""
         out = Table(name, self.columns, self.types)
-        out.rows = self.rows[start:]
+        out._vectors = [vector.tail(start) for vector in self._vectors]
+        out._length = max(self._length - start, 0)
         return out
+
+    def get(self, row: Row, column: str) -> Any:
+        return row[self.column_index(column)]
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.rows)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Table({self.name!r}, {self._length} rows)"
+
+    # -- writes ----------------------------------------------------------
+
+    def insert(self, values: Sequence[Any]) -> None:
+        """Append one row, coercing values to declared column types (an
+        undeclared type is inferred from the column's first non-NULL
+        value)."""
+        if len(values) != len(self.columns):
+            raise ExecutionError(
+                f"INSERT into {self.name!r}: expected {len(self.columns)} "
+                f"values, got {len(values)}"
+            )
+        types = self.types
+        vectors = self._vectors
+        stored: Optional[List[Any]] = [] if self.indexes else None
+        for i, value in enumerate(values):
+            declared = types[i]
+            if declared is None:
+                if value is not None:
+                    types[i] = infer_type(value)
+            else:
+                value = coerce(value, declared)
+            vectors[i].append(value)
+            if stored is not None:
+                stored.append(value)
+        self._length += 1
+        self._rows = None
+        if stored is not None:
+            row = tuple(stored)
+            for table_index in self.indexes.values():
+                table_index.add(row)
+
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
+        """Bulk append: transposes and hands over to
+        :meth:`insert_columns`."""
+        rows = [tuple(row) for row in rows]
+        arity = len(self.columns)
+        for row in rows:
+            if len(row) != arity:
+                raise ExecutionError(
+                    f"INSERT into {self.name!r}: expected {arity} "
+                    f"values, got {len(row)}"
+                )
+        return self.insert_columns([list(column) for column in zip(*rows)])
+
+    def insert_columns(self, columns: Sequence[List[Any]]) -> int:
+        """Column-wise bulk append (one type dispatch per column) of
+        equally long value lists, one per table column; the lists are
+        only read.
+
+        Semantically identical to per-row :meth:`insert`: declared
+        types coerce every value, an undeclared type is inferred from
+        the column's first non-NULL value and applied to the values
+        after it — exactly the order the per-row path would see.
+        """
+        count = len(columns[0]) if columns else 0
+        if not count:
+            return 0
+        if len(columns) != len(self.columns):
+            raise ExecutionError(
+                f"INSERT into {self.name!r}: expected {len(self.columns)} "
+                f"values, got {len(columns)}"
+            )
+        # coerce every column before touching the table: a value that
+        # does not fit its column's type must leave it unchanged
+        types = list(self.types)
+        coerced: List[List[Any]] = []
+        for i, col in enumerate(columns):
+            declared = types[i]
+            if declared is None:
+                for k, value in enumerate(col):
+                    if value is not None:
+                        declared = infer_type(value)
+                        rest = col[k + 1 :]
+                        fitted = _coerce_column(rest, declared)
+                        if fitted is not rest:
+                            col = col[: k + 1] + fitted
+                        break
+            else:
+                col = _coerce_column(col, declared)
+            coerced.append(col)
+            types[i] = declared
+        self.types[:] = types
+        for vector, col in zip(self._vectors, coerced):
+            vector.extend(col)
+        self._length += count
+        self._rows = None
+        if self.indexes:
+            for row in zip(*coerced):
+                for table_index in self.indexes.values():
+                    table_index.add(row)
+        return count
 
     def truncate(self) -> None:
         self.rewrites += 1
-        self.rows.clear()
+        self._vectors = [ColumnVector() for _ in self.columns]
+        self._length = 0
+        self._rows = None
         for table_index in self.indexes.values():
             table_index.entries = {}
 
     def replace_rows(self, rows: List[Row]) -> None:
-        """Swap the row list (DELETE/UPDATE path) and rebuild indexes."""
+        """Store *rows* in place of the table's rows (the DELETE/UPDATE
+        path; the values are stored as given) and rebuild indexes."""
         self.rewrites += 1
-        self.rows = rows
+        self._vectors = [ColumnVector() for _ in self.columns]
+        for vector, column in zip(self._vectors, zip(*rows)):
+            vector.extend(column)
+        self._length = len(rows)
+        self._rows = RowList(map(tuple, rows))
         for table_index in self.indexes.values():
-            table_index.rebuild(rows)
+            table_index.rebuild(self._rows)
 
     # -- secondary indexes ----------------------------------------------
 
@@ -209,41 +351,37 @@ class Table:
                 return table_index
         return None
 
-    def get(self, row: Row, column: str) -> Any:
-        return row[self.column_index(column)]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Table({self.name!r}, {len(self.rows)} rows)"
-
     # -- presentation ------------------------------------------------------
 
     def pretty(self, limit: Optional[int] = None) -> str:
         """Render an ASCII table (used by examples and benches)."""
-        rows = self.rows if limit is None else self.rows[:limit]
-        cells = [[_fmt(v) for v in row] for row in rows]
-        widths = [len(c) for c in self.columns]
-        for row in cells:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        sep = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
-        header = "|" + "|".join(
-            f" {c.ljust(w)} " for c, w in zip(self.columns, widths)
-        ) + "|"
-        lines = [sep, header, sep]
-        for row in cells:
-            lines.append(
-                "|" + "|".join(f" {c.ljust(w)} " for c, w in zip(row, widths)) + "|"
-            )
-        lines.append(sep)
-        if limit is not None and len(self.rows) > limit:
-            lines.append(f"... ({len(self.rows) - limit} more rows)")
-        return "\n".join(lines)
+        return format_rows(self.columns, self.rows, limit)
+
+
+def format_rows(
+    columns: Sequence[str], rows: Sequence[Row], limit: Optional[int] = None
+) -> str:
+    """*rows* under a *columns* header as an ASCII table, the first
+    *limit* of them when given."""
+    shown = rows if limit is None else rows[:limit]
+    cells = [[_fmt(v) for v in row] for row in shown]
+    widths = [len(c) for c in columns]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    sep = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
+    header = "|" + "|".join(
+        f" {c.ljust(w)} " for c, w in zip(columns, widths)
+    ) + "|"
+    lines = [sep, header, sep]
+    for row in cells:
+        lines.append(
+            "|" + "|".join(f" {c.ljust(w)} " for c, w in zip(row, widths)) + "|"
+        )
+    lines.append(sep)
+    if limit is not None and len(rows) > limit:
+        lines.append(f"... ({len(rows) - limit} more rows)")
+    return "\n".join(lines)
 
 
 def _fmt(value: Any) -> str:

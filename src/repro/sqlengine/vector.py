@@ -15,11 +15,11 @@ Exactness contract
 The vector path must be **bit-identical** to the row path on every
 statement it accepts.  That is achieved three ways:
 
-* *Typed kernels only where types are proven.*  Columnar tables coerce
-  every stored value to the column's declared SQL type
+* *Typed kernels only where types are proven.*  Tables coerce every
+  stored value to the column's declared SQL type
   (:func:`repro.sqlengine.types.coerce`), so a declared ``INTEGER``
   column holds only ``int``/``None`` — comparisons can use raw Python
-  operators.  Row tables and untyped columns get the ``'any'`` dtype
+  operators.  Untyped columns get the ``'any'`` dtype
   whose kernels call the row path's own helpers
   (:func:`~repro.sqlengine.evaluator.compare`, ``_arith``) element-wise;
   a view or derived table (:class:`VSubplan`) hands its parent the
@@ -216,11 +216,9 @@ _NUMERIC = ("int", "float", "bool")
 
 
 def _table_dtypes(table: Any) -> List[str]:
-    """Column dtypes a kernel may trust.  Only columnar tables coerce
-    on every write path, so only they earn typed kernels; plain tables
-    (and ``load_database``'s raw appends) stay ``'any'``."""
-    if getattr(table, "storage", "row") != "columnar":
-        return ["any"] * len(table.columns)
+    """Column dtypes a kernel may trust: a table coerces every write to
+    its declared types, so a declared type is a fact; an undeclared
+    column stays ``'any'``."""
     return [
         _SQL_DTYPE.get(t, "any") if t is not None else "any"
         for t in table.types
@@ -1011,34 +1009,23 @@ def _chunks(n: int, size: int) -> int:
 
 
 class VScan(VNode):
-    """Full scan of the columns the plan reads: columnar tables decode
-    their vectors (cached per ``data_version``), row tables transpose
-    their tuples."""
+    """Full scan of the columns the plan reads, decoded from the
+    table's vectors on every execution (a cached plan pins no copy of
+    its table)."""
 
     def __init__(self, op: TableScan):
         self.op = op
         self.dtypes = _table_dtypes(op.table)
         self._needed: List[int] = []
-        self._cache_version: Optional[int] = None
-        self._cache_cols: Optional[List[Column]] = None
 
     def require(self, flats: frozenset) -> None:
         self._needed = sorted(flats)
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         table = self.op.table
-        version = getattr(table, "data_version", None)
-        if version is not None:
-            if version != self._cache_version or self._cache_cols is None:
-                self._cache_cols = table.column_lists(self._needed)
-                self._cache_version = version
-            cols = self._cache_cols
-            n = len(table)
-        else:
-            cols = table.column_lists(self._needed)
-            n = len(table)
+        n = len(table)
         self._batches = _chunks(n, ctx.batch_size)
-        return _Batch(cols, n)
+        return _Batch(table.column_lists(self._needed), n)
 
 
 class VSubplan(VNode):

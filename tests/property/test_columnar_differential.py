@@ -5,18 +5,16 @@ MINE RULE shape — simple (Q0..Q4) and the general variants (Q5..Q11:
 clustered, mining condition, both — plus source conditions — every
 translation-program query shape), the pipeline must produce identical
 decoded rules and identical golden dumps whether the vectorized
-operators over its columnar encoded tables run in memory or spill to
-disk under a tiny ``memory_budget`` (row heaps against column vectors
-is the engine-level property below).
+operators over its encoded column vectors run in memory or spill to
+disk under a tiny ``memory_budget``.
 
 A second engine-level property drives the same contract below the
 mining kernel: random rows through representative SELECT shapes
 (filter, join, group/HAVING, ORDER BY, DISTINCT, subquery) and INSERT
 .. SELECT shapes.  The oracle is the row executor
 (``EngineOptions.vectorize=False``); the batch executor must agree
-with it whether the source tables are row-stored or columnar, whether
-they are read directly, through a view or through a derived table, and
-when its operators are forced to spill.
+with it whether the source tables are read directly, through a view or
+through a derived table, and when its operators are forced to spill.
 
 A third property holds ``insert_columns`` (the batch executor's way
 into a table) to the row-at-a-time ``insert``.
@@ -29,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, MiningSystem
 from repro.sqlengine import EngineOptions
-from repro.sqlengine.columnar import ColumnarTable
 from repro.sqlengine.dump import dump_table_text
 from repro.sqlengine.errors import SqlError
 from repro.sqlengine.table import Table
@@ -241,11 +238,8 @@ def _outcome(database, sql):
         return f"error: {type(exc).__name__}"
 
 
-def _engine_results(options, storage, t_rows, u_rows, access="direct"):
+def _engine_results(options, t_rows, u_rows, access="direct"):
     database = Database(options=options)
-    database.storage_hints = dict.fromkeys(
-        ("t", "u", "indexed", "auto_target", "ctas_target"), storage
-    )
     database.create_table_from_rows("t", ("a", "b"), t_rows)
     database.create_table_from_rows("u", ("b", "c"), u_rows)
     database.execute("CREATE VIEW t_view AS (SELECT * FROM t)")
@@ -282,16 +276,15 @@ class TestEngineRowVsColumnarVsSpill:
     )
     def test_select_shapes_agree(self, t_rows, u_rows, access):
         oracle = _engine_results(
-            EngineOptions(vectorize=False), "row", t_rows, u_rows
+            EngineOptions(vectorize=False), t_rows, u_rows
         )
-        for options, storage in (
-            (EngineOptions(), "row"),
-            (EngineOptions(), "columnar"),
-            (EngineOptions(memory_budget=500, batch_size=8), "columnar"),
-            (EngineOptions(vectorize=False), "columnar"),
+        for options in (
+            EngineOptions(),
+            EngineOptions(memory_budget=500, batch_size=8),
+            EngineOptions(vectorize=False),
         ):
             assert _engine_results(
-                options, storage, t_rows, u_rows, access
+                options, t_rows, u_rows, access
             ) == oracle
 
 
@@ -321,15 +314,12 @@ MIXED_SHAPES = (
 )
 
 
-def _mixed_results(options, storage, m_rows, n_rows, access):
+def _mixed_results(options, m_rows, n_rows, access):
     database = Database(options=options)
-    database.storage_hints = dict.fromkeys(
-        ("m", "n", "mixed_target", "mixed_distinct"), storage
-    )
     for name, rows in (("m", m_rows), ("n", n_rows)):
-        # appended behind the table's back (as a dump restore does), so
-        # no inferred column type narrows the values
-        database.create_table_from_rows(name, ("a", "b"), []).rows.extend(
+        # stored as given (the DELETE/UPDATE path), so no inferred
+        # column type narrows the values
+        database.create_table_from_rows(name, ("a", "b"), []).replace_rows(
             rows
         )
         database.execute(f"CREATE VIEW {name}_view AS (SELECT * FROM {name})")
@@ -345,21 +335,17 @@ class TestMixedValuesThroughBothExecutors:
         m_rows=mixed_rows,
         n_rows=mixed_rows,
         access=st.sampled_from(sorted(ACCESS)),
-        storage=st.sampled_from(["row", "columnar"]),
     )
-    def test_mixed_numbers_nulls_and_big_ints(
-        self, m_rows, n_rows, access, storage
-    ):
+    def test_mixed_numbers_nulls_and_big_ints(self, m_rows, n_rows, access):
         oracle = _mixed_results(
-            EngineOptions(vectorize=False), storage, m_rows, n_rows, "direct"
+            EngineOptions(vectorize=False), m_rows, n_rows, "direct"
         )
         assert _mixed_results(
-            EngineOptions(), storage, m_rows, n_rows, access
+            EngineOptions(), m_rows, n_rows, access
         ) == oracle
 
     def test_int_beyond_int64_promotes_the_target_vector(self):
         database = Database()
-        database.storage_hints.update(m="columnar", big="columnar")
         database.create_table_from_rows("m", ("a",), [(1,), (2**70,), (3,)])
         database.execute("INSERT INTO big (SELECT a FROM m)")
         assert database.table("big").column_vector(0).kind == "obj"
@@ -410,11 +396,10 @@ class TestInsertColumns:
     def test_insert_columns_matches_per_row_insert(self, data):
         types, batches = data
         names = [f"c{i}" for i in range(len(types))]
-        per_row = ColumnarTable("t", names, types)
-        by_rows = ColumnarTable("t", names, types)
-        by_columns = ColumnarTable("t", names, types)
-        heap = Table("t", names, types)
-        for table in (per_row, by_rows, by_columns, heap):
+        per_row = Table("t", names, types)
+        by_rows = Table("t", names, types)
+        by_columns = Table("t", names, types)
+        for table in (per_row, by_rows, by_columns):
             table.create_index("ix", ["c0"])
         for columns in batches:
             rows = list(zip(*columns))
@@ -427,7 +412,6 @@ class TestInsertColumns:
                 for insert in (
                     lambda: by_rows.insert_many(rows),
                     lambda: by_columns.insert_columns(columns),
-                    lambda: heap.insert_columns(columns),
                 ):
                     with pytest.raises(type(exc)):
                         insert()
@@ -436,14 +420,12 @@ class TestInsertColumns:
                 return
             assert by_rows.insert_many(rows) == len(rows)
             assert by_columns.insert_columns(columns) == len(rows)
-            assert heap.insert_columns(columns) == len(rows)
             reference = _table_state(per_row)
             assert _table_state(by_rows) == reference
             assert _table_state(by_columns) == reference
-            assert _table_state(heap) == reference
 
     def test_arity_mismatch_is_refused(self):
-        table = ColumnarTable("t", ["a", "b"])
+        table = Table("t", ["a", "b"])
         with pytest.raises(SqlError, match="expected 2 values, got 1"):
             table.insert_columns([[1, 2]])
         assert table.insert_columns([[], []]) == 0

@@ -183,7 +183,7 @@ def test_cached_reexecution_sees_dml(t_rows):
     """Repeated execution through the plan cache tracks table updates,
     and matches a cache-cold engine at every step."""
     db = Database()
-    cold = Database(EngineOptions(plan_cache=False))
+    cold = Database(EngineOptions(plan_cache_size=0))
     for engine in (db, cold):
         engine.execute("CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR, "
                        "d REAL)")

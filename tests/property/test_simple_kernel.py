@@ -5,13 +5,11 @@
   non-contiguous gids, repeated pairs, a single group, an item in every
   group, ``min_count`` from 1 to beyond the group count — the kernel
   (``load_simple_columns`` + every pool member) returns the counts of
-  the reference (``load_simple`` + ``Exhaustive``), on columnar and
-  row-heap storage alike, and its lazy horizontal view is the
-  reference's group map;
+  the reference (``load_simple`` + ``Exhaustive``), whether the
+  columns were written column-wise or row by row, and its lazy
+  horizontal view is the reference's group map;
 * ``Apriori``'s inline candidate generation yields exactly
   ``join_candidates``' set on random frequent levels;
-* a statement whose ``CodedSource`` is hinted to row storage stores
-  the identical rule tables;
 * the program has one loader: no caller of ``load_simple`` in ``src/``.
 """
 
@@ -22,15 +20,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro
-from repro import Database, MiningSystem
+from repro import Database
 from repro.algorithms import ALGORITHMS, Apriori, Exhaustive, get_algorithm
 from repro.algorithms.base import FrequentItemsetMiner
 from repro.algorithms.bitset import VerticalInput
-from repro.datagen import load_purchase_figure1
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.program import CoreDirectives
-from repro.sqlengine.dump import dump_table_text
-from repro.sqlengine.types import SqlType
 
 DIRECTIVES = CoreDirectives(
     simple=True, same_schema=True, clustered=False,
@@ -52,19 +47,23 @@ pair_columns = st.lists(
 )
 
 
-def loader_over(pairs, min_count, storage):
+def loader_over(pairs, min_count, write):
+    """A loader over ``CS`` holding *pairs*, written in one column-wise
+    ``insert_many`` (``"columnar"``) or one ``insert`` per row."""
     database = Database()
-    database.storage_hints["cs"] = storage
-    database.create_table_from_rows(
-        "CS", ("Gid", "Bid"), pairs, (SqlType.INTEGER, SqlType.INTEGER)
-    )
-    assert database.catalog.get_table("CS").storage == storage
+    database.execute("CREATE TABLE CS (Gid INTEGER, Bid INTEGER)")
+    table = database.table("CS")
+    if write == "columnar":
+        table.insert_many(pairs)
+    else:
+        for pair in pairs:
+            table.insert(pair)
     database.variables["totg"] = len({gid for gid, _ in pairs})
     database.variables["mingroups"] = min_count
     return CoreInputLoader(database, DIRECTIVES)
 
 
-@pytest.mark.parametrize("storage", ["columnar", "row"])
+@pytest.mark.parametrize("write", ["columnar", "row"])
 class TestKernelAgainstTheReference:
     @given(pairs=pair_columns, min_count=st.integers(1, 9))
     @example(pairs=[(90, 1), (90, 1), (90, 5), (90, 1)], min_count=1)  # one group
@@ -75,8 +74,8 @@ class TestKernelAgainstTheReference:
     )  # item 0 in every group
     @example(pairs=[(4, 1), (17, 1), (4, 2)], min_count=8)  # > groups
     @settings(max_examples=40, deadline=None)
-    def test_counts_and_views_agree(self, storage, pairs, min_count):
-        loader = loader_over(pairs, min_count, storage)
+    def test_counts_and_views_agree(self, write, pairs, min_count):
+        loader = loader_over(pairs, min_count, write)
         reference = loader.load_simple()
         data, (gid_col, bid_col) = loader.load_simple_columns()
 
@@ -134,31 +133,6 @@ class TestInlineCandidateGeneration:
             for last, _gid_list in members
         ]
         assert flattened == sorted(reference)
-
-
-STATEMENT = (
-    "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, "
-    "1..1 item AS HEAD, SUPPORT, CONFIDENCE FROM Purchase "
-    "GROUP BY customer "
-    "EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5"
-)
-
-
-def test_row_heap_coded_source_stores_identical_rule_tables():
-    tables = {}
-    for storage in ("columnar", "row"):
-        system = MiningSystem()
-        load_purchase_figure1(system.db)
-        system.db.storage_hints["mr1_codedsource"] = storage
-        result = system.run(STATEMENT)
-        coded = system.db.catalog.get_table(result.program.core.coded_source)
-        assert coded.storage == storage
-        assert result.encoded_rules
-        tables[storage] = [
-            dump_table_text(system.db, name)
-            for name in ("R", "R_Bodies", "R_Heads")
-        ]
-    assert tables["columnar"] == tables["row"]
 
 
 def test_the_program_never_calls_the_reference_loader():

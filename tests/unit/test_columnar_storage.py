@@ -1,13 +1,11 @@
 """Unit tests for the columnar storage layer and the vectorized
 executor's observable surface (PR 7).
 
-Covered here: the adaptive :class:`ColumnVector` layouts and their
-exact-promotion rules, the :class:`ColumnarTable` Table contract
-(DML, indexes, out-of-band row mutation), storage selection
-(per-table ``storage_hints``, row heaps otherwise), the
-spill-to-disk helpers and EXPLAIN ANALYZE's per-node batch/spill
-counters.  The end-to-end bit-identity net lives in
-``tests/property/test_columnar_differential.py``.
+Covered here: the adaptive :class:`ColumnVector` layouts, their
+exact-promotion rules and decodes, the :class:`Table` contract over
+them (DML, indexes, the read-only ``rows``), the spill-to-disk helpers
+and EXPLAIN ANALYZE's per-node batch/spill counters.  The end-to-end
+bit-identity net lives in ``tests/property/test_columnar_differential.py``.
 """
 
 import datetime
@@ -15,13 +13,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.sqlengine import (
-    ColumnarTable,
-    Database,
-    EngineOptions,
-    STORAGE_KINDS,
-)
-from repro.sqlengine.columnar import ColumnVector, make_table
+import repro.sqlengine as sqlengine
+from repro.sqlengine import Database, EngineOptions, Table, columnar
+from repro.sqlengine.columnar import ColumnVector
 from repro.sqlengine.spill import (
     estimate_bytes,
     external_sort,
@@ -95,12 +89,33 @@ class TestColumnVector:
         vector.extend(["a", "b", "a"])
         assert vector.tail(1).values is vector.values
 
+    @pytest.mark.parametrize("values", [
+        (1, None, 3, None, 5, 6, None),
+        (1.5, None, 2.5),
+        ("a", "b", None, "a", "c", "a", None, "b"),
+        (None, None, None),
+        (True, 2**70, None, "x"),
+        (),
+    ])
+    def test_sample_and_decode_with_and_without_numpy(
+        self, values, monkeypatch
+    ):
+        vector = ColumnVector()
+        vector.extend(list(values))
+        full = list(values)
+        decodes = []
+        for np in (columnar._np, None):  # the C gather and its fallback
+            monkeypatch.setattr(columnar, "_np", np)
+            decodes.append(vector.to_pylist())
+            for stop in range(len(values) + 2):
+                for stride in (1, 2, 3):
+                    assert vector.sample(stop, stride) == full[:stop:stride]
+        assert decodes == [full, full]
+
 
 class TestColumnarTable:
     def _table(self):
-        table = ColumnarTable(
-            "T", ("a", "b"), [SqlType.INTEGER, SqlType.VARCHAR]
-        )
+        table = Table("T", ("a", "b"), [SqlType.INTEGER, SqlType.VARCHAR])
         table.insert((1, "x"))
         table.insert((2, "y"))
         table.insert((None, "x"))
@@ -108,7 +123,6 @@ class TestColumnarTable:
 
     def test_row_contract(self):
         table = self._table()
-        assert table.storage == "columnar"
         assert len(table) == 3
         assert list(table) == [(1, "x"), (2, "y"), (None, "x")]
         assert table.get(table.rows[1], "b") == "y"
@@ -128,41 +142,58 @@ class TestColumnarTable:
         table.insert((4, "x"))
         assert len(index.lookup(("x",))) == 3
 
-    def test_out_of_band_rows_append_is_absorbed(self):
-        # dump restore and a few tests append to table.rows directly;
-        # the columnar layout must notice and re-encode
+    def test_rows_refuse_append_and_item_assignment(self):
+        # rows materializes the vectors: a write into it would miss them
         table = self._table()
-        table.rows.append((5, "w"))
-        assert len(table) == 4
-        assert table.column_lists()[0] == [1, 2, None, 5]
+        rows = table.rows
+        for write in (
+            lambda: rows.append((5, "w")),
+            lambda: rows.extend([(5, "w")]),
+            lambda: rows.__setitem__(0, (5, "w")),
+            lambda: rows.__delitem__(0),
+            lambda: rows.pop(),
+        ):
+            with pytest.raises(TypeError, match="read-only"):
+                write()
+        with pytest.raises(AttributeError):
+            table.rows = [(5, "w")]
+        assert len(table) == 3 and table.rows is rows
+        assert table.column_lists()[0] == [1, 2, None]
+        table.insert((5, "w"))
+        assert table.rows == [(1, "x"), (2, "y"), (None, "x"), (5, "w")]
 
     def test_insert_coerces_to_declared_types(self):
-        table = ColumnarTable("T", ("a",), [SqlType.REAL])
+        table = Table("T", ("a",), [SqlType.REAL])
         table.insert((1,))
         assert table.rows == [(1.0,)]
 
-    @pytest.mark.parametrize("kind", STORAGE_KINDS)
-    def test_tail_is_a_relation_over_the_stored_values(self, kind):
-        table = make_table(kind, "T", ("a", "b"),
-                           [SqlType.INTEGER, SqlType.VARCHAR])
-        table.insert_many([(1, "x"), (2, "y"), (None, "x")])
+    @pytest.mark.parametrize("write", ["columnar", "row"])
+    def test_tail_is_a_relation_over_the_stored_values(self, write):
+        """Over vectors written in one column-wise ``insert_many`` or
+        one ``insert`` per row alike."""
+        table = Table("T", ("a", "b"), [SqlType.INTEGER, SqlType.VARCHAR])
+        rows = [(1, "x"), (2, "y"), (None, "x")]
+        if write == "columnar":
+            table.insert_many(rows)
+        else:
+            for row in rows:
+                table.insert(row)
         table.create_index("ix_b", ("b",))
         tail = table.tail(1, "T_tail")
-        assert (tail.name, tail.storage, tail.columns, tail.types) == (
-            "T_tail", kind, table.columns, table.types
+        assert (tail.name, tail.columns, tail.types) == (
+            "T_tail", table.columns, table.types
         )
         assert len(tail) == 2 and not tail.indexes
         assert tail.rows == [(2, "y"), (None, "x")]
-        if kind == "row":
-            assert tail.rows[0] is table.rows[1]  # shared, not copied
+        # the dictionary is shared, not copied
+        assert tail.column_vector(1).values is table.column_vector(1).values
         assert tail.column_lists() == [[2, None], ["y", "x"]]
         assert table.tail(3, "e").rows == [] == table.tail(9, "e").rows
-        assert [table.row(i) for i in range(3)] == table.rows
+        assert table.sample(3, 1) == table.rows
+        assert table.sample(3, 2) == [(1, "x"), (None, "x")]
 
-    @pytest.mark.parametrize("kind", STORAGE_KINDS)
-    def test_rewrites_count_every_mutation_that_is_not_an_append(self, kind):
+    def test_rewrites_count_every_mutation_that_is_not_an_append(self):
         db = Database()
-        db.storage_hints["t"] = kind
         db.execute("CREATE TABLE T (a INTEGER, b VARCHAR)")
         table = db.catalog.get_table("T")
         db.execute("INSERT INTO T VALUES (1, 'x')")
@@ -186,43 +217,21 @@ class TestColumnarTable:
         assert table.rewrites == 3
         table.truncate()
         assert table.rewrites == 4
-        if kind == "columnar":
-            table.rows = [(7, "q")]
-            assert table.rewrites == 5
+        table.replace_rows([(7, "q")])
+        assert table.rewrites == 5
 
-    def test_make_table_and_validate(self):
-        assert isinstance(make_table("columnar", "t", ("a",)), ColumnarTable)
-        assert make_table("row", "t", ("a",)).storage == "row"
-        with pytest.raises(ValueError):
-            make_table("parquet", "t", ("a",))
-        assert STORAGE_KINDS == ("row", "columnar")
-
-
-class TestStorageSelection:
-    def test_storage_hints_override_per_table(self):
+    def test_one_table_type(self):
+        """Every table has the one layout: nothing chooses another."""
+        for gone in ("ColumnarTable", "STORAGE_KINDS"):
+            assert not hasattr(sqlengine, gone)
+            assert not hasattr(columnar, gone)
+        assert not hasattr(columnar, "make_table")
         database = Database()
-        database.storage_hints["enc"] = "columnar"
-        database.execute("CREATE TABLE enc (a INTEGER)")
-        database.execute("CREATE TABLE plain (a INTEGER)")
-        assert database.catalog.storage_of("enc") == "columnar"
-        assert database.catalog.storage_of("plain") == "row"
-
-    def test_row_and_columnar_query_identically(self):
-        results = []
-        for kind in STORAGE_KINDS:
-            database = Database()
-            database.storage_hints["t"] = kind
-            database.execute("CREATE TABLE t (a INTEGER, b VARCHAR)")
-            for i in range(20):
-                database.execute(
-                    f"INSERT INTO t VALUES ({i}, '{'xy'[i % 2]}')"
-                )
-            results.append(
-                database.query(
-                    "SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b ORDER BY b"
-                )
-            )
-        assert results[0] == results[1]
+        assert not hasattr(database, "storage_hints")
+        assert not hasattr(database.catalog, "storage_of")
+        database.execute("CREATE TABLE t (a INTEGER)")
+        assert type(database.table("t")) is Table
+        assert not hasattr(database.table("t"), "storage")
 
 
 class TestSpillHelpers:
@@ -268,7 +277,6 @@ class TestExplainAnalyzeCounters:
                 batch_size=16, memory_budget=memory_budget
             )
         )
-        database.storage_hints["t"] = "columnar"
         database.execute("CREATE TABLE t (a INTEGER, b VARCHAR)")
         for i in range(200):
             database.execute(
@@ -348,7 +356,6 @@ class TestSpilledLeftOuterJoin:
                 batch_size=16, memory_budget=memory_budget
             )
         )
-        database.storage_hints.update(l="columnar", r="columnar")
         database.execute("CREATE TABLE l (k INTEGER, a VARCHAR)")
         database.execute("CREATE TABLE r (k INTEGER, b INTEGER)")
         left, right = database.table("l"), database.table("r")

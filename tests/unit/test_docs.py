@@ -8,10 +8,23 @@ Three checks over DESIGN.md, README.md and ``docs/*.md``:
   translator emits;
 * every ``repro_*`` series docs/OBSERVABILITY.md names is registered
   after one metered golden run, one refresh and one SQL job.
+
+Two more keep the operator-facing surfaces honest:
+
+* every ``--flag`` README.md, ``docs/*.md`` or the verify skill
+  (``.claude/skills/verify/SKILL.md``) names for ``repro`` /
+  ``repro serve`` is one of their parsers' options, unless the text
+  right after it says the flag is gone, and then the parsers must
+  reject it;
+* every site in :mod:`repro.faults`' site table has a call site in
+  ``src/``, and every literal call site is in the table.
 """
 
+import ast
 import builtins
+import contextlib
 import importlib
+import io
 import pkgutil
 import re
 from pathlib import Path
@@ -19,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import Database, MiningSystem
+from repro import Database, MiningSystem, cli, faults, serve
 from repro.datagen import load_purchase_figure1
 from repro.jobs.service import JobService
 from repro.obs import profile
@@ -131,3 +144,99 @@ def test_every_documented_series_is_registered(metered_registry):
     assert sorted(
         name for name in documented if metered_registry.get(name) is None
     ) == []
+
+
+#: commands of other tools, whose flags are theirs
+FOREIGN = re.compile(r"pytest|benchmarks[./]suite|tools/\w+\.py")
+FLAG = re.compile(r"--[a-z][a-z0-9-]*")
+GONE = re.compile(r"\b(?:gone|rejected)\b")
+
+
+def parser_options(main):
+    """The ``--`` options *main*'s parser defines, read off ``--help``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(["--help"])
+    options = set()
+    for line in out.getvalue().splitlines():
+        signature = re.match(r"\s+(-\S.*?)(?:\s{2,}|$)", line)
+        if signature:
+            options.update(FLAG.findall(signature.group(1)))
+    return options
+
+
+def commands(text):
+    """``(command, what follows it)`` for each fenced code line (with
+    its backslash continuations) and each inline code span of *text*."""
+    prose = []
+    for number, block in enumerate(re.split(r"^```.*$", text, flags=re.M)):
+        if number % 2:
+            for line in block.replace("\\\n", " ").splitlines():
+                yield line, ""
+        else:
+            prose.append(block)
+    prose = "".join(prose)
+    for span in re.finditer(r"`((?:[^`\n]|\n(?!\s*\n))+)`", prose):
+        yield span.group(1), prose[span.end():span.end() + 60]
+
+
+def test_every_documented_cli_flag_exists():
+    options = parser_options(cli.main) | parser_options(serve.main)
+    assert {"--trace-out", "--job-workers"} <= options
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    unknown, revived = [], []
+    for path in docs:
+        for command, after in commands(path.read_text()):
+            if FOREIGN.search(command):
+                continue
+            for flag in FLAG.findall(command):
+                if GONE.search(after):
+                    if flag in options:
+                        revived.append(f"{path.name}: {flag}")
+                elif flag not in options:
+                    unknown.append(f"{path.name}: {flag}")
+    assert unknown == []
+    assert revived == []
+
+
+def fault_call_sites():
+    """The site names ``src/`` passes to ``faults.check`` or to
+    ``RunContext.attempt(..., own_site=True)``, an f-string's fields
+    as ``<>``."""
+    sites = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            func = node.func
+            checks = (func.attr == "check"
+                      and isinstance(func.value, ast.Name)
+                      and func.value.id == "faults")
+            owns = func.attr == "attempt" and any(
+                k.arg == "own_site" and getattr(k.value, "value", False)
+                for k in node.keywords
+            )
+            site = node.args[0]
+            if not (checks or owns):
+                continue
+            if isinstance(site, ast.Constant):
+                sites.add(site.value)
+            elif isinstance(site, ast.JoinedStr):
+                sites.add("".join(
+                    part.value if isinstance(part, ast.Constant) else "<>"
+                    for part in site.values
+                ))
+    return sites
+
+
+def test_every_fault_site_has_a_call_site():
+    table = {
+        re.sub(r"<\w+>", "<>", site)
+        for site in re.findall(r"^``([\w.<>]+)``", faults.__doc__, re.M)
+    }
+    assert {"engine.execute", "preprocessor.<>", "jobs.run.<>"} <= table
+    sites = fault_call_sites()
+    assert sorted(table - sites) == []
+    assert sorted(sites - table) == []

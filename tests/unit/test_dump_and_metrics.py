@@ -91,6 +91,12 @@ class TestDumpLoad:
         assert restored.execute("SELECT COUNT(*) FROM Kept").scalar() > 0
         assert restored.query("SELECT BODY FROM Kept_Display") \
             == system.db.query("SELECT BODY FROM Kept_Display")
+        # restored through the insert path: the same declared and
+        # inferred types, table by table
+        tables = system.db.catalog.tables()
+        assert tables
+        for table in tables:
+            assert restored.table(table.name).types == table.types, table.name
 
 
 class TestMetrics:

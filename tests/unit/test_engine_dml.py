@@ -6,6 +6,7 @@ import pytest
 
 from repro.sqlengine import Database
 from repro.sqlengine.errors import CatalogError, ExecutionError, SqlTypeError
+from repro.sqlengine.table import Table
 from repro.sqlengine.types import SqlType
 
 
@@ -141,6 +142,16 @@ class TestDeleteUpdate:
         assert filled.execute("DELETE FROM t").rowcount == 3
         assert len(filled.table("t")) == 0
 
+    def test_delete_all_counts_without_materializing_rows(
+        self, filled, monkeypatch
+    ):
+        def refuse(table):
+            raise AssertionError(f"{table.name}.rows was materialized")
+
+        monkeypatch.setattr(Table, "rows", property(refuse), raising=False)
+        assert filled.execute("DELETE FROM t").rowcount == 3
+        assert len(filled.table("t")) == 0
+
     def test_update(self, filled):
         result = filled.execute("UPDATE t SET b = 'w' WHERE a = 2")
         assert result.rowcount == 1
@@ -153,6 +164,17 @@ class TestDeleteUpdate:
             (20,),
             (30,),
         ]
+
+    def test_update_infers_an_undeclared_column_type(self, db):
+        # an all-NULL CTAS column has no type until its first value
+        db.execute("CREATE TABLE n AS SELECT a, NULL AS z FROM t")
+        db.execute("INSERT INTO n (a) VALUES (1)")
+        assert db.table("n").types[1] is None
+        db.execute("UPDATE n SET z = 'x'")
+        assert db.table("n").types[1] is SqlType.VARCHAR
+        with pytest.raises(SqlTypeError):
+            db.execute("INSERT INTO n VALUES (2, 5)")
+        assert db.query("SELECT z FROM n WHERE z > 'w'") == [("x",)]
 
     def test_update_with_hostvar(self, filled):
         filled.execute("UPDATE t SET a = :v WHERE b = 'x'", {"v": 99})

@@ -1,4 +1,4 @@
-"""EXPLAIN output and engine-option (planner ablation) tests."""
+"""EXPLAIN output and the engine's option surface."""
 
 import pytest
 
@@ -100,10 +100,14 @@ class TestEngineOptions:
         from repro import MiningSystem
 
         fields = [f.name for f in dataclasses.fields(EngineOptions)]
-        assert len(fields) == 8 and fields == [
-            "hash_joins", "filter_pushdown", "plan_cache", "statement_cache_size",
-            "plan_cache_size", "batch_size", "memory_budget", "vectorize",
+        assert len(fields) == 5 and fields == [
+            "statement_cache_size", "plan_cache_size", "batch_size",
+            "memory_budget", "vectorize",
         ]
+        # planner features have no switch
+        for gone in ("hash_joins", "filter_pushdown", "plan_cache"):
+            with pytest.raises(TypeError):
+                EngineOptions(**{gone: False})
         parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]
         assert len(parameters) == 9 and parameters == [
             "database", "algorithm", "reuse_preprocessing", "retry_policy",
@@ -152,72 +156,3 @@ class TestEngineOptions:
                 main([flag])
             assert exit_info.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
-
-    def options_db(self, **kwargs):
-        database = Database(EngineOptions(**kwargs))
-        database.execute("CREATE TABLE l (x INTEGER)")
-        database.execute("CREATE TABLE r (x INTEGER)")
-        for v in (1, 2, 3):
-            database.execute(f"INSERT INTO l VALUES ({v})")
-            database.execute(f"INSERT INTO r VALUES ({v})")
-        return database
-
-    def test_hash_joins_disabled_uses_nested_loop(self):
-        database = self.options_db(hash_joins=False)
-        plan = database.explain(
-            "SELECT 1 FROM l, r WHERE l.x = r.x"
-        )
-        assert "NestedLoopJoin" in plan
-        assert "HashJoin" not in plan
-
-    def test_results_identical_regardless_of_strategy(self):
-        fast = self.options_db()
-        slow = self.options_db(hash_joins=False, filter_pushdown=False)
-        query = "SELECT l.x FROM l, r WHERE l.x = r.x AND l.x > 1 ORDER BY 1"
-        assert fast.query(query) == slow.query(query)
-
-    def test_pushdown_disabled_keeps_filter_at_join_level(self):
-        database = self.options_db(filter_pushdown=False)
-        plan = database.explain(
-            "SELECT l.x FROM l, r WHERE l.x = r.x AND r.x > 1"
-        )
-        # the single-table conjunct is evaluated as a join residual
-        # instead of below the scan
-        assert "residual=(r.x > 1)" in plan
-        with_pushdown = self.options_db().explain(
-            "SELECT l.x FROM l, r WHERE l.x = r.x AND r.x > 1"
-        )
-        assert "Filter (r.x > 1)" in with_pushdown
-
-    def test_left_join_without_hash_joins_still_correct(self):
-        database = self.options_db(hash_joins=False)
-        database.execute("INSERT INTO l VALUES (99)")
-        rows = database.query(
-            "SELECT l.x, r.x FROM l LEFT JOIN r ON l.x = r.x ORDER BY 1"
-        )
-        assert (99, None) in rows
-
-    def test_mining_pipeline_unaffected_by_options(self):
-        from repro import MiningSystem
-        from repro.datagen import load_purchase_figure1
-
-        baseline_db = Database()
-        load_purchase_figure1(baseline_db)
-        baseline = MiningSystem(database=baseline_db).execute(STATEMENT)
-
-        slow_db = Database(EngineOptions(hash_joins=False,
-                                         filter_pushdown=False))
-        load_purchase_figure1(slow_db)
-        slow = MiningSystem(database=slow_db).execute(STATEMENT)
-        assert baseline.rule_set() == slow.rule_set()
-
-
-STATEMENT = """
-MINE RULE OptCheck AS
-SELECT DISTINCT 1..n item AS BODY, 1..n item AS HEAD, SUPPORT, CONFIDENCE
-WHERE BODY.price >= 100 AND HEAD.price < 100
-FROM Purchase
-GROUP BY customer
-CLUSTER BY date HAVING BODY.date < HEAD.date
-EXTRACTING RULES WITH SUPPORT: 0.2, CONFIDENCE: 0.3
-"""

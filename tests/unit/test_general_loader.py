@@ -135,20 +135,25 @@ def test_view_is_what_sql_reads(prepared):
     assert data.cluster_pairs == expected
 
 
-@pytest.mark.parametrize("storage", ["columnar", "row"])
-def test_interleaved_cluster_couples(storage):
+@pytest.mark.parametrize("write", ["columnar", "row"])
+def test_interleaved_cluster_couples(write):
     """``ClusterCouples`` whose groups come back in several runs still
     give each group all of its pairs (Q7 emits one run per group, but
-    nothing relies on it)."""
+    nothing relies on it), whether the tables were written in one
+    column-wise ``insert_many`` or one ``insert`` per row."""
     database = Database()
-    database.storage_hints.update(ms=storage, cc=storage)
-    database.create_table_from_rows(
-        "MS", ("Gid", "Cid", "Bid"),
-        [(5, 10, 1), (5, 11, 2), (9, 20, 1), (9, 21, 3)],
-    )
     couples = [(5, 10, 11), (9, 20, 21), (5, 11, 10), (9, 21, 20)]
-    database.create_table_from_rows("CC", ("Gid", "BCid", "HCid"), couples)
-    assert database.catalog.get_table("CC").storage == storage
+    for name, columns, rows in (
+        ("MS", ("Gid", "Cid", "Bid"),
+         [(5, 10, 1), (5, 11, 2), (9, 20, 1), (9, 21, 3)]),
+        ("CC", ("Gid", "BCid", "HCid"), couples),
+    ):
+        table = database.create_table_from_rows(name, columns, [])
+        if write == "columnar":
+            table.insert_many(rows)
+        else:
+            for row in rows:
+                table.insert(row)
     database.variables.update(totg=2, mingroups=1)
     core = CoreDirectives(
         simple=False, same_schema=True, clustered=True,

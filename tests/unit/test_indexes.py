@@ -133,14 +133,3 @@ class TestEquivalenceWithScan:
                 if i == key
             ]
             assert indexed == scanned
-
-    def test_disabled_pushdown_ignores_index(self):
-        from repro.sqlengine import EngineOptions
-
-        database = Database(EngineOptions(filter_pushdown=False))
-        database.execute("CREATE TABLE t (id INTEGER)")
-        database.execute("INSERT INTO t VALUES (1), (2)")
-        database.execute("CREATE INDEX i ON t (id)")
-        plan = database.explain("SELECT id FROM t WHERE id = 1")
-        assert "IndexLookup" not in plan
-        assert database.query("SELECT id FROM t WHERE id = 1") == [(1,)]

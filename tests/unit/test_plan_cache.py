@@ -110,11 +110,12 @@ class TestPlanCache:
         assert len(db._plan_cache) == 1
 
     def test_plan_cache_can_be_disabled(self):
-        db = Database(EngineOptions(plan_cache=False))
+        db = Database(EngineOptions(plan_cache_size=0))
         db.execute("CREATE TABLE t (a INTEGER)")
         db.query("SELECT a FROM t")
         db.query("SELECT a FROM t")
         assert db.cache_stats.plan_hits == 0
+        assert not db._plan_cache  # evicted as it is inserted
 
 
 class TestPreparedStatements:

@@ -67,10 +67,10 @@ class TestCheckpoints:
         _crash(system)
         checkpoint = system.checkpoint_for(STATEMENT)
         # an encoded table changed underneath the checkpoint
-        victim = next(iter(checkpoint.table_snapshot))
-        system.db.catalog.get_table(victim).rows.append(
-            system.db.catalog.get_table(victim).rows[0]
+        victim = system.db.catalog.get_table(
+            next(iter(checkpoint.table_snapshot))
         )
+        victim.insert(victim.rows[0])
         result = system.run(STATEMENT, resume=True)
         assert result.rules
         assert result.resilience.stages_resumed == 0
