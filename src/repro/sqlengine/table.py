@@ -7,9 +7,10 @@ loads and the encoded tables the preprocessor materializes alike.  The
 batch executor (:mod:`repro.sqlengine.vector`) and the core loaders
 read the vectors as column lists; ``rows`` is a read-only
 materialization for the row executor, DML and dumps.  Writes go
-through the table (``insert``, ``insert_columns``, ``replace_rows``,
-``truncate``), which coerces to the declared types, so a declared type
-is a fact the executor's typed kernels may trust.
+through the table (``insert``, ``insert_columns``, ``truncate``), which
+coerces to the declared types, so a declared type is a fact the
+executor's typed kernels may trust; ``replace_rows`` stores its rows
+as given and requires them to fit the declared types already.
 
 Column lookup is case-insensitive, matching the catalog's identifier
 semantics.
@@ -317,7 +318,13 @@ class Table:
 
     def replace_rows(self, rows: List[Row]) -> None:
         """Store *rows* in place of the table's rows (the DELETE/UPDATE
-        path; the values are stored as given) and rebuild indexes."""
+        path) and rebuild indexes.
+
+        The values are stored as given, with no coercion and no type
+        inference, so *rows* must already fit ``types``: every value in
+        a declared column has that type's Python shape (or is NULL).
+        Values of mixed types belong only in undeclared columns, which
+        stay untyped as long as nothing is inserted into them."""
         self.rewrites += 1
         self._vectors = [ColumnVector() for _ in self.columns]
         for vector, column in zip(self._vectors, zip(*rows)):

@@ -193,6 +193,8 @@ SELECT_SHAPES = (
     "SELECT t.a, d.b FROM {t} LEFT JOIN (SELECT DISTINCT b FROM {u}) d "
     "ON t.b = d.b",
     "SELECT t.a, u.c FROM {t} LEFT JOIN {u} ON t.b = u.b AND u.c > t.a",
+    # an ON clause with no equality: a keyless outer join
+    "SELECT t.a, u.c FROM {t} LEFT JOIN {u} ON u.c > t.a",
 )
 
 #: statements with a side effect, each followed by the reads that

@@ -97,20 +97,14 @@ class TestColumnVector:
         (True, 2**70, None, "x"),
         (),
     ])
-    def test_sample_and_decode_with_and_without_numpy(
-        self, values, monkeypatch
-    ):
+    def test_sample_and_decode_are_exact(self, values):
         vector = ColumnVector()
         vector.extend(list(values))
         full = list(values)
-        decodes = []
-        for np in (columnar._np, None):  # the C gather and its fallback
-            monkeypatch.setattr(columnar, "_np", np)
-            decodes.append(vector.to_pylist())
-            for stop in range(len(values) + 2):
-                for stride in (1, 2, 3):
-                    assert vector.sample(stop, stride) == full[:stop:stride]
-        assert decodes == [full, full]
+        assert vector.to_pylist() == full
+        for stop in range(len(values) + 2):
+            for stride in (1, 2, 3):
+                assert vector.sample(stop, stride) == full[:stop:stride]
 
 
 class TestColumnarTable:
