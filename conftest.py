@@ -8,10 +8,11 @@ from hypothesis import settings
 
 #: example budget of CI's oracle step, selected with
 #: ``--hypothesis-profile=oracle-ci``; it reaches the tests that set no
-#: ``max_examples`` of their own (tests/property/test_minerule_oracle.py)
+#: ``max_examples`` of their own (tests/property/test_minerule_oracle.py
+#: and tests/property/test_sqlite_server.py)
 settings.register_profile("oracle-ci", max_examples=1500, deadline=None)
 #: example budget of CI's SQL differential step
-#: (``--hypothesis-profile=sql-ci``): the sqlite3 and row-executor
+#: (``--hypothesis-profile=sql-ci``): the sqlite3 and spill
 #: differentials draw a fifth of it per property — 100 against
 #: tier-1's 20, for the NULL and duplicate-key inputs that pick the
 #: batch executor's join and grouping kernels

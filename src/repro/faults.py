@@ -27,7 +27,6 @@ Injection sites
 
 ======================  ==================================================
 ``engine.execute``      every :meth:`Database.execute_ast` statement
-``dbapi.execute``       each DB-API ``Cursor.execute``
 ``preprocessor.<L>``    before setup/preprocessing query labelled ``<L>``
                         (``CLEAN``, ``SEQ``, ``Q0`` .. ``Q11`` variants)
 ``core.load``           reading the encoded tables into the core operator

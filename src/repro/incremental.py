@@ -210,7 +210,9 @@ def refresh_eligibility(program: TranslationProgram) -> Optional[str]:
 def pairs_query(statement: MineRuleStatement, relation: str) -> str:
     """The collapsed Q0+Q3a query over *relation* (the increment):
     every distinct (schema, group) pair of its (filtered) rows in
-    first-appearance order.  The relation is bound to the name the
+    first-appearance order, NULL group keys excluded; a row with a NULL
+    in the schema still counts its group (``_apply_pairs`` interns no
+    item for it).  The relation is bound to the name the
     statement itself uses for its source, so the source condition
     renders and resolves unchanged."""
     table = statement.from_list[0]
@@ -219,10 +221,13 @@ def pairs_query(statement: MineRuleStatement, relation: str) -> str:
     )
     sql = (
         f"SELECT DISTINCT {columns} FROM {relation} "
-        f"{table.alias or table.name}"
+        f"{table.alias or table.name} WHERE "
+        + " AND ".join(
+            f"{attr} IS NOT NULL" for attr in statement.group_attributes
+        )
     )
     if statement.source_condition is not None:
-        sql += f" WHERE {render_expr(statement.source_condition)}"
+        sql += f" AND ({render_expr(statement.source_condition)})"
     return sql
 
 
@@ -344,6 +349,8 @@ class RefreshComputation:
 
         for row in pairs:
             slot = group_slot(row[k:])
+            if None in row[:k]:
+                continue  # the row counts its group, holds no item
             index = item_slot(row[:k])
             if index < old_items and slot < old_groups and in_snapshot(
                 index, slot

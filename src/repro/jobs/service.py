@@ -37,7 +37,13 @@ from repro.faults import FaultError, RetryPolicy
 from repro.jobs.model import CANCELLED, DONE, FAILED, Job
 from repro.jobs.pool import WorkerPool
 from repro.jobs.table import JobTable
-from repro.minerule import statement_kind
+from repro.minerule import (
+    MineRuleError,
+    parse_mine_rule,
+    parse_refresh,
+    statement_kind,
+)
+from repro.minerule.validator import validate_without_catalog
 from repro.obs import context as obs_context
 from repro.obs import profile as obs_profile
 from repro.obs.context import TraceContext, new_trace_id
@@ -174,7 +180,9 @@ class JobService:
         ``kind`` is derived from the text when omitted
         (:func:`repro.minerule.statement_kind`: ``mine`` for MINE RULE,
         ``refresh`` for REFRESH RULES, ``sql`` otherwise; a shell
-        dot-command is no job kind and raises ``ValueError``).
+        dot-command is no job kind and raises ``ValueError``).  MINE
+        RULE / REFRESH RULES text that does not parse or fails check 2
+        or 4 raises ``ValueError`` and records no job.
         ``retries`` installs a per-job retry policy overriding the
         service default.  A full queue raises :class:`JobQueueFull`;
         an injected ``jobs.submit`` fault lands the job in ``failed``
@@ -187,6 +195,13 @@ class JobService:
             kind = statement_kind(text)
         if kind not in ("mine", "refresh", "sql"):
             raise ValueError(f"unknown job kind {kind!r}")
+        try:
+            if kind == "mine":
+                validate_without_catalog(parse_mine_rule(text))
+            elif kind == "refresh":
+                parse_refresh(text)
+        except MineRuleError as exc:
+            raise ValueError(str(exc)) from None
         job = self.table.new_job(text, kind)
         job.trace_id = new_trace_id()
         if retries is not None:

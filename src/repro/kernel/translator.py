@@ -167,6 +167,13 @@ class Translator:
         )
 
     @staticmethod
+    def _known(attributes: Sequence[str], alias: Optional[str] = None) -> str:
+        prefix = f"{alias}." if alias else ""
+        return " AND ".join(
+            f"{prefix}{attr} IS NOT NULL" for attr in attributes
+        )
+
+    @staticmethod
     def _attr_list(alias: Optional[str], attributes: Sequence[str]) -> str:
         if alias:
             return ", ".join(f"{alias}.{a}" for a in attributes)
@@ -265,13 +272,18 @@ class Translator:
             )
 
         group_attrs = statement.group_attributes
+        # a row with a NULL grouping attribute belongs to no group: the
+        # queries that read Source's group attributes without joining
+        # ValidGroups say so (DESIGN.md section 3, "NULL keys"); Q1 and
+        # Q2b once per group rather than once per row
+        grouped = self._known(group_attrs)
         queries.append(
             TranslationQuery(
                 "Q1",
                 "count the total number of groups (:totg)",
                 f"SELECT COUNT(*) INTO :totg FROM "
                 f"(SELECT DISTINCT {', '.join(group_attrs)} "
-                f"FROM {names.source})",
+                f"FROM {names.source}) WHERE {grouped}",
             )
         )
 
@@ -293,7 +305,8 @@ class Translator:
                 "encode groups with Gid (sequence)",
                 f"INSERT INTO {names.valid_groups} "
                 f"(SELECT {names.gid_sequence}.NEXTVAL AS Gid, V.* "
-                f"FROM {names.valid_groups_view} AS V)",
+                f"FROM {names.valid_groups_view} AS V "
+                f"WHERE {self._known(group_attrs, 'V')})",
             )
         )
         program.schemas[names.valid_groups] = ["Gid"] + list(group_attrs)
@@ -320,7 +333,8 @@ class Translator:
     ) -> None:
         """Item encoding (query Q3 for bodies, Q5 for heads): stage the
         distinct (element, group) pairs, then keep elements appearing
-        in at least :mingroups valid groups."""
+        in at least :mingroups valid groups.  A row with a NULL in the
+        element's schema holds no element."""
         statement = program.statement
         directives = program.directives
         names = program.workspace
@@ -333,13 +347,15 @@ class Translator:
                 f"(SELECT DISTINCT {self._attr_list('S', schema)}, "
                 f"{self._attr_list('S', group_attrs)} "
                 f"FROM {names.source} S, {names.valid_groups} V "
-                f"WHERE {self._eq_join('S', 'V', group_attrs)})"
+                f"WHERE {self._eq_join('S', 'V', group_attrs)} "
+                f"AND {self._known(schema, 'S')})"
             )
         else:
             stage_sql = (
                 f"INSERT INTO {staging} "
                 f"(SELECT DISTINCT {', '.join(schema)}, "
-                f"{', '.join(group_attrs)} FROM {names.source})"
+                f"{', '.join(group_attrs)} FROM {names.source} "
+                f"WHERE {self._known(list(schema) + list(group_attrs))})"
             )
         program.preprocessing.append(
             TranslationQuery(

@@ -42,6 +42,14 @@ def validate(statement: MineRuleStatement, source_columns: Sequence[str]) -> Non
     _check_4(statement)
 
 
+def validate_without_catalog(statement: MineRuleStatement) -> None:
+    """Run the checks that read no source schema (2 and 4), so that a
+    statement can be refused before its source tables exist (checks 1
+    and 3 wait: a queued SQL job may create the source)."""
+    _check_2(statement)
+    _check_4(statement)
+
+
 # ---------------------------------------------------------------------------
 
 

@@ -182,9 +182,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"no such sequence: {name!r}") from None
 
-    def has_sequence(self, name: str) -> bool:
-        return name.lower() in self._sequences
-
     def drop_sequence(self, name: str, if_exists: bool = False) -> bool:
         key = name.lower()
         with self._lock:

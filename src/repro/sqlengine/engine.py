@@ -19,8 +19,8 @@ the engine must not re-pay lexing, parsing and planning each time:
   so their plans are cached like any other.
 
 Both are observable through :attr:`Database.cache_stats`;
-:meth:`Database.prepare` exposes the prepared-statement handle used by
-the Preprocessor and the DB-API cursor.
+:meth:`Database.prepare` exposes the prepared-statement handle the
+Preprocessor replays.
 
 Concurrency (the jobs layer runs statements from worker threads):
 
@@ -791,8 +791,6 @@ class Database:
         """Run *plan* (one SELECT block, no set operation) through the
         batch executor: ``(column lists, row count)``, or None when the
         row executor has to run it.  The lists are only to be read."""
-        if not self.options.vectorize:
-            return None
         vector = self._vector_plan(plan)
         if vector is None:
             return None

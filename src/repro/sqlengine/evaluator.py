@@ -87,10 +87,6 @@ class Frame:
             raise CatalogError(f"unknown table alias in {qualifier}.*")
         return out
 
-    @property
-    def flat_columns(self) -> List[str]:
-        return [c for _, columns in self.sources for c in columns]
-
 
 class Env:
     """Run-time row environment: a frame plus one row per source, with

@@ -70,8 +70,7 @@ def explain(database: Any, sql: str, params: Optional[dict] = None) -> str:
         merged.update(params)
     database._params = merged
     plan = database._select_plan(statement)
-    if database.options.vectorize:
-        _build_vector_plans(database, plan)
+    _build_vector_plans(database, plan)
     return render_plan(statement, plan)
 
 

@@ -1,9 +1,10 @@
 """Engine tuning options.
 
-What a user can reason about: cache capacities, the executor's batch
-size and memory budget, and the row executor switch the differential
-tests use as their oracle.  Planner features have no switch (SYN-6a's
-hash-join ablation is a recorded result, EXPERIMENTS.md).
+What a user can reason about: cache capacities and the executor's batch
+size and memory budget.  Neither the planner's features nor the choice
+of executor has a switch (SYN-6a's hash-join ablation is a recorded
+result, EXPERIMENTS.md; a plan with no exact vector lowering runs on
+the row executor whole, and EXPLAIN says why).
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ class EngineOptions:
     #: join/aggregate estimates its input above the budget it switches
     #: to the spilling out-of-core variant (None = never spill)
     memory_budget: Optional[int] = None
-    #: run every uncorrelated FROM-bearing SELECT block batch-at-a-time
-    #: over column lists (a plan with a node that has no exact vector
-    #: lowering runs on the row executor whole); False forces the row
-    #: executor everywhere — the oracle of the differential tests
-    vectorize: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:

@@ -154,9 +154,6 @@ class Table:
                 f"(columns: {', '.join(self.columns)})"
             ) from None
 
-    def has_column(self, column: str) -> bool:
-        return column.lower() in self._index
-
     @property
     def arity(self) -> int:
         return len(self.columns)
@@ -349,14 +346,6 @@ class Table:
 
     def drop_index(self, name: str) -> None:
         self.indexes.pop(name.lower(), None)
-
-    def index_covering(self, columns: Sequence[str]) -> Optional[TableIndex]:
-        """An index whose column set equals *columns* (any order)."""
-        wanted = {c.lower() for c in columns}
-        for table_index in self.indexes.values():
-            if {c.lower() for c in table_index.columns} == wanted:
-                return table_index
-        return None
 
     # -- presentation ------------------------------------------------------
 

@@ -781,9 +781,10 @@ class _Compiler:
             if isinstance(vv, _Scalar):
                 result = vv.value is None
                 return _Scalar(not result if negated else result)
-            if negated:
-                return [v is not None for v in vv]
-            return [v is None for v in vv]
+            if None not in vv:  # a NULL-free batch answers as one value
+                return _Scalar(negated)
+            test = _op.is_not if negated else _op.is_
+            return list(map(test, vv, repeat(None)))
 
         return VExpr(fn, "bool", value.used)
 
@@ -1106,10 +1107,14 @@ class VFilter(VNode):
             sub: List[Optional[List[Any]]] = [None] * len(cols)
             for u in pred.used:
                 sub[u] = cols[u][start:end]
-            vals = _as_list(pred.fn(ctx, sub, span), span)
-            for k, v in enumerate(vals):
-                if v is True:
-                    sel.append(start + k)
+            vals = pred.fn(ctx, sub, span)
+            if isinstance(vals, _Scalar):
+                if vals.value is True:
+                    sel.extend(range(start, end))
+            else:
+                sel.extend(compress(
+                    range(start, end), map(_op.is_, vals, repeat(True))
+                ))
             batches += 1
         self._batches = max(1, batches)
         if len(sel) == n:

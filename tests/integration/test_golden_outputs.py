@@ -130,24 +130,38 @@ def test_gid_and_bid_numbering_is_pinned(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STATEMENTS))
-def test_encoded_tables_equal_the_row_executor_row_for_row(name):
-    """On a few hundred synthetic rows every encoded table — Gid and Bid
-    numbering, CodedSource / MiningSource order — is what the row
-    executor stores."""
+def test_encoded_tables_equal_sqlite3s_up_to_renaming(name):
+    """On a few hundred synthetic rows every encoded table is what the
+    same translation program stores on sqlite3, up to Gid / Bid / Cid
+    renaming (the numbering itself is pinned above and by the goldens),
+    and the rules mined from sqlite3's tables are the system's."""
     from repro.datagen import load_purchase_synthetic
-    from repro.sqlengine import EngineOptions
+    from tests.minerule_reference import canonical_tables
+    from tests.sqlite_server import (
+        database_tables,
+        encoded_tables,
+        mine_on_sqlite,
+        output_tables,
+        renamed,
+    )
 
-    stored = []
-    for options in (EngineOptions(), EngineOptions(vectorize=False)):
-        database = Database(options)
-        load_purchase_synthetic(database, customers=12, seed=3)
-        workspace = MiningSystem(database=database).run(
-            GOLDEN_STATEMENTS[name]
-        ).program.workspace
-        stored.append({
-            table: database.table(table).rows
-            for table in workspace.all_tables()
-            if database.catalog.has_table(table)
-        })
-    assert stored[0] == stored[1]
-    assert stored[0]
+    database = Database()
+    load_purchase_synthetic(database, customers=12, seed=3)
+    result = MiningSystem(database=database).run(GOLDEN_STATEMENTS[name])
+    program = result.program
+    source = database.table("Purchase")
+    server, copy = mine_on_sqlite(
+        program, {"Purchase": (source.columns, source.rows)}
+    )
+    try:
+        theirs = encoded_tables(program, server)
+    finally:
+        server.close()
+    assert len(theirs) >= 4
+    assert renamed(program, theirs) == renamed(
+        program, database_tables(database, theirs)
+    )
+    out = result.output_table
+    assert canonical_tables(output_tables(copy, out), out) == canonical_tables(
+        output_tables(database, out), out
+    )

@@ -22,7 +22,8 @@ The semantics, in the order the code applies them:
 
 1. *Source* is the rows satisfying the source condition.  Its distinct
    group keys are the groups; ``totg`` counts them **before** the
-   group HAVING, and every support is a fraction of ``totg``.
+   group HAVING, and every support is a fraction of ``totg``.  A row
+   with a NULL in any grouping attribute belongs to no group.
 2. The group HAVING (aggregates over the group's rows allowed) keeps
    the *valid* groups; only they are mined and only they count for a
    confidence denominator.
@@ -30,9 +31,12 @@ The semantics, in the order the code applies them:
    whole group is the single cluster.  Every ordered (body cluster,
    head cluster) pair of a group — a cluster with itself included — is
    *valid* unless the cluster HAVING (aggregates over each cluster's
-   rows allowed) rejects it.
+   rows allowed) rejects it.  A row with a NULL in any clustering
+   attribute belongs to no cluster.
 4. Inside a valid pair, a (body tuple, head tuple) pair satisfying the
    mining condition is an *elementary rule* body item => head item.
+   A row with a NULL in any body (head) attribute holds no body (head)
+   item.
    When body and head have the same schema, an item never implies
    itself inside one cluster (so B and H are disjoint there).
 5. A group *supports* B => H iff one of its valid cluster pairs holds
@@ -205,6 +209,10 @@ def _partition(rows: Iterable[Row], attributes: Sequence[str]):
     return parts
 
 
+def _known(row: Row, attributes: Sequence[str]) -> bool:
+    return all(row[a] is not None for a in attributes)
+
+
 def _item(row: Row, schema: Sequence[str]):
     """A rule element: the bare value of a one-attribute schema, else
     the tuple of values in schema order."""
@@ -213,7 +221,11 @@ def _item(row: Row, schema: Sequence[str]):
 
 def mine_rule(statement: Statement, rows: Iterable[Row]) -> List[Rule]:
     """The rules *statement* extracts from *rows*, over item values."""
-    source = [row for row in rows if _holds(statement.source_condition, row)]
+    source = [
+        row for row in rows
+        if _holds(statement.source_condition, row)
+        and _known(row, statement.group_by)
+    ]
     groups = _partition(source, statement.group_by)
     totg = len(groups)
     same_schema = {a.lower() for a in statement.body} == {
@@ -224,19 +236,23 @@ def mine_rule(statement: Statement, rows: Iterable[Row]) -> List[Rule]:
     for group, members in groups.items():
         if not _holds(statement.group_condition, members):
             continue
-        clusters = _partition(members, statement.cluster_by)
+        clusters = _partition(
+            [row for row in members if _known(row, statement.cluster_by)],
+            statement.cluster_by,
+        )
         for cluster in clusters.values():
-            body_clusters.append(
-                (group, {_item(row, statement.body) for row in cluster})
-            )
+            body_clusters.append((group, {
+                _item(row, statement.body) for row in cluster
+                if _known(row, statement.body)
+            }))
         for body_key, body_rows in clusters.items():
             for head_key, head_rows in clusters.items():
                 if not _holds(statement.cluster_condition, body_rows, head_rows):
                     continue
                 relation = {
                     (_item(b, statement.body), _item(h, statement.head))
-                    for b in body_rows
-                    for h in head_rows
+                    for b in body_rows if _known(b, statement.body)
+                    for h in head_rows if _known(h, statement.head)
                     if _holds(statement.mining_condition, b, h)
                 }
                 if same_schema and body_key == head_key:

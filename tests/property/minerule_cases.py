@@ -40,26 +40,36 @@ def build_db(rows: List[Dict[str, Any]]) -> Database:
     return db
 
 
+def _sometimes_null(draw, values):
+    """*values*, with a NULL in about one draw of four half the time."""
+    if draw(st.booleans()):
+        return st.one_of(values, values, values, st.none())
+    return values
+
+
 @st.composite
 def source_rows(draw) -> List[Dict[str, Any]]:
     """Up to 12 groups of up to 8 rows over up to 6 items.  The value
     ranges are drawn first and kept narrow more often than not, so that
-    items repeat across groups and rules actually come out.  Only
-    ``price`` is nullable: it is the one attribute conditions and
-    aggregates read, so it is where SQL's unknown can change a rule."""
-    price = st.integers(1, 50)
-    if draw(st.booleans()):
-        price = st.one_of(price, price, price, st.none())
+    items repeat across groups and rules actually come out.  ``price``
+    (which conditions and aggregates read), ``item``, ``ckey`` and the
+    key of one group may be NULL: a NULL key joins nothing, so it is
+    where SQL's unknown can move a count."""
     row = st.fixed_dictionaries({
-        "ckey": st.integers(1, draw(st.integers(1, 3))),
-        "item": st.sampled_from("abcdef"[:draw(st.integers(2, 6))]),
+        "ckey": _sometimes_null(draw, st.integers(1, draw(st.integers(1, 3)))),
+        "item": _sometimes_null(
+            draw, st.sampled_from("abcdef"[:draw(st.integers(2, 6))])
+        ),
         "tag": st.sampled_from(["t1", "t2", "t3"][:draw(st.integers(1, 3))]),
-        "price": price,
+        "price": _sometimes_null(draw, st.integers(1, 50)),
     })
+    groups = draw(st.integers(1, 12))
+    null_group = draw(st.integers(0, groups)) if draw(st.booleans()) else 0
     rows = []
-    for grp in range(1, draw(st.integers(1, 12)) + 1):
+    for grp in range(1, groups + 1):
+        key = None if grp == null_group else grp
         for drawn in draw(st.lists(row, min_size=2, max_size=8)):
-            rows.append({"grp": grp, **drawn})
+            rows.append({"grp": key, **drawn})
     return draw(st.permutations(rows))
 
 
@@ -124,6 +134,8 @@ CLUSTER = [
         lambda b, h: _le(_sum(h), _sum(b)), True, True,
     ),
 ]
+#: body schemas: one attribute, or two
+BODIES = [("item",), ("item", "tag")]
 BODY_CARDS = [(1, None), (1, 2), (2, None), (2, 3)]
 HEAD_CARDS = [(1, 1), (1, None), (1, 2), (2, 2)]
 
@@ -143,7 +155,8 @@ def _card_text(card) -> str:
 def cases(draw, cluster=None) -> Case:
     """A statement; *cluster* fixes the :data:`CLUSTER` entry (and so
     C, K and F) instead of drawing it."""
-    head_attr = draw(_often_absent(["item", "tag"]))  # H when tag
+    body = draw(_often_absent(BODIES))
+    head_attr = draw(_often_absent(["item", "tag"]))  # H unless the body's
     mining_text, mining = draw(_often_absent(MINING))
     source_text, source = draw(st.sampled_from(SOURCE))
     group_text, group, aggregate_group = draw(st.sampled_from(GROUP))
@@ -155,15 +168,15 @@ def cases(draw, cluster=None) -> Case:
     support = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5]))
     confidence = draw(st.sampled_from([0.0, 0.5]))
     text = (
-        f"MINE RULE Out AS SELECT DISTINCT {_card_text(body_card)} item "
-        f"AS BODY, {_card_text(head_card)} {head_attr} AS HEAD, SUPPORT, "
+        f"MINE RULE Out AS SELECT DISTINCT {_card_text(body_card)} "
+        f"{', '.join(body)} AS BODY, {_card_text(head_card)} {head_attr} AS HEAD, SUPPORT, "
         f"CONFIDENCE {mining_text} FROM Src{source_text} "
         f"GROUP BY grp{group_text} {cluster_text} "
         f"EXTRACTING RULES WITH SUPPORT: {support}, "
         f"CONFIDENCE: {confidence}"
     )
     statement = Statement(
-        body=("item",),
+        body=body,
         head=(head_attr,),
         group_by=("grp",),
         min_support=support,
@@ -177,7 +190,7 @@ def cases(draw, cluster=None) -> Case:
         mining_condition=mining,
     )
     directives = (
-        head_attr != "item", source is not None, mining is not None,
+        (head_attr,) != body, source is not None, mining is not None,
         group is not None, bool(cluster_text), has_condition,
         aggregate_cluster, aggregate_group,
     )

@@ -9,7 +9,11 @@ Three checks over DESIGN.md, README.md and ``docs/*.md``:
 * every ``repro_*`` series docs/OBSERVABILITY.md names is registered
   after one metered golden run, one refresh and one SQL job.
 
-Two more keep the operator-facing surfaces honest:
+Three more keep the operator-facing surfaces honest:
+
+* every ``Name(param=default, …)`` in the first column of
+  docs/API.md's tables is the signature of that name, parameter names
+  and defaults included;
 
 * every ``--flag`` README.md, ``docs/*.md`` or the verify skill
   (``.claude/skills/verify/SKILL.md``) names for ``repro`` /
@@ -24,6 +28,7 @@ import ast
 import builtins
 import contextlib
 import importlib
+import inspect
 import io
 import pkgutil
 import re
@@ -63,31 +68,40 @@ def doc_lines():
             yield f"{path.relative_to(ROOT)}:{number}", line
 
 
-def resolves(name):
+def lookup(name):
     """Import the longest module prefix of *name*, then ``getattr``
-    the rest."""
+    the rest (``AttributeError`` when a step is missing)."""
     parts = name.split(".")
     for cut in range(len(parts), 0, -1):
         try:
             owner = importlib.import_module(".".join(parts[:cut]))
         except ModuleNotFoundError:
             continue
-        try:
-            for attribute in parts[cut:]:
-                owner = getattr(owner, attribute)
-        except AttributeError:
-            return False
-        return True
-    return False
+        for attribute in parts[cut:]:
+            owner = getattr(owner, attribute)
+        return owner
+    raise AttributeError(name)
+
+
+def resolves(name):
+    try:
+        lookup(name)
+    except AttributeError:
+        return False
+    return True
+
+
+def repro_modules():
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            yield importlib.import_module(info.name)
 
 
 def defined_names():
     """Every top-level name of every ``repro`` module."""
     names = set(dir(builtins))
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.endswith("__main__"):
-            continue
-        names.update(vars(importlib.import_module(info.name)))
+    for module in repro_modules():
+        names.update(vars(module))
     return names
 
 
@@ -144,6 +158,95 @@ def test_every_documented_series_is_registered(metered_registry):
     assert sorted(
         name for name in documented if metered_registry.get(name) is None
     ) == []
+
+
+PARAMETER = re.compile(r"^(\*{0,2})([A-Za-z_]\w*)(?:=(.+))?$")
+
+
+def split_parameters(text):
+    """*text*'s comma-separated parts, at bracket depth 0."""
+    parts, depth, start = [], 0, 0
+    for position, char in enumerate(text):
+        depth += char in "([{"
+        depth -= char in ")]}"
+        if char == "," and depth == 0:
+            parts.append(text[start:position].strip())
+            start = position + 1
+    return parts + [text[start:].strip()] if text.strip() else parts
+
+
+def documented_signatures():
+    """``(cell text, dotted name, [(stars, name, default text)])`` for
+    every first-column code span of docs/API.md that is one call of a
+    dotted name whose arguments are all parameters — not call examples
+    such as ``FaultSchedule.parse("...")``, elisions (``...``) or SQL
+    functions (``MOD(a, b)``)."""
+    text = (ROOT / "docs" / "API.md").read_text()
+    for row in re.findall(r"^\| `([^`]+)`", text, re.M):
+        call = re.match(r"^([A-Za-z_][\w.]*)\((.*)\)$", row)
+        if not call or "..." in row or "…" in row:
+            continue
+        name, inner = call.groups()
+        if name.isupper():
+            continue
+        depth = 0
+        for char in inner:
+            depth += (char == "(") - (char == ")")
+            if depth < 0:
+                break  # a chained call: Translator(db).translate(...)
+        if depth:
+            continue
+        parameters = [PARAMETER.match(part) for part in split_parameters(inner)]
+        if all(parameters):
+            yield row, name, [match.groups() for match in parameters]
+
+
+def resolve_documented(name):
+    """The object a dotted API.md name stands for: its head is a
+    ``repro`` module or a name one of them defines."""
+    if name.startswith("repro."):
+        return lookup(name)
+    head, *rest = name.split(".")
+    for module in repro_modules():
+        owner = vars(module).get(head)
+        home = getattr(owner, "__name__", "") if inspect.ismodule(owner) \
+            else getattr(owner, "__module__", "")
+        if owner is not None and home.startswith("repro"):
+            for attribute in rest:
+                owner = getattr(owner, attribute)
+            return owner
+    raise AssertionError(f"API.md names {name!r}, which repro does not define")
+
+
+def test_every_documented_signature_is_the_real_one():
+    signatures = list(documented_signatures())
+    assert {"MiningSystem", "EngineOptions", "Database", "RetryPolicy",
+            "JobService"} <= {name for _, name, _ in signatures}
+    stars = {inspect.Parameter.VAR_POSITIONAL: "*",
+             inspect.Parameter.VAR_KEYWORD: "**"}
+    stale = []
+    for row, name, documented in signatures:
+        target = resolve_documented(name)
+        try:
+            signature = inspect.signature(target)
+        except ValueError:
+            continue  # `RefreshError(MineRuleError)` names a base class
+        actual = [
+            parameter for parameter in signature.parameters.values()
+            if parameter.name not in ("self", "cls")
+        ]
+        # defaults are written in the names of the defining module
+        namespace = vars(inspect.getmodule(target))
+        same = [(kind, param) for kind, param, _ in documented] == [
+            (stars.get(p.kind, ""), p.name) for p in actual
+        ] and all(
+            p.default is inspect.Parameter.empty if default is None
+            else eval(default, namespace) == p.default
+            for (_, _, default), p in zip(documented, actual)
+        )
+        if not same:
+            stale.append(f"{row}  !=  {name}{signature}")
+    assert stale == []
 
 
 #: commands of other tools, whose flags are theirs

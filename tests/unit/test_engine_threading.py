@@ -186,21 +186,26 @@ class TestPrepareHammer:
     def test_shared_row_plan_correlated_closures_thread_local_params(self):
         """The same contract for the closures only the row executor
         runs: a correlated subquery, an aggregate over a correlated
-        argument and ORDER BY SUM(x), on one cached plan."""
-        from repro.sqlengine.options import EngineOptions
-
-        db = Database(EngineOptions(vectorize=False))
+        argument and ORDER BY SUM(x), on one cached plan (the EXISTS
+        has no vector lowering, so the row executor runs the plan)."""
+        db = Database()
         db.execute("CREATE TABLE o (k INTEGER, w INTEGER)")
         db.execute("CREATE TABLE m (k INTEGER, v INTEGER)")
         for k in (1, 2, 3):
             db.table("o").insert_many([(k, 10 - k), (k, 2 * k)])
             db.table("m").insert_many((k, v) for v in range(6))
-        prepared = db.prepare(
+        sql = (
             "SELECT o.k, SUM(o.w), (SELECT SUM(m.v * o.k) FROM m "
             "WHERE m.k = o.k AND m.v < :limit) FROM o "
             "WHERE EXISTS (SELECT 1 FROM m WHERE m.k = o.k AND m.v = :limit) "
             "GROUP BY o.k ORDER BY SUM(o.w + :limit) DESC, o.k"
         )
+        assert db.explain(sql, {"limit": 0}).splitlines()[0].endswith(
+            "[row executor: no vector lowering for Exists]"
+        )
+        db.clear_caches()
+        misses = db.cache_stats.plan_misses
+        prepared = db.prepare(sql)
         limits = (2, 5)
         barrier = threading.Barrier(len(limits), timeout=10)
 
@@ -212,7 +217,8 @@ class TestPrepareHammer:
                 assert prepared.execute({"limit": limit}).rows == expected
 
         run_threads(len(limits), probe)
-        assert db.cache_stats.plan_misses == 3  # one plan per SELECT block
+        # one plan per SELECT block
+        assert db.cache_stats.plan_misses == misses + 3
 
     def test_statements_executed_is_accurate(self):
         db = Database()

@@ -100,12 +100,13 @@ class TestEngineOptions:
         from repro import MiningSystem
 
         fields = [f.name for f in dataclasses.fields(EngineOptions)]
-        assert len(fields) == 5 and fields == [
+        assert len(fields) == 4 and fields == [
             "statement_cache_size", "plan_cache_size", "batch_size",
-            "memory_budget", "vectorize",
+            "memory_budget",
         ]
-        # planner features have no switch
-        for gone in ("hash_joins", "filter_pushdown", "plan_cache"):
+        # neither planner features nor the executor have a switch
+        for gone in ("hash_joins", "filter_pushdown", "plan_cache",
+                     "vectorize"):
             with pytest.raises(TypeError):
                 EngineOptions(**{gone: False})
         parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]

@@ -123,20 +123,6 @@ class TestModuleHooks:
                 raise RuntimeError("boom")
         assert faults.active() is None
 
-    def test_dbapi_cursor_checks_its_site(self):
-        from repro.sqlengine.dbapi import connect
-
-        connection = connect()
-        cursor = connection.cursor()
-        with faults.injected(FaultSchedule().arm("dbapi.execute", call=2)):
-            cursor.execute("CREATE TABLE T (a INTEGER)")
-            with pytest.raises(FaultError):
-                cursor.execute("INSERT INTO T VALUES (1)")
-            # the fault fired before the engine ran anything
-            cursor.execute("INSERT INTO T VALUES (1)")
-            cursor.execute("SELECT COUNT(*) FROM T")
-            assert cursor.fetchone()[0] == 1
-
 
 class TestRetryPolicy:
     def test_backoff_is_capped_exponential(self):

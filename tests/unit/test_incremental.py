@@ -116,8 +116,47 @@ class TestPairsQuery:
     def test_shape(self):
         statement = parse_mine_rule(SIMPLE)
         assert pairs_query(statement, "MR_Increment") == (
-            "SELECT DISTINCT item, tr FROM MR_Increment Purchase"
+            "SELECT DISTINCT item, tr FROM MR_Increment Purchase "
+            "WHERE tr IS NOT NULL"
         )
+
+    def test_null_keys_refresh_like_a_fresh_mine(self):
+        """A NULL group key belongs to no group and a NULL item is no
+        item (DESIGN.md section 3): the refresh counts and interns them
+        as the preprocessing queries do."""
+        from repro.sqlengine.types import SqlType
+
+        text = (
+            "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item "
+            "AS HEAD, SUPPORT, CONFIDENCE FROM T GROUP BY g EXTRACTING "
+            "RULES WITH SUPPORT: 0.3, CONFIDENCE: 0.1"
+        )
+        rows = [(1, "a"), (1, "b"), (2, "a"), (2, None), (None, "a"),
+                (None, "b"), (3, "b"), (3, None)]
+        appended = [(None, "b"), (4, "a"), (4, "b"), (4, None), (5, None)]
+
+        def mined(source_rows):
+            db = Database()
+            db.create_table_from_rows(
+                "T", ("g", "item"), source_rows,
+                (SqlType.INTEGER, SqlType.VARCHAR),
+            )
+            return db, MiningSystem(database=db)
+
+        db, system = mined(rows)
+        system.run(text)
+        system.refresh("R")
+        for row in appended:
+            db.table("T").insert(row)
+        refreshed = system.refresh("R")
+        assert refreshed.stats.mode == "incremental"
+        assert refreshed.stats.totg == 5
+        fresh, fresh_system = mined(rows + appended)
+        fresh_system.run(text)
+        for table in ("R", "R_Bodies", "R_Heads", "R_Display"):
+            assert db.query(f"SELECT * FROM {table}") == fresh.query(
+                f"SELECT * FROM {table}"
+            )
 
     def test_increment_is_bound_to_the_statement_alias(self):
         statement = parse_mine_rule(

@@ -299,6 +299,30 @@ class TestJobService:
         with pytest.raises(ValueError):
             service.submit("   ;  ")
 
+    def test_unparsable_mining_statements_are_refused_at_submit(self):
+        service = make_service()
+        for text, message in (
+            ("MINE RULE R AS SELECT DISTINCT garbage", "expected"),
+            ("REFRESH RULES", "expected"),
+            # check 2: the body schema overlaps the grouping attributes
+            ("MINE RULE R AS SELECT DISTINCT 1..n customer AS BODY, "
+             "1..1 item AS HEAD, SUPPORT, CONFIDENCE FROM Purchase "
+             "GROUP BY customer EXTRACTING RULES WITH SUPPORT: 0.1, "
+             "CONFIDENCE: 0.1", "disjoint"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                service.submit(text)
+        assert len(service.table) == 0
+        # a column check waits for the run: a queued SQL job may
+        # create the source table first
+        job = service.submit(
+            "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, "
+            "1..1 item AS HEAD, SUPPORT, CONFIDENCE FROM Later "
+            "GROUP BY customer EXTRACTING RULES WITH SUPPORT: 0.1, "
+            "CONFIDENCE: 0.1"
+        )
+        assert job.kind == "mine"
+
     def test_metrics_series_populated(self):
         registry = MetricsRegistry()
         service = make_service(workers=2, metrics=registry)
@@ -438,6 +462,12 @@ class TestJobsApi:
         assert self.post({"nope": 1})[0] == 400
         assert self.post({"statement": "SELECT 1", "retries": 0})[0] == 400
         assert self.api.handle("POST", "/jobs", b"{broken")[0] == 400
+        jobs = len(self.service.table)
+        code, payload = self.post(
+            {"statement": "MINE RULE R AS SELECT DISTINCT garbage"}
+        )
+        assert code == 400 and "error" in payload
+        assert len(self.service.table) == jobs
 
     def test_result_before_done_is_409(self):
         table_job = self.service.table.new_job("SELECT 1", "sql")

@@ -2,9 +2,10 @@
 observability (CacheStats, PreprocessStats, EXPLAIN markers)."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.sqlengine import Database, EngineOptions, PreparedStatement
-from repro.sqlengine import dbapi
+from tests.property.test_sqlite_differential import t_rows_strategy
 
 
 @pytest.fixture
@@ -129,22 +130,11 @@ class TestPreparedStatements:
         prepared = db.prepare("SELECT item FROM items")
         misses = db.cache_stats.statement_misses
         prepared.execute()
+        hits = db.cache_stats.plan_hits
         prepared.execute()
         assert db.cache_stats.statement_misses == misses
-
-    def test_dbapi_cursor_reuses_prepared_plan(self, db):
-        conn = dbapi.connect(db)
-        cur = conn.cursor()
-        cur.execute("SELECT item FROM items WHERE price > 100")
-        hits = db.cache_stats.plan_hits
-        cur.execute("SELECT item FROM items WHERE price > 100")
+        # the second execution re-hits the plan the first one cached
         assert db.cache_stats.plan_hits == hits + 1
-        assert len(cur.fetchall()) == 2
-
-    def test_dbapi_prepare_maps_errors(self, db):
-        conn = dbapi.connect(db)
-        with pytest.raises(dbapi.DatabaseError):
-            conn.prepare("SELEKT nope")
 
 
 class TestPreprocessStatsCounters:
@@ -172,3 +162,39 @@ class TestPreprocessStatsCounters:
         second = preprocessor.run(program)
         assert second.statement_cache_hits > 0
         assert second.statement_cache_misses == 0
+
+
+@given(t_rows=t_rows_strategy)
+@settings(max_examples=20, deadline=None)
+def test_cached_reexecution_sees_dml(t_rows):
+    """Repeated execution through the plan cache tracks table updates,
+    and matches a cache-cold engine at every step."""
+    db = Database()
+    cold = Database(EngineOptions(plan_cache_size=0))
+    for engine in (db, cold):
+        engine.execute("CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR, "
+                       "d REAL)")
+        engine.table("t").insert_many(t_rows)
+    sql = "SELECT a, b FROM t WHERE a >= 0 OR b IS NULL"
+    prepared = db.prepare(sql)
+    assert prepared.query() == cold.query(sql)
+    for engine in (db, cold):
+        engine.execute("INSERT INTO t VALUES (0, NULL, 'added', NULL)")
+    assert prepared.query() == cold.query(sql)
+    for engine in (db, cold):
+        engine.execute("DELETE FROM t WHERE a < 0")
+    assert prepared.query() == cold.query(sql)
+
+
+def test_ddl_invalidates_cached_plan():
+    """Dropping and recreating a referenced table must not leave a
+    stale plan scanning the old table object."""
+    db = Database()
+    db.execute("CREATE TABLE t (a INTEGER)")
+    db.execute("INSERT INTO t VALUES (1)")
+    prepared = db.prepare("SELECT a FROM t")
+    assert prepared.query() == [(1,)]
+    db.execute("DROP TABLE t")
+    db.execute("CREATE TABLE t (a INTEGER)")
+    db.execute("INSERT INTO t VALUES (2)")
+    assert prepared.query() == [(2,)]
