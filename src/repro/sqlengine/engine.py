@@ -4,7 +4,8 @@ This is the component the mining architecture calls "the SQL server".
 It owns the catalog, a host-variable store (so that ``SELECT .. INTO
 :totg`` in one query of a translation program is visible to later
 queries, exactly as the paper's Q1/Q3 pair requires), and a statement
-counter used by the benchmarks.
+counter used by the benchmarks.  Every statement runs on the one batch
+executor, :mod:`repro.sqlengine.vector`.
 
 Two caches make repeated execution cheap — the paper's Preprocessor
 replays the same Q0..Q11 programs for every MINE RULE execution, so
@@ -37,7 +38,6 @@ Concurrency (the jobs layer runs statements from worker threads):
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from collections import OrderedDict
@@ -45,17 +45,12 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    fallback_counter,
-)
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, Index, View
-from repro.sqlengine.compiler import ExprFn, ExpressionCompiler
 from repro.sqlengine.errors import ExecutionError
-from repro.sqlengine.evaluator import Env, Frame, compare, contains_aggregate
+from repro.sqlengine.evaluator import contains_aggregate
 from repro.sqlengine.locks import RWLock
 from repro.sqlengine.operators import Filter, GroupAggregate, Operator
 from repro.sqlengine.parser import parse_sql, split_statements
@@ -64,9 +59,10 @@ from repro.sqlengine.result import Result
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import SqlType, coerce as coerce_value, infer_type
 from repro.sqlengine.vector import (
-    Unsupported,
-    VectorPlan,
+    build_compound_tail,
     build_vector_plan,
+    evaluate_constant,
+    select_rows,
     transpose,
 )
 
@@ -103,7 +99,6 @@ class _EngineInstruments:
         "rows_returned",
         "rows_scanned",
         "cache_events",
-        "fallbacks",
     )
 
     def __init__(self, metrics: MetricsRegistry):
@@ -130,20 +125,6 @@ class _EngineInstruments:
             "Statement/plan cache events",
             ("cache", "outcome"),
         )
-        self.fallbacks = fallback_counter(metrics)
-
-
-def _counted_envs(envs: Iterable[Env], counter: Any) -> "Iterable[Env]":
-    """Wrap a scan's env stream so the rows-scanned counter advances by
-    however many rows the pipeline actually pulled (early-exit safe)."""
-    scanned = 0
-    try:
-        for env in envs:
-            scanned += 1
-            yield env
-    finally:
-        if scanned:
-            counter.inc(scanned)
 
 
 class PreparedStatement:
@@ -172,148 +153,36 @@ class PreparedStatement:
         return f"PreparedStatement({self.sql!r})"
 
 
-class _Projector:
-    """Plan-time compiled select list: output names plus one closure
-    (or star slot list) per item."""
-
-    __slots__ = ("columns", "_parts", "_fns")
-
-    def __init__(
-        self, select: ast.Select, frame: Frame, compiler: ExpressionCompiler
-    ):
-        columns: List[str] = []
-        parts: List[Tuple[bool, Any]] = []
-        has_star = False
-        for idx, item in enumerate(select.items):
-            if isinstance(item.expr, ast.Star):
-                has_star = True
-                slots: List[Tuple[int, int]] = []
-                for src_idx, col_idx, name in frame.star_columns(
-                    item.expr.qualifier
-                ):
-                    columns.append(name)
-                    slots.append((src_idx, col_idx))
-                parts.append((True, slots))
-                continue
-            columns.append(item.alias or _default_name(item.expr, idx))
-            parts.append((False, compiler.bind(item.expr, frame)))
-        self.columns = columns
-        self._parts = parts
-        #: fast path when the select list has no stars
-        self._fns = None if has_star else [fn for _, fn in parts]
-
-    def project(self, env: Env) -> List[Any]:
-        fns = self._fns
-        if fns is not None:
-            return [fn(env) for fn in fns]
-        out: List[Any] = []
-        for is_star, payload in self._parts:
-            if is_star:
-                rows = env.rows
-                for src_idx, col_idx in payload:
-                    out.append(rows[src_idx][col_idx])
-            else:
-                out.append(payload(env))
-        return out
-
-
-class _OrderSpec:
-    """Plan-time ORDER BY keys: positional references index the output
-    row directly; expressions are bound against the output frame (with
-    the row env as parent scope for source columns).  *columns* is None
-    for a SELECT without FROM, whose output names only an execution
-    knows: its keys take the output frame per call."""
-
-    __slots__ = ("_entries", "_out_frame", "_any_expr")
-
-    def __init__(
-        self,
-        select: ast.Select,
-        columns: Optional[Sequence[str]],
-        compiler: ExpressionCompiler,
-    ):
-        self._out_frame = (
-            Frame.single(None, columns) if columns is not None else None
-        )
-        entries: List[Tuple[bool, Any]] = []
-        any_expr = False
-        for order_item in select.order_by:
-            expr = order_item.expr
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                entries.append((True, expr.value))
-            else:
-                entries.append((False, compiler.bind(expr, self._out_frame)))
-                any_expr = True
-        self._entries = entries
-        self._any_expr = any_expr
-
-    def keys(
-        self, row: Row, env: Optional[Env], out_frame: Optional[Frame] = None
-    ) -> Tuple[Any, ...]:
-        order_env = (
-            Env(out_frame or self._out_frame, (row,), parent=env)
-            if self._any_expr
-            else None
-        )
-        keys: List[Any] = []
-        for positional, payload in self._entries:
-            if positional:
-                position = payload - 1
-                if not 0 <= position < len(row):
-                    raise ExecutionError(
-                        f"ORDER BY position {payload} out of range"
-                    )
-                keys.append(row[position])
-            else:
-                keys.append(payload(order_env))
-        return tuple(keys)
-
-
 class _SelectPlan:
-    """Everything static about one SELECT execution: the operator tree,
-    bound predicates, the projector and the ORDER BY spec.  Built once
-    per (statement, catalog version); rows flow through it on every
-    execution."""
+    """Everything static about one SELECT statement: the first block's
+    plan tree and batch pipeline, the set operations with the plans of
+    their right-hand blocks, and a compound's ORDER BY / LIMIT /
+    OFFSET.  Built once per (statement, catalog version); executions
+    share it and keep their state in the batch executor's context."""
 
     __slots__ = (
         "select",
         "root",
         "leftovers",
         "source",
-        "predicate",
-        "having",
-        "has_aggregates",
-        "projector",
-        "item_fns",
-        "order_spec",
-        "limit",
-        "offset",
-        "columns",
         "vector",
-        "fallback",
+        "columns",
+        "dtypes",
+        "set_ops",
+        "tail",
     )
 
     select: ast.Select
-    root: Optional[Operator]
+    root: Operator
     leftovers: List[ast.Expression]
-    source: Optional[Operator]
-    predicate: Optional[ExprFn]
-    having: Optional[ExprFn]
-    has_aggregates: bool
-    projector: Optional[_Projector]
-    #: SELECT without FROM only: one closure per select item, None for
-    #: a ``*`` (expanded per execution from the enclosing row scope)
-    item_fns: Optional[List[Optional[ExprFn]]]
-    order_spec: Optional[_OrderSpec]
-    limit: Optional[ExprFn]
-    offset: Optional[ExprFn]
-    #: output column names
-    columns: List[str]
-    #: lazily built batch-executor mirror: None = not tried yet, False =
-    #: row executor (no FROM, or no exact lowering), else a VectorPlan
+    #: the root, or the aggregate over it
+    source: Operator
     vector: Any
-    #: why there is no exact vector lowering (None when there is one)
-    fallback: Optional[Unsupported]
+    #: output column names and their proven dtypes
+    columns: List[str]
+    dtypes: List[str]
+    set_ops: List[Tuple[str, bool, "_SelectPlan"]]
+    tail: Any
 
 
 class Database:
@@ -324,8 +193,6 @@ class Database:
 
         self.catalog = Catalog()
         self.options = options if options is not None else EngineOptions()
-        #: the one scalar-expression lowering (row executor and DML)
-        self.compiler = ExpressionCompiler(self)
         #: host variables assigned by ``SELECT .. INTO :name``
         self.variables: Dict[str, Any] = {}
         #: number of statements executed (observability for benches)
@@ -642,90 +509,46 @@ class Database:
                 cache.popitem(last=False)
             return plan
 
-    def _build_select_plan(self, select: ast.Select) -> _SelectPlan:
-        compiler = self.compiler
+    def _build_select_plan(
+        self, select: ast.Select, outer: Any = None
+    ) -> _SelectPlan:
+        """Plan *select*; *outer* is the enclosing scope of a subquery,
+        whose plans are built per enclosing plan instead of cached."""
         root, leftovers = SelectPlanner(self).plan_from(select)
-
         plan = _SelectPlan()
         plan.select = select
         plan.root = root
         plan.leftovers = leftovers
-        plan.vector = None
-        plan.fallback = None
-        plan.predicate = None
-        plan.having = None
-        plan.source = None
-        plan.projector = None
-        plan.item_fns = None
-        plan.order_spec = None
-        plan.limit = (
-            compiler.bind(select.limit, None)
-            if select.limit is not None
-            else None
-        )
-        plan.offset = (
-            compiler.bind(select.offset, None)
-            if select.offset is not None
-            else None
-        )
-
         has_aggregates = bool(select.group_by) or any(
             contains_aggregate(item.expr)
             for item in select.items
             if not isinstance(item.expr, ast.Star)
         )
-        if select.having is not None and not select.group_by:
+        if select.having is not None:
             has_aggregates = True
-        plan.has_aggregates = has_aggregates
-
-        if root is None:
-            # SELECT without FROM: one conceptual row in the (possibly
-            # correlated) outer environment, whose frame no plan knows
-            # — column references walk the scope chain per execution.
-            plan.columns = [
-                item.alias or _default_name(item.expr, idx)
-                for idx, item in enumerate(select.items)
-                if not isinstance(item.expr, ast.Star)
-            ]
-            plan.vector = False
-            if leftovers:
-                conjunct_fns = [compiler.bind(c, None) for c in leftovers]
-                plan.predicate = lambda env: all(
-                    fn(env) is True for fn in conjunct_fns
-                )
-            plan.item_fns = [
-                None
-                if isinstance(item.expr, ast.Star)
-                else compiler.bind(item.expr, None)
-                for item in select.items
-            ]
-            if select.order_by:
-                plan.order_spec = _OrderSpec(select, None, compiler)
-            return plan
-
-        predicate = conjoin(leftovers)
+        plan.source = root
         if has_aggregates:
             # Leftover WHERE conjuncts must filter *before* grouping.
-            child: Operator = root
-            if predicate is not None:
-                child = Filter(root, predicate, compiler)
+            predicate = conjoin(leftovers)
+            child = root if predicate is None else Filter(root, predicate)
             plan.source = GroupAggregate(
-                child,
-                list(select.group_by),
-                compiler,
-                scalar=not select.group_by,
+                child, list(select.group_by), scalar=not select.group_by
             )
-            if select.having is not None:
-                plan.having = compiler.bind(select.having, root.frame)
-        else:
-            plan.source = root
-            if predicate is not None:
-                plan.predicate = compiler.bind(predicate, root.frame)
-
-        plan.projector = _Projector(select, root.frame, compiler)
-        plan.columns = plan.projector.columns
-        if select.order_by:
-            plan.order_spec = _OrderSpec(select, plan.projector.columns, compiler)
+        compound = bool(select.set_ops)
+        plan.vector = build_vector_plan(plan, self, outer, tail=not compound)
+        plan.columns = plan.vector.columns
+        plan.dtypes = plan.vector.out_dtypes
+        plan.set_ops = [
+            (op, all_flag, self._build_select_plan(rhs, outer)
+             if outer is not None else self._select_plan(rhs))
+            for op, all_flag, rhs in select.set_ops
+        ]
+        plan.tail = None
+        if compound:
+            plan.dtypes = ["any"] * len(plan.columns)
+            plan.tail = build_compound_tail(
+                select, plan.columns, self, plan.source, outer
+            )
         return plan
 
     # ------------------------------------------------------------------
@@ -733,7 +556,9 @@ class Database:
     # ------------------------------------------------------------------
 
     def _execute_select(self, select: ast.Select) -> Result:
-        columns, rows = self._run_select_raw(select)
+        plan = self._select_plan(select)
+        # the columns are dropped before Result copies the rows
+        rows = list(zip(*self._run(plan)[0]))
         if select.into_vars:
             if len(rows) != 1:
                 raise ExecutionError(
@@ -746,198 +571,35 @@ class Database:
                 )
             for var, value in zip(select.into_vars, rows[0]):
                 self.variables[var] = value
-        return Result(columns, rows)
-
-    def _run_select_raw(
-        self,
-        select: ast.Select,
-        outer_env: Optional[Env] = None,
-        limit_one: bool = False,
-    ) -> Tuple[List[str], List[Row]]:
-        columns, rows = self._run_select_core(select, outer_env, limit_one)
-        for op, all_flag, rhs in select.set_ops:
-            _, rhs_rows = self._run_select_core(rhs, outer_env, False)
-            rows = _apply_set_op(op, all_flag, rows, rhs_rows)
-        return columns, rows
-
-    def _run_subquery(
-        self,
-        select: ast.Select,
-        outer_env: Optional[Env],
-        limit_one: bool = False,
-    ) -> List[Row]:
-        _, rows = self._run_select_raw(select, outer_env, limit_one)
-        return rows
-
-    def _vector_plan(self, plan: _SelectPlan) -> Optional[VectorPlan]:
-        """The batch-executor mirror of *plan*, built on first use;
-        None when the plan has no FROM or no exact vector lowering
-        (:attr:`_SelectPlan.fallback` then says why).  Anything but
-        :class:`Unsupported` out of the builder is a lowering bug and
-        propagates."""
-        vector = plan.vector
-        if vector is None:
-            try:
-                vector = build_vector_plan(plan, self)
-            except Unsupported as exc:
-                vector = False
-                plan.fallback = exc
-            plan.vector = vector
-        return vector or None
-
-    def _plan_columns(
-        self, plan: _SelectPlan
-    ) -> Optional[Tuple[List[List[Any]], int]]:
-        """Run *plan* (one SELECT block, no set operation) through the
-        batch executor: ``(column lists, row count)``, or None when the
-        row executor has to run it.  The lists are only to be read."""
-        vector = self._vector_plan(plan)
-        if vector is None:
-            return None
-        if self._analyze is not None:
-            self._analyze.attach(plan)
-        cols, n = vector.execute_columns(self)
-        select = plan.select
-        if select.limit is not None or select.offset is not None:
-            kept = self._apply_limit(plan, range(n))
-            cols = [col[kept.start:kept.stop] for col in cols]
-            n = len(kept)
-        return cols, n
+        return Result(plan.columns, rows)
 
     def _select_columns(
         self, select: ast.Select
     ) -> Tuple[List[str], List[List[Any]]]:
         """A whole SELECT statement's result column-major, the shape
-        ``insert_columns`` takes: the batch executor's columns as they
-        are, or the row executor's rows transposed."""
-        if not select.set_ops:
-            plan = self._select_plan(select)
-            result = self._plan_columns(plan)
-            if result is not None:
-                return plan.columns, result[0]
-        columns, rows = self._run_select_raw(select)
-        return columns, transpose(rows, len(columns))
-
-    def _note_fallback(self, unsupported: Unsupported) -> None:
-        """The row executor is about to run a plan the batch executor
-        could not take: count it and mark the statement's span."""
-        im = self._im
-        if im is not None:
-            im.fallbacks.inc(
-                site="sqlengine.vector", reason=unsupported.reason
-            )
-        self.tracer.annotate(vector_fallback=str(unsupported))
-
-    def _run_select_core(
-        self,
-        select: ast.Select,
-        outer_env: Optional[Env],
-        limit_one: bool,
-    ) -> Tuple[List[str], List[Row]]:
+        ``insert_columns`` takes.  The lists are only to be read."""
         plan = self._select_plan(select)
+        return plan.columns, self._run(plan)[0]
+
+    def _run(
+        self, plan: _SelectPlan, outer: Tuple[Any, ...] = ()
+    ) -> Tuple[List[List[Any]], int]:
+        """Execute *plan*: ``(column lists, row count)``.  *outer* binds
+        a subquery's outer references for this run.  Set operations
+        combine the blocks' rows, then the compound's tail applies."""
         if self._analyze is not None:
             self._analyze.attach(plan)
-        # Host variables resolve through the database's thread-local
-        # params at call time, so a cached plan sees the parameters of
-        # *this* execution without any rebinding — even when two
-        # threads share the plan.
-        predicate = plan.predicate
-
-        if plan.root is None:
-            # SELECT without FROM: one conceptual row.
-            if predicate is not None and not predicate(outer_env):
-                return plan.columns, []
-            columns, row = self._project_row(plan, outer_env)
-            return columns, [tuple(row)]
-
-        # Executor selection: every uncorrelated FROM-bearing plan goes
-        # to the batch executor; the row executor runs correlated
-        # subqueries (they need the outer row), first-row probes, and
-        # plans without an exact vector lowering.
-        if outer_env is None and not limit_one:
-            result = self._plan_columns(plan)
-            if result is not None:
-                cols, n = result
-                return plan.columns, list(zip(*cols)) if n else []
-            if plan.fallback is not None:
-                self._note_fallback(plan.fallback)
-
-        source = plan.source
-        projector = plan.projector
-        order_spec = plan.order_spec
-        having = plan.having
-
-        out_rows: List[Row] = []
-        order_keys: List[Tuple[Any, ...]] = []
-        seen: Optional[Dict[Row, None]] = {} if select.distinct else None
-        can_stop_early = (
-            limit_one and not select.order_by and select.limit is None
-        )
-
-        envs = source.envs(outer_env)
-        im = self._im
-        if im is not None:
-            envs = _counted_envs(envs, im.rows_scanned)
-
-        for env in envs:
-            if predicate is not None and predicate(env) is not True:
-                continue
-            if having is not None and having(env) is not True:
-                continue
-            row_t = tuple(projector.project(env))
-            if seen is not None:
-                if row_t in seen:
-                    continue
-                seen[row_t] = None
-            out_rows.append(row_t)
-            if order_spec is not None:
-                order_keys.append(order_spec.keys(row_t, env))
-            if can_stop_early:
-                break
-
-        if select.order_by:
-            out_rows = _sort_rows(out_rows, order_keys, select.order_by)
-
-        out_rows = self._apply_limit(plan, out_rows)
-        return projector.columns, out_rows
-
-    def _project_row(
-        self, plan: _SelectPlan, env: Optional[Env]
-    ) -> Tuple[List[str], List[Any]]:
-        """The one row of a SELECT without FROM.  *env* is the
-        enclosing scope (or None): a ``*`` expands to its columns, so
-        the output names are known only here."""
-        columns: List[str] = []
-        values: List[Any] = []
-        for idx, (item, fn) in enumerate(zip(plan.select.items, plan.item_fns)):
-            if fn is None:
-                if env is None:
-                    raise ExecutionError("'*' requires a FROM clause")
-                for src_idx, col_idx, name in env.frame.star_columns(
-                    item.expr.qualifier
-                ):
-                    columns.append(name)
-                    values.append(env.rows[src_idx][col_idx])
-                continue
-            columns.append(item.alias or _default_name(item.expr, idx))
-            values.append(fn(env))
-        if plan.order_spec is not None:
-            # one row needs no sorting, but a bad key still has to raise
-            plan.order_spec.keys(
-                tuple(values), env, Frame.single(None, columns)
-            )
-        return columns, values
-
-    @staticmethod
-    def _apply_limit(plan: _SelectPlan, rows: Any) -> Any:
-        """OFFSET/LIMIT as slices of *rows* — a row list, or a
-        ``range`` over the positions of a column-major result."""
-        offset = int(plan.offset(None)) if plan.offset is not None else 0
-        if offset:
-            rows = rows[offset:]
-        if plan.limit is not None:
-            rows = rows[: int(plan.limit(None))]
-        return rows
+        cols, n = plan.vector.execute_columns(self, outer)
+        if not plan.set_ops:
+            return cols, n
+        rows = list(zip(*cols))
+        for op, all_flag, rhs in plan.set_ops:
+            rhs_rows = list(zip(*self._run(rhs, outer)[0]))
+            rows = _apply_set_op(op, all_flag, rows, rhs_rows)
+        cols, n = transpose(rows, len(plan.columns)), len(rows)
+        if plan.tail is None:
+            return cols, n
+        return plan.tail.run(self, outer, cols, n)
 
     # ------------------------------------------------------------------
     # DDL / DML
@@ -969,12 +631,12 @@ class Database:
 
     def _execute_insert_values(self, statement: ast.InsertValues) -> Result:
         table = self.catalog.get_table(statement.table)
-        bind = self.compiler.bind
         count = 0
         for row_exprs in statement.rows:
-            # a literal is its value: bulk appends build no closures
+            # a literal is its value: bulk appends compile no kernels
             values = [
-                e.value if isinstance(e, ast.Literal) else bind(e, None)(None)
+                e.value if isinstance(e, ast.Literal)
+                else evaluate_constant(self, e)
                 for e in row_exprs
             ]
             table.insert(self._align_insert(table, statement.columns, values))
@@ -984,10 +646,7 @@ class Database:
     def _execute_insert_select(self, statement: ast.InsertSelect) -> Result:
         # An explicit column list reorders and pads row by row; without
         # one the result goes into the table column by column.
-        if statement.columns:
-            columns, rows = self._run_select_raw(statement.select)
-        else:
-            columns, cols = self._select_columns(statement.select)
+        columns, cols = self._select_columns(statement.select)
         if not self.catalog.has_table(statement.table):
             # Convenience extension: auto-create the target from the
             # SELECT output schema (the paper's translation programs
@@ -1000,7 +659,8 @@ class Database:
         if statement.columns:
             align = self._align_insert
             count = table.insert_many(
-                align(table, statement.columns, list(row)) for row in rows
+                align(table, statement.columns, list(row))
+                for row in zip(*cols)
             )
         else:
             count = table.insert_columns(cols)
@@ -1028,72 +688,45 @@ class Database:
             count = len(table)
             table.truncate()
             return Result(rowcount=count)
-        frame = Frame.single(statement.table, table.columns)
-        predicate = self.compiler.bind(statement.where, frame)
-        kept: List[Row] = []
-        removed = 0
-        for row in table.rows:
-            if predicate(Env(frame, (row,))) is True:
-                removed += 1
-            else:
-                kept.append(row)
+        removed, _ = select_rows(self, table, statement.table, statement.where)
         if removed:  # no match: nothing was rewritten, indexes stand
-            table.replace_rows(kept)
-        return Result(rowcount=removed)
+            drop = set(removed)
+            table.replace_rows(
+                [row for i, row in enumerate(table.rows) if i not in drop]
+            )
+        return Result(rowcount=len(removed))
 
     def _execute_update(self, statement: ast.Update) -> Result:
         table = self.catalog.get_table(statement.table)
-        bind = self.compiler.bind
-        frame = Frame.single(statement.table, table.columns)
-        predicate = (
-            bind(statement.where, frame)
-            if statement.where is not None
-            else None
+        positions = [table.column_index(name) for name, _ in statement.assignments]
+        updated, values = select_rows(
+            self, table, statement.table, statement.where,
+            [expr for _, expr in statement.assignments],
         )
-        assignments = [
-            (table.column_index(name), bind(expr, frame))
-            for name, expr in statement.assignments
-        ]
+        if not updated:  # no match: nothing was rewritten, indexes stand
+            return Result(rowcount=0)
         # an undeclared column takes the type of its first non-NULL
         # value, as on insert, so its declared type stays a fact the
         # batch executor's typed kernels may trust
         types = list(table.types)
-        updated = 0
-        new_rows: List[Row] = []
-        for row in table.rows:
-            env = Env(frame, (row,))
-            if predicate is None or predicate(env) is True:
-                mutable = list(row)
-                for col_idx, value_fn in assignments:
-                    value = value_fn(env)
-                    if types[col_idx] is not None:
-                        value = coerce_value(value, types[col_idx])
-                    elif value is not None:
-                        types[col_idx] = infer_type(value)
-                    mutable[col_idx] = value
-                new_rows.append(tuple(mutable))
-                updated += 1
-            else:
-                new_rows.append(row)
-        if updated:  # no match: nothing was rewritten, indexes stand
-            table.types[:] = types
-            table.replace_rows(new_rows)
-        return Result(rowcount=updated)
+        cols = table.column_lists()
+        for position, column_values in zip(positions, values):
+            declared = types[position]
+            col = cols[position]
+            for i, value in zip(updated, column_values):
+                if declared is not None:
+                    value = coerce_value(value, declared)
+                elif value is not None:
+                    declared = types[position] = infer_type(value)
+                col[i] = value
+        table.types[:] = types
+        table.replace_rows(list(zip(*cols)))
+        return Result(rowcount=len(updated))
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _default_name(expr: ast.Expression, index: int) -> str:
-    if isinstance(expr, ast.ColumnRef):
-        return expr.name
-    if isinstance(expr, ast.FunctionCall):
-        return expr.name.lower()
-    if isinstance(expr, ast.SequenceNextval):
-        return "nextval"
-    return f"col{index + 1}"
 
 
 def _apply_set_op(
@@ -1139,44 +772,3 @@ def _count_rows(rows: List[Row]) -> Dict[Row, int]:
     for row in rows:
         counts[row] = counts.get(row, 0) + 1
     return counts
-
-
-def compare_order_keys(
-    akeys: Tuple[Any, ...],
-    bkeys: Tuple[Any, ...],
-    order_by: Sequence[ast.OrderItem],
-) -> int:
-    """Three-way ORDER BY key comparison (shared with the external
-    merge sort in :mod:`repro.sqlengine.spill`)."""
-    for position, item in enumerate(order_by):
-        left = akeys[position]
-        right = bkeys[position]
-        if left is None and right is None:
-            continue
-        # NULL compares as the largest value: last in ASC, first in
-        # DESC (Oracle's default NULLS LAST / NULLS FIRST).
-        if left is None:
-            return 1 if item.ascending else -1
-        if right is None:
-            return -1 if item.ascending else 1
-        if compare("<", left, right) is True:
-            result = -1
-        elif compare(">", left, right) is True:
-            result = 1
-        else:
-            continue
-        return result if item.ascending else -result
-    return 0
-
-
-def _sort_rows(
-    rows: List[Row],
-    keys: List[Tuple[Any, ...]],
-    order_by: Sequence[ast.OrderItem],
-) -> List[Row]:
-    def cmp(a: Tuple[int, Tuple[Any, ...]], b: Tuple[int, Tuple[Any, ...]]) -> int:
-        return compare_order_keys(keys[a[0]], keys[b[0]], order_by)
-
-    indexed = list(enumerate(rows))
-    indexed.sort(key=functools.cmp_to_key(cmp))
-    return [row for _, row in indexed]

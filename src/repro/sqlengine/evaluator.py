@@ -1,7 +1,7 @@
-"""Row environments and the value semantics of scalar expressions.
+"""Frames and the value semantics of scalar expressions.
 
-What the closure compiler (row executor) and the batch kernels share:
-frames and environments, three-valued logic, comparison, arithmetic,
+What the batch kernels (:mod:`repro.sqlengine.vector`) and the spill
+path build on: frames, three-valued logic, comparison, arithmetic,
 LIKE, the scalar functions and the aggregate reductions.  Comparisons
 against NULL yield UNKNOWN (represented as ``None``), AND/OR/NOT
 combine truth values per the standard tables, and WHERE/HAVING keep
@@ -23,17 +23,15 @@ from repro.sqlengine.parser import AGGREGATE_NAMES
 from repro.sqlengine.types import is_comparable
 
 # ---------------------------------------------------------------------------
-# Frames and environments
+# Frames
 # ---------------------------------------------------------------------------
 
 
 class Frame:
-    """Compile-time schema of a row environment.
-
-    A frame is an ordered list of *sources*; each source has a binding
-    name (table alias, lowered; possibly ``None``) and a column list.
-    At run time an :class:`Env` pairs a frame with one row tuple per
-    source.
+    """Compile-time schema of a batch: an ordered list of *sources*;
+    each source has a binding name (table alias, lowered; possibly
+    ``None``) and a column list.  A batch holds the sources' columns
+    flat, in frame order.
     """
 
     __slots__ = ("sources", "_by_qualified", "_by_name")
@@ -63,7 +61,7 @@ class Frame:
         """Resolve a column reference to (source index, column index).
 
         Returns ``None`` when the name is not visible in this frame
-        (the caller then consults the parent environment).  Ambiguous
+        (the caller then consults an enclosing scope).  Ambiguous
         unqualified names raise.
         """
         if qualifier is not None:
@@ -86,43 +84,6 @@ class Frame:
         if qualifier is not None and not out:
             raise CatalogError(f"unknown table alias in {qualifier}.*")
         return out
-
-
-class Env:
-    """Run-time row environment: a frame plus one row per source, with
-    an optional parent (for correlated subqueries) and optional group
-    membership (for aggregate evaluation)."""
-
-    __slots__ = ("frame", "rows", "parent", "group")
-
-    def __init__(
-        self,
-        frame: Frame,
-        rows: Sequence[Tuple[Any, ...]],
-        parent: Optional["Env"] = None,
-        group: Optional[List["Env"]] = None,
-    ):
-        self.frame = frame
-        self.rows = rows
-        self.parent = parent
-        self.group = group
-
-    def resolve(self, qualifier: Optional[str], name: str) -> Any:
-        env: Optional[Env] = self
-        while env is not None:
-            hit = env.frame.lookup(qualifier, name)
-            if hit is not None:
-                src_idx, col_idx = hit
-                return env.rows[src_idx][col_idx]
-            env = env.parent
-        target = f"{qualifier}.{name}" if qualifier else name
-        raise CatalogError(f"unknown column reference: {target!r}")
-
-    def child(self, frame: Frame, rows: Sequence[Tuple[Any, ...]]) -> "Env":
-        return Env(frame, rows, parent=self)
-
-    def with_group(self, group: List["Env"]) -> "Env":
-        return Env(self.frame, self.rows, parent=self.parent, group=group)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +145,7 @@ def _like_to_regex(
     """Translate a LIKE pattern (with optional ESCAPE character) to a
     compiled regex.  Cached: the translation programs replay the same
     patterns for every MINE RULE execution, and a non-constant
-    pattern is translated once per row."""
+    pattern is translated once per distinct value."""
     out = []
     i, size = 0, len(pattern)
     while i < size:
@@ -338,7 +299,7 @@ SCALAR_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
 
 
 # ---------------------------------------------------------------------------
-# Helpers shared by the closure compiler and the batch kernels
+# Helpers of the batch kernels
 # ---------------------------------------------------------------------------
 
 
@@ -421,7 +382,7 @@ def _distinct_values(values: List[Any]) -> List[Any]:
 def reduce_values(name: str, values: List[Any], distinct: bool) -> Any:
     """One aggregate over a group's argument values: NULLs do not
     count, DISTINCT deduplicates first — the one place aggregate
-    arithmetic lives (row executor, batch executor, spill path)."""
+    arithmetic lives (in-memory and spilling aggregation)."""
     values = [v for v in values if v is not None]
     if distinct:
         values = _distinct_values(values)

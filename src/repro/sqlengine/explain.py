@@ -12,24 +12,22 @@ pipeline of two hash joins).  The output is a stable, indented tree::
         Scan MR_Bset as B
 
 A view or derived table is a ``Subplan`` node with the nested plan
-under it.
-A plan the batch executor cannot take says so on its first line
-(``[row executor: <reason>]``).  EXPLAIN goes through the same
-statement/plan caches as execution, so explaining a hot query is itself
-cheap — and it executes nothing: planning reads no data.
+under it.  EXPLAIN goes through the same statement/plan caches as
+execution, so explaining a hot query is itself cheap — and it executes
+nothing: planning reads no data.
 
-EXPLAIN ANALYZE additionally *executes* the statement once with every
-operator's row stream instrumented, annotating each node with actual
-rows produced, loop count (how many times the operator was opened) and
-inclusive wall time::
+EXPLAIN ANALYZE additionally *executes* the statement once, annotating
+each node with the rows its batch operator produced, loop count (how
+many times it ran) and inclusive wall time, plus batches and spilled
+bytes::
 
-    HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms)
+    HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms) [vectorized ...]
 
-Instrumentation works by shadowing each operator instance's ``envs``
-method with a counting generator for the duration of one statement
-(:class:`AnalyzeCollector`), so the un-analyzed execution path carries
-zero residue.  Side-effecting statements (CTAS, INSERT .. SELECT) run
-exactly once — the analysis rides along the real execution.
+The batch operators report to the :class:`AnalyzeCollector` the engine
+holds for the duration of one statement, so the un-analyzed execution
+path carries one ``is None`` check per node.  Side-effecting statements
+(CTAS, INSERT .. SELECT) run exactly once — the analysis rides along
+the real execution.
 """
 
 from __future__ import annotations
@@ -69,19 +67,7 @@ def explain(database: Any, sql: str, params: Optional[dict] = None) -> str:
     if params:
         merged.update(params)
     database._params = merged
-    plan = database._select_plan(statement)
-    _build_vector_plans(database, plan)
-    return render_plan(statement, plan)
-
-
-def _build_vector_plans(database: Any, plan: Any) -> None:
-    """Try the batch-executor lowering of *plan* and of every subplan
-    under it (as the first execution would), so the rendering can say
-    which of them the row executor runs, and why."""
-    database._vector_plan(plan)
-    for op in plan_operators(plan.source):
-        if isinstance(op, SubplanSource):
-            _build_vector_plans(database, op.plan)
+    return render_plan(statement, database._select_plan(statement))
 
 
 def render_plan(
@@ -93,12 +79,7 @@ def render_plan(
     """Render one planned SELECT as an indented tree, suffixing every
     line *annotate* has something to say about."""
     lines: List[str] = []
-    lines.append(
-        "  " * indent
-        + _projection_line(statement)
-        + (f" [row executor: {plan.fallback}]" if plan.fallback else "")
-        + annotate(None)
-    )
+    lines.append("  " * indent + _projection_line(statement) + annotate(None))
     indent += 1
     if statement.order_by:
         lines.append("  " * indent + f"Sort ({len(statement.order_by)} keys)")
@@ -136,10 +117,7 @@ def render_plan(
             + annotate(filter_op)
         )
         indent += 1
-    if plan.root is None:
-        lines.append("  " * indent + "SingleRow")
-    else:
-        _render_operator(plan.root, indent, lines, annotate)
+    _render_operator(plan.root, indent, lines, annotate)
     return "\n".join(lines)
 
 
@@ -203,7 +181,7 @@ def _render_operator(
         keys = ", ".join(render_expr(k) for k in op.keys) or "<all>"
         lines.append(f"{pad}Aggregate keys=({keys}){suffix}")
         _render_operator(op.child, indent + 1, lines, annotate)
-    else:  # pragma: no cover - future operators
+    else:  # SingleRow
         lines.append(f"{pad}{type(op).__name__}{suffix}")
 
 
@@ -235,66 +213,32 @@ class NodeStats:
 
 
 class AnalyzeCollector:
-    """Per-statement operator instrumentation.
+    """Per-statement plan-node statistics.
 
     The engine installs a collector on itself for the duration of one
-    statement; ``_run_select_core`` calls :meth:`attach` with every
-    plan it executes (including subquery plans), and the collector
-    shadows each operator instance's ``envs`` with a generator that
-    counts loops and produced rows and accumulates inclusive wall
-    time.  :meth:`detach` removes every shadow, restoring the class
-    method, so nothing leaks into later executions of a cached plan.
+    statement; every plan it runs (subquery, compound and view plans
+    included) is :meth:`attach`-ed, and each batch operator reports its
+    node's rows, batches, spill and wall time through
+    :meth:`record_vector`.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self._clock = clock
+    def __init__(self) -> None:
         #: plans in attach order; the statement's own SELECT comes
         #: first, subquery and view/derived-table plans follow
         self.plans: List[Any] = []
         #: ids of the plans a Subplan node of another plan renders
         self.nested: set = set()
         self.stats: Dict[int, NodeStats] = {}
-        #: vectorized-execution extras per node: batches processed and
-        #: bytes spilled to disk (out-of-core operators)
+        #: per node: batches processed and bytes spilled to disk
+        #: (out-of-core operators)
         self.vector: Dict[int, Dict[str, int]] = {}
-        self._wrapped: List[Operator] = []
 
     def attach(self, plan: Any) -> None:
         if not any(existing is plan for existing in self.plans):
             self.plans.append(plan)
         for op in plan_operators(plan.source):
-            if "envs" not in op.__dict__:
-                self._wrap(op)
             if isinstance(op, SubplanSource):
                 self.nested.add(id(op.plan))
-
-    def _wrap(self, op: Operator) -> None:
-        stats = self.stats.setdefault(id(op), NodeStats())
-        original = op.envs
-        clock = self._clock
-
-        def instrumented(parent=None):
-            stats.loops += 1
-            started = clock()
-            iterator = original(parent)
-            while True:
-                try:
-                    env = next(iterator)
-                except StopIteration:
-                    stats.seconds += clock() - started
-                    return
-                stats.seconds += clock() - started
-                stats.rows += 1
-                yield env
-                started = clock()
-
-        op.envs = instrumented  # type: ignore[method-assign]
-        self._wrapped.append(op)
-
-    def detach(self) -> None:
-        for op in self._wrapped:
-            op.__dict__.pop("envs", None)
-        self._wrapped.clear()
 
     # -- vectorized execution -------------------------------------------
 
@@ -302,10 +246,9 @@ class AnalyzeCollector:
         self, op: Operator, rows: int, batches: int, spill_bytes: int,
         seconds: float, probe: Optional[str] = None,
     ) -> None:
-        """One vector node finished: it mirrors row operator *op* and
-        reports into the same EXPLAIN ANALYZE slot (``envs`` is never
-        pulled on the vector path, so the shadow stays silent).  A hash
-        join names the *probe* kernel it ran (``unique``/``buckets``)."""
+        """The batch operator of plan node *op* finished one run.  A
+        hash join names the *probe* kernel it ran
+        (``unique``/``buckets``)."""
         stats = self.stats.setdefault(id(op), NodeStats())
         stats.rows += rows
         stats.loops += 1
@@ -420,7 +363,6 @@ def analyze_statement(
         result = database.execute_ast(statement, params)
     finally:
         database._analyze = None
-        collector.detach()
     seconds = time.perf_counter() - started
     cpu_seconds = time.process_time() - cpu_started
     text = _render_analyzed(

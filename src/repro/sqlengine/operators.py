@@ -1,38 +1,32 @@
-"""Physical operators for query execution.
+"""Physical plan nodes of a SELECT block.
 
-Operators follow the iterator (Volcano) model: each exposes a
-:attr:`frame` describing its output schema and an :meth:`envs` method
-yielding :class:`~repro.sqlengine.evaluator.Env` objects.  A frame can
-contain several sources (one per joined table), so column references
-keep their table qualifiers through the pipeline; projection collapses
-the frame into a single anonymous source.
-
-Expressions are bound at construction time through
-:mod:`repro.sqlengine.compiler`: predicates and keys run as closures
-with pre-resolved column slots.
+Each node carries its output :attr:`frame` (one source per joined
+table, so column references keep their qualifiers), the AST keys and
+predicates it evaluates, and the table or index it reads.  The nodes
+execute nothing themselves: :mod:`repro.sqlengine.vector` mirrors a
+tree onto batch operators, and EXPLAIN renders it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.compiler import ExpressionCompiler
-from repro.sqlengine.evaluator import Env, Frame
+from repro.sqlengine.evaluator import Frame
 from repro.sqlengine.table import Table
-
-Row = Tuple[Any, ...]
 
 
 class Operator:
-    """Base physical operator."""
+    """Base plan node."""
 
     frame: Frame
 
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        """Yield row environments; *parent* is the enclosing scope used
-        by correlated subqueries."""
-        raise NotImplementedError
+
+class SingleRow(Operator):
+    """The source of a SELECT without FROM: one row of no columns."""
+
+    def __init__(self) -> None:
+        self.frame = Frame([])
 
 
 class TableScan(Operator):
@@ -43,39 +37,21 @@ class TableScan(Operator):
         self.binding = binding
         self.frame = Frame.single(binding, table.columns)
 
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        frame = self.frame
-        for row in self.table.rows:
-            yield Env(frame, (row,), parent=parent)
-
 
 class IndexLookup(Operator):
     """Equality lookup through a secondary hash index.
 
-    ``key_exprs`` are evaluated per call against the *parent*
-    environment (they may reference outer scopes or host variables),
-    so the same plan node serves constant predicates and correlated
-    subqueries alike.
+    ``key_exprs`` reference no column of the table: they are constants,
+    host variables or columns of an enclosing query (a correlated
+    subquery), evaluated once per execution.
     """
 
-    def __init__(self, table: Table, binding: str, index, key_exprs,
-                 compiler: ExpressionCompiler):
+    def __init__(self, table: Table, binding: str, index, key_exprs):
         self.table = table
         self.binding = binding
         self.index = index
         self.key_exprs = key_exprs
         self.frame = Frame.single(binding, table.columns)
-        # Keys run against the *outer* scope, whose frame is unknown at
-        # plan time: column references in them walk the parent chain.
-        self._key_fn = compiler.bind_key(key_exprs, None)
-
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        key = self._key_fn(parent)
-        if any(value is None for value in key):
-            return
-        frame = self.frame
-        for row in self.index.lookup(key):
-            yield Env(frame, (row,), parent=parent)
 
 
 class SubplanSource(Operator):
@@ -86,80 +62,47 @@ class SubplanSource(Operator):
     frame its column names, EXPLAIN its subtree and the batch executor
     the proven dtypes of the columns it feeds the parent.  Derived
     tables are uncorrelated: the nested SELECT never sees the enclosing
-    row environment.
+    query's columns.
     """
 
-    def __init__(self, binding: Optional[str], select: ast.Select,
-                 plan: Any, database: Any):
+    def __init__(self, binding: Optional[str], select: ast.Select, plan: Any):
         self.binding = binding
         self.select = select
         self.plan = plan
-        self._db = database
         self.frame = Frame.single(binding, plan.columns)
-
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        frame = self.frame
-        _, rows = self._db._run_select_raw(self.select)
-        for row in rows:
-            yield Env(frame, (row,), parent=parent)
 
 
 class Filter(Operator):
     """Keeps rows whose predicate evaluates to TRUE."""
 
-    def __init__(self, child: Operator, predicate: ast.Expression,
-                 compiler: ExpressionCompiler):
+    def __init__(self, child: Operator, predicate: ast.Expression):
         self.child = child
         self.predicate = predicate
         self.frame = child.frame
-        self._predicate = compiler.bind(predicate, child.frame)
-
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        predicate = self._predicate
-        for env in self.child.envs(parent):
-            if predicate(env) is True:
-                yield env
 
 
 class NestedLoopJoin(Operator):
-    """Cross/theta join; the optional residual predicate is applied to
-    the combined environment."""
+    """Cross/theta join: every pair of rows, left-major, kept when the
+    optional predicate is TRUE."""
 
     def __init__(
         self,
         left: Operator,
         right: Operator,
-        compiler: ExpressionCompiler,
         predicate: Optional[ast.Expression] = None,
     ):
         self.left = left
         self.right = right
         self.predicate = predicate
         self.frame = left.frame.combine(right.frame)
-        self._predicate = (
-            compiler.bind(predicate, self.frame)
-            if predicate is not None
-            else None
-        )
-
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        predicate = self._predicate
-        frame = self.frame
-        right_rows = [tuple(env.rows) for env in self.right.envs(parent)]
-        for left_env in self.left.envs(parent):
-            left_rows = tuple(left_env.rows)
-            for rows in right_rows:
-                env = Env(frame, left_rows + rows, parent=parent)
-                if predicate is None or predicate(env) is True:
-                    yield env
 
 
 class HashJoin(Operator):
     """Equi-join: builds a hash table on the right input.
 
-    ``left_keys`` / ``right_keys`` are expressions evaluated against the
-    respective child environments; rows with any NULL key never match
-    (SQL equality semantics).
+    ``left_keys`` / ``right_keys`` are expressions over the respective
+    child frames; rows with any NULL key never match (SQL equality
+    semantics).
     """
 
     def __init__(
@@ -168,7 +111,6 @@ class HashJoin(Operator):
         right: Operator,
         left_keys: List[ast.Expression],
         right_keys: List[ast.Expression],
-        compiler: ExpressionCompiler,
         residual: Optional[ast.Expression] = None,
     ):
         self.left = left
@@ -177,99 +119,15 @@ class HashJoin(Operator):
         self.right_keys = right_keys
         self.residual = residual
         self.frame = left.frame.combine(right.frame)
-        self._left_key = compiler.bind_key(left_keys, left.frame)
-        self._right_key = compiler.bind_key(right_keys, right.frame)
-        self._residual = (
-            compiler.bind(residual, self.frame)
-            if residual is not None
-            else None
-        )
-
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        right_key = self._right_key
-        build: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-        for right_env in self.right.envs(parent):
-            key = right_key(right_env)
-            if any(v is None for v in key):
-                continue
-            build.setdefault(key, []).append(tuple(right_env.rows))
-        frame = self.frame
-        residual = self._residual
-        left_key = self._left_key
-        for left_env in self.left.envs(parent):
-            key = left_key(left_env)
-            if any(v is None for v in key):
-                continue
-            bucket = build.get(key)
-            if not bucket:
-                continue
-            left_rows = tuple(left_env.rows)
-            for right_rows in bucket:
-                env = Env(frame, left_rows + right_rows, parent=parent)
-                if residual is None or residual(env) is True:
-                    yield env
 
 
-class LeftOuterHashJoin(Operator):
+class LeftOuterHashJoin(HashJoin):
     """LEFT OUTER equi-join; unmatched left rows pad the right side with
     NULLs."""
 
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        left_keys: List[ast.Expression],
-        right_keys: List[ast.Expression],
-        compiler: ExpressionCompiler,
-        residual: Optional[ast.Expression] = None,
-    ):
-        self.left = left
-        self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
-        self.residual = residual
-        self.frame = left.frame.combine(right.frame)
-        self._null_rows = tuple(
-            tuple([None] * len(columns)) for _, columns in right.frame.sources
-        )
-        self._left_key = compiler.bind_key(left_keys, left.frame)
-        self._right_key = compiler.bind_key(right_keys, right.frame)
-        self._residual = (
-            compiler.bind(residual, self.frame)
-            if residual is not None
-            else None
-        )
-
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        right_key = self._right_key
-        build: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-        for right_env in self.right.envs(parent):
-            key = right_key(right_env)
-            if any(v is None for v in key):
-                continue
-            build.setdefault(key, []).append(tuple(right_env.rows))
-        frame = self.frame
-        residual = self._residual
-        left_key = self._left_key
-        null_rows = self._null_rows
-        for left_env in self.left.envs(parent):
-            key = left_key(left_env)
-            left_rows = tuple(left_env.rows)
-            matched = False
-            if not any(v is None for v in key):
-                for right_rows in build.get(key, ()):
-                    env = Env(frame, left_rows + right_rows, parent=parent)
-                    if residual is None or residual(env) is True:
-                        matched = True
-                        yield env
-            if not matched:
-                yield Env(frame, left_rows + null_rows, parent=parent)
-
 
 class GroupAggregate(Operator):
-    """Hash grouping.  Produces one environment per group; the
-    representative env carries ``group`` (the member envs) so the
-    aggregate closures can reduce them lazily.
+    """Hash grouping in first-appearance order.
 
     With no GROUP BY keys and aggregates present, a single global group
     is emitted even for empty input (``scalar`` mode).
@@ -279,39 +137,9 @@ class GroupAggregate(Operator):
         self,
         child: Operator,
         keys: List[ast.Expression],
-        compiler: ExpressionCompiler,
         scalar: bool = False,
     ):
         self.child = child
         self.keys = keys
         self.scalar = scalar
         self.frame = child.frame
-        self._key_fn = compiler.bind_key(keys, child.frame)
-
-    def envs(self, parent: Optional[Env]) -> Iterator[Env]:
-        key_fn = self._key_fn
-        groups: Dict[Tuple[Any, ...], List[Env]] = {}
-        order: List[Tuple[Any, ...]] = []
-        for env in self.child.envs(parent):
-            key = key_fn(env)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [env]
-                order.append(key)
-            else:
-                bucket.append(env)
-        if not groups and self.scalar:
-            empty = Env(
-                self.frame,
-                tuple(
-                    tuple([None] * len(columns))
-                    for _, columns in self.frame.sources
-                ),
-                parent=parent,
-                group=[],
-            )
-            yield empty
-            return
-        for key in order:
-            members = groups[key]
-            yield members[0].with_group(members)

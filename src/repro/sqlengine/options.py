@@ -1,10 +1,10 @@
 """Engine tuning options.
 
 What a user can reason about: cache capacities and the executor's batch
-size and memory budget.  Neither the planner's features nor the choice
-of executor has a switch (SYN-6a's hash-join ablation is a recorded
-result, EXPERIMENTS.md; a plan with no exact vector lowering runs on
-the row executor whole, and EXPLAIN says why).
+size and memory budget.  The planner's features have no switch
+(SYN-6a's hash-join ablation is a recorded result, EXPERIMENTS.md), and
+there is one executor to choose: every statement runs batch-at-a-time
+(:mod:`repro.sqlengine.vector`).
 """
 
 from __future__ import annotations

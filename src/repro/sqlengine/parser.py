@@ -19,6 +19,7 @@ paper's Appendix A requires it):
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Tuple
 
 from repro.sqlengine import ast_nodes as ast
@@ -126,31 +127,48 @@ class Parser:
     # -- SELECT ----------------------------------------------------------
 
     def _select(self) -> ast.Select:
-        """Parse a query expression including set operations."""
+        """Parse a query expression: SELECT blocks joined by set
+        operations, then ORDER BY / LIMIT / OFFSET, which belong to the
+        whole compound and apply after the set operations."""
         left = self._select_core()
         set_ops: List[Tuple[str, bool, ast.Select]] = []
         while self._current.is_keyword("UNION", "INTERSECT", "EXCEPT"):
             op = self._advance().text
             all_flag = self._accept_keyword("ALL")
-            right = self._select_core()
-            set_ops.append((op, all_flag, right))
-        if not set_ops:
+            set_ops.append((op, all_flag, self._select_core()))
+        order_by: Tuple[ast.OrderItem, ...] = ()
+        if self._accept_keyword("ORDER"):
+            self._expect_keyword("BY")
+            order_items = [self._order_item()]
+            while self._accept_symbol(","):
+                order_items.append(self._order_item())
+            order_by = tuple(order_items)
+        limit = self._expression() if self._accept_keyword("LIMIT") else None
+        offset = self._expression() if self._accept_keyword("OFFSET") else None
+        if self._current.is_keyword("UNION", "INTERSECT", "EXCEPT"):
+            clause = "ORDER BY" if order_by else "LIMIT" if limit else "OFFSET"
+            raise self._error(
+                f"{clause} clause should come after "
+                f"{self._current.text} not before"
+            )
+        if not set_ops and not order_by and limit is None and offset is None:
             return left
-        return ast.Select(
-            items=left.items,
-            from_sources=left.from_sources,
-            where=left.where,
-            group_by=left.group_by,
-            having=left.having,
-            order_by=left.order_by,
-            distinct=left.distinct,
-            limit=left.limit,
-            offset=left.offset,
-            into_vars=left.into_vars,
+        if left.set_ops or left.order_by or left.limit or left.offset:
+            # a parenthesized query keeps its own clauses
+            left = ast.Select(
+                items=(ast.SelectItem(ast.Star()),),
+                from_sources=(ast.SubquerySource(left, None),),
+            )
+        return dataclasses.replace(
+            left,
+            order_by=order_by,
+            limit=limit,
+            offset=offset,
             set_ops=tuple(set_ops),
         )
 
     def _select_core(self) -> ast.Select:
+        """One SELECT block (or a parenthesized query expression)."""
         if self._accept_symbol("("):
             inner = self._select()
             self._expect_symbol(")")
@@ -181,25 +199,13 @@ class Parser:
             group_by = tuple(exprs)
         if self._accept_keyword("HAVING"):
             having = self._expression()
-        order_by: Tuple[ast.OrderItem, ...] = ()
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
-            order_items = [self._order_item()]
-            while self._accept_symbol(","):
-                order_items.append(self._order_item())
-            order_by = tuple(order_items)
-        limit = self._expression() if self._accept_keyword("LIMIT") else None
-        offset = self._expression() if self._accept_keyword("OFFSET") else None
         return ast.Select(
             items=tuple(items),
             from_sources=from_sources,
             where=where,
             group_by=group_by,
             having=having,
-            order_by=order_by,
             distinct=distinct,
-            limit=limit,
-            offset=offset,
             into_vars=tuple(into_vars),
         )
 

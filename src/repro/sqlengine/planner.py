@@ -20,9 +20,11 @@ from repro.sqlengine.evaluator import Frame
 from repro.sqlengine.operators import (
     Filter,
     HashJoin,
+    IndexLookup,
     LeftOuterHashJoin,
     NestedLoopJoin,
     Operator,
+    SingleRow,
     SubplanSource,
     TableScan,
 )
@@ -83,21 +85,20 @@ class SelectPlanner:
 
     def __init__(self, database):
         self._db = database
-        self._compiler = database.compiler
 
     # -- source planning -----------------------------------------------------
 
     def plan_from(
         self, select: ast.Select
-    ) -> Tuple[Optional[Operator], List[ast.Expression]]:
+    ) -> Tuple[Operator, List[ast.Expression]]:
         """Return (root operator, leftover conjuncts to apply on top).
 
-        A SELECT without FROM returns ``(None, [])`` and is evaluated as
-        a single-row query by the runner.
+        A SELECT without FROM reads :class:`SingleRow`, with the whole
+        WHERE clause left over.
         """
         conjuncts = split_conjuncts(select.where)
         if not select.from_sources:
-            return None, conjuncts
+            return SingleRow(), conjuncts
 
         sources = [self._plan_source(src) for src in select.from_sources]
 
@@ -114,8 +115,8 @@ class SelectPlanner:
             else:
                 simple.append((touched, conjunct))
         # References that resolve only in an enclosing scope (external)
-        # are safe below inner joins: every operator threads the parent
-        # environment through, so a pushed filter still sees them.
+        # are safe below inner joins: they read the subquery's outer
+        # binding, the same for every row of one execution.
 
         # Push single-source conjuncts down onto their source, using a
         # secondary index when one covers the equality columns.
@@ -157,15 +158,11 @@ class SelectPlanner:
                     sources[idx].operator,
                     left_keys,
                     right_keys,
-                    self._compiler,
                     residual=conjoin(residual),
                 )
             else:
                 root = NestedLoopJoin(
-                    root,
-                    sources[idx].operator,
-                    self._compiler,
-                    predicate=conjoin(residual),
+                    root, sources[idx].operator, predicate=conjoin(residual)
                 )
 
         leftovers = [conjunct for _, conjunct in remaining] + deferred
@@ -194,8 +191,7 @@ class SelectPlanner:
     ) -> Operator:
         """Views and derived tables are planned here and executed when
         the parent plan runs; nothing is read at plan time."""
-        plan = self._db._select_plan(select)
-        return SubplanSource(binding, select, plan, self._db)
+        return SubplanSource(binding, select, self._db._select_plan(select))
 
     def _plan_join(self, join: ast.Join) -> Operator:
         left = self._plan_source(join.left)
@@ -217,7 +213,6 @@ class SelectPlanner:
                 right.operator,
                 left_keys,
                 right_keys,
-                self._compiler,
                 residual=conjoin(residual),
             )
         if equi:
@@ -226,14 +221,10 @@ class SelectPlanner:
                 right.operator,
                 left_keys,
                 right_keys,
-                self._compiler,
                 residual=conjoin(residual),
             )
         return NestedLoopJoin(
-            left.operator,
-            right.operator,
-            self._compiler,
-            predicate=conjoin(residual),
+            left.operator, right.operator, predicate=conjoin(residual)
         )
 
     # -- conjunct classification ----------------------------------------------
@@ -284,14 +275,12 @@ class SelectPlanner:
         if isinstance(operator, TableScan):
             operator, conjuncts = self._try_index_lookup(operator, conjuncts)
         for conjunct in conjuncts:
-            operator = Filter(operator, conjunct, self._compiler)
+            operator = Filter(operator, conjunct)
         return SourceInfo(operator)
 
     def _try_index_lookup(
         self, scan: TableScan, conjuncts: List[ast.Expression]
     ) -> Tuple[Operator, List[ast.Expression]]:
-        from repro.sqlengine.operators import IndexLookup
-
         table = scan.table
         if not table.indexes:
             return scan, conjuncts
@@ -317,9 +306,7 @@ class SelectPlanner:
         columns = [c.lower() for c in best.columns]
         used = {id(equalities[c][0]) for c in columns}
         key_exprs = [equalities[c][1] for c in columns]
-        lookup = IndexLookup(
-            table, scan.binding, best, key_exprs, self._compiler
-        )
+        lookup = IndexLookup(table, scan.binding, best, key_exprs)
         rest = [c for c in conjuncts if id(c) not in used]
         return lookup, rest
 

@@ -15,7 +15,7 @@ Every variant is **order-exact** with its in-memory twin:
   stable exactly like ``list.sort``;
 * the partitioned join routes build/probe rows by key hash, so every
   probe row meets all of its matches inside one partition; re-sorting
-  the matched pairs by probe position restores the row operator's
+  the matched pairs by probe position restores the in-memory join's
   left-major, bucket-ordered emission;
 * the partitioned aggregate groups each partition independently
   (records arrive in input order, so the first record of a group is
@@ -138,8 +138,8 @@ def external_sort(
 ) -> Tuple[List[Tuple[Any, ...]], int]:
     """Sort *rows* by *keys* under the engine's ORDER BY comparator
     using sorted runs on disk.  Returns ``(rows, spill_bytes)`` —
-    bit-identical to ``engine._sort_rows`` including stability."""
-    from repro.sqlengine.engine import compare_order_keys
+    bit-identical to the in-memory sort including stability."""
+    from repro.sqlengine.vector import compare_order_keys
 
     if not rows:
         return rows, 0

@@ -6,7 +6,7 @@ column.  Every table has this one layout: the source tables a user
 loads and the encoded tables the preprocessor materializes alike.  The
 batch executor (:mod:`repro.sqlengine.vector`) and the core loaders
 read the vectors as column lists; ``rows`` is a read-only
-materialization for the row executor, DML and dumps.  Writes go
+materialization for DML, index lookups and dumps.  Writes go
 through the table (``insert``, ``insert_columns``, ``truncate``), which
 coerces to the declared types, so a declared type is a fact the
 executor's typed kernels may trust; ``replace_rows`` stores its rows

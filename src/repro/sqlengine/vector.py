@@ -1,40 +1,46 @@
-"""Batch-at-a-time (vectorized) SELECT execution over column vectors.
+"""Batch-at-a-time SELECT execution over column vectors: the engine's
+one executor.
 
-The row executor interprets one :class:`~repro.sqlengine.evaluator.Env`
-at a time; every row pays Python call overhead per operator and per
-expression node.  This module mirrors a planned SELECT onto *vector*
-nodes that process whole columns: a filter evaluates its predicate over
-a column batch and gathers the surviving positions, a hash join builds
-and probes on key *lists*, an aggregate reduces argument columns per
-group.  The unit of work is a :class:`_Batch` — a list of parallel
-Python lists, one per flat column of the operator's frame.
+A planned SELECT block (:mod:`repro.sqlengine.planner`) is mirrored
+onto *vector* nodes that process whole columns: a filter evaluates its
+predicate over a column batch and gathers the surviving positions, a
+hash join builds and probes on key *lists*, an aggregate reduces
+argument columns per group.  The unit of work is a :class:`_Batch` — a
+list of parallel Python lists, one per flat column of the operator's
+frame.  Every expression node lowers to a kernel (:class:`_Compiler`);
+DELETE, UPDATE and INSERT ... VALUES run the same kernels.
 
-Exactness contract
-------------------
+Semantics
+---------
 
-The vector path must be **bit-identical** to the row path on every
-statement it accepts.  That is achieved three ways:
+Each kernel keeps the SQL semantics the sqlite3 oracle checks
+(``tests/property/test_sqlite_differential.py``):
 
 * *Typed kernels only where types are proven.*  Tables coerce every
   stored value to the column's declared SQL type
   (:func:`repro.sqlengine.types.coerce`), so a declared ``INTEGER``
   column holds only ``int``/``None`` — comparisons can use raw Python
-  operators.  Untyped columns get the ``'any'`` dtype
-  whose kernels call the row path's own helpers
-  (:func:`~repro.sqlengine.evaluator.compare`, ``_arith``) element-wise;
-  a view or derived table (:class:`VSubplan`) hands its parent the
-  dtypes its own select list proved.
-* *Lazy masking for short-circuit forms.*  ``AND``/``OR``/``COALESCE``
-  evaluate their right/later operands only on the rows the earlier
-  operands did not decide, so side conditions (errors in untaken
-  operands) match the row path's per-row short circuit.
-* *Whole-plan fallback.*  Any construct whose vector semantics are not
-  provably identical (subqueries, CASE, dynamic LIKE patterns,
-  correlated references, nested-loop joins, multiple NEXTVAL items …)
-  raises :class:`Unsupported` at build time and the engine runs the
-  row path for the whole statement, keeping the reason on the plan
-  (EXPLAIN shows it, ``repro_fallback_total`` counts it).  Any other
-  exception out of the builder is a lowering bug and propagates.
+  operators.  Untyped columns get the ``'any'`` dtype whose kernels
+  call :func:`~repro.sqlengine.evaluator.compare` and ``_arith``
+  element-wise; a view or derived table (:class:`VSubplan`) hands its
+  parent the dtypes its own select list proved.
+* *Lazy masking for short-circuit forms.*  ``AND``/``OR``, ``CASE``,
+  ``COALESCE``, the items of a non-constant ``IN`` list and a
+  ``LIKE ... ESCAPE`` operand run only on the rows the earlier
+  operands left undecided, so an error in an untaken operand never
+  fails a statement.
+* *Errors at execution only.*  A malformed sub-expression (unknown
+  function or column, bad arity, an aggregate outside a group, an
+  invalid LIKE escape) lowers to a kernel that raises when a row
+  reaches it; building a plan raises nothing about the query.
+* *Subqueries* are planned once against the enclosing scope.  A column
+  the inner frame does not resolve becomes an outer reference: the
+  enclosing kernel evaluates it, and the inner plan runs once per
+  distinct tuple of those values, each run with its own binding
+  (``_Ctx.outer``) — never state on the shared, cached plan.
+* *NEXTVAL* occurrences that every row of one clause evaluates draw
+  ``k·n`` values at once and deal them out ``[j::k]``, the row-major
+  order; an occurrence only some rows reach raises.
 
 Joins, grouping and DISTINCT run as a few builtin passes over column
 lists (``dict``/``zip``/``map``/``Counter``), the kernel picked from
@@ -42,14 +48,12 @@ what the input shows: a hash join whose build keys are NULL-free and
 distinct probes one dict lookup per row (``probe=unique`` in EXPLAIN
 ANALYZE), any other emits bucket lists (``probe=buckets``); grouping
 with no aggregate but ``COUNT(*)`` keeps no member lists.  Every kernel
-emits the row executor's order — first appearance, left-major — which
-is load-bearing: ``NEXTVAL`` numbers groups and items (Gid, Bid) in it.
+emits rows in first-appearance, left-major order — which is
+load-bearing: ``NEXTVAL`` numbers groups and items (Gid, Bid) in it.
 
-The only tolerated divergence is *which* row's error surfaces first
-when a statement raises: kernels evaluate an operand for every row
-before moving on, so two independently erroneous expressions may
-report in a different order than tuple-at-a-time evaluation.  Both
-paths still raise, with the same exception types.
+When a statement raises, *which* row's error surfaces first is not
+fixed: kernels evaluate an operand for every row of a batch before
+moving on.
 
 Out-of-core execution: when ``EngineOptions.memory_budget`` is set and
 a sort/hash join/aggregate estimates its input above the budget, the
@@ -63,6 +67,7 @@ from __future__ import annotations
 import datetime
 import time
 from collections import Counter
+from functools import cmp_to_key
 from itertools import chain, compress, repeat
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
@@ -96,24 +101,15 @@ from repro.sqlengine.operators import (
     HashJoin,
     IndexLookup,
     LeftOuterHashJoin,
+    NestedLoopJoin,
     Operator,
+    SingleRow,
     SubplanSource,
     TableScan,
 )
 from repro.sqlengine.parser import AGGREGATE_NAMES
+from repro.sqlengine.planner import conjoin
 from repro.sqlengine.types import SqlType
-
-
-class Unsupported(Exception):
-    """Raised at build time when a plan node or expression has no
-    exact vector lowering; the engine falls back to the row path.
-
-    ``reason`` is one of a fixed set of phrases (a metric label);
-    *detail* carries the identifier involved, if any."""
-
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(f"{reason} {detail}" if detail else reason)
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +182,25 @@ class VExpr:
 
 
 class _Ctx:
-    """Per-execution state threaded through every vector node."""
+    """Per-execution state threaded through every vector node: the
+    executing thread's host variables, a subquery run's outer binding,
+    and what one execution memoizes (subquery results, NEXTVAL draws).
+    A cached plan is shared by threads; its state lives here."""
 
-    __slots__ = ("db", "params", "collector", "batch_size", "budget")
+    __slots__ = (
+        "db", "params", "collector", "batch_size", "budget", "outer", "memo",
+    )
 
-    def __init__(self, db: Any):
+    def __init__(self, db: Any, outer: Tuple[Any, ...] = ()):
         self.db = db
         self.params = db._params
         self.collector = db._analyze
         options = db.options
         self.batch_size = max(1, options.batch_size)
         self.budget = options.memory_budget
+        #: the enclosing query's values a subquery run reads
+        self.outer = outer
+        self.memo: Dict[Any, Any] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +322,8 @@ def _numeric_scalar(value: Any) -> bool:
 
 
 def _arith_values(op: str, lv: Any, rv: Any, ldt: str, rdt: str) -> Any:
-    """Apply ``+ - * / %`` over batch values with the row path's NULL
-    guard and :func:`_arith` error semantics."""
+    """Apply ``+ - * / %`` over batch values: NULL in, NULL out, and
+    :func:`_arith`'s error semantics."""
     if isinstance(lv, _Scalar) and isinstance(rv, _Scalar):
         a, b = lv.value, rv.value
         if a is None or b is None:
@@ -371,6 +375,52 @@ def _mask_gather(
         col = cols[u]
         sub[u] = [col[i] for i in idxs]
     return sub
+
+
+def _eval_on(
+    vexpr: VExpr, ctx: _Ctx, cols: List[Any], n: int, idxs: Sequence[int]
+) -> List[Any]:
+    """*vexpr* over the rows at *idxs* (ascending) only: the lazy
+    evaluation of an operand the earlier ones did not decide."""
+    m = len(idxs)
+    if m == n:
+        return _as_list(vexpr.fn(ctx, cols, n), n)
+    return _as_list(vexpr.fn(ctx, _mask_gather(cols, vexpr.used, idxs), m), m)
+
+
+def _raising(cls: type, message: str) -> VExpr:
+    """A malformed sub-expression: a kernel that raises when a row
+    reaches it."""
+
+    def fn(ctx, cols, n):
+        if n:
+            raise cls(message)
+        return []
+
+    return VExpr(fn, "any", frozenset())
+
+
+def _union_used(vexprs: Iterable[VExpr]) -> frozenset:
+    return frozenset().union(*(v.used for v in vexprs))
+
+
+def _membership(value: Any, candidates: Iterable[Any], negated: bool) -> Any:
+    """``value [NOT] IN candidates`` under three-valued logic; stops at
+    the first match."""
+    saw_null = False
+    for candidate in candidates:
+        result = compare("=", value, candidate)
+        if result is True:
+            return not negated
+        if result is None:
+            saw_null = True
+    return None if saw_null else negated
+
+
+def _one_column(cols: List[List[Any]], n: int, what: str) -> List[Any]:
+    if n and len(cols) != 1:
+        raise ExecutionError(f"{what} must return one column")
+    return cols[0] if n else []
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +494,58 @@ def _agg_dtype(name: str, star: bool, arg_dtype: str) -> str:
     return "any"
 
 
+class _SeqDraw:
+    """The NEXTVAL occurrences of one sequence in one clause: each of
+    the ``k`` takes its ``[j::k]`` share of one ``k·n`` draw, the order
+    in which evaluating the clause row by row would number them."""
+
+    __slots__ = ("k",)
+
+    def __init__(self) -> None:
+        self.k = 0
+
+
+class _Outer:
+    """What a subquery reads of its enclosing query.  Each value (a
+    column, or an aggregate of the enclosing group) is compiled in the
+    enclosing compiler — a kernel over the enclosing batch — and the
+    inner plan reads it from its run's binding, ``ctx.outer[slot]``."""
+
+    def __init__(self, compiler: "_Compiler"):
+        self.compiler = compiler
+        #: one kernel per binding slot
+        self.refs: List[VExpr] = []
+        self._slots: Dict[str, int] = {}
+
+    def column(self, expr: ast.ColumnRef) -> Optional[VExpr]:
+        found = self.compiler._resolve(expr)
+        return None if found is None else self._bind(expr, found)
+
+    def aggregate(self, expr: ast.FunctionCall) -> VExpr:
+        return self._bind(expr, self.compiler._aggregate(expr))
+
+    def _bind(self, expr: ast.Expression, vexpr: VExpr) -> VExpr:
+        key = repr(expr)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self.refs)
+            self.refs.append(vexpr)
+        return VExpr(
+            lambda ctx, cols, n: _Scalar(ctx.outer[slot]),
+            vexpr.dtype,
+            frozenset(),
+        )
+
+
 class _Compiler:
     """Lowers AST expressions to :class:`VExpr` kernels over one flat
-    column layout, raising :class:`Unsupported` for anything whose
-    vector semantics would not be exact."""
+    column layout.  Total: every expression node lowers, a malformed
+    one to a kernel that raises when a row reaches it.
+
+    The layout is *frame*'s columns, preceded by the output columns
+    when *out_frame* is given: an ORDER BY key sees the output names
+    first, then the source.  A name neither resolves is read from the
+    *outer* query (the compiler plans a subquery)."""
 
     def __init__(
         self,
@@ -456,21 +554,50 @@ class _Compiler:
         db: Any,
         groups: Optional[_GroupContext] = None,
         sibling: Optional["_Compiler"] = None,
+        outer: Optional[_Outer] = None,
+        out_frame: Optional[Frame] = None,
     ):
-        self._frame = frame
-        self._dtypes = list(dtypes)
         self._db = db
-        self._offsets = _frame_offsets(frame)
+        self._dtypes = list(dtypes)
         #: group context when compiling HAVING / post-group projections
         self._groups = groups
         #: the pre-group compiler aggregate arguments compile through
         self._sibling = sibling
+        self._outer = outer
+        self._layers: List[Tuple[Frame, int, List[int]]] = []
+        #: flat index of the frame's first column
+        self._base = 0
+        if out_frame is not None:
+            self._layers.append((out_frame, 0, [0]))
+            self._base = len(out_frame.sources[0][1])
+        self._layers.append((frame, self._base, _frame_offsets(frame)))
+        #: no row scope at all (LIMIT, INSERT ... VALUES)
+        self._rowless = outer is None and not any(
+            layer[0].sources for layer in self._layers
+        )
+        #: > 0 while compiling an operand only some rows evaluate
+        self._conditional = 0
+        self._draws: Dict[str, _SeqDraw] = {}
+
+    def clause(self) -> "_Compiler":
+        """Start a new clause: NEXTVAL deals its values among the
+        occurrences of one clause."""
+        self._draws = {}
+        return self
 
     def compile(self, expr: ast.Expression) -> VExpr:
-        method = self._DISPATCH.get(type(expr))
-        if method is None:
-            raise Unsupported(f"no vector lowering for {type(expr).__name__}")
-        return method(self, expr)
+        return self._DISPATCH[type(expr)](self, expr)
+
+    def _lazy(self, expr: ast.Expression) -> VExpr:
+        """Compile an operand only some rows evaluate."""
+        self._conditional += 1
+        try:
+            return self.compile(expr)
+        finally:
+            self._conditional -= 1
+
+    def _dtype(self, flat: int) -> str:
+        return self._dtypes[flat] if flat < len(self._dtypes) else "any"
 
     # -- leaves -----------------------------------------------------------
 
@@ -497,21 +624,58 @@ class _Compiler:
         return VExpr(fn, "any", frozenset())
 
     def _column(self, expr: ast.ColumnRef) -> VExpr:
-        try:
-            hit = self._frame.lookup(expr.qualifier, expr.name)
-        except CatalogError:
-            # Ambiguous name: the row path raises only for rows that
-            # actually evaluate it; stay on the row path wholesale.
-            raise Unsupported("ambiguous column", repr(expr.name)) from None
-        if hit is None:
-            raise Unsupported("outer-scope column", repr(expr.name))
-        src_idx, col_idx = hit
-        flat = self._offsets[src_idx] + col_idx
-        return VExpr(
-            lambda ctx, cols, n: cols[flat],
-            self._dtypes[flat] if flat < len(self._dtypes) else "any",
-            frozenset((flat,)),
-        )
+        found = self._resolve(expr)
+        if found is not None:
+            return found
+        if self._rowless:
+            return _raising(
+                ExecutionError, f"column reference {expr} outside row context"
+            )
+        target = f"{expr.qualifier}.{expr.name}" if expr.qualifier else expr.name
+        return _raising(CatalogError, f"unknown column reference: {target!r}")
+
+    def _resolve(self, expr: ast.ColumnRef) -> Optional[VExpr]:
+        """The kernel reading *expr* in this scope or an enclosing one;
+        None when no scope has the name."""
+        for frame, base, offsets in self._layers:
+            try:
+                hit = frame.lookup(expr.qualifier, expr.name)
+            except CatalogError as exc:
+                return _raising(CatalogError, str(exc))
+            if hit is not None:
+                flat = base + offsets[hit[0]] + hit[1]
+                return VExpr(
+                    lambda ctx, cols, n: cols[flat],
+                    self._dtype(flat),
+                    frozenset((flat,)),
+                )
+        return None if self._outer is None else self._outer.column(expr)
+
+    def _nextval(self, expr: ast.SequenceNextval) -> VExpr:
+        sequence = expr.sequence
+        if self._conditional or self._outer is not None:
+            return _raising(
+                ExecutionError,
+                f"{sequence}.NEXTVAL is supported only where every row of "
+                "its clause evaluates it (not in CASE, AND/OR, COALESCE, "
+                "IN, an aggregate or a subquery)",
+            )
+        draw = self._draws.setdefault(sequence.lower(), _SeqDraw())
+        j = draw.k
+        draw.k += 1
+
+        def fn(ctx, cols, n):
+            if not n:
+                return []
+            k = draw.k
+            nextvals = ctx.db.catalog.get_sequence(sequence).nextvals
+            if k == 1:
+                return list(nextvals(n))
+            if j == 0:
+                ctx.memo[draw] = list(nextvals(k * n))
+            return ctx.memo[draw][j::k]
+
+        return VExpr(fn, "int", frozenset())
 
     # -- operators --------------------------------------------------------
 
@@ -551,23 +715,20 @@ class _Compiler:
                 ]
 
             return VExpr(fn_concat, "str", used)
-        if op in ("+", "-", "*", "/", "%"):
-            ldt, rdt = left.dtype, right.dtype
+        ldt, rdt = left.dtype, right.dtype
 
-            def fn_arith(ctx, cols, n):
-                return _arith_values(
-                    op, left.fn(ctx, cols, n), right.fn(ctx, cols, n),
-                    ldt, rdt,
-                )
+        def fn_arith(ctx, cols, n):
+            return _arith_values(
+                op, left.fn(ctx, cols, n), right.fn(ctx, cols, n), ldt, rdt,
+            )
 
-            return VExpr(fn_arith, _arith_dtype(op, ldt, rdt), used)
-        raise Unsupported(f"binary operator {op!r}")
+        return VExpr(fn_arith, _arith_dtype(op, ldt, rdt), used)
 
     def _logical(self, op: str, left_e, right_e) -> VExpr:
-        """AND/OR with the row path's short circuit reproduced at row
-        granularity: the right operand runs only on undecided rows."""
+        """AND/OR short-circuit at row granularity: the right operand
+        runs only on undecided rows."""
         left = self.compile(left_e)
-        right = self.compile(right_e)
+        right = self._lazy(right_e)
         used = left.used | right.used
         is_and = op == "AND"
         combine = tvl_and if is_and else tvl_or
@@ -578,17 +739,17 @@ class _Compiler:
             idxs = [i for i, v in enumerate(lt) if v is not decided]
             out: List[Any] = [decided] * n
             if idxs:
-                sub = _mask_gather(cols, right.used, idxs)
-                rv = _as_list(right.fn(ctx, sub, len(idxs)), len(idxs))
-                for k, i in enumerate(idxs):
-                    out[i] = combine(lt[i], _truth(rv[k]))
+                rv = _eval_on(right, ctx, cols, n, idxs)
+                for i, v in zip(idxs, rv):
+                    out[i] = combine(lt[i], _truth(v))
             return out
 
         return VExpr(fn, "bool", used)
 
     def _unary(self, expr: ast.UnaryOp) -> VExpr:
         operand = self.compile(expr.operand)
-        if expr.op == "NOT":
+        op = expr.op
+        if op == "NOT":
 
             def fn_not(ctx, cols, n):
                 value = operand.fn(ctx, cols, n)
@@ -597,26 +758,24 @@ class _Compiler:
                 return [tvl_not(_truth(v)) for v in value]
 
             return VExpr(fn_not, "bool", operand.used)
-        if expr.op == "-":
 
-            def neg_one(v):
-                if v is None:
-                    return None
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise SqlTypeError(f"cannot negate {v!r}")
-                return -v
+        def one(v):
+            if v is None:
+                return None
+            if op != "-":
+                raise ExecutionError(f"unknown unary operator {op!r}")
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise SqlTypeError(f"cannot negate {v!r}")
+            return -v
 
-            def fn_neg(ctx, cols, n):
-                value = operand.fn(ctx, cols, n)
-                if isinstance(value, _Scalar):
-                    return _Scalar(neg_one(value.value))
-                return [neg_one(v) for v in value]
+        def fn(ctx, cols, n):
+            value = operand.fn(ctx, cols, n)
+            if isinstance(value, _Scalar):
+                return _Scalar(one(value.value))
+            return [one(v) for v in value]
 
-            dtype = (
-                operand.dtype if operand.dtype in ("int", "float") else "any"
-            )
-            return VExpr(fn_neg, dtype, operand.used)
-        raise Unsupported(f"unary operator {expr.op!r}")
+        dtype = operand.dtype if operand.dtype in ("int", "float") else "any"
+        return VExpr(fn, dtype, operand.used)
 
     # -- predicates -------------------------------------------------------
 
@@ -662,12 +821,39 @@ class _Compiler:
 
     def _in_list(self, expr: ast.InList) -> VExpr:
         value = self.compile(expr.expr)
-        if not all(isinstance(item, ast.Literal) for item in expr.items):
-            # non-constant items are evaluated lazily per row with an
-            # early break by the row path; keep that exact
-            raise Unsupported("IN list with non-literal items")
-        items = [item.value for item in expr.items]
         negated = expr.negated
+        if all(isinstance(item, ast.Literal) for item in expr.items):
+            return self._in_constants(value, expr, negated)
+        # item j runs only on the rows items 0..j-1 left unmatched
+        items = [
+            self.compile(item) if j == 0 else self._lazy(item)
+            for j, item in enumerate(expr.items)
+        ]
+        hit = not negated
+
+        def fn(ctx, cols, n):
+            vv = _as_list(value.fn(ctx, cols, n), n)
+            out: List[Any] = [negated] * n
+            pending: Sequence[int] = range(n)
+            for item in items:
+                if not pending:
+                    break
+                unmatched = []
+                for i, c in zip(pending, _eval_on(item, ctx, cols, n, pending)):
+                    result = compare("=", vv[i], c)
+                    if result is True:
+                        out[i] = hit
+                        continue
+                    if result is None:
+                        out[i] = None
+                    unmatched.append(i)
+                pending = unmatched
+            return out
+
+        return VExpr(fn, "bool", value.used | _union_used(items))
+
+    def _in_constants(self, value: VExpr, expr: ast.InList, negated) -> VExpr:
+        items = [item.value for item in expr.items]
         vdt = value.dtype
         fast_set = (
             frozenset(items)
@@ -675,73 +861,75 @@ class _Compiler:
             else None
         )
 
-        def one(v):
-            found = False
-            saw_null = False
-            for item in items:
-                result = compare("=", v, item)
-                if result is True:
-                    found = True
-                    break
-                if result is None:
-                    saw_null = True
-            result3 = True if found else (None if saw_null else False)
-            return tvl_not(result3) if negated else result3
-
         def fn(ctx, cols, n):
             vv = value.fn(ctx, cols, n)
             if isinstance(vv, _Scalar):
-                return _Scalar(one(vv.value))
+                return _Scalar(_membership(vv.value, items, negated))
             if fast_set is not None:
                 if negated:
                     return [
                         None if v is None else v not in fast_set for v in vv
                     ]
                 return [None if v is None else v in fast_set for v in vv]
-            return [one(v) for v in vv]
+            return [_membership(v, items, negated) for v in vv]
 
         return VExpr(fn, "bool", value.used)
 
     def _like(self, expr: ast.Like) -> VExpr:
         value = self.compile(expr.expr)
-        escape_e = expr.escape
-        if escape_e is not None and not isinstance(escape_e, ast.Literal):
-            raise Unsupported("LIKE with non-constant ESCAPE")
-        if not isinstance(expr.pattern, ast.Literal):
-            raise Unsupported("LIKE with non-constant pattern")
         negated = expr.negated
+        pattern_e, escape_e = expr.pattern, expr.escape
+        if (
+            isinstance(pattern_e, ast.Literal)
+            and isinstance(pattern_e.value, str)
+            and (escape_e is None or isinstance(escape_e, ast.Literal))
+        ):
+            return self._like_constant(value, pattern_e.value, escape_e, negated)
+        # a pattern per row: one regex per distinct (pattern, escape)
+        pattern = self.compile(pattern_e)
+        escape = self._lazy(escape_e) if escape_e is not None else None
+        used = value.used | pattern.used | (
+            escape.used if escape is not None else frozenset()
+        )
+
+        def fn(ctx, cols, n):
+            vv = _as_list(value.fn(ctx, cols, n), n)
+            pv = _as_list(pattern.fn(ctx, cols, n), n)
+            out: List[Any] = [None] * n
+            idxs = [
+                i for i in range(n) if vv[i] is not None and pv[i] is not None
+            ]
+            for i in idxs:
+                if not isinstance(vv[i], str) or not isinstance(pv[i], str):
+                    raise SqlTypeError("LIKE requires string operands")
+            escapes: Iterable[Any] = (
+                repeat(None) if escape is None
+                else _eval_on(escape, ctx, cols, n, idxs)
+            )
+            for i, esc in zip(idxs, escapes):
+                if escape is not None:
+                    if esc is None:
+                        continue
+                    esc = _escape_char(esc)
+                result = bool(_like_to_regex(pv[i], esc).match(vv[i]))
+                out[i] = not result if negated else result
+            return out
+
+        return VExpr(fn, "bool", used)
+
+    def _like_constant(self, value: VExpr, pattern: str, escape_e, negated):
         if escape_e is not None and escape_e.value is None:
             # LIKE ... ESCAPE NULL is NULL for every row
             return VExpr(
                 lambda ctx, cols, n: _Scalar(None), "bool", value.used
             )
-        pattern = expr.pattern.value
-        if pattern is None:
-            return VExpr(
-                lambda ctx, cols, n: _Scalar(None), "bool", value.used
-            )
-        if not isinstance(pattern, str):
-            # the row path raises per evaluated non-NULL row
-            def fn_bad(ctx, cols, n):
-                vv = _as_list(value.fn(ctx, cols, n), n)
-                out = []
-                for v in vv:
-                    if v is None:
-                        out.append(None)
-                    else:
-                        raise SqlTypeError("LIKE requires string operands")
-                return out
-
-            return VExpr(fn_bad, "bool", value.used)
         try:
             escape = (
                 _escape_char(escape_e.value) if escape_e is not None else None
             )
             regex = _like_to_regex(pattern, escape)
-        except SqlError:
-            # With expression compilation off the row path raises this
-            # per row (and not at all on empty input): fall back.
-            raise Unsupported("invalid LIKE pattern/escape") from None
+        except SqlError as exc:
+            return _raising(type(exc), str(exc))
         is_str = value.dtype == "str"
         match = regex.match
 
@@ -788,16 +976,138 @@ class _Compiler:
 
         return VExpr(fn, "bool", value.used)
 
+    def _case(self, expr: ast.Case) -> VExpr:
+        """Lazy masking: WHEN i runs only on the rows no earlier WHEN
+        took, a result only on the rows its WHEN took."""
+        operand = (
+            self.compile(expr.operand) if expr.operand is not None else None
+        )
+        whens = [
+            (self.compile(cond) if j == 0 else self._lazy(cond),
+             self._lazy(result))
+            for j, (cond, result) in enumerate(expr.whens)
+        ]
+        else_ = self._lazy(expr.else_) if expr.else_ is not None else None
+        results = [result for _, result in whens]
+        if else_ is not None:
+            results.append(else_)
+        dtypes = {result.dtype for result in results}
+        used = _union_used(
+            [cond for cond, _ in whens] + results
+            + ([operand] if operand is not None else [])
+        )
+
+        def fn(ctx, cols, n):
+            out: List[Any] = [None] * n
+            ov = (
+                _as_list(operand.fn(ctx, cols, n), n)
+                if operand is not None else None
+            )
+            pending: Sequence[int] = range(n)
+            for cond, result in whens:
+                if not pending:
+                    break
+                cv = _eval_on(cond, ctx, cols, n, pending)
+                if ov is None:
+                    taken = [v is True for v in cv]
+                else:
+                    taken = [
+                        compare("=", ov[i], v) is True
+                        for i, v in zip(pending, cv)
+                    ]
+                hits = list(compress(pending, taken))
+                if hits:
+                    for i, v in zip(hits, _eval_on(result, ctx, cols, n, hits)):
+                        out[i] = v
+                    pending = list(compress(pending, map(_op.not_, taken)))
+            if pending and else_ is not None:
+                for i, v in zip(pending, _eval_on(else_, ctx, cols, n, pending)):
+                    out[i] = v
+            return out
+
+        return VExpr(fn, dtypes.pop() if len(dtypes) == 1 else "any", used)
+
+    # -- subqueries -------------------------------------------------------
+
+    def _subquery(
+        self, select: ast.Select, reduce: Callable, dtype: str = "any"
+    ) -> VExpr:
+        """*select* planned once against this scope.  The kernel runs it
+        once per distinct tuple of the outer values it reads — once per
+        execution when it reads none — and maps each result through
+        *reduce*."""
+        outer = _Outer(self)
+        db = self._db
+        try:
+            plan = db._build_select_plan(select, outer)
+        except SqlError as exc:
+            return _raising(type(exc), str(exc))
+        refs = outer.refs
+
+        def run(ctx, key):
+            # 1 and 1.0 bind alike but may answer differently
+            memo_key = (plan, tuple(map(type, key)), key)
+            memo = ctx.memo
+            if memo_key not in memo:
+                memo[memo_key] = reduce(*db._run(plan, key))
+            return memo[memo_key]
+
+        def fn(ctx, cols, n):
+            if not n:
+                return []
+            if not refs:
+                return _Scalar(run(ctx, ()))
+            lists = [_as_list(ref.fn(ctx, cols, n), n) for ref in refs]
+            return [run(ctx, key) for key in zip(*lists)]
+
+        return VExpr(fn, dtype, _union_used(refs))
+
+    def _scalar_subquery(self, expr: ast.ScalarSubquery) -> VExpr:
+        def reduce(cols, n):
+            if not n:
+                return None
+            if n > 1:
+                raise ExecutionError(
+                    "scalar subquery returned more than one row"
+                )
+            return _one_column(cols, n, "scalar subquery")[0]
+
+        return self._subquery(expr.select, reduce)
+
+    def _exists(self, expr: ast.Exists) -> VExpr:
+        negated = expr.negated
+        return self._subquery(
+            expr.subquery, lambda cols, n: (n > 0) != negated, "bool"
+        )
+
+    def _in_subquery(self, expr: ast.InSubquery) -> VExpr:
+        value = self.compile(expr.expr)
+        negated = expr.negated
+        found = self._subquery(
+            expr.subquery,
+            lambda cols, n: _one_column(cols, n, "IN subquery"),
+        )
+
+        def fn(ctx, cols, n):
+            vv = _as_list(value.fn(ctx, cols, n), n)
+            return [
+                _membership(v, values, negated)
+                for values, v in zip(_as_list(found.fn(ctx, cols, n), n), vv)
+            ]
+
+        return VExpr(fn, "bool", value.used | found.used)
+
     # -- functions --------------------------------------------------------
 
     def _function(self, expr: ast.FunctionCall) -> VExpr:
-        if expr.name in AGGREGATE_NAMES or expr.star:
+        name = expr.name
+        if name in AGGREGATE_NAMES or expr.star:
             return self._aggregate(expr)
-        if expr.name == "COALESCE":
+        if name == "COALESCE":
             return self._coalesce(expr)
-        if expr.name == "NULLIF":
+        if name == "NULLIF":
             if len(expr.args) != 2:
-                raise Unsupported("NULLIF arity")
+                return _raising(ExecutionError, "NULLIF takes two arguments")
             first = self.compile(expr.args[0])
             second = self.compile(expr.args[1])
 
@@ -817,12 +1127,11 @@ class _Compiler:
                 ]
 
             return VExpr(fn_nullif, first.dtype, first.used | second.used)
-        impl = SCALAR_FUNCTIONS.get(expr.name)
+        impl = SCALAR_FUNCTIONS.get(name)
         if impl is None:
-            raise Unsupported("unknown function", repr(expr.name))
+            return _raising(ExecutionError, f"unknown function {name!r}")
         args = [self.compile(arg) for arg in expr.args]
-        used = frozenset().union(*(a.used for a in args)) if args else frozenset()
-        dtype = _FN_DTYPE.get(expr.name, "any")
+        dtype = _FN_DTYPE.get(name, "any")
 
         def fn(ctx, cols, n):
             vals = [a.fn(ctx, cols, n) for a in args]
@@ -833,25 +1142,23 @@ class _Compiler:
                 impl([]) for _ in range(n)
             ]
 
-        return VExpr(fn, dtype, used)
+        return VExpr(fn, dtype, _union_used(args))
 
     def _coalesce(self, expr: ast.FunctionCall) -> VExpr:
-        args = [self.compile(arg) for arg in expr.args]
-        used = frozenset().union(*(a.used for a in args)) if args else frozenset()
+        # argument k runs only on the rows the first k-1 left NULL
+        args = [
+            self.compile(arg) if k == 0 else self._lazy(arg)
+            for k, arg in enumerate(expr.args)
+        ]
 
         def fn(ctx, cols, n):
-            # lazy like the row path: argument k runs only on rows the
-            # first k-1 arguments left NULL
             out: List[Any] = [None] * n
-            pending = list(range(n))
+            pending: Sequence[int] = range(n)
             for arg in args:
                 if not pending:
                     break
-                sub = _mask_gather(cols, arg.used, pending)
-                vals = _as_list(arg.fn(ctx, sub, len(pending)), len(pending))
                 still: List[int] = []
-                for k, i in enumerate(pending):
-                    v = vals[k]
+                for i, v in zip(pending, _eval_on(arg, ctx, cols, n, pending)):
                     if v is None:
                         still.append(i)
                     else:
@@ -859,32 +1166,39 @@ class _Compiler:
                 pending = still
             return out
 
-        return VExpr(fn, "any", used)
+        return VExpr(fn, "any", _union_used(args))
 
     def _aggregate(self, expr: ast.FunctionCall) -> VExpr:
+        name = expr.name
         gctx = self._groups
         if gctx is None:
-            raise Unsupported("aggregate outside group context")
+            # the group of the nearest enclosing query that has one
+            if self._outer is not None:
+                return self._outer.aggregate(expr)
+            return _raising(
+                ExecutionError,
+                f"aggregate {name} used outside GROUP BY context",
+            )
         if expr.star:
-            if expr.name != "COUNT":
-                raise Unsupported(f"{expr.name}(*)")
+            if name != "COUNT":
+                return _raising(ExecutionError, f"{name}(*) is not valid")
             slot = _AggSlot("COUNT", True, False, None, "int")
         else:
             if len(expr.args) != 1:
-                raise Unsupported(f"{expr.name} arity")
-            if expr.name not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-                raise Unsupported(f"aggregate {expr.name!r}")
-            arg = self._sibling.compile(expr.args[0])
+                return _raising(
+                    ExecutionError, f"{name} takes exactly one argument"
+                )
+            arg = self._sibling._lazy(expr.args[0])
             slot = _AggSlot(
-                expr.name,
+                name,
                 False,
                 expr.distinct,
                 arg,
-                _agg_dtype(expr.name, False, arg.dtype),
+                _agg_dtype(name, False, arg.dtype),
             )
-        flat = gctx.add(slot)
+        flat = gctx.add(slot) + self._base
         return VExpr(
-            lambda ctx, cols, n, _f=flat: cols[_f],
+            lambda ctx, cols, n: cols[flat],
             slot.dtype,
             frozenset((flat,)),
         )
@@ -894,6 +1208,7 @@ class _Compiler:
     def _cast(self, expr: ast.Cast) -> VExpr:
         value = self.compile(expr.expr)
         target = expr.target
+        # CAST is more lenient than assignment coercion
         if target is SqlType.VARCHAR:
             convert: Callable[[Any], Any] = _to_str
         elif target is SqlType.INTEGER:
@@ -916,11 +1231,6 @@ class _Compiler:
 
     def _tuple(self, expr: ast.TupleExpr) -> VExpr:
         items = [self.compile(item) for item in expr.items]
-        used = (
-            frozenset().union(*(i.used for i in items))
-            if items
-            else frozenset()
-        )
 
         def fn(ctx, cols, n):
             vals = [i.fn(ctx, cols, n) for i in items]
@@ -929,10 +1239,12 @@ class _Compiler:
             lists = [_as_list(v, n) for v in vals]
             return [tuple(row) for row in zip(*lists)]
 
-        return VExpr(fn, "any", used)
+        return VExpr(fn, "any", _union_used(items))
 
-    def _unsupported(self, expr) -> VExpr:
-        raise Unsupported(f"no vector lowering for {type(expr).__name__}")
+    def _star(self, expr: ast.Star) -> VExpr:
+        return _raising(
+            ExecutionError, "'*' is only valid in a select list or COUNT(*)"
+        )
 
     _DISPATCH: Dict[type, Callable[..., VExpr]] = {}
 
@@ -941,24 +1253,21 @@ _Compiler._DISPATCH = {
     ast.Literal: _Compiler._literal,
     ast.HostVar: _Compiler._hostvar,
     ast.ColumnRef: _Compiler._column,
+    ast.SequenceNextval: _Compiler._nextval,
     ast.BinaryOp: _Compiler._binary,
     ast.UnaryOp: _Compiler._unary,
     ast.FunctionCall: _Compiler._function,
     ast.Between: _Compiler._between,
     ast.InList: _Compiler._in_list,
+    ast.InSubquery: _Compiler._in_subquery,
+    ast.Exists: _Compiler._exists,
     ast.Like: _Compiler._like,
     ast.IsNull: _Compiler._is_null,
+    ast.Case: _Compiler._case,
     ast.Cast: _Compiler._cast,
+    ast.ScalarSubquery: _Compiler._scalar_subquery,
     ast.TupleExpr: _Compiler._tuple,
-    # SequenceNextval: only as a bare select item (see build); inside
-    # expressions the per-row allocation order is not reproducible
-    # column-wise.  Subqueries, CASE and Star stay on the row path.
-    ast.SequenceNextval: _Compiler._unsupported,
-    ast.InSubquery: _Compiler._unsupported,
-    ast.Exists: _Compiler._unsupported,
-    ast.ScalarSubquery: _Compiler._unsupported,
-    ast.Case: _Compiler._unsupported,
-    ast.Star: _Compiler._unsupported,
+    ast.Star: _Compiler._star,
 }
 
 
@@ -968,9 +1277,9 @@ _Compiler._DISPATCH = {
 
 
 class VNode:
-    """Base vector operator.  Mirrors one row operator (``self.op``)
-    and reports its rows/batches/spill into the row operator's EXPLAIN
-    ANALYZE slot, so both executors share one observability surface."""
+    """Base vector operator.  Mirrors one plan node (``self.op``) and
+    reports its rows/batches/spill into that node's EXPLAIN ANALYZE
+    slot."""
 
     op: Operator
     dtypes: List[str]
@@ -1009,6 +1318,18 @@ def _chunks(n: int, size: int) -> int:
     return (n + size - 1) // size if n else 1
 
 
+class VSingleRow(VNode):
+    """One row of no columns: the source of a SELECT without FROM."""
+
+    def __init__(self, op: SingleRow):
+        self.op = op
+        self.dtypes = []
+
+    def _execute(self, ctx: _Ctx) -> _Batch:
+        self._batches = 1
+        return _Batch([], 1)
+
+
 class VScan(VNode):
     """Full scan of the columns the plan reads, decoded from the
     table's vectors on every execution (a cached plan pins no copy of
@@ -1031,45 +1352,33 @@ class VScan(VNode):
 
 class VSubplan(VNode):
     """A view or derived table: runs the nested plan when the parent
-    runs.  A nested plan the batch executor accepts hands over its
-    output columns and their proven dtypes as they are; anything else
-    (a set operation, a node without a vector lowering) runs through
-    the row executor and is transposed."""
+    runs and hands over its output columns as they are, with the dtypes
+    its select list proved."""
 
-    def __init__(self, op: SubplanSource, db: Any):
+    def __init__(self, op: SubplanSource):
         self.op = op
-        vector = None if op.select.set_ops else db._vector_plan(op.plan)
-        self._columnar = vector is not None
-        self._width = len(op.plan.columns)
-        self.dtypes = (
-            list(vector.out_dtypes) if vector is not None
-            else ["any"] * self._width
-        )
+        self.dtypes = list(op.plan.dtypes)
 
     def _execute(self, ctx: _Ctx) -> _Batch:
-        db = ctx.db
-        if self._columnar:
-            cols, n = db._plan_columns(self.op.plan)
-        else:
-            _, rows = db._run_select_raw(self.op.select)
-            cols, n = transpose(rows, self._width), len(rows)
+        cols, n = ctx.db._run(self.op.plan)
         self._batches = _chunks(n, ctx.batch_size)
         return _Batch(cols, n)
 
 
 class VIndexLookup(VNode):
-    """Constant-key secondary-index lookup (the pushed-down equality
-    access path).  Key expressions are self-contained (no column
-    references), so they are evaluated once per execution, not per
-    row."""
+    """Secondary-index lookup (the pushed-down equality access path).
+    The keys read no column of the table — constants, host variables,
+    an enclosing query's columns — so they are evaluated once per
+    execution."""
 
-    def __init__(self, op: IndexLookup):
+    def __init__(self, op: IndexLookup, keys: List[VExpr]):
         self.op = op
+        self.keys = keys
         self.dtypes = _table_dtypes(op.table)
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         op = self.op
-        key = op._key_fn(None)
+        key = tuple(_as_list(k.fn(ctx, [], 1), 1)[0] for k in self.keys)
         width = len(op.table.columns)
         if any(value is None for value in key):
             self._batches = 1
@@ -1125,7 +1434,7 @@ class VFilter(VNode):
 class VHashJoin(VNode):
     """Equi-join on key lists: builds positions on the right input,
     probes the left in order (left-major output, bucket order within a
-    key — exactly the row operator's emission order).  Above the
+    key — the row-major emission order).  Above the
     memory budget the build/probe runs partition-wise through
     :mod:`repro.sqlengine.spill`.
 
@@ -1171,36 +1480,11 @@ class VHashJoin(VNode):
         ))
 
     def _execute(self, ctx: _Ctx) -> _Batch:
-        # build side first, like the row operator
+        # build side first, like the row-major order it reproduces
         rbatch = self.right.run(ctx)
         lbatch = self.left.run(ctx)
-        rkeys = [
-            _as_list(k.fn(ctx, rbatch.cols, rbatch.n), rbatch.n)
-            for k in self.right_keys
-        ]
-        lkeys = [
-            _as_list(k.fn(ctx, lbatch.cols, lbatch.n), lbatch.n)
-            for k in self.left_keys
-        ]
         outer = self.outer
-        budget = ctx.budget
-        if budget is not None and rbatch.n and spill_mod.estimate_bytes(
-            len(rbatch.cols) + len(rkeys), rbatch.n
-        ) > budget:
-            # spill_join_pairs emits exactly the in-memory pair order
-            pairs, spilled = spill_mod.spill_join_pairs(
-                _key_tuples(lkeys, lbatch.n), _key_tuples(rkeys, rbatch.n)
-            )
-            self._spill += spilled
-            self._probe = "buckets"
-            lefts: Sequence[int] = [i for i, _ in pairs]
-            rights = [j for _, j in pairs]
-            if outer:
-                lefts, rights = _pad(lefts, rights, lbatch.n)
-        else:
-            lefts, rights, self._probe = _join_pairs(
-                lkeys, lbatch.n, rkeys, rbatch.n, outer
-            )
+        lefts, rights = self._pairs(ctx, lbatch, rbatch)
         residual = self.residual
         if residual is not None:
             if outer:
@@ -1221,6 +1505,39 @@ class VHashJoin(VNode):
         n = len(lefts)
         self._batches = _chunks(n, ctx.batch_size)
         return _Batch(cols, n)
+
+    def _pairs(
+        self, ctx: _Ctx, lbatch: _Batch, rbatch: _Batch
+    ) -> Tuple[Sequence[int], List[Optional[int]]]:
+        """The (left, right) index pairs whose keys are equal, i-major
+        and in build order per i."""
+        rkeys = [
+            _as_list(k.fn(ctx, rbatch.cols, rbatch.n), rbatch.n)
+            for k in self.right_keys
+        ]
+        lkeys = [
+            _as_list(k.fn(ctx, lbatch.cols, lbatch.n), lbatch.n)
+            for k in self.left_keys
+        ]
+        budget = ctx.budget
+        if budget is not None and rbatch.n and spill_mod.estimate_bytes(
+            len(rbatch.cols) + len(rkeys), rbatch.n
+        ) > budget:
+            # spill_join_pairs emits exactly the in-memory pair order
+            pairs, spilled = spill_mod.spill_join_pairs(
+                _key_tuples(lkeys, lbatch.n), _key_tuples(rkeys, rbatch.n)
+            )
+            self._spill += spilled
+            self._probe = "buckets"
+            lefts: Sequence[int] = [i for i, _ in pairs]
+            rights: List[Optional[int]] = [j for _, j in pairs]
+            if self.outer:
+                lefts, rights = _pad(lefts, rights, lbatch.n)
+            return lefts, rights
+        lefts, rights, self._probe = _join_pairs(
+            lkeys, lbatch.n, rkeys, rbatch.n, self.outer
+        )
+        return lefts, rights
 
     def _columns(
         self,
@@ -1335,9 +1652,49 @@ def _pad(
 class VLeftOuterHashJoin(VHashJoin):
     """LEFT OUTER equi-join: the inner join's pairs, a residual
     applied to them, and every left row left without a pair padded
-    with NULLs in its place — the row operator's emission order."""
+    with NULLs in its place — the row-major emission order."""
 
     outer = True
+
+
+class VNestedLoopJoin(VHashJoin):
+    """Cross/theta join: every (left, right) pair, left-major in right
+    order.  With a residual the candidate pairs are built and tested a
+    few left rows at a time — about ``batch_size`` pairs, at least one
+    left row's — and only the pairs that pass are kept."""
+
+    def _execute(self, ctx: _Ctx) -> _Batch:
+        rbatch = self.right.run(ctx)
+        lbatch = self.left.run(ctx)
+        ln, rn = lbatch.n, rbatch.n
+        residual = self.residual
+        if residual is None:
+            lefts = list(
+                chain.from_iterable(map(repeat, range(ln), repeat(rn)))
+            )
+            rights = list(range(rn)) * ln
+            self._batches = _chunks(len(lefts), ctx.batch_size)
+        else:
+            lefts, rights = [], []
+            step = max(1, ctx.batch_size // max(1, rn))
+            chunks = 0
+            for start in range(0, ln if rn else 0, step):
+                stop = min(start + step, ln)
+                cand_l = list(chain.from_iterable(
+                    map(repeat, range(start, stop), repeat(rn))
+                ))
+                cand_r = list(range(rn)) * (stop - start)
+                span = len(cand_l)
+                cols = self._columns(lbatch, rbatch, cand_l, cand_r,
+                                     residual.used)
+                vals = _as_list(residual.fn(ctx, cols, span), span)
+                keep = list(map(_op.is_, vals, repeat(True)))
+                lefts.extend(compress(cand_l, keep))
+                rights.extend(compress(cand_r, keep))
+                chunks += 1
+            self._batches = max(1, chunks)
+        cols = self._columns(lbatch, rbatch, lefts, rights, self._needed)
+        return _Batch(cols, len(lefts))
 
 
 class VAggregate(VNode):
@@ -1461,60 +1818,201 @@ def reduce_slot(
 # ---------------------------------------------------------------------------
 
 
-def _build_node(op: Operator, db: Any) -> VNode:
+def _build_node(op: Operator, db: Any, outer: Optional[_Outer]) -> VNode:
     if isinstance(op, TableScan):
         return VScan(op)
+    if isinstance(op, SingleRow):
+        return VSingleRow(op)
     if isinstance(op, IndexLookup):
-        if any(
-            isinstance(node, ast.ColumnRef)
-            for key in op.key_exprs
-            for node in ast.walk_expression(key)
-        ):
-            # a key over an outer-scope column needs the row environment
-            raise Unsupported("index lookup with non-constant keys")
-        return VIndexLookup(op)
+        keys = _Compiler(Frame([]), [], db, outer=outer)
+        return VIndexLookup(op, [keys.compile(k) for k in op.key_exprs])
     if isinstance(op, SubplanSource):
-        return VSubplan(op, db)
+        return VSubplan(op)
     if isinstance(op, Filter):
-        child = _build_node(op.child, db)
-        comp = _Compiler(op.frame, child.dtypes, db)
+        child = _build_node(op.child, db, outer)
+        comp = _Compiler(op.frame, child.dtypes, db, outer=outer)
         return VFilter(op, child, comp.compile(op.predicate))
-    if isinstance(op, (HashJoin, LeftOuterHashJoin)):
-        left = _build_node(op.left, db)
-        right = _build_node(op.right, db)
-        lcomp = _Compiler(op.left.frame, left.dtypes, db)
-        rcomp = _Compiler(op.right.frame, right.dtypes, db)
-        left_keys = [lcomp.compile(k) for k in op.left_keys]
-        right_keys = [rcomp.compile(k) for k in op.right_keys]
-        residual = None
-        if op.residual is not None:
-            jcomp = _Compiler(op.frame, left.dtypes + right.dtypes, db)
-            residual = jcomp.compile(op.residual)
-        cls = VHashJoin if isinstance(op, HashJoin) else VLeftOuterHashJoin
-        return cls(op, left, right, left_keys, right_keys, residual)
-    raise Unsupported(f"operator {type(op).__name__}")
+    left = _build_node(op.left, db, outer)
+    right = _build_node(op.right, db, outer)
+    joint = _Compiler(op.frame, left.dtypes + right.dtypes, db, outer=outer)
+    if isinstance(op, NestedLoopJoin):
+        residual = (
+            joint.compile(op.predicate) if op.predicate is not None else None
+        )
+        return VNestedLoopJoin(op, left, right, [], [], residual)
+    lcomp = _Compiler(op.left.frame, left.dtypes, db, outer=outer)
+    rcomp = _Compiler(op.right.frame, right.dtypes, db, outer=outer)
+    left_keys = [lcomp.compile(k) for k in op.left_keys]
+    right_keys = [rcomp.compile(k) for k in op.right_keys]
+    residual = joint.compile(op.residual) if op.residual is not None else None
+    cls = VLeftOuterHashJoin if isinstance(op, LeftOuterHashJoin) else VHashJoin
+    return cls(op, left, right, left_keys, right_keys, residual)
+
+
+def _default_name(expr: ast.Expression, index: int) -> str:
+    if isinstance(expr, ast.ColumnRef):
+        return expr.name
+    if isinstance(expr, ast.FunctionCall):
+        return expr.name.lower()
+    if isinstance(expr, ast.SequenceNextval):
+        return "nextval"
+    return f"col{index + 1}"
+
+
+def compare_order_keys(
+    akeys: Tuple[Any, ...],
+    bkeys: Tuple[Any, ...],
+    order_by: Sequence[ast.OrderItem],
+) -> int:
+    """Three-way ORDER BY key comparison (shared with the external
+    merge sort in :mod:`repro.sqlengine.spill`)."""
+    for position, item in enumerate(order_by):
+        left = akeys[position]
+        right = bkeys[position]
+        if left is None and right is None:
+            continue
+        # NULL compares as the largest value: last in ASC, first in
+        # DESC (Oracle's default NULLS LAST / NULLS FIRST).
+        if left is None:
+            return 1 if item.ascending else -1
+        if right is None:
+            return -1 if item.ascending else 1
+        if compare("<", left, right) is True:
+            result = -1
+        elif compare(">", left, right) is True:
+            result = 1
+        else:
+            continue
+        return result if item.ascending else -result
+    return 0
+
+
+def _window_value(ctx: _Ctx, vexpr: VExpr, clause: str) -> int:
+    value = _as_list(vexpr.fn(ctx, [], 1), 1)[0]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int):
+        raise ExecutionError(f"{clause} must be an integer, got {value!r}")
+    return value
+
+
+class _Tail:
+    """ORDER BY / LIMIT / OFFSET of a query.  A sort key is an output
+    position or a kernel over the output columns followed by the source
+    columns, so a key may read a column or an aggregate no select item
+    shows.  As in sqlite3, a negative LIMIT means no limit and a
+    negative OFFSET none."""
+
+    __slots__ = ("order_by", "keys", "source_used", "limit", "offset", "op")
+
+    def __init__(self, select: ast.Select, comp: _Compiler, op: Operator):
+        self.order_by = select.order_by
+        comp.clause()
+        self.keys: List[Any] = [
+            item.expr.value
+            if isinstance(item.expr, ast.Literal)
+            and isinstance(item.expr.value, int)
+            else comp.compile(item.expr)
+            for item in select.order_by
+        ]
+        base = comp._base
+        #: the source columns (flat indices) a key reads
+        self.source_used = frozenset(
+            flat - base
+            for key in self.keys if isinstance(key, VExpr)
+            for flat in key.used if flat >= base
+        )
+        window = _Compiler(Frame([]), [], comp._db)
+        self.offset = (
+            window.compile(select.offset) if select.offset is not None else None
+        )
+        self.limit = (
+            window.compile(select.limit) if select.limit is not None else None
+        )
+        #: the plan node an external sort's spill is reported on
+        self.op = op
+
+    def apply(
+        self, ctx: _Ctx, out_cols: List[List[Any]], src_cols: List[Any], n: int
+    ) -> Tuple[List[List[Any]], int]:
+        if self.keys and n:
+            out_cols = self._sort(ctx, out_cols, src_cols, n)
+        start, stop = 0, n
+        if self.offset is not None:
+            start = min(n, max(0, _window_value(ctx, self.offset, "OFFSET")))
+        if self.limit is not None:
+            limit = _window_value(ctx, self.limit, "LIMIT")
+            if limit >= 0:
+                stop = min(n, start + limit)
+        if (start, stop) != (0, n):
+            out_cols = [col[start:stop] for col in out_cols]
+        return out_cols, stop - start
+
+    def _sort(
+        self, ctx: _Ctx, out_cols: List[List[Any]], src_cols: List[Any], n: int
+    ) -> List[List[Any]]:
+        width = len(out_cols)
+        layout = out_cols + src_cols
+        key_cols: List[List[Any]] = []
+        for key in self.keys:
+            if isinstance(key, int):
+                if not 0 < key <= width:
+                    raise ExecutionError(
+                        f"ORDER BY position {key} out of range"
+                    )
+                key_cols.append(out_cols[key - 1])
+            else:
+                key_cols.append(_as_list(key.fn(ctx, layout, n), n))
+        keys = list(zip(*key_cols))
+        order_by = self.order_by
+        budget = ctx.budget
+        if budget is not None and spill_mod.estimate_bytes(
+            width + len(key_cols), n
+        ) > budget:
+            rows, spilled = spill_mod.external_sort(
+                list(zip(*out_cols)), keys, order_by, budget
+            )
+            if ctx.collector is not None:
+                ctx.collector.add_vector_spill(self.op, spilled)
+            return transpose(rows, width)
+        # stable: equal keys keep their input order
+        order = sorted(range(n), key=cmp_to_key(
+            lambda a, b: compare_order_keys(keys[a], keys[b], order_by)
+        ))
+        return _gather(out_cols, order)
+
+    def run(
+        self, db: Any, outer: Tuple[Any, ...], cols: List[List[Any]], n: int
+    ) -> Tuple[List[List[Any]], int]:
+        """Apply to a compound's result (its keys read output columns
+        only)."""
+        return self.apply(_Ctx(db, outer), cols, [], n)
 
 
 class VectorPlan:
-    """A vectorized SELECT pipeline mirroring one ``_SelectPlan``."""
+    """One SELECT block batch-at-a-time: the source node, the WHERE
+    leftovers (or HAVING) as a filter, the projection, DISTINCT and —
+    unless the block opens a compound, whose tail applies after the set
+    operations — ORDER BY / LIMIT / OFFSET."""
 
     __slots__ = (
         "source",
-        "source_op",
         "filter_vexpr",
         "parts",
+        "columns",
         "out_dtypes",
-        "order_entries",
-        "select",
-        "width",
+        "distinct",
+        "tail",
     )
 
-    def execute_columns(self, db: Any) -> Tuple[List[List[Any]], int]:
+    def execute_columns(
+        self, db: Any, outer: Tuple[Any, ...] = ()
+    ) -> Tuple[List[List[Any]], int]:
         """The result column-major: one list per output column (their
         proven dtypes are :attr:`out_dtypes`) and the row count.  The
         lists may be shared with a scan's cache — callers must not
-        mutate them."""
-        ctx = _Ctx(db)
+        mutate them.  *outer* binds a subquery's outer references."""
+        ctx = _Ctx(db, outer)
         batch = self.source.run(ctx)
         im = db._im
         if im is not None and batch.n:
@@ -1529,207 +2027,157 @@ class VectorPlan:
                 cols = _gather(cols, sel)
                 n = len(sel)
         out_cols: List[List[Any]] = []
-        for kind, payload in self.parts:
-            if kind == "cols":
-                for flat in payload:
-                    out_cols.append(cols[flat])
-            elif kind == "expr":
-                out_cols.append(_as_list(payload.fn(ctx, cols, n), n))
-            else:  # "seq": a bare NEXTVAL item, allocated in row order
-                sequence = db.catalog.get_sequence(payload)
-                out_cols.append(list(sequence.nextvals(n)))
-        if self.select.distinct and n:
-            # first appearance wins, as in the row path's seen-dict
-            if len(out_cols) == 1:
+        for flats, vexpr in self.parts:
+            if vexpr is None:
+                out_cols.extend(cols[flat] for flat in flats)
+            else:  # no row: no item is evaluated, constant or not
+                out_cols.append(_as_list(vexpr.fn(ctx, cols, n), n) if n else [])
+        tail = self.tail
+        if self.distinct and n:
+            if tail is not None and tail.source_used:
+                # a hidden sort key is read at each output's first row
+                firsts: Dict[Any, int] = {}
+                for i, row in enumerate(zip(*out_cols)):
+                    firsts.setdefault(row, i)
+                if len(firsts) != n:
+                    kept = list(firsts.values())
+                    out_cols = _gather(out_cols, kept)
+                    cols = _mask_gather(cols, tail.source_used, kept)
+                    n = len(kept)
+            # first appearance wins
+            elif len(out_cols) == 1:
                 values = dict.fromkeys(out_cols[0])
                 if len(values) != n:
                     out_cols, n = [list(values)], len(values)
             else:
                 rows = dict.fromkeys(zip(*out_cols))
                 if len(rows) != n:
-                    out_cols, n = transpose(rows, self.width), len(rows)
-        if self.order_entries and n:
-            out_cols = self._order(ctx, out_cols, n)
+                    out_cols, n = transpose(rows, len(out_cols)), len(rows)
+        if tail is not None:
+            return tail.apply(ctx, out_cols, cols, n)
         return out_cols, n
 
-    def _order(
-        self, ctx: _Ctx, cols: List[List[Any]], n: int
-    ) -> List[List[Any]]:
-        from repro.sqlengine import engine as _engine
 
-        width = self.width
-        key_cols: List[List[Any]] = []
-        for kind, payload in self.order_entries:
-            if kind == "pos":
-                position = payload - 1
-                if not 0 <= position < width:
-                    raise ExecutionError(
-                        f"ORDER BY position {payload} out of range"
-                    )
-                key_cols.append(cols[position])
-            else:
-                key_cols.append(_as_list(payload.fn(ctx, cols, n), n))
-        rows = list(zip(*cols))
-        keys = list(zip(*key_cols))
-        budget = ctx.budget
-        if budget is not None and spill_mod.estimate_bytes(
-            width + len(key_cols), n
-        ) > budget:
-            rows, spilled = spill_mod.external_sort(
-                rows, keys, self.select.order_by, budget
-            )
-            collector = ctx.collector
-            if collector is not None:
-                collector.add_vector_spill(self.source_op, spilled)
-        else:
-            rows = _engine._sort_rows(rows, keys, self.select.order_by)
-        return transpose(rows, width)
-
-
-def build_vector_plan(plan: Any, db: Any) -> VectorPlan:
-    """Mirror *plan* onto a :class:`VectorPlan`; raises
-    :class:`Unsupported` when a node has no exact vector lowering."""
+def build_vector_plan(
+    plan: Any, db: Any, outer: Optional[_Outer] = None, tail: bool = True
+) -> VectorPlan:
+    """Mirror *plan* (one SELECT block) onto a :class:`VectorPlan`;
+    *outer* is the enclosing scope of a subquery, *tail* False leaves
+    ORDER BY / LIMIT / OFFSET to the compound the block opens."""
     select = plan.select
     source_op = plan.source
-    if source_op is None:
-        raise Unsupported("no FROM source")
-    vp = VectorPlan()
-    vp.select = select
-    vp.source_op = source_op
-    if isinstance(source_op, GroupAggregate):
-        child = _build_node(source_op.child, db)
-        frame = source_op.frame
-        gctx = _GroupContext(len(child.dtypes))
-        scalar_comp = _Compiler(frame, child.dtypes, db)
-        group_comp = _Compiler(
-            frame, child.dtypes, db, groups=gctx, sibling=scalar_comp
-        )
-        key_vexprs = [scalar_comp.compile(k) for k in source_op.keys]
-        vp.filter_vexpr = (
-            group_comp.compile(select.having)
-            if select.having is not None
-            else None
-        )
-        item_comp = group_comp
-        node: VNode = VAggregate(source_op, child, key_vexprs, gctx)
-    else:
-        node = _build_node(source_op, db)
-        from repro.sqlengine.planner import conjoin
-
-        predicate = conjoin(plan.leftovers)
-        item_comp = _Compiler(source_op.frame, node.dtypes, db)
-        vp.filter_vexpr = (
-            item_comp.compile(predicate) if predicate is not None else None
-        )
-    vp.source = node
     frame = source_op.frame
-    offsets = _frame_offsets(frame)
+    vp = VectorPlan()
+    vp.distinct = select.distinct
+    groups = sibling = None
+    if isinstance(source_op, GroupAggregate):
+        child = _build_node(source_op.child, db, outer)
+        dtypes = child.dtypes
+        groups = _GroupContext(len(dtypes))
+        sibling = _Compiler(frame, dtypes, db, outer=outer)
+        key_vexprs = [sibling.compile(k) for k in source_op.keys]
+        node: VNode = VAggregate(source_op, child, key_vexprs, groups)
+        condition = select.having
+    else:
+        node = _build_node(source_op, db, outer)
+        dtypes = node.dtypes
+        condition = conjoin(plan.leftovers)
+    comp = _Compiler(frame, dtypes, db, groups, sibling, outer)
+    vp.filter_vexpr = comp.compile(condition) if condition is not None else None
+    vp.source = node
 
-    parts: List[Tuple[str, Any]] = []
+    comp.clause()
+    offsets = _frame_offsets(frame)
+    columns: List[str] = []
+    parts: List[Tuple[Sequence[int], Optional[VExpr]]] = []
     out_dtypes: List[str] = []
     used = vp.filter_vexpr.used if vp.filter_vexpr is not None else frozenset()
-    seq_items = 0
-    for item in select.items:
+    for idx, item in enumerate(select.items):
         expr = item.expr
-        if isinstance(expr, ast.Star):
-            flats = [
-                offsets[src_idx] + col_idx
-                for src_idx, col_idx, _ in frame.star_columns(expr.qualifier)
-            ]
-            parts.append(("cols", flats))
+        if isinstance(expr, ast.Star) and frame.sources:
+            stars = frame.star_columns(expr.qualifier)
+            flats = [offsets[src] + col for src, col, _ in stars]
+            columns.extend(name for _, _, name in stars)
+            parts.append((flats, None))
+            out_dtypes.extend(comp._dtype(flat) for flat in flats)
             used = used.union(flats)
-            out_dtypes.extend(
-                node.dtypes[f] if f < len(node.dtypes) else "any"
-                for f in flats
-            )
-        elif isinstance(expr, ast.SequenceNextval):
-            seq_items += 1
-            if seq_items > 1:
-                # two sequences interleave per row; column-wise
-                # allocation would reorder them
-                raise Unsupported("multiple NEXTVAL select items")
-            parts.append(("seq", expr.sequence))
-            out_dtypes.append("int")
+            continue
+        if isinstance(expr, ast.Star):
+            vexpr = _raising(ExecutionError, "'*' requires a FROM clause")
         else:
-            vexpr = item_comp.compile(expr)
-            parts.append(("expr", vexpr))
-            used = used | vexpr.used
-            out_dtypes.append(vexpr.dtype)
+            vexpr = comp.compile(expr)
+        columns.append(item.alias or _default_name(expr, idx))
+        parts.append(((), vexpr))
+        out_dtypes.append(vexpr.dtype)
+        used = used | vexpr.used
     vp.parts = parts
+    vp.columns = columns
     vp.out_dtypes = out_dtypes
-    vp.width = len(plan.columns)
+    vp.tail = None
+    if tail and (
+        select.order_by or select.limit is not None
+        or select.offset is not None
+    ):
+        order_comp = _Compiler(
+            frame, out_dtypes + dtypes, db, groups, sibling, outer,
+            out_frame=Frame.single(None, columns),
+        )
+        vp.tail = _Tail(select, order_comp, source_op)
+        used = used | vp.tail.source_used
     # every expression is compiled (the aggregate's slots are all
     # allocated): tell the scans which columns anything reads
     node.require(used)
-
-    entries: List[Tuple[str, Any]] = []
-    if select.order_by:
-        out_frame = Frame.single(None, plan.columns)
-        order_comp = _Compiler(out_frame, out_dtypes, db)
-        for order_item in select.order_by:
-            expr = order_item.expr
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                entries.append(("pos", expr.value))
-                continue
-            try:
-                entries.append(("expr", order_comp.compile(expr)))
-            except Unsupported:
-                # compiles only against the output row; a source-scoped
-                # or aggregate key has to be a copy of an output column
-                position = _order_position(expr, select, frame, out_frame)
-                if position is None:
-                    raise
-                entries.append(("pos", position))
-    vp.order_entries = entries
     return vp
 
 
-def _column_slot(
-    frame: Frame, expr: ast.Expression
-) -> Optional[Tuple[int, int]]:
-    if not isinstance(expr, ast.ColumnRef):
+def build_compound_tail(
+    select: ast.Select,
+    columns: List[str],
+    db: Any,
+    op: Operator,
+    outer: Optional[_Outer] = None,
+) -> Optional[_Tail]:
+    """The ORDER BY / LIMIT / OFFSET after a compound SELECT's set
+    operations; its keys resolve against the output names and
+    positions."""
+    if not select.order_by and select.limit is None and select.offset is None:
         return None
-    try:
-        return frame.lookup(expr.qualifier, expr.name)
-    except CatalogError:
-        return None
+    comp = _Compiler(
+        Frame([]), ["any"] * len(columns), db, outer=outer,
+        out_frame=Frame.single(None, columns),
+    )
+    return _Tail(select, comp, op)
 
 
-def _order_position(
-    expr: ast.Expression, select: ast.Select, frame: Frame, out_frame: Frame
-) -> Optional[int]:
-    """The 1-based output position an ORDER BY key duplicates, if any.
+def evaluate_constant(db: Any, expr: ast.Expression) -> Any:
+    """*expr* over one row of no columns (INSERT ... VALUES)."""
+    vexpr = _Compiler(Frame([]), [], db).compile(expr)
+    return _as_list(vexpr.fn(_Ctx(db), [], 1), 1)[0]
 
-    The row executor evaluates a key none of whose columns is an
-    output name in the source scope of the same row — where it equals
-    a select item that is the same expression or the same source
-    column (``SELECT h.item, .. ORDER BY h.item``)."""
-    for node in ast.walk_expression(expr):
-        if isinstance(
-            node,
-            (ast.SequenceNextval, ast.InSubquery, ast.Exists,
-             ast.ScalarSubquery),
-        ):
-            return None
-        if isinstance(node, ast.ColumnRef):
-            try:
-                if out_frame.lookup(node.qualifier, node.name) is not None:
-                    return None
-            except CatalogError:
-                return None
-    slot = _column_slot(frame, expr)
-    position = 0
-    for item in select.items:
-        if isinstance(item.expr, ast.Star):
-            for src_idx, col_idx, _ in frame.star_columns(item.expr.qualifier):
-                position += 1
-                if slot == (src_idx, col_idx):
-                    return position
-            continue
-        position += 1
-        # repr, not ==: as dataclass fields 1, 1.0 and TRUE are equal
-        if repr(item.expr) == repr(expr) or (
-            slot is not None and _column_slot(frame, item.expr) == slot
-        ):
-            return position
-    return None
+
+def select_rows(
+    db: Any,
+    table: Any,
+    binding: str,
+    where: Optional[ast.Expression],
+    assignments: Sequence[ast.Expression] = (),
+) -> Tuple[Sequence[int], List[List[Any]]]:
+    """DELETE and UPDATE as kernels over a table's columns: the
+    positions of the rows *where* holds for (every row when None), and
+    each of *assignments* evaluated over those rows only."""
+    comp = _Compiler(Frame.single(binding, table.columns),
+                     _table_dtypes(table), db)
+    predicate = comp.compile(where) if where is not None else None
+    comp.clause()
+    values = [comp.compile(expr) for expr in assignments]
+    kernels = values + ([predicate] if predicate is not None else [])
+    cols = table.column_lists(sorted(_union_used(kernels)))
+    n = len(table)
+    ctx = _Ctx(db)
+    idxs: Sequence[int] = range(n)
+    if predicate is not None:
+        mask = _as_list(predicate.fn(ctx, cols, n), n)
+        idxs = [i for i, v in enumerate(mask) if v is True]
+    if not idxs:
+        return idxs, []
+    return idxs, [_eval_on(value, ctx, cols, n, idxs) for value in values]

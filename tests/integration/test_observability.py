@@ -202,23 +202,13 @@ def test_disabled_tracer_captures_no_analysis():
 
 
 # ---------------------------------------------------------------------------
-# the row-executor fallback is loud: pinned per statement
+# one executor: no statement of a run falls back
 # ---------------------------------------------------------------------------
 
 
-def vector_fallbacks(tracer):
-    """``{parent span: {reason}}`` of every SQL statement of a traced
-    run that the row executor ran for want of a vector lowering."""
-    spans = {span.span_id: span for span in tracer.spans}
-    found = {}
-    for span in tracer.spans:
-        reason = span.args.get("vector_fallback")
-        if reason is not None:
-            parent = spans.get(span.parent_id)
-            found.setdefault(
-                parent.name if parent is not None else span.name, set()
-            ).add(reason)
-    return found
+def all_batched(nodes):
+    """Every EXPLAIN ANALYZE node reports batches."""
+    return all(node.get("vectorized") for node in nodes)
 
 
 def _load_figure1(database, seed, size):
@@ -239,22 +229,20 @@ FALLBACK_CASES = {
     "clicks": (workloads.load_clicks, workloads.CLICKS.text(0.3)),
 }
 
-#: Which preprocessing queries (``preprocessor.<label>``) and which
-#: other stages run SQL through the row executor because a plan has no
-#: exact vector lowering.  Empty everywhere: Q0..Q11 and the decoding
-#: joins all run batch-at-a-time.  A new entry means a statement got
-#: about 3x slower — fix the lowering, or pin it here with the reason.
-PINNED_FALLBACKS = {name: {} for name in FALLBACK_CASES}
-
-
 @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
 def test_row_executor_fallbacks_are_pinned(name):
+    """The pinned set of row-executor fallbacks is empty by
+    construction: every plan node of every preprocessing query of a
+    run reports batches."""
     load, text = FALLBACK_CASES[name]
     database = Database()
     load(database, 19, "quick")
-    tracer = Tracer(enabled=True)
-    MiningSystem(database=database, tracer=tracer).run(text)
-    assert vector_fallbacks(tracer) == PINNED_FALLBACKS[name]
+    tracer = Tracer(enabled=True, analyze=True)
+    result = MiningSystem(database=database, tracer=tracer).run(text)
+    analyzed = result.preprocess_stats.analyzed
+    assert any(analyzed.values())
+    for label, nodes in analyzed.items():
+        assert all_batched(nodes), label
 
 
 def join_probes(nodes):
@@ -288,7 +276,7 @@ def test_encoding_and_decoding_joins_take_the_unique_probe():
 
 def test_service_select_shapes_stay_on_the_batch_executor():
     """The three SELECT shapes ``service_mixed`` polls (a qualified
-    ``ORDER BY h.item`` used to send two to the row executor)."""
+    ``ORDER BY h.item`` used to send two to a row executor)."""
     from benchmarks.suite import service
 
     database = Database()
@@ -297,41 +285,19 @@ def test_service_select_shapes_stay_on_the_batch_executor():
     MiningSystem(database=database).run(
         statement.text(workloads.QUEST_SETUP_CONFIDENCE, table=service.BASE_TABLE)
     )
-    database.tracer = Tracer(enabled=True)
     for sql in service.queries(statement.min_support):
         assert database.query(sql)
-        assert "row executor" not in database.explain(sql)
-    assert vector_fallbacks(database.tracer) == {}
-
-
-def test_fallback_is_counted_and_marked_on_the_span():
-    from repro.obs.metrics import MetricsRegistry
-
-    database = Database()
-    load_purchase_figure1(database)
-    registry = MetricsRegistry()
-    database.metrics = registry
-    database.tracer = Tracer(enabled=True)
-    sql = "SELECT CASE WHEN price > 100 THEN 1 ELSE 0 END FROM Purchase"
-    database.query(sql)
-    database.query(sql)
-    reason = "no vector lowering for Case"
-    assert registry.get("repro_fallback_total").value(
-        site="sqlengine.vector", reason=reason
-    ) == 2
-    assert vector_fallbacks(database.tracer) == {"engine.Select": {reason}}
-    # a plan the batch executor takes leaves no mark
-    database.tracer = Tracer(enabled=True)
-    database.query("SELECT item FROM Purchase WHERE price > 100")
-    assert vector_fallbacks(database.tracer) == {}
+        assert "executor" not in database.explain(sql)
+        nodes = database.analyze(sql).nodes
+        assert nodes and all_batched(nodes)
 
 
 def test_a_lowering_bug_is_not_a_fallback(monkeypatch):
-    """Only ``Unsupported`` means "row executor"; anything else out of
-    the vector-plan builder is a bug and must surface."""
+    """There is no second executor to degrade to: anything out of the
+    vector-plan builder is a bug and must surface."""
     from repro.sqlengine import engine
 
-    def broken(plan, database):
+    def broken(*args, **kwargs):
         raise RuntimeError("bug in a lowering")
 
     monkeypatch.setattr(engine, "build_vector_plan", broken)

@@ -198,6 +198,17 @@ SELECT_SHAPES = (
     "SELECT t.a, u.c FROM {t} LEFT JOIN {u} ON t.b = u.b AND u.c > t.a",
     # an ON clause with no equality: a keyless outer join
     "SELECT t.a, u.c FROM {t} LEFT JOIN {u} ON u.c > t.a",
+    # subqueries (correlated ones bind the outer row per run), CASE,
+    # theta and cross joins: no spill mode of their own, but their
+    # inputs spill
+    "SELECT a FROM {t} WHERE EXISTS (SELECT 1 FROM {u} WHERE u.c = t.a) "
+    "ORDER BY a",
+    "SELECT a, (SELECT MAX(c) FROM {u} WHERE u.b = t.b) FROM {t}",
+    "SELECT a FROM {t} WHERE a NOT IN (SELECT c FROM {u})",
+    "SELECT CASE WHEN a > 5 THEN 'big' WHEN a IS NULL THEN NULL "
+    "ELSE b END FROM {t}",
+    "SELECT t.a, u.c FROM {t}, {u} WHERE t.a < u.c",
+    "SELECT t.b, u.b FROM {t} CROSS JOIN {u}",
 )
 
 #: statements with a side effect, each followed by the reads that

@@ -299,15 +299,40 @@ class TestExplainAnalyzeCounters:
             if n.get("vectorized")
         ), analysis.text
 
-    def test_row_fallback_for_unsupported_plans(self):
+    def test_subquery_plans_report_batches(self):
         database = self._database()
-        # correlated subquery: the vectorizer falls back, the row path
-        # answers, and no vectorized annotation appears
+        # the subquery's plan runs batch-at-a-time like the outer one
         analysis = database.analyze(
             "SELECT a FROM t WHERE a = (SELECT MAX(a) FROM t)"
         )
         assert analysis.result.rows == [(199,)]
-        assert "[vectorized" not in analysis.text
+        assert {n["plan"] for n in analysis.nodes} == {0, 1}
+        assert all(n.get("vectorized") for n in analysis.nodes)
+
+    def test_theta_join_tests_its_pairs_a_chunk_at_a_time(self):
+        """Under a forced budget a theta join answers what it answers in
+        memory, left-major, and builds its candidate pairs about
+        ``batch_size`` at a time: 200 × 5 pairs in chunks of three left
+        rows (15 pairs) take 67 chunks, not one of 1 000 pairs."""
+        sql = "SELECT t.a, u.c FROM t, u WHERE MOD(t.a, 7) < u.c"
+        answers = []
+        for memory_budget in (None, 1_000):
+            database = self._database(memory_budget)
+            database.execute("CREATE TABLE u (c INTEGER)")
+            database.execute(
+                "INSERT INTO u VALUES (0), (2), (NULL), (4), (6)"
+            )
+            analysis = database.analyze(sql)
+            answers.append(analysis.result.rows)
+            join = next(
+                n for n in analysis.nodes if n["operator"] == "NestedLoopJoin"
+            )
+            assert join["batches"] == 67
+        # left-major, in the right side's order
+        expected = [
+            (a, c) for a in range(200) for c in (0, 2, 4, 6) if a % 7 < c
+        ]
+        assert answers == [expected, expected]
 
 
 class TestSpillAggregateHelper:

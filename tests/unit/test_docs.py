@@ -129,8 +129,7 @@ def test_every_backticked_class_name_is_defined():
 @pytest.fixture(scope="module")
 def metered_registry():
     """A registry after what a serving session does: a golden MINE
-    RULE, a REFRESH RULES and a SQL job (one the row executor runs,
-    so the fallback series exists too)."""
+    RULE, a REFRESH RULES and a SQL job."""
     registry = MetricsRegistry()
     database = Database()
     load_purchase_figure1(database)
@@ -143,7 +142,7 @@ def metered_registry():
         system.refresh("SimpleAssociations")
         with JobService(system, workers=1, metrics=registry) as service:
             job = service.submit(
-                "SELECT CASE WHEN price > 100 THEN 1 ELSE 0 END FROM Purchase"
+                "SELECT item FROM Purchase WHERE price > 100"
             )
             assert service.wait(job.id).state == "done"
     finally:

@@ -137,6 +137,41 @@ class TestSequencesEdges:
         db.execute("SELECT s1.NEXTVAL")
         assert db.execute("SELECT s2.NEXTVAL").scalar() == 1
 
+    # sqlite3 has no sequences: the values below are the ones a row by
+    # row evaluation numbers (a clause's k occurrences deal one k·n draw)
+
+    def test_two_bare_nextval_items_number_row_major(self, db):
+        db.execute("CREATE SEQUENCE s")
+        rows = db.query("SELECT s.NEXTVAL, s.NEXTVAL FROM t")
+        assert rows == [(1, 2), (3, 4), (5, 6)]
+        assert db.catalog.get_sequence("s").next_value == 7
+
+    def test_nextval_inside_arithmetic(self, db):
+        db.execute("CREATE SEQUENCE s")
+        db.execute("CREATE SEQUENCE r START WITH 100")
+        assert db.query("SELECT a, s.NEXTVAL * 10 + s.NEXTVAL FROM t") == [
+            (1, 12), (2, 34), (3, 56),
+        ]
+        assert db.query(
+            "SELECT s.NEXTVAL, r.NEXTVAL, s.NEXTVAL + r.NEXTVAL FROM t"
+        ) == [(7, 100, 109), (9, 102, 113), (11, 104, 117)]
+
+    def test_conditional_nextval_raises(self, db):
+        db.execute("CREATE SEQUENCE s")
+        for sql in (
+            "SELECT CASE WHEN a > 1 THEN s.NEXTVAL END FROM t",
+            "SELECT a FROM t WHERE a > 1 OR s.NEXTVAL > 0",
+            "SELECT COALESCE(NULL, s.NEXTVAL) FROM t",
+            "SELECT a FROM t WHERE EXISTS (SELECT s.NEXTVAL)",
+        ):
+            with pytest.raises(ExecutionError, match="NEXTVAL"):
+                db.query(sql)
+        assert db.catalog.get_sequence("s").next_value == 1
+        # an operand no row reaches raises nothing
+        assert db.query("SELECT COALESCE(a, s.NEXTVAL) FROM t") == [
+            (1,), (2,), (3,),
+        ]
+
 
 class TestLimitsAndOrdering:
     def test_limit_zero(self, db):
@@ -144,6 +179,21 @@ class TestLimitsAndOrdering:
 
     def test_offset_beyond_end(self, db):
         assert db.query("SELECT a FROM t ORDER BY a LIMIT 5 OFFSET 10") == []
+
+    def test_negative_limit_and_offset_follow_sqlite(self, db):
+        # a negative LIMIT is no limit, a negative OFFSET none
+        assert db.query("SELECT a FROM t LIMIT -1") == [(1,), (2,), (3,)]
+        assert db.query("SELECT a FROM t LIMIT 2 OFFSET -1") == [(1,), (2,)]
+        assert db.query("SELECT a FROM t LIMIT :n", {"n": 2.0}) == [
+            (1,), (2,),
+        ]
+
+    @pytest.mark.parametrize("window", [
+        "LIMIT NULL", "LIMIT 1.5", "LIMIT 'x'", "LIMIT 1 OFFSET NULL",
+    ])
+    def test_null_or_fractional_window_raises(self, db, window):
+        with pytest.raises(ExecutionError, match="must be an integer"):
+            db.query(f"SELECT a FROM t {window}")
 
     def test_order_by_is_stable(self, db):
         db.execute("DELETE FROM t")

@@ -76,12 +76,19 @@ class TestExplain:
         assert db.catalog.version == version
         assert db.catalog.get_sequence("sq").nextval() == 1
 
-    def test_row_executor_reason_shown(self, db):
-        plan = db.explain(
-            "SELECT CASE WHEN g > 1 THEN 'x' ELSE 'y' END FROM s"
-        )
-        assert "[row executor: no vector lowering for Case]" in plan
-        assert "row executor" not in db.explain("SELECT g FROM s")
+    def test_no_plan_names_a_second_executor(self, db):
+        # CASE, subqueries and theta joins used to send a plan to a
+        # row executor, which its first line named
+        for sql in (
+            "SELECT CASE WHEN g > 1 THEN 'x' ELSE 'y' END FROM s",
+            "SELECT item FROM s WHERE EXISTS "
+            "(SELECT 1 FROM v WHERE v.g = s.g)",
+            "SELECT 1 FROM s a, s b WHERE a.g < b.g",
+        ):
+            assert "executor" not in db.explain(sql)
+            assert all(
+                node["vectorized"] for node in db.analyze(sql).nodes
+            )
 
     def test_non_select_statement(self, db):
         text = db.explain("DROP TABLE IF EXISTS zz")

@@ -1,23 +1,27 @@
-"""The closure compiler is total: every expression node has a lowering,
-binding never fails a statement, and a malformed sub-expression raises
-only when a row reaches it — with the class and message captured from
-the commit that still had the tree-walking interpreter (these shapes
-used to stay interpreted "so the error surfaces at evaluation time").
-
-Most of these SELECTs have no vector lowering, so the row executor's
-closures run them; each says so on its plan's first line.
+"""The batch executor's expression compiler is total: every expression
+node has a kernel, building a plan never fails a statement, and a
+malformed sub-expression raises only when a row reaches it — with the
+class and message captured from the commit that still had the
+tree-walking interpreter (these shapes used to stay interpreted "so the
+error surfaces at evaluation time"), kept through the closure compiler
+that ran them until the batch executor took every statement.
 """
 
 import pytest
 
 from repro.sqlengine import Database
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.compiler import ExpressionCompiler
 from repro.sqlengine.errors import SqlError
+from repro.sqlengine.evaluator import Frame
+from repro.sqlengine.vector import VectorPlan, _Compiler, _Ctx
 
 
-def runs_on_row_executor(database, sql):
-    return "[row executor: " in database.explain(sql).splitlines()[0]
+def runs_on_batch_executor(database, sql):
+    """The statement's plan is a batch pipeline, and EXPLAIN names no
+    other executor."""
+    plan = database._select_plan(database._parse_statement(sql))
+    explained = database.explain(sql)
+    return isinstance(plan.vector, VectorPlan) and "executor" not in explained
 
 
 @pytest.fixture
@@ -35,16 +39,17 @@ def test_every_expression_node_has_a_lowering():
         cls for cls in vars(ast).values()
         if isinstance(cls, type) and issubclass(cls, ast.Expression)
     } - {ast.Expression}
-    assert len(nodes) == 18 and set(ExpressionCompiler._DISPATCH) == nodes
+    assert len(nodes) == 18 and set(_Compiler._DISPATCH) == nodes
     # the parser produces neither of these; they still lower, so that
     # no call site has to handle a missing lowering
-    bind = ExpressionCompiler(Database()).bind
+    database = Database()
     for expr, message in (
         (ast.Star(None), "'*' is only valid in a select list or COUNT(*)"),
         (ast.UnaryOp("+", ast.Literal(1)), "unknown unary operator '+'"),
     ):
+        kernel = _Compiler(Frame([]), [], database).compile(expr)
         with pytest.raises(SqlError) as raised:
-            bind(expr, None)(None)
+            kernel.fn(_Ctx(database), [], 1)
         assert str(raised.value) == message
 
 
@@ -67,15 +72,11 @@ FORMER_FALLBACK_SEAMS = {
 }
 
 
-#: the one SELECT of the seams the batch executor lowers
-ON_BATCH_EXECUTOR = {"SELECT a FROM t WHERE a > :x"}
-
-
 @pytest.mark.parametrize("sql", FORMER_FALLBACK_SEAMS)
 def test_errors_surface_at_execution_only(db, sql):
     prepared = db.prepare(sql)
     if sql.startswith("SELECT"):
-        assert runs_on_row_executor(db, sql) == (sql not in ON_BATCH_EXECUTOR)
+        assert runs_on_batch_executor(db, sql)
     with pytest.raises(SqlError) as raised:
         prepared.execute()
     error = raised.value
@@ -91,7 +92,8 @@ def test_errors_surface_at_execution_only(db, sql):
     ("SELECT CASE WHEN a > 0 THEN a ELSE nosuchfn(a) END FROM t", [(1,), (3,)]),
 ])
 def test_short_circuit_skips_the_bad_subexpression(db, sql, rows):
-    assert runs_on_row_executor(db, sql)
+    assert runs_on_batch_executor(db, sql)
     assert db.query(sql) == rows
+    assert all(node["vectorized"] for node in db.analyze(sql).nodes)
     db.execute("UPDATE t SET a = nosuchfn(a) WHERE a = 99")
     assert db.query("SELECT a FROM t") == [(1,), (3,)]
