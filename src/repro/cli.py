@@ -109,17 +109,15 @@ class Shell:
         json_log=None,
         runlog=None,
         batch_size: Optional[int] = None,
-        memory_budget: Optional[int] = None,
     ):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: structured logger (``repro.obs.jsonlog.JsonLogger``) or None
         self.json_log = json_log
-        #: executor tuning from ``--batch-size`` / ``--memory-budget``
-        #: (None keeps the engine default); validated by EngineOptions
-        tuning = {"batch_size": batch_size, "memory_budget": memory_budget}
-        options = EngineOptions(
-            **{name: value for name, value in tuning.items()
-               if value is not None}
+        #: executor tuning from ``--batch-size`` (None keeps the engine
+        #: default); validated by EngineOptions
+        options = (
+            EngineOptions() if batch_size is None
+            else EngineOptions(batch_size=batch_size)
         )
         self.system = MiningSystem(
             database=Database(options),
@@ -435,6 +433,18 @@ class Shell:
         return f"unknown command {command!r}; try .help"
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` of a count that must be at least 1: a bad
+    value is a usage error (exit 2), not a traceback."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "serve":
@@ -463,14 +473,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="resume MINE RULE statements from crash checkpoints",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="ROWS",
+        "--batch-size", type=positive_int, default=None, metavar="ROWS",
         help="rows per batch in the vectorized executor "
         "(default: engine default)",
-    )
-    parser.add_argument(
-        "--memory-budget", type=int, default=None, metavar="BYTES",
-        help="estimated bytes an executor operator may hold before "
-        "spilling to disk (default: unbounded)",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -528,7 +533,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer=tracer,
         json_log=json_log,
         batch_size=args.batch_size,
-        memory_budget=args.memory_budget,
     )
     try:
         if args.command or args.file:

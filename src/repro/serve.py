@@ -38,7 +38,7 @@ from typing import List, Optional
 
 from repro import faults
 from repro.algorithms import ALGORITHMS
-from repro.cli import SCENARIOS, Shell
+from repro.cli import SCENARIOS, Shell, positive_int
 from repro.faults import FaultSchedule, RetryPolicy
 from repro.jobs.api import JobsApi
 from repro.jobs.service import JobService
@@ -72,7 +72,6 @@ class MineRuleService:
         retry_policy: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
         batch_size: Optional[int] = None,
-        memory_budget: Optional[int] = None,
         job_workers: int = 4,
         job_queue: int = 64,
         run_log: Optional[str] = None,
@@ -102,7 +101,6 @@ class MineRuleService:
             json_log=self.json_log,
             runlog=self.runlog,
             batch_size=batch_size,
-            memory_budget=memory_budget,
         )
         if scenario is not None:
             loader = SCENARIOS[scenario]
@@ -213,12 +211,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="retry faulted pipeline stages up to N attempts",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="ROWS",
+        "--batch-size", type=positive_int, default=None, metavar="ROWS",
         help="rows per batch in the vectorized executor",
-    )
-    parser.add_argument(
-        "--memory-budget", type=int, default=None, metavar="BYTES",
-        help="operator memory budget before spilling to disk",
     )
     parser.add_argument(
         "--job-workers", type=int, default=4, metavar="N",
@@ -269,7 +263,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         log_json=args.log_json,
         retry_policy=retry_policy,
         batch_size=args.batch_size,
-        memory_budget=args.memory_budget,
         job_workers=args.job_workers,
         job_queue=args.job_queue,
         run_log=args.run_log,

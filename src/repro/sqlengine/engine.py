@@ -547,7 +547,7 @@ class Database:
         if compound:
             plan.dtypes = ["any"] * len(plan.columns)
             plan.tail = build_compound_tail(
-                select, plan.columns, self, plan.source, outer
+                select, plan.columns, self, outer
             )
         return plan
 

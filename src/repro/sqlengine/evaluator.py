@@ -1,11 +1,11 @@
 """Frames and the value semantics of scalar expressions.
 
-What the batch kernels (:mod:`repro.sqlengine.vector`) and the spill
-path build on: frames, three-valued logic, comparison, arithmetic,
-LIKE, the scalar functions and the aggregate reductions.  Comparisons
-against NULL yield UNKNOWN (represented as ``None``), AND/OR/NOT
-combine truth values per the standard tables, and WHERE/HAVING keep
-only rows whose predicate is exactly TRUE.
+What the batch kernels (:mod:`repro.sqlengine.vector`) build on:
+frames, three-valued logic, comparison, arithmetic, LIKE, the scalar
+functions and the aggregate reductions.  Comparisons against NULL
+yield UNKNOWN (represented as ``None``), AND/OR/NOT combine truth
+values per the standard tables, and WHERE/HAVING keep only rows whose
+predicate is exactly TRUE.
 """
 
 from __future__ import annotations
@@ -382,7 +382,7 @@ def _distinct_values(values: List[Any]) -> List[Any]:
 def reduce_values(name: str, values: List[Any], distinct: bool) -> Any:
     """One aggregate over a group's argument values: NULLs do not
     count, DISTINCT deduplicates first — the one place aggregate
-    arithmetic lives (in-memory and spilling aggregation)."""
+    arithmetic lives."""
     values = [v for v in values if v is not None]
     if distinct:
         values = _distinct_values(values)

@@ -18,10 +18,10 @@ nothing: planning reads no data.
 
 EXPLAIN ANALYZE additionally *executes* the statement once, annotating
 each node with the rows its batch operator produced, loop count (how
-many times it ran) and inclusive wall time, plus batches and spilled
-bytes::
+many times it ran) and inclusive wall time, plus the batches it
+processed and, on an equi-join, the probe kernel it ran::
 
-    HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms) [vectorized ...]
+    HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms) [batches=1 ...]
 
 The batch operators report to the :class:`AnalyzeCollector` the engine
 holds for the duration of one statement, so the un-analyzed execution
@@ -204,12 +204,15 @@ def _join_detail(op) -> str:
 class NodeStats:
     """Actual execution counters of one plan node."""
 
-    __slots__ = ("rows", "loops", "seconds")
+    __slots__ = ("rows", "loops", "seconds", "batches", "probe")
 
     def __init__(self) -> None:
         self.rows = 0
         self.loops = 0
         self.seconds = 0.0
+        self.batches = 0
+        #: an equi-join's probe kernel (``unique``/``buckets``)
+        self.probe: Optional[str] = None
 
 
 class AnalyzeCollector:
@@ -218,8 +221,7 @@ class AnalyzeCollector:
     The engine installs a collector on itself for the duration of one
     statement; every plan it runs (subquery, compound and view plans
     included) is :meth:`attach`-ed, and each batch operator reports its
-    node's rows, batches, spill and wall time through
-    :meth:`record_vector`.
+    node's rows, batches and wall time through :meth:`record`.
     """
 
     def __init__(self) -> None:
@@ -229,9 +231,6 @@ class AnalyzeCollector:
         #: ids of the plans a Subplan node of another plan renders
         self.nested: set = set()
         self.stats: Dict[int, NodeStats] = {}
-        #: per node: batches processed and bytes spilled to disk
-        #: (out-of-core operators)
-        self.vector: Dict[int, Dict[str, int]] = {}
 
     def attach(self, plan: Any) -> None:
         if not any(existing is plan for existing in self.plans):
@@ -240,11 +239,11 @@ class AnalyzeCollector:
             if isinstance(op, SubplanSource):
                 self.nested.add(id(op.plan))
 
-    # -- vectorized execution -------------------------------------------
+    # -- execution -----------------------------------------------------
 
-    def record_vector(
-        self, op: Operator, rows: int, batches: int, spill_bytes: int,
-        seconds: float, probe: Optional[str] = None,
+    def record(
+        self, op: Operator, rows: int, batches: int, seconds: float,
+        probe: Optional[str] = None,
     ) -> None:
         """The batch operator of plan node *op* finished one run.  A
         hash join names the *probe* kernel it ran
@@ -253,21 +252,9 @@ class AnalyzeCollector:
         stats.rows += rows
         stats.loops += 1
         stats.seconds += seconds
-        info = self.vector.setdefault(
-            id(op), {"batches": 0, "spill_bytes": 0}
-        )
-        info["batches"] += batches
-        info["spill_bytes"] += spill_bytes
+        stats.batches += batches
         if probe is not None:
-            info["probe"] = probe
-
-    def add_vector_spill(self, op: Operator, nbytes: int) -> None:
-        """Attribute external-sort spill to the plan's source node (the
-        sort has no operator of its own in the physical tree)."""
-        info = self.vector.setdefault(
-            id(op), {"batches": 0, "spill_bytes": 0}
-        )
-        info["spill_bytes"] += nbytes
+            stats.probe = probe
 
     # -- reporting ------------------------------------------------------
 
@@ -278,22 +265,15 @@ class AnalyzeCollector:
             stats = self.stats.get(id(op))
             if stats is None:
                 return ""
-            text = (
+            batches = stats.batches
+            per_batch = round(stats.rows / batches) if batches else 0
+            probe = stats.probe
+            return (
                 f" (actual rows={stats.rows} loops={stats.loops} "
                 f"time={stats.seconds * 1000:.3f} ms)"
+                f" [batches={batches} rows/batch={per_batch}"
+                f"{f' probe={probe}' if probe else ''}]"
             )
-            info = self.vector.get(id(op))
-            if info is not None:
-                batches = info["batches"]
-                per_batch = round(stats.rows / batches) if batches else 0
-                probe = info.get("probe")
-                text += (
-                    f" [vectorized batches={batches} "
-                    f"rows/batch={per_batch} "
-                    f"spill={info['spill_bytes']} B"
-                    f"{f' probe={probe}' if probe else ''}]"
-                )
-            return text
 
         return annotate
 
@@ -311,14 +291,10 @@ class AnalyzeCollector:
                     "rows": stats.rows,
                     "loops": stats.loops,
                     "seconds": stats.seconds,
+                    "batches": stats.batches,
                 }
-                info = self.vector.get(id(op))
-                if info is not None:
-                    entry["vectorized"] = True
-                    entry["batches"] = info["batches"]
-                    entry["spill_bytes"] = info["spill_bytes"]
-                    if "probe" in info:
-                        entry["probe"] = info["probe"]
+                if stats.probe is not None:
+                    entry["probe"] = stats.probe
                 out.append(entry)
         return out
 

@@ -55,11 +55,11 @@ When a statement raises, *which* row's error surfaces first is not
 fixed: kernels evaluate an operand for every row of a batch before
 moving on.
 
-Out-of-core execution: when ``EngineOptions.memory_budget`` is set and
-a sort/hash join/aggregate estimates its input above the budget, the
-node switches to the spilling variant in :mod:`repro.sqlengine.spill`
-(external merge sort, grace-style partitioned join/aggregate); spilled
-byte counts surface in EXPLAIN ANALYZE next to per-node batch counts.
+Every node holds its input in memory: a node runs once its children
+have returned their whole batches, and returns a whole batch itself.
+``batch_size`` sets how many rows a kernel pass or a theta join's
+candidate chunk covers, and the batch counts EXPLAIN ANALYZE reports;
+it bounds no node's input.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from typing import (
 )
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine import spill as spill_mod
 from repro.sqlengine.errors import (
     CatalogError,
     ExecutionError,
@@ -188,16 +187,14 @@ class _Ctx:
     A cached plan is shared by threads; its state lives here."""
 
     __slots__ = (
-        "db", "params", "collector", "batch_size", "budget", "outer", "memo",
+        "db", "params", "collector", "batch_size", "outer", "memo",
     )
 
     def __init__(self, db: Any, outer: Tuple[Any, ...] = ()):
         self.db = db
         self.params = db._params
         self.collector = db._analyze
-        options = db.options
-        self.batch_size = max(1, options.batch_size)
-        self.budget = options.memory_budget
+        self.batch_size = max(1, db.options.batch_size)
         #: the enclosing query's values a subquery run reads
         self.outer = outer
         self.memo: Dict[Any, Any] = {}
@@ -1278,7 +1275,7 @@ _Compiler._DISPATCH = {
 
 class VNode:
     """Base vector operator.  Mirrors one plan node (``self.op``) and
-    reports its rows/batches/spill into that node's EXPLAIN ANALYZE
+    reports its rows and batches into that node's EXPLAIN ANALYZE
     slot."""
 
     op: Operator
@@ -1289,13 +1286,11 @@ class VNode:
         if collector is None:
             return self._execute(ctx)
         self._batches = 0
-        self._spill = 0
         started = time.perf_counter()
         batch = self._execute(ctx)
         elapsed = time.perf_counter() - started
-        collector.record_vector(
-            self.op, batch.n, self._batches, self._spill, elapsed,
-            self._probe,
+        collector.record(
+            self.op, batch.n, self._batches, elapsed, self._probe
         )
         return batch
 
@@ -1309,7 +1304,6 @@ class VNode:
         scans build only those columns."""
 
     _batches = 0
-    _spill = 0
     #: a join's probe kernel, for EXPLAIN ANALYZE
     _probe: Optional[str] = None
 
@@ -1434,9 +1428,8 @@ class VFilter(VNode):
 class VHashJoin(VNode):
     """Equi-join on key lists: builds positions on the right input,
     probes the left in order (left-major output, bucket order within a
-    key — the row-major emission order).  Above the
-    memory budget the build/probe runs partition-wise through
-    :mod:`repro.sqlengine.spill`.
+    key — the row-major emission order).  A join without keys tests its
+    candidate pairs a chunk at a time (:meth:`_theta_pairs`).
 
     Materialization is late: the pairs are found on the key columns
     alone, a residual is evaluated on candidate pairs gathered only
@@ -1483,8 +1476,30 @@ class VHashJoin(VNode):
         # build side first, like the row-major order it reproduces
         rbatch = self.right.run(ctx)
         lbatch = self.left.run(ctx)
+        if self.left_keys:
+            lefts, rights = self._equi_pairs(ctx, lbatch, rbatch)
+        else:
+            lefts, rights = self._theta_pairs(ctx, lbatch, rbatch)
+        cols = self._columns(lbatch, rbatch, lefts, rights, self._needed)
+        return _Batch(cols, len(lefts))
+
+    def _equi_pairs(
+        self, ctx: _Ctx, lbatch: _Batch, rbatch: _Batch
+    ) -> Tuple[Sequence[int], List[Optional[int]]]:
+        """The (left, right) index pairs whose keys are equal and that
+        the residual keeps, i-major and in build order per i."""
+        rkeys = [
+            _as_list(k.fn(ctx, rbatch.cols, rbatch.n), rbatch.n)
+            for k in self.right_keys
+        ]
+        lkeys = [
+            _as_list(k.fn(ctx, lbatch.cols, lbatch.n), lbatch.n)
+            for k in self.left_keys
+        ]
         outer = self.outer
-        lefts, rights = self._pairs(ctx, lbatch, rbatch)
+        lefts, rights, self._probe = _join_pairs(
+            lkeys, lbatch.n, rkeys, rbatch.n, outer
+        )
         residual = self.residual
         if residual is not None:
             if outer:
@@ -1500,43 +1515,56 @@ class VHashJoin(VNode):
                     lefts, rights, map(_op.is_, vals, repeat(True))
                 )
             if outer:
-                lefts, rights = _pad(lefts, rights, lbatch.n)
-        cols = self._columns(lbatch, rbatch, lefts, rights, self._needed)
-        n = len(lefts)
-        self._batches = _chunks(n, ctx.batch_size)
-        return _Batch(cols, n)
+                lefts, rights = _pad(lefts, rights, range(lbatch.n))
+        self._batches = _chunks(len(lefts), ctx.batch_size)
+        return lefts, rights
 
-    def _pairs(
+    def _theta_pairs(
         self, ctx: _Ctx, lbatch: _Batch, rbatch: _Batch
-    ) -> Tuple[Sequence[int], List[Optional[int]]]:
-        """The (left, right) index pairs whose keys are equal, i-major
-        and in build order per i."""
-        rkeys = [
-            _as_list(k.fn(ctx, rbatch.cols, rbatch.n), rbatch.n)
-            for k in self.right_keys
-        ]
-        lkeys = [
-            _as_list(k.fn(ctx, lbatch.cols, lbatch.n), lbatch.n)
-            for k in self.left_keys
-        ]
-        budget = ctx.budget
-        if budget is not None and rbatch.n and spill_mod.estimate_bytes(
-            len(rbatch.cols) + len(rkeys), rbatch.n
-        ) > budget:
-            # spill_join_pairs emits exactly the in-memory pair order
-            pairs, spilled = spill_mod.spill_join_pairs(
-                _key_tuples(lkeys, lbatch.n), _key_tuples(rkeys, rbatch.n)
+    ) -> Tuple[List[int], List[Optional[int]]]:
+        """Every (left, right) pair the residual keeps, left-major in
+        right order.  The candidates are built and tested a few left
+        rows at a time — about ``batch_size`` pairs, at least one left
+        row's — and only the pairs that pass are kept; with ``outer``,
+        a left row none of whose pairs passes gets one pair with right
+        index ``None`` in its place.  Without a residual (a cross join)
+        every pair is kept."""
+        ln, rn = lbatch.n, rbatch.n
+        residual = self.residual
+        if residual is None:
+            lefts = list(
+                chain.from_iterable(map(repeat, range(ln), repeat(rn)))
             )
-            self._spill += spilled
-            self._probe = "buckets"
-            lefts: Sequence[int] = [i for i, _ in pairs]
-            rights: List[Optional[int]] = [j for _, j in pairs]
+            self._batches = _chunks(len(lefts), ctx.batch_size)
+            return lefts, list(range(rn)) * ln
+        if not rn:
+            self._batches = 1
             if self.outer:
-                lefts, rights = _pad(lefts, rights, lbatch.n)
-            return lefts, rights
-        lefts, rights, self._probe = _join_pairs(
-            lkeys, lbatch.n, rkeys, rbatch.n, self.outer
-        )
+                return list(range(ln)), [None] * ln
+            return [], []
+        lefts: List[int] = []
+        rights: List[Optional[int]] = []
+        step = max(1, ctx.batch_size // rn)
+        chunks = 0
+        for start in range(0, ln, step):
+            stop = min(start + step, ln)
+            cand_l = list(chain.from_iterable(
+                map(repeat, range(start, stop), repeat(rn))
+            ))
+            cand_r: List[Optional[int]] = list(range(rn)) * (stop - start)
+            span = len(cand_l)
+            cols = self._columns(lbatch, rbatch, cand_l, cand_r,
+                                 residual.used)
+            vals = _as_list(residual.fn(ctx, cols, span), span)
+            kept_l, kept_r = _select(
+                cand_l, cand_r, map(_op.is_, vals, repeat(True))
+            )
+            if self.outer:
+                kept_l, kept_r = _pad(kept_l, kept_r, range(start, stop))
+            lefts.extend(kept_l)
+            rights.extend(kept_r)
+            chunks += 1
+        self._batches = max(1, chunks)
         return lefts, rights
 
     def _columns(
@@ -1561,18 +1589,12 @@ class VHashJoin(VNode):
         return lcols + (_gather_pad if self.outer else _gather)(rcols, rights)
 
 
-def _row_keys(key_lists: List[List[Any]], n: int) -> List[Any]:
+def _row_keys(key_lists: List[List[Any]]) -> List[Any]:
     """One hashable key per row: the value itself for a single key
-    column, a tuple for several — equal exactly when the row
-    operator's key tuples are."""
+    column, a tuple for several."""
     if len(key_lists) == 1:
         return key_lists[0]
-    return _key_tuples(key_lists, n)
-
-
-def _key_tuples(key_lists: List[List[Any]], n: int) -> List[Tuple[Any, ...]]:
-    """Per-row key tuples, the shape the spill functions take."""
-    return list(zip(*key_lists)) if key_lists else [()] * n
+    return list(zip(*key_lists))
 
 
 #: a probe miss in a LEFT OUTER join: one pair with no right row
@@ -1595,8 +1617,8 @@ def _join_pairs(
     lookup per left row; when every left row matches (or ``outer``)
     the left indices are ``range(ln)``.  ``buckets``: build positions
     per key, emitted bucket by bucket."""
-    lk = _row_keys(lkeys, ln)
-    rk = _row_keys(rkeys, rn)
+    lk = _row_keys(lkeys)
+    rk = _row_keys(rkeys)
     if not any(None in col for col in rkeys):
         unique = dict(zip(rk, range(rn)))
         if len(unique) == rn:
@@ -1634,12 +1656,13 @@ def _select(
 
 
 def _pad(
-    lefts: List[int], rights: List[Optional[int]], ln: int
+    lefts: List[int], rights: List[Optional[int]], rows: range
 ) -> Tuple[List[int], List[Optional[int]]]:
-    """LEFT OUTER emission from i-major pairs: each of the *ln* left
-    rows without a pair gets one with right index ``None``, in place."""
+    """LEFT OUTER emission from i-major pairs of the left *rows*: each
+    of them without a pair gets one with right index ``None``, in
+    place."""
     matched = set(lefts)
-    pads = [i for i in range(ln) if i not in matched]
+    pads = [i for i in rows if i not in matched]
     if not pads:
         return lefts, rights
     lefts = list(lefts) + pads
@@ -1650,59 +1673,25 @@ def _pad(
 
 
 class VLeftOuterHashJoin(VHashJoin):
-    """LEFT OUTER equi-join: the inner join's pairs, a residual
-    applied to them, and every left row left without a pair padded
-    with NULLs in its place — the row-major emission order."""
+    """LEFT OUTER join: the inner join's pairs, a residual applied to
+    them, and every left row left without a pair padded with NULLs in
+    its place — the row-major emission order.  Without keys (``ON``
+    holds no equality) the pairs come a chunk at a time, as in
+    :class:`VNestedLoopJoin`."""
 
     outer = True
 
 
 class VNestedLoopJoin(VHashJoin):
-    """Cross/theta join: every (left, right) pair, left-major in right
-    order.  With a residual the candidate pairs are built and tested a
-    few left rows at a time — about ``batch_size`` pairs, at least one
-    left row's — and only the pairs that pass are kept."""
-
-    def _execute(self, ctx: _Ctx) -> _Batch:
-        rbatch = self.right.run(ctx)
-        lbatch = self.left.run(ctx)
-        ln, rn = lbatch.n, rbatch.n
-        residual = self.residual
-        if residual is None:
-            lefts = list(
-                chain.from_iterable(map(repeat, range(ln), repeat(rn)))
-            )
-            rights = list(range(rn)) * ln
-            self._batches = _chunks(len(lefts), ctx.batch_size)
-        else:
-            lefts, rights = [], []
-            step = max(1, ctx.batch_size // max(1, rn))
-            chunks = 0
-            for start in range(0, ln if rn else 0, step):
-                stop = min(start + step, ln)
-                cand_l = list(chain.from_iterable(
-                    map(repeat, range(start, stop), repeat(rn))
-                ))
-                cand_r = list(range(rn)) * (stop - start)
-                span = len(cand_l)
-                cols = self._columns(lbatch, rbatch, cand_l, cand_r,
-                                     residual.used)
-                vals = _as_list(residual.fn(ctx, cols, span), span)
-                keep = list(map(_op.is_, vals, repeat(True)))
-                lefts.extend(compress(cand_l, keep))
-                rights.extend(compress(cand_r, keep))
-                chunks += 1
-            self._batches = max(1, chunks)
-        cols = self._columns(lbatch, rbatch, lefts, rights, self._needed)
-        return _Batch(cols, len(lefts))
+    """Cross/theta join: no keys, so every pair is a candidate
+    (:meth:`VHashJoin._theta_pairs`)."""
 
 
 class VAggregate(VNode):
     """Hash grouping with slot reduction.  The output batch carries
     one representative (first-member) value per child column, followed
     by one column per aggregate slot; the post-group compiler reads
-    both through flat indices.  Above the memory budget, grouping runs
-    partition-wise on disk."""
+    both through flat indices."""
 
     def __init__(
         self,
@@ -1739,21 +1728,6 @@ class VAggregate(VNode):
             else _as_list(s.arg.fn(ctx, ccols, n), n)
             for s in slots
         ]
-        budget = ctx.budget
-        if budget is not None and n and spill_mod.estimate_bytes(
-            len(ccols) + len(slots) + len(self.key_vexprs), n
-        ) > budget:
-            live = [k for k, col in enumerate(ccols) if col is not None]
-            reps, slotcols, count, spilled = spill_mod.spill_aggregate(
-                n, _key_tuples(key_lists, n), [ccols[k] for k in live],
-                arg_lists, slots,
-            )
-            repcols: List[Column] = [None] * len(ccols)
-            for k, col in zip(live, reps):
-                repcols[k] = col
-            self._spill += spilled
-            self._batches = _chunks(count, ctx.batch_size)
-            return _Batch(repcols + slotcols, count)
         members: Optional[List[Sequence[int]]] = None
         sizes: List[int] = []
         if not n:
@@ -1770,14 +1744,14 @@ class VAggregate(VNode):
                 # COUNT(*) at most, no member lists: the reversed dict
                 # keeps each key's first row, and Counter counts in
                 # first-appearance order too
-                keys = _row_keys(key_lists, n)
+                keys = _row_keys(key_lists)
                 firsts = sorted(
                     dict(zip(reversed(keys), range(n - 1, -1, -1))).values()
                 )
                 if slots:
                     sizes = list(Counter(keys).values())
             else:
-                firsts, members = _members(_row_keys(key_lists, n))
+                firsts, members = _members(_row_keys(key_lists))
                 sizes = list(map(len, members))
             repcols = _gather(ccols, firsts)
             count = len(firsts)
@@ -1864,8 +1838,7 @@ def compare_order_keys(
     bkeys: Tuple[Any, ...],
     order_by: Sequence[ast.OrderItem],
 ) -> int:
-    """Three-way ORDER BY key comparison (shared with the external
-    merge sort in :mod:`repro.sqlengine.spill`)."""
+    """Three-way ORDER BY key comparison."""
     for position, item in enumerate(order_by):
         left = akeys[position]
         right = bkeys[position]
@@ -1903,9 +1876,9 @@ class _Tail:
     shows.  As in sqlite3, a negative LIMIT means no limit and a
     negative OFFSET none."""
 
-    __slots__ = ("order_by", "keys", "source_used", "limit", "offset", "op")
+    __slots__ = ("order_by", "keys", "source_used", "limit", "offset")
 
-    def __init__(self, select: ast.Select, comp: _Compiler, op: Operator):
+    def __init__(self, select: ast.Select, comp: _Compiler):
         self.order_by = select.order_by
         comp.clause()
         self.keys: List[Any] = [
@@ -1929,8 +1902,6 @@ class _Tail:
         self.limit = (
             window.compile(select.limit) if select.limit is not None else None
         )
-        #: the plan node an external sort's spill is reported on
-        self.op = op
 
     def apply(
         self, ctx: _Ctx, out_cols: List[List[Any]], src_cols: List[Any], n: int
@@ -1965,16 +1936,6 @@ class _Tail:
                 key_cols.append(_as_list(key.fn(ctx, layout, n), n))
         keys = list(zip(*key_cols))
         order_by = self.order_by
-        budget = ctx.budget
-        if budget is not None and spill_mod.estimate_bytes(
-            width + len(key_cols), n
-        ) > budget:
-            rows, spilled = spill_mod.external_sort(
-                list(zip(*out_cols)), keys, order_by, budget
-            )
-            if ctx.collector is not None:
-                ctx.collector.add_vector_spill(self.op, spilled)
-            return transpose(rows, width)
         # stable: equal keys keep their input order
         order = sorted(range(n), key=cmp_to_key(
             lambda a, b: compare_order_keys(keys[a], keys[b], order_by)
@@ -2122,7 +2083,7 @@ def build_vector_plan(
             frame, out_dtypes + dtypes, db, groups, sibling, outer,
             out_frame=Frame.single(None, columns),
         )
-        vp.tail = _Tail(select, order_comp, source_op)
+        vp.tail = _Tail(select, order_comp)
         used = used | vp.tail.source_used
     # every expression is compiled (the aggregate's slots are all
     # allocated): tell the scans which columns anything reads
@@ -2134,7 +2095,6 @@ def build_compound_tail(
     select: ast.Select,
     columns: List[str],
     db: Any,
-    op: Operator,
     outer: Optional[_Outer] = None,
 ) -> Optional[_Tail]:
     """The ORDER BY / LIMIT / OFFSET after a compound SELECT's set
@@ -2146,7 +2106,7 @@ def build_compound_tail(
         Frame([]), ["any"] * len(columns), db, outer=outer,
         out_frame=Frame.single(None, columns),
     )
-    return _Tail(select, comp, op)
+    return _Tail(select, comp)
 
 
 def evaluate_constant(db: Any, expr: ast.Expression) -> Any:

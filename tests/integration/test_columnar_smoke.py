@@ -1,17 +1,15 @@
-"""Columnar smoke: the Appendix-A golden statements on column vectors.
+"""Batch-size smoke: the Appendix-A golden statements at two batch sizes.
 
-The golden files in ``tests/integration/golden/`` were produced by the
-row pipeline; this module re-runs every golden statement with
+This module re-runs every golden statement of
+``tests/integration/golden/`` with
 
-* the columnar workspace the preprocessor registers (vectorized batch
-  executor over the encoded column vectors), and
-* the same under a tiny ``memory_budget`` + small ``batch_size``
-  (every sizable sort / join / aggregate goes through the spill
-  operators)
+* the engine's default ``batch_size``, and
+* a ``batch_size`` of 16, so every sizable scan, join and aggregate
+  spans many batches and a theta join many candidate chunks,
 
 and compares the dumped output relations byte-for-byte against the
-same checked-in goldens — the PR's bit-identity contract, enforced on
-the exact artifacts the row path is pinned to.
+checked-in goldens: the batch size tunes the executor and never
+changes an answer or its order.
 """
 
 import pytest
@@ -27,14 +25,14 @@ from tests.integration.test_golden_outputs import (
 )
 
 CONFIGURATIONS = {
-    "columnar": {},
-    "columnar_spill": {"memory_budget": 2_000, "batch_size": 16},
+    "default_batch": {},
+    "batch_16": {"batch_size": 16},
 }
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
 @pytest.mark.parametrize("name", sorted(GOLDEN_STATEMENTS))
-def test_columnar_matches_row_goldens(name, config):
+def test_goldens_at_each_batch_size(name, config):
     database = Database(EngineOptions(**CONFIGURATIONS[config]))
     load_purchase_figure1(database)
     system = MiningSystem(database=database)

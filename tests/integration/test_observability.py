@@ -208,7 +208,7 @@ def test_disabled_tracer_captures_no_analysis():
 
 def all_batched(nodes):
     """Every EXPLAIN ANALYZE node reports batches."""
-    return all(node.get("vectorized") for node in nodes)
+    return all(node.get("batches", 0) >= 1 for node in nodes)
 
 
 def _load_figure1(database, seed, size):

@@ -1,24 +1,26 @@
-"""Differential properties of the columnar storage + vectorized path.
+"""Differential properties of the columnar storage and the batch
+executor.
 
-The contract of PR 7 is *bit-identity*: for any source data and any
-MINE RULE shape — simple (Q0..Q4) and the general variants (Q5..Q11:
-clustered, mining condition, both — plus source conditions — every
-translation-program query shape), the pipeline must produce identical
-decoded rules and identical golden dumps whether the vectorized
-operators over its encoded column vectors run in memory or spill to
-disk under a tiny ``memory_budget``.
+The batch size is a tuning knob, never a semantic one: for any source
+data and any MINE RULE shape — simple (Q0..Q4) and the general
+variants (Q5..Q11: clustered, mining condition, both — plus source
+conditions — every translation-program query shape), the pipeline must
+produce identical decoded rules and identical golden dumps at the
+default ``batch_size`` and at a tiny one.
 
 A second engine-level property drives the same contract below the
 mining kernel: random rows through representative SELECT shapes
 (filter, join, group/HAVING, ORDER BY, DISTINCT, subquery) and INSERT
 .. SELECT shapes.  The answers must be identical — order and stored
 types included — whether the source tables are read directly, through
-a view or through a derived table, and when the operators are forced
-to spill; the oracle of the direct in-memory answers is sqlite3 (the
-same multisets).
+a view or through a derived table, and at a tiny ``batch_size``; the
+oracle of the direct answers is sqlite3 (the same multisets).
 
-A third property holds ``insert_columns`` (the batch executor's way
-into a table) to the row-at-a-time ``insert``.
+A third property runs values no declared type would let into one
+column together (equal but not identical numbers, ints beyond 64 bits)
+through every access path and against sqlite3, and a fourth holds
+``insert_columns`` (the batch executor's way into a table) to the
+row-at-a-time ``insert``.
 """
 
 import datetime
@@ -132,17 +134,17 @@ def _run_pipeline(rows, statement, **engine_options):
     return result.rules, dumps
 
 
-class TestPipelineRowVsColumnarVsSpill:
+class TestPipelineBatchSizeInvariance:
     @settings(max_examples=5, deadline=None)
     @given(rows=purchase_rows, shape=st.sampled_from(sorted(STATEMENT_SHAPES)))
     def test_bit_identical_rules_and_dumps(self, rows, shape):
         statement = STATEMENT_SHAPES[shape]
-        col_rules, col_dumps = _run_pipeline(rows, statement)
-        spill_rules, spill_dumps = _run_pipeline(
-            rows, statement, memory_budget=2_000, batch_size=16
+        rules, dumps = _run_pipeline(rows, statement)
+        small_rules, small_dumps = _run_pipeline(
+            rows, statement, batch_size=16
         )
-        assert spill_rules == col_rules
-        assert spill_dumps == col_dumps
+        assert small_rules == rules
+        assert small_dumps == dumps
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +201,7 @@ SELECT_SHAPES = (
     # an ON clause with no equality: a keyless outer join
     "SELECT t.a, u.c FROM {t} LEFT JOIN {u} ON u.c > t.a",
     # subqueries (correlated ones bind the outer row per run), CASE,
-    # theta and cross joins: no spill mode of their own, but their
-    # inputs spill
+    # theta and cross joins
     "SELECT a FROM {t} WHERE EXISTS (SELECT 1 FROM {u} WHERE u.c = t.a) "
     "ORDER BY a",
     "SELECT a, (SELECT MAX(c) FROM {u} WHERE u.b = t.b) FROM {t}",
@@ -323,7 +324,7 @@ def _sqlite_multisets(t_rows, u_rows):
 EXAMPLES = max(1, settings.default.max_examples // 5)
 
 
-class TestEngineRowVsColumnarVsSpill:
+class TestEngineBatchSizeInvariance:
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(
         t_rows=engine_rows,
@@ -331,18 +332,14 @@ class TestEngineRowVsColumnarVsSpill:
         access=st.sampled_from(sorted(ACCESS)),
     )
     def test_select_shapes_agree(self, t_rows, u_rows, access):
-        """The id predates sqlite3 as the oracle (the row executor was
-        it): in memory, spilling, through a view and through a derived
-        table the answers are identical, and in memory they are
-        sqlite3's multisets."""
-        in_memory = _engine_results(EngineOptions(), t_rows, u_rows)
-        for options in (
-            EngineOptions(),
-            EngineOptions(memory_budget=500, batch_size=8),
-        ):
+        """At the default and at a tiny batch size, through a view and
+        through a derived table the answers are identical, and the
+        direct ones are sqlite3's multisets."""
+        direct = _engine_results(EngineOptions(), t_rows, u_rows)
+        for options in (EngineOptions(), EngineOptions(batch_size=8)):
             assert _engine_results(
                 options, t_rows, u_rows, access
-            ) == in_memory
+            ) == direct
         database = _engine_database(EngineOptions(), t_rows, u_rows)
         assert _multisets(
             database.query, lambda name: database.table(name).rows
@@ -406,7 +403,7 @@ def _sqlite_storable(rows):
     ]
 
 
-class TestMixedValuesThroughBothExecutors:
+class TestMixedValuesAcrossAccessPaths:
     @settings(max_examples=max(25, EXAMPLES), deadline=None)
     @given(
         m_rows=mixed_rows,

@@ -269,6 +269,10 @@ CORPUS = [
     "SELECT t.a, u.name FROM t JOIN u ON t.a = u.a",
     "SELECT t.a, u.name FROM t LEFT JOIN u ON t.a = u.a",
     "SELECT t.a, u.name FROM t LEFT JOIN u ON t.a = u.a AND u.name = 'x'",
+    # an ON with no equality: a keyless outer join pads left rows none
+    # of whose candidate pairs pass
+    "SELECT t.a, u.name FROM t LEFT JOIN u ON u.a > t.a",
+    "SELECT t.a, u.name FROM t LEFT JOIN u ON t.b < u.a AND u.name <> 'y'",
     "SELECT t1.a, t2.b FROM t t1, t t2 WHERE t1.a = t2.b AND t1.c = 'jackets'",
     "SELECT t.a FROM t, u WHERE t.a = u.a AND t.b + 1 > u.a",
     # grouping / HAVING / aggregates

@@ -119,6 +119,29 @@ class TestLineFeeding:
         assert out is not None
 
 
+class TestBatchSizeFlag:
+    @pytest.mark.parametrize("value", ["0", "-4", "many"])
+    def test_bad_value_is_a_usage_error(self, value, capsys):
+        """Both front ends refuse a batch size below 1 at the command
+        line: exit 2 and a usage line, not a ``ValueError``
+        traceback from ``EngineOptions``."""
+        from repro import serve
+
+        for entry in (main, serve.main):
+            with pytest.raises(SystemExit) as exit_info:
+                entry(["--batch-size", value])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:"), err
+            assert "--batch-size" in err
+
+    def test_good_value_reaches_the_engine(self, capsys):
+        code = main(["--batch-size", "16", "-c", ".load purchase",
+                     "-c", "SELECT COUNT(*) FROM Purchase"])
+        assert code == 0
+        assert "8" in capsys.readouterr().out
+
+
 class TestBatchMain:
     def test_commands_run_in_order(self, capsys):
         code = main([
@@ -235,8 +258,7 @@ class TestDumpRestore:
         shell.execute(f".dump {target}")
         journal = RunLog()
         policy = RetryPolicy(max_attempts=2)
-        fresh = Shell(runlog=journal, retry_policy=policy,
-                      batch_size=16, memory_budget=4096)
+        fresh = Shell(runlog=journal, retry_policy=policy, batch_size=16)
         system = fresh.system
         with JobService(system, workers=1, runlog=journal) as jobs:
             fresh.jobs = jobs
@@ -244,8 +266,7 @@ class TestDumpRestore:
             assert fresh.system is system and jobs.system is system
             assert system.runlog is journal
             assert system.retry_policy is policy
-            assert (fresh.db.options.batch_size,
-                    fresh.db.options.memory_budget) == (16, 4096)
+            assert fresh.db.options.batch_size == 16
             fresh.execute(
                 "INSERT INTO Purchase VALUES "
                 "(9, 'cust3', 'ski_pants', DATE '1995-12-20', 140, 1)"

@@ -1,27 +1,22 @@
-"""Unit tests for the columnar storage layer and the vectorized
-executor's observable surface (PR 7).
+"""Unit tests for the columnar storage layer and the batch
+executor's observable surface.
 
 Covered here: the adaptive :class:`ColumnVector` layouts, their
 exact-promotion rules and decodes, the :class:`Table` contract over
-them (DML, indexes, the read-only ``rows``), the spill-to-disk helpers
-and EXPLAIN ANALYZE's per-node batch/spill counters.  The end-to-end
-bit-identity net lives in ``tests/property/test_columnar_differential.py``.
+them (DML, indexes, the read-only ``rows``) and EXPLAIN ANALYZE's
+per-node batch counters, which show a theta join and a keyless LEFT
+JOIN testing their candidate pairs a chunk at a time.  The end-to-end
+batch-size invariance net lives in
+``tests/property/test_columnar_differential.py``.
 """
 
 import datetime
-from types import SimpleNamespace
 
 import pytest
 
 import repro.sqlengine as sqlengine
 from repro.sqlengine import Database, EngineOptions, Table, columnar
 from repro.sqlengine.columnar import ColumnVector
-from repro.sqlengine.spill import (
-    estimate_bytes,
-    external_sort,
-    spill_aggregate,
-    spill_join_pairs,
-)
 from repro.sqlengine.types import SqlType
 
 
@@ -228,49 +223,9 @@ class TestColumnarTable:
         assert not hasattr(database.table("t"), "storage")
 
 
-class TestSpillHelpers:
-    def test_estimate_scales_with_shape(self):
-        assert estimate_bytes(2, 100) > estimate_bytes(1, 100)
-        assert estimate_bytes(2, 200) > estimate_bytes(2, 100)
-
-    def test_external_sort_matches_sorted(self):
-        rows = [(i % 7, -i) for i in range(500)]
-        keys = [(row[0],) for row in rows]
-        order_by = [SimpleNamespace(ascending=True)]  # expr itself unused
-        merged, spilled = external_sort(
-            list(rows), keys, order_by, budget=512
-        )
-        assert spilled > 0
-        assert merged == sorted(rows, key=lambda r: (r[0],))
-        # stability: equal keys keep input order
-        by_key = [r for r in merged if r[0] == 3]
-        assert by_key == [r for r in rows if r[0] == 3]
-
-    def test_spill_join_pairs_matches_nested_loop(self):
-        left = [(i % 5,) for i in range(40)]
-        right = [(i % 3,) for i in range(30)]
-        expected = [
-            (i, j)
-            for i, lk in enumerate(left)
-            for j, rk in enumerate(right)
-            if lk == rk
-        ]
-        pairs, spilled = spill_join_pairs(left, right)
-        assert pairs == expected
-        assert spilled > 0
-
-    def test_spill_join_skips_null_keys(self):
-        pairs, _ = spill_join_pairs([(None,), (1,)], [(1,), (None,)])
-        assert pairs == [(1, 0)]
-
-
 class TestExplainAnalyzeCounters:
-    def _database(self, memory_budget=None):
-        database = Database(
-            options=EngineOptions(
-                batch_size=16, memory_budget=memory_budget
-            )
-        )
+    def _database(self):
+        database = Database(options=EngineOptions(batch_size=16))
         database.execute("CREATE TABLE t (a INTEGER, b VARCHAR)")
         for i in range(200):
             database.execute(
@@ -283,21 +238,11 @@ class TestExplainAnalyzeCounters:
         analysis = database.analyze(
             "SELECT b, COUNT(*) FROM t WHERE a > 10 GROUP BY b"
         )
-        vectorized = [n for n in analysis.nodes if n.get("vectorized")]
-        assert vectorized, analysis.text
-        assert all(n["batches"] >= 1 for n in vectorized)
-        assert "[vectorized batches=" in analysis.text
-
-    def test_spill_bytes_surface_in_plan(self):
-        database = self._database(memory_budget=1_000)
-        analysis = database.analyze(
-            "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b"
-        )
-        assert any(
-            n.get("spill_bytes", 0) > 0
-            for n in analysis.nodes
-            if n.get("vectorized")
-        ), analysis.text
+        assert analysis.nodes, analysis.text
+        assert all(n["batches"] >= 1 for n in analysis.nodes)
+        assert " [batches=" in analysis.text
+        assert "vectorized" not in analysis.text
+        assert all("vectorized" not in n for n in analysis.nodes)
 
     def test_subquery_plans_report_batches(self):
         database = self._database()
@@ -307,117 +252,46 @@ class TestExplainAnalyzeCounters:
         )
         assert analysis.result.rows == [(199,)]
         assert {n["plan"] for n in analysis.nodes} == {0, 1}
-        assert all(n.get("vectorized") for n in analysis.nodes)
+        assert all(n["batches"] >= 1 for n in analysis.nodes)
 
-    def test_theta_join_tests_its_pairs_a_chunk_at_a_time(self):
-        """Under a forced budget a theta join answers what it answers in
-        memory, left-major, and builds its candidate pairs about
-        ``batch_size`` at a time: 200 × 5 pairs in chunks of three left
-        rows (15 pairs) take 67 chunks, not one of 1 000 pairs."""
-        sql = "SELECT t.a, u.c FROM t, u WHERE MOD(t.a, 7) < u.c"
-        answers = []
-        for memory_budget in (None, 1_000):
-            database = self._database(memory_budget)
-            database.execute("CREATE TABLE u (c INTEGER)")
-            database.execute(
-                "INSERT INTO u VALUES (0), (2), (NULL), (4), (6)"
-            )
-            analysis = database.analyze(sql)
-            answers.append(analysis.result.rows)
-            join = next(
-                n for n in analysis.nodes if n["operator"] == "NestedLoopJoin"
-            )
-            assert join["batches"] == 67
-        # left-major, in the right side's order
-        expected = [
-            (a, c) for a in range(200) for c in (0, 2, 4, 6) if a % 7 < c
-        ]
-        assert answers == [expected, expected]
-
-
-class TestSpillAggregateHelper:
-    def test_group_counts_match(self):
-        n = 50
-        keys = [(i % 4,) for i in range(n)]
-        child_cols = [[i % 4 for i in range(n)]]
-
-        class Slot:
-            name = "COUNT"
-            star = True
-            distinct = False
-
-        repcols, slotcols, count, spilled = spill_aggregate(
-            n, keys, child_cols, [None], [Slot()]
-        )
-        assert count == 4
-        assert repcols[0] == [0, 1, 2, 3]
-        assert slotcols[0] == [13, 13, 12, 12]
-        assert spilled > 0
-
-
-class TestSpilledLeftOuterJoin:
-    """Satellite fix: LEFT OUTER JOIN had no spill branch in the
-    vectorized executor — above-budget builds now run partition-wise
-    through ``spill_join_pairs`` with bit-identical emission (verified
-    against both the in-memory path and sqlite3)."""
-
-    QUERY = (
-        "SELECT l.k, l.a, r.b FROM l LEFT OUTER JOIN r ON l.k = r.k"
-    )
-    QUERY_RESIDUAL = (
-        "SELECT l.k, l.a, r.b FROM l "
-        "LEFT OUTER JOIN r ON l.k = r.k AND r.b > 1"
-    )
-
-    def _load(self, memory_budget):
-        database = Database(
-            options=EngineOptions(
-                batch_size=16, memory_budget=memory_budget
-            )
-        )
-        database.execute("CREATE TABLE l (k INTEGER, a VARCHAR)")
-        database.execute("CREATE TABLE r (k INTEGER, b INTEGER)")
-        left, right = database.table("l"), database.table("r")
-        for i in range(120):
-            left.insert((i % 7 if i % 11 else None, f"a{i % 5}"))
-        for i in range(90):
-            right.insert((i % 9 if i % 13 else None, i % 4))
+    def _with_u(self):
+        database = self._database()
+        database.execute("CREATE TABLE u (c INTEGER)")
+        database.execute("INSERT INTO u VALUES (0), (2), (NULL), (4), (6)")
         return database
 
-    def _sqlite(self):
-        import sqlite3
+    def test_theta_join_tests_its_pairs_a_chunk_at_a_time(self):
+        """A theta join answers left-major and builds its candidate
+        pairs about ``batch_size`` at a time: 200 × 5 pairs in chunks
+        of three left rows (15 pairs) take 67 chunks, not one of 1 000
+        pairs."""
+        analysis = self._with_u().analyze(
+            "SELECT t.a, u.c FROM t, u WHERE MOD(t.a, 7) < u.c"
+        )
+        join = next(
+            n for n in analysis.nodes if n["operator"] == "NestedLoopJoin"
+        )
+        assert join["batches"] == 67
+        # left-major, in the right side's order
+        assert analysis.result.rows == [
+            (a, c) for a in range(200) for c in (0, 2, 4, 6) if a % 7 < c
+        ]
 
-        lite = sqlite3.connect(":memory:")
-        lite.execute("CREATE TABLE l (k INTEGER, a TEXT)")
-        lite.execute("CREATE TABLE r (k INTEGER, b INTEGER)")
-        for i in range(120):
-            lite.execute(
-                "INSERT INTO l VALUES (?, ?)",
-                (i % 7 if i % 11 else None, f"a{i % 5}"),
-            )
-        for i in range(90):
-            lite.execute(
-                "INSERT INTO r VALUES (?, ?)",
-                (i % 9 if i % 13 else None, i % 4),
-            )
-        return lite
-
-    @pytest.mark.parametrize("query", [QUERY, QUERY_RESIDUAL])
-    def test_spilled_run_is_bit_identical(self, query):
-        in_memory = list(self._load(None).query(query))
-        spilled = list(self._load(500).query(query))
-        assert spilled == in_memory  # same rows, same order
-
-    @pytest.mark.parametrize("query", [QUERY, QUERY_RESIDUAL])
-    def test_matches_sqlite(self, query):
-        mine = sorted(self._load(500).query(query), key=repr)
-        theirs = sorted(self._sqlite().execute(query).fetchall(), key=repr)
-        assert mine == theirs
-
-    def test_forced_spill_actually_spills(self):
-        analysis = self._load(500).analyze(self.QUERY)
-        assert any(
-            node.get("spill_bytes", 0) > 0
-            for node in analysis.nodes
-            if node.get("vectorized")
-        ), analysis.text
+    def test_keyless_left_join_tests_its_pairs_a_chunk_at_a_time(self):
+        """A LEFT JOIN whose ON holds no equality runs the theta join's
+        chunked candidate loop, not one bucket of all 1 000 pairs, and
+        pads each left row none of whose pairs passes with NULL in its
+        place."""
+        analysis = self._with_u().analyze(
+            "SELECT t.a, u.c FROM t LEFT JOIN u ON MOD(t.a, 7) + 3 < u.c"
+        )
+        join = next(
+            n for n in analysis.nodes
+            if n["operator"] == "LeftOuterHashJoin"
+        )
+        assert join["batches"] == 67
+        expected = []
+        for a in range(200):
+            matches = [(a, c) for c in (0, 2, 4, 6) if a % 7 + 3 < c]
+            expected.extend(matches or [(a, None)])
+        assert analysis.result.rows == expected

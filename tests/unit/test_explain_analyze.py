@@ -68,7 +68,7 @@ class TestAnalyzeSelect:
         db.execute("CREATE TABLE u (grp VARCHAR)")
         db.execute("INSERT INTO u VALUES ('a'), ('b')")
         sql = "SELECT t.x FROM t, u WHERE t.grp = u.grp"
-        assert "spill=0 B probe=unique]" in db.explain_analyze(sql)
+        assert "rows/batch=4 probe=unique]" in db.explain_analyze(sql)
         for row in ("NULL", "'a'"):
             db.execute(f"INSERT INTO u VALUES ({row})")
             result = db.analyze(sql)

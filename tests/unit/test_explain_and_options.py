@@ -87,7 +87,7 @@ class TestExplain:
         ):
             assert "executor" not in db.explain(sql)
             assert all(
-                node["vectorized"] for node in db.analyze(sql).nodes
+                node["batches"] >= 1 for node in db.analyze(sql).nodes
             )
 
     def test_non_select_statement(self, db):
@@ -107,13 +107,13 @@ class TestEngineOptions:
         from repro import MiningSystem
 
         fields = [f.name for f in dataclasses.fields(EngineOptions)]
-        assert len(fields) == 4 and fields == [
+        assert len(fields) == 3 and fields == [
             "statement_cache_size", "plan_cache_size", "batch_size",
-            "memory_budget",
         ]
-        # neither planner features nor the executor have a switch
+        # neither planner features nor the executor have a switch, and
+        # every node runs in memory: no spill budget
         for gone in ("hash_joins", "filter_pushdown", "plan_cache",
-                     "vectorize"):
+                     "vectorize", "memory_budget"):
             with pytest.raises(TypeError):
                 EngineOptions(**{gone: False})
         parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]
@@ -126,12 +126,10 @@ class TestEngineOptions:
             with pytest.raises(TypeError):
                 MiningSystem(**gone)
         # executor tuning is the engine's, rejected at its boundary
-        for bad in ({"batch_size": 0}, {"memory_budget": 0}):
-            (name, value), = bad.items()
-            with pytest.raises(
-                ValueError, match=f"{name} must be positive, got {value}"
-            ):
-                EngineOptions(**bad)
+        with pytest.raises(
+            ValueError, match="batch_size must be positive, got 0"
+        ):
+            EngineOptions(batch_size=0)
 
         # the pool: each member has the tuning its algorithm defines
         # and no layout switch
@@ -152,6 +150,32 @@ class TestEngineOptions:
             pool.Eclat(diffsets=False)
         assert not hasattr(pool, "REPRESENTATIONS")
         assert "REPRESENTATIONS" not in pool.__all__
+
+    @pytest.mark.parametrize("name", ["statement_cache_size", "plan_cache_size"])
+    def test_negative_cache_size_is_rejected(self, name):
+        """A negative capacity is refused when the options are built:
+        accepted, it made the LRU eviction raise ``KeyError`` on every
+        statement.  0 stays legal (nothing is cached)."""
+        with pytest.raises(
+            ValueError, match=f"{name} must not be negative, got -1"
+        ):
+            EngineOptions(**{name: -1})
+        db = Database(EngineOptions(**{name: 0}))
+        db.execute("CREATE TABLE t (a INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        for _ in range(2):
+            assert db.query("SELECT a FROM t") == [(1,)]
+
+    def test_memory_budget_flag_is_gone(self, capsys):
+        """Every node runs in memory: neither front end takes the flag
+        that set a spill budget."""
+        from repro import cli, serve
+
+        for main in (cli.main, serve.main):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--memory-budget=4096"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--workers=2", "--shard-start-method=fork"])
     def test_sharding_flags_are_gone(self, flag, capsys):
