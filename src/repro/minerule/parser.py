@@ -58,10 +58,6 @@ class MineRuleParser(Parser):
         if not self._accept_word(word):
             raise self._mr_error(f"expected {word}")
 
-    def _peek_word(self, word: str, offset: int = 0) -> bool:
-        tok = self._current if offset == 0 else self._peek(offset)
-        return tok.type is TokenType.IDENT and tok.value.upper() == word
-
     def _mr_error(self, message: str) -> MineRuleParseError:
         tok = self._current
         near = f" (near {tok.text!r})" if tok.text else ""

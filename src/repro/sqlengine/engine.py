@@ -50,21 +50,13 @@ from repro.obs.spans import NULL_TRACER
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, Index, View
 from repro.sqlengine.errors import ExecutionError
-from repro.sqlengine.evaluator import contains_aggregate
 from repro.sqlengine.locks import RWLock
-from repro.sqlengine.operators import Filter, GroupAggregate, Operator
 from repro.sqlengine.parser import parse_sql, split_statements
-from repro.sqlengine.planner import SelectPlanner, conjoin
+from repro.sqlengine.planner import SelectPlanner
 from repro.sqlengine.result import Result
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import SqlType, coerce as coerce_value, infer_type
-from repro.sqlengine.vector import (
-    build_compound_tail,
-    build_vector_plan,
-    evaluate_constant,
-    select_rows,
-    transpose,
-)
+from repro.sqlengine.vector import SelectPlan, evaluate_constant, select_rows
 
 Row = Tuple[Any, ...]
 
@@ -153,38 +145,6 @@ class PreparedStatement:
         return f"PreparedStatement({self.sql!r})"
 
 
-class _SelectPlan:
-    """Everything static about one SELECT statement: the first block's
-    plan tree and batch pipeline, the set operations with the plans of
-    their right-hand blocks, and a compound's ORDER BY / LIMIT /
-    OFFSET.  Built once per (statement, catalog version); executions
-    share it and keep their state in the batch executor's context."""
-
-    __slots__ = (
-        "select",
-        "root",
-        "leftovers",
-        "source",
-        "vector",
-        "columns",
-        "dtypes",
-        "set_ops",
-        "tail",
-    )
-
-    select: ast.Select
-    root: Operator
-    leftovers: List[ast.Expression]
-    #: the root, or the aggregate over it
-    source: Operator
-    vector: Any
-    #: output column names and their proven dtypes
-    columns: List[str]
-    dtypes: List[str]
-    set_ops: List[Tuple[str, bool, "_SelectPlan"]]
-    tail: Any
-
-
 class Database:
     """An in-memory SQL database instance."""
 
@@ -222,7 +182,7 @@ class Database:
         #: plan cannot clobber each other's parameters
         self._local = threading.local()
         self._statement_cache: "OrderedDict[str, ast.Statement]" = OrderedDict()
-        self._plan_cache: "OrderedDict[int, _SelectPlan]" = OrderedDict()
+        self._plan_cache: "OrderedDict[int, SelectPlan]" = OrderedDict()
         #: the catalog version every cached plan was built under
         self._plan_cache_version = 0
 
@@ -468,15 +428,21 @@ class Database:
                 cache.popitem(last=False)
         return statement
 
-    def _select_plan(self, select: ast.Select) -> _SelectPlan:
-        """Fetch or build the physical plan for *select*.
+    def _select_plan(
+        self, select: ast.Select, outer: Any = None
+    ) -> SelectPlan:
+        """Fetch or build the plan for *select*.
 
         The cache key is the parsed node's identity: the statement
         cache hands back the same AST object for the same SQL text, so
         re-executions (and every subquery nested in a cached statement)
         hit here without any hashing of the tree.  An entry holds a
-        strong reference to its Select, which pins the id.
+        strong reference to its Select, which pins the id.  *outer* is
+        the enclosing scope of a subquery, whose plans are built per
+        enclosing plan instead of cached.
         """
+        if outer is not None:
+            return SelectPlanner(self, outer).plan(select)
         key = id(select)
         im = self._im
         with self._cache_lock:
@@ -504,52 +470,10 @@ class Database:
             self.cache_stats.plan_misses += 1
             if im is not None:
                 im.cache_events.inc(cache="plan", outcome="miss")
-            plan = cache[key] = self._build_select_plan(select)
+            plan = cache[key] = SelectPlanner(self).plan(select)
             while len(cache) > self.options.plan_cache_size:
                 cache.popitem(last=False)
             return plan
-
-    def _build_select_plan(
-        self, select: ast.Select, outer: Any = None
-    ) -> _SelectPlan:
-        """Plan *select*; *outer* is the enclosing scope of a subquery,
-        whose plans are built per enclosing plan instead of cached."""
-        root, leftovers = SelectPlanner(self).plan_from(select)
-        plan = _SelectPlan()
-        plan.select = select
-        plan.root = root
-        plan.leftovers = leftovers
-        has_aggregates = bool(select.group_by) or any(
-            contains_aggregate(item.expr)
-            for item in select.items
-            if not isinstance(item.expr, ast.Star)
-        )
-        if select.having is not None:
-            has_aggregates = True
-        plan.source = root
-        if has_aggregates:
-            # Leftover WHERE conjuncts must filter *before* grouping.
-            predicate = conjoin(leftovers)
-            child = root if predicate is None else Filter(root, predicate)
-            plan.source = GroupAggregate(
-                child, list(select.group_by), scalar=not select.group_by
-            )
-        compound = bool(select.set_ops)
-        plan.vector = build_vector_plan(plan, self, outer, tail=not compound)
-        plan.columns = plan.vector.columns
-        plan.dtypes = plan.vector.out_dtypes
-        plan.set_ops = [
-            (op, all_flag, self._build_select_plan(rhs, outer)
-             if outer is not None else self._select_plan(rhs))
-            for op, all_flag, rhs in select.set_ops
-        ]
-        plan.tail = None
-        if compound:
-            plan.dtypes = ["any"] * len(plan.columns)
-            plan.tail = build_compound_tail(
-                select, plan.columns, self, outer
-            )
-        return plan
 
     # ------------------------------------------------------------------
     # SELECT execution
@@ -558,7 +482,7 @@ class Database:
     def _execute_select(self, select: ast.Select) -> Result:
         plan = self._select_plan(select)
         # the columns are dropped before Result copies the rows
-        rows = list(zip(*self._run(plan)[0]))
+        rows = list(zip(*plan.run(self)[0]))
         if select.into_vars:
             if len(rows) != 1:
                 raise ExecutionError(
@@ -579,27 +503,7 @@ class Database:
         """A whole SELECT statement's result column-major, the shape
         ``insert_columns`` takes.  The lists are only to be read."""
         plan = self._select_plan(select)
-        return plan.columns, self._run(plan)[0]
-
-    def _run(
-        self, plan: _SelectPlan, outer: Tuple[Any, ...] = ()
-    ) -> Tuple[List[List[Any]], int]:
-        """Execute *plan*: ``(column lists, row count)``.  *outer* binds
-        a subquery's outer references for this run.  Set operations
-        combine the blocks' rows, then the compound's tail applies."""
-        if self._analyze is not None:
-            self._analyze.attach(plan)
-        cols, n = plan.vector.execute_columns(self, outer)
-        if not plan.set_ops:
-            return cols, n
-        rows = list(zip(*cols))
-        for op, all_flag, rhs in plan.set_ops:
-            rhs_rows = list(zip(*self._run(rhs, outer)[0]))
-            rows = _apply_set_op(op, all_flag, rows, rhs_rows)
-        cols, n = transpose(rows, len(plan.columns)), len(rows)
-        if plan.tail is None:
-            return cols, n
-        return plan.tail.run(self, outer, cols, n)
+        return plan.columns, plan.run(self)[0]
 
     # ------------------------------------------------------------------
     # DDL / DML
@@ -723,52 +627,3 @@ class Database:
         table.replace_rows(list(zip(*cols)))
         return Result(rowcount=len(updated))
 
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def _apply_set_op(
-    op: str, all_flag: bool, left: List[Row], right: List[Row]
-) -> List[Row]:
-    if op == "UNION":
-        combined = left + right
-        if all_flag:
-            return combined
-        return _dedupe(combined)
-    if op == "INTERSECT":
-        right_counts = _count_rows(right)
-        out: List[Row] = []
-        for row in left:
-            if right_counts.get(row, 0) > 0:
-                out.append(row)
-                if all_flag:
-                    right_counts[row] -= 1
-        return out if all_flag else _dedupe(out)
-    if op == "EXCEPT":
-        right_counts = _count_rows(right)
-        out = []
-        for row in left:
-            if right_counts.get(row, 0) > 0:
-                if all_flag:
-                    right_counts[row] -= 1
-                continue
-            out.append(row)
-        return out if all_flag else _dedupe(out)
-    raise ExecutionError(f"unknown set operation {op!r}")
-
-
-def _dedupe(rows: List[Row]) -> List[Row]:
-    seen: Dict[Row, None] = {}
-    for row in rows:
-        if row not in seen:
-            seen[row] = None
-    return list(seen.keys())
-
-
-def _count_rows(rows: List[Row]) -> Dict[Row, int]:
-    counts: Dict[Row, int] = {}
-    for row in rows:
-        counts[row] = counts.get(row, 0) + 1
-    return counts

@@ -11,23 +11,27 @@ pipeline of two hash joins).  The output is a stable, indented tree::
           Scan MR_ValidGroups as V
         Scan MR_Bset as B
 
-A view or derived table is a ``Subplan`` node with the nested plan
-under it.  EXPLAIN goes through the same statement/plan caches as
+The lines are the plan's own nodes (:mod:`repro.sqlengine.vector`),
+walked as the executor runs them.  A view or derived table is a
+``Subplan`` node with the nested plan under it; a compound's set
+operations are lines over their blocks, under the compound's LIMIT and
+ORDER BY.  EXPLAIN goes through the same statement/plan caches as
 execution, so explaining a hot query is itself cheap — and it executes
 nothing: planning reads no data.
 
 EXPLAIN ANALYZE additionally *executes* the statement once, annotating
-each node with the rows its batch operator produced, loop count (how
-many times it ran) and inclusive wall time, plus the batches it
-processed and, on an equi-join, the probe kernel it ran::
+each node with the rows it produced, loop count (how many times it
+ran) and inclusive wall time, plus the batches it processed and, on an
+equi-join, the probe kernel it ran::
 
     HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms) [batches=1 ...]
 
-The batch operators report to the :class:`AnalyzeCollector` the engine
-holds for the duration of one statement, so the un-analyzed execution
-path carries one ``is None`` check per node.  Side-effecting statements
-(CTAS, INSERT .. SELECT) run exactly once — the analysis rides along
-the real execution.
+The nodes report to the :class:`AnalyzeCollector` the engine holds for
+the duration of one statement, which keys its counters by node — a
+cached plan is shared by threads, so nothing is written onto it — and
+the un-analyzed execution path carries one ``is None`` check per node.
+Side-effecting statements (CTAS, INSERT .. SELECT) run exactly once —
+the analysis rides along the real execution.
 """
 
 from __future__ import annotations
@@ -36,25 +40,24 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.operators import (
+from repro.sqlengine.render import render_expr
+from repro.sqlengine.vector import (
     Filter,
     GroupAggregate,
     HashJoin,
     IndexLookup,
-    LeftOuterHashJoin,
     NestedLoopJoin,
-    Operator,
+    PlanNode,
+    SelectPlan,
     SubplanSource,
     TableScan,
 )
-from repro.sqlengine.planner import conjoin, plan_operators
-from repro.sqlengine.render import render_expr
 
-#: annotation callback: operator (or None for synthetic lines) -> suffix
-Annotator = Callable[[Optional[Operator]], str]
+#: annotation callback: plan node (or None for synthetic lines) -> suffix
+Annotator = Callable[[Optional[PlanNode]], str]
 
 
-def _no_annotation(op: Optional[Operator]) -> str:
+def _no_annotation(node: Optional[PlanNode]) -> str:
     return ""
 
 
@@ -67,58 +70,72 @@ def explain(database: Any, sql: str, params: Optional[dict] = None) -> str:
     if params:
         merged.update(params)
     database._params = merged
-    return render_plan(statement, database._select_plan(statement))
+    return render_plan(database._select_plan(statement))
 
 
 def render_plan(
-    statement: ast.Select,
-    plan: Any,
-    annotate: Annotator = _no_annotation,
-    indent: int = 0,
+    plan: SelectPlan, annotate: Annotator = _no_annotation, indent: int = 0
 ) -> str:
-    """Render one planned SELECT as an indented tree, suffixing every
-    line *annotate* has something to say about."""
+    """Render one planned SELECT statement as an indented tree,
+    suffixing every line *annotate* has something to say about.  A
+    compound's set operations are lines over their blocks, left-deep,
+    under the compound's LIMIT / ORDER BY."""
     lines: List[str] = []
-    lines.append("  " * indent + _projection_line(statement) + annotate(None))
+    ops = plan.set_ops
+    if ops:
+        indent = _render_tail(plan.select, indent, lines)
+        for depth, (op, all_flag, _) in enumerate(reversed(ops)):
+            flag = " [all]" if all_flag else ""
+            lines.append("  " * (indent + depth) + op.title() + flag)
+        indent += len(ops)
+    _render_block(plan, indent, lines, annotate)
+    for position, (_, _, block) in enumerate(ops):
+        _render_block(block, indent - position, lines, annotate)
+    return "\n".join(lines)
+
+
+def _render_block(
+    plan: SelectPlan, indent: int, lines: List[str], annotate: Annotator
+) -> None:
+    """One block; a compound's ORDER BY / LIMIT are drawn above it."""
+    select = plan.select
+    lines.append("  " * indent + _projection_line(select))
     indent += 1
-    if statement.order_by:
-        lines.append("  " * indent + f"Sort ({len(statement.order_by)} keys)")
-        indent += 1
-    if (
-        statement.group_by
-        or statement.having is not None
-        or isinstance(plan.source, GroupAggregate)
-    ):
+    if not plan.set_ops:
+        indent = _render_tail(select, indent, lines)
+    source = plan.source
+    if isinstance(source, GroupAggregate):
         having = (
-            f" having={render_expr(statement.having)}"
-            if statement.having is not None
+            f" having={render_expr(select.having)}"
+            if select.having is not None
             else ""
         )
-        keys = ", ".join(render_expr(e) for e in statement.group_by) or "<all>"
-        aggregate = (
-            plan.source if isinstance(plan.source, GroupAggregate) else None
-        )
+        keys = ", ".join(render_expr(e) for e in source.keys) or "<all>"
         lines.append(
             "  " * indent
             + f"Aggregate keys=({keys}){having}"
-            + annotate(aggregate)
+            + annotate(source)
         )
+        source = source.child
         indent += 1
-    residual = conjoin(plan.leftovers)
-    if residual is not None:
-        filter_op: Optional[Operator] = None
-        if isinstance(plan.source, GroupAggregate) and isinstance(
-            plan.source.child, Filter
-        ):
-            filter_op = plan.source.child
-        lines.append(
-            "  " * indent
-            + f"Filter {render_expr(residual)}"
-            + annotate(filter_op)
+    _render_node(source, indent, lines, annotate)
+
+
+def _render_tail(select: ast.Select, indent: int, lines: List[str]) -> int:
+    """The LIMIT / OFFSET and ORDER BY lines of *select*, outermost
+    first; returns the indent below them."""
+    if select.limit is not None or select.offset is not None:
+        limit = "all" if select.limit is None else render_expr(select.limit)
+        offset = (
+            "" if select.offset is None
+            else f" offset {render_expr(select.offset)}"
         )
+        lines.append("  " * indent + f"Limit {limit}{offset}")
         indent += 1
-    _render_operator(plan.root, indent, lines, annotate)
-    return "\n".join(lines)
+    if select.order_by:
+        lines.append("  " * indent + f"Sort ({len(select.order_by)} keys)")
+        indent += 1
+    return indent
 
 
 def _projection_line(statement: ast.Select) -> str:
@@ -134,65 +151,60 @@ def _projection_line(statement: ast.Select) -> str:
     return f"Project{flags} ({', '.join(items)})"
 
 
-def _render_operator(
-    op: Operator,
+def _render_node(
+    node: PlanNode,
     indent: int,
     lines: List[str],
     annotate: Annotator = _no_annotation,
 ) -> None:
     pad = "  " * indent
-    suffix = annotate(op)
-    if isinstance(op, TableScan):
-        alias = f" as {op.binding}" if op.binding != op.table.name else ""
-        lines.append(f"{pad}Scan {op.table.name}{alias} "
-                     f"({len(op.table)} rows){suffix}")
-    elif isinstance(op, IndexLookup):
+    suffix = annotate(node)
+    if isinstance(node, TableScan):
+        table = node.table
+        alias = f" as {node.binding}" if node.binding != table.name else ""
+        lines.append(
+            f"{pad}Scan {table.name}{alias} ({len(table)} rows){suffix}"
+        )
+    elif isinstance(node, IndexLookup):
         keys = ", ".join(
             f"{column} = {render_expr(expr)}"
-            for column, expr in zip(op.index.columns, op.key_exprs)
+            for column, expr in zip(node.index.columns, node.key_exprs)
         )
         lines.append(
-            f"{pad}IndexLookup {op.table.name}.{op.index.name} "
+            f"{pad}IndexLookup {node.table.name}.{node.index.name} "
             f"[{keys}]{suffix}"
         )
-    elif isinstance(op, SubplanSource):
-        lines.append(f"{pad}Subplan {op.binding or '<derived>'}{suffix}")
-        lines.append(render_plan(op.select, op.plan, annotate, indent + 1))
-    elif isinstance(op, Filter):
-        lines.append(f"{pad}Filter {render_expr(op.predicate)}{suffix}")
-        _render_operator(op.child, indent + 1, lines, annotate)
-    elif isinstance(op, LeftOuterHashJoin):
-        lines.append(f"{pad}LeftOuterHashJoin {_join_detail(op)}{suffix}")
-        _render_operator(op.left, indent + 1, lines, annotate)
-        _render_operator(op.right, indent + 1, lines, annotate)
-    elif isinstance(op, HashJoin):
-        lines.append(f"{pad}HashJoin {_join_detail(op)}{suffix}")
-        _render_operator(op.left, indent + 1, lines, annotate)
-        _render_operator(op.right, indent + 1, lines, annotate)
-    elif isinstance(op, NestedLoopJoin):
-        predicate = (
-            f" on {render_expr(op.predicate)}" if op.predicate is not None
-            else ""
-        )
-        lines.append(f"{pad}NestedLoopJoin{predicate}{suffix}")
-        _render_operator(op.left, indent + 1, lines, annotate)
-        _render_operator(op.right, indent + 1, lines, annotate)
-    elif isinstance(op, GroupAggregate):
-        keys = ", ".join(render_expr(k) for k in op.keys) or "<all>"
-        lines.append(f"{pad}Aggregate keys=({keys}){suffix}")
-        _render_operator(op.child, indent + 1, lines, annotate)
+    elif isinstance(node, SubplanSource):
+        lines.append(f"{pad}Subplan {node.binding or '<derived>'}{suffix}")
+        lines.append(render_plan(node.plan, annotate, indent + 1))
+    elif isinstance(node, Filter):
+        lines.append(f"{pad}Filter {render_expr(node.predicate)}{suffix}")
+        _render_node(node.child, indent + 1, lines, annotate)
+    elif isinstance(node, HashJoin):
+        if isinstance(node, NestedLoopJoin):
+            predicate = (
+                f" on {render_expr(node.residual)}"
+                if node.residual is not None else ""
+            )
+            lines.append(f"{pad}NestedLoopJoin{predicate}{suffix}")
+        else:
+            lines.append(
+                f"{pad}{type(node).__name__} {_join_detail(node)}{suffix}"
+            )
+        _render_node(node.left, indent + 1, lines, annotate)
+        _render_node(node.right, indent + 1, lines, annotate)
     else:  # SingleRow
-        lines.append(f"{pad}{type(op).__name__}{suffix}")
+        lines.append(f"{pad}{type(node).__name__}{suffix}")
 
 
-def _join_detail(op) -> str:
+def _join_detail(node: HashJoin) -> str:
     keys = ", ".join(
         f"{render_expr(lk)} = {render_expr(rk)}"
-        for lk, rk in zip(op.left_keys, op.right_keys)
+        for lk, rk in zip(node.left_keys, node.right_keys)
     )
     detail = f"keys=[{keys}]" if keys else "keys=[] (cross)"
-    if op.residual is not None:
-        detail += f" residual={render_expr(op.residual)}"
+    if node.residual is not None:
+        detail += f" residual={render_expr(node.residual)}"
     return detail
 
 
@@ -232,23 +244,24 @@ class AnalyzeCollector:
         self.nested: set = set()
         self.stats: Dict[int, NodeStats] = {}
 
-    def attach(self, plan: Any) -> None:
+    def attach(self, plan: SelectPlan) -> None:
         if not any(existing is plan for existing in self.plans):
             self.plans.append(plan)
-        for op in plan_operators(plan.source):
-            if isinstance(op, SubplanSource):
-                self.nested.add(id(op.plan))
+        for node in plan.nodes():
+            if isinstance(node, SubplanSource):
+                self.nested.add(id(node.plan))
+        for _, _, block in plan.set_ops:
+            self.nested.add(id(block))
 
     # -- execution -----------------------------------------------------
 
     def record(
-        self, op: Operator, rows: int, batches: int, seconds: float,
+        self, node: PlanNode, rows: int, batches: int, seconds: float,
         probe: Optional[str] = None,
     ) -> None:
-        """The batch operator of plan node *op* finished one run.  A
-        hash join names the *probe* kernel it ran
-        (``unique``/``buckets``)."""
-        stats = self.stats.setdefault(id(op), NodeStats())
+        """Plan node *node* finished one run.  A hash join names the
+        *probe* kernel it ran (``unique``/``buckets``)."""
+        stats = self.stats.setdefault(id(node), NodeStats())
         stats.rows += rows
         stats.loops += 1
         stats.seconds += seconds
@@ -259,10 +272,10 @@ class AnalyzeCollector:
     # -- reporting ------------------------------------------------------
 
     def annotator(self) -> Annotator:
-        def annotate(op: Optional[Operator]) -> str:
-            if op is None:
+        def annotate(node: Optional[PlanNode]) -> str:
+            if node is None:
                 return ""
-            stats = self.stats.get(id(op))
+            stats = self.stats.get(id(node))
             if stats is None:
                 return ""
             batches = stats.batches
@@ -281,13 +294,13 @@ class AnalyzeCollector:
         """Structured per-node stats, plan by plan in walk order."""
         out: List[Dict[str, Any]] = []
         for plan_index, plan in enumerate(self.plans):
-            for op in plan_operators(plan.source):
-                stats = self.stats.get(id(op))
+            for node in plan.nodes():
+                stats = self.stats.get(id(node))
                 if stats is None:
                     continue
                 entry = {
                     "plan": plan_index,
-                    "operator": type(op).__name__,
+                    "operator": type(node).__name__,
                     "rows": stats.rows,
                     "loops": stats.loops,
                     "seconds": stats.seconds,
@@ -370,7 +383,6 @@ def _render_analyzed(
             lines.append("-- subplan --")
         lines.append(
             render_plan(
-                plan.select,
                 plan,
                 annotate,
                 indent=1 if not isinstance(statement, ast.Select) else 0,

@@ -1,4 +1,6 @@
-"""Builds physical operator trees for SELECT statements.
+"""Builds the plan of a SELECT block: one tree of nodes that plan and
+run (:mod:`repro.sqlengine.vector`), each node's expressions compiled
+against its children's dtypes and the enclosing scope as it is built.
 
 Planning is deliberately simple but not naive:
 
@@ -6,8 +8,14 @@ Planning is deliberately simple but not naive:
 * equality conjuncts between two sources become hash-join keys
   (left-deep join tree in FROM order);
 * remaining conjuncts are evaluated as residual filters;
-* conjuncts containing subqueries are kept at the top so correlated
-  references resolve against the full row environment.
+* conjuncts containing subqueries, and those that read no FROM source
+  (only host variables or an enclosing query's columns), are a
+  :class:`~repro.sqlengine.vector.Filter` over the join tree, below
+  the aggregate.
+
+Planning reads no data: a view or derived table is a
+:class:`~repro.sqlengine.vector.SubplanSource` holding the nested
+SELECT's own cached plan.
 """
 
 from __future__ import annotations
@@ -16,14 +24,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.evaluator import Frame
-from repro.sqlengine.operators import (
+from repro.sqlengine.evaluator import Frame, contains_aggregate
+from repro.sqlengine.vector import (
     Filter,
+    GroupAggregate,
     HashJoin,
     IndexLookup,
     LeftOuterHashJoin,
     NestedLoopJoin,
-    Operator,
+    PlanNode,
+    SelectPlan,
     SingleRow,
     SubplanSource,
     TableScan,
@@ -47,24 +57,6 @@ def conjoin(conjuncts: Sequence[ast.Expression]) -> Optional[ast.Expression]:
     return result
 
 
-def plan_operators(root: Optional[Operator]):
-    """Depth-first walk over an operator tree, parents before children.
-
-    The canonical enumeration of a plan's physical nodes, shared by
-    EXPLAIN ANALYZE instrumentation and the plan renderer — both must
-    agree on exactly which operators a plan contains."""
-    if root is None:
-        return
-    stack: List[Operator] = [root]
-    while stack:
-        op = stack.pop()
-        yield op
-        for attr in ("child", "left", "right"):
-            sub = getattr(op, attr, None)
-            if sub is not None:
-                stack.append(sub)
-
-
 def _contains_subquery(expr: ast.Expression) -> bool:
     for node in ast.walk_expression(expr):
         if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
@@ -72,33 +64,44 @@ def _contains_subquery(expr: ast.Expression) -> bool:
     return False
 
 
-class SourceInfo:
-    """One planned FROM source and the names it binds."""
-
-    def __init__(self, operator: Operator):
-        self.operator = operator
-        self.frame = operator.frame
-
-
 class SelectPlanner:
-    """Plans the FROM/WHERE part of one SELECT block."""
+    """Plans SELECT blocks; *outer* is the enclosing query's scope when
+    the block is a subquery."""
 
-    def __init__(self, database):
+    def __init__(self, database, outer=None):
         self._db = database
+        self._outer = outer
+
+    def plan(self, select: ast.Select) -> SelectPlan:
+        """The block's plan: the FROM/WHERE tree, the aggregate over it
+        when the block groups, and the plans of the blocks a compound
+        combines it with."""
+        db = self._db
+        source = self._plan_from(select)
+        if select.group_by or select.having is not None or any(
+            contains_aggregate(item.expr)
+            for item in select.items
+            if not isinstance(item.expr, ast.Star)
+        ):
+            source = GroupAggregate(
+                source, list(select.group_by), not select.group_by,
+                db, self._outer,
+            )
+        set_ops = [
+            (op, all_flag, db._select_plan(rhs, self._outer))
+            for op, all_flag, rhs in select.set_ops
+        ]
+        return SelectPlan(select, source, set_ops, db, self._outer)
 
     # -- source planning -----------------------------------------------------
 
-    def plan_from(
-        self, select: ast.Select
-    ) -> Tuple[Operator, List[ast.Expression]]:
-        """Return (root operator, leftover conjuncts to apply on top).
-
-        A SELECT without FROM reads :class:`SingleRow`, with the whole
-        WHERE clause left over.
-        """
+    def _plan_from(self, select: ast.Select) -> PlanNode:
+        """The join tree, with the WHERE conjuncts no join or source
+        takes as a filter over it.  A SELECT without FROM reads
+        :class:`SingleRow`, the whole WHERE clause left over."""
         conjuncts = split_conjuncts(select.where)
         if not select.from_sources:
-            return SingleRow(), conjuncts
+            return self._filter(SingleRow(), conjuncts)
 
         sources = [self._plan_source(src) for src in select.from_sources]
 
@@ -108,15 +111,15 @@ class SelectPlanner:
             if _contains_subquery(conjunct):
                 deferred.append(conjunct)
                 continue
-            touched, external = self._touched_sources(conjunct, sources)
+            touched = self._touched_sources(conjunct, sources)
             if not touched:
                 # pure outer/host-variable predicate: evaluate on top
                 deferred.append(conjunct)
             else:
                 simple.append((touched, conjunct))
-        # References that resolve only in an enclosing scope (external)
-        # are safe below inner joins: they read the subquery's outer
-        # binding, the same for every row of one execution.
+        # References that resolve only in an enclosing scope are safe
+        # below inner joins: they read the subquery's outer binding,
+        # the same for every row of one execution.
 
         # Push single-source conjuncts down onto their source, using a
         # secondary index when one covers the equality columns.
@@ -133,13 +136,12 @@ class SelectPlanner:
             )
 
         # Left-deep join tree in FROM order.
-        root = sources[0].operator
+        root = sources[0]
         joined: Set[int] = {0}
         for idx in range(1, len(sources)):
             joined.add(idx)
             applicable = [
-                (touched, conjunct)
-                for touched, conjunct in remaining
+                conjunct for touched, conjunct in remaining
                 if touched <= joined
             ]
             remaining = [
@@ -147,37 +149,24 @@ class SelectPlanner:
                 for touched, conjunct in remaining
                 if not touched <= joined
             ]
-            equi, residual = self._extract_equi_keys(
-                applicable, root.frame, sources[idx].frame
-            )
-            if equi:
-                left_keys = [lk for lk, _ in equi]
-                right_keys = [rk for _, rk in equi]
-                root = HashJoin(
-                    root,
-                    sources[idx].operator,
-                    left_keys,
-                    right_keys,
-                    residual=conjoin(residual),
-                )
-            else:
-                root = NestedLoopJoin(
-                    root, sources[idx].operator, predicate=conjoin(residual)
-                )
+            root = self._join(root, sources[idx], applicable)
 
         leftovers = [conjunct for _, conjunct in remaining] + deferred
-        return root, leftovers
+        return self._filter(root, leftovers)
 
-    def _plan_source(self, source: ast.FromSource) -> SourceInfo:
+    def _plan_source(self, source: ast.FromSource) -> PlanNode:
         if isinstance(source, ast.TableName):
-            return SourceInfo(self._plan_table(source))
+            return self._plan_table(source)
         if isinstance(source, ast.SubquerySource):
-            return SourceInfo(self._plan_subplan(source.alias, source.select))
+            return self._plan_subplan(source.alias, source.select)
         if isinstance(source, ast.Join):
-            return SourceInfo(self._plan_join(source))
+            left = self._plan_source(source.left)
+            right = self._plan_source(source.right)
+            conjuncts = split_conjuncts(source.condition)
+            return self._join(left, right, conjuncts, source.kind == "LEFT")
         raise ExecutionError(f"unsupported FROM source: {source!r}")
 
-    def _plan_table(self, source: ast.TableName) -> Operator:
+    def _plan_table(self, source: ast.TableName) -> PlanNode:
         catalog = self._db.catalog
         if catalog.has_table(source.name):
             return TableScan(catalog.get_table(source.name), source.binding)
@@ -188,99 +177,86 @@ class SelectPlanner:
 
     def _plan_subplan(
         self, binding: Optional[str], select: ast.Select
-    ) -> Operator:
+    ) -> PlanNode:
         """Views and derived tables are planned here and executed when
         the parent plan runs; nothing is read at plan time."""
-        return SubplanSource(binding, select, self._db._select_plan(select))
+        return SubplanSource(binding, self._db._select_plan(select))
 
-    def _plan_join(self, join: ast.Join) -> Operator:
-        left = self._plan_source(join.left)
-        right = self._plan_source(join.right)
-        conjuncts = split_conjuncts(join.condition)
-        equi, residual = self._extract_equi_keys(
-            [
-                (self._touched_two(c, left.frame, right.frame), c)
-                for c in conjuncts
-            ],
-            left.frame,
-            right.frame,
+    def _join(
+        self,
+        left: PlanNode,
+        right: PlanNode,
+        conjuncts: List[ast.Expression],
+        outer_join: bool = False,
+    ) -> PlanNode:
+        """*left* joined with *right* on *conjuncts*: a hash join on
+        the equalities between the two sides, the rest its residual; a
+        nested-loop join when no equality pairs them (a LEFT join stays
+        a hash join, keyless)."""
+        equi: List[Tuple[ast.Expression, ast.Expression]] = []
+        residual: List[ast.Expression] = []
+        for conjunct in conjuncts:
+            pair = self._as_equi_pair(conjunct, left.frame, right.frame)
+            if pair is not None:
+                equi.append(pair)
+            else:
+                residual.append(conjunct)
+        db, outer = self._db, self._outer
+        if not equi and not outer_join:
+            return NestedLoopJoin(left, right, conjoin(residual), db, outer)
+        cls = LeftOuterHashJoin if outer_join else HashJoin
+        return cls(
+            left,
+            right,
+            [lk for lk, _ in equi],
+            [rk for _, rk in equi],
+            conjoin(residual),
+            db,
+            outer,
         )
-        left_keys = [lk for lk, _ in equi]
-        right_keys = [rk for _, rk in equi]
-        if join.kind == "LEFT":
-            return LeftOuterHashJoin(
-                left.operator,
-                right.operator,
-                left_keys,
-                right_keys,
-                residual=conjoin(residual),
-            )
-        if equi:
-            return HashJoin(
-                left.operator,
-                right.operator,
-                left_keys,
-                right_keys,
-                residual=conjoin(residual),
-            )
-        return NestedLoopJoin(
-            left.operator, right.operator, predicate=conjoin(residual)
-        )
+
+    def _filter(
+        self, child: PlanNode, conjuncts: List[ast.Expression]
+    ) -> PlanNode:
+        predicate = conjoin(conjuncts)
+        if predicate is None:
+            return child
+        return Filter(child, predicate, self._db, self._outer)
 
     # -- conjunct classification ----------------------------------------------
 
     @staticmethod
-    def _touched_two(
-        conjunct: ast.Expression, left: Frame, right: Frame
-    ) -> Set[int]:
-        touched: Set[int] = set()
-        for node in ast.walk_expression(conjunct):
-            if isinstance(node, ast.ColumnRef):
-                if _frame_resolves(left, node):
-                    touched.add(0)
-                elif _frame_resolves(right, node):
-                    touched.add(1)
-        return touched
-
-    @staticmethod
     def _touched_sources(
-        conjunct: ast.Expression, sources: List[SourceInfo]
-    ) -> Tuple[Set[int], bool]:
-        """(FROM sources the conjunct references, whether it also has
-        references that only an enclosing scope can resolve)."""
+        conjunct: ast.Expression, sources: List[PlanNode]
+    ) -> Set[int]:
+        """The FROM sources the conjunct references (a reference no
+        source resolves reads an enclosing scope)."""
         touched: Set[int] = set()
-        external = False
         for node in ast.walk_expression(conjunct):
             if isinstance(node, ast.ColumnRef):
-                owner = None
                 for idx, source in enumerate(sources):
                     if _frame_resolves(source.frame, node):
-                        owner = idx
+                        touched.add(idx)
                         break
-                if owner is None:
-                    external = True
-                else:
-                    touched.add(owner)
-        return touched, external
+        return touched
 
     # -- single-source access paths ---------------------------------------
 
     def _apply_source_predicates(
-        self, info: SourceInfo, conjuncts: List[ast.Expression]
-    ) -> SourceInfo:
+        self, source: PlanNode, conjuncts: List[ast.Expression]
+    ) -> PlanNode:
         """Turn pushed-down conjuncts into the best access path: an
         index lookup when a secondary index covers the equality
         columns, plain filters otherwise."""
-        operator = info.operator
-        if isinstance(operator, TableScan):
-            operator, conjuncts = self._try_index_lookup(operator, conjuncts)
+        if isinstance(source, TableScan):
+            source, conjuncts = self._try_index_lookup(source, conjuncts)
         for conjunct in conjuncts:
-            operator = Filter(operator, conjunct)
-        return SourceInfo(operator)
+            source = self._filter(source, [conjunct])
+        return source
 
     def _try_index_lookup(
         self, scan: TableScan, conjuncts: List[ast.Expression]
-    ) -> Tuple[Operator, List[ast.Expression]]:
+    ) -> Tuple[PlanNode, List[ast.Expression]]:
         table = scan.table
         if not table.indexes:
             return scan, conjuncts
@@ -306,7 +282,9 @@ class SelectPlanner:
         columns = [c.lower() for c in best.columns]
         used = {id(equalities[c][0]) for c in columns}
         key_exprs = [equalities[c][1] for c in columns]
-        lookup = IndexLookup(table, scan.binding, best, key_exprs)
+        lookup = IndexLookup(
+            table, scan.binding, best, key_exprs, self._db, self._outer
+        )
         rest = [c for c in conjuncts if id(c) not in used]
         return lookup, rest
 
@@ -335,32 +313,6 @@ class SelectPlanner:
                 continue
             return column_side.name.lower(), value_side
         return None
-
-    def _extract_equi_keys(
-        self,
-        classified: List[Tuple[Set[int], ast.Expression]],
-        left_frame: Frame,
-        right_frame: Frame,
-    ) -> Tuple[
-        List[Tuple[ast.Expression, ast.Expression]], List[ast.Expression]
-    ]:
-        """Split conjuncts into hash-join key pairs and residuals.
-
-        A conjunct ``a = b`` becomes a key pair when one side resolves
-        entirely in the left frame and the other entirely in the right
-        frame.  ``classified`` pairs each conjunct with the set of
-        sides it touches (0=left tree, 1=new right source) — only used
-        to pass residuals through untouched.
-        """
-        equi: List[Tuple[ast.Expression, ast.Expression]] = []
-        residual: List[ast.Expression] = []
-        for _, conjunct in classified:
-            pair = self._as_equi_pair(conjunct, left_frame, right_frame)
-            if pair is not None:
-                equi.append(pair)
-            else:
-                residual.append(conjunct)
-        return equi, residual
 
     @staticmethod
     def _as_equi_pair(

@@ -1,12 +1,13 @@
-"""Batch-at-a-time SELECT execution over column vectors: the engine's
-one executor.
+"""The plan of a SELECT and its batch-at-a-time execution over column
+vectors: the engine's one executor.
 
-A planned SELECT block (:mod:`repro.sqlengine.planner`) is mirrored
-onto *vector* nodes that process whole columns: a filter evaluates its
+The planner (:mod:`repro.sqlengine.planner`) builds one tree of
+:class:`PlanNode` per SELECT block, under a :class:`SelectPlan`; each
+node both plans and runs over whole columns: a filter evaluates its
 predicate over a column batch and gathers the surviving positions, a
 hash join builds and probes on key *lists*, an aggregate reduces
 argument columns per group.  The unit of work is a :class:`_Batch` — a
-list of parallel Python lists, one per flat column of the operator's
+list of parallel Python lists, one per flat column of the node's
 frame.  Every expression node lowers to a kernel (:class:`_Compiler`);
 DELETE, UPDATE and INSERT ... VALUES run the same kernels.
 
@@ -22,7 +23,7 @@ Each kernel keeps the SQL semantics the sqlite3 oracle checks
   column holds only ``int``/``None`` — comparisons can use raw Python
   operators.  Untyped columns get the ``'any'`` dtype whose kernels
   call :func:`~repro.sqlengine.evaluator.compare` and ``_arith``
-  element-wise; a view or derived table (:class:`VSubplan`) hands its
+  element-wise; a view or derived table (:class:`SubplanSource`) hands its
   parent the dtypes its own select list proved.
 * *Lazy masking for short-circuit forms.*  ``AND``/``OR``, ``CASE``,
   ``COALESCE``, the items of a non-constant ``IN`` list and a
@@ -70,7 +71,8 @@ from collections import Counter
 from functools import cmp_to_key
 from itertools import chain, compress, repeat
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple,
 )
 
 from repro.sqlengine import ast_nodes as ast
@@ -94,20 +96,7 @@ from repro.sqlengine.evaluator import (
     tvl_not,
     tvl_or,
 )
-from repro.sqlengine.operators import (
-    Filter,
-    GroupAggregate,
-    HashJoin,
-    IndexLookup,
-    LeftOuterHashJoin,
-    NestedLoopJoin,
-    Operator,
-    SingleRow,
-    SubplanSource,
-    TableScan,
-)
 from repro.sqlengine.parser import AGGREGATE_NAMES
-from repro.sqlengine.planner import conjoin
 from repro.sqlengine.types import SqlType
 
 
@@ -144,7 +133,7 @@ def _as_list(value: Any, n: int) -> List[Any]:
 
 
 #: a batch column no operator above the scan reads is never built: it
-#: travels as ``None`` (see :meth:`VNode.require`)
+#: travels as ``None`` (see :meth:`PlanNode.require`)
 Column = Optional[List[Any]]
 
 
@@ -181,13 +170,14 @@ class VExpr:
 
 
 class _Ctx:
-    """Per-execution state threaded through every vector node: the
+    """Per-execution state threaded through every plan node: the
     executing thread's host variables, a subquery run's outer binding,
     and what one execution memoizes (subquery results, NEXTVAL draws).
     A cached plan is shared by threads; its state lives here."""
 
     __slots__ = (
         "db", "params", "collector", "batch_size", "outer", "memo",
+        "batches", "probe",
     )
 
     def __init__(self, db: Any, outer: Tuple[Any, ...] = ()):
@@ -198,6 +188,10 @@ class _Ctx:
         #: the enclosing query's values a subquery run reads
         self.outer = outer
         self.memo: Dict[Any, Any] = {}
+        #: what the plan node that just ran reports to EXPLAIN ANALYZE:
+        #: the batches it processed and a join's probe kernel
+        self.batches = 0
+        self.probe: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +462,7 @@ class _AggSlot:
 
 class _GroupContext:
     """Allocates aggregate slots appended after the representative
-    columns in a :class:`VAggregate` output batch."""
+    columns in a :class:`GroupAggregate` output batch."""
 
     def __init__(self, base_width: int):
         self.base_width = base_width
@@ -1036,7 +1030,7 @@ class _Compiler:
         outer = _Outer(self)
         db = self._db
         try:
-            plan = db._build_select_plan(select, outer)
+            plan = db._select_plan(select, outer)
         except SqlError as exc:
             return _raising(type(exc), str(exc))
         refs = outer.refs
@@ -1046,7 +1040,7 @@ class _Compiler:
             memo_key = (plan, tuple(map(type, key)), key)
             memo = ctx.memo
             if memo_key not in memo:
-                memo[memo_key] = reduce(*db._run(plan, key))
+                memo[memo_key] = reduce(*plan.run(db, key))
             return memo[memo_key]
 
         def fn(ctx, cols, n):
@@ -1269,32 +1263,36 @@ _Compiler._DISPATCH = {
 
 
 # ---------------------------------------------------------------------------
-# vector operators
+# plan nodes
 # ---------------------------------------------------------------------------
 
 
-class VNode:
-    """Base vector operator.  Mirrors one plan node (``self.op``) and
-    reports its rows and batches into that node's EXPLAIN ANALYZE
-    slot."""
+class PlanNode:
+    """One node of a SELECT block's plan tree: its output :attr:`frame`
+    (one source per joined table, so column references keep their
+    qualifiers), the AST EXPLAIN renders, the kernels it runs and the
+    :attr:`dtypes` its output columns are proven to have.  The planner
+    builds it, compiling its expressions as it goes.  A plan is shared
+    by threads: a run's rows, batches and probe kernel go to its
+    :class:`_Ctx` and EXPLAIN ANALYZE's collector, never onto a node."""
 
-    op: Operator
+    frame: Frame
     dtypes: List[str]
 
     def run(self, ctx: _Ctx) -> _Batch:
         collector = ctx.collector
         if collector is None:
             return self._execute(ctx)
-        self._batches = 0
         started = time.perf_counter()
         batch = self._execute(ctx)
         elapsed = time.perf_counter() - started
-        collector.record(
-            self.op, batch.n, self._batches, elapsed, self._probe
-        )
+        collector.record(self, batch.n, ctx.batches, elapsed, ctx.probe)
+        ctx.probe = None
         return batch
 
     def _execute(self, ctx: _Ctx) -> _Batch:
+        """The output batch; sets ``ctx.batches`` (and a join's
+        ``ctx.probe``) after its children have run."""
         raise NotImplementedError
 
     def require(self, flats: frozenset) -> None:
@@ -1303,104 +1301,119 @@ class VNode:
         add what their own expressions read and pass the set down;
         scans build only those columns."""
 
-    _batches = 0
-    #: a join's probe kernel, for EXPLAIN ANALYZE
-    _probe: Optional[str] = None
-
 
 def _chunks(n: int, size: int) -> int:
     return (n + size - 1) // size if n else 1
 
 
-class VSingleRow(VNode):
-    """One row of no columns: the source of a SELECT without FROM."""
+class SingleRow(PlanNode):
+    """The source of a SELECT without FROM: one row of no columns."""
 
-    def __init__(self, op: SingleRow):
-        self.op = op
+    def __init__(self) -> None:
+        self.frame = Frame([])
         self.dtypes = []
 
     def _execute(self, ctx: _Ctx) -> _Batch:
-        self._batches = 1
+        ctx.batches = 1
         return _Batch([], 1)
 
 
-class VScan(VNode):
-    """Full scan of the columns the plan reads, decoded from the
-    table's vectors on every execution (a cached plan pins no copy of
-    its table)."""
+class TableScan(PlanNode):
+    """Full scan of a base table under a binding name: the columns the
+    plan reads, decoded from the table's vectors on every execution (a
+    cached plan pins no copy of its table)."""
 
-    def __init__(self, op: TableScan):
-        self.op = op
-        self.dtypes = _table_dtypes(op.table)
+    def __init__(self, table: Any, binding: str):
+        self.table = table
+        self.binding = binding
+        self.frame = Frame.single(binding, table.columns)
+        self.dtypes = _table_dtypes(table)
         self._needed: List[int] = []
 
     def require(self, flats: frozenset) -> None:
         self._needed = sorted(flats)
 
     def _execute(self, ctx: _Ctx) -> _Batch:
-        table = self.op.table
+        table = self.table
         n = len(table)
-        self._batches = _chunks(n, ctx.batch_size)
+        ctx.batches = _chunks(n, ctx.batch_size)
         return _Batch(table.column_lists(self._needed), n)
 
 
-class VSubplan(VNode):
-    """A view or derived table: runs the nested plan when the parent
-    runs and hands over its output columns as they are, with the dtypes
-    its select list proved."""
+class IndexLookup(PlanNode):
+    """Equality lookup through a secondary hash index (the pushed-down
+    access path).  ``key_exprs`` read no column of the table —
+    constants, host variables, an enclosing query's columns — so they
+    are evaluated once per execution."""
 
-    def __init__(self, op: SubplanSource):
-        self.op = op
-        self.dtypes = list(op.plan.dtypes)
-
-    def _execute(self, ctx: _Ctx) -> _Batch:
-        cols, n = ctx.db._run(self.op.plan)
-        self._batches = _chunks(n, ctx.batch_size)
-        return _Batch(cols, n)
-
-
-class VIndexLookup(VNode):
-    """Secondary-index lookup (the pushed-down equality access path).
-    The keys read no column of the table — constants, host variables,
-    an enclosing query's columns — so they are evaluated once per
-    execution."""
-
-    def __init__(self, op: IndexLookup, keys: List[VExpr]):
-        self.op = op
-        self.keys = keys
-        self.dtypes = _table_dtypes(op.table)
+    def __init__(
+        self, table: Any, binding: str, index: Any,
+        key_exprs: List[ast.Expression], db: Any, outer: Optional[_Outer],
+    ):
+        self.table = table
+        self.binding = binding
+        self.index = index
+        self.key_exprs = key_exprs
+        self.frame = Frame.single(binding, table.columns)
+        self.dtypes = _table_dtypes(table)
+        comp = _Compiler(Frame([]), [], db, outer=outer)
+        self._keys = [comp.compile(k) for k in key_exprs]
 
     def _execute(self, ctx: _Ctx) -> _Batch:
-        op = self.op
-        key = tuple(_as_list(k.fn(ctx, [], 1), 1)[0] for k in self.keys)
-        width = len(op.table.columns)
+        key = tuple(_as_list(k.fn(ctx, [], 1), 1)[0] for k in self._keys)
+        width = len(self.table.columns)
         if any(value is None for value in key):
-            self._batches = 1
+            ctx.batches = 1
             return _Batch([[] for _ in range(width)], 0)
-        rows = op.index.lookup(key)
-        self._batches = _chunks(len(rows), ctx.batch_size)
+        rows = self.index.lookup(key)
+        ctx.batches = _chunks(len(rows), ctx.batch_size)
         return _Batch(transpose(rows, width), len(rows))
 
 
-class VFilter(VNode):
-    """Selection: evaluates the predicate in chunks of ``batch_size``
-    (touching only the columns the predicate reads) and gathers the
-    surviving positions."""
+class SubplanSource(PlanNode):
+    """A view or derived table: the nested SELECT's own cached plan,
+    run when the parent runs, its output columns handed over as they
+    are with the dtypes its select list proved.  Derived tables are
+    uncorrelated: the nested SELECT never sees the enclosing query's
+    columns."""
 
-    def __init__(self, op: Filter, child: VNode, pred: VExpr):
-        self.op = op
+    def __init__(self, binding: Optional[str], plan: "SelectPlan"):
+        self.binding = binding
+        self.plan = plan
+        self.frame = Frame.single(binding, plan.columns)
+        self.dtypes = list(plan.dtypes)
+
+    def _execute(self, ctx: _Ctx) -> _Batch:
+        cols, n = self.plan.run(ctx.db)
+        ctx.batches = _chunks(n, ctx.batch_size)
+        return _Batch(cols, n)
+
+
+class Filter(PlanNode):
+    """Keeps the rows whose predicate is TRUE: evaluates it in chunks
+    of ``batch_size`` (touching only the columns it reads) and gathers
+    the surviving positions."""
+
+    def __init__(
+        self, child: PlanNode, predicate: ast.Expression, db: Any,
+        outer: Optional[_Outer],
+    ):
         self.child = child
+        self.predicate = predicate
+        self.frame = child.frame
         self.dtypes = child.dtypes
-        self.pred = pred
+        self._pred = _Compiler(
+            child.frame, child.dtypes, db, outer=outer
+        ).compile(predicate)
 
     def require(self, flats: frozenset) -> None:
-        self.child.require(flats | self.pred.used)
+        self.child.require(flats | self._pred.used)
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         batch = self.child.run(ctx)
         cols = batch.cols
         n = batch.n
-        pred = self.pred
+        pred = self._pred
         size = ctx.batch_size
         sel: List[int] = []
         batches = 0
@@ -1419,22 +1432,26 @@ class VFilter(VNode):
                     range(start, end), map(_op.is_, vals, repeat(True))
                 ))
             batches += 1
-        self._batches = max(1, batches)
+        ctx.batches = max(1, batches)
         if len(sel) == n:
             return _Batch(cols, n)
         return _Batch(_gather(cols, sel), len(sel))
 
 
-class VHashJoin(VNode):
+class HashJoin(PlanNode):
     """Equi-join on key lists: builds positions on the right input,
     probes the left in order (left-major output, bucket order within a
-    key — the row-major emission order).  A join without keys tests its
-    candidate pairs a chunk at a time (:meth:`_theta_pairs`).
+    key — the row-major emission order).  ``left_keys`` /
+    ``right_keys`` are expressions over the respective child frames;
+    rows with any NULL key never match (SQL equality).  A join without
+    keys tests its candidate pairs a chunk at a time
+    (:meth:`_theta_pairs`).
 
     Materialization is late: the pairs are found on the key columns
-    alone, a residual is evaluated on candidate pairs gathered only
-    for the columns it reads, and only the columns the operators above
-    read (:meth:`require`) are gathered, once, at the surviving pairs."""
+    alone, the ``residual`` is evaluated on candidate pairs gathered
+    only for the columns it reads, and only the columns the operators
+    above read (:meth:`require`) are gathered, once, at the surviving
+    pairs."""
 
     #: LEFT OUTER: every left row without a surviving pair is emitted
     #: once with a NULL right side
@@ -1442,41 +1459,49 @@ class VHashJoin(VNode):
 
     def __init__(
         self,
-        op: HashJoin,
-        left: VNode,
-        right: VNode,
-        left_keys: List[VExpr],
-        right_keys: List[VExpr],
-        residual: Optional[VExpr],
+        left: PlanNode,
+        right: PlanNode,
+        left_keys: List[ast.Expression],
+        right_keys: List[ast.Expression],
+        residual: Optional[ast.Expression],
+        db: Any,
+        outer: Optional[_Outer],
     ):
-        self.op = op
         self.left = left
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.residual = residual
+        self.frame = left.frame.combine(right.frame)
         self.dtypes = left.dtypes + right.dtypes
+        lcomp = _Compiler(left.frame, left.dtypes, db, outer=outer)
+        rcomp = _Compiler(right.frame, right.dtypes, db, outer=outer)
+        self._lkeys = [lcomp.compile(k) for k in left_keys]
+        self._rkeys = [rcomp.compile(k) for k in right_keys]
+        self._residual = None if residual is None else _Compiler(
+            self.frame, self.dtypes, db, outer=outer
+        ).compile(residual)
         self._needed: frozenset = frozenset()
 
     def require(self, flats: frozenset) -> None:
         self._needed = flats
-        if self.residual is not None:
-            flats = flats | self.residual.used
+        if self._residual is not None:
+            flats = flats | self._residual.used
         split = len(self.left.dtypes)
         self.left.require(frozenset().union(
             (f for f in flats if f < split),
-            *(k.used for k in self.left_keys),
+            *(k.used for k in self._lkeys),
         ))
         self.right.require(frozenset().union(
             (f - split for f in flats if f >= split),
-            *(k.used for k in self.right_keys),
+            *(k.used for k in self._rkeys),
         ))
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         # build side first, like the row-major order it reproduces
         rbatch = self.right.run(ctx)
         lbatch = self.left.run(ctx)
-        if self.left_keys:
+        if self._lkeys:
             lefts, rights = self._equi_pairs(ctx, lbatch, rbatch)
         else:
             lefts, rights = self._theta_pairs(ctx, lbatch, rbatch)
@@ -1490,17 +1515,17 @@ class VHashJoin(VNode):
         the residual keeps, i-major and in build order per i."""
         rkeys = [
             _as_list(k.fn(ctx, rbatch.cols, rbatch.n), rbatch.n)
-            for k in self.right_keys
+            for k in self._rkeys
         ]
         lkeys = [
             _as_list(k.fn(ctx, lbatch.cols, lbatch.n), lbatch.n)
-            for k in self.left_keys
+            for k in self._lkeys
         ]
         outer = self.outer
-        lefts, rights, self._probe = _join_pairs(
+        lefts, rights, probe = _join_pairs(
             lkeys, lbatch.n, rkeys, rbatch.n, outer
         )
-        residual = self.residual
+        residual = self._residual
         if residual is not None:
             if outer:
                 # the residual sees real pairs only; padding is redone
@@ -1516,7 +1541,8 @@ class VHashJoin(VNode):
                 )
             if outer:
                 lefts, rights = _pad(lefts, rights, range(lbatch.n))
-        self._batches = _chunks(len(lefts), ctx.batch_size)
+        ctx.batches = _chunks(len(lefts), ctx.batch_size)
+        ctx.probe = probe
         return lefts, rights
 
     def _theta_pairs(
@@ -1530,15 +1556,15 @@ class VHashJoin(VNode):
         index ``None`` in its place.  Without a residual (a cross join)
         every pair is kept."""
         ln, rn = lbatch.n, rbatch.n
-        residual = self.residual
+        residual = self._residual
         if residual is None:
             lefts = list(
                 chain.from_iterable(map(repeat, range(ln), repeat(rn)))
             )
-            self._batches = _chunks(len(lefts), ctx.batch_size)
+            ctx.batches = _chunks(len(lefts), ctx.batch_size)
             return lefts, list(range(rn)) * ln
         if not rn:
-            self._batches = 1
+            ctx.batches = 1
             if self.outer:
                 return list(range(ln)), [None] * ln
             return [], []
@@ -1564,7 +1590,7 @@ class VHashJoin(VNode):
             lefts.extend(kept_l)
             rights.extend(kept_r)
             chunks += 1
-        self._batches = max(1, chunks)
+        ctx.batches = max(1, chunks)
         return lefts, rights
 
     def _columns(
@@ -1672,56 +1698,68 @@ def _pad(
     return [lefts[k] for k in order], [rights[k] for k in order]
 
 
-class VLeftOuterHashJoin(VHashJoin):
+
+class LeftOuterHashJoin(HashJoin):
     """LEFT OUTER join: the inner join's pairs, a residual applied to
     them, and every left row left without a pair padded with NULLs in
     its place — the row-major emission order.  Without keys (``ON``
     holds no equality) the pairs come a chunk at a time, as in
-    :class:`VNestedLoopJoin`."""
+    :class:`NestedLoopJoin`."""
 
     outer = True
 
 
-class VNestedLoopJoin(VHashJoin):
-    """Cross/theta join: no keys, so every pair is a candidate
-    (:meth:`VHashJoin._theta_pairs`)."""
-
-
-class VAggregate(VNode):
-    """Hash grouping with slot reduction.  The output batch carries
-    one representative (first-member) value per child column, followed
-    by one column per aggregate slot; the post-group compiler reads
-    both through flat indices."""
+class NestedLoopJoin(HashJoin):
+    """Cross/theta join: no keys, so every pair is a candidate, kept
+    when the optional predicate (the ``residual``) is TRUE
+    (:meth:`HashJoin._theta_pairs`)."""
 
     def __init__(
-        self,
-        op: GroupAggregate,
-        child: VNode,
-        key_vexprs: List[VExpr],
-        gctx: _GroupContext,
+        self, left: PlanNode, right: PlanNode,
+        predicate: Optional[ast.Expression], db: Any,
+        outer: Optional[_Outer],
     ):
-        self.op = op
+        super().__init__(left, right, [], [], predicate, db, outer)
+
+
+class GroupAggregate(PlanNode):
+    """Hash grouping in first-appearance order, with slot reduction.
+    The output batch carries one representative (first-member) value
+    per child column, followed by one column per aggregate slot the
+    block's post-group expressions allocate in :attr:`groups`; their
+    arguments compile through :attr:`sibling`, over the child's
+    columns.  With no GROUP BY keys (``scalar``), a single global
+    group is emitted even for empty input."""
+
+    def __init__(
+        self, child: PlanNode, keys: List[ast.Expression], scalar: bool,
+        db: Any, outer: Optional[_Outer],
+    ):
         self.child = child
-        self.key_vexprs = key_vexprs
-        self.gctx = gctx
-        self.dtypes = child.dtypes + [s.dtype for s in gctx.slots]
+        self.keys = keys
+        self.scalar = scalar
+        self.frame = child.frame
+        self.dtypes = child.dtypes
+        self.groups = _GroupContext(len(child.dtypes))
+        self.sibling = _Compiler(child.frame, child.dtypes, db, outer=outer)
+        self._keys = [self.sibling.compile(k) for k in keys]
 
     def require(self, flats: frozenset) -> None:
         # representative columns keep their child index; slot columns
         # (appended after them) are computed here
-        base = self.gctx.base_width
+        base = self.groups.base_width
         self.child.require(frozenset().union(
             (f for f in flats if f < base),
-            *(k.used for k in self.key_vexprs),
-            *(s.arg.used for s in self.gctx.slots if not s.star),
+            *(k.used for k in self._keys),
+            *(s.arg.used for s in self.groups.slots if not s.star),
         ))
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         batch = self.child.run(ctx)
         ccols = batch.cols
         n = batch.n
-        key_lists = [_as_list(k.fn(ctx, ccols, n), n) for k in self.key_vexprs]
-        slots = self.gctx.slots
+        key_lists = [_as_list(k.fn(ctx, ccols, n), n) for k in self._keys]
+        slots = self.groups.slots
         arg_lists: List[Optional[List[Any]]] = [
             None
             if s.star
@@ -1731,8 +1769,8 @@ class VAggregate(VNode):
         members: Optional[List[Sequence[int]]] = None
         sizes: List[int] = []
         if not n:
-            if not self.op.scalar:
-                self._batches = 1
+            if not self.scalar:
+                ctx.batches = 1
                 width = len(ccols) + len(slots)
                 return _Batch([[] for _ in range(width)], 0)
             repcols = [[None] for _ in ccols]
@@ -1759,9 +1797,8 @@ class VAggregate(VNode):
             sizes if slot.star else reduce_slot(slot, arg_lists[pos], members)
             for pos, slot in enumerate(slots)
         ]
-        self._batches = _chunks(count, ctx.batch_size)
+        ctx.batches = _chunks(count, ctx.batch_size)
         return _Batch(repcols + slotcols, count)
-
 
 def _members(keys: List[Any]) -> Tuple[List[int], List[List[int]]]:
     """Row positions grouped by key in first-appearance order: each
@@ -1785,42 +1822,6 @@ def reduce_slot(
         reduce_values(slot.name, [argv[i] for i in m], slot.distinct)
         for m in members
     ]
-
-
-# ---------------------------------------------------------------------------
-# plan builder
-# ---------------------------------------------------------------------------
-
-
-def _build_node(op: Operator, db: Any, outer: Optional[_Outer]) -> VNode:
-    if isinstance(op, TableScan):
-        return VScan(op)
-    if isinstance(op, SingleRow):
-        return VSingleRow(op)
-    if isinstance(op, IndexLookup):
-        keys = _Compiler(Frame([]), [], db, outer=outer)
-        return VIndexLookup(op, [keys.compile(k) for k in op.key_exprs])
-    if isinstance(op, SubplanSource):
-        return VSubplan(op)
-    if isinstance(op, Filter):
-        child = _build_node(op.child, db, outer)
-        comp = _Compiler(op.frame, child.dtypes, db, outer=outer)
-        return VFilter(op, child, comp.compile(op.predicate))
-    left = _build_node(op.left, db, outer)
-    right = _build_node(op.right, db, outer)
-    joint = _Compiler(op.frame, left.dtypes + right.dtypes, db, outer=outer)
-    if isinstance(op, NestedLoopJoin):
-        residual = (
-            joint.compile(op.predicate) if op.predicate is not None else None
-        )
-        return VNestedLoopJoin(op, left, right, [], [], residual)
-    lcomp = _Compiler(op.left.frame, left.dtypes, db, outer=outer)
-    rcomp = _Compiler(op.right.frame, right.dtypes, db, outer=outer)
-    left_keys = [lcomp.compile(k) for k in op.left_keys]
-    right_keys = [rcomp.compile(k) for k in op.right_keys]
-    residual = joint.compile(op.residual) if op.residual is not None else None
-    cls = VLeftOuterHashJoin if isinstance(op, LeftOuterHashJoin) else VHashJoin
-    return cls(op, left, right, left_keys, right_keys, residual)
 
 
 def _default_name(expr: ast.Expression, index: int) -> str:
@@ -1942,47 +1943,160 @@ class _Tail:
         ))
         return _gather(out_cols, order)
 
-    def run(
-        self, db: Any, outer: Tuple[Any, ...], cols: List[List[Any]], n: int
-    ) -> Tuple[List[List[Any]], int]:
-        """Apply to a compound's result (its keys read output columns
-        only)."""
-        return self.apply(_Ctx(db, outer), cols, [], n)
+
+def _set_op(
+    op: str, all_flag: bool, left: List[Any], right: List[Any]
+) -> List[Any]:
+    """UNION / INTERSECT / EXCEPT of two row lists, first appearance
+    winning; with ALL, a row of *right* cancels one of *left*."""
+    if op == "UNION":
+        combined = left + right
+        return combined if all_flag else list(dict.fromkeys(combined))
+    counts = Counter(right)
+    out = []
+    for row in left:
+        if counts[row] > 0:
+            if all_flag:
+                counts[row] -= 1
+            if op == "INTERSECT":
+                out.append(row)
+        elif op == "EXCEPT":
+            out.append(row)
+    return out if all_flag else list(dict.fromkeys(out))
 
 
-class VectorPlan:
-    """One SELECT block batch-at-a-time: the source node, the WHERE
-    leftovers (or HAVING) as a filter, the projection, DISTINCT and —
-    unless the block opens a compound, whose tail applies after the set
-    operations — ORDER BY / LIMIT / OFFSET."""
+class SelectPlan:
+    """One planned SELECT block: its :attr:`source` node (the join
+    tree, WHERE's leftovers as a :class:`Filter` over it, the
+    aggregate over that), HAVING, the projection, DISTINCT and ORDER
+    BY / LIMIT / OFFSET.  A block that opens a compound also holds the
+    set operations with their right-hand blocks' plans, and its
+    ORDER BY / LIMIT / OFFSET apply after them.  Built once per
+    (statement, catalog version); executions share it and keep their
+    state in a :class:`_Ctx`."""
 
     __slots__ = (
+        "select",
         "source",
-        "filter_vexpr",
+        "having",
         "parts",
         "columns",
-        "out_dtypes",
-        "distinct",
+        "dtypes",
+        "set_ops",
         "tail",
     )
 
-    def execute_columns(
+    def __init__(
+        self,
+        select: ast.Select,
+        source: PlanNode,
+        set_ops: List[Tuple[str, bool, "SelectPlan"]],
+        db: Any,
+        outer: Optional[_Outer] = None,
+    ):
+        self.select = select
+        self.source = source
+        self.set_ops = set_ops
+        frame = source.frame
+        dtypes = source.dtypes
+        groups = sibling = None
+        if isinstance(source, GroupAggregate):
+            groups, sibling = source.groups, source.sibling
+        comp = _Compiler(frame, dtypes, db, groups, sibling, outer)
+        having = select.having
+        self.having = comp.compile(having) if having is not None else None
+        comp.clause()
+        offsets = _frame_offsets(frame)
+        columns: List[str] = []
+        parts: List[Tuple[Sequence[int], Optional[VExpr]]] = []
+        out_dtypes: List[str] = []
+        used = self.having.used if self.having is not None else frozenset()
+        for idx, item in enumerate(select.items):
+            expr = item.expr
+            if isinstance(expr, ast.Star) and frame.sources:
+                stars = frame.star_columns(expr.qualifier)
+                flats = [offsets[src] + col for src, col, _ in stars]
+                columns.extend(name for _, _, name in stars)
+                parts.append((flats, None))
+                out_dtypes.extend(comp._dtype(flat) for flat in flats)
+                used = used.union(flats)
+                continue
+            if isinstance(expr, ast.Star):
+                vexpr = _raising(ExecutionError, "'*' requires a FROM clause")
+            else:
+                vexpr = comp.compile(expr)
+            columns.append(item.alias or _default_name(expr, idx))
+            parts.append(((), vexpr))
+            out_dtypes.append(vexpr.dtype)
+            used = used | vexpr.used
+        self.parts = parts
+        self.columns = columns
+        if set_ops:
+            # the compound's rows mix blocks: no type is proven, and a
+            # sort key reads the output columns only
+            out_dtypes = ["any"] * len(columns)
+            frame, dtypes, groups, sibling = Frame([]), [], None, None
+        self.dtypes = out_dtypes
+        self.tail = None
+        if (
+            select.order_by or select.limit is not None
+            or select.offset is not None
+        ):
+            order_comp = _Compiler(
+                frame, out_dtypes + dtypes, db, groups, sibling, outer,
+                out_frame=Frame.single(None, columns),
+            )
+            self.tail = _Tail(select, order_comp)
+            used = used | self.tail.source_used
+        # every expression is compiled (the aggregate's slots are all
+        # allocated): tell the scans which columns anything reads
+        source.require(used)
+
+    def nodes(self) -> Iterator[PlanNode]:
+        """The block's plan nodes depth-first, parents before children:
+        the one enumeration EXPLAIN ANALYZE and the renderer share."""
+        stack: List[PlanNode] = [self.source]
+        while stack:
+            node = stack.pop()
+            yield node
+            for attr in ("child", "left", "right"):
+                sub = getattr(node, attr, None)
+                if sub is not None:
+                    stack.append(sub)
+
+    def run(
         self, db: Any, outer: Tuple[Any, ...] = ()
     ) -> Tuple[List[List[Any]], int]:
         """The result column-major: one list per output column (their
-        proven dtypes are :attr:`out_dtypes`) and the row count.  The
-        lists may be shared with a scan's cache — callers must not
-        mutate them.  *outer* binds a subquery's outer references."""
+        proven dtypes are :attr:`dtypes`) and the row count.  The lists
+        may be shared with a table — callers must not mutate them.
+        *outer* binds a subquery's outer references for this run."""
         ctx = _Ctx(db, outer)
+        if ctx.collector is not None:
+            ctx.collector.attach(self)
+        if not self.set_ops:
+            return self._block(ctx, self.tail)
+        rows = list(zip(*self._block(ctx, None)[0]))
+        for op, all_flag, rhs in self.set_ops:
+            rhs_rows = list(zip(*rhs.run(db, outer)[0]))
+            rows = _set_op(op, all_flag, rows, rhs_rows)
+        cols, n = transpose(rows, len(self.columns)), len(rows)
+        if self.tail is None:
+            return cols, n
+        return self.tail.apply(ctx, cols, [], n)
+
+    def _block(
+        self, ctx: _Ctx, tail: Optional[_Tail]
+    ) -> Tuple[List[List[Any]], int]:
         batch = self.source.run(ctx)
-        im = db._im
+        im = ctx.db._im
         if im is not None and batch.n:
             im.rows_scanned.inc(batch.n)
         cols = batch.cols
         n = batch.n
-        filt = self.filter_vexpr
-        if filt is not None and n:
-            vals = _as_list(filt.fn(ctx, cols, n), n)
+        having = self.having
+        if having is not None and n:
+            vals = _as_list(having.fn(ctx, cols, n), n)
             sel = [i for i, v in enumerate(vals) if v is True]
             if len(sel) != n:
                 cols = _gather(cols, sel)
@@ -1993,8 +2107,7 @@ class VectorPlan:
                 out_cols.extend(cols[flat] for flat in flats)
             else:  # no row: no item is evaluated, constant or not
                 out_cols.append(_as_list(vexpr.fn(ctx, cols, n), n) if n else [])
-        tail = self.tail
-        if self.distinct and n:
+        if self.select.distinct and n:
             if tail is not None and tail.source_used:
                 # a hidden sort key is read at each output's first row
                 firsts: Dict[Any, int] = {}
@@ -2017,96 +2130,6 @@ class VectorPlan:
         if tail is not None:
             return tail.apply(ctx, out_cols, cols, n)
         return out_cols, n
-
-
-def build_vector_plan(
-    plan: Any, db: Any, outer: Optional[_Outer] = None, tail: bool = True
-) -> VectorPlan:
-    """Mirror *plan* (one SELECT block) onto a :class:`VectorPlan`;
-    *outer* is the enclosing scope of a subquery, *tail* False leaves
-    ORDER BY / LIMIT / OFFSET to the compound the block opens."""
-    select = plan.select
-    source_op = plan.source
-    frame = source_op.frame
-    vp = VectorPlan()
-    vp.distinct = select.distinct
-    groups = sibling = None
-    if isinstance(source_op, GroupAggregate):
-        child = _build_node(source_op.child, db, outer)
-        dtypes = child.dtypes
-        groups = _GroupContext(len(dtypes))
-        sibling = _Compiler(frame, dtypes, db, outer=outer)
-        key_vexprs = [sibling.compile(k) for k in source_op.keys]
-        node: VNode = VAggregate(source_op, child, key_vexprs, groups)
-        condition = select.having
-    else:
-        node = _build_node(source_op, db, outer)
-        dtypes = node.dtypes
-        condition = conjoin(plan.leftovers)
-    comp = _Compiler(frame, dtypes, db, groups, sibling, outer)
-    vp.filter_vexpr = comp.compile(condition) if condition is not None else None
-    vp.source = node
-
-    comp.clause()
-    offsets = _frame_offsets(frame)
-    columns: List[str] = []
-    parts: List[Tuple[Sequence[int], Optional[VExpr]]] = []
-    out_dtypes: List[str] = []
-    used = vp.filter_vexpr.used if vp.filter_vexpr is not None else frozenset()
-    for idx, item in enumerate(select.items):
-        expr = item.expr
-        if isinstance(expr, ast.Star) and frame.sources:
-            stars = frame.star_columns(expr.qualifier)
-            flats = [offsets[src] + col for src, col, _ in stars]
-            columns.extend(name for _, _, name in stars)
-            parts.append((flats, None))
-            out_dtypes.extend(comp._dtype(flat) for flat in flats)
-            used = used.union(flats)
-            continue
-        if isinstance(expr, ast.Star):
-            vexpr = _raising(ExecutionError, "'*' requires a FROM clause")
-        else:
-            vexpr = comp.compile(expr)
-        columns.append(item.alias or _default_name(expr, idx))
-        parts.append(((), vexpr))
-        out_dtypes.append(vexpr.dtype)
-        used = used | vexpr.used
-    vp.parts = parts
-    vp.columns = columns
-    vp.out_dtypes = out_dtypes
-    vp.tail = None
-    if tail and (
-        select.order_by or select.limit is not None
-        or select.offset is not None
-    ):
-        order_comp = _Compiler(
-            frame, out_dtypes + dtypes, db, groups, sibling, outer,
-            out_frame=Frame.single(None, columns),
-        )
-        vp.tail = _Tail(select, order_comp)
-        used = used | vp.tail.source_used
-    # every expression is compiled (the aggregate's slots are all
-    # allocated): tell the scans which columns anything reads
-    node.require(used)
-    return vp
-
-
-def build_compound_tail(
-    select: ast.Select,
-    columns: List[str],
-    db: Any,
-    outer: Optional[_Outer] = None,
-) -> Optional[_Tail]:
-    """The ORDER BY / LIMIT / OFFSET after a compound SELECT's set
-    operations; its keys resolve against the output names and
-    positions."""
-    if not select.order_by and select.limit is None and select.offset is None:
-        return None
-    comp = _Compiler(
-        Frame([]), ["any"] * len(columns), db, outer=outer,
-        out_frame=Frame.single(None, columns),
-    )
-    return _Tail(select, comp)
 
 
 def evaluate_constant(db: Any, expr: ast.Expression) -> Any:

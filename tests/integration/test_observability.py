@@ -294,13 +294,13 @@ def test_service_select_shapes_stay_on_the_batch_executor():
 
 def test_a_lowering_bug_is_not_a_fallback(monkeypatch):
     """There is no second executor to degrade to: anything out of the
-    vector-plan builder is a bug and must surface."""
-    from repro.sqlengine import engine
+    plan builder is a bug and must surface."""
+    from repro.sqlengine.planner import SelectPlanner
 
     def broken(*args, **kwargs):
         raise RuntimeError("bug in a lowering")
 
-    monkeypatch.setattr(engine, "build_vector_plan", broken)
+    monkeypatch.setattr(SelectPlanner, "plan", broken)
     database = Database()
     load_purchase_figure1(database)
     with pytest.raises(RuntimeError, match="bug in a lowering"):

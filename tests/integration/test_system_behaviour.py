@@ -221,15 +221,14 @@ class TestWorkspaceCleanup:
         plans of a dropped workspace can never be looked up again: they
         must leave the plan cache (with the tables and decoded columns
         they pin) instead of piling up until LRU eviction."""
-        from repro.sqlengine.operators import SubplanSource
-        from repro.sqlengine.planner import plan_operators
+        from repro.sqlengine.vector import SubplanSource
 
         def scanned_tables(plan):
-            for op in plan_operators(plan.source):
-                if isinstance(op, SubplanSource):
-                    yield from scanned_tables(op.plan)
-                elif hasattr(op, "table"):
-                    yield op.table
+            for node in plan.nodes():
+                if isinstance(node, SubplanSource):
+                    yield from scanned_tables(node.plan)
+                elif hasattr(node, "table"):
+                    yield node.table
 
         def assert_only_live_tables(database):
             catalog = database.catalog

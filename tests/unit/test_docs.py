@@ -1,11 +1,14 @@
 """The docs cannot go stale: every name they cite must exist.
 
-Three checks over DESIGN.md, README.md and ``docs/*.md``:
+Four checks over DESIGN.md, README.md and ``docs/*.md``:
 
 * every dotted ``repro.…`` name resolves by import plus ``getattr``;
 * every backticked CamelCase name is defined somewhere in ``repro``,
   is a Python builtin, or is one of the SQL table / column names the
   translator emits;
+* every ``tests/…`` / ``benchmarks/…`` path they cite exists (a glob
+  matches something), and every ``test_*`` name is a test module or a
+  test function under ``tests/`` or ``benchmarks/``;
 * every ``repro_*`` series docs/OBSERVABILITY.md names is registered
   after one metered golden run, one refresh and one SQL job.
 
@@ -50,6 +53,8 @@ DOCS = [ROOT / "DESIGN.md", ROOT / "README.md",
         *sorted((ROOT / "docs").glob("*.md"))]
 
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+TEST_PATH = re.compile(r"(?<![\w/.])(?:tests|benchmarks)/[\w./*-]*[\w*]")
+TEST_NAME = re.compile(r"\btest_\w+(?![\w*])")
 CAMEL = re.compile(r"`([A-Z][a-z0-9]+[A-Z]\w*)")
 SERIES = re.compile(r"\brepro_[a-z0-9_]*[a-z0-9]")
 
@@ -122,6 +127,23 @@ def test_every_backticked_class_name_is_defined():
         for where, line in doc_lines()
         for name in CAMEL.findall(line)
         if name not in known
+    ]
+    assert stale == []
+
+
+def test_every_cited_test_exists():
+    defined = set()
+    for folder in ("tests", "benchmarks"):
+        for path in ROOT.glob(f"{folder}/**/*.py"):
+            defined.add(path.stem)
+            defined.update(re.findall(r"def (test_\w+)", path.read_text()))
+    stale = [
+        f"{where}: {cited}"
+        for where, line in doc_lines()
+        for cited in [
+            *(p for p in TEST_PATH.findall(line) if not any(ROOT.glob(p))),
+            *(n for n in TEST_NAME.findall(line) if n not in defined),
+        ]
     ]
     assert stale == []
 

