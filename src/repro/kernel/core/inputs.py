@@ -178,9 +178,12 @@ class CoreInputLoader:
         min_count = int(self._db.variables["mingroups"])
         return totg, min_count
 
-    def _columns(self, table_name: str, names: Sequence[str]) -> List[list]:
-        """The named columns of *table_name* as lists, one per name (a
-        repeated name gives the same list)."""
+    def _columns(self, table_name: str, names: Sequence[str]) -> List[Any]:
+        """The named columns of *table_name* as a scan reads them, one
+        per name (a repeated name gives the same column): a NULL-free
+        int column such as ``Gid`` / ``Bid`` is a copy of its
+        ``array('q')``, which indexes, slices and iterates like the
+        list of its values."""
         table = self._db.catalog.get_table(table_name)
         positions = [table.column_index(name) for name in names]
         lists = table.column_lists(sorted(set(positions)))
@@ -188,9 +191,9 @@ class CoreInputLoader:
 
     def load_simple_columns(
         self,
-    ) -> Tuple[SimpleInput, Tuple[List[int], List[int]]]:
+    ) -> Tuple[SimpleInput, Tuple[Sequence[int], Sequence[int]]]:
         """The simple core's loader: the ``Gid``/``Bid`` columns of
-        ``CodedSource`` read as lists (no SQL statement, no row tuples)
+        ``CodedSource`` read as arrays (no SQL statement, no row tuples)
         and turned into the pool's vertical input in one pass.  The
         columns come back beside it for whoever observes the boundary.
         """

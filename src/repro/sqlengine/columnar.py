@@ -23,17 +23,61 @@ A vector *promotes* itself (int -> float -> obj, str -> obj) when a
 value arrives that its layout cannot hold exactly: values are never
 coerced by storage (the table coerces to declared types before it
 appends), so ``to_pylist()`` returns exactly the values appended.
+
+A scan reads a vector through :meth:`ColumnVector.scan`, which hands
+out the layout rather than decoded values: a NULL-free int / float
+column as a copy of its ``array`` (the type is the NULL-free proof), a
+str column as :class:`Coded`, anything else as a list.  ``extend``
+takes all three back, an array or codes without reading a value.  The
+functions at the end of the module are how the executor moves and
+compares such columns.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+#: the one Python type of the non-NULL values of each typed layout
+_LAYOUT_TYPE = {"int": int, "float": float, "str": str}
 
 #: bounds of an ``array('q')`` element
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+
+
+class Coded:
+    """A str column as dictionary codes (``-1`` = NULL) into
+    ``lookup``, a snapshot of the vector's values with None appended
+    (code ``-1`` decodes without a branch, ≈ 1.5x faster than testing
+    each code), beside ``index``, the vector's live value -> code map
+    (append-only, so it maps every value of the snapshot).  Equal codes
+    are equal values; indexing and iteration decode, so a reader that
+    wants values may treat it as a read-only sequence."""
+
+    __slots__ = ("codes", "lookup", "index")
+
+    def __init__(self, codes: Sequence[int], lookup: List[Any],
+                 index: Dict[str, int]):
+        self.codes = codes
+        self.lookup = lookup
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, key: Any) -> Any:
+        if isinstance(key, slice):
+            return Coded(self.codes[key], self.lookup, self.index)
+        return self.lookup[self.codes[key]]
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self.lookup.__getitem__, self.codes)
+
+    def decode(self) -> List[Any]:
+        lookup = self.lookup
+        return [lookup[code] for code in self.codes]
 
 
 class ColumnVector:
@@ -81,39 +125,20 @@ class ColumnVector:
                 self.data = []
             self.data.append(None)
             return
-        prefix = self.data or []
-        if isinstance(value, bool):
-            self.kind = "obj"
-            self.data = list(prefix)
-            self.nulls = []
-            self.data.append(value)
-        elif isinstance(value, int):
-            if _INT64_MIN <= value <= _INT64_MAX:
-                self.kind = "int"
-                self.data = array("q", [0] * len(prefix))
-                self.data.append(value)
-            else:
-                self.kind = "obj"
-                self.data = list(prefix)
-                self.nulls = []
-                self.data.append(value)
+        if isinstance(value, int) and not isinstance(value, bool) and (
+            _INT64_MIN <= value <= _INT64_MAX
+        ):
+            self._become_array("q")
         elif isinstance(value, float):
-            self.kind = "float"
-            self.data = array("d", [0.0] * len(prefix))
-            self.data.append(value)
+            self._become_array("d")
         elif isinstance(value, str):
-            self.kind = "str"
-            codes = array("i", [-1] * len(prefix))
-            self.data = codes
-            self.values = []
-            self.index = {}
-            self.nulls = []
-            codes.append(self._intern(value))
+            self._become_str()
+            value = self._intern(value)
         else:
             self.kind = "obj"
-            self.data = list(prefix)
+            self.data = list(self.data or [])
             self.nulls = []
-            self.data.append(value)
+        self.data.append(value)
 
     def _append_int(self, value: Any) -> None:
         if value is None:
@@ -148,13 +173,22 @@ class ColumnVector:
         self._promote_obj()
         self.data.append(value)
 
-    def extend(self, values: Sequence[Any]) -> None:
+    def extend(self, values: Sequence[Any],
+               kinds: Optional[set] = None) -> None:
         """Bulk append with one layout dispatch per run, not per value.
 
-        Values the settled layout cannot hold exactly fall back to the
-        per-value path (which promotes), so the result is identical to
-        appending one by one.
+        An ``array`` of this layout is copied in, a :class:`Coded`
+        column remapped into this dictionary (one intern per distinct
+        value).  A list costs one type pass, none when the caller
+        passes the set of its value types as *kinds*.  Values the
+        settled layout cannot hold exactly fall back to the per-value
+        path (which promotes): the result is identical to appending
+        one by one.
         """
+        if type(values) is array:
+            return self._extend_array(values)
+        if type(values) is Coded:
+            return self._extend_coded(values)
         position = 0
         total = len(values)
         while self.kind == "empty" and position < total:
@@ -162,74 +196,45 @@ class ColumnVector:
             position += 1
         kind = self.kind
         data = self.data
-        if position < total and kind in ("int", "str"):
+        pytype = _LAYOUT_TYPE.get(kind)
+        if position < total and pytype is not None:
             # exact bulk paths: one C-level pass when every remaining
             # value already has the layout's own Python type
             tail = values[position:] if position else values
-            kinds = set(map(type, tail))
-            if kind == "int" and kinds == {int} and (
-                _INT64_MIN <= min(tail) and max(tail) <= _INT64_MAX
-            ):
-                data.extend(tail)
-                self.length += total - position
-                return
-            if kind == "str" and kinds == {str}:
-                index = self.index
-                interned = self.values
+            if kinds is None or position:
+                kinds = set(map(type, tail))
+            if kinds == {pytype} and kind == "str":
                 for value in dict.fromkeys(tail):  # first-appearance order
-                    if value not in index:
-                        index[value] = len(interned)
-                        interned.append(value)
-                data.extend(map(index.__getitem__, tail))
+                    self._intern(value)
+                data.extend(map(self.index.__getitem__, tail))
                 self.length += total - position
                 return
-        if kind == "int":
+            if kinds == {pytype}:
+                try:  # OverflowError is the int64 check; it appends none
+                    data.fromlist(tail if type(tail) is list else list(tail))
+                except OverflowError:
+                    pass
+                else:
+                    self.length += total - position
+                    return
+        if pytype is not None:
+            # a run of the layout's own values and NULLs
             nulls = self.nulls
             length = self.length
+            null = -1 if kind == "str" else pytype()
             while position < total:
                 value = values[position]
-                if type(value) is int:
-                    if not _INT64_MIN <= value <= _INT64_MAX:
+                if type(value) is pytype:
+                    if kind == "str":
+                        value = self._intern(value)
+                    try:
+                        data.append(value)
+                    except OverflowError:
                         break
-                    data.append(value)
                 elif value is None:
-                    nulls.append(length)
-                    data.append(0)
-                else:
-                    break
-                length += 1
-                position += 1
-            self.length = length
-        elif kind == "str":
-            index = self.index
-            interned = self.values
-            length = self.length
-            while position < total:
-                value = values[position]
-                if type(value) is str:
-                    code = index.get(value)
-                    if code is None:
-                        code = len(interned)
-                        index[value] = code
-                        interned.append(value)
-                    data.append(code)
-                elif value is None:
-                    data.append(-1)
-                else:
-                    break
-                length += 1
-                position += 1
-            self.length = length
-        elif kind == "float":
-            nulls = self.nulls
-            length = self.length
-            while position < total:
-                value = values[position]
-                if type(value) is float:
-                    data.append(value)
-                elif value is None:
-                    nulls.append(length)
-                    data.append(0.0)
+                    if kind != "str":
+                        nulls.append(length)
+                    data.append(null)
                 else:
                     break
                 length += 1
@@ -242,6 +247,48 @@ class ColumnVector:
             position = total
         for i in range(position, total):
             self.append(values[i])
+
+    def _extend_array(self, values: array) -> None:
+        if self.kind == "empty" and values:
+            self._become_array(values.typecode)
+        if self.kind != ("int" if values.typecode == "q" else "float"):
+            return self.extend(values.tolist())
+        self.data.extend(values)
+        self.length += len(values)
+
+    def _extend_coded(self, column: Coded) -> None:
+        codes = column.codes
+        if self.kind == "str" and column.index is self.index:
+            self.data.extend(codes)  # this vector's own codes
+            self.length += len(codes)
+            return
+        used = [code for code in dict.fromkeys(codes) if code >= 0]
+        if self.kind == "empty" and used:
+            self._become_str()
+        if self.kind != "str":
+            return self.extend(column.decode())
+        lookup = column.lookup
+        remap = list(range(len(lookup) - 1)) + [-1]
+        for code in used:  # first-appearance order, as one by one
+            remap[code] = self._intern(lookup[code])
+        if any(remap[code] != code for code in used):
+            codes = [remap[code] for code in codes]
+        self.data.extend(codes)
+        self.length += len(codes)
+
+    def _become_array(self, typecode: str) -> None:
+        """Take the int / float layout: zeros under a leading NULL run,
+        whose positions ``nulls`` already holds."""
+        self.kind = "int" if typecode == "q" else "float"
+        self.data = array(typecode, bytes(8 * self.length))
+
+    def _become_str(self) -> None:
+        """Take the str layout: a leading NULL run becomes ``-1``s."""
+        self.kind = "str"
+        self.data = array("i", [-1] * self.length)
+        self.values = []
+        self.index = {}
+        self.nulls = []
 
     def _intern(self, value: str) -> int:
         code = self.index.get(value)
@@ -269,10 +316,24 @@ class ColumnVector:
                 out[position] = None
             return out
         if kind == "str":
-            return _decode(self.values, self.data)
+            return self._coded(self.data).decode()
         if kind == "obj":
             return list(self.data)
         return [None] * self.length
+
+    def _coded(self, codes: Sequence[int]) -> Coded:
+        return Coded(codes, self.values + [None], self.index)
+
+    def scan(self) -> Any:
+        """The column as a scan hands it out, a copy that no later write
+        reaches: an ``array`` when the column is int or float and
+        NULL-free, :class:`Coded` when it is str, else a list."""
+        kind = self.kind
+        if kind == "str":
+            return self._coded(self.data[:])
+        if kind in ("int", "float") and not self.has_nulls:
+            return self.data[:]
+        return self.to_pylist()
 
     def sample(self, stop: int, stride: int) -> List[Any]:
         """The values at positions ``0, stride, 2 * stride, ...`` below
@@ -280,7 +341,7 @@ class ColumnVector:
         sample's length (plus the NULL positions below *stop*)."""
         kind = self.kind
         if kind == "str":
-            return _decode(self.values, self.data[0:stop:stride])
+            return self._coded(self.data[0:stop:stride]).decode()
         if kind == "obj":
             return self.data[0:stop:stride]
         if kind == "empty":
@@ -327,7 +388,7 @@ class ColumnVector:
     @property
     def has_nulls(self) -> bool:
         if self.kind == "str":
-            return any(code < 0 for code in self.data)
+            return -1 in self.data
         if self.kind == "obj":
             return any(v is None for v in self.data)
         if self.kind == "empty":
@@ -338,9 +399,72 @@ class ColumnVector:
         return self.length
 
 
-def _decode(values: List[str], codes: array) -> List[Any]:
-    """Dictionary *codes* to their interned *values*, ``-1`` to None.
-    The lookup list's last slot is None, so code ``-1`` indexes it and
-    the loop has no branch (≈ 1.5x faster than testing each code)."""
-    lookup = values + [None]
-    return [lookup[code] for code in codes]
+# -- scan columns: how the executor moves and compares them -------------
+
+
+def decoded(col: Any) -> Any:
+    """*col* with its codes decoded: what an expression reads."""
+    return col.decode() if type(col) is Coded else col
+
+
+def equality_keys(col: Any) -> Any:
+    """What *col*'s equality compares: a coded column's codes."""
+    return col.codes if type(col) is Coded else col
+
+
+def like(col: Any, keys: Iterable[Any]) -> Any:
+    """A column in *col*'s representation holding *keys* (values, or
+    codes of *col*'s dictionary)."""
+    if type(col) is Coded:
+        return Coded(list(keys), col.lookup, col.index)
+    if type(col) is array:
+        return array(col.typecode, keys)
+    return list(keys)
+
+
+def take(col: Any, idxs: Iterable[int]) -> Any:
+    """The rows at *idxs*, in *col*'s representation."""
+    if type(col) is Coded:
+        codes = col.codes
+        return Coded([codes[i] for i in idxs], col.lookup, col.index)
+    return like(col, [col[i] for i in idxs])
+
+
+def take_padded(col: Any, idxs: Iterable[Optional[int]]) -> Any:
+    """The rows at *idxs*, an index of None a NULL (outer-join padding):
+    a coded column pads with code ``-1``, any other becomes a list."""
+    if type(col) is Coded:
+        codes = col.codes
+        return Coded([-1 if i is None else codes[i] for i in idxs],
+                     col.lookup, col.index)
+    return [None if i is None else col[i] for i in idxs]
+
+
+def null_free(col: Any) -> bool:
+    """Holds the value list *col* no NULL?  An array answers by type."""
+    return type(col) is array or None not in col
+
+
+def comparable_keys(
+    lkeys: List[Any], rkeys: List[Any]
+) -> Tuple[List[Any], List[Any]]:
+    """Equi-join key columns that compare as they are.  Where both
+    sides are coded the probe (left) side keeps its codes and the build
+    side's distinct values are translated into them once: a value the
+    probe side lacks gets a code of its own below ``-1`` and a NULL
+    becomes None, so neither matches and distinct build keys stay
+    distinct.  Every other key is decoded."""
+    lout, rout = [], []
+    for lk, rk in zip(lkeys, rkeys):
+        if type(lk) is Coded and type(rk) is Coded:
+            index = lk.index
+            lookup = [
+                index.get(value, -2 - code)
+                for code, value in enumerate(rk.lookup[:-1])
+            ] + [None]
+            lout.append(lk.codes)
+            rout.append([lookup[code] for code in rk.codes])
+        else:
+            lout.append(decoded(lk))
+            rout.append(decoded(rk))
+    return lout, rout

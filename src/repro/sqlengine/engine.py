@@ -613,7 +613,10 @@ class Database:
         # value, as on insert, so its declared type stays a fact the
         # batch executor's typed kernels may trust
         types = list(table.types)
-        cols = table.column_lists()
+        # writable lists of the stored values (a scan hands out arrays)
+        cols = [
+            table.column_vector(i).to_pylist() for i in range(table.arity)
+        ]
         for position, column_values in zip(positions, values):
             declared = types[position]
             col = cols[position]

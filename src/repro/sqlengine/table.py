@@ -5,8 +5,9 @@ stored as one :class:`~repro.sqlengine.columnar.ColumnVector` per
 column.  Every table has this one layout: the source tables a user
 loads and the encoded tables the preprocessor materializes alike.  The
 batch executor (:mod:`repro.sqlengine.vector`) and the core loaders
-read the vectors as column lists; ``rows`` is a read-only
-materialization for DML, index lookups and dumps.  Writes go
+read the vectors as scan columns (:meth:`Table.column_lists`: arrays,
+dictionary codes or lists); ``rows`` is a read-only materialization
+for DML, index lookups and dumps.  Writes go
 through the table (``insert``, ``insert_columns``, ``truncate``), which
 coerces to the declared types, so a declared type is a fact the
 executor's typed kernels may trust; ``replace_rows`` stores its rows
@@ -19,9 +20,10 @@ semantics.
 from __future__ import annotations
 
 import datetime
+from array import array
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.sqlengine.columnar import ColumnVector
+from repro.sqlengine.columnar import Coded, ColumnVector
 from repro.sqlengine.errors import CatalogError, ExecutionError
 from repro.sqlengine.types import SqlType, coerce, infer_type
 
@@ -92,18 +94,45 @@ _CANONICAL = {
 }
 
 
-def _coerce_column(values: List[Any], declared: SqlType) -> List[Any]:
-    """Coerce a whole column.  Values that already have the declared
-    type's canonical Python shape are skipped (``coerce`` would return
-    them unchanged); when that is all of them, *values* itself comes
-    back."""
+#: the declared type an ``array`` column of each typecode already has
+_ARRAY_TYPE = {"q": SqlType.INTEGER, "d": SqlType.REAL}
+
+
+def _fit_column(
+    column: Sequence[Any], declared: Optional[SqlType]
+) -> Tuple[Sequence[Any], Optional[set], Optional[SqlType]]:
+    """*column* coerced to *declared* with one type pass, as
+    ``(values, the set of their Python types or None, type)``; an
+    undeclared type is the first non-NULL value's (``coerce`` leaves
+    that value and the NULLs before it as they are).  An ``array`` or
+    :class:`Coded` column that already has the type comes back as it
+    is, unread."""
+    if type(column) is array:
+        own = _ARRAY_TYPE[column.typecode]
+        if declared is None or declared is own:
+            return column, None, own
+        column = column.tolist()
+    elif type(column) is Coded:
+        if declared is SqlType.VARCHAR:
+            return column, None, declared
+        if declared is None:
+            if any(code >= 0 for code in column.codes):
+                declared = SqlType.VARCHAR
+            return column, None, declared
+        column = column.decode()
+    kinds = set(map(type, column))
+    if declared is None:
+        first = next((v for v in column if v is not None), None)
+        if first is None:
+            return column, kinds, None
+        declared = infer_type(first)
     canonical = _CANONICAL[declared]
-    if set(map(type, values)) <= {canonical, type(None)}:
-        return values
+    if kinds <= {canonical, type(None)}:
+        return column, kinds, declared
     return [
         v if type(v) is canonical or v is None else coerce(v, declared)
-        for v in values
-    ]
+        for v in column
+    ], None, declared
 
 
 class Table:
@@ -165,14 +194,18 @@ class Table:
 
     def column_lists(
         self, positions: Optional[Sequence[int]] = None
-    ) -> List[Optional[List[Any]]]:
-        """Columns materialized as Python lists (no row tuples): all of
-        them, or only those at *positions* with ``None`` elsewhere."""
+    ) -> List[Optional[Sequence[Any]]]:
+        """The columns as scans read them (no row tuples), each a copy
+        no later write reaches (:meth:`ColumnVector.scan`): an
+        ``array`` for a NULL-free int or float column, :class:`Coded`
+        for a str column, a list otherwise.  All of them, or only those
+        at *positions* with ``None`` elsewhere.  Indexing and iterating
+        any of them gives the values; none is to be written into."""
         if positions is None:
-            return [vector.to_pylist() for vector in self._vectors]
-        out: List[Optional[List[Any]]] = [None] * len(self._vectors)
+            return [vector.scan() for vector in self._vectors]
+        out: List[Optional[Sequence[Any]]] = [None] * len(self._vectors)
         for position in positions:
-            out[position] = self._vectors[position].to_pylist()
+            out[position] = self._vectors[position].scan()
         return out
 
     @property
@@ -257,10 +290,11 @@ class Table:
                 )
         return self.insert_columns([list(column) for column in zip(*rows)])
 
-    def insert_columns(self, columns: Sequence[List[Any]]) -> int:
-        """Column-wise bulk append (one type dispatch per column) of
-        equally long value lists, one per table column; the lists are
-        only read.
+    def insert_columns(self, columns: Sequence[Sequence[Any]]) -> int:
+        """Column-wise bulk append (one type pass per column) of equally
+        long columns, one per table column: lists, or the arrays and
+        :class:`Coded` columns a scan hands out (appended without
+        reading their values); they are only read.
 
         Semantically identical to per-row :meth:`insert`: declared
         types coerce every value, an undeclared type is inferred from
@@ -277,30 +311,14 @@ class Table:
             )
         # coerce every column before touching the table: a value that
         # does not fit its column's type must leave it unchanged
-        types = list(self.types)
-        coerced: List[List[Any]] = []
-        for i, col in enumerate(columns):
-            declared = types[i]
-            if declared is None:
-                for k, value in enumerate(col):
-                    if value is not None:
-                        declared = infer_type(value)
-                        rest = col[k + 1 :]
-                        fitted = _coerce_column(rest, declared)
-                        if fitted is not rest:
-                            col = col[: k + 1] + fitted
-                        break
-            else:
-                col = _coerce_column(col, declared)
-            coerced.append(col)
-            types[i] = declared
-        self.types[:] = types
-        for vector, col in zip(self._vectors, coerced):
-            vector.extend(col)
+        fitted = list(map(_fit_column, columns, self.types))
+        self.types[:] = [declared for _, _, declared in fitted]
+        for vector, (col, kinds, _) in zip(self._vectors, fitted):
+            vector.extend(col, kinds)
         self._length += count
         self._rows = None
         if self.indexes:
-            for row in zip(*coerced):
+            for row in zip(*(col for col, _, _ in fitted)):
                 for table_index in self.indexes.values():
                     table_index.add(row)
         return count

@@ -7,9 +7,20 @@ node both plans and runs over whole columns: a filter evaluates its
 predicate over a column batch and gathers the surviving positions, a
 hash join builds and probes on key *lists*, an aggregate reduces
 argument columns per group.  The unit of work is a :class:`_Batch` — a
-list of parallel Python lists, one per flat column of the node's
-frame.  Every expression node lowers to a kernel (:class:`_Compiler`);
+list of parallel columns, one per flat column of the node's frame.
+Every expression node lowers to a kernel (:class:`_Compiler`);
 DELETE, UPDATE and INSERT ... VALUES run the same kernels.
+
+Columns travel as the table stores them (:meth:`Table.column_lists`):
+an ``array`` is a NULL-free int / float column, so ``IS [NOT] NULL``
+answers it as one value; a :class:`~repro.sqlengine.columnar.Coded`
+column is a str column's dictionary codes, which gathers, DISTINCT,
+GROUP BY, equi-join keys (two dictionaries meet by translating the
+build side's distinct values into the probe side's codes once) and
+``IS [NOT] NULL`` use as they are; anything else is a list.  Values
+are decoded only where a column reference is compiled into an
+expression (:meth:`_Compiler._resolve`) and where a result leaves the
+engine: ``INSERT ... SELECT`` appends arrays and codes unread.
 
 Semantics
 ---------
@@ -76,6 +87,10 @@ from typing import (
 )
 
 from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.columnar import (
+    Coded, comparable_keys, decoded, equality_keys, like, null_free, take,
+    take_padded,
+)
 from repro.sqlengine.errors import (
     CatalogError,
     ExecutionError,
@@ -106,8 +121,8 @@ from repro.sqlengine.types import SqlType
 
 
 class _Batch:
-    """A horizontal slice of an operator's output: parallel column
-    lists (one per flat frame column) plus the row count."""
+    """A horizontal slice of an operator's output: parallel columns
+    (one per flat frame column) plus the row count."""
 
     __slots__ = ("cols", "n")
 
@@ -132,21 +147,19 @@ def _as_list(value: Any, n: int) -> List[Any]:
     return value
 
 
-#: a batch column no operator above the scan reads is never built: it
-#: travels as ``None`` (see :meth:`PlanNode.require`)
-Column = Optional[List[Any]]
+#: a list, a NULL-free array or a :class:`Coded` str column; a batch
+#: column no operator above the scan reads is never built: it travels
+#: as ``None`` (see :meth:`PlanNode.require`)
+Column = Optional[Sequence[Any]]
 
 
 def _gather(cols: List[Column], idxs: List[int]) -> List[Column]:
-    return [None if c is None else [c[i] for i in idxs] for c in cols]
+    return [None if c is None else take(c, idxs) for c in cols]
 
 
 def _gather_pad(cols: List[Column], idxs: List[Optional[int]]) -> List[Column]:
     """Gather allowing ``None`` = NULL (outer-join padding)."""
-    return [
-        None if c is None else [None if i is None else c[i] for i in idxs]
-        for c in cols
-    ]
+    return [None if c is None else take_padded(c, idxs) for c in cols]
 
 
 def transpose(rows: Any, width: int) -> List[List[Any]]:
@@ -158,15 +171,27 @@ def transpose(rows: Any, width: int) -> List[List[Any]]:
 
 class VExpr:
     """A compiled vector expression: ``fn(ctx, cols, n)`` returns a
-    full-length value list or a :class:`_Scalar`; ``used`` names the
-    flat column indices the kernel reads (for masked evaluation)."""
+    full-length value list (or NULL-free array) or a :class:`_Scalar`;
+    ``used`` names the flat column indices the kernel reads (for masked
+    evaluation).  ``raw`` is the flat index when the expression is a
+    bare column of its own layout: an operator that moves or compares
+    values reads ``cols[raw]`` as stored, codes and all."""
 
-    __slots__ = ("fn", "dtype", "used")
+    __slots__ = ("fn", "dtype", "used", "raw")
 
-    def __init__(self, fn: Callable, dtype: str, used: frozenset):
+    def __init__(self, fn: Callable, dtype: str, used: frozenset,
+                 raw: Optional[int] = None):
         self.fn = fn
         self.dtype = dtype
         self.used = used
+        self.raw = raw
+
+
+def _raw(vexpr: VExpr, ctx: "_Ctx", cols: List[Any], n: int) -> Any:
+    """*vexpr* over a batch, a bare column as stored."""
+    if vexpr.raw is not None:
+        return cols[vexpr.raw]
+    return _as_list(vexpr.fn(ctx, cols, n), n)
 
 
 class _Ctx:
@@ -299,7 +324,7 @@ def _cmp_values(op: str, lv: Any, rv: Any, ldt: str, rdt: str) -> Any:
             return [None if v is None else opfn(s, v) for v in rv]
         return [compare(op, s, v) for v in rv]
     if _clean_pair(ldt, rdt):
-        if None not in lv and None not in rv:
+        if null_free(lv) and null_free(rv):
             return list(map(opfn, lv, rv))
         return [
             None if a is None or b is None else opfn(a, b)
@@ -361,10 +386,9 @@ def _mask_gather(
 ) -> List[Optional[List[Any]]]:
     """Columns restricted to *idxs*, materialized only for the flat
     indices in *used* (lazy AND/OR/COALESCE operand evaluation)."""
-    sub: List[Optional[List[Any]]] = [None] * len(cols)
+    sub: List[Column] = [None] * len(cols)
     for u in used:
-        col = cols[u]
-        sub[u] = [col[i] for i in idxs]
+        sub[u] = take(cols[u], idxs)
     return sub
 
 
@@ -408,10 +432,10 @@ def _membership(value: Any, candidates: Iterable[Any], negated: bool) -> Any:
     return None if saw_null else negated
 
 
-def _one_column(cols: List[List[Any]], n: int, what: str) -> List[Any]:
+def _one_column(cols: List[Any], n: int, what: str) -> List[Any]:
     if n and len(cols) != 1:
         raise ExecutionError(f"{what} must return one column")
-    return cols[0] if n else []
+    return decoded(cols[0]) if n else []
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +660,10 @@ class _Compiler:
             if hit is not None:
                 flat = base + offsets[hit[0]] + hit[1]
                 return VExpr(
-                    lambda ctx, cols, n: cols[flat],
+                    lambda ctx, cols, n: decoded(cols[flat]),
                     self._dtype(flat),
                     frozenset((flat,)),
+                    flat,
                 )
         return None if self._outer is None else self._outer.column(expr)
 
@@ -954,13 +979,20 @@ class _Compiler:
     def _is_null(self, expr: ast.IsNull) -> VExpr:
         value = self.compile(expr.expr)
         negated = expr.negated
+        raw = value.raw
 
         def fn(ctx, cols, n):
-            vv = value.fn(ctx, cols, n)
+            vv = value.fn(ctx, cols, n) if raw is None else cols[raw]
             if isinstance(vv, _Scalar):
                 result = vv.value is None
                 return _Scalar(not result if negated else result)
-            if None not in vv:  # a NULL-free batch answers as one value
+            if type(vv) is Coded:
+                vv = vv.codes
+                if -1 not in vv:
+                    return _Scalar(negated)
+                test = _op.ne if negated else _op.eq
+                return list(map(test, vv, repeat(-1)))
+            if null_free(vv):  # a NULL-free batch answers as one value
                 return _Scalar(negated)
             test = _op.is_not if negated else _op.is_
             return list(map(test, vv, repeat(None)))
@@ -1513,14 +1545,10 @@ class HashJoin(PlanNode):
     ) -> Tuple[Sequence[int], List[Optional[int]]]:
         """The (left, right) index pairs whose keys are equal and that
         the residual keeps, i-major and in build order per i."""
-        rkeys = [
-            _as_list(k.fn(ctx, rbatch.cols, rbatch.n), rbatch.n)
-            for k in self._rkeys
-        ]
-        lkeys = [
-            _as_list(k.fn(ctx, lbatch.cols, lbatch.n), lbatch.n)
-            for k in self._lkeys
-        ]
+        lkeys, rkeys = comparable_keys(
+            [_raw(k, ctx, lbatch.cols, lbatch.n) for k in self._lkeys],
+            [_raw(k, ctx, rbatch.cols, rbatch.n) for k in self._rkeys],
+        )
         outer = self.outer
         lefts, rights, probe = _join_pairs(
             lkeys, lbatch.n, rkeys, rbatch.n, outer
@@ -1645,7 +1673,7 @@ def _join_pairs(
     per key, emitted bucket by bucket."""
     lk = _row_keys(lkeys)
     rk = _row_keys(rkeys)
-    if not any(None in col for col in rkeys):
+    if all(map(null_free, rkeys)):
         unique = dict(zip(rk, range(rn)))
         if len(unique) == rn:
             rights = list(map(unique.get, lk))
@@ -1758,7 +1786,7 @@ class GroupAggregate(PlanNode):
         batch = self.child.run(ctx)
         ccols = batch.cols
         n = batch.n
-        key_lists = [_as_list(k.fn(ctx, ccols, n), n) for k in self._keys]
+        key_lists = [equality_keys(_raw(k, ctx, ccols, n)) for k in self._keys]
         slots = self.groups.slots
         arg_lists: List[Optional[List[Any]]] = [
             None
@@ -2026,7 +2054,10 @@ class SelectPlan:
             else:
                 vexpr = comp.compile(expr)
             columns.append(item.alias or _default_name(expr, idx))
-            parts.append(((), vexpr))
+            if vexpr.raw is not None:  # a bare column: handed on as stored
+                parts.append(((vexpr.raw,), None))
+            else:
+                parts.append(((), vexpr))
             out_dtypes.append(vexpr.dtype)
             used = used | vexpr.used
         self.parts = parts
@@ -2066,11 +2097,12 @@ class SelectPlan:
 
     def run(
         self, db: Any, outer: Tuple[Any, ...] = ()
-    ) -> Tuple[List[List[Any]], int]:
-        """The result column-major: one list per output column (their
-        proven dtypes are :attr:`dtypes`) and the row count.  The lists
-        may be shared with a table — callers must not mutate them.
-        *outer* binds a subquery's outer references for this run."""
+    ) -> Tuple[List[Any], int]:
+        """The result column-major: one column per output column (their
+        proven dtypes are :attr:`dtypes`) and the row count.  A column
+        is a list, a NULL-free array or :class:`Coded`; iterating it
+        gives the values, and callers must not mutate it.  *outer*
+        binds a subquery's outer references for this run."""
         ctx = _Ctx(db, outer)
         if ctx.collector is not None:
             ctx.collector.attach(self)
@@ -2111,7 +2143,7 @@ class SelectPlan:
             if tail is not None and tail.source_used:
                 # a hidden sort key is read at each output's first row
                 firsts: Dict[Any, int] = {}
-                for i, row in enumerate(zip(*out_cols)):
+                for i, row in enumerate(zip(*map(equality_keys, out_cols))):
                     firsts.setdefault(row, i)
                 if len(firsts) != n:
                     kept = list(firsts.values())
@@ -2120,13 +2152,14 @@ class SelectPlan:
                     n = len(kept)
             # first appearance wins
             elif len(out_cols) == 1:
-                values = dict.fromkeys(out_cols[0])
-                if len(values) != n:
-                    out_cols, n = [list(values)], len(values)
+                keys = dict.fromkeys(equality_keys(out_cols[0]))
+                if len(keys) != n:
+                    out_cols, n = [like(out_cols[0], keys)], len(keys)
             else:
-                rows = dict.fromkeys(zip(*out_cols))
+                rows = dict.fromkeys(zip(*map(equality_keys, out_cols)))
                 if len(rows) != n:
-                    out_cols, n = transpose(rows, len(out_cols)), len(rows)
+                    out_cols = list(map(like, out_cols, zip(*rows)))
+                    n = len(rows)
         if tail is not None:
             return tail.apply(ctx, out_cols, cols, n)
         return out_cols, n

@@ -12,6 +12,12 @@ CASE branch order, correlated subqueries with NULL outer values, theta
 joins, per-row LIKE patterns, sort keys no select item shows, and the
 ORDER BY / LIMIT of a compound SELECT.  The batch executor runs every
 one of them; no plan names another executor.
+
+A third corpus holds the shapes whose answer depends on how a column
+travels: NULL-free int columns as arrays, VARCHAR columns as
+dictionary codes (equi-joins of two dictionaries, DISTINCT and GROUP BY
+on codes, ``IS [NOT] NULL`` answered by the representation), columns
+with NULLs as lists.
 """
 
 import sqlite3
@@ -434,6 +440,101 @@ def test_substr_matches_reference_model(string, start, length):
             {"s": string, "b": start, "n": length},
         ).scalar()
     assert got == _substr_reference(string, start, length)
+
+
+# ---------------------------------------------------------------------------
+# the representations a column travels in: arrays and dictionary codes
+# ---------------------------------------------------------------------------
+
+#: ``p.k`` and ``q.item`` are never NULL (a scan hands ``p.k`` out as an
+#: array and ``q.item`` as codes without ``-1``), ``p.item`` and ``q.n``
+#: may be; each side holds item values the other lacks
+CODED_SCHEMA = [
+    "CREATE TABLE p (k INTEGER, item VARCHAR)",
+    "CREATE TABLE q (item VARCHAR, n INTEGER)",
+    "CREATE TABLE r (item VARCHAR, k INTEGER)",
+]
+
+#: ``r`` is written by INSERT ... SELECT from both: its dictionary
+#: interns the values in another order than either source's
+CODED_SETUP = [
+    "INSERT INTO r SELECT item, k FROM p WHERE k > 0",
+    "INSERT INTO r SELECT item, n FROM q",
+]
+
+p_rows_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.one_of(st.none(), st.sampled_from(
+            ["jackets", "brown boots", "ski pants"]
+        )),
+    ),
+    max_size=15,
+)
+
+q_rows_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["jackets", "sandals", "ski pants", "hats"]),
+        st.one_of(st.none(), st.integers(0, 4)),
+    ),
+    max_size=10,
+)
+
+CODED_CORPUS = [
+    # equi-joins between the VARCHAR columns of two tables (two
+    # dictionaries), with values missing on one side and NULLs
+    "SELECT p.k, q.n FROM p, q WHERE p.item = q.item",
+    "SELECT q.n, p.k FROM q, p WHERE q.item = p.item",
+    "SELECT p.k, q.item FROM p JOIN q ON p.item = q.item AND p.k = q.n",
+    "SELECT p.k, q.n FROM p LEFT JOIN q ON p.item = q.item",
+    "SELECT q.item, p.k FROM q LEFT JOIN p ON q.item = p.item",
+    "SELECT r.k, q.n FROM r, q WHERE r.item = q.item",
+    "SELECT a.item, b.k FROM p a, r b WHERE a.item = b.item AND a.k < b.k",
+    # one dictionary on both sides, NULLs on both
+    "SELECT a.k, b.k FROM p a, p b WHERE a.item = b.item",
+    # DISTINCT and GROUP BY over VARCHAR + INTEGER
+    "SELECT DISTINCT item, k FROM p",
+    "SELECT DISTINCT item FROM q",
+    "SELECT DISTINCT k, item FROM r",
+    "SELECT item, k, COUNT(*) FROM p GROUP BY item, k",
+    "SELECT item, COUNT(*), SUM(n) FROM q GROUP BY item",
+    "SELECT item, COUNT(k) FROM r GROUP BY item HAVING COUNT(*) > 1",
+    "SELECT COUNT(*) FROM (SELECT DISTINCT item, k FROM r)",
+    # IS [NOT] NULL on NULL-free and NULL-bearing columns
+    "SELECT k FROM p WHERE item IS NULL",
+    "SELECT k FROM p WHERE item IS NOT NULL AND k IS NOT NULL",
+    "SELECT item FROM q WHERE item IS NULL",
+    "SELECT item FROM q WHERE n IS NULL",
+    "SELECT k, item IS NULL, k IS NOT NULL FROM p",
+    "SELECT item FROM r WHERE k IS NOT NULL",
+]
+
+
+@pytest.mark.parametrize("sql", CODED_CORPUS)
+@given(p_rows=p_rows_strategy, q_rows=q_rows_strategy)
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_codes_and_arrays_match_sqlite(sql, p_rows, q_rows):
+    """Joins of two dictionaries, DISTINCT / GROUP BY on codes and
+    ``IS [NOT] NULL`` answered by a column's representation give
+    sqlite3's multiset, over tables loaded in bulk and one written by
+    ``INSERT ... SELECT``."""
+    engine = Database()
+    lite = sqlite3.connect(":memory:")
+    try:
+        for ddl in CODED_SCHEMA:
+            engine.execute(ddl)
+            lite.execute(ddl)
+        engine.table("p").insert_many(p_rows)
+        engine.table("q").insert_many(q_rows)
+        lite.executemany("INSERT INTO p VALUES (?, ?)", p_rows)
+        lite.executemany("INSERT INTO q VALUES (?, ?)", q_rows)
+        for statement in CODED_SETUP:
+            engine.execute(statement)
+            lite.execute(statement)
+        theirs = lite.execute(sql).fetchall()
+    finally:
+        lite.close()
+    assert Counter(engine.query(sql)) == Counter(theirs)
 
 
 class TestKnownSemanticChoices:

@@ -11,6 +11,7 @@ batch-size invariance net lives in
 """
 
 import datetime
+from array import array
 
 import pytest
 
@@ -37,6 +38,9 @@ class TestColumnVector:
         assert vector.kind == "str"
         assert vector.values == ["a", "b"]  # two distinct codes only
         assert vector.to_pylist() == ["a", "b", "a", None, "a"]
+        assert vector.has_nulls
+        vector.data.remove(-1)
+        assert not vector.has_nulls
 
     def test_leading_null_run_adopts_later_layout(self):
         vector = ColumnVector()
@@ -176,7 +180,9 @@ class TestColumnarTable:
         assert tail.rows == [(2, "y"), (None, "x")]
         # the dictionary is shared, not copied
         assert tail.column_vector(1).values is table.column_vector(1).values
-        assert tail.column_lists() == [[2, None], ["y", "x"]]
+        ints, strs = tail.column_lists()
+        assert ints == [2, None]  # a NULL: a list, not an array
+        assert isinstance(strs, columnar.Coded) and list(strs) == ["y", "x"]
         assert table.tail(3, "e").rows == [] == table.tail(9, "e").rows
         assert table.sample(3, 1) == table.rows
         assert table.sample(3, 2) == [(1, "x"), (None, "x")]
@@ -221,6 +227,206 @@ class TestColumnarTable:
         database.execute("CREATE TABLE t (a INTEGER)")
         assert type(database.table("t")) is Table
         assert not hasattr(database.table("t"), "storage")
+
+
+def _stored(table):
+    """What a table holds, column by column: the values, the layout,
+    the dictionary of a str column, and the declared types."""
+    vectors = [table.column_vector(i) for i in range(table.arity)]
+    return (
+        [vector.to_pylist() for vector in vectors],
+        [vector.kind for vector in vectors],
+        [vector.values for vector in vectors],
+        list(table.types),
+    )
+
+
+def _with_table(database, name, columns, types=None):
+    table = Table(name, columns, types)
+    database.catalog.create_table(table)
+    return table
+
+
+class TestScanRepresentations:
+    """A scan hands out the stored layout: an array for a NULL-free
+    int / float column, codes for a str column, a list otherwise; each
+    a copy no later write reaches."""
+
+    def _table(self):
+        table = Table("T", ("i", "f", "s", "n"), [
+            SqlType.INTEGER, SqlType.REAL, SqlType.VARCHAR, SqlType.INTEGER,
+        ])
+        table.insert_many([(1, 0.5, "x", None), (2, 1.5, None, 4)])
+        return table
+
+    def test_each_layout_has_its_representation(self):
+        i, f, s, n = self._table().column_lists()
+        assert (type(i), i.typecode, list(i)) == (array, "q", [1, 2])
+        assert (type(f), f.typecode, list(f)) == (array, "d", [0.5, 1.5])
+        assert isinstance(s, columnar.Coded) and list(s) == ["x", None]
+        assert s[0] == "x" and s.decode() == ["x", None] and len(s) == 2
+        assert n == [None, 4]
+
+    def test_a_scan_hands_out_a_copy(self):
+        table = self._table()
+        i, f, s, n = table.column_lists()
+        assert i is not table.column_vector(0).data
+        assert s.codes is not table.column_vector(2).data
+        table.insert((3, 2.5, "y", 5))
+        assert (list(i), list(f), list(s), n) == (
+            [1, 2], [0.5, 1.5], ["x", None], [None, 4]
+        )
+
+
+class TestMutationPathsKeepWritableLists:
+    """UPDATE writes into and DELETE rebuilds from lists of the stored
+    values; an undeclared column takes an array's type without being
+    spliced.  Each statement here meets an array or codes."""
+
+    def _database(self):
+        database = Database()
+        database.execute("CREATE TABLE t (a INTEGER, r REAL, s VARCHAR)")
+        database.execute("INSERT INTO t VALUES (1, 0.5, 'x')")
+        database.execute("INSERT INTO t VALUES (2, 1.5, 'y')")
+        return database
+
+    def test_update_sets_null_in_a_null_free_integer_column(self):
+        database = self._database()
+        database.execute("UPDATE t SET a = NULL WHERE a = 1")
+        assert database.query("SELECT a, r, s FROM t") == [
+            (None, 0.5, "x"), (2, 1.5, "y")
+        ]
+        assert database.table("t").column_vector(0).kind == "int"
+
+    def test_update_writes_an_int_into_a_real_column(self):
+        database = self._database()
+        database.execute("UPDATE t SET r = a")
+        table = database.table("t")
+        assert table.column_vector(1).to_pylist() == [1.0, 2.0]
+        assert table.column_vector(1).kind == "float"
+        database.execute("UPDATE t SET r = 5 WHERE s = 'y'")
+        assert database.query("SELECT r FROM t") == [(1.0,), (5.0,)]
+        assert all(type(r) is float for (r,) in database.query(
+            "SELECT r FROM t"
+        ))
+
+    def test_delete_rebuilds_from_the_stored_values(self):
+        database = self._database()
+        database.execute("DELETE FROM t WHERE s = 'x'")
+        assert database.query("SELECT a, r, s FROM t") == [(2, 1.5, "y")]
+        assert [database.table("t").column_vector(i).kind
+                for i in range(3)] == ["int", "float", "str"]
+
+    def test_insert_select_from_an_array_into_an_undeclared_column(self):
+        database = self._database()
+        target = _with_table(database, "u", ["a"])
+        twin = Table("twin", ["a"])
+        for table in (target, twin):
+            table.insert((None,))
+        database.execute("INSERT INTO u SELECT a FROM t")
+        for row in database.query("SELECT a FROM t"):
+            twin.insert(row)
+        assert _stored(target) == _stored(twin)
+        assert target.types == [SqlType.INTEGER]
+        assert target.rows == [(None,), (1,), (2,)]
+
+
+class TestSelfReferencingInserts:
+    """A statement reads the table it appends to: it appends exactly
+    the rows the table held before it, once."""
+
+    def _database(self):
+        database = Database()
+        database.execute("CREATE TABLE t (a INTEGER, s VARCHAR)")
+        database.table("t").insert_many([(1, "x"), (2, "y"), (3, None)])
+        return database
+
+    def test_insert_select_star_from_itself(self):
+        database = self._database()
+        before = database.query("SELECT a, s FROM t")
+        assert database.execute("INSERT INTO t SELECT * FROM t").rowcount == 3
+        assert database.query("SELECT a, s FROM t") == before * 2
+
+    def test_self_join_insert(self):
+        database = self._database()
+        before = database.query("SELECT a, s FROM t")
+        database.execute(
+            "INSERT INTO t SELECT x.a, y.s FROM t x, t y WHERE x.a = y.a"
+        )
+        assert database.query("SELECT a, s FROM t") == before * 2
+
+    def test_a_cached_plan_sees_rows_appended_after_it_ran(self):
+        database = self._database()
+        queries = ("SELECT a, s FROM t WHERE a IS NOT NULL",
+                   "SELECT DISTINCT s FROM t")
+        first = [database.query(sql) for sql in queries]
+        database.execute("INSERT INTO t SELECT a + 10, 'z' FROM t")
+        again = [database.query(sql) for sql in queries]
+        assert again[0] == first[0] + [(11, "z"), (12, "z"), (13, "z")]
+        assert again[1] == first[1] + [("z",)]
+        assert database.cache_stats.plan_hits >= 2
+
+
+class TestInsertSelectIsExact:
+    """``INSERT ... SELECT`` appends a scan's arrays and codes without
+    re-checking every value; what it stores is what per-row
+    ``Table.insert`` stores from the same values."""
+
+    @pytest.mark.parametrize(
+        "source_type, values, scanned, target_type, prefix", [
+            # the int64 bounds, into a declared and an undeclared column
+            (SqlType.INTEGER, [2**63 - 1, -(2**63), 0], array,
+             SqlType.INTEGER, [5]),
+            (SqlType.INTEGER, [2**63 - 1, -(2**63)], array, None, [None]),
+            # past int64, from a column created undeclared
+            (None, [1, 2**70], list, SqlType.INTEGER, [3]),
+            (None, [2**70, 1], list, None, []),
+            # True into INTEGER, an int into REAL
+            (SqlType.BOOLEAN, [True, False, None], list, SqlType.INTEGER, []),
+            (SqlType.INTEGER, [1, 2, 3], array, SqlType.REAL, [0.5]),
+            (SqlType.REAL, [1.5, -0.0], array, None, [None]),
+            # VARCHAR into a dictionary that already holds some values,
+            # into a fresh one, and into a type it must be coerced to
+            (SqlType.VARCHAR, ["a", "b", None, "a", "c"], columnar.Coded,
+             SqlType.VARCHAR, ["b", "x"]),
+            (SqlType.VARCHAR, ["a", None, "b"], columnar.Coded,
+             SqlType.VARCHAR, []),
+            (SqlType.VARCHAR, [None, "b", "a"], columnar.Coded, None,
+             [None]),
+            (SqlType.VARCHAR, ["1995-01-10"], columnar.Coded,
+             SqlType.DATE, []),
+        ],
+    )
+    def test_stores_what_per_row_insert_stores(
+        self, source_type, values, scanned, target_type, prefix
+    ):
+        database = Database()
+        source = _with_table(database, "src", ["a"], [source_type])
+        for value in values:
+            source.insert((value,))
+        assert type(source.column_lists()[0]) is scanned
+        target = _with_table(database, "dst", ["a"], [target_type])
+        twin = Table("twin", ["a"], [target_type])
+        for value in prefix:
+            target.insert((value,))
+            twin.insert((value,))
+        database.execute("INSERT INTO dst SELECT a FROM src")
+        for value in source.column_vector(0).to_pylist():
+            twin.insert((value,))
+        assert _stored(target) == _stored(twin)
+
+
+    def test_only_nulls_leave_an_undeclared_column_untyped(self):
+        database = Database()
+        database.execute("CREATE TABLE t (s VARCHAR)")
+        database.table("t").insert_many([("x",), (None,)])
+        target = _with_table(database, "u", ["s"])
+        database.execute("INSERT INTO u SELECT s FROM t WHERE s IS NULL")
+        assert target.types == [None]
+        assert target.column_vector(0).kind == "empty"
+        database.execute("INSERT INTO u SELECT s FROM t")
+        assert target.types == [SqlType.VARCHAR]
+        assert target.rows == [(None,), ("x",), (None,)]
 
 
 class TestExplainAnalyzeCounters:
