@@ -101,7 +101,6 @@ class Shell:
         self,
         algorithm: str = "apriori",
         retry_policy: Optional[RetryPolicy] = None,
-        resume: bool = False,
         tracer: Optional[Tracer] = None,
         metrics=None,
         slowlog=None,
@@ -128,8 +127,6 @@ class Shell:
         #: job service (``repro.jobs.JobService``) attached by serve
         #: mode so ``.jobs`` can report it; None in the plain shell
         self.jobs = None
-        #: resume MINE RULE statements from crash checkpoints
-        self.resume = resume
         self.timing = False
         self._buffer: List[str] = []
         #: result of the last MINE RULE statement (for ``.report``)
@@ -191,8 +188,8 @@ class Shell:
                 )
                 return (
                     f"error: {exc}\n"
-                    f"(injected fault survived retries; "
-                    f"re-run with --resume to continue from the checkpoint)"
+                    f"(injected fault survived retries; a re-run reuses "
+                    f"the encoded tables if preprocessing had finished)"
                 )
             except (SqlError, MineRuleError, KeyError, ValueError) as exc:
                 self._log_statement(
@@ -231,12 +228,12 @@ class Shell:
         return f"ok ({result.rowcount} rows affected)"
 
     def _mine(self, text: str) -> str:
-        result = self.system.run(text, resume=self.resume)
+        result = self.system.run(text)
         self.last_result = result
         return self._rules_text(result, f"directives: {result.directives}")
 
     def _refresh(self, text: str) -> str:
-        result = self.system.refresh(text, resume=self.resume)
+        result = self.system.refresh(text)
         stats = result.stats
         if stats.mode == "full":
             detail = f"full re-mine ({stats.reason})"
@@ -469,10 +466,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="pool algorithm for simple rules",
     )
     parser.add_argument(
-        "--resume", action="store_true",
-        help="resume MINE RULE statements from crash checkpoints",
-    )
-    parser.add_argument(
         "--batch-size", type=positive_int, default=None, metavar="ROWS",
         help="rows per batch in the vectorized executor "
         "(default: engine default)",
@@ -529,7 +522,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     shell = Shell(
         algorithm=args.algorithm,
         retry_policy=retry_policy,
-        resume=args.resume,
         tracer=tracer,
         json_log=json_log,
         batch_size=args.batch_size,

@@ -53,15 +53,16 @@ every typical statement visits, and REFRESH runs only when a test asks
 for it — the chaos refresh tests install explicit schedules instead.
 
 Faults fire *at stage entry*, before the stage mutates any state —
-which is what makes retry (exactly-once re-execution) and stage-level
-resume sound.
+which is what makes retry (exactly-once re-execution) sound.  A run
+that fails anyway drops its partial workspace, so running the
+statement again finishes it.
 
 Usage::
 
     schedule = FaultSchedule().arm("preprocessor.Q4", call=1)
     with faults.injected(schedule):
         system.run(statement)                  # Q4 raises FaultError
-    system.run(statement, resume=True)         # skips completed stages
+    system.run(statement)                      # runs from scratch
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class FaultSchedule:
 
     The schedule is reusable: :meth:`reset` clears the counters (not
     the specs), so the same schedule can be replayed against a retried
-    or resumed pipeline run.
+    pipeline run or a re-run of the statement.
     """
 
     def __init__(

@@ -3,9 +3,9 @@ record a run leaves behind.
 
 One statement (MINE RULE or REFRESH RULES) gets one
 :class:`RunContext`.  It carries what the stages of Figure 3a share —
-the run's tracer and root span, the retry policy, the cancel hook, the
-crash checkpoint and the fault schedule's counters at the start of the
-run — and owns the one place a retryable unit of work is executed
+the run's tracer and root span, the retry policy, the cancel hook and
+the fault schedule's counters at the start of the run — and owns the
+one place a retryable unit of work is executed
 (:meth:`RunContext.attempt`).  Stages record their work only as spans,
 instants and root-span attributes on ``ctx.tracer``; the process flow
 (:class:`RunFlow`), the resilience counters, the metrics series and
@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro import faults
 from repro.faults import RetryPolicy
-from repro.kernel.program import StageCheckpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, Span, Tracer
 
@@ -34,11 +33,11 @@ class RunCancelled(Exception):
     preprocessing query, the core stage, a refresh phase, the
     postprocessor's store -> decode emission as a whole), so the
     database is always left consistent: a unit either completed or
-    never started, and the rule tables are never half-emitted.  A
-    cancelled run keeps its crash checkpoint, so a later
-    ``run(resume=True)`` of the same statement picks up where it
-    stopped.  Cancellation is not a health failure — the jobs layer
-    reports it as a distinct terminal state.
+    never started, and the rule tables are never half-emitted.  Like a
+    failed run, a cancelled one drops its workspace unless the reuse
+    cache holds it, so running the statement again starts clean or
+    reuses finished encoded tables.  Cancellation is not a health
+    failure — the jobs layer reports it as a distinct terminal state.
     """
 
 
@@ -64,12 +63,11 @@ class FlowEvent(NamedTuple):
 
 
 class Resilience(NamedTuple):
-    """The run's four resilience attributes of its root span."""
+    """The run's three resilience attributes of its root span."""
 
     retries: int = 0
     faults_injected: int = 0
     latencies_injected: int = 0
-    stages_resumed: int = 0
 
     def any(self) -> bool:
         """True when anything noteworthy happened (report gating)."""
@@ -79,7 +77,7 @@ class Resilience(NamedTuple):
         return (
             f"faults {self.faults_injected}; "
             f"latency faults {self.latencies_injected}; "
-            f"retries {self.retries}; stages resumed {self.stages_resumed}"
+            f"retries {self.retries}"
         )
 
 
@@ -161,11 +159,6 @@ class RunContext:
     policy: RetryPolicy = field(default_factory=RetryPolicy.single)
     #: zero-argument callable polled before every unit of work
     cancel: Optional[Callable[[], bool]] = None
-    #: the run's crash checkpoint (set once the translator has named
-    #: the workspace)
-    checkpoint: Optional[StageCheckpoint] = None
-    #: True when :attr:`checkpoint` came from an earlier, crashed run
-    resumed: bool = False
 
     def __post_init__(self) -> None:
         self.tracer, self.root = self.flow.tracer, self.flow.root
@@ -240,7 +233,7 @@ class RunContext:
 
     def settle(self) -> None:
         """Close the run's resilience accounting: the faults fired since
-        the context was made join the root span's four counters, and a
+        the context was made join the root span's three counters, and a
         run that met any of them says so in its flow."""
         if self._schedule is not None:
             errors, latencies = self._schedule.snapshot()

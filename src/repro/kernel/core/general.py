@@ -121,37 +121,20 @@ DENSE_MAX_BITS_PER_MEMBER = 512
 #: the two support layouts (module docstring)
 LAYOUTS = ("bitset", "set")
 
-#: how _compute_set picks the parent when both exist (the "smaller"
-#: strategy is the paper's heuristic; the others exist for the
-#: ablation bench SYN-6)
-PARENT_STRATEGIES = ("smaller", "body", "head")
-
 
 class GeneralCoreOperator:
     """Lattice mining over elementary rules.
 
-    ``parent_strategy`` selects which parent set generates a lattice
-    set reachable from two parents: ``"smaller"`` follows the paper
-    ("start from the set with lower cardinality"), ``"body"``/"head"``
-    always prefer the body/head parent — all three are correct, the
-    heuristic only affects the join work.
+    A lattice set reachable from two parents is generated from the
+    smaller one, as the paper says ("start from the set with lower
+    cardinality").
 
     ``representation`` forces the physical support layout (see the
     module docstring); ``None`` lets each run pick from what its
     collector measured.  The mined rules are identical either way.
     """
 
-    def __init__(
-        self,
-        parent_strategy: str = "smaller",
-        representation: Optional[str] = None,
-    ) -> None:
-        if parent_strategy not in PARENT_STRATEGIES:
-            raise ValueError(
-                f"unknown parent strategy {parent_strategy!r}; "
-                f"choose from {PARENT_STRATEGIES}"
-            )
-        self.parent_strategy = parent_strategy
+    def __init__(self, representation: Optional[str] = None) -> None:
         if representation is not None and representation not in LAYOUTS:
             raise ValueError(
                 f"unknown representation {representation!r}; "
@@ -342,13 +325,8 @@ class GeneralCoreOperator:
             parents.append(((m, n - 1), "head"))
         if not parents:
             return
-        if self.parent_strategy == "smaller":
-            # "start from the set with lower cardinality"
-            parents.sort(key=lambda entry: len(lattice[entry[0]]))
-        elif self.parent_strategy == "head":
-            parents.sort(key=lambda entry: entry[1] != "head")
-        else:  # "body"
-            parents.sort(key=lambda entry: entry[1] != "body")
+        # "start from the set with lower cardinality"
+        parents.sort(key=lambda entry: len(lattice[entry[0]]))
         parent_key, direction = parents[0]
         result = self._extend(
             lattice[parent_key], min_count, 0 if direction == "body" else 1

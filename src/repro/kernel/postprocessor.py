@@ -117,7 +117,7 @@ class Postprocessor:
         display table.
 
         Idempotent: the decode outputs are dropped first, so a retried
-        or resumed decode cannot duplicate rows in ``<out>_Bodies`` /
+        or re-run decode cannot duplicate rows in ``<out>_Bodies`` /
         ``<out>_Heads``.
         """
         out = program.statement.output_table

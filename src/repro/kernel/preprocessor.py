@@ -15,9 +15,7 @@ Each setup/preprocessing query is one retryable unit of the run's
 :class:`~repro.kernel.context.RunContext` and one
 ``preprocessor.<label>`` span; Q0..Q11's spans carry the label as
 ``stage``, which the per-query series, the slow log and
-:attr:`PreprocessStats.query_seconds` read.  The context's
-:class:`~repro.kernel.program.StageCheckpoint` records every completed
-query so a resumed run skips the queries whose output tables exist.
+:attr:`PreprocessStats.query_seconds` read.
 """
 
 from __future__ import annotations
@@ -72,38 +70,19 @@ class Preprocessor:
         queries in order; returns execution statistics.
 
         *ctx* is the run's context (on its own the preprocessor records
-        under a ``preprocessor`` component span): queries its checkpoint
-        marks complete are skipped and each newly completed query is
-        recorded; injected faults are retried under its policy.
+        under a ``preprocessor`` component span): injected faults are
+        retried under its policy.
         """
         if ctx is None:
             tracer = run_tracer(self._db.tracer, self._db.metrics)
             with tracer.span("preprocessor", category="component") as root:
                 return self.run(program, RunContext(RunFlow(tracer, root)))
         stats = PreprocessStats()
-        checkpoint = ctx.checkpoint
         before = self._db.cache_stats.snapshot()
-
-        completed = checkpoint.completed_queries if checkpoint else set()
-        if checkpoint is not None and checkpoint.host_variables:
-            self._db.variables.update(checkpoint.host_variables)
-
-        setup_count = len(program.setup)
-        for index, (key, query) in enumerate(program.query_keys()):
-            quiet = index < setup_count  # setup stays out of the flow
-            if key in completed:
-                ctx.count("stages_resumed")
-                if not quiet:
-                    ctx.event(
-                        "preprocessor",
-                        f"skipped {query.label} (resume)",
-                        query.purpose,
-                    )
-                continue
-            self._run_query(query, program, stats, ctx, quiet)
-            if checkpoint is not None:
-                checkpoint.record_query(key, self._db, program.workspace)
-
+        for query in program.setup:  # stays out of the flow
+            self._run_query(query, program, stats, ctx, quiet=True)
+        for query in program.preprocessing:
+            self._run_query(query, program, stats, ctx, quiet=False)
         for span in ctx.flow.spans():
             label = span.args.get("stage")
             if label is not None:
@@ -115,11 +94,6 @@ class Preprocessor:
             for table in program.workspace.all_tables()
             if catalog.has_table(table)
         }
-        if stats.totg == 0 and "totg" in self._db.variables:
-            # All of Q1/Q3 were skipped on resume: report the restored
-            # host variables instead of zeros.
-            stats.totg = int(self._db.variables["totg"])
-            stats.mingroups = int(self._db.variables.get("mingroups", 0))
         # without the MR<n>_ prefix the names are stable across runs
         prefix = f"{program.workspace.prefix}_"
         ctx.root.annotate(

@@ -10,7 +10,7 @@ operator and postprocessor receive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.kernel.names import Workspace
 from repro.minerule.classifier import Directives
@@ -80,16 +80,6 @@ class TranslationProgram:
         """Labels of the preprocessing queries, in execution order."""
         return [q.label for q in self.preprocessing]
 
-    def query_keys(self) -> List[Tuple[str, "TranslationQuery"]]:
-        """(checkpoint key, query) pairs for setup + preprocessing, in
-        execution order.  Setup labels repeat (``CLEAN``, ``SEQ``), so
-        the key is positional: ``"<index>:<label>"``."""
-        queries = self.setup + self.preprocessing
-        return [
-            (f"{index}:{query.label}", query)
-            for index, query in enumerate(queries)
-        ]
-
     def listing(self) -> str:
         """The full SQL program as one annotated script (FIG4 bench)."""
         sections = [
@@ -106,50 +96,3 @@ class TranslationProgram:
                 lines.append(str(query))
                 lines.append("")
         return "\n".join(lines)
-
-
-@dataclass
-class StageCheckpoint:
-    """Resumable state of one MINE RULE execution.
-
-    The checkpoint records which pipeline stages completed — setup and
-    preprocessing queries by :meth:`TranslationProgram.query_keys` key,
-    the core-operator output, the postprocessor's store/decode steps —
-    plus the encoded tables present (with row counts) and the host
-    variables (``:totg``/``:mingroups``) at the last completed query.
-    ``MiningSystem.run(resume=True)`` uses it to skip finished stages
-    after a crash; the recorded table snapshot is validated first, so a
-    checkpoint whose encoded tables were dropped or mutated behind its
-    back falls back to a full fresh run instead of resuming wrongly.
-    """
-
-    statement_text: str
-    workspace_prefix: str
-    #: completed setup/preprocessing queries ("<index>:<label>" keys)
-    completed_queries: Set[str] = field(default_factory=set)
-    #: host variables captured after the last completed query
-    host_variables: Dict[str, Any] = field(default_factory=dict)
-    #: encoded tables present after the last completed query -> rows
-    table_snapshot: Dict[str, int] = field(default_factory=dict)
-    #: preprocessing satisfied via the Section-3 reuse cache
-    preprocessing_reused: bool = False
-    #: core-operator output (in-memory; rules are small relative to data)
-    encoded_rules: Optional[list] = None
-    core_stats: Optional[Any] = None
-    #: postprocessor progress
-    stored: bool = False
-    decoded: bool = False
-
-    def record_query(self, key: str, database, workspace: Workspace) -> None:
-        """Mark one setup/preprocessing query as completed and refresh
-        the host-variable + encoded-table snapshots."""
-        self.completed_queries.add(key)
-        for name in ("totg", "mingroups"):
-            if name in database.variables:
-                self.host_variables[name] = database.variables[name]
-        self.table_snapshot = {
-            table: len(database.catalog.get_table(table))
-            for table in workspace.all_tables()
-            if database.catalog.has_table(table)
-        }
-

@@ -33,13 +33,13 @@ A statement has one lifecycle, whichever verb it is:
   runs through
   :meth:`RunContext.attempt <repro.kernel.context.RunContext.attempt>`
   (cancel hook, fault site, :class:`~repro.faults.RetryPolicy`, retry
-  bookkeeping); what ``attempt`` gives up on fails the statement and
-  keeps its checkpoint.
-* ``run(resume=True)`` skips the stages a crashed run's
-  :class:`~repro.kernel.program.StageCheckpoint` completed.  A refresh
-  is two more stages of the same flow: its emission is the postprocess
-  stage with a fresh checkpoint, and a forced full re-mine continues in
-  the refresh's own context.
+  bookkeeping); what ``attempt`` gives up on fails the statement.
+* A failed or cancelled statement is finished by running it again.  The
+  failed run drops its workspace unless the reuse cache holds it, so
+  the catalog keeps either nothing of the run or a finished set of
+  encoded tables that the next run reuses.  A refresh is two more
+  stages of the same flow: its emission is the postprocess stage, and a
+  forced full re-mine continues in the refresh's own context.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from repro.kernel.core.simple import SimpleCoreOperator, build_rules
 from repro.kernel.names import Workspace
 from repro.kernel.postprocessor import DecodedRule, Postprocessor
 from repro.kernel.preprocessor import Preprocessor, PreprocessStats
-from repro.kernel.program import StageCheckpoint, TranslationProgram
+from repro.kernel.program import TranslationProgram
 from repro.kernel.translator import Translator
 from repro.minerule.parser import parse_refresh
 from repro.minerule.statements import MineRuleStatement
@@ -123,7 +123,7 @@ class _RuleOutcome:
 
     @property
     def resilience(self) -> Resilience:
-        """Fault/retry/resume counters of this run."""
+        """Fault and retry counters of this run."""
         return self.flow.resilience
 
     def __len__(self) -> int:
@@ -195,9 +195,6 @@ _SERIES = {
 class MiningSystem:
     """Tightly-coupled data mining on top of the SQL engine."""
 
-    #: crash checkpoints kept around for ``run(resume=True)``
-    _CHECKPOINT_CAP = 16
-
     def __init__(
         self,
         database: Optional[Database] = None,
@@ -243,9 +240,9 @@ class MiningSystem:
         self.retry_policy = retry_policy
         self._executions = 0
         #: serializes whole MINE RULE runs: the pipeline mutates shared
-        #: system state (_executions, reuse cache, checkpoints, host
-        #: variables), so concurrent job workers take this and the
-        #: engine's write lock for the whole run — making every run
+        #: system state (_executions, reuse cache, host variables), so
+        #: concurrent job workers take this and the engine's write
+        #: lock for the whole run — making every run
         #: bit-identical to serial execution while plain SELECT jobs
         #: still share the engine's read side
         self._run_lock = threading.RLock()
@@ -257,8 +254,8 @@ class MiningSystem:
         ``.restore`` both come here), so every holder of the system
         sees the new catalog and nothing configured at construction
         (journal, retry policy, observability sinks) is lost.  What the
-        system remembered about the previous catalog — reuse cache,
-        crash checkpoints, refresh targets — is dropped."""
+        system remembered about the previous catalog — reuse cache and
+        refresh targets — is dropped."""
         with self._run_lock:
             self.db = database
             database.tracer = self.tracer
@@ -271,8 +268,6 @@ class MiningSystem:
             self._preprocess_cache: Dict[
                 tuple, Tuple[Workspace, int, int]
             ] = {}
-            #: normalized statement text -> checkpoint of a crashed run
-            self._checkpoints: Dict[str, StageCheckpoint] = {}
             #: lowercased output table -> refresh bookkeeping of the
             #: last successful MINE RULE run producing it
             self._refresh_registry: Dict[str, _RefreshEntry] = {}
@@ -280,13 +275,12 @@ class MiningSystem:
     # ------------------------------------------------------------------
 
     def execute(self, statement_text: str) -> MiningResult:
-        """Run one MINE RULE statement end to end (no resume/retry)."""
+        """Run one MINE RULE statement end to end (no retry)."""
         return self.run(statement_text)
 
     def run(
         self,
         statement_text: str,
-        resume: bool = False,
         retry: Optional[RetryPolicy] = None,
         cancel: Optional[Callable[[], bool]] = None,
     ) -> MiningResult:
@@ -294,11 +288,10 @@ class MiningSystem:
 
         ``retry`` (or the system-wide :attr:`retry_policy`) re-attempts
         stages that fail with an injected :class:`FaultError`, with
-        capped exponential backoff.  ``resume=True`` consults the
-        checkpoint a previously crashed run of the *same statement
-        text* left behind and skips its completed stages — provided the
-        checkpoint's recorded encoded tables are still intact; a stale
-        checkpoint is discarded and the run starts from scratch.
+        capped exponential backoff.  A run that fails anyway is finished
+        by calling ``run`` again: it reuses the encoded tables when
+        preprocessing had completed (and the reuse cache is on), and
+        otherwise starts from scratch.
 
         ``cancel`` is a zero-argument callable polled before every
         retryable unit of work up to the postprocessor, whose emission
@@ -313,13 +306,12 @@ class MiningSystem:
             {"statement": compact[:120], "run": self._executions + 1},
             retry,
             cancel,
-            lambda ctx: self._mine(ctx, statement_text, resume),
+            lambda ctx: self._mine(ctx, statement_text),
         )
 
     def refresh(
         self,
         target: str,
-        resume: bool = False,
         retry: Optional[RetryPolicy] = None,
         cancel: Optional[Callable[[], bool]] = None,
     ) -> RefreshResult:
@@ -350,7 +342,7 @@ class MiningSystem:
             {"output": name},
             retry,
             cancel,
-            lambda ctx: self._refresh(ctx, name, resume),
+            lambda ctx: self._refresh(ctx, name),
         )
 
     def _observed(
@@ -444,8 +436,8 @@ class MiningSystem:
                         if kind == "refresh":
                             extra["refresh"] = result.stats.as_args()
                     if flow.resilience.any():
-                        # which fallback fired, how often a unit was
-                        # repeated, what a resume skipped
+                        # how many faults fired, how often a unit was
+                        # repeated
                         extra["resilience"] = flow.resilience._asdict()
                     if self.tracer.enabled:
                         # persist the run's own slice of the trace so
@@ -471,55 +463,21 @@ class MiningSystem:
     # MINE RULE stages
     # ------------------------------------------------------------------
 
-    def _mine(
-        self, ctx: RunContext, statement_text: str, resume: bool
-    ) -> MiningResult:
+    def _mine(self, ctx: RunContext, statement_text: str) -> MiningResult:
         """translate -> preprocess -> core -> postprocess in *ctx*."""
         ctx.check_cancel("translator")
         self._executions += 1
-
-        key = " ".join(statement_text.split())
-        checkpoint = self._checkpoints.get(key) if resume else None
-        if checkpoint is not None and not self._checkpoint_valid(checkpoint):
-            ctx.event(
-                "translator",
-                "checkpoint discarded",
-                "recorded encoded tables are gone or changed; "
-                "restarting from scratch",
-            )
-            # The restarted run mints a fresh workspace prefix, so the
-            # discarded checkpoint's partial tables would never be
-            # dropped by the resumed preprocess stage — orphan-sweep its
-            # prefix here (and evict reuse-cache entries pointing at it,
-            # which would otherwise hand out just-dropped encoded
-            # tables).
-            self._sweep_workspace(Workspace(checkpoint.workspace_prefix))
-            ctx.event(
-                "translator",
-                "swept orphaned workspace",
-                checkpoint.workspace_prefix,
-            )
-            self._checkpoints.pop(key, None)
-            checkpoint = None
-        ctx.resumed = checkpoint is not None
-
         with ctx.phase("translator"):
             ctx.event("translator", "received statement")
-            workspace = Workspace(
-                checkpoint.workspace_prefix
-                if checkpoint is not None
-                else f"MR{self._executions}"
+            program = self._translator.translate(
+                statement_text, Workspace(f"MR{self._executions}")
             )
-            program = self._translator.translate(statement_text, workspace)
             ctx.event(
                 "translator",
                 "validated and classified",
                 f"directives {program.directives}",
             )
 
-        ctx.checkpoint = checkpoint or StageCheckpoint(
-            statement_text=key, workspace_prefix=workspace.prefix
-        )
         try:
             with ctx.phase("preprocessor"):
                 program, stats = self._preprocess_stage(
@@ -532,13 +490,10 @@ class MiningSystem:
                     ctx, program, encoded_rules
                 )
         except Exception:
-            # Keep the checkpoint: a later run(resume=True) of the same
-            # statement picks up right after the last completed stage.
-            self._checkpoints[key] = ctx.checkpoint
-            while len(self._checkpoints) > self._CHECKPOINT_CAP:
-                self._checkpoints.pop(next(iter(self._checkpoints)))
+            # A re-run mints a fresh prefix: leave it either nothing of
+            # this run or the finished encoded tables it will reuse.
+            self._sweep_workspace(program.workspace)
             raise
-        self._checkpoints.pop(key, None)
 
         # Register the run as a REFRESH RULES target.  The state is
         # captured lazily by the first refresh (which then costs a full
@@ -547,7 +502,7 @@ class MiningSystem:
         # tables reflect.
         self._refresh_registry[
             program.statement.output_table.lower()
-        ] = _RefreshEntry(statement_text=key, program=program)
+        ] = _RefreshEntry(statement_text=statement_text, program=program)
 
         return MiningResult(
             statement=program.statement,
@@ -570,32 +525,7 @@ class MiningSystem:
         came from the Section-3 reuse cache) and what preprocessing
         measured — None when nothing had to be preprocessed."""
         ctx.check_cancel("preprocessor")
-        checkpoint = ctx.checkpoint
-
-        if ctx.resumed and checkpoint.preprocessing_reused:
-            # The crashed run had satisfied preprocessing from the
-            # Section-3 reuse cache; its encoded tables still live in
-            # the shared workspace the checkpoint points at.
-            self.db.variables.update(checkpoint.host_variables)
-            ctx.event(
-                "preprocessor",
-                "reused encoded tables",
-                f"workspace {program.workspace.prefix} "
-                f"(Section 3 optimisation)",
-            )
-            ctx.count("stages_resumed")
-            if not checkpoint.stored:
-                self._drop_output_tables(program)
-            return program, None
-
-        if ctx.resumed:
-            # Partial artifacts of the crashed query (tables it started
-            # but never completed) are dropped so re-running it starts
-            # from a clean slate.
-            for table in program.workspace.all_tables():
-                if table not in checkpoint.table_snapshot:
-                    self.db.catalog.drop_table(table, if_exists=True)
-        elif self.reuse_preprocessing:
+        if self.reuse_preprocessing:
             cached = self._preprocess_cache.get(
                 self._preprocess_signature(program)
             )
@@ -607,11 +537,6 @@ class MiningSystem:
                 )
                 self.db.variables["totg"] = totg
                 self.db.variables["mingroups"] = mingroups
-                checkpoint.preprocessing_reused = True
-                checkpoint.workspace_prefix = cached_workspace.prefix
-                checkpoint.host_variables = {
-                    "totg": totg, "mingroups": mingroups
-                }
                 ctx.event(
                     "preprocessor",
                     "reused encoded tables",
@@ -634,22 +559,9 @@ class MiningSystem:
     def _core_stage(
         self, ctx: RunContext, program: TranslationProgram
     ) -> Tuple[List[EncodedRule], Optional[CoreStats]]:
-        checkpoint = ctx.checkpoint
-        if checkpoint.encoded_rules is not None:
-            encoded_rules = checkpoint.encoded_rules
-            core_stats = checkpoint.core_stats
-            ctx.count("stages_resumed")
-            ctx.event(
-                "core",
-                "skipped (resume)",
-                f"{len(encoded_rules)} rules from checkpoint",
-            )
-        else:
-            encoded_rules, core_stats = ctx.attempt(
-                "core", lambda: self._mine_once(ctx, program)
-            )
-            checkpoint.encoded_rules = encoded_rules
-            checkpoint.core_stats = core_stats
+        encoded_rules, core_stats = ctx.attempt(
+            "core", lambda: self._mine_once(ctx, program)
+        )
         ctx.event("core", "extracted rules", f"{len(encoded_rules)} rules")
         if core_stats is not None:
             ctx.event("core", "observability", core_stats.describe())
@@ -703,43 +615,20 @@ class MiningSystem:
         tables are bit-identical by construction."""
         ctx.check_cancel("postprocessor")
         # store -> decode -> read-back is one unit to a cancel: a
-        # refresh has committed its state by now and keeps no checkpoint
-        # that could finish a half-emitted rule set
+        # refresh has committed its state by now, so a cancel between
+        # store and decode would leave a half-emitted rule set
         ctx.cancel = None
-        checkpoint = ctx.checkpoint
         post = self._postprocessor
-        catalog = self.db.catalog
         out = program.statement.output_table
-        if checkpoint.stored and catalog.has_table(out):
-            ctx.count("stages_resumed")
-            ctx.event("postprocessor", "skipped store (resume)", out)
-        else:
-            ctx.attempt(
-                "postprocessor.store",
-                lambda: post.store_encoded_rules(program, encoded_rules),
-                own_site=True, rules=len(encoded_rules),
-            )
-            checkpoint.stored = True
-            # The stored tables join the checkpoint snapshot so a
-            # later resume neither sweeps them away as partial
-            # artifacts nor trusts them if they changed underneath.
-            for table in (program.workspace.output_bodies,
-                          program.workspace.output_heads):
-                if catalog.has_table(table):
-                    checkpoint.table_snapshot[table] = len(
-                        catalog.get_table(table)
-                    )
-        if checkpoint.decoded and catalog.has_table(f"{out}_Display"):
-            ctx.count("stages_resumed")
-            ctx.event(
-                "postprocessor", "skipped decode (resume)", f"{out}_Display"
-            )
-        else:
-            ctx.attempt(
-                "postprocessor.decode", lambda: post.decode(program),
-                own_site=True,
-            )
-            checkpoint.decoded = True
+        ctx.attempt(
+            "postprocessor.store",
+            lambda: post.store_encoded_rules(program, encoded_rules),
+            own_site=True, rules=len(encoded_rules),
+        )
+        ctx.attempt(
+            "postprocessor.decode", lambda: post.decode(program),
+            own_site=True,
+        )
         decoded = ctx.attempt(
             "postprocessor.decode",
             lambda: post.decoded_rules(program, encoded_rules),
@@ -755,9 +644,7 @@ class MiningSystem:
     # REFRESH RULES stages (FUP-style incremental maintenance)
     # ------------------------------------------------------------------
 
-    def _refresh(
-        self, ctx: RunContext, name: str, resume: bool
-    ) -> RefreshResult:
+    def _refresh(self, ctx: RunContext, name: str) -> RefreshResult:
         """delta -> recount -> postprocess in *ctx*, or — when the
         statement is not eligible or the source was rewritten — the
         MINE RULE stages of the recorded statement in the same *ctx*."""
@@ -783,7 +670,7 @@ class MiningSystem:
                 "refresh.full", category="refresh", reason=reason
             )
             self.invalidate_preprocessing()
-            mined = self._mine(ctx, entry.statement_text, resume)
+            mined = self._mine(ctx, entry.statement_text)
             program, encoded_rules = mined.program, mined.encoded_rules
             decoded = mined.rules
             stats = RefreshStats(
@@ -795,10 +682,6 @@ class MiningSystem:
             # delta and re-emits identical tables.
             entry.state = state
             encoded_rules = self._rebuild_bset(program, state)
-            ctx.checkpoint = StageCheckpoint(
-                statement_text=entry.statement_text,
-                workspace_prefix=program.workspace.prefix,
-            )
             with ctx.phase("postprocessor"):
                 decoded = self._postprocess_stage(
                     ctx, program, encoded_rules
@@ -886,20 +769,8 @@ class MiningSystem:
         return build_rules(counts_by_bid, state.totg, program.core)
 
     # ------------------------------------------------------------------
-    # checkpoints
+    # workspaces
     # ------------------------------------------------------------------
-
-    def _checkpoint_valid(self, checkpoint: StageCheckpoint) -> bool:
-        """A checkpoint resumes only if every encoded table it recorded
-        still exists with exactly the recorded row count."""
-        if checkpoint.preprocessing_reused:
-            return True
-        for table, rows in checkpoint.table_snapshot.items():
-            if not self.db.catalog.has_table(table):
-                return False
-            if len(self.db.catalog.get_table(table)) != rows:
-                return False
-        return True
 
     def _drop_workspace(self, workspace: Workspace) -> None:
         """Drop every working object of *workspace*."""
@@ -912,19 +783,12 @@ class MiningSystem:
             catalog.drop_sequence(sequence, if_exists=True)
 
     def _sweep_workspace(self, workspace: Workspace) -> None:
-        """Drop *workspace* and evict reuse cache entries pointing at
-        it (orphaned-prefix cleanup)."""
-        self._drop_workspace(workspace)
-        self._preprocess_cache = {
-            signature: entry
-            for signature, entry in self._preprocess_cache.items()
-            if entry[0].prefix != workspace.prefix
-        }
-
-    def checkpoint_for(self, statement_text: str) -> Optional[StageCheckpoint]:
-        """The crash checkpoint of *statement_text*, if one exists
-        (test/CLI observability)."""
-        return self._checkpoints.get(" ".join(statement_text.split()))
+        """Drop a failed run's *workspace* unless the reuse cache holds
+        it: then its encoded tables are complete and the next run of a
+        statement with the same preprocessing reuses them."""
+        cached = [entry[0] for entry in self._preprocess_cache.values()]
+        if workspace not in cached:
+            self._drop_workspace(workspace)
 
     # ------------------------------------------------------------------
 
@@ -950,7 +814,6 @@ class MiningSystem:
             for workspace, _, _ in self._preprocess_cache.values():
                 self._drop_workspace(workspace)
         self._preprocess_cache.clear()
-        self._checkpoints.clear()
 
     def _preprocess_signature(self, program: TranslationProgram) -> tuple:
         """Statements share encoded tables iff this signature matches:

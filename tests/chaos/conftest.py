@@ -4,12 +4,9 @@ Every chaos test follows the same shape: mine a statement on a fresh
 Figure-1 database under a *seeded* fault schedule and compare the
 outcome against a fault-free baseline.  Schedules are deterministic
 (same seed, same faults), so every red run is replayable.
-
-``CHAOS_QUICK=1`` shrinks the schedule matrix to a 5-combination smoke
-subset for fast CI feedback.
 """
 
-import os
+import re
 
 import pytest
 
@@ -80,17 +77,23 @@ SEEDS = tuple(range(7))
 CHAOS_MATRIX = [
     (name, seed) for name in sorted(STATEMENTS) for seed in SEEDS
 ]
-if os.environ.get("CHAOS_QUICK"):
-    # one seed for every statement kind plus one extra: 5 combinations
-    CHAOS_MATRIX = [
-        (name, 0) for name in sorted(STATEMENTS)
-    ] + [("paper", 1)]
 
 
 def fresh_system(**kwargs) -> MiningSystem:
     database = Database()
     load_purchase_figure1(database)
     return MiningSystem(database=database, **kwargs)
+
+
+def workspace_prefixes(system: MiningSystem) -> set:
+    """The workspace prefixes (``MR<n>``) of the catalog's tables and
+    views."""
+    catalog = system.db.catalog
+    return {
+        match.group(1)
+        for obj in catalog.tables() + catalog.views()
+        if (match := re.match(r"(MR\d+)_", obj.name))
+    }
 
 
 def output_fingerprint(system: MiningSystem, out: str) -> str:

@@ -1,7 +1,7 @@
 """The chaos matrix: seeded fault schedules against the MINE RULE
 pipeline.
 
-Two invariants, checked over every (statement, seed) combination:
+Three invariants, checked over every (statement, seed) combination:
 
 * **fail-closed** — without retries, an injected error either surfaces
   as a typed :class:`FaultError` or (if the fault never fired / only
@@ -11,6 +11,9 @@ Two invariants, checked over every (statement, seed) combination:
 * **fail-forward** — with a generous retry policy, every schedule the
   matrix generates is survivable, and the mined output is bit-identical
   to the baseline.
+* **re-run** — without retries, running the statement again after each
+  crash drains the schedule, and the output is bit-identical to the
+  baseline with one workspace left in the catalog.
 """
 
 import pytest
@@ -24,6 +27,7 @@ from .conftest import (
     STATEMENTS,
     fresh_system,
     output_fingerprint,
+    workspace_prefixes,
 )
 
 #: random schedules arm at most 3 specs x 2 repeats; one stage can
@@ -79,25 +83,24 @@ def test_retries_produce_bit_identical_output(name, seed, baselines):
 
 @pytest.mark.parametrize("name,seed", CHAOS_MATRIX)
 def test_crash_then_resume_is_identical(name, seed, baselines):
-    """No retries, then resume: whatever stage the schedule kills, a
-    ``run(resume=True)`` finishes the statement with baseline output."""
+    """No retries, then re-run: whatever stage the schedule kills,
+    running the statement again finishes it with baseline output."""
     base_rules, base_text = baselines[name]
     system = fresh_system()
     schedule = schedule_for(seed)
-    crashes = 0
     # re-running under the *same* armed schedule: per-site counters
     # keep counting across runs, so each error window eventually passes
     with faults.injected(schedule):
         for _ in range(16):
             try:
-                result = system.run(STATEMENTS[name], resume=True)
+                result = system.run(STATEMENTS[name])
                 break
             except FaultError:
-                crashes += 1
+                continue
         else:
             pytest.fail("schedule never drained")
 
     assert result.rule_set() == base_rules
     assert output_fingerprint(system, result.output_table) == base_text
-    if crashes:
-        assert system.checkpoint_for(STATEMENTS[name]) is None
+    # a failed run left nothing, or the finished tables the next reused
+    assert len(workspace_prefixes(system)) == 1

@@ -1,9 +1,11 @@
 """Targeted stage kills: one deterministic fault per pipeline stage.
 
-Complements the random matrix with surgical checks: killing any single
-stage leaves a checkpoint that a resumed run completes bit-identically,
-and a schedule that hits *every* stage once in one run is survived by
-the retry policy with the counters visible in trace and report.
+Complements the random matrix with surgical checks: after killing any
+single stage, running the statement again completes it bit-identically
+(reusing the encoded tables when preprocessing had finished) and leaves
+one workspace in the catalog, and a schedule that hits *every* stage
+once in one run is survived by the retry policy with the counters
+visible in trace and report.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from .conftest import (
     STATEMENTS,
     fresh_system,
     output_fingerprint,
+    workspace_prefixes,
 )
 
 RETRY = RetryPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0)
@@ -50,29 +53,28 @@ PAPER_SITES = (
 )
 
 
-def _kill_resume_roundtrip(name, site, call, baselines):
+def _kill_rerun_roundtrip(name, site, call, baselines):
     base_rules, base_text = baselines[name]
     system = fresh_system()
     with faults.injected(FaultSchedule(sleep=NO_SLEEP).arm(site, call=call)):
         with pytest.raises(FaultError) as excinfo:
             system.run(STATEMENTS[name])
     assert excinfo.value.site  # typed, site-attributed failure
-    assert system.checkpoint_for(STATEMENTS[name]) is not None
 
-    result = system.run(STATEMENTS[name], resume=True)
+    result = system.run(STATEMENTS[name])
     assert result.rule_set() == base_rules
     assert output_fingerprint(system, result.output_table) == base_text
-    assert system.checkpoint_for(STATEMENTS[name]) is None
-    return result
+    # preprocessing had finished exactly when the kill hit the core or
+    # the postprocessor; the re-run then reuses its encoded tables
+    assert result.preprocessing_reused == site.startswith(
+        ("core.", "postprocessor.")
+    )
+    assert len(workspace_prefixes(system)) == 1
 
 
 @pytest.mark.parametrize("site", SIMPLE_SITES)
 def test_kill_each_simple_stage_then_resume(site, baselines):
-    result = _kill_resume_roundtrip("simple", site, 1, baselines)
-    if site.startswith(("core.", "postprocessor.")):
-        # preprocessing was already complete when the crash happened,
-        # so the resumed run skipped at least those stages
-        assert result.resilience.stages_resumed > 0
+    _kill_rerun_roundtrip("simple", site, 1, baselines)
 
 
 @pytest.mark.parametrize("site", PAPER_SITES)
@@ -80,7 +82,7 @@ def test_kill_each_general_stage_then_resume(site, baselines):
     # call=2 for the lattice site: it is checked once per itemset pair,
     # so the kill lands mid-computation rather than at the first touch
     call = 2 if site == "core.lattice" else 1
-    _kill_resume_roundtrip("paper", site, call, baselines)
+    _kill_rerun_roundtrip("paper", site, call, baselines)
 
 
 def test_kill_every_stage_in_one_run_with_retries(baselines):

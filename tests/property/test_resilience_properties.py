@@ -1,8 +1,8 @@
-"""Property: resume-after-crash equals single-shot execution.
+"""Property: crash-then-re-run equals single-shot execution.
 
 For every pipeline stage — each translated query Q0..Q11 by label,
 the core operator sites, and both postprocessor sites — killing the
-run at that stage and finishing it with ``run(resume=True)`` must
+run at that stage and finishing it by running the statement again must
 yield exactly the rule set (and output-relation bytes) of an
 uninterrupted run.  Hypothesis drives the (statement, site, call)
 space; the armed fault sometimes never fires (the site is unreachable
@@ -102,29 +102,23 @@ def test_resume_after_crash_equals_single_shot(data):
     system = MiningSystem(database=_fresh_db())
     schedule = FaultSchedule(sleep=lambda s: None).arm(site, call=call)
 
-    crashed = False
     try:
         with faults.injected(schedule):
             result = system.run(STATEMENTS[name])
     except FaultError:
-        crashed = True
-        assert system.checkpoint_for(STATEMENTS[name]) is not None
-        result = system.run(STATEMENTS[name], resume=True)
+        result = system.run(STATEMENTS[name])
 
     assert result.rule_set() == base_rules
     assert _fingerprint(system, result.output_table) == base_text
-    if crashed:
-        # the checkpoint is consumed by the successful resume
-        assert system.checkpoint_for(STATEMENTS[name]) is None
 
 
 @settings(deadline=None, max_examples=25)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    resumes=st.integers(min_value=1, max_value=3),
+    max_faults=st.integers(min_value=1, max_value=3),
 )
-def test_repeated_crashes_eventually_converge(seed, resumes):
-    """Even a multi-fault schedule drains over repeated resumed runs:
+def test_repeated_crashes_eventually_converge(seed, max_faults):
+    """Even a multi-fault schedule drains over repeated plain re-runs:
     per-site counters advance monotonically, every armed window passes,
     and the final output is the single-shot output."""
     name = "simple"
@@ -133,14 +127,14 @@ def test_repeated_crashes_eventually_converge(seed, resumes):
     schedule = FaultSchedule.random(
         seed,
         sites=tuple(SITES[name]),
-        max_faults=resumes,
+        max_faults=max_faults,
         sleep=lambda s: None,
     )
     result = None
     with faults.injected(schedule):
         for _ in range(24):
             try:
-                result = system.run(STATEMENTS[name], resume=True)
+                result = system.run(STATEMENTS[name])
                 break
             except FaultError:
                 continue

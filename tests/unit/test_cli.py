@@ -142,6 +142,34 @@ class TestBatchSizeFlag:
         assert "8" in capsys.readouterr().out
 
 
+class TestRerunAfterFault:
+    def test_resume_flag_is_rejected(self, capsys):
+        """A crashed statement is finished by running it again: neither
+        front end takes the flag that resumed it from a checkpoint."""
+        from repro import serve
+
+        for entry in (main, serve.main):
+            with pytest.raises(SystemExit) as exit_info:
+                entry(["--resume"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --resume" in (
+                capsys.readouterr().err
+            )
+
+    def test_fault_message_points_at_a_rerun(self, shell):
+        from repro import FaultSchedule, faults
+
+        with faults.injected(FaultSchedule().arm("core.bitset")):
+            out = shell.execute(MINE)
+        assert out.startswith("error: injected fault at core.bitset (call 1)")
+        assert "--resume" not in out
+        assert (
+            "a re-run reuses the encoded tables if preprocessing had "
+            "finished" in out
+        )
+        assert "directives" in shell.execute(MINE)
+
+
 class TestBatchMain:
     def test_commands_run_in_order(self, capsys):
         code = main([

@@ -167,6 +167,26 @@ class TestEngineOptions:
                      {"batch_size": 16}, {"memory_budget": 1 << 20}):
             with pytest.raises(TypeError):
                 MiningSystem(**gone)
+        # a crashed statement is finished by running it again
+        verbs = {
+            verb: list(inspect.signature(getattr(MiningSystem, verb))
+                       .parameters)[1:]
+            for verb in ("run", "refresh")
+        }
+        assert verbs == {
+            "run": ["statement_text", "retry", "cancel"],
+            "refresh": ["target", "retry", "cancel"],
+        }
+        with pytest.raises(TypeError):
+            MiningSystem().run("MINE RULE ...", resume=True)
+        # the general core has the paper's smaller-parent rule only
+        from repro.kernel.core.general import GeneralCoreOperator
+
+        assert list(
+            inspect.signature(GeneralCoreOperator).parameters
+        ) == ["representation"]
+        with pytest.raises(TypeError):
+            GeneralCoreOperator(parent_strategy="body")
         # executor tuning is the engine's, rejected at its boundary
         with pytest.raises(
             ValueError, match="batch_size must be positive, got 0"

@@ -1,5 +1,5 @@
-"""System-level resilience semantics: checkpoints, validation, and
-the retry-policy plumbing of :meth:`MiningSystem.run`."""
+"""System-level resilience semantics: re-running a crashed statement,
+and the retry-policy plumbing of :meth:`MiningSystem.run`."""
 
 import pytest
 
@@ -12,9 +12,11 @@ from repro import (
     faults,
 )
 from repro.datagen import load_purchase_figure1
+from repro.system import RunCancelled
+from tests.chaos.conftest import workspace_prefixes
 
 STATEMENT = (
-    "MINE RULE ResumeCheck AS "
+    "MINE RULE RerunCheck AS "
     "SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, "
     "SUPPORT, CONFIDENCE "
     "FROM Purchase GROUP BY customer "
@@ -35,99 +37,59 @@ def _crash(system, site="core.load"):
             system.run(STATEMENT)
 
 
-class TestCheckpoints:
-    def test_resume_without_checkpoint_is_a_normal_run(self, system):
-        result = system.run(STATEMENT, resume=True)
-        assert result.rules
-        assert result.resilience.stages_resumed == 0
+@pytest.fixture(scope="module")
+def baseline():
+    database = Database()
+    load_purchase_figure1(database)
+    return MiningSystem(database=database).run(STATEMENT).rule_set()
 
-    def test_crash_leaves_checkpoint_success_consumes_it(self, system):
-        _crash(system)
-        checkpoint = system.checkpoint_for(STATEMENT)
-        assert checkpoint is not None
-        assert checkpoint.completed_queries
-        assert checkpoint.encoded_rules is None  # crashed before core
-        system.run(STATEMENT, resume=True)
-        assert system.checkpoint_for(STATEMENT) is None
 
-    def test_whitespace_differences_share_one_checkpoint(self, system):
-        _crash(system)
-        reformatted = STATEMENT.replace(" FROM", "\n  FROM")
-        assert system.checkpoint_for(reformatted) is not None
-        result = system.run(reformatted, resume=True)
-        assert result.resilience.stages_resumed > 0
+class TestRerunAfterCrash:
+    """A crashed statement is finished by running it again.  The failed
+    run drops its workspace unless the reuse cache holds it, so the
+    catalog keeps nothing of it or a finished set of encoded tables."""
 
-    def test_plain_run_ignores_checkpoint(self, system):
-        _crash(system)
-        result = system.run(STATEMENT)  # resume not requested
-        assert result.resilience.stages_resumed == 0
-        assert result.rules
+    def test_preprocessing_crash_then_rerun_leaves_one_workspace(
+        self, system, baseline
+    ):
+        _crash(system, site="preprocessor.Q4")
+        assert workspace_prefixes(system) == set()
+        result = system.run(STATEMENT)
+        assert result.rule_set() == baseline
+        assert not result.preprocessing_reused
+        assert workspace_prefixes(system) == {"MR2"}
 
-    def test_stale_checkpoint_restarts_from_scratch(self, system):
-        _crash(system)
-        checkpoint = system.checkpoint_for(STATEMENT)
-        # an encoded table changed underneath the checkpoint
-        victim = system.db.catalog.get_table(
-            next(iter(checkpoint.table_snapshot))
-        )
-        victim.insert(victim.rows[0])
-        result = system.run(STATEMENT, resume=True)
-        assert result.rules
-        assert result.resilience.stages_resumed == 0
-        assert any(
-            event.action == "checkpoint discarded"
-            for event in result.flow.events
-        )
+    def test_core_crash_then_rerun_reuses_the_tables(self, system, baseline):
+        _crash(system, site="core.bitset")
+        assert workspace_prefixes(system) == {"MR1"}  # complete, and cached
+        result = system.run(STATEMENT)
+        assert result.preprocessing_reused
+        assert result.rule_set() == baseline
+        assert workspace_prefixes(system) == {"MR1"}
 
-    def test_checkpoint_store_is_bounded(self, system):
-        cap = MiningSystem._CHECKPOINT_CAP
-        for i in range(cap + 5):
-            statement = STATEMENT.replace("ResumeCheck", f"Out{i}")
-            with faults.injected(FaultSchedule().arm("core.load")):
-                with pytest.raises(FaultError):
-                    system.run(statement)
-        assert len(system._checkpoints) == cap
-
-    def test_invalidate_preprocessing_drops_checkpoints(self, system):
-        _crash(system)
-        system.invalidate_preprocessing()
-        assert system.checkpoint_for(STATEMENT) is None
-
-    def test_discarded_checkpoint_sweeps_its_workspace(self, system):
-        """Satellite fix: a stale checkpoint discarded on
-        ``resume=True`` used to leak its workspace — the restarted run
-        mints a fresh prefix, so the orphaned encoded tables were never
-        dropped.  The discard path now sweeps the old prefix."""
+    def test_without_reuse_a_failed_core_leaves_no_workspace(self, baseline):
+        database = Database()
+        load_purchase_figure1(database)
+        system = MiningSystem(database=database, reuse_preprocessing=False)
         _crash(system, site="core.load")
-        checkpoint = system.checkpoint_for(STATEMENT)
-        prefix = checkpoint.workspace_prefix
-        orphans = [
-            t.name for t in system.db.catalog.tables()
-            if t.name.startswith(prefix)
-        ]
-        assert orphans  # the crash left encoded tables behind
-        # drop one encoded table mid-crash: the checkpoint is now stale
-        victim = next(iter(checkpoint.table_snapshot))
-        system.db.catalog.drop_table(victim)
-        result = system.run(STATEMENT, resume=True)
-        assert result.rules
-        assert result.resilience.stages_resumed == 0
-        leaked = [
-            t.name for t in system.db.catalog.tables()
-            if t.name.startswith(prefix)
-        ]
-        assert leaked == []
-        assert any(
-            event.action == "swept orphaned workspace"
-            for event in result.flow.events
-        )
-        # the sweep also evicts reuse-cache entries pointing at the
-        # dropped prefix, or a later statement would be handed
-        # just-dropped encoded tables
-        assert all(
-            entry[0].prefix != prefix
-            for entry in system._preprocess_cache.values()
-        )
+        assert workspace_prefixes(system) == set()
+        result = system.run(STATEMENT)
+        assert not result.preprocessing_reused
+        assert result.rule_set() == baseline
+        assert workspace_prefixes(system) == {"MR2"}
+
+    def test_cancelled_run_leaves_no_partial_workspace(
+        self, system, baseline
+    ):
+        # cancel at the first poll after Q3 wrote Bset: mid-preprocessing
+        with pytest.raises(RunCancelled):
+            system.run(
+                STATEMENT,
+                cancel=lambda: system.db.catalog.has_table("MR1_Bset"),
+            )
+        assert workspace_prefixes(system) == set()
+        assert system.run(STATEMENT).rule_set() == baseline
+        assert workspace_prefixes(system) == {"MR2"}
 
 
 class TestRetryPlumbing:
@@ -169,7 +131,8 @@ class TestLoudDegradation:
     def test_persistent_bitset_fault_fails_the_stage(self):
         """``core.bitset`` has no slower path to fall back to: once the
         retries are spent the statement fails like at any other site,
-        keeps its checkpoint, and a resumed run finishes it."""
+        and running it again finishes it on the reused encoded
+        tables."""
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.spans import Tracer
 
@@ -189,13 +152,11 @@ class TestLoudDegradation:
                 system.run(STATEMENT, retry=policy)
         assert excinfo.value.site == "core.bitset"
         assert schedule.errors_injected == 3  # every attempt, then up
-        assert system.checkpoint_for(STATEMENT) is not None
         assert registry.get("repro_fallback_total") is None
         assert not any("core_fallback" in span.args for span in tracer.spans)
 
-        resumed = system.run(STATEMENT, resume=True)
-        assert resumed.rule_set() == quiet.rule_set()
-        assert resumed.encoded_rules == quiet.encoded_rules
-        assert resumed.resilience.stages_resumed > 0
-        assert resumed.core_stats.representation == "bitset"
-        assert system.checkpoint_for(STATEMENT) is None
+        rerun = system.run(STATEMENT)
+        assert rerun.rule_set() == quiet.rule_set()
+        assert rerun.encoded_rules == quiet.encoded_rules
+        assert rerun.preprocessing_reused
+        assert rerun.core_stats.representation == "bitset"

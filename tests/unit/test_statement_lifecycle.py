@@ -182,7 +182,7 @@ def test_journal_says_which_fallback_fired(verb):
         result = observed.call(verb, retry=policy)
     resilience = observed.journal.list(kind=kind)[-1]["resilience"]
     assert set(resilience) == {
-        "retries", "faults_injected", "latencies_injected", "stages_resumed",
+        "retries", "faults_injected", "latencies_injected",
     }
     assert resilience["retries"] == result.resilience.retries == 1
     assert resilience["faults_injected"] == 1
@@ -203,9 +203,8 @@ def test_refresh_retries_are_events_of_the_core_component():
 
 def test_persistent_core_bitset_fault_is_a_journalled_error():
     """The site has no degrade: a ``core.bitset`` that keeps failing is
-    an ``error`` record like any other site's, the checkpoint stays and
-    the resumed statement is journalled ``ok`` with the baseline's
-    rules."""
+    an ``error`` record like any other site's, and running the
+    statement again is journalled ``ok`` with the baseline's rules."""
     observed = Observed()
     baseline = observed.system.run(STATEMENT).encoded_rules
     schedule = FaultSchedule().arm("core.bitset", call=1, times=1000)
@@ -218,11 +217,10 @@ def test_persistent_core_bitset_fault_is_a_journalled_error():
     failed = observed.journal.list(kind="mine")[-1]
     assert failed["status"] == "error"
     assert "core.bitset" in failed["error"]
-    assert observed.system.checkpoint_for(STATEMENT) is not None
     assert observed.metrics.get("repro_fallback_total") is None
 
-    resumed = observed.system.run(STATEMENT, resume=True)
-    assert resumed.encoded_rules == baseline
+    rerun = observed.system.run(STATEMENT)
+    assert rerun.encoded_rules == baseline
     assert observed.journal.list(kind="mine")[-1]["status"] == "ok"
 
 
