@@ -148,8 +148,9 @@ def run_pipeline_metrics(metrics, rounds=ROUNDS):
 
 def test_disabled_metrics_overhead_within_gate():
     """Metrics off (the seed path) must stay inside the same overhead
-    gate as disabled tracing: one ``registry.enabled`` /
-    ``_im is None`` check per hook."""
+    gate as disabled tracing: a disabled registry is never attached,
+    so the system keeps the disabled tracer and every hook is one
+    ``tracer.enabled`` check."""
     baseline = run_pipeline_metrics(None)  # NULL_REGISTRY default
     disabled = run_pipeline_metrics(MetricsRegistry(enabled=False))
     ratio = disabled / baseline

@@ -72,8 +72,11 @@ from repro.minerule.errors import MineRuleError
 from repro.obs import context as obs_context
 from repro.obs import (
     NULL_TRACER,
+    MetricsRegistry,
+    SlowQueryLog,
     Tracer,
     render_obs_report,
+    render_prometheus,
     write_chrome_trace,
 )
 from repro.sqlengine import Database, EngineOptions
@@ -102,13 +105,11 @@ class Shell:
         algorithm: str = "apriori",
         retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
-        metrics=None,
-        slowlog=None,
-        health=None,
         json_log=None,
-        runlog=None,
         batch_size: Optional[int] = None,
     ):
+        #: the session's recorder; metrics, slow log, health and journal
+        #: are views attached to it (``tracer.attach``)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: structured logger (``repro.obs.jsonlog.JsonLogger``) or None
         self.json_log = json_log
@@ -121,8 +122,7 @@ class Shell:
         self.system = MiningSystem(
             database=Database(options),
             algorithm=algorithm, retry_policy=retry_policy,
-            tracer=self.tracer, metrics=metrics, slowlog=slowlog,
-            health=health, runlog=runlog,
+            tracer=self.tracer,
         )
         #: job service (``repro.jobs.JobService``) attached by serve
         #: mode so ``.jobs`` can report it; None in the plain shell
@@ -318,7 +318,8 @@ class Shell:
                 )
             if argument:
                 path = write_chrome_trace(self.tracer, argument)
-                return f"wrote Chrome trace ({len(self.tracer.spans)} spans) to {path}"
+                summary = span_summary(self.tracer)
+                return f"wrote Chrome trace ({summary}) to {path}"
             return render_obs_report(self.tracer)
         if command == ".experiments":
             from repro.experiments import generate_report
@@ -384,19 +385,15 @@ class Shell:
                 )
             return "\n".join(lines)
         if command == ".metrics":
-            metrics = self.system.metrics
-            if not metrics.enabled:
-                return (
-                    "metrics are off; serve mode (python -m repro serve) "
-                    "collects them, or pass a registry to the Shell"
-                )
-            from repro.obs.promtext import render_prometheus
-
+            metrics = self.tracer.attached(MetricsRegistry)
+            if metrics is None:
+                return "metrics are off (serve mode attaches a registry)"
             return render_prometheus(metrics).rstrip("\n")
         if command == ".slowlog":
-            if self.system.slowlog is None:
+            slowlog = self.tracer.attached(SlowQueryLog)
+            if slowlog is None:
                 return "no slow-query log attached (serve mode has one)"
-            return self.system.slowlog.render()
+            return slowlog.render()
         if command == ".jobs":
             if self.jobs is None:
                 return (
@@ -428,6 +425,11 @@ class Shell:
         if command in (".quit", ".exit", ".q"):
             raise EOFError
         return f"unknown command {command!r}; try .help"
+
+
+def span_summary(tracer: Tracer) -> str:
+    """How many spans a written trace holds and how many it lost."""
+    return f"{len(tracer.spans)} spans, {tracer.dropped_spans} dropped"
 
 
 def positive_int(text: str) -> int:
@@ -559,7 +561,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if args.trace_out:
             path = write_chrome_trace(tracer, args.trace_out)
-            print(f"trace written to {path} ({len(tracer.spans)} spans)")
+            print(f"trace written to {path} ({span_summary(tracer)})")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,8 +8,9 @@ the fault schedule's counters at the start of the run — and owns the
 one place a retryable unit of work is executed
 (:meth:`RunContext.attempt`).  Stages record their work only as spans,
 instants and root-span attributes on ``ctx.tracer``; the process flow
-(:class:`RunFlow`), the resilience counters, the metrics series and
-the slow-log and journal entries all read that record.
+(:class:`RunFlow`) and the resilience counters read the root span's own
+record, and the metrics series, slow-log, health and journal entries
+are views attached to the tracer.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro import faults
 from repro.faults import RetryPolicy
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import NULL_SPAN, Span, Tracer
+from repro.obs.spans import NULL_SPAN, Instant, Span, Tracer
 
 #: Figure 3a's components: the categories of the flow's instants
 COMPONENTS = ("translator", "preprocessor", "core", "postprocessor")
@@ -41,13 +41,11 @@ class RunCancelled(Exception):
     """
 
 
-def run_tracer(tracer: Tracer, metrics: MetricsRegistry) -> Tracer:
+def run_tracer(tracer: Tracer) -> Tracer:
     """The tracer a run records on: *tracer* when it is enabled,
-    otherwise a private recorder feeding *metrics*.  The private one is
+    otherwise a private recorder with no views.  The private one is
     never installed on the database, so untraced SQL stays span-free."""
-    return tracer if tracer.enabled else Tracer(
-        metrics=metrics, profile_cpu=False
-    )
+    return tracer if tracer.enabled else Tracer(profile_cpu=False)
 
 
 class FlowEvent(NamedTuple):
@@ -82,35 +80,27 @@ class Resilience(NamedTuple):
 
 
 class RunFlow:
-    """Read-only Figure-3a view of one run's record: what *tracer*
-    recorded under *root*'s trace from the view's creation to :meth:`seal`."""
+    """Read-only Figure-3a view of one run's record: the spans and
+    instants *tracer* recorded under the open span *root* (its
+    :attr:`~repro.obs.spans.Span.record`, which ends when it closes)."""
 
     def __init__(self, tracer: Tracer, root: Span) -> None:
         self.tracer = tracer
         #: the span whose attributes are the run's per-run values
         self.root = root
-        self._start = (len(tracer.spans), len(tracer.instants))
-        self._end: tuple = (None, None)
-
-    def seal(self) -> None:
-        """End the view at what the tracer has recorded so far."""
-        self._end = (len(self.tracer.spans), len(self.tracer.instants))
-
-    def _own(self, records: list, index: int) -> list:
-        window = records[self._start[index]:self._end[index]]
-        return [r for r in window if r.trace_id == self.root.trace_id]
+        root.record = []
 
     def spans(self) -> List[Span]:
         """The run's closed spans, in close order."""
-        return self._own(self.tracer.spans, 0)
+        return [item for item in self.root.record if isinstance(item, Span)]
 
     @property
     def events(self) -> List[FlowEvent]:
         return [
-            FlowEvent(instant.category, instant.name.partition(": ")[2],
-                      instant.args.get("detail", ""))
-            for instant in self._own(self.tracer.instants, 1)
-            if instant.category in COMPONENTS
+            FlowEvent(item.category, item.name.partition(": ")[2],
+                      item.args.get("detail", ""))
+            for item in self.root.record
+            if isinstance(item, Instant) and item.category in COMPONENTS
         ]
 
     @property

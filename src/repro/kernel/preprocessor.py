@@ -74,7 +74,7 @@ class Preprocessor:
         retried under its policy.
         """
         if ctx is None:
-            tracer = run_tracer(self._db.tracer, self._db.metrics)
+            tracer = run_tracer(self._db.tracer)
             with tracer.span("preprocessor", category="component") as root:
                 return self.run(program, RunContext(RunFlow(tracer, root)))
         stats = PreprocessStats()

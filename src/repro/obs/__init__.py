@@ -8,8 +8,8 @@ subsystem:
   un-traced path a single attribute check.
 * :class:`MetricsRegistry` aggregates counters, gauges and histograms
   process-wide (:data:`REGISTRY` is the default instance,
-  :data:`NULL_REGISTRY` the disabled null object); a tracer wired with
-  ``metrics=`` feeds every closed span into it automatically.
+  :data:`NULL_REGISTRY` the disabled null object); like every sink it
+  is a view attached to a tracer, reading each span as it closes.
 * :func:`render_prometheus` renders a registry in Prometheus text
   exposition format 0.0.4; :class:`MonitoringServer` serves it over
   HTTP together with ``/healthz`` (:class:`HealthState`),

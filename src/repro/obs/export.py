@@ -11,9 +11,9 @@ render as separate lanes.  Span args include
 the correlation ids (``trace_id``/``span_id``/``parent_id``) and, when
 profiling is on, per-span CPU milliseconds and peak traced bytes.
 
-``trace_events(tracer, trace_id=...)`` restricts the export to one
-run's events — the shape the run history's ``GET /runs/<id>/trace``
-endpoint persists and serves.
+``trace_events(tracer, run=root)`` restricts the export to one run's
+root span and its record — what ``GET /runs/<id>/trace`` serves.  The
+whole-tracer file says how many spans the tracer dropped.
 """
 
 from __future__ import annotations
@@ -22,23 +22,24 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.obs.spans import Tracer
+from repro.obs.spans import Instant, Span, Tracer
 
 #: lane id used when a span carries no tid (hand-built spans in tests)
 _TID = 1
 
 
 def trace_events(
-    tracer: Tracer, trace_id: Optional[str] = None
+    tracer: Tracer, run: Optional[Span] = None
 ) -> List[Dict[str, Any]]:
-    """The ``traceEvents`` list for *tracer*; ``trace_id`` filters it
-    to one run's spans and instants."""
+    """The ``traceEvents`` list for *tracer*; *run*, a span that keeps
+    a record, narrows it to that span and its record."""
     origin = tracer.origin
-    spans = tracer.spans
-    instants = tracer.instants
-    if trace_id is not None:
-        spans = [s for s in spans if s.trace_id == trace_id]
-        instants = [i for i in instants if i.trace_id == trace_id]
+    if run is None:
+        spans, instants = tracer.spans, tracer.instants
+    else:
+        own = run.record or []
+        spans = [run, *(item for item in own if isinstance(item, Span))]
+        instants = [item for item in own if isinstance(item, Instant)]
     own_pid = os.getpid()
     events: List[Dict[str, Any]] = [
         {
@@ -99,6 +100,7 @@ def render_chrome_trace(tracer: Tracer) -> str:
     payload = {
         "traceEvents": trace_events(tracer),
         "displayTimeUnit": "ms",
+        "otherData": {"dropped_spans": tracer.dropped_spans},
     }
     return json.dumps(payload, indent=1)
 

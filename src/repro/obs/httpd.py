@@ -20,7 +20,9 @@ production service:
 Thread model: :class:`ThreadingHTTPServer` handles each scrape on its
 own thread; the registry, health state and slow log are internally
 locked, so concurrent scrapes during an active run read consistent
-values.  No external dependencies — stdlib only.
+values.  A request whose handler raises is answered 500 and counted in
+``repro_http_errors_total{method}`` of the exported registry (also when
+the 500 itself cannot be sent).  No external dependencies — stdlib only.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from repro.obs.promtext import CONTENT_TYPE, render_prometheus
 class HealthState:
     """Thread-safe run-state tracker behind ``/healthz``.
 
-    ``begin``/``success``/``failure`` bracket every MINE RULE run;
-    the server answers 503 from the first failed run until the next
-    success, which is what a load balancer draining a faulty replica
-    needs to see.
+    A view of a :class:`~repro.obs.spans.Tracer`: a statement's root
+    span (``minerule`` category) opening makes a run active, and its
+    ``status`` attribute at close makes it a success (``ok`` or
+    ``cancelled``) or a failure (``error``).  The server answers 503
+    from the first failed run until the next success, which is what a
+    load balancer draining a faulty replica needs to see.
     """
 
     def __init__(self, clock: Callable[[], float] = time.time):
@@ -54,24 +58,21 @@ class HealthState:
         self.last_error: Optional[str] = None
         self.started_at = clock()
 
-    def begin(self) -> None:
-        with self._lock:
-            self.active += 1
+    def span_started(self, span: Any) -> None:
+        if span.category == "minerule":
+            with self._lock:
+                self.active += 1
 
-    def success(self) -> None:
+    def observe_span(self, span: Any) -> None:
+        if span.category != "minerule":
+            return
+        failed = span.args.get("status") == "error"
         with self._lock:
             self.active = max(0, self.active - 1)
             self.runs += 1
-            self.healthy = True
-            self.last_error = None
-
-    def failure(self, error: Any) -> None:
-        with self._lock:
-            self.active = max(0, self.active - 1)
-            self.runs += 1
-            self.failures += 1
-            self.healthy = False
-            self.last_error = str(error)
+            self.failures += failed
+            self.healthy = not failed
+            self.last_error = span.args.get("error") if failed else None
 
     @property
     def ok(self) -> bool:
@@ -112,6 +113,11 @@ class MonitoringServer:
         runlog: Optional[Any] = None,
     ):
         self.registry = registry
+        self._errors = registry.counter(
+            "repro_http_errors_total",
+            "Monitoring requests answered 500 by method",
+            ("method",),
+        )
         self.health = health if health is not None else HealthState()
         self._stats = stats
         self._trace = trace
@@ -181,160 +187,123 @@ class MonitoringServer:
                 pass
 
             def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-                path = self.path.split("?", 1)[0]
+                self._answer(self._get)
+
+            def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+                self._answer(self._mutating)
+
+            def do_DELETE(self) -> None:  # noqa: N802 (stdlib naming)
+                self._answer(self._mutating)
+
+            def _answer(self, handle: Callable[[], None]) -> None:
+                """The one error path: a handler that raises (a
+                provider or router bug) yields a counted 500, not a
+                hung connection."""
                 try:
-                    if self._maybe_api("GET"):
-                        return
-                    if path == "/metrics":
-                        self._send(
-                            200,
-                            CONTENT_TYPE,
-                            render_prometheus(server.registry),
-                        )
-                    elif path == "/healthz":
-                        snapshot = server.health.snapshot()
-                        code = 200 if snapshot["status"] == "ok" else 503
-                        self._send_json(code, snapshot)
-                    elif path == "/stats.json":
-                        if server._stats is None:
-                            self._send_json(
-                                404, {"error": "no stats provider"}
-                            )
-                        else:
-                            self._send_json(200, server._stats())
-                    elif path == "/trace.json":
-                        if server._trace is None:
-                            self._send_json(
-                                404, {"error": "no trace provider"}
-                            )
-                        else:
-                            self._send(
-                                200, "application/json", server._trace()
-                            )
-                    elif path == "/runs" or path.startswith("/runs/"):
-                        self._runs(path)
-                    else:
-                        self._send_json(
-                            404,
-                            {
-                                "error": f"unknown path {path!r}",
-                                "endpoints": [
-                                    "/metrics",
-                                    "/healthz",
-                                    "/stats.json",
-                                    "/trace.json",
-                                ]
-                                + (
-                                    ["/runs"]
-                                    if server.runlog is not None
-                                    else []
-                                )
-                                + (
-                                    ["/jobs"]
-                                    if server.api is not None
-                                    else []
-                                ),
-                            },
-                        )
-                except BrokenPipeError:  # scraper went away mid-answer
+                    handle()
+                except BrokenPipeError:  # the client went away mid-answer
                     pass
-                except Exception as exc:  # defensive: a provider bug
-                    # must yield a 500, not a hung connection
+                except Exception as exc:
+                    server._errors.inc(method=self.command)
                     try:
                         self._send_json(500, {"error": str(exc)})
-                    except Exception:
+                    except OSError:  # counted above; nobody to tell
                         pass
+
+            def _get(self) -> None:
+                path = self.path.split("?", 1)[0]
+                if self._maybe_api("GET"):
+                    return
+                if path == "/metrics":
+                    self._send(
+                        200, CONTENT_TYPE, render_prometheus(server.registry)
+                    )
+                elif path == "/healthz":
+                    snapshot = server.health.snapshot()
+                    code = 200 if snapshot["status"] == "ok" else 503
+                    self._send_json(code, snapshot)
+                elif path == "/stats.json":
+                    if server._stats is None:
+                        self._send_json(404, {"error": "no stats provider"})
+                    else:
+                        self._send_json(200, server._stats())
+                elif path == "/trace.json":
+                    if server._trace is None:
+                        self._send_json(404, {"error": "no trace provider"})
+                    else:
+                        self._send(200, "application/json", server._trace())
+                elif path == "/runs" or path.startswith("/runs/"):
+                    self._runs(path)
+                else:
+                    endpoints = ["/metrics", "/healthz", "/stats.json",
+                                 "/trace.json"]
+                    endpoints += ["/runs"] if server.runlog is not None else []
+                    endpoints += ["/jobs"] if server.api is not None else []
+                    self._send_json(
+                        404,
+                        {"error": f"unknown path {path!r}",
+                         "endpoints": endpoints},
+                    )
 
             def _runs(self, path: str) -> None:
                 """The run-history endpoints over the mounted journal."""
                 runlog = server.runlog
+                run_id, _, tail = path[len("/runs/"):].partition("/")
                 if runlog is None:
                     self._send_json(404, {"error": "no run history"})
-                    return
-                if path == "/runs":
-                    _, _, raw_query = self.path.partition("?")
-                    limit: Optional[int] = None
-                    kind: Optional[str] = None
-                    for chunk in raw_query.split("&"):
-                        key, _, value = chunk.partition("=")
-                        if key == "limit" and value.isdigit():
-                            limit = int(value)
-                        elif key == "kind" and value:
-                            kind = value
-                    runs = runlog.list(limit=limit, kind=kind)
-                    self._send_json(
-                        200, {"runs": runs, "total": len(runlog)}
+                elif path == "/runs":
+                    query = self._query()
+                    limit = query.get("limit", "")
+                    runs = runlog.list(
+                        limit=int(limit) if limit.isdigit() else None,
+                        kind=query.get("kind") or None,
                     )
-                    return
-                rest = path[len("/runs/"):]
-                run_id, _, tail = rest.partition("/")
-                if tail not in ("", "trace"):
-                    self._send_json(
-                        404, {"error": f"unknown path {path!r}"}
-                    )
-                    return
-                if tail == "trace":
+                    self._send_json(200, {"runs": runs, "total": len(runlog)})
+                elif tail == "trace":
                     events = runlog.trace(run_id)
                     if events is None:
                         self._send_json(
-                            404,
-                            {"error": f"no trace for run {run_id!r}"},
+                            404, {"error": f"no trace for run {run_id!r}"}
                         )
-                        return
-                    self._send_json(
-                        200,
-                        {
-                            "traceEvents": events,
-                            "displayTimeUnit": "ms",
-                        },
-                    )
-                    return
-                record = runlog.get(run_id)
-                if record is None:
-                    self._send_json(
-                        404, {"error": f"no such run: {run_id!r}"}
-                    )
-                    return
-                self._send_json(200, record)
-
-            def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-                self._mutating("POST")
-
-            def do_DELETE(self) -> None:  # noqa: N802 (stdlib naming)
-                self._mutating("DELETE")
-
-            def _mutating(self, method: str) -> None:
-                try:
-                    if not self._maybe_api(method):
+                    else:
+                        trace = {"traceEvents": events, "displayTimeUnit": "ms"}
+                        self._send_json(200, trace)
+                elif tail:
+                    self._send_json(404, {"error": f"unknown path {path!r}"})
+                else:
+                    record = runlog.get(run_id)
+                    if record is None:
                         self._send_json(
-                            404,
-                            {"error": f"{method} {self.path!r} not routed"},
+                            404, {"error": f"no such run: {run_id!r}"}
                         )
-                except BrokenPipeError:
-                    pass
-                except Exception as exc:
-                    try:
-                        self._send_json(500, {"error": str(exc)})
-                    except Exception:
-                        pass
+                    else:
+                        self._send_json(200, record)
+
+            def _query(self) -> Dict[str, str]:
+                """The request's ``?key=value&...`` parameters."""
+                chunks = self.path.partition("?")[2].split("&")
+                return {
+                    key: value
+                    for key, _, value in (c.partition("=") for c in chunks)
+                    if key
+                }
+
+            def _mutating(self) -> None:
+                if not self._maybe_api(self.command):
+                    self._send_json(
+                        404,
+                        {"error": f"{self.command} {self.path!r} not routed"},
+                    )
 
             def _maybe_api(self, method: str) -> bool:
                 """Offer the request to the mounted API router; True
                 when it produced the response."""
                 if server.api is None:
                     return False
-                path, _, raw_query = self.path.partition("?")
-                query: Dict[str, str] = {}
-                if raw_query:
-                    for chunk in raw_query.split("&"):
-                        key, _, value = chunk.partition("=")
-                        if key:
-                            query[key] = value
-                body = None
+                path = self.path.partition("?")[0]
                 length = int(self.headers.get("Content-Length") or 0)
-                if length:
-                    body = self.rfile.read(length)
-                response = server.api.handle(method, path, body, query)
+                body = self.rfile.read(length) if length else None
+                response = server.api.handle(method, path, body, self._query())
                 if response is None:
                     return False
                 code, payload = response
@@ -342,11 +311,8 @@ class MonitoringServer:
                 return True
 
             def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
-                self._send(
-                    code,
-                    "application/json",
-                    json.dumps(payload, indent=1, default=repr),
-                )
+                body = json.dumps(payload, indent=1, default=repr)
+                self._send(code, "application/json", body)
 
             def _send(self, code: int, content_type: str, body: str) -> None:
                 data = body.encode("utf-8")

@@ -21,15 +21,15 @@ no-op instrument, and every hot-path hook guards on a single
 ``registry.enabled`` attribute check, mirroring the ``NULL_TRACER``
 contract.
 
-The :class:`Tracer` feeds the registry automatically: every span close
-observes the ``repro_span_seconds`` histogram, and the pipeline's
-well-known series — per-Q preprocessor stages, postprocessor steps,
-components, core-operator counters, encoded-table sizes — are derived
-from the names and attributes of the spans a run closes
-(:meth:`MetricsRegistry.observe_span`); a metered run without tracing
-records on a private tracer, so they exist with tracing off too.  The
-SQL engine's per-statement series and the whole-run latency / outcome
-series are instrumented at their sites.
+The registry is a view of a :class:`~repro.obs.spans.Tracer`
+(``Tracer(metrics=registry)`` or ``tracer.attach(registry)``): every
+span close observes the ``repro_span_seconds`` histogram, and the
+well-known series — SQL statements, whole MINE RULE / REFRESH RULES
+runs, per-Q preprocessor stages, postprocessor steps, components,
+core-operator counters, encoded-table sizes — are derived from the
+names and attributes of the spans (:meth:`MetricsRegistry.observe_span`,
+catalogue :data:`SPAN_SERIES`).  Nothing instruments the registry at a
+call site except the job service's own series.
 """
 
 from __future__ import annotations
@@ -56,9 +56,46 @@ CORE_COUNTERS = (
     "popcounts", "intersections", "join_pairs_examined", "passes",
     "candidates",
 )
-#: the series a run derives from its spans
+_CACHE = "repro_sql_cache_events_total"
+#: engine-span attribute -> (the counter it adds to, that counter's labels)
+ENGINE_COUNTS: Dict[str, Tuple[str, Dict[str, str]]] = {
+    "rows": ("repro_sql_rows_returned_total", {}),
+    "rows_scanned": ("repro_sql_rows_scanned_total", {}),
+    "statement_hits": (_CACHE, {"cache": "statement", "outcome": "hit"}),
+    "statement_misses": (_CACHE, {"cache": "statement", "outcome": "miss"}),
+    "plan_hits": (_CACHE, {"cache": "plan", "outcome": "hit"}),
+    "plan_misses": (_CACHE, {"cache": "plan", "outcome": "miss"}),
+    "plan_invalidations": (
+        _CACHE, {"cache": "plan", "outcome": "invalidation"}),
+}
+#: root-span verb -> (latency histogram, outcome counter)
+RUN_SERIES = {
+    "run": ("repro_minerule_run_seconds", "repro_minerule_runs_total"),
+    "refresh": ("repro_refresh_seconds", "repro_refresh_total"),
+}
+#: the series derived from closed spans
 #: (:meth:`MetricsRegistry.observe_span`): name -> (kind, labels, help)
-PIPELINE_SERIES: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
+SPAN_SERIES: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
+    "repro_sql_statement_seconds": (
+        "histogram", ("kind",),
+        "SQL statement execution latency by statement kind"),
+    "repro_sql_statements_total": (
+        "counter", ("kind",), "SQL statements executed by statement kind"),
+    "repro_sql_rows_returned_total": (
+        "counter", (), "Rows returned by SQL statements"),
+    "repro_sql_rows_scanned_total": (
+        "counter", (), "Source rows scanned by SELECT pipelines"),
+    "repro_sql_cache_events_total": (
+        "counter", ("cache", "outcome"), "Statement/plan cache events"),
+    "repro_minerule_run_seconds": (
+        "histogram", (), "End-to-end MINE RULE run latency"),
+    "repro_minerule_runs_total": (
+        "counter", ("status",), "MINE RULE runs by outcome"),
+    "repro_refresh_seconds": (
+        "histogram", (), "End-to-end REFRESH RULES latency"),
+    "repro_refresh_total": (
+        "counter", ("status", "mode"),
+        "REFRESH RULES runs by outcome and mode"),
     "repro_component_seconds": (
         "histogram", ("component",),
         "Wall seconds per pipeline component per run"),
@@ -365,14 +402,14 @@ class MetricsRegistry:
     # -- tracer feed ---------------------------------------------------
 
     def observe_span(self, span: Any) -> None:
-        """Span close -> histogram observe (the automatic
-        :class:`~repro.obs.spans.Tracer` feed).  Spans carrying
+        """Span close -> histogram observe (the registry as a
+        :class:`~repro.obs.spans.Tracer` view).  Spans carrying
         resource attribution additionally feed the CPU-seconds and
-        peak-bytes series, and a pipeline span feeds the series derived
-        from its name and attributes (:meth:`_observe_pipeline`)."""
+        peak-bytes series, and every span feeds the series derived
+        from its name and attributes (:meth:`_observe_derived`)."""
         if not self.enabled:
             return
-        self._observe_pipeline(span)
+        self._observe_derived(span)
         category = span.category or span.name
         self.histogram(
             "repro_span_seconds",
@@ -396,47 +433,67 @@ class MetricsRegistry:
                 buckets=BYTE_BUCKETS,
             ).observe(peak, category=category)
 
-    def _observe_pipeline(self, span: Any) -> None:
-        """Feed :data:`PIPELINE_SERIES` from one span that closed
-        without an ``error``."""
+    def _observe_derived(self, span: Any) -> None:
+        """Feed :data:`SPAN_SERIES` from one span: a statement's root
+        span (``minerule`` category, with its ``status``) whatever its
+        outcome, every span only when it closed without an ``error``."""
         args = span.args
+        if span.category == "minerule" and "status" in args:
+            seconds, total = RUN_SERIES[span.name.rpartition(".")[2]]
+            self._series(seconds).observe(span.seconds)
+            labels = {"status": args["status"]}
+            if "mode" in args:
+                labels["mode"] = args["mode"]
+            self._series(total).inc(**labels)
         if "error" in args:
             return
-        if span.category == "component":
-            self._pipeline("repro_component_seconds").observe(
+        if span.category == "engine":
+            kind = args["kind"]
+            self._series("repro_sql_statement_seconds").observe(
+                span.seconds, kind=kind
+            )
+            self._series("repro_sql_statements_total").inc(kind=kind)
+            for key, (name, labels) in ENGINE_COUNTS.items():
+                if args.get(key):
+                    self._series(name).inc(args[key], **labels)
+        elif span.category == "component":
+            self._series("repro_component_seconds").observe(
                 span.seconds, component=span.name
             )
         elif span.category == "preprocessor" and "stage" in args:
-            self._pipeline("repro_preprocess_stage_seconds").observe(
+            self._series("repro_preprocess_stage_seconds").observe(
                 span.seconds, stage=args["stage"]
             )
         elif span.category == "postprocessor":
-            self._pipeline("repro_postprocess_seconds").observe(
+            self._series("repro_postprocess_seconds").observe(
                 span.seconds, step=span.name.rpartition(".")[2]
             )
             if "rules" in args:
-                self._pipeline("repro_rules_stored_total").inc(args["rules"])
+                self._series("repro_rules_stored_total").inc(args["rules"])
         if "variant" in args:  # the core component span
             for name in CORE_COUNTERS:
-                self._pipeline(f"repro_core_{name}_total").inc(args[name])
-            slots = self._pipeline("repro_core_universe_slots")
+                self._series(f"repro_core_{name}_total").inc(args[name])
+            slots = self._series("repro_core_universe_slots")
             for universe, size in sorted(args["universe_sizes"].items()):
                 slots.set(size, universe=universe)
-            density = self._pipeline("repro_core_bitset_density")
+            density = self._series("repro_core_bitset_density")
             density.set(args["bitset_density"])
-            self._pipeline("repro_core_runs_total").inc(
+            self._series("repro_core_runs_total").inc(
                 variant=args["variant"], representation=args["representation"]
             )
         if "totg" in args:  # the run's root span
-            self._pipeline("repro_preprocess_totg").set(args["totg"])
-            self._pipeline("repro_preprocess_mingroups").set(args["mingroups"])
-            rows = self._pipeline("repro_encoded_table_rows")
+            self._series("repro_preprocess_totg").set(args["totg"])
+            self._series("repro_preprocess_mingroups").set(args["mingroups"])
+            rows = self._series("repro_encoded_table_rows")
             for table, count in args["encoded_rows"].items():
                 rows.set(count, table=table)
 
-    def _pipeline(self, name: str) -> "Metric":
-        kind, labelnames, help_text = PIPELINE_SERIES[name]
-        return getattr(self, kind)(name, help_text, labelnames)
+    def _series(self, name: str) -> "Metric":
+        metric = self._metrics.get(name)  # registered: skip the checks
+        if metric is None:
+            kind, labelnames, help_text = SPAN_SERIES[name]
+            metric = getattr(self, kind)(name, help_text, labelnames)
+        return metric
 
 
 #: the shared disabled registry — default value of every ``metrics``

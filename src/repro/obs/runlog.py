@@ -2,10 +2,13 @@
 
 Every completed run — MINE RULE, REFRESH RULES, SQL job — appends one
 JSON object (trace id, statement fingerprint, stage timings, resource
-totals, outcome, optionally the run's trace events) to the journal
-file.  Appending a line is the only write the journal ever performs,
-so a crash can at worst truncate the final record; replay tolerates a
-torn tail by skipping undecodable lines.
+totals, outcome, the run's trace events) to the journal file.  A MINE
+RULE or REFRESH RULES record is read from the statement's root span as
+it closes (the journal is a :class:`~repro.obs.spans.Tracer` view,
+:meth:`RunLog.observe_span`); the job service records SQL jobs itself.
+Appending a line is the only write the journal ever performs, so a
+crash can at worst truncate the final record; replay tolerates a torn
+tail by skipping undecodable lines.
 
 On construction the journal is replayed into a bounded in-memory
 index (newest ``capacity`` records), which backs the monitoring
@@ -26,7 +29,15 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
+from repro.obs import context as obs_context
 from repro.obs.context import TraceContext, new_trace_id
+from repro.obs.export import trace_events
+from repro.obs.spans import Span
+
+#: root-span name -> journal kind
+JOURNAL_KINDS = {"minerule.run": "mine", "minerule.refresh": "refresh"}
+#: the root span's resilience counters (``repro.kernel.context.Resilience``)
+RESILIENCE_KEYS = ("retries", "faults_injected", "latencies_injected")
 
 
 def statement_fingerprint(statement: str) -> str:
@@ -136,6 +147,41 @@ class RunLog:
             (key, value) for key, value in extra.items() if value is not None
         )
         return self.record(**record)
+
+    def observe_span(self, span: Span) -> None:
+        """The tracer-view feed: one record per closed statement root
+        span, from its attributes and its own record (component
+        timings, trace slice)."""
+        kind = JOURNAL_KINDS.get(span.name)
+        args = span.args
+        if kind is None or "status" not in args:
+            return
+        extra: Dict[str, Any] = {
+            key: args.get(key)
+            for key in ("error", "cpu_seconds", "peak_bytes", "mode")
+        }
+        if "rules" in args:  # the stages returned
+            stages: Dict[str, float] = {}
+            for item in span.record or ():
+                if isinstance(item, Span) and item.category == "component":
+                    seconds = stages.get(item.name, 0.0) + item.seconds
+                    stages[item.name] = seconds
+            extra.update(
+                rules=args["rules"],
+                stages={k: round(v, 6) for k, v in stages.items()} or None,
+                refresh=args.get("refresh"),
+            )
+        resilience = {key: args.get(key, 0) for key in RESILIENCE_KEYS}
+        if any(resilience.values()):
+            # how many faults fired, how often a unit was repeated
+            extra["resilience"] = resilience
+        # the run's own slice of the trace, so GET /runs/<id>/trace
+        # works long after the tracer moved on
+        extra["trace"] = trace_events(span.tracer, run=span)
+        self.record_run(
+            obs_context.current(), kind, args["label"], args["status"],
+            span.seconds, **extra,
+        )
 
     # -- read side ------------------------------------------------------
 

@@ -8,6 +8,12 @@ statements were in it — the last ``capacity`` executions slower than
 ``threshold`` seconds, oldest evicted first, thread-safe so the
 monitoring server can render it mid-run.
 
+The log is a view of a :class:`~repro.obs.spans.Tracer`
+(:meth:`SlowQueryLog.observe_span`): SQL statements (``sql.<kind>``,
+from the engine's spans), timed preprocessor queries
+(``preprocessor.Q8``) and whole statements (``minerule.run``, from the
+root span) are read from the spans as they close.
+
 Surfaces: the text report (:mod:`repro.report`), the ``/stats.json``
 monitoring endpoint, and :meth:`SlowQueryLog.render` for terminals.
 """
@@ -88,6 +94,22 @@ class SlowQueryLog:
             self._entries.append(entry)
             self.total_recorded += 1
         return True
+
+    def observe_span(self, span: Any) -> None:
+        """The tracer-view feed: keep a statement's root span whatever
+        its outcome, an engine statement or a timed preprocessor query
+        only when it completed."""
+        if span.seconds < self.threshold:
+            return
+        args = span.args
+        if span.category == "minerule":
+            self.record(span.name, span.seconds, args.get("label", ""))
+        elif "error" in args:
+            return
+        elif span.category == "engine":
+            self.record(f"sql.{args['kind']}", span.seconds, args["sql"])
+        elif "stage" in args:
+            self.record(span.name, span.seconds, args["purpose"])
 
     def entries(self) -> List[SlowQuery]:
         """Snapshot, oldest first."""

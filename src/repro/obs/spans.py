@@ -10,8 +10,10 @@ process-flow markers).  The recorded spans feed:
 * the Chrome trace-event export (:mod:`repro.obs.export`),
 * the consolidated end-of-run report (:mod:`repro.obs.report`),
 * per-query ``EXPLAIN ANALYZE`` captures attached as span arguments,
-* a MINE RULE run's process flow, resilience counters, slow-log and
-  journal entries (:mod:`repro.kernel.context`).
+* a MINE RULE run's process flow and resilience counters, read from
+  the run's root span and its :attr:`Span.record`,
+* the *views* attached to the tracer (:meth:`Tracer.attach`): metrics,
+  slow-query log, health and run journal.
 
 A span a block leaves on an exception gets an ``error`` attribute (the
 exception's class name).
@@ -22,12 +24,11 @@ a single attribute check, so the hot path (one check per SQL
 statement) costs an ``if`` and nothing else.  :data:`NULL_TRACER` is
 the process-wide disabled instance used as the default everywhere.
 
-An enabled tracer can additionally feed a
-:class:`~repro.obs.metrics.MetricsRegistry`: every span close observes
-the ``repro_span_seconds`` histogram (plus ``repro_span_cpu_seconds``
-and ``repro_span_peak_bytes`` when resource profiling is on) and the
-pipeline's series are derived from span names and attributes, so
-serving mode aggregates across runs what the trace records within one.
+A view is any object with ``observe_span(span)`` (and optionally
+``span_started(span)``): the tracer hands it every span it closes
+(opens), so serving mode aggregates across runs what the trace records
+within one.  A tracer keeps only the newest :data:`MAX_SPANS` spans and
+instants and counts the spans it dropped; a run reads its own record.
 
 Correlation (:mod:`repro.obs.context`): every span carries a stable
 ``span_id``, its ``parent_id`` (per-thread open-span stack, so
@@ -40,11 +41,15 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Type
 
 from repro.obs import context as obs_context
 from repro.obs import profile
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+
+#: how many spans (and instants) a tracer keeps, newest last
+MAX_SPANS = 10_000
 
 
 class Span:
@@ -57,9 +62,9 @@ class Span:
     """
 
     __slots__ = (
-        "name", "category", "start", "end", "depth", "args", "_tracer",
+        "name", "category", "start", "end", "depth", "args", "tracer",
         "span_id", "parent_id", "trace_id", "tid",
-        "cpu", "peak_bytes", "_cpu_start", "_mem_start",
+        "cpu", "peak_bytes", "_cpu_start", "_mem_start", "record",
     )
 
     def __init__(
@@ -71,7 +76,7 @@ class Span:
         depth: int,
         args: Dict[str, Any],
     ):
-        self._tracer = tracer
+        self.tracer = tracer
         self.name = name
         self.category = category
         self.start = start
@@ -89,6 +94,9 @@ class Span:
         self.peak_bytes: Optional[int] = None
         self._cpu_start: Optional[float] = None
         self._mem_start: profile.MemorySample = None
+        #: None, or the spans and instants this thread closed under the
+        #: span since the list was set (a run's root keeps one)
+        self.record: Optional[List[Any]] = None
 
     @property
     def seconds(self) -> float:
@@ -105,7 +113,7 @@ class Span:
         if exc_type is not None:
             # what the derived views skip: the unit did not complete
             self.args["error"] = exc_type.__name__
-        self._tracer.end(self)
+        self.tracer.end(self)
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -167,8 +175,11 @@ class Tracer:
     ):
         self.enabled = enabled
         self.analyze = analyze and enabled
-        #: cross-run aggregation sink every span close feeds
-        self.metrics = metrics
+        #: what every span close is handed to (:meth:`attach`)
+        self.views: List[Any] = []
+        #: the views that also want every span open
+        self._starters: List[Any] = []
+        self.attach(metrics)
         self._clock = clock
         #: perf-counter instant the tracer was created (trace epoch)
         self.origin = clock()
@@ -180,11 +191,45 @@ class Tracer:
         self.profile_mem = profile_mem and enabled
         if self.profile_mem:
             profile.start_memory_tracking()
-        #: completed spans, in end order
-        self.spans: List[Span] = []
-        self.instants: List[Instant] = []
+        #: completed spans, in end order, and instants: the newest
+        #: MAX_SPANS of each
+        self._spans: Deque[Span] = deque(maxlen=MAX_SPANS)
+        self._instants: Deque[Instant] = deque(maxlen=MAX_SPANS)
+        #: spans the bound evicted (a run closes several spans per
+        #: instant, so spans go first)
+        self.dropped_spans = 0
         self._ids = itertools.count(1)
         self._open = threading.local()
+
+    @property
+    def spans(self) -> List[Span]:
+        """The retained completed spans, oldest first."""
+        return list(self._spans)
+
+    @property
+    def instants(self) -> List[Instant]:
+        """The retained instants, oldest first."""
+        return list(self._instants)
+
+    def attach(self, view: Any) -> Any:
+        """Hand every span this tracer closes to ``view.observe_span``
+        (and every span it opens to ``view.span_started``, if the view
+        has one).  A disabled or already attached view is left out;
+        returns *view*."""
+        if not getattr(view, "enabled", True) or any(
+            view is attached for attached in self.views
+        ):
+            return view
+        if not self.enabled:
+            raise ValueError("a disabled tracer takes no views")
+        self.views.append(view)
+        if hasattr(view, "span_started"):
+            self._starters.append(view)
+        return view
+
+    def attached(self, kind: Type[Any]) -> Optional[Any]:
+        """The first attached view that is a *kind*, or None."""
+        return next((v for v in self.views if isinstance(v, kind)), None)
 
     def _stack(self) -> List[Span]:
         """This thread's open-span stack (parent/depth bookkeeping —
@@ -215,6 +260,8 @@ class Tracer:
         if self.profile_mem:
             span._mem_start = profile.memory_sample()
         stack.append(span)
+        for view in self._starters:
+            view.span_started(span)
         return span
 
     #: ``span()`` reads better at call sites that use ``with``
@@ -235,9 +282,12 @@ class Tracer:
                 stack.pop()
             elif span in stack:  # defensive: out-of-order close
                 stack.remove(span)
-            self.spans.append(span)
-            if self.metrics.enabled:
-                self.metrics.observe_span(span)
+            if len(self._spans) == self._spans.maxlen:
+                self.dropped_spans += 1
+            self._spans.append(span)
+            _record(stack, span)
+            for view in self.views:
+                view.observe_span(span)
         return span.seconds
 
     def annotate(self, **args: Any) -> None:
@@ -249,6 +299,16 @@ class Tracer:
         if stack:
             stack[-1].annotate(**args)
 
+    def count(self, key: str, amount: int = 1) -> None:
+        """Add *amount* to the *key* attribute of this thread's
+        innermost open span."""
+        if not self.enabled:
+            return
+        stack = self._stack()
+        if stack:
+            args = stack[-1].args
+            args[key] = args.get(key, 0) + amount
+
     def instant(self, name: str, category: str = "", **args: Any) -> None:
         """Record a point event."""
         if not self.enabled:
@@ -257,7 +317,8 @@ class Tracer:
         ctx = obs_context.current()
         if ctx is not None:
             instant.trace_id = ctx.trace_id
-        self.instants.append(instant)
+        self._instants.append(instant)
+        _record(self._stack(), instant)
 
     # -- aggregation ----------------------------------------------------
 
@@ -267,7 +328,7 @@ class Tracer:
         independently); the component spans the report leads with sit
         at the top of the hierarchy."""
         out: Dict[str, float] = {}
-        for span in self.spans:
+        for span in self._spans:
             key = span.category or span.name
             out[key] = out.get(key, 0.0) + span.seconds
         return out
@@ -276,7 +337,7 @@ class Tracer:
         """Total attributed CPU seconds per category (spans recorded
         without CPU profiling contribute nothing)."""
         out: Dict[str, float] = {}
-        for span in self.spans:
+        for span in self._spans:
             if span.cpu is None:
                 continue
             key = span.category or span.name
@@ -284,7 +345,15 @@ class Tracer:
         return out
 
     def slowest(self, limit: int = 10) -> List[Span]:
-        return sorted(self.spans, key=lambda s: -s.seconds)[:limit]
+        return sorted(self._spans, key=lambda s: -s.seconds)[:limit]
+
+
+def _record(stack: List[Span], item: Any) -> None:
+    """Add a closed span or an instant to the record of every open span
+    on *stack* that keeps one."""
+    for span in stack:
+        if span.record is not None:
+            span.record.append(item)
 
 
 #: the shared disabled tracer — default value of every ``tracer``

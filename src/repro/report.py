@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.kernel.metrics import RuleMetrics
+from repro.obs.slowlog import SlowQueryLog
 from repro.system import MiningResult, MiningSystem
 
 
@@ -117,13 +118,8 @@ def render_report(
             )
         lines.append("")
 
-    tracer = getattr(system, "tracer", None)
-    if (
-        options.include_observability
-        and tracer is not None
-        and tracer.enabled
-        and tracer.spans
-    ):
+    tracer = system.tracer
+    if options.include_observability and tracer.enabled and tracer.spans:
         from repro.obs.report import render_obs_report
 
         lines.append("observability:")
@@ -132,12 +128,8 @@ def render_report(
         )
         lines.append("")
 
-    slowlog = getattr(system, "slowlog", None)
-    if (
-        options.include_observability
-        and slowlog is not None
-        and slowlog.entries()
-    ):
+    slowlog = tracer.attached(SlowQueryLog)
+    if options.include_observability and slowlog is not None and len(slowlog):
         lines.extend(slowlog.render().splitlines())
         lines.append("")
 

@@ -38,7 +38,7 @@ from typing import List, Optional
 
 from repro import faults
 from repro.algorithms import ALGORITHMS
-from repro.cli import SCENARIOS, Shell, positive_int
+from repro.cli import SCENARIOS, Shell, positive_int, span_summary
 from repro.faults import FaultSchedule, RetryPolicy
 from repro.jobs.api import JobsApi
 from repro.jobs.service import JobService
@@ -55,9 +55,10 @@ class MineRuleService:
     """One serving session: shell + registry + monitor, wired together.
 
     Construction builds the full observability bundle — an enabled
-    tracer feeding a metrics registry, a slow-query log and health
-    state shared with the mining system — and a monitoring server
-    (not yet started; call :meth:`start` or use ``with``).
+    tracer with a metrics registry, a slow-query log, health state and
+    the run journal attached as views, shared with the mining system —
+    and a monitoring server (not yet started; call :meth:`start` or use
+    ``with``).
     """
 
     def __init__(
@@ -84,22 +85,19 @@ class MineRuleService:
             metrics=self.metrics,
             profile_mem=profile_mem,
         )
-        self.slowlog = SlowQueryLog(threshold=slow_threshold)
-        self.health = HealthState()
-        self.json_log = JsonLogger() if log_json else None
+        attach = self.tracer.attach
+        self.slowlog = attach(SlowQueryLog(threshold=slow_threshold))
+        self.health = attach(HealthState())
         #: persistent run history — NDJSON journal when ``run_log``
         #: names a file (replayed on startup, so /runs and the jobs
         #: table survive a restart), purely in-memory otherwise
-        self.runlog = RunLog(path=run_log)
+        self.runlog = attach(RunLog(path=run_log))
+        self.json_log = JsonLogger() if log_json else None
         self.shell = Shell(
             algorithm=algorithm,
             retry_policy=retry_policy,
             tracer=self.tracer,
-            metrics=self.metrics,
-            slowlog=self.slowlog,
-            health=self.health,
             json_log=self.json_log,
-            runlog=self.runlog,
             batch_size=batch_size,
         )
         if scenario is not None:
@@ -290,7 +288,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if args.trace_out:
             path = write_chrome_trace(service.tracer, args.trace_out)
-            print(f"trace written to {path}", file=sys.stderr, flush=True)
+            print(
+                f"trace written to {path} ({span_summary(service.tracer)})",
+                file=sys.stderr, flush=True,
+            )
         service.stop()
     return 0
 

@@ -23,6 +23,11 @@ Both are observable through :attr:`Database.cache_stats`;
 :meth:`Database.prepare` exposes the prepared-statement handle the
 Preprocessor replays.
 
+With an enabled :attr:`Database.tracer` each statement is one
+``engine.<kind>`` span carrying ``kind``, ``sql``, ``rows``,
+``rows_scanned`` and its cache events under :class:`CacheStats`' field
+names — all the engine emits.
+
 Concurrency (the jobs layer runs statements from worker threads):
 
 * every statement executes under the database's :class:`RWLock` —
@@ -39,13 +44,11 @@ Concurrency (the jobs layer runs statements from worker threads):
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, Index, View
@@ -77,48 +80,6 @@ class CacheStats:
         return _dc_replace(self)
 
 
-class _EngineInstruments:
-    """Pre-resolved metric handles for the statement hot path.
-
-    Built once when a metrics registry is attached, so executing a
-    statement costs one ``is not None`` check plus the observes — no
-    registry lookups per statement.
-    """
-
-    __slots__ = (
-        "statement_seconds",
-        "statements_total",
-        "rows_returned",
-        "rows_scanned",
-        "cache_events",
-    )
-
-    def __init__(self, metrics: MetricsRegistry):
-        self.statement_seconds = metrics.histogram(
-            "repro_sql_statement_seconds",
-            "SQL statement execution latency by statement kind",
-            ("kind",),
-        )
-        self.statements_total = metrics.counter(
-            "repro_sql_statements_total",
-            "SQL statements executed by statement kind",
-            ("kind",),
-        )
-        self.rows_returned = metrics.counter(
-            "repro_sql_rows_returned_total",
-            "Rows returned by SQL statements",
-        )
-        self.rows_scanned = metrics.counter(
-            "repro_sql_rows_scanned_total",
-            "Source rows scanned by SELECT pipelines",
-        )
-        self.cache_events = metrics.counter(
-            "repro_sql_cache_events_total",
-            "Statement/plan cache events",
-            ("cache", "outcome"),
-        )
-
-
 class PreparedStatement:
     """A parsed statement handle bound to one :class:`Database`.
 
@@ -128,15 +89,27 @@ class PreparedStatement:
     is unchanged.
     """
 
-    __slots__ = ("_db", "sql", "statement")
+    __slots__ = ("_db", "sql", "statement", "_parse")
 
-    def __init__(self, database: "Database", sql: str, statement: ast.Statement):
+    def __init__(
+        self,
+        database: "Database",
+        sql: str,
+        statement: ast.Statement,
+        parse: Optional[str] = None,
+    ):
         self._db = database
         self.sql = sql
         self.statement = statement
+        #: the statement-cache event of the parse, reported on the
+        #: first execution's span
+        self._parse = parse
 
     def execute(self, params: Optional[Dict[str, Any]] = None) -> Result:
-        return self._db.execute_ast(self.statement, params, sql=self.sql)
+        parse, self._parse = self._parse, None
+        return self._db.execute_ast(
+            self.statement, params, sql=self.sql, parse=parse
+        )
 
     def query(self, params: Optional[Dict[str, Any]] = None) -> List[Row]:
         return self.execute(params).rows
@@ -159,15 +132,10 @@ class Database:
         self.statements_executed = 0
         #: statement/plan cache hit-miss counters
         self.cache_stats = CacheStats()
-        #: observability sink; the shared no-op tracer by default, so
-        #: the un-traced hot path pays one attribute check per statement
+        #: where statement spans go; the shared no-op tracer by default,
+        #: so the un-traced hot path pays one attribute check per
+        #: statement
         self.tracer = NULL_TRACER
-        #: slow-query log (``repro.obs.slowlog.SlowQueryLog``) or None
-        self.slowlog = None
-        self._metrics = NULL_REGISTRY
-        #: pre-resolved instrument handles; None while metrics are off,
-        #: so the hot path guard is one ``is not None`` check
-        self._im: Optional[_EngineInstruments] = None
         #: per-operator instrumentation for the statement in flight
         #: (installed by :func:`repro.sqlengine.explain.analyze_statement`)
         self._analyze = None
@@ -198,22 +166,11 @@ class Database:
     # public API
     # ------------------------------------------------------------------
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: MetricsRegistry) -> None:
-        self._metrics = registry
-        self._im = (
-            _EngineInstruments(registry) if registry.enabled else None
-        )
-
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> Result:
         """Parse (through the statement cache) and execute one
         statement."""
-        statement = self._parse_statement(sql)
-        return self.execute_ast(statement, params, sql=sql)
+        statement, parse = self._parse_statement(sql)
+        return self.execute_ast(statement, params, sql=sql, parse=parse)
 
     def query(self, sql: str, params: Optional[Dict[str, Any]] = None) -> List[Row]:
         """Execute and return the raw row list."""
@@ -226,7 +183,7 @@ class Database:
         plans are additionally reused through the plan cache until a
         DDL statement bumps the catalog version.
         """
-        return PreparedStatement(self, sql, self._parse_statement(sql))
+        return PreparedStatement(self, sql, *self._parse_statement(sql))
 
     def execute_script(
         self, script: str, params: Optional[Dict[str, Any]] = None
@@ -240,52 +197,25 @@ class Database:
         statement: ast.Statement,
         params: Optional[Dict[str, Any]] = None,
         sql: Optional[str] = None,
+        parse: Optional[str] = None,
     ) -> Result:
-        """Execute an already-parsed statement.
-
-        *sql* is the original text, used only as slow-query-log detail
-        — callers executing a bare AST may omit it.
-        """
+        """Execute an already-parsed statement (every statement's one
+        path).  *sql*, the text, and *parse*, its statement-cache event,
+        are attributes of the statement's span; both may be omitted."""
         faults.check("engine.execute")
         with self._cache_lock:
             self.statements_executed += 1
         tracer = self.tracer
-        im = self._im
-        if im is None and self.slowlog is None:
-            if tracer.enabled:
-                with tracer.span(
-                    f"engine.{type(statement).__name__}", category="engine"
-                ):
-                    return self._dispatch_statement(statement, params)
+        if not tracer.enabled:
             return self._dispatch_statement(statement, params)
-        return self._execute_instrumented(statement, tracer, im, sql, params)
-
-    def _execute_instrumented(
-        self,
-        statement: ast.Statement,
-        tracer: Any,
-        im: Optional[_EngineInstruments],
-        sql: Optional[str],
-        params: Optional[Dict[str, Any]] = None,
-    ) -> Result:
-        """The metered statement path: latency histogram, per-kind
-        totals, rows returned, slow-query log."""
         kind = type(statement).__name__
-        started = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(f"engine.{kind}", category="engine"):
-                result = self._dispatch_statement(statement, params)
-        else:
+        with tracer.span(
+            f"engine.{kind}", "engine", kind=kind, sql=sql or ""
+        ) as span:
+            if parse is not None:
+                span.args[parse] = 1
             result = self._dispatch_statement(statement, params)
-        elapsed = time.perf_counter() - started
-        if im is not None:
-            im.statement_seconds.observe(elapsed, kind=kind)
-            im.statements_total.inc(kind=kind)
-            if result.rows:
-                im.rows_returned.inc(len(result.rows))
-        slowlog = self.slowlog
-        if slowlog is not None:
-            slowlog.record(f"sql.{kind}", elapsed, detail=sql or "")
+            span.args["rows"] = len(result.rows)
         return result
 
     def _statement_guard(self, statement: ast.Statement):
@@ -399,20 +329,17 @@ class Database:
     # statement and plan caches
     # ------------------------------------------------------------------
 
-    def _parse_statement(self, sql: str) -> ast.Statement:
-        im = self._im
+    def _parse_statement(self, sql: str) -> Tuple[ast.Statement, str]:
+        """The statement of *sql* and the cache event of the lookup
+        (``statement_hits`` or ``statement_misses``)."""
         with self._cache_lock:
             cache = self._statement_cache
             statement = cache.get(sql)
             if statement is not None:
                 self.cache_stats.statement_hits += 1
-                if im is not None:
-                    im.cache_events.inc(cache="statement", outcome="hit")
                 cache.move_to_end(sql)
-                return statement
+                return statement, "statement_hits"
             self.cache_stats.statement_misses += 1
-            if im is not None:
-                im.cache_events.inc(cache="statement", outcome="miss")
         # Parse outside the lock (pure function of the text); first
         # writer wins so every thread keeps getting the same AST object
         # for the same SQL text (the plan cache keys on identity).
@@ -422,11 +349,11 @@ class Database:
             existing = cache.get(sql)
             if existing is not None:
                 cache.move_to_end(sql)
-                return existing
+                return existing, "statement_misses"
             cache[sql] = statement
             while len(cache) > self.options.statement_cache_size:
                 cache.popitem(last=False)
-        return statement
+        return statement, "statement_misses"
 
     def _select_plan(
         self, select: ast.Select, outer: Any = None
@@ -444,7 +371,7 @@ class Database:
         if outer is not None:
             return SelectPlanner(self, outer).plan(select)
         key = id(select)
-        im = self._im
+        count = self.tracer.count  # onto the statement's span
         with self._cache_lock:
             cache = self._plan_cache
             version = self.catalog.version
@@ -454,22 +381,17 @@ class Database:
                 # of waiting for LRU eviction
                 if cache:
                     self.cache_stats.plan_invalidations += len(cache)
-                    if im is not None:
-                        im.cache_events.inc(
-                            len(cache), cache="plan", outcome="invalidation"
-                        )
+                    count("plan_invalidations", len(cache))
                     cache.clear()
                 self._plan_cache_version = version
             entry = cache.get(key)
             if entry is not None and entry.select is select:
                 self.cache_stats.plan_hits += 1
-                if im is not None:
-                    im.cache_events.inc(cache="plan", outcome="hit")
+                count("plan_hits")
                 cache.move_to_end(key)
                 return entry
             self.cache_stats.plan_misses += 1
-            if im is not None:
-                im.cache_events.inc(cache="plan", outcome="miss")
+            count("plan_misses")
             plan = cache[key] = SelectPlanner(self).plan(select)
             while len(cache) > self.options.plan_cache_size:
                 cache.popitem(last=False)

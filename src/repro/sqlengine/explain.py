@@ -63,7 +63,7 @@ def _no_annotation(node: Optional[PlanNode]) -> str:
 
 def explain(database: Any, sql: str, params: Optional[dict] = None) -> str:
     """Plan *sql* (a SELECT) and return the plan tree as text."""
-    statement = database._parse_statement(sql)
+    statement, _ = database._parse_statement(sql)
     if not isinstance(statement, ast.Select):
         return f"{type(statement).__name__} (no plan: executed directly)"
     merged = dict(database.variables)
@@ -343,13 +343,13 @@ def analyze_statement(
 ) -> AnalyzeResult:
     """Execute *sql* once with operator instrumentation and return the
     annotated plan plus the statement's result."""
-    statement = database._parse_statement(sql)
+    statement, parse = database._parse_statement(sql)
     collector = AnalyzeCollector()
     database._analyze = collector
     started = time.perf_counter()
     cpu_started = time.process_time()
     try:
-        result = database.execute_ast(statement, params)
+        result = database.execute_ast(statement, params, sql=sql, parse=parse)
     finally:
         database._analyze = None
     seconds = time.perf_counter() - started

@@ -2121,9 +2121,8 @@ class SelectPlan:
         self, ctx: _Ctx, tail: Optional[_Tail]
     ) -> Tuple[List[List[Any]], int]:
         batch = self.source.run(ctx)
-        im = ctx.db._im
-        if im is not None and batch.n:
-            im.rows_scanned.inc(batch.n)
+        if batch.n:
+            ctx.db.tracer.count("rows_scanned", batch.n)
         cols = batch.cols
         n = batch.n
         having = self.having

@@ -21,15 +21,16 @@ A statement has one lifecycle, whichever verb it is:
 * :meth:`MiningSystem.run` and :meth:`MiningSystem.refresh` both go
   through :meth:`MiningSystem._observed`, the one envelope that takes
   the run lock and the engine's write lock, makes the statement's
-  :class:`~repro.kernel.context.RunContext` and reports the outcome to
-  health, the latency / outcome series, the slow log and the run
-  journal.
+  :class:`~repro.kernel.context.RunContext` and puts the outcome
+  (status, error, CPU, peak memory, rules, refresh mode) on the
+  ``minerule.<kind>`` root span before closing it.
 * The stages (translate, preprocess, core, postprocess; delta and
   recount for ``REFRESH RULES``) take that context plus their own
   inputs, and record their work only on the context's tracer, as spans,
-  instants and ``minerule.<kind>`` root-span attributes.
-  ``MiningResult.flow``, the pipeline's metrics series and the slow-log
-  and journal entries are views of that record.  Every retryable unit
+  instants and root-span attributes.  ``MiningResult.flow`` reads the
+  root's own record; health, the metrics series, the slow log and the
+  run journal are views attached to the tracer, reading spans as they
+  close.  Every retryable unit
   runs through
   :meth:`RunContext.attempt <repro.kernel.context.RunContext.attempt>`
   (cancel hook, fault site, :class:`~repro.faults.RetryPolicy`, retry
@@ -81,9 +82,9 @@ from repro.minerule.parser import parse_refresh
 from repro.minerule.statements import MineRuleStatement
 from repro.obs import context as obs_context
 from repro.obs import profile as obs_profile
-from repro.obs.export import trace_events
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import RunLog
+from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.sqlengine.engine import Database
 from repro.sqlengine.render import render_expr
@@ -176,22 +177,6 @@ class RefreshResult(_RuleOutcome):
     stats: RefreshStats
 
 
-#: statement kind -> (journal kind, latency histogram, outcome counter);
-#: the names a monitoring scrape and ``/runs`` are read by
-_SERIES = {
-    "run": (
-        "mine",
-        ("repro_minerule_run_seconds", "End-to-end MINE RULE run latency"),
-        ("repro_minerule_runs_total", "MINE RULE runs by outcome"),
-    ),
-    "refresh": (
-        "refresh",
-        ("repro_refresh_seconds", "End-to-end REFRESH RULES latency"),
-        ("repro_refresh_total", "REFRESH RULES runs by outcome and mode"),
-    ),
-}
-
-
 class MiningSystem:
     """Tightly-coupled data mining on top of the SQL engine."""
 
@@ -203,35 +188,22 @@ class MiningSystem:
         retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        slowlog: Optional[Any] = None,
-        health: Optional[Any] = None,
+        slowlog: Optional[SlowQueryLog] = None,
         runlog: Optional[RunLog] = None,
     ):
-        #: span sink for the whole pipeline; shared with the SQL engine
-        #: so statement spans nest inside the component spans
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: cross-run metrics registry; resolution order: explicit
-        #: argument, then an enabled tracer's own registry, then the
-        #: shared disabled one
-        if metrics is not None:
-            self.metrics = metrics
-            if self.tracer.enabled:
-                # never mutate the shared NULL_TRACER
-                self.tracer.metrics = metrics
-        elif self.tracer.enabled and self.tracer.metrics.enabled:
-            self.metrics = self.tracer.metrics
-        else:
-            self.metrics = NULL_REGISTRY
-        #: slow-query log (:class:`repro.obs.slowlog.SlowQueryLog`);
-        #: shared with the engine so per-statement entries land in it
-        self.slowlog = slowlog
-        #: run-state tracker (:class:`repro.obs.httpd.HealthState`)
-        #: behind a monitoring server's ``/healthz``
-        self.health = health
-        #: run-history journal (:class:`repro.obs.runlog.RunLog`); every
-        #: completed run/refresh appends one record (trace ids, stage
-        #: timings, resource totals, outcome) that survives restarts
-        self.runlog = runlog
+        tracer = tracer if tracer is not None else NULL_TRACER
+        sinks = [
+            sink for sink in (metrics, slowlog, runlog)
+            if sink is not None and getattr(sink, "enabled", True)
+        ]
+        if sinks and not tracer.enabled:  # a view needs spans to read
+            tracer = Tracer(profile_cpu=False)
+        for sink in sinks:
+            tracer.attach(sink)
+        #: the pipeline's one recorder, shared with the SQL engine so
+        #: statement spans nest inside the component spans; every sink
+        #: is a view attached to it
+        self.tracer = tracer
         if isinstance(algorithm, str):
             algorithm = get_algorithm(algorithm)
         self.algorithm = algorithm
@@ -259,8 +231,6 @@ class MiningSystem:
         with self._run_lock:
             self.db = database
             database.tracer = self.tracer
-            database.metrics = self.metrics
-            database.slowlog = self.slowlog
             self._translator = Translator(database)
             self._preprocessor = Preprocessor(database)
             self._postprocessor = Postprocessor(database)
@@ -357,106 +327,55 @@ class MiningSystem:
         """The lifecycle of one statement: *stages* runs in a fresh
         :class:`RunContext` under the run lock and the engine's write
         lock, inside the ``minerule.<kind>`` root span, and its outcome
-        — ok, cancelled or error — is reported once each to health, the
-        latency and outcome series, the slow log and the run journal,
-        the last two read from the finished run's spans."""
-        journal_kind, seconds_series, outcome_series = _SERIES[kind]
+        — ok, cancelled or error — becomes the root's attributes before
+        it closes, which is where every attached view reads it."""
         policy = retry or self.retry_policy or RetryPolicy.single()
-        tracer = run_tracer(self.tracer, self.metrics)
-        health = self.health
-        if health is not None:
-            health.begin()
-        status = "error"
-        error: Optional[str] = None
-        result = None
+        tracer = run_tracer(self.tracer)
         with obs_context.ensure() as trace:
             cpu_start = obs_profile.cpu_seconds()
             mem_start = obs_profile.memory_sample()
-            root = tracer.span(f"minerule.{kind}", "minerule", **span_args)
+            root = tracer.span(
+                f"minerule.{kind}", "minerule", label=label, **span_args
+            )
             flow = RunFlow(tracer, root)
+            outcome: Dict[str, Any] = {"status": "error"}
             try:
-                with root:
-                    # One run at a time: the run lock serializes
-                    # concurrent job workers, and the engine's write
-                    # lock keeps every SQL job (even read-only scans)
-                    # out of the pipeline's way while the encoded and
-                    # output tables are in flux.
-                    with self._run_lock, self.db.rwlock.write_locked():
-                        ctx = RunContext(flow, policy, cancel)
-                        try:
-                            result = stages(ctx)
-                            root.annotate(rules=len(result.rules))
-                        finally:
-                            ctx.settle()
+                # One run at a time: the run lock serializes concurrent
+                # job workers, and the engine's write lock keeps every
+                # SQL job (even read-only scans) out of the pipeline's
+                # way while the encoded and output tables are in flux.
+                with self._run_lock, self.db.rwlock.write_locked():
+                    ctx = RunContext(flow, policy, cancel)
+                    try:
+                        result = stages(ctx)
+                    finally:
+                        ctx.settle()
                 trace.run_id = result.run_id
-                status = "ok"
-                if health is not None:
-                    health.success()
+                outcome.update(status="ok", rules=len(result.rules))
+                if kind == "refresh":
+                    outcome.update(
+                        mode=result.stats.mode,
+                        refresh=result.stats.as_args(),
+                    )
             except RunCancelled as exc:
                 # Not a failure: the caller asked the run to stop.  The
                 # health endpoint must not flip to 503 over it.
-                status, error = "cancelled", str(exc)
-                if health is not None:
-                    health.success()
+                outcome.update(status="cancelled", error=str(exc))
                 raise
             except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if health is not None:
-                    health.failure(exc)
+                outcome["error"] = f"{type(exc).__name__}: {exc}"
                 raise
             finally:
-                flow.seal()
-                mode = {}
                 if kind == "refresh":
-                    mode["mode"] = (
-                        "unknown" if result is None else result.stats.mode
-                    )
-                self.metrics.histogram(*seconds_series).observe(root.seconds)
-                self.metrics.counter(
-                    *outcome_series, ("status", *mode)
-                ).inc(status=status, **mode)
-                if self.slowlog is not None:
-                    for span in flow.spans():
-                        if "stage" in span.args and "error" not in span.args:
-                            self.slowlog.record(
-                                span.name, span.seconds,
-                                detail=span.args["purpose"],
-                            )
-                    self.slowlog.record(
-                        f"minerule.{kind}", root.seconds, detail=label
-                    )
-                if self.runlog is not None:
-                    extra: Dict[str, Any] = dict(mode)
-                    if result is not None:
-                        extra["rules"] = len(result.rules)
-                        extra["stages"] = {
-                            stage: round(seconds, 6)
-                            for stage, seconds in flow.timings.items()
-                        } or None
-                        if kind == "refresh":
-                            extra["refresh"] = result.stats.as_args()
-                    if flow.resilience.any():
-                        # how many faults fired, how often a unit was
-                        # repeated
-                        extra["resilience"] = flow.resilience._asdict()
-                    if self.tracer.enabled:
-                        # persist the run's own slice of the trace so
-                        # GET /runs/<id>/trace works long after the
-                        # tracer moved on
-                        extra["trace"] = trace_events(
-                            self.tracer, trace_id=trace.trace_id
-                        )
-                    self.runlog.record_run(
-                        trace, journal_kind, label, status, root.seconds,
-                        error=error,
-                        cpu_seconds=round(
-                            obs_profile.cpu_seconds() - cpu_start, 6
-                        ),
-                        peak_bytes=(
-                            obs_profile.peak_bytes_since(mem_start) or None
-                        ),
-                        **extra,
-                    )
+                    outcome.setdefault("mode", "unknown")
+                outcome["cpu_seconds"] = round(
+                    obs_profile.cpu_seconds() - cpu_start, 6
+                )
+                peak = obs_profile.peak_bytes_since(mem_start)
+                if peak:
+                    outcome["peak_bytes"] = peak
+                root.annotate(**outcome)
+                tracer.end(root)
         return result
 
     # ------------------------------------------------------------------

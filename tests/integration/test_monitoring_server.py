@@ -230,17 +230,48 @@ def test_fully_observed_run_is_bit_identical(name):
     observed_db = Database()
     load_purchase_figure1(observed_db)
     registry = MetricsRegistry()
+    tracer = Tracer(enabled=True, analyze=True, metrics=registry)
+    health = tracer.attach(HealthState())
+    slowlog = SlowQueryLog(threshold=0.0)  # record everything
     system = MiningSystem(
-        database=observed_db,
-        tracer=Tracer(enabled=True, analyze=True, metrics=registry),
-        metrics=registry,
-        slowlog=SlowQueryLog(threshold=0.0),  # record everything
-        health=HealthState(),
+        database=observed_db, tracer=tracer, metrics=registry,
+        slowlog=slowlog,
     )
     system.json_log = JsonLogger(stream=io.StringIO())
     observed = system.run(GOLDEN_STATEMENTS[name])
 
     assert observed.rule_set() == plain.rule_set()
-    assert system.health.ok
-    assert system.slowlog.total_recorded > 0
+    assert health.ok
+    assert slowlog.total_recorded > 0
     assert registry.get("repro_minerule_run_seconds") is not None
+
+
+def test_a_raising_handler_is_one_counted_500():
+    """``GET`` and ``POST`` share one error path: a provider or router
+    that raises answers 500 once and counts it by method."""
+    from repro.obs import MonitoringServer
+
+    class BrokenApi:
+        def handle(self, method, path, body, query):
+            if method == "GET":
+                return None  # not an API path: the monitor answers
+            raise RuntimeError("router bug")
+
+    def broken_stats():
+        raise RuntimeError("provider bug")
+
+    registry = MetricsRegistry()
+    with MonitoringServer(registry, stats=broken_stats,
+                          api=BrokenApi()) as monitor:
+        status, body = fetch(monitor.url + "/stats.json")
+        assert status == 500 and "provider bug" in json.loads(body)["error"]
+        errors = registry.get("repro_http_errors_total")
+        assert errors.value(method="GET") == 1
+        request = urllib.request.Request(
+            monitor.url + "/jobs", data=b"x", method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as raised:
+            urllib.request.urlopen(request, timeout=10)
+        assert raised.value.code == 500
+        assert errors.value(method="POST") == 1
+        assert errors.value(method="GET") == 1

@@ -280,19 +280,21 @@ class TestDumpRestore:
         on the pre-restore database."""
         from repro.faults import RetryPolicy
         from repro.jobs.service import JobService
-        from repro.obs.runlog import RunLog
+        from repro.obs import RunLog, Tracer
 
         target = tmp_path / "session"
         shell.execute(f".dump {target}")
         journal = RunLog()
         policy = RetryPolicy(max_attempts=2)
-        fresh = Shell(runlog=journal, retry_policy=policy, batch_size=16)
+        tracer = Tracer()
+        tracer.attach(journal)
+        fresh = Shell(tracer=tracer, retry_policy=policy, batch_size=16)
         system = fresh.system
         with JobService(system, workers=1, runlog=journal) as jobs:
             fresh.jobs = jobs
             assert "restored" in fresh.execute(f".restore {target}")
             assert fresh.system is system and jobs.system is system
-            assert system.runlog is journal
+            assert system.tracer.attached(RunLog) is journal
             assert system.retry_policy is policy
             assert fresh.db.options.batch_size == 16
             fresh.execute(

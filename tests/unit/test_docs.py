@@ -43,7 +43,7 @@ import repro
 from repro import Database, MiningSystem, cli, faults, serve
 from repro.datagen import load_purchase_figure1
 from repro.jobs.service import JobService
-from repro.obs import profile
+from repro.obs import MonitoringServer, profile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 from tests.integration.test_golden_outputs import GOLDEN_STATEMENTS
@@ -151,8 +151,9 @@ def test_every_cited_test_exists():
 @pytest.fixture(scope="module")
 def metered_registry():
     """A registry after what a serving session does: a golden MINE
-    RULE, a REFRESH RULES and a SQL job."""
+    RULE, a REFRESH RULES and a SQL job, exported by a monitor."""
     registry = MetricsRegistry()
+    MonitoringServer(registry)  # registers its error counter
     database = Database()
     load_purchase_figure1(database)
     tracer = Tracer(metrics=registry, profile_mem=True)

@@ -165,7 +165,7 @@ class TestInstrumentationHygiene:
             "WHERE t.grp = u.grp AND t.x > (SELECT MIN(y) FROM u) "
             "GROUP BY t.grp"
         )
-        plan = db._select_plan(db._parse_statement(sql))
+        plan = db._select_plan(db.prepare(sql).statement)
         nodes = list(plan.nodes())
 
         def state():
@@ -179,7 +179,7 @@ class TestInstrumentationHygiene:
         assert state() == before
         assert len(db.analyze(sql).result.rows) == 2
         assert state() == before
-        assert db._select_plan(db._parse_statement(sql)) is plan
+        assert db._select_plan(db.prepare(sql).statement) is plan
 
     def test_analyze_results_match_plain_execution(self, db):
         sql = "SELECT grp, SUM(x) FROM t GROUP BY grp ORDER BY grp"

@@ -159,9 +159,19 @@ class TestEngineOptions:
             with pytest.raises(TypeError):
                 EngineOptions(**{gone: False})
         parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]
-        assert len(parameters) == 9 and parameters == [
+        assert len(parameters) == 8 and parameters == [
             "database", "algorithm", "reuse_preprocessing", "retry_policy",
-            "tracer", "metrics", "slowlog", "health", "runlog",
+            "tracer", "metrics", "slowlog", "runlog",
+        ]
+        # health is a view attached to the tracer, not a parameter; the
+        # shell takes its sinks on its tracer too
+        from repro.cli import Shell
+
+        with pytest.raises(TypeError):
+            MiningSystem(health=None)
+        shell = list(inspect.signature(Shell.__init__).parameters)[1:]
+        assert len(shell) == 5 and shell == [
+            "algorithm", "retry_policy", "tracer", "json_log", "batch_size",
         ]
         for gone in ({"workers": 2}, {"representation": "set"},
                      {"batch_size": 16}, {"memory_budget": 1 << 20}):

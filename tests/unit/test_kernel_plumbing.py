@@ -88,9 +88,10 @@ class TestProcessFlow:
         assert "[core] did" in text and "timings" in text
 
     def test_sealed_view_ignores_later_records(self):
+        """The root's close seals the view."""
         ctx = run_context()
         ctx.event("core", "in the run")
-        ctx.flow.seal()
+        ctx.tracer.end(ctx.root)
         ctx.event("core", "after the run")
         assert [event.action for event in ctx.flow.events] == ["in the run"]
 

@@ -94,6 +94,61 @@ class TestTracerSpans:
         assert tracer.slowest(1)[0].name == "q1"
 
 
+class TestViews:
+    def test_attached_views_see_every_span_open_and_close(self):
+        seen = []
+
+        class View:
+            def span_started(self, span):
+                seen.append(("open", span.name))
+
+            def observe_span(self, span):
+                seen.append(("close", span.name))
+
+        tracer = Tracer()
+        view = tracer.attach(View())
+        assert tracer.attach(view) is view and tracer.views == [view]
+        assert tracer.attached(View) is view
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        assert seen == [("open", "outer"), ("open", "inner"),
+                        ("close", "inner"), ("close", "outer")]
+        with pytest.raises(ValueError):
+            Tracer(enabled=False).attach(View())
+
+    def test_a_record_holds_what_closed_under_its_span(self):
+        tracer = Tracer()
+        root = tracer.span("root")
+        root.record = []
+        with tracer.span("child"):
+            tracer.instant("mark")
+        tracer.end(root)
+        with tracer.span("later"):
+            pass
+        assert [item.name for item in root.record] == ["mark", "child"]
+
+    def test_engine_span_carries_the_statement(self):
+        from repro.sqlengine import Database
+
+        database = Database()
+        database.execute("CREATE TABLE t (a INTEGER)")
+        database.execute("INSERT INTO t VALUES (1), (2), (3)")
+        database.tracer = tracer = Tracer()
+        sql = "SELECT a FROM t"
+        database.execute(sql)
+        database.execute(sql)
+        first, second = tracer.spans
+        assert first.name == second.name == "engine.Select"
+        common = {"kind": "Select", "sql": sql, "rows": 3, "rows_scanned": 3}
+        assert first.args == {
+            **common, "statement_misses": 1, "plan_misses": 1,
+        }
+        assert second.args == {
+            **common, "statement_hits": 1, "plan_hits": 1,
+        }
+
+
 class TestDisabledTracer:
     def test_disabled_records_nothing(self):
         tracer = Tracer(enabled=False)

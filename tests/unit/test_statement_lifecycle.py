@@ -73,9 +73,10 @@ class Observed:
         database = Database()
         load_purchase_figure1(database)
         self.system = MiningSystem(
-            database=database, metrics=self.metrics, health=self.health,
+            database=database, metrics=self.metrics,
             slowlog=self.slowlog, runlog=self.journal,
         )
+        self.system.tracer.attach(self.health)
         self.system.run(STATEMENT)
 
     def counts(self, verb):
