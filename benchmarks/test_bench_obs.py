@@ -18,8 +18,15 @@ per-span resource attribution and the run-history journal must leave
 the disabled path inside the same gate, and the fully-observed path
 (tracer + CPU attribution + journal) must stay cheap.  Recorded in
 ``BENCH_PR10.json``.
+
+The three disabled-path gates read one paired estimator
+(:func:`paired_overhead`): both configurations run in every round, in
+alternating order, and the gate is on the median per-pair ratio —
+two separate loops compared by their minimum or median let the drift
+of a shared box between the loops decide the result.
 """
 
+import gc
 import time
 
 from benchmarks.conftest import BENCH_QUICK, bench_report, fresh_system
@@ -40,6 +47,8 @@ EXTRACTING RULES WITH SUPPORT: 0.05, CONFIDENCE: 0.4
 """
 
 ROUNDS = 3 if BENCH_QUICK else 8
+#: pairs behind each disabled-path gate (odd: the median is a pair)
+PAIRS = 7 if BENCH_QUICK else 9
 #: disabled-path regression gate; QUICK runs on shared CI boxes where
 #: timer noise dominates, so the floor relaxes
 OVERHEAD_LIMIT = 1.25 if BENCH_QUICK else 1.05
@@ -61,23 +70,50 @@ def quest_database():
     return db
 
 
-def run_pipeline(tracer, rounds=ROUNDS):
-    """Median wall time of one full MINE RULE run under *tracer*."""
-    samples = []
-    for _ in range(rounds):
-        system = fresh_system(quest_database(), tracer=tracer)
-        started = time.perf_counter()
-        result = system.execute(STATEMENT)
-        samples.append(time.perf_counter() - started)
-        assert result.rules
-    samples.sort()
-    return samples[len(samples) // 2]
+def timed_run(**kwargs):
+    """Wall seconds of one full MINE RULE run on a fresh system.  The
+    collector runs before the clock starts, so a collection the
+    previous run left due does not land on whichever run is next."""
+    system = fresh_system(quest_database(), **kwargs)
+    gc.collect()
+    started = time.perf_counter()
+    result = system.execute(STATEMENT)
+    seconds = time.perf_counter() - started
+    assert result.rules
+    return seconds
+
+
+def paired_overhead(candidate, pairs=PAIRS):
+    """The disabled-path estimator: *pairs* rounds, each timing the
+    seed configuration (no sink, no tracer) and *candidate* (the
+    system keyword arguments under test) back to back, the first of
+    the two alternating between rounds, so drift of a shared box hits
+    both sides of a pair alike.  Returns the median seed seconds, the
+    median candidate seconds and the median per-pair ratio, which is
+    what the gate reads."""
+    seed, tested, ratios = [], [], []
+    for round_ in range(pairs):
+        if round_ % 2:
+            tested.append(timed_run(**candidate))
+            seed.append(timed_run())
+        else:
+            seed.append(timed_run())
+            tested.append(timed_run(**candidate))
+        ratios.append(tested[-1] / seed[-1])
+    return tuple(sorted(side)[pairs // 2] for side in (seed, tested, ratios))
+
+
+def pipeline_seconds(rounds=ROUNDS, **kwargs):
+    """Median wall seconds of *rounds* runs under the system keyword
+    arguments *kwargs* (none: the seed behaviour)."""
+    return sorted(timed_run(**kwargs) for _ in range(rounds))[rounds // 2]
 
 
 def test_disabled_tracing_overhead_under_5_percent():
-    baseline = run_pipeline(None)  # seed behaviour: NULL_TRACER default
-    disabled = run_pipeline(Tracer(enabled=False))
-    ratio = disabled / baseline
+    # against the seed behaviour: the NULL_TRACER default
+    baseline, disabled, ratio = paired_overhead(
+        {"tracer": Tracer(enabled=False)}
+    )
     REPORT["obs_overhead"] = {
         "baseline_ms": baseline * 1000,
         "disabled_ms": disabled * 1000,
@@ -93,7 +129,7 @@ def test_disabled_tracing_overhead_under_5_percent():
 
 def test_enabled_tracing_records_the_pipeline():
     tracer = Tracer(enabled=True)
-    seconds = run_pipeline(tracer, rounds=1)
+    seconds = pipeline_seconds(1, tracer=tracer)
     names = {span.name for span in tracer.spans}
     for component in ("translator", "preprocessor", "core",
                       "postprocessor"):
@@ -108,8 +144,8 @@ def test_enabled_tracing_records_the_pipeline():
 def test_analyze_capture_cost_is_bounded():
     """EXPLAIN ANALYZE wraps every operator's row stream — expensive by
     design, but it must stay within an order of magnitude."""
-    baseline = run_pipeline(None)
-    analyzed = run_pipeline(Tracer(enabled=True, analyze=True))
+    baseline = pipeline_seconds()
+    analyzed = pipeline_seconds(tracer=Tracer(enabled=True, analyze=True))
     REPORT["obs_analyze"] = {
         "baseline_ms": baseline * 1000,
         "analyze_ms": analyzed * 1000,
@@ -130,30 +166,15 @@ def test_null_tracer_is_shared():
 # ----------------------------------------------------------------------
 
 
-def run_pipeline_metrics(metrics, rounds=ROUNDS):
-    """Best-of wall time of one full MINE RULE run with *metrics* (no
-    tracer — isolates the registry's own cost).  Min rather than median:
-    the disabled-path gate compares two configurations that should be
-    *identical*, so the least-noise estimator is the fair one."""
-    samples = []
-    for _ in range(rounds):
-        kwargs = {} if metrics is None else {"metrics": metrics}
-        system = fresh_system(quest_database(), **kwargs)
-        started = time.perf_counter()
-        result = system.execute(STATEMENT)
-        samples.append(time.perf_counter() - started)
-        assert result.rules
-    return min(samples)
-
-
 def test_disabled_metrics_overhead_within_gate():
     """Metrics off (the seed path) must stay inside the same overhead
     gate as disabled tracing: a disabled registry is never attached,
     so the system keeps the disabled tracer and every hook is one
     ``tracer.enabled`` check."""
-    baseline = run_pipeline_metrics(None)  # NULL_REGISTRY default
-    disabled = run_pipeline_metrics(MetricsRegistry(enabled=False))
-    ratio = disabled / baseline
+    # against the NULL_REGISTRY default
+    baseline, disabled, ratio = paired_overhead(
+        {"metrics": MetricsRegistry(enabled=False)}
+    )
     REPORT5["metrics_overhead"] = {
         "baseline_ms": baseline * 1000,
         "disabled_ms": disabled * 1000,
@@ -171,9 +192,9 @@ def test_enabled_metrics_cost_and_series():
     """With the registry live the well-known series must materialize,
     and the cost must stay small (it is counter bumps and histogram
     observes, not row-stream wrapping like EXPLAIN ANALYZE)."""
-    baseline = run_pipeline_metrics(None)
+    baseline = pipeline_seconds()
     registry = MetricsRegistry()
-    enabled = run_pipeline_metrics(registry, rounds=max(1, ROUNDS // 2))
+    enabled = pipeline_seconds(max(1, ROUNDS // 2), metrics=registry)
 
     hist = registry.get("repro_sql_statement_seconds")
     assert hist is not None and hist.kind == "histogram"
@@ -202,31 +223,13 @@ def test_enabled_metrics_cost_and_series():
 # ----------------------------------------------------------------------
 
 
-def run_pipeline_runlog(tracer, runlog, rounds=ROUNDS):
-    """Best-of wall time of one full MINE RULE run under *tracer* with
-    the run-history journal attached (min: see run_pipeline_metrics)."""
-    samples = []
-    for _ in range(rounds):
-        kwargs = {}
-        if tracer is not None:
-            kwargs["tracer"] = tracer
-        if runlog is not None:
-            kwargs["runlog"] = runlog
-        system = fresh_system(quest_database(), **kwargs)
-        started = time.perf_counter()
-        result = system.execute(STATEMENT)
-        samples.append(time.perf_counter() - started)
-        assert result.rules
-    return min(samples)
-
-
 def test_disabled_run_tracing_overhead_within_gate():
     """With tracing, context propagation, resource attribution and the
     journal all off, the pipeline must stay inside the PR4 gate —
     the PR10 hooks add no work to the unobserved path."""
-    baseline = run_pipeline_runlog(None, None)
-    disabled = run_pipeline_runlog(Tracer(enabled=False), None)
-    ratio = disabled / baseline
+    baseline, disabled, ratio = paired_overhead(
+        {"tracer": Tracer(enabled=False)}
+    )
     REPORT10["run_tracing_overhead"] = {
         "baseline_ms": baseline * 1000,
         "disabled_ms": disabled * 1000,
@@ -244,11 +247,11 @@ def test_observed_run_with_journal_cost_is_bounded():
     """The fully-observed path — spans with CPU attribution, trace
     context, a run-history record with the trace payload — must stay
     well under the EXPLAIN ANALYZE class of cost."""
-    baseline = run_pipeline_runlog(None, None)
+    baseline = pipeline_seconds()
     tracer = Tracer(enabled=True)
     runlog = RunLog()
-    observed = run_pipeline_runlog(
-        tracer, runlog, rounds=max(1, ROUNDS // 2)
+    observed = pipeline_seconds(
+        max(1, ROUNDS // 2), tracer=tracer, runlog=runlog
     )
     records = runlog.list(kind="mine")
     assert records, "observed runs never reached the journal"
@@ -273,10 +276,10 @@ def test_memory_profiling_cost_is_bounded():
     cost."""
     from repro.obs import profile
 
-    baseline = run_pipeline_runlog(None, None)
+    baseline = pipeline_seconds()
     tracer = Tracer(enabled=True, profile_mem=True)
     try:
-        profiled = run_pipeline_runlog(tracer, None, rounds=1)
+        profiled = pipeline_seconds(1, tracer=tracer)
     finally:
         profile.stop_memory_tracking()
     assert any(

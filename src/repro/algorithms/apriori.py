@@ -22,7 +22,7 @@ where the intersection is ``&`` and the count is :meth:`int.bit_count`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.algorithms.base import (
     FrequentItemsetMiner,
@@ -68,7 +68,7 @@ class Apriori(FrequentItemsetMiner):
         frequent: Set[Tuple[int, ...]] = set()
         while classes:
             classes, frequent, generated = self._join_level(
-                classes, frequent, int.bit_count, min_count, counts
+                classes, frequent, min_count, counts
             )
             stats.passes += 1
             stats.candidates += generated
@@ -79,8 +79,8 @@ class Apriori(FrequentItemsetMiner):
     @staticmethod
     def _join_level(
         classes: List[Tuple[Tuple[int, ...], List[Tuple[int, int]]]],
-        frequent: Set[Tuple[int, ...]], size: Callable[[int], int],
-        min_count: int, counts: ItemsetCounts,
+        frequent: Set[Tuple[int, ...]], min_count: int,
+        counts: ItemsetCounts,
     ):
         """One levelwise step, candidates generated inline.
 
@@ -110,7 +110,7 @@ class Apriori(FrequentItemsetMiner):
                     else:
                         generated += 1
                         gid_list = left & right
-                        support = size(gid_list)
+                        support = gid_list.bit_count()
                         if support >= min_count:
                             itemset = head + (b,)
                             counts[frozenset(itemset)] = support

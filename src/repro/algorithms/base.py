@@ -58,7 +58,9 @@ class FrequentItemsetMiner(abc.ABC):
     ) -> List[Tuple[int, ...]]:
         """Apriori candidate generation: join k-itemsets sharing a
         (k-1)-prefix, then prune candidates with an infrequent
-        k-subset.  Itemsets are sorted tuples."""
+        k-subset.  Itemsets are sorted tuples.  The two subsets without
+        one of the last two items are the joined parents, so only the
+        others are probed (none for a 2-item candidate)."""
         frequent = sorted(frequent)
         frequent_set = set(frequent)
         candidates: List[Tuple[int, ...]] = []
@@ -70,7 +72,7 @@ class FrequentItemsetMiner(abc.ABC):
                 candidate = a + (b[-1],) if a[-1] < b[-1] else b + (a[-1],)
                 if all(
                     candidate[:drop] + candidate[drop + 1:] in frequent_set
-                    for drop in range(len(candidate))
+                    for drop in range(len(candidate) - 2)
                 ):
                     candidates.append(candidate)
         return candidates

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 
@@ -95,6 +95,19 @@ class BitsetStats:
         if not self.bits_possible:
             return 0.0
         return self.bits_set / self.bits_possible
+
+    def span_args(self) -> Dict[str, Any]:
+        """The counters as attributes of the ``core`` component span,
+        where the trace, the ``repro_core_*`` series and the rendered
+        flow and report read them."""
+        return {
+            "popcounts": self.popcount_calls,
+            "intersections": self.intersections,
+            "passes": self.passes,
+            "candidates": self.candidates,
+            "bitset_density": round(self.density(), 6),
+            "universe_sizes": dict(self.universe_sizes),
+        }
 
 
 def mask_from_slots(slots: Iterable[int], nbytes: int) -> int:

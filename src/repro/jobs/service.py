@@ -17,7 +17,8 @@ error), ``jobs.run.<id>`` fires at the start of each execution attempt
 retried with backoff, and a retried job's result is bit-identical to
 an unfaulted run.
 
-Metrics (PR5 registry): ``repro_jobs_queue_depth`` (gauge),
+Metrics, on the registry attached to the system's tracer (none
+attached: nothing is recorded): ``repro_jobs_queue_depth`` (gauge),
 ``repro_job_seconds{kind,status}`` (histogram),
 ``repro_jobs_total{status}`` (counter),
 ``repro_jobs_workers_busy`` (gauge).  The two gauges are published
@@ -75,26 +76,26 @@ class JobService:
         workers: int = 4,
         queue_size: int = 64,
         capacity: int = 1024,
-        metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        runlog: Optional[RunLog] = None,
     ):
         self.system = system
         self.table = JobTable(capacity=capacity)
-        #: run-history journal; SQL jobs are recorded here directly
-        #: (mine/refresh jobs are recorded by the system, which owns
-        #: their stage timings), and on construction finished jobs from
-        #: a previous process are rehydrated into the table
-        self.runlog = runlog
-        if runlog is not None:
-            self._rehydrate(runlog)
+        #: the run-history journal attached to the system's tracer, if
+        #: any; SQL jobs are recorded here directly (mine/refresh jobs
+        #: reach it as the system's root spans, which own their stage
+        #: timings), and on construction finished jobs from a previous
+        #: process are rehydrated into the table
+        self.runlog = system.tracer.attached(RunLog)
+        if self.runlog is not None:
+            self._rehydrate(self.runlog)
         self.pool = WorkerPool(
             handler=self._execute, workers=workers, queue_size=queue_size
         )
         self.retry_policy = retry_policy
         #: job id -> per-job retry policy override
         self._policies: Dict[str, RetryPolicy] = {}
-        registry = metrics if metrics is not None else NULL_REGISTRY
+        #: the registry attached to the system's tracer, if any
+        registry = system.tracer.attached(MetricsRegistry) or NULL_REGISTRY
         self.metrics = registry
         self._queue_depth = registry.gauge(
             "repro_jobs_queue_depth", "Jobs waiting in the bounded queue"

@@ -16,7 +16,7 @@ are views attached to the tracer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import faults
 from repro.faults import RetryPolicy
@@ -77,6 +77,59 @@ class Resilience(NamedTuple):
             f"latency faults {self.latencies_injected}; "
             f"retries {self.retries}"
         )
+
+
+def render_core(args: Dict[str, Any]) -> Tuple[str, List[str]]:
+    """The ``core`` component span's attributes as text: the flow's
+    one-line ``observability`` event and the report's ``core:`` block.
+    The simple core has one layout; the general core names the one it
+    measured its way to, and every intersection it performed is a join
+    pair that got past both of its filters."""
+    variant, algorithm = args["variant"], args.get("algorithm")
+    layout = (
+        "bitmap gid lists" if variant == "simple"
+        else f"{args['representation']} support sets"
+    )
+    lattice = args.get("lattice_sizes", {})
+    pairs, popcounts = args["join_pairs_examined"], args["popcounts"]
+    joins = (
+        f"{pairs} join pairs "
+        f"({pairs - args['intersections']} rejected before intersecting)"
+    )
+    universes = ", ".join(
+        f"{label}={size}"
+        for label, size in sorted(args["universe_sizes"].items())
+    )
+    line = [f"{variant} core, {layout}"]
+    block = [f"core: {variant} variant, {layout}"]
+    if algorithm:
+        line.append(f"algorithm {algorithm}")
+        block[0] += f", algorithm {algorithm}"
+    if lattice:
+        total = sum(lattice.values())
+        line.append(f"{len(lattice)} lattice sets / {total} rules")
+        sizes = "  ".join(
+            f"{m}x{n}:{count}" for (m, n), count in sorted(lattice.items())
+        )
+        block += [f"  lattice sets: {sizes}", f"  examined: {joins}"]
+    if pairs:
+        line.append(joins)
+    if universes:
+        line.append(f"universes {universes}")
+        block.append(
+            f"  bitmaps: {universes}; popcounts {popcounts}, "
+            f"intersections {args['intersections']}"
+        )
+        if args["bitset_density"]:
+            block.append(f"  bitset density: {args['bitset_density']:.4f}")
+    if popcounts:
+        line.append(f"{popcounts} popcounts")
+    if args["passes"] or args["candidates"]:
+        block.append(
+            f"  passes: {args['passes']}, "
+            f"candidates examined: {args['candidates']}"
+        )
+    return "; ".join(line), block
 
 
 class RunFlow:

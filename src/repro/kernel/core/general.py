@@ -70,6 +70,7 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import itemgetter
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -201,7 +202,19 @@ class GeneralCoreOperator:
             # the label BENCH_TREND tracks
             stats.universe_sizes["body_pair"] = len(self._cluster_slots)
             stats.popcount_calls += self._cluster_slots.group_count_calls
+        stats.passes = len(self.lattice_sizes)  # one per lattice set
         return rules
+
+    def span_args(self) -> Dict[str, Any]:
+        """The last run's observations as attributes of the ``core``
+        component span: the layout it picked, its lattice and join
+        counters and its bitmap counters."""
+        return {
+            "representation": self.representation,
+            "join_pairs_examined": self.join_pairs_examined,
+            "lattice_sizes": dict(self.lattice_sizes),
+            **self.bitmap_stats.span_args(),
+        }
 
     def _reset(self) -> None:
         self.lattice_sizes = {}

@@ -14,8 +14,11 @@ support (Appendix A binds it as a host variable).
 Each setup/preprocessing query is one retryable unit of the run's
 :class:`~repro.kernel.context.RunContext` and one
 ``preprocessor.<label>`` span; Q0..Q11's spans carry the label as
-``stage``, which the per-query series, the slow log and
-:attr:`PreprocessStats.query_seconds` read.
+``stage``, which the per-query series and the slow log read.  What a
+query cost is on its span and on the ``engine.<kind>`` spans inside it
+(time, rows, cache events, and under ``Tracer(analyze=True)`` the
+annotated ``plan`` and its node stats ``nodes``);
+:class:`PreprocessStats` keeps only what preprocessing produces.
 """
 
 from __future__ import annotations
@@ -31,28 +34,12 @@ from repro.sqlengine.engine import Database
 
 @dataclass
 class PreprocessStats:
-    """Observability for benches: per-query timings, table sizes and
-    engine cache activity during this run."""
+    """What preprocessing produced: the host variables bound after Q1
+    and the row count of every encoded table."""
 
-    query_seconds: Dict[str, float] = field(default_factory=dict)
-    table_rows: Dict[str, int] = field(default_factory=dict)
     totg: int = 0
     mingroups: int = 0
-    #: SQL-text -> AST cache hits/misses during this run
-    statement_cache_hits: int = 0
-    statement_cache_misses: int = 0
-    #: physical-plan cache hits/misses during this run
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    #: EXPLAIN ANALYZE node stats per query label (captured only when
-    #: the database tracer was created with ``analyze=True``)
-    analyzed: Dict[str, list] = field(default_factory=dict)
-    #: the annotated plan text behind each :attr:`analyzed` entry
-    analyzed_text: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.query_seconds.values())
+    table_rows: Dict[str, int] = field(default_factory=dict)
 
 
 class Preprocessor:
@@ -67,7 +54,7 @@ class Preprocessor:
         ctx: Optional[RunContext] = None,
     ) -> PreprocessStats:
         """Execute the translation program's setup + preprocessing
-        queries in order; returns execution statistics.
+        queries in order; returns what they produced.
 
         *ctx* is the run's context (on its own the preprocessor records
         under a ``preprocessor`` component span): injected faults are
@@ -78,16 +65,10 @@ class Preprocessor:
             with tracer.span("preprocessor", category="component") as root:
                 return self.run(program, RunContext(RunFlow(tracer, root)))
         stats = PreprocessStats()
-        before = self._db.cache_stats.snapshot()
         for query in program.setup:  # stays out of the flow
             self._run_query(query, program, stats, ctx, quiet=True)
         for query in program.preprocessing:
             self._run_query(query, program, stats, ctx, quiet=False)
-        for span in ctx.flow.spans():
-            label = span.args.get("stage")
-            if label is not None:
-                seconds = stats.query_seconds.get(label, 0.0)
-                stats.query_seconds[label] = seconds + span.seconds
         catalog = self._db.catalog
         stats.table_rows = {
             table: len(catalog.get_table(table))
@@ -104,13 +85,6 @@ class Preprocessor:
                 for table, rows in stats.table_rows.items()
             },
         )
-        after = self._db.cache_stats
-        stats.statement_cache_hits = after.statement_hits - before.statement_hits
-        stats.statement_cache_misses = (
-            after.statement_misses - before.statement_misses
-        )
-        stats.plan_cache_hits = after.plan_hits - before.plan_hits
-        stats.plan_cache_misses = after.plan_misses - before.plan_misses
         return stats
 
     # ------------------------------------------------------------------
@@ -128,9 +102,10 @@ class Preprocessor:
                 # EXPLAIN ANALYZE capture: the query still executes
                 # exactly once; its per-operator stats ride along.
                 analysis = self._db.analyze(query.sql)
-                stats.analyzed[query.label] = analysis.nodes
-                stats.analyzed_text[query.label] = analysis.text
-                ctx.tracer.annotate(rows=analysis.rowcount, plan=analysis.text)
+                ctx.tracer.annotate(
+                    rows=analysis.rowcount, plan=analysis.text,
+                    nodes=analysis.nodes,
+                )
             else:
                 # Prepared execution: repeated runs of the same
                 # translation program hit the engine's statement

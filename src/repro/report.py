@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.kernel.context import render_core
 from repro.kernel.metrics import RuleMetrics
 from repro.obs.slowlog import SlowQueryLog
 from repro.system import MiningResult, MiningSystem
@@ -70,39 +71,9 @@ def render_report(
                 lines.append(f"  {name:<28} {rows:>8} rows")
         lines.append("")
 
-    if options.include_tables and result.core_stats is not None:
-        stats = result.core_stats
-        lines.append(
-            f"core: {stats.variant} variant, {stats.describe_layout()}"
-            + (f", algorithm {stats.algorithm}" if stats.algorithm else "")
-        )
-        if stats.lattice_sizes:
-            sizes = "  ".join(
-                f"{m}x{n}:{count}"
-                for (m, n), count in sorted(stats.lattice_sizes.items())
-            )
-            lines.append(f"  lattice sets: {sizes}")
-            lines.append(f"  examined: {stats.describe_join_pairs()}")
-        if stats.universe_sizes:
-            sizes = ", ".join(
-                f"{label}={size}"
-                for label, size in sorted(stats.universe_sizes.items())
-            )
-            lines.append(
-                f"  bitmaps: {sizes}; "
-                f"popcounts {stats.popcount_calls}, "
-                f"intersections {stats.intersections}"
-            )
-            if stats.bitset_density:
-                lines.append(
-                    f"  bitset density: {stats.bitset_density:.4f}"
-                )
-        if stats.passes or stats.candidates_generated:
-            lines.append(
-                f"  passes: {stats.passes}, "
-                f"candidates examined: {stats.candidates_generated}"
-            )
-        lines.append("")
+    core = [s.args for s in result.flow.spans() if "variant" in s.args]
+    if options.include_tables and core:
+        lines += render_core(core[-1])[1] + [""]
 
     if result.resilience.any():
         lines.append(f"resilience: {result.resilience.describe()}")

@@ -110,9 +110,7 @@ class MineRuleService:
             self.shell.system,
             workers=job_workers,
             queue_size=job_queue,
-            metrics=self.metrics,
             retry_policy=retry_policy,
-            runlog=self.runlog,
         )
         self.shell.jobs = self.jobs
         self.monitor = MonitoringServer(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults
@@ -66,8 +66,8 @@ Row = Tuple[Any, ...]
 
 @dataclass
 class CacheStats:
-    """Statement/plan cache counters (observability for the benches and
-    :class:`~repro.kernel.preprocessor.PreprocessStats`)."""
+    """Statement/plan cache counters over the database's life; each
+    ``engine.<kind>`` span carries its own statement's share."""
 
     statement_hits: int = 0
     statement_misses: int = 0
@@ -75,9 +75,6 @@ class CacheStats:
     plan_misses: int = 0
     #: cached plans discarded because the catalog version moved on
     plan_invalidations: int = 0
-
-    def snapshot(self) -> "CacheStats":
-        return _dc_replace(self)
 
 
 class PreparedStatement:

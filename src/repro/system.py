@@ -51,6 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.algorithms import FrequentItemsetMiner, get_algorithm
+from repro.algorithms.bitset import BitsetStats
 from repro.faults import RetryPolicy
 from repro.incremental import (
     MiningState,
@@ -66,10 +67,10 @@ from repro.kernel.context import (
     RunCancelled,
     RunContext,
     RunFlow,
+    render_core,
     run_tracer,
 )
 from repro.kernel.core.general import GeneralCoreOperator
-from repro.kernel.metrics import CoreStats
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.core.rules import EncodedRule
 from repro.kernel.core.simple import SimpleCoreOperator, build_rules
@@ -85,7 +86,7 @@ from repro.obs import profile as obs_profile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import RunLog
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.spans import NULL_TRACER, Tracer
+from repro.obs.spans import NULL_TRACER, Span, Tracer
 from repro.sqlengine.engine import Database
 from repro.sqlengine.render import render_expr
 
@@ -145,8 +146,6 @@ class MiningResult(_RuleOutcome):
 
     #: None when encoded tables were reused from a previous execution
     preprocess_stats: Optional[PreprocessStats]
-    #: core-operator observability (lattice sizes, bitmap counters)
-    core_stats: Optional[CoreStats] = None
 
     @property
     def preprocessing_reused(self) -> bool:
@@ -402,8 +401,8 @@ class MiningSystem:
                 program, stats = self._preprocess_stage(
                     ctx, program, statement_text
                 )
-            with ctx.phase("core"):
-                encoded_rules, core_stats = self._core_stage(ctx, program)
+            with ctx.phase("core") as core:
+                encoded_rules = self._core_stage(ctx, program, core)
             with ctx.phase("postprocessor"):
                 decoded = self._postprocess_stage(
                     ctx, program, encoded_rules
@@ -430,7 +429,6 @@ class MiningSystem:
             rules=decoded,
             preprocess_stats=stats,
             flow=ctx.flow,
-            core_stats=core_stats,
             run_id=self._executions,
         )
 
@@ -476,21 +474,20 @@ class MiningSystem:
         return program, stats
 
     def _core_stage(
-        self, ctx: RunContext, program: TranslationProgram
-    ) -> Tuple[List[EncodedRule], Optional[CoreStats]]:
-        encoded_rules, core_stats = ctx.attempt(
-            "core", lambda: self._mine_once(ctx, program)
+        self, ctx: RunContext, program: TranslationProgram, core: Span
+    ) -> List[EncodedRule]:
+        encoded_rules = ctx.attempt(
+            "core", lambda: self._mine_once(ctx, program, core)
         )
         ctx.event("core", "extracted rules", f"{len(encoded_rules)} rules")
-        if core_stats is not None:
-            ctx.event("core", "observability", core_stats.describe())
-            ctx.tracer.annotate(**core_stats.span_args())
-        return encoded_rules, core_stats
+        ctx.event("core", "observability", render_core(core.args)[0])
+        return encoded_rules
 
     def _mine_once(
-        self, ctx: RunContext, program: TranslationProgram
-    ) -> Tuple[List[EncodedRule], CoreStats]:
-        """One attempt of the core operator: load, then mine."""
+        self, ctx: RunContext, program: TranslationProgram, core: Span
+    ) -> List[EncodedRule]:
+        """One attempt of the core operator: load, then mine; what it
+        observed becomes the attributes of the *core* span."""
         faults.check("core.load")
         loader = CoreInputLoader(self.db, program.core)
         if program.core.simple:
@@ -508,20 +505,26 @@ class MiningSystem:
                 else "elementary rules derived from CodedSource",
             )
             encoded_rules = general.run(data, program.core)
-            return encoded_rules, CoreStats.from_general(general)
+            core.annotate(variant="general", **general.span_args())
+            return encoded_rules
 
-        encoded_rules = SimpleCoreOperator(self.algorithm).run(
-            data, program.core
+        miner = self.algorithm
+        encoded_rules = SimpleCoreOperator(miner).run(data, program.core)
+        # after the run: "auto" names the member it ran only then
+        member = getattr(miner, "last_choice", "")
+        algorithm = f"{miner.name}({member})" if member else miner.name
+        stats = getattr(miner, "stats", None) or BitsetStats()
+        # one layout, bitmap gid lists, and no lattice joins
+        core.annotate(
+            variant="simple", representation="bitset", algorithm=algorithm,
+            join_pairs_examined=0, **stats.span_args(),
         )
-        core_stats = CoreStats.from_simple(self.algorithm)
-        # after the run: "auto" knows its member only then
         ctx.event(
             "core",
             "simple core processing",
-            f"algorithm {core_stats.algorithm}, "
-            f"{len(data.groups)} encoded groups",
+            f"algorithm {algorithm}, {len(data.groups)} encoded groups",
         )
-        return encoded_rules, core_stats
+        return encoded_rules
 
     def _postprocess_stage(
         self,

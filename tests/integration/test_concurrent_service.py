@@ -108,10 +108,10 @@ def serial_baseline():
 def test_eight_thread_mixed_stress(serial_baseline):
     registry = MetricsRegistry()
     database = make_database()
-    system = MiningSystem(database=database, reuse_preprocessing=False)
-    service = JobService(
-        system, workers=CLIENTS, queue_size=256, metrics=registry
+    system = MiningSystem(
+        database=database, reuse_preprocessing=False, metrics=registry
     )
+    service = JobService(system, workers=CLIENTS, queue_size=256)
     submitted = []
     submitted_lock = threading.Lock()
     errors = []

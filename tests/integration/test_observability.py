@@ -42,6 +42,16 @@ def traced_run(name):
     return system, result, tracer
 
 
+def captured(result, key):
+    """*key* (``"nodes"`` or ``"plan"``) of every preprocessing query
+    span of the run that carries it, by query label."""
+    return {
+        span.name.partition(".")[2]: span.args[key]
+        for span in result.flow.spans()
+        if span.category == "preprocessor" and key in span.args
+    }
+
+
 def plain_run(name):
     database = Database()
     load_purchase_figure1(database)
@@ -57,13 +67,17 @@ def test_tracing_does_not_change_results(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_STATEMENTS))
 def test_every_preprocessing_query_is_analyzed(name):
     _, result, _ = traced_run(name)
-    stats = result.preprocess_stats
-    assert stats is not None
+    assert result.preprocess_stats is not None
+    stages = {
+        span.args["stage"] for span in result.flow.spans()
+        if "stage" in span.args
+    }
+    nodes, plans = captured(result, "nodes"), captured(result, "plan")
     # every timed (non-setup) query captured a plan with node stats;
     # setup queries (CLEAN, SEQ) are analyzed too but stay quiet
-    assert set(stats.analyzed) >= set(stats.query_seconds)
-    assert set(stats.analyzed_text) == set(stats.analyzed)
-    for label, text in stats.analyzed_text.items():
+    assert set(nodes) >= stages
+    assert set(plans) == set(nodes)
+    for label, text in plans.items():
         assert "Execution:" in text, label
 
 
@@ -73,7 +87,7 @@ def test_analyzed_node_invariants(name):
     positive wherever rows flowed, and an operator that produced rows
     was opened at least once."""
     _, result, _ = traced_run(name)
-    for label, nodes in result.preprocess_stats.analyzed.items():
+    for label, nodes in captured(result, "nodes").items():
         for node in nodes:
             assert node["rows"] >= 0, (label, node)
             assert node["loops"] >= 1, (label, node)
@@ -197,7 +211,7 @@ def test_disabled_tracer_captures_no_analysis():
     load_purchase_figure1(database)
     system = MiningSystem(database=database)
     result = system.run(GOLDEN_STATEMENTS["simple_associations"])
-    assert result.preprocess_stats.analyzed == {}
+    assert captured(result, "nodes") == {}
     assert system.tracer.spans == []
 
 
@@ -239,7 +253,7 @@ def test_row_executor_fallbacks_are_pinned(name):
     load(database, 19, "quick")
     tracer = Tracer(enabled=True, analyze=True)
     result = MiningSystem(database=database, tracer=tracer).run(text)
-    analyzed = result.preprocess_stats.analyzed
+    analyzed = captured(result, "nodes")
     assert any(analyzed.values())
     for label, nodes in analyzed.items():
         assert all_batched(nodes), label
@@ -264,9 +278,9 @@ def test_encoding_and_decoding_joins_take_the_unique_probe():
     result = MiningSystem(database=database, tracer=tracer).run(
         workloads.RETAIL.text(0.2)
     )
-    q4 = result.preprocess_stats.analyzed["Q4"]
+    q4 = captured(result, "nodes")["Q4"]
     assert join_probes(q4) == ["unique", "unique"]
-    assert "probe=unique" in result.preprocess_stats.analyzed_text["Q4"]
+    assert "probe=unique" in captured(result, "plan")["Q4"]
     assert [query.label for query in result.program.postprocessing] == [
         "P1", "P2",
     ]

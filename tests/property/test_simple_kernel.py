@@ -121,7 +121,7 @@ class TestInlineCandidateGeneration:
             by_prefix.setdefault(itemset[:-1], []).append((itemset[-1], 0))
         counts = {}
         next_classes, generated_set, generated = Apriori._join_level(
-            list(by_prefix.items()), set(level), int.bit_count, 0, counts
+            list(by_prefix.items()), set(level), 0, counts
         )
         reference = FrequentItemsetMiner.join_candidates(level)
         assert generated_set == set(reference)

@@ -245,6 +245,12 @@ class TestSystemRepresentationSwitch:
         return system, system.execute(statement)
 
     @staticmethod
+    def _core(result):
+        """The attributes of the run's ``core`` component span."""
+        (core,) = [s for s in result.flow.spans() if "variant" in s.args]
+        return core.args
+
+    @staticmethod
     def _forced(system, result, layout):
         """The general core re-run on the statement's encoded tables
         with *layout* forced (the system itself never forces one)."""
@@ -257,13 +263,14 @@ class TestSystemRepresentationSwitch:
 
     def test_general_core_identical_across_representations(self):
         system, result = self._run(self.CLUSTERED)
-        assert result.core_stats.variant == "general"
-        assert result.core_stats.lattice_sizes
+        core = self._core(result)
+        assert core["variant"] == "general"
+        assert core["lattice_sizes"]
         for layout in ("bitset", "set"):
             operator, rules = self._forced(system, result, layout)
             assert operator.representation == layout
             assert rules == result.encoded_rules
-            assert operator.lattice_sizes == result.core_stats.lattice_sizes
+            assert operator.lattice_sizes == core["lattice_sizes"]
 
     def test_general_core_picks_its_layout_from_the_density(self):
         """Dense inputs (the Figure 2 golden, the BENCH_PR2 shape) mine
@@ -298,12 +305,12 @@ class TestSystemRepresentationSwitch:
         for load, shape, statement, expected in cases:
             system, result = self._run(statement, load, **shape)
             assert result.encoded_rules
-            assert result.core_stats.representation == expected
+            assert self._core(result)["representation"] == expected
             other = "set" if expected == "bitset" else "bitset"
             assert self._forced(system, result, other)[1] == result.encoded_rules
         _, simple = self._run(self.STATEMENT)
-        assert simple.core_stats.variant == "simple"
-        assert simple.core_stats.representation == "bitset"
+        assert self._core(simple)["variant"] == "simple"
+        assert self._core(simple)["representation"] == "bitset"
 
     def test_core_stats_surfaced_in_trace_and_report(self):
         from repro.report import render_report
@@ -330,6 +337,6 @@ class TestSystemRepresentationSwitch:
 
     def test_general_bitmap_stats_populated(self):
         _, result = self._run(self.CLUSTERED)
-        stats = result.core_stats
-        assert stats.universe_sizes.get("triple", 0) > 0
-        assert stats.popcount_calls > 0
+        core = self._core(result)
+        assert core["universe_sizes"].get("triple", 0) > 0
+        assert core["popcounts"] > 0

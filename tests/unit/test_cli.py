@@ -290,7 +290,7 @@ class TestDumpRestore:
         tracer.attach(journal)
         fresh = Shell(tracer=tracer, retry_policy=policy, batch_size=16)
         system = fresh.system
-        with JobService(system, workers=1, runlog=journal) as jobs:
+        with JobService(system, workers=1) as jobs:
             fresh.jobs = jobs
             assert "restored" in fresh.execute(f".restore {target}")
             assert fresh.system is system and jobs.system is system

@@ -163,7 +163,7 @@ def metered_registry():
         )
         system.run(GOLDEN_STATEMENTS["simple_associations"])
         system.refresh("SimpleAssociations")
-        with JobService(system, workers=1, metrics=registry) as service:
+        with JobService(system, workers=1) as service:
             job = service.submit(
                 "SELECT item FROM Purchase WHERE price > 100"
             )

@@ -173,6 +173,14 @@ class TestEngineOptions:
         assert len(shell) == 5 and shell == [
             "algorithm", "retry_policy", "tracer", "json_log", "batch_size",
         ]
+        # the job service finds its registry and journal on the
+        # system's tracer
+        from repro.jobs import JobService
+
+        jobs = list(inspect.signature(JobService.__init__).parameters)[1:]
+        assert len(jobs) == 5 and jobs == [
+            "system", "workers", "queue_size", "capacity", "retry_policy",
+        ]
         for gone in ({"workers": 2}, {"representation": "set"},
                      {"batch_size": 16}, {"memory_budget": 1 << 20}):
             with pytest.raises(TypeError):

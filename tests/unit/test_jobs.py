@@ -38,10 +38,12 @@ MINE = (
 )
 
 
-def make_service(**kwargs) -> JobService:
+def make_service(metrics=None, **kwargs) -> JobService:
+    """A service over the Figure 1 data; *metrics* is attached to the
+    system's tracer, where the service finds it."""
     database = Database()
     load_purchase_figure1(database)
-    system = MiningSystem(database=database)
+    system = MiningSystem(database=database, metrics=metrics)
     return JobService(system, **kwargs)
 
 

@@ -171,13 +171,20 @@ class TestPreprocessorStats:
             "EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.5",
             Workspace("ST"),
         )
-        stats = Preprocessor(purchase_db).run(program)
+        tracer = Tracer()
+        flow = RunFlow(tracer, tracer.span("preprocessor", "component"))
+        with flow.root:
+            stats = Preprocessor(purchase_db).run(program, RunContext(flow))
         assert stats.totg == 2
         assert stats.mingroups == 1
-        assert set(stats.query_seconds) == {
+        stages = {
+            span.args["stage"]: span.seconds for span in flow.spans()
+            if "stage" in span.args
+        }
+        assert set(stages) == {
             "Q0v", "Q1", "Q2a", "Q2b", "Q3a", "Q3b", "Q4",
         }
-        assert stats.total_seconds > 0
+        assert sum(stages.values()) > 0
         assert stats.table_rows["ST_ValidGroups"] == 2
         assert stats.table_rows["ST_CodedSource"] > 0
 

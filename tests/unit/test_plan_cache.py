@@ -1,5 +1,6 @@
 """Statement cache, plan cache, prepared statements and their
-observability (CacheStats, PreprocessStats, EXPLAIN markers)."""
+observability (CacheStats, the engine spans' cache events, EXPLAIN
+markers)."""
 
 import pytest
 from hypothesis import given, settings
@@ -140,11 +141,14 @@ class TestPreparedStatements:
 class TestPreprocessStatsCounters:
     def test_preprocessor_reports_cache_counters(self):
         from repro.datagen import load_purchase_figure1
+        from repro.kernel.context import RunContext, RunFlow
         from repro.kernel.preprocessor import Preprocessor
         from repro.kernel.program import Workspace
         from repro.kernel.translator import Translator
+        from repro.obs import Tracer
 
         database = Database()
+        database.tracer = tracer = Tracer()
         load_purchase_figure1(database)
         program = Translator(database).translate(
             "MINE RULE S AS SELECT DISTINCT 1..n item AS BODY, "
@@ -154,14 +158,27 @@ class TestPreprocessStatsCounters:
             Workspace("ST"),
         )
         preprocessor = Preprocessor(database)
-        first = preprocessor.run(program)
-        assert first.statement_cache_misses > 0
-        assert first.plan_cache_misses > 0
+
+        def run():
+            """One standalone run's cache events, summed over the
+            ``engine.<kind>`` spans of its record."""
+            flow = RunFlow(tracer, tracer.span("preprocessor", "component"))
+            with flow.root:
+                preprocessor.run(program, RunContext(flow))
+            return {
+                key: sum(span.args.get(key, 0) for span in flow.spans())
+                for key in ("statement_hits", "statement_misses",
+                            "plan_misses")
+            }
+
+        first = run()
+        assert first["statement_misses"] > 0
+        assert first["plan_misses"] > 0
         # replaying the same translation program re-executes identical
         # SQL text: every parse now comes from the statement cache
-        second = preprocessor.run(program)
-        assert second.statement_cache_hits > 0
-        assert second.statement_cache_misses == 0
+        second = run()
+        assert second["statement_hits"] > 0
+        assert second["statement_misses"] == 0
 
 
 @given(t_rows=t_rows_strategy)

@@ -159,4 +159,5 @@ class TestLoudDegradation:
         assert rerun.rule_set() == quiet.rule_set()
         assert rerun.encoded_rules == quiet.encoded_rules
         assert rerun.preprocessing_reused
-        assert rerun.core_stats.representation == "bitset"
+        (core,) = [s for s in rerun.flow.spans() if "variant" in s.args]
+        assert core.args["representation"] == "bitset"

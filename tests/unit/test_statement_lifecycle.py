@@ -152,8 +152,7 @@ def test_every_sink_gets_exactly_one_observation(verb, outcome):
 def test_mine_refresh_and_sql_records_share_their_common_keys():
     observed = Observed()
     observed.call("refresh")
-    with JobService(observed.system, workers=1,
-                    runlog=observed.journal) as service:
+    with JobService(observed.system, workers=1) as service:
         job = service.submit("SELECT COUNT(*) FROM Purchase")
         assert service.wait(job.id).state == "done"
     records = {
