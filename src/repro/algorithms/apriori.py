@@ -61,7 +61,7 @@ class Apriori(FrequentItemsetMiner):
                 counts[frozenset((item,))] = support
                 root.append((item, gid_list))
         stats.passes += 1
-        stats.candidates += len(vertical.slots_of)
+        stats.candidates += len(vertical.bitmaps)
         stats.popcount_calls += len(gid_lists)
 
         classes = [((), root)]

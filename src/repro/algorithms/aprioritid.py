@@ -43,10 +43,10 @@ class AprioriTid(FrequentItemsetMiner):
         self.stats.clear()
         vertical = VerticalInput.of(groups)
 
-        # Pass 1: singleton counts, read off the slot lists (a repeated
-        # pair repeats its slot).
+        # Pass 1: singleton counts, read off the gid bitmaps.
         item_counts = {
-            item: len(set(slots)) for item, slots in vertical.slots_of.items()
+            item: bitmap.bit_count()
+            for item, bitmap in vertical.bitmaps.items()
         }
         frequent1 = sorted(
             (item,) for item, count in item_counts.items()

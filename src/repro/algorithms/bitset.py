@@ -27,6 +27,7 @@ the universe size.  Every big-int bitmap here is therefore built by
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator
@@ -158,38 +159,42 @@ class SlotUniverse:
             self._members.append(ident)
         return slot
 
-    def slots(self, idents: Iterable[Hashable]) -> Iterator[int]:
-        """The slots of already interned *idents*, in their order."""
-        return map(self._slot_of.__getitem__, idents)
 
-
-@dataclass
+@dataclass(frozen=True)
 class VerticalInput:
     """The simple core's input, the one type every pool member mines:
-    encoded groups in vertical form.  :meth:`from_columns` builds it
-    from the ``Gid``/``Bid`` columns of ``CodedSource``,
-    :meth:`from_groups` from a ``gid -> items`` map, and :meth:`of` is
-    the normalisation each ``mine()`` applies to its argument.  Gid
-    lists are materialised on demand (:meth:`gid_lists`), the
-    horizontal map (:attr:`groups`) only when a member asks for it.
+    encoded groups in vertical form, one gid bitmap per item, built at
+    construction.  :meth:`from_columns` builds it from the ``Gid``/``Bid``
+    columns of ``CodedSource``, :meth:`from_groups` from a ``gid ->
+    items`` map, and :meth:`of` is the normalisation each ``mine()``
+    applies to its argument.
+
+    It never changes once built — the members read it and build their
+    own structures beside it — so one input can be mined by any number
+    of statements (the Section-3 reuse cache keeps it,
+    :mod:`repro.system`).  It is kept small for that: the group ids
+    and one big int per item, no slot lists and no gid -> slot map.
     """
 
-    #: group id <-> dense bit slot, in first-appearance order
-    universe: SlotUniverse
-    #: item id -> slots of the groups containing it; a repeated
-    #: (group, item) pair repeats its slot, which gid lists absorb
-    slots_of: Dict[Hashable, List[int]]
+    #: the group ids in slot order (first appearance): an ``array('q')``
+    #: when they are 64-bit ints, as ``CodedSource``'s are
+    gids: Sequence[Hashable]
+    #: item id -> gid bitmap over the group slots, ascending by item; a
+    #: repeated (group, item) pair sets its bit once
+    bitmaps: Dict[Hashable, int]
     #: (group, item) pairs read
     entries: int
+    #: the group map it was built from, if any
     _groups: Optional[Mapping[Hashable, FrozenSet]] = None
 
     @classmethod
     def from_columns(cls, gid_col: Sequence, bid_col: Sequence) -> "VerticalInput":
-        universe = SlotUniverse(gid_col)
+        slot_of = dict(zip(dict.fromkeys(gid_col), itertools.count()))
         slots_of: Dict[Hashable, List[int]] = defaultdict(list)
-        for slot, bid in zip(universe.slots(gid_col), bid_col):
+        for slot, bid in zip(map(slot_of.__getitem__, gid_col), bid_col):
             slots_of[bid].append(slot)
-        return cls(universe, dict(slots_of), len(bid_col))
+        return cls(_id_array(slot_of), _bitmaps(slots_of, len(slot_of)),
+                   len(bid_col))
 
     @classmethod
     def from_groups(cls, groups: Mapping[Hashable, FrozenSet]) -> "VerticalInput":
@@ -199,7 +204,8 @@ class VerticalInput:
             entries += len(items)
             for item in items:
                 slots_of[item].append(slot)
-        return cls(SlotUniverse(groups), dict(slots_of), entries, groups)
+        return cls(tuple(groups), _bitmaps(slots_of, len(groups)), entries,
+                   groups)
 
     @classmethod
     def of(cls, source) -> "VerticalInput":
@@ -207,34 +213,68 @@ class VerticalInput:
         return source if isinstance(source, cls) else cls.from_groups(source)
 
     def __len__(self) -> int:  # groups
-        return len(self.universe)
+        return len(self.gids)
 
     def gid_lists(self, min_count: int = 1) -> Dict[Hashable, int]:
-        """item -> gid list, a big-int bitmap over the group slots,
-        ascending by item.  An item with fewer than *min_count* slots
-        is never materialised: the length of its list bounds its
-        support from above."""
-        nbytes = (len(self.universe) + 7) >> 3
-        slots_of = self.slots_of
+        """item -> gid list (its bitmap), ascending by item, for the
+        items in at least *min_count* groups: a new dict over the
+        stored bitmaps, filtered by popcount."""
         return {
-            item: mask_from_slots(slots_of[item], nbytes)
-            for item in sorted(slots_of)
-            if len(slots_of[item]) >= min_count
+            item: bitmap for item, bitmap in self.bitmaps.items()
+            if bitmap.bit_count() >= min_count
         }
 
     @property
     def groups(self) -> Mapping[Hashable, FrozenSet]:
         """The horizontal view, ``gid -> frozenset(items)`` in slot
         order, for the members that scan groups (dhp, exhaustive,
-        aprioritid, sampling's draw, partition's slicing).  Derived
-        from the slot lists on first use."""
-        if self._groups is None:
-            members: List[List[Hashable]] = [[] for _ in range(len(self))]
-            for item, slots in self.slots_of.items():
-                for slot in slots:
-                    members[slot].append(item)
-            self._groups = dict(zip(self.universe, map(frozenset, members)))
-        return self._groups
+        aprioritid, sampling's draw, partition's slicing): the map the
+        input was built from, else derived from the bitmaps on every
+        read and not kept — read it once."""
+        if self._groups is not None:
+            return self._groups
+        members: List[List[Hashable]] = [[] for _ in range(len(self))]
+        for item, bitmap in self.bitmaps.items():
+            for slot in mask_slots(bitmap):
+                members[slot].append(item)
+        return dict(zip(self.gids, map(frozenset, members)))
+
+
+def _bitmaps(
+    slots_of: Mapping[Hashable, List[int]], size: int
+) -> Dict[Hashable, int]:
+    """item -> the bitmap of its slots over *size* slots, ascending by
+    item."""
+    nbytes = (size + 7) >> 3
+    return {item: mask_from_slots(slots_of[item], nbytes)
+            for item in sorted(slots_of)}
+
+
+def _id_array(ids: Iterable[Hashable]) -> Sequence[Hashable]:
+    """*ids* as an ``array('q')``, or a tuple when one of them is not a
+    64-bit int."""
+    ids = tuple(ids)
+    try:
+        return array("q", ids)
+    except (TypeError, OverflowError):
+        return ids
+
+
+#: byte value -> the positions of its set bits, ascending
+_BITS_OF_BYTE = tuple(
+    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
+)
+
+
+def mask_slots(mask: int) -> Iterator[int]:
+    """The set slots of the bitmap *mask*, ascending: one pass over its
+    bytes (the inverse of :func:`mask_from_slots`)."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    for index, byte in enumerate(data):
+        if byte:
+            base = index << 3
+            for bit in _BITS_OF_BYTE[byte]:
+                yield base + bit
 
 
 def count_itemsets(

@@ -60,7 +60,7 @@ class Eclat(FrequentItemsetMiner):
         self.stats.universe_sizes["gid"] = len(vertical)
         self.stats.sample_density(item_maps.values(), len(vertical))
         self.stats.passes += 1
-        self.stats.candidates += len(vertical.slots_of)
+        self.stats.candidates += len(vertical.bitmaps)
 
         # Root class: frequent singletons in ascending item order (the
         # order fixes the prefix tree, making runs deterministic).

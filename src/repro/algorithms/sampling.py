@@ -119,7 +119,7 @@ class ToivonenSampling(FrequentItemsetMiner):
         are not in *frequent* but whose every proper subset is."""
         border: Set[FrozenSet[int]] = set()
         # Level 1: singletons not locally frequent.
-        for item in VerticalInput.of(groups).slots_of:
+        for item in VerticalInput.of(groups).bitmaps:
             singleton = frozenset((item,))
             if singleton not in frequent:
                 border.add(singleton)

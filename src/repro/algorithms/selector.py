@@ -53,7 +53,7 @@ class InputStatistics:
         vertical = VerticalInput.of(encoded)
         return cls(
             groups=len(vertical),
-            distinct_items=len(vertical.slots_of),
+            distinct_items=len(vertical.bitmaps),
             total_entries=vertical.entries,
         )
 

@@ -29,6 +29,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.kernel.core.rules import EncodedRule
 from repro.kernel.program import TranslationProgram
 from repro.sqlengine.engine import Database
+from repro.sqlengine.table import Table
 from repro.sqlengine.types import SqlType
 
 #: decoded item: single attribute value, or tuple for composite schemas
@@ -59,54 +60,55 @@ class Postprocessor:
 
         body_ids: Dict[FrozenSet[int], int] = {}
         head_ids: Dict[FrozenSet[int], int] = {}
-        body_rows: List[Tuple[int, int]] = []
-        head_rows: List[Tuple[int, int]] = []
-        rule_rows: List[Tuple[Any, ...]] = []
+        bodies: Tuple[List[int], List[int]] = ([], [])  # BodyId, Bid
+        heads: Tuple[List[int], List[int]] = ([], [])  # HeadId, Hid
+        rule_bodies: List[int] = []
+        rule_heads: List[int] = []
 
         for rule in rules:
             body_id = body_ids.get(rule.body)
             if body_id is None:
-                body_id = len(body_ids) + 1
-                body_ids[rule.body] = body_id
-                body_rows.extend((body_id, bid) for bid in sorted(rule.body))
+                body_id = body_ids[rule.body] = len(body_ids) + 1
+                _add_members(bodies, body_id, rule.body)
             head_id = head_ids.get(rule.head)
             if head_id is None:
-                head_id = len(head_ids) + 1
-                head_ids[rule.head] = head_id
-                head_rows.extend((head_id, hid) for hid in sorted(rule.head))
-            row: List[Any] = [body_id, head_id]
-            if statement.select_support:
-                row.append(rule.support)
-            if statement.select_confidence:
-                row.append(rule.confidence)
-            rule_rows.append(tuple(row))
+                head_id = head_ids[rule.head] = len(head_ids) + 1
+                _add_members(heads, head_id, rule.head)
+            rule_bodies.append(body_id)
+            rule_heads.append(head_id)
 
         columns = ["BodyId", "HeadId"]
         types: List[Optional[SqlType]] = [SqlType.INTEGER, SqlType.INTEGER]
+        values: List[List[Any]] = [rule_bodies, rule_heads]
         if statement.select_support:
             columns.append("SUPPORT")
             types.append(SqlType.REAL)
+            values.append([rule.support for rule in rules])
         if statement.select_confidence:
             columns.append("CONFIDENCE")
             types.append(SqlType.REAL)
+            values.append([rule.confidence for rule in rules])
 
-        self._db.create_table_from_rows(
-            out, columns, rule_rows, types, replace=True
+        self._create_table(out, columns, types, values)
+        self._create_table(
+            names.output_bodies, ["BodyId", "Bid"],
+            [SqlType.INTEGER, SqlType.INTEGER], bodies,
         )
-        self._db.create_table_from_rows(
-            names.output_bodies,
-            ["BodyId", "Bid"],
-            body_rows,
-            [SqlType.INTEGER, SqlType.INTEGER],
-            replace=True,
+        self._create_table(
+            names.output_heads, ["HeadId", "Hid"],
+            [SqlType.INTEGER, SqlType.INTEGER], heads,
         )
-        self._db.create_table_from_rows(
-            names.output_heads,
-            ["HeadId", "Hid"],
-            head_rows,
-            [SqlType.INTEGER, SqlType.INTEGER],
-            replace=True,
-        )
+
+    def _create_table(
+        self, name: str, columns: Sequence[str],
+        types: Sequence[Optional[SqlType]], values: Sequence[List[Any]],
+    ) -> None:
+        """(Re)create table *name* holding the column lists *values*,
+        one per column: written column-wise, no row tuples."""
+        self._db.catalog.drop_table(name, if_exists=True)
+        table = Table(name, columns, types)
+        table.insert_columns(values)
+        self._db.catalog.create_table(table)
 
     # ------------------------------------------------------------------
     # decoding
@@ -151,11 +153,15 @@ class Postprocessor:
     def decoded_rules(
         self, program: TranslationProgram, rules: Sequence[EncodedRule]
     ) -> List["DecodedRule"]:
+        """The *rules* decoded to item values; each distinct body and
+        head is decoded once and shared by the rules that have it."""
         body_decoder, head_decoder = self.item_decoders(program)
+        bodies: Dict[FrozenSet[int], FrozenSet[Item]] = {}
+        heads: Dict[FrozenSet[int], FrozenSet[Item]] = {}
         return [
             DecodedRule(
-                body=frozenset(body_decoder[bid] for bid in rule.body),
-                head=frozenset(head_decoder[hid] for hid in rule.head),
+                body=_decoded(rule.body, bodies, body_decoder),
+                head=_decoded(rule.head, heads, head_decoder),
                 support=rule.support,
                 confidence=rule.confidence,
             )
@@ -184,37 +190,54 @@ class Postprocessor:
         if statement.select_confidence:
             columns.append("CONFIDENCE")
 
-        rows = []
-        body_members = self._group_members(
-            self._db.query(
-                f"SELECT BodyId, Bid FROM {program.workspace.output_bodies}"
-            )
+        body_text = self._rendered(
+            f"SELECT BodyId, Bid FROM {program.workspace.output_bodies}",
+            body_decoder,
         )
-        head_members = self._group_members(
-            self._db.query(
-                f"SELECT HeadId, Hid FROM {program.workspace.output_heads}"
-            )
+        head_text = self._rendered(
+            f"SELECT HeadId, Hid FROM {program.workspace.output_heads}",
+            head_decoder,
         )
         select_cols = ", ".join(["BodyId", "HeadId"] + columns[2:])
-        for row in self._db.query(f"SELECT {select_cols} FROM {out}"):
-            body_id, head_id = row[0], row[1]
-            display_row = [
-                render_itemset(body_members[body_id], body_decoder),
-                render_itemset(head_members[head_id], head_decoder),
-            ]
-            display_row.extend(row[2:])
-            rows.append(tuple(display_row))
+        rows = [
+            (body_text[row[0]], head_text[row[1]], *row[2:])
+            for row in self._db.query(f"SELECT {select_cols} FROM {out}")
+        ]
         rows.sort()
         self._db.create_table_from_rows(
             f"{out}_Display", columns, rows, replace=True
         )
 
-    @staticmethod
-    def _group_members(rows: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
+    def _rendered(self, sql: str, decoder: Dict[int, Item]) -> Dict[int, str]:
+        """set id -> its ``{a,b}`` rendering, over the (set id, item id)
+        rows *sql* reads."""
         members: Dict[int, List[int]] = {}
-        for set_id, item_id in rows:
+        for set_id, item_id in self._db.query(sql):
             members.setdefault(set_id, []).append(item_id)
-        return members
+        return {set_id: render_itemset(item_ids, decoder)
+                for set_id, item_ids in members.items()}
+
+
+def _add_members(
+    table: Tuple[List[int], List[int]], set_id: int, items: FrozenSet[int]
+) -> None:
+    """Append the (set id, item id) rows of one body or head, items
+    ascending, to the two columns *table*."""
+    members = sorted(items)
+    table[0].extend([set_id] * len(members))
+    table[1].extend(members)
+
+
+def _decoded(
+    itemset: FrozenSet[int], cache: Dict[FrozenSet[int], FrozenSet[Item]],
+    decoder: Dict[int, Item],
+) -> FrozenSet[Item]:
+    """*itemset* decoded through *decoder*, once per distinct itemset
+    (*cache* keeps the decoded ones)."""
+    decoded = cache.get(itemset)
+    if decoded is None:
+        decoded = cache[itemset] = frozenset(map(decoder.__getitem__, itemset))
+    return decoded
 
 
 def render_itemset(item_ids: Sequence[int], decoder: Dict[int, Item]) -> str:

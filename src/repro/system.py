@@ -46,12 +46,13 @@ A statement has one lifecycle, whichever verb it is:
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.algorithms import FrequentItemsetMiner, get_algorithm
-from repro.algorithms.bitset import BitsetStats
+from repro.algorithms.bitset import BitsetStats, VerticalInput
 from repro.faults import RetryPolicy
 from repro.incremental import (
     MiningState,
@@ -71,7 +72,7 @@ from repro.kernel.context import (
     run_tracer,
 )
 from repro.kernel.core.general import GeneralCoreOperator
-from repro.kernel.core.inputs import CoreInputLoader
+from repro.kernel.core.inputs import CoreInputLoader, SimpleInput
 from repro.kernel.core.rules import EncodedRule
 from repro.kernel.core.simple import SimpleCoreOperator, build_rules
 from repro.kernel.names import Workspace
@@ -89,6 +90,7 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import NULL_TRACER, Span, Tracer
 from repro.sqlengine.engine import Database
 from repro.sqlengine.render import render_expr
+from repro.sqlengine.table import Table
 
 __all__ = [
     "MiningResult",
@@ -163,6 +165,37 @@ class _RefreshEntry:
     state: Optional[MiningState] = None
 
 
+@dataclass
+class _Reuse:
+    """One entry of the Section-3 reuse cache: a workspace whose
+    encoded tables are complete, the host variables its preprocessing
+    set, and — once a statement has read it — the simple core's input,
+    stamped with the ``CodedSource`` table it was read from.  The input
+    never changes once stored; it is dropped with the entry."""
+
+    workspace: Workspace
+    totg: int
+    mingroups: int
+    #: the pool's vertical input read from the workspace's CodedSource
+    core_input: Optional[VerticalInput] = None
+    #: CodedSource as it was read: (weak reference to the table object,
+    #: its ``rewrites``, its row count)
+    stamp: Optional[Tuple[weakref.ref, int, int]] = None
+
+    def input_for(self, table: Table) -> Optional[VerticalInput]:
+        """The kept input if it was read from *table* as it stands —
+        the same object, not rewritten since, as many rows — else
+        None."""
+        if self.stamp is None:
+            return None
+        source, rewrites, rows = self.stamp
+        if source() is table and (rewrites, rows) == (
+            table.rewrites, len(table)
+        ):
+            return self.core_input
+        return None
+
+
 @dataclass(kw_only=True)
 class RefreshResult(_RuleOutcome):
     """Outcome of one ``REFRESH RULES`` execution.
@@ -233,10 +266,8 @@ class MiningSystem:
             self._translator = Translator(database)
             self._preprocessor = Preprocessor(database)
             self._postprocessor = Postprocessor(database)
-            #: preprocessing signature -> (workspace, totg, mingroups)
-            self._preprocess_cache: Dict[
-                tuple, Tuple[Workspace, int, int]
-            ] = {}
+            #: preprocessing signature -> its reuse-cache entry
+            self._preprocess_cache: Dict[tuple, _Reuse] = {}
             #: lowercased output table -> refresh bookkeeping of the
             #: last successful MINE RULE run producing it
             self._refresh_registry: Dict[str, _RefreshEntry] = {}
@@ -398,11 +429,11 @@ class MiningSystem:
 
         try:
             with ctx.phase("preprocessor"):
-                program, stats = self._preprocess_stage(
+                program, stats, reuse = self._preprocess_stage(
                     ctx, program, statement_text
                 )
             with ctx.phase("core") as core:
-                encoded_rules = self._core_stage(ctx, program, core)
+                encoded_rules = self._core_stage(ctx, program, core, reuse)
             with ctx.phase("postprocessor"):
                 decoded = self._postprocess_stage(
                     ctx, program, encoded_rules
@@ -437,61 +468,64 @@ class MiningSystem:
         ctx: RunContext,
         program: TranslationProgram,
         statement_text: str,
-    ) -> Tuple[TranslationProgram, Optional[PreprocessStats]]:
+    ) -> Tuple[TranslationProgram, Optional[PreprocessStats],
+               Optional[_Reuse]]:
         """The program that ran (re-targeted when its encoded tables
-        came from the Section-3 reuse cache) and what preprocessing
-        measured — None when nothing had to be preprocessed."""
+        came from the Section-3 reuse cache), what preprocessing
+        measured — None when nothing had to be preprocessed — and the
+        reuse-cache entry of its encoded tables (None with the cache
+        off)."""
         ctx.check_cancel("preprocessor")
         if self.reuse_preprocessing:
-            cached = self._preprocess_cache.get(
+            reuse = self._preprocess_cache.get(
                 self._preprocess_signature(program)
             )
-            if cached is not None:
-                cached_workspace, totg, mingroups = cached
+            if reuse is not None:
                 # Re-target the program onto the cached workspace.
                 program = self._translator.translate(
-                    statement_text, cached_workspace
+                    statement_text, reuse.workspace
                 )
-                self.db.variables["totg"] = totg
-                self.db.variables["mingroups"] = mingroups
+                self.db.variables["totg"] = reuse.totg
+                self.db.variables["mingroups"] = reuse.mingroups
                 ctx.event(
                     "preprocessor",
                     "reused encoded tables",
-                    f"workspace {cached_workspace.prefix} "
+                    f"workspace {reuse.workspace.prefix} "
                     f"(Section 3 optimisation)",
                 )
                 # The output tables of *this* statement must be fresh.
                 self._drop_output_tables(program)
-                return program, None
+                return program, None, reuse
 
         stats = self._preprocessor.run(program, ctx)
+        reuse = None
         if self.reuse_preprocessing:
-            self._preprocess_cache[self._preprocess_signature(program)] = (
-                program.workspace,
-                stats.totg,
-                stats.mingroups,
-            )
-        return program, stats
+            reuse = _Reuse(program.workspace, stats.totg, stats.mingroups)
+            self._preprocess_cache[self._preprocess_signature(program)] = reuse
+        return program, stats, reuse
 
     def _core_stage(
-        self, ctx: RunContext, program: TranslationProgram, core: Span
+        self, ctx: RunContext, program: TranslationProgram, core: Span,
+        reuse: Optional[_Reuse],
     ) -> List[EncodedRule]:
         encoded_rules = ctx.attempt(
-            "core", lambda: self._mine_once(ctx, program, core)
+            "core", lambda: self._mine_once(ctx, program, core, reuse)
         )
         ctx.event("core", "extracted rules", f"{len(encoded_rules)} rules")
         ctx.event("core", "observability", render_core(core.args)[0])
         return encoded_rules
 
     def _mine_once(
-        self, ctx: RunContext, program: TranslationProgram, core: Span
+        self, ctx: RunContext, program: TranslationProgram, core: Span,
+        reuse: Optional[_Reuse],
     ) -> List[EncodedRule]:
-        """One attempt of the core operator: load, then mine; what it
+        """One attempt of the core operator: load (or take the input
+        the reuse-cache entry *reuse* holds), then mine; what it
         observed becomes the attributes of the *core* span."""
         faults.check("core.load")
         loader = CoreInputLoader(self.db, program.core)
         if program.core.simple:
-            data, _ = loader.load_simple_columns()
+            data = self._simple_input(ctx, loader, program, reuse)
         else:
             data = loader.load_general()
         faults.check("core.bitset")
@@ -525,6 +559,35 @@ class MiningSystem:
             f"algorithm {algorithm}, {len(data.groups)} encoded groups",
         )
         return encoded_rules
+
+    def _simple_input(
+        self, ctx: RunContext, loader: CoreInputLoader,
+        program: TranslationProgram, reuse: Optional[_Reuse],
+    ) -> SimpleInput:
+        """The simple core's input: the one *reuse* holds when it was
+        read from the ``CodedSource`` table as it stands (same table
+        object, no rewrite, same row count), else loaded — and then
+        stored in *reuse*, once complete."""
+        table = self.db.catalog.get_table(program.core.coded_source)
+        if reuse is not None:
+            kept = reuse.input_for(table)
+            if kept is not None:
+                ctx.event(
+                    "core",
+                    "reused core input",
+                    f"{len(kept)} encoded groups of "
+                    f"{program.core.coded_source}",
+                )
+                totg, min_count = loader.thresholds()
+                return SimpleInput(totg, min_count, kept)
+            # none kept, or read from a table edited since: drop it
+            # before the load builds the new one
+            reuse.core_input = reuse.stamp = None
+        stamp = (weakref.ref(table), table.rewrites, len(table))
+        data, _ = loader.load_simple_columns()
+        if reuse is not None:
+            reuse.core_input, reuse.stamp = data.groups, stamp
+        return data
 
     def _postprocess_stage(
         self,
@@ -708,7 +771,7 @@ class MiningSystem:
         """Drop a failed run's *workspace* unless the reuse cache holds
         it: then its encoded tables are complete and the next run of a
         statement with the same preprocessing reuses them."""
-        cached = [entry[0] for entry in self._preprocess_cache.values()]
+        cached = [reuse.workspace for reuse in self._preprocess_cache.values()]
         if workspace not in cached:
             self._drop_workspace(workspace)
 
@@ -733,8 +796,8 @@ class MiningSystem:
         are also removed from the database, bounding memory across
         long sessions."""
         if drop_tables:
-            for workspace, _, _ in self._preprocess_cache.values():
-                self._drop_workspace(workspace)
+            for reuse in self._preprocess_cache.values():
+                self._drop_workspace(reuse.workspace)
         self._preprocess_cache.clear()
 
     def _preprocess_signature(self, program: TranslationProgram) -> tuple:

@@ -3,8 +3,13 @@ and coexistence of several executions in one database."""
 
 import pytest
 
-from repro import Database, MiningSystem
-from repro.datagen import load_purchase_figure1
+from repro import Database, MiningSystem, faults
+from repro.algorithms import get_algorithm
+from repro.algorithms.bitset import VerticalInput
+from repro.datagen import load_purchase_figure1, load_purchase_synthetic
+from repro.faults import FaultError, FaultSchedule
+from repro.kernel.core.inputs import CoreInputLoader
+from repro.kernel.core.simple import SimpleCoreOperator
 from repro.minerule import MineRuleParseError, MineRuleValidationError
 from repro.sqlengine.errors import CatalogError
 
@@ -130,6 +135,208 @@ class TestPreprocessingReuse:
         second = system.execute(SIMPLE.replace("Out", "Out2"))
         assert not second.preprocessing_reused
         assert purchase_db.variables["totg"] == 3
+
+
+
+RICH = (
+    "MINE RULE {out} AS SELECT DISTINCT 1..n item AS BODY, "
+    "1..n item AS HEAD, SUPPORT, CONFIDENCE FROM Purchase "
+    "GROUP BY customer "
+    "EXTRACTING RULES WITH SUPPORT: {support}, CONFIDENCE: {confidence}"
+)
+
+
+def rich(out, confidence=0.3, support=0.2):
+    return RICH.format(out=out, confidence=confidence, support=support)
+
+
+def rich_db():
+    database = Database()
+    load_purchase_synthetic(database, customers=30, seed=7)
+    return database
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The calls of ``CoreInputLoader.load_simple_columns``, counted."""
+    calls = []
+    load = CoreInputLoader.load_simple_columns
+
+    def counted(self):
+        calls.append(self)
+        return load(self)
+
+    monkeypatch.setattr(CoreInputLoader, "load_simple_columns", counted)
+    return calls
+
+
+def reused_input(result):
+    return [e.detail for e in result.flow.events
+            if (e.component, e.action) == ("core", "reused core input")]
+
+
+APPEND = (
+    "INSERT INTO Purchase VALUES "
+    "(900, 'cust99', 'belt_14', DATE '1995-01-30', 27.43, 1)"
+)
+
+
+def cold_core(database, result):
+    """The encoded rules a cold core computes on *result*'s encoded
+    tables as they stand: the reference SQL loader, a fresh member."""
+    loader = CoreInputLoader(database, result.program.core)
+    return SimpleCoreOperator(get_algorithm("apriori")).run(
+        loader.load_simple(), result.program.core
+    )
+
+
+class TestReusedCoreInput:
+    """The reuse-cache entry keeps the simple core's input: a reusing
+    statement mines the stored bitmaps instead of reading CodedSource
+    again, and the input is dropped or rebuilt whenever the encoded
+    tables it came from may have changed."""
+
+    @pytest.mark.parametrize("algorithm", ["apriori", "eclat", "auto"])
+    def test_reuse_skips_the_load_and_equals_a_cold_run(
+        self, algorithm, loads
+    ):
+        system = MiningSystem(database=rich_db(), algorithm=algorithm)
+        system.run(rich("Warm"))
+        assert len(loads) == 1
+        for confidence in (0.2, 0.4, 0.6):
+            out = f"Out{int(confidence * 10)}"
+            result = system.run(rich(out, confidence))
+            assert len(loads) == 1  # the warm-up's, and no other
+            assert result.preprocessing_reused
+            assert reused_input(result) == [
+                "30 encoded groups of MR1_CodedSource"
+            ]
+            cold = MiningSystem(database=rich_db(), algorithm=algorithm,
+                                reuse_preprocessing=False)
+            assert result.rule_set() == cold.run(
+                rich(out, confidence)
+            ).rule_set()
+            del loads[1:]  # the cold run's
+
+    def test_rebuilt_after_invalidate(self, loads):
+        system = MiningSystem(database=rich_db())
+        system.run(rich("A"))
+        system.invalidate_preprocessing()
+        result = system.run(rich("B"))
+        assert not result.preprocessing_reused and not reused_input(result)
+        assert len(loads) == 2
+
+    def test_rebuilt_for_a_different_support(self, loads):
+        system = MiningSystem(database=rich_db())
+        system.run(rich("A"))
+        result = system.run(rich("B", support=0.3))
+        assert not reused_input(result)
+        assert len(loads) == 2
+        assert reused_input(system.run(rich("C", support=0.3)))
+        assert len(loads) == 2
+
+    def test_rebuilt_after_an_incremental_refresh(self, loads):
+        database = rich_db()
+        system = MiningSystem(database=database)
+        system.run(rich("A"))
+        database.execute(APPEND)
+        assert system.refresh("A").stats.mode == "incremental"
+        result = system.run(rich("B", confidence=0.5))
+        assert not result.preprocessing_reused and not reused_input(result)
+        assert len(loads) == 2
+        appended = rich_db()
+        appended.execute(APPEND)
+        cold = MiningSystem(database=appended, reuse_preprocessing=False)
+        expected = cold.run(rich("B", confidence=0.5)).rule_set()
+        assert result.rule_set() == expected
+
+    def test_rebuilt_after_a_forced_full_remine(self, loads):
+        database = rich_db()
+        system = MiningSystem(database=database)
+        system.run(rich("A"))
+        system.refresh("A")  # captures the mining state
+        database.execute("DELETE FROM Purchase WHERE customer = 'cust1'")
+        refreshed = system.refresh("A")
+        assert refreshed.stats.mode == "full"
+        assert not reused_input(refreshed)
+        assert len(loads) == 2
+        # the re-mine's input is the one the next statement reuses
+        result = system.run(rich("B", confidence=0.5))
+        assert reused_input(result) and len(loads) == 2
+        assert result.encoded_rules == cold_core(database, result)
+
+    @pytest.mark.parametrize("edit", [
+        "DELETE FROM MR1_CodedSource WHERE Gid = 3",
+        "INSERT INTO MR1_CodedSource VALUES (3, 1)",
+        "UPDATE MR1_CodedSource SET Bid = 2 WHERE Gid = 4",
+    ], ids=["delete", "insert", "update"])
+    def test_rebuilt_after_an_edit_of_coded_source(self, edit, loads):
+        database = rich_db()
+        system = MiningSystem(database=database)
+        system.run(rich("A"))
+        before = len(database.catalog.get_table("MR1_CodedSource"))
+        database.execute(edit)
+        result = system.run(rich("B", confidence=0.5))
+        assert result.preprocessing_reused  # the tables, not the input
+        assert not reused_input(result)
+        assert len(loads) == 2
+        assert result.encoded_rules == cold_core(database, result)
+        if "INSERT" in edit:
+            assert len(database.catalog.get_table("MR1_CodedSource")) > before
+        # the rebuilt input is stamped with the edited table
+        assert reused_input(system.run(rich("C", confidence=0.5)))
+        assert len(loads) == 2
+
+    def test_rebuilt_when_coded_source_is_replaced(self, loads):
+        # a new table object with as many rows and no rewrite yet
+        database = rich_db()
+        system = MiningSystem(database=database)
+        system.run(rich("A"))
+        table = database.catalog.get_table("MR1_CodedSource")
+        rows = [(gid, bid) for gid, bid in table.rows if gid != 3]
+        rows += [(3, 1)] * (len(table) - len(rows))
+        database.create_table_from_rows(
+            "MR1_CodedSource", table.columns, rows, table.types, replace=True
+        )
+        assert database.catalog.get_table("MR1_CodedSource").rewrites == 0
+        result = system.run(rich("B", confidence=0.5))
+        assert not reused_input(result) and len(loads) == 2
+        assert result.encoded_rules == cold_core(database, result)
+
+    def test_core_load_fault_fires_on_a_reuse_hit(self, loads):
+        system = MiningSystem(database=rich_db())
+        system.run(rich("A"))
+        schedule = FaultSchedule().arm("core.load")
+        with faults.injected(schedule):
+            with pytest.raises(FaultError):
+                system.run(rich("B", confidence=0.5))
+            assert schedule.fired == [("core.load", 1, "error")]
+            rerun = system.run(rich("B", confidence=0.5))
+        assert reused_input(rerun) and len(loads) == 1
+        reference = MiningSystem(database=rich_db())
+        reference.run(rich("A"))
+        assert rerun.rule_set() == reference.run(
+            rich("B", confidence=0.5)
+        ).rule_set()
+
+    def test_failed_build_leaves_nothing_cached(self, loads, monkeypatch):
+        system = MiningSystem(database=rich_db())
+        build = VerticalInput.from_columns
+
+        def broken(gid_col, bid_col):
+            raise RuntimeError("input build failed")
+
+        monkeypatch.setattr(VerticalInput, "from_columns", broken)
+        with pytest.raises(RuntimeError, match="input build failed"):
+            system.run(rich("A"))
+        assert all(reuse.core_input is None
+                   for reuse in system._preprocess_cache.values())
+        monkeypatch.setattr(VerticalInput, "from_columns", build)
+        result = system.run(rich("A"))
+        assert result.preprocessing_reused and not reused_input(result)
+        assert len(loads) == 2
+        assert reused_input(system.run(rich("B")))
+        assert len(loads) == 2
 
 
 class TestMultipleExecutions:

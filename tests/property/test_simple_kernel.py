@@ -88,7 +88,13 @@ class TestKernelAgainstTheReference:
         assert len(vertical) == len(reference.groups)
         assert vertical.entries == len(pairs)
         # slots in first-appearance order of the gid column
-        assert list(vertical.universe) == list(dict.fromkeys(gid_col))
+        assert list(vertical.gids) == list(dict.fromkeys(gid_col))
+        # one bitmap per item, its popcount the item's group count
+        assert {item: bitmap.bit_count()
+                for item, bitmap in vertical.bitmaps.items()} == {
+            item: sum(item in items for items in reference.groups.values())
+            for item in {bid for _, bid in pairs}
+        }
         assert vertical.groups == reference.groups
 
         expected = Exhaustive().mine(reference.groups, min_count)

@@ -1,9 +1,12 @@
 """Unit tests for the big-int bitmap kernel, the eclat pool member and
 the layout the system reports for each core variant."""
 
+import dataclasses
+from array import array
+
 import pytest
 
-from repro.algorithms import get_algorithm
+from repro.algorithms import ALGORITHMS, get_algorithm
 from repro.algorithms.apriori import Apriori
 from repro.algorithms.bitset import (
     BitsetStats,
@@ -12,6 +15,7 @@ from repro.algorithms.bitset import (
     VerticalInput,
     count_itemsets,
     mask_from_slots,
+    mask_slots,
 )
 from repro.algorithms.eclat import Eclat
 from repro.algorithms.selector import InputStatistics, select_algorithm
@@ -46,37 +50,53 @@ class TestVerticalInput:
 
     def test_from_columns_slots_in_first_appearance_order(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
-        assert list(vertical.universe) == [70, 30, 50]
+        assert vertical.gids == array("q", [70, 30, 50])
         assert len(vertical) == 3
         assert vertical.entries == 6
-        # the repeated pair repeats its slot; the bitmap absorbs it
-        assert vertical.slots_of == {2: [0, 1, 0], 1: [0, 1], 9: [2]}
-        assert vertical.gid_lists() == {1: 0b011, 2: 0b011, 9: 0b100}
+        # the repeated pair sets its bit once; items ascend
+        assert vertical.bitmaps == {1: 0b011, 2: 0b011, 9: 0b100}
+        assert list(vertical.bitmaps) == [1, 2, 9]
+        assert vertical.gid_lists() == vertical.bitmaps
+        assert vertical.gid_lists() is not vertical.bitmaps
 
     def test_from_groups_inverts_the_group_map(self):
         groups = groups_of({1, 2}, {2})
         vertical = VerticalInput.from_groups(groups)
-        assert {i: sorted(s) for i, s in vertical.slots_of.items()} == {
-            1: [0], 2: [0, 1]
-        }
+        assert vertical.bitmaps == {1: 0b01, 2: 0b11}
         assert vertical.entries == 3
         assert vertical.groups is groups  # nothing derived
 
-    def test_gid_lists_ascending_and_pruned_before_materialisation(self):
+    def test_gid_lists_ascending_and_pruned_by_popcount(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
         assert list(vertical.gid_lists()) == [1, 2, 9]
+        # (70, 2) twice is still two groups, not three
         assert list(vertical.gid_lists(min_count=2)) == [1, 2]
-        assert vertical.gid_lists(min_count=4) == {}
+        assert vertical.gid_lists(min_count=3) == {}
 
-    def test_horizontal_view_is_lazy_and_cached(self):
+    def test_horizontal_view_is_derived_and_not_kept(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
-        assert vertical._groups is None
         groups = vertical.groups
         assert groups == {
             70: frozenset({1, 2}), 30: frozenset({1, 2}), 50: frozenset({9})
         }
         assert list(groups) == [70, 30, 50]
-        assert vertical.groups is groups
+        assert vertical.groups is not groups
+        assert vertical._groups is None
+
+    def test_never_changes_once_built(self):
+        vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vertical.bitmaps = {}
+        before = dict(vertical.bitmaps)
+        for name in ALGORITHMS:
+            get_algorithm(name).mine(vertical, 1)
+        assert vertical.bitmaps == before
+        assert vertical.gids == array("q", [70, 30, 50])
+
+    def test_group_ids_beyond_64_bits_are_kept(self):
+        vertical = VerticalInput.from_columns([2**70, "g"], [1, 1])
+        assert vertical.gids == (2**70, "g")
+        assert vertical.groups == {2**70: frozenset({1}), "g": frozenset({1})}
 
     def test_of_normalises(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
@@ -120,6 +140,13 @@ class TestMaskFromSlots:
     def test_slot_beyond_the_universe_rejected(self):
         with pytest.raises(IndexError):
             mask_from_slots([8], 1)
+
+    @pytest.mark.parametrize(
+        "slots", [[], [0], [7, 8], [63, 64], [0, 5, 9, 200], list(range(70))]
+    )
+    def test_mask_slots_inverts_it(self, slots):
+        mask = mask_from_slots(slots, 26)
+        assert list(mask_slots(mask)) == sorted(set(slots))
 
 
 class TestGroupedUniverse:
