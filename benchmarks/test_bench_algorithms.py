@@ -1,10 +1,12 @@
 """SYN-2 — the algorithm pool on simple rules (algorithm
 interoperability, Section 3).
 
-In the spirit of the evaluations in the cited algorithm papers
-(Apriori, DHP, Partition, sampling), the pool runs on one Quest
-workload across a support sweep: every algorithm must return the
-identical rule set; only core-operator time differs.
+In the spirit of the evaluations in the cited algorithm papers, the
+pool runs on one Quest workload across a support sweep: every
+algorithm must return the identical rule set; only core-operator time
+differs.  AprioriTid, DHP, Partition and Toivonen sampling were
+measured here too, never within 2x of Apriori, and left the pool; their
+numbers are recorded in EXPERIMENTS.md.
 """
 
 import math
@@ -26,13 +28,8 @@ PARAMS = QuestParameters(
 BASKETS = generate_quest(PARAMS)
 SUPPORTS = [0.02, 0.05, 0.10]
 
-#: the real pool — the exhaustive oracle is excluded (exponential) and
-#: "auto" only delegates to one of the members below
-POOL = [
-    name
-    for name in sorted(ALGORITHMS)
-    if name not in ("exhaustive", "auto")
-]
+#: the real pool — "auto" only delegates to one of the members below
+POOL = [name for name in sorted(ALGORITHMS) if name != "auto"]
 
 
 def min_count(fraction):

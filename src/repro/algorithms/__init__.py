@@ -8,22 +8,17 @@ never on the real source.  This package provides that pool:
 * :class:`~repro.algorithms.apriori.Apriori` — the classic iterative
   algorithm [Agrawal et al. 1993/1994] with group-id lists, matching
   the description in Section 4.3.1;
-* :class:`~repro.algorithms.aprioritid.AprioriTid` — the
-  candidate-id-list variant of Apriori [Agrawal & Srikant 1994];
-* :class:`~repro.algorithms.dhp.DirectHashingPruning` — the hash-based
-  algorithm of Park, Chen & Yu [SIGMOD 1995];
-* :class:`~repro.algorithms.partition.Partition` — the two-scan
-  partitioned algorithm of Savasere, Omiecinski & Navathe [VLDB 1995];
-* :class:`~repro.algorithms.sampling.ToivonenSampling` — the
-  sampling + negative-border algorithm of Toivonen [VLDB 1996];
 * :class:`~repro.algorithms.eclat.Eclat` — depth-first vertical mining
   over gid bitmaps with diffset pruning [Zaki, TKDE 2000; Zaki
-  & Gouda, KDD 2003].
+  & Gouda, KDD 2003];
+* :class:`~repro.algorithms.selector.AutoSelect` (``"auto"``) — picks
+  one of the two from the input's shape.
 
 Every ``mine()`` takes the one vertical input type of
 :mod:`repro.algorithms.bitset` (:class:`VerticalInput`; a group map is
-normalised to it).  The gid-list algorithms run on big-int bitmaps
-(``&`` and ``int.bit_count``).
+normalised to it).  Both members run on its big-int gid bitmaps
+(``&`` and ``int.bit_count``), and no member takes a constructor
+argument.
 
 All algorithms return the identical, exact answer: every itemset whose
 group count reaches the threshold, with its exact count (this is the
@@ -31,7 +26,6 @@ contract the property-based tests enforce).
 """
 
 from repro.algorithms.apriori import Apriori
-from repro.algorithms.aprioritid import AprioriTid
 from repro.algorithms.base import (
     ALGORITHMS,
     FrequentItemsetMiner,
@@ -47,11 +41,7 @@ from repro.algorithms.bitset import (
     SlotUniverse,
     VerticalInput,
 )
-from repro.algorithms.dhp import DirectHashingPruning
 from repro.algorithms.eclat import Eclat
-from repro.algorithms.exhaustive import Exhaustive
-from repro.algorithms.partition import Partition
-from repro.algorithms.sampling import ToivonenSampling
 from repro.algorithms.selector import (
     AutoSelect,
     InputStatistics,
@@ -61,7 +51,6 @@ from repro.algorithms.selector import (
 __all__ = [
     "ALGORITHMS",
     "Apriori",
-    "AprioriTid",
     "AutoSelect",
     "BitsetStats",
     "Eclat",
@@ -69,14 +58,10 @@ __all__ = [
     "InputStatistics",
     "SlotUniverse",
     "select_algorithm",
-    "DirectHashingPruning",
-    "Exhaustive",
     "FrequentItemsetMiner",
     "GroupMap",
     "ItemsetCounts",
     "MinerInput",
-    "Partition",
-    "ToivonenSampling",
     "VerticalInput",
     "get_algorithm",
     "register_algorithm",

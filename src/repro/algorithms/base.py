@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Type, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple, Type, Union
 
 from repro.algorithms.bitset import VerticalInput
 
@@ -31,7 +31,7 @@ class FrequentItemsetMiner(abc.ABC):
     """A frequent ("large") itemset mining algorithm.
 
     Subclasses must be deterministic: given the same input they return
-    the same counts (randomized algorithms take an explicit seed).
+    the same counts.
     """
 
     #: registry key; subclasses override
@@ -43,8 +43,7 @@ class FrequentItemsetMiner(abc.ABC):
         groups, mapped to its exact group count.
 
         Implementations normalise *groups* with
-        :meth:`VerticalInput.of` and read the side they work on
-        (``gid_lists()`` or the horizontal ``groups``).  ``min_count``
+        :meth:`VerticalInput.of` and read its ``gid_lists()``.  ``min_count``
         must be at least 1; an itemset's count is the number of
         *groups* (not tuples) containing all of its items, matching the
         support semantics of the MINE RULE operator.
@@ -60,7 +59,11 @@ class FrequentItemsetMiner(abc.ABC):
         (k-1)-prefix, then prune candidates with an infrequent
         k-subset.  Itemsets are sorted tuples.  The two subsets without
         one of the last two items are the joined parents, so only the
-        others are probed (none for a 2-item candidate)."""
+        others are probed (none for a 2-item candidate).
+
+        :mod:`repro.incremental` generates its candidates with it, and
+        it is the reference that ``Apriori._join_level``'s inline
+        generation is tested against."""
         frequent = sorted(frequent)
         frequent_set = set(frequent)
         candidates: List[Tuple[int, ...]] = []
@@ -90,8 +93,9 @@ def register_algorithm(cls: Type[FrequentItemsetMiner]) -> Type[FrequentItemsetM
     return cls
 
 
-def get_algorithm(name: str, **kwargs) -> FrequentItemsetMiner:
-    """Instantiate a pool algorithm by name.
+def get_algorithm(name: str) -> FrequentItemsetMiner:
+    """Instantiate a pool algorithm by name (no member takes an
+    argument).
 
     Raises :class:`KeyError` with the available names on a miss.
     """
@@ -102,4 +106,4 @@ def get_algorithm(name: str, **kwargs) -> FrequentItemsetMiner:
             f"unknown mining algorithm {name!r}; "
             f"available: {', '.join(sorted(ALGORITHMS))}"
         ) from None
-    return cls(**kwargs)
+    return cls()

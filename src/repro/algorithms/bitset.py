@@ -31,7 +31,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 
 @dataclass
@@ -184,8 +184,6 @@ class VerticalInput:
     bitmaps: Dict[Hashable, int]
     #: (group, item) pairs read
     entries: int
-    #: the group map it was built from, if any
-    _groups: Optional[Mapping[Hashable, FrozenSet]] = None
 
     @classmethod
     def from_columns(cls, gid_col: Sequence, bid_col: Sequence) -> "VerticalInput":
@@ -204,8 +202,7 @@ class VerticalInput:
             entries += len(items)
             for item in items:
                 slots_of[item].append(slot)
-        return cls(tuple(groups), _bitmaps(slots_of, len(groups)), entries,
-                   groups)
+        return cls(tuple(groups), _bitmaps(slots_of, len(groups)), entries)
 
     @classmethod
     def of(cls, source) -> "VerticalInput":
@@ -223,21 +220,6 @@ class VerticalInput:
             item: bitmap for item, bitmap in self.bitmaps.items()
             if bitmap.bit_count() >= min_count
         }
-
-    @property
-    def groups(self) -> Mapping[Hashable, FrozenSet]:
-        """The horizontal view, ``gid -> frozenset(items)`` in slot
-        order, for the members that scan groups (dhp, exhaustive,
-        aprioritid, sampling's draw, partition's slicing): the map the
-        input was built from, else derived from the bitmaps on every
-        read and not kept — read it once."""
-        if self._groups is not None:
-            return self._groups
-        members: List[List[Hashable]] = [[] for _ in range(len(self))]
-        for item, bitmap in self.bitmaps.items():
-            for slot in mask_slots(bitmap):
-                members[slot].append(item)
-        return dict(zip(self.gids, map(frozenset, members)))
 
 
 def _bitmaps(
@@ -275,32 +257,6 @@ def mask_slots(mask: int) -> Iterator[int]:
             base = index << 3
             for bit in _BITS_OF_BYTE[byte]:
                 yield base + bit
-
-
-def count_itemsets(
-    vertical: VerticalInput, candidates: Iterable[FrozenSet], min_count: int,
-    stats: BitsetStats,
-) -> Dict[FrozenSet, int]:
-    """The *candidates* contained in at least *min_count* groups of
-    the whole input, with exact counts (the two-phase members' second
-    pass): AND the items' gid lists, count.  A globally infrequent
-    item has no gid list and sinks its candidates."""
-    stats.universe_sizes["gid"] = len(vertical)
-    gid_lists = vertical.gid_lists(min_count)
-    counts: Dict[FrozenSet, int] = {}
-    for candidate in candidates:
-        try:
-            first, *rest = [gid_lists[item] for item in candidate]
-        except KeyError:
-            continue
-        for gid_list in rest:
-            first &= gid_list
-        stats.intersections += len(rest)
-        stats.popcount_calls += 1
-        count = first.bit_count()
-        if count >= min_count:
-            counts[candidate] = count
-    return counts
 
 
 class GroupedUniverse:

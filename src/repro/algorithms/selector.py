@@ -15,9 +15,7 @@ mine only (EXPERIMENTS.md SYN-2):
 * everything else -> Apriori: on wide bitmaps the popcount per
   candidate dominates and levelwise pruning evaluates the fewest.
 
-DHP, Partition, Sampling and AprioriTid are never chosen (never within
-2x of Apriori in the table); they stay selectable by name.  The pool is
-exact, so the rule only ever trades running time.
+The pool is exact, so the rule only ever trades running time.
 """
 
 from __future__ import annotations

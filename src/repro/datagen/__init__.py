@@ -3,8 +3,8 @@
 * :mod:`repro.datagen.retail` — the paper's Purchase table (Figure 1,
   exact) and a scalable synthetic version of the same store scenario;
 * :mod:`repro.datagen.quest` — IBM Quest-style synthetic basket data
-  (the T·I·D workloads used by the algorithm papers the core operator
-  implements: Apriori, DHP, Partition, sampling);
+  (the T·I·D workloads the association-rule papers evaluate on,
+  Apriori's among them);
 * :mod:`repro.datagen.clickstream` — a web-session scenario exercising
   general rules (clusters over request time, mining conditions over
   page attributes).

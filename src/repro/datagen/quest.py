@@ -1,8 +1,8 @@
 """IBM Quest-style synthetic basket generator.
 
 The association-rule literature the core operator draws on (Agrawal &
-Srikant's Apriori, Park's DHP, Savasere's Partition, Toivonen's
-sampling) evaluates on the Quest synthetic workloads named
+Srikant's Apriori and the levelwise and sampling algorithms that
+followed it) evaluates on the Quest synthetic workloads named
 ``T<avg basket>.I<avg pattern>.D<transactions>``: transactions are
 built from a pool of *maximal potentially large itemsets* whose sizes
 and weights follow the original generator's distributions (Poisson

@@ -35,6 +35,9 @@ from repro.sqlengine.types import SqlType
 #: decoded item: single attribute value, or tuple for composite schemas
 Item = Any
 
+#: (body decoder, head decoder): item id -> user-level value
+Decoders = Tuple[Dict[int, Item], Dict[int, Item]]
+
 
 class Postprocessor:
     """Stores encoded rules and decodes them against Bset/Hset."""
@@ -114,9 +117,10 @@ class Postprocessor:
     # decoding
     # ------------------------------------------------------------------
 
-    def decode(self, program: TranslationProgram) -> None:
+    def decode(self, program: TranslationProgram) -> Decoders:
         """Run the translator's postprocessing queries, then build the
-        display table.
+        display table; returns the item decoders it read, for
+        :meth:`decoded_rules`.
 
         Idempotent: the decode outputs are dropped first, so a retried
         or re-run decode cannot duplicate rows in ``<out>_Bodies`` /
@@ -127,12 +131,14 @@ class Postprocessor:
             self._db.catalog.drop_table(table, if_exists=True)
         for query in program.postprocessing:
             self._db.execute(query.sql)
-        self._build_display(program)
+        decoders = self.item_decoders(program)
+        self._build_display(program, decoders)
+        return decoders
 
-    def item_decoders(
-        self, program: TranslationProgram
-    ) -> Tuple[Dict[int, Item], Dict[int, Item]]:
-        """(body decoder, head decoder): item id -> user-level value.
+    def item_decoders(self, program: TranslationProgram) -> Decoders:
+        """(body decoder, head decoder): item id -> user-level value,
+        read from ``Bset`` (and ``Hset`` when the head has its own
+        schema).
 
         Single-attribute schemas decode to the bare value, composite
         schemas to a tuple in schema order.
@@ -151,11 +157,12 @@ class Postprocessor:
         return body, head
 
     def decoded_rules(
-        self, program: TranslationProgram, rules: Sequence[EncodedRule]
+        self, decoders: Decoders, rules: Sequence[EncodedRule]
     ) -> List["DecodedRule"]:
-        """The *rules* decoded to item values; each distinct body and
-        head is decoded once and shared by the rules that have it."""
-        body_decoder, head_decoder = self.item_decoders(program)
+        """The *rules* decoded to item values through *decoders* (what
+        :meth:`decode` returned); each distinct body and head is
+        decoded once and shared by the rules that have it."""
+        body_decoder, head_decoder = decoders
         bodies: Dict[FrozenSet[int], FrozenSet[Item]] = {}
         heads: Dict[FrozenSet[int], FrozenSet[Item]] = {}
         return [
@@ -179,10 +186,12 @@ class Postprocessor:
             return {row[0]: row[1] for row in rows}
         return {row[0]: tuple(row[1:]) for row in rows}
 
-    def _build_display(self, program: TranslationProgram) -> None:
+    def _build_display(
+        self, program: TranslationProgram, decoders: Decoders
+    ) -> None:
         statement = program.statement
         out = statement.output_table
-        body_decoder, head_decoder = self.item_decoders(program)
+        body_decoder, head_decoder = decoders
 
         columns = ["BODY", "HEAD"]
         if statement.select_support:

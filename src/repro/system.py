@@ -610,13 +610,13 @@ class MiningSystem:
             lambda: post.store_encoded_rules(program, encoded_rules),
             own_site=True, rules=len(encoded_rules),
         )
-        ctx.attempt(
+        decoders = ctx.attempt(
             "postprocessor.decode", lambda: post.decode(program),
             own_site=True,
         )
         decoded = ctx.attempt(
             "postprocessor.decode",
-            lambda: post.decoded_rules(program, encoded_rules),
+            lambda: post.decoded_rules(decoders, encoded_rules),
         )
         ctx.event(
             "postprocessor",

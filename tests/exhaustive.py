@@ -1,0 +1,52 @@
+"""The exhaustive itemset oracle of the pool tests.
+
+:class:`Exhaustive` enumerates candidate itemsets levelwise without any
+pruning beyond the level cut-off (it stops at the first empty level,
+which is safe by downward closure) and counts each one by scanning
+every group: exponential, and sharing no counting code with the pool
+members it checks.  It is a plain class, not a registered pool member:
+importing this module leaves ``repro.algorithms.ALGORITHMS`` alone.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Dict, FrozenSet, Hashable, List
+
+from repro.algorithms import ItemsetCounts, MinerInput, VerticalInput
+from repro.algorithms.bitset import mask_slots
+
+
+def group_map(vertical: VerticalInput) -> Dict[Hashable, FrozenSet]:
+    """``gid -> frozenset(items)`` of *vertical*, in slot order, rebuilt
+    from its item bitmaps."""
+    members: List[List[Hashable]] = [[] for _ in range(len(vertical))]
+    for item, bitmap in vertical.bitmaps.items():
+        for slot in mask_slots(bitmap):
+            members[slot].append(item)
+    return dict(zip(vertical.gids, map(frozenset, members)))
+
+
+class Exhaustive:
+    """Levelwise enumeration of every combination, with the pool's
+    ``mine(groups, min_count)`` contract."""
+
+    def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
+        if min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {min_count}")
+        if isinstance(groups, VerticalInput):
+            groups = group_map(groups)
+        baskets = list(groups.values())
+        items = sorted({item for basket in baskets for item in basket})
+        counts: ItemsetCounts = {}
+        for size in range(1, len(items) + 1):
+            found_any = False
+            for combo in itertools.combinations(items, size):
+                candidate = frozenset(combo)
+                count = sum(1 for basket in baskets if candidate <= basket)
+                if count >= min_count:
+                    counts[candidate] = count
+                    found_any = True
+            if not found_any:
+                break
+        return counts

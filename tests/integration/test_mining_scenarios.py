@@ -269,9 +269,7 @@ class TestAlgorithmInteroperability:
         "GROUP BY tid EXTRACTING RULES WITH SUPPORT: 0.08, CONFIDENCE: 0.3"
     )
 
-    @pytest.mark.parametrize(
-        "algorithm", ["apriori", "aprioritid", "dhp", "partition", "sampling"]
-    )
+    @pytest.mark.parametrize("algorithm", ["eclat", "auto"])
     def test_every_pool_algorithm_agrees_with_apriori(
         self, quest_db, algorithm
     ):

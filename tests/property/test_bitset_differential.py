@@ -3,9 +3,9 @@
 Two contracts enforced here:
 
 * every registered pool algorithm returns the same
-  :data:`ItemsetCounts` as ``Exhaustive`` — a levelwise enumeration of
-  every combination that shares no code with the bitmap kernels — over
-  randomized group maps;
+  :data:`ItemsetCounts` as :class:`tests.exhaustive.Exhaustive` — a
+  levelwise enumeration of every combination that shares no counting
+  code with the bitmap kernels — over randomized group maps;
 * the general core operator emits the ordered ``EncodedRule`` list of
   the reference semantics (:func:`tests.minerule_reference.
   general_core`) whether its supports are slot sets (sparse layout),
@@ -22,11 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import ALGORITHMS, get_algorithm
-from repro.algorithms.exhaustive import Exhaustive
 from repro.kernel.core.general import GeneralCoreOperator
 from repro.kernel.core.inputs import GeneralInput
 from repro.kernel.program import CoreDirectives
 from tests import minerule_reference as reference
+from tests.exhaustive import Exhaustive
 
 group_maps = st.dictionaries(
     keys=st.integers(min_value=1, max_value=30),
@@ -37,7 +37,7 @@ group_maps = st.dictionaries(
 thresholds = st.integers(min_value=1, max_value=5)
 
 
-@pytest.mark.parametrize("name", sorted(set(ALGORITHMS) - {"exhaustive"}))
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
 class TestPoolAgreesWithSetBasedReference:
     @given(groups=group_maps, min_count=thresholds)
     @settings(max_examples=30, deadline=None)

@@ -5,9 +5,9 @@
   non-contiguous gids, repeated pairs, a single group, an item in every
   group, ``min_count`` from 1 to beyond the group count — the kernel
   (``load_simple_columns`` + every pool member) returns the counts of
-  the reference (``load_simple`` + ``Exhaustive``), whether the
-  columns were written column-wise or row by row, and its lazy
-  horizontal view is the reference's group map;
+  the reference (``load_simple`` + the tests' ``Exhaustive``), whether
+  the columns were written column-wise or row by row, and the groups
+  its item bitmaps hold are the reference's group map;
 * ``Apriori``'s inline candidate generation yields exactly
   ``join_candidates``' set on random frequent levels;
 * the program has one loader: no caller of ``load_simple`` in ``src/``.
@@ -21,11 +21,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro import Database
-from repro.algorithms import ALGORITHMS, Apriori, Exhaustive, get_algorithm
+from repro.algorithms import ALGORITHMS, Apriori, get_algorithm
 from repro.algorithms.base import FrequentItemsetMiner
 from repro.algorithms.bitset import VerticalInput
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.program import CoreDirectives
+from tests.exhaustive import Exhaustive, group_map
 
 DIRECTIVES = CoreDirectives(
     simple=True, same_schema=True, clustered=False,
@@ -95,7 +96,8 @@ class TestKernelAgainstTheReference:
             item: sum(item in items for items in reference.groups.values())
             for item in {bid for _, bid in pairs}
         }
-        assert vertical.groups == reference.groups
+        # each slot's items, rebuilt from the bitmaps, by group id
+        assert group_map(vertical) == reference.groups
 
         expected = Exhaustive().mine(reference.groups, min_count)
         for name in sorted(ALGORITHMS):

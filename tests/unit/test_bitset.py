@@ -13,7 +13,6 @@ from repro.algorithms.bitset import (
     GroupedUniverse,
     SlotUniverse,
     VerticalInput,
-    count_itemsets,
     mask_from_slots,
     mask_slots,
 )
@@ -64,7 +63,8 @@ class TestVerticalInput:
         vertical = VerticalInput.from_groups(groups)
         assert vertical.bitmaps == {1: 0b01, 2: 0b11}
         assert vertical.entries == 3
-        assert vertical.groups is groups  # nothing derived
+        assert vertical.gids == (1, 2)
+        assert not hasattr(vertical, "groups")  # no horizontal view
 
     def test_gid_lists_ascending_and_pruned_by_popcount(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
@@ -72,16 +72,6 @@ class TestVerticalInput:
         # (70, 2) twice is still two groups, not three
         assert list(vertical.gid_lists(min_count=2)) == [1, 2]
         assert vertical.gid_lists(min_count=3) == {}
-
-    def test_horizontal_view_is_derived_and_not_kept(self):
-        vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
-        groups = vertical.groups
-        assert groups == {
-            70: frozenset({1, 2}), 30: frozenset({1, 2}), 50: frozenset({9})
-        }
-        assert list(groups) == [70, 30, 50]
-        assert vertical.groups is not groups
-        assert vertical._groups is None
 
     def test_never_changes_once_built(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
@@ -96,25 +86,13 @@ class TestVerticalInput:
     def test_group_ids_beyond_64_bits_are_kept(self):
         vertical = VerticalInput.from_columns([2**70, "g"], [1, 1])
         assert vertical.gids == (2**70, "g")
-        assert vertical.groups == {2**70: frozenset({1}), "g": frozenset({1})}
+        assert vertical.bitmaps == {1: 0b11}
 
     def test_of_normalises(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
         assert VerticalInput.of(vertical) is vertical
-        assert VerticalInput.of(EXAMPLE).groups is EXAMPLE
+        assert VerticalInput.of(EXAMPLE) == VerticalInput.from_groups(EXAMPLE)
         assert len(VerticalInput.of({})) == 0
-
-    def test_count_itemsets(self):
-        vertical = VerticalInput.from_groups(EXAMPLE)
-        stats = BitsetStats()
-        candidates = [
-            frozenset({1, 2}), frozenset({2}), frozenset({1, 5}),
-            frozenset({1, 7}),  # 7 occurs nowhere
-        ]
-        assert count_itemsets(vertical, candidates, 2, stats) == {
-            frozenset({1, 2}): 2, frozenset({2}): 4
-        }
-        assert stats.universe_sizes == {"gid": 5}
 
 
 class TestMaskFromSlots:

@@ -48,8 +48,8 @@ class TestMetaCommands:
         assert "usage" in shell.execute(".schema")
 
     def test_algorithm_switch(self, shell):
-        assert "dhp" in shell.execute(".algorithm dhp")
-        assert shell.system.algorithm.name == "dhp"
+        assert "eclat" in shell.execute(".algorithm eclat")
+        assert shell.system.algorithm.name == "eclat"
 
     def test_algorithm_unknown(self, shell):
         assert "unknown algorithm" in shell.execute(".algorithm xx")
@@ -142,6 +142,37 @@ class TestBatchSizeFlag:
         assert "8" in capsys.readouterr().out
 
 
+class TestRemovedPoolMembers:
+    """The members that left the pool are unknown algorithms at every
+    entry point, and each error lists the pool that is left."""
+
+    @pytest.mark.parametrize(
+        "name", ["dhp", "partition", "sampling", "aprioritid", "exhaustive"]
+    )
+    def test_is_an_unknown_algorithm_everywhere(self, name, shell, capsys):
+        from repro import serve
+        from repro.algorithms import get_algorithm
+
+        with pytest.raises(KeyError) as excinfo:
+            get_algorithm(name)
+        assert str(excinfo.value) == (
+            f'"unknown mining algorithm {name!r}; '
+            f'available: apriori, auto, eclat"'
+        )
+        assert shell.execute(f".algorithm {name}") == (
+            f"unknown algorithm {name!r}; available: apriori, auto, eclat"
+        )
+        assert shell.system.algorithm.name == "apriori"
+        for entry in (main, serve.main):
+            with pytest.raises(SystemExit) as exit_info:
+                entry(["--algorithm", name])
+            assert exit_info.value.code == 2
+            assert (
+                f"argument --algorithm: invalid choice: {name!r} "
+                "(choose from 'apriori', 'auto', 'eclat')"
+            ) in capsys.readouterr().err
+
+
 class TestRerunAfterFault:
     def test_resume_flag_is_rejected(self, capsys):
         """A crashed statement is finished by running it again: neither
@@ -192,7 +223,7 @@ class TestBatchMain:
         assert "8" in capsys.readouterr().out
 
     def test_algorithm_flag(self, capsys):
-        code = main(["--algorithm", "dhp", "-c", ".load purchase",
+        code = main(["--algorithm", "eclat", "-c", ".load purchase",
                      "-c", MINE])
         assert code == 0
         assert "directives" in capsys.readouterr().out

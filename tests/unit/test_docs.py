@@ -12,7 +12,7 @@ Four checks over DESIGN.md, README.md and ``docs/*.md``:
 * every ``repro_*`` series docs/OBSERVABILITY.md names is registered
   after one metered golden run, one refresh and one SQL job.
 
-Three more keep the operator-facing surfaces honest:
+Four more keep the operator-facing surfaces honest:
 
 * every ``Name(param=default, …)`` in the first column of
   docs/API.md's tables is the signature of that name, parameter names
@@ -24,7 +24,11 @@ Three more keep the operator-facing surfaces honest:
   right after it says the flag is gone, and then the parsers must
   reject it;
 * every site in :mod:`repro.faults`' site table has a call site in
-  ``src/``, and every literal call site is in the table.
+  ``src/``, and every literal call site is in the table;
+* every pool member README.md, DESIGN.md, ``docs/*.md`` or
+  ``examples/*.py`` picks by name (``get_algorithm("x")``,
+  ``algorithm="x"``, ``.algorithm x``, ``--algorithm x``) is
+  registered.
 """
 
 import ast
@@ -129,6 +133,34 @@ def test_every_backticked_class_name_is_defined():
         if name not in known
     ]
     assert stale == []
+
+
+#: the ways the docs and the examples pick a pool member by name:
+#: ``get_algorithm("x")``, ``algorithm="x"``, ``.algorithm x`` and
+#: ``--algorithm x``
+ALGORITHM_NAME = re.compile(
+    r"""get_algorithm\(\s*["'](\w+)["']"""
+    r"""|\balgorithm\s*=\s*["'](\w+)["']"""
+    r"""|(?<![\w)\]])\.algorithm[ \t]+(\w+)"""
+    r"""|--algorithm[ \t=]+(\w+)"""
+)
+
+
+def test_every_documented_algorithm_name_is_registered():
+    """README, DESIGN.md, ``docs/`` and ``examples/`` name only pool
+    members that exist."""
+    from repro.algorithms import ALGORITHMS
+
+    sources = [*DOCS, *sorted((ROOT / "examples").glob("*.py"))]
+    cited = [
+        (f"{path.relative_to(ROOT)}:{number}", "".join(match))
+        for path in sources
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        for match in ALGORITHM_NAME.findall(line)
+    ]
+    assert cited  # the patterns still match how the docs are written
+    assert [f"{where}: {name}" for where, name in cited
+            if name not in ALGORITHMS] == []
 
 
 def test_every_cited_test_exists():

@@ -211,19 +211,17 @@ class TestEngineOptions:
         ):
             EngineOptions(batch_size=0)
 
-        # the pool: each member has the tuning its algorithm defines
-        # and no layout switch
+        # the pool: no member takes a knob, not even a layout switch
         import repro.algorithms as pool
 
         members = {
             name: list(inspect.signature(cls).parameters)
             for name, cls in pool.ALGORITHMS.items()
         }
-        assert members == {
-            "apriori": [], "aprioritid": [], "eclat": [], "auto": [],
-            "exhaustive": [], "dhp": ["buckets"], "partition": ["partitions"],
-            "sampling": ["sample_fraction", "lowering", "seed"],
-        }
+        assert members == {"apriori": [], "eclat": [], "auto": []}
+        assert list(inspect.signature(pool.get_algorithm).parameters) == [
+            "name"
+        ]
         with pytest.raises(TypeError):
             pool.get_algorithm("apriori", representation="set")
         with pytest.raises(TypeError):

@@ -119,3 +119,39 @@ class TestCompositeSchemas:
         )
         bodies_table = system.db.table("Pairs_Bodies")
         assert bodies_table.columns == ("BodyId", "item", "price")
+
+
+class TestItemTableReads:
+    """Bset and Hset are read once per statement: ``decode`` reads the
+    item decoders, builds the display table with them and hands them on
+    to ``decoded_rules``."""
+
+    @pytest.mark.parametrize(
+        "head, hset_reads", [("1..1 item", 0), ("1..1 price", 1)]
+    )
+    def test_each_item_table_is_read_once(
+        self, system, monkeypatch, head, hset_reads
+    ):
+        statements = []
+        execute = system.db.execute
+
+        def recording(sql, *args, **kwargs):
+            statements.append(sql)
+            return execute(sql, *args, **kwargs)
+
+        monkeypatch.setattr(system.db, "execute", recording)
+        result = system.execute(
+            SIMPLE.replace("1..1 item AS HEAD", f"{head} AS HEAD")
+        )
+        assert result.rules
+        names = result.program.workspace
+
+        def selects_from(table):
+            return sum(
+                sql.startswith("SELECT") and f" FROM {table}" in sql
+                for sql in statements
+            )
+
+        assert selects_from(names.bset) == 1
+        assert selects_from(names.hset) == hset_reads
+        assert result.directives.H == bool(hset_reads)
