@@ -1,4 +1,4 @@
-"""PR1 — the statement/plan cache.
+"""PR1 — the statement cache, which keeps each text's parse and plan.
 
 Asserted (a wrong speedup ratio fails, not just slows down) and
 recorded to ``BENCH_PR1.json`` at the repo root:
@@ -88,5 +88,5 @@ class TestPlanCacheSpeedup:
         }
         # the acceptance floor for this PR: caching must buy >= 2x on
         # repeated execution
-        assert speedup >= 2.0, f"plan cache speedup only {speedup:.2f}x"
+        assert speedup >= 2.0, f"statement cache speedup only {speedup:.2f}x"
         benchmark(warm)

@@ -42,11 +42,7 @@ from repro.algorithms.bitset import (
     VerticalInput,
 )
 from repro.algorithms.eclat import Eclat
-from repro.algorithms.selector import (
-    AutoSelect,
-    InputStatistics,
-    select_algorithm,
-)
+from repro.algorithms.selector import AutoSelect, select_algorithm
 
 __all__ = [
     "ALGORITHMS",
@@ -55,7 +51,6 @@ __all__ = [
     "BitsetStats",
     "Eclat",
     "GroupedUniverse",
-    "InputStatistics",
     "SlotUniverse",
     "select_algorithm",
     "FrequentItemsetMiner",

@@ -20,8 +20,6 @@ The pool is exact, so the rule only ever trades running time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.algorithms.apriori import Apriori
 from repro.algorithms.base import (
     FrequentItemsetMiner,
@@ -33,29 +31,6 @@ from repro.algorithms.bitset import BitsetStats, VerticalInput
 from repro.algorithms.eclat import Eclat
 
 
-@dataclass(frozen=True)
-class InputStatistics:
-    """Cheap one-pass statistics of an encoded input."""
-
-    groups: int
-    distinct_items: int
-    total_entries: int
-
-    @property
-    def average_group_size(self) -> float:
-        return self.total_entries / self.groups if self.groups else 0.0
-
-    @classmethod
-    def of(cls, encoded: MinerInput) -> "InputStatistics":
-        """Read off the vertical input, which knows all three."""
-        vertical = VerticalInput.of(encoded)
-        return cls(
-            groups=len(vertical),
-            distinct_items=len(vertical.bitmaps),
-            total_entries=vertical.entries,
-        )
-
-
 #: at most this many groups: gid bitmaps of a few machine words
 _NARROW_GROUPS = 1_000
 #: average group size from which the lattice is deep enough for the
@@ -63,14 +38,10 @@ _NARROW_GROUPS = 1_000
 _DEEP_AVERAGE = 12.0
 
 
-def select_algorithm(
-    statistics: InputStatistics, min_count: int
-) -> FrequentItemsetMiner:
-    """Pick a pool algorithm for the given input shape."""
-    if (
-        statistics.groups <= _NARROW_GROUPS
-        and statistics.average_group_size >= _DEEP_AVERAGE
-    ):
+def select_algorithm(groups: int, entries: int) -> FrequentItemsetMiner:
+    """Pick a pool algorithm for an input of *groups* groups holding
+    *entries* (group, item) pairs."""
+    if 0 < groups <= _NARROW_GROUPS and entries >= _DEEP_AVERAGE * groups:
         return Eclat()
     return Apriori()
 
@@ -93,7 +64,7 @@ class AutoSelect(FrequentItemsetMiner):
 
     def mine(self, groups: MinerInput, min_count: int) -> ItemsetCounts:
         vertical = VerticalInput.of(groups)
-        chosen = select_algorithm(InputStatistics.of(vertical), min_count)
+        chosen = select_algorithm(len(vertical), vertical.entries)
         self.last_choice = chosen.name
         self.stats = chosen.stats
         return chosen.mine(vertical, min_count)

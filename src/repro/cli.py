@@ -57,7 +57,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from repro import faults
-from repro.algorithms import ALGORITHMS
+from repro.algorithms import ALGORITHMS, get_algorithm
 from repro.datagen import (
     QuestParameters,
     load_clickstream,
@@ -293,14 +293,10 @@ class Shell:
             self.system.invalidate_preprocessing()
             return f"loaded {table.name} ({len(table)} rows)"
         if command == ".algorithm":
-            if argument not in ALGORITHMS:
-                return (
-                    f"unknown algorithm {argument!r}; "
-                    f"available: {', '.join(sorted(ALGORITHMS))}"
-                )
-            from repro.algorithms import get_algorithm
-
-            self.system.algorithm = get_algorithm(argument)
+            try:
+                self.system.algorithm = get_algorithm(argument)
+            except KeyError as exc:
+                return exc.args[0]
             return f"core algorithm set to {argument}"
         if command == ".explain":
             if not argument:

@@ -107,10 +107,11 @@ class Preprocessor:
                     nodes=analysis.nodes,
                 )
             else:
-                # Prepared execution: repeated runs of the same
-                # translation program hit the engine's statement
-                # and plan caches.
-                self._db.prepare(query.sql).execute()
+                # Parse, then execute: the benchmark suite's traced run
+                # (benchmarks/suite/boundaries.py) times the two calls
+                # under this query's label.
+                statement, parse = self._db.prepare(query.sql)
+                self._db.execute_ast(statement, sql=query.sql, parse=parse)
 
         stage = {} if quiet else {"stage": query.label}
         ctx.attempt(

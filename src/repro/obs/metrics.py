@@ -86,7 +86,7 @@ SPAN_SERIES: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "repro_sql_rows_scanned_total": (
         "counter", (), "Source rows scanned by SELECT pipelines"),
     "repro_sql_cache_events_total": (
-        "counter", ("cache", "outcome"), "Statement/plan cache events"),
+        "counter", ("cache", "outcome"), "Statement-cache events (parses and plans)"),
     "repro_minerule_run_seconds": (
         "histogram", (), "End-to-end MINE RULE run latency"),
     "repro_minerule_runs_total": (

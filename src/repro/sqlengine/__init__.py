@@ -17,7 +17,7 @@ The public entry point is :class:`~repro.sqlengine.engine.Database`::
     rows = db.query("SELECT a, b FROM t WHERE a > :low", {"low": 0})
 """
 
-from repro.sqlengine.engine import CacheStats, Database, PreparedStatement
+from repro.sqlengine.engine import CacheStats, Database
 from repro.sqlengine.options import EngineOptions
 from repro.sqlengine.errors import (
     CatalogError,
@@ -35,7 +35,6 @@ __all__ = [
     "Database",
     "EngineOptions",
     "ExecutionError",
-    "PreparedStatement",
     "SqlError",
     "SqlParseError",
     "SqlType",

@@ -78,11 +78,12 @@ class Catalog:
         self._sequences: Dict[str, Sequence] = {}
         self._indexes: Dict[str, Index] = {}
         #: serializes DDL against concurrent lookups: every mutator
-        #: (and the version bump) runs under it, so a plan-cache probe
+        #: (and the version bump) runs under it, so a cached-plan probe
         #: can never observe a half-applied create/drop
         self._lock = threading.RLock()
         #: monotone counter bumped by every DDL change; the engine's
-        #: plan cache keys on it, so any catalog change evicts plans
+        #: cached plans hold for one version, so any catalog change
+        #: evicts them
         self.version = 0
 
     def _bump_version(self) -> None:

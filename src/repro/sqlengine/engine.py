@@ -7,21 +7,18 @@ queries, exactly as the paper's Q1/Q3 pair requires), and a statement
 counter used by the benchmarks.  Every statement runs on the one batch
 executor, :mod:`repro.sqlengine.vector`.
 
-Two caches make repeated execution cheap — the paper's Preprocessor
-replays the same Q0..Q11 programs for every MINE RULE execution, so
-the engine must not re-pay lexing, parsing and planning each time:
-
-* a **statement cache** maps SQL text to its parsed AST;
-* a **plan cache** maps a parsed SELECT (by identity) to its physical
-  plan and holds plans of one catalog version only — any DDL bumps the
-  version and the next lookup drops every cached plan (none could hit
-  again, and each pins the tables it scans).  Planning reads no data:
-  views and derived tables are subplans executed when the parent runs,
-  so their plans are cached like any other.
-
-Both are observable through :attr:`Database.cache_stats`;
-:meth:`Database.prepare` exposes the prepared-statement handle the
-Preprocessor replays.
+One **statement cache** makes repeated execution cheap: it maps SQL
+text to the parsed statement and, once the statement has run, the
+physical plan of its SELECT (a plain SELECT, or the one inside
+``INSERT .. SELECT`` / ``CREATE TABLE .. AS``), so a text executed
+again skips lexing, parsing and planning.  Views, derived tables and
+set-operation blocks are planned as part of their parent's plan;
+planning reads no data (they are subplans executed when the parent
+runs).  Cached plans hold for one catalog version only — any DDL bumps
+the version and the next plan lookup drops every cached plan (none
+could hit again, and each pins the tables it scans), keeping the
+parses.  The cache is observable through :attr:`Database.cache_stats`;
+:meth:`Database.prepare` is its parse step.
 
 With an enabled :attr:`Database.tracer` each statement is one
 ``engine.<kind>`` span carrying ``kind``, ``sql``, ``rows``,
@@ -33,9 +30,10 @@ Concurrency (the jobs layer runs statements from worker threads):
 * every statement executes under the database's :class:`RWLock` —
   plain SELECTs on the shared side, anything that mutates state
   (DML, DDL, ``SELECT .. INTO``) on the exclusive side;
-* the statement and plan caches (and their counters) are guarded by
-  one cache lock, so concurrent ``prepare()``/``execute()`` calls
-  neither corrupt the LRU order nor lose counter increments;
+* the statement cache (its plans and counters) is guarded by one cache
+  lock, so concurrent ``execute()`` calls neither corrupt the LRU
+  order nor lose counter increments, and the first parse of a text is
+  the one every thread gets;
 * the current statement's host-variable bindings are **thread-local**
   — two threads scanning through one cached plan each see their own
   parameters.
@@ -66,8 +64,9 @@ Row = Tuple[Any, ...]
 
 @dataclass
 class CacheStats:
-    """Statement/plan cache counters over the database's life; each
-    ``engine.<kind>`` span carries its own statement's share."""
+    """Statement-cache counters over the database's life — parses
+    (``statement_*``) and the plans kept on the entries (``plan_*``);
+    each ``engine.<kind>`` span carries its own statement's share."""
 
     statement_hits: int = 0
     statement_misses: int = 0
@@ -77,42 +76,15 @@ class CacheStats:
     plan_invalidations: int = 0
 
 
-class PreparedStatement:
-    """A parsed statement handle bound to one :class:`Database`.
+class _Entry:
+    """A statement-cache entry: the parsed statement of one SQL text
+    and, once planned, the plan of its SELECT."""
 
-    Parsing happened at :meth:`Database.prepare` time; repeated
-    :meth:`execute` calls skip the lexer/parser entirely and, for
-    SELECTs, reuse the cached physical plan while the catalog version
-    is unchanged.
-    """
+    __slots__ = ("statement", "plan")
 
-    __slots__ = ("_db", "sql", "statement", "_parse")
-
-    def __init__(
-        self,
-        database: "Database",
-        sql: str,
-        statement: ast.Statement,
-        parse: Optional[str] = None,
-    ):
-        self._db = database
-        self.sql = sql
+    def __init__(self, statement: ast.Statement) -> None:
         self.statement = statement
-        #: the statement-cache event of the parse, reported on the
-        #: first execution's span
-        self._parse = parse
-
-    def execute(self, params: Optional[Dict[str, Any]] = None) -> Result:
-        parse, self._parse = self._parse, None
-        return self._db.execute_ast(
-            self.statement, params, sql=self.sql, parse=parse
-        )
-
-    def query(self, params: Optional[Dict[str, Any]] = None) -> List[Row]:
-        return self.execute(params).rows
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PreparedStatement({self.sql!r})"
+        self.plan: Optional[SelectPlan] = None
 
 
 class Database:
@@ -127,7 +99,7 @@ class Database:
         self.variables: Dict[str, Any] = {}
         #: number of statements executed (observability for benches)
         self.statements_executed = 0
-        #: statement/plan cache hit-miss counters
+        #: statement-cache hit/miss counters (parses and plans)
         self.cache_stats = CacheStats()
         #: where statement spans go; the shared no-op tracer by default,
         #: so the un-traced hot path pays one attribute check per
@@ -139,17 +111,16 @@ class Database:
         #: reader/writer statement guard: SELECT scans share it, DML/
         #: DDL/SELECT INTO hold it exclusively (jobs-layer concurrency)
         self.rwlock = RWLock()
-        #: guards the statement/plan caches, their LRU order, the
-        #: cache_stats counters and statements_executed
+        #: guards the statement cache, its LRU order, the cache_stats
+        #: counters and statements_executed
         self._cache_lock = threading.RLock()
         #: host variables of the statement currently executing — one
         #: binding per thread, so concurrent readers sharing a cached
         #: plan cannot clobber each other's parameters
         self._local = threading.local()
-        self._statement_cache: "OrderedDict[str, ast.Statement]" = OrderedDict()
-        self._plan_cache: "OrderedDict[int, SelectPlan]" = OrderedDict()
+        self._statement_cache: "OrderedDict[str, _Entry]" = OrderedDict()
         #: the catalog version every cached plan was built under
-        self._plan_cache_version = 0
+        self._planned_version = 0
 
     @property
     def _params(self) -> Dict[str, Any]:
@@ -166,21 +137,12 @@ class Database:
     def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> Result:
         """Parse (through the statement cache) and execute one
         statement."""
-        statement, parse = self._parse_statement(sql)
+        statement, parse = self.prepare(sql)
         return self.execute_ast(statement, params, sql=sql, parse=parse)
 
     def query(self, sql: str, params: Optional[Dict[str, Any]] = None) -> List[Row]:
         """Execute and return the raw row list."""
         return self.execute(sql, params).rows
-
-    def prepare(self, sql: str) -> PreparedStatement:
-        """Parse one statement once and return a reusable handle.
-
-        Repeated executions of the handle skip lexing/parsing; SELECT
-        plans are additionally reused through the plan cache until a
-        DDL statement bumps the catalog version.
-        """
-        return PreparedStatement(self, sql, *self._parse_statement(sql))
 
     def execute_script(
         self, script: str, params: Optional[Dict[str, Any]] = None
@@ -198,20 +160,22 @@ class Database:
     ) -> Result:
         """Execute an already-parsed statement (every statement's one
         path).  *sql*, the text, and *parse*, its statement-cache event,
-        are attributes of the statement's span; both may be omitted."""
+        are attributes of the statement's span; both may be omitted.
+        The plan of the statement's SELECT is kept on the cache entry
+        of *sql* when that entry holds *statement*."""
         faults.check("engine.execute")
         with self._cache_lock:
             self.statements_executed += 1
         tracer = self.tracer
         if not tracer.enabled:
-            return self._dispatch_statement(statement, params)
+            return self._dispatch_statement(statement, params, sql)
         kind = type(statement).__name__
         with tracer.span(
             f"engine.{kind}", "engine", kind=kind, sql=sql or ""
         ) as span:
             if parse is not None:
                 span.args[parse] = 1
-            result = self._dispatch_statement(statement, params)
+            result = self._dispatch_statement(statement, params, sql)
             span.args["rows"] = len(result.rows)
         return result
 
@@ -226,7 +190,8 @@ class Database:
     def _dispatch_statement(
         self,
         statement: ast.Statement,
-        params: Optional[Dict[str, Any]] = None,
+        params: Optional[Dict[str, Any]],
+        sql: Optional[str],
     ) -> Result:
         with self._statement_guard(statement):
             # Bind host variables inside the guard: a concurrent
@@ -236,15 +201,17 @@ class Database:
             if params:
                 merged.update(params)
             self._params = merged
-            return self._dispatch_unlocked(statement)
+            return self._dispatch_unlocked(statement, sql)
 
-    def _dispatch_unlocked(self, statement: ast.Statement) -> Result:
+    def _dispatch_unlocked(
+        self, statement: ast.Statement, sql: Optional[str]
+    ) -> Result:
         if isinstance(statement, ast.Select):
-            return self._execute_select(statement)
+            return self._execute_select(statement, sql)
         if isinstance(statement, ast.CreateTable):
             return self._execute_create_table(statement)
         if isinstance(statement, ast.CreateTableAsSelect):
-            return self._execute_ctas(statement)
+            return self._execute_ctas(statement, sql)
         if isinstance(statement, ast.CreateView):
             self.catalog.create_view(
                 View(statement.name, statement.select), statement.or_replace
@@ -263,7 +230,7 @@ class Database:
         if isinstance(statement, ast.InsertValues):
             return self._execute_insert_values(statement)
         if isinstance(statement, ast.InsertSelect):
-            return self._execute_insert_select(statement)
+            return self._execute_insert_select(statement, sql)
         if isinstance(statement, ast.Delete):
             return self._execute_delete(statement)
         if isinstance(statement, ast.Update):
@@ -297,7 +264,6 @@ class Database:
         """Drop every cached parse and plan (counters are kept)."""
         with self._cache_lock:
             self._statement_cache.clear()
-            self._plan_cache.clear()
 
     # -- convenience -----------------------------------------------------
 
@@ -323,83 +289,96 @@ class Database:
         return table
 
     # ------------------------------------------------------------------
-    # statement and plan caches
+    # the statement cache
     # ------------------------------------------------------------------
 
-    def _parse_statement(self, sql: str) -> Tuple[ast.Statement, str]:
-        """The statement of *sql* and the cache event of the lookup
-        (``statement_hits`` or ``statement_misses``)."""
+    def prepare(self, sql: str) -> Tuple[ast.Statement, str]:
+        """Parse *sql* through the statement cache: its statement and
+        the cache event of the lookup (``statement_hits`` or
+        ``statement_misses``), which :meth:`execute_ast` takes with the
+        text."""
         with self._cache_lock:
             cache = self._statement_cache
-            statement = cache.get(sql)
-            if statement is not None:
+            entry = cache.get(sql)
+            if entry is not None:
                 self.cache_stats.statement_hits += 1
                 cache.move_to_end(sql)
-                return statement, "statement_hits"
+                return entry.statement, "statement_hits"
             self.cache_stats.statement_misses += 1
         # Parse outside the lock (pure function of the text); first
-        # writer wins so every thread keeps getting the same AST object
-        # for the same SQL text (the plan cache keys on identity).
+        # writer wins so every thread keeps getting the same statement
+        # object for the same SQL text, and with it the entry's plan.
         statement = parse_sql(sql)
         with self._cache_lock:
             cache = self._statement_cache
-            existing = cache.get(sql)
-            if existing is not None:
+            entry = cache.get(sql)
+            if entry is not None:
                 cache.move_to_end(sql)
-                return existing, "statement_misses"
-            cache[sql] = statement
+                return entry.statement, "statement_misses"
+            cache[sql] = _Entry(statement)
             while len(cache) > self.options.statement_cache_size:
                 cache.popitem(last=False)
         return statement, "statement_misses"
 
-    def _select_plan(
-        self, select: ast.Select, outer: Any = None
+    def _statement_plan(
+        self, statement: ast.Statement, sql: Optional[str]
     ) -> SelectPlan:
-        """Fetch or build the plan for *select*.
-
-        The cache key is the parsed node's identity: the statement
-        cache hands back the same AST object for the same SQL text, so
-        re-executions (and every subquery nested in a cached statement)
-        hit here without any hashing of the tree.  An entry holds a
-        strong reference to its Select, which pins the id.  *outer* is
-        the enclosing scope of a subquery, whose plans are built per
-        enclosing plan instead of cached.
-        """
-        if outer is not None:
-            return SelectPlanner(self, outer).plan(select)
-        key = id(select)
+        """Fetch or build the plan of *statement*'s SELECT: the
+        statement itself, or the SELECT of ``INSERT .. SELECT`` /
+        ``CREATE TABLE .. AS``.  It is kept on the cache entry of
+        *sql* when that entry holds *statement*; any other statement
+        is planned afresh."""
+        select = (
+            statement if isinstance(statement, ast.Select)
+            else statement.select
+        )
         count = self.tracer.count  # onto the statement's span
         with self._cache_lock:
-            cache = self._plan_cache
+            cache = self._statement_cache
             version = self.catalog.version
-            if version != self._plan_cache_version:
+            if version != self._planned_version:
                 # DDL happened: no cached plan can hit again, and each
                 # pins the tables it scans — drop them all now instead
                 # of waiting for LRU eviction
-                if cache:
-                    self.cache_stats.plan_invalidations += len(cache)
-                    count("plan_invalidations", len(cache))
-                    cache.clear()
-                self._plan_cache_version = version
-            entry = cache.get(key)
-            if entry is not None and entry.select is select:
+                stale = 0
+                for entry in cache.values():
+                    if entry.plan is not None:
+                        entry.plan = None
+                        stale += 1
+                if stale:
+                    self.cache_stats.plan_invalidations += stale
+                    count("plan_invalidations", stale)
+                self._planned_version = version
+            entry = cache.get(sql)
+            if entry is not None and entry.statement is not statement:
+                entry = None  # a parse of the text other than this one
+            if entry is not None and entry.plan is not None:
                 self.cache_stats.plan_hits += 1
                 count("plan_hits")
-                cache.move_to_end(key)
-                return entry
+                return entry.plan
             self.cache_stats.plan_misses += 1
             count("plan_misses")
-            plan = cache[key] = SelectPlanner(self).plan(select)
-            while len(cache) > self.options.plan_cache_size:
-                cache.popitem(last=False)
+            plan = SelectPlanner(self).plan(select)
+            if entry is not None:
+                entry.plan = plan
             return plan
+
+    def _select_plan(
+        self, select: ast.Select, outer: Any = None
+    ) -> SelectPlan:
+        """Plan a nested block: a view, derived table or set-operation
+        block as part of its parent's plan, or a subquery against
+        *outer*, the enclosing scope.  Nothing here is cached."""
+        return SelectPlanner(self, outer).plan(select)
 
     # ------------------------------------------------------------------
     # SELECT execution
     # ------------------------------------------------------------------
 
-    def _execute_select(self, select: ast.Select) -> Result:
-        plan = self._select_plan(select)
+    def _execute_select(
+        self, select: ast.Select, sql: Optional[str]
+    ) -> Result:
+        plan = self._statement_plan(select, sql)
         # the columns are dropped before Result copies the rows
         rows = list(zip(*plan.run(self)[0]))
         if select.into_vars:
@@ -417,11 +396,11 @@ class Database:
         return Result(plan.columns, rows)
 
     def _select_columns(
-        self, select: ast.Select
+        self, statement: ast.Statement, sql: Optional[str]
     ) -> Tuple[List[str], List[List[Any]]]:
-        """A whole SELECT statement's result column-major, the shape
+        """The result of *statement*'s SELECT column-major, the shape
         ``insert_columns`` takes.  The lists are only to be read."""
-        plan = self._select_plan(select)
+        plan = self._statement_plan(statement, sql)
         return plan.columns, plan.run(self)[0]
 
     # ------------------------------------------------------------------
@@ -434,8 +413,10 @@ class Database:
         self.catalog.create_table(Table(statement.name, columns, types))
         return Result()
 
-    def _execute_ctas(self, statement: ast.CreateTableAsSelect) -> Result:
-        columns, cols = self._select_columns(statement.select)
+    def _execute_ctas(
+        self, statement: ast.CreateTableAsSelect, sql: Optional[str]
+    ) -> Result:
+        columns, cols = self._select_columns(statement, sql)
         table = Table(statement.name, columns)
         count = table.insert_columns(cols)
         self.catalog.create_table(table)
@@ -466,10 +447,12 @@ class Database:
             count += 1
         return Result(rowcount=count)
 
-    def _execute_insert_select(self, statement: ast.InsertSelect) -> Result:
+    def _execute_insert_select(
+        self, statement: ast.InsertSelect, sql: Optional[str]
+    ) -> Result:
         # An explicit column list reorders and pads row by row; without
         # one the result goes into the table column by column.
-        columns, cols = self._select_columns(statement.select)
+        columns, cols = self._select_columns(statement, sql)
         if not self.catalog.has_table(statement.table):
             # Convenience extension: auto-create the target from the
             # SELECT output schema (the paper's translation programs

@@ -15,7 +15,7 @@ The lines are the plan's own nodes (:mod:`repro.sqlengine.vector`),
 walked as the executor runs them.  A view or derived table is a
 ``Subplan`` node with the nested plan under it; a compound's set
 operations are lines over their blocks, under the compound's LIMIT and
-ORDER BY.  EXPLAIN goes through the same statement/plan caches as
+ORDER BY.  EXPLAIN goes through the same statement cache as
 execution, so explaining a hot query is itself cheap — and it executes
 nothing: planning reads no data.
 
@@ -63,14 +63,14 @@ def _no_annotation(node: Optional[PlanNode]) -> str:
 
 def explain(database: Any, sql: str, params: Optional[dict] = None) -> str:
     """Plan *sql* (a SELECT) and return the plan tree as text."""
-    statement, _ = database._parse_statement(sql)
+    statement, _ = database.prepare(sql)
     if not isinstance(statement, ast.Select):
         return f"{type(statement).__name__} (no plan: executed directly)"
     merged = dict(database.variables)
     if params:
         merged.update(params)
     database._params = merged
-    return render_plan(database._select_plan(statement))
+    return render_plan(database._statement_plan(statement, sql))
 
 
 def render_plan(
@@ -343,7 +343,7 @@ def analyze_statement(
 ) -> AnalyzeResult:
     """Execute *sql* once with operator instrumentation and return the
     annotated plan plus the statement's result."""
-    statement, parse = database._parse_statement(sql)
+    statement, parse = database.prepare(sql)
     collector = AnalyzeCollector()
     database._analyze = collector
     started = time.perf_counter()

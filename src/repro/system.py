@@ -156,11 +156,11 @@ class MiningResult(_RuleOutcome):
 
 @dataclass
 class _RefreshEntry:
-    """Per-output-table refresh bookkeeping: the owning statement, its
-    translated program (workspace, postprocessing SQL, directives) and
-    the mining state captured by the last refresh."""
+    """Per-output-table refresh bookkeeping: the translated program of
+    the owning statement (its parsed statement, workspace,
+    postprocessing SQL, directives) and the mining state captured by
+    the last refresh."""
 
-    statement_text: str
     program: TranslationProgram
     state: Optional[MiningState] = None
 
@@ -412,14 +412,17 @@ class MiningSystem:
     # MINE RULE stages
     # ------------------------------------------------------------------
 
-    def _mine(self, ctx: RunContext, statement_text: str) -> MiningResult:
-        """translate -> preprocess -> core -> postprocess in *ctx*."""
+    def _mine(
+        self, ctx: RunContext, statement: Union[str, MineRuleStatement]
+    ) -> MiningResult:
+        """translate -> preprocess -> core -> postprocess in *ctx*;
+        *statement* is parsed here unless it already is."""
         ctx.check_cancel("translator")
         self._executions += 1
         with ctx.phase("translator"):
             ctx.event("translator", "received statement")
             program = self._translator.translate(
-                statement_text, Workspace(f"MR{self._executions}")
+                statement, Workspace(f"MR{self._executions}")
             )
             ctx.event(
                 "translator",
@@ -429,9 +432,7 @@ class MiningSystem:
 
         try:
             with ctx.phase("preprocessor"):
-                program, stats, reuse = self._preprocess_stage(
-                    ctx, program, statement_text
-                )
+                program, stats, reuse = self._preprocess_stage(ctx, program)
             with ctx.phase("core") as core:
                 encoded_rules = self._core_stage(ctx, program, core, reuse)
             with ctx.phase("postprocessor"):
@@ -451,7 +452,7 @@ class MiningSystem:
         # tables reflect.
         self._refresh_registry[
             program.statement.output_table.lower()
-        ] = _RefreshEntry(statement_text=statement_text, program=program)
+        ] = _RefreshEntry(program=program)
 
         return MiningResult(
             statement=program.statement,
@@ -467,7 +468,6 @@ class MiningSystem:
         self,
         ctx: RunContext,
         program: TranslationProgram,
-        statement_text: str,
     ) -> Tuple[TranslationProgram, Optional[PreprocessStats],
                Optional[_Reuse]]:
         """The program that ran (re-targeted when its encoded tables
@@ -481,9 +481,10 @@ class MiningSystem:
                 self._preprocess_signature(program)
             )
             if reuse is not None:
-                # Re-target the program onto the cached workspace.
+                # Re-target the program onto the cached workspace; the
+                # statement is already parsed.
                 program = self._translator.translate(
-                    statement_text, reuse.workspace
+                    program.statement, reuse.workspace
                 )
                 self.db.variables["totg"] = reuse.totg
                 self.db.variables["mingroups"] = reuse.mingroups
@@ -655,7 +656,7 @@ class MiningSystem:
                 "refresh.full", category="refresh", reason=reason
             )
             self.invalidate_preprocessing()
-            mined = self._mine(ctx, entry.statement_text)
+            mined = self._mine(ctx, program.statement)
             program, encoded_rules = mined.program, mined.encoded_rules
             decoded = mined.rules
             stats = RefreshStats(

@@ -11,6 +11,7 @@ from repro.faults import FaultError, FaultSchedule
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.core.simple import SimpleCoreOperator
 from repro.minerule import MineRuleParseError, MineRuleValidationError
+from repro.minerule.parser import parse_mine_rule
 from repro.sqlengine.errors import CatalogError
 
 SIMPLE = """
@@ -116,6 +117,30 @@ class TestPreprocessingReuse:
             )
         )
         assert not second.preprocessing_reused
+
+    def test_reused_run_parses_its_statement_once(
+        self, purchase_db, monkeypatch
+    ):
+        """The re-targeted program is translated from the parsed
+        statement, and so is a forced full re-mine."""
+        from repro.kernel import translator
+
+        parses = []
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse_mine_rule(text)
+
+        monkeypatch.setattr(translator, "parse_mine_rule", counting_parse)
+        system = MiningSystem(database=purchase_db)
+        system.execute(SIMPLE)
+        del parses[:]
+        assert system.execute(SIMPLE.replace("Out", "Out2")).preprocessing_reused
+        assert len(parses) == 1
+        system.refresh("Out")  # captures the mining state
+        purchase_db.execute("DELETE FROM Purchase WHERE customer = 'cust1'")
+        assert system.refresh("Out").stats.mode == "full"
+        assert len(parses) == 1
 
     def test_reuse_can_be_disabled(self, purchase_db):
         system = MiningSystem(database=purchase_db,
@@ -426,8 +451,9 @@ class TestWorkspaceCleanup:
     def test_cold_runs_leave_no_dead_plans_behind(self, purchase_db):
         """Every run's workspace prefix makes its SQL text new, so the
         plans of a dropped workspace can never be looked up again: they
-        must leave the plan cache (with the tables and decoded columns
-        they pin) instead of piling up until LRU eviction."""
+        must leave the statement cache's entries (with the tables and
+        decoded columns they pin) instead of piling up until LRU
+        eviction."""
         from repro.sqlengine.vector import SubplanSource
 
         def scanned_tables(plan):
@@ -437,9 +463,15 @@ class TestWorkspaceCleanup:
                 elif hasattr(node, "table"):
                     yield node.table
 
+        def plans(database):
+            return [
+                entry.plan for entry in database._statement_cache.values()
+                if entry.plan is not None
+            ]
+
         def assert_only_live_tables(database):
             catalog = database.catalog
-            for plan in database._plan_cache.values():
+            for plan in plans(database):
                 for table in scanned_tables(plan):
                     assert catalog.has_table(table.name), table.name
                     assert catalog.get_table(table.name) is table
@@ -449,11 +481,11 @@ class TestWorkspaceCleanup:
         for _ in range(6):
             system.execute(SIMPLE)
             assert_only_live_tables(purchase_db)
-            sizes.append(len(purchase_db._plan_cache))
+            sizes.append(len(plans(purchase_db)))
             system.invalidate_preprocessing(drop_tables=True)
         # flat, not one run's worth of plans more per cycle
         assert max(sizes) == sizes[0]
         # the next statement sweeps what the last drop made stale
         purchase_db.query("SELECT COUNT(*) FROM Purchase")
-        assert len(purchase_db._plan_cache) == 1
+        assert len(plans(purchase_db)) == 1
         assert_only_live_tables(purchase_db)

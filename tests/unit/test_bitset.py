@@ -17,7 +17,7 @@ from repro.algorithms.bitset import (
     mask_slots,
 )
 from repro.algorithms.eclat import Eclat
-from repro.algorithms.selector import InputStatistics, select_algorithm
+from repro.algorithms.selector import select_algorithm
 from repro.kernel.core.general import GeneralCoreOperator
 
 
@@ -220,10 +220,8 @@ class TestEclat:
         assert all(count == 3 for count in counts.values())
 
     def test_selector_routes_moderately_dense_inputs_to_eclat(self):
-        stats = InputStatistics(
-            groups=500, distinct_items=100, total_entries=7_000
-        )  # average 14 items/group, narrow bitmaps
-        assert isinstance(select_algorithm(stats, min_count=5), Eclat)
+        # average 14 items/group, narrow bitmaps
+        assert isinstance(select_algorithm(500, 7_000), Eclat)
 
 
 class TestSystemRepresentationSwitch:

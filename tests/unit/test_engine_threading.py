@@ -134,8 +134,7 @@ class TestRWLock:
 
 
 # ---------------------------------------------------------------------------
-# statement/plan caches under prepare() from 8 threads (the satellite
-# regression test)
+# the statement cache and the plans on its entries from 8 threads
 # ---------------------------------------------------------------------------
 
 
@@ -149,20 +148,20 @@ class TestPrepareHammer:
             f"SELECT k, COUNT(*) AS c FROM t WHERE k >= {i} GROUP BY k"
             for i in range(6)
         ]
-        expected = {
-            sql: db.prepare(sql).execute().rows for sql in statements
-        }
+        expected = {sql: db.execute(sql).rows for sql in statements}
         db.clear_caches()
 
         def hammer(i):
             for round_ in range(40):
                 sql = statements[(i + round_) % len(statements)]
-                prepared = db.prepare(sql)
-                assert prepared.execute().rows == expected[sql]
+                assert db.execute(sql).rows == expected[sql]
 
         run_threads(THREADS, hammer)
-        # the statement cache must hold exactly one AST per text
+        # the statement cache must hold exactly one entry per text,
+        # each planned once: every later execution hit its plan
         assert len(db._statement_cache) == len(statements)
+        assert db.cache_stats.plan_misses == 2 * len(statements)
+        assert db.cache_stats.plan_hits == THREADS * 40 - len(statements)
 
     def test_shared_plan_thread_local_params(self):
         """Concurrent executions of one cached plan must each see
@@ -172,13 +171,12 @@ class TestPrepareHammer:
         for i in range(10):
             db.execute(f"INSERT INTO n VALUES ({i})")
         sql = "SELECT COUNT(*) AS c FROM n WHERE v < :limit"
-        prepared = db.prepare(sql)
         barrier = threading.Barrier(THREADS, timeout=10)
 
         def probe(i):
             for _ in range(30):
                 barrier.wait()
-                rows = prepared.execute({"limit": i}).rows
+                rows = db.execute(sql, {"limit": i}).rows
                 assert rows == [(i,)], f"thread {i} saw {rows}"
 
         run_threads(THREADS, probe)
@@ -203,7 +201,6 @@ class TestPrepareHammer:
         )
         db.clear_caches()
         misses = db.cache_stats.plan_misses
-        prepared = db.prepare(sql)
         limits = (2, 5)
         barrier = threading.Barrier(len(limits), timeout=10)
 
@@ -212,7 +209,7 @@ class TestPrepareHammer:
             expected = [(k, 10 + k, k * sum(range(limit))) for k in (3, 2, 1)]
             for _ in range(30):
                 barrier.wait()
-                assert prepared.execute({"limit": limit}).rows == expected
+                assert db.execute(sql, {"limit": limit}).rows == expected
 
         run_threads(len(limits), probe)
         # one cached plan: the subqueries' plans are built inside it,

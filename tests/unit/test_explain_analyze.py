@@ -165,7 +165,8 @@ class TestInstrumentationHygiene:
             "WHERE t.grp = u.grp AND t.x > (SELECT MIN(y) FROM u) "
             "GROUP BY t.grp"
         )
-        plan = db._select_plan(db.prepare(sql).statement)
+        assert len(db.query(sql)) == 2
+        plan = db._statement_cache[sql].plan
         nodes = list(plan.nodes())
 
         def state():
@@ -179,7 +180,7 @@ class TestInstrumentationHygiene:
         assert state() == before
         assert len(db.analyze(sql).result.rows) == 2
         assert state() == before
-        assert db._select_plan(db.prepare(sql).statement) is plan
+        assert db._statement_cache[sql].plan is plan
 
     def test_analyze_results_match_plain_execution(self, db):
         sql = "SELECT grp, SUM(x) FROM t GROUP BY grp ORDER BY grp"

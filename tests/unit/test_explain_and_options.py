@@ -149,13 +149,14 @@ class TestEngineOptions:
         from repro import MiningSystem
 
         fields = [f.name for f in dataclasses.fields(EngineOptions)]
-        assert len(fields) == 3 and fields == [
-            "statement_cache_size", "plan_cache_size", "batch_size",
+        assert len(fields) == 2 and fields == [
+            "statement_cache_size", "batch_size",
         ]
-        # neither planner features nor the executor have a switch, and
-        # every node runs in memory: no spill budget
+        # neither planner features nor the executor have a switch,
+        # every node runs in memory (no spill budget), and plans live
+        # on the statement cache's entries (no capacity of their own)
         for gone in ("hash_joins", "filter_pushdown", "plan_cache",
-                     "vectorize", "memory_budget"):
+                     "plan_cache_size", "vectorize", "memory_budget"):
             with pytest.raises(TypeError):
                 EngineOptions(**{gone: False})
         parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]
@@ -229,7 +230,7 @@ class TestEngineOptions:
         assert not hasattr(pool, "REPRESENTATIONS")
         assert "REPRESENTATIONS" not in pool.__all__
 
-    @pytest.mark.parametrize("name", ["statement_cache_size", "plan_cache_size"])
+    @pytest.mark.parametrize("name", ["statement_cache_size"])
     def test_negative_cache_size_is_rejected(self, name):
         """A negative capacity is refused when the options are built:
         accepted, it made the LRU eviction raise ``KeyError`` on every

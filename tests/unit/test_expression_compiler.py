@@ -71,11 +71,10 @@ FORMER_FALLBACK_SEAMS = {
 
 @pytest.mark.parametrize("sql", FORMER_FALLBACK_SEAMS)
 def test_errors_surface_at_execution_only(db, sql):
-    prepared = db.prepare(sql)
     if sql.startswith("SELECT"):
         assert runs_on_batch_executor(db, sql)
     with pytest.raises(SqlError) as raised:
-        prepared.execute()
+        db.execute(sql)
     error = raised.value
     assert f"{type(error).__name__}: {error}" == FORMER_FALLBACK_SEAMS[sql]
     assert db.query("SELECT a, b FROM t") == [(1, 2), (3, 4)]

@@ -1,11 +1,11 @@
-"""Statement cache, plan cache, prepared statements and their
-observability (CacheStats, the engine spans' cache events, EXPLAIN
-markers)."""
+"""The statement cache — parses and the plans kept on its entries —
+and its observability (CacheStats, the engine spans' cache events,
+EXPLAIN markers)."""
 
 import pytest
 from hypothesis import given, settings
 
-from repro.sqlengine import Database, EngineOptions, PreparedStatement
+from repro.sqlengine import Database, EngineOptions
 from tests.property.test_sqlite_differential import t_rows_strategy
 
 
@@ -103,36 +103,62 @@ class TestPlanCache:
     def test_ddl_drops_every_stale_plan_at_once(self, db):
         for offset in range(5):
             db.query(f"SELECT item FROM items WHERE price > {offset}")
-        assert len(db._plan_cache) == 5
+        assert len(planned(db)) == 5
         invalidations = db.cache_stats.plan_invalidations
         db.execute("CREATE TABLE other (x INTEGER)")
         db.query("SELECT x FROM other")
-        # none of the five could ever hit again
+        # none of the five could ever hit again; their parses stay
         assert db.cache_stats.plan_invalidations == invalidations + 5
-        assert len(db._plan_cache) == 1
+        assert planned(db) == ["SELECT x FROM other"]
+        assert "SELECT item FROM items WHERE price > 4" in db._statement_cache
+
+    def test_insert_select_and_ctas_keep_their_plan(self, db):
+        insert = "INSERT INTO items SELECT item, price FROM items"
+        db.execute(insert)
+        hits = db.cache_stats.plan_hits
+        db.execute(insert)
+        assert db.cache_stats.plan_hits == hits + 1
+        assert db.query("SELECT COUNT(*) FROM items") == [(12,)]
+        ctas = "CREATE TABLE copy AS SELECT item FROM items"
+        db.execute(ctas)
+        assert db._statement_cache[ctas].plan is not None
+
+    def test_nested_blocks_are_part_of_the_parent_plan(self, db):
+        db.execute("CREATE VIEW pricey AS SELECT item FROM items "
+                   "WHERE price > 100")
+        misses = db.cache_stats.plan_misses
+        db.query("SELECT item FROM pricey UNION "
+                 "SELECT d.item FROM (SELECT item FROM items) d")
+        # one plan for the statement, none of its own for the view,
+        # the derived table or the set-operation block
+        assert db.cache_stats.plan_misses == misses + 1
 
     def test_plan_cache_can_be_disabled(self):
-        db = Database(EngineOptions(plan_cache_size=0))
+        db = Database(EngineOptions(statement_cache_size=0))
         db.execute("CREATE TABLE t (a INTEGER)")
         db.query("SELECT a FROM t")
         db.query("SELECT a FROM t")
+        assert db.cache_stats.statement_hits == 0
         assert db.cache_stats.plan_hits == 0
-        assert not db._plan_cache  # evicted as it is inserted
+        # neither a parse nor a plan is kept
+        assert not db._statement_cache
 
 
 class TestPreparedStatements:
+    """A text executed again with other host variables reuses its
+    parse and its plan."""
+
     def test_prepare_and_execute(self, db):
-        prepared = db.prepare("SELECT item FROM items WHERE price > :floor")
-        assert isinstance(prepared, PreparedStatement)
-        assert prepared.query({"floor": 100}) == [("ski pants",), ("jackets",)]
-        assert prepared.query({"floor": 140}) == [("jackets",)]
+        sql = "SELECT item FROM items WHERE price > :floor"
+        assert db.query(sql, {"floor": 100}) == [("ski pants",), ("jackets",)]
+        assert db.query(sql, {"floor": 140}) == [("jackets",)]
 
     def test_prepared_statement_skips_reparse(self, db):
-        prepared = db.prepare("SELECT item FROM items")
+        sql = "SELECT item FROM items WHERE price > :floor"
+        db.execute(sql, {"floor": 100})
         misses = db.cache_stats.statement_misses
-        prepared.execute()
         hits = db.cache_stats.plan_hits
-        prepared.execute()
+        db.execute(sql, {"floor": 140})
         assert db.cache_stats.statement_misses == misses
         # the second execution re-hits the plan the first one cached
         assert db.cache_stats.plan_hits == hits + 1
@@ -181,26 +207,31 @@ class TestPreprocessStatsCounters:
         assert second["statement_misses"] == 0
 
 
+def planned(db):
+    """The texts whose cache entry holds a plan."""
+    return [sql for sql, entry in db._statement_cache.items() if entry.plan]
+
+
 @given(t_rows=t_rows_strategy)
 @settings(max_examples=20, deadline=None)
 def test_cached_reexecution_sees_dml(t_rows):
     """Repeated execution through the plan cache tracks table updates,
     and matches a cache-cold engine at every step."""
     db = Database()
-    cold = Database(EngineOptions(plan_cache_size=0))
+    cold = Database(EngineOptions(statement_cache_size=0))
     for engine in (db, cold):
         engine.execute("CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR, "
                        "d REAL)")
         engine.table("t").insert_many(t_rows)
     sql = "SELECT a, b FROM t WHERE a >= 0 OR b IS NULL"
-    prepared = db.prepare(sql)
-    assert prepared.query() == cold.query(sql)
+    assert db.query(sql) == cold.query(sql)
     for engine in (db, cold):
         engine.execute("INSERT INTO t VALUES (0, NULL, 'added', NULL)")
-    assert prepared.query() == cold.query(sql)
+    assert db.query(sql) == cold.query(sql)
     for engine in (db, cold):
         engine.execute("DELETE FROM t WHERE a < 0")
-    assert prepared.query() == cold.query(sql)
+    assert db.query(sql) == cold.query(sql)
+    assert db.cache_stats.plan_hits == 2
 
 
 def test_ddl_invalidates_cached_plan():
@@ -209,9 +240,8 @@ def test_ddl_invalidates_cached_plan():
     db = Database()
     db.execute("CREATE TABLE t (a INTEGER)")
     db.execute("INSERT INTO t VALUES (1)")
-    prepared = db.prepare("SELECT a FROM t")
-    assert prepared.query() == [(1,)]
+    assert db.query("SELECT a FROM t") == [(1,)]
     db.execute("DROP TABLE t")
     db.execute("CREATE TABLE t (a INTEGER)")
     db.execute("INSERT INTO t VALUES (2)")
-    assert prepared.query() == [(2,)]
+    assert db.query("SELECT a FROM t") == [(2,)]

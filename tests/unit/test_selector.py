@@ -3,78 +3,47 @@ member x shape table (EXPERIMENTS.md SYN-2)."""
 
 import pytest
 
-from repro.algorithms import (
-    AutoSelect,
-    InputStatistics,
-    get_algorithm,
-    select_algorithm,
-)
+from repro.algorithms import AutoSelect, get_algorithm, select_algorithm
 from repro.algorithms.apriori import Apriori
-from repro.algorithms.bitset import VerticalInput
 from repro.algorithms.eclat import Eclat
 
 
-def stats(groups, items, entries):
-    return InputStatistics(
-        groups=groups, distinct_items=items, total_entries=entries
-    )
-
-
-class TestStatistics:
-    def test_of_group_map(self):
-        s = InputStatistics.of({1: frozenset({1, 2}), 2: frozenset({2})})
-        assert s.groups == 2
-        assert s.distinct_items == 2
-        assert s.total_entries == 3
-        assert s.average_group_size == 1.5
-
-    def test_empty(self):
-        s = InputStatistics.of({})
-        assert s.average_group_size == 0.0
-
-    def test_read_off_the_vertical_input(self):
-        vertical = VerticalInput.from_columns([7, 7, 3, 9], [1, 2, 2, 2])
-        assert InputStatistics.of(vertical) == stats(3, 2, 4)
-
-
 class TestHeuristic:
-    """One row of the table per test: (groups, items, entries)."""
+    """One row of the table per test: (groups, entries)."""
 
     def test_tiny_input_uses_apriori(self):
-        chosen = select_algorithm(stats(10, 100, 50), min_count=2)
-        assert isinstance(chosen, Apriori)
+        assert isinstance(select_algorithm(10, 50), Apriori)
+
+    def test_empty_input_uses_apriori(self):
+        assert isinstance(select_algorithm(0, 0), Apriori)
 
     def test_dense_narrow_inputs_use_eclat(self):
         # T20.D1000: bit operations nearly free, deep lattice
-        chosen = select_algorithm(stats(1_000, 200, 20_000), min_count=10)
-        assert isinstance(chosen, Eclat)
+        assert isinstance(select_algorithm(1_000, 20_000), Eclat)
 
     def test_dense_wide_inputs_use_apriori(self):
         # T20.D5000 / many-dense: popcount per candidate dominates
-        chosen = select_algorithm(stats(5_000, 125, 100_000), min_count=250)
-        assert isinstance(chosen, Apriori)
+        assert isinstance(select_algorithm(5_000, 100_000), Apriori)
 
     def test_many_sparse_groups_use_apriori(self):
         # retail_cold's shape; Partition is 2-7x slower on it
-        chosen = select_algorithm(stats(10_000, 500, 30_000), min_count=50)
-        assert isinstance(chosen, Apriori)
+        assert isinstance(select_algorithm(10_000, 30_000), Apriori)
 
     def test_benchmark_inputs_use_apriori(self):
         # quest_core_reuse and retail_cold (full size)
-        for shape in (stats(20_000, 400, 216_000), stats(40_000, 60, 152_000)):
-            assert isinstance(select_algorithm(shape, min_count=100), Apriori)
+        for groups, entries in ((20_000, 216_000), (40_000, 152_000)):
+            assert isinstance(select_algorithm(groups, entries), Apriori)
 
     def test_default_is_apriori(self):
-        chosen = select_algorithm(stats(500, 100, 2_000), min_count=5)
-        assert isinstance(chosen, Apriori)
+        assert isinstance(select_algorithm(500, 2_000), Apriori)
 
     def test_only_measured_winners_are_chosen(self):
         shapes = [
-            stats(groups, 100, groups * average)
+            (groups, groups * average)
             for groups in (1, 40, 500, 1_000, 1_001, 5_000, 50_000)
             for average in (1, 4, 8, 12, 20, 40)
         ]
-        chosen = {type(select_algorithm(s, min_count=1)) for s in shapes}
+        chosen = {type(select_algorithm(*shape)) for shape in shapes}
         assert chosen == {Apriori, Eclat}
 
 
