@@ -1,23 +1,21 @@
 """PR2 — the vertical bitset mining core.
 
-Three scenarios, asserted (a wrong speedup ratio or a result mismatch
+Two scenarios, asserted (a wrong speedup ratio or a result mismatch
 fails, not just slows down) and recorded to ``BENCH_PR2.json``:
 
-a) **General-core lattice**: the m x n rule lattice on two inputs — a
-   dense clustered sequential-rule statement (bitmaps must stay at
-   least 2x faster than slot sets there) and a sparse clickstream
-   (where slot sets win).  Identical ordered rule lists, lattice shape
-   and join work in both layouts and in the one the unforced operator
-   picks, and that pick must be within 15 % of the faster forced layout
-   on both inputs: the bench gates the choice, not one twin.
-b) **Pool algorithms**: the vertical ``eclat`` member (diffsets) vs.
+a) **Pool algorithms**: the vertical ``eclat`` member (diffsets) vs.
    levelwise Apriori over a Quest basket workload, both on gid bitmaps.
    Identical ``ItemsetCounts``.  (The members' ``"set"`` layout and
    eclat's tidset mode were measured here until PR 22; their last
    numbers are in EXPERIMENTS.md.)
-c) **Core input loading**: ``CoreInputLoader.load_general`` reading
+b) **Core input loading**: ``CoreInputLoader.load_general`` reading
    the encoded tables as columns into per-cluster item sets and
    per-group triples — recorded so regressions in the loader show.
+
+``BENCH_PR2.json``'s ``general_core_lattice`` and
+``general_core_layout_choice`` entries are the last runs of the general
+core's deleted slot-set layout (EXPERIMENTS.md); nothing here rewrites
+them.
 
 ``BENCH_QUICK=1`` (the CI smoke mode) shrinks every workload and
 relaxes the speedup floors to sanity thresholds.
@@ -33,10 +31,8 @@ from repro.algorithms.eclat import Eclat
 from repro.datagen import (
     QuestParameters,
     generate_quest,
-    load_clickstream,
     load_purchase_synthetic,
 )
-from repro.kernel.core.general import GeneralCoreOperator
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.preprocessor import Preprocessor
 from repro.kernel.translator import Translator
@@ -54,33 +50,14 @@ CLUSTER BY date HAVING BODY.date < HEAD.date
 EXTRACTING RULES WITH SUPPORT: 0.08, CONFIDENCE: 0.1
 """
 
-# the sparse twin: long-tailed page visits, one cluster per minute
-CLICK_STATEMENT = """
-MINE RULE ClickRules AS
-SELECT DISTINCT 1..2 page AS BODY, 1..1 page AS HEAD, SUPPORT, CONFIDENCE
-FROM Clicks
-GROUP BY usr
-CLUSTER BY minute HAVING BODY.minute < HEAD.minute
-EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.3
-"""
-
-#: how far the unforced operator may trail the faster forced layout
-CHOICE_TOLERANCE = 1.15
-#: quick mode: forced layouts closer than this count as a tie
-QUICK_TOO_CLOSE = 1.5
-
 if BENCH_QUICK:
-    CLICKS = dict(users=150, sessions_per_user=3, seed=19)
     PURCHASE = dict(customers=60, days=5, transactions_per_customer=4,
                     items_per_transaction=4, catalog_size=30)
-    LATTICE_FLOOR = 1.05
     QUEST = QuestParameters(transactions=200, avg_transaction_size=8,
                             items=100, patterns=40, seed=77)
 else:
-    CLICKS = dict(users=1000, sessions_per_user=3, seed=19)
     PURCHASE = dict(customers=200, days=6, transactions_per_customer=6,
                     items_per_transaction=6, catalog_size=30)
-    LATTICE_FLOOR = 2.0
     QUEST = QuestParameters(transactions=800, avg_transaction_size=10,
                             items=150, patterns=60, seed=77)
 QUEST_SUPPORT = 0.03
@@ -99,107 +76,12 @@ def _best_of(fn, runs=3):
     return best, result
 
 
-def build_general_input(load=load_purchase_synthetic, shape=None,
-                        statement=STATEMENT):
+def build_general_input():
     db = Database()
-    load(db, **(PURCHASE if shape is None else shape))
-    program = Translator(db).translate(statement)
+    load_purchase_synthetic(db, **PURCHASE)
+    program = Translator(db).translate(STATEMENT)
     Preprocessor(db).run(program)
-    loader = CoreInputLoader(db, program.core)
-    return loader, program
-
-
-def _time_layouts(data, core, runs):
-    """Best-of timings of the forced layouts and the unforced pick,
-    after asserting that all three mine the same thing."""
-    operators = {
-        label: GeneralCoreOperator(representation=layout)
-        for label, layout in (("set", "set"), ("bitset", "bitset"),
-                              ("unforced", None))
-    }
-    seconds, rules = {}, {}
-    for label, operator in operators.items():
-        seconds[label], rules[label] = _best_of(
-            lambda: operator.run(data, core), runs
-        )
-    reference = operators["set"]
-    for label, operator in operators.items():
-        assert rules[label] == rules["set"], label
-        assert operator.lattice_sizes == reference.lattice_sizes, label
-        assert (
-            operator.join_pairs_examined == reference.join_pairs_examined
-        ), label
-    return operators, seconds, rules["set"]
-
-
-class TestGeneralCoreLatticeSpeedup:
-    def test_bitset_vs_set_triple_sets(self, benchmark):
-        runs = 3  # the first run of a process is cold, even in quick mode
-        table, inputs = {}, {}
-        for name, load, shape, statement in (
-            ("dense_purchase", load_purchase_synthetic, PURCHASE, STATEMENT),
-            ("sparse_clicks", load_clickstream, CLICKS, CLICK_STATEMENT),
-        ):
-            loader, program = build_general_input(load, shape, statement)
-            data = loader.load_general()
-            inputs[name] = (data, program.core)
-            operators, seconds, rules = _time_layouts(
-                data, program.core, runs
-            )
-            faster = min(("set", "bitset"), key=seconds.get)
-            picked = operators["unforced"].representation
-            table[name] = {
-                "workload": dict(shape),
-                "rules": len(rules),
-                "join_pairs_examined": operators["set"].join_pairs_examined,
-                "intersections":
-                    operators["set"].bitmap_stats.intersections,
-                "universe_sizes":
-                    dict(operators["set"].bitmap_stats.universe_sizes),
-                "set_seconds": round(seconds["set"], 6),
-                "bitset_seconds": round(seconds["bitset"], 6),
-                "unforced_seconds": round(seconds["unforced"], 6),
-                "faster": faster,
-                "picked": picked,
-            }
-            if BENCH_QUICK:
-                # runs of a few milliseconds cannot resolve a 15 %
-                # margin: the pick must be the layout that measured
-                # faster, unless the two are too close to call
-                assert (
-                    picked == faster
-                    or seconds[picked] <= QUICK_TOO_CLOSE * seconds[faster]
-                ), table[name]
-            else:
-                assert (
-                    seconds["unforced"]
-                    <= CHOICE_TOLERANCE * seconds[faster]
-                ), table[name]
-
-        dense = table["dense_purchase"]
-        speedup = dense["set_seconds"] / dense["bitset_seconds"]
-        REPORT["general_core_lattice"] = {
-            "workload": dict(PURCHASE),
-            "quick": BENCH_QUICK,
-            "rules": dense["rules"],
-            "join_pairs_examined": dense["join_pairs_examined"],
-            "universe_sizes": dense["universe_sizes"],
-            "set_seconds": dense["set_seconds"],
-            "bitset_seconds": dense["bitset_seconds"],
-            "speedup": round(speedup, 2),
-        }
-        REPORT["general_core_layout_choice"] = {
-            "quick": BENCH_QUICK,
-            "inputs": table,
-        }
-        # on the dense input bitmaps must still buy >= 2x over slot
-        # sets (relaxed in quick mode) -- the reason both layouts stay
-        assert speedup >= LATTICE_FLOOR, (
-            f"general-core bitset speedup only {speedup:.2f}x"
-        )
-        benchmark(
-            lambda: GeneralCoreOperator().run(*inputs["dense_purchase"])
-        )
+    return CoreInputLoader(db, program.core)
 
 
 class TestPoolEclatVsApriori:
@@ -236,7 +118,7 @@ class TestPoolEclatVsApriori:
 
 class TestLoaderRowDecode:
     def test_load_general_decode(self, benchmark):
-        loader, _program = build_general_input()
+        loader = build_general_input()
         seconds, data = _best_of(loader.load_general)
         assert data.groups and data.clustered
         REPORT["loader_load_general"] = {

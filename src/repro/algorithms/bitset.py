@@ -12,10 +12,8 @@ order of magnitude faster than hashing tuples into ``set`` objects.
 
 The representation stays entirely behind the paper's encoding
 borderline: algorithms still see only identifiers, the bitmaps are a
-private physical layout — the only one a pool member has.  The general
-core also keeps a slot-set layout because sparse supports are faster as
-sets, and picks between the two from what it measured
-(:mod:`repro.kernel.core.general`).
+private physical layout — the only one the pool members and the
+general core (:mod:`repro.kernel.core.general`) have.
 
 Big ints are immutable, so building one a bit at a time
 (``mask |= 1 << slot``) copies the whole integer per bit — quadratic in
@@ -242,23 +240,6 @@ def _id_array(ids: Iterable[Hashable]) -> Sequence[Hashable]:
         return ids
 
 
-#: byte value -> the positions of its set bits, ascending
-_BITS_OF_BYTE = tuple(
-    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
-)
-
-
-def mask_slots(mask: int) -> Iterator[int]:
-    """The set slots of the bitmap *mask*, ascending: one pass over its
-    bytes (the inverse of :func:`mask_from_slots`)."""
-    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
-    for index, byte in enumerate(data):
-        if byte:
-            base = index << 3
-            for bit in _BITS_OF_BYTE[byte]:
-                yield base + bit
-
-
 class GroupedUniverse:
     """A dense slot universe over keyed identifiers — tuples whose
     first element is a *group key* — laid out contiguously per group
@@ -279,8 +260,8 @@ class GroupedUniverse:
     count runs in C over machine words — no per-bit walk.
 
     :attr:`group_of` maps every slot to the position of its group (in
-    interning order), which is how a *sparse* support — a set of slots
-    rather than a bitmap — counts its distinct groups.
+    interning order), which is how a plain list of slots counts its
+    distinct groups before any bitmap is built.
 
     Callers must add slots grouped by key (the loaders iterate per
     group, and the elementary-rule table is sorted first); interleaving
@@ -367,12 +348,6 @@ class GroupedUniverse:
             return 0
         low, high = self._anchors()
         return (((mask | high) - low) & high).bit_count()
-
-    def slot_group_count(self, slots: Iterable[int]) -> int:
-        """The same count for a sparse support: distinct groups among
-        the slots of a set, through :attr:`group_of`."""
-        self.group_count_calls += 1
-        return len(set(map(self.group_of.__getitem__, slots)))
 
 
 class _NoKey:

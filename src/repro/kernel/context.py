@@ -82,9 +82,9 @@ class Resilience(NamedTuple):
 def render_core(args: Dict[str, Any]) -> Tuple[str, List[str]]:
     """The ``core`` component span's attributes as text: the flow's
     one-line ``observability`` event and the report's ``core:`` block.
-    The simple core has one layout; the general core names the one it
-    measured its way to, and every intersection it performed is a join
-    pair that got past both of its filters."""
+    Each variant has one layout, bitmaps, named in its own terms; every
+    intersection the general core performed is a join pair that got
+    past both of its filters."""
     variant, algorithm = args["variant"], args.get("algorithm")
     layout = (
         "bitmap gid lists" if variant == "simple"

@@ -24,16 +24,12 @@ Data path, linear in the elementary occurrences:
   and every ``(body item, head item)`` pair a plain list of the slots
   it occurs in.  Pairs are pruned at the support threshold on those
   lists, *before* any support is materialized.
-* **Two layouts, each built once**, chosen by what the collector
-  measured (:data:`DENSE_MAX_BITS_PER_MEMBER`): *dense* (``"bitset"``)
-  — a rule's support is one big int built by
-  :func:`~repro.algorithms.bitset.mask_from_slots`, the join is ``&``
-  and the distinct groups are counted by mask-and-popcount over the
-  universe's guard bits; *sparse* (``"set"``) — the support is a
-  ``frozenset`` of slots, the join is ``&`` and the distinct groups are
-  counted through ``group_of``.  ``representation=`` forces one;
-  :attr:`GeneralCoreOperator.representation` reports the layout used.
-  Both produce the same ordered rule list.
+* **One layout, built once.**  A surviving pair's support is one big
+  int over the slot universe, built by
+  :func:`~repro.algorithms.bitset.mask_from_slots` as soon as the pair
+  passes the threshold (its slot list is released at once); the join
+  is ``&`` and the distinct groups are counted by mask-and-popcount
+  over the universe's guard bits.
 * **Group-level join filter.**  Every rule also carries a bitmap over
   group positions (``totg`` bits).  The groups of ``t1 & t2`` are a
   subset of ``groups(t1) & groups(t2)``, so when that intersection has
@@ -69,19 +65,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import itemgetter
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Hashable, List, Set, Tuple
 
 from repro import faults
 from repro.algorithms.bitset import (
@@ -96,31 +80,13 @@ from repro.kernel.program import CoreDirectives
 
 #: a rule key: (sorted body ids, sorted head ids)
 RuleKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
-#: the slots supporting a rule: a bitmap over the slot universe, or a
-#: frozenset of slots — both intersect with ``&``
-Support = Union[int, FrozenSet[int]]
-#: what the lattice keeps per rule: its triple-slot support, a bitmap
-#: over group positions that bounds its groups from above, and its
-#: exact distinct-group count
-Rule = Tuple[Support, int, int]
+#: what the lattice keeps per rule: its triple-slot support (a bitmap
+#: over the slot universe), a bitmap over group positions that bounds
+#: its groups from above, and its exact distinct-group count
+Rule = Tuple[int, int, int]
 RuleSet = Dict[RuleKey, Rule]
 #: the collector's output: body item -> head item -> triple slots
 Occurrences = Dict[int, Dict[int, List[int]]]
-
-#: the layout choice when none is forced: the dense bitmap carries a
-#: run whose universe has at most this many bits per member of the mean
-#: surviving elementary support, the slot sets carry the rest.  A
-#: bitmap join costs the universe's words whatever the support holds, a
-#: set join costs the smaller support's members, so the ratio of the
-#: two is what decides.  Calibrated on two inputs (``run()``, best of
-#: 3): the dense BENCH_PR2 lattice at 23 bits per member, bitmaps
-#: 0.13 s against slot sets 0.35 s; the sparse ``clicks_general`` input
-#: at 645, bitmaps 0.22 s against slot sets 0.21 s.  DESIGN.md has the
-#: inputs measured in between, which place the break-even near 500.
-DENSE_MAX_BITS_PER_MEMBER = 512
-
-#: the two support layouts (module docstring)
-LAYOUTS = ("bitset", "set")
 
 
 class GeneralCoreOperator:
@@ -129,22 +95,9 @@ class GeneralCoreOperator:
     A lattice set reachable from two parents is generated from the
     smaller one, as the paper says ("start from the set with lower
     cardinality").
-
-    ``representation`` forces the physical support layout (see the
-    module docstring); ``None`` lets each run pick from what its
-    collector measured.  The mined rules are identical either way.
     """
 
-    def __init__(self, representation: Optional[str] = None) -> None:
-        if representation is not None and representation not in LAYOUTS:
-            raise ValueError(
-                f"unknown representation {representation!r}; "
-                f"choose from {LAYOUTS}"
-            )
-        self._forced = representation
-        #: the layout of the last run, ``"bitset"`` or ``"set"``; None
-        #: until an unforced operator has measured an input
-        self.representation: Optional[str] = representation
+    def __init__(self) -> None:
         #: observability: number of rules per lattice set, keyed (m, n)
         self.lattice_sizes: Dict[Tuple[int, int], int] = {}
         #: observability: join-candidate pairs examined during expansion
@@ -207,10 +160,10 @@ class GeneralCoreOperator:
 
     def span_args(self) -> Dict[str, Any]:
         """The last run's observations as attributes of the ``core``
-        component span: the layout it picked, its lattice and join
-        counters and its bitmap counters."""
+        component span: its one layout, its lattice and join counters
+        and its bitmap counters."""
         return {
-            "representation": self.representation,
+            "representation": "bitset",
             "join_pairs_examined": self.join_pairs_examined,
             "lattice_sizes": dict(self.lattice_sizes),
             **self.bitmap_stats.span_args(),
@@ -222,30 +175,6 @@ class GeneralCoreOperator:
         self.bitmap_stats.clear()
         self._triples = GroupedUniverse()
         self._cluster_slots = GroupedUniverse()
-
-    # ------------------------------------------------------------------
-    # the two layouts
-    # ------------------------------------------------------------------
-
-    def _settle_layout(self, members: int, supports: int) -> None:
-        """Fix this run's layout: the forced one, else dense when the
-        triple universe has at most :data:`DENSE_MAX_BITS_PER_MEMBER`
-        bits per member of the mean support (*members* slots over
-        *supports* supports, as the collector measured them)."""
-        if self._forced is not None:
-            self.representation = self._forced
-            return
-        bits = 8 * self._triples.nbytes
-        dense = bits * supports <= DENSE_MAX_BITS_PER_MEMBER * members
-        self.representation = "bitset" if dense else "set"
-
-    def _support(
-        self, universe: GroupedUniverse, slots: Iterable[int]
-    ) -> Support:
-        """Materialize one support over *universe* in the run's layout."""
-        if self.representation == "bitset":
-            return mask_from_slots(slots, universe.nbytes)
-        return frozenset(slots)
 
     # ------------------------------------------------------------------
     # elementary rules
@@ -290,30 +219,25 @@ class GeneralCoreOperator:
         self, occurrences: Occurrences, min_count: int
     ) -> RuleSet:
         """The large elementary rules.  A pair is pruned on its slot
-        list — a support is materialized for the survivors only, in the
-        layout their measured lengths select."""
+        list, popped out of *occurrences* as it is read: a survivor's
+        support bitmap is built at once and no list outlives its pair."""
         triples = self._triples
         group_of = triples.group_of.__getitem__
-        survivors: List[Tuple[Tuple[int, int], List[int], Set[int]]] = []
-        members = 0
+        nbytes, group_bytes = triples.nbytes, (triples.groups + 7) >> 3
+        rules: RuleSet = {}
         for bid, slots_of in occurrences.items():
-            for hid, slots in slots_of.items():
+            for hid in list(slots_of):
+                slots = slots_of.pop(hid)
                 if len(slots) < min_count:
                     continue  # fewer triples than groups needed
                 groups = set(map(group_of, slots))
                 if len(groups) >= min_count:
-                    survivors.append(((bid, hid), slots, groups))
-                    members += len(slots)
-        self._settle_layout(members, len(survivors))
-        group_bytes = (triples.groups + 7) >> 3
-        return {
-            ((bid,), (hid,)): (
-                self._support(triples, slots),
-                mask_from_slots(groups, group_bytes),
-                len(groups),
-            )
-            for (bid, hid), slots, groups in survivors
-        }
+                    rules[(bid,), (hid,)] = (
+                        mask_from_slots(slots, nbytes),
+                        mask_from_slots(groups, group_bytes),
+                        len(groups),
+                    )
+        return rules
 
     # ------------------------------------------------------------------
     # lattice expansion
@@ -365,12 +289,7 @@ class GeneralCoreOperator:
             siblings.setdefault((key[1 - side], grown[:-1]), []).append(
                 (grown, rule)
             )
-        triples = self._triples
-        group_count = (
-            triples.group_count
-            if self.representation == "bitset"
-            else triples.slot_group_count
-        )
+        group_count = self._triples.group_count
         side_count = self._side_counts[side]
         out: RuleSet = {}
         examined = intersected = 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby, product
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -29,8 +28,6 @@ ClusterPairs = Tuple[Sequence[Hashable], Sequence[Hashable]]
 #: (body cluster, head cluster) -> the (body item, head item) pairs
 #: ``InputRules`` holds for that triple
 RulePairs = Dict[Tuple[Hashable, Hashable], Set[Tuple[int, int]]]
-#: group -> cluster -> item ids: the nested shape of the reference view
-NestedItems = Dict[int, Dict[Any, Set[int]]]
 
 
 @dataclass
@@ -57,12 +54,7 @@ class GeneralInput:
     each group's valid cluster pairs (all of them without a cluster
     condition), whose elementary rules the core derives; ``input_rules``
     each group's elementary rules by triple when the mining condition
-    was evaluated in SQL (Q8..Q10) instead.
-
-    ``body_items``, ``head_items``, ``cluster_pairs`` and
-    ``elementary`` show the same input as nested maps, built on first
-    read: the reference view that the tests and the reference
-    semantics read."""
+    was evaluated in SQL (Q8..Q10) instead."""
 
     totg: int
     min_count: int
@@ -78,82 +70,6 @@ class GeneralInput:
     def groups(self):
         """The group keys, in first-appearance order."""
         return self.clusters.keys()
-
-    @classmethod
-    def from_items(
-        cls, totg: int, min_count: int, body_items: NestedItems,
-        head_items: Optional[NestedItems] = None,
-        cluster_pairs: Optional[Dict[int, Set[Tuple[Any, Any]]]] = None,
-        elementary: Optional[Sequence[Tuple]] = None,
-        same_schema: bool = True, clustered: bool = False,
-    ) -> "GeneralInput":
-        """The input whose reference view is the given nested maps, up
-        to cluster keys (``(group, cluster)`` here): *head_items*
-        defaults to *body_items*, *cluster_pairs* to every pair, and
-        *elementary* (``(group, body cluster, head cluster, body item,
-        head item)`` rows) to None, the derived path.  As in the loaded
-        tables, a row's items occur in its clusters."""
-        def flat(nested: NestedItems) -> Dict[Hashable, Set[int]]:
-            return {(gid, cid): set(items) for gid, by_cluster in
-                    nested.items() for cid, items in by_cluster.items()}
-
-        body = flat(body_items)
-        head = body if head_items is None else flat(head_items)
-        clusters: Dict[int, List[Hashable]] = {}
-        for key in dict.fromkeys([*body, *head]):
-            clusters.setdefault(key[0], []).append(key)
-        triples, input_rules = _every_pair(clusters), None
-        if elementary is not None:
-            triples, input_rules = {}, {}
-            for gid, bc, hc, bid, hid in elementary:
-                input_rules.setdefault(gid, {}).setdefault(
-                    (bc, hc), set()
-                ).add((bid, hid))
-        elif cluster_pairs is not None:
-            triples = {
-                gid: tuple(zip(*(((gid, bc), (gid, hc)) for bc, hc in pairs)))
-                for gid, pairs in cluster_pairs.items() if pairs
-            }
-        return cls(
-            totg=totg,
-            min_count=min_count,
-            same_schema=same_schema,
-            clustered=clustered,
-            clusters=clusters,
-            body_clusters=body,
-            head_clusters=head,
-            triples=triples,
-            input_rules=input_rules,
-        )
-
-    # -- the reference view ----------------------------------------------
-
-    def _nested(self, items_of: Dict[Hashable, Set[int]]) -> NestedItems:
-        nested = {gid: {key: items_of[key] for key in keys if items_of.get(key)}
-                  for gid, keys in self.clusters.items()}
-        return {gid: by_cluster for gid, by_cluster in nested.items()
-                if by_cluster}
-
-    @cached_property
-    def body_items(self) -> NestedItems:
-        return self._nested(self.body_clusters)
-
-    @cached_property
-    def head_items(self) -> NestedItems:
-        return self._nested(self.head_clusters)
-
-    @cached_property
-    def cluster_pairs(self) -> Dict[int, Set[Tuple[Hashable, Hashable]]]:
-        return {gid: set(zip(*pairs)) for gid, pairs in self.triples.items()}
-
-    @cached_property
-    def elementary(self) -> Optional[List[Tuple]]:
-        if self.input_rules is None:
-            return None
-        return [(gid, bc, hc, bid, hid)
-                for gid, by_triple in self.input_rules.items()
-                for (bc, hc), pairs in by_triple.items()
-                for bid, hid in pairs]
 
 
 def _every_pair(clusters: Dict[int, List[Hashable]]) -> Dict[int, ClusterPairs]:

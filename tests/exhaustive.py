@@ -11,10 +11,25 @@ importing this module leaves ``repro.algorithms.ALGORITHMS`` alone.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, List
+from typing import Dict, FrozenSet, Hashable, Iterator, List
 
 from repro.algorithms import ItemsetCounts, MinerInput, VerticalInput
-from repro.algorithms.bitset import mask_slots
+
+#: byte value -> the positions of its set bits, ascending
+_BITS_OF_BYTE = tuple(
+    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
+)
+
+
+def mask_slots(mask: int) -> Iterator[int]:
+    """The set slots of the bitmap *mask*, ascending: one pass over its
+    bytes (the inverse of :func:`repro.algorithms.bitset.mask_from_slots`)."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    for index, byte in enumerate(data):
+        if byte:
+            base = index << 3
+            for bit in _BITS_OF_BYTE[byte]:
+                yield base + bit
 
 
 def group_map(vertical: VerticalInput) -> Dict[Hashable, FrozenSet]:

@@ -14,9 +14,9 @@ Two entry points, one counting rule behind both:
   to the four output relations ``<out>``, ``<out>_Bodies``,
   ``<out>_Heads`` and ``<out>_Display``;
 * :func:`general_core` — the encoded input of the general core operator
-  (``GeneralInput``'s nested reference view + ``CoreDirectives``, read
-  through their attributes only) to the ordered rule list the operator
-  must return.
+  (its nested reference view, :func:`tests.general_input.reference_view`,
+  + ``CoreDirectives``, read through their attributes only) to the
+  ordered rule list the operator must return.
 
 The semantics, in the order the code applies them:
 
@@ -350,8 +350,8 @@ def canonical_tables(tables: Dict[str, List[Tuple]], out: str = "Out"):
 def general_core(data, directives) -> List[Rule]:
     """What ``GeneralCoreOperator.run(data, directives)`` must return.
 
-    *data* is read through a ``GeneralInput``'s reference view:
-    ``body_items`` / ``head_items`` (group -> cluster -> item ids),
+    *data* is a ``GeneralInput``'s reference view
+    (:func:`tests.general_input.reference_view`): ``body_items`` / ``head_items`` (group -> cluster -> item ids),
     ``cluster_pairs`` (group -> valid (body cluster, head cluster)
     pairs, None when every pair is valid), ``elementary`` (the
     ``(group, body cluster, head cluster, body item, head item)`` rows

@@ -8,12 +8,10 @@ Two contracts enforced here:
   code with the bitmap kernels — over randomized group maps;
 * the general core operator emits the ordered ``EncodedRule`` list of
   the reference semantics (:func:`tests.minerule_reference.
-  general_core`) whether its supports are slot sets (sparse layout),
-  bitmaps (dense layout) or whichever of the two the unforced operator
-  picks — with the same lattice shape and join work in all three — over
-  randomized clustered inputs (derived elementary rules,
-  ``ClusterCouples`` restrictions, and SQL-precomputed ``InputRules``
-  in any row order).
+  general_core`, which shares no code with its bitmaps) over randomized
+  clustered inputs (derived elementary rules, ``ClusterCouples``
+  restrictions, and SQL-precomputed ``InputRules`` in any row order),
+  with its join counters consistent with the lattice it built.
 """
 
 import dataclasses
@@ -23,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import ALGORITHMS, get_algorithm
 from repro.kernel.core.general import GeneralCoreOperator
-from repro.kernel.core.inputs import GeneralInput
 from repro.kernel.program import CoreDirectives
 from tests import minerule_reference as reference
 from tests.exhaustive import Exhaustive
+from tests.general_input import from_items, reference_view
 
 group_maps = st.dictionaries(
     keys=st.integers(min_value=1, max_value=30),
@@ -95,7 +93,7 @@ def clustered_inputs(draw):
             if pairs:
                 cluster_pairs[gid] = pairs
 
-    data = GeneralInput.from_items(
+    data = from_items(
         totg=n_groups,
         min_count=draw(st.integers(min_value=1, max_value=3)),
         body_items=body_items,
@@ -148,7 +146,7 @@ def elementary_input(rows, totg, min_count):
     for gid, bcid, hcid, bid, hid in rows:
         body_items.setdefault(gid, {}).setdefault(bcid, set()).add(bid)
         head_items.setdefault(gid, {}).setdefault(hcid, set()).add(hid)
-    return GeneralInput.from_items(
+    return from_items(
         totg, min_count, body_items, head_items, elementary=rows,
         same_schema=False, clustered=True,
     )
@@ -173,39 +171,23 @@ def _directives(draw, same_schema, cluster_condition, mining_condition):
     )
 
 
-#: sparse, dense, and the operator's own pick
-LAYOUTS = ("set", "bitset", None)
-
-
-def run_in_every_layout(data, directives):
-    """One run per layout, each compared with the reference semantics;
-    asserts lattice shape and join work agree across the layouts and
-    returns the ordered rule list."""
-    expected = reference.general_core(data, directives)
-    operators = [GeneralCoreOperator(representation=layout) for layout in LAYOUTS]
-    for operator in operators:
-        rules = operator.run(data, directives)
-        assert [dataclasses.astuple(rule) for rule in rules] == expected
-    first = operators[0]
-    for operator in operators[1:]:
-        assert operator.lattice_sizes == first.lattice_sizes
-        assert operator.join_pairs_examined == first.join_pairs_examined
-        assert (
-            operator.bitmap_stats.intersections
-            == first.bitmap_stats.intersections
-        )
-    assert [operator.representation for operator in operators[:2]] == [
-        "set", "bitset",
-    ]
-    assert operators[2].representation in ("set", "bitset")
+def run_against_reference(data, directives):
+    """One run compared with the reference semantics; returns the
+    ordered rule list."""
+    expected = reference.general_core(reference_view(data), directives)
+    rules = GeneralCoreOperator().run(data, directives)
+    assert [dataclasses.astuple(rule) for rule in rules] == expected
     return expected
 
 
 class TestGeneralCoreRepresentations:
+    """The general core's one representation, bitmaps, against the
+    reference semantics."""
+
     @given(case=clustered_inputs())
     @settings(max_examples=50, deadline=None)
     def test_derived_elementary_rules_identical(self, case):
-        run_in_every_layout(*case)
+        run_against_reference(*case)
 
     @given(case=elementary_inputs(), data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -214,27 +196,23 @@ class TestGeneralCoreRepresentations:
         buckets rows by group and triple, so interleaved gids and
         repeated rows change nothing."""
         general, directives = case
-        rules = run_in_every_layout(general, directives)
+        rules = run_against_reference(general, directives)
         shuffled = elementary_input(
-            data.draw(st.permutations(general.elementary)),
+            data.draw(st.permutations(reference_view(general).elementary)),
             general.totg, general.min_count,
         )
-        assert run_in_every_layout(shuffled, directives) == rules
+        assert run_against_reference(shuffled, directives) == rules
 
     @given(case=clustered_inputs())
     @settings(max_examples=20, deadline=None)
     def test_observability_counters_match(self, case):
-        """Every intersection performed is counted, a join the group
-        filter rejects performs none, and nothing is recounted."""
+        """Every intersection performed is counted, a join a filter
+        rejects performs none, and every rule past (1, 1) took one."""
         data, directives = case
-        for layout in LAYOUTS:
-            operator = GeneralCoreOperator(representation=layout)
-            operator.run(data, directives)
-            stats = operator.bitmap_stats
-            assert 0 <= stats.intersections <= operator.join_pairs_examined
-            survivors = sum(
-                size
-                for (m, n), size in operator.lattice_sizes.items()
-                if (m, n) != (1, 1)
-            )
-            assert stats.intersections >= survivors
+        operator = GeneralCoreOperator()
+        operator.run(data, directives)
+        stats = operator.bitmap_stats
+        assert 0 <= stats.intersections <= operator.join_pairs_examined
+        grown = sum(size for key, size in operator.lattice_sizes.items()
+                    if key != (1, 1))
+        assert stats.intersections >= grown

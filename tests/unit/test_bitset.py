@@ -14,11 +14,13 @@ from repro.algorithms.bitset import (
     SlotUniverse,
     VerticalInput,
     mask_from_slots,
-    mask_slots,
 )
 from repro.algorithms.eclat import Eclat
 from repro.algorithms.selector import select_algorithm
 from repro.kernel.core.general import GeneralCoreOperator
+from tests import minerule_reference as reference
+from tests.exhaustive import mask_slots
+from tests.general_input import reference_view
 
 
 def groups_of(*itemsets):
@@ -167,18 +169,17 @@ class TestGroupedUniverse:
         for slots, groups in ([0, 2], 1), ([2, 4], 2), ([5, 6], 1), ([], 0):
             mask = mask_from_slots(slots, universe.nbytes)
             assert universe.group_count(mask) == groups
-            assert universe.slot_group_count(frozenset(slots)) == groups
         with pytest.raises(ValueError, match="non-contiguously"):
             universe.add("a")
 
 
 class TestRepresentationValidation:
     def test_unknown_representation_rejected_everywhere(self):
-        with pytest.raises(ValueError, match="representation"):
-            GeneralCoreOperator(representation="roaring")
         from repro import MiningSystem
 
-        # neither the system nor a pool member has a layout knob
+        # neither core, the system nor a pool member has a layout knob
+        with pytest.raises(TypeError):
+            GeneralCoreOperator(representation="roaring")
         with pytest.raises(TypeError):
             Apriori(representation="set")
         with pytest.raises(TypeError):
@@ -253,64 +254,30 @@ class TestSystemRepresentationSwitch:
         (core,) = [s for s in result.flow.spans() if "variant" in s.args]
         return core.args
 
-    @staticmethod
-    def _forced(system, result, layout):
-        """The general core re-run on the statement's encoded tables
-        with *layout* forced (the system itself never forces one)."""
+    def test_clickstream_mines_on_bitmaps_like_the_reference(self):
+        """The sparse clickstream the general-core benchmark workload
+        mines reports the one layout and emits the reference's rules,
+        on the statement's own encoded tables.  The simple core reports
+        the same layout."""
+        from repro.datagen import load_clickstream
         from repro.kernel.core.inputs import CoreInputLoader
 
-        core = result.program.core
-        operator = GeneralCoreOperator(representation=layout)
-        rules = operator.run(CoreInputLoader(system.db, core).load_general(), core)
-        return operator, rules
-
-    def test_general_core_identical_across_representations(self):
-        system, result = self._run(self.CLUSTERED)
-        core = self._core(result)
-        assert core["variant"] == "general"
-        assert core["lattice_sizes"]
-        for layout in ("bitset", "set"):
-            operator, rules = self._forced(system, result, layout)
-            assert operator.representation == layout
-            assert rules == result.encoded_rules
-            assert operator.lattice_sizes == core["lattice_sizes"]
-
-    def test_general_core_picks_its_layout_from_the_density(self):
-        """Dense inputs (the Figure 2 golden, the BENCH_PR2 shape) mine
-        on bitmaps, a sparse clickstream on slot sets, and the layout
-        not picked gives the same ordered rules on the same encoded
-        tables.  The simple core always reports its one layout."""
-        from repro.datagen import load_clickstream, load_purchase_synthetic
-
-        sequences = (
-            "MINE RULE S AS SELECT DISTINCT 1..n item AS BODY, "
-            "1..n item AS HEAD, SUPPORT, CONFIDENCE FROM Purchase "
-            "GROUP BY customer CLUSTER BY date HAVING BODY.date < HEAD.date "
-            "EXTRACTING RULES WITH SUPPORT: 0.08, CONFIDENCE: 0.1"
-        )
         clicks = (
             "MINE RULE S AS SELECT DISTINCT 1..2 page AS BODY, "
             "1..1 page AS HEAD, SUPPORT, CONFIDENCE FROM Clicks GROUP BY usr "
             "CLUSTER BY minute HAVING BODY.minute < HEAD.minute "
             "EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.3"
         )
-        cases = [
-            (None, {}, self.CLUSTERED, "bitset"),
-            (
-                load_purchase_synthetic,
-                dict(customers=60, days=5, transactions_per_customer=4,
-                     items_per_transaction=4, catalog_size=30),
-                sequences,
-                "bitset",
-            ),
-            (load_clickstream, dict(users=150, seed=19), clicks, "set"),
-        ]
-        for load, shape, statement, expected in cases:
-            system, result = self._run(statement, load, **shape)
-            assert result.encoded_rules
-            assert self._core(result)["representation"] == expected
-            other = "set" if expected == "bitset" else "bitset"
-            assert self._forced(system, result, other)[1] == result.encoded_rules
+        system, result = self._run(clicks, load_clickstream, users=150,
+                                   seed=19)
+        assert result.encoded_rules
+        assert self._core(result)["variant"] == "general"
+        assert self._core(result)["representation"] == "bitset"
+        core = result.program.core
+        data = CoreInputLoader(system.db, core).load_general()
+        assert [
+            dataclasses.astuple(rule) for rule in result.encoded_rules
+        ] == reference.general_core(reference_view(data), core)
         _, simple = self._run(self.STATEMENT)
         assert self._core(simple)["variant"] == "simple"
         assert self._core(simple)["representation"] == "bitset"
@@ -329,7 +296,7 @@ class TestSystemRepresentationSwitch:
         report_text = render_report(system, result)
         assert "lattice sets:" in report_text
         assert "bitmaps:" in report_text
-        # the layout is named where there is a choice, and only there
+        # each variant names its one layout in its own words
         assert "core: general variant, bitset support sets" in report_text
         simple = system.execute(self.STATEMENT)
         assert (

@@ -3,15 +3,17 @@
 import pytest
 
 from repro.algorithms import Apriori
+from repro.algorithms.bitset import mask_from_slots
 from repro.kernel.core import (
     EncodedRule,
     GeneralCoreOperator,
-    GeneralInput,
     SimpleCoreOperator,
     SimpleInput,
 )
+from repro.kernel.core import general
 from repro.kernel.core.inputs import min_group_count
 from repro.kernel.program import CoreDirectives
+from tests.general_input import from_items
 
 
 def directives(
@@ -155,7 +157,7 @@ def general_input(
     same_schema=True,
     clustered=False,
 ):
-    return GeneralInput.from_items(
+    return from_items(
         totg=totg if totg is not None else len(body_items),
         min_count=min_count,
         body_items=body_items,
@@ -333,11 +335,8 @@ class TestGeneralCoreElementary:
         assert rule.support_count == 1
 
 
-LAYOUTS = ("set", "bitset", None)
-
-
 class TestGeneralCoreDataPath:
-    """The collector, the two layouts and the two join filters."""
+    """The collector, the bitmap build and the two join filters."""
 
     #: 1=>3 and 2=>3 both hold in groups 1 and 2, so their group bitmaps
     #: share min_count groups and the group filter lets the join through
@@ -348,14 +347,14 @@ class TestGeneralCoreDataPath:
         (2, 1, 2, 1, 3), (2, 2, 3, 2, 3),
     ]
 
-    def cross_pair_run(self, layout, first_cluster):
+    def cross_pair_run(self, first_cluster):
         data = general_input(
             {g: {1: first_cluster, 2: {2, 3}, 3: {3}} for g in (1, 2)},
             elementary=self.CROSS_PAIRS,
             min_count=2,
             clustered=True,
         )
-        operator = GeneralCoreOperator(representation=layout)
+        operator = GeneralCoreOperator()
         rules = operator.run(
             data,
             directives(simple=False, clustered=True, mining_condition=True),
@@ -365,29 +364,24 @@ class TestGeneralCoreDataPath:
         assert operator.join_pairs_examined == 1
         return operator
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_group_bound_is_not_read_as_exact(self, layout):
+    def test_group_bound_is_not_read_as_exact(self):
         # cluster 1 holds the body {1,2} in both groups, so the body
         # count passes too: examined, intersected, pruned
-        operator = self.cross_pair_run(layout, {1, 2})
+        operator = self.cross_pair_run({1, 2})
         assert operator.bitmap_stats.intersections == 1
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_join_failing_the_body_count_intersects_nothing(self, layout):
+    def test_join_failing_the_body_count_intersects_nothing(self):
         # no cluster holds both 1 and 2: body_count({1,2}) = 0 bounds
         # the support, so the join passes the group filter and is
         # rejected before intersecting
-        operator = self.cross_pair_run(layout, {1})
+        operator = self.cross_pair_run({1})
         assert operator.bitmap_stats.intersections == 0
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("head_cluster, intersections", [
         ({3, 4}, 1),  # one head cluster holds {3,4}: intersected, pruned
         ({3}, 0),  # none does: head_count({3,4}) = 0 rejects the join
     ])
-    def test_head_count_bounds_head_joins(
-        self, layout, head_cluster, intersections
-    ):
+    def test_head_count_bounds_head_joins(self, head_cluster, intersections):
         # body and head schemas differ, so heads have an index of their own
         data = general_input(
             {g: {1: {1}} for g in (1, 2)},
@@ -398,7 +392,7 @@ class TestGeneralCoreDataPath:
             same_schema=False,
             clustered=True,
         )
-        operator = GeneralCoreOperator(representation=layout)
+        operator = GeneralCoreOperator()
         rules = operator.run(data, directives(
             simple=False, same_schema=False, clustered=True,
             mining_condition=True, body_card=(1, 1), head_card=(1, 2),
@@ -408,8 +402,7 @@ class TestGeneralCoreDataPath:
         assert operator.join_pairs_examined == 1
         assert operator.bitmap_stats.intersections == intersections
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_join_rejected_at_group_level_intersects_nothing(self, layout):
+    def test_join_rejected_at_group_level_intersects_nothing(self):
         elementary = [
             (1, W, W, 1, 3), (2, W, W, 1, 3),
             (3, W, W, 2, 3), (4, W, W, 2, 3),
@@ -419,33 +412,37 @@ class TestGeneralCoreDataPath:
             elementary=elementary,
             min_count=2,
         )
-        operator = GeneralCoreOperator(representation=layout)
+        operator = GeneralCoreOperator()
         operator.run(data, directives(simple=False, mining_condition=True))
         assert operator.lattice_sizes == {(1, 1): 2, (2, 1): 0}
         assert operator.join_pairs_examined == 1
         assert operator.bitmap_stats.intersections == 0
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_pruned_pairs_are_never_materialized(self, layout):
-        """One support per surviving elementary rule, none for a pair
-        the collector pruned, and emission recounts nothing."""
+    def test_pruned_pairs_are_never_materialized(self, monkeypatch):
+        """One support bitmap per surviving elementary rule, none for a
+        pair the collector pruned, and emission recounts nothing."""
+        supports = []
+
+        def counting(slots, nbytes):
+            if isinstance(slots, list):  # a slot list, not a group set
+                supports.append(sorted(slots))
+            return mask_from_slots(slots, nbytes)
 
         class Counting(GeneralCoreOperator):
-            materialized = 0
-
-            def _support(self, universe, slots):
-                if universe is self._triples:
-                    self.materialized += 1
-                return super()._support(universe, slots)
+            def _elementary_rules(self, occurrences, min_count):
+                with monkeypatch.context() as patch:
+                    patch.setattr(general, "mask_from_slots", counting)
+                    return super()._elementary_rules(occurrences, min_count)
 
         # items 1..3 everywhere, items 4..6 in one group each
         body = {g: {W: {1, 2, 3, 3 + g}} for g in (1, 2, 3)}
         data = general_input(body, min_count=2)
-        operator = Counting(representation=layout)
+        operator = Counting()
         rules = operator.run(data, directives(simple=False, body_card=(1, 2)))
         assert rules
         assert operator.lattice_sizes[(1, 1)] == 6  # pairs over {1, 2, 3}
-        assert operator.materialized == operator.lattice_sizes[(1, 1)]
+        # each survivor's three triple slots, one per group
+        assert supports == [[0, 2, 4]] * operator.lattice_sizes[(1, 1)]
         # distinct-group counts of triple supports: one per intersection
         # performed -- elementary counts come from the collector's lists
         # and _emit reuses the counts the joins computed
@@ -453,8 +450,3 @@ class TestGeneralCoreDataPath:
             operator._triples.group_count_calls
             == operator.bitmap_stats.intersections
         )
-
-    def test_packed_is_no_layout_and_unforced_reports_none(self):
-        with pytest.raises(ValueError, match="representation"):
-            GeneralCoreOperator(representation="packed")
-        assert GeneralCoreOperator().representation is None

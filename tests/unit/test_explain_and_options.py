@@ -198,14 +198,14 @@ class TestEngineOptions:
         }
         with pytest.raises(TypeError):
             MiningSystem().run("MINE RULE ...", resume=True)
-        # the general core has the paper's smaller-parent rule only
+        # the general core has the paper's smaller-parent rule and one
+        # support layout, bitmaps: no knob at all
         from repro.kernel.core.general import GeneralCoreOperator
 
-        assert list(
-            inspect.signature(GeneralCoreOperator).parameters
-        ) == ["representation"]
-        with pytest.raises(TypeError):
-            GeneralCoreOperator(parent_strategy="body")
+        assert not inspect.signature(GeneralCoreOperator).parameters
+        for gone in ({"parent_strategy": "body"}, {"representation": "set"}):
+            with pytest.raises(TypeError):
+                GeneralCoreOperator(**gone)
         # executor tuning is the engine's, rejected at its boundary
         with pytest.raises(
             ValueError, match="batch_size must be positive, got 0"

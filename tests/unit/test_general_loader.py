@@ -9,8 +9,8 @@
   tables say, on every general directive shape (clusters or not,
   cluster condition or not, mining condition or not, one schema or
   two);
-* ``GeneralInput.from_items`` builds the input whose view is the given
-  nested maps, up to cluster keys;
+* :func:`tests.general_input.from_items` builds the input whose view is
+  the given nested maps, up to cluster keys;
 * nothing under ``src/`` reads the view.
 """
 
@@ -23,10 +23,11 @@ import pytest
 import repro
 from repro import Database
 from repro.datagen import load_purchase_figure1
-from repro.kernel.core.inputs import CoreInputLoader, GeneralInput
+from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.preprocessor import Preprocessor
 from repro.kernel.program import CoreDirectives
 from repro.kernel.translator import Translator
+from tests.general_input import from_items, reference_view
 from tests.integration.test_golden_outputs import GOLDEN_STATEMENTS
 
 HEAD = "SUPPORT, CONFIDENCE"
@@ -97,6 +98,7 @@ def test_view_is_what_sql_reads(prepared):
     name, database, program = prepared
     core = program.core
     data = CoreInputLoader(database, core).load_general()
+    view = reference_view(data)
     coded = program.workspace.coded_source  # Q11's view over MiningSource
     cluster = "Cid" if core.clustered else "Gid"
     head = "Bid" if core.same_schema else "Hid"
@@ -109,15 +111,15 @@ def test_view_is_what_sql_reads(prepared):
         database.variables["totg"], database.variables["mingroups"]
     )
     assert list(data.groups) == list(dict.fromkeys(row[0] for row in rows))
-    assert data.body_items == nested(row[:3] for row in rows)
-    assert data.head_items == nested(row[:2] + row[3:] for row in rows)
+    assert view.body_items == nested(row[:3] for row in rows)
+    assert view.head_items == nested(row[:2] + row[3:] for row in rows)
     if core.mining_condition:
         pair = "BCid, HCid" if core.clustered else "Gid, Gid"
-        assert sorted(data.elementary) == sorted(database.query(
+        assert sorted(view.elementary) == sorted(database.query(
             f"SELECT Gid, {pair}, Bid, Hid FROM {core.input_rules}"
         ))
         return
-    assert data.elementary is None
+    assert view.elementary is None
     if core.cluster_condition:
         expected = {}
         for gid, bc, hc in database.query(
@@ -132,7 +134,7 @@ def test_view_is_what_sql_reads(prepared):
             gid: set(itertools.product(cids, repeat=2))
             for gid, cids in keys.items()
         }
-    assert data.cluster_pairs == expected
+    assert view.cluster_pairs == expected
 
 
 @pytest.mark.parametrize("write", ["columnar", "row"])
@@ -164,14 +166,14 @@ def test_interleaved_cluster_couples(write):
     )
     data = CoreInputLoader(database, core).load_general()
     assert data.clusters == {5: [10, 11], 9: [20, 21]}
-    assert data.cluster_pairs == {
+    assert reference_view(data).cluster_pairs == {
         5: {(10, 11), (11, 10)}, 9: {(20, 21), (21, 20)}
     }
 
 
 def unkeyed(view):
     """A nested view with the ``(group, cluster)`` keys of
-    :meth:`GeneralInput.from_items` turned back into cluster ids."""
+    :func:`tests.general_input.from_items` turned back into cluster ids."""
     return {
         gid: {key[1]: items for key, items in by_cluster.items()}
         for gid, by_cluster in view.items()
@@ -184,25 +186,26 @@ class TestFromItems:
 
     def test_view_round_trips(self):
         pairs = {1: {("a", "b"), ("b", "b")}, 2: {("a", "a")}}
-        data = GeneralInput.from_items(
+        data = from_items(
             4, 1, self.BODY, self.HEAD, cluster_pairs=pairs,
             same_schema=False, clustered=True,
         )
+        view = reference_view(data)
         assert list(data.groups) == [1, 2, 3]
-        assert unkeyed(data.body_items) == self.BODY
-        assert unkeyed(data.head_items) == self.HEAD
+        assert unkeyed(view.body_items) == self.BODY
+        assert unkeyed(view.head_items) == self.HEAD
         assert {
             gid: {(bc[1], hc[1]) for bc, hc in keys}
-            for gid, keys in data.cluster_pairs.items()
+            for gid, keys in view.cluster_pairs.items()
         } == pairs
-        assert data.elementary is None
+        assert view.elementary is None
 
     def test_every_pair_without_a_cluster_condition(self):
-        data = GeneralInput.from_items(2, 1, self.BODY)
+        data = from_items(2, 1, self.BODY)
         assert data.head_clusters is data.body_clusters
         assert {
             gid: {(bc[1], hc[1]) for bc, hc in keys}
-            for gid, keys in data.cluster_pairs.items()
+            for gid, keys in reference_view(data).cluster_pairs.items()
         } == {
             1: {("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")},
             2: {("a", "a")},
@@ -211,11 +214,11 @@ class TestFromItems:
     def test_elementary_rows_bucketed_and_deduplicated(self):
         rows = [(2, "a", "a", 1, 2), (1, "a", "b", 1, 7),
                 (2, "a", "a", 1, 2), (1, "b", "b", 3, 7)]
-        data = GeneralInput.from_items(
+        data = from_items(
             2, 1, self.BODY, elementary=rows, clustered=True
         )
         assert list(data.input_rules) == [2, 1]
-        assert sorted(data.elementary) == sorted(set(rows))
+        assert sorted(reference_view(data).elementary) == sorted(set(rows))
         assert data.triples == {}
 
 
