@@ -254,6 +254,42 @@ class TestSystemRepresentationSwitch:
         (core,) = [s for s in result.flow.spans() if "variant" in s.args]
         return core.args
 
+    def test_general_core_identical_across_representations(self):
+        """Dense inputs (the Figure 2 golden, the BENCH_PR2 shape): the
+        bitmap core re-run on the statement's encoded tables gives the
+        statement's rules and lattice, and the reference semantics over
+        nested item sets give the same ordered rules."""
+        from repro.datagen import load_purchase_synthetic
+        from repro.kernel.core.inputs import CoreInputLoader
+
+        sequences = (
+            "MINE RULE S AS SELECT DISTINCT 1..n item AS BODY, "
+            "1..n item AS HEAD, SUPPORT, CONFIDENCE FROM Purchase "
+            "GROUP BY customer CLUSTER BY date HAVING BODY.date < HEAD.date "
+            "EXTRACTING RULES WITH SUPPORT: 0.08, CONFIDENCE: 0.1"
+        )
+        cases = [
+            (self.CLUSTERED, None, {}),
+            (sequences, load_purchase_synthetic,
+             dict(customers=60, days=5, transactions_per_customer=4,
+                  items_per_transaction=4, catalog_size=30)),
+        ]
+        for statement, load, shape in cases:
+            system, result = self._run(statement, load, **shape)
+            span = self._core(result)
+            assert result.encoded_rules
+            assert span["variant"] == "general"
+            assert span["representation"] == "bitset"
+            assert span["lattice_sizes"]
+            core = result.program.core
+            data = CoreInputLoader(system.db, core).load_general()
+            operator = GeneralCoreOperator()
+            assert operator.run(data, core) == result.encoded_rules
+            assert operator.lattice_sizes == span["lattice_sizes"]
+            assert [
+                dataclasses.astuple(rule) for rule in result.encoded_rules
+            ] == reference.general_core(reference_view(data), core)
+
     def test_clickstream_mines_on_bitmaps_like_the_reference(self):
         """The sparse clickstream the general-core benchmark workload
         mines reports the one layout and emits the reference's rules,

@@ -1,5 +1,7 @@
 """Core operator tests: the simple and general variants (Section 4.3)."""
 
+import dataclasses
+
 import pytest
 
 from repro.algorithms import Apriori
@@ -13,7 +15,9 @@ from repro.kernel.core import (
 from repro.kernel.core import general
 from repro.kernel.core.inputs import min_group_count
 from repro.kernel.program import CoreDirectives
-from tests.general_input import from_items
+from tests import minerule_reference as reference
+from tests.exhaustive import mask_slots
+from tests.general_input import from_items, reference_view
 
 
 def directives(
@@ -335,6 +339,20 @@ class TestGeneralCoreElementary:
         assert rule.support_count == 1
 
 
+#: how a data-path test reads its outcome besides the operator's own
+#: counters: not at all (None), through the support bitmaps the run
+#: builds, read back as slots ("bitset"), or against the reference
+#: semantics over nested item sets ("set")
+READINGS = (None, "bitset", "set")
+
+
+def assert_reference_rules(rules, data, core):
+    """*rules* are what the reference semantics mine from *data*."""
+    assert [dataclasses.astuple(rule) for rule in rules] == (
+        reference.general_core(reference_view(data), core)
+    )
+
+
 class TestGeneralCoreDataPath:
     """The collector, the bitmap build and the two join filters."""
 
@@ -347,7 +365,7 @@ class TestGeneralCoreDataPath:
         (2, 1, 2, 1, 3), (2, 2, 3, 2, 3),
     ]
 
-    def cross_pair_run(self, first_cluster):
+    def cross_pair_run(self, first_cluster, reading=None):
         data = general_input(
             {g: {1: first_cluster, 2: {2, 3}, 3: {3}} for g in (1, 2)},
             elementary=self.CROSS_PAIRS,
@@ -355,19 +373,32 @@ class TestGeneralCoreDataPath:
             clustered=True,
         )
         operator = GeneralCoreOperator()
-        rules = operator.run(
-            data,
-            directives(simple=False, clustered=True, mining_condition=True),
-        )
+        core = directives(simple=False, clustered=True, mining_condition=True)
+        rules = operator.run(data, core)
         assert rule_map(rules).keys() == {((1,), (3,)), ((2,), (3,))}
         assert operator.lattice_sizes == {(1, 1): 2, (2, 1): 0}
         assert operator.join_pairs_examined == 1
+        if reading == "bitset":
+            # the parents' bitmaps: they share both groups, so the group
+            # bound lets the join through, but no triple slot
+            fresh = GeneralCoreOperator()
+            elementary = fresh._elementary_rules(
+                fresh._collect(data), data.min_count
+            )
+            (t1, g1, _), (t2, g2, _) = (
+                elementary[(item,), (3,)] for item in (1, 2)
+            )
+            assert list(mask_slots(g1 & g2)) == [0, 1]
+            assert t1 & t2 == 0
+        elif reading == "set":
+            assert_reference_rules(rules, data, core)
         return operator
 
-    def test_group_bound_is_not_read_as_exact(self):
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_group_bound_is_not_read_as_exact(self, reading):
         # cluster 1 holds the body {1,2} in both groups, so the body
         # count passes too: examined, intersected, pruned
-        operator = self.cross_pair_run({1, 2})
+        operator = self.cross_pair_run({1, 2}, reading)
         assert operator.bitmap_stats.intersections == 1
 
     def test_join_failing_the_body_count_intersects_nothing(self):
@@ -418,15 +449,17 @@ class TestGeneralCoreDataPath:
         assert operator.join_pairs_examined == 1
         assert operator.bitmap_stats.intersections == 0
 
-    def test_pruned_pairs_are_never_materialized(self, monkeypatch):
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_pruned_pairs_are_never_materialized(self, monkeypatch, reading):
         """One support bitmap per surviving elementary rule, none for a
         pair the collector pruned, and emission recounts nothing."""
         supports = []
 
         def counting(slots, nbytes):
+            mask = mask_from_slots(slots, nbytes)
             if isinstance(slots, list):  # a slot list, not a group set
-                supports.append(sorted(slots))
-            return mask_from_slots(slots, nbytes)
+                supports.append(mask)
+            return mask
 
         class Counting(GeneralCoreOperator):
             def _elementary_rules(self, occurrences, min_count):
@@ -437,12 +470,12 @@ class TestGeneralCoreDataPath:
         # items 1..3 everywhere, items 4..6 in one group each
         body = {g: {W: {1, 2, 3, 3 + g}} for g in (1, 2, 3)}
         data = general_input(body, min_count=2)
+        core = directives(simple=False, body_card=(1, 2))
         operator = Counting()
-        rules = operator.run(data, directives(simple=False, body_card=(1, 2)))
+        rules = operator.run(data, core)
         assert rules
         assert operator.lattice_sizes[(1, 1)] == 6  # pairs over {1, 2, 3}
-        # each survivor's three triple slots, one per group
-        assert supports == [[0, 2, 4]] * operator.lattice_sizes[(1, 1)]
+        assert len(supports) == operator.lattice_sizes[(1, 1)]
         # distinct-group counts of triple supports: one per intersection
         # performed -- elementary counts come from the collector's lists
         # and _emit reuses the counts the joins computed
@@ -450,3 +483,20 @@ class TestGeneralCoreDataPath:
             operator._triples.group_count_calls
             == operator.bitmap_stats.intersections
         )
+        if reading == "bitset":
+            # each survivor's three triple slots, one per group
+            assert [list(mask_slots(mask)) for mask in supports] == (
+                [[0, 2, 4]] * len(supports)
+            )
+        elif reading == "set":
+            # no rule the pruned pairs would have grown is missing
+            assert_reference_rules(rules, data, core)
+
+    def test_packed_is_no_layout_and_unforced_reports_none(self):
+        # the operator takes no layout, so none can be forced on it and
+        # it keeps none of its own; its span names the one there is
+        with pytest.raises(TypeError):
+            GeneralCoreOperator(representation="packed")
+        operator = GeneralCoreOperator()
+        assert not hasattr(operator, "representation")
+        assert operator.span_args()["representation"] == "bitset"
