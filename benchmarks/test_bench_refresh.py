@@ -1,4 +1,4 @@
-"""PR9 — FUP-style incremental refresh vs full re-mine.
+"""PR9 — incremental refresh vs full re-mine.
 
 One scenario, asserted and recorded to ``BENCH_PR9.json``: mine the
 synthetic retail workload (400k transaction groups in full mode),
@@ -7,8 +7,8 @@ transactions, and bring the rule table up to date both ways:
 
 * ``REFRESH RULES`` — one DISTINCT pairs scan over the increment (the
   rows past the append watermark, handed to the engine as a relation)
-  + delta maintenance of the recorded counts; border-crossing itemsets
-  recount on in-memory bitmaps;
+  ORed into the recorded item bitmaps, then the pool member mining
+  those bitmaps in memory;
 * full re-mine — the whole Q0..Q11 preprocessing pipeline, core and
   postprocessor from scratch on the appended table.
 

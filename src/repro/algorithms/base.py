@@ -10,8 +10,7 @@ completely hidden to the rest of the system", Section 3).
 from __future__ import annotations
 
 import abc
-import itertools
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple, Type, Union
+from typing import Dict, FrozenSet, Mapping, Type, Union
 
 from repro.algorithms.bitset import VerticalInput
 
@@ -48,37 +47,6 @@ class FrequentItemsetMiner(abc.ABC):
         *groups* (not tuples) containing all of its items, matching the
         support semantics of the MINE RULE operator.
         """
-
-    # -- shared helpers -----------------------------------------------------
-
-    @staticmethod
-    def join_candidates(
-        frequent: Iterable[Tuple[int, ...]],
-    ) -> List[Tuple[int, ...]]:
-        """Apriori candidate generation: join k-itemsets sharing a
-        (k-1)-prefix, then prune candidates with an infrequent
-        k-subset.  Itemsets are sorted tuples.  The two subsets without
-        one of the last two items are the joined parents, so only the
-        others are probed (none for a 2-item candidate).
-
-        :mod:`repro.incremental` generates its candidates with it, and
-        it is the reference that ``Apriori._join_level``'s inline
-        generation is tested against."""
-        frequent = sorted(frequent)
-        frequent_set = set(frequent)
-        candidates: List[Tuple[int, ...]] = []
-        by_prefix: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        for itemset in frequent:
-            by_prefix.setdefault(itemset[:-1], []).append(itemset)
-        for siblings in by_prefix.values():
-            for a, b in itertools.combinations(siblings, 2):
-                candidate = a + (b[-1],) if a[-1] < b[-1] else b + (a[-1],)
-                if all(
-                    candidate[:drop] + candidate[drop + 1:] in frequent_set
-                    for drop in range(len(candidate) - 2)
-                ):
-                    candidates.append(candidate)
-        return candidates
 
 
 #: name -> class registry of available algorithms

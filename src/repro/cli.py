@@ -241,7 +241,7 @@ class Shell:
             detail = (
                 f"incremental: {stats.delta_rows} appended rows, "
                 f"{stats.delta_pairs} new pairs, "
-                f"{stats.recounted_itemsets} itemsets recounted"
+                f"{stats.recounted_itemsets} candidate itemsets mined"
             )
         return self._rules_text(
             result, f"refreshed {result.output_table} — {detail}"

@@ -168,8 +168,8 @@ def iter_drift_appends(
     Batch ``b`` draws items from a popularity window centred at
     ``b * drift * catalog_size`` (wrapping), so itemsets frequent in
     early batches sink below the support threshold later while fresh
-    ones rise above it — exactly the border-crossing traffic an
-    incremental REFRESH has to recount.  Transaction ids continue from
+    ones rise above it — the threshold crossings both ways that an
+    incremental REFRESH has to follow.  Transaction ids continue from
     ``start_tr`` (pass the current ``MAX(tr)``) so appended rows never
     collide with the already-mined groups; prices stay fixed per item
     as in :func:`load_purchase_synthetic`.

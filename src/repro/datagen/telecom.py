@@ -142,8 +142,8 @@ def iter_burst_appends(
     the fraud pattern the motivating analyses chased), one calendar
     day per burst starting at ``start_date``.  Appending bursts after
     an initial MINE RULE run makes previously-rare callee itemsets
-    cross the support border upward — the recount direction of an
-    incremental REFRESH — without touching historical rows.
+    cross the support threshold upward without touching historical
+    rows — what an incremental REFRESH has to pick up.
     """
     if bursts <= 0:
         raise ValueError("bursts must be positive")

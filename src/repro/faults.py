@@ -37,12 +37,12 @@ Injection sites
 ``postprocessor.store`` writing the normalized output relations
 ``postprocessor.decode``running the decode program + display build
 ``refresh.delta``       before the REFRESH delta scan (pairs query over
-                        the increment + known-count maintenance); what
-                        it interns lies past the sizes the state
+                        the increment, ORed into new item bitmaps);
+                        what it interns lies past the sizes the state
                         committed, so a retried attempt repeats it
-``refresh.recount``     before the REFRESH border recount (level-wise
-                        candidate expansion); also idempotent — state
-                        commits only after the phase succeeds
+``refresh.recount``     before the REFRESH recount (the pool member
+                        mining the updated bitmaps); also idempotent —
+                        state commits only after the phase succeeds
 ``jobs.submit``         job-service submission (job lands in ``failed``)
 ``jobs.run.<id>``       start of each execution attempt of job ``<id>``
 ======================  ==================================================

@@ -6,7 +6,7 @@ Glues the pieces together: statements come in through
 :class:`~repro.jobs.pool.WorkerPool` executes them against one shared
 :class:`~repro.system.MiningSystem`.  MINE RULE jobs run the full
 pipeline under the engine's write lock; REFRESH RULES jobs run the
-FUP-style incremental maintenance path (:mod:`repro.incremental`)
+incremental maintenance path (:mod:`repro.incremental`)
 under the same lock; SQL jobs go straight to the engine, whose
 statement guard gives scans the shared read side.
 

@@ -335,22 +335,22 @@ class ColumnVector:
             return self.data[:]
         return self.to_pylist()
 
-    def sample(self, stop: int, stride: int) -> List[Any]:
-        """The values at positions ``0, stride, 2 * stride, ...`` below
+    def sample(self, stop: int, stride: int, start: int = 0) -> List[Any]:
+        """The values at positions ``start, start + stride, ...`` below
         *stop*, exact as :meth:`to_pylist` gives them; the cost is the
-        sample's length (plus the NULL positions below *stop*)."""
+        sample's length (plus the NULL positions in ``[start, stop)``)."""
         kind = self.kind
         if kind == "str":
-            return self._coded(self.data[0:stop:stride]).decode()
+            return self._coded(self.data[start:stop:stride]).decode()
         if kind == "obj":
-            return self.data[0:stop:stride]
+            return self.data[start:stop:stride]
         if kind == "empty":
-            return [None] * len(range(0, min(stop, self.length), stride))
-        out: List[Any] = list(self.data[0:stop:stride])
+            return [None] * len(range(start, min(stop, self.length), stride))
+        out: List[Any] = list(self.data[start:stop:stride])
         nulls = self.nulls
-        for position in nulls[: bisect_left(nulls, stop)]:
-            if position % stride == 0:
-                out[position // stride] = None
+        for position in nulls[bisect_left(nulls, start):bisect_left(nulls, stop)]:
+            if (position - start) % stride == 0:
+                out[(position - start) // stride] = None
         return out
 
     def get(self, position: int) -> Any:

@@ -219,10 +219,10 @@ class Table:
             )
         return rows
 
-    def sample(self, stop: int, stride: int) -> List[Row]:
-        """The rows at positions ``0, stride, 2 * stride, ...`` below
+    def sample(self, stop: int, stride: int, start: int = 0) -> List[Row]:
+        """The rows at positions ``start, start + stride, ...`` below
         *stop*, read column-wise: no other row is touched."""
-        return list(zip(*(v.sample(stop, stride) for v in self._vectors)))
+        return list(zip(*(v.sample(stop, stride, start) for v in self._vectors)))
 
     def tail(self, start: int, name: str) -> "Table":
         """The rows from position *start* on as a relation of their

@@ -60,7 +60,6 @@ from repro.incremental import (
     RefreshError,
     RefreshStats,
     SourceMutated,
-    encode_for_emission,
     refresh_eligibility,
 )
 from repro.kernel.context import (
@@ -202,11 +201,19 @@ class RefreshResult(_RuleOutcome):
 
     A :class:`MiningResult`'s rules, program and flow plus the
     refresh-specific :class:`~repro.incremental.RefreshStats` — mode
-    ``"incremental"`` when FUP delta maintenance ran, ``"full"`` when a
-    forced full re-mine was executed instead (with ``stats.reason``
-    saying why; the same reason is an event of :attr:`flow`)."""
+    ``"incremental"`` when the delta and recount phases ran,
+    ``"full"`` when a forced full re-mine was executed instead (with
+    ``stats.reason`` saying why; the same reason is an event of
+    :attr:`flow`)."""
 
     stats: RefreshStats
+
+
+def _algorithm_label(miner: FrequentItemsetMiner) -> str:
+    """The pool member's name; after a run, ``auto`` also names the
+    member it ran (``auto(apriori)``)."""
+    member = getattr(miner, "last_choice", "")
+    return f"{miner.name}({member})" if member else miner.name
 
 
 class MiningSystem:
@@ -545,9 +552,7 @@ class MiningSystem:
 
         miner = self.algorithm
         encoded_rules = SimpleCoreOperator(miner).run(data, program.core)
-        # after the run: "auto" names the member it ran only then
-        member = getattr(miner, "last_choice", "")
-        algorithm = f"{miner.name}({member})" if member else miner.name
+        algorithm = _algorithm_label(miner)
         stats = getattr(miner, "stats", None) or BitsetStats()
         # one layout, bitmap gid lists, and no lattice joins
         core.annotate(
@@ -627,7 +632,7 @@ class MiningSystem:
         return decoded
 
     # ------------------------------------------------------------------
-    # REFRESH RULES stages (FUP-style incremental maintenance)
+    # REFRESH RULES stages (incremental maintenance)
     # ------------------------------------------------------------------
 
     def _refresh(self, ctx: RunContext, name: str) -> RefreshResult:
@@ -645,7 +650,7 @@ class MiningSystem:
         if reason is None:
             try:
                 with ctx.phase("core"):
-                    state, stats = self._delta_stage(ctx, entry)
+                    state, computation = self._delta_stage(ctx, entry)
             except SourceMutated as exc:
                 reason = str(exc)
         if reason is not None:
@@ -667,7 +672,8 @@ class MiningSystem:
             # leaves a committed state whose re-refresh sees an empty
             # delta and re-emits identical tables.
             entry.state = state
-            encoded_rules = self._rebuild_bset(program, state)
+            stats = computation.stats
+            encoded_rules = self._rebuild_bset(program, computation)
             with ctx.phase("postprocessor"):
                 decoded = self._postprocess_stage(
                     ctx, program, encoded_rules
@@ -694,12 +700,12 @@ class MiningSystem:
 
     def _delta_stage(
         self, ctx: RunContext, entry: _RefreshEntry
-    ) -> Tuple[MiningState, RefreshStats]:
-        """The FUP phases: fold the rows past the watermark into the
-        recorded state, then recount what crossed the border.  Raises
+    ) -> Tuple[MiningState, RefreshComputation]:
+        """The refresh phases: fold the rows past the watermark into the
+        recorded bitmaps, then mine them with the pool member.  Raises
         :class:`SourceMutated` when the source is not append-only."""
         computation = RefreshComputation(
-            self.db, entry.program.statement, entry.state,
+            self.db, entry.program.statement, entry.state, self.algorithm,
             entry.program.workspace,
         )
         ctx.event(
@@ -719,8 +725,7 @@ class MiningSystem:
             "core",
             "delta applied",
             f"{stats.delta_rows} rows, {stats.delta_pairs} new pairs, "
-            f"{stats.new_items} new items, {stats.new_groups} new groups, "
-            f"{stats.known_itemsets} known counts delta-adjusted",
+            f"{stats.new_items} new items, {stats.new_groups} new groups",
         )
         state = ctx.attempt(
             "refresh.recount", computation.recount, own_site=True
@@ -728,20 +733,19 @@ class MiningSystem:
         ctx.event(
             "core",
             "refresh recount",
-            f"{stats.frequent_itemsets} frequent + "
-            f"{stats.border_itemsets} border itemsets "
-            f"({stats.recounted_itemsets} full-bitmap recounts)",
+            f"algorithm {_algorithm_label(self.algorithm)}, "
+            f"{stats.frequent_itemsets} frequent itemsets "
+            f"({stats.recounted_itemsets} candidates)",
         )
-        return state, stats
+        return state, computation
 
     def _rebuild_bset(
-        self, program: TranslationProgram, state: MiningState
+        self, program: TranslationProgram, computation: RefreshComputation
     ) -> List[EncodedRule]:
-        """Rewrite Bset from the refreshed state (Bids in Q3b's
+        """Rewrite Bset from the refresh's rows (Bids in Q3b's
         first-appearance order) and build the encoded rules the
         postprocess stage emits."""
         names = program.workspace
-        bset_rows, counts_by_bid = encode_for_emission(state)
         columns = program.schemas.get(names.bset)
         types = None
         if self.db.catalog.has_table(names.bset):
@@ -750,9 +754,12 @@ class MiningSystem:
                 columns = list(table.columns)
             types = list(table.types)
         self.db.create_table_from_rows(
-            names.bset, columns, bset_rows, types=types, replace=True
+            names.bset, columns, computation.bset_rows, types=types,
+            replace=True,
         )
-        return build_rules(counts_by_bid, state.totg, program.core)
+        return build_rules(
+            computation.counts, computation.stats.totg, program.core
+        )
 
     # ------------------------------------------------------------------
     # workspaces

@@ -130,22 +130,23 @@ def test_delta_killed_after_interning_repeats_idempotently(
     interns them again and lands on the from-scratch bytes."""
     system = _primed_system()
     entry = system._refresh_registry["chaosrefresh"]
-    committed = (entry.state.item_count, entry.state.totg)
-    adjust = RefreshComputation._update_known_counts
+    committed = (len(entry.state.vertical.bitmaps), len(entry.state.vertical))
+    extend = RefreshComputation._extend
     calls = []
 
-    def dies_once(self, added, touched):
+    def dies_once(self, old, added, totg):
         calls.append(len(added))
         if len(calls) == 1:
             raise FaultError("refresh.delta", 1, "killed after interning")
-        return adjust(self, added, touched)
+        return extend(self, old, added, totg)
 
-    monkeypatch.setattr(RefreshComputation, "_update_known_counts", dies_once)
+    monkeypatch.setattr(RefreshComputation, "_extend", dies_once)
     if retry is None:
         with pytest.raises(FaultError):
             system.refresh("ChaosRefresh")
-        assert (entry.state.item_count, entry.state.totg) == committed
-        assert len(entry.state.groups) > entry.state.totg  # interned
+        vertical = entry.state.vertical
+        assert (len(vertical.bitmaps), len(vertical)) == committed
+        assert len(entry.state.groups) > len(vertical)  # interned
         table = system.db.catalog.get_table("Purchase")
         for row in MORE:
             table.insert(list(row))

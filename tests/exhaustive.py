@@ -6,12 +6,14 @@ which is safe by downward closure) and counts each one by scanning
 every group: exponential, and sharing no counting code with the pool
 members it checks.  It is a plain class, not a registered pool member:
 importing this module leaves ``repro.algorithms.ALGORITHMS`` alone.
+:func:`join_candidates` is the reference Apriori candidate generation
+that ``Apriori._join_level``'s inline generation is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, Iterator, List
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Tuple
 
 from repro.algorithms import ItemsetCounts, MinerInput, VerticalInput
 
@@ -65,3 +67,26 @@ class Exhaustive:
             if not found_any:
                 break
         return counts
+
+
+def join_candidates(frequent: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """Apriori candidate generation: join k-itemsets sharing a
+    (k-1)-prefix, then prune candidates with an infrequent k-subset.
+    Itemsets are sorted tuples.  The two subsets without one of the
+    last two items are the joined parents, so only the others are
+    probed (none for a 2-item candidate)."""
+    frequent = sorted(frequent)
+    frequent_set = set(frequent)
+    candidates: List[Tuple[int, ...]] = []
+    by_prefix: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for itemset in frequent:
+        by_prefix.setdefault(itemset[:-1], []).append(itemset)
+    for siblings in by_prefix.values():
+        for a, b in itertools.combinations(siblings, 2):
+            candidate = a + (b[-1],) if a[-1] < b[-1] else b + (a[-1],)
+            if all(
+                candidate[:drop] + candidate[drop + 1:] in frequent_set
+                for drop in range(len(candidate) - 2)
+            ):
+                candidates.append(candidate)
+    return candidates

@@ -1,8 +1,8 @@
 """Differential property: REFRESH RULES == from-scratch MINE RULE.
 
 The contract of :mod:`repro.incremental` is *bit-identity*: for any
-append schedule — empty deltas, batches that push border itemsets over
-the support threshold, batches that dilute frequent itemsets below it
+append schedule — empty deltas, batches that push infrequent itemsets
+over the support threshold, batches that dilute frequent itemsets below it
 (``totg`` grows, so ``mingroups`` rises), new items, new groups, a
 source condition on an aliased table, increments appended in bulk — a
 chain of REFRESH runs must leave every output table (out, ``_Bodies``,
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, MiningSystem
+from repro.algorithms import ALGORITHMS
 from repro.sqlengine.types import SqlType
 
 STATEMENT = (
@@ -70,7 +71,7 @@ def _rows(batch):
     ]
 
 
-def _fresh_system(rows):
+def _fresh_system(rows, algorithm="apriori"):
     database = Database()
     database.create_table_from_rows(
         "Baskets",
@@ -79,7 +80,7 @@ def _fresh_system(rows):
         (SqlType.INTEGER, SqlType.VARCHAR, SqlType.INTEGER),
         replace=True,
     )
-    return MiningSystem(database=database)
+    return MiningSystem(database=database, algorithm=algorithm)
 
 
 def _append(system, rows, bulk=False):
@@ -162,11 +163,14 @@ class TestRefreshMatchesScratch:
         assert _dump(system) == before
 
 
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 class TestBorderCrossings:
-    """Deterministic schedules that force border traffic both ways."""
+    """Deterministic schedules that cross the support threshold both
+    ways, refreshed under every pool member: a refresh mines with the
+    system's member, and each must land on the from-scratch bytes."""
 
     @pytest.mark.parametrize("statement", [STATEMENT, FILTERED])
-    def test_one_batch_mixes_every_kind_of_pair(self, statement):
+    def test_one_batch_mixes_every_kind_of_pair(self, statement, algorithm):
         # one increment that repeats a snapshot pair, adds a new item to
         # an old group, an old item to a new group, and a new item to a
         # new group (qty 2 or 3 throughout, so FILTERED sees them all)
@@ -180,7 +184,7 @@ class TestBorderCrossings:
             (9, {"i11"}),  # new item to a new group
         ]
         assert all(row[2] > 1 for row in _rows(seed + batch))
-        system = _fresh_system(_rows(seed))
+        system = _fresh_system(_rows(seed), algorithm)
         system.run(statement)
         system.refresh("RefreshDiff")
         _append(system, _rows(batch))
@@ -193,28 +197,28 @@ class TestBorderCrossings:
         scratch.run(statement)
         assert _dump(system) == _dump(scratch)
 
-    def test_border_itemset_turns_frequent(self):
-        # {a,b} appears in 1 of 4 groups (border at support 0.3);
+    def test_border_itemset_turns_frequent(self, algorithm):
+        # {a,b} appears in 1 of 4 groups (infrequent at support 0.3);
         # appending two more {a,b} groups pushes it over
         seed = [(g, "a", 1) for g in range(4)] + [(0, "b", 1)]
-        system = _fresh_system(seed)
+        system = _fresh_system(seed, algorithm)
         system.run(STATEMENT)
         system.refresh("RefreshDiff")
         delta = [(4, "a", 1), (4, "b", 1), (5, "a", 1), (5, "b", 1)]
         _append(system, delta)
         result = system.refresh("RefreshDiff")
         assert result.stats.mode == "incremental"
-        assert result.stats.recounted_itemsets > 0  # crossed upward
+        assert result.stats.recounted_itemsets > 0  # the member mined
 
         scratch = _fresh_system(seed + delta)
         scratch.run(STATEMENT)
         assert _dump(system) == _dump(scratch)
 
-    def test_frequent_itemset_dilutes_below_threshold(self):
+    def test_frequent_itemset_dilutes_below_threshold(self, algorithm):
         # {a,b} frequent in 2 of 4 groups; appending 8 groups without
         # it drops its support under 0.3
         seed = [(g, "a", 1) for g in range(4)] + [(0, "b", 1), (1, "b", 1)]
-        system = _fresh_system(seed)
+        system = _fresh_system(seed, algorithm)
         system.run(STATEMENT)
         system.refresh("RefreshDiff")
         delta = [(4 + g, "c", 1) for g in range(8)]

@@ -9,7 +9,7 @@
   the columns were written column-wise or row by row, and the groups
   its item bitmaps hold are the reference's group map;
 * ``Apriori``'s inline candidate generation yields exactly
-  ``join_candidates``' set on random frequent levels;
+  ``tests.exhaustive.join_candidates``' set on random frequent levels;
 * the program has one loader: no caller of ``load_simple`` in ``src/``.
 """
 
@@ -22,11 +22,10 @@ from hypothesis import example, given, settings, strategies as st
 import repro
 from repro import Database
 from repro.algorithms import ALGORITHMS, Apriori, get_algorithm
-from repro.algorithms.base import FrequentItemsetMiner
 from repro.algorithms.bitset import VerticalInput
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.program import CoreDirectives
-from tests.exhaustive import Exhaustive, group_map
+from tests.exhaustive import Exhaustive, group_map, join_candidates
 
 DIRECTIVES = CoreDirectives(
     simple=True, same_schema=True, clustered=False,
@@ -131,7 +130,7 @@ class TestInlineCandidateGeneration:
         next_classes, generated_set, generated = Apriori._join_level(
             list(by_prefix.items()), set(level), 0, counts
         )
-        reference = FrequentItemsetMiner.join_candidates(level)
+        reference = join_candidates(level)
         assert generated_set == set(reference)
         assert generated == len(reference) == len(counts)
         # the next level comes back as prefix classes, ascending

@@ -11,8 +11,7 @@ import itertools
 import pytest
 
 from repro.algorithms import ALGORITHMS, get_algorithm
-from repro.algorithms.base import FrequentItemsetMiner
-from tests.exhaustive import Exhaustive
+from tests.exhaustive import Exhaustive, join_candidates
 
 
 def groups_of(*itemsets):
@@ -102,17 +101,17 @@ class TestPoolContract:
 class TestCandidateGeneration:
     def test_join_candidates_pairs(self):
         frequent = [(1,), (2,), (3,)]
-        candidates = FrequentItemsetMiner.join_candidates(frequent)
+        candidates = join_candidates(frequent)
         assert sorted(candidates) == [(1, 2), (1, 3), (2, 3)]
 
     def test_join_prunes_infrequent_subsets(self):
         # (1,2) missing, so (1,2,3) must not be generated
         frequent = [(1, 3), (2, 3)]
-        assert FrequentItemsetMiner.join_candidates(frequent) == []
+        assert join_candidates(frequent) == []
 
     def test_join_requires_shared_prefix(self):
         frequent = [(1, 2), (1, 3), (2, 3)]
-        assert FrequentItemsetMiner.join_candidates(frequent) == [(1, 2, 3)]
+        assert join_candidates(frequent) == [(1, 2, 3)]
 
 
 class TestRegistry:

@@ -104,6 +104,10 @@ class TestColumnVector:
         for stop in range(len(values) + 2):
             for stride in (1, 2, 3):
                 assert vector.sample(stop, stride) == full[:stop:stride]
+                for start in range(stop + 2):
+                    assert vector.sample(stop, stride, start) == (
+                        full[start:stop:stride]
+                    )
 
 
 class TestColumnarTable:
@@ -186,6 +190,7 @@ class TestColumnarTable:
         assert table.tail(3, "e").rows == [] == table.tail(9, "e").rows
         assert table.sample(3, 1) == table.rows
         assert table.sample(3, 2) == [(1, "x"), (None, "x")]
+        assert table.sample(3, 2, 1) == [(2, "y")]
 
     def test_rewrites_count_every_mutation_that_is_not_an_append(self):
         db = Database()

@@ -1,20 +1,18 @@
-"""Unit tests for FUP-style incremental maintenance
-(:mod:`repro.incremental`) and the REFRESH RULES verb."""
+"""Unit tests for incremental maintenance (:mod:`repro.incremental`)
+and the REFRESH RULES verb."""
 
 import datetime
 
 import pytest
 
 from repro import Database, MiningSystem
-from repro.algorithms.base import FrequentItemsetMiner
+from repro.algorithms import Apriori
 from repro.datagen import load_purchase_figure1, load_purchase_synthetic
 from repro.incremental import (
     FINGERPRINT_SAMPLES,
-    MiningState,
     RefreshComputation,
     RefreshError,
     SourceMutated,
-    encode_for_emission,
     fingerprint_stride,
     pairs_query,
     refresh_eligibility,
@@ -192,71 +190,125 @@ class TestFingerprint:
         stride = fingerprint_stride(n)
         assert n // stride <= FINGERPRINT_SAMPLES + 1
 
+    def test_stride_is_a_power_of_two_keeping_half_the_samples(self):
+        for n in (FINGERPRINT_SAMPLES + 1, 3_000, 4_534, 1_000_000):
+            stride = fingerprint_stride(n)
+            assert stride & (stride - 1) == 0
+            samples = len(range(0, n, stride))
+            assert FINGERPRINT_SAMPLES // 2 <= samples <= FINGERPRINT_SAMPLES
 
-class TestAprioriCandidates:
-    """The generator :meth:`RefreshComputation.recount` shares with the
-    pool (its private copy is gone)."""
+    NULLS = (
+        "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS "
+        "HEAD, SUPPORT, CONFIDENCE FROM T GROUP BY g EXTRACTING RULES "
+        "WITH SUPPORT: 0.3, CONFIDENCE: 0.1"
+    )
 
-    join = staticmethod(FrequentItemsetMiner.join_candidates)
+    @staticmethod
+    def _rows(lo, hi):
+        """NULLs at sampled positions of every column kind: an int
+        column, a string column, a float column and one all NULL."""
+        return [
+            (
+                i % 7,
+                None if i % 12 == 0 else f"i{i % 5}",
+                None if i % 8 == 0 else i / 4,
+                None,
+            )
+            for i in range(lo, hi)
+        ]
 
-    def test_prefix_join(self):
-        assert self.join([(1,), (2,), (5,)]) == [(1, 2), (1, 5), (2, 5)]
+    def _db(self, n):
+        from repro.sqlengine.types import SqlType
 
-    def test_subset_prune(self):
-        # (1,2,3) needs {2,3} frequent — it is not, so no candidates
-        assert self.join([(1, 2), (1, 3)]) == []
-        assert self.join([(1, 2), (1, 3), (2, 3)]) == [(1, 2, 3)]
+        db = Database()
+        db.create_table_from_rows(
+            "T", ("g", "item", "price", "note"), self._rows(0, n),
+            (SqlType.INTEGER, SqlType.VARCHAR, SqlType.REAL, SqlType.VARCHAR),
+        )
+        return db
+
+    def _state(self, db, state=None):
+        computation = RefreshComputation(
+            db, parse_mine_rule(self.NULLS), state, Apriori()
+        )
+        computation.delta()
+        return computation.recount()
+
+    @pytest.mark.parametrize("first, last", [
+        (3_001, 3_507),  # same stride (4): the crc is continued
+        (1_000, 1_500),  # stride 1 -> 2: hashed again
+        (2_048, 2_049),  # stride 2 -> 4 on the first row past 2 048
+    ])
+    def test_refreshed_fingerprint_equals_a_fresh_capture(self, first, last):
+        db = self._db(first)
+        captured = self._state(db)
+        assert captured.stride == fingerprint_stride(first)
+        db.table("T").insert_many(self._rows(first, last))
+        refreshed = self._state(db, captured)
+        fresh = self._state(db)
+        assert refreshed.stride == fresh.stride == fingerprint_stride(last)
+        assert refreshed.fingerprint == fresh.fingerprint
+        assert refreshed.vertical == fresh.vertical
+        # the fingerprint refreshed goes on guarding the prefix it covers
+        prices = db.table("T").column_vector(2)
+        assert prices.get(0) is None
+        prices.data[0] = 99.0
+        prices.nulls.remove(0)
+        with pytest.raises(SourceMutated, match="fingerprint"):
+            self._state(db, refreshed)
 
 
 class TestRefreshComputation:
     def _capture(self, system):
         statement = parse_mine_rule(SIMPLE)
-        computation = RefreshComputation(system.db, statement, None)
+        computation = RefreshComputation(
+            system.db, statement, None, Apriori()
+        )
         computation.delta()
-        return statement, computation.recount()
+        return statement, computation.recount(), computation
 
     def test_capture_counts_match_bitmaps(self, system):
-        _, state = self._capture(system)
-        assert state.totg == 4  # four transactions in Figure 1
-        for itemset, count in state.counts.items():
+        _, state, computation = self._capture(system)
+        assert len(state.vertical) == 4  # four transactions in Figure 1
+        bitmap_of = {
+            bid: state.vertical.bitmaps[state.items.slot(tuple(item))]
+            for bid, *item, _ in computation.bset_rows
+        }
+        assert computation.counts
+        for itemset, count in computation.counts.items():
             bits = -1
-            for index in itemset:
-                bits &= state.masks[index]
-            mask = (1 << state.totg) - 1
-            assert (bits & mask).bit_count() == count
-
-    def test_state_is_frequent_union_border(self, system):
-        _, state = self._capture(system)
-        frequent = state.frequent()
-        assert frequent
-        border = set(state.counts) - set(frequent)
-        # every border itemset has all proper subsets frequent
-        for itemset in border:
-            for member in itemset:
-                subset = itemset - {member}
-                if subset:
-                    assert subset in frequent
+            for bid in itemset:
+                bits &= bitmap_of[bid]
+            assert bits.bit_count() == count
 
     def test_delta_update_matches_recapture(self, system):
-        statement, state = self._capture(system)
+        statement, state, _ = self._capture(system)
         append_purchase(system.db, EXTRA)
-        computation = RefreshComputation(system.db, statement, state)
+        computation = RefreshComputation(
+            system.db, statement, state, Apriori()
+        )
         computation.delta()
         refreshed = computation.recount()
-        scratch = RefreshComputation(system.db, statement, None)
+        scratch = RefreshComputation(system.db, statement, None, Apriori())
         scratch.delta()
         recaptured = scratch.recount()
-        assert refreshed.counts == recaptured.counts
+        assert computation.counts == scratch.counts
+        assert computation.bset_rows == scratch.bset_rows
         assert list(refreshed.items) == list(recaptured.items)
         assert list(refreshed.groups) == list(recaptured.groups)
-        assert refreshed.masks == recaptured.masks
+        assert refreshed.vertical == recaptured.vertical
         assert computation.stats.delta_rows == len(EXTRA)
         assert computation.stats.new_groups == 2
+        # an append builds a new input and leaves the recorded one alone
+        assert len(state.vertical) == 4
+        assert state.vertical.bitmaps != refreshed.vertical.bitmaps
 
     def test_shrunk_source_raises(self, system):
-        statement, state = self._capture(system)
+        statement, state, _ = self._capture(system)
         shrink_unrecorded(system.db.catalog.get_table("Purchase"))
-        computation = RefreshComputation(system.db, statement, state)
+        computation = RefreshComputation(
+            system.db, statement, state, Apriori()
+        )
         with pytest.raises(SourceMutated, match="shrank"):
             computation.delta()
 
@@ -264,35 +316,46 @@ class TestRefreshComputation:
         """A value edited in its vector, behind the engine's back (no
         rewrite counted, no row count changed): the sampled fingerprint
         is what notices."""
-        statement, state = self._capture(system)
+        statement, state, _ = self._capture(system)
         table = system.db.catalog.get_table("Purchase")
         items = table.column_vector(table.column_index("item"))
         assert items.kind == "str" and items.get(0) == "ski_pants"
         items.data[0] = items.values.index("hiking_boots")
         assert table.rewrites == state.rewrites
-        computation = RefreshComputation(system.db, statement, state)
+        computation = RefreshComputation(
+            system.db, statement, state, Apriori()
+        )
         with pytest.raises(SourceMutated, match="fingerprint"):
             computation.delta()
 
     def test_dropped_source_raises(self, system):
-        statement, state = self._capture(system)
+        statement, state, _ = self._capture(system)
         system.db.catalog.drop_table("Purchase")
-        computation = RefreshComputation(system.db, statement, state)
+        computation = RefreshComputation(
+            system.db, statement, state, Apriori()
+        )
         with pytest.raises(SourceMutated):
             computation.delta()
 
     def test_encode_for_emission_bids_are_dense(self, system):
-        _, state = self._capture(system)
-        bset_rows, counts_by_bid = encode_for_emission(state)
+        """Bset is numbered as Q3b numbers it: Bids 1..n over the items
+        of at least ``mingroups`` groups, and every mined itemset is
+        made of them."""
+        _, _, computation = self._capture(system)
+        bset_rows = computation.bset_rows
         bids = [row[0] for row in bset_rows]
         assert bids == list(range(1, len(bids) + 1))
-        frequent_singletons = {
-            frozenset((row[0],)) for row in bset_rows
+        min_count = computation.stats.min_count
+        assert all(row[-1] >= min_count for row in bset_rows)
+        for itemset, count in computation.counts.items():
+            assert count >= min_count
+            assert itemset <= set(bids)
+        singletons = {
+            next(iter(itemset)): count
+            for itemset, count in computation.counts.items()
+            if len(itemset) == 1
         }
-        for itemset, count in counts_by_bid.items():
-            assert count >= state.min_count
-            for bid in itemset:
-                assert frozenset((bid,)) in frequent_singletons
+        assert singletons == {row[0]: row[-1] for row in bset_rows}
 
 
 class TestSystemRefresh:
