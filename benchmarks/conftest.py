@@ -59,7 +59,9 @@ def bench_report(filename):
     fixture)`` where *report* is the dict the module's tests fill in
     and *fixture* is a module-scoped autouse fixture merging it into
     ``<repo root>/<filename>`` once the module finishes.  A missing or
-    corrupt prior file is treated as empty.
+    corrupt prior file is treated as empty.  Under ``BENCH_QUICK`` the
+    fixture writes nothing: a smoke run's numbers never replace the
+    committed full-size record.
 
     Usage (module scope)::
 
@@ -71,7 +73,7 @@ def bench_report(filename):
     @pytest.fixture(scope="module", autouse=True)
     def _write_report():
         yield
-        if report:
+        if report and not BENCH_QUICK:
             merge_report(path, report)
 
     return report, _write_report

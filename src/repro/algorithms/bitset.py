@@ -28,8 +28,10 @@ import itertools
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -57,18 +59,6 @@ class BitsetStats:
     def __post_init__(self) -> None:
         if self.universe_sizes is None:
             self.universe_sizes = {}
-
-    def merge(self, other: "BitsetStats") -> None:
-        for label, size in other.universe_sizes.items():
-            self.universe_sizes[label] = max(
-                self.universe_sizes.get(label, 0), size
-            )
-        self.popcount_calls += other.popcount_calls
-        self.intersections += other.intersections
-        self.passes += other.passes
-        self.candidates += other.candidates
-        self.bits_set += other.bits_set
-        self.bits_possible += other.bits_possible
 
     def clear(self) -> None:
         self.universe_sizes = {}
@@ -170,13 +160,13 @@ class VerticalInput:
     It never changes once built — the members read it and build their
     own structures beside it — so one input can be mined by any number
     of statements (the Section-3 reuse cache keeps it,
-    :mod:`repro.system`).  It is kept small for that: the group ids
-    and one big int per item, no slot lists and no gid -> slot map.
+    :mod:`repro.system`).  It is kept small for that: a group count and
+    one big int per item, no slot lists and no gid -> slot map.
     """
 
-    #: the group ids in slot order (first appearance): an ``array('q')``
-    #: when they are 64-bit ints, as ``CodedSource``'s are
-    gids: Sequence[Hashable]
+    #: the encoded groups: those holding a pair (the popcount of the
+    #: bitmaps' union), or a refresh state's whole group universe
+    group_count: int
     #: item id -> gid bitmap over the group slots, ascending by item; a
     #: repeated (group, item) pair sets its bit once
     bitmaps: Dict[Hashable, int]
@@ -185,22 +175,34 @@ class VerticalInput:
 
     @classmethod
     def from_columns(cls, gid_col: Sequence, bid_col: Sequence) -> "VerticalInput":
-        slot_of = dict(zip(dict.fromkeys(gid_col), itertools.count()))
-        slots_of: Dict[Hashable, List[int]] = defaultdict(list)
-        for slot, bid in zip(map(slot_of.__getitem__, gid_col), bid_col):
-            slots_of[bid].append(slot)
-        return cls(_id_array(slot_of), _bitmaps(slots_of, len(slot_of)),
-                   len(bid_col))
+        """Bit ``Gid - 1`` for each pair: a sequence numbered the groups
+        densely already.  Ids that are not dense (:func:`_dense_top`)
+        are renumbered once, in first-appearance order, before the
+        same build."""
+        top = _dense_top(gid_col)
+        if top is None:
+            gid_col, top = _renumbered(gid_col)
+        return cls._of_pairs(zip(gid_col, bid_col), top, len(bid_col))
 
     @classmethod
     def from_groups(cls, groups: Mapping[Hashable, FrozenSet]) -> "VerticalInput":
-        slots_of: Dict[Hashable, List[int]] = defaultdict(list)
-        entries = 0
-        for slot, items in enumerate(groups.values()):
-            entries += len(items)
-            for item in items:
-                slots_of[item].append(slot)
-        return cls(tuple(groups), _bitmaps(slots_of, len(groups)), entries)
+        pairs = [(gid, item) for gid, items in enumerate(groups.values(), 1)
+                 for item in items]
+        return cls._of_pairs(pairs, len(groups), len(pairs))
+
+    @classmethod
+    def _of_pairs(
+        cls, pairs: Iterable[Tuple[int, Hashable]], top: int, entries: int
+    ) -> "VerticalInput":
+        """The input over (group id, item) *pairs* with ids 1..*top*:
+        bit ``id - 1`` of the item's bitmap."""
+        ids_of: Dict[Hashable, List[int]] = defaultdict(list)
+        for gid, item in pairs:
+            ids_of[item].append(gid)
+        bitmaps = {item: mask_from_slots(ids_of[item], (top >> 3) + 1) >> 1
+                   for item in sorted(ids_of)}
+        return cls(reduce(or_, bitmaps.values(), 0).bit_count(), bitmaps,
+                   entries)
 
     @classmethod
     def of(cls, source) -> "VerticalInput":
@@ -208,7 +210,7 @@ class VerticalInput:
         return source if isinstance(source, cls) else cls.from_groups(source)
 
     def __len__(self) -> int:  # groups
-        return len(self.gids)
+        return self.group_count
 
     def gid_lists(self, min_count: int = 1) -> Dict[Hashable, int]:
         """item -> gid list (its bitmap), ascending by item, for the
@@ -220,24 +222,22 @@ class VerticalInput:
         }
 
 
-def _bitmaps(
-    slots_of: Mapping[Hashable, List[int]], size: int
-) -> Dict[Hashable, int]:
-    """item -> the bitmap of its slots over *size* slots, ascending by
-    item."""
-    nbytes = (size + 7) >> 3
-    return {item: mask_from_slots(slots_of[item], nbytes)
-            for item in sorted(slots_of)}
+def _dense_top(ids: Sequence) -> Optional[int]:
+    """The largest of *ids* if each can be its own bit slot — ints from
+    1 to twice their number, so that no bitmap is sized by a stray huge
+    id — else None."""
+    if isinstance(ids, array) and ids.typecode == "q" or all(
+            type(ident) is int for ident in ids):
+        top = max(ids, default=0)
+        if min(ids, default=1) >= 1 and top <= 2 * len(ids):
+            return top
+    return None
 
 
-def _id_array(ids: Iterable[Hashable]) -> Sequence[Hashable]:
-    """*ids* as an ``array('q')``, or a tuple when one of them is not a
-    64-bit int."""
-    ids = tuple(ids)
-    try:
-        return array("q", ids)
-    except (TypeError, OverflowError):
-        return ids
+def _renumbered(ids: Sequence) -> Tuple[List[int], int]:
+    """*ids* numbered 1..k in first-appearance order, and k."""
+    number = dict(zip(dict.fromkeys(ids), itertools.count(1)))
+    return list(map(number.__getitem__, ids)), len(number)
 
 
 class GroupedUniverse:

@@ -104,9 +104,9 @@ class MiningState:
     items: SlotUniverse
     #: group value-tuples; slot = bit position in the bitmaps
     groups: SlotUniverse
-    #: item id -> group bitmap over ``gids=range(totg)``: its length is
-    #: the committed group count (Q1's ``totg``), its key count the
-    #: committed item count, ``entries`` the distinct pairs
+    #: item id -> group bitmap over the group slots: its
+    #: ``group_count`` is the committed group count (Q1's ``totg``), its
+    #: key count the committed item count, ``entries`` the distinct pairs
     vertical: VerticalInput
     #: the append watermark: source rows covered by this snapshot
     row_count: int
@@ -301,7 +301,7 @@ class RefreshComputation:
             items, groups, old = state.items, state.groups, state.vertical
         else:
             items, groups = SlotUniverse(), SlotUniverse()
-            old = VerticalInput(range(0), {}, 0)
+            old = VerticalInput(0, {}, 0)
         item_slot, group_slot = items.slot, groups.slot
         added: Dict[int, List[int]] = defaultdict(list)
         for row in pairs:
@@ -335,7 +335,7 @@ class RefreshComputation:
         stats.new_groups = totg - len(old)
         stats.touched_items = touched
         stats.touched_groups = new_groups.bit_count()
-        return VerticalInput(range(totg), bitmaps, entries)
+        return VerticalInput(totg, bitmaps, entries)
 
     # -- phase 2: recount -------------------------------------------------
 
@@ -358,7 +358,7 @@ class RefreshComputation:
                 bset_rows.append((len(frequent), *item, count))
         entries = sum(row[-1] for row in bset_rows)
         self.counts = self.algorithm.mine(
-            VerticalInput(vertical.gids, frequent, entries), min_count
+            VerticalInput(totg, frequent, entries), min_count
         )
         self.bset_rows = bset_rows
         mined = getattr(self.algorithm, "stats", None)

@@ -8,7 +8,10 @@ postprocessor."
 The emitted SQL follows Appendix A for simple association rules
 (queries Q0..Q4) and Section 4.2.2 for general rules (Q5..Q11); each
 query carries the paper's label so the FIG4 benchmark can show which
-queries each statement class activates.
+queries each statement class activates.  Where the directive vector
+allows, a query reads what an earlier one encoded instead of the
+source: Q0 becomes the view Q0v, Q1 counts ValidGroups and Q4 joins
+Q3a's staged pairs (DESIGN.md section 3, "Specialised queries").
 """
 
 from __future__ import annotations
@@ -274,18 +277,21 @@ class Translator:
         group_attrs = statement.group_attributes
         # a row with a NULL grouping attribute belongs to no group: the
         # queries that read Source's group attributes without joining
-        # ValidGroups say so (DESIGN.md section 3, "NULL keys"); Q1 and
-        # Q2b once per group rather than once per row
-        grouped = self._known(group_attrs)
-        queries.append(
-            TranslationQuery(
-                "Q1",
-                "count the total number of groups (:totg)",
-                f"SELECT COUNT(*) INTO :totg FROM "
-                f"(SELECT DISTINCT {', '.join(group_attrs)} "
-                f"FROM {names.source}) WHERE {grouped}",
+        # ValidGroups say so (DESIGN.md section 3, "NULL keys"); Q1
+        # (under G) and Q2b once per group rather than once per row
+        count_groups = "count the total number of groups (:totg)"
+        if directives.G:
+            # the group HAVING keeps only some groups: count them all
+            # in Source, as Appendix A's Q1 does
+            queries.append(
+                TranslationQuery(
+                    "Q1",
+                    count_groups,
+                    f"SELECT COUNT(*) INTO :totg FROM "
+                    f"(SELECT DISTINCT {', '.join(group_attrs)} "
+                    f"FROM {names.source}) WHERE {self._known(group_attrs)}",
+                )
             )
-        )
 
         having = ""
         if directives.G:
@@ -310,6 +316,17 @@ class Translator:
             )
         )
         program.schemas[names.valid_groups] = ["Gid"] + list(group_attrs)
+        if not directives.G:
+            # without a group HAVING ValidGroups holds every known group
+            # of Source, one Gid each: count its rows (DESIGN.md
+            # section 3, "Specialised queries")
+            queries.append(
+                TranslationQuery(
+                    "Q1",
+                    count_groups,
+                    f"SELECT COUNT(*) INTO :totg FROM {names.valid_groups}",
+                )
+            )
 
         self._emit_item_encoding(
             program,
@@ -389,16 +406,19 @@ class Translator:
 
         group_attrs = statement.group_attributes
         body_schema = statement.body.attributes
+        # Q3a staged the distinct (element, group) pairs; group -> Gid
+        # and element -> Bid are one-to-one, so their join is distinct
+        # without a DISTINCT (DESIGN.md section 3, "Specialised queries")
         program.preprocessing.append(
             TranslationQuery(
                 "Q4",
                 "encode the source: CodedSource(Gid, Bid)",
                 f"INSERT INTO {names.coded_source} "
-                f"(SELECT DISTINCT V.Gid, B.Bid "
-                f"FROM {names.source} S, {names.valid_groups} V, "
-                f"{names.bset} B "
-                f"WHERE {self._eq_join('S', 'V', group_attrs)} "
-                f"AND {self._eq_join('S', 'B', body_schema)})",
+                f"(SELECT V.Gid, B.Bid "
+                f"FROM {names.distinct_groups_in_body} D, "
+                f"{names.valid_groups} V, {names.bset} B "
+                f"WHERE {self._eq_join('D', 'V', group_attrs)} "
+                f"AND {self._eq_join('D', 'B', body_schema)})",
             )
         )
         program.schemas[names.coded_source] = ["Gid", "Bid"]

@@ -13,6 +13,7 @@ that ``Apriori._join_level``'s inline generation is tested against.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Tuple
 
 from repro.algorithms import ItemsetCounts, MinerInput, VerticalInput
@@ -34,14 +35,15 @@ def mask_slots(mask: int) -> Iterator[int]:
                 yield base + bit
 
 
-def group_map(vertical: VerticalInput) -> Dict[Hashable, FrozenSet]:
-    """``gid -> frozenset(items)`` of *vertical*, in slot order, rebuilt
-    from its item bitmaps."""
-    members: List[List[Hashable]] = [[] for _ in range(len(vertical))]
+def group_map(vertical: VerticalInput) -> Dict[int, FrozenSet]:
+    """``slot -> frozenset(items)`` of *vertical*'s group slots that hold
+    an item, ascending, rebuilt from its item bitmaps: a slot no group
+    was numbered with is skipped."""
+    members: Dict[int, List[Hashable]] = defaultdict(list)
     for item, bitmap in vertical.bitmaps.items():
         for slot in mask_slots(bitmap):
             members[slot].append(item)
-    return dict(zip(vertical.gids, map(frozenset, members)))
+    return {slot: frozenset(members[slot]) for slot in sorted(members)}
 
 
 class Exhaustive:

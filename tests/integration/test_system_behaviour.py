@@ -5,6 +5,7 @@ import pytest
 
 from repro import Database, MiningSystem, faults
 from repro.algorithms import get_algorithm
+from repro.algorithms import bitset
 from repro.algorithms.bitset import VerticalInput
 from repro.datagen import load_purchase_figure1, load_purchase_synthetic
 from repro.faults import FaultError, FaultSchedule
@@ -311,6 +312,38 @@ class TestReusedCoreInput:
         # the rebuilt input is stamped with the edited table
         assert reused_input(system.run(rich("C", confidence=0.5)))
         assert len(loads) == 2
+
+    @pytest.mark.parametrize("gid", [10**12, 0, -5],
+                             ids=["huge", "zero", "negative"])
+    def test_gids_that_are_not_dense_are_renumbered_once(
+        self, gid, loads, monkeypatch
+    ):
+        # CodedSource is a user table: an edited Gid that cannot be its
+        # own bit slot is renumbered before the same build, and sizes
+        # no bitmap
+        renumbered = []
+        renumber = bitset._renumbered
+
+        def counted(ids):
+            renumbered.append(len(ids))
+            return renumber(ids)
+
+        monkeypatch.setattr(bitset, "_renumbered", counted)
+        database = rich_db()
+        system = MiningSystem(database=database)
+        system.run(rich("A"))
+        assert renumbered == []  # the sequence's Gids are dense
+        database.execute(f"UPDATE MR1_CodedSource SET Gid = {gid} WHERE Gid = 4")
+        result = system.run(rich("B", confidence=0.5))
+        assert not reused_input(result) and len(loads) == 2
+        rows = len(database.catalog.get_table("MR1_CodedSource"))
+        assert renumbered == [rows]
+        assert result.encoded_rules == cold_core(database, result)
+        (kept,) = [reuse.core_input for reuse in system._preprocess_cache.values()
+                   if reuse.core_input is not None]
+        assert len(kept) == 30
+        assert all(bitmap.bit_length() <= 2 * rows
+                   for bitmap in kept.bitmaps.values())
 
     def test_rebuilt_when_coded_source_is_replaced(self, loads):
         # a new table object with as many rows and no rewrite yet

@@ -1,13 +1,16 @@
 """The simple-core kernel (PR 17): ``CodedSource`` columns ->
 ``VerticalInput`` -> pool member -> rules.
 
-* differential: over random ``(Gid, Bid)`` columns — unsorted and
-  non-contiguous gids, repeated pairs, a single group, an item in every
-  group, ``min_count`` from 1 to beyond the group count — the kernel
+* differential: over random ``(Gid, Bid)`` columns — unsorted gids,
+  dense ones and ones far apart, below 1 or above twice the rows,
+  repeated pairs, a single group, an item in every group,
+  ``min_count`` from 1 to beyond the group count — the kernel
   (``load_simple_columns`` + every pool member) returns the counts of
   the reference (``load_simple`` + the tests' ``Exhaustive``), whether
   the columns were written column-wise or row by row, and the groups
-  its item bitmaps hold are the reference's group map;
+  its item bitmaps hold are the reference's group map: each at slot
+  ``Gid - 1`` when the gids are dense, else renumbered in
+  first-appearance order;
 * ``Apriori``'s inline candidate generation yields exactly
   ``tests.exhaustive.join_candidates``' set on random frequent levels;
 * the program has one loader: no caller of ``load_simple`` in ``src/``.
@@ -35,16 +38,26 @@ DIRECTIVES = CoreDirectives(
     body_card=(1, None), head_card=(1, 1),
 )
 
-#: gids far apart and in any order; few distinct items keep the
-#: exhaustive oracle cheap
+#: gids far apart (some below 1) or dense, in any order; few distinct
+#: items keep the exhaustive oracle cheap
 pair_columns = st.lists(
     st.tuples(
-        st.sampled_from([3, 4, 17, 90, 1001, 52_000, 7]),
+        st.sampled_from([3, 4, 17, 90, 1001, 52_000, 7, 0, -2])
+        | st.integers(min_value=1, max_value=8),
         st.integers(min_value=0, max_value=6),
     ),
     min_size=1,
     max_size=40,
 )
+
+
+def expected_slots(gid_col):
+    """gid -> bit slot: ``Gid - 1`` when every gid is in 1..2 x rows,
+    else first-appearance order."""
+    gids = list(dict.fromkeys(gid_col))
+    if min(gids) >= 1 and max(gids) <= 2 * len(gid_col):
+        return {gid: gid - 1 for gid in gids}
+    return {gid: slot for slot, gid in enumerate(gids)}
 
 
 def loader_over(pairs, min_count, write):
@@ -73,6 +86,7 @@ class TestKernelAgainstTheReference:
         min_count=3,
     )  # item 0 in every group
     @example(pairs=[(4, 1), (17, 1), (4, 2)], min_count=8)  # > groups
+    @example(pairs=[(3, 1), (1, 1), (3, 2), (6, 2)], min_count=1)  # gaps
     @settings(max_examples=40, deadline=None)
     def test_counts_and_views_agree(self, write, pairs, min_count):
         loader = loader_over(pairs, min_count, write)
@@ -87,8 +101,6 @@ class TestKernelAgainstTheReference:
         assert isinstance(vertical, VerticalInput)
         assert len(vertical) == len(reference.groups)
         assert vertical.entries == len(pairs)
-        # slots in first-appearance order of the gid column
-        assert list(vertical.gids) == list(dict.fromkeys(gid_col))
         # one bitmap per item, its popcount the item's group count
         assert {item: bitmap.bit_count()
                 for item, bitmap in vertical.bitmaps.items()} == {
@@ -96,7 +108,11 @@ class TestKernelAgainstTheReference:
             for item in {bid for _, bid in pairs}
         }
         # each slot's items, rebuilt from the bitmaps, by group id
-        assert group_map(vertical) == reference.groups
+        slot_of = expected_slots(gid_col)
+        assert group_map(vertical) == {
+            slot_of[gid]: items for gid, items in reference.groups.items()
+        }
+        assert max(vertical.bitmaps.values()).bit_length() <= 2 * len(pairs)
 
         expected = Exhaustive().mine(reference.groups, min_count)
         for name in sorted(ALGORITHMS):

@@ -1,4 +1,5 @@
-"""The bench-report artifact writer must survive bad prior files."""
+"""The bench-report artifact writer must survive bad prior files, and
+write nothing under quick mode."""
 
 import importlib.util
 import json
@@ -70,3 +71,30 @@ class TestMergeReport:
         path = tmp_path / "BENCH_X.json"
         BENCH.merge_report(path, {"a": 1})
         assert json.loads(path.read_text(encoding="utf-8")) == {"a": 1}
+
+
+def finish_module(fixture):
+    """Run the module-scoped report fixture to its teardown."""
+    steps = getattr(fixture, "__wrapped__", fixture)()
+    next(steps)
+    for _ in steps:
+        pass
+
+
+class TestBenchReportFixture:
+    def test_full_run_merges_the_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(BENCH, "BENCH_QUICK", False)
+        path = tmp_path / "BENCH_X.json"  # absolute: the repo root is ignored
+        report, fixture = BENCH.bench_report(str(path))
+        report["fig1"] = {"ms": 12}
+        finish_module(fixture)
+        assert json.loads(path.read_text(encoding="utf-8")) == report
+
+    def test_quick_run_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(BENCH, "BENCH_QUICK", True)
+        path = tmp_path / "BENCH_X.json"
+        path.write_text('{"fig1": {"ms": 12}}', encoding="utf-8")
+        report, fixture = BENCH.bench_report(str(path))
+        report["fig1"] = {"ms": 1}
+        finish_module(fixture)
+        assert path.read_text(encoding="utf-8") == '{"fig1": {"ms": 12}}'

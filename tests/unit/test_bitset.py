@@ -46,32 +46,50 @@ class TestSlotUniverse:
 
 
 class TestVerticalInput:
-    GIDS = [70, 30, 70, 50, 30, 70]
-    BIDS = [2, 2, 1, 9, 1, 2]  # (70, 2) twice
+    GIDS = [3, 1, 3, 2, 1, 3]
+    BIDS = [2, 2, 1, 9, 1, 2]  # (3, 2) twice
 
-    def test_from_columns_slots_in_first_appearance_order(self):
+    def test_from_columns_uses_each_gid_as_its_slot(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
-        assert vertical.gids == array("q", [70, 30, 50])
         assert len(vertical) == 3
         assert vertical.entries == 6
-        # the repeated pair sets its bit once; items ascend
-        assert vertical.bitmaps == {1: 0b011, 2: 0b011, 9: 0b100}
+        # bit Gid - 1; the repeated pair sets its bit once; items ascend
+        assert vertical.bitmaps == {1: 0b101, 2: 0b101, 9: 0b010}
         assert list(vertical.bitmaps) == [1, 2, 9]
         assert vertical.gid_lists() == vertical.bitmaps
         assert vertical.gid_lists() is not vertical.bitmaps
+        assert not hasattr(vertical, "gids")  # no gid array
+
+    def test_len_counts_the_groups_holding_a_pair(self):
+        # Gids 2 and 5 hold no pair: five slots, three groups
+        vertical = VerticalInput.from_columns(array("q", [4, 1, 3]), [7, 7, 8])
+        assert vertical.bitmaps == {7: 0b1001, 8: 0b0100}
+        assert len(vertical) == 3
+        assert len(VerticalInput.from_columns([], [])) == 0
+
+    @pytest.mark.parametrize("gids, bitmaps", [
+        ([70, 30, 70], {1: 0b01, 2: 0b10}),  # max > 2 x rows
+        ([0, 2, 0], {1: 0b01, 2: 0b10}),  # below 1
+        ([-1, 1, -1], {1: 0b01, 2: 0b10}),
+        ([1.0, 2, 1.0], {1: 0b01, 2: 0b10}),  # not ints
+    ])
+    def test_ids_that_are_not_dense_are_renumbered_first(self, gids, bitmaps):
+        vertical = VerticalInput.from_columns(gids, [1, 2, 1])
+        assert vertical.bitmaps == bitmaps
+        assert len(vertical) == 2
 
     def test_from_groups_inverts_the_group_map(self):
         groups = groups_of({1, 2}, {2})
         vertical = VerticalInput.from_groups(groups)
         assert vertical.bitmaps == {1: 0b01, 2: 0b11}
         assert vertical.entries == 3
-        assert vertical.gids == (1, 2)
+        assert len(vertical) == 2
         assert not hasattr(vertical, "groups")  # no horizontal view
 
     def test_gid_lists_ascending_and_pruned_by_popcount(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
         assert list(vertical.gid_lists()) == [1, 2, 9]
-        # (70, 2) twice is still two groups, not three
+        # (3, 2) twice is still two groups, not three
         assert list(vertical.gid_lists(min_count=2)) == [1, 2]
         assert vertical.gid_lists(min_count=3) == {}
 
@@ -83,12 +101,13 @@ class TestVerticalInput:
         for name in ALGORITHMS:
             get_algorithm(name).mine(vertical, 1)
         assert vertical.bitmaps == before
-        assert vertical.gids == array("q", [70, 30, 50])
+        assert len(vertical) == 3
 
     def test_group_ids_beyond_64_bits_are_kept(self):
+        # accepted and renumbered before the build: no 2**70-bit bitmap
         vertical = VerticalInput.from_columns([2**70, "g"], [1, 1])
-        assert vertical.gids == (2**70, "g")
         assert vertical.bitmaps == {1: 0b11}
+        assert max(vertical.bitmaps.values()).bit_length() <= 2 * 2
 
     def test_of_normalises(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
@@ -185,14 +204,12 @@ class TestRepresentationValidation:
         with pytest.raises(TypeError):
             MiningSystem(representation="set")
 
-    def test_stats_merge_and_clear(self):
-        a = BitsetStats(universe_sizes={"gid": 5}, popcount_calls=2)
-        b = BitsetStats(universe_sizes={"gid": 9}, intersections=3)
-        a.merge(b)
-        assert a.universe_sizes == {"gid": 9}
-        assert a.popcount_calls == 2 and a.intersections == 3
-        a.clear()
-        assert a.universe_sizes == {} and a.popcount_calls == 0
+    def test_stats_clear(self):
+        stats = BitsetStats(universe_sizes={"gid": 5}, popcount_calls=2,
+                            intersections=3)
+        stats.clear()
+        assert stats.universe_sizes == {} and stats.popcount_calls == 0
+        assert stats.intersections == 0
 
 
 class TestEclat:

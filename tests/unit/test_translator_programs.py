@@ -219,10 +219,22 @@ class TestAppendixAQueries:
     """Structural conformance with Appendix A (simple rules)."""
 
     def test_q1_counts_distinct_groups(self, translator):
-        sql = build(translator, SIMPLE).query("Q1").sql
-        assert "COUNT(*)" in sql
-        assert "INTO :totg" in sql
+        # without a group HAVING ValidGroups holds every group: Q1
+        # counts it once Q2b has filled it
+        program = build(translator, SIMPLE)
+        assert program.query("Q1").sql == (
+            "SELECT COUNT(*) INTO :totg FROM T_ValidGroups"
+        )
+        labels = program.labels()
+        assert labels.index("Q2b") < labels.index("Q1") < labels.index("Q3b")
+        # with one Q1 counts the source's groups first, as Appendix A
+        program = build(translator, SIMPLE.replace(
+            "GROUP BY customer", "GROUP BY customer HAVING COUNT(*) >= 2"
+        ))
+        sql = program.query("Q1").sql
+        assert sql.startswith("SELECT COUNT(*) INTO :totg")
         assert "SELECT DISTINCT customer" in sql
+        assert program.labels().index("Q1") < program.labels().index("Q2a")
 
     def test_q2_creates_view_then_encodes_with_sequence(self, translator):
         program = build(translator, SIMPLE)
@@ -239,11 +251,22 @@ class TestAppendixAQueries:
         assert "COUNT(*) >= :mingroups" in q3b
         assert ".NEXTVAL AS Bid" in q3b
 
-    def test_q4_joins_source_validgroups_bset(self, translator):
-        sql = build(translator, SIMPLE).query("Q4").sql
-        assert "SELECT DISTINCT V.Gid, B.Bid" in sql
-        assert "S.customer = V.customer" in sql
-        assert "S.item = B.item" in sql
+    def test_q4_joins_staged_pairs(self, translator):
+        # Q3a's pairs are distinct and group -> Gid, item -> Bid are
+        # one-to-one: no DISTINCT, no second pass over Source, with and
+        # without a group HAVING
+        for having in ("", " HAVING COUNT(*) >= 2"):
+            sql = build(translator, SIMPLE.replace(
+                "GROUP BY customer", f"GROUP BY customer{having}"
+            )).query("Q4").sql
+            assert sql.startswith(
+                "INSERT INTO T_CodedSource (SELECT V.Gid, B.Bid "
+            )
+            assert ("FROM T_DistinctGroupsInBody D, T_ValidGroups V, "
+                    "T_Bset B") in sql
+            assert "D.customer = V.customer" in sql
+            assert "D.item = B.item" in sql
+            assert "DISTINCT" not in sql and "T_Source" not in sql
 
     def test_postprocessing_decodes_bodies(self, translator):
         program = build(translator, SIMPLE)
