@@ -261,7 +261,9 @@ class GroupedUniverse:
 
     :attr:`group_of` maps every slot to the position of its group (in
     interning order), which is how a plain list of slots counts its
-    distinct groups before any bitmap is built.
+    distinct groups before any bitmap is built.  A group may hold no
+    slot (``add(key, 0)``): its base bit is its guard bit, so it still
+    has a position and is never counted.
 
     Callers must add slots grouped by key (the loaders iterate per
     group, and the elementary-rule table is sorted first); interleaving

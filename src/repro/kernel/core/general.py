@@ -18,18 +18,26 @@ lists of Section 4.3.1.
 Data path, linear in the elementary occurrences:
 
 * **Collect once.**  The loader's per-group triples are numbered as
-  they come: every triple gets an ``int`` slot in a
+  they come: every *joinable* triple gets an ``int`` slot in a
   :class:`repro.algorithms.bitset.GroupedUniverse` (contiguous per
   group, one guard bit between groups, ``group_of[slot]`` kept beside)
   and every ``(body item, head item)`` pair a plain list of the slots
-  it occurs in.  Pairs are pruned at the support threshold on those
-  lists, *before* any support is materialized.
+  it occurs in.  A triple is joinable when its body cluster holds two
+  items or more and bodies can grow, or the same for heads (on the
+  ``InputRules`` path: two distinct items among its pairs); an
+  occurrence in any other triple is listed by its group position only.
+  Every (m+1, n) rule needs m+1 >= 2 body items in each supporting
+  triple's body cluster (and likewise for heads), so a join never
+  reads a slot left out.  Pairs are pruned at the support threshold
+  on those lists, *before* any support is materialized.
 * **One layout, built once.**  A surviving pair's support is one big
-  int over the slot universe, built by
+  int over the joinable slots, built by
   :func:`~repro.algorithms.bitset.mask_from_slots` as soon as the pair
   passes the threshold (its slot list is released at once); the join
   is ``&`` and the distinct groups are counted by mask-and-popcount
-  over the universe's guard bits.
+  over the universe's guard bits.  A *leaf* set — at both cardinality
+  limits, so no set's parent — keeps no supports, only counts and
+  group bounds.
 * **Group-level join filter.**  Every rule also carries a bitmap over
   group positions (``totg`` bits).  The groups of ``t1 & t2`` are a
   subset of ``groups(t1) & groups(t2)``, so when that intersection has
@@ -65,7 +73,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import itemgetter
-from typing import Any, Callable, Dict, Hashable, List, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro import faults
 from repro.algorithms.bitset import (
@@ -81,11 +89,13 @@ from repro.kernel.program import CoreDirectives
 #: a rule key: (sorted body ids, sorted head ids)
 RuleKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 #: what the lattice keeps per rule: its triple-slot support (a bitmap
-#: over the slot universe), a bitmap over group positions that bounds
-#: its groups from above, and its exact distinct-group count
-Rule = Tuple[int, int, int]
+#: over the slot universe, None in a leaf set), a bitmap over group
+#: positions that bounds its groups from above, and its exact
+#: distinct-group count
+Rule = Tuple[Optional[int], int, int]
 RuleSet = Dict[RuleKey, Rule]
-#: the collector's output: body item -> head item -> triple slots
+#: the collector's output: body item -> head item -> the slot of each
+#: joinable triple it occurs in, ``~position`` of the group of any other
 Occurrences = Dict[int, Dict[int, List[int]]]
 
 
@@ -112,6 +122,8 @@ class GeneralCoreOperator:
         self._cluster_slots = GroupedUniverse()
         #: the run's body counts, then its head counts when heads grow
         self._side_counts: Tuple[SideCounts, ...] = ()
+        #: the run's (body, head) cardinality maxima, None: unbounded
+        self._limits: Tuple[Optional[int], Optional[int]] = (None, None)
 
     def run(
         self, data: GeneralInput, directives: CoreDirectives
@@ -119,13 +131,12 @@ class GeneralCoreOperator:
         """Compute the full rule lattice, pruned at the input's
         ``min_count``, and emit its rules.  Resets the per-run state."""
         self._reset()
+        body_max, head_max = directives.body_card[1], directives.head_card[1]
+        self._limits = (body_max, head_max)
         threshold = data.min_count
         elementary = self._elementary_rules(self._collect(data), threshold)
         self.lattice_sizes[(1, 1)] = len(elementary)
         self._side_counts = self._count_sides(data, directives)
-
-        body_min, body_max = directives.body_card
-        head_min, head_max = directives.head_card
 
         lattice: Dict[Tuple[int, int], RuleSet] = {(1, 1): elementary}
         frontier = [(1, 1)]
@@ -169,6 +180,11 @@ class GeneralCoreOperator:
             **self.bitmap_stats.span_args(),
         }
 
+    def _is_leaf(self, m: int, n: int) -> bool:
+        """Whether set (m, n) is at both cardinality limits."""
+        return all(limit is not None and size >= limit
+                   for size, limit in zip((m, n), self._limits))
+
     def _reset(self) -> None:
         self.lattice_sizes = {}
         self.join_pairs_examined = 0
@@ -181,59 +197,76 @@ class GeneralCoreOperator:
     # ------------------------------------------------------------------
 
     def _collect(self, data: GeneralInput) -> Occurrences:
-        """Every elementary occurrence, met once: the loader's triples
-        are numbered into :attr:`_triples` group by group (one universe
-        call per group) and each (body item, head item) pair gets the
-        list of triple slots it occurs in — a triple's ``InputRules``
-        pairs (Q8..Q10), or the lazy cartesian product of its clusters'
-        items."""
+        """Every elementary occurrence, met once: the loader's joinable
+        triples are numbered into :attr:`_triples` group by group (one
+        universe call per group, every group interned) and each (body
+        item, head item) pair gets the list of its occurrences — a
+        triple's ``InputRules`` pairs (Q8..Q10), or the lazy cartesian
+        product of its clusters' items."""
         triples = self._triples
+        body_grows, head_grows = (limit is None or limit > 1
+                                  for limit in self._limits)
         occurrences: Occurrences = defaultdict(lambda: defaultdict(list))
         for gid, by_triple in (data.input_rules or {}).items():
-            first = triples.add(gid, len(by_triple))
-            for slot, pairs in enumerate(by_triple.values(), first):
+            joinable = [
+                body_grows and len({bid for bid, _ in pairs}) > 1
+                or head_grows and len({hid for _, hid in pairs}) > 1
+                for pairs in by_triple.values()
+            ]
+            slot = triples.add(gid, sum(joinable))
+            outside = ~(triples.groups - 1)
+            for pairs, join in zip(by_triple.values(), joinable):
+                mark = slot if join else outside
+                slot += join
                 for bid, hid in pairs:
-                    occurrences[bid][hid].append(slot)
+                    occurrences[bid][hid].append(mark)
         body, head = data.body_clusters, data.head_clusters
         same_schema = data.same_schema
         for gid, (body_keys, head_keys) in data.triples.items():
             first = slot = triples.next_slot(gid)
+            outside = ~triples.groups  # each group is interned once
             for bc, hc in zip(body_keys, head_keys):
                 body_ids = body.get(bc)
                 head_ids = head.get(hc)
                 if not body_ids or not head_ids:
                     continue
+                join = (body_grows and len(body_ids) > 1
+                        or head_grows and len(head_ids) > 1)
+                mark = slot if join else outside
+                slot += join
                 exclude_equal = same_schema and bc == hc
                 for bid in body_ids:
-                    slots_of = occurrences[bid]
+                    marks_of = occurrences[bid]
                     for hid in head_ids:
                         if exclude_equal and bid == hid:
                             continue
-                        slots_of[hid].append(slot)
-                slot += 1
-            if slot > first:
-                triples.add(gid, slot - first)
+                        marks_of[hid].append(mark)
+            triples.add(gid, slot - first)
         return occurrences
 
     def _elementary_rules(
         self, occurrences: Occurrences, min_count: int
     ) -> RuleSet:
-        """The large elementary rules.  A pair is pruned on its slot
-        list, popped out of *occurrences* as it is read: a survivor's
-        support bitmap is built at once and no list outlives its pair."""
+        """The large elementary rules.  A pair is pruned on its list,
+        popped out of *occurrences* as it is read: a survivor's support
+        bitmap (of its joinable slots) is built at once and no list
+        outlives its pair."""
         triples = self._triples
         group_of = triples.group_of.__getitem__
         nbytes, group_bytes = triples.nbytes, (triples.groups + 7) >> 3
+        leaf = self._is_leaf(1, 1)
         rules: RuleSet = {}
-        for bid, slots_of in occurrences.items():
-            for hid in list(slots_of):
-                slots = slots_of.pop(hid)
-                if len(slots) < min_count:
+        for bid, marks_of in occurrences.items():
+            for hid in list(marks_of):
+                marks = marks_of.pop(hid)
+                if len(marks) < min_count:
                     continue  # fewer triples than groups needed
+                slots = [mark for mark in marks if mark >= 0]
                 groups = set(map(group_of, slots))
+                groups.update(~mark for mark in marks if mark < 0)
                 if len(groups) >= min_count:
                     rules[(bid,), (hid,)] = (
-                        mask_from_slots(slots, nbytes),
+                        None if leaf else mask_from_slots(slots, nbytes),
                         mask_from_slots(groups, group_bytes),
                         len(groups),
                     )
@@ -266,20 +299,23 @@ class GeneralCoreOperator:
         parents.sort(key=lambda entry: len(lattice[entry[0]]))
         parent_key, direction = parents[0]
         result = self._extend(
-            lattice[parent_key], min_count, 0 if direction == "body" else 1
+            lattice[parent_key], min_count, 0 if direction == "body" else 1,
+            self._is_leaf(m, n),
         )
         lattice[target] = result
         self.lattice_sizes[target] = len(result)
         if result:
             frontier.append(target)
 
-    def _extend(self, rules: RuleSet, min_count: int, side: int) -> RuleSet:
+    def _extend(
+        self, rules: RuleSet, min_count: int, side: int, leaf: bool
+    ) -> RuleSet:
         """Grow *side* of every rule by one item — 0: (m, n) -> (m+1, n),
         joining rules that share the head and a body prefix; 1: (m, n)
         -> (m, n+1), sharing the body and a head prefix.  A pair whose
         group bitmaps share fewer than *min_count* groups, or whose
         grown side's own count is below it, is rejected before its
-        triple-level intersection."""
+        triple-level intersection.  A *leaf* result keeps no supports."""
         siblings: Dict[
             Tuple[Tuple[int, ...], Tuple[int, ...]],
             List[Tuple[Tuple[int, ...], Rule]],
@@ -308,7 +344,7 @@ class GeneralCoreOperator:
                     count = group_count(shared)
                     if count >= min_count:
                         key = (fixed, grown) if side else (grown, fixed)
-                        out[key] = (shared, groups, count)
+                        out[key] = (None if leaf else shared, groups, count)
             examined += len(entries) * (len(entries) - 1) // 2
         self.join_pairs_examined += examined
         self.bitmap_stats.intersections += intersected

@@ -39,7 +39,7 @@ CORE_SPAN_ARGS = {
         "variant": "general", "representation": "bitset",
         "popcounts": 37, "intersections": 27, "join_pairs_examined": 43,
         "passes": 13, "candidates": 0, "bitset_density": 0.0,
-        "universe_sizes": {"triple": 8, "body_pair": 4},
+        "universe_sizes": {"triple": 7, "body_pair": 4},
     },
     "filtered_ordered_sets": {
         "variant": "general", "representation": "bitset",
@@ -51,7 +51,7 @@ CORE_SPAN_ARGS = {
         "variant": "general", "representation": "bitset",
         "popcounts": 5, "intersections": 0, "join_pairs_examined": 0,
         "passes": 1, "candidates": 0, "bitset_density": 0.0,
-        "universe_sizes": {"triple": 2, "body_pair": 4},
+        "universe_sizes": {"triple": 0, "body_pair": 4},
     },
     "simple_associations": {
         "variant": "simple", "representation": "bitset",

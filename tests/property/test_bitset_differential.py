@@ -11,10 +11,17 @@ Two contracts enforced here:
   general_core`, which shares no code with its bitmaps) over randomized
   clustered inputs (derived elementary rules, ``ClusterCouples``
   restrictions, and SQL-precomputed ``InputRules`` in any row order),
-  with its join counters consistent with the lattice it built.
+  with its join counters consistent with the lattice it built, and
+  its lattice sizes those of the reference's rules under every growth
+  shape — the shapes that decide which triples are joinable.
+
+Each property's budget scales with the hypothesis profile: tier-1's
+default profile (100 examples) runs the budget written here, CI's
+``oracle-ci`` profile (root conftest.py) fifteen times as many.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +42,15 @@ group_maps = st.dictionaries(
 thresholds = st.integers(min_value=1, max_value=5)
 
 
+def budget(examples):
+    """*examples* scaled by the profile's budget over the default 100."""
+    return max(1, examples * settings.default.max_examples // 100)
+
+
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 class TestPoolAgreesWithSetBasedReference:
     @given(groups=group_maps, min_count=thresholds)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=budget(30), deadline=None)
     def test_identical_itemset_counts(self, name, groups, min_count):
         expected = Exhaustive().mine(groups, min_count)
         assert get_algorithm(name).mine(groups, min_count) == expected
@@ -48,14 +60,22 @@ class TestPoolAgreesWithSetBasedReference:
 # general core: randomized clustered inputs
 # ---------------------------------------------------------------------------
 
-item_sets = st.sets(st.integers(min_value=0, max_value=5), max_size=4)
+#: cluster contents: one-item clusters (whose triples join nothing
+#: under ``1..1 x 1..1`` and are never joinable on a side of one item)
+#: mixed with empty and multi-item ones
+items = st.integers(min_value=0, max_value=5)
+item_sets = st.one_of(
+    st.sets(items, min_size=1, max_size=1), st.sets(items, max_size=4)
+)
 
 
 @st.composite
-def clustered_inputs(draw):
+def clustered_inputs(draw, same_schema=st.booleans()):
     """A random :class:`GeneralInput` (derived-elementary path) plus
-    matching :class:`CoreDirectives`."""
-    same_schema = draw(st.booleans())
+    matching :class:`CoreDirectives`; every pair of clusters, a cluster
+    with itself included, is a triple unless ``ClusterCouples``
+    restricts them."""
+    same_schema = draw(same_schema)
     n_groups = draw(st.integers(min_value=1, max_value=6))
     body_items, head_items = {}, {}
     for gid in range(1, n_groups + 1):
@@ -153,8 +173,8 @@ def elementary_input(rows, totg, min_count):
 
 
 def _directives(draw, same_schema, cluster_condition, mining_condition):
-    body_max = draw(st.sampled_from([None, 2, 3]))
-    head_max = draw(st.sampled_from([None, 2]))
+    body_max = draw(st.sampled_from([1, None, 2, 3]))
+    head_max = draw(st.sampled_from([1, None, 2]))
     return CoreDirectives(
         simple=False,
         same_schema=same_schema,
@@ -171,11 +191,11 @@ def _directives(draw, same_schema, cluster_condition, mining_condition):
     )
 
 
-def run_against_reference(data, directives):
-    """One run compared with the reference semantics; returns the
-    ordered rule list."""
+def run_against_reference(data, directives, operator=None):
+    """One run of *operator* (a fresh one by default) compared with the
+    reference semantics; returns the ordered rule list."""
     expected = reference.general_core(reference_view(data), directives)
-    rules = GeneralCoreOperator().run(data, directives)
+    rules = (operator or GeneralCoreOperator()).run(data, directives)
     assert [dataclasses.astuple(rule) for rule in rules] == expected
     return expected
 
@@ -185,12 +205,12 @@ class TestGeneralCoreRepresentations:
     reference semantics."""
 
     @given(case=clustered_inputs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=budget(50), deadline=None)
     def test_derived_elementary_rules_identical(self, case):
         run_against_reference(*case)
 
     @given(case=elementary_inputs(), data=st.data())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=budget(50), deadline=None)
     def test_input_rules_path_identical(self, case, data):
         """... whatever the row order of ``InputRules``: the input
         buckets rows by group and triple, so interleaved gids and
@@ -204,7 +224,7 @@ class TestGeneralCoreRepresentations:
         assert run_against_reference(shuffled, directives) == rules
 
     @given(case=clustered_inputs())
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=budget(20), deadline=None)
     def test_observability_counters_match(self, case):
         """Every intersection performed is counted, a join a filter
         rejects performs none, and every rule past (1, 1) took one."""
@@ -216,3 +236,77 @@ class TestGeneralCoreRepresentations:
         grown = sum(size for key, size in operator.lattice_sizes.items()
                     if key != (1, 1))
         assert stats.intersections >= grown
+
+
+#: (body, head) cardinality maxima: which sides can grow, and so which
+#: triples are joinable — none under 1..1 x 1..1
+GROWTH_SHAPES = {"1..1x1..1": (1, 1), "1..nx1..1": (None, 1),
+                 "1..1x1..n": (1, None), "1..nx1..n": (None, None)}
+#: the inputs each shape is run on: both schemas of the derived path
+#: (with one schema, a triple of a cluster with itself excludes the
+#: rule of an item with itself) and the InputRules path, where a
+#: triple's pairs may hold one body item of a cluster holding several
+INPUTS = {
+    "derived-same-schema": clustered_inputs(same_schema=st.just(True)),
+    "derived-two-schemas": clustered_inputs(same_schema=st.just(False)),
+    "input-rules": elementary_inputs(),
+}
+
+
+def reference_lattice(data, directives):
+    """The non-empty lattice sets by the reference: its rules at any
+    confidence counted by (body size, head size)."""
+    rules = reference.general_core(
+        reference_view(data),
+        dataclasses.replace(directives, min_confidence=0.0),
+    )
+    return Counter((len(rule.body), len(rule.head)) for rule in rules)
+
+
+@pytest.mark.parametrize("inputs", sorted(INPUTS))
+@pytest.mark.parametrize("shape", list(GROWTH_SHAPES))
+class TestJoinableTriples:
+    """Only joinable triples get a support slot and leaf sets keep no
+    supports: the rules and lattice stay the reference's."""
+
+    @given(data=st.data())
+    @settings(max_examples=budget(40), deadline=None)
+    def test_rules_and_lattice_sizes_match_the_reference(
+        self, shape, inputs, data
+    ):
+        general, directives = data.draw(INPUTS[inputs])
+        body_max, head_max = GROWTH_SHAPES[shape]
+        directives = dataclasses.replace(
+            directives, body_card=(1, body_max), head_card=(1, head_max)
+        )
+        operator = GeneralCoreOperator()
+        run_against_reference(general, directives, operator)
+        sizes = {key: size for key, size in operator.lattice_sizes.items()
+                 if size}
+        assert sizes == reference_lattice(general, directives)
+        if shape == "1..1x1..1":
+            assert operator.bitmap_stats.universe_sizes["triple"] == 0
+
+
+def test_input_rules_triple_with_one_body_item_is_not_joinable():
+    """Cluster 1 holds items 1 and 2, but each of its triples pairs only
+    one of them (with heads 5 and 6, or 5): no triple can support
+    {1, 2} => {5}, so none is joinable under 1..n x 1..1, and the rule
+    is not found."""
+    rows = [(gid, 1, hc, bid, hid) for gid in (1, 2)
+            for hc, bid, hid in ((2, 1, 5), (2, 1, 6), (3, 2, 5))]
+    general = elementary_input(rows, totg=2, min_count=2)
+    directives = CoreDirectives(
+        simple=False, same_schema=False, clustered=True,
+        cluster_condition=False, mining_condition=True, coded_source="CS",
+        cluster_couples=None, input_rules="IR", min_support=0.0,
+        min_confidence=0.0, body_card=(1, None), head_card=(1, 1),
+    )
+    assert reference_view(general).body_items[1][(1, 1)] == {1, 2}
+    operator = GeneralCoreOperator()
+    rules = run_against_reference(general, directives, operator)
+    assert [(set(rule.body), set(rule.head)) for rule in rules] == [
+        ({1}, {5}), ({1}, {6}), ({2}, {5}),
+    ]
+    assert operator.lattice_sizes == {(1, 1): 3, (2, 1): 0}
+    assert operator.bitmap_stats.universe_sizes["triple"] == 0

@@ -191,6 +191,25 @@ class TestGroupedUniverse:
         with pytest.raises(ValueError, match="non-contiguously"):
             universe.add("a")
 
+    def test_group_without_slots_is_interned_and_never_counted(self):
+        """A group whose triples are all left out still gets a position
+        (its base slot is its guard slot) and counts as absent."""
+        universe = GroupedUniverse()
+        assert universe.add("a", 2) == 0
+        assert universe.add("b", 0) == 3  # past a's guard bit
+        assert universe.next_slot("c") == 4  # past b's guard bit
+        assert universe.add("c", 2) == 4
+        assert (len(universe), universe.groups) == (4, 3)  # no guard bits
+        assert universe.group_of == [0, 0, 0, 1, 2, 2]
+        for slots, groups in (
+            ([0, 1], 1), ([1, 4], 2), ([0, 5], 2), ([4, 5], 1), ([], 0),
+        ):
+            mask = mask_from_slots(slots, universe.nbytes)
+            assert universe.group_count(mask) == groups
+        # the open last group's guard bit (slot 6) lies within nbytes
+        assert universe.nbytes * 8 > 6
+        assert mask_from_slots([6], universe.nbytes).bit_length() == 7
+
 
 class TestRepresentationValidation:
     def test_unknown_representation_rejected_everywhere(self):
@@ -255,6 +274,13 @@ class TestSystemRepresentationSwitch:
         "GROUP BY customer CLUSTER BY date "
         "EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.2"
     )
+    #: the sparse clickstream statement of the general-core benchmark
+    CLICKS = (
+        "MINE RULE S AS SELECT DISTINCT 1..2 page AS BODY, "
+        "1..1 page AS HEAD, SUPPORT, CONFIDENCE FROM Clicks GROUP BY usr "
+        "CLUSTER BY minute HAVING BODY.minute < HEAD.minute "
+        "EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.3"
+    )
 
     @staticmethod
     def _run(statement, load=None, **shape):
@@ -315,13 +341,7 @@ class TestSystemRepresentationSwitch:
         from repro.datagen import load_clickstream
         from repro.kernel.core.inputs import CoreInputLoader
 
-        clicks = (
-            "MINE RULE S AS SELECT DISTINCT 1..2 page AS BODY, "
-            "1..1 page AS HEAD, SUPPORT, CONFIDENCE FROM Clicks GROUP BY usr "
-            "CLUSTER BY minute HAVING BODY.minute < HEAD.minute "
-            "EXTRACTING RULES WITH SUPPORT: 0.02, CONFIDENCE: 0.3"
-        )
-        system, result = self._run(clicks, load_clickstream, users=150,
+        system, result = self._run(self.CLICKS, load_clickstream, users=150,
                                    seed=19)
         assert result.encoded_rules
         assert self._core(result)["variant"] == "general"
@@ -334,6 +354,35 @@ class TestSystemRepresentationSwitch:
         _, simple = self._run(self.STATEMENT)
         assert self._core(simple)["variant"] == "simple"
         assert self._core(simple)["representation"] == "bitset"
+
+    def test_clickstream_supports_only_where_a_join_reads_them(self):
+        """On the clickstream case: only joinable triples get a slot,
+        the leaf set (2, 1) of ``1..2 x 1..1`` keeps no supports, and
+        the rules are still the reference's."""
+        from repro.datagen import load_clickstream
+        from repro.kernel.core.inputs import CoreInputLoader
+
+        system, result = self._run(self.CLICKS, load_clickstream, users=150,
+                                   seed=19)
+        core = result.program.core
+        data = CoreInputLoader(system.db, core).load_general()
+        sets = {}
+
+        class Recording(GeneralCoreOperator):
+            def _compute_set(self, lattice, target, min_count, frontier):
+                super()._compute_set(lattice, target, min_count, frontier)
+                sets[target] = lattice.get(target)
+
+        operator = Recording()
+        rules = operator.run(data, core)
+        read = sum(len(body_keys) for body_keys, _ in data.triples.values())
+        assert 0 < operator.bitmap_stats.universe_sizes["triple"] < read
+        assert sets.keys() == {(2, 1)} and sets[(2, 1)]
+        assert all(support is None for support, _, _ in
+                   sets[(2, 1)].values())
+        assert rules == result.encoded_rules
+        assert [dataclasses.astuple(rule) for rule in rules] == (
+            reference.general_core(reference_view(data), core))
 
     def test_core_stats_surfaced_in_trace_and_report(self):
         from repro.report import render_report
