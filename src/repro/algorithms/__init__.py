@@ -38,7 +38,6 @@ from repro.algorithms.base import (
 from repro.algorithms.bitset import (
     BitsetStats,
     GroupedUniverse,
-    SlotUniverse,
     VerticalInput,
 )
 from repro.algorithms.eclat import Eclat
@@ -51,7 +50,6 @@ __all__ = [
     "BitsetStats",
     "Eclat",
     "GroupedUniverse",
-    "SlotUniverse",
     "select_algorithm",
     "FrequentItemsetMiner",
     "GroupMap",

@@ -49,20 +49,19 @@ class Apriori(FrequentItemsetMiner):
         stats = self.stats
         stats.clear()
         vertical = VerticalInput.of(groups)
-        gid_lists = vertical.gid_lists(min_count)
-        stats.sample_density(gid_lists.values(), len(vertical))
         stats.universe_sizes["gid"] = len(vertical)
 
         counts: ItemsetCounts = {}
         root: List[Tuple[int, int]] = []
-        for item, gid_list in gid_lists.items():
+        for item, gid_list in vertical.bitmaps.items():
             support = gid_list.bit_count()
             if support >= min_count:
                 counts[frozenset((item,))] = support
                 root.append((item, gid_list))
+        stats.sample_density(list(counts.values()), len(vertical))
         stats.passes += 1
         stats.candidates += len(vertical.bitmaps)
-        stats.popcount_calls += len(gid_lists)
+        stats.popcount_calls += len(root)
 
         classes = [((), root)]
         frequent: Set[Tuple[int, ...]] = set()

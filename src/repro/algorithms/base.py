@@ -42,10 +42,11 @@ class FrequentItemsetMiner(abc.ABC):
         groups, mapped to its exact group count.
 
         Implementations normalise *groups* with
-        :meth:`VerticalInput.of` and read its ``gid_lists()``.  ``min_count``
-        must be at least 1; an itemset's count is the number of
-        *groups* (not tuples) containing all of its items, matching the
-        support semantics of the MINE RULE operator.
+        :meth:`VerticalInput.of` and read its ``bitmaps``, one popcount
+        per root item.  ``min_count`` must be at least 1; an itemset's
+        count is the number of *groups* (not tuples) containing all of
+        its items, matching the support semantics of the MINE RULE
+        operator.
         """
 
 

@@ -5,8 +5,8 @@ their time intersecting sets of identifiers — group ids for the
 gid-list algorithms of Section 4.3.1, ``(group, body cluster, head
 cluster)`` triples for the rule lattice of Section 4.3.2.  Python
 integers are arbitrary-precision bit arrays whose bitwise operators
-run in C over whole machine words, so after densely re-indexing the
-identifiers into contiguous bit slots, set intersection becomes ``&``
+run in C over whole machine words, so with the encoded identifiers,
+dense already, as contiguous bit slots, set intersection becomes ``&``
 and support counting becomes :meth:`int.bit_count` — typically an
 order of magnitude faster than hashing tuples into ``set`` objects.
 
@@ -27,11 +27,11 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass
@@ -48,17 +48,13 @@ class BitsetStats:
     occupancy at construction — their ratio is :meth:`density`.
     """
 
-    universe_sizes: Dict[str, int] = None  # type: ignore[assignment]
+    universe_sizes: Dict[str, int] = field(default_factory=dict)
     popcount_calls: int = 0
     intersections: int = 0
     passes: int = 0
     candidates: int = 0
     bits_set: int = 0
     bits_possible: int = 0
-
-    def __post_init__(self) -> None:
-        if self.universe_sizes is None:
-            self.universe_sizes = {}
 
     def clear(self) -> None:
         self.universe_sizes = {}
@@ -69,14 +65,11 @@ class BitsetStats:
         self.bits_set = 0
         self.bits_possible = 0
 
-    def sample_density(self, bitmaps: "Iterable[int]", universe_size: int) -> None:
-        """Accumulate occupancy of freshly built *bitmaps* over a
-        universe of *universe_size* slots."""
-        n = 0
-        for bitmap in bitmaps:
-            self.bits_set += bitmap.bit_count()
-            n += 1
-        self.bits_possible += n * universe_size
+    def sample_density(self, supports: Sequence[int], universe_size: int) -> None:
+        """Accumulate occupancy of freshly built bitmaps, given their
+        popcounts *supports*, over a universe of *universe_size* slots."""
+        self.bits_set += sum(supports)
+        self.bits_possible += len(supports) * universe_size
 
     def density(self) -> float:
         """Fraction of set bits among the sampled bitmaps (0.0 when
@@ -110,42 +103,6 @@ def mask_from_slots(slots: Iterable[int], nbytes: int) -> int:
     for slot in slots:
         buffer[slot >> 3] |= 1 << (slot & 7)
     return int.from_bytes(buffer, "little")
-
-
-class SlotUniverse:
-    """Dense re-indexing of hashable identifiers into bit slots.
-
-    Slots are assigned in first-appearance order, so building the
-    universe from a deterministic iteration yields a deterministic
-    layout (and therefore deterministic masks).
-    """
-
-    __slots__ = ("_slot_of", "_members")
-
-    def __init__(self, idents: Iterable[Hashable] = ()) -> None:
-        self._slot_of: Dict[Hashable, int] = dict(
-            zip(dict.fromkeys(idents), itertools.count())
-        )
-        self._members: List[Hashable] = list(self._slot_of)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, ident: Hashable) -> bool:
-        return ident in self._slot_of
-
-    def __iter__(self) -> Iterator[Hashable]:
-        """The identifiers in slot order."""
-        return iter(self._members)
-
-    def slot(self, ident: Hashable) -> int:
-        """The slot of *ident*, assigned on first use."""
-        slot = self._slot_of.get(ident)
-        if slot is None:
-            slot = len(self._members)
-            self._slot_of[ident] = slot
-            self._members.append(ident)
-        return slot
 
 
 @dataclass(frozen=True)
@@ -212,15 +169,6 @@ class VerticalInput:
     def __len__(self) -> int:  # groups
         return self.group_count
 
-    def gid_lists(self, min_count: int = 1) -> Dict[Hashable, int]:
-        """item -> gid list (its bitmap), ascending by item, for the
-        items in at least *min_count* groups: a new dict over the
-        stored bitmaps, filtered by popcount."""
-        return {
-            item: bitmap for item, bitmap in self.bitmaps.items()
-            if bitmap.bit_count() >= min_count
-        }
-
 
 def _dense_top(ids: Sequence) -> Optional[int]:
     """The largest of *ids* if each can be its own bit slot — ints from
@@ -240,10 +188,13 @@ def _renumbered(ids: Sequence) -> Tuple[List[int], int]:
     return list(map(number.__getitem__, ids)), len(number)
 
 
+
+
 class GroupedUniverse:
-    """A dense slot universe over keyed identifiers — tuples whose
-    first element is a *group key* — laid out contiguously per group
-    with one always-zero *guard* bit above each group's span.
+    """A dense slot universe laid out contiguously per group, with one
+    always-zero *guard* bit closing each group's span.  A group is its
+    position in :meth:`add` order: the loaders hand over encoded
+    groups, already numbered, so no key is interned here.
 
     The guard bits turn distinct-group counting into three big-int
     operations and one popcount (the triple-slot -> group-slot
@@ -259,29 +210,21 @@ class GroupedUniverse:
     bit, the borrow never crosses into the next group.  The whole
     count runs in C over machine words — no per-bit walk.
 
-    :attr:`group_of` maps every slot to the position of its group (in
-    interning order), which is how a plain list of slots counts its
-    distinct groups before any bitmap is built.  A group may hold no
-    slot (``add(key, 0)``): its base bit is its guard bit, so it still
-    has a position and is never counted.
-
-    Callers must add slots grouped by key (the loaders iterate per
-    group, and the elementary-rule table is sorted first); interleaving
-    keys raises.
+    :attr:`group_of` maps every slot to the position of its group,
+    which is how a plain list of slots counts its distinct groups
+    before any bitmap is built.  A group may hold no slot (``add(0)``):
+    its base bit is its guard bit, so it still has a position and is
+    never counted.
     """
 
-    __slots__ = ("_base_of", "_bases", "_last_key", "group_of",
-                 "_anchor_low", "_anchor_high", "_anchor_size",
-                 "group_count_calls")
+    __slots__ = ("_bases", "group_of", "_anchor_low", "_anchor_high",
+                 "_anchor_size", "group_count_calls")
 
     def __init__(self) -> None:
-        #: group key -> base slot of the group's span
-        self._base_of: Dict[Hashable, int] = {}
-        #: base slots in interning order (ascending)
+        #: base slot of each group, in position order (ascending)
         self._bases: List[int] = []
-        self._last_key: Hashable = _NO_KEY
-        #: slot -> group position; a guard slot carries the group below
-        #: it and is never looked up.  Its length is the next free slot.
+        #: slot -> group position, a guard slot carrying its own group;
+        #: its length is the next group's base slot
         self.group_of: List[int] = []
         self._anchor_low = 0
         self._anchor_high = 0
@@ -289,76 +232,44 @@ class GroupedUniverse:
         #: observability: distinct-group counts performed
         self.group_count_calls = 0
 
-    def __len__(self) -> int:
-        return len(self.group_of) - max(len(self._bases) - 1, 0)
+    def __len__(self) -> int:  # slots, guards left out
+        return len(self.group_of) - len(self._bases)
 
     @property
     def groups(self) -> int:
-        """Number of group keys interned."""
+        """Number of groups added."""
         return len(self._bases)
 
     @property
     def nbytes(self) -> int:
-        """Bytes that hold every slot and the open last group's guard."""
-        return (len(self.group_of) >> 3) + 1
+        """Bytes that hold every slot and guard."""
+        return (len(self.group_of) + 7) >> 3
 
-    def next_slot(self, key: Hashable) -> int:
-        """The slot the next :meth:`add` for *key* returns."""
-        return len(self.group_of) + (
-            key != self._last_key and bool(self._bases)
-        )
-
-    def add(self, key: Hashable, count: int = 1) -> int:
-        """*count* fresh consecutive slots in *key*'s span, the first
-        one returned."""
-        group_of = self.group_of
-        if key != self._last_key:
-            if key in self._base_of:
-                raise ValueError(
-                    f"group key {key!r} added non-contiguously; "
-                    "add slots grouped by key"
-                )
-            if self._bases:
-                group_of.append(len(self._bases) - 1)  # previous guard bit
-            self._base_of[key] = len(group_of)
-            self._bases.append(len(group_of))
-            self._last_key = key
-        first = len(group_of)
-        group_of.extend([len(self._bases) - 1] * count)
+    def add(self, count: int) -> int:
+        """A new group of *count* consecutive slots, closed by its
+        guard bit; its first slot is returned."""
+        first = len(self.group_of)
+        self._bases.append(first)
+        self.group_of.extend([len(self._bases) - 1] * (count + 1))
         return first
 
     def _anchors(self) -> Tuple[int, int]:
         """The (base, guard) anchor bitmaps, rebuilt lazily after the
-        universe grew.  Group *i*'s guard slot sits just below group
-        *i+1*'s base; the still-open last group's guard is the next
-        unassigned slot."""
+        universe grew.  Every guard sits just below the next group's
+        base, and the last one in the last slot."""
         size = len(self.group_of)
         if self._anchor_size != size:
-            bases = self._bases
-            guards = [base - 1 for base in bases[1:]]
-            guards.append(size)
-            self._anchor_low = mask_from_slots(bases, self.nbytes)
-            self._anchor_high = mask_from_slots(guards, self.nbytes)
+            low = mask_from_slots(self._bases, self.nbytes)
+            self._anchor_low = low
+            self._anchor_high = (low >> 1) | 1 << (size - 1)
             self._anchor_size = size
         return self._anchor_low, self._anchor_high
 
     def group_count(self, mask: int) -> int:
-        """Number of distinct group keys among the set slots of
-        *mask* — mask-and-popcount, exact, O(universe words)."""
+        """Number of distinct groups among the set slots of *mask* —
+        mask-and-popcount, exact, O(universe words)."""
         self.group_count_calls += 1
         if not mask:
             return 0
         low, high = self._anchors()
         return (((mask | high) - low) & high).bit_count()
-
-
-class _NoKey:
-    """Sentinel distinct from any group key (including None)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<no key>"
-
-
-_NO_KEY = _NoKey()

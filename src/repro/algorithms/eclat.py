@@ -56,21 +56,20 @@ class Eclat(FrequentItemsetMiner):
         counts: ItemsetCounts = {}
 
         vertical = VerticalInput.of(groups)
-        item_maps = vertical.gid_lists(min_count)
         self.stats.universe_sizes["gid"] = len(vertical)
-        self.stats.sample_density(item_maps.values(), len(vertical))
-        self.stats.passes += 1
-        self.stats.candidates += len(vertical.bitmaps)
 
         # Root class: frequent singletons in ascending item order (the
         # order fixes the prefix tree, making runs deterministic).
         root: List[Tuple[Tuple[int, ...], int, int]] = []
-        for item, tidset in item_maps.items():
+        for item, tidset in vertical.bitmaps.items():
             support = tidset.bit_count()
-            self.stats.popcount_calls += 1
             if support >= min_count:
                 counts[frozenset((item,))] = support
                 root.append(((item,), tidset, support))
+        self.stats.sample_density(list(counts.values()), len(vertical))
+        self.stats.passes += 1
+        self.stats.candidates += len(vertical.bitmaps)
+        self.stats.popcount_calls += len(root)
         self._expand(root, min_count, counts, parents_are_diffsets=False)
         return counts
 

@@ -1,8 +1,8 @@
 """Incremental maintenance of MINE RULE outputs (``REFRESH RULES``).
 
 After a MINE RULE run, :class:`MiningState` keeps what it takes to mine
-the statement again without its SQL program: the item and group
-universes, one group bitmap per item (a
+the statement again without its SQL program: the item and group ids
+(two dicts), one group bitmap per item (a
 :class:`~repro.algorithms.bitset.VerticalInput`) and the append stamp
 of the source.  A refresh reads only the **increment**, the source's
 rows from the watermark ``state.row_count`` on, handed to the engine
@@ -12,8 +12,8 @@ statement's table name, so the one ``SELECT DISTINCT <schema>,
 rows and nothing else.  State capture is the same path with watermark 0.
 
 * **delta** ORs the increment's pairs into a new input; new items and
-  groups get fresh slots at the end, as a from-scratch staging
-  enumeration of the appended table numbers them;
+  groups get the next ids, as a from-scratch staging enumeration of
+  the appended table numbers them;
 * **recount** numbers the items of at least ``mingroups`` groups as
   Q3b does (first appearance) and mines them with the pool member a
   MINE RULE run uses (``MiningSystem.algorithm``).
@@ -40,8 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.algorithms.base import FrequentItemsetMiner, ItemsetCounts
-from repro.algorithms.bitset import SlotUniverse, VerticalInput
-from repro.algorithms.bitset import mask_from_slots
+from repro.algorithms.bitset import VerticalInput, mask_from_slots
 from repro.kernel.core.inputs import min_group_count
 from repro.kernel.names import Workspace
 from repro.kernel.program import TranslationProgram
@@ -95,15 +94,15 @@ class MiningState:
     pairs, which is the order queries Q3a/Q3b enumerate them — so the
     ``Bset`` encoding of any later refresh can be reproduced without
     re-running the preprocessor.  The next refresh extends the two
-    universes in place and builds a new :attr:`vertical`, whose sizes
+    dicts in place and builds a new :attr:`vertical`, whose sizes
     are the ones this state committed: what an attempt interned before
     it died is simply interned again.
     """
 
-    #: item value-tuples; slot = item id
-    items: SlotUniverse
-    #: group value-tuples; slot = bit position in the bitmaps
-    groups: SlotUniverse
+    #: item value-tuple -> item id; dict order is id order
+    items: Dict[Tuple, int]
+    #: group value-tuple -> bit position in the bitmaps
+    groups: Dict[Tuple, int]
     #: item id -> group bitmap over the group slots: its
     #: ``group_count`` is the committed group count (Q1's ``totg``), its
     #: key count the committed item count, ``entries`` the distinct pairs
@@ -201,7 +200,7 @@ class RefreshComputation:
     (:meth:`repro.system.MiningSystem.refresh`) owns locking, tracer
     spans, fault sites and the emission through the postprocessor.
     Nothing the recorded state answers from changes until
-    :meth:`recount` returns the new state (the shared universes only
+    :meth:`recount` returns the new state (the shared id dicts only
     grow past the sizes it committed), so a faulted phase can simply
     be retried.
     """
@@ -292,22 +291,20 @@ class RefreshComputation:
         self, pairs: List[Tuple], stamp: Dict[str, object]
     ) -> None:
         """Intern the increment's distinct (schema, group) pairs,
-        extending the item and group universes in place: new items and
-        groups get fresh slots at the end (matching a from-scratch
-        staging enumeration of the appended table)."""
+        extending the item and group dicts in place: new items and
+        groups get the next ids (matching a from-scratch staging
+        enumeration of the appended table)."""
         state = self.state
         k = len(self.statement.body.attributes)
         if state is not None:
             items, groups, old = state.items, state.groups, state.vertical
         else:
-            items, groups = SlotUniverse(), SlotUniverse()
-            old = VerticalInput(0, {}, 0)
-        item_slot, group_slot = items.slot, groups.slot
+            items, groups, old = {}, {}, VerticalInput(0, {}, 0)
         added: Dict[int, List[int]] = defaultdict(list)
         for row in pairs:
-            slot = group_slot(row[k:])
+            slot = groups.setdefault(row[k:], len(groups))
             if None not in row[:k]:  # else the row counts its group only
-                added[item_slot(row[:k])].append(slot)
+                added[items.setdefault(row[:k], len(items))].append(slot)
         vertical = self._extend(old, added, len(groups))
         self._pending = MiningState(items, groups, vertical, **stamp)
 
@@ -351,7 +348,8 @@ class RefreshComputation:
         min_count = min_group_count(self.statement.min_support, totg)
         frequent: Dict[int, int] = {}
         bset_rows: List[Tuple] = []
-        for item, bitmap in zip(pending.items, vertical.bitmaps.values()):
+        for item, index in pending.items.items():
+            bitmap = vertical.bitmaps[index]
             count = bitmap.bit_count()
             if count >= min_count:
                 frequent[len(frequent) + 1] = bitmap

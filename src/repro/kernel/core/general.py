@@ -20,12 +20,13 @@ Data path, linear in the elementary occurrences:
 * **Collect once.**  The loader's per-group triples are numbered as
   they come: every *joinable* triple gets an ``int`` slot in a
   :class:`repro.algorithms.bitset.GroupedUniverse` (contiguous per
-  group, one guard bit between groups, ``group_of[slot]`` kept beside)
-  and every ``(body item, head item)`` pair a plain list of the slots
-  it occurs in.  A triple is joinable when its body cluster holds two
-  items or more and bodies can grow, or the same for heads (on the
-  ``InputRules`` path: two distinct items among its pairs); an
-  occurrence in any other triple is listed by its group position only.
+  group, a guard bit closing each group's span, ``group_of[slot]`` kept
+  beside; a group is its position, not its ``Gid``) and every ``(body
+  item, head item)`` pair a plain list of the slots it occurs in.  A
+  triple is joinable when its body cluster holds two items or more and
+  bodies can grow, or the same for heads (on the ``InputRules`` path:
+  two distinct items among its pairs); an occurrence in any other
+  triple is listed by its group position only.
   Every (m+1, n) rule needs m+1 >= 2 body items in each supporting
   triple's body cluster (and likewise for heads), so a join never
   reads a slot left out.  Pairs are pruned at the support threshold
@@ -199,32 +200,31 @@ class GeneralCoreOperator:
     def _collect(self, data: GeneralInput) -> Occurrences:
         """Every elementary occurrence, met once: the loader's joinable
         triples are numbered into :attr:`_triples` group by group (one
-        universe call per group, every group interned) and each (body
-        item, head item) pair gets the list of its occurrences — a
-        triple's ``InputRules`` pairs (Q8..Q10), or the lazy cartesian
-        product of its clusters' items."""
+        :meth:`~GroupedUniverse.add` per group, once its joinable
+        triples are counted) and each (body item, head item) pair gets
+        the list of its occurrences — a triple's ``InputRules`` pairs
+        (Q8..Q10), or the lazy cartesian product of its clusters'
+        items."""
         triples = self._triples
         body_grows, head_grows = (limit is None or limit > 1
                                   for limit in self._limits)
         occurrences: Occurrences = defaultdict(lambda: defaultdict(list))
-        for gid, by_triple in (data.input_rules or {}).items():
-            joinable = [
-                body_grows and len({bid for bid, _ in pairs}) > 1
-                or head_grows and len({hid for _, hid in pairs}) > 1
-                for pairs in by_triple.values()
-            ]
-            slot = triples.add(gid, sum(joinable))
-            outside = ~(triples.groups - 1)
-            for pairs, join in zip(by_triple.values(), joinable):
+        for by_triple in (data.input_rules or {}).values():
+            first = slot = len(triples.group_of)  # the next group's base
+            outside = ~triples.groups
+            for pairs in by_triple.values():
+                join = (body_grows and len({bid for bid, _ in pairs}) > 1
+                        or head_grows and len({hid for _, hid in pairs}) > 1)
                 mark = slot if join else outside
                 slot += join
                 for bid, hid in pairs:
                     occurrences[bid][hid].append(mark)
+            triples.add(slot - first)
         body, head = data.body_clusters, data.head_clusters
         same_schema = data.same_schema
-        for gid, (body_keys, head_keys) in data.triples.items():
-            first = slot = triples.next_slot(gid)
-            outside = ~triples.groups  # each group is interned once
+        for body_keys, head_keys in data.triples.values():
+            first = slot = len(triples.group_of)  # the next group's base
+            outside = ~triples.groups
             for bc, hc in zip(body_keys, head_keys):
                 body_ids = body.get(bc)
                 head_ids = head.get(hc)
@@ -241,7 +241,7 @@ class GeneralCoreOperator:
                         if exclude_equal and bid == hid:
                             continue
                         marks_of[hid].append(mark)
-            triples.add(gid, slot - first)
+            triples.add(slot - first)
         return occurrences
 
     def _elementary_rules(
@@ -402,8 +402,8 @@ class GeneralCoreOperator:
         each side's items over it."""
         universe = self._cluster_slots
         slots: List[Tuple[int, Hashable]] = []
-        for gid, keys in data.clusters.items():
-            slots.extend(enumerate(keys, universe.add(gid, len(keys))))
+        for keys in data.clusters.values():
+            slots.extend(enumerate(keys, universe.add(len(keys))))
         body = self._side_index(data.body_clusters, slots)
         if data.same_schema:
             return body, body

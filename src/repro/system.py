@@ -715,8 +715,8 @@ class MiningSystem:
             if entry.state is None
             else f"reading the source past row {entry.state.row_count}",
         )
-        # both phases are idempotent (delta() extends the state's
-        # universes only past the sizes the state committed, recount()
+        # both phases are idempotent (delta() extends the state's id
+        # dicts only past the sizes the state committed, recount()
         # commits nothing), so an injected fault at either site simply
         # re-runs the whole phase on retry
         ctx.attempt("refresh.delta", computation.delta, own_site=True)

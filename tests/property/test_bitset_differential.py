@@ -1,11 +1,15 @@
 """The bitmap kernels against independent oracles.
 
-Two contracts enforced here:
+Three contracts enforced here:
 
 * every registered pool algorithm returns the same
   :data:`ItemsetCounts` as :class:`tests.exhaustive.Exhaustive` — a
   levelwise enumeration of every combination that shares no counting
   code with the bitmap kernels — over randomized group maps;
+* the positional :class:`GroupedUniverse` lays out and counts groups
+  like a plain ``set`` of the group positions its slots map to, over
+  randomized group sizes (empty groups and byte-crossing spans
+  included);
 * the general core operator emits the ordered ``EncodedRule`` list of
   the reference semantics (:func:`tests.minerule_reference.
   general_core`, which shares no code with its bitmaps) over randomized
@@ -24,9 +28,10 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms import ALGORITHMS, get_algorithm
+from repro.algorithms.bitset import GroupedUniverse, mask_from_slots
 from repro.kernel.core.general import GeneralCoreOperator
 from repro.kernel.program import CoreDirectives
 from tests import minerule_reference as reference
@@ -54,6 +59,50 @@ class TestPoolAgreesWithSetBasedReference:
     def test_identical_itemset_counts(self, name, groups, min_count):
         expected = Exhaustive().mine(groups, min_count)
         assert get_algorithm(name).mine(groups, min_count) == expected
+
+
+#: group sizes: empty groups anywhere, spans crossing byte boundaries
+group_sizes = st.lists(
+    st.one_of(st.just(0), st.sampled_from([7, 8, 9]),
+              st.integers(min_value=0, max_value=20)),
+    max_size=12,
+)
+#: slot subsets, one bit per slot
+subset_picks = st.lists(st.integers(min_value=0, max_value=2**240), max_size=4)
+
+
+class TestPositionalUniverse:
+    @given(sizes=group_sizes, picks=subset_picks)
+    @example(sizes=[0, 3], picks=[0b101])
+    @example(sizes=[3, 0], picks=[0b110])
+    @example(sizes=[0, 0, 5, 0, 0], picks=[0b10001])
+    @example(sizes=[7, 8, 9], picks=[1 << 6 | 1 << 7 | 1 << 15 | 1 << 23])
+    @example(sizes=[], picks=[])
+    @settings(max_examples=budget(100), deadline=None)
+    def test_layout_and_counts_match_a_set_reference(self, sizes, picks):
+        """Each pick chooses, bit by bit, a subset of the slots."""
+        universe = GroupedUniverse()
+        firsts = [universe.add(size) for size in sizes]
+        # each group is its span then its guard bit
+        offset = 0
+        for first, size in zip(firsts, sizes):
+            assert first == offset
+            offset += size + 1
+        assert len(universe) == sum(sizes)
+        assert universe.groups == len(sizes)
+        group_of = universe.group_of
+        assert len(group_of) == offset <= universe.nbytes * 8
+        for position, (first, size) in enumerate(zip(firsts, sizes)):
+            # the guard (slot first + size) carries its own group
+            assert group_of[first:first + size + 1] == [position] * (size + 1)
+        slots = [first + k for first, size in zip(firsts, sizes)
+                 for k in range(size)]
+        for pick in [0, -1, *picks]:
+            subset = [slot for index, slot in enumerate(slots)
+                      if pick >> index & 1]
+            mask = mask_from_slots(subset, universe.nbytes)
+            expected = {group_of[slot] for slot in subset}
+            assert universe.group_count(mask) == len(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.algorithms.apriori import Apriori
 from repro.algorithms.bitset import (
     BitsetStats,
     GroupedUniverse,
-    SlotUniverse,
     VerticalInput,
     mask_from_slots,
 )
@@ -30,21 +29,6 @@ def groups_of(*itemsets):
 EXAMPLE = groups_of({1, 2, 5}, {2, 4}, {2, 3}, {1, 2, 4}, {1, 3})
 
 
-class TestSlotUniverse:
-    def test_slots_assigned_in_first_appearance_order(self):
-        universe = SlotUniverse(["c", "a", "b"])
-        assert universe.slot("c") == 0
-        assert universe.slot("a") == 1
-        assert universe.slot("b") == 2
-        assert universe.slot("c") == 0  # stable on re-intern
-        assert len(universe) == 3
-
-    def test_contains(self):
-        universe = SlotUniverse([1])
-        assert 1 in universe
-        assert 2 not in universe
-
-
 class TestVerticalInput:
     GIDS = [3, 1, 3, 2, 1, 3]
     BIDS = [2, 2, 1, 9, 1, 2]  # (3, 2) twice
@@ -56,8 +40,6 @@ class TestVerticalInput:
         # bit Gid - 1; the repeated pair sets its bit once; items ascend
         assert vertical.bitmaps == {1: 0b101, 2: 0b101, 9: 0b010}
         assert list(vertical.bitmaps) == [1, 2, 9]
-        assert vertical.gid_lists() == vertical.bitmaps
-        assert vertical.gid_lists() is not vertical.bitmaps
         assert not hasattr(vertical, "gids")  # no gid array
 
     def test_len_counts_the_groups_holding_a_pair(self):
@@ -86,12 +68,26 @@ class TestVerticalInput:
         assert len(vertical) == 2
         assert not hasattr(vertical, "groups")  # no horizontal view
 
-    def test_gid_lists_ascending_and_pruned_by_popcount(self):
+    def test_root_level_ascending_and_pruned_by_popcount(self):
+        """Each miner's root level reads the bitmaps in ascending item
+        order, keeps the items of at least ``min_count`` groups and
+        samples the density of those only."""
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
-        assert list(vertical.gid_lists()) == [1, 2, 9]
-        # (3, 2) twice is still two groups, not three
-        assert list(vertical.gid_lists(min_count=2)) == [1, 2]
-        assert vertical.gid_lists(min_count=3) == {}
+        for miner in (Apriori(), Eclat()):
+            singletons = [
+                (*itemset, count)
+                for itemset, count in miner.mine(vertical, 1).items()
+                if len(itemset) == 1
+            ]
+            assert singletons == [(1, 2), (2, 2), (9, 1)]
+            # (3, 2) twice is still two groups, not three
+            counts = miner.mine(vertical, 2)
+            assert [next(iter(itemset)) for itemset in counts
+                    if len(itemset) == 1] == [1, 2]
+            stats = miner.stats
+            assert (stats.bits_set, stats.bits_possible) == (4, 2 * 3)
+            assert stats.candidates == 3 + 1  # every root, then {1, 2}
+            assert miner.mine(vertical, 3) == {}
 
     def test_never_changes_once_built(self):
         vertical = VerticalInput.from_columns(self.GIDS, self.BIDS)
@@ -151,21 +147,15 @@ class TestMaskFromSlots:
 class TestGroupedUniverse:
     def test_group_count_counts_distinct_keys(self):
         universe = GroupedUniverse()
-        # two slots in group 1, one in group 2, two in group 3
-        slots = [universe.add(key) for key in (1, 1, 2, 3, 3)]
+        # two slots in group 0, one in group 1, two in group 2
+        assert [universe.add(count) for count in (2, 1, 2)] == [0, 3, 5]
+        slots = [0, 1, 3, 5, 6]
         mask = mask_from_slots(slots, universe.nbytes)
         assert universe.group_count(mask) == 3
         # subset hitting two groups
         sub = mask_from_slots([slots[1], slots[4]], universe.nbytes)
         assert universe.group_count(sub) == 2
         assert universe.group_count(0) == 0
-
-    def test_non_contiguous_interning_rejected(self):
-        universe = GroupedUniverse()
-        universe.add(1)
-        universe.add(2)
-        with pytest.raises(ValueError, match="non-contiguously"):
-            universe.add(1)
 
     def test_group_count_calls_counter(self):
         universe = GroupedUniverse()
@@ -175,38 +165,33 @@ class TestGroupedUniverse:
         assert universe.group_count_calls == 2
 
     def test_uninterned_spans_count_like_interned_slots(self):
+        """Slots handed out from a group's first slot before any bitmap
+        is built count like the ones the group was added with."""
         universe = GroupedUniverse()
-        assert universe.next_slot("a") == 0
-        assert universe.add("a", 3) == 0
-        assert universe.next_slot("a") == 3  # same span
-        assert universe.next_slot("b") == 4  # past a's guard bit
-        assert universe.add("b") == 4
-        assert universe.add("b", 2) == 5
+        assert universe.add(3) == 0
+        assert universe.add(3) == 4  # past the first group's guard bit
         assert (len(universe), universe.groups) == (6, 2)
-        assert universe.group_of[:3] == [0, 0, 0]
-        assert universe.group_of[4:] == [1, 1, 1]
+        # each guard bit (slots 3 and 7) carries its own group
+        assert universe.group_of == [0, 0, 0, 0, 1, 1, 1, 1]
         for slots, groups in ([0, 2], 1), ([2, 4], 2), ([5, 6], 1), ([], 0):
             mask = mask_from_slots(slots, universe.nbytes)
             assert universe.group_count(mask) == groups
-        with pytest.raises(ValueError, match="non-contiguously"):
-            universe.add("a")
 
     def test_group_without_slots_is_interned_and_never_counted(self):
         """A group whose triples are all left out still gets a position
         (its base slot is its guard slot) and counts as absent."""
         universe = GroupedUniverse()
-        assert universe.add("a", 2) == 0
-        assert universe.add("b", 0) == 3  # past a's guard bit
-        assert universe.next_slot("c") == 4  # past b's guard bit
-        assert universe.add("c", 2) == 4
+        assert universe.add(2) == 0
+        assert universe.add(0) == 3  # past the first group's guard bit
+        assert universe.add(2) == 4  # past the empty group's guard bit
         assert (len(universe), universe.groups) == (4, 3)  # no guard bits
-        assert universe.group_of == [0, 0, 0, 1, 2, 2]
+        assert universe.group_of == [0, 0, 0, 1, 2, 2, 2]
         for slots, groups in (
             ([0, 1], 1), ([1, 4], 2), ([0, 5], 2), ([4, 5], 1), ([], 0),
         ):
             mask = mask_from_slots(slots, universe.nbytes)
             assert universe.group_count(mask) == groups
-        # the open last group's guard bit (slot 6) lies within nbytes
+        # the last group's guard bit (slot 6) lies within nbytes
         assert universe.nbytes * 8 > 6
         assert mask_from_slots([6], universe.nbytes).bit_length() == 7
 

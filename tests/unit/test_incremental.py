@@ -271,7 +271,7 @@ class TestRefreshComputation:
         _, state, computation = self._capture(system)
         assert len(state.vertical) == 4  # four transactions in Figure 1
         bitmap_of = {
-            bid: state.vertical.bitmaps[state.items.slot(tuple(item))]
+            bid: state.vertical.bitmaps[state.items[tuple(item)]]
             for bid, *item, _ in computation.bset_rows
         }
         assert computation.counts
