@@ -14,19 +14,16 @@ from repro.datagen.clickstream import load_clickstream
 from repro.datagen.quest import (
     QuestParameters,
     generate_quest,
-    iter_baskets,
     load_quest,
 )
 from repro.datagen.telecom import (
     iter_burst_appends,
-    iter_call_rows,
     load_telecom,
 )
 from repro.datagen.retail import (
     PURCHASE_COLUMNS,
     figure1_rows,
     iter_drift_appends,
-    iter_purchase_rows,
     load_purchase_figure1,
     load_purchase_synthetic,
 )
@@ -36,11 +33,8 @@ __all__ = [
     "QuestParameters",
     "figure1_rows",
     "generate_quest",
-    "iter_baskets",
     "iter_burst_appends",
-    "iter_call_rows",
     "iter_drift_appends",
-    "iter_purchase_rows",
     "load_clickstream",
     "load_purchase_figure1",
     "load_purchase_synthetic",

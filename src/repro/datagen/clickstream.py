@@ -16,7 +16,7 @@ exercises the *general* MINE RULE features end to end:
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Iterator, Tuple
 
 from repro.sqlengine.engine import Database
 from repro.sqlengine.table import Table
@@ -37,18 +37,15 @@ _FUNNEL = {
 }
 
 
-def load_clickstream(
-    database: Database,
-    users: int = 40,
-    sessions_per_user: int = 3,
-    clicks_per_session: int = 6,
-    pages_per_section: int = 8,
-    seed: int = 23,
-    table_name: str = "Clicks",
-) -> Table:
-    """Create a Clicks table with funnel-shaped navigation."""
+def _click_row_stream(
+    users: int,
+    sessions_per_user: int,
+    clicks_per_session: int,
+    pages_per_section: int,
+    seed: int,
+) -> Iterator[Tuple]:
+    """Yield Clicks rows one at a time, in table order."""
     rng = random.Random(seed)
-    rows: List[Tuple] = []
     session_id = 0
     for user_index in range(users):
         user = f"user{user_index + 1}"
@@ -62,13 +59,28 @@ def load_clickstream(
                 ) % pages_per_section
                 page = f"{section}_{page_number}"
                 dwell = max(1, round(rng.gauss(30, 15)))
-                rows.append((session_id, user, page, section, minute, dwell))
+                yield (session_id, user, page, section, minute, dwell)
                 minute += rng.randint(1, 5)
                 section = rng.choice(_FUNNEL[section])
+
+
+def load_clickstream(
+    database: Database,
+    users: int = 40,
+    sessions_per_user: int = 3,
+    clicks_per_session: int = 6,
+    pages_per_section: int = 8,
+    seed: int = 23,
+    table_name: str = "Clicks",
+) -> Table:
+    """Create a Clicks table with funnel-shaped navigation."""
     return database.create_table_from_rows(
         table_name,
         CLICK_COLUMNS,
-        rows,
+        _click_row_stream(
+            users, sessions_per_user, clicks_per_session,
+            pages_per_section, seed,
+        ),
         (
             SqlType.INTEGER,
             SqlType.VARCHAR,

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.sqlengine.engine import Database
@@ -53,15 +55,14 @@ def _basket_stream(
 ) -> Iterator[Tuple[int, frozenset]]:
     """Yield ``(tid, basket)`` pairs in tid order, one at a time.
 
-    The single RNG path shared by :func:`generate_quest` and
-    :func:`iter_baskets`: the pattern pool is drawn up front, then each
-    basket consumes the stream of random draws in a fixed order, so
-    chunked and materialized generation are bit-identical.
+    The single RNG path of :func:`generate_quest` and
+    :func:`load_quest`: the pattern pool is drawn up front, then each
+    basket consumes the stream of random draws in a fixed order.
     """
     rng = random.Random(params.seed)
 
     patterns = _potentially_large_itemsets(params, rng)
-    weights = _exponential_weights(len(patterns), rng)
+    cumulative = list(accumulate(_exponential_weights(len(patterns), rng)))
     corruption_levels = [
         min(0.9, abs(rng.gauss(params.corruption, 0.1))) for _ in patterns
     ]
@@ -72,7 +73,7 @@ def _basket_stream(
         guard = 0
         while len(basket) < target and guard < 50:
             guard += 1
-            index = _weighted_choice(weights, rng)
+            index = _weighted_choice(cumulative, rng)
             pattern = patterns[index]
             kept = [
                 item
@@ -94,45 +95,21 @@ def generate_quest(params: QuestParameters) -> Dict[int, frozenset]:
     return dict(_basket_stream(params))
 
 
-def iter_baskets(
-    params: QuestParameters, chunk_size: int = 10_000
-) -> Iterator[List[Tuple[int, frozenset]]]:
-    """Yield baskets in chunks of ``chunk_size`` ``(tid, basket)``
-    pairs (the last chunk may be shorter).
-
-    Peak memory is bounded by one chunk plus the pattern pool, so
-    million-group workloads can be generated without materializing the
-    full basket dictionary that :func:`generate_quest` returns.  Same
-    seed, same baskets: the chunking only batches the underlying
-    stream.
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    chunk: List[Tuple[int, frozenset]] = []
-    for pair in _basket_stream(params):
-        chunk.append(pair)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def load_quest(
     database: Database,
     params: QuestParameters,
     table_name: str = "Baskets",
 ) -> Table:
-    """Materialize Quest baskets as a ``(tid, item)`` table."""
-    baskets = generate_quest(params)
-    rows: List[Tuple[int, str]] = []
-    for tid in sorted(baskets):
-        for item in sorted(baskets[tid]):
-            rows.append((tid, f"item{item}"))
+    """Load Quest baskets as a ``(tid, item)`` table, streamed from
+    the generator in tid order with each basket's items sorted."""
     return database.create_table_from_rows(
         table_name,
         ("tid", "item"),
-        rows,
+        (
+            (tid, f"item{item}")
+            for tid, basket in _basket_stream(params)
+            for item in sorted(basket)
+        ),
         (SqlType.INTEGER, SqlType.VARCHAR),
         replace=True,
     )
@@ -169,14 +146,11 @@ def _exponential_weights(count: int, rng: random.Random) -> List[float]:
     return [w / total for w in weights]
 
 
-def _weighted_choice(weights: Sequence[float], rng: random.Random) -> int:
-    target = rng.random()
-    cumulative = 0.0
-    for index, weight in enumerate(weights):
-        cumulative += weight
-        if target <= cumulative:
-            return index
-    return len(weights) - 1
+def _weighted_choice(cumulative: Sequence[float], rng: random.Random) -> int:
+    """The first index whose running weight sum *cumulative* reaches a
+    uniform draw; the last when rounding leaves the draw above them
+    all."""
+    return min(bisect_left(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def _poisson(mean: float, rng: random.Random) -> int:

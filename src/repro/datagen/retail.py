@@ -82,9 +82,8 @@ def _purchase_row_stream(
 ) -> Iterator[Tuple]:
     """Yield synthetic Purchase rows one at a time, in table order.
 
-    Single RNG path shared by :func:`load_purchase_synthetic` and
-    :func:`iter_purchase_rows`, so chunked and materialized generation
-    produce identical rows.
+    The single RNG path of :func:`load_purchase_synthetic`, which
+    streams it into the table.
     """
     rng = random.Random(seed)
     start = start_date or datetime.date(1995, 1, 1)
@@ -117,39 +116,6 @@ def _purchase_row_stream(
                     price,
                     rng.randint(1, 3),
                 )
-
-
-def iter_purchase_rows(
-    customers: int = 50,
-    days: int = 10,
-    transactions_per_customer: int = 4,
-    items_per_transaction: int = 4,
-    catalog_size: int = 60,
-    seed: int = 7,
-    start_date: Optional[datetime.date] = None,
-    chunk_size: int = 10_000,
-) -> Iterator[List[Tuple]]:
-    """Yield synthetic Purchase rows in chunks of ``chunk_size``.
-
-    Bounded-memory counterpart of :func:`load_purchase_synthetic`
-    (same parameters, same seed, identical rows): peak memory is one
-    chunk plus the item catalogue, so million-transaction stores can be
-    streamed into external sinks.
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    stream = _purchase_row_stream(
-        customers, days, transactions_per_customer, items_per_transaction,
-        catalog_size, seed, start_date,
-    )
-    chunk: List[Tuple] = []
-    for row in stream:
-        chunk.append(row)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
 
 
 def iter_drift_appends(
@@ -235,11 +201,9 @@ def load_purchase_synthetic(
     are drawn per item from its catalogue band and then fixed, keeping
     price-based mining conditions consistent across tuples.
     """
-    rows = list(
-        _purchase_row_stream(
-            customers, days, transactions_per_customer,
-            items_per_transaction, catalog_size, seed, start_date,
-        )
+    rows = _purchase_row_stream(
+        customers, days, transactions_per_customer,
+        items_per_transaction, catalog_size, seed, start_date,
     )
     return database.create_table_from_rows(
         table_name, PURCHASE_COLUMNS, rows, _PURCHASE_TYPES, replace=True

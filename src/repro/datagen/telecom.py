@@ -50,9 +50,8 @@ def _call_row_stream(
 ) -> Iterator[Tuple]:
     """Yield Calls rows one at a time, in table order.
 
-    Single RNG path shared by :func:`load_telecom` and
-    :func:`iter_call_rows`, so chunked and materialized generation
-    produce identical rows.
+    The single RNG path of :func:`load_telecom`, which streams it
+    into the table.
     """
     rng = random.Random(seed)
 
@@ -92,37 +91,6 @@ def _call_row_stream(
                 yield (
                     caller, callee, cdate, hour, duration, cost, calltype
                 )
-
-
-def iter_call_rows(
-    subscribers: int = 50,
-    days: int = 7,
-    calls_per_day: float = 3.0,
-    circle_size: int = 5,
-    premium_fraction: float = 0.08,
-    seed: int = 41,
-    start_date: datetime.date = datetime.date(1997, 3, 1),
-    chunk_size: int = 10_000,
-) -> Iterator[List[Tuple]]:
-    """Yield Calls rows in chunks of ``chunk_size``.
-
-    Bounded-memory counterpart of :func:`load_telecom` (same
-    parameters, same seed, identical rows).
-    """
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    stream = _call_row_stream(
-        subscribers, days, calls_per_day, circle_size, premium_fraction,
-        seed, start_date,
-    )
-    chunk: List[Tuple] = []
-    for row in stream:
-        chunk.append(row)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
 
 
 def iter_burst_appends(
@@ -188,11 +156,9 @@ def load_telecom(
     start_date: datetime.date = datetime.date(1997, 3, 1),
 ) -> Table:
     """Create a Calls table with socially-structured traffic."""
-    rows = list(
-        _call_row_stream(
-            subscribers, days, calls_per_day, circle_size,
-            premium_fraction, seed, start_date,
-        )
+    rows = _call_row_stream(
+        subscribers, days, calls_per_day, circle_size,
+        premium_fraction, seed, start_date,
     )
     return database.create_table_from_rows(
         table_name,

@@ -28,9 +28,10 @@ A scan reads a vector through :meth:`ColumnVector.scan`, which hands
 out the layout rather than decoded values: a NULL-free int / float
 column as a copy of its ``array`` (the type is the NULL-free proof), a
 str column as :class:`Coded`, anything else as a list.  ``extend``
-takes all three back, an array or codes without reading a value.  The
-functions at the end of the module are how the executor moves and
-compares such columns.
+takes all three back, an array or codes without reading a value;
+``mark`` / ``rollback`` undo the appends of a bulk load that fails
+part-way.  The functions at the end of the module are how the executor
+moves and compares such columns.
 """
 
 from __future__ import annotations
@@ -304,6 +305,29 @@ class ColumnVector:
         self.nulls = []
         self.values = None
         self.index = None
+
+    def mark(self) -> Tuple[Any, ...]:
+        """The vector's state for :meth:`rollback`.  An append only
+        grows ``data``, ``nulls`` and the dictionary, or replaces them
+        (a layout change) and leaves the old ones as they were, so the
+        fields and the containers' lengths are the whole state."""
+        values = self.values
+        return (self.kind, self.data, self.nulls, values, self.index,
+                self.length, len(self.nulls), len(values or ()))
+
+    def rollback(self, mark: Tuple[Any, ...]) -> None:
+        """Drop every value appended since :meth:`mark` gave *mark*:
+        the layout, the dictionary and its codes are again the marked
+        ones."""
+        (self.kind, self.data, self.nulls, self.values, self.index,
+         self.length, nulls, values) = mark
+        if self.data is not None:
+            del self.data[self.length:]
+        del self.nulls[nulls:]
+        if self.values is not None:
+            for value in self.values[values:]:
+                del self.index[value]
+            del self.values[values:]
 
     # -- reads ----------------------------------------------------------
 

@@ -173,18 +173,16 @@ def _serialize(value: Any) -> str:
 def _read_rows(path: Path, table: Table) -> None:
     if not path.exists():
         return
-    rows = []
+    # the dumped types, not those the load infers for an undeclared
+    # column as it goes
+    types = list(table.types)
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            rows.append([
-                _deserialize(field, table.types[i])
-                for i, field in enumerate(fields)
-            ])
-    table.insert_many(rows)
+        lines = (line.rstrip("\n") for line in handle)
+        table.insert_many(
+            [_deserialize(field, types[i])
+             for i, field in enumerate(line.split("\t"))]
+            for line in lines if line
+        )
 
 
 def _deserialize(field: str, sql_type: Optional[SqlType]) -> Any:

@@ -280,11 +280,15 @@ class Database:
         types: Optional[Sequence[Optional[SqlType]]] = None,
         replace: bool = False,
     ) -> Table:
-        """Bulk-create a table from Python data (loader path)."""
-        if replace:
-            self.catalog.drop_table(name, if_exists=True)
+        """Bulk-create a table from Python data (loader path): *rows* is
+        read once, in chunks (:meth:`Table.insert_many`), so a generator
+        loads without a list of its rows.  The table is built before it
+        enters the catalog: with *replace* an old table of that name
+        stays as it was when a row is refused or *rows* raises."""
         table = Table(name, columns, types)
         table.insert_many(rows)
+        if replace:
+            self.catalog.drop_table(name, if_exists=True)
         self.catalog.create_table(table)
         return table
 

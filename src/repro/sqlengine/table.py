@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import datetime
 from array import array
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sqlengine.columnar import Coded, ColumnVector
@@ -28,6 +29,9 @@ from repro.sqlengine.errors import CatalogError, ExecutionError
 from repro.sqlengine.types import SqlType, coerce, infer_type
 
 Row = Tuple[Any, ...]
+
+#: rows :meth:`Table.insert_many` holds as Python tuples at once
+BULK_CHUNK_ROWS = 4096
 
 
 class TableIndex:
@@ -278,17 +282,42 @@ class Table:
                 table_index.add(row)
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk append: transposes and hands over to
-        :meth:`insert_columns`."""
-        rows = [tuple(row) for row in rows]
+        """Bulk append of *rows*, read once, :data:`BULK_CHUNK_ROWS` at
+        a time: each chunk is transposed and appended by
+        :meth:`insert_columns`, so a load holds one chunk of rows beside
+        the columns it fills.  All or nothing: a wrong arity or a
+        refused value in any chunk, or an exception from *rows* itself,
+        leaves the table as it was."""
         arity = len(self.columns)
-        for row in rows:
-            if len(row) != arity:
-                raise ExecutionError(
-                    f"INSERT into {self.name!r}: expected {arity} "
-                    f"values, got {len(row)}"
+        rows = iter(rows)
+        length, types, cached = self._length, list(self.types), self._rows
+        marks = [vector.mark() for vector in self._vectors]
+        count = 0
+        try:
+            while True:
+                chunk = list(map(tuple, islice(rows, BULK_CHUNK_ROWS)))
+                if not chunk:
+                    return count
+                for row in chunk:
+                    if len(row) != arity:
+                        raise ExecutionError(
+                            f"INSERT into {self.name!r}: expected {arity} "
+                            f"values, got {len(row)}"
+                        )
+                count += self.insert_columns(
+                    [list(column) for column in zip(*chunk)]
                 )
-        return self.insert_columns([list(column) for column in zip(*rows)])
+        except BaseException:
+            grown = self._length != length
+            for vector, mark in zip(self._vectors, marks):
+                vector.rollback(mark)
+            self.types[:] = types
+            self._length = length
+            self._rows = cached
+            if grown:  # the chunks that went in reached the indexes too
+                for table_index in self.indexes.values():
+                    table_index.rebuild(self.rows)
+            raise
 
     def insert_columns(self, columns: Sequence[Sequence[Any]]) -> int:
         """Column-wise bulk append (one type pass per column) of equally

@@ -25,6 +25,7 @@ row-at-a-time ``insert``.
 
 import datetime
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Database, MiningSystem
 from repro.sqlengine import EngineOptions
 from repro.sqlengine.dump import dump_table_text
+from repro.sqlengine import table as table_module
 from repro.sqlengine.errors import SqlError
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import SqlType
@@ -476,6 +478,16 @@ def _table_state(table):
     )
 
 
+def _layout(table):
+    """What the vectors keep beside the values: each one's layout, NULL
+    positions and dictionary in code order."""
+    return [
+        (vector.kind, len(vector), list(vector.nulls),
+         list(vector.values or ()), dict(vector.index or {}))
+        for vector in map(table.column_vector, range(table.arity))
+    ]
+
+
 class TestInsertColumns:
     @settings(max_examples=150, deadline=None)
     @given(data=column_batches())
@@ -487,28 +499,34 @@ class TestInsertColumns:
         by_columns = Table("t", names, types)
         for table in (per_row, by_rows, by_columns):
             table.create_index("ix", ["c0"])
-        for columns in batches:
-            rows = list(zip(*columns))
-            try:
-                for row in rows:
-                    per_row.insert(row)
-            except SqlError as exc:
-                # a value its column's type refuses: every bulk path
-                # refuses the batch too, and stores none of it
-                for insert in (
-                    lambda: by_rows.insert_many(rows),
-                    lambda: by_columns.insert_columns(columns),
-                ):
-                    with pytest.raises(type(exc)):
-                        insert()
-                assert len(by_columns) == len(by_columns.rows)
-                assert by_columns.rows == by_rows.rows
-                return
-            assert by_rows.insert_many(rows) == len(rows)
-            assert by_columns.insert_columns(columns) == len(rows)
-            reference = _table_state(per_row)
-            assert _table_state(by_rows) == reference
-            assert _table_state(by_columns) == reference
+        # chunks of 3 rows: insert_many reads a batch of up to 8 rows
+        # in up to three chunks
+        with mock.patch.object(table_module, "BULK_CHUNK_ROWS", 3):
+            for columns in batches:
+                rows = list(zip(*columns))
+                before = _table_state(by_rows), _layout(by_rows)
+                try:
+                    for row in rows:
+                        per_row.insert(row)
+                except SqlError as exc:
+                    # a value its column's type refuses: every bulk path
+                    # refuses the batch too, and stores none of it, not
+                    # even the chunks before the refused one
+                    for insert in (
+                        lambda: by_rows.insert_many(iter(rows)),
+                        lambda: by_columns.insert_columns(columns),
+                    ):
+                        with pytest.raises(type(exc)):
+                            insert()
+                    assert (_table_state(by_rows), _layout(by_rows)) == before
+                    assert len(by_columns) == len(by_columns.rows)
+                    assert by_columns.rows == by_rows.rows
+                    return
+                assert by_rows.insert_many(iter(rows)) == len(rows)
+                assert by_columns.insert_columns(columns) == len(rows)
+                reference = _table_state(per_row), _layout(per_row)
+                assert (_table_state(by_rows), _layout(by_rows)) == reference
+                assert _table_state(by_columns) == reference[0]
 
     def test_arity_mismatch_is_refused(self):
         table = Table("t", ["a", "b"])

@@ -11,12 +11,14 @@ batch-size invariance net lives in
 """
 
 import datetime
+import tracemalloc
 from array import array
 
 import pytest
 
 import repro.sqlengine as sqlengine
 from repro.sqlengine import Database, EngineOptions, Table, columnar
+from repro.sqlengine import table as table_module
 from repro.sqlengine.columnar import ColumnVector
 from repro.sqlengine.types import SqlType
 
@@ -506,3 +508,143 @@ class TestExplainAnalyzeCounters:
             matches = [(a, c) for c in (0, 2, 4, 6) if a % 7 + 3 < c]
             expected.extend(matches or [(a, None)])
         assert analysis.result.rows == expected
+
+
+class TestBulkLoad:
+    """``Table.insert_many`` reads its rows once, a chunk at a time (3
+    rows here, so a few rows span several chunks), and stores what the
+    row-at-a-time ``insert`` stores; a load that fails anywhere leaves
+    the table as it was."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(table_module, "BULK_CHUNK_ROWS", 3)
+
+    @staticmethod
+    def _per_row(columns, types, rows):
+        table = Table("T", columns, types)
+        for row in rows:
+            table.insert(row)
+        return table
+
+    def test_a_leading_null_run_that_ends_in_a_later_chunk(self):
+        rows = [(None,)] * 4 + [(5,), (6.0,), (None,)]
+        table = Table("T", ("a",))
+        assert table.insert_many(rows) == 7
+        assert table.types == [SqlType.INTEGER]
+        assert table.rows == [(None,)] * 4 + [(5,), (6,), (None,)]
+        assert table.column_vector(0).nulls == [0, 1, 2, 3, 6]
+        assert _stored(table) == _stored(self._per_row(("a",), None, rows))
+
+    def test_a_generator_is_read_once(self):
+        produced = []
+
+        def rows():
+            for i in range(8):
+                produced.append(i)
+                yield (i, f"v{i}")
+
+        stream = rows()
+        table = Table("T", ("a", "b"))
+        assert table.insert_many(stream) == 8
+        assert produced == list(range(8))
+        assert next(stream, None) is None
+        assert table.rows == [(i, f"v{i}") for i in range(8)]
+
+    def test_an_empty_iterable_stores_nothing(self):
+        table = Table("T", ("a", "b"))
+        assert table.insert_many(iter(())) == 0
+        assert len(table) == 0 and table.types == [None, None]
+        database = Database()
+        empty = database.create_table_from_rows("E", ("a",), iter(()))
+        assert database.table("E") is empty and len(empty) == 0
+
+    def test_str_codes_in_first_appearance_order_across_chunks(self):
+        values = ["b", "a", "b", "c", "a", "d", "c", "e"]
+        table = Table("T", ("s",), [SqlType.VARCHAR])
+        table.insert_many((value,) for value in values)
+        vector = table.column_vector(0)
+        assert vector.values == ["b", "a", "c", "d", "e"]
+        assert list(vector.data) == [0, 1, 0, 2, 1, 3, 2, 4]
+        assert _stored(table) == _stored(
+            self._per_row(("s",), [SqlType.VARCHAR], [(v,) for v in values])
+        )
+
+    def test_index_entries_after_a_multi_chunk_load(self):
+        rows = [(i % 3, f"v{i}") for i in range(10)]
+        table = Table("T", ("k", "v"))
+        index = table.create_index("ix_k", ("k",))
+        table.insert((1, "first"))
+        table.insert_many(rows)
+        assert index.lookup((1,)) == [(1, "first")] + [
+            row for row in rows if row[0] == 1
+        ]
+        assert sum(map(len, index.entries.values())) == 11
+
+    @pytest.mark.parametrize("failure", ["refused", "arity", "raises"])
+    def test_a_failed_load_leaves_the_table_as_it_was(self, failure):
+        table = Table("T", ("a", "b"), [None, SqlType.VARCHAR])
+        table.insert((None, "x"))
+        index = table.create_index("ix_b", ("b",))
+        before = repr(_stored(table)), table.rows, repr(index.entries)
+
+        def rows():
+            # a new dictionary value and a promotion past int64 land in
+            # earlier chunks before the failure
+            yield from [(1, "y"), (2, "x"), (2**70, "z"), (4, "w")]
+            if failure == "raises":
+                raise RuntimeError("source failed")
+            yield (5, 6) if failure == "refused" else (5,)
+
+        with pytest.raises((sqlengine.SqlError, RuntimeError)):
+            table.insert_many(rows())
+        assert (repr(_stored(table)), table.rows, repr(index.entries)) == before
+        assert table.types == [None, SqlType.VARCHAR]
+        assert table.column_vector(0).kind == "empty"
+        table.insert_many([(7, "v")])
+        assert table.rows == [(None, "x"), (7, "v")]
+        assert table.column_vector(1).values == ["x", "v"]
+
+    @pytest.mark.parametrize("failure", ["refused", "arity", "raises"])
+    def test_replace_keeps_the_old_table_when_the_load_fails(self, failure):
+        database = Database()
+        old = database.create_table_from_rows(
+            "T", ("a",), [(1,), (2,)], (SqlType.INTEGER,)
+        )
+
+        def rows():
+            yield from [(3,), (4,), (5,), (6,)]
+            if failure == "raises":
+                raise RuntimeError("source failed")
+            yield ("x",) if failure == "refused" else (7, 8)
+
+        with pytest.raises((sqlengine.SqlError, RuntimeError)):
+            database.create_table_from_rows(
+                "T", ("a",), rows(), (SqlType.INTEGER,), replace=True
+            )
+        assert database.table("T") is old
+        assert database.query("SELECT a FROM T") == [(1,), (2,)]
+        new = database.create_table_from_rows(
+            "T", ("a",), [(9,)], (SqlType.INTEGER,), replace=True
+        )
+        assert database.table("T") is new
+        assert database.query("SELECT a FROM T") == [(9,)]
+
+
+def test_a_bulk_load_holds_one_chunk_of_rows_not_their_copies():
+    """``create_table_from_rows`` over 50 000 two-column rows peaks
+    under 2 MiB above its input (kept columns ≈ 0.6 MiB).  Copying and
+    transposing the whole input peaked at 4.6 MiB."""
+    rows = [(i, f"v{i % 500}") for i in range(50_000)]
+    database = Database()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        database.create_table_from_rows(
+            "T", ("a", "b"), rows, (SqlType.INTEGER, SqlType.VARCHAR)
+        )
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(database.table("T")) == 50_000
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"

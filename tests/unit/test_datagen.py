@@ -1,6 +1,9 @@
 """Workload generator tests."""
 
 import datetime
+import hashlib
+import random
+from itertools import accumulate
 
 import pytest
 
@@ -12,7 +15,9 @@ from repro.datagen import (
     load_purchase_figure1,
     load_purchase_synthetic,
     load_quest,
+    load_telecom,
 )
+from repro.datagen.quest import _exponential_weights, _weighted_choice
 from repro.sqlengine import Database
 
 
@@ -123,6 +128,87 @@ class TestQuestGenerator:
             "SELECT COUNT(*) FROM (SELECT DISTINCT tid FROM Baskets)"
         ).scalar()
         assert tids == 20
+
+
+class TestWeightedChoice:
+    class _Draw:
+        """An rng whose every draw is *value*."""
+
+        def __init__(self, value):
+            self.value = value
+
+        def random(self):
+            return self.value
+
+    def test_a_draw_equal_to_a_sum_takes_that_index(self):
+        cumulative = [0.25, 0.5, 0.75, 0.9999]
+        assert _weighted_choice(cumulative, self._Draw(0.0)) == 0
+        assert _weighted_choice(cumulative, self._Draw(0.25)) == 0
+        assert _weighted_choice(cumulative, self._Draw(0.5)) == 1
+        assert _weighted_choice(cumulative, self._Draw(0.5000001)) == 2
+
+    def test_a_draw_above_the_last_sum_takes_the_last_index(self):
+        cumulative = [0.25, 0.5, 0.75, 0.9999]
+        assert _weighted_choice(cumulative, self._Draw(0.99995)) == 3
+
+    def test_matches_a_scan_of_the_running_sums(self):
+        rng = random.Random(3)
+        weights = _exponential_weights(200, rng)
+        cumulative = list(accumulate(weights))
+        for _ in range(2000):
+            target = rng.random()
+            running, expected = 0.0, len(weights) - 1
+            for index, weight in enumerate(weights):
+                running += weight
+                if target <= running:
+                    expected = index
+                    break
+            assert _weighted_choice(cumulative, self._Draw(target)) == expected
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+#: rows past several bulk-load chunks in every loaded table below
+PINNED_QUEST = QuestParameters(
+    transactions=1000, avg_transaction_size=10, avg_pattern_size=4,
+    patterns=200, items=400, seed=19,
+)
+
+
+class TestPinnedStreams:
+    """Every generator yields the same rows in the same order: digests
+    of what each one gave before the loaders streamed their rows."""
+
+    def test_generate_quest(self):
+        baskets = generate_quest(PINNED_QUEST)
+        assert _digest(
+            sorted((tid, sorted(basket)) for tid, basket in baskets.items())
+        ) == "3b73afebc1216ad2"
+
+    @pytest.mark.parametrize("load, rows, digest", [
+        (lambda db: load_quest(db, PINNED_QUEST), 11039, "8604a0bc2eab2c13"),
+        (lambda db: load_purchase_synthetic(db, customers=400, seed=19),
+         6075, "20bf254012f7da0b"),
+        (lambda db: load_clickstream(db, users=300, seed=19),
+         5381, "161de39bf504dc6a"),
+        (lambda db: load_telecom(db, subscribers=200, seed=19),
+         4272, "12a880aa0badf5f0"),
+    ], ids=["quest", "purchase", "clickstream", "telecom"])
+    def test_loaded_rows(self, db, load, rows, digest):
+        table = load(db)
+        assert len(table) == rows
+        assert _digest(table.rows) == digest
+
+    def test_dictionaries_in_first_appearance_order(self, db):
+        for table, digest in (
+            (load_quest(db, PINNED_QUEST), "64558d9fccadc50d"),
+            (load_clickstream(db, users=300, seed=19), "9d86d8e5893783f4"),
+        ):
+            assert _digest(
+                [table.column_vector(i).values for i in range(table.arity)]
+            ) == digest
 
 
 class TestClickstream:

@@ -8,6 +8,7 @@ import pytest
 from repro import MiningSystem
 from repro.datagen import load_purchase_figure1
 from repro.sqlengine import Database
+from repro.sqlengine import table as table_module
 from repro.sqlengine.dump import dump_database, load_database
 
 
@@ -67,6 +68,21 @@ class TestDumpLoad:
         restored = load_database(tmp_path / "d")
         assert restored.query("SELECT a, b FROM t") == db.query(
             "SELECT a, b FROM t"
+        )
+
+    def test_restore_streams_a_table_in_chunks(
+        self, populated, tmp_path, monkeypatch
+    ):
+        # eight rows in chunks of 3: the restore reads the file as it
+        # loads, and the table comes back whole with its index
+        monkeypatch.setattr(table_module, "BULK_CHUNK_ROWS", 3)
+        dump_database(populated, tmp_path / "dump")
+        restored = load_database(tmp_path / "dump").table("Purchase")
+        original = populated.table("Purchase")
+        assert restored.rows == original.rows
+        assert restored.types == original.types
+        assert restored.indexes["pidx"].entries == (
+            original.indexes["pidx"].entries
         )
 
     def test_corrupt_row_count_detected(self, populated, tmp_path):
