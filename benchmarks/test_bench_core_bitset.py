@@ -1,7 +1,7 @@
 """PR2 — the vertical bitset mining core.
 
 Two scenarios, asserted (a wrong speedup ratio or a result mismatch
-fails, not just slows down) and recorded to ``BENCH_PR2.json``:
+fails, not just slows down):
 
 a) **Pool algorithms**: the vertical ``eclat`` member (diffsets) vs.
    levelwise Apriori over a Quest basket workload, both on gid bitmaps.
@@ -10,12 +10,8 @@ a) **Pool algorithms**: the vertical ``eclat`` member (diffsets) vs.
    numbers are in EXPERIMENTS.md.)
 b) **Core input loading**: ``CoreInputLoader.load_general`` reading
    the encoded tables as columns into per-cluster item sets and
-   per-group triples — recorded so regressions in the loader show.
-
-``BENCH_PR2.json``'s ``general_core_lattice`` and
-``general_core_layout_choice`` entries are the last runs of the general
-core's deleted slot-set layout (EXPERIMENTS.md); nothing here rewrites
-them.
+   per-group triples.  (The general core's deleted slot-set layout
+   has its last numbers in EXPERIMENTS.md.)
 
 ``BENCH_QUICK=1`` (the CI smoke mode) shrinks every workload and
 relaxes the speedup floors to sanity thresholds.
@@ -24,7 +20,7 @@ relaxes the speedup floors to sanity thresholds.
 import math
 import time
 
-from benchmarks.conftest import BENCH_QUICK, bench_report
+from benchmarks.conftest import BENCH_QUICK
 from repro import Database
 from repro.algorithms.apriori import Apriori
 from repro.algorithms.eclat import Eclat
@@ -36,8 +32,6 @@ from repro.datagen import (
 from repro.kernel.core.inputs import CoreInputLoader
 from repro.kernel.preprocessor import Preprocessor
 from repro.kernel.translator import Translator
-
-REPORT, write_report = bench_report("BENCH_PR2.json")
 
 # a SYN-3-shaped sequential-rule statement: clustered groups, ordered
 # cluster pairs, full m x n lattice
@@ -98,18 +92,6 @@ class TestPoolEclatVsApriori:
         assert counts["eclat_diffsets"] == reference
 
         eclat_speedup = seconds["apriori_bitset"] / seconds["eclat_diffsets"]
-        REPORT["pool_eclat"] = {
-            "workload": {
-                "transactions": QUEST.transactions,
-                "avg_transaction_size": QUEST.avg_transaction_size,
-                "items": QUEST.items,
-                "min_count": min_count,
-            },
-            "quick": BENCH_QUICK,
-            "frequent_itemsets": len(reference),
-            "seconds": {k: round(v, 6) for k, v in seconds.items()},
-            "eclat_vs_apriori": round(eclat_speedup, 2),
-        }
         assert eclat_speedup >= ECLAT_FLOOR, (
             f"eclat at {eclat_speedup:.2f}x of apriori"
         )
@@ -119,12 +101,5 @@ class TestPoolEclatVsApriori:
 class TestLoaderRowDecode:
     def test_load_general_decode(self, benchmark):
         loader = build_general_input()
-        seconds, data = _best_of(loader.load_general)
+        data = benchmark(loader.load_general)
         assert data.groups and data.clustered
-        REPORT["loader_load_general"] = {
-            "workload": dict(PURCHASE),
-            "quick": BENCH_QUICK,
-            "groups": data.totg,
-            "seconds": round(seconds, 6),
-        }
-        benchmark(loader.load_general)

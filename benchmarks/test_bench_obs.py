@@ -5,19 +5,17 @@ hook is a single attribute check on the shared :data:`NULL_TRACER`.
 This bench measures the full MINE RULE pipeline three ways — tracer
 absent (seed behaviour), tracer enabled, tracer enabled with
 EXPLAIN ANALYZE capture — and asserts the disabled path stays within
-5% of the seed (the CI smoke gate), recording all three in
-``BENCH_PR4.json``.
+5% of the seed (25% under ``BENCH_QUICK``, where timer noise dominates).
 
 PR 5 extends the same contract to the metrics registry: with metrics
 disabled (the shared :data:`NULL_REGISTRY`) the pipeline must stay
 within the same overhead gate, and with metrics enabled the well-known
-series must actually materialize.  Recorded in ``BENCH_PR5.json``.
+series must actually materialize.
 
 PR 10 extends it again to run tracing: trace-context propagation,
 per-span resource attribution and the run-history journal must leave
 the disabled path inside the same gate, and the fully-observed path
-(tracer + CPU attribution + journal) must stay cheap.  Recorded in
-``BENCH_PR10.json``.
+(tracer + CPU attribution + journal) must stay cheap.
 
 The three disabled-path gates read one paired estimator
 (:func:`paired_overhead`): both configurations run in every round, in
@@ -29,14 +27,10 @@ of a shared box between the loops decide the result.
 import gc
 import time
 
-from benchmarks.conftest import BENCH_QUICK, bench_report, fresh_system
+from benchmarks.conftest import BENCH_QUICK, fresh_system
 from repro import Database
 from repro.datagen import QuestParameters, load_quest
 from repro.obs import NULL_TRACER, MetricsRegistry, RunLog, Tracer
-
-REPORT, write_report = bench_report("BENCH_PR4.json")
-REPORT5, write_report5 = bench_report("BENCH_PR5.json")
-REPORT10, write_report10 = bench_report("BENCH_PR10.json")
 
 STATEMENT = """
 MINE RULE ObsRules AS
@@ -88,19 +82,18 @@ def paired_overhead(candidate, pairs=PAIRS):
     seed configuration (no sink, no tracer) and *candidate* (the
     system keyword arguments under test) back to back, the first of
     the two alternating between rounds, so drift of a shared box hits
-    both sides of a pair alike.  Returns the median seed seconds, the
-    median candidate seconds and the median per-pair ratio, which is
-    what the gate reads."""
-    seed, tested, ratios = [], [], []
+    both sides of a pair alike.  Returns the median per-pair ratio,
+    which is what the gate reads."""
+    ratios = []
     for round_ in range(pairs):
         if round_ % 2:
-            tested.append(timed_run(**candidate))
-            seed.append(timed_run())
+            tested = timed_run(**candidate)
+            seed = timed_run()
         else:
-            seed.append(timed_run())
-            tested.append(timed_run(**candidate))
-        ratios.append(tested[-1] / seed[-1])
-    return tuple(sorted(side)[pairs // 2] for side in (seed, tested, ratios))
+            seed = timed_run()
+            tested = timed_run(**candidate)
+        ratios.append(tested / seed)
+    return sorted(ratios)[pairs // 2]
 
 
 def pipeline_seconds(rounds=ROUNDS, **kwargs):
@@ -111,16 +104,7 @@ def pipeline_seconds(rounds=ROUNDS, **kwargs):
 
 def test_disabled_tracing_overhead_under_5_percent():
     # against the seed behaviour: the NULL_TRACER default
-    baseline, disabled, ratio = paired_overhead(
-        {"tracer": Tracer(enabled=False)}
-    )
-    REPORT["obs_overhead"] = {
-        "baseline_ms": baseline * 1000,
-        "disabled_ms": disabled * 1000,
-        "disabled_ratio": ratio,
-        "limit": OVERHEAD_LIMIT,
-        "quick": BENCH_QUICK,
-    }
+    ratio = paired_overhead({"tracer": Tracer(enabled=False)})
     assert ratio < OVERHEAD_LIMIT, (
         f"disabled tracing slowed the pipeline by "
         f"{(ratio - 1) * 100:.1f}% (limit {OVERHEAD_LIMIT})"
@@ -129,15 +113,11 @@ def test_disabled_tracing_overhead_under_5_percent():
 
 def test_enabled_tracing_records_the_pipeline():
     tracer = Tracer(enabled=True)
-    seconds = pipeline_seconds(1, tracer=tracer)
+    pipeline_seconds(1, tracer=tracer)
     names = {span.name for span in tracer.spans}
     for component in ("translator", "preprocessor", "core",
                       "postprocessor"):
         assert component in names, component
-    REPORT["obs_enabled"] = {
-        "run_ms": seconds * 1000,
-        "spans": len(tracer.spans),
-    }
     assert len(tracer.spans) > 10
 
 
@@ -146,11 +126,6 @@ def test_analyze_capture_cost_is_bounded():
     design, but it must stay within an order of magnitude."""
     baseline = pipeline_seconds()
     analyzed = pipeline_seconds(tracer=Tracer(enabled=True, analyze=True))
-    REPORT["obs_analyze"] = {
-        "baseline_ms": baseline * 1000,
-        "analyze_ms": analyzed * 1000,
-        "analyze_ratio": analyzed / baseline,
-    }
     assert analyzed / baseline < 10.0
 
 
@@ -172,16 +147,7 @@ def test_disabled_metrics_overhead_within_gate():
     so the system keeps the disabled tracer and every hook is one
     ``tracer.enabled`` check."""
     # against the NULL_REGISTRY default
-    baseline, disabled, ratio = paired_overhead(
-        {"metrics": MetricsRegistry(enabled=False)}
-    )
-    REPORT5["metrics_overhead"] = {
-        "baseline_ms": baseline * 1000,
-        "disabled_ms": disabled * 1000,
-        "disabled_ratio": ratio,
-        "limit": OVERHEAD_LIMIT,
-        "quick": BENCH_QUICK,
-    }
+    ratio = paired_overhead({"metrics": MetricsRegistry(enabled=False)})
     assert ratio < OVERHEAD_LIMIT, (
         f"disabled metrics slowed the pipeline by "
         f"{(ratio - 1) * 100:.1f}% (limit {OVERHEAD_LIMIT})"
@@ -209,12 +175,6 @@ def test_enabled_metrics_cost_and_series():
     runs = registry.get("repro_minerule_runs_total")
     assert runs.value(status="ok") >= 1
 
-    REPORT5["metrics_enabled"] = {
-        "baseline_ms": baseline * 1000,
-        "enabled_ms": enabled * 1000,
-        "enabled_ratio": enabled / baseline,
-        "families": len(registry.collect()),
-    }
     assert enabled / baseline < 3.0
 
 
@@ -227,16 +187,7 @@ def test_disabled_run_tracing_overhead_within_gate():
     """With tracing, context propagation, resource attribution and the
     journal all off, the pipeline must stay inside the PR4 gate —
     the PR10 hooks add no work to the unobserved path."""
-    baseline, disabled, ratio = paired_overhead(
-        {"tracer": Tracer(enabled=False)}
-    )
-    REPORT10["run_tracing_overhead"] = {
-        "baseline_ms": baseline * 1000,
-        "disabled_ms": disabled * 1000,
-        "disabled_ratio": ratio,
-        "limit": OVERHEAD_LIMIT,
-        "quick": BENCH_QUICK,
-    }
+    ratio = paired_overhead({"tracer": Tracer(enabled=False)})
     assert ratio < OVERHEAD_LIMIT, (
         f"disabled run tracing slowed the pipeline by "
         f"{(ratio - 1) * 100:.1f}% (limit {OVERHEAD_LIMIT})"
@@ -260,20 +211,13 @@ def test_observed_run_with_journal_cost_is_bounded():
     assert last["cpu_seconds"] >= 0.0
     assert "core" in last["stages"]
     assert any(span.cpu is not None for span in tracer.spans)
-    REPORT10["run_tracing_observed"] = {
-        "baseline_ms": baseline * 1000,
-        "observed_ms": observed * 1000,
-        "observed_ratio": observed / baseline,
-        "journal_records": len(runlog),
-    }
     assert observed / baseline < 3.0
 
 
 def test_memory_profiling_cost_is_bounded():
     """tracemalloc attribution is opt-in because it is expensive —
-    roughly 10x on this allocation-heavy pipeline.  Record how
-    expensive, and keep it from regressing past ~2x its measured
-    cost."""
+    roughly 10x on this allocation-heavy pipeline.  Keep it from
+    regressing past ~2x its measured cost."""
     from repro.obs import profile
 
     baseline = pipeline_seconds()
@@ -285,9 +229,4 @@ def test_memory_profiling_cost_is_bounded():
     assert any(
         span.peak_bytes is not None for span in tracer.spans
     ), "memory profiling attributed no peaks"
-    REPORT10["profile_mem"] = {
-        "baseline_ms": baseline * 1000,
-        "profiled_ms": profiled * 1000,
-        "profiled_ratio": profiled / baseline,
-    }
     assert profiled / baseline < 20.0

@@ -31,7 +31,6 @@ commands start with a dot:
                        (sort: support | confidence | lift)
 ``.dump DIR``          persist the database to a directory
 ``.restore DIR``       load a previously dumped database
-``.experiments``       run the full reproduction suite (FIG/SYN)
 ``.timing on|off``     print per-statement wall time
 ``.faults [SPEC]``     show resilience counters of the last run, or
                        install a fault schedule (``off`` to remove;
@@ -317,10 +316,6 @@ class Shell:
                 summary = span_summary(self.tracer)
                 return f"wrote Chrome trace ({summary}) to {path}"
             return render_obs_report(self.tracer)
-        if command == ".experiments":
-            from repro.experiments import generate_report
-
-            return generate_report()
         if command == ".report":
             if self.last_result is None:
                 return "no MINE RULE statement executed yet"

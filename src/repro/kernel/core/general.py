@@ -163,8 +163,6 @@ class GeneralCoreOperator:
         stats.universe_sizes["triple"] = len(self._triples)
         stats.popcount_calls += self._triples.group_count_calls
         if self._cluster_slots.groups:
-            # the (gid, cluster) universe of both sides' counts, under
-            # the label BENCH_TREND tracks
             stats.universe_sizes["body_pair"] = len(self._cluster_slots)
             stats.popcount_calls += self._cluster_slots.group_count_calls
         stats.passes = len(self.lattice_sizes)  # one per lattice set

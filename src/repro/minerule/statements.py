@@ -29,12 +29,6 @@ class ItemDescriptor:
     card_min: int = 1
     card_max: Optional[int] = None
 
-    def admits(self, cardinality: int) -> bool:
-        """Whether an element set of this size satisfies the spec."""
-        if cardinality < self.card_min:
-            return False
-        return self.card_max is None or cardinality <= self.card_max
-
     @property
     def card_text(self) -> str:
         upper = "n" if self.card_max is None else str(self.card_max)

@@ -283,10 +283,11 @@ class TestSystemRepresentationSwitch:
         return core.args
 
     def test_general_core_identical_across_representations(self):
-        """Dense inputs (the Figure 2 golden, the BENCH_PR2 shape): the
-        bitmap core re-run on the statement's encoded tables gives the
-        statement's rules and lattice, and the reference semantics over
-        nested item sets give the same ordered rules."""
+        """Dense inputs (the Figure 2 golden, the shape of
+        ``benchmarks/test_bench_core_bitset.py``): the bitmap core re-run
+        on the statement's encoded tables gives the statement's rules and
+        lattice, and the reference semantics over nested item sets give
+        the same ordered rules."""
         from repro.datagen import load_purchase_synthetic
         from repro.kernel.core.inputs import CoreInputLoader
 

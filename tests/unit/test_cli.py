@@ -1,7 +1,10 @@
 """Shell / CLI tests (the user-support entry point)."""
 
+import re
+
 import pytest
 
+from repro import cli
 from repro.cli import SCENARIOS, Shell, main
 
 MINE = (
@@ -72,6 +75,18 @@ class TestMetaCommands:
 
     def test_unknown_command(self, shell):
         assert "unknown command" in shell.execute(".bogus")
+
+    #: every meta command the ``.help`` table lists but ``.quit``, which
+    #: leaves the shell (``test_quit_raises_eof``)
+    @pytest.mark.parametrize("command", [
+        command
+        for command in re.findall(r"^``(\.\w+)", cli.__doc__, re.M)
+        if command != ".quit"
+    ])
+    def test_every_listed_command_is_answered(self, shell, command):
+        """A help line outlives no command: bare, each listed command
+        answers (its usage, at worst) instead of being unknown."""
+        assert not shell.execute(command).startswith("unknown command")
 
     def test_quit_raises_eof(self, shell):
         with pytest.raises(EOFError):
@@ -358,11 +373,3 @@ class TestDumpRestore:
 
     def test_restore_requires_argument(self, shell):
         assert "usage" in shell.execute(".restore")
-
-
-class TestExperimentsCommand:
-    def test_experiments_runs_suite(self):
-        shell = Shell()
-        out = shell.execute(".experiments")
-        assert "Reproduction report" in out
-        assert "FIG2" in out and "exact match" in out

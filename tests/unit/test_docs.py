@@ -1,14 +1,20 @@
 """The docs cannot go stale: every name they cite must exist.
 
-Four checks over DESIGN.md, README.md and ``docs/*.md``:
+Five checks over DESIGN.md, README.md and ``docs/*.md``:
 
 * every dotted ``repro.…`` name resolves by import plus ``getattr``;
 * every backticked CamelCase name is defined somewhere in ``repro``,
   is a Python builtin, or is one of the SQL table / column names the
   translator emits;
-* every ``tests/…`` / ``benchmarks/…`` path they cite exists (a glob
-  matches something), and every ``test_*`` name is a test module or a
-  test function under ``tests/`` or ``benchmarks/``;
+* every ``tests/…`` / ``benchmarks/…`` / ``tools/…`` path and every
+  root-level ``BENCH_*`` record they cite exists (a glob matches
+  something), and every ``test_*`` name is a test module or a test
+  function under ``tests/`` or ``benchmarks/`` (``test_citation_rule``
+  pins what this check flags);
+* every id of DESIGN.md's experiment index is regenerated by the test
+  modules its row names, or kept as a recorded result, and has its
+  section in EXPERIMENTS.md, and every bench module that opens with an
+  id is in that id's row;
 * every ``repro_*`` series docs/OBSERVABILITY.md names is registered
   after one metered golden run, one refresh and one SQL job.
 
@@ -57,7 +63,14 @@ DOCS = [ROOT / "DESIGN.md", ROOT / "README.md",
         *sorted((ROOT / "docs").glob("*.md"))]
 
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
-TEST_PATH = re.compile(r"(?<![\w/.])(?:tests|benchmarks)/[\w./*-]*[\w*]")
+CITED_PATH = re.compile(
+    r"(?<![\w/.])(?:tests|benchmarks|tools)/[\w./*-]*[\w*]"
+)
+#: a record file at the repository root: ``BENCH_PR7.json``,
+#: ``BENCH_PR<n>.json``, ``BENCH_TREND.{md,json}``
+BENCH_RECORD = re.compile(r"\bBENCH_[\w<>*{},]+\.(?:json|md|\*|\{[\w,]+\})")
+#: ``<n>`` and ``{a,b}`` in a cited name: globbed as ``*``
+PLACEHOLDER = re.compile(r"<\w+>|\{[\w,]*\}")
 TEST_NAME = re.compile(r"\btest_\w+(?![\w*])")
 CAMEL = re.compile(r"`([A-Z][a-z0-9]+[A-Z]\w*)")
 SERIES = re.compile(r"\brepro_[a-z0-9_]*[a-z0-9]")
@@ -163,21 +176,127 @@ def test_every_documented_algorithm_name_is_registered():
             if name not in ALGORITHMS] == []
 
 
-def test_every_cited_test_exists():
+def defined_tests():
+    """Every test module stem and ``test_*`` function under ``tests/``
+    and ``benchmarks/``."""
     defined = set()
     for folder in ("tests", "benchmarks"):
         for path in ROOT.glob(f"{folder}/**/*.py"):
             defined.add(path.stem)
             defined.update(re.findall(r"def (test_\w+)", path.read_text()))
+    return defined
+
+
+def stale_citations(line, defined):
+    """The paths, records and test names *line* cites that do not exist."""
+    return [
+        *(p for p in CITED_PATH.findall(line) if not any(ROOT.glob(p))),
+        *(r for r in BENCH_RECORD.findall(line)
+          if not any(ROOT.glob(PLACEHOLDER.sub("*", r)))),
+        *(n for n in TEST_NAME.findall(line) if n not in defined),
+    ]
+
+
+def test_every_cited_test_exists():
+    defined = defined_tests()
     stale = [
         f"{where}: {cited}"
         for where, line in doc_lines()
-        for cited in [
-            *(p for p in TEST_PATH.findall(line) if not any(ROOT.glob(p))),
-            *(n for n in TEST_NAME.findall(line) if n not in defined),
-        ]
+        for cited in stale_citations(line, defined)
     ]
     assert stale == []
+
+
+@pytest.mark.parametrize("line, stale", [
+    pytest.param("`tools/bench_trend.py` gathers them",
+                 ["tools/bench_trend.py"], id="retired-tool"),
+    pytest.param("`tools/run_report.py` renders a run", [], id="live-tool"),
+    pytest.param("recorded to `BENCH_PR7.json`", ["BENCH_PR7.json"],
+                 id="retired-record"),
+    pytest.param("each PR's `BENCH_PR<n>.json`", ["BENCH_PR<n>.json"],
+                 id="record-placeholder"),
+    pytest.param("into `BENCH_TREND.{md,json}`", ["BENCH_TREND.{md,json}"],
+                 id="record-alternatives"),
+    pytest.param("see `BENCH_TREND.*`", ["BENCH_TREND.*"],
+                 id="record-wildcard"),
+    pytest.param("`BENCHMARK.json` declares the suite", [],
+                 id="benchmark-declaration"),
+    pytest.param("set `BENCH_QUICK=1` to shrink", [], id="environment"),
+    pytest.param("`benchmarks/suite/tests` and "
+                 "`benchmarks/test_bench_scaling.py`", [], id="live-paths"),
+    pytest.param("`tests/integration/test_experiment_suite.py`",
+                 ["tests/integration/test_experiment_suite.py",
+                  "test_experiment_suite"], id="deleted-module"),
+    pytest.param("`test_experiments_runs_suite`",
+                 ["test_experiments_runs_suite"], id="deleted-test"),
+    pytest.param("`test_syn8_scaleup_shape` guards SYN-8", [],
+                 id="live-test"),
+    pytest.param("`src/repro/tools/x.py` is no root path", [],
+                 id="nested-tools"),
+])
+def test_citation_rule(line, stale):
+    """What the citation check flags, on one line of prose: retired
+    records and tools, a deleted test module or test, and nothing that
+    exists or only looks alike."""
+    assert stale_citations(line, defined_tests()) == stale
+
+
+#: DESIGN.md §5's experiment ids, each a row of its index
+EXPERIMENT_IDS = [
+    "FIG1", "FIG2a", "FIG2b", "FIG3", "FIG4", "TAB-GRAMMAR", "APPA",
+    "SYN-1", "SYN-2", "SYN-3", "SYN-4", "SYN-5", "SYN-6", "SYN-7", "SYN-8",
+]
+
+
+def experiment_index():
+    """``{id: its "Regenerated by" cell}`` of DESIGN.md §5's table."""
+    section = (ROOT / "DESIGN.md").read_text().split(
+        "## 5. Experiments index", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| ([A-Z]{2,}[\w-]*) \|.*\| ([^|]*) \|$",
+                           section, re.M))
+
+
+def defines_a_test(path):
+    return any(
+        isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_every_experiment_is_regenerated_and_recorded(experiment):
+    """The one experiment index holds: each id's row names the modules
+    that regenerate it, which exist and define tests (a bench module
+    opens its docstring with the id), or says that EXPERIMENTS.md keeps
+    a recorded result; and EXPERIMENTS.md has a section for the id."""
+    cell = experiment_index()[experiment]
+    cited = re.findall(r"`((?:tests|benchmarks|examples)/[\w/]+\.py)`", cell)
+    assert cited or "EXPERIMENTS.md" in cell
+    family = re.sub(r"[a-z]$", "", experiment)
+    for path in map(ROOT.joinpath, cited):
+        assert path.is_file(), path
+        if path.parent.name == "examples":
+            continue
+        assert defines_a_test(path), path
+        if path.parent.name == "benchmarks":
+            assert ast.get_docstring(ast.parse(path.read_text())).startswith(
+                family), path
+    assert re.search(rf"^## {re.escape(experiment)} —",
+                     (ROOT / "EXPERIMENTS.md").read_text(), re.M)
+
+
+def test_every_experiment_bench_is_indexed():
+    """A bench module that opens with an experiment id is cited by that
+    id's row of the index, and the index has no row beyond the ids."""
+    index = experiment_index()
+    assert sorted(index) == sorted(EXPERIMENT_IDS)
+    for path in sorted(ROOT.glob("benchmarks/test_bench_*.py")):
+        opening = ast.get_docstring(ast.parse(path.read_text()))
+        family = re.match(r"(FIG\d|SYN-\d)\b", opening)
+        if family:
+            rows = [cell for id_, cell in index.items()
+                    if id_.startswith(family.group(1))]
+            assert any(path.name in cell for cell in rows), path
 
 
 @pytest.fixture(scope="module")
