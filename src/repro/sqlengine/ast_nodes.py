@@ -8,7 +8,7 @@ module because several statements embed expressions and subqueries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.sqlengine.types import SqlType
 
@@ -367,3 +367,23 @@ def walk_expression(expr: Expression):
             stack.append(node.expr)
         elif isinstance(node, TupleExpr):
             stack.extend(node.items)
+
+
+def split_conjuncts(expr: Optional[Expression]) -> List[Expression]:
+    """Flatten a predicate into its top-level AND conjuncts."""
+    if expr is None:
+        return []
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
+
+
+def conjoin(conjuncts: Sequence[Expression]) -> Optional[Expression]:
+    """Rebuild a predicate from conjuncts (None when empty)."""
+    result: Optional[Expression] = None
+    for conjunct in conjuncts:
+        result = (
+            conjunct if result is None
+            else BinaryOp("AND", result, conjunct)
+        )
+    return result

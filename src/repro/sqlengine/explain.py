@@ -21,8 +21,8 @@ nothing: planning reads no data.
 
 EXPLAIN ANALYZE additionally *executes* the statement once, annotating
 each node with the rows it produced, loop count (how many times it
-ran) and inclusive wall time, plus the batches it processed and, on an
-equi-join, the probe kernel it ran::
+ran) and inclusive wall time, plus the batches it processed and, on a
+join, the probe kernel it ran (``unique``, ``buckets`` or ``band``)::
 
     HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms) [batches=1 ...]
 
@@ -223,7 +223,7 @@ class NodeStats:
         self.loops = 0
         self.seconds = 0.0
         self.batches = 0
-        #: an equi-join's probe kernel (``unique``/``buckets``)
+        #: a join's probe kernel (``unique``/``buckets``/``band``)
         self.probe: Optional[str] = None
 
 
@@ -259,8 +259,8 @@ class AnalyzeCollector:
         self, node: PlanNode, rows: int, batches: int, seconds: float,
         probe: Optional[str] = None,
     ) -> None:
-        """Plan node *node* finished one run.  A hash join names the
-        *probe* kernel it ran (``unique``/``buckets``)."""
+        """Plan node *node* finished one run.  A join names the
+        *probe* kernel it ran (``unique``/``buckets``/``band``)."""
         stats = self.stats.setdefault(id(node), NodeStats())
         stats.rows += rows
         stats.loops += 1

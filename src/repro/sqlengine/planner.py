@@ -20,9 +20,10 @@ SELECT's own cached plan.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.ast_nodes import conjoin, split_conjuncts
 from repro.sqlengine.errors import CatalogError, ExecutionError
 from repro.sqlengine.evaluator import Frame, contains_aggregate
 from repro.sqlengine.vector import (
@@ -38,23 +39,6 @@ from repro.sqlengine.vector import (
     SubplanSource,
     TableScan,
 )
-
-
-def split_conjuncts(expr: Optional[ast.Expression]) -> List[ast.Expression]:
-    """Flatten a predicate into its top-level AND conjuncts."""
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
-
-def conjoin(conjuncts: Sequence[ast.Expression]) -> Optional[ast.Expression]:
-    """Rebuild a predicate from conjuncts (None when empty)."""
-    result: Optional[ast.Expression] = None
-    for conjunct in conjuncts:
-        result = conjunct if result is None else ast.BinaryOp("AND", result, conjunct)
-    return result
 
 
 def _contains_subquery(expr: ast.Expression) -> bool:

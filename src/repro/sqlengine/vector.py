@@ -58,10 +58,14 @@ Joins, grouping and DISTINCT run as a few builtin passes over column
 lists (``dict``/``zip``/``map``/``Counter``), the kernel picked from
 what the input shows: a hash join whose build keys are NULL-free and
 distinct probes one dict lookup per row (``probe=unique`` in EXPLAIN
-ANALYZE), any other emits bucket lists (``probe=buckets``); grouping
-with no aggregate but ``COUNT(*)`` keeps no member lists.  Every kernel
+ANALYZE), any other emits bucket lists (``probe=buckets``), and one
+whose residual compares a NULL- and NaN-free column of each side
+bisects each bucket sorted by that column (``probe=band``, keyless
+joins too when the comparison is their whole residual); grouping with
+no aggregate but ``COUNT(*)`` keeps no member lists.  Every kernel
 emits rows in first-appearance, left-major order — which is
-load-bearing: ``NEXTVAL`` numbers groups and items (Gid, Bid) in it.
+load-bearing: ``NEXTVAL`` numbers groups and items (Gid, Bid) in it,
+and the core numbers its slots in the order of Q7's cluster couples.
 
 When a statement raises, *which* row's error surfaces first is not
 fixed: kernels evaluate an operand for every row of a batch before
@@ -78,6 +82,8 @@ from __future__ import annotations
 
 import datetime
 import time
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cmp_to_key
 from itertools import chain, compress, repeat
@@ -1479,6 +1485,13 @@ class HashJoin(PlanNode):
     keys tests its candidate pairs a chunk at a time
     (:meth:`_theta_pairs`).
 
+    A residual conjunct that compares a bare column of each side
+    (``<``, ``<=``, ``>``, ``>=``) is a *band*: where both compared
+    columns hold no NULL and no NaN, each bucket is sorted once by its
+    compared value and a probe bisects it (:meth:`_band_pairs`), so
+    the pairs the band rejects are never formed.  A join without keys
+    takes that probe when its whole residual is the band.
+
     Materialization is late: the pairs are found on the key columns
     alone, the ``residual`` is evaluated on candidate pairs gathered
     only for the columns it reads, and only the columns the operators
@@ -1513,6 +1526,17 @@ class HashJoin(PlanNode):
         self._residual = None if residual is None else _Compiler(
             self.frame, self.dtypes, db, outer=outer
         ).compile(residual)
+        #: the residual's band term (a keyless join's only when it is
+        #: the whole residual) and the kernel of its other conjuncts,
+        #: which run on the band's pairs only
+        band, rest = _band_term(
+            ast.split_conjuncts(residual), self.frame, self.dtypes,
+            len(left.dtypes),
+        )
+        self._band = band if self._lkeys or not rest else None
+        self._rest = None if self._band is None or not rest else _Compiler(
+            self.frame, self.dtypes, db, outer=outer
+        )._lazy(ast.conjoin(rest))
         self._needed: frozenset = frozenset()
 
     def require(self, flats: frozenset) -> None:
@@ -1533,44 +1557,108 @@ class HashJoin(PlanNode):
         # build side first, like the row-major order it reproduces
         rbatch = self.right.run(ctx)
         lbatch = self.left.run(ctx)
-        if self._lkeys:
-            lefts, rights = self._equi_pairs(ctx, lbatch, rbatch)
-        else:
-            lefts, rights = self._theta_pairs(ctx, lbatch, rbatch)
+        pairs = None
+        if self._band is not None:
+            pairs = self._band_pairs(ctx, lbatch, rbatch)
+        if pairs is None:
+            if self._lkeys:
+                pairs = self._equi_pairs(ctx, lbatch, rbatch)
+            else:
+                pairs = self._theta_pairs(ctx, lbatch, rbatch)
+        lefts, rights = pairs
         cols = self._columns(lbatch, rbatch, lefts, rights, self._needed)
-        return _Batch(cols, len(lefts))
+        return _Batch(cols, len(rights))
+
+    def _key_lists(
+        self, ctx: _Ctx, lbatch: _Batch, rbatch: _Batch
+    ) -> Tuple[List[Any], List[Any]]:
+        """Both sides' key columns, ready to compare
+        (:func:`comparable_keys`)."""
+        return comparable_keys(
+            [_raw(k, ctx, lbatch.cols, lbatch.n) for k in self._lkeys],
+            [_raw(k, ctx, rbatch.cols, rbatch.n) for k in self._rkeys],
+        )
 
     def _equi_pairs(
         self, ctx: _Ctx, lbatch: _Batch, rbatch: _Batch
     ) -> Tuple[Sequence[int], List[Optional[int]]]:
         """The (left, right) index pairs whose keys are equal and that
         the residual keeps, i-major and in build order per i."""
-        lkeys, rkeys = comparable_keys(
-            [_raw(k, ctx, lbatch.cols, lbatch.n) for k in self._lkeys],
-            [_raw(k, ctx, rbatch.cols, rbatch.n) for k in self._rkeys],
-        )
-        outer = self.outer
+        lkeys, rkeys = self._key_lists(ctx, lbatch, rbatch)
         lefts, rights, probe = _join_pairs(
-            lkeys, lbatch.n, rkeys, rbatch.n, outer
+            lkeys, lbatch.n, rkeys, rbatch.n, self.outer
         )
-        residual = self._residual
-        if residual is not None:
-            if outer:
-                # the residual sees real pairs only; padding is redone
-                lefts, rights = _select(
-                    lefts, rights, map(_op.is_not, rights, repeat(None))
-                )
-            if lefts:
-                cols = self._columns(lbatch, rbatch, lefts, rights,
-                                     residual.used)
-                vals = _as_list(residual.fn(ctx, cols, len(lefts)), len(lefts))
-                lefts, rights = _select(
-                    lefts, rights, map(_op.is_, vals, repeat(True))
-                )
-            if outer:
-                lefts, rights = _pad(lefts, rights, range(lbatch.n))
+        if self._residual is not None:
+            lefts, rights = self._keep(
+                ctx, self._residual, lbatch, rbatch, lefts, rights
+            )
         ctx.batches = _chunks(len(lefts), ctx.batch_size)
         ctx.probe = probe
+        return lefts, rights
+
+    def _band_pairs(
+        self, ctx: _Ctx, lbatch: _Batch, rbatch: _Batch
+    ) -> Optional[Tuple[Any, List[Optional[int]]]]:
+        """The pairs of :meth:`_equi_pairs` (of :meth:`_theta_pairs`
+        without keys, every build row in one bucket), found by the band
+        probe (:func:`_band_probe`) and tested against the other
+        conjuncts of the residual; the left indices are run lengths
+        (:class:`_Runs`) when there are none.  None when a compared
+        column holds a NULL or a NaN, which bisection cannot order:
+        then the whole residual tests the candidate pairs."""
+        band = self._band
+        lv = _orderable(lbatch.cols[band.left])
+        rv = _orderable(rbatch.cols[band.right])
+        if lv is None or rv is None:
+            return None
+        if self._lkeys:
+            lkeys, rkeys = self._key_lists(ctx, lbatch, rbatch)
+            probes = _row_keys(lkeys)
+            buckets = _buckets(_row_keys(rkeys), len(rkeys) == 1)
+        else:
+            probes = [0] * lbatch.n
+            buckets = {0: list(range(rbatch.n))}
+        lens, rights = _band_probe(
+            probes, lv, buckets, rv, band.op, self.outer
+        )
+        if self._rest is None:
+            lefts: Any = _Runs(lens)
+        else:
+            lefts, rights = self._keep(
+                ctx, self._rest, lbatch, rbatch,
+                list(chain.from_iterable(
+                    map(repeat, range(lbatch.n), lens)
+                )),
+                rights,
+            )
+        ctx.batches = _chunks(len(rights), ctx.batch_size)
+        ctx.probe = "band"
+        return lefts, rights
+
+    def _keep(
+        self,
+        ctx: _Ctx,
+        residual: VExpr,
+        lbatch: _Batch,
+        rbatch: _Batch,
+        lefts: Sequence[int],
+        rights: List[Optional[int]],
+    ) -> Tuple[Sequence[int], List[Optional[int]]]:
+        """The pairs *residual* keeps.  It sees real pairs only: a
+        LEFT OUTER join's padding is redone after it."""
+        outer = self.outer
+        if outer:
+            lefts, rights = _select(
+                lefts, rights, map(_op.is_not, rights, repeat(None))
+            )
+        if lefts:
+            cols = self._columns(lbatch, rbatch, lefts, rights, residual.used)
+            vals = _as_list(residual.fn(ctx, cols, len(lefts)), len(lefts))
+            lefts, rights = _select(
+                lefts, rights, map(_op.is_, vals, repeat(True))
+            )
+        if outer:
+            lefts, rights = _pad(lefts, rights, range(lbatch.n))
         return lefts, rights
 
     def _theta_pairs(
@@ -1625,20 +1713,26 @@ class HashJoin(PlanNode):
         self,
         lbatch: _Batch,
         rbatch: _Batch,
-        lefts: Sequence[int],
+        lefts: Any,
         rights: Sequence[Optional[int]],
         flats: frozenset,
     ) -> List[Column]:
         """The output columns in *flats* gathered at the pairs, ``None``
         elsewhere.  A ``range`` of left indices is every left row in
-        order: the left columns pass through as they are."""
+        order: the left columns pass through as they are; :class:`_Runs`
+        repeat each left value in place."""
         split = len(lbatch.cols)
         lcols = [c if f in flats else None for f, c in enumerate(lbatch.cols)]
         rcols = [
             c if f + split in flats else None
             for f, c in enumerate(rbatch.cols)
         ]
-        if not isinstance(lefts, range):
+        if type(lefts) is _Runs:
+            lcols = [
+                None if c is None else _repeated(c, lefts.lens)
+                for c in lcols
+            ]
+        elif not isinstance(lefts, range):
             lcols = _gather(lcols, lefts)
         return lcols + (_gather_pad if self.outer else _gather)(rcols, rights)
 
@@ -1653,6 +1747,22 @@ def _row_keys(key_lists: List[List[Any]]) -> List[Any]:
 
 #: a probe miss in a LEFT OUTER join: one pair with no right row
 _PAD = (None,)
+
+
+def _buckets(rk: List[Any], single: bool) -> Dict[Any, List[int]]:
+    """Build positions per key, in build order; a key that is (or, of
+    several columns, holds) NULL is in no bucket."""
+    buckets: Dict[Any, List[int]] = {}
+    get = buckets.get
+    for j, key in enumerate(rk):
+        if (key is None) if single else (None in key):
+            continue
+        bucket = get(key)
+        if bucket is None:
+            buckets[key] = [j]
+        else:
+            bucket.append(j)
+    return buckets
 
 
 def _join_pairs(
@@ -1683,20 +1793,133 @@ def _join_pairs(
                 range(ln), rights, map(_op.is_not, rights, repeat(None))
             )
             return lefts, rights, "unique"
-    single = len(rkeys) == 1
-    buckets: Dict[Any, List[int]] = {}
-    get = buckets.get
-    for j, key in enumerate(rk):
-        if (key is None) if single else (None in key):
-            continue
-        bucket = get(key)
-        if bucket is None:
-            buckets[key] = [j]
-        else:
-            bucket.append(j)
-    found = list(map(get, lk, repeat(_PAD if outer else ())))
+    buckets = _buckets(rk, len(rkeys) == 1)
+    found = list(map(buckets.get, lk, repeat(_PAD if outer else ())))
     lefts = list(chain.from_iterable(map(repeat, range(ln), map(len, found))))
     return lefts, list(chain.from_iterable(found)), "buckets"
+
+
+class _Band:
+    """A join conjunct ``left OP right`` comparing a bare column of
+    each side, written left first: ``left`` / ``right`` are flat
+    indices into the left / right batch."""
+
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: int, right: int):
+        self.op = op
+        self.left = left
+        self.right = right
+
+
+#: the operator that reads the same with its operands swapped
+_SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: per band operator: how a probe value cuts its bucket's sorted right
+#: values, and whether the matching run is the part above the cut
+#: (``l < r`` holds for the right values past ``bisect_right(l)``)
+_BAND_CUT = {
+    "<": (bisect_right, True),
+    "<=": (bisect_left, True),
+    ">": (bisect_left, False),
+    ">=": (bisect_right, False),
+}
+
+
+def _band_term(
+    conjuncts: List[ast.Expression], frame: Frame, dtypes: List[str],
+    split: int,
+) -> Tuple[Optional[_Band], List[ast.Expression]]:
+    """The first of a join's residual *conjuncts* that compares a
+    column of the left input (flat index below *split* in *frame*)
+    with one of the right, the two of one ordered type under
+    :func:`_clean_pair`, and the other conjuncts; ``(None, [])`` when
+    none does."""
+    offsets = _frame_offsets(frame)
+
+    def flat(expr: ast.Expression) -> Optional[int]:
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        try:
+            hit = frame.lookup(expr.qualifier, expr.name)
+        except CatalogError:
+            return None
+        return None if hit is None else offsets[hit[0]] + hit[1]
+
+    for k, conjunct in enumerate(conjuncts):
+        if not (isinstance(conjunct, ast.BinaryOp)
+                and conjunct.op in _SWAPPED):
+            continue
+        op, lf, rf = conjunct.op, flat(conjunct.left), flat(conjunct.right)
+        if lf is None or rf is None:
+            continue
+        if lf >= split > rf:
+            op, lf, rf = _SWAPPED[op], rf, lf
+        if lf < split <= rf and _clean_pair(dtypes[lf], dtypes[rf]):
+            return _Band(op, lf, rf - split), conjuncts[:k] + conjuncts[k + 1:]
+    return None, []
+
+
+def _orderable(col: Column) -> Optional[Sequence[Any]]:
+    """The values of a band's compared column, or None when it holds a
+    NULL or a NaN (the one value unequal to itself), which bisection
+    cannot order."""
+    if type(col) is Coded:
+        return None if -1 in col.codes else col.decode()
+    if type(col) is array and col.typecode == "q":
+        return col
+    if None in col or any(map(_op.ne, col, col)):
+        return None
+    return col
+
+
+def _band_probe(
+    probes: List[Any],
+    lv: Sequence[Any],
+    buckets: Dict[Any, List[int]],
+    rv: Sequence[Any],
+    op: str,
+    outer: bool,
+) -> Tuple[List[int], List[Optional[int]]]:
+    """The pairs of a band join: left row ``i`` meets the positions of
+    bucket ``probes[i]`` whose right value ``r`` makes ``lv[i] OP r``
+    true, in build order — the order a residual filter keeps.  Each
+    bucket is sorted once by its right values (stably: ties keep build
+    order), a probe bisects it and sorts its run back into build
+    order.  No list as long as the candidate pairs is built: the left
+    side comes back as run lengths, one per left row (with ``outer``,
+    a left row without a pair pairs once with ``None``)."""
+    cut, above = _BAND_CUT[op]
+    values: Dict[Any, List[Any]] = {}
+    for key, bucket in buckets.items():
+        bucket.sort(key=rv.__getitem__)
+        values[key] = list(map(rv.__getitem__, bucket))
+    cuts = map(cut, map(values.get, probes, repeat(())), lv)
+    spans = map(slice, cuts, repeat(None)) if above else map(slice, cuts)
+    runs = list(map(sorted, map(
+        _op.getitem, map(buckets.get, probes, repeat(())), spans
+    )))
+    if outer:
+        runs = [run or _PAD for run in runs]
+    return list(map(len, runs)), list(chain.from_iterable(runs))
+
+
+class _Runs:
+    """The left indices of a join's pairs as run lengths: left row
+    ``i`` pairs ``lens[i]`` times, the rows in order."""
+
+    __slots__ = ("lens",)
+
+    def __init__(self, lens: List[int]):
+        self.lens = lens
+
+
+def _repeated(col: Any, lens: List[int]) -> Any:
+    """Each row of *col* repeated ``lens[i]`` times, in *col*'s
+    representation."""
+    return like(col, list(chain.from_iterable(
+        map(repeat, equality_keys(col), lens)
+    )))
 
 
 def _select(

@@ -288,6 +288,26 @@ def test_encoding_and_decoding_joins_take_the_unique_probe():
         assert join_probes(database.analyze(query.sql).nodes) == ["unique"]
 
 
+@pytest.mark.parametrize("load, statement", [
+    # INTEGER minutes: the suite's clicks_general statement
+    (lambda db: workloads.load_clicks(db, 19, "quick"),
+     workloads.CLICKS.text(0.3)),
+    # DATE columns: the paper's cluster condition
+    (load_purchase_figure1, GOLDEN_STATEMENTS["ordered_sets"]),
+], ids=["clicks_minute", "purchase_date"])
+def test_cluster_condition_runs_as_a_band_probe(load, statement):
+    """Q7 pairs the clusters of one group that pass the cluster
+    condition ``BC.x < HC.x``: each group's clusters are sorted once and
+    every probe bisects them, no same-group pair is formed and then
+    filtered.  A change that falls back to bucket lists fails here."""
+    database = Database()
+    load(database)
+    tracer = Tracer(enabled=True, analyze=True)
+    result = MiningSystem(database=database, tracer=tracer).run(statement)
+    assert join_probes(captured(result, "nodes")["Q7"]) == ["band"]
+    assert "probe=band]" in captured(result, "plan")["Q7"]
+
+
 def test_service_select_shapes_stay_on_the_batch_executor():
     """The three SELECT shapes ``service_mixed`` polls (a qualified
     ``ORDER BY h.item`` used to send two to a row executor)."""

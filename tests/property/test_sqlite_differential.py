@@ -18,8 +18,14 @@ travels: NULL-free int columns as arrays, VARCHAR columns as
 dictionary codes (equi-joins of two dictionaries, DISTINCT and GROUP BY
 on codes, ``IS [NOT] NULL`` answered by the representation), columns
 with NULLs as lists.
+
+A fourth holds band joins: a join residual that compares a column of
+each side, which the executor answers by bisection where the compared
+columns hold no NULL.  Beside sqlite3's multiset, each must give the
+rows of the same statement with the band hidden, in the same order.
 """
 
+import datetime
 import sqlite3
 from collections import Counter
 
@@ -535,6 +541,120 @@ def test_codes_and_arrays_match_sqlite(sql, p_rows, q_rows):
     finally:
         lite.close()
     assert Counter(engine.query(sql)) == Counter(theirs)
+
+
+# ---------------------------------------------------------------------------
+# band joins: a residual conjunct comparing a column of each side
+# ---------------------------------------------------------------------------
+
+#: ``k`` is a join key that repeats and is NULL now and then; ``v``
+#: (INTEGER), ``f`` (REAL), ``d`` (DATE) and ``s`` (VARCHAR, codes) are
+#: compared across the join, with ties
+BAND_SCHEMA = [
+    "CREATE TABLE bl (k INTEGER, v INTEGER, f REAL, d DATE, s VARCHAR)",
+    "CREATE TABLE br (k INTEGER, v INTEGER, f REAL, d DATE, s VARCHAR)",
+]
+
+_BAND_DATES = [datetime.date(1995, 12, day) for day in (17, 18, 19)]
+
+
+@st.composite
+def band_rows(draw):
+    """Rows whose compared columns hold no NULL in about half the
+    tables (the band probe's precondition) and some NULLs in the
+    rest (which must answer the same through the residual)."""
+    nulls = draw(st.booleans())
+
+    def value(strategy):
+        return st.one_of(st.none(), strategy) if nulls else strategy
+
+    return draw(st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.integers(0, 3)),
+            value(st.integers(-2, 2)),
+            value(st.sampled_from([-1.5, 0.0, 1.0, 2.0])),
+            value(st.sampled_from(_BAND_DATES)),
+            value(st.sampled_from(["ant", "bee", "cat"])),
+        ),
+        max_size=12,
+    ))
+
+
+#: each statement with one band term in braces: the test also runs it
+#: with the term's left operand hidden in COALESCE (not a bare column,
+#: so no band probe) and wants the same rows in the same order
+BAND_CORPUS = [
+    # each operator, either operand first
+    *[
+        f"SELECT bl.v, br.v FROM bl, br WHERE bl.k = br.k AND {{{term}}}"
+        for term in (
+            "bl.v < br.v", "bl.v <= br.v", "bl.v > br.v", "bl.v >= br.v",
+            "br.v < bl.v", "br.v <= bl.v", "br.v > bl.v", "br.v >= bl.v",
+        )
+    ],
+    # two keys, and a compared column that is also a key
+    "SELECT bl.s, br.s FROM bl JOIN br ON bl.k = br.k AND bl.s = br.s "
+    "AND {bl.v <= br.v}",
+    "SELECT bl.v, br.v FROM bl, br WHERE bl.k = br.k AND {bl.k < br.v}",
+    # another conjunct beside the band, before or after it
+    "SELECT bl.v, br.s FROM bl, br WHERE bl.k = br.k AND {bl.v < br.v} "
+    "AND br.s <> 'bee'",
+    "SELECT bl.v, br.s FROM bl, br WHERE bl.k = br.k AND br.f > -1 "
+    "AND {bl.f >= br.f}",
+    # a LEFT JOIN whose ON holds a band term
+    "SELECT bl.v, br.v FROM bl LEFT JOIN br ON bl.k = br.k "
+    "AND {bl.v < br.v}",
+    "SELECT bl.s, br.s FROM bl LEFT JOIN br ON bl.k = br.k "
+    "AND {br.d >= bl.d} AND br.s <> 'ant'",
+    # int against float, DATE, coded VARCHAR
+    "SELECT bl.v, br.f FROM bl, br WHERE bl.k = br.k AND {bl.v < br.f}",
+    "SELECT bl.f, br.v FROM bl, br WHERE bl.k = br.k AND {bl.f >= br.v}",
+    "SELECT bl.s, br.s FROM bl, br WHERE bl.k = br.k AND {bl.d > br.d}",
+    "SELECT bl.s, br.s FROM bl, br WHERE bl.k = br.k AND {bl.s < br.s}",
+    # no key: the whole residual is the band, every build row one bucket
+    "SELECT bl.v, br.v FROM bl, br WHERE {bl.v < br.v}",
+    "SELECT bl.v, br.s FROM bl LEFT JOIN br ON {br.s <= bl.s}",
+]
+
+
+def _band_spellings(sql):
+    """*sql* as written, and with its band term's left operand hidden."""
+    start, stop = sql.index("{"), sql.index("}")
+    operand, _, rest = sql[start + 1:stop].partition(" ")
+    plain = sql[:start] + sql[start + 1:stop] + sql[stop + 1:]
+    hidden = (
+        sql[:start] + f"COALESCE({operand}, {operand}) {rest}"
+        + sql[stop + 1:]
+    )
+    return plain, hidden
+
+
+@pytest.mark.parametrize("sql", BAND_CORPUS)
+@given(l_rows=band_rows(), r_rows=band_rows())
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_band_joins_match_sqlite(sql, l_rows, r_rows):
+    """A band join gives sqlite3's multiset, and the rows of the same
+    statement whose band is hidden from the planner, in their order."""
+    plain, hidden = _band_spellings(sql)
+    engine = Database()
+    lite = sqlite3.connect(":memory:")
+    try:
+        for ddl in BAND_SCHEMA:
+            engine.execute(ddl)
+            lite.execute(ddl)
+        for name, rows in (("bl", l_rows), ("br", r_rows)):
+            engine.table(name).insert_many(rows)
+            lite.executemany(
+                f"INSERT INTO {name} VALUES (?, ?, ?, ?, ?)",
+                [(k, v, f, d and d.isoformat(), s)
+                 for k, v, f, d, s in rows],
+            )
+        theirs = lite.execute(plain).fetchall()
+    finally:
+        lite.close()
+    mine = engine.query(plain)
+    assert Counter(mine) == Counter(theirs)
+    assert mine == engine.query(hidden)
 
 
 class TestKnownSemanticChoices:

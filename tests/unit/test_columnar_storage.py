@@ -5,7 +5,8 @@ Covered here: the adaptive :class:`ColumnVector` layouts, their
 exact-promotion rules and decodes, the :class:`Table` contract over
 them (DML, indexes, the read-only ``rows``) and EXPLAIN ANALYZE's
 per-node batch counters, which show a theta join and a keyless LEFT
-JOIN testing their candidate pairs a chunk at a time.  The end-to-end
+JOIN testing their candidate pairs a chunk at a time, and a keyless
+band join forming none.  The end-to-end
 batch-size invariance net lives in
 ``tests/property/test_columnar_differential.py``.
 """
@@ -508,6 +509,27 @@ class TestExplainAnalyzeCounters:
             matches = [(a, c) for c in (0, 2, 4, 6) if a % 7 + 3 < c]
             expected.extend(matches or [(a, None)])
         assert analysis.result.rows == expected
+
+    def test_keyless_band_join_probes_one_bucket(self):
+        """A keyless join whose whole residual compares a NULL-free
+        column of each side bisects all build rows as one bucket: it
+        forms no candidate chunk, and answers left-major in the right
+        side's order as the chunked loop does."""
+        database = self._database()
+        database.execute("CREATE TABLE w (a INTEGER)")
+        database.execute("INSERT INTO w VALUES (150), (3), (199), (3)")
+        analysis = database.analyze(
+            "SELECT t.a, w.a FROM t, w WHERE t.a < w.a"
+        )
+        join = next(
+            n for n in analysis.nodes if n["operator"] == "NestedLoopJoin"
+        )
+        assert join["probe"] == "band"
+        assert "probe=band]" in analysis.text
+        assert join["batches"] == -(-len(analysis.result.rows) // 16)
+        assert analysis.result.rows == [
+            (a, c) for a in range(200) for c in (150, 3, 199, 3) if a < c
+        ]
 
 
 class TestBulkLoad:

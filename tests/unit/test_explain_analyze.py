@@ -77,6 +77,44 @@ class TestAnalyzeSelect:
             assert operators["HashJoin"]["probe"] == "buckets", row
         assert result.rowcount == 6
 
+    @staticmethod
+    def _band_tables(column_type, left, right):
+        """``a`` and ``b`` with a repeated key ``k`` and the compared
+        column ``v`` of *column_type*, holding the given values."""
+        database = Database()
+        for name, values in (("a", left), ("b", right)):
+            database.execute(
+                f"CREATE TABLE {name} (k INTEGER, v {column_type})"
+            )
+            for value in values:
+                database.execute(f"INSERT INTO {name} VALUES (1, {value})")
+        return database
+
+    def test_band_join_names_its_probe_kernel(self):
+        """A residual comparing a NULL-free column of each side is
+        probed by bisecting each bucket sorted by its value."""
+        database = self._band_tables("INTEGER", (1, 3), (2, 0, 4))
+        sql = "SELECT a.v, b.v FROM a, b WHERE a.k = b.k AND a.v < b.v"
+        assert "probe=band]" in database.explain_analyze(sql)
+        assert database.query(sql) == [(1, 2), (1, 4), (3, 4)]
+
+    @pytest.mark.parametrize("column_type, odd", [
+        ("INTEGER", "NULL"),
+        ("REAL", "NULL"),
+        ("REAL", "CAST('nan' AS FLOAT)"),
+    ])
+    def test_band_join_buckets_a_null_or_a_nan(self, column_type, odd):
+        """Bisection cannot order a NULL or a NaN: a compared column on
+        either side that holds one sends the join back to the bucket
+        lists, its residual testing every same-key pair."""
+        sql = "SELECT a.v, b.v FROM a, b WHERE a.k = b.k AND a.v < b.v"
+        for left, right in (((1, odd), (2, 0)), ((1, 3), (odd, 2))):
+            database = self._band_tables(column_type, left, right)
+            result = database.analyze(sql)
+            operators = {n["operator"]: n for n in result.nodes}
+            assert operators["HashJoin"]["probe"] == "buckets"
+            assert result.rowcount == 1
+
     def test_subquery_plan_rendered_separately(self, db):
         text = db.explain_analyze(
             "SELECT grp, (SELECT MAX(x) FROM t) FROM t"
