@@ -12,7 +12,7 @@ from hypothesis import settings
 #: and tests/property/test_sqlite_server.py)
 settings.register_profile("oracle-ci", max_examples=1500, deadline=None)
 #: example budget of CI's SQL differential step
-#: (``--hypothesis-profile=sql-ci``): the sqlite3 and batch-size
+#: (``--hypothesis-profile=sql-ci``): the sqlite3 and chunk-size
 #: differentials draw a fifth of it per property — 100 against
 #: tier-1's 20, for the NULL and duplicate-key inputs that pick the
 #: batch executor's join and grouping kernels

@@ -78,7 +78,7 @@ from repro.obs import (
     render_prometheus,
     write_chrome_trace,
 )
-from repro.sqlengine import Database, EngineOptions
+from repro.sqlengine import Database
 from repro.sqlengine.errors import SqlError
 from repro.system import MiningSystem
 
@@ -105,21 +105,14 @@ class Shell:
         retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         json_log=None,
-        batch_size: Optional[int] = None,
     ):
         #: the session's recorder; metrics, slow log, health and journal
         #: are views attached to it (``tracer.attach``)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: structured logger (``repro.obs.jsonlog.JsonLogger``) or None
         self.json_log = json_log
-        #: executor tuning from ``--batch-size`` (None keeps the engine
-        #: default); validated by EngineOptions
-        options = (
-            EngineOptions() if batch_size is None
-            else EngineOptions(batch_size=batch_size)
-        )
         self.system = MiningSystem(
-            database=Database(options),
+            database=Database(),
             algorithm=algorithm, retry_policy=retry_policy,
             tracer=self.tracer,
         )
@@ -344,11 +337,8 @@ class Shell:
             from repro.sqlengine.dump import load_database
 
             # rebind the live system (same journal, retry policy and
-            # sinks; an attached job service follows), same executor
-            # options
-            database = load_database(argument)
-            database.options = self.db.options
-            self.system.attach(database)
+            # sinks; an attached job service follows)
+            self.system.attach(load_database(argument))
             return f"restored catalog from {argument}"
         if command == ".timing":
             self.timing = argument.lower() == "on"
@@ -459,17 +449,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="pool algorithm for simple rules",
     )
     parser.add_argument(
-        "--batch-size", type=positive_int, default=None, metavar="ROWS",
-        help="rows per batch in the vectorized executor "
-        "(default: engine default)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=positive_int, default=None, metavar="N",
         help="retry faulted pipeline stages up to N attempts "
         "(capped exponential backoff)",
     )
     parser.add_argument(
-        "--fault-schedule", default=None, metavar="SPEC",
+        "--fault-schedule", type=FaultSchedule.parse, default=None,
+        metavar="SPEC",
         help="install a deterministic fault schedule, e.g. "
         "'preprocessor.Q4:1;engine.execute:3*2' or 'seed=42' "
         "for a random one",
@@ -491,12 +477,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.fault_schedule:
-        spec = args.fault_schedule
-        if spec.startswith("seed="):
-            faults.install(FaultSchedule.random(int(spec[5:])))
-        else:
-            faults.install(FaultSchedule.parse(spec))
+    if args.fault_schedule is not None:
+        faults.install(args.fault_schedule)
     retry_policy = (
         RetryPolicy(max_attempts=args.retries)
         if args.retries is not None
@@ -517,7 +499,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         retry_policy=retry_policy,
         tracer=tracer,
         json_log=json_log,
-        batch_size=args.batch_size,
     )
     try:
         if args.command or args.file:

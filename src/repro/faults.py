@@ -221,9 +221,14 @@ class FaultSchedule:
         """Parse the CLI spec format: ``site:call[*times][@latency]``
         entries separated by ``,`` or ``;``.  A ``@latency`` suffix
         makes the fault a latency fault; otherwise it is an error.
+        ``seed=N`` instead is the :meth:`random` schedule of seed *N*.
+        A malformed spec raises ``ValueError``.
 
         Example: ``preprocessor.Q4:1;engine.execute:3*2;core.load:1@0.05``
         """
+        spec = text.strip()
+        if spec.startswith("seed="):
+            return cls.random(int(spec[5:]))
         schedule = cls()
         for chunk in text.replace(";", ",").split(","):
             chunk = chunk.strip()

@@ -29,48 +29,7 @@ def transform(
     replacement = fn(expr)
     if replacement is not None:
         return replacement
-    return _rebuild(expr, fn)
-
-
-def _rebuild(expr, fn):
-    recurse = lambda e: transform(e, fn)  # noqa: E731 - local shorthand
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, recurse(expr.left), recurse(expr.right))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, recurse(expr.operand))
-    if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(
-            expr.name,
-            tuple(recurse(a) for a in expr.args),
-            distinct=expr.distinct,
-            star=expr.star,
-        )
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            recurse(expr.expr), recurse(expr.low), recurse(expr.high), expr.negated
-        )
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            recurse(expr.expr),
-            tuple(recurse(i) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Like):
-        return ast.Like(recurse(expr.expr), recurse(expr.pattern), expr.negated)
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(recurse(expr.expr), expr.negated)
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            recurse(expr.operand) if expr.operand is not None else None,
-            tuple((recurse(c), recurse(r)) for c, r in expr.whens),
-            recurse(expr.else_) if expr.else_ is not None else None,
-        )
-    if isinstance(expr, ast.Cast):
-        return ast.Cast(recurse(expr.expr), expr.target)
-    if isinstance(expr, ast.TupleExpr):
-        return ast.TupleExpr(tuple(recurse(i) for i in expr.items))
-    # Literals, column refs, host vars, subqueries: leaves for rewriting.
-    return expr
+    return ast.map_children(expr, lambda child: transform(child, fn))
 
 
 def requalify(expr: ast.Expression, mapping: Dict[str, str]) -> ast.Expression:

@@ -7,9 +7,9 @@ subsystem:
   :data:`NULL_TRACER` is the shared disabled instance that makes the
   un-traced path a single attribute check.
 * :class:`MetricsRegistry` aggregates counters, gauges and histograms
-  process-wide (:data:`REGISTRY` is the default instance,
-  :data:`NULL_REGISTRY` the disabled null object); like every sink it
-  is a view attached to a tracer, reading each span as it closes.
+  (:data:`NULL_REGISTRY` is the disabled null object); like every sink
+  it is a view attached to a tracer, reading each span as it closes,
+  and each serving session builds its own.
 * :func:`render_prometheus` renders a registry in Prometheus text
   exposition format 0.0.4; :class:`MonitoringServer` serves it over
   HTTP together with ``/healthz`` (:class:`HealthState`),
@@ -35,7 +35,6 @@ from repro.obs.httpd import HealthState, MonitoringServer
 from repro.obs.jsonlog import JsonLogger
 from repro.obs.metrics import (
     NULL_REGISTRY,
-    REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -60,7 +59,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_SPAN",
     "NULL_TRACER",
-    "REGISTRY",
     "RunLog",
     "Span",
     "SlowQuery",

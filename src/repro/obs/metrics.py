@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Metrics registry: counters, gauges, histograms.
 
 Where :class:`~repro.obs.spans.Tracer` records *one run* (spans with a
 beginning and an end), this registry aggregates *across runs* — the
@@ -499,6 +499,3 @@ class MetricsRegistry:
 #: the shared disabled registry — default value of every ``metrics``
 #: parameter, so the un-monitored path never allocates
 NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-#: the process-wide default registry serving-mode components share
-REGISTRY = MetricsRegistry()

@@ -72,7 +72,6 @@ class MineRuleService:
         log_json: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
-        batch_size: Optional[int] = None,
         job_workers: int = 4,
         job_queue: int = 64,
         run_log: Optional[str] = None,
@@ -98,7 +97,6 @@ class MineRuleService:
             retry_policy=retry_policy,
             tracer=self.tracer,
             json_log=self.json_log,
-            batch_size=batch_size,
         )
         if scenario is not None:
             loader = SCENARIOS[scenario]
@@ -203,23 +201,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="capture EXPLAIN ANALYZE for every preprocessing query",
     )
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=positive_int, default=None, metavar="N",
         help="retry faulted pipeline stages up to N attempts",
     )
     parser.add_argument(
-        "--batch-size", type=positive_int, default=None, metavar="ROWS",
-        help="rows per batch in the vectorized executor",
-    )
-    parser.add_argument(
-        "--job-workers", type=int, default=4, metavar="N",
+        "--job-workers", type=positive_int, default=4, metavar="N",
         help="worker threads executing HTTP-submitted jobs",
     )
     parser.add_argument(
-        "--job-queue", type=int, default=64, metavar="N",
+        "--job-queue", type=positive_int, default=64, metavar="N",
         help="bounded job queue size (full queue answers 503)",
     )
     parser.add_argument(
-        "--fault-schedule", default=None, metavar="SPEC",
+        "--fault-schedule", type=FaultSchedule.parse, default=None,
+        metavar="SPEC",
         help="install a deterministic fault schedule (chaos drills)",
     )
     parser.add_argument(
@@ -238,12 +233,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.fault_schedule:
-        spec = args.fault_schedule
-        if spec.startswith("seed="):
-            faults.install(FaultSchedule.random(int(spec[5:])))
-        else:
-            faults.install(FaultSchedule.parse(spec))
+    if args.fault_schedule is not None:
+        faults.install(args.fault_schedule)
     retry_policy = (
         RetryPolicy(max_attempts=args.retries)
         if args.retries is not None
@@ -258,7 +249,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         analyze=args.analyze,
         log_json=args.log_json,
         retry_policy=retry_policy,
-        batch_size=args.batch_size,
         job_workers=args.job_workers,
         job_queue=args.job_queue,
         run_log=args.run_log,

@@ -18,7 +18,6 @@ The public entry point is :class:`~repro.sqlengine.engine.Database`::
 """
 
 from repro.sqlengine.engine import CacheStats, Database
-from repro.sqlengine.options import EngineOptions
 from repro.sqlengine.errors import (
     CatalogError,
     ExecutionError,
@@ -33,7 +32,6 @@ __all__ = [
     "CacheStats",
     "CatalogError",
     "Database",
-    "EngineOptions",
     "ExecutionError",
     "SqlError",
     "SqlParseError",

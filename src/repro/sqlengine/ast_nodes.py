@@ -7,8 +7,10 @@ module because several statements embed expressions and subqueries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.sqlengine.types import SqlType
 
@@ -327,7 +329,64 @@ class Update:
 Statement = Any  # union of the statement dataclasses above plus Select
 
 
-def walk_expression(expr: Expression):
+#: the fields of each expression node that hold sub-expressions, in
+#: order: a field holds an expression, None, a tuple of expressions or
+#: (CASE's ``whens``) a tuple of (condition, result) pairs.  A subquery
+#: is no sub-expression: its expressions live in a different scope.
+#: :func:`children` and :func:`map_children` both read this table, so
+#: a walk and a rebuild always see the same sub-expressions.
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
+    BinaryOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    FunctionCall: ("args",),
+    Between: ("expr", "low", "high"),
+    InList: ("expr", "items"),
+    InSubquery: ("expr",),
+    Like: ("expr", "pattern", "escape"),
+    IsNull: ("expr",),
+    Case: ("operand", "whens", "else_"),
+    Cast: ("expr",),
+    TupleExpr: ("items",),
+}
+
+
+def _flatten(value: Any) -> Iterator[Expression]:
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _flatten(item)
+    elif value is not None:
+        yield value
+
+
+def _mapped(value: Any, fn: Callable[[Expression], Expression]) -> Any:
+    if isinstance(value, tuple):
+        return tuple(_mapped(item, fn) for item in value)
+    return None if value is None else fn(value)
+
+
+def children(expr: Expression) -> List[Expression]:
+    """The direct sub-expressions of *expr*, in field order."""
+    return [
+        child
+        for name in _CHILD_FIELDS.get(type(expr), ())
+        for child in _flatten(getattr(expr, name))
+    ]
+
+
+def map_children(
+    expr: Expression, fn: Callable[[Expression], Expression]
+) -> Expression:
+    """*expr* with *fn* applied to each direct sub-expression; *expr*
+    itself when it has none."""
+    names = _CHILD_FIELDS.get(type(expr))
+    if not names:
+        return expr
+    return replace(
+        expr, **{name: _mapped(getattr(expr, name), fn) for name in names}
+    )
+
+
+def walk_expression(expr: Expression) -> Iterator[Expression]:
     """Yield *expr* and every sub-expression, depth first.
 
     Subqueries are yielded as nodes but not descended into: their
@@ -337,36 +396,7 @@ def walk_expression(expr: Expression):
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, BinaryOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, UnaryOp):
-            stack.append(node.operand)
-        elif isinstance(node, FunctionCall):
-            stack.extend(node.args)
-        elif isinstance(node, Between):
-            stack.extend((node.expr, node.low, node.high))
-        elif isinstance(node, InList):
-            stack.append(node.expr)
-            stack.extend(node.items)
-        elif isinstance(node, InSubquery):
-            stack.append(node.expr)
-        elif isinstance(node, Like):
-            stack.extend((node.expr, node.pattern))
-            if node.escape is not None:
-                stack.append(node.escape)
-        elif isinstance(node, IsNull):
-            stack.append(node.expr)
-        elif isinstance(node, Case):
-            if node.operand is not None:
-                stack.append(node.operand)
-            for cond, result in node.whens:
-                stack.extend((cond, result))
-            if node.else_ is not None:
-                stack.append(node.else_)
-        elif isinstance(node, Cast):
-            stack.append(node.expr)
-        elif isinstance(node, TupleExpr):
-            stack.extend(node.items)
+        stack.extend(children(node))
 
 
 def split_conjuncts(expr: Optional[Expression]) -> List[Expression]:

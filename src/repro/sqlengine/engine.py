@@ -61,6 +61,11 @@ from repro.sqlengine.vector import SelectPlan, evaluate_constant, select_rows
 
 Row = Tuple[Any, ...]
 
+#: LRU capacity of the statement cache: how many SQL texts keep their
+#: parse and, until the catalog version changes, their SELECT's plan
+#: (0 keeps neither).  Read at each eviction.
+STATEMENT_CACHE_SIZE = 256
+
 
 @dataclass
 class CacheStats:
@@ -90,11 +95,8 @@ class _Entry:
 class Database:
     """An in-memory SQL database instance."""
 
-    def __init__(self, options: Optional["EngineOptions"] = None) -> None:
-        from repro.sqlengine.options import EngineOptions
-
+    def __init__(self) -> None:
         self.catalog = Catalog()
-        self.options = options if options is not None else EngineOptions()
         #: host variables assigned by ``SELECT .. INTO :name``
         self.variables: Dict[str, Any] = {}
         #: number of statements executed (observability for benches)
@@ -320,7 +322,7 @@ class Database:
                 cache.move_to_end(sql)
                 return entry.statement, "statement_misses"
             cache[sql] = _Entry(statement)
-            while len(cache) > self.options.statement_cache_size:
+            while len(cache) > STATEMENT_CACHE_SIZE:
                 cache.popitem(last=False)
         return statement, "statement_misses"
 

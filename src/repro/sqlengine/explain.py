@@ -21,10 +21,10 @@ nothing: planning reads no data.
 
 EXPLAIN ANALYZE additionally *executes* the statement once, annotating
 each node with the rows it produced, loop count (how many times it
-ran) and inclusive wall time, plus the batches it processed and, on a
-join, the probe kernel it ran (``unique``, ``buckets`` or ``band``)::
+ran) and inclusive wall time, plus, on a join, the probe kernel it ran
+(``unique``, ``buckets`` or ``band``)::
 
-    HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms) [batches=1 ...]
+    HashJoin keys=[...] (actual rows=57 loops=1 time=0.41 ms) [probe=unique]
 
 The nodes report to the :class:`AnalyzeCollector` the engine holds for
 the duration of one statement, which keys its counters by node — a
@@ -216,13 +216,12 @@ def _join_detail(node: HashJoin) -> str:
 class NodeStats:
     """Actual execution counters of one plan node."""
 
-    __slots__ = ("rows", "loops", "seconds", "batches", "probe")
+    __slots__ = ("rows", "loops", "seconds", "probe")
 
     def __init__(self) -> None:
         self.rows = 0
         self.loops = 0
         self.seconds = 0.0
-        self.batches = 0
         #: a join's probe kernel (``unique``/``buckets``/``band``)
         self.probe: Optional[str] = None
 
@@ -232,8 +231,8 @@ class AnalyzeCollector:
 
     The engine installs a collector on itself for the duration of one
     statement; every plan it runs (subquery, compound and view plans
-    included) is :meth:`attach`-ed, and each batch operator reports its
-    node's rows, batches and wall time through :meth:`record`.
+    included) is :meth:`attach`-ed, and each plan node reports its
+    rows and wall time through :meth:`record`.
     """
 
     def __init__(self) -> None:
@@ -256,7 +255,7 @@ class AnalyzeCollector:
     # -- execution -----------------------------------------------------
 
     def record(
-        self, node: PlanNode, rows: int, batches: int, seconds: float,
+        self, node: PlanNode, rows: int, seconds: float,
         probe: Optional[str] = None,
     ) -> None:
         """Plan node *node* finished one run.  A join names the
@@ -265,7 +264,6 @@ class AnalyzeCollector:
         stats.rows += rows
         stats.loops += 1
         stats.seconds += seconds
-        stats.batches += batches
         if probe is not None:
             stats.probe = probe
 
@@ -278,14 +276,11 @@ class AnalyzeCollector:
             stats = self.stats.get(id(node))
             if stats is None:
                 return ""
-            batches = stats.batches
-            per_batch = round(stats.rows / batches) if batches else 0
             probe = stats.probe
             return (
                 f" (actual rows={stats.rows} loops={stats.loops} "
                 f"time={stats.seconds * 1000:.3f} ms)"
-                f" [batches={batches} rows/batch={per_batch}"
-                f"{f' probe={probe}' if probe else ''}]"
+                f"{f' [probe={probe}]' if probe else ''}"
             )
 
         return annotate
@@ -304,7 +299,6 @@ class AnalyzeCollector:
                     "rows": stats.rows,
                     "loops": stats.loops,
                     "seconds": stats.seconds,
-                    "batches": stats.batches,
                 }
                 if stats.probe is not None:
                     entry["probe"] = stats.probe

@@ -73,9 +73,11 @@ moving on.
 
 Every node holds its input in memory: a node runs once its children
 have returned their whole batches, and returns a whole batch itself.
-``batch_size`` sets how many rows a kernel pass or a theta join's
-candidate chunk covers, and the batch counts EXPLAIN ANALYZE reports;
-it bounds no node's input.
+Two loops work a chunk at a time, :data:`CHUNK_ROWS` rows: a filter
+evaluates its predicate over one slice of the columns it reads (so a
+coded column is decoded a slice at a time, never whole), and a theta
+join forms and tests one chunk of candidate pairs.  The chunk bounds
+no node's input.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ from repro.sqlengine.evaluator import (
 from repro.sqlengine.parser import AGGREGATE_NAMES
 from repro.sqlengine.types import SqlType
 
+#: rows per filter kernel pass, and candidate pairs per theta-join
+#: chunk (at least one left row's); read at every run
+CHUNK_ROWS = 1024
 
 # ---------------------------------------------------------------------------
 # batches, scalars, expression values
@@ -207,21 +212,18 @@ class _Ctx:
     A cached plan is shared by threads; its state lives here."""
 
     __slots__ = (
-        "db", "params", "collector", "batch_size", "outer", "memo",
-        "batches", "probe",
+        "db", "params", "collector", "outer", "memo", "probe",
     )
 
     def __init__(self, db: Any, outer: Tuple[Any, ...] = ()):
         self.db = db
         self.params = db._params
         self.collector = db._analyze
-        self.batch_size = max(1, db.options.batch_size)
         #: the enclosing query's values a subquery run reads
         self.outer = outer
         self.memo: Dict[Any, Any] = {}
-        #: what the plan node that just ran reports to EXPLAIN ANALYZE:
-        #: the batches it processed and a join's probe kernel
-        self.batches = 0
+        #: the probe kernel of the join that just ran, for EXPLAIN
+        #: ANALYZE
         self.probe: Optional[str] = None
 
 
@@ -1311,7 +1313,7 @@ class PlanNode:
     qualifiers), the AST EXPLAIN renders, the kernels it runs and the
     :attr:`dtypes` its output columns are proven to have.  The planner
     builds it, compiling its expressions as it goes.  A plan is shared
-    by threads: a run's rows, batches and probe kernel go to its
+    by threads: a run's rows and probe kernel go to its
     :class:`_Ctx` and EXPLAIN ANALYZE's collector, never onto a node."""
 
     frame: Frame
@@ -1324,13 +1326,13 @@ class PlanNode:
         started = time.perf_counter()
         batch = self._execute(ctx)
         elapsed = time.perf_counter() - started
-        collector.record(self, batch.n, ctx.batches, elapsed, ctx.probe)
+        collector.record(self, batch.n, elapsed, ctx.probe)
         ctx.probe = None
         return batch
 
     def _execute(self, ctx: _Ctx) -> _Batch:
-        """The output batch; sets ``ctx.batches`` (and a join's
-        ``ctx.probe``) after its children have run."""
+        """The output batch; a join sets ``ctx.probe`` after its
+        children have run."""
         raise NotImplementedError
 
     def require(self, flats: frozenset) -> None:
@@ -1338,10 +1340,6 @@ class PlanNode:
         columns (flat indices) the operators above read.  Inner nodes
         add what their own expressions read and pass the set down;
         scans build only those columns."""
-
-
-def _chunks(n: int, size: int) -> int:
-    return (n + size - 1) // size if n else 1
 
 
 class SingleRow(PlanNode):
@@ -1352,7 +1350,6 @@ class SingleRow(PlanNode):
         self.dtypes = []
 
     def _execute(self, ctx: _Ctx) -> _Batch:
-        ctx.batches = 1
         return _Batch([], 1)
 
 
@@ -1374,7 +1371,6 @@ class TableScan(PlanNode):
     def _execute(self, ctx: _Ctx) -> _Batch:
         table = self.table
         n = len(table)
-        ctx.batches = _chunks(n, ctx.batch_size)
         return _Batch(table.column_lists(self._needed), n)
 
 
@@ -1401,10 +1397,8 @@ class IndexLookup(PlanNode):
         key = tuple(_as_list(k.fn(ctx, [], 1), 1)[0] for k in self._keys)
         width = len(self.table.columns)
         if any(value is None for value in key):
-            ctx.batches = 1
             return _Batch([[] for _ in range(width)], 0)
         rows = self.index.lookup(key)
-        ctx.batches = _chunks(len(rows), ctx.batch_size)
         return _Batch(transpose(rows, width), len(rows))
 
 
@@ -1423,14 +1417,13 @@ class SubplanSource(PlanNode):
 
     def _execute(self, ctx: _Ctx) -> _Batch:
         cols, n = self.plan.run(ctx.db)
-        ctx.batches = _chunks(n, ctx.batch_size)
         return _Batch(cols, n)
 
 
 class Filter(PlanNode):
     """Keeps the rows whose predicate is TRUE: evaluates it in chunks
-    of ``batch_size`` (touching only the columns it reads) and gathers
-    the surviving positions."""
+    of :data:`CHUNK_ROWS` (touching only the columns it reads) and
+    gathers the surviving positions."""
 
     def __init__(
         self, child: PlanNode, predicate: ast.Expression, db: Any,
@@ -1452,9 +1445,8 @@ class Filter(PlanNode):
         cols = batch.cols
         n = batch.n
         pred = self._pred
-        size = ctx.batch_size
+        size = CHUNK_ROWS
         sel: List[int] = []
-        batches = 0
         for start in range(0, n, size):
             end = min(start + size, n)
             span = end - start
@@ -1469,8 +1461,6 @@ class Filter(PlanNode):
                 sel.extend(compress(
                     range(start, end), map(_op.is_, vals, repeat(True))
                 ))
-            batches += 1
-        ctx.batches = max(1, batches)
         if len(sel) == n:
             return _Batch(cols, n)
         return _Batch(_gather(cols, sel), len(sel))
@@ -1592,7 +1582,6 @@ class HashJoin(PlanNode):
             lefts, rights = self._keep(
                 ctx, self._residual, lbatch, rbatch, lefts, rights
             )
-        ctx.batches = _chunks(len(lefts), ctx.batch_size)
         ctx.probe = probe
         return lefts, rights
 
@@ -1631,7 +1620,6 @@ class HashJoin(PlanNode):
                 )),
                 rights,
             )
-        ctx.batches = _chunks(len(rights), ctx.batch_size)
         ctx.probe = "band"
         return lefts, rights
 
@@ -1666,8 +1654,8 @@ class HashJoin(PlanNode):
     ) -> Tuple[List[int], List[Optional[int]]]:
         """Every (left, right) pair the residual keeps, left-major in
         right order.  The candidates are built and tested a few left
-        rows at a time — about ``batch_size`` pairs, at least one left
-        row's — and only the pairs that pass are kept; with ``outer``,
+        rows at a time — about :data:`CHUNK_ROWS` pairs, at least one
+        left row's — and only the pairs that pass are kept; with ``outer``,
         a left row none of whose pairs passes gets one pair with right
         index ``None`` in its place.  Without a residual (a cross join)
         every pair is kept."""
@@ -1677,17 +1665,14 @@ class HashJoin(PlanNode):
             lefts = list(
                 chain.from_iterable(map(repeat, range(ln), repeat(rn)))
             )
-            ctx.batches = _chunks(len(lefts), ctx.batch_size)
             return lefts, list(range(rn)) * ln
         if not rn:
-            ctx.batches = 1
             if self.outer:
                 return list(range(ln)), [None] * ln
             return [], []
         lefts: List[int] = []
         rights: List[Optional[int]] = []
-        step = max(1, ctx.batch_size // rn)
-        chunks = 0
+        step = max(1, CHUNK_ROWS // rn)
         for start in range(0, ln, step):
             stop = min(start + step, ln)
             cand_l = list(chain.from_iterable(
@@ -1705,8 +1690,6 @@ class HashJoin(PlanNode):
                 kept_l, kept_r = _pad(kept_l, kept_r, range(start, stop))
             lefts.extend(kept_l)
             rights.extend(kept_r)
-            chunks += 1
-        ctx.batches = max(1, chunks)
         return lefts, rights
 
     def _columns(
@@ -2021,7 +2004,6 @@ class GroupAggregate(PlanNode):
         sizes: List[int] = []
         if not n:
             if not self.scalar:
-                ctx.batches = 1
                 width = len(ccols) + len(slots)
                 return _Batch([[] for _ in range(width)], 0)
             repcols = [[None] for _ in ccols]
@@ -2048,7 +2030,6 @@ class GroupAggregate(PlanNode):
             sizes if slot.star else reduce_slot(slot, arg_lists[pos], members)
             for pos, slot in enumerate(slots)
         ]
-        ctx.batches = _chunks(count, ctx.batch_size)
         return _Batch(repcols + slotcols, count)
 
 def _members(keys: List[Any]) -> Tuple[List[int], List[List[int]]]:

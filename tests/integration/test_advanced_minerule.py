@@ -6,6 +6,7 @@ import datetime
 import pytest
 
 from repro import Database, MiningSystem
+from repro.datagen import load_purchase_figure1
 from repro.minerule import MineRuleValidationError
 from repro.sqlengine.types import SqlType
 
@@ -189,6 +190,38 @@ class TestGroupAndClusterCombined:
         rule = result.rules[0]
         # support over ALL 3 groups (totg from Q1), found in 2
         assert rule.support == pytest.approx(2 / 3)
+
+
+class TestMiningConditionRewrite:
+    """The translator rewrites a mining condition onto the encoded
+    tables; every part of it survives: a LIKE's ESCAPE (it was dropped,
+    so ``'ski!_pants'`` matched nothing) and the left operand of
+    ``IN (subquery)`` (it was left as ``BODY.item``, an unknown column
+    in the emitted query)."""
+
+    @staticmethod
+    def mine(condition):
+        database = Database()
+        load_purchase_figure1(database)
+        return MiningSystem(database=database).execute(
+            "MINE RULE R AS SELECT DISTINCT 1..n item AS BODY, "
+            "1..1 item AS HEAD, SUPPORT, CONFIDENCE "
+            f"WHERE {condition} FROM Purchase GROUP BY customer "
+            "EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1"
+        ).rules
+
+    def test_like_keeps_its_escape(self):
+        rules = self.mine("BODY.item LIKE 'ski!_pants' ESCAPE '!'")
+        assert len(rules) == 2
+        assert rules == self.mine("BODY.item = 'ski_pants'")
+
+    def test_in_subquery_operand_is_requalified(self):
+        # each item of Figure 1 has one price
+        rules = self.mine(
+            "BODY.item IN (SELECT item FROM Purchase WHERE price > 150)"
+        )
+        assert len(rules) == 7
+        assert rules == self.mine("BODY.price > 150")
 
 
 class TestFailureInjection:

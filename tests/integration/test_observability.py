@@ -220,9 +220,9 @@ def test_disabled_tracer_captures_no_analysis():
 # ---------------------------------------------------------------------------
 
 
-def all_batched(nodes):
-    """Every EXPLAIN ANALYZE node reports batches."""
-    return all(node.get("batches", 0) >= 1 for node in nodes)
+def all_ran(nodes):
+    """Every EXPLAIN ANALYZE node reports a run."""
+    return all(node["loops"] >= 1 for node in nodes)
 
 
 def _load_figure1(database, seed, size):
@@ -247,7 +247,7 @@ FALLBACK_CASES = {
 def test_row_executor_fallbacks_are_pinned(name):
     """The pinned set of row-executor fallbacks is empty by
     construction: every plan node of every preprocessing query of a
-    run reports batches."""
+    run is annotated with its runs."""
     load, text = FALLBACK_CASES[name]
     database = Database()
     load(database, 19, "quick")
@@ -256,7 +256,7 @@ def test_row_executor_fallbacks_are_pinned(name):
     analyzed = captured(result, "nodes")
     assert any(analyzed.values())
     for label, nodes in analyzed.items():
-        assert all_batched(nodes), label
+        assert all_ran(nodes), label
 
 
 def join_probes(nodes):
@@ -323,7 +323,7 @@ def test_service_select_shapes_stay_on_the_batch_executor():
         assert database.query(sql)
         assert "executor" not in database.explain(sql)
         nodes = database.analyze(sql).nodes
-        assert nodes and all_batched(nodes)
+        assert nodes and all_ran(nodes)
 
 
 def test_a_lowering_bug_is_not_a_fallback(monkeypatch):

@@ -1,19 +1,20 @@
 """Differential properties of the columnar storage and the batch
 executor.
 
-The batch size is a tuning knob, never a semantic one: for any source
-data and any MINE RULE shape — simple (Q0..Q4) and the general
-variants (Q5..Q11: clustered, mining condition, both — plus source
-conditions — every translation-program query shape), the pipeline must
-produce identical decoded rules and identical golden dumps at the
-default ``batch_size`` and at a tiny one.
+The executor's chunk size (``vector.CHUNK_ROWS``, the rows a filter's
+kernel pass or a theta join's candidate chunk covers) cuts the work,
+never the answer: for any source data and any MINE RULE shape — simple
+(Q0..Q4) and the general variants (Q5..Q11: clustered, mining
+condition, both — plus source conditions — every translation-program
+query shape), the pipeline must produce identical decoded rules and
+identical golden dumps at the default chunk size and at a tiny one.
 
 A second engine-level property drives the same contract below the
 mining kernel: random rows through representative SELECT shapes
 (filter, join, group/HAVING, ORDER BY, DISTINCT, subquery) and INSERT
 .. SELECT shapes.  The answers must be identical — order and stored
 types included — whether the source tables are read directly, through
-a view or through a derived table, and at a tiny ``batch_size``; the
+a view or through a derived table, and at a tiny chunk size; the
 oracle of the direct answers is sqlite3 (the same multisets).
 
 A third property runs values no declared type would let into one
@@ -31,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, MiningSystem
-from repro.sqlengine import EngineOptions
+from repro.sqlengine import vector
 from repro.sqlengine.dump import dump_table_text
 from repro.sqlengine import table as table_module
 from repro.sqlengine.errors import SqlError
@@ -122,11 +123,17 @@ def _load_purchase(database, rows):
     )
 
 
-def _run_pipeline(rows, statement, **engine_options):
-    database = Database(EngineOptions(**engine_options))
+def chunk_rows(size):
+    """``CHUNK_ROWS`` patched to *size* for the ``with`` block."""
+    return mock.patch.object(vector, "CHUNK_ROWS", size)
+
+
+def _run_pipeline(rows, statement, chunk=vector.CHUNK_ROWS):
+    database = Database()
     _load_purchase(database, rows)
     system = MiningSystem(database=database)
-    result = system.run(statement)
+    with chunk_rows(chunk):
+        result = system.run(statement)
     out = result.output_table
     dumps = {
         table: dump_table_text(database, table)
@@ -142,9 +149,7 @@ class TestPipelineBatchSizeInvariance:
     def test_bit_identical_rules_and_dumps(self, rows, shape):
         statement = STATEMENT_SHAPES[shape]
         rules, dumps = _run_pipeline(rows, statement)
-        small_rules, small_dumps = _run_pipeline(
-            rows, statement, batch_size=16
-        )
+        small_rules, small_dumps = _run_pipeline(rows, statement, chunk=16)
         assert small_rules == rules
         assert small_dumps == dumps
 
@@ -262,8 +267,8 @@ def _outcome(database, sql):
         return f"error: {type(exc).__name__}"
 
 
-def _engine_database(options, t_rows, u_rows):
-    database = Database(options=options)
+def _engine_database(t_rows, u_rows):
+    database = Database()
     database.create_table_from_rows("t", ("a", "b"), t_rows)
     database.create_table_from_rows("u", ("b", "c"), u_rows)
     database.execute("CREATE VIEW t_view AS (SELECT * FROM t)")
@@ -273,8 +278,8 @@ def _engine_database(options, t_rows, u_rows):
     return database
 
 
-def _engine_results(options, t_rows, u_rows, access="direct"):
-    database = _engine_database(options, t_rows, u_rows)
+def _engine_results(t_rows, u_rows, access="direct"):
+    database = _engine_database(t_rows, u_rows)
     sources = {
         name: ACCESS[access].format(name=name) for name in ("t", "u")
     }
@@ -334,15 +339,14 @@ class TestEngineBatchSizeInvariance:
         access=st.sampled_from(sorted(ACCESS)),
     )
     def test_select_shapes_agree(self, t_rows, u_rows, access):
-        """At the default and at a tiny batch size, through a view and
+        """At the default and at a tiny chunk size, through a view and
         through a derived table the answers are identical, and the
         direct ones are sqlite3's multisets."""
-        direct = _engine_results(EngineOptions(), t_rows, u_rows)
-        for options in (EngineOptions(), EngineOptions(batch_size=8)):
-            assert _engine_results(
-                options, t_rows, u_rows, access
-            ) == direct
-        database = _engine_database(EngineOptions(), t_rows, u_rows)
+        direct = _engine_results(t_rows, u_rows)
+        for chunk in (vector.CHUNK_ROWS, 8):
+            with chunk_rows(chunk):
+                assert _engine_results(t_rows, u_rows, access) == direct
+        database = _engine_database(t_rows, u_rows)
         assert _multisets(
             database.query, lambda name: database.table(name).rows
         ) == _sqlite_multisets(t_rows, u_rows)

@@ -137,26 +137,76 @@ class TestLineFeeding:
 
 
 class TestBatchSizeFlag:
+    """The count flags (``--batch-size`` was the first; it is gone
+    with the engine's options) are checked at the command line."""
+
     @pytest.mark.parametrize("value", ["0", "-4", "many"])
     def test_bad_value_is_a_usage_error(self, value, capsys):
-        """Both front ends refuse a batch size below 1 at the command
-        line: exit 2 and a usage line, not a ``ValueError``
-        traceback from ``EngineOptions``."""
+        """A count below 1 is refused at the command line: exit 2 and
+        a usage line naming the flag, not a ``ValueError`` traceback
+        from ``WorkerPool`` nor a run of one attempt (``--retries 0``
+        used to run once)."""
+        from repro import serve
+
+        cases = [(main, "--retries"), (serve.main, "--retries"),
+                 (serve.main, "--job-workers"), (serve.main, "--job-queue")]
+        for entry, flag in cases:
+            with pytest.raises(SystemExit) as exit_info:
+                entry([flag, value])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:"), err
+            assert f"argument {flag}: " in err, err
+
+
+class TestFaultScheduleFlag:
+    """Both CLIs and the shell's ``.faults`` read a spec through
+    ``FaultSchedule.parse``, ``seed=N`` included."""
+
+    @pytest.mark.parametrize("spec", ["bogus", "seed=x", "core.load:x"])
+    def test_bad_spec_is_a_usage_error(self, spec, capsys):
         from repro import serve
 
         for entry in (main, serve.main):
             with pytest.raises(SystemExit) as exit_info:
-                entry(["--batch-size", value])
+                entry(["--fault-schedule", spec])
             assert exit_info.value.code == 2
             err = capsys.readouterr().err
             assert err.startswith("usage:"), err
-            assert "--batch-size" in err
+            assert "argument --fault-schedule: " in err, err
 
-    def test_good_value_reaches_the_engine(self, capsys):
-        code = main(["--batch-size", "16", "-c", ".load purchase",
-                     "-c", "SELECT COUNT(*) FROM Purchase"])
-        assert code == 0
-        assert "8" in capsys.readouterr().out
+    def test_seed_spec_is_the_seeded_schedule(self):
+        from repro import faults
+        from repro.faults import FaultSchedule
+
+        seeded = FaultSchedule.parse("seed=42")
+        assert seeded.describe() == FaultSchedule.random(42).describe()
+        assert FaultSchedule.parse(" seed=42 ").describe() == (
+            seeded.describe()
+        )
+        shell = Shell()
+        try:
+            assert shell.execute(".faults seed=4") == (
+                "fault schedule installed: seed=4"
+            )
+            assert faults.active().describe() == (
+                FaultSchedule.random(4).describe()
+            )
+            assert shell.execute(".faults bogus").startswith(
+                "error: bad fault spec 'bogus'"
+            )
+        finally:
+            faults.uninstall()
+
+    def test_seed_flag_installs_the_seeded_schedule(self, capsys):
+        from repro import faults
+
+        try:
+            code = main(["--fault-schedule", "seed=42", "-c", ".faults"])
+            assert code == 0
+            assert "active schedule: " in capsys.readouterr().out
+        finally:
+            faults.uninstall()
 
 
 class TestRemovedPoolMembers:
@@ -335,7 +385,7 @@ class TestDumpRestore:
         policy = RetryPolicy(max_attempts=2)
         tracer = Tracer()
         tracer.attach(journal)
-        fresh = Shell(tracer=tracer, retry_policy=policy, batch_size=16)
+        fresh = Shell(tracer=tracer, retry_policy=policy)
         system = fresh.system
         with JobService(system, workers=1) as jobs:
             fresh.jobs = jobs
@@ -343,7 +393,6 @@ class TestDumpRestore:
             assert fresh.system is system and jobs.system is system
             assert system.tracer.attached(RunLog) is journal
             assert system.retry_policy is policy
-            assert fresh.db.options.batch_size == 16
             fresh.execute(
                 "INSERT INTO Purchase VALUES "
                 "(9, 'cust3', 'ski_pants', DATE '1995-12-20', 140, 1)"

@@ -3,12 +3,12 @@ executor's observable surface.
 
 Covered here: the adaptive :class:`ColumnVector` layouts, their
 exact-promotion rules and decodes, the :class:`Table` contract over
-them (DML, indexes, the read-only ``rows``) and EXPLAIN ANALYZE's
-per-node batch counters, which show a theta join and a keyless LEFT
-JOIN testing their candidate pairs a chunk at a time, and a keyless
-band join forming none.  The end-to-end
-batch-size invariance net lives in
-``tests/property/test_columnar_differential.py``.
+them (DML, indexes, the read-only ``rows``), EXPLAIN ANALYZE's
+per-node counters, and the two loops that work a chunk at a time: a
+filter over a coded column (held under a memory bound), and a theta
+join and a keyless LEFT JOIN testing their candidate pairs (a keyless
+band join forms none).  The end-to-end chunk-size invariance net
+lives in ``tests/property/test_columnar_differential.py``.
 """
 
 import datetime
@@ -18,7 +18,7 @@ from array import array
 import pytest
 
 import repro.sqlengine as sqlengine
-from repro.sqlengine import Database, EngineOptions, Table, columnar
+from repro.sqlengine import Database, Table, columnar, vector
 from repro.sqlengine import table as table_module
 from repro.sqlengine.columnar import ColumnVector
 from repro.sqlengine.types import SqlType
@@ -439,7 +439,7 @@ class TestInsertSelectIsExact:
 
 class TestExplainAnalyzeCounters:
     def _database(self):
-        database = Database(options=EngineOptions(batch_size=16))
+        database = Database()
         database.execute("CREATE TABLE t (a INTEGER, b VARCHAR)")
         for i in range(200):
             database.execute(
@@ -447,26 +447,27 @@ class TestExplainAnalyzeCounters:
             )
         return database
 
-    def test_vectorized_nodes_report_batches(self):
+    def test_nodes_report_rows_and_loops(self):
         database = self._database()
         analysis = database.analyze(
             "SELECT b, COUNT(*) FROM t WHERE a > 10 GROUP BY b"
         )
         assert analysis.nodes, analysis.text
-        assert all(n["batches"] >= 1 for n in analysis.nodes)
-        assert " [batches=" in analysis.text
+        assert all(n["loops"] == 1 for n in analysis.nodes)
+        assert [n["rows"] for n in analysis.nodes][-2:] == [189, 200]
+        assert "batches" not in analysis.text
         assert "vectorized" not in analysis.text
         assert all("vectorized" not in n for n in analysis.nodes)
 
-    def test_subquery_plans_report_batches(self):
+    def test_subquery_plans_report_rows_and_loops(self):
         database = self._database()
-        # the subquery's plan runs batch-at-a-time like the outer one
+        # the subquery's plan is annotated like the outer one
         analysis = database.analyze(
             "SELECT a FROM t WHERE a = (SELECT MAX(a) FROM t)"
         )
         assert analysis.result.rows == [(199,)]
         assert {n["plan"] for n in analysis.nodes} == {0, 1}
-        assert all(n["batches"] >= 1 for n in analysis.nodes)
+        assert all(n["loops"] == 1 for n in analysis.nodes)
 
     def _with_u(self):
         database = self._database()
@@ -474,60 +475,84 @@ class TestExplainAnalyzeCounters:
         database.execute("INSERT INTO u VALUES (0), (2), (NULL), (4), (6)")
         return database
 
-    def test_theta_join_tests_its_pairs_a_chunk_at_a_time(self):
-        """A theta join answers left-major and builds its candidate
-        pairs about ``batch_size`` at a time: 200 × 5 pairs in chunks
-        of three left rows (15 pairs) take 67 chunks, not one of 1 000
-        pairs."""
-        analysis = self._with_u().analyze(
-            "SELECT t.a, u.c FROM t, u WHERE MOD(t.a, 7) < u.c"
-        )
+    @staticmethod
+    def _residual_calls(database, sql, operator):
+        """Run *sql*; the answer and how often the join *operator*'s
+        residual kernel ran (once per candidate chunk)."""
+        database.explain(sql)  # plans and caches the statement
         join = next(
-            n for n in analysis.nodes if n["operator"] == "NestedLoopJoin"
+            node for node in database._statement_cache[sql].plan.nodes()
+            if type(node).__name__ == operator
         )
-        assert join["batches"] == 67
+        calls = []
+        kernel = join._residual.fn
+
+        def counted(ctx, cols, n):
+            calls.append(n)
+            return kernel(ctx, cols, n)
+
+        join._residual.fn = counted
+        return database.query(sql), len(calls)
+
+    def test_theta_join_tests_its_pairs_a_chunk_at_a_time(
+        self, monkeypatch
+    ):
+        """A theta join answers left-major and builds its candidate
+        pairs about ``CHUNK_ROWS`` at a time: at 16, 200 × 5 pairs in
+        chunks of three left rows (15 pairs) take 67 chunks, not one
+        of 1 000 pairs."""
+        monkeypatch.setattr(vector, "CHUNK_ROWS", 16)
+        rows, chunks = self._residual_calls(
+            self._with_u(),
+            "SELECT t.a, u.c FROM t, u WHERE MOD(t.a, 7) < u.c",
+            "NestedLoopJoin",
+        )
+        assert chunks == 67
         # left-major, in the right side's order
-        assert analysis.result.rows == [
+        assert rows == [
             (a, c) for a in range(200) for c in (0, 2, 4, 6) if a % 7 < c
         ]
 
-    def test_keyless_left_join_tests_its_pairs_a_chunk_at_a_time(self):
+    def test_keyless_left_join_tests_its_pairs_a_chunk_at_a_time(
+        self, monkeypatch
+    ):
         """A LEFT JOIN whose ON holds no equality runs the theta join's
         chunked candidate loop, not one bucket of all 1 000 pairs, and
         pads each left row none of whose pairs passes with NULL in its
         place."""
-        analysis = self._with_u().analyze(
-            "SELECT t.a, u.c FROM t LEFT JOIN u ON MOD(t.a, 7) + 3 < u.c"
+        monkeypatch.setattr(vector, "CHUNK_ROWS", 16)
+        rows, chunks = self._residual_calls(
+            self._with_u(),
+            "SELECT t.a, u.c FROM t LEFT JOIN u ON MOD(t.a, 7) + 3 < u.c",
+            "LeftOuterHashJoin",
         )
-        join = next(
-            n for n in analysis.nodes
-            if n["operator"] == "LeftOuterHashJoin"
-        )
-        assert join["batches"] == 67
+        assert chunks == 67
         expected = []
         for a in range(200):
             matches = [(a, c) for c in (0, 2, 4, 6) if a % 7 + 3 < c]
             expected.extend(matches or [(a, None)])
-        assert analysis.result.rows == expected
+        assert rows == expected
 
-    def test_keyless_band_join_probes_one_bucket(self):
+    def test_keyless_band_join_probes_one_bucket(self, monkeypatch):
         """A keyless join whose whole residual compares a NULL-free
         column of each side bisects all build rows as one bucket: it
-        forms no candidate chunk, and answers left-major in the right
-        side's order as the chunked loop does."""
+        forms no candidate chunk (its residual kernel never runs), and
+        answers left-major in the right side's order as the chunked
+        loop does."""
+        monkeypatch.setattr(vector, "CHUNK_ROWS", 16)
         database = self._database()
         database.execute("CREATE TABLE w (a INTEGER)")
         database.execute("INSERT INTO w VALUES (150), (3), (199), (3)")
-        analysis = database.analyze(
-            "SELECT t.a, w.a FROM t, w WHERE t.a < w.a"
-        )
+        sql = "SELECT t.a, w.a FROM t, w WHERE t.a < w.a"
+        analysis = database.analyze(sql)
         join = next(
             n for n in analysis.nodes if n["operator"] == "NestedLoopJoin"
         )
         assert join["probe"] == "band"
         assert "probe=band]" in analysis.text
-        assert join["batches"] == -(-len(analysis.result.rows) // 16)
-        assert analysis.result.rows == [
+        rows, chunks = self._residual_calls(database, sql, "NestedLoopJoin")
+        assert chunks == 0
+        assert rows == analysis.result.rows == [
             (a, c) for a in range(200) for c in (150, 3, 199, 3) if a < c
         ]
 
@@ -670,3 +695,37 @@ def test_a_bulk_load_holds_one_chunk_of_rows_not_their_copies():
         tracemalloc.stop()
     assert len(database.table("T")) == 50_000
     assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_a_filter_decodes_one_chunk_of_a_coded_column(monkeypatch):
+    """A filter evaluates its predicate ``CHUNK_ROWS`` rows at a time,
+    so a coded column is decoded one slice at a time: over 50 000 rows
+    the query below peaks under 2 MiB (≈ 0.7 MiB).  Evaluated over
+    whole columns it peaks at ≈ 5.6 MiB, which the same bound fails."""
+    n = 50_000
+    database = Database()
+    database.create_table_from_rows(
+        "t", ("a", "b", "c"),
+        ((i, f"v{i % 100}", float(i)) for i in range(n)),
+        (SqlType.INTEGER, SqlType.VARCHAR, SqlType.REAL),
+    )
+    assert isinstance(
+        database.table("t").column_lists([1])[1], columnar.Coded
+    )
+    sql = f"SELECT COUNT(*) FROM t WHERE b = 'v3' OR c > {n - 50.0}"
+    bound = 2 * 2**20
+
+    def peak():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert database.query(sql) == [(549,)]
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    chunked = peak()
+    assert chunked < bound, f"{chunked / 2**20:.2f} MiB"
+    monkeypatch.setattr(vector, "CHUNK_ROWS", n)
+    whole = peak()
+    assert whole > bound, f"{whole / 2**20:.2f} MiB"

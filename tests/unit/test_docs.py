@@ -394,7 +394,7 @@ def resolve_documented(name):
 def test_every_documented_signature_is_the_real_one():
     signatures = list(documented_signatures())
     assert {"MiningSystem", "MiningSystem.run", "MiningSystem.refresh",
-            "EngineOptions", "Database", "RetryPolicy",
+            "Database", "RetryPolicy",
             "JobService"} <= {name for _, name, _ in signatures}
     stars = {inspect.Parameter.VAR_POSITIONAL: "*",
              inspect.Parameter.VAR_KEYWORD: "**"}

@@ -4,8 +4,7 @@ import re
 
 import pytest
 
-from repro.sqlengine import Database
-from repro.sqlengine.options import EngineOptions
+from repro.sqlengine import Database, vector
 
 
 @pytest.fixture
@@ -32,6 +31,38 @@ def annotations(text):
 
 
 class TestAnalyzeSelect:
+    def test_annotation_ends_at_the_actuals(self, db):
+        """An annotated line ends at ``(actual rows=… loops=… time=…
+        ms)``; a join adds its probe kernel, and the structured nodes
+        carry no count beyond rows, loops, time and the probe."""
+        db.execute("CREATE TABLE u (grp VARCHAR)")
+        db.execute("INSERT INTO u VALUES ('a'), ('b')")
+        sql = "SELECT t.x FROM t, u WHERE t.grp = u.grp AND t.x > 1"
+        result = db.analyze(sql)
+        annotated = [
+            line for line in result.text.splitlines() if "actual" in line
+        ]
+        assert len(annotated) == 4
+        for line in annotated:
+            if line.lstrip().startswith("HashJoin"):
+                assert re.search(
+                    ANNOTATION.pattern + r" \[probe=unique\]$", line
+                ), line
+            else:
+                assert re.search(ANNOTATION.pattern + "$", line), line
+        assert "batch" not in result.text
+        assert {frozenset(n) for n in result.nodes} <= {
+            frozenset({"plan", "operator", "rows", "loops", "seconds"}),
+            frozenset({"plan", "operator", "rows", "loops", "seconds",
+                       "probe"}),
+        }
+        # stripped of its annotations, the plan is plain EXPLAIN's
+        plain = db.explain(sql).splitlines()
+        assert plain == [
+            re.sub(r" " + ANNOTATION.pattern + r"( \[probe=\w+\])?$", "", line)
+            for line in result.text.splitlines()[: len(plain)]
+        ]
+
     def test_scan_reports_actual_rows(self, db):
         text = db.explain_analyze("SELECT * FROM t")
         assert "Scan t" in text
@@ -69,7 +100,8 @@ class TestAnalyzeSelect:
         db.execute("CREATE TABLE u (grp VARCHAR)")
         db.execute("INSERT INTO u VALUES ('a'), ('b')")
         sql = "SELECT t.x FROM t, u WHERE t.grp = u.grp"
-        assert "rows/batch=4 probe=unique]" in db.explain_analyze(sql)
+        assert "(actual rows=4 loops=1 " in db.explain_analyze(sql)
+        assert db.explain_analyze(sql).count(" [probe=unique]") == 1
         for row in ("NULL", "'a'"):
             db.execute(f"INSERT INTO u VALUES ({row})")
             result = db.analyze(sql)
@@ -121,10 +153,10 @@ class TestAnalyzeSelect:
         )
         assert "-- subplan --" in text
 
-    def test_correlated_subquery_accumulates_loops(self, db):
-        # at batch_size=3 the outer filter's chunks split group b
-        for batch_size in (db.options.batch_size, 2, 3):
-            db.options = EngineOptions(batch_size=batch_size)
+    def test_correlated_subquery_accumulates_loops(self, db, monkeypatch):
+        # at a chunk of 3 rows the outer filter's chunks split group b
+        for chunk in (vector.CHUNK_ROWS, 2, 3):
+            monkeypatch.setattr(vector, "CHUNK_ROWS", chunk)
             result = db.analyze(
                 "SELECT grp FROM t a "
                 "WHERE x = (SELECT MAX(x) FROM t b WHERE b.grp = a.grp)"
@@ -132,12 +164,12 @@ class TestAnalyzeSelect:
             assert result.rowcount == 3
             # the subplan's scan ran once per distinct outer value
             # (three groups among the five outer rows), not once per
-            # outer row, however many batches the outer filter runs
+            # outer row, however many chunks the outer filter runs
             scans = [
                 n for n in result.nodes
                 if n["operator"] == "TableScan" and n["plan"] > 0
             ]
-            assert scans and scans[0]["loops"] == 3, batch_size
+            assert scans and scans[0]["loops"] == 3, chunk
 
     def test_where_leftover_filter_is_a_node(self, db):
         """A WHERE conjunct holding a subquery filters above the join
@@ -152,13 +184,13 @@ class TestAnalyzeSelect:
             if line.lstrip().startswith("Filter (grp IN")
         )
         assert annotations(line) == [(2, 1)]
-        assert "[batches=1 rows/batch=2]" in line
+        assert line.endswith(" ms)")
         filters = [
             n for n in result.nodes
             if n["operator"] == "Filter" and n["plan"] == 0
         ]
-        assert [(n["rows"], n["loops"], n["batches"]) for n in filters] == [
-            (2, 1, 1), (4, 1, 1),
+        assert [(n["rows"], n["loops"]) for n in filters] == [
+            (2, 1), (4, 1),
         ]
 
     def test_compound_blocks_render_under_their_set_operation(self, db):

@@ -1,8 +1,8 @@
-"""EXPLAIN output and the engine's option surface."""
+"""EXPLAIN output and the knob census: the engine has no options."""
 
 import pytest
 
-from repro.sqlengine import Database, EngineOptions
+from repro.sqlengine import Database
 
 
 @pytest.fixture
@@ -87,7 +87,7 @@ class TestExplain:
         ):
             assert "executor" not in db.explain(sql)
             assert all(
-                node["batches"] >= 1 for node in db.analyze(sql).nodes
+                node["loops"] >= 1 for node in db.analyze(sql).nodes
             )
 
     def test_non_select_statement(self, db):
@@ -141,24 +141,35 @@ class TestExplain:
 
 
 class TestEngineOptions:
+    """The knob census and the flags that are gone (the class name
+    predates the engine having no options at all)."""
+
     def test_knob_census(self):
         """The exact option surface: a new knob has to edit a count."""
-        import dataclasses
         import inspect
 
         from repro import MiningSystem
 
-        fields = [f.name for f in dataclasses.fields(EngineOptions)]
-        assert len(fields) == 2 and fields == [
-            "statement_cache_size", "batch_size",
-        ]
-        # neither planner features nor the executor have a switch,
-        # every node runs in memory (no spill budget), and plans live
-        # on the statement cache's entries (no capacity of their own)
-        for gone in ("hash_joins", "filter_pushdown", "plan_cache",
-                     "plan_cache_size", "vectorize", "memory_budget"):
+        import repro.sqlengine as sqlengine
+        from repro.sqlengine import engine, vector
+
+        # the engine has no options: the statement cache's capacity
+        # and the kernels' chunk are module constants, neither planner
+        # features nor the executor have a switch, and every node runs
+        # in memory (no spill budget)
+        with pytest.raises(ImportError):
+            from repro.sqlengine import EngineOptions  # noqa: F401
+        with pytest.raises(ImportError):
+            import repro.sqlengine.options  # noqa: F401
+        assert "EngineOptions" not in sqlengine.__all__
+        assert not inspect.signature(Database).parameters
+        assert not hasattr(Database(), "options")
+        for gone in ({"options": None}, {"batch_size": 16},
+                     {"statement_cache_size": 0}):
             with pytest.raises(TypeError):
-                EngineOptions(**{gone: False})
+                Database(**gone)
+        assert engine.STATEMENT_CACHE_SIZE == 256
+        assert vector.CHUNK_ROWS == 1024
         parameters = list(inspect.signature(MiningSystem.__init__).parameters)[1:]
         assert len(parameters) == 8 and parameters == [
             "database", "algorithm", "reuse_preprocessing", "retry_policy",
@@ -171,9 +182,15 @@ class TestEngineOptions:
         with pytest.raises(TypeError):
             MiningSystem(health=None)
         shell = list(inspect.signature(Shell.__init__).parameters)[1:]
-        assert len(shell) == 5 and shell == [
-            "algorithm", "retry_policy", "tracer", "json_log", "batch_size",
+        assert len(shell) == 4 and shell == [
+            "algorithm", "retry_policy", "tracer", "json_log",
         ]
+        from repro.serve import MineRuleService
+
+        service = list(
+            inspect.signature(MineRuleService.__init__).parameters
+        )[1:]
+        assert len(service) == 13 and "batch_size" not in service
         # the job service finds its registry and journal on the
         # system's tracer
         from repro.jobs import JobService
@@ -206,12 +223,6 @@ class TestEngineOptions:
         for gone in ({"parent_strategy": "body"}, {"representation": "set"}):
             with pytest.raises(TypeError):
                 GeneralCoreOperator(**gone)
-        # executor tuning is the engine's, rejected at its boundary
-        with pytest.raises(
-            ValueError, match="batch_size must be positive, got 0"
-        ):
-            EngineOptions(batch_size=0)
-
         # the pool: no member takes a knob, not even a layout switch
         import repro.algorithms as pool
 
@@ -230,21 +241,6 @@ class TestEngineOptions:
         assert not hasattr(pool, "REPRESENTATIONS")
         assert "REPRESENTATIONS" not in pool.__all__
 
-    @pytest.mark.parametrize("name", ["statement_cache_size"])
-    def test_negative_cache_size_is_rejected(self, name):
-        """A negative capacity is refused when the options are built:
-        accepted, it made the LRU eviction raise ``KeyError`` on every
-        statement.  0 stays legal (nothing is cached)."""
-        with pytest.raises(
-            ValueError, match=f"{name} must not be negative, got -1"
-        ):
-            EngineOptions(**{name: -1})
-        db = Database(EngineOptions(**{name: 0}))
-        db.execute("CREATE TABLE t (a INTEGER)")
-        db.execute("INSERT INTO t VALUES (1)")
-        for _ in range(2):
-            assert db.query("SELECT a FROM t") == [(1,)]
-
     def test_memory_budget_flag_is_gone(self, capsys):
         """Every node runs in memory: neither front end takes the flag
         that set a spill budget."""
@@ -256,10 +252,14 @@ class TestEngineOptions:
             assert exit_info.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers=2", "--shard-start-method=fork"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--workers=2", "--shard-start-method=fork", "--batch-size=16"],
+    )
     def test_sharding_flags_are_gone(self, flag, capsys):
-        """One process, one execution mode: neither front end takes the
-        flags that chose another."""
+        """One process, one execution mode, no engine knob: neither
+        front end takes the flags that chose another mode or set the
+        executor's chunk size."""
         from repro import cli, serve
 
         for main in (cli.main, serve.main):

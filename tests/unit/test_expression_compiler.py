@@ -90,6 +90,6 @@ def test_errors_surface_at_execution_only(db, sql):
 def test_short_circuit_skips_the_bad_subexpression(db, sql, rows):
     assert runs_on_batch_executor(db, sql)
     assert db.query(sql) == rows
-    assert all(node["batches"] >= 1 for node in db.analyze(sql).nodes)
+    assert all(node["loops"] >= 1 for node in db.analyze(sql).nodes)
     db.execute("UPDATE t SET a = nosuchfn(a) WHERE a = 99")
     assert db.query("SELECT a FROM t") == [(1,), (3,)]

@@ -106,6 +106,20 @@ def test_disabled_registry_hands_out_null_instrument():
     assert NULL_REGISTRY.collect() == []
 
 
+def test_there_is_no_process_wide_registry():
+    """Each serving session builds its own registry: no enabled one is
+    shared by every thread of the process."""
+    from repro import obs
+    from repro.obs import metrics
+    from repro.serve import MineRuleService
+
+    assert not hasattr(metrics, "REGISTRY")
+    assert "REGISTRY" not in obs.__all__
+    first, second = MineRuleService(), MineRuleService()
+    assert first.metrics is not second.metrics
+    assert first.metrics.enabled and second.metrics.enabled
+
+
 def test_snapshot_is_json_ready():
     reg = MetricsRegistry()
     reg.counter("c_total", "c", ("k",)).inc(3, k="v")

@@ -2,11 +2,19 @@
 and its observability (CacheStats, the engine spans' cache events,
 EXPLAIN markers)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
-from repro.sqlengine import Database, EngineOptions
+from repro.sqlengine import Database, engine
 from tests.property.test_sqlite_differential import t_rows_strategy
+
+
+def cache_size(size):
+    """The statement cache's capacity patched to *size* (0 keeps
+    nothing) for the ``with`` block."""
+    return mock.patch.object(engine, "STATEMENT_CACHE_SIZE", size)
 
 
 @pytest.fixture
@@ -28,14 +36,16 @@ class TestStatementCache:
         assert db.cache_stats.statement_hits == before + 2
 
     def test_lru_eviction(self):
-        db = Database(EngineOptions(statement_cache_size=2))
-        db.execute("CREATE TABLE t (a INTEGER)")
-        db.query("SELECT a FROM t")
-        db.query("SELECT a + 1 FROM t")
-        db.query("SELECT a + 2 FROM t")  # evicts the first
-        misses = db.cache_stats.statement_misses
-        db.query("SELECT a FROM t")
-        assert db.cache_stats.statement_misses == misses + 1
+        db = Database()
+        with cache_size(2):
+            db.execute("CREATE TABLE t (a INTEGER)")
+            db.query("SELECT a FROM t")
+            db.query("SELECT a + 1 FROM t")
+            db.query("SELECT a + 2 FROM t")  # evicts the first
+            assert len(db._statement_cache) == 2
+            misses = db.cache_stats.statement_misses
+            db.query("SELECT a FROM t")
+            assert db.cache_stats.statement_misses == misses + 1
 
     def test_clear_caches(self, db):
         db.query("SELECT item FROM items")
@@ -134,10 +144,11 @@ class TestPlanCache:
         assert db.cache_stats.plan_misses == misses + 1
 
     def test_plan_cache_can_be_disabled(self):
-        db = Database(EngineOptions(statement_cache_size=0))
-        db.execute("CREATE TABLE t (a INTEGER)")
-        db.query("SELECT a FROM t")
-        db.query("SELECT a FROM t")
+        db = Database()
+        with cache_size(0):
+            db.execute("CREATE TABLE t (a INTEGER)")
+            db.query("SELECT a FROM t")
+            assert db.query("SELECT a FROM t") == []
         assert db.cache_stats.statement_hits == 0
         assert db.cache_stats.plan_hits == 0
         # neither a parse nor a plan is kept
@@ -218,20 +229,26 @@ def test_cached_reexecution_sees_dml(t_rows):
     """Repeated execution through the plan cache tracks table updates,
     and matches a cache-cold engine at every step."""
     db = Database()
-    cold = Database(EngineOptions(statement_cache_size=0))
-    for engine in (db, cold):
-        engine.execute("CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR, "
-                       "d REAL)")
-        engine.table("t").insert_many(t_rows)
+    cold = Database()
+
+    def cold_query(sql):
+        with cache_size(0):
+            return cold.query(sql)
+
+    for database in (db, cold):
+        database.execute("CREATE TABLE t (a INTEGER, b INTEGER, "
+                         "c VARCHAR, d REAL)")
+        database.table("t").insert_many(t_rows)
     sql = "SELECT a, b FROM t WHERE a >= 0 OR b IS NULL"
-    assert db.query(sql) == cold.query(sql)
-    for engine in (db, cold):
-        engine.execute("INSERT INTO t VALUES (0, NULL, 'added', NULL)")
-    assert db.query(sql) == cold.query(sql)
-    for engine in (db, cold):
-        engine.execute("DELETE FROM t WHERE a < 0")
-    assert db.query(sql) == cold.query(sql)
+    assert db.query(sql) == cold_query(sql)
+    for database in (db, cold):
+        database.execute("INSERT INTO t VALUES (0, NULL, 'added', NULL)")
+    assert db.query(sql) == cold_query(sql)
+    for database in (db, cold):
+        database.execute("DELETE FROM t WHERE a < 0")
+    assert db.query(sql) == cold_query(sql)
     assert db.cache_stats.plan_hits == 2
+    assert cold.cache_stats.plan_hits == 0
 
 
 def test_ddl_invalidates_cached_plan():
